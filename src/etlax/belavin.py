@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
-from .theta import Residual, theta, theta_char
+from .opalg import perm_sign
+from .theta import Residual, residual_pair, theta, theta_char
 from .weights import WeightPoint
 
 _EPS = 1e-300
@@ -338,8 +339,7 @@ def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
                         phi_v = intertwiners(v, lam, ctx).phi
                         phi_u_up = intertwiners(u, mup, ctx).phi
                         rhs += phi_v[jp, ap] * phi_u_up[ip, bp] * w
-                    r = Residual(rel=abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _EPS),
-                                 abs=abs(lhs - rhs))
+                    r = residual_pair(lhs, rhs)
                     if r.rel > worst.rel:
                         worst = r
     return worst
@@ -379,8 +379,7 @@ def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
                         pb_u_lam = intertwiners(u, lam, ctx).phibar
                         pb_v_mup = intertwiners(v, mup, ctx).phibar
                         rhs += w * pb_u_lam[ap, i] * pb_v_mup[bp, j]
-                    r = Residual(rel=abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _EPS),
-                                 abs=abs(lhs - rhs))
+                    r = residual_pair(lhs, rhs)
                     if r.rel > worst.rel:
                         worst = r
     return worst
@@ -491,29 +490,12 @@ def antisym_vector(n: int, subset) -> np.ndarray:
     vec = np.zeros(n ** k, dtype=complex)
     base = list(subset)
     for perm in permutations(range(k)):
-        sgn = _perm_sign(perm)
+        sgn = perm_sign(perm)
         idx = 0
         for r in range(k):
             idx = idx * n + base[perm[r]]
         vec[idx] += sgn
     return vec
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def subsets(n: int, k: int):

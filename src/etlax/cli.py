@@ -1,6 +1,6 @@
 """Batch verification driver.
 
-    verify <suite> [--n N] [--seed S] [--config FILE] [--json OUT] [--parallel]
+    verify <suite> [--n N] [--seed S] [--config FILE] [--json OUT]
     verify all ...
 
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .context import (DEFAULT_C, DEFAULT_HBAR, DEFAULT_TAU, ContextError,
                       ModularContext)
@@ -91,18 +90,10 @@ def context_from_config(cfg: dict, n: int = None) -> ModularContext:
     )
 
 
-def run_all(cfg: dict, seed: int, parallel: bool = False):
+def run_all(cfg: dict, seed: int):
     """Every suite for n in {2, 3}; reports in fixed order."""
-    jobs = [(name, n) for n in (2, 3) for name in SUITE_ORDER]
-
-    def job(item):
-        name, n = item
-        return run_suite(name, context_from_config(cfg, n=n), seed)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(job, jobs))
-    return [job(item) for item in jobs]
+    return [run_suite(name, context_from_config(cfg, n=n), seed)
+            for n in (2, 3) for name in SUITE_ORDER]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                              + ", ".join(SUITE_ORDER))
     parser.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--json", help="write a JSON report to this path")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run suites concurrently (report order is fixed)")
     parser.add_argument("--n", type=int, help="rank n (single-suite runs)")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--trunc", type=int, help="theta series truncation")
@@ -131,7 +120,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         seed = int(cfg["seed"])
         if args.suite == "all":
-            reports = run_all(cfg, seed, parallel=args.parallel)
+            reports = run_all(cfg, seed)
         else:
             if args.suite not in SUITE_ORDER:
                 print(f"error: unknown suite {args.suite!r}; available: "

@@ -111,9 +111,12 @@ def compose(a: DifferenceOperator, b: DifferenceOperator,
     return diff_op(a.n, items)
 
 
-def operator_residual(a: DifferenceOperator, b: DifferenceOperator,
-                      samples, ctx: ModularContext) -> Residual:
-    """Max coefficient difference over keys and samples, relative to scale."""
+def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
+    """Max coefficient difference over keys and samples, relative to scale.
+
+    a and b are both DifferenceOperators or both DifferentialOperators;
+    either kind exposes its keys as terms and its coefficients as coeff.
+    """
     keys = set(a.terms) | set(b.terms)
     worst, scale = 0.0, 0.0
     for key in keys:
@@ -126,16 +129,9 @@ def operator_residual(a: DifferenceOperator, b: DifferenceOperator,
 
 def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
                         samples, ctx: ModularContext) -> Residual:
-    """Residual of [a, b] = 0, normalized by the size of a b."""
-    ab = compose(a, b, ctx)
-    ba = compose(b, a, ctx)
-    worst, scale = 0.0, 0.0
-    for key in set(ab.terms) | set(ba.terms):
-        for lam in samples:
-            d = abs(ab.coeff(key, lam) - ba.coeff(key, lam))
-            worst = max(worst, d)
-            scale = max(scale, abs(ab.coeff(key, lam)))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
+    """Residual of [a, b] = 0, i.e. of a b = b a."""
+    return operator_residual(compose(a, b, ctx), compose(b, a, ctx),
+                             samples, ctx)
 
 
 def _normal_product(factors, n: int) -> DifferenceOperator:
@@ -168,7 +164,7 @@ def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
     total = {}
     nn = entries[0][0].n
     for perm in permutations(range(n)):
-        sgn = _perm_sign_seq(perm)
+        sgn = perm_sign(perm)
         prod = _normal_product([shifted[i][perm[i]] for i in range(n)], nn)
         scaled = op_scale(prod, sgn)
         for key, fns in scaled.terms.items():
@@ -176,7 +172,8 @@ def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
     return DifferenceOperator(nn, total)
 
 
-def _perm_sign_seq(perm) -> int:
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):
@@ -433,28 +430,11 @@ def pdo_apply(op: DifferentialOperator, fjet, lam: WeightPoint) -> complex:
     return total
 
 
-def pdo_residual(a: DifferentialOperator, b: DifferentialOperator,
-                 samples) -> Residual:
-    keys = set(a.terms) | set(b.terms)
-    worst, scale = 0.0, 0.0
-    for alpha in keys:
-        for lam in samples:
-            ca, cb = a.coeff(alpha, lam), b.coeff(alpha, lam)
-            worst = max(worst, abs(ca - cb))
-            scale = max(scale, abs(ca), abs(cb))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
-
-
 def pdo_commutator_residual(a: DifferentialOperator, b: DifferentialOperator,
                             samples, ctx: ModularContext) -> Residual:
-    ab = pdo_compose(a, b, ctx)
-    ba = pdo_compose(b, a, ctx)
-    worst, scale = 0.0, 0.0
-    for alpha in set(ab.terms) | set(ba.terms):
-        for lam in samples:
-            worst = max(worst, abs(ab.coeff(alpha, lam) - ba.coeff(alpha, lam)))
-            scale = max(scale, abs(ab.coeff(alpha, lam)))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
+    """Residual of [a, b] = 0, i.e. of a b = b a."""
+    return operator_residual(pdo_compose(a, b, ctx), pdo_compose(b, a, ctx),
+                             samples, ctx)
 
 
 def exp_test_function(vec):

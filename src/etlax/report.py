@@ -149,6 +149,18 @@ def report_json(reports) -> str:
 
 
 def strip_timing(text: str) -> str:
-    """Drop wall-time lines/fields for determinism comparisons."""
+    """Drop wall-time lines/fields for determinism comparisons.
+
+    A JSON report loses the wall_time_s key of each suite; any other text
+    loses every line that mentions wall_time_s.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and "suites" in doc:
+        for suite in doc["suites"]:
+            suite.pop("wall_time_s", None)
+        return json.dumps(doc)
     lines = [ln for ln in text.splitlines() if "wall_time_s" not in ln]
     return "\n".join(lines)

@@ -26,12 +26,12 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
-from .belavin import build_r, fused_rcheck_matrix, intertwiners
+from .belavin import fused_rcheck_matrix, intertwiners
 from .opalg import (DifferenceOperator, DifferentialOperator, Jet, apply_op,
                     compose, diff_op, exp_test_function, identity_op,
                     jet_of_affine, op_add, op_scale,
                     operator_residual, normal_det, pdo, pdo_add, pdo_apply,
-                    pdo_compose, pdo_residual, pdo_scale)
+                    pdo_compose, pdo_scale, perm_sign)
 from .theta import Residual, residual_pair, theta, theta_level_n
 from .weights import WeightPoint, subset_key, unit_key
 
@@ -79,51 +79,10 @@ def verify_rll(c: complex, u: complex, v: complex, ctx: ModularContext,
                lams, fns) -> Residual:
     """Residual of Rcheck(u-v) L(u) (x) L(v) = L(v) (x) L(u) Rcheck(u-v)
     applied to the given test functions at the given weight points."""
-    n = ctx.n
-    hb = ctx.hbar
-    r4 = build_r(u - v, ctx).entries
-    worst, scale = 0.0, 0.0
-    for lam in lams:
-        a_u0 = l_coeff_tensor(c, u, lam, ctx)
-        a_v0 = l_coeff_tensor(c, v, lam, ctx)
-        shifted = [lam.shifted_eps(k, hb) for k in range(n)]
-        a_v_after = np.stack([l_coeff_tensor(c, v, shifted[k], ctx)
-                              for k in range(n)])   # [k,m,j,j']
-        a_u_after = np.stack([l_coeff_tensor(c, u, shifted[m], ctx)
-                              for m in range(n)])   # [m,k,a,a']
-        for f in fns:
-            fval = np.array([[f(shifted[k].shifted_eps(m, hb))
-                              for m in range(n)] for k in range(n)])
-            # lhs[i,j,a,b] = sum R^{xy}_{ab} (L_u^i_x L_v^j_y f);
-            # output slots are (b, a) after the braid flip
-            lhs = np.einsum("xyab,kix,kmjy,km->ijab",
-                            r4, a_u0, a_v_after, fval)
-            # rhs[i,j,a,b] = sum R^{ij}_{xy} (L_v^y_b L_u^x_a f)
-            rhs = np.einsum("ijxy,myb,mkxa,km->ijab",
-                            r4, a_v0, a_u_after, fval)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(lhs))),
-                        float(np.max(np.abs(rhs))))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
+    return verify_fused_rll(c, u, v, 1, 1, ctx, lams, fns)
 
 
 # ------------------------------------------------------------------ fusion
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        j, ln = s, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
-
 
 @dataclass(frozen=True)
 class FusedL:
@@ -146,7 +105,7 @@ def fused_l(c: complex, u: complex, k: int, ctx: ModularContext) -> FusedL:
         for big_ip in combinations(range(n), k):
             parts = []
             for perm in permutations(range(k)):
-                sgn = _perm_sign(perm)
+                sgn = perm_sign(perm)
                 op = levels[0].entries[big_i[perm[0]]][big_ip[0]]
                 for r in range(1, k):
                     op = compose(op, levels[r].entries[big_i[perm[r]]][big_ip[r]], ctx)
@@ -373,56 +332,57 @@ def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
     return operator_residual(det, genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
+def _shift_keys(fl: FusedL) -> list:
+    """Every shift key that occurs in some entry of the fused L-operator."""
+    return sorted(set().union(*(op.terms for op in fl.entries.values())))
+
+
+def _coeff_table(fl: FusedL, keys, lam: WeightPoint) -> np.ndarray:
+    """A[key, I, I'] = coefficient of T_key in the entry (I, I') at lam."""
+    subs = list(combinations(range(lam.n), fl.k))
+    return np.array([[[fl.entries[(big_i, big_ip)].coeff(key, lam)
+                       for big_ip in subs] for big_i in subs] for key in keys])
+
+
 def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
                      ctx: ModularContext, lams, fns) -> Residual:
-    """Fused RLL relation with the projected fused braid matrix."""
+    """Fused RLL relation with the projected fused braid matrix.
+
+    Both sides are contracted from tabulated coefficients: the operator
+    applied first is read at lam, the other one at lam shifted by each key
+    of the first, and the test function at the doubly shifted points.
+    """
     n = ctx.n
-    subs_k = list(combinations(range(n), k))
-    subs_kp = list(combinations(range(n), kp))
-    rf = fused_rcheck_matrix(k, kp, u, v, ctx)
-    rows = {}
-    for a, big_jp in enumerate(subs_kp):
-        for b, big_ip in enumerate(subs_k):
-            rows[(big_jp, big_ip)] = a * len(subs_k) + b
-    cols = {}
-    for a, big_i in enumerate(subs_k):
-        for b, big_j in enumerate(subs_kp):
-            cols[(big_i, big_j)] = a * len(subs_kp) + b
-    flu = fused_l(c, u, k, ctx)
-    flv = fused_l(c, v, kp, ctx)
+    hb = ctx.hbar
+    nk, nkp = math.comb(n, k), math.comb(n, kp)
+    # rows (J'', I''), columns (I', J')
+    rf = fused_rcheck_matrix(k, kp, u, v, ctx).reshape(nkp, nk, nk, nkp)
+    flu, flv = fused_l(c, u, k, ctx), fused_l(c, v, kp, ctx)
+    keys_u, keys_v = _shift_keys(flu), _shift_keys(flv)
     worst, scale = 0.0, 0.0
     for lam in lams:
+        after_u = [lam.shifted(key, hb) for key in keys_u]
+        after_v = [lam.shifted(key, hb) for key in keys_v]
+        a_u0 = _coeff_table(flu, keys_u, lam)                  # [K,I,I']
+        a_v0 = _coeff_table(flv, keys_v, lam)                  # [K,J,J']
+        a_v_after = np.stack([_coeff_table(flv, keys_v, mu)
+                              for mu in after_u])              # [K,K',J,J']
+        a_u_after = np.stack([_coeff_table(flu, keys_u, mu)
+                              for mu in after_v])              # [K,K',A,I'']
+        pts_uv = [[mu.shifted(key, hb) for key in keys_v] for mu in after_u]
+        pts_vu = [[mu.shifted(key, hb) for key in keys_u] for mu in after_v]
         for f in fns:
-            for big_i in subs_k:
-                for big_j in subs_kp:
-                    for big_ipp in subs_k:
-                        for big_jpp in subs_kp:
-                            lhs = 0.0 + 0.0j
-                            for big_ip in subs_k:
-                                for big_jp in subs_kp:
-                                    w = rf[rows[(big_jpp, big_ipp)],
-                                           cols[(big_ip, big_jp)]]
-                                    if abs(w) < 1e-14:
-                                        continue
-                                    def g(mu, _bj=big_j, _bjp=big_jp):
-                                        return apply_op(flv.entries[(_bj, _bjp)],
-                                                        f, mu, ctx)
-                                    lhs += w * apply_op(
-                                        flu.entries[(big_i, big_ip)], g, lam, ctx)
-                            rhs = 0.0 + 0.0j
-                            for big_b in subs_kp:
-                                for big_a in subs_k:
-                                    w = rf[rows[(big_b, big_a)],
-                                           cols[(big_i, big_j)]]
-                                    if abs(w) < 1e-14:
-                                        continue
-                                    def g2(mu, _ba=big_a, _bipp=big_ipp):
-                                        return apply_op(flu.entries[(_ba, _bipp)],
-                                                        f, mu, ctx)
-                                    rhs += w * apply_op(
-                                        flv.entries[(big_b, big_jpp)], g2, lam, ctx)
-                            worst = max(worst, abs(lhs - rhs))
-                            scale = max(scale, abs(lhs), abs(rhs))
+            f_uv = np.array([[f(pt) for pt in row] for row in pts_uv])
+            f_vu = np.array([[f(pt) for pt in row] for row in pts_vu])
+            # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
+            lhs = np.einsum("dcxy,kix,kmjy,km->ijcd",
+                            rf, a_u0, a_v_after, f_uv)
+            # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
+            rhs = np.einsum("yxij,kyd,kmxc,km->ijcd",
+                            rf, a_v0, a_u_after, f_vu)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            scale = max(scale, float(np.max(np.abs(lhs))),
+                        float(np.max(np.abs(rhs))))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
 
 
@@ -707,7 +667,7 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     d1 = pdo_scale(d_ops[0], g)
     d2 = pdo_scale(d_ops[1], g * g)
     combo = pdo_add(pdo_compose(d1, d1, ctx), pdo_scale(d2, -2.0))
-    return pdo_residual(combo, hamiltonian_cm(c, ctx), samples)
+    return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
 
 
 def _mdot_apply(c: complex, d: int, hb: complex, f, lam: WeightPoint,

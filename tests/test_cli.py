@@ -6,8 +6,8 @@ import pytest
 
 from etlax import cli
 from etlax.context import default_context
-from etlax.report import fmt_complex, fmt_float, report_json, report_text, \
-    strip_timing
+from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
+    report_json, report_text, strip_timing
 from etlax.suites import SUITE_ORDER, run_suite
 
 
@@ -49,6 +49,17 @@ def test_report_determinism():
     assert "wall_time_s" in t1
     j1, j2 = report_json([rep1]), report_json([rep2])
     assert strip_timing(j1) == strip_timing(j2)
+
+
+def test_strip_timing_keeps_json_content():
+    def report(rel, ok):
+        rep = SuiteReport("fay", {"n": 2}, 1e-9,
+                          [Case("fay", rel, rel, 1e-9, ok)], wall_time_s=1.5)
+        return rep.finalize()
+    passing = strip_timing(report_json([report(1e-12, True)]))
+    failing = strip_timing(report_json([report(1e-3, False)]))
+    assert passing and failing and passing != failing
+    assert "wall_time_s" not in passing
 
 
 def test_seed_changes_residuals_not_outcome():

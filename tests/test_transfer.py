@@ -223,8 +223,23 @@ def test_lax_resonant_rejection(ctx3):
 def test_fused_rll(ctx3, rng):
     lams = wt.sample_many(38, 2, ctx3)
     fns = [sumzero_exp(rng, 3) for _ in range(2)]
-    res = tr.verify_fused_rll(C0, U0, V0, 2, 2, ctx3, lams, fns)
-    assert res.rel < 1e-8
+    for k, kp in ((2, 2), (1, 2), (2, 1)):
+        res = tr.verify_fused_rll(C0, U0, V0, k, kp, ctx3, lams, fns)
+        assert res.rel < 1e-8
+
+
+def test_rll_negative_control(ctx2, ctx3, rng, monkeypatch):
+    # a braid matrix at the wrong spectral parameter must break both checks
+    real = tr.fused_rcheck_matrix
+    monkeypatch.setattr(tr, "fused_rcheck_matrix",
+                        lambda k, kp, u, v, ctx: real(k, kp, u + 0.07, v, ctx))
+    for ctx in (ctx2, ctx3):
+        lams = wt.sample_many(22, 5, ctx)
+        fns = [sumzero_exp(rng, ctx.n) for _ in range(5)]
+        assert tr.verify_rll(C0, U0, V0, ctx, lams, fns).rel > 1e-2
+    lams = wt.sample_many(38, 2, ctx3)
+    fns = [sumzero_exp(rng, 3) for _ in range(2)]
+    assert tr.verify_fused_rll(C0, U0, V0, 2, 2, ctx3, lams, fns).rel > 1e-2
 
 
 def test_krichever_closed_form(ctx2, ctx3, rng):
