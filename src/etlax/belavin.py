@@ -24,7 +24,7 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
-from .theta import Residual, residual_pair, theta, theta_char
+from .theta import Residual, residual_pair, theta, theta_char, worst_of
 from .weights import WeightPoint
 
 _EPS = 1e-300
@@ -310,7 +310,7 @@ def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
     """Outgoing intertwining relation tying R(u-v) to the face weights."""
     n = ctx.n
     rt = build_r(u - v, ctx).entries
-    worst = Residual(0.0, 0.0)
+    found = []
     for a in range(n):          # first step lam -> mu
         mu = lam.shifted_eps(a, ctx.hbar)
         phi_u = intertwiners(u, lam, ctx).phi
@@ -339,10 +339,8 @@ def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
                         phi_v = intertwiners(v, lam, ctx).phi
                         phi_u_up = intertwiners(u, mup, ctx).phi
                         rhs += phi_v[jp, ap] * phi_u_up[ip, bp] * w
-                    r = residual_pair(lhs, rhs)
-                    if r.rel > worst.rel:
-                        worst = r
-    return worst
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
 
 
 def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
@@ -350,7 +348,7 @@ def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
     """Incoming intertwining relation (the inverse-vector version)."""
     n = ctx.n
     rt = build_r(u - v, ctx).entries
-    worst = Residual(0.0, 0.0)
+    found = []
     for a in range(n):
         mu = lam.shifted_eps(a, ctx.hbar)
         pb_v_lam = intertwiners(v, lam, ctx).phibar    # lam -> lam + h eps_a
@@ -379,10 +377,8 @@ def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
                         pb_u_lam = intertwiners(u, lam, ctx).phibar
                         pb_v_mup = intertwiners(v, mup, ctx).phibar
                         rhs += w * pb_u_lam[ap, i] * pb_v_mup[bp, j]
-                    r = residual_pair(lhs, rhs)
-                    if r.rel > worst.rel:
-                        worst = r
-    return worst
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
 
 
 # ----------------------------------------------------------------- fusion

@@ -7,7 +7,9 @@ Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
 hbar_re, hbar_im, c_re, c_im, trunc, tol_series, tol_identity, seed); every
 key can be overridden by a command-line flag of the same name, and the
 environment variable ETL_TRUNC overrides trunc (flags still win).  Exit
-codes: 0 all checks passed, 1 verification failure, 2 configuration error.
+codes: 0 all checks passed, 1 verification failure, 2 configuration error
+or an evaluation that could not be carried out (a singular parameter or an
+exhausted sampling budget).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .context import (DEFAULT_C, DEFAULT_HBAR, DEFAULT_TAU, ContextError,
-                      ModularContext)
+                      ModularContext, SamplingError, SingularParameterError)
 from .report import report_json, report_text
 from .suites import SUITE_ORDER, run_suite
 
@@ -128,7 +130,8 @@ def main(argv=None) -> int:
                 return 2
             ctx = context_from_config(cfg)
             reports = [run_suite(args.suite, ctx, seed)]
-    except (ContextError, OSError, ValueError) as exc:
+    except (ContextError, OSError, ValueError, SingularParameterError,
+            SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report_text(reports)

@@ -2,10 +2,13 @@
 
 A DifferenceOperator is a finite sum coeff_K(lambda) * T_K where T_K shifts
 lambda by hbar * sum_i K_i epsbar_i; keys are canonicalized modulo (1,...,1)
-because sum_i epsbar_i = 0.  Coefficients are closures; no symbolic
-simplification is attempted, and operator equality is decided numerically on
-generic sample points (coefficients are finite products of theta values, so
-meromorphic, and vanishing on a dozen random points decides vanishing).
+because sum_i epsbar_i = 0.  An operator is its key set and one coefficient
+table, lambda -> {K: coeff_K(lambda)}; sums, products and determinants build
+their table from their operands' tables, reading each operand's table once
+per point it needs.  No symbolic simplification is attempted, and
+operator equality is decided numerically on generic sample points
+(coefficients are finite products of theta values, so meromorphic, and
+vanishing on a dozen random points decides vanishing).
 
 A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha.  Its
 coefficients are jet-valued closures (lam, order) -> Jet supplying exact
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable
 
 from .context import ModularContext
 from .theta import Residual
@@ -30,26 +34,34 @@ _EPS = 1e-300
 
 @dataclass(frozen=True)
 class DifferenceOperator:
-    """Finite sum of (coefficient closure, shift key) terms."""
+    """Finite sum of coefficient times shift.
+
+    terms holds the canonical shift keys; table(lam) returns the coefficient
+    of every one of them at lam as a dict {key: complex}.
+    """
 
     n: int
-    terms: dict
+    terms: tuple
+    table: Callable
 
     def coeff(self, key, lam: WeightPoint) -> complex:
-        fns = self.terms.get(canonical_key(key), ())
-        return sum((f(lam) for f in fns), 0.0 + 0.0j)
+        return self.table(lam).get(canonical_key(key), 0.0 + 0.0j)
 
     def keys(self):
-        return sorted(self.terms.keys())
+        return sorted(self.terms)
 
 
 def diff_op(n: int, items) -> DifferenceOperator:
     """Build an operator from (key, coefficient closure) pairs."""
-    terms = {}
-    for key, fn in items:
-        ck = canonical_key(key)
-        terms[ck] = terms.get(ck, ()) + (fn,)
-    return DifferenceOperator(n, terms)
+    items = [(canonical_key(key), fn) for key, fn in items]
+
+    def table(lam):
+        out = {}
+        for key, fn in items:
+            out[key] = out.get(key, 0.0 + 0.0j) + fn(lam)
+        return out
+    return DifferenceOperator(n, tuple(dict.fromkeys(k for k, _ in items)),
+                              table)
 
 
 def identity_op(n: int) -> DifferenceOperator:
@@ -65,32 +77,47 @@ def scalar_op(n: int, fn) -> DifferenceOperator:
 
 
 def op_add(*ops: DifferenceOperator) -> DifferenceOperator:
-    n = ops[0].n
-    terms = {}
-    for op in ops:
-        for key, fns in op.terms.items():
-            terms[key] = terms.get(key, ()) + fns
-    return DifferenceOperator(n, terms)
+    def table(lam):
+        out = {}
+        for op in ops:
+            for key, value in op.table(lam).items():
+                out[key] = out.get(key, 0.0 + 0.0j) + value
+        return out
+    keys = dict.fromkeys(key for op in ops for key in op.terms)
+    return DifferenceOperator(ops[0].n, tuple(keys), table)
+
+
+def _product(a: DifferenceOperator, b: DifferenceOperator,
+             hbar=None) -> DifferenceOperator:
+    """Keys add and coefficients multiply: c_a(lam) c_b(lam + hbar K_a).
+
+    With hbar the product is the composition a after b; with hbar None, b
+    is read at lam itself (the normal product, all shifts moved right).
+    """
+    def table(lam):
+        tb = b.table(lam) if hbar is None else None
+        out = {}
+        for ka, ca in a.table(lam).items():
+            right = tb if hbar is None else b.table(lam.shifted(ka, hbar))
+            for kb, cb in right.items():
+                key = canonical_key([x + y for x, y in zip(ka, kb)])
+                out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
+        return out
+    keys = dict.fromkeys(canonical_key([x + y for x, y in zip(ka, kb)])
+                         for ka in a.terms for kb in b.terms)
+    return DifferenceOperator(a.n, tuple(keys), table)
 
 
 def op_scale(op: DifferenceOperator, factor) -> DifferenceOperator:
     """factor may be a scalar or a function of lambda (left multiplication)."""
-    if callable(factor):
-        items = [(key, (lambda fns: lambda lam: factor(lam) * sum(f(lam) for f in fns))(fns))
-                 for key, fns in op.terms.items()]
-    else:
-        z = complex(factor)
-        items = [(key, (lambda fns: lambda lam: z * sum(f(lam) for f in fns))(fns))
-                 for key, fns in op.terms.items()]
-    return diff_op(op.n, items)
+    return _product(scalar_op(op.n, factor), op)
 
 
 def apply_op(op: DifferenceOperator, f, lam: WeightPoint,
              ctx: ModularContext) -> complex:
     """(op f)(lambda) = sum_K coeff_K(lambda) f(lambda + hbar K . epsbar)."""
     total = 0.0 + 0.0j
-    for key, fns in op.terms.items():
-        c = sum((fn(lam) for fn in fns), 0.0 + 0.0j)
+    for key, c in op.table(lam).items():
         total += c * f(lam.shifted(key, ctx.hbar))
     return total
 
@@ -98,30 +125,22 @@ def apply_op(op: DifferenceOperator, f, lam: WeightPoint,
 def compose(a: DifferenceOperator, b: DifferenceOperator,
             ctx: ModularContext) -> DifferenceOperator:
     """a after b: coefficient c_a(lam) c_b(lam + hbar K_a), keys add."""
-    hb = ctx.hbar
-    items = []
-    for ka, fas in a.terms.items():
-        for kb, fbs in b.terms.items():
-            def fn(lam, _fas=fas, _fbs=fbs, _ka=ka):
-                shifted = lam.shifted(_ka, hb)
-                ca = sum((f(lam) for f in _fas), 0.0 + 0.0j)
-                cb = sum((f(shifted) for f in _fbs), 0.0 + 0.0j)
-                return ca * cb
-            items.append((tuple(x + y for x, y in zip(ka, kb)), fn))
-    return diff_op(a.n, items)
+    return _product(a, b, ctx.hbar)
 
 
 def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
     """Max coefficient difference over keys and samples, relative to scale.
 
     a and b are both DifferenceOperators or both DifferentialOperators;
-    either kind exposes its keys as terms and its coefficients as coeff.
+    either kind exposes its keys as terms and its coefficients at a point
+    as table.
     """
     keys = set(a.terms) | set(b.terms)
     worst, scale = 0.0, 0.0
-    for key in keys:
-        for lam in samples:
-            ca, cb = a.coeff(key, lam), b.coeff(key, lam)
+    for lam in samples:
+        ta, tb = a.table(lam), b.table(lam)
+        for key in keys:
+            ca, cb = ta.get(key, 0.0 + 0.0j), tb.get(key, 0.0 + 0.0j)
             worst = max(worst, abs(ca - cb))
             scale = max(scale, abs(ca), abs(cb))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
@@ -134,22 +153,6 @@ def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
                              samples, ctx)
 
 
-def _normal_product(factors, n: int) -> DifferenceOperator:
-    """Normal product: coefficients multiply at the same lambda, keys add."""
-    acc = {(0,) * n: ((lambda lam: 1.0 + 0.0j),)}
-    for op in factors:
-        nxt = {}
-        for k1, f1s in acc.items():
-            for k2, f2s in op.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                def fn(lam, _f1s=f1s, _f2s=f2s):
-                    return (sum((f(lam) for f in _f1s), 0.0 + 0.0j)
-                            * sum((f(lam) for f in _f2s), 0.0 + 0.0j))
-                nxt[key] = nxt.get(key, ()) + (fn,)
-        acc = nxt
-    return diff_op(n, [(k, f) for k, fs in acc.items() for f in fs])
-
-
 def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
     """Normal-ordered determinant of [entries[i][j] - t delta_ij].
 
@@ -158,18 +161,17 @@ def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
     coefficients multiply as plain functions of the same lambda.
     """
     n = len(entries)
-    shifted = [[entries[i][j] if i != j
-                else op_add(entries[i][j], scalar_op(entries[i][j].n, -t))
-                for j in range(n)] for i in range(n)]
-    total = {}
     nn = entries[0][0].n
+    shifted = [[entries[i][j] if i != j
+                else op_add(entries[i][j], scalar_op(nn, -t))
+                for j in range(n)] for i in range(n)]
+    parts = []
     for perm in permutations(range(n)):
-        sgn = perm_sign(perm)
-        prod = _normal_product([shifted[i][perm[i]] for i in range(n)], nn)
-        scaled = op_scale(prod, sgn)
-        for key, fns in scaled.terms.items():
-            total[key] = total.get(key, ()) + fns
-    return DifferenceOperator(nn, total)
+        prod = scalar_op(nn, perm_sign(perm))
+        for i in range(n):
+            prod = _product(prod, shifted[i][perm[i]])
+        parts.append(prod)
+    return op_add(*parts)
 
 
 def perm_sign(perm) -> int:
@@ -345,6 +347,9 @@ class DifferentialOperator:
 
     def coeff(self, alpha, lam: WeightPoint) -> complex:
         return self.coeff_jet(alpha, lam, 0).value
+
+    def table(self, lam: WeightPoint) -> dict:
+        return {alpha: self.coeff(alpha, lam) for alpha in self.terms}
 
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)

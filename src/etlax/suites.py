@@ -67,30 +67,23 @@ def _exp_fn(vec):
 def suite_theta(ctx: ModularContext, rng, tol: float):
     cases = []
     us = [_rc(rng) for _ in range(20)]
-    worst1 = worst_tau = worst_odd = Residual(0.0, 0.0)
     fac = lambda u: -cmath.exp(-2j * cmath.pi * (u + ctx.tau / 2.0))
-    for u in us:
-        r1 = th.residual_pair(th.theta(u + 1, ctx), -th.theta(u, ctx))
-        rt = th.residual_pair(th.theta(u + ctx.tau, ctx),
-                              fac(u) * th.theta(u, ctx))
-        ro = th.residual_pair(th.theta(-u, ctx), -th.theta(u, ctx))
-        worst1 = max(worst1, r1, key=lambda r: r.rel)
-        worst_tau = max(worst_tau, rt, key=lambda r: r.rel)
-        worst_odd = max(worst_odd, ro, key=lambda r: r.rel)
-    cases.append(_case("quasi-periodicity-1", worst1, tol))
-    cases.append(_case("quasi-periodicity-tau", worst_tau, tol))
-    cases.append(_case("oddness", worst_odd, tol))
+    cases.append(_case("quasi-periodicity-1", th.worst_of(
+        th.residual_pair(th.theta(u + 1, ctx), -th.theta(u, ctx))
+        for u in us), tol))
+    cases.append(_case("quasi-periodicity-tau", th.worst_of(
+        th.residual_pair(th.theta(u + ctx.tau, ctx), fac(u) * th.theta(u, ctx))
+        for u in us), tol))
+    cases.append(_case("oddness", th.worst_of(
+        th.residual_pair(th.theta(-u, ctx), -th.theta(u, ctx)) for u in us),
+        tol))
 
-    worst = Residual(0.0, 0.0)
-    for _ in range(10):
-        u = _rc(rng)
-        worst = max(worst, th.residual_pair(
-            th.theta(u, ctx), th.jacobi_theta_triple_product(u, ctx)),
-            key=lambda r: r.rel)
-    cases.append(_case("triple-product", worst, 1e-12))
+    cases.append(_case("triple-product", th.worst_of(
+        th.residual_pair(th.theta(u, ctx), th.jacobi_theta_triple_product(u, ctx))
+        for u in [_rc(rng) for _ in range(10)]), 1e-12))
 
     # brute-force reference summation at trunc+10
-    worst = Residual(0.0, 0.0)
+    found = []
     tail_ok = True
     for _ in range(6):
         m = float(rng.uniform(-1, 1))
@@ -102,8 +95,8 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
         for k in range(-(ctx.trunc + 10), ctx.trunc + 11):
             mu = m + l * k
             ref += cmath.exp(2j * cmath.pi * (mu * u + mu * mu * ctx.tau / (2 * l)))
-        worst = max(worst, th.residual_pair(got.value, ref), key=lambda r: r.rel)
-    cases.append(_case("series-vs-reference", worst, 1e-12))
+        found.append(th.residual_pair(got.value, ref))
+    cases.append(_case("series-vs-reference", th.worst_of(found), 1e-12))
     cases.append(_case("tail-bounds", Residual(0.0 if tail_ok else 1.0, 0.0),
                        tol))
 
@@ -113,32 +106,30 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
         th.theta_ml(0.3, 1, u, ctx.tau, trunc=ctx.trunc).value)
     cases.append(_case("characteristic-shift", shift_res, 1e-12))
 
-    worst = Residual(0.0, 0.0)
+    found = []
     for j in range(ctx.n):
         z = abs(th.theta_char(j, j * ctx.tau, ctx).value)
-        worst = max(worst, Residual(z, z), key=lambda r: r.rel)
-        worst = max(worst, th.residual_pair(
-            th.theta_char(j + ctx.n, u, ctx).value,
-            th.theta_char(j, u, ctx).value), key=lambda r: r.rel)
-        worst = max(worst, th.residual_pair(
-            th.theta_level_n(j, u, ctx).value,
-            th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5, ctx.tau,
-                        trunc=ctx.trunc).value), key=lambda r: r.rel)
-    cases.append(_case("character-thetas", worst, tol))
+        found += [Residual(z, z),
+                  th.residual_pair(th.theta_char(j + ctx.n, u, ctx).value,
+                                   th.theta_char(j, u, ctx).value),
+                  th.residual_pair(th.theta_level_n(j, u, ctx).value,
+                                   th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
+                                               ctx.tau, trunc=ctx.trunc).value)]
+    cases.append(_case("character-thetas", th.worst_of(found), tol))
 
     eta = th.dedekind_eta(ctx.tau, ctx)
     cases.append(_case("eta-log-sum", th.residual_pair(
         eta.value, th.dedekind_eta_logsum(ctx.tau, ctx)), 1e-13))
 
-    worst = Residual(0.0, 0.0)
+    found = []
     for _ in range(10):
         u = _rc(rng)
         d_series = th.theta(u, ctx, 1)
         h = 1e-5
         d_fd = (th.theta(u + h, ctx) - th.theta(u - h, ctx)) / (2 * h)
         err = abs(d_series - d_fd)
-        worst = max(worst, Residual(err, err), key=lambda r: r.rel)
-    cases.append(_case("derivative-vs-fd", worst, 1e-7))
+        found.append(Residual(err, err))
+    cases.append(_case("derivative-vs-fd", th.worst_of(found), 1e-7))
 
     u = _rc(rng, 0.3) + 0.05
     wp = th.weierstrass_p
@@ -153,17 +144,17 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
 
 def suite_ybe(ctx: ModularContext, rng, tol: float):
     cases = []
-    worst_sym = worst_qp1 = worst_qpt = Residual(0.0, 0.0)
+    syms, qps = [], []
     for _ in range(10):
         u = _rc(rng)
-        sym = bv.verify_r_symmetry(u, ctx)
-        qp = bv.verify_r_quasiperiodicity(u, ctx)
-        worst_sym = max(worst_sym, sym["g"], sym["h"], key=lambda r: r.rel)
-        worst_qp1 = max(worst_qp1, qp["period-1"], key=lambda r: r.rel)
-        worst_qpt = max(worst_qpt, qp["period-tau"], key=lambda r: r.rel)
-    cases.append(_case("gh-symmetry", worst_sym, tol))
-    cases.append(_case("period-1", worst_qp1, tol))
-    cases.append(_case("period-tau", worst_qpt, tol))
+        syms.append(bv.verify_r_symmetry(u, ctx))
+        qps.append(bv.verify_r_quasiperiodicity(u, ctx))
+    cases.append(_case("gh-symmetry", th.worst_of(
+        r for sym in syms for r in (sym["g"], sym["h"])), tol))
+    cases.append(_case("period-1", th.worst_of(qp["period-1"] for qp in qps),
+                       tol))
+    cases.append(_case("period-tau",
+                       th.worst_of(qp["period-tau"] for qp in qps), tol))
     cases.append(_case("r0-is-permutation", bv.verify_r_zero_is_permutation(ctx),
                        tol))
     cases.append(_case("holomorphy-contour", bv.verify_r_holomorphy(ctx), tol))
@@ -175,11 +166,9 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
         cases.append(_case("eight-vertex-pattern",
                            Residual(0.0 if nz == 8 else 1.0, float(nz != 8)),
                            tol))
-    worst = Residual(0.0, 0.0)
-    for _ in range(25):
-        worst = max(worst, bv.verify_ybe(_rc(rng), _rc(rng), _rc(rng), ctx),
-                    key=lambda r: r.rel)
-    cases.append(_case("vertex-ybe", worst, tol))
+    cases.append(_case("vertex-ybe", th.worst_of(
+        bv.verify_ybe(_rc(rng), _rc(rng), _rc(rng), ctx) for _ in range(25)),
+        tol))
     u = _rc(rng)
     cases.append(_case("vertex-ybe-degenerate", bv.verify_ybe(u, u, _rc(rng), ctx),
                        tol))
@@ -187,12 +176,11 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
 
 
 def suite_face_ybe(ctx: ModularContext, rng, tol: float):
-    worst = Residual(0.0, 0.0)
+    found = []
     for _ in range(25):
         lam = sample_generic(_seed(rng), ctx)
-        worst = max(worst, bv.verify_face_ybe(_rc(rng), _rc(rng), _rc(rng),
-                                              lam, ctx), key=lambda r: r.rel)
-    cases = [_case("face-ybe", worst, tol)]
+        found.append(bv.verify_face_ybe(_rc(rng), _rc(rng), _rc(rng), lam, ctx))
+    cases = [_case("face-ybe", th.worst_of(found), tol)]
     lam = sample_generic(_seed(rng), ctx)
     u0 = _rc(rng)
     w0 = bv.face_weight(lam, 0, 0, "diag", 0.0, ctx)
@@ -209,14 +197,12 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
 
 def suite_intertwiner(ctx: ModularContext, rng, tol: float):
     cases = []
-    worst_dual = Residual(0.0, 0.0)
-    worst_det = Residual(0.0, 0.0)
+    duals, dets = [], []
     for _ in range(10):
         u = _rc(rng)
         lam = sample_generic(_seed(rng), ctx)
         dual = bv.verify_intertwiner_duality(u, lam, ctx)
-        worst_dual = max(worst_dual, dual["phibar-phi"], dual["phi-phibar"],
-                         key=lambda r: r.rel)
+        duals += [dual["phibar-phi"], dual["phi-phibar"]]
         # det phi against the closed determinant formula
         pair = bv.intertwiners(u, lam, ctx)
         n = ctx.n
@@ -229,21 +215,18 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
                 want *= th.theta(us[b] - us[a], ctx) / ieta
         # rows 0..n-1 are a cyclic shift of rows 1..n
         want *= (-1) ** (n - 1)
-        worst_det = max(worst_det, th.residual_pair(got, want),
-                        key=lambda r: r.rel)
-    cases.append(_case("duality", worst_dual, 1e-10))
-    cases.append(_case("det-closed-form", worst_det, tol))
+        dets.append(th.residual_pair(got, want))
+    cases.append(_case("duality", th.worst_of(duals), 1e-10))
+    cases.append(_case("det-closed-form", th.worst_of(dets), tol))
 
-    worst_ov = worst_iv = Residual(0.0, 0.0)
+    outs, ins = [], []
     for _ in range(4):
         u, v = _rc(rng), _rc(rng)
         lam = sample_generic(_seed(rng), ctx)
-        worst_ov = max(worst_ov, bv.verify_vertex_face_intertwining(u, v, lam, ctx),
-                       key=lambda r: r.rel)
-        worst_iv = max(worst_iv, bv.verify_dual_intertwining(u, v, lam, ctx),
-                       key=lambda r: r.rel)
-    cases.append(_case("vertex-face-intertwining", worst_ov, tol))
-    cases.append(_case("dual-intertwining", worst_iv, tol))
+        outs.append(bv.verify_vertex_face_intertwining(u, v, lam, ctx))
+        ins.append(bv.verify_dual_intertwining(u, v, lam, ctx))
+    cases.append(_case("vertex-face-intertwining", th.worst_of(outs), tol))
+    cases.append(_case("dual-intertwining", th.worst_of(ins), tol))
 
     # fusion operators
     u = _rc(rng)
@@ -298,12 +281,9 @@ def suite_trace_closed(ctx: ModularContext, rng, tol: float):
     cases = []
     samples = sample_many(_seed(rng), 12, ctx)
     for d in range(1, ctx.n + 1):
-        worst = Residual(0.0, 0.0)
-        for _ in range(10):
-            c, u = _rc(rng), _rc(rng)
-            worst = max(worst, tr.verify_trace_closed(c, u, d, ctx, samples),
-                        key=lambda r: r.rel)
-        cases.append(_case(f"trace-equals-closed-d{d}", worst, tol))
+        cases.append(_case(f"trace-equals-closed-d{d}", th.worst_of(
+            tr.verify_trace_closed(_rc(rng), _rc(rng), d, ctx, samples)
+            for _ in range(10)), tol))
     c, u, v = _rc(rng), _rc(rng), _rc(rng)
     for d in (1, ctx.n):
         cases.append(_case(f"spectral-factorization-d{d}",
@@ -316,13 +296,9 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
     cases = []
     samples = sample_many(_seed(rng), 12, ctx)
     c = _rc(rng)
-    worst = Residual(0.0, 0.0)
-    for d in range(1, ctx.n + 1):
-        for dp in range(1, ctx.n + 1):
-            u, v = _rc(rng), _rc(rng)
-            worst = max(worst, tr.verify_commutation(c, u, v, d, dp, ctx, samples),
-                        key=lambda r: r.rel)
-    cases.append(_case("closed-form-grid", worst, tol))
+    cases.append(_case("closed-form-grid", th.worst_of(
+        tr.verify_commutation(c, _rc(rng), _rc(rng), d, dp, ctx, samples)
+        for d in range(1, ctx.n + 1) for dp in range(1, ctx.n + 1)), tol))
     u, v = _rc(rng), _rc(rng)
     cases.append(_case("trace-route-pair",
                        tr.verify_commutation_trace(c, u, v, 1, min(2, ctx.n),
@@ -343,14 +319,13 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
 def suite_qfay(ctx: ModularContext, rng, tol: float):
     cases = []
     for d in range(1, 5):
-        worst = Residual(0.0, 0.0)
+        found = []
         for _ in range(50):
             u = _rc(rng)
             lams = [_rc(rng) for _ in range(d)]
             mus = [_rc(rng) for _ in range(d)]
-            worst = max(worst, th.verify_qfay(d, u, lams, mus, ctx),
-                        key=lambda r: r.rel)
-        cases.append(_case(f"qfay-d{d}", worst, tol))
+            found.append(th.verify_qfay(d, u, lams, mus, ctx))
+        cases.append(_case(f"qfay-d{d}", th.worst_of(found), tol))
     # hbar -> 0 degeneration towards the Cauchy-type form
     d = 2
     sctx = ctx.replace(hbar=1e-6)
@@ -372,19 +347,16 @@ def suite_qfay(ctx: ModularContext, rng, tol: float):
 def suite_fay(ctx: ModularContext, rng, tol: float):
     cases = []
     for d in range(1, 5):
-        worst = Residual(0.0, 0.0)
-        count = 0
-        while count < 50:
+        found = []
+        while len(found) < 50:
             u = _rc(rng)
             lams = [_rc(rng) for _ in range(d)]
             mus = [_rc(rng) for _ in range(d)]
             try:
-                res = th.verify_fay(d, u, lams, mus, ctx)
+                found.append(th.verify_fay(d, u, lams, mus, ctx))
             except th.SingularParameterError:
                 continue
-            count += 1
-            worst = max(worst, res, key=lambda r: r.rel)
-        cases.append(_case(f"fay-d{d}", worst, tol))
+        cases.append(_case(f"fay-d{d}", th.worst_of(found), tol))
     return cases
 
 
@@ -392,12 +364,9 @@ def suite_vandermonde(ctx: ModularContext, rng, tol: float):
     cases = []
     for n in (2, 3, 4):
         sub = ctx.replace(n=n) if n != ctx.n else ctx
-        worst = Residual(0.0, 0.0)
-        for _ in range(50):
-            us = [_rc(rng) for _ in range(n)]
-            worst = max(worst, th.verify_vandermonde(us, sub),
-                        key=lambda r: r.rel)
-        cases.append(_case(f"vandermonde-n{n}", worst, tol))
+        cases.append(_case(f"vandermonde-n{n}", th.worst_of(
+            th.verify_vandermonde([_rc(rng) for _ in range(n)], sub)
+            for _ in range(50)), tol))
         # shared zero: sum of arguments an integer
         us = [_rc(rng) for _ in range(n - 1)]
         us.append(1.0 - sum(us))
@@ -410,12 +379,9 @@ def suite_genfunc(ctx: ModularContext, rng, tol: float):
     cases = []
     samples = sample_many(_seed(rng), 12, ctx)
     c, u = _rc(rng), _rc(rng)
-    worst = Residual(0.0, 0.0)
-    for _ in range(5):
-        t = _rc(rng, 0.8)
-        worst = max(worst, tr.verify_genfunc(c, u, t, ctx, samples),
-                    key=lambda r: r.rel)
-    cases.append(_case("det-equals-sum", worst, tol))
+    cases.append(_case("det-equals-sum", th.worst_of(
+        tr.verify_genfunc(c, u, _rc(rng, 0.8), ctx, samples)
+        for _ in range(5)), tol))
     cases.append(_case("t0-det-is-full-trace",
                        tr.verify_genfunc(c, u, 0.0, ctx, samples), tol))
     # the t-derivative of the determinant also matches the generating sum
@@ -478,8 +444,8 @@ def suite_krichever(ctx: ModularContext, rng, tol: float):
 
 
 def suite_cm_limit(ctx: ModularContext, rng, tol: float):
-    """Differential-limit suite; tolerance 1e-4 reflects the two-step
-    Richardson extrapolation error in hbar."""
+    """Differential-limit suite; tolerance 1e-4 bounds the error left by
+    symmetric (+-h) Richardson extrapolation in hbar, which is O(h^4)."""
     cases = []
     c = _rc(rng) + 0.25   # keep |c| away from 0 for the 1/c normalizations
     samples = sample_many(_seed(rng), 3, ctx)
@@ -553,13 +519,9 @@ def suite_debiard(ctx: ModularContext, rng, tol: float):
         zscale = sum(abs(t) for t in zterms) + 1e-300
         worst = max(worst, abs(got0 - sum(zterms)) / zscale)
         cases.append(_case("second-operator-form", Residual(worst, worst), tol))
-    worst = Residual(0.0, 0.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            worst = max(worst, pdo_commutator_residual(d_ops[a], d_ops[b],
-                                                       samples, ctx),
-                        key=lambda r: r.rel)
-    cases.append(_case("pairwise-commutators", worst, tol))
+    cases.append(_case("pairwise-commutators", th.worst_of(
+        pdo_commutator_residual(d_ops[a], d_ops[b], samples, ctx)
+        for a in range(n) for b in range(a + 1, n)), tol))
     return cases
 
 
@@ -578,13 +540,9 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         bad = float(rank != dim)
         cases.append(_case(f"dimension-rank-l{l}", Residual(bad, bad), tol))
         lop = tr.l_op(float(l), u, ctx)
-        worst = Residual(0.0, 0.0)
-        for i in range(n):
-            for j in range(n):
-                _, res = ts.fit_action(l, u, lop.entries[i][j], ctx,
-                                       seed=_seed(rng))
-                worst = max(worst, res, key=lambda r: r.rel)
-        cases.append(_case(f"l-operator-invariance-l{l}", worst, tol))
+        cases.append(_case(f"l-operator-invariance-l{l}", th.worst_of(
+            ts.fit_action(l, u, lop.entries[i][j], ctx, seed=_seed(rng))[1]
+            for i in range(n) for j in range(n)), tol))
         m1 = tr.m_closed(float(l), u, 1, ctx)
         _, res = ts.fit_action(l, u, m1, ctx, seed=_seed(rng))
         cases.append(_case(f"m1-invariance-l{l}", res, tol))

@@ -51,6 +51,19 @@ class Residual:
         return self.rel
 
 
+def worst_of(residuals) -> Residual:
+    """The residual with the largest rel, the first one on ties.
+
+    Starts from Residual(0, 0), so an empty or all-zero input gives that,
+    and a NaN rel never wins.
+    """
+    worst = Residual(0.0, 0.0)
+    for r in residuals:
+        if r.rel > worst.rel:
+            worst = r
+    return worst
+
+
 def residual_pair(lhs: complex, rhs: complex) -> Residual:
     """|lhs-rhs| in absolute and in relative (scale |lhs|+|rhs|) form."""
     d = abs(lhs - rhs)

@@ -19,7 +19,7 @@ import numpy as np
 from .context import ModularContext
 from .belavin import build_r
 from .opalg import DifferenceOperator, apply_op
-from .theta import Residual, residual_pair, theta
+from .theta import Residual, residual_pair, theta, worst_of
 from .transfer import l_op, m_closed
 from .weights import WeightPoint, sample_many
 
@@ -97,7 +97,7 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
     rng = np.random.default_rng(seed)
     basis = character_basis(l, ctx)
     lams = sample_many(seed, samples, ctx)
-    worst = Residual(0.0, 0.0)
+    found = []
     for lam in lams:
         m = int(rng.integers(0, len(basis)))
         fn = basis.function(m, ctx)
@@ -110,11 +110,8 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
         pairing = lam.coords[i] - lam.coords[j]
         factor = np.exp(-2j * np.pi * l * (pairing + 2.0 * ctx.tau / 2.0))
         shifted_tau = fn(lam.shifted(alpha, ctx.tau))
-        r2 = residual_pair(shifted_tau, factor * base)
-        for r in (r1, r2):
-            if r.rel > worst.rel:
-                worst = r
-    return worst
+        found += [r1, residual_pair(shifted_tau, factor * base)]
+    return worst_of(found)
 
 
 def gram_rank(l: int, points, ctx: ModularContext,
@@ -156,16 +153,14 @@ def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
     """
     basis = character_basis(l, ctx)
     dim = len(basis)
-    coeff_rows = []
-    worst = Residual(0.0, 0.0)
+    coeff_rows, found = [], []
     for m in range(dim):
         fn = basis.function(m, ctx)
         target = lambda lam: apply_op(op, fn, lam, ctx)
         coeffs, res = fit_function(l, target, ctx, seed=seed + m)
         coeff_rows.append(coeffs)
-        if res.rel > worst.rel:
-            worst = res
-    return np.array(coeff_rows), worst
+        found.append(res)
+    return np.array(coeff_rows), worst_of(found)
 
 
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
@@ -199,7 +194,7 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     r4 = build_r(u, ctx).entries
     pref = theta(ctx.hbar, ctx) / theta(u, ctx)
     lams = sample_many(seed, samples, ctx)
-    worst = Residual(0.0, 0.0)
+    found = []
     for lam in lams:
         chival = [chi(gamma_index(b, n), lam, ctx) for b in range(n)]
         for a in range(n):
@@ -208,10 +203,8 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
                 for j in range(n):
                     lhs = apply_op(lop.entries[i][j], fn, lam, ctx)
                     rhs = pref * sum(chival[b] * r4[i, a, j, b] for b in range(n))
-                    r = residual_pair(lhs, rhs)
-                    if r.rel > worst.rel:
-                        worst = r
-    return worst
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
 
 
 def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
@@ -225,16 +218,13 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eigs_by_j = [pref * sum(r4[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = max(abs(e - eig) for e in eigs_by_j) / (abs(eig) + _EPS)
     lams = sample_many(seed, samples, ctx)
-    worst = Residual(0.0, 0.0)
+    found = []
     for lam in lams:
         for j in range(n):
             fn = lambda mu, _j=j: chi(_j, mu, ctx)
-            lhs = apply_op(m1, fn, lam, ctx)
-            rhs = eig * fn(lam)
-            r = residual_pair(lhs, rhs)
-            if r.rel > worst.rel:
-                worst = r
-    return {"eigen": worst, "shared": Residual(rel=spread, abs=spread)}
+            found.append(residual_pair(apply_op(m1, fn, lam, ctx), eig * fn(lam)))
+    return {"eigen": worst_of(found),
+            "shared": Residual(rel=spread, abs=spread)}
 
 
 def _coproduct_action(i: int, ip: int, js: tuple, u: complex,
@@ -279,7 +269,7 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
         norm *= theta(u + s * ctx.hbar, ctx) / theta(ctx.hbar, ctx)
     basis = character_basis(l, ctx)
     lams = sample_many(seed, samples, ctx)
-    worst = Residual(0.0, 0.0)
+    found = []
     for js in basis.elements:
         gjs = tuple(gamma_index(j, n) for j in js)
         for i in range(n):
@@ -294,10 +284,8 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
                         lhs += val
                     prod_fn = basis.function(gjs, ctx)
                     rhs = norm * apply_op(lop.entries[i][ip], prod_fn, lam, ctx)
-                    r = residual_pair(lhs, rhs)
-                    if r.rel > worst.rel:
-                        worst = r
-    return worst
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
@@ -305,7 +293,7 @@ def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
     """Transposed monomial orderings give the same symmetrized image."""
     n = ctx.n
     lams = sample_many(seed, 4, ctx)
-    worst = Residual(0.0, 0.0)
+    found = []
     for js in combinations_with_replacement(range(n), l):
         if len(set(js)) < 2:
             continue
@@ -319,7 +307,5 @@ def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
                              for outjs, c in a1.items())
                     v2 = sum(c * np.prod([chi(j, lam, ctx) for j in outjs])
                              for outjs, c in a2.items())
-                    r = residual_pair(complex(v1), complex(v2))
-                    if r.rel > worst.rel:
-                        worst = r
-    return worst
+                    found.append(residual_pair(complex(v1), complex(v2)))
+    return worst_of(found)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from etlax import cli
-from etlax.context import default_context
+from etlax.context import SamplingError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
     report_json, report_text, strip_timing
 from etlax.suites import SUITE_ORDER, run_suite
@@ -101,6 +101,21 @@ def test_cli_bad_configuration_exits_two(capsys):
     assert cli.main(["not-a-suite"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
+    # tau = 0.3 + 0.5i makes an intertwiner matrix ill-conditioned at seed 42
+    rc = cli.main(["trace-closed", "--n", "3", "--tau_re", "0.3",
+                   "--tau_im", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: intertwiner matrix ill-conditioned")
+
+    def exhausted(*args):
+        raise SamplingError("could not sample a generic point")
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    assert cli.main(["qfay"]) == 2
+    assert capsys.readouterr().err.startswith("error: could not sample")
 
 
 def test_cli_config_file_and_overrides(tmp_path, capsys):

@@ -60,6 +60,21 @@ def test_compose_matches_double_application(ctx3, rng):
         assert abs(direct - nested) / (abs(direct) + 1e-300) < 1e-12
 
 
+def test_compose_reads_left_coefficient_once_per_point(ctx3, rng):
+    lam = wt.sample_generic(12, ctx3)
+    calls = []
+
+    def a_coeff(mu):
+        calls.append(mu)
+        return mu.coords[0] + 1.5
+    a = oa.diff_op(3, [((1, 0, 0), a_coeff)])
+    b = oa.diff_op(3, [((0, 0, 0), lambda mu: 2.0),
+                       ((0, 1, 0), lambda mu: mu.coords[1]),
+                       ((0, 0, 1), lambda mu: mu.coords[2])])
+    oa.apply_op(oa.compose(a, b, ctx3), sumzero_exp(rng, 3), lam, ctx3)
+    assert calls == [lam]
+
+
 def test_compose_associative(ctx3, rng):
     samples = wt.sample_many(6, 4, ctx3)
     ops = []

@@ -248,3 +248,12 @@ def test_tail_bounds_accepted(ctx2, rng):
         u = rand_complex(rng)
         assert th.jacobi_theta(u, ctx2).tail_bound < ctx2.tol_series
         assert th.theta_level_n(1, u, ctx2).tail_bound < ctx2.tol_series
+
+
+def test_worst_of_keeps_first_maximum():
+    R = th.Residual
+    assert th.worst_of([]) == R(0.0, 0.0)
+    assert th.worst_of([R(0.0, 3.0), R(0.0, 5.0)]) == R(0.0, 0.0)
+    assert th.worst_of(iter([R(1e-9, 1.0), R(2e-9, 4.0), R(2e-9, 5.0),
+                             R(1e-9, 6.0)])) == R(2e-9, 4.0)
+    assert th.worst_of([R(float("nan"), 1.0), R(1e-9, 2.0)]) == R(1e-9, 2.0)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, sumzero_exp
-from etlax.context import SingularParameterError
+from etlax.context import SingularParameterError, default_context
 from etlax import opalg as oa
 from etlax import transfer as tr
 from etlax import weights as wt
+from etlax.suites import run_suite
 from etlax.theta import theta
 
 
@@ -340,6 +341,28 @@ def test_cm_limit(ctx2, rng):
     vecs = [v - v.mean() for v in vecs]
     res = tr.verify_cm_limit(C0, ctx2, samples, vecs)
     assert res.rel < 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cm_limit_suite_passes_across_seeds(n):
+    # an unsymmetrized two-step 2E(h) - E(2h) fails 8 of these 48 runs
+    failed = [seed for seed in range(24)
+              if not run_suite("cm-limit", default_context(n), seed).passed]
+    assert failed == []
+
+
+def test_l_op_entry_reads_one_coefficient_tensor(ctx3, monkeypatch):
+    calls = []
+    real = tr.l_coeff_tensor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(tr, "l_coeff_tensor", counted)
+    lam = wt.sample_generic(52, ctx3)
+    entry = tr.l_op(C0, U0, ctx3).entries[0][1]
+    oa.apply_op(entry, lambda mu: 1.0 + 0.0j, lam, ctx3)
+    assert len(calls) == 1
 
 
 def test_d2_via_mdot_second_derivatives(ctx2, ctx3, rng):
