@@ -24,7 +24,8 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
-from .theta import Residual, residual_pair, theta, theta_char, worst_of
+from .theta import (Residual, dedekind_eta, residual_pair, theta, theta_char,
+                    theta_level_table, worst_of)
 from .weights import WeightPoint
 
 _EPS = 1e-300
@@ -280,14 +281,10 @@ def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar, solved numerically."""
     def build():
-        from .theta import dedekind_eta, theta_level_n
         n = ctx.n
         ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-        phi = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            arg = u / n - mu.pair_eps(k)
-            for j in range(n):
-                phi[j, k] = theta_level_n(j, arg, ctx).value / ieta
+        phi = theta_level_table(
+            range(n), [u / n - mu.pair_eps(k) for k in range(n)], ctx) / ieta
         cond = float(np.linalg.cond(phi))
         if not np.isfinite(cond) or cond > cond_limit:
             raise SingularParameterError(

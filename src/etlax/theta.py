@@ -13,11 +13,21 @@ specializations appear throughout:
 
 Derivatives are always taken term-wise on the series; finite differences are
 used only as independent cross-checks in the test suites.
+
+The u-independent part of a series is computed once per (characteristics,
+level, tau, trunc, derivative order) and shared: 2 pi i mu, the exponent
+2 pi i mu^2 tau/(2l) and the factor (2 pi i mu)^d.  A value is then one
+exp over the terms and one sum.  The exponent is kept inside the exp, not
+split off as a Gaussian factor, because exp(2 pi i mu u) alone overflows
+where that factor underflows (|Im u| of a few periods), and inf * 0 is nan.
+theta_level_table evaluates a whole table theta_level_j(u_k) the same way,
+with one exp over a (rows, points, terms) array.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +87,25 @@ def _term_magnitude(mu: float, u: complex, tau2l: complex, order: int) -> float:
     return math.exp(ex) * (2.0 * math.pi * abs(mu)) ** order if order else math.exp(ex)
 
 
+@functools.lru_cache(maxsize=64)
+def _series(ms: tuple, l: int, tau: complex, trunc: int, deriv_order: int):
+    """Shared constants of the series with characteristics ms at level l.
+
+    Rows follow ms, columns mu = m + l*k for k in [-trunc, trunc]: 2 pi i mu,
+    the exponent 2 pi i mu^2 tau/(2l) and (2 pi i mu)^deriv_order (None when
+    deriv_order is 0).  The arrays are read-only because callers share them.
+    """
+    k = np.arange(-trunc, trunc + 1, dtype=float)
+    mu = np.array(ms, dtype=float)[:, None] + l * k
+    tpm = TWO_PI_I * mu
+    phase = TWO_PI_I * (mu * mu * (tau / (2.0 * l)))
+    dfac = tpm ** deriv_order if deriv_order else None
+    for arr in (tpm, phase, dfac):
+        if arr is not None:
+            arr.setflags(write=False)
+    return tpm, phase, dfac
+
+
 def theta_ml(m: float, l: int, u: complex, tau: complex, *,
              trunc: int = 24, deriv_order: int = 0) -> ThetaValue:
     """Truncated theta series with characteristic m at level l.
@@ -87,13 +116,12 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
-    k = np.arange(-trunc, trunc + 1, dtype=float)
-    mu = m + l * k
-    tau2l = tau / (2.0 * l)
-    terms = np.exp(TWO_PI_I * (mu * u + mu * mu * tau2l))
-    if deriv_order:
-        terms = terms * (TWO_PI_I * mu) ** deriv_order
+    tpm, phase, dfac = _series((m,), l, tau, trunc, deriv_order)
+    terms = np.exp(tpm[0] * u + phase[0])
+    if dfac is not None:
+        terms = terms * dfac[0]
     value = complex(terms.sum())
+    tau2l = tau / (2.0 * l)
     tail = 0.0
     for sgn in (1, -1):
         mu1 = m + sgn * l * (trunc + 1)
@@ -142,14 +170,34 @@ def theta_level_n(j: int, u: complex, ctx: ModularContext) -> ThetaValue:
                          trunc=ctx.trunc))
 
 
+def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
+    """The table [theta_level_j(u_k)]_{j in rows, k} of theta_level_n values.
+
+    One exp over all rows, points and series terms, and one sum; no tail
+    bounds and no per-value cache entries.
+    """
+    n = ctx.n
+    tpm, phase, _ = _series(tuple(n / 2.0 - j % n for j in rows), n,
+                            complex(ctx.tau), ctx.trunc, 0)
+    args = np.asarray(us, dtype=complex)[None, :, None] + 0.5
+    return np.exp(tpm[:, None, :] * args + phase[:, None, :]).sum(axis=-1)
+
+
 def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
-    """Dedekind eta p^{1/24} prod (1 - p^m), p = exp(2 pi i tau)."""
+    """Dedekind eta p^{1/24} prod (1 - p^m), p = exp(2 pi i tau).
+
+    Memoized in ctx: every intertwiner build divides by i eta(tau).
+    """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
+    return ctx.cached(("eta", tau), lambda: _eta_product(tau, ctx.trunc))
+
+
+def _eta_product(tau: complex, trunc: int) -> ThetaValue:
     p = cmath.exp(TWO_PI_I * tau)
     ap = abs(p)
-    nterms = max(ctx.trunc, min(6000, int(math.ceil(-46.0 / math.log10(ap)))))
+    nterms = max(trunc, min(6000, int(math.ceil(-46.0 / math.log10(ap)))))
     value = cmath.exp(TWO_PI_I * tau / 24.0)
     for mm in range(1, nterms + 1):
         value *= 1.0 - p ** mm
@@ -226,22 +274,23 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     det[theta_j(u_k) / (i eta)]_{j,k=1..n} against
     vandermonde_sign(n) * theta(sum u)/(i eta) * prod_{j<k} theta(u_k-u_j)/(i eta).
 
-    Both sides below tolerance reports as degenerate residual 0.
+    Both sides below tol_identity times the Hadamard bound of the matrix
+    (the product of its column norms) reports as degenerate residual 0.
     """
     n = ctx.n
     if len(us) != n:
         raise ValueError(f"need exactly n={n} points, got {len(us)}")
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-    mat = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for k in range(n):
-            mat[a, k] = theta_level_n(a + 1, us[k], ctx).value / ieta
+    mat = theta_level_table(range(1, n + 1), us, ctx) / ieta
     lhs = complex(np.linalg.det(mat))
     rhs = vandermonde_sign(n) * theta(sum(us), ctx) / ieta
     for j in range(n):
         for k in range(j + 1, n):
             rhs *= theta(us[k] - us[j], ctx) / ieta
-    if abs(lhs) < ctx.tol_identity and abs(rhs) < ctx.tol_identity:
+    # Hadamard's bound |det| <= prod of column norms sets the scale of the
+    # rounding in a determinant that vanishes exactly
+    floor = ctx.tol_identity * float(np.prod(np.linalg.norm(mat, axis=0)))
+    if abs(lhs) < floor and abs(rhs) < floor:
         return Residual(0.0, abs(lhs - rhs))
     return residual_pair(lhs, rhs)
 

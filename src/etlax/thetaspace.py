@@ -28,36 +28,37 @@ LATTICE_RADIUS2 = 40.0
 
 
 def _lattice_points(n: int, j: int, ctx: ModularContext):
-    """Integer vectors v with sum(v) = j and |v - (j/n) 1|^2 <= radius^2."""
+    """Integer vectors v with sum(v) = j and |v - (j/n) 1|^2 <= radius^2.
+
+    Returned as the rows of an integer matrix V and the vector nn of their
+    squared norms |v - (j/n) 1|^2.
+    """
     def build():
         span = int(np.ceil(np.sqrt(LATTICE_RADIUS2))) + 1
         lo, hi = int(np.floor(j / n)) - span, int(np.ceil(j / n)) + span
-        pts = []
+        pts, norms = [], []
         def rec(prefix, remaining):
             if remaining == 1:
                 v = prefix + (j - sum(prefix),)
                 if lo <= v[-1] <= hi:
                     nn = sum((x - j / n) ** 2 for x in v)
                     if nn <= LATTICE_RADIUS2:
-                        pts.append((v, nn))
+                        pts.append(v)
+                        norms.append(nn)
                 return
             for x in range(lo, hi + 1):
                 rec(prefix + (x,), remaining - 1)
         rec((), n)
-        return pts
+        return np.array(pts, dtype=int), np.array(norms)
     return ctx.cached(("chilat", n, j), build)
 
 
 def chi(j: int, lam: WeightPoint, ctx: ModularContext) -> complex:
     """Level-one character theta sum over Lambda_j + Q."""
     n = ctx.n
-    j = j % n
-    total = 0.0 + 0.0j
-    tau2 = ctx.tau / 2.0
-    for v, nn in _lattice_points(n, j, ctx):
-        pairing = sum(c * x for c, x in zip(lam.coords, v))
-        total += np.exp(2j * np.pi * (pairing + (nn) * tau2))
-    return total
+    vs, nn = _lattice_points(n, j % n, ctx)
+    return complex(np.exp(2j * np.pi * (vs @ np.asarray(lam.coords)
+                                        + nn * (ctx.tau / 2.0))).sum())
 
 
 @dataclass(frozen=True)

@@ -466,16 +466,11 @@ def _dplus(z: complex, g: complex, ctx: ModularContext) -> complex:
     qg = cmath.exp(2j * cmath.pi * ctx.hbar * g)
     mmax = max(8, int(math.ceil(-40.0 / math.log10(abs(q)))))
     kmax = max(4, int(math.ceil(-40.0 / math.log10(abs(p)))))
-    val = 1.0 + 0.0j
-    for k in range(kmax + 1):
-        pk = p ** k
-        pk1 = p ** (k + 1)
-        qm = 1.0 + 0.0j        # q^m
-        for m in range(mmax + 1):
-            val *= (1.0 - z * qm * q * pk) / (1.0 - z * qm * q * qg * pk)
-            val *= (1.0 - qm / (z * qg) * pk1) / (1.0 - qm / z * pk1)
-            qm *= q
-    return val
+    pk = p ** np.arange(kmax + 1)[:, None]
+    pk1 = pk * p
+    qm = q ** np.arange(mmax + 1)[None, :]
+    return complex(np.prod((1.0 - z * qm * q * pk) / (1.0 - z * qm * q * qg * pk)
+                           * (1.0 - qm / (z * qg) * pk1) / (1.0 - qm / z * pk1)))
 
 
 def phi_weight(lam: WeightPoint, g: complex, ctx: ModularContext) -> complex:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex
-from etlax.context import ContextError, ModularContext, SingularParameterError
+from etlax.context import (ContextError, ModularContext, SingularParameterError,
+                           default_context)
 from etlax import belavin as bv
 from etlax import weights as wt
 
@@ -140,6 +141,22 @@ def test_intertwiner_entries_definition(ctx3, rng):
         for k in range(3):
             want = theta_level_n(j, u / 3 - lam.pair_eps(k), ctx3).value / ieta
             assert abs(pair.phi[j, k] - want) < 1e-13
+
+
+def test_dedekind_eta_built_once_per_context(monkeypatch, rng):
+    from etlax import theta as th
+    calls = []
+    product = th._eta_product
+    monkeypatch.setattr(th, "_eta_product",
+                        lambda *args: calls.append(args) or product(*args))
+    ctx = default_context(3)
+    lam = wt.sample_generic(8, ctx)
+    for _ in range(4):
+        bv.intertwiners(rand_complex(rng), lam, ctx)
+    th.verify_vandermonde([rand_complex(rng) for _ in range(3)], ctx)
+    assert len(calls) == 1
+    bv.intertwiners(rand_complex(rng), lam, ctx.replace())
+    assert len(calls) == 2
 
 
 def test_intertwiner_determinant_closed_form(ctx3, rng):

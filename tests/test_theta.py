@@ -2,6 +2,7 @@
 
 import cmath
 
+import numpy as np
 import pytest
 
 from conftest import rand_complex
@@ -178,6 +179,87 @@ def test_vandermonde_shared_zero(rng):
     us.append(2.0 - us[0] - us[1])     # sum in Z kills theta(sum u)
     res = th.verify_vandermonde(us, ctx)
     assert res.rel == 0.0 and res.abs < 1e-8
+
+
+def _degenerate_points(seed, n):
+    """The vandermonde suite's shared-zero draw: sum of the arguments is 1."""
+    rng = np.random.default_rng(seed)
+    us = [rand_complex(rng) for _ in range(n - 1)]
+    us.append(1.0 - sum(us))
+    return us
+
+
+def test_vandermonde_degenerate_across_seeds():
+    # Both sides vanish exactly; at n=4 the floating-point det reads up to
+    # about 1e-6 in absolute terms (the matrix's Hadamard bound reaches 1e12),
+    # so an absolute floor failed seeds 72, 79, 82, 144, 170, 240 and 343
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        for seed in range(400):
+            res = th.verify_vandermonde(_degenerate_points(seed, n), ctx)
+            assert res.rel < 1e-9, (n, seed)
+
+
+def test_vandermonde_floor_negative_control(monkeypatch):
+    # With the sign of the identity flipped, the check must fail 1e-2 away
+    # from the degenerate locus: the relative floor does not hide it there
+    sign = th.vandermonde_sign
+    monkeypatch.setattr(th, "vandermonde_sign", lambda n: -sign(n))
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        for seed in range(20):
+            us = _degenerate_points(seed, n)
+            us[-1] += 1e-2
+            assert th.verify_vandermonde(us, ctx).rel > 0.5, (n, seed)
+
+
+def test_theta_level_table_matches_scalar(rng):
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        us = [rand_complex(rng) for _ in range(n)]
+        for rows in (range(n), range(1, n + 1)):
+            table = th.theta_level_table(rows, us, ctx)
+            assert table.shape == (n, n)
+            for a, j in enumerate(rows):
+                for k, u in enumerate(us):
+                    want = th.theta_level_n(j, u, ctx).value
+                    assert abs(table[a, k] - want) <= 1e-15 * abs(want)
+
+
+def test_theta_ml_mpmath_oracle(rng):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        tau = mp.mpc(TAU)
+        q = mp.exp(1j * mp.pi * tau)
+        for d in range(3):
+            for _ in range(5):
+                u = rand_complex(rng)
+                got = th.theta_ml(0.5, 1, u + 0.5, TAU, deriv_order=d).value
+                # theta_{1/2,1}(u + 1/2) = -jtheta_1(pi u, e^{i pi tau})
+                want = complex(-mp.pi ** d
+                               * mp.jtheta(1, mp.pi * mp.mpc(u), q, d))
+                assert abs(got - want) <= 1e-14 * abs(want)
+        for _ in range(5):
+            m = float(rng.uniform(-1, 1))
+            l = int(rng.integers(1, 5))
+            u = rand_complex(rng)
+            got = th.theta_ml(m, l, u, TAU).value
+            # theta_{m,l}(u) = e^{2 pi i (m u + m^2 tau / 2l)}
+            #                  * jtheta_3(pi (l u + m tau), e^{i pi l tau})
+            um = mp.mpc(u)
+            want = complex(mp.exp(2j * mp.pi * (m * um + m * m * tau / (2 * l)))
+                           * mp.jtheta(3, mp.pi * (l * um + m * tau),
+                                       mp.exp(1j * mp.pi * l * tau)))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_theta_ml_large_imaginary_argument():
+    # exp(2 pi i mu u) overflows here for the outer terms while their
+    # u-independent factor underflows; the value must stay finite
+    for u in (0.5 + 5j, 0.5 - 5j, 0.2 + 7j):
+        got = th.theta_ml(0.5, 1, u, TAU).value
+        ref = brute_theta_ml(0.5, 1, u, TAU, window=24)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_qfay_d1_machine_precision(ctx2, rng):

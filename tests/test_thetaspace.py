@@ -1,5 +1,6 @@
 """Symmetric theta space: characters, rank, invariance, module structure."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,21 @@ from etlax import transfer as tr
 from etlax import weights as wt
 
 U0 = 0.213 + 0.057j
+
+
+def test_chi_matches_lattice_loop(ctx2, ctx3):
+    for ctx in (ctx2, ctx3):
+        lam = wt.sample_generic(3, ctx).shifted((1,) + (0,) * (ctx.n - 1),
+                                                ctx.hbar)
+        for j in range(ctx.n):
+            vs, nn = ts._lattice_points(ctx.n, j, ctx)
+            want = 0j
+            for v, norm in zip(vs.tolist(), nn.tolist()):
+                pairing = sum(c * x for c, x in zip(lam.coords, v))
+                want += cmath.exp(2j * math.pi * (pairing + norm * ctx.tau / 2))
+            got = ts.chi(j, lam, ctx)
+            assert abs(got - want) <= 1e-14 * abs(want)
+            assert ts.chi(j + ctx.n, lam, ctx) == got
 
 
 def test_chi_root_lattice_periodicity(ctx3, rng):

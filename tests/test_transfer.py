@@ -1,5 +1,8 @@
 """L-operators, fused traces, generating function, and the limit checks."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -292,6 +295,23 @@ def test_ruijsenaars_needs_contracting_q(ctx2):
     bad = ctx2.replace(hbar=0.3 - 0.1j)    # |q| > 1
     with pytest.raises(SingularParameterError):
         tr._dplus(1.3 + 0.2j, 0.1, bad)
+
+
+def test_dplus_matches_double_loop(ctx2, ctx3):
+    for ctx in (ctx2, ctx3):
+        q, p = ctx.q, ctx.p
+        for z, g in ((1.3 + 0.2j, 0.1), (0.7 - 0.4j, 0.35 + 0.2j)):
+            qg = cmath.exp(2j * cmath.pi * ctx.hbar * g)
+            mmax = max(8, math.ceil(-40.0 / math.log10(abs(q))))
+            kmax = max(4, math.ceil(-40.0 / math.log10(abs(p))))
+            want = 1.0 + 0.0j
+            for k in range(kmax + 1):
+                for m in range(mmax + 1):
+                    a = z * q ** m * q * p ** k
+                    b = q ** m / z * p ** (k + 1)
+                    want *= (1 - a) / (1 - a * qg) * (1 - b / qg) / (1 - b)
+            got = tr._dplus(z, g, ctx)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_debiard_first_operator(ctx3):
