@@ -63,10 +63,10 @@ class RTensor:
 def build_r(u: complex, ctx: ModularContext) -> RTensor:
     """Belavin R-matrix at spectral parameter u."""
     n = ctx.n
-    tc_u = np.array([theta_char(k, u, ctx).value for k in range(n)])
-    tc_uh = np.array([theta_char(k, u + ctx.hbar, ctx).value for k in range(n)])
-    tc_h = np.array([theta_char(k, ctx.hbar, ctx).value for k in range(n)])
-    tc_0 = np.array([theta_char(k, 0.0, ctx).value for k in range(n)])
+    tc_u = np.array([theta_char(k, u, ctx) for k in range(n)])
+    tc_uh = np.array([theta_char(k, u + ctx.hbar, ctx) for k in range(n)])
+    tc_h = np.array([theta_char(k, ctx.hbar, ctx) for k in range(n)])
+    tc_0 = np.array([theta_char(k, 0.0, ctx) for k in range(n)])
     if min(abs(x) for x in tc_h) < 100 * _EPS:
         raise SingularParameterError(f"theta^(k)(hbar) vanishes at hbar={ctx.hbar}")
     denom0 = np.prod(tc_0[1:])
@@ -276,22 +276,51 @@ class IntertwinerPair:
     cond: float
 
 
+def _build_intertwiners(us, mus, ctx: ModularContext,
+                        cond_limit: float) -> list:
+    """IntertwinerPairs of the pairs (us[p], mus[p]): one theta table, one
+    stacked condition number and one stacked solve for all of them."""
+    n, count = ctx.n, len(us)
+    ieta = 1j * dedekind_eta(ctx.tau, ctx).value
+    args = [u / n - mu.pair_eps(k) for u, mu in zip(us, mus) for k in range(n)]
+    phi = np.ascontiguousarray(
+        (theta_level_table(range(n), args, ctx) / ieta)
+        .reshape(n, count, n).transpose(1, 0, 2))
+    cond = np.linalg.cond(phi)
+    within = cond <= cond_limit          # False for nan and inf as well
+    if not within.all():
+        p = int(np.argmin(within))
+        raise SingularParameterError(
+            f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
+            f"at u={us[p]}")
+    phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
+    return [IntertwinerPair(phi[p], phibar[p], us[p], mus[p], float(cond[p]))
+            for p in range(count)]
+
+
+def intertwiner_arrays(us, mus, ctx: ModularContext,
+                       cond_limit: float = 1e8):
+    """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n).
+
+    The pairs not cached yet are built in one batch, under the same
+    cond_limit guard on the raw 2-norm condition number as intertwiners.
+    """
+    pairs = ctx.cached_many(
+        [("itw", complex(u), mu.coords) for u, mu in zip(us, mus)],
+        lambda todo: _build_intertwiners([us[p] for p in todo],
+                                         [mus[p] for p in todo], ctx,
+                                         cond_limit))
+    return (np.stack([pair.phi for pair in pairs]),
+            np.stack([pair.phibar for pair in pairs]))
+
+
 def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
                  cond_limit: float = 1e8) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
-    and the inverse matrix phibar, solved numerically."""
-    def build():
-        n = ctx.n
-        ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-        phi = theta_level_table(
-            range(n), [u / n - mu.pair_eps(k) for k in range(n)], ctx) / ieta
-        cond = float(np.linalg.cond(phi))
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularParameterError(
-                f"intertwiner matrix ill-conditioned (cond={cond:.3g}) at u={u}")
-        phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
-        return IntertwinerPair(phi, phibar, u, mu, cond)
-    return ctx.cached(("itw", complex(u), mu.coords), build)
+    and the inverse matrix phibar, solved numerically (a batch of one)."""
+    return ctx.cached(("itw", complex(u), mu.coords),
+                      lambda: _build_intertwiners([u], [mu], ctx,
+                                                  cond_limit)[0])
 
 
 def verify_intertwiner_duality(u: complex, mu: WeightPoint,

@@ -2,13 +2,22 @@
 
 A DifferenceOperator is a finite sum coeff_K(lambda) * T_K where T_K shifts
 lambda by hbar * sum_i K_i epsbar_i; keys are canonicalized modulo (1,...,1)
-because sum_i epsbar_i = 0.  An operator is its key set and one coefficient
-table, lambda -> {K: coeff_K(lambda)}; sums, products and determinants build
-their table from their operands' tables, reading each operand's table once
-per point it needs.  No symbolic simplification is attempted, and
-operator equality is decided numerically on generic sample points
-(coefficients are finite products of theta values, so meromorphic, and
-vanishing on a dozen random points decides vanishing).
+because sum_i epsbar_i = 0.  An operator is its key set and one batch-first
+coefficient table: table(lams) returns {K: array of coeff_K(lams[s])} over
+a whole batch of points.  Scalar coefficient closures are mapped over the
+batch in diff_op only.  Sums, products and determinants build their table
+from their operands' tables, reading each operand's table once per batch: a
+composition a b reads b once, on the batch of every point lams[s] shifted
+by every key of a, and its key sums are fixed when it is built.
+
+normal_det tabulates its n x n entries into one array M[s, key, i, j] and
+sums the signed products over permutations in one contraction
+(signed_products); a fixed 0/1 matrix (key_map) then adds each ordered
+tuple of keys onto its canonical key.  The fused traces of transfer use the
+same two steps.  No symbolic simplification is attempted, and operator
+equality is decided numerically on generic sample points (coefficients are
+finite products of theta values, so meromorphic, and vanishing on a dozen
+random points decides vanishing).
 
 A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha.  Its
 coefficients are jet-valued closures (lam, order) -> Jet supplying exact
@@ -20,8 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Callable
+
+import numpy as np
 
 from .context import ModularContext
 from .theta import Residual
@@ -36,8 +47,9 @@ _EPS = 1e-300
 class DifferenceOperator:
     """Finite sum of coefficient times shift.
 
-    terms holds the canonical shift keys; table(lam) returns the coefficient
-    of every one of them at lam as a dict {key: complex}.
+    terms holds the canonical shift keys; table(lams) returns the
+    coefficients of every one of them at the points lams as a dict
+    {key: complex array over lams}.  Callers never write into those arrays.
     """
 
     n: int
@@ -45,20 +57,27 @@ class DifferenceOperator:
     table: Callable
 
     def coeff(self, key, lam: WeightPoint) -> complex:
-        return self.table(lam).get(canonical_key(key), 0.0 + 0.0j)
+        value = self.table([lam]).get(canonical_key(key))
+        return 0.0 + 0.0j if value is None else complex(value[0])
 
     def keys(self):
         return sorted(self.terms)
 
 
+def _accumulate(out: dict, key, value) -> None:
+    out[key] = out[key] + value if key in out else value
+
+
 def diff_op(n: int, items) -> DifferenceOperator:
-    """Build an operator from (key, coefficient closure) pairs."""
+    """Build an operator from (key, coefficient closure) pairs; each closure
+    is mapped over the points of a batch."""
     items = [(canonical_key(key), fn) for key, fn in items]
 
-    def table(lam):
+    def table(lams):
         out = {}
         for key, fn in items:
-            out[key] = out.get(key, 0.0 + 0.0j) + fn(lam)
+            _accumulate(out, key,
+                        np.array([fn(lam) for lam in lams], dtype=complex))
         return out
     return DifferenceOperator(n, tuple(dict.fromkeys(k for k, _ in items)),
                               table)
@@ -77,11 +96,11 @@ def scalar_op(n: int, fn) -> DifferenceOperator:
 
 
 def op_add(*ops: DifferenceOperator) -> DifferenceOperator:
-    def table(lam):
+    def table(lams):
         out = {}
         for op in ops:
-            for key, value in op.table(lam).items():
-                out[key] = out.get(key, 0.0 + 0.0j) + value
+            for key, value in op.table(lams).items():
+                _accumulate(out, key, value)
         return out
     keys = dict.fromkeys(key for op in ops for key in op.terms)
     return DifferenceOperator(ops[0].n, tuple(keys), table)
@@ -91,35 +110,54 @@ def _product(a: DifferenceOperator, b: DifferenceOperator,
              hbar=None) -> DifferenceOperator:
     """Keys add and coefficients multiply: c_a(lam) c_b(lam + hbar K_a).
 
-    With hbar the product is the composition a after b; with hbar None, b
-    is read at lam itself (the normal product, all shifts moved right).
+    With hbar the product is the composition a after b, and b is read once,
+    on the batch of every lams[s] shifted by every key of a; with hbar None,
+    b is read at lams itself (the normal product, all shifts moved right).
     """
-    def table(lam):
-        tb = b.table(lam) if hbar is None else None
+    sums = [(ia, ka, kb, canonical_key([x + y for x, y in zip(ka, kb)]))
+            for ia, ka in enumerate(a.terms) for kb in b.terms]
+
+    def table(lams):
+        ta = a.table(lams)
+        if hbar is None:
+            tb = b.table(lams)
+            right = lambda ia, kb: tb[kb]
+        else:
+            count = len(lams)
+            tb = b.table([lam.shifted(ka, hbar)
+                          for ka in a.terms for lam in lams])
+            right = lambda ia, kb: tb[kb][ia * count:(ia + 1) * count]
         out = {}
-        for ka, ca in a.table(lam).items():
-            right = tb if hbar is None else b.table(lam.shifted(ka, hbar))
-            for kb, cb in right.items():
-                key = canonical_key([x + y for x, y in zip(ka, kb)])
-                out[key] = out.get(key, 0.0 + 0.0j) + ca * cb
+        for ia, ka, kb, key in sums:
+            _accumulate(out, key, ta[ka] * right(ia, kb))
         return out
-    keys = dict.fromkeys(canonical_key([x + y for x, y in zip(ka, kb)])
-                         for ka in a.terms for kb in b.terms)
+    keys = dict.fromkeys(key for _, _, _, key in sums)
     return DifferenceOperator(a.n, tuple(keys), table)
 
 
 def op_scale(op: DifferenceOperator, factor) -> DifferenceOperator:
-    """factor may be a scalar or a function of lambda (left multiplication)."""
-    return _product(scalar_op(op.n, factor), op)
+    """Left multiplication by factor: a scalar, a function of lambda, or an
+    operator whose only key is the identity shift (a batch-first scalar)."""
+    if not isinstance(factor, DifferenceOperator):
+        factor = scalar_op(op.n, factor)
+    return _product(factor, op)
+
+
+def apply_batch(op: DifferenceOperator, f, lams,
+                ctx: ModularContext) -> np.ndarray:
+    """(op f)(lams[s]) = sum_K coeff_K(lams[s]) f(lams[s] + hbar K . epsbar)
+    over a batch of points, reading the table of op once."""
+    lams = list(lams)
+    total = np.zeros(len(lams), dtype=complex)
+    for key, c in op.table(lams).items():
+        total += c * np.array([f(lam.shifted(key, ctx.hbar)) for lam in lams])
+    return total
 
 
 def apply_op(op: DifferenceOperator, f, lam: WeightPoint,
              ctx: ModularContext) -> complex:
-    """(op f)(lambda) = sum_K coeff_K(lambda) f(lambda + hbar K . epsbar)."""
-    total = 0.0 + 0.0j
-    for key, c in op.table(lam).items():
-        total += c * f(lam.shifted(key, ctx.hbar))
-    return total
+    """(op f)(lambda), the batch of one."""
+    return complex(apply_batch(op, f, [lam], ctx)[0])
 
 
 def compose(a: DifferenceOperator, b: DifferenceOperator,
@@ -132,17 +170,17 @@ def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
     """Max coefficient difference over keys and samples, relative to scale.
 
     a and b are both DifferenceOperators or both DifferentialOperators;
-    either kind exposes its keys as terms and its coefficients at a point
-    as table.
+    either kind exposes its keys as terms and its coefficients on a batch
+    of points as table, which is read once per operator.
     """
-    keys = set(a.terms) | set(b.terms)
-    worst, scale = 0.0, 0.0
-    for lam in samples:
-        ta, tb = a.table(lam), b.table(lam)
-        for key in keys:
-            ca, cb = ta.get(key, 0.0 + 0.0j), tb.get(key, 0.0 + 0.0j)
-            worst = max(worst, abs(ca - cb))
-            scale = max(scale, abs(ca), abs(cb))
+    samples = list(samples)
+    ta, tb = a.table(samples), b.table(samples)
+    zero = np.zeros(len(samples), dtype=complex)
+    keys = list(dict.fromkeys([*a.terms, *b.terms]))
+    ca = np.array([ta.get(key, zero) for key in keys])
+    cb = np.array([tb.get(key, zero) for key in keys])
+    worst = float(np.max(np.abs(ca - cb)))
+    scale = max(float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
 
 
@@ -153,25 +191,67 @@ def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
                              samples, ctx)
 
 
+def key_map(raw_keys):
+    """The canonical keys of raw shift vectors, in order of first
+    appearance, and the 0/1 matrix Q[key, t] that adds the coefficient of
+    raw_keys[t] onto its canonical key."""
+    canon = [canonical_key(key) for key in raw_keys]
+    keys = tuple(dict.fromkeys(canon))
+    index = {key: a for a, key in enumerate(keys)}
+    q = np.zeros((len(keys), len(canon)))
+    q[[index[key] for key in canon], np.arange(len(canon))] = 1.0
+    return keys, q
+
+
+def signed_products(factors, signs) -> np.ndarray:
+    """sum_z prod_r factors[r][..., z] signs[z, ...]: the products of one
+    term z of a signed sum (a permutation, or a subset and a permutation),
+    contracted with its signs over the last axis."""
+    prod = factors[0]
+    for factor in factors[1:]:
+        prod = prod * factor
+    return prod @ signs
+
+
 def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
     """Normal-ordered determinant of [entries[i][j] - t delta_ij].
 
     entries is an n x n nested list of DifferenceOperators; within each
     permutation product all shift operators are moved to the right, so
-    coefficients multiply as plain functions of the same lambda.
+    coefficients multiply as plain functions of the same lambda.  Row i
+    contributes one of its keys (the identity key carries -t on the
+    diagonal), so the coefficient of an ordered key tuple (K_0..K_{n-1}) is
+    sum_sigma sgn(sigma) prod_i M[K_i, i, sigma(i)], and the key map adds
+    it onto the canonical key of K_0 + ... + K_{n-1}.
     """
     n = len(entries)
     nn = entries[0][0].n
-    shifted = [[entries[i][j] if i != j
-                else op_add(entries[i][j], scalar_op(nn, -t))
-                for j in range(n)] for i in range(n)]
-    parts = []
-    for perm in permutations(range(n)):
-        prod = scalar_op(nn, perm_sign(perm))
-        for i in range(n):
-            prod = _product(prod, shifted[i][perm[i]])
-        parts.append(prod)
-    return op_add(*parts)
+    zero = (0,) * nn
+    keys = tuple(dict.fromkeys(
+        [zero] + [key for row in entries for op in row for key in op.terms]))
+    index = {key: a for a, key in enumerate(keys)}
+    rows = [sorted({index[key] for op in row for key in op.terms}
+                   | {index[zero]}) for row in entries]
+    tuples = np.array(list(product(*rows)))                    # (T, n)
+    out_keys, keymap = key_map(
+        [[sum(keys[a][x] for a in tup) for x in range(nn)] for tup in tuples])
+    perms = np.array(list(permutations(range(n))))             # (P, n)
+    signs = np.array([perm_sign(p) for p in perms], dtype=float)
+    diag = np.arange(n)
+
+    def table(lams):
+        m = np.zeros((len(lams), len(keys), n, n), dtype=complex)
+        for i, row in enumerate(entries):
+            for j, op in enumerate(row):
+                for key, value in op.table(lams).items():
+                    m[:, index[key], i, j] += value
+        m[:, index[zero], diag, diag] -= t
+        # factor r: M[s, K_r, r, sigma(r)] over (ordered key tuple, sigma)
+        coeffs = signed_products(
+            [m[:, tuples[:, r][:, None], r, perms[:, r][None, :]]
+             for r in range(n)], signs) @ keymap.T
+        return {key: coeffs[:, a] for a, key in enumerate(out_keys)}
+    return DifferenceOperator(nn, out_keys, table)
 
 
 def perm_sign(perm) -> int:
@@ -348,8 +428,9 @@ class DifferentialOperator:
     def coeff(self, alpha, lam: WeightPoint) -> complex:
         return self.coeff_jet(alpha, lam, 0).value
 
-    def table(self, lam: WeightPoint) -> dict:
-        return {alpha: self.coeff(alpha, lam) for alpha in self.terms}
+    def table(self, lams) -> dict:
+        return {alpha: np.array([self.coeff(alpha, lam) for lam in lams],
+                                dtype=complex) for alpha in self.terms}
 
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)

@@ -108,11 +108,11 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
 
     found = []
     for j in range(ctx.n):
-        z = abs(th.theta_char(j, j * ctx.tau, ctx).value)
+        z = abs(th.theta_char(j, j * ctx.tau, ctx))
         found += [Residual(z, z),
-                  th.residual_pair(th.theta_char(j + ctx.n, u, ctx).value,
-                                   th.theta_char(j, u, ctx).value),
-                  th.residual_pair(th.theta_level_n(j, u, ctx).value,
+                  th.residual_pair(th.theta_char(j + ctx.n, u, ctx),
+                                   th.theta_char(j, u, ctx)),
+                  th.residual_pair(th.theta_level_n(j, u, ctx),
                                    th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
                                                ctx.tau, trunc=ctx.trunc).value)]
     cases.append(_case("character-thetas", th.worst_of(found), tol))

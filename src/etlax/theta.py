@@ -4,8 +4,9 @@ The whole package is built on the level-(m,l) series
 
     theta_{m,l}(u, tau) = sum_{mu in m + l Z} exp 2 pi i (mu u + mu^2 tau / (2l)),
 
-truncated to |mu - m| <= l * trunc with a tracked tail estimate.  Three named
-specializations appear throughout:
+truncated to |mu - m| <= l * trunc; theta_ml also returns an estimate of the
+discarded tail.  Three named specializations appear throughout, each
+memoized in the context as a plain value, without a tail estimate:
 
     theta(u)        = theta_{1/2,1}(u + 1/2, tau)        (odd Jacobi theta)
     theta_char_j(u) = theta_{1/2-j/n,1}(u + 1/2, n tau)  (R-matrix characters)
@@ -21,7 +22,7 @@ exp over the terms and one sum.  The exponent is kept inside the exp, not
 split off as a Gaussian factor, because exp(2 pi i mu u) alone overflows
 where that factor underflows (|Im u| of a few periods), and inf * 0 is nan.
 theta_level_table evaluates a whole table theta_level_j(u_k) the same way,
-with one exp over a (rows, points, terms) array.
+with one exp over a (rows, points, terms) array per chunk of points.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .context import ContextError, ModularContext, SingularParameterError
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
+_TABLE_CHUNK = 64      # points per theta_level_table work array
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,29 @@ def _series(ms: tuple, l: int, tau: complex, trunc: int, deriv_order: int):
     return tpm, phase, dfac
 
 
-def theta_ml(m: float, l: int, u: complex, tau: complex, *,
-             trunc: int = 24, deriv_order: int = 0) -> ThetaValue:
-    """Truncated theta series with characteristic m at level l.
-
-    Sums mu = m + l*k over k in [-trunc, trunc]; deriv_order differentiates
-    each term in u.  Raises ContextError off the upper half-plane.
-    """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ContextError(f"Im tau must be positive, got {tau}")
+def _theta_value(m: float, l: int, u: complex, tau: complex, trunc: int,
+                 deriv_order: int) -> complex:
+    """The truncated series value alone: one exp over the terms and one sum."""
     tpm, phase, dfac = _series((m,), l, tau, trunc, deriv_order)
     terms = np.exp(tpm[0] * u + phase[0])
     if dfac is not None:
         terms = terms * dfac[0]
-    value = complex(terms.sum())
+    return complex(terms.sum())
+
+
+def theta_ml(m: float, l: int, u: complex, tau: complex, *,
+             trunc: int = 24, deriv_order: int = 0) -> ThetaValue:
+    """Truncated theta series with characteristic m at level l, and its tail.
+
+    Sums mu = m + l*k over k in [-trunc, trunc]; deriv_order differentiates
+    each term in u.  Raises ContextError off the upper half-plane.  The
+    cached evaluators below keep the value only; the tail bound is computed
+    here, where it is read.
+    """
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ContextError(f"Im tau must be positive, got {tau}")
+    value = _theta_value(m, l, u, tau, trunc, deriv_order)
     tau2l = tau / (2.0 * l)
     tail = 0.0
     for sgn in (1, -1):
@@ -133,23 +143,18 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     return ThetaValue(value, tail)
 
 
-def jacobi_theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> ThetaValue:
+def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
     """The odd Jacobi theta theta(u) = theta_{1/2,1}(u + 1/2) and u-derivatives."""
     if deriv_order < 0 or deriv_order > 8:
         raise ContextError(f"deriv_order must be in 0..8, got {deriv_order}")
     return ctx.cached(
         ("jt", u, deriv_order),
-        lambda: theta_ml(0.5, 1, u + 0.5, ctx.tau, trunc=ctx.trunc,
-                         deriv_order=deriv_order))
-
-
-def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
-    """Value shortcut for jacobi_theta."""
-    return jacobi_theta(u, ctx, deriv_order).value
+        lambda: _theta_value(0.5, 1, u + 0.5, complex(ctx.tau), ctx.trunc,
+                             deriv_order))
 
 
 def theta_char(j: int, u: complex, ctx: ModularContext,
-               deriv_order: int = 0) -> ThetaValue:
+               deriv_order: int = 0) -> complex:
     """Level-one character theta theta^(j), characteristic j mod n, modulus n*tau.
 
     Zeros sit on Z + (j + nZ) tau.
@@ -157,30 +162,40 @@ def theta_char(j: int, u: complex, ctx: ModularContext,
     j = j % ctx.n
     return ctx.cached(
         ("tc", j, u, deriv_order),
-        lambda: theta_ml(0.5 - j / ctx.n, 1, u + 0.5, ctx.n * ctx.tau,
-                         trunc=ctx.trunc, deriv_order=deriv_order))
+        lambda: _theta_value(0.5 - j / ctx.n, 1, u + 0.5,
+                             complex(ctx.n * ctx.tau), ctx.trunc,
+                             deriv_order))
 
 
-def theta_level_n(j: int, u: complex, ctx: ModularContext) -> ThetaValue:
+def theta_level_n(j: int, u: complex, ctx: ModularContext) -> complex:
     """Level-n theta theta_j entering the intertwining vectors, j mod n."""
     j = j % ctx.n
     return ctx.cached(
         ("tl", j, u),
-        lambda: theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5, ctx.tau,
-                         trunc=ctx.trunc))
+        lambda: _theta_value(ctx.n / 2.0 - j, ctx.n, u + 0.5,
+                             complex(ctx.tau), ctx.trunc, 0))
 
 
 def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
     """The table [theta_level_j(u_k)]_{j in rows, k} of theta_level_n values.
 
-    One exp over all rows, points and series terms, and one sum; no tail
-    bounds and no per-value cache entries.
+    One exp over all rows and series terms of a chunk of points, and one
+    sum; no tail bounds and no per-value cache entries.
     """
     n = ctx.n
     tpm, phase, _ = _series(tuple(n / 2.0 - j % n for j in rows), n,
                             complex(ctx.tau), ctx.trunc, 0)
-    args = np.asarray(us, dtype=complex)[None, :, None] + 0.5
-    return np.exp(tpm[:, None, :] * args + phase[:, None, :]).sum(axis=-1)
+    args = np.asarray(us, dtype=complex) + 0.5
+    out = np.empty((len(tpm), len(args)), dtype=complex)
+    # the (rows, points, terms) work array is built and exponentiated in
+    # place, _TABLE_CHUNK points at a time: a batch of thousands of points
+    # then holds one small work array, not three whole-batch ones
+    for start in range(0, len(args), _TABLE_CHUNK):
+        part = slice(start, start + _TABLE_CHUNK)
+        terms = tpm[:, None, :] * args[None, part, None]
+        terms += phase[:, None, :]
+        out[:, part] = np.exp(terms, out=terms).sum(axis=-1)
+    return out
 
 
 def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:

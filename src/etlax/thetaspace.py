@@ -18,7 +18,7 @@ import numpy as np
 
 from .context import ModularContext
 from .belavin import build_r
-from .opalg import DifferenceOperator, apply_op
+from .opalg import DifferenceOperator, apply_batch
 from .theta import Residual, residual_pair, theta, worst_of
 from .transfer import l_op, m_closed
 from .weights import WeightPoint, sample_many
@@ -129,18 +129,19 @@ def gram_rank(l: int, points, ctx: ModularContext,
 
 def fit_function(l: int, target, ctx: ModularContext, seed: int = 0):
     """Least-squares expansion of target in the basis; residual on held-out
-    points in relative sup norm.  Returns (coefficients, Residual)."""
+    points in relative sup norm.  target maps a list of points to the array
+    of its values there.  Returns (coefficients, Residual)."""
     basis = character_basis(l, ctx)
     dim = len(basis)
     pts = sample_many(seed, 3 * dim, ctx)
     hold = sample_many(seed + 77, dim + 4, ctx)
     mat = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
                     for lam in pts])
-    rhs = np.array([target(lam) for lam in pts])
+    rhs = target(pts)
     coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=1e-10)
     hm = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
                    for lam in hold])
-    hv = np.array([target(lam) for lam in hold])
+    hv = target(hold)
     err = np.abs(hm @ coeffs - hv)
     scale = float(np.max(np.abs(hv))) + _EPS
     return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
@@ -157,7 +158,7 @@ def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
     coeff_rows, found = [], []
     for m in range(dim):
         fn = basis.function(m, ctx)
-        target = lambda lam: apply_op(op, fn, lam, ctx)
+        target = lambda lams: apply_batch(op, fn, lams, ctx)
         coeffs, res = fit_function(l, target, ctx, seed=seed + m)
         coeff_rows.append(coeffs)
         found.append(res)
@@ -173,7 +174,7 @@ def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
     fn = lambda lam: cmath.exp(2j * np.pi * sum(
         v * c for v, c in zip(vec, lam.coords)))
-    target = lambda lam: apply_op(op, fn, lam, ctx)
+    target = lambda lams: apply_batch(op, fn, lams, ctx)
     _, res = fit_function(l, target, ctx, seed=seed)
     return res
 
@@ -195,14 +196,19 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     r4 = build_r(u, ctx).entries
     pref = theta(ctx.hbar, ctx) / theta(u, ctx)
     lams = sample_many(seed, samples, ctx)
+    lhs_all = {}
+    for a in range(n):
+        fn = lambda mu, _a=a: chi(gamma_index(_a, n), mu, ctx)
+        for i in range(n):
+            for j in range(n):
+                lhs_all[a, i, j] = apply_batch(lop.entries[i][j], fn, lams, ctx)
     found = []
-    for lam in lams:
+    for s, lam in enumerate(lams):
         chival = [chi(gamma_index(b, n), lam, ctx) for b in range(n)]
         for a in range(n):
-            fn = lambda mu, _a=a: chi(gamma_index(_a, n), mu, ctx)
             for i in range(n):
                 for j in range(n):
-                    lhs = apply_op(lop.entries[i][j], fn, lam, ctx)
+                    lhs = complex(lhs_all[a, i, j][s])
                     rhs = pref * sum(chival[b] * r4[i, a, j, b] for b in range(n))
                     found.append(residual_pair(lhs, rhs))
     return worst_of(found)
@@ -219,11 +225,10 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eigs_by_j = [pref * sum(r4[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = max(abs(e - eig) for e in eigs_by_j) / (abs(eig) + _EPS)
     lams = sample_many(seed, samples, ctx)
-    found = []
-    for lam in lams:
-        for j in range(n):
-            fn = lambda mu, _j=j: chi(_j, mu, ctx)
-            found.append(residual_pair(apply_op(m1, fn, lam, ctx), eig * fn(lam)))
+    fns = [lambda mu, _j=j: chi(_j, mu, ctx) for j in range(n)]
+    applied = [apply_batch(m1, fn, lams, ctx) for fn in fns]
+    found = [residual_pair(complex(applied[j][s]), eig * fns[j](lam))
+             for s, lam in enumerate(lams) for j in range(n)]
     return {"eigen": worst_of(found),
             "shared": Residual(rel=spread, abs=spread)}
 
@@ -276,15 +281,16 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
         for i in range(n):
             for ip in range(n):
                 action = _coproduct_action(i, ip, js, u, ctx)
-                for lam in lams:
+                prod_fn = basis.function(gjs, ctx)
+                applied = apply_batch(lop.entries[i][ip], prod_fn, lams, ctx)
+                for s, lam in enumerate(lams):
                     lhs = 0.0 + 0.0j
                     for outjs, coeff in action.items():
                         val = coeff
                         for j in outjs:
                             val *= chi(gamma_index(j, n), lam, ctx)
                         lhs += val
-                    prod_fn = basis.function(gjs, ctx)
-                    rhs = norm * apply_op(lop.entries[i][ip], prod_fn, lam, ctx)
+                    rhs = norm * complex(applied[s])
                     found.append(residual_pair(lhs, rhs))
     return worst_of(found)
 

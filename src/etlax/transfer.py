@@ -14,25 +14,43 @@ and this module verifies the trace/closed-form equality, the RLL relation,
 the generating-function determinant, the Ruijsenaars conjugation, the
 Krichever matrix, the differential (Calogero-Moser) limit and the
 trigonometric (Macdonald) limit.
+
+Operators built from L are evaluated as array contractions over a batch of
+points.  The coefficient of the ordered shift (k_1..k_d) in the fused entry
+(I, I') is the quantum minor
+
+    sum_sigma sgn(sigma) prod_r A_r[k_r, i_sigma(r), i'_r]
+                                  (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
+
+A_r = l_coeff_tensor(c, u - (r-1) hbar).  fused_l tabulates every A_r at
+the distinct partial-shift points of every sample in one batch (one build
+of the intertwiners not cached yet), gathers them per ordered shift tuple,
+contracts them with the generalized-Kronecker signs (opalg.signed_products)
+and adds the tuples onto their canonical keys with a fixed 0/1 matrix;
+m_trace is the trace of that array.  verify_fused_rll reads the same
+arrays, and normal_det does the same for the generating determinant.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from typing import Callable
 
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
-from .belavin import fused_rcheck_matrix, intertwiners
+from .belavin import fused_rcheck_matrix, intertwiner_arrays, intertwiners
 from .opalg import (DifferenceOperator, DifferentialOperator, Jet, apply_op,
                     compose, diff_op, exp_test_function, identity_op,
-                    jet_of_affine, op_add, op_scale,
+                    jet_of_affine, key_map, op_add, op_scale,
                     operator_residual, normal_det, pdo, pdo_add, pdo_apply,
-                    pdo_compose, pdo_scale, perm_sign)
-from .theta import Residual, residual_pair, theta, theta_level_n, worst_of
+                    pdo_compose, pdo_scale, perm_sign, signed_products)
+from .theta import (Residual, residual_pair, theta, theta_level_table,
+                    worst_of)
 from .weights import WeightPoint, canonical_key, subset_key, unit_key
 
 _EPS = 1e-300
@@ -40,14 +58,17 @@ _EPS = 1e-300
 
 # ----------------------------------------------------------- basic L-operator
 
-def l_coeff_tensor(c: complex, u: complex, lam: WeightPoint,
-                   ctx: ModularContext) -> np.ndarray:
-    """A[k,i,j](lam) with L(c|u)^i_j = sum_k A[k,i,j] T_k."""
-    def build():
-        pu = intertwiners(u, lam, ctx)
-        puc = intertwiners(u + c * ctx.hbar, lam, ctx)
-        return np.einsum("ki,jk->kij", pu.phibar, puc.phi)
-    return ctx.cached(("lc", complex(c), complex(u), lam.coords), build)
+def l_coeff_tensor(c: complex, us, lams, ctx: ModularContext) -> np.ndarray:
+    """A[p,k,i,j] with L(c|us[p])^i_j = sum_k A[p,k,i,j] T_k at lams[p].
+
+    The intertwiners at (us[p], lams[p]) and (us[p] + c hbar, lams[p]) are
+    read, or built, in one batch.
+    """
+    us, lams = list(us), list(lams)
+    count = len(us)
+    phi, phibar = intertwiner_arrays(
+        us + [u + c * ctx.hbar for u in us], lams + lams, ctx)
+    return np.einsum("pki,pjk->pkij", phibar[:count], phi[count:])
 
 
 @dataclass(frozen=True)
@@ -65,8 +86,9 @@ def l_op(c: complex, u: complex, ctx: ModularContext) -> LOperator:
     keys = tuple(unit_key(n, k) for k in range(n))
 
     def entry(i, j):
-        def table(lam):
-            return dict(zip(keys, l_coeff_tensor(c, u, lam, ctx)[:, i, j].tolist()))
+        def table(lams):
+            a = l_coeff_tensor(c, [u] * len(lams), lams, ctx)
+            return {key: a[:, k, i, j] for k, key in enumerate(keys)}
         return DifferenceOperator(n, keys, table)
     return LOperator(c, u, tuple(tuple(entry(i, j) for j in range(n))
                                  for i in range(n)))
@@ -82,13 +104,69 @@ def verify_rll(c: complex, u: complex, v: complex, ctx: ModularContext,
 # ------------------------------------------------------------------ fusion
 
 @dataclass(frozen=True)
+class _FusionPlan:
+    """Index arrays of the degree-k fused contraction at rank n.
+
+    Ordered shift tuples t = (k_0..k_{k-1}) run over [n]^k.  At level r,
+    prefix[r][t] indexes the canonical partial shift e_k_0 + ... + e_k_{r-1}
+    of t in prefixes[r] and shift[r][t] = k_r.  A term z = (I, sigma) of
+    the generalized Kronecker sum reads the L-entry (rows[r][z], cols[r][w])
+    at level r for the column subset w = I', with signs[z, I] = sgn(sigma).
+    keymap adds each tuple onto its canonical key in terms.
+    """
+
+    prefixes: tuple
+    prefix: tuple
+    shift: tuple
+    rows: tuple
+    cols: tuple
+    signs: np.ndarray
+    terms: tuple
+    keymap: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _fusion_plan(n: int, k: int) -> _FusionPlan:
+    subs = list(combinations(range(n), k))
+    perms = list(permutations(range(k)))
+    tuples = list(product(range(n), repeat=k))
+    prefixes, prefix, shift = [], [], []
+    for r in range(k):
+        keys = [canonical_key([t[:r].count(i) for i in range(n)])
+                for t in tuples]
+        distinct = tuple(dict.fromkeys(keys))
+        pos = {key: a for a, key in enumerate(distinct)}
+        prefixes.append(distinct)
+        prefix.append(np.array([pos[key] for key in keys]))
+        shift.append(np.array([t[r] for t in tuples]))
+    terms = [(a, perm) for a in range(len(subs)) for perm in perms]
+    rows = tuple(np.array([subs[a][perm[r]] for a, perm in terms])
+                 for r in range(k))
+    cols = tuple(np.array([sub[r] for sub in subs]) for r in range(k))
+    signs = np.zeros((len(terms), len(subs)))
+    for z, (a, perm) in enumerate(terms):
+        signs[z, a] = perm_sign(perm)
+    keys, keymap = key_map([[t.count(i) for i in range(n)] for t in tuples])
+    for arr in (*prefix, *shift, *rows, *cols, signs, keymap):
+        arr.setflags(write=False)       # the cached plan is shared
+    return _FusionPlan(tuple(prefixes), tuple(prefix), tuple(shift), rows,
+                       cols, signs, keys, keymap)
+
+
+@dataclass(frozen=True)
 class FusedL:
-    """Fused L-operator on the k-th antisymmetric space, indexed by subsets."""
+    """Fused L-operator on the k-th antisymmetric space.
+
+    terms holds the canonical shift keys; table(lams) returns the array
+    A[s, key, I, I'], the coefficient of T_key in the entry (I, I') at
+    lams[s], with the subsets I, I' in combinations order.
+    """
 
     c: complex
     u: complex
     k: int
-    entries: dict  # (I, I') -> DifferenceOperator
+    terms: tuple
+    table: Callable
 
 
 def fused_l(c: complex, u: complex, k: int, ctx: ModularContext) -> FusedL:
@@ -96,26 +174,42 @@ def fused_l(c: complex, u: complex, k: int, ctx: ModularContext) -> FusedL:
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..n, got {k}")
-    levels = [l_op(c, u - r * ctx.hbar, ctx) for r in range(k)]
-    entries = {}
-    for big_i in combinations(range(n), k):
-        for big_ip in combinations(range(n), k):
-            parts = []
-            for perm in permutations(range(k)):
-                sgn = perm_sign(perm)
-                op = levels[0].entries[big_i[perm[0]]][big_ip[0]]
-                for r in range(1, k):
-                    op = compose(op, levels[r].entries[big_i[perm[r]]][big_ip[r]], ctx)
-                parts.append(op if sgn > 0 else op_scale(op, -1.0))
-            entries[(big_i, big_ip)] = op_add(*parts)
-    return FusedL(c, u, k, entries)
+    plan = _fusion_plan(n, k)
+    hb = ctx.hbar
+
+    def table(lams):
+        lams = list(lams)
+        count = len(lams)
+        # level r reads L(u - r hbar) at every partial shift of every sample;
+        # level 0 at the samples themselves
+        us, pts = [], []
+        for r, keys in enumerate(plan.prefixes):
+            for key in keys:
+                us += [u - r * hb] * count
+                pts += lams if r == 0 else [lam.shifted(key, hb)
+                                            for lam in lams]
+        a = l_coeff_tensor(c, us, pts, ctx)
+        factors, start = [], 0
+        for r, keys in enumerate(plan.prefixes):
+            level = a[start:start + len(keys) * count].reshape(
+                len(keys), count, n, n, n)
+            start += len(keys) * count
+            g = level[plan.prefix[r], :, plan.shift[r]]         # [t, s, i, j]
+            factors.append(g[:, :, plan.rows[r][None, :],
+                             plan.cols[r][:, None]])            # [t, s, I', z]
+        fused = signed_products(factors, plan.signs)            # [t, s, I', I]
+        return np.einsum("kt,tswi->skiw", plan.keymap, fused)
+    return FusedL(c, u, k, plan.terms, table)
 
 
 def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
     """Trace of the fused L-operator over the degree-d antisymmetric space."""
     fl = fused_l(c, u, d, ctx)
-    return op_add(*[fl.entries[(big_i, big_i)]
-                    for big_i in combinations(range(ctx.n), d)])
+
+    def table(lams):
+        trace = np.einsum("skii->sk", fl.table(lams))
+        return {key: trace[:, a] for a, key in enumerate(fl.terms)}
+    return DifferenceOperator(ctx.n, fl.terms, table)
 
 
 # ------------------------------------------------------------- closed form
@@ -197,6 +291,29 @@ def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
     return operator_residual(det, genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
+def _level_thetas(rows, v: complex, i: int, lams, ctx: ModularContext):
+    """theta_level_j(v/n - lam_i) for j in rows over the batch lams: [j, s]."""
+    return theta_level_table(rows, [v / ctx.n - lam.pair_eps(i)
+                                    for lam in lams], ctx)
+
+
+def sekiguchi_entries(c: complex, u: complex, t: complex,
+                      ctx: ModularContext) -> list:
+    """Entry (i, j) = theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i),
+    each read from theta_level_table once per batch."""
+    n = ctx.n
+    zero = (0,) * n
+
+    def entry(i, j):
+        key = unit_key(n, i)
+
+        def table(lams):
+            return {key: _level_thetas([j], u + c * ctx.hbar, i, lams, ctx)[0],
+                    zero: -t * _level_thetas([j], u, i, lams, ctx)[0]}
+        return DifferenceOperator(n, (key, zero), table)
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
 def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
                      samples) -> Residual:
     """Numerator determinant of the difference generating function.
@@ -205,25 +322,16 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     det[theta_j(u/n - lam_i)] * sum_d (-t)^(n-d) M_d(c|u) coefficientwise.
     """
     n = ctx.n
-    hb = ctx.hbar
+    zero = (0,) * n
+    det = normal_det(sekiguchi_entries(c, u, t, ctx), 0.0, ctx)
 
-    def entry(i, j):
-        def shifted_coeff(lam, _i=i, _j=j):
-            return theta_level_n(_j, (u + c * hb) / n - lam.pair_eps(_i), ctx).value
-        def scalar_coeff(lam, _i=i, _j=j):
-            return -t * theta_level_n(_j, u / n - lam.pair_eps(_i), ctx).value
-        return diff_op(n, [(unit_key(n, i), shifted_coeff),
-                           ((0,) * n, scalar_coeff)])
+    def weight(lams):
+        mats = np.stack([_level_thetas(range(n), u, i, lams, ctx)
+                         for i in range(n)])                   # [i, j, s]
+        return {zero: np.linalg.det(mats.transpose(2, 0, 1))}
 
-    det = normal_det([[entry(i, j) for j in range(n)] for i in range(n)],
-                     0.0, ctx)
-
-    def weight(lam):
-        mat = np.array([[theta_level_n(j, u / n - lam.pair_eps(i), ctx).value
-                         for j in range(n)] for i in range(n)])
-        return complex(np.linalg.det(mat))
-
-    rhs = op_scale(genfunc_sum(c, u, t, ctx), weight)
+    rhs = op_scale(genfunc_sum(c, u, t, ctx),
+                   DifferenceOperator(n, (zero,), weight))
     return operator_residual(det, rhs, samples, ctx)
 
 
@@ -324,20 +432,6 @@ def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
     return operator_residual(det, genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
-def _shift_keys(fl: FusedL) -> list:
-    """Every shift key that occurs in some entry of the fused L-operator."""
-    return sorted(set().union(*(op.terms for op in fl.entries.values())))
-
-
-def _coeff_table(fl: FusedL, keys, lam: WeightPoint) -> np.ndarray:
-    """A[key, I, I'] = coefficient of T_key in the entry (I, I') at lam."""
-    subs = list(combinations(range(lam.n), fl.k))
-    tables = [[fl.entries[(big_i, big_ip)].table(lam) for big_ip in subs]
-              for big_i in subs]
-    return np.array([[[t.get(key, 0.0 + 0.0j) for t in row] for row in tables]
-                     for key in keys])
-
-
 def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
                      ctx: ModularContext, lams, fns) -> Residual:
     """Fused RLL relation with the projected fused braid matrix.
@@ -352,31 +446,29 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     # rows (J'', I''), columns (I', J')
     rf = fused_rcheck_matrix(k, kp, u, v, ctx).reshape(nkp, nk, nk, nkp)
     flu, flv = fused_l(c, u, k, ctx), fused_l(c, v, kp, ctx)
-    keys_u, keys_v = _shift_keys(flu), _shift_keys(flv)
+    lams = list(lams)
+    count, ku, kv = len(lams), len(flu.terms), len(flv.terms)
+    after_u = [lam.shifted(key, hb) for lam in lams for key in flu.terms]
+    after_v = [lam.shifted(key, hb) for lam in lams for key in flv.terms]
+    a_u0 = flu.table(lams)                                     # [s,K,I,I']
+    a_v0 = flv.table(lams)                                     # [s,K,J,J']
+    a_v_after = flv.table(after_u).reshape(count, ku, kv, nkp, nkp)
+    a_u_after = flu.table(after_v).reshape(count, kv, ku, nk, nk)
+    pts_uv = [mu.shifted(key, hb) for mu in after_u for key in flv.terms]
+    pts_vu = [mu.shifted(key, hb) for mu in after_v for key in flu.terms]
     worst, scale = 0.0, 0.0
-    for lam in lams:
-        after_u = [lam.shifted(key, hb) for key in keys_u]
-        after_v = [lam.shifted(key, hb) for key in keys_v]
-        a_u0 = _coeff_table(flu, keys_u, lam)                  # [K,I,I']
-        a_v0 = _coeff_table(flv, keys_v, lam)                  # [K,J,J']
-        a_v_after = np.stack([_coeff_table(flv, keys_v, mu)
-                              for mu in after_u])              # [K,K',J,J']
-        a_u_after = np.stack([_coeff_table(flu, keys_u, mu)
-                              for mu in after_v])              # [K,K',A,I'']
-        pts_uv = [[mu.shifted(key, hb) for key in keys_v] for mu in after_u]
-        pts_vu = [[mu.shifted(key, hb) for key in keys_u] for mu in after_v]
-        for f in fns:
-            f_uv = np.array([[f(pt) for pt in row] for row in pts_uv])
-            f_vu = np.array([[f(pt) for pt in row] for row in pts_vu])
-            # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
-            lhs = np.einsum("dcxy,kix,kmjy,km->ijcd",
-                            rf, a_u0, a_v_after, f_uv)
-            # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
-            rhs = np.einsum("yxij,kyd,kmxc,km->ijcd",
-                            rf, a_v0, a_u_after, f_vu)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            scale = max(scale, float(np.max(np.abs(lhs))),
-                        float(np.max(np.abs(rhs))))
+    for f in fns:
+        f_uv = np.array([f(pt) for pt in pts_uv]).reshape(count, ku, kv)
+        f_vu = np.array([f(pt) for pt in pts_vu]).reshape(count, kv, ku)
+        # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
+        lhs = np.einsum("dcxy,skix,skmjy,skm->sijcd",
+                        rf, a_u0, a_v_after, f_uv)
+        # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
+        rhs = np.einsum("yxij,skyd,skmxc,skm->sijcd",
+                        rf, a_v0, a_u_after, f_vu)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        scale = max(scale, float(np.max(np.abs(lhs))),
+                    float(np.max(np.abs(rhs))))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
 
 
@@ -727,10 +819,10 @@ def verify_macdonald_limit(c: complex, u: complex, d: int,
     tpar = cmath.exp(2j * cmath.pi * gh)
     tpar_half = cmath.exp(1j * cmath.pi * gh)   # branch-free square root
     found = []
-    for lam in samples:
-        coeffs = mop.table(lam)
+    coeffs = mop.table(samples)
+    for a, lam in enumerate(samples):
         for subset in combinations(range(n), d):
-            got = coeffs[canonical_key(subset_key(n, subset))]
+            got = complex(coeffs[canonical_key(subset_key(n, subset))][a])
             sine = 1.0 + 0.0j
             zform = 1.0 + 0.0j
             for s in range(n):

@@ -139,7 +139,7 @@ def test_intertwiner_entries_definition(ctx3, rng):
     ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
     for j in range(3):
         for k in range(3):
-            want = theta_level_n(j, u / 3 - lam.pair_eps(k), ctx3).value / ieta
+            want = theta_level_n(j, u / 3 - lam.pair_eps(k), ctx3) / ieta
             assert abs(pair.phi[j, k] - want) < 1e-13
 
 

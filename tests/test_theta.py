@@ -107,15 +107,15 @@ def test_jacobi_theta_derivative_vs_finite_difference(ctx2, rng):
 
 def test_jacobi_theta_derivative_depth_capped(ctx2):
     with pytest.raises(ContextError):
-        th.jacobi_theta(0.1, ctx2, deriv_order=9)
+        th.theta(0.1, ctx2, deriv_order=9)
 
 
 def test_theta_char_zeros_and_periodicity(ctx3, rng):
     u = rand_complex(rng)
     for j in range(3):
-        assert abs(th.theta_char(j, j * ctx3.tau, ctx3).value) < 1e-8
-        a = th.theta_char(j + 3, u, ctx3).value
-        b = th.theta_char(j, u, ctx3).value
+        assert abs(th.theta_char(j, j * ctx3.tau, ctx3)) < 1e-8
+        a = th.theta_char(j + 3, u, ctx3)
+        b = th.theta_char(j, u, ctx3)
         assert a == b
         want = th.theta_ml(0.5 - j / 3.0, 1, u + 0.5, 3 * ctx3.tau).value
         assert abs(b - want) / abs(want) < 1e-13
@@ -124,10 +124,10 @@ def test_theta_char_zeros_and_periodicity(ctx3, rng):
 def test_theta_level_definitional(ctx3, rng):
     u = rand_complex(rng)
     for j in range(1, 4):
-        got = th.theta_level_n(j, u, ctx3).value
+        got = th.theta_level_n(j, u, ctx3)
         want = th.theta_ml(1.5 - j, 3, u + 0.5, ctx3.tau).value
         assert abs(got - want) / abs(want) < 1e-12
-        assert th.theta_level_n(j + 3, u, ctx3).value == got
+        assert th.theta_level_n(j + 3, u, ctx3) == got
 
 
 def test_dedekind_eta(ctx2):
@@ -222,7 +222,7 @@ def test_theta_level_table_matches_scalar(rng):
             assert table.shape == (n, n)
             for a, j in enumerate(rows):
                 for k, u in enumerate(us):
-                    want = th.theta_level_n(j, u, ctx).value
+                    want = th.theta_level_n(j, u, ctx)
                     assert abs(table[a, k] - want) <= 1e-15 * abs(want)
 
 
@@ -326,10 +326,15 @@ def test_qfay_degenerates_to_fay(ctx2, rng):
 
 
 def test_tail_bounds_accepted(ctx2, rng):
+    # the series behind theta and theta_level_n, with their tail bounds
     for _ in range(10):
         u = rand_complex(rng)
-        assert th.jacobi_theta(u, ctx2).tail_bound < ctx2.tol_series
-        assert th.theta_level_n(1, u, ctx2).tail_bound < ctx2.tol_series
+        jac = th.theta_ml(0.5, 1, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
+        assert jac.value == th.theta(u, ctx2)
+        assert jac.tail_bound < ctx2.tol_series
+        lev = th.theta_ml(0.0, 2, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
+        assert lev.value == th.theta_level_n(1, u, ctx2)
+        assert lev.tail_bound < ctx2.tol_series
 
 
 def test_worst_of_keeps_first_maximum():

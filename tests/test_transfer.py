@@ -1,6 +1,7 @@
 """L-operators, fused traces, generating function, and the limit checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -60,13 +61,16 @@ def test_fused_l_edges(ctx3):
     f1 = tr.fused_l(C0, U0, 1, ctx3)
     lop = tr.l_op(C0, U0, ctx3)
     samples = wt.sample_many(24, 4, ctx3)
+    fused = f1.table(samples)                      # [s, key, (i,), (j,)]
     for i in range(3):
         for j in range(3):
-            res = oa.operator_residual(f1.entries[((i,), (j,))],
-                                       lop.entries[i][j], samples, ctx3)
-            assert res.rel < 1e-13
+            want = lop.entries[i][j].table(samples)
+            assert set(want) == set(f1.terms)
+            got = np.array([fused[:, a, i, j] for a, key in enumerate(f1.terms)])
+            ref = np.array([want[key] for key in f1.terms])
+            assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
     fn = tr.fused_l(C0, U0, 3, ctx3)
-    assert list(fn.entries) == [((0, 1, 2), (0, 1, 2))]
+    assert fn.table(samples).shape[2:] == (1, 1)   # the one subset (0, 1, 2)
 
 
 def test_fused_l_validation(ctx3):
@@ -402,3 +406,127 @@ def test_macdonald_limit(ctx2, ctx3, rng):
                                             samples)
             assert res.rel < 1e-10
         assert tr.verify_macdonald_limit(0.0, U0, 1, ctx, samples).rel < 1e-14
+
+
+# ---------------------------------------- array contractions against oracles
+
+def _tree_m_trace(c, u, d, ctx, wrong_level=None):
+    """M_d as the closure tree of compose / op_add / op_scale over l_op
+    entries; the level wrong_level is read at u - (r+1) hbar instead."""
+    levels = [tr.l_op(c, u - (r + (r == wrong_level)) * ctx.hbar, ctx)
+              for r in range(d)]
+    parts = []
+    for big_i in itertools.combinations(range(ctx.n), d):
+        for perm in itertools.permutations(range(d)):
+            op = levels[0].entries[big_i[perm[0]]][big_i[0]]
+            for r in range(1, d):
+                op = oa.compose(op, levels[r].entries[big_i[perm[r]]][big_i[r]],
+                                ctx)
+            parts.append(oa.op_scale(op, float(oa.perm_sign(perm))))
+    return oa.op_add(*parts)
+
+
+def _det_by_definition(entries, t, samples):
+    """:det[entries - t]: from its definition, a signed sum over permutations
+    and over one key of each factor, on the entries' own tables."""
+    n, zero = len(entries), (0,) * entries[0][0].n
+    tabs = [[dict(op.table(samples)) for op in row] for row in entries]
+    for i in range(n):
+        tabs[i][i][zero] = tabs[i][i].get(zero, np.zeros(len(samples))) - t
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        for choice in itertools.product(*[tabs[r][perm[r]].items()
+                                          for r in range(n)]):
+            key = wt.canonical_key(np.sum([k for k, _ in choice], axis=0))
+            value = oa.perm_sign(perm) * np.prod([v for _, v in choice], axis=0)
+            out[key] = out.get(key, 0.0) + value
+    return out
+
+
+def _table_rel(got, want):
+    zero = 0.0 * next(iter(want.values()))
+    keys = set(got) | set(want)
+    diff = max(np.max(np.abs(got.get(k, zero) - want.get(k, zero))) for k in keys)
+    return diff / max(np.max(np.abs(v)) for v in want.values())
+
+
+def _outcome(fn):
+    """The value of fn(), or 'raised' if the intertwiner guard rejects it."""
+    try:
+        return fn()
+    except SingularParameterError:
+        return "raised"
+
+
+def test_fused_trace_matches_closure_tree():
+    rng = np.random.default_rng(606)
+    raised = []
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        samples = wt.sample_many(61, 4, ctx)
+        for d in range(1, n + 1):
+            for _ in range(3 if (n, d) == (4, 4) else 1):
+                c, u = rand_complex(rng), rand_complex(rng)
+                # separate caches: each path builds its own intertwiners
+                got = _outcome(lambda: tr.m_trace(c, u, d, ctx.replace())
+                               .table(samples))
+                want = _outcome(lambda: _tree_m_trace(c, u, d, ctx.replace())
+                                .table(samples))
+                assert (got == "raised") == (want == "raised"), (n, d)
+                if got == "raised":
+                    raised.append((n, d))
+                    continue
+                assert _table_rel(got, want) <= 1e-12, (n, d)
+    # the guard raised on some n = 4 draws, and both paths agreed there
+    assert (4, 4) in raised
+
+
+def test_fused_trace_negative_control(ctx3):
+    samples = wt.sample_many(62, 4, ctx3)
+    got = tr.m_trace(C0, U0, 3, ctx3).table(samples)
+    for r in range(3):
+        wrong = _tree_m_trace(C0, U0, 3, ctx3, wrong_level=r).table(samples)
+        assert _table_rel(got, wrong) > 1e-3
+
+
+def test_normal_det_matches_definition():
+    rng = np.random.default_rng(607)
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        samples = wt.sample_many(63, 4, ctx)
+        c, u, t = rand_complex(rng), rand_complex(rng), rand_complex(rng, 0.8)
+        for entries, tt in ((tr.l_op(c, u, ctx).entries, t),
+                            (tr.l_tilde(c, u, ctx).entries, t),
+                            (tr.sekiguchi_entries(c, u, t, ctx), 0.0)):
+            entries = [list(row) for row in entries]
+            got = oa.normal_det(entries, tt, ctx).table(samples)
+            assert _table_rel(got, _det_by_definition(entries, tt, samples)) \
+                <= 1e-12, n
+
+
+def test_trace_closed_theta_tables_do_not_grow_with_samples(monkeypatch):
+    from etlax import belavin as bv
+    calls = []
+    real = bv.theta_level_table
+    monkeypatch.setattr(bv, "theta_level_table",
+                        lambda *args: calls.append(args) or real(*args))
+    for d in (1, 2, 3):
+        counts = []
+        for count in (4, 12):
+            ctx = default_context(3)
+            samples = wt.sample_many(64, count, ctx)
+            calls.clear()
+            tr.verify_trace_closed(C0, U0, d, ctx, samples)
+            counts.append(len(calls))
+        # one intertwiner batch per fused table (24, 96, 240 tables at 12
+        # samples when every intertwiner was built on its own)
+        assert counts == [1, 1], d
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_suites_pass_across_seeds(n):
+    failed = [(name, seed)
+              for name in ("trace-closed", "commute", "genfunc", "rll")
+              for seed in range(8)
+              if not run_suite(name, default_context(n), seed).passed]
+    assert failed == []
