@@ -276,8 +276,12 @@ class IntertwinerPair:
     cond: float
 
 
+# Largest raw 2-norm condition number of phi accepted by the intertwiners.
+_COND_LIMIT = 1e8
+
+
 def _build_intertwiners(us, mus, ctx: ModularContext,
-                        cond_limit: float) -> list:
+                        cond_limit: float = _COND_LIMIT) -> list:
     """IntertwinerPairs of the pairs (us[p], mus[p]): one theta table, one
     stacked condition number and one stacked solve for all of them."""
     n, count = ctx.n, len(us)
@@ -298,24 +302,22 @@ def _build_intertwiners(us, mus, ctx: ModularContext,
             for p in range(count)]
 
 
-def intertwiner_arrays(us, mus, ctx: ModularContext,
-                       cond_limit: float = 1e8):
+def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n).
 
-    The pairs not cached yet are built in one batch, under the same
-    cond_limit guard on the raw 2-norm condition number as intertwiners.
+    The pairs not cached yet are built in one batch, under the same guard
+    on the raw 2-norm condition number as intertwiners.
     """
     pairs = ctx.cached_many(
         [("itw", complex(u), mu.coords) for u, mu in zip(us, mus)],
         lambda todo: _build_intertwiners([us[p] for p in todo],
-                                         [mus[p] for p in todo], ctx,
-                                         cond_limit))
+                                         [mus[p] for p in todo], ctx))
     return (np.stack([pair.phi for pair in pairs]),
             np.stack([pair.phibar for pair in pairs]))
 
 
 def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
-                 cond_limit: float = 1e8) -> IntertwinerPair:
+                 cond_limit: float = _COND_LIMIT) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar, solved numerically (a batch of one)."""
     return ctx.cached(("itw", complex(u), mu.coords),

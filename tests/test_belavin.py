@@ -182,6 +182,38 @@ def test_intertwiner_condition_rejection(ctx3):
         bv.intertwiners(0.4 + 0.2j, lam, ctx3, cond_limit=1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwiner_batch_matches_single_builds(n, rng):
+    ctx = default_context(n)
+    lams = [wt.sample_generic(70 + s, ctx) for s in range(3)]
+    us = [rand_complex(rng) for _ in range(4)]
+    # a repeated pair, a pair cached before the batch, and several new ones
+    pairs = [(us[0], lams[0]), (us[1], lams[1]), (us[0], lams[0]),
+             (us[2], lams[2]), (us[3], lams[0]), (us[1], lams[2])]
+    bv.intertwiners(us[3], lams[0], ctx)
+    phi, phibar = bv.intertwiner_arrays([u for u, _ in pairs],
+                                        [lam for _, lam in pairs], ctx)
+    assert phi.shape == phibar.shape == (len(pairs), n, n)
+    for p, (u, lam) in enumerate(pairs):
+        single = bv.intertwiners(u, lam, ctx.replace())
+        assert np.array_equal(phi[p], single.phi)
+        assert np.array_equal(phibar[p], single.phibar)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwiner_batch_names_the_singular_pair(n, rng):
+    ctx = default_context(n)
+    lam = wt.sample_generic(8, ctx)
+    coords = list(wt.sample_generic(9, ctx).coords)
+    coords[1] = coords[0]                 # two equal columns of phi
+    flat = wt.WeightPoint.make(coords)
+    us = [0.11 + 0.05j, 0.23 - 0.07j, -0.17 + 0.13j]
+    with pytest.raises(SingularParameterError, match=r"at u=\(0\.23-0\.07j\)"):
+        bv.intertwiner_arrays(us, [lam, flat, lam], ctx)
+    with pytest.raises(SingularParameterError):
+        bv.intertwiners(us[1], flat, ctx.replace())
+
+
 def test_vertex_face_intertwining(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         lam = wt.sample_generic(60, ctx)
