@@ -4,9 +4,11 @@
     verify all ...
 
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
-hbar_re, hbar_im, c_re, c_im, trunc, tol_series, tol_identity, seed); every
-key can be overridden by a command-line flag of the same name, and the
-environment variable ETL_TRUNC overrides trunc (flags still win).  Exit
+hbar_re, hbar_im, trunc, tol_series, tol_identity, seed); every key can be
+overridden by a command-line flag of the same name, and the environment
+variable ETL_TRUNC overrides trunc (flags still win).  tol_identity is a
+singularity floor (see ModularContext); each suite passes or fails against
+its own tolerance in suites.SUITES.  Exit
 codes: 0 all checks passed, 1 verification failure, 2 configuration error
 or an evaluation that could not be carried out (a singular parameter or an
 exhausted sampling budget).
@@ -18,19 +20,18 @@ import argparse
 import os
 import sys
 
-from .context import (DEFAULT_C, DEFAULT_HBAR, DEFAULT_TAU, ContextError,
-                      ModularContext, SamplingError, SingularParameterError)
+from .context import (DEFAULT_HBAR, DEFAULT_TAU, ContextError, ModularContext,
+                      SamplingError, SingularParameterError)
 from .report import report_json, report_text
 from .suites import SUITE_ORDER, run_suite
 
-CONFIG_KEYS = ("n", "tau_re", "tau_im", "hbar_re", "hbar_im", "c_re", "c_im",
-               "trunc", "tol_series", "tol_identity", "seed")
+CONFIG_KEYS = ("n", "tau_re", "tau_im", "hbar_re", "hbar_im", "trunc",
+               "tol_series", "tol_identity", "seed")
 
 DEFAULTS = {
     "n": 2,
     "tau_re": DEFAULT_TAU.real, "tau_im": DEFAULT_TAU.imag,
     "hbar_re": DEFAULT_HBAR.real, "hbar_im": DEFAULT_HBAR.imag,
-    "c_re": DEFAULT_C.real, "c_im": DEFAULT_C.imag,
     "trunc": 24, "tol_series": 1e-13, "tol_identity": 1e-8,
     "seed": 42,
 }
@@ -85,7 +86,6 @@ def context_from_config(cfg: dict, n: int = None) -> ModularContext:
         n=n if n is not None else int(cfg["n"]),
         tau=complex(cfg["tau_re"], cfg["tau_im"]),
         hbar=complex(cfg["hbar_re"], cfg["hbar_im"]),
-        c=complex(cfg["c_re"], cfg["c_im"]),
         trunc=int(cfg["trunc"]),
         tol_series=float(cfg["tol_series"]),
         tol_identity=float(cfg["tol_identity"]),
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="rank n (single-suite runs)")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--trunc", type=int, help="theta series truncation")
-    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "c_re", "c_im",
-                "tol_series", "tol_identity"):
+    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "tol_series",
+                "tol_identity"):
         parser.add_argument(f"--{key}", type=float)
     return parser
 

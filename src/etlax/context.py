@@ -2,8 +2,9 @@
 
 Every evaluator in this package is a pure function of its arguments and a
 ModularContext, which fixes the rank n, the modulus tau, the deformation
-parameter hbar, the extra coupling c, the series truncation depth and the
-tolerances used by the verification suites.
+parameter hbar, the series truncation depth and the singularity floor
+tol_identity.  The coupling c is a builder argument, drawn by each suite;
+the pass thresholds are the per-suite tolerances in suites.SUITES.
 """
 
 from __future__ import annotations
@@ -40,16 +41,18 @@ class ModularContext:
     n           rank (the operators live on the sl_n weight space), n >= 2
     tau         modulus, Im tau > 0
     hbar        deformation parameter, kept off the period lattice
-    c           coupling of the one-parameter operator family
     trunc       number of lattice terms kept on each side of a theta series
     tol_series  target bound for the discarded series tail
-    tol_identity  residual threshold used by identity checks
+    tol_identity  singularity floor, not a pass threshold: the sampling
+                guard (x10), the verify_fay, face-weight and ltilde
+                denominators, the lattice distance of hbar and of the p
+                argument (x10), and the Vandermonde "both vanish" floor
+                (times the Hadamard bound)
     """
 
     n: int
     tau: complex
     hbar: complex
-    c: complex = 0.0
     trunc: int = 24
     tol_series: float = 1e-13
     tol_identity: float = 1e-8
@@ -100,20 +103,18 @@ class ModularContext:
 
     def replace(self, **kw) -> "ModularContext":
         """A copy of this context with some fields replaced (fresh cache)."""
-        data = dict(n=self.n, tau=self.tau, hbar=self.hbar, c=self.c,
-                    trunc=self.trunc, tol_series=self.tol_series,
-                    tol_identity=self.tol_identity)
+        data = dict(n=self.n, tau=self.tau, hbar=self.hbar, trunc=self.trunc,
+                    tol_series=self.tol_series, tol_identity=self.tol_identity)
         data.update(kw)
         return ModularContext(**data)
 
 
 DEFAULT_TAU = 0.1 + 0.8j
 DEFAULT_HBAR = 0.173 + 0.219j
-DEFAULT_C = 0.37 + 0.21j
 
 
 def default_context(n: int = 2, **kw) -> ModularContext:
     """The generic desk-scale context used by the verification suites."""
-    params = dict(n=n, tau=DEFAULT_TAU, hbar=DEFAULT_HBAR, c=DEFAULT_C)
+    params = dict(n=n, tau=DEFAULT_TAU, hbar=DEFAULT_HBAR)
     params.update(kw)
     return ModularContext(**params)

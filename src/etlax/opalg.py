@@ -19,10 +19,10 @@ equality is decided numerically on generic sample points (coefficients are
 finite products of theta values, so meromorphic, and vanishing on a dozen
 random points decides vanishing).
 
-A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha.  Its
-coefficients are jet-valued closures (lam, order) -> Jet supplying exact
-Taylor data, so the Leibniz rule in composition never needs numerical
-differentiation.
+A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha of the
+same shape: jets(lam, order) returns exact Taylor jets {alpha: Jet} of all
+its coefficients at one point, so the Leibniz rule never needs numerical
+differentiation, and every combinator reads each operand once per point.
 """
 
 from __future__ import annotations
@@ -410,26 +410,24 @@ def jet_of_affine(derivs, const: complex, grad, lam: WeightPoint, order: int) ->
 
 @dataclass(frozen=True)
 class DifferentialOperator:
-    """Finite sum of coeff_alpha(lambda) d^alpha with jet-valued coefficients.
+    """Finite sum of coeff_alpha(lambda) d^alpha.
 
-    Each coefficient entry is a tuple of closures (lam, order) -> Jet.
+    terms holds the multi-indices alpha; jets(lam, order) returns the Taylor
+    jets, to at least that order, of every coefficient at lam as a dict
+    {alpha: Jet}.  Callers never write into those jets.
     """
 
     n: int
-    terms: dict
-
-    def coeff_jet(self, alpha, lam: WeightPoint, order: int) -> Jet:
-        fns = self.terms.get(tuple(alpha), ())
-        out = Jet.constant(lam.n, order, 0.0)
-        for f in fns:
-            out = out + f(lam, order)
-        return out
+    terms: tuple
+    jets: Callable
 
     def coeff(self, alpha, lam: WeightPoint) -> complex:
-        return self.coeff_jet(alpha, lam, 0).value
+        jet = self.jets(lam, 0).get(tuple(alpha))
+        return 0.0 + 0.0j if jet is None else jet.value
 
     def table(self, lams) -> dict:
-        return {alpha: np.array([self.coeff(alpha, lam) for lam in lams],
+        rows = [self.jets(lam, 0) for lam in lams]
+        return {alpha: np.array([row[alpha].value for row in rows],
                                 dtype=complex) for alpha in self.terms}
 
     def order(self) -> int:
@@ -437,10 +435,16 @@ class DifferentialOperator:
 
 
 def pdo(n: int, items) -> DifferentialOperator:
-    terms = {}
-    for alpha, fn in items:
-        terms[tuple(alpha)] = terms.get(tuple(alpha), ()) + (fn,)
-    return DifferentialOperator(n, terms)
+    """Sum of (alpha, jet closure (lam, order) -> Jet) items."""
+    items = [(tuple(alpha), fn) for alpha, fn in items]
+
+    def jets(lam, order):
+        out = {}
+        for alpha, fn in items:
+            _accumulate(out, alpha, fn(lam, order))
+        return out
+    return DifferentialOperator(
+        n, tuple(dict.fromkeys(alpha for alpha, _ in items)), jets)
 
 
 def pdo_const_coeff(value: complex):
@@ -451,68 +455,52 @@ def pdo_const_coeff(value: complex):
 
 
 def pdo_add(*ops: DifferentialOperator) -> DifferentialOperator:
-    terms = {}
-    for op in ops:
-        for alpha, fns in op.terms.items():
-            terms[alpha] = terms.get(alpha, ()) + fns
-    return DifferentialOperator(ops[0].n, terms)
+    def jets(lam, order):
+        out = {}
+        for op in ops:
+            for alpha, jet in op.jets(lam, order).items():
+                _accumulate(out, alpha, jet)
+        return out
+    terms = dict.fromkeys(alpha for op in ops for alpha in op.terms)
+    return DifferentialOperator(ops[0].n, tuple(terms), jets)
 
 
 def pdo_scale(op: DifferentialOperator, z: complex) -> DifferentialOperator:
-    items = []
-    for alpha, fns in op.terms.items():
-        def fn(lam, order, _fns=fns):
-            out = Jet.constant(lam.n, order, 0.0)
-            for f in _fns:
-                out = out + f(lam, order)
-            return out * z
-        items.append((alpha, fn))
-    return pdo(op.n, items)
-
-
-def _binom_multi(alpha, gamma) -> int:
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= math.comb(a, g)
-    return out
-
-
-def _sub_indices(alpha):
-    """All gamma <= alpha componentwise."""
-    out = [()]
-    for a in alpha:
-        out = [g + (d,) for g in out for d in range(a + 1)]
-    return out
+    def jets(lam, order):
+        return {alpha: jet * z for alpha, jet in op.jets(lam, order).items()}
+    return DifferentialOperator(op.n, op.terms, jets)
 
 
 def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
                 ctx: ModularContext) -> DifferentialOperator:
-    """Leibniz-rule composition a(lam, d) b(lam, d)."""
-    items = []
-    for alpha, fas in a.terms.items():
-        for beta, fbs in b.terms.items():
-            for gamma in _sub_indices(alpha):
-                rest = tuple(x - y for x, y in zip(alpha, gamma))
-                mult = _binom_multi(alpha, gamma)
-                key = tuple(x + y for x, y in zip(gamma, beta))
+    """Leibniz-rule composition a(lam, d) b(lam, d): a_alpha d^alpha b_beta
+    d^beta sums C(alpha, gamma) a_alpha (d^(alpha-gamma) b_beta)
+    d^(gamma+beta) over gamma <= alpha.  That plan is fixed here; a point
+    reads a once and b once, a.order() orders deeper for the derivatives."""
+    plan = [(alpha, beta, tuple(x - y for x, y in zip(alpha, gamma)),
+             math.prod(map(math.comb, alpha, gamma)),
+             tuple(x + y for x, y in zip(gamma, beta)))
+            for alpha in a.terms for beta in b.terms
+            for gamma in product(*(range(x + 1) for x in alpha))]
+    extra = a.order()
 
-                def fn(lam, order, _fas=fas, _fbs=fbs, _rest=rest, _mult=mult):
-                    aj = Jet.constant(lam.n, order, 0.0)
-                    for f in _fas:
-                        aj = aj + f(lam, order)
-                    bj = Jet.constant(lam.n, order + sum(_rest), 0.0)
-                    for f in _fbs:
-                        bj = bj + f(lam, order + sum(_rest))
-                    return aj * bj.dmulti(_rest) * _mult
-                items.append((key, fn))
-    return pdo(a.n, items)
+    def jets(lam, order):
+        ja, jb = a.jets(lam, order), b.jets(lam, order + extra)
+        out = {}
+        for alpha, beta, rest, mult, key in plan:
+            _accumulate(out, key, ja[alpha] * jb[beta].dmulti(rest) * mult)
+        return out
+    return DifferentialOperator(
+        a.n, tuple(dict.fromkeys(key for *_, key in plan)), jets)
 
 
 def pdo_apply(op: DifferentialOperator, fjet, lam: WeightPoint) -> complex:
     """Apply to a test function given as a jet factory (lam, order) -> Jet."""
+    coeffs = op.jets(lam, 0)
+    fj = fjet(lam, op.order())
     total = 0.0 + 0.0j
     for alpha in op.terms:
-        total += op.coeff(alpha, lam) * fjet(lam, sum(alpha)).deriv(alpha)
+        total += coeffs[alpha].value * fj.deriv(alpha)
     return total
 
 

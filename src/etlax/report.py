@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fmt_float(x: float) -> str:
@@ -45,7 +45,7 @@ class SuiteReport:
     """Outcome of one suite run at one parameter record."""
 
     suite: str
-    params: dict           # n, tau, hbar, c, u, v, t, trunc, seed
+    params: dict           # n, tau, hbar, u, v, t, trunc, seed
     tolerance: float
     cases: list = field(default_factory=list)
     passed: bool = True

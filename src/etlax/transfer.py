@@ -48,7 +48,8 @@ from .opalg import (DifferenceOperator, DifferentialOperator, Jet, apply_op,
                     compose, diff_op, exp_test_function, identity_op,
                     jet_of_affine, key_map, op_add, op_scale,
                     operator_residual, normal_det, pdo, pdo_add, pdo_apply,
-                    pdo_compose, pdo_scale, perm_sign, signed_products)
+                    pdo_compose, pdo_const_coeff, pdo_scale, perm_sign,
+                    signed_products)
 from .theta import (Residual, residual_pair, theta, theta_level_table,
                     worst_of)
 from .weights import WeightPoint, canonical_key, subset_key, unit_key
@@ -486,11 +487,9 @@ def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
         row = []
         for j in range(n):
             if i == j:
-                def cfn(lam, order, _v=diag_scalar):
-                    return Jet.constant(lam.n, order, _v)
-                row.append(pdo(n, [((0,) * n, cfn),
+                row.append(pdo(n, [((0,) * n, pdo_const_coeff(diag_scalar)),
                                    (tuple(1 if a == j else 0 for a in range(n)),
-                                    lambda lam, order: Jet.constant(lam.n, order, 1.0))]))
+                                    pdo_const_coeff(1.0))]))
             else:
                 def cfn(lam, order, _i=i, _j=j):
                     grad = [0.0] * n
@@ -650,14 +649,12 @@ def delta_jet(lam: WeightPoint, order: int, ctx: ModularContext) -> Jet:
     return ctx.cached(("dj", lam.coords, order), build)
 
 
-def _delta_ratio_coeff(jset: tuple, ctx: ModularContext):
-    """Coefficient closure for (d^J Delta / Delta)(lambda)."""
+def _delta_ratio_coeff(jset: tuple, scale: complex, ctx: ModularContext):
+    """Coefficient closure for scale * (d^J Delta / Delta)(lambda)."""
     def fn(lam, order):
         jd = delta_jet(lam, order + len(jset), ctx)
-        alpha = [0] * lam.n
-        for j in jset:
-            alpha[j] += 1
-        return jd.dmulti(tuple(alpha)) / jd
+        alpha = tuple(int(a in jset) for a in range(lam.n))
+        return jd.dmulti(alpha) / jd * scale
     return fn
 
 
@@ -676,11 +673,8 @@ def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
                 for jset in combinations(big_i, jsize):
                     rest = tuple(sorted(set(big_i) - set(jset)))
                     alpha = tuple(1 if a in rest else 0 for a in range(n))
-                    scale = factor ** len(rest)
-                    base = _delta_ratio_coeff(jset, ctx)
-                    def fn(lam, order, _b=base, _s=scale):
-                        return _b(lam, order) * _s
-                    items.append((alpha, fn))
+                    items.append((alpha, _delta_ratio_coeff(
+                        jset, factor ** len(rest), ctx)))
         out.append(pdo(n, items))
     return out
 
@@ -706,7 +700,7 @@ def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
     items = []
     for i in range(n):
         items.append((tuple(2 if a == i else 0 for a in range(n)),
-                      lambda lam, order: Jet.constant(lam.n, order, 1.0)))
+                      pdo_const_coeff(1.0)))
         def lin(lam, order, _i=i):
             return gi_jet(_i, lam, order) * (-2.0)
         items.append((tuple(1 if a == i else 0 for a in range(n)), lin))

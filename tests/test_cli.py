@@ -1,11 +1,12 @@
 """CLI driver, report formats, determinism, exit codes."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from etlax import cli
-from etlax.context import SamplingError, default_context
+from etlax.context import ModularContext, SamplingError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
     report_json, report_text, strip_timing
 from etlax.suites import SUITE_ORDER, run_suite
@@ -29,7 +30,7 @@ def test_run_suite_passes_and_records_params():
     assert rep.passed
     assert rep.params["n"] == 2
     assert rep.params["seed"] == 42
-    for key in ("tau", "hbar", "c", "u", "v", "t", "trunc"):
+    for key in ("tau", "hbar", "u", "v", "t", "trunc"):
         assert key in rep.params
     assert all(c.rel < c.tol for c in rep.cases if not c.control)
 
@@ -73,11 +74,11 @@ def test_seed_changes_residuals_not_outcome():
 def test_json_shape_and_digits():
     rep = run_suite("qfay", default_context(2), 42)
     doc = json.loads(report_json([rep]))
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     suite = doc["suites"][0]
     assert suite["suite"] == "qfay"
     assert list(suite["params"].keys()) == [
-        "n", "tau", "hbar", "c", "u", "v", "t", "trunc", "seed"]
+        "n", "tau", "hbar", "u", "v", "t", "trunc", "seed"]
     assert {"name", "rel", "abs", "tol", "control", "ok"} \
         <= set(suite["cases"][0].keys())
     assert fmt_float(0.1) == "0.10000000000000001"
@@ -90,7 +91,7 @@ def test_cli_single_suite_exit_zero(capsys, tmp_path):
     rc = cli.main(["qfay", "--seed", "42", "--json", str(out)])
     assert rc == 0
     captured = capsys.readouterr().out
-    assert "schema: 1" in captured
+    assert "schema: 2" in captured
     assert "suite: qfay" in captured
     doc = json.loads(out.read_text())
     assert doc["summary"]["pass"] is True
@@ -135,6 +136,18 @@ def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("volume = 11\n")
     assert cli.main(["qfay", "--config", str(cfg)]) == 2
+
+
+def test_cli_has_no_coupling_knob(tmp_path, capsys):
+    # every suite draws its own coupling c, so the context carries none
+    cfg = tmp_path / "old.txt"
+    cfg.write_text("c_re = 0.37\n")
+    assert cli.main(["qfay", "--config", str(cfg)]) == 2
+    assert "unknown key 'c_re'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qfay", "--c_im", "0.21"])
+    assert exc.value.code == 2
+    assert "c" not in {f.name for f in fields(ModularContext)}
 
 
 def test_env_var_overrides_trunc(monkeypatch, capsys):

@@ -353,6 +353,33 @@ def test_debiard_commutators(ctx3):
             assert res.rel < 1e-8
 
 
+def test_pdo_commutator_reads_each_operand_once_per_point(ctx3, monkeypatch):
+    # every coefficient closure of build_d_ops counts its own calls
+    real = tr._delta_ratio_coeff
+    calls = []
+
+    def counting(*args):
+        fn = real(*args)
+        leaf = len(calls)
+        calls.append(0)
+
+        def counted(lam, order):
+            calls[leaf] += 1
+            return fn(lam, order)
+        return counted
+    monkeypatch.setattr(tr, "_delta_ratio_coeff", counting)
+    d1, d2, _ = tr.build_d_ops(C0, U0, ctx3)
+    leaves = 2 * 3 + 4 * 3             # (I, J subset I) with |I| = 1, 2
+    k = 3
+    samples = wt.sample_many(47, k, ctx3)
+    res = oa.pdo_commutator_residual(d1, d2, samples, ctx3)
+    assert res.rel < 1e-8
+    # 2 compositions x 2 operand reads x k points bounds every leaf; one
+    # call per Leibniz item per multi-index per point is far above that
+    assert all(0 < count <= 2 * 2 * k for count in calls[:leaves])
+    assert not any(calls[leaves:])     # D[3] is not read
+
+
 def test_h_identity(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         samples = wt.sample_many(48, 3, ctx)
@@ -526,7 +553,8 @@ def test_trace_closed_theta_tables_do_not_grow_with_samples(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_operator_suites_pass_across_seeds(n):
     failed = [(name, seed)
-              for name in ("trace-closed", "commute", "genfunc", "rll")
+              for name in ("trace-closed", "commute", "genfunc", "rll",
+                           "debiard", "krichever")
               for seed in range(8)
               if not run_suite(name, default_context(n), seed).passed]
     assert failed == []
