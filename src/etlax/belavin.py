@@ -11,22 +11,33 @@ numerator product, making every entry manifestly holomorphic in u (this is
 what makes R(0) = P exact instead of a 0/0 limit).
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
-step adding hbar*epsbar_i; face operators act on dicts path -> coefficient.
+step adding hbar*epsbar_i, held as an (n^k, k) integer array.  The weight
+after a prefix is base + hbar * (its step counts), so lam_ij there is
+base_ij + hbar * (count_i - count_j) with integer counts, never a
+re-canonicalized shifted point.  A face move at (pos, pos+1) reads all its
+weights from one theta table; it keeps every path's step multiset, so a
+product of moves is block-diagonal (blocks of at most k! paths), is applied
+to a stack of blocks and scattered into the path matrix once.  The path
+plan of each (n, k) is built once.  The intertwiner map along paths reads
+one intertwiner batch per step level, at the distinct prefix weights.
 The fusion operators on both sides are products of adjacent-swap moves whose
 spectral parameters are tracked positionally.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
-from .theta import (Residual, dedekind_eta, residual_pair, theta, theta_char,
-                    theta_level_table, worst_of)
-from .weights import WeightPoint
+from .theta import (Residual, dedekind_eta, residual_pair, theta_char,
+                    theta_level_table, theta_table, worst_of)
+from .weights import WeightPoint, canonical_key
 
 _EPS = 1e-300
 
@@ -177,80 +188,151 @@ def verify_ybe(u: complex, v: complex, w: complex, ctx: ModularContext) -> Resid
 
 # ------------------------------------------------------------------ face side
 
+@functools.lru_cache(maxsize=None)
+def _path_plan(n: int, k: int) -> SimpleNamespace:
+    """Index arrays of the length-k paths at rank n.
+
+    paths[p] is the step sequence of path p, in paths order (lexicographic).
+    At level r, prefixes[r] holds the distinct canonical step counts of the
+    first r steps and prefix[r][p] the one of path p.  A move at position
+    pos acts on steps (pos, pos+1) with the weight lam_ij,
+    lam = base + hbar * (step counts of the prefix): pairs[pos] lists the
+    distinct (i, j, count_i - count_j) over the paths with i != j there and
+    pair[pos][p] indexes it (-1 when i == j).  A move keeps each path's
+    step multiset, so it acts on blocks: layout[b, s] is the path in slot s
+    of block b (len(paths) pads short blocks), partner[pos][b, s] the slot
+    of its swap at pos (its own slot for padding), and the stack entry
+    (b, s, s') lands at scatter[0] in the flattened stack and at
+    (scatter[1], scatter[2]) in the path matrix.
+    """
+    tuples = list(product(range(n), repeat=k))
+    index = {t: p for p, t in enumerate(tuples)}
+    prefixes, prefix = [], []
+    for r in range(k):
+        keys = [canonical_key([t[:r].count(i) for i in range(n)])
+                for t in tuples]
+        distinct = tuple(dict.fromkeys(keys))
+        pos = {key: a for a, key in enumerate(distinct)}
+        prefixes.append(distinct)
+        prefix.append(np.array([pos[key] for key in keys], dtype=int))
+    blocks = {}
+    for p, t in enumerate(tuples):
+        blocks.setdefault(tuple(sorted(t)), []).append(p)
+    width = max(len(b) for b in blocks.values())
+    layout = np.full((len(blocks), width), len(tuples))
+    slot = np.empty(len(tuples), dtype=int)
+    for b, members in enumerate(blocks.values()):
+        layout[b, :len(members)] = members
+        slot[members] = np.arange(len(members))
+    real = layout < len(tuples)
+    pairs, pair, partner = [], [], []
+    for pos in range(k - 1):
+        found = {}
+        at = np.full(len(tuples), -1)
+        swap = np.empty(len(tuples), dtype=int)
+        for p, t in enumerate(tuples):
+            i, j = t[pos], t[pos + 1]
+            swap[p] = index[t[:pos] + (j, i) + t[pos + 2:]]
+            if i != j:
+                triple = (i, j, t[:pos].count(i) - t[:pos].count(j))
+                at[p] = found.setdefault(triple, len(found))
+        pairs.append(np.array(list(found), dtype=int).reshape(-1, 3))
+        pair.append(at)
+        mate = np.tile(np.arange(width), (len(blocks), 1))
+        mate[real] = slot[swap[layout[real]]]
+        partner.append(mate)
+    b, s, sp = np.nonzero(real[:, :, None] & real[:, None, :])
+    scatter = ((b * width + s) * width + sp, layout[b, s], layout[b, sp])
+    paths = np.array(tuples, dtype=int).reshape(len(tuples), k)
+    for arr in (paths, *prefix, *pairs, *pair, layout, *partner, *scatter):
+        arr.setflags(write=False)       # the cached plan is shared
+    return SimpleNamespace(
+        paths=paths, prefixes=tuple(prefixes), prefix=tuple(prefix), pairs=tuple(pairs),
+        pair=tuple(pair), layout=layout, partner=tuple(partner),
+        scatter=scatter)
+
+
+def _face_weights(lij, delta: complex, ctx: ModularContext):
+    """The face weights with spectral argument delta, from one theta table:
+
+    diag                          theta(delta+h)/theta(h)
+    cis[a]   at lij[a]            theta(-delta+lij)/theta(lij)
+    trans[a] at lij[a]            theta(delta)/theta(h) * theta(h+lij)/theta(lij)
+
+    Raises SingularParameterError where |theta(lij)| < tol_identity.
+    """
+    hb = ctx.hbar
+    lij = np.asarray(lij, dtype=complex)
+    m = len(lij)
+    t = theta_table(np.concatenate(
+        [[delta + hb, hb, delta], lij, lij - delta, lij + hb]), ctx)
+    den = t[3:3 + m]
+    bad = np.abs(den) < ctx.tol_identity
+    if bad.any():
+        raise SingularParameterError(
+            f"resonant weight: theta(lambda_ij)~0 at {lij[np.argmax(bad)]}")
+    return (t[0] / t[1], t[3 + m:3 + 2 * m] / den,
+            t[2] / t[1] * t[3 + 2 * m:] / den)
+
+
 def face_weight(lam: WeightPoint, i: int, j: int, kind: str, u: complex,
                 ctx: ModularContext) -> complex:
-    """The three admissible face weights at base weight lam.
+    """One face weight at base weight lam (the one-entry _face_weights).
 
     kind 'diag':  both steps i (requires i == j)     theta(u+h)/theta(h)
     kind 'cis':   steps (i,j), unchanged middle      theta(-u+lam_ij)/theta(lam_ij)
     kind 'trans': steps (i,j), crossed middle        theta(u)/theta(h)
                                                      * theta(h+lam_ij)/theta(lam_ij)
     """
-    hb = ctx.hbar
-    if kind == "diag":
-        if i != j:
-            raise ValueError("diag face weight needs i == j")
-        return theta(u + hb, ctx) / theta(hb, ctx)
-    if i == j:
-        raise ValueError(f"{kind} face weight needs i != j")
-    lij = lam.diff(i, j)
-    den = theta(lij, ctx)
-    if abs(den) < ctx.tol_identity:
-        raise SingularParameterError(f"resonant weight: theta(lambda_ij)~0 at {lij}")
-    if kind == "cis":
-        return theta(-u + lij, ctx) / den
-    if kind == "trans":
-        return theta(u, ctx) / theta(hb, ctx) * theta(hb + lij, ctx) / den
-    raise ValueError(f"unknown face weight kind {kind!r}")
+    if kind not in ("diag", "cis", "trans"):
+        raise ValueError(f"unknown face weight kind {kind!r}")
+    if (kind == "diag") != (i == j):
+        raise ValueError(f"{kind} face weight needs "
+                         f"{'i == j' if kind == 'diag' else 'i != j'}")
+    diag, cis, trans = _face_weights([] if i == j else [lam.diff(i, j)], u,
+                                     ctx)
+    return complex(diag if kind == "diag" else
+                   (cis if kind == "cis" else trans)[0])
 
 
-def face_apply(base: WeightPoint, state: dict, pos: int, delta: complex,
-               ctx: ModularContext) -> dict:
-    """Apply the face operator at step pair (pos, pos+1) to a path state.
-
-    state maps step tuples (i_1, ..., i_k) to coefficients; all paths start
-    at base.  delta is the spectral argument of the face weight.
-    """
-    out = {}
-    for path, coeff in state.items():
-        lam = base
-        for r in range(pos):
-            lam = lam.shifted_eps(path[r], ctx.hbar)
-        i, j = path[pos], path[pos + 1]
-        if i == j:
-            w = face_weight(lam, i, i, "diag", delta, ctx)
-            out[path] = out.get(path, 0.0) + coeff * w
-        else:
-            w_keep = face_weight(lam, i, j, "cis", delta, ctx)
-            out[path] = out.get(path, 0.0) + coeff * w_keep
-            swapped = path[:pos] + (j, i) + path[pos + 2:]
-            w_cross = face_weight(lam, i, j, "trans", delta, ctx)
-            out[swapped] = out.get(swapped, 0.0) + coeff * w_cross
-    return out
-
-
-def paths_from(n: int, k: int):
-    """All step sequences of length k (the admissible paths from any base)."""
-    if k == 0:
-        return [()]
-    shorter = paths_from(n, k - 1)
-    return [p + (i,) for p in shorter for i in range(n)]
+def _move_weights(plan: SimpleNamespace, pos: int, base: WeightPoint,
+                  delta: complex, ctx: ModularContext):
+    """keep[p] and cross[p]: the weights of the move at (pos, pos+1) from
+    path p to itself and to its swap (0 where the steps agree)."""
+    i, j, m = plan.pairs[pos].T
+    coords = np.array(base.coords)
+    diag, cis, trans = _face_weights(coords[i] - coords[j] + ctx.hbar * m,
+                                     delta, ctx)
+    at = plan.pair[pos]                 # -1 reads the appended entry
+    return np.append(cis, diag)[at], np.append(trans, 0.0)[at]
 
 
 def face_operator_matrix(base: WeightPoint, k: int, moves, ctx: ModularContext) -> np.ndarray:
     """Matrix of a product of face moves on the length-k path space at base.
 
-    moves is a list of (pos, delta), first entry applied first.
+    moves is a list of (pos, delta), first entry applied first.  Each move
+    reads its weights from one theta table and acts on the stack of
+    step-multiset blocks; the stack is scattered into the paths x paths
+    matrix once.
     """
-    plist = paths_from(ctx.n, k)
-    index = {p: a for a, p in enumerate(plist)}
-    mat = np.zeros((len(plist), len(plist)), dtype=complex)
-    for a, p in enumerate(plist):
-        state = {p: 1.0 + 0.0j}
-        for pos, delta in moves:
-            state = face_apply(base, state, pos, delta, ctx)
-        for pth, coeff in state.items():
-            mat[index[pth], a] = coeff
+    plan = _path_plan(ctx.n, k)
+    count, width = plan.layout.shape
+    rows = np.arange(count)[:, None]
+    stack = np.tile(np.eye(width, dtype=complex), (count, 1, 1))
+    for pos, delta in moves:
+        keep, cross = _move_weights(plan, pos, base, delta, ctx)
+        keep, cross = np.append(keep, 0.0), np.append(cross, 0.0)
+        mate = plan.partner[pos]
+        # path q receives keep[q] from itself and cross[swap q] from its
+        # swap; updated in place, so a move holds one extra stack
+        swapped = stack[rows, mate]
+        swapped *= cross[plan.layout[rows, mate]][:, :, None]
+        stack *= keep[plan.layout][:, :, None]
+        stack += swapped
+    size = len(plan.paths)
+    mat = np.zeros((size, size), dtype=complex)
+    src, row, col = plan.scatter
+    mat[row, col] = stack.reshape(-1)[src]
     return mat
 
 
@@ -333,40 +415,36 @@ def verify_intertwiner_duality(u: complex, mu: WeightPoint,
             "phi-phibar": _rel(pair.phi @ pair.phibar, eye)}
 
 
+def _two_step_weights(lam: WeightPoint, delta: complex, ctx: ModularContext):
+    """keep[a, b] and cross[a, b]: the weights of the move on the two-step
+    paths (a, b) from lam, to (a, b) and to (b, a)."""
+    keep, cross = _move_weights(_path_plan(ctx.n, 2), 0, lam, delta, ctx)
+    return keep.reshape(ctx.n, ctx.n), cross.reshape(ctx.n, ctx.n)
+
+
 def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
                                     ctx: ModularContext) -> Residual:
     """Outgoing intertwining relation tying R(u-v) to the face weights."""
     n = ctx.n
     rt = build_r(u - v, ctx).entries
+    keep, cross = _two_step_weights(lam, u - v, ctx)
+    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    phi_u, phi_v = intertwiners(u, lam, ctx).phi, intertwiners(v, lam, ctx).phi
+    phi_u_up = [intertwiners(u, mu, ctx).phi for mu in ups]
+    phi_v_up = [intertwiners(v, mu, ctx).phi for mu in ups]
     found = []
     for a in range(n):          # first step lam -> mu
-        mu = lam.shifted_eps(a, ctx.hbar)
-        phi_u = intertwiners(u, lam, ctx).phi
-        phi_v_up = intertwiners(v, mu, ctx).phi
         for b in range(n):      # second step mu -> nu
+            # middle weight lam + h epsbar_ap, second step bp, weight w
+            middles = ([(a, a, keep[a, a])] if a == b else
+                       [(a, b, keep[a, b]), (b, a, cross[a, b])])
             for ip in range(n):
                 for jp in range(n):
-                    lhs = sum(rt[i, j, ip, jp] * phi_u[i, a] * phi_v_up[j, b]
+                    lhs = sum(rt[i, j, ip, jp] * phi_u[i, a] * phi_v_up[a][j, b]
                               for i in range(n) for j in range(n))
                     rhs = 0.0 + 0.0j
-                    for ap in range(n):     # middle weight lam + h epsbar_ap
-                        if a == b:
-                            if ap != a:
-                                continue
-                            w = face_weight(lam, a, a, "diag", u - v, ctx)
-                            bp = a
-                        elif ap == a:
-                            w = face_weight(lam, a, b, "cis", u - v, ctx)
-                            bp = b
-                        elif ap == b:
-                            w = face_weight(lam, a, b, "trans", u - v, ctx)
-                            bp = a
-                        else:
-                            continue
-                        mup = lam.shifted_eps(ap, ctx.hbar)
-                        phi_v = intertwiners(v, lam, ctx).phi
-                        phi_u_up = intertwiners(u, mup, ctx).phi
-                        rhs += phi_v[jp, ap] * phi_u_up[ip, bp] * w
+                    for ap, bp, w in middles:
+                        rhs += phi_v[jp, ap] * phi_u_up[ap][ip, bp] * w
                     found.append(residual_pair(lhs, rhs))
     return worst_of(found)
 
@@ -376,35 +454,24 @@ def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
     """Incoming intertwining relation (the inverse-vector version)."""
     n = ctx.n
     rt = build_r(u - v, ctx).entries
+    keep, cross = _two_step_weights(lam, u - v, ctx)
+    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    pb_u_lam = intertwiners(u, lam, ctx).phibar
+    pb_v_lam = intertwiners(v, lam, ctx).phibar    # lam -> lam + h eps_a
+    pb_u_up = [intertwiners(u, mu, ctx).phibar for mu in ups]
+    pb_v_up = [intertwiners(v, mu, ctx).phibar for mu in ups]
     found = []
     for a in range(n):
-        mu = lam.shifted_eps(a, ctx.hbar)
-        pb_v_lam = intertwiners(v, lam, ctx).phibar    # lam -> lam + h eps_a
-        pb_u_mu = intertwiners(u, mu, ctx).phibar
         for b in range(n):
+            middles = ([(a, a, keep[a, a])] if a == b else
+                       [(a, b, keep[a, b]), (b, a, cross[b, a])])
             for i in range(n):
                 for j in range(n):
-                    lhs = sum(pb_v_lam[a, jp] * pb_u_mu[b, ip] * rt[i, j, ip, jp]
+                    lhs = sum(pb_v_lam[a, jp] * pb_u_up[a][b, ip] * rt[i, j, ip, jp]
                               for ip in range(n) for jp in range(n))
                     rhs = 0.0 + 0.0j
-                    for ap in range(n):
-                        if a == b:
-                            if ap != a:
-                                continue
-                            w = face_weight(lam, a, a, "diag", u - v, ctx)
-                            bp = a
-                        elif ap == a:
-                            w = face_weight(lam, ap, b, "cis", u - v, ctx)
-                            bp = b
-                        elif ap == b:
-                            w = face_weight(lam, ap, a, "trans", u - v, ctx)
-                            bp = a
-                        else:
-                            continue
-                        mup = lam.shifted_eps(ap, ctx.hbar)
-                        pb_u_lam = intertwiners(u, lam, ctx).phibar
-                        pb_v_mup = intertwiners(v, mup, ctx).phibar
-                        rhs += w * pb_u_lam[ap, i] * pb_v_mup[bp, j]
+                    for ap, bp, w in middles:
+                        rhs += w * pb_u_lam[ap, i] * pb_v_up[ap][bp, j]
                     found.append(residual_pair(lhs, rhs))
     return worst_of(found)
 
@@ -479,21 +546,20 @@ def phi_tensor_matrix(base: WeightPoint, params, ctx: ModularContext) -> np.ndar
     """The stacked outgoing intertwiner map paths -> V^(x)k at base weight.
 
     Column (i_1..i_k) holds tensor prod_m phi(params[m]) along the path.
+    Level m reads phi(params[m]) at every distinct prefix weight in one
+    intertwiner batch and multiplies its vectors into every column at once.
     """
-    n = ctx.n
-    k = len(params)
-    plist = paths_from(n, k)
-    mat = np.zeros((n ** k, len(plist)), dtype=complex)
-    for col, path in enumerate(plist):
-        vecs = []
-        lam = base
-        for m, step in enumerate(path):
-            vecs.append(intertwiners(params[m], lam, ctx).phi[:, step])
-            lam = lam.shifted_eps(step, ctx.hbar)
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = np.kron(acc, v)
-        mat[:, col] = acc
+    n, k = ctx.n, len(params)
+    plan = _path_plan(n, k)
+    size = len(plan.paths)
+    mat = np.ones((n ** k, size), dtype=complex)
+    grid = mat.reshape((n,) * k + (size,))
+    for m, keys in enumerate(plan.prefixes):
+        pts = [base.shifted(key, ctx.hbar) if m else base for key in keys]
+        phi, _ = intertwiner_arrays([params[m]] * len(pts), pts, ctx)
+        vecs = phi[plan.prefix[m], :, plan.paths[:, m]]        # [path, i]
+        # tensor factor m of every column, multiplied in place
+        grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1) + (size,))
     return mat
 
 

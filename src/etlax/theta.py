@@ -22,7 +22,12 @@ exp over the terms and one sum.  The exponent is kept inside the exp, not
 split off as a Gaussian factor, because exp(2 pi i mu u) alone overflows
 where that factor underflows (|Im u| of a few periods), and inf * 0 is nan.
 theta_level_table evaluates a whole table theta_level_j(u_k) the same way,
-with one exp over a (rows, points, terms) array per chunk of points.
+with one exp over a (rows, points, terms) array per chunk of points, and
+theta_table evaluates the odd theta at an array of points through the same
+chunk loop, bit for bit the values of theta, without per-value cache
+entries.  The face weights, the deformed and Cauchy-type determinant
+identities, the closed-form M_d coefficients and the sampling guard read
+all their theta values from one such table per move, sample or batch.
 """
 
 from __future__ import annotations
@@ -176,16 +181,9 @@ def theta_level_n(j: int, u: complex, ctx: ModularContext) -> complex:
                              complex(ctx.tau), ctx.trunc, 0))
 
 
-def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
-    """The table [theta_level_j(u_k)]_{j in rows, k} of theta_level_n values.
-
-    One exp over all rows and series terms of a chunk of points, and one
-    sum; no tail bounds and no per-value cache entries.
-    """
-    n = ctx.n
-    tpm, phase, _ = _series(tuple(n / 2.0 - j % n for j in rows), n,
-                            complex(ctx.tau), ctx.trunc, 0)
-    args = np.asarray(us, dtype=complex) + 0.5
+def _table(tpm, phase, args) -> np.ndarray:
+    """[sum_terms exp(tpm[r] args[k] + phase[r])]_{r, k}: the series values
+    of every row of _series constants at the points args."""
     out = np.empty((len(tpm), len(args)), dtype=complex)
     # the (rows, points, terms) work array is built and exponentiated in
     # place, _TABLE_CHUNK points at a time: a batch of thousands of points
@@ -196,6 +194,29 @@ def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
         terms += phase[:, None, :]
         out[:, part] = np.exp(terms, out=terms).sum(axis=-1)
     return out
+
+
+def theta_table(us, ctx: ModularContext) -> np.ndarray:
+    """The odd theta theta(u) at every point of the array us, same shape.
+
+    Bit for bit the values of theta(u, ctx), from one exp per chunk of
+    points; no per-value cache entries.
+    """
+    us = np.asarray(us, dtype=complex)
+    tpm, phase, _ = _series((0.5,), 1, complex(ctx.tau), ctx.trunc, 0)
+    return _table(tpm, phase, us.ravel() + 0.5)[0].reshape(us.shape)
+
+
+def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
+    """The table [theta_level_j(u_k)]_{j in rows, k} of theta_level_n values.
+
+    One exp over all rows and series terms of a chunk of points, and one
+    sum; no tail bounds and no per-value cache entries.
+    """
+    n = ctx.n
+    tpm, phase, _ = _series(tuple(n / 2.0 - j % n for j in rows), n,
+                            complex(ctx.tau), ctx.trunc, 0)
+    return _table(tpm, phase, np.asarray(us, dtype=complex) + 0.5)
 
 
 def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
@@ -311,33 +332,45 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
 
 
 def qfay_lhs(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> complex:
-    """Determinant side of the hbar-deformed determinant identity."""
+    """Determinant side of the hbar-deformed determinant identity.
+
+    The d x d x d theta arguments are read from one theta_table call.
+    """
     hb = ctx.hbar
-    mat = np.empty((d, d), dtype=complex)
+    args = []
     for s in range(1, d + 1):
         for sp in range(1, d + 1):
-            prod = 1.0 + 0.0j
             for r in range(1, d + 1):
                 arg = mus[r - 1] - lambdas[sp - 1]
                 if r < s:
                     arg += hb
                 if r == s:
                     arg += u - (s - 1) * hb
-                prod *= theta(arg, ctx)
-            mat[s - 1, sp - 1] = prod
+                args.append(arg)
+    values = iter(theta_table(args, ctx).tolist())
+    mat = np.empty((d, d), dtype=complex)
+    for s in range(d):
+        for sp in range(d):
+            prod = 1.0 + 0.0j
+            for _ in range(d):
+                prod *= next(values)
+            mat[s, sp] = prod
     return complex(np.linalg.det(mat))
 
 
 def qfay_rhs(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> complex:
-    """Product side of the hbar-deformed determinant identity."""
+    """Product side of the hbar-deformed determinant identity (one theta
+    table for all its factors)."""
     hb = ctx.hbar
-    value = theta(u + sum(mus[r] - lambdas[r] for r in range(d)), ctx)
-    for s in range(1, d):
-        value *= theta(u - s * hb, ctx)
+    args = [u + sum(mus[r] - lambdas[r] for r in range(d))]
+    args += [u - s * hb for s in range(1, d)]
     for s in range(d):
         for sp in range(s + 1, d):
-            value *= theta(lambdas[sp] - lambdas[s], ctx)
-            value *= theta(hb + mus[s] - mus[sp], ctx)
+            args += [lambdas[sp] - lambdas[s], hb + mus[s] - mus[sp]]
+    values = theta_table(args, ctx).tolist()
+    value = values[0]
+    for factor in values[1:]:
+        value *= factor
     return value
 
 
@@ -350,24 +383,32 @@ def verify_qfay(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> Residu
 
 
 def verify_fay(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> Residual:
-    """Residual of the Cauchy-type determinant identity (genus-one trisecant)."""
+    """Residual of the Cauchy-type determinant identity (genus-one trisecant).
+
+    Every theta value is read from one theta_table call.
+    """
     tol = ctx.tol_identity
-    tu = theta(u, ctx)
+    cross = [mus[s] - lambdas[sp] for s in range(d) for sp in range(d)]
+    pairs = [(s, sp) for s in range(d) for sp in range(s + 1, d)]
+    args = [u, u + sum(mus[r] - lambdas[r] for r in range(d))]
+    args += cross + [x + u for x in cross]
+    args += [a for s, sp in pairs
+             for a in (mus[s] - mus[sp], lambdas[sp] - lambdas[s])]
+    values = theta_table(args, ctx).tolist()
+    tu, top = values[0], values[1]
+    dens = values[2:2 + d * d]
+    nums = values[2 + d * d:2 + 2 * d * d]
     if abs(tu) < tol:
         raise SingularParameterError("theta(u) too close to 0")
-    mat = np.empty((d, d), dtype=complex)
-    for s in range(d):
-        for sp in range(d):
-            den = theta(mus[s] - lambdas[sp], ctx)
-            if abs(den) < tol:
-                raise SingularParameterError("theta(mu_s - lambda_s') too close to 0")
-            mat[s, sp] = theta(mus[s] - lambdas[sp] + u, ctx) / (den * tu)
+    if any(abs(den) < tol for den in dens):
+        raise SingularParameterError("theta(mu_s - lambda_s') too close to 0")
+    mat = np.array([num / (den * tu) for num, den in zip(nums, dens)],
+                   dtype=complex).reshape(d, d)
     lhs = complex(np.linalg.det(mat))
-    rhs = theta(u + sum(mus[r] - lambdas[r] for r in range(d)), ctx) / tu
-    for s in range(d):
-        for sp in range(s + 1, d):
-            rhs *= theta(mus[s] - mus[sp], ctx) * theta(lambdas[sp] - lambdas[s], ctx)
-    for s in range(d):
-        for sp in range(d):
-            rhs /= theta(mus[s] - lambdas[sp], ctx)
+    rhs = top / tu
+    rest = values[2 + 2 * d * d:]
+    for mu_factor, lambda_factor in zip(rest[::2], rest[1::2]):
+        rhs *= mu_factor * lambda_factor
+    for den in dens:
+        rhs /= den
     return residual_pair(lhs, rhs)

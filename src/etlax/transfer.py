@@ -51,7 +51,7 @@ from .opalg import (DifferenceOperator, DifferentialOperator, Jet, apply_op,
                     pdo_compose, pdo_const_coeff, pdo_scale, perm_sign,
                     signed_products)
 from .theta import (Residual, residual_pair, theta, theta_level_table,
-                    worst_of)
+                    theta_table, worst_of)
 from .weights import WeightPoint, canonical_key, subset_key, unit_key
 
 _EPS = 1e-300
@@ -216,22 +216,32 @@ def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOp
 # ------------------------------------------------------------- closed form
 
 def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
-    """The u-independent part: sum_I prod theta(lam_st + c h/n)/theta(lam_st) T_I."""
+    """The u-independent part: sum_I prod theta(lam_st + c h/n)/theta(lam_st) T_I.
+
+    A batch reads every factor of every subset from one theta_table call.
+    """
     n = ctx.n
     g = c * ctx.hbar / n
-    items = []
-    for big_i in combinations(range(n), d):
-        inside = set(big_i)
-        def fn(lam, _inside=frozenset(inside)):
-            val = 1.0 + 0.0j
-            for s in range(n):
-                if s in _inside:
-                    continue
-                for t in _inside:
-                    val *= theta(lam.diff(s, t) + g, ctx) / theta(lam.diff(s, t), ctx)
-            return val
-        items.append((subset_key(n, inside), fn))
-    return diff_op(n, items)
+    subs = list(combinations(range(n), d))
+    pairs = [[(s, t) for s in range(n) if s not in big_i for t in big_i]
+             for big_i in subs]
+    keys = tuple(canonical_key(subset_key(n, big_i)) for big_i in subs)
+
+    def table(lams):
+        diffs = [lam.diff(s, t) for lam in lams
+                 for sub_pairs in pairs for s, t in sub_pairs]
+        values = theta_table(diffs + [x + g for x in diffs], ctx).tolist()
+        ratios = iter([num / den for num, den in
+                       zip(values[len(diffs):], values[:len(diffs)])])
+        coeffs = np.empty((len(subs), len(lams)), dtype=complex)
+        for p in range(len(lams)):
+            for a, sub_pairs in enumerate(pairs):
+                val = 1.0 + 0.0j
+                for _ in sub_pairs:
+                    val *= next(ratios)
+                coeffs[a, p] = val
+        return dict(zip(keys, coeffs))
+    return DifferenceOperator(n, keys, table)
 
 
 def m_closed(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
@@ -650,11 +660,19 @@ def delta_jet(lam: WeightPoint, order: int, ctx: ModularContext) -> Jet:
 
 
 def _delta_ratio_coeff(jset: tuple, scale: complex, ctx: ModularContext):
-    """Coefficient closure for scale * (d^J Delta / Delta)(lambda)."""
-    def fn(lam, order):
+    """Coefficient closure for scale * (d^J Delta / Delta)(lambda).
+
+    The ratio depends on J only: it is divided once per J, point and order
+    and shared by every item and operator with that J.
+    """
+    def ratio(lam, order):
         jd = delta_jet(lam, order + len(jset), ctx)
         alpha = tuple(int(a in jset) for a in range(lam.n))
-        return jd.dmulti(alpha) / jd * scale
+        return jd.dmulti(alpha) / jd
+
+    def fn(lam, order):
+        return ctx.cached(("dr", jset, lam.coords, order),
+                          lambda: ratio(lam, order)) * scale
     return fn
 
 

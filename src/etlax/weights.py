@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import ModularContext, SamplingError
-from .theta import theta
+from .theta import theta_table
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,17 @@ def shift(lam: WeightPoint, key, scale: complex, ctx: ModularContext) -> WeightP
 def theta_gap_guard(ctx: ModularContext):
     """Smallest |theta(lambda_ij)| over i != j: keeps denominators alive.
 
+    One theta_table call over the n(n-1) differences of a candidate point.
+
     Normalized by the leading series magnitude 2|p|^{1/8} so the guard is
     comparable across moduli (it approaches |sin pi lambda_ij| as p -> 0).
     """
     import math
     scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
     def guard(lam: WeightPoint) -> float:
-        return min(abs(theta(lam.diff(i, j), ctx))
-                   for i in range(ctx.n) for j in range(ctx.n) if i != j) / scale
+        values = theta_table([lam.diff(i, j) for i in range(ctx.n)
+                              for j in range(ctx.n) if i != j], ctx)
+        return min(abs(value) for value in values.tolist()) / scale
     return guard
 
 

@@ -1,6 +1,7 @@
 """R-matrix characterization, face weights, intertwiners, fusion."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -120,6 +121,124 @@ def test_face_ybe(ctx2, ctx3, rng):
             res = bv.verify_face_ybe(rand_complex(rng), rand_complex(rng),
                                      rand_complex(rng), lam, ctx)
             assert res.rel < 1e-9
+
+
+# In-test copy of the dict path walk the face matrices were built with
+# before the integer path plan: every path re-walks its prefix through
+# WeightPoint shifts and reads each weight from scalar cached thetas.
+
+def _scalar_face_weight(lam, i, j, kind, u, ctx):
+    from etlax.theta import theta
+    hb = ctx.hbar
+    if kind == "diag":
+        return theta(u + hb, ctx) / theta(hb, ctx)
+    lij = lam.diff(i, j)
+    den = theta(lij, ctx)
+    if kind == "cis":
+        return theta(-u + lij, ctx) / den
+    return theta(u, ctx) / theta(hb, ctx) * theta(hb + lij, ctx) / den
+
+
+def _walk_move(base, state, pos, delta, ctx):
+    out = {}
+    for path, coeff in state.items():
+        lam = base
+        for r in range(pos):
+            lam = lam.shifted_eps(path[r], ctx.hbar)
+        i, j = path[pos], path[pos + 1]
+        if i == j:
+            w = _scalar_face_weight(lam, i, i, "diag", delta, ctx)
+            out[path] = out.get(path, 0.0) + coeff * w
+        else:
+            w = _scalar_face_weight(lam, i, j, "cis", delta, ctx)
+            out[path] = out.get(path, 0.0) + coeff * w
+            swapped = path[:pos] + (j, i) + path[pos + 2:]
+            w = _scalar_face_weight(lam, i, j, "trans", delta, ctx)
+            out[swapped] = out.get(swapped, 0.0) + coeff * w
+    return out
+
+
+def _path_walk_matrix(base, k, moves, ctx):
+    plist = list(product(range(ctx.n), repeat=k))
+    index = {p: a for a, p in enumerate(plist)}
+    mat = np.zeros((len(plist), len(plist)), dtype=complex)
+    for a, p in enumerate(plist):
+        state = {p: 1.0 + 0.0j}
+        for pos, delta in moves:
+            state = _walk_move(base, state, pos, delta, ctx)
+        for pth, coeff in state.items():
+            mat[index[pth], a] = coeff
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_face_operator_matrix_matches_path_walk(n, rng):
+    # measured at most 1.2e-15 (n <= 3) and 5.0e-15 (n = 4)
+    bound = 1e-12 if n <= 3 else 1e-10
+    ctx = default_context(n)
+    for trial in range(3):
+        lam = wt.sample_generic(90 + trial, ctx)
+        for k in range(2, n + 1):
+            moves = [(int(rng.integers(0, k - 1)), rand_complex(rng))
+                     for _ in range(int(rng.integers(2, 7)))]
+            got = bv.face_operator_matrix(lam, k, moves, ctx.replace())
+            want = _path_walk_matrix(lam, k, moves, ctx.replace())
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), \
+                (n, k, moves)
+
+
+def _kron_loop(base, params, ctx):
+    cols = []
+    for path in product(range(ctx.n), repeat=len(params)):
+        lam, acc = base, None
+        for m, step in enumerate(path):
+            vec = bv.intertwiners(params[m], lam, ctx).phi[:, step]
+            acc = vec if acc is None else np.kron(acc, vec)
+            lam = lam.shifted_eps(step, ctx.hbar)
+        cols.append(acc)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_tensor_matrix_matches_kron_loop(n, rng):
+    # measured at most 3.5e-15 (prefix weights shifted once, not re-walked)
+    ctx = default_context(n)
+    lam = wt.sample_generic(93, ctx)
+    for k in range(1, n + 1):
+        params = [rand_complex(rng) for _ in range(k)]
+        got = bv.phi_tensor_matrix(lam, params, ctx.replace())
+        want = _kron_loop(lam, params, ctx.replace())
+        assert got.shape == want.shape == (n ** k, n ** k)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
+    ctx = default_context(3)
+    lam = wt.sample_generic(94, ctx)
+    calls = []
+    table = bv.theta_table
+    monkeypatch.setattr(bv, "theta_table",
+                        lambda us, c: calls.append(len(us)) or table(us, c))
+    moves = [(m, rand_complex(rng)) for m in bv.fusion_moves(3)]
+    bv.face_operator_matrix(lam, 3, moves, ctx)
+    assert len(calls) == len(moves)
+    bv.phi_tensor_matrix(lam, [rand_complex(rng) for _ in range(3)], ctx)
+    bv.verify_face_ybe(*(rand_complex(rng) for _ in range(3)), lam, ctx)
+    bv.verify_vertex_face_intertwining(rand_complex(rng), rand_complex(rng),
+                                       lam, ctx)
+    assert not [key for key in ctx._cache if key[0] == "jt"]
+
+
+def test_face_operator_matrix_resonant_prefix():
+    ctx = default_context(3)
+    # lam_01 = -hbar: resonant only after a first step 0, at position 1
+    base = wt.WeightPoint.make([-ctx.hbar, 0.0, 0.31])
+    bv.face_operator_matrix(base, 3, [(0, 0.1 + 0.05j)], ctx)
+    with pytest.raises(SingularParameterError, match="resonant weight"):
+        bv.face_operator_matrix(base, 3, [(0, 0.1 + 0.05j), (1, 0.2j)], ctx)
+    near = wt.WeightPoint.make([1e-12, 0.0, 0.31])
+    with pytest.raises(SingularParameterError, match="resonant weight"):
+        bv.face_operator_matrix(near, 2, [(0, 0.1 + 0.05j)], ctx)
 
 
 def test_intertwiner_duality(ctx2, ctx3, rng):

@@ -344,3 +344,81 @@ def test_worst_of_keeps_first_maximum():
     assert th.worst_of(iter([R(1e-9, 1.0), R(2e-9, 4.0), R(2e-9, 5.0),
                              R(1e-9, 6.0)])) == R(2e-9, 4.0)
     assert th.worst_of([R(float("nan"), 1.0), R(1e-9, 2.0)]) == R(1e-9, 2.0)
+
+
+def test_theta_table_matches_theta_bit_for_bit(rng):
+    for n in (2, 3):
+        ctx = default_context(n)
+        us = [rand_complex(rng) for _ in range(150)]
+        us += [complex(rng.uniform(-2, 2), sgn * rng.uniform(5, 7))
+               for sgn in (1, -1) for _ in range(25)]
+        us += [0.0, 1.0, ctx.tau, 0.5 + 5j, 0.2 - 7j]
+        table = th.theta_table(us, ctx)
+        assert table.shape == (len(us),)
+        assert table.tolist() == [th.theta(u, ctx.replace()) for u in us]
+        grid = th.theta_table(np.reshape(us[:200], (20, 10)), ctx)
+        assert np.array_equal(grid.ravel(), table[:200])
+    assert th.theta_table([], ctx).shape == (0,)
+
+
+def test_determinant_identities_read_one_theta_table(monkeypatch, rng):
+    ctx = default_context(2)
+    calls = []
+    table = th.theta_table
+    monkeypatch.setattr(th, "theta_table",
+                        lambda us, c: calls.append(len(us)) or table(us, c))
+    for d in (1, 2, 3, 4):
+        args = (rand_complex(rng), [rand_complex(rng) for _ in range(d)],
+                [rand_complex(rng) for _ in range(d)])
+        del calls[:]
+        th.verify_qfay(d, *args, ctx)
+        assert calls == [d ** 3, 1 + (d - 1) + d * (d - 1)]   # lhs, rhs
+        del calls[:]
+        th.verify_fay(d, *args, ctx)
+        assert calls == [2 + 2 * d * d + d * (d - 1)]
+    assert not [key for key in ctx._cache if key[0] == "jt"]
+
+
+def test_fay_guards_keep_their_messages(ctx2):
+    with pytest.raises(th.SingularParameterError, match="theta\\(u\\)"):
+        th.verify_fay(2, 1.0, [0.1, 0.2j], [0.3, 0.1j], ctx2)
+    with pytest.raises(th.SingularParameterError, match="mu_s - lambda_s'"):
+        th.verify_fay(2, 0.3, [0.1, 0.2j], [0.3, 0.1 + ctx2.tau], ctx2)
+
+
+def test_eta_wp_triple_product_mpmath_oracle(rng):
+    # 30-digit references: eta = p^(1/24) (p; p)_inf with p = e^{2 pi i tau};
+    # p(u) on Z + Z tau from jtheta; theta(u) = -jtheta_1(pi u, e^{i pi tau})
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for tau_c in (TAU, 0.3 + 0.5j, -0.4 + 1.3j):
+            ctx = default_context(2, tau=tau_c)
+            tau = mp.mpc(tau_c)
+            got = th.dedekind_eta(tau_c, ctx).value
+            want = complex(mp.exp(2j * mp.pi * tau / 24)
+                           * mp.qp(mp.exp(2j * mp.pi * tau)))
+            assert abs(got - want) <= 1e-14 * abs(want)
+            # negative control: eta with the exponent 1/24 read as 1/12
+            wrong = got * cmath.exp(2j * cmath.pi * tau_c / 24)
+            assert abs(wrong - want) > 1e-3 * abs(want)
+
+            q = mp.exp(1j * mp.pi * tau)
+            t2, t3 = mp.jtheta(2, 0, q), mp.jtheta(3, 0, q)
+            h = -2j * cmath.pi * th.eta_tau_log_derivative(ctx)
+            for _ in range(4):
+                u = rand_complex(rng, 0.3) + 0.05
+                z = mp.pi * mp.mpc(u)
+                want = complex((mp.pi * t2 * t3 * mp.jtheta(4, z, q)
+                                / mp.jtheta(1, z, q)) ** 2
+                               - mp.pi ** 2 / 3 * (t2 ** 4 + t3 ** 4))
+                got = th.weierstrass_p(u, ctx)
+                assert abs(got - want) <= 1e-12 * abs(want)
+                # negative control: the constant -2h read as +h
+                assert abs(got + 3 * h - want) > 1e-3 * abs(want)
+
+                want = complex(-mp.jtheta(1, z, q))
+                got = th.jacobi_theta_triple_product(u, ctx)
+                assert abs(got - want) <= 1e-14 * abs(want)
+                # negative control: the prefactor p^(1/8) read as p^(1/4)
+                wrong = got * cmath.exp(1j * cmath.pi * tau_c / 4)
+                assert abs(wrong - want) > 1e-3 * abs(want)

@@ -380,6 +380,25 @@ def test_pdo_commutator_reads_each_operand_once_per_point(ctx3, monkeypatch):
     assert not any(calls[leaves:])     # D[3] is not read
 
 
+def test_debiard_divides_once_per_subset(monkeypatch):
+    # D[1..3] at n = 3 hold 26 (I, J) items but only 8 distinct J, and
+    # d^J Delta / Delta depends on J alone
+    ctx = default_context(3)
+    calls = []
+    divide = oa.Jet.__truediv__
+    monkeypatch.setattr(oa.Jet, "__truediv__",
+                        lambda a, b: calls.append(1) or divide(a, b))
+    d_ops = tr.build_d_ops(C0, U0, ctx)
+    lam = wt.sample_generic(47, ctx)
+    first = [op.jets(lam, 1) for op in d_ops]
+    assert len(calls) == 8
+    again = [op.jets(lam, 1) for op in d_ops]
+    assert len(calls) == 8
+    for a, b in zip(first, again):
+        assert {k: v.coeffs for k, v in a.items()} \
+            == {k: v.coeffs for k, v in b.items()}
+
+
 def test_h_identity(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
         samples = wt.sample_many(48, 3, ctx)

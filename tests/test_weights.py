@@ -119,3 +119,24 @@ def test_sampling_with_intertwiner_guard(ctx3):
     pair = intertwiners(u, lam, ctx3)
     assert pair.cond < 1e8
     assert np.max(np.abs(pair.phibar @ pair.phi - np.eye(3))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_gap_guard_table_keeps_every_sample(n):
+    import math
+    from etlax.context import default_context
+    from etlax.theta import theta
+    ctx = default_context(n)
+    scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
+
+    def scalar_guard(lam):
+        return min(abs(theta(lam.diff(i, j), ctx))
+                   for i in range(n) for j in range(n) if i != j) / scale
+
+    fresh = ctx.replace()
+    for seed in range(50):
+        got = wt.sample_generic(seed, fresh)
+        assert got == wt.sample_generic(seed, ctx, guards=[scalar_guard])
+        assert wt.theta_gap_guard(fresh)(got) == scalar_guard(got)
+    # the guard reads one theta table per candidate, no cached values
+    assert not [key for key in fresh._cache if key[0] == "jt"]
