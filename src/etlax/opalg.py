@@ -4,14 +4,19 @@ A DifferenceOperator is a finite sum coeff_K(lambda) * T_K where T_K shifts
 lambda by hbar * sum_i K_i epsbar_i; keys are canonicalized modulo (1,...,1)
 because sum_i epsbar_i = 0.  An operator is its key set and one batch-first
 coefficient table: table(lams) returns {K: array of coeff_K(lams[s])} over
-a whole batch of points.  Scalar coefficient closures are mapped over the
-batch in diff_op only.  Sums, products and determinants build their table
-from their operands' tables, reading each operand's table once per batch: a
-composition a b reads b once, on the batch of every point lams[s] shifted
-by every key of a, and its key sums are fixed when it is built.
+a whole batch of points.  diff_op is the only builder from closures: it maps
+scalar coefficient closures over the batch.  Sums, products and determinants
+build their table from their operands' tables, reading each operand's table
+once per batch: a composition a b reads b once, on the batch of every point
+lams[s] shifted by every key of a, and its key sums are fixed when it is
+built.
 
-normal_det tabulates its n x n entries into one array M[s, key, i, j] and
-sums the signed products over permutations in one contraction
+An OperatorMatrix is a matrix of difference operators kept as one table:
+table(lams) returns the array A[s, key, i, j] over one key set shared by
+every entry, and entry(i, j) is the DifferenceOperator view of one entry.
+The L-operator, its fusions, the Lax matrix and the Sekiguchi matrix are
+OperatorMatrix tables.  normal_det reads its matrix's table once per batch
+and sums the signed products over permutations in one contraction
 (signed_products); a fixed 0/1 matrix (key_map) then adds each ordered
 tuple of keys onto its canonical key.  The fused traces of transfer use the
 same two steps.  No symbolic simplification is attempted, and operator
@@ -64,6 +69,30 @@ class DifferenceOperator:
         return sorted(self.terms)
 
 
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Square matrix of difference operators kept as one table.
+
+    n is the rank of the weight space and size the matrix dimension; terms
+    holds the canonical shift keys shared by every entry, and table(lams)
+    returns the array A[s, key, i, j], the coefficient of T_key in the entry
+    (i, j) at lams[s] (zero where the entry lacks that key).  Callers never
+    write into that array.
+    """
+
+    n: int
+    size: int
+    terms: tuple
+    table: Callable
+
+    def entry(self, i: int, j: int) -> DifferenceOperator:
+        """The entry (i, j) as an operator; its batch reads the whole table."""
+        def table(lams):
+            a = self.table(lams)
+            return {key: a[:, k, i, j] for k, key in enumerate(self.terms)}
+        return DifferenceOperator(self.n, self.terms, table)
+
+
 def _accumulate(out: dict, key, value) -> None:
     out[key] = out[key] + value if key in out else value
 
@@ -83,16 +112,15 @@ def diff_op(n: int, items) -> DifferenceOperator:
                               table)
 
 
+def scalar_op(n: int, value) -> DifferenceOperator:
+    """Multiplication by the constant value."""
+    zero, const = (0,) * n, complex(value)
+    return DifferenceOperator(
+        n, (zero,), lambda lams: {zero: np.full(len(lams), const)})
+
+
 def identity_op(n: int) -> DifferenceOperator:
-    return diff_op(n, [((0,) * n, lambda lam: 1.0 + 0.0j)])
-
-
-def scalar_op(n: int, fn) -> DifferenceOperator:
-    """Multiplication operator by the function fn (fn may be a constant)."""
-    if not callable(fn):
-        const = complex(fn)
-        return diff_op(n, [((0,) * n, lambda lam: const)])
-    return diff_op(n, [((0,) * n, fn)])
+    return scalar_op(n, 1.0)
 
 
 def op_add(*ops: DifferenceOperator) -> DifferenceOperator:
@@ -136,8 +164,8 @@ def _product(a: DifferenceOperator, b: DifferenceOperator,
 
 
 def op_scale(op: DifferenceOperator, factor) -> DifferenceOperator:
-    """Left multiplication by factor: a scalar, a function of lambda, or an
-    operator whose only key is the identity shift (a batch-first scalar)."""
+    """Left multiplication by factor: a constant, or an operator whose only
+    key is the identity shift (a batch-first scalar)."""
     if not isinstance(factor, DifferenceOperator):
         factor = scalar_op(op.n, factor)
     return _product(factor, op)
@@ -213,43 +241,37 @@ def signed_products(factors, signs) -> np.ndarray:
     return prod @ signs
 
 
-def normal_det(entries, t: complex, ctx: ModularContext) -> DifferenceOperator:
-    """Normal-ordered determinant of [entries[i][j] - t delta_ij].
+def normal_det(matrix: OperatorMatrix, t: complex,
+               ctx: ModularContext) -> DifferenceOperator:
+    """Normal-ordered determinant of [matrix - t].
 
-    entries is an n x n nested list of DifferenceOperators; within each
-    permutation product all shift operators are moved to the right, so
-    coefficients multiply as plain functions of the same lambda.  Row i
-    contributes one of its keys (the identity key carries -t on the
-    diagonal), so the coefficient of an ordered key tuple (K_0..K_{n-1}) is
-    sum_sigma sgn(sigma) prod_i M[K_i, i, sigma(i)], and the key map adds
-    it onto the canonical key of K_0 + ... + K_{n-1}.
+    Within each permutation product all shift operators are moved to the
+    right, so coefficients multiply as plain functions of the same lambda.
+    Row i contributes one key of the matrix (the identity key carries -t on
+    the diagonal), so the coefficient of an ordered key tuple (K_0..K_{n-1})
+    is sum_sigma sgn(sigma) prod_i M[K_i, i, sigma(i)], and the key map adds
+    it onto the canonical key of K_0 + ... + K_{n-1}.  The matrix's table is
+    read once per batch.
     """
-    n = len(entries)
-    nn = entries[0][0].n
+    nn, size = matrix.n, matrix.size
     zero = (0,) * nn
-    keys = tuple(dict.fromkeys(
-        [zero] + [key for row in entries for op in row for key in op.terms]))
-    index = {key: a for a, key in enumerate(keys)}
-    rows = [sorted({index[key] for op in row for key in op.terms}
-                   | {index[zero]}) for row in entries]
-    tuples = np.array(list(product(*rows)))                    # (T, n)
+    keys = tuple(dict.fromkeys((zero,) + matrix.terms))
+    slots = [keys.index(key) for key in matrix.terms]
+    tuples = np.array(list(product(range(len(keys)), repeat=size)))  # (T, n)
     out_keys, keymap = key_map(
         [[sum(keys[a][x] for a in tup) for x in range(nn)] for tup in tuples])
-    perms = np.array(list(permutations(range(n))))             # (P, n)
+    perms = np.array(list(permutations(range(size))))               # (P, n)
     signs = np.array([perm_sign(p) for p in perms], dtype=float)
-    diag = np.arange(n)
+    diag = np.arange(size)
 
     def table(lams):
-        m = np.zeros((len(lams), len(keys), n, n), dtype=complex)
-        for i, row in enumerate(entries):
-            for j, op in enumerate(row):
-                for key, value in op.table(lams).items():
-                    m[:, index[key], i, j] += value
-        m[:, index[zero], diag, diag] -= t
+        m = np.zeros((len(lams), len(keys), size, size), dtype=complex)
+        m[:, slots] = matrix.table(lams)
+        m[:, 0, diag, diag] -= t
         # factor r: M[s, K_r, r, sigma(r)] over (ordered key tuple, sigma)
         coeffs = signed_products(
             [m[:, tuples[:, r][:, None], r, perms[:, r][None, :]]
-             for r in range(n)], signs) @ keymap.T
+             for r in range(size)], signs) @ keymap.T
         return {key: coeffs[:, a] for a, key in enumerate(out_keys)}
     return DifferenceOperator(nn, out_keys, table)
 

@@ -20,7 +20,8 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext
-from .opalg import (apply_op, commutator_residual, identity_op,
+from .opalg import (apply_op, commutator_residual, identity_op, normal_det,
+                    op_add, op_scale, operator_residual,
                     pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .theta import Residual
@@ -182,7 +183,6 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
         found.append(bv.verify_face_ybe(_rc(rng), _rc(rng), _rc(rng), lam, ctx))
     cases = [_case("face-ybe", th.worst_of(found), tol)]
     lam = sample_generic(_seed(rng), ctx)
-    u0 = _rc(rng)
     w0 = bv.face_weight(lam, 0, 0, "diag", 0.0, ctx)
     cases.append(_case("face-weight-diag-u0",
                        th.residual_pair(w0, 1.0 + 0.0j), tol))
@@ -191,7 +191,6 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
     wc = bv.face_weight(lam, 0, 1, "cis", 0.0, ctx)
     cases.append(_case("face-weight-cis-u0", th.residual_pair(wc, 1.0 + 0.0j),
                        tol))
-    del u0
     return cases
 
 
@@ -267,7 +266,7 @@ def suite_rll(ctx: ModularContext, rng, tol: float):
     worst = 0.0
     for i in range(ctx.n):
         for j in range(ctx.n):
-            val = apply_op(lop0.entries[i][j], one, lams[0], ctx)
+            val = apply_op(lop0.entry(i, j), one, lams[0], ctx)
             worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
     cases.append(_case("c0-identity", Residual(worst, worst), tol))
     if ctx.n >= 3:
@@ -309,7 +308,6 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
     full = tr.m_closed(c, u, ctx.n, ctx)
     ident = identity_op(ctx.n)
     pref = th.theta(u + c * ctx.hbar, ctx) / th.theta(u, ctx)
-    from .opalg import op_scale, operator_residual
     cases.append(_case("full-set-is-scalar",
                        operator_residual(full, op_scale(ident, pref), samples,
                                          ctx), tol))
@@ -385,11 +383,10 @@ def suite_genfunc(ctx: ModularContext, rng, tol: float):
     cases.append(_case("t0-det-is-full-trace",
                        tr.verify_genfunc(c, u, 0.0, ctx, samples), tol))
     # the t-derivative of the determinant also matches the generating sum
-    from .opalg import normal_det, op_add, op_scale, operator_residual
     lop = tr.l_op(c, u, ctx)
     t1, t2 = _rc(rng, 0.8), _rc(rng, 0.8)
-    det1 = normal_det([list(r) for r in lop.entries], t1, ctx)
-    det2 = normal_det([list(r) for r in lop.entries], t2, ctx)
+    det1 = normal_det(lop, t1, ctx)
+    det2 = normal_det(lop, t2, ctx)
     diff_det = op_add(det1, op_scale(det2, -1.0))
     diff_sum = op_add(tr.genfunc_sum(c, u, t1, ctx),
                       op_scale(tr.genfunc_sum(c, u, t2, ctx), -1.0))
@@ -431,8 +428,10 @@ def suite_krichever(ctx: ModularContext, rng, tol: float):
     samples = sample_many(_seed(rng), 3, ctx)
     cases.append(_case("lax-derivative-vs-closed-form",
                        tr.verify_krichever(c, u, ctx, samples), tol))
+    # rel is at most 8.9e-5 over seeds 0-63 and 42 + i*1000003 (i < 8),
+    # n = 2, 3: the tolerance keeps a factor 11 above it
     cases.append(_case("lax-to-identity",
-                       tr.verify_ltilde_limit(c, u, ctx, samples[:2]), 0.05))
+                       tr.verify_ltilde_limit(c, u, ctx, samples[:2]), 1e-3))
     cases.append(_case("lax-conjugation-route",
                        tr.verify_ltilde_conjugation(c, u, ctx, samples), 1e-9))
     kmat = tr.krichever_k(0.0, u, ctx)
@@ -545,7 +544,7 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         cases.append(_case(f"dimension-rank-l{l}", Residual(bad, bad), tol))
         lop = tr.l_op(float(l), u, ctx)
         cases.append(_case(f"l-operator-invariance-l{l}", th.worst_of(
-            ts.fit_action(l, u, lop.entries[i][j], ctx, seed=_seed(rng))[1]
+            ts.fit_action(l, u, lop.entry(i, j), ctx, seed=_seed(rng))[1]
             for i in range(n) for j in range(n)), tol))
         m1 = tr.m_closed(float(l), u, 1, ctx)
         _, res = ts.fit_action(l, u, m1, ctx, seed=_seed(rng))

@@ -201,7 +201,7 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
         fn = lambda mu, _a=a: chi(gamma_index(_a, n), mu, ctx)
         for i in range(n):
             for j in range(n):
-                lhs_all[a, i, j] = apply_batch(lop.entries[i][j], fn, lams, ctx)
+                lhs_all[a, i, j] = apply_batch(lop.entry(i, j), fn, lams, ctx)
     found = []
     for s, lam in enumerate(lams):
         chival = [chi(gamma_index(b, n), lam, ctx) for b in range(n)]
@@ -282,7 +282,7 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
             for ip in range(n):
                 action = _coproduct_action(i, ip, js, u, ctx)
                 prod_fn = basis.function(gjs, ctx)
-                applied = apply_batch(lop.entries[i][ip], prod_fn, lams, ctx)
+                applied = apply_batch(lop.entry(i, ip), prod_fn, lams, ctx)
                 for s, lam in enumerate(lams):
                     lhs = 0.0 + 0.0j
                     for outjs, coeff in action.items():

@@ -15,9 +15,11 @@ the generating-function determinant, the Ruijsenaars conjugation, the
 Krichever matrix, the differential (Calogero-Moser) limit and the
 trigonometric (Macdonald) limit.
 
-Operators built from L are evaluated as array contractions over a batch of
-points.  The coefficient of the ordered shift (k_1..k_d) in the fused entry
-(I, I') is the quantum minor
+Every matrix of difference operators here is one opalg.OperatorMatrix
+table A[s, key, i, j] over a batch of points: the fused L-operators, the
+Lax matrix L~, its conjugation route and the Sekiguchi matrix.  L(c|u) is
+the fused L-operator at k = 1 (l_op).  The coefficient of the ordered shift
+(k_1..k_d) in the fused entry (I, I') is the quantum minor
 
     sum_sigma sgn(sigma) prod_r A_r[k_r, i_sigma(r), i'_r]
                                   (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
@@ -28,7 +30,9 @@ of the intertwiners not cached yet), gathers them per ordered shift tuple,
 contracts them with the generalized-Kronecker signs (opalg.signed_products)
 and adds the tuples onto their canonical keys with a fixed 0/1 matrix;
 m_trace is the trace of that array.  verify_fused_rll reads the same
-arrays, and normal_det does the same for the generating determinant.
+arrays, and normal_det reads any of these matrices' tables once per batch
+for the generating determinant.  The Lax coefficients are one function of
+g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at g = c h/n.
 """
 
 from __future__ import annotations
@@ -38,18 +42,17 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Callable
 
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
-from .belavin import fused_rcheck_matrix, intertwiner_arrays, intertwiners
-from .opalg import (DifferenceOperator, DifferentialOperator, Jet, apply_op,
-                    compose, diff_op, exp_test_function, identity_op,
-                    jet_of_affine, key_map, op_add, op_scale,
-                    operator_residual, normal_det, pdo, pdo_add, pdo_apply,
-                    pdo_compose, pdo_const_coeff, pdo_scale, perm_sign,
-                    signed_products)
+from .belavin import fused_rcheck_matrix, intertwiner_arrays
+from .opalg import (DifferenceOperator, DifferentialOperator, Jet,
+                    OperatorMatrix, apply_op, commutator_residual, compose,
+                    exp_test_function, identity_op, jet_of_affine, key_map,
+                    op_add, op_scale, operator_residual, normal_det, pdo,
+                    pdo_add, pdo_apply, pdo_compose, pdo_const_coeff,
+                    pdo_scale, perm_sign, signed_products)
 from .theta import (Residual, residual_pair, theta, theta_level_table,
                     theta_table, worst_of)
 from .weights import WeightPoint, canonical_key, subset_key, unit_key
@@ -72,27 +75,10 @@ def l_coeff_tensor(c: complex, us, lams, ctx: ModularContext) -> np.ndarray:
     return np.einsum("pki,pjk->pkij", phibar[:count], phi[count:])
 
 
-@dataclass(frozen=True)
-class LOperator:
-    """Matrix of difference operators; each entry has n single-shift terms."""
-
-    c: complex
-    u: complex
-    entries: tuple  # entries[i][j] is a DifferenceOperator
-
-
-def l_op(c: complex, u: complex, ctx: ModularContext) -> LOperator:
-    """Entry (i, j) reads its n coefficients from one l_coeff_tensor."""
-    n = ctx.n
-    keys = tuple(unit_key(n, k) for k in range(n))
-
-    def entry(i, j):
-        def table(lams):
-            a = l_coeff_tensor(c, [u] * len(lams), lams, ctx)
-            return {key: a[:, k, i, j] for k, key in enumerate(keys)}
-        return DifferenceOperator(n, keys, table)
-    return LOperator(c, u, tuple(tuple(entry(i, j) for j in range(n))
-                                 for i in range(n)))
+def l_op(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
+    """L(c|u), the fused L-operator at k = 1: entry (i, j) has the n
+    single-shift keys, and a batch reads one l_coeff_tensor."""
+    return fused_l(c, u, 1, ctx)
 
 
 def verify_rll(c: complex, u: complex, v: complex, ctx: ModularContext,
@@ -154,24 +140,14 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
                        cols, signs, keys, keymap)
 
 
-@dataclass(frozen=True)
-class FusedL:
-    """Fused L-operator on the k-th antisymmetric space.
+def fused_l(c: complex, u: complex, k: int,
+            ctx: ModularContext) -> OperatorMatrix:
+    """Fused L-operator on the k-th antisymmetric space, with entries
 
-    terms holds the canonical shift keys; table(lams) returns the array
-    A[s, key, I, I'], the coefficient of T_key in the entry (I, I') at
-    lams[s], with the subsets I, I' in combinations order.
+        sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
+
+    indexed by the subsets I, I' in combinations order.
     """
-
-    c: complex
-    u: complex
-    k: int
-    terms: tuple
-    table: Callable
-
-
-def fused_l(c: complex, u: complex, k: int, ctx: ModularContext) -> FusedL:
-    """Entries sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}."""
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..n, got {k}")
@@ -200,7 +176,7 @@ def fused_l(c: complex, u: complex, k: int, ctx: ModularContext) -> FusedL:
                              plan.cols[r][:, None]])            # [t, s, I', z]
         fused = signed_products(factors, plan.signs)            # [t, s, I', I]
         return np.einsum("kt,tswi->skiw", plan.keymap, fused)
-    return FusedL(c, u, k, plan.terms, table)
+    return OperatorMatrix(n, math.comb(n, k), plan.terms, table)
 
 
 def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
@@ -271,7 +247,6 @@ def verify_spectral_factorization(c: complex, u1: complex, u2: complex, d: int,
 def verify_commutation(c: complex, u: complex, v: complex, d: int, dp: int,
                        ctx: ModularContext, samples) -> Residual:
     """[M_d(c|u), M_dp(c|v)] = 0 on the closed forms."""
-    from .opalg import commutator_residual
     return commutator_residual(m_closed(c, u, d, ctx), m_closed(c, v, dp, ctx),
                                samples, ctx)
 
@@ -279,7 +254,6 @@ def verify_commutation(c: complex, u: complex, v: complex, d: int, dp: int,
 def verify_commutation_trace(c: complex, u: complex, v: complex, d: int,
                              dp: int, ctx: ModularContext, samples) -> Residual:
     """[M_d(c|u), M_dp(c|v)] = 0 on the fused-trace construction."""
-    from .opalg import commutator_residual
     return commutator_residual(m_trace(c, u, d, ctx), m_trace(c, v, dp, ctx),
                                samples, ctx)
 
@@ -297,32 +271,32 @@ def genfunc_sum(c: complex, u: complex, t: complex,
 def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
                    samples) -> Residual:
     """Normal-ordered det[L(c|u) - t] against the generating sum."""
-    lop = l_op(c, u, ctx)
-    det = normal_det([list(row) for row in lop.entries], t, ctx)
-    return operator_residual(det, genfunc_sum(c, u, t, ctx), samples, ctx)
+    return operator_residual(normal_det(l_op(c, u, ctx), t, ctx),
+                             genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
-def _level_thetas(rows, v: complex, i: int, lams, ctx: ModularContext):
-    """theta_level_j(v/n - lam_i) for j in rows over the batch lams: [j, s]."""
-    return theta_level_table(rows, [v / ctx.n - lam.pair_eps(i)
-                                    for lam in lams], ctx)
-
-
-def sekiguchi_entries(c: complex, u: complex, t: complex,
-                      ctx: ModularContext) -> list:
-    """Entry (i, j) = theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i),
-    each read from theta_level_table once per batch."""
+def _level_thetas(v: complex, lams, ctx: ModularContext) -> np.ndarray:
+    """[s, i, j] = theta_level_j(v/n - lam_i) at lams[s], from one
+    theta_level_table call."""
     n = ctx.n
-    zero = (0,) * n
+    args = [v / n - lam.pair_eps(i) for lam in lams for i in range(n)]
+    return theta_level_table(range(n), args, ctx).T.reshape(-1, n, n)
 
-    def entry(i, j):
-        key = unit_key(n, i)
 
-        def table(lams):
-            return {key: _level_thetas([j], u + c * ctx.hbar, i, lams, ctx)[0],
-                    zero: -t * _level_thetas([j], u, i, lams, ctx)[0]}
-        return DifferenceOperator(n, (key, zero), table)
-    return [[entry(i, j) for j in range(n)] for i in range(n)]
+def sekiguchi_matrix(c: complex, u: complex, t: complex,
+                     ctx: ModularContext) -> OperatorMatrix:
+    """Entry (i, j) = theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i);
+    a batch reads two theta_level_table calls."""
+    n = ctx.n
+    rows = np.arange(n)
+
+    def table(lams):
+        out = np.zeros((len(lams), n + 1, n, n), dtype=complex)
+        out[:, rows, rows] = _level_thetas(u + c * ctx.hbar, lams, ctx)
+        out[:, n] = -t * _level_thetas(u, lams, ctx)
+        return out
+    terms = tuple(unit_key(n, i) for i in range(n)) + ((0,) * n,)
+    return OperatorMatrix(n, n, terms, table)
 
 
 def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
@@ -332,82 +306,75 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     :det[theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i)]: equals
     det[theta_j(u/n - lam_i)] * sum_d (-t)^(n-d) M_d(c|u) coefficientwise.
     """
-    n = ctx.n
-    zero = (0,) * n
-    det = normal_det(sekiguchi_entries(c, u, t, ctx), 0.0, ctx)
-
-    def weight(lams):
-        mats = np.stack([_level_thetas(range(n), u, i, lams, ctx)
-                         for i in range(n)])                   # [i, j, s]
-        return {zero: np.linalg.det(mats.transpose(2, 0, 1))}
-
-    rhs = op_scale(genfunc_sum(c, u, t, ctx),
-                   DifferenceOperator(n, (zero,), weight))
-    return operator_residual(det, rhs, samples, ctx)
+    zero = (0,) * ctx.n
+    det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
+    weight = DifferenceOperator(ctx.n, (zero,), lambda lams: {
+        zero: np.linalg.det(_level_thetas(u, lams, ctx))})
+    return operator_residual(det, op_scale(genfunc_sum(c, u, t, ctx), weight),
+                             samples, ctx)
 
 
 # ------------------------------------------------------------ Lax matrix
 
-def ltilde_coeff(c: complex, u: complex, i: int, j: int, lam: WeightPoint,
-                 ctx: ModularContext, hbar_override: complex = None) -> complex:
-    """Coefficient of T_i in the conjugated L-operator entry (i, j).
+def ltilde_table(g: complex, u: complex, lams,
+                 ctx: ModularContext) -> np.ndarray:
+    """C[s, i, j], the coefficient of T_i in the Lax entry (i, j) at lams[s]:
 
-    hbar_override replaces c*hbar/n (only) for derivative probes in hbar;
-    the lattice shift itself is handled by the caller.
+        theta(g + u + lam_ji)/theta(u) prod_{k != j} theta(g + lam_ki)/theta(lam_kj)
+
+    with g = c hbar/n; the limit checks read it at g = c h/n for small h.
+    The thetas of a batch come from one theta_table call.
     """
-    hb = ctx.hbar if hbar_override is None else hbar_override
-    g = c * hb / ctx.n
-    den = theta(u, ctx)
-    val = theta(g + u + lam.diff(j, i), ctx) / den
-    for k in range(ctx.n):
-        if k == j:
-            continue
-        dkj = theta(lam.diff(k, j), ctx)
-        if abs(dkj) < ctx.tol_identity:
-            raise SingularParameterError("resonant weight point in Lax entry")
-        val *= theta(g + lam.diff(k, i), ctx) / dkj
-    return val
-
-
-def l_tilde(c: complex, u: complex, ctx: ModularContext) -> LOperator:
-    """Difference Lax matrix: entry (i,j) = coefficient * T_i."""
     n = ctx.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            def fn(lam, _i=i, _j=j):
-                return ltilde_coeff(c, u, _i, _j, lam, ctx)
-            row.append(diff_op(n, [(unit_key(n, i), fn)]))
-        rows.append(tuple(row))
-    return LOperator(c, u, tuple(rows))
+    coords = np.array([lam.coords for lam in lams], dtype=complex)
+    diff = coords[:, :, None] - coords[:, None, :]             # [s, k, i]
+    shifted, plain, gap = theta_table(
+        np.stack([(g + u) + diff, g + diff, diff]), ctx)
+    off = ~np.eye(n, dtype=bool)
+    if np.any(np.abs(gap[:, off]) < ctx.tol_identity):
+        raise SingularParameterError("resonant weight point in Lax entry")
+    gap = np.where(off, gap, 1.0)
+    coeff = shifted.transpose(0, 2, 1) / theta(u, ctx)        # [s, i, j]
+    for k in range(n):
+        ratio = plain[:, k, :, None] / gap[:, k, None, :]
+        ratio[:, :, k] = 1.0                                  # no factor k = j
+        coeff = coeff * ratio
+    return coeff
 
 
-def l_tilde_conjugated(c: complex, u: complex, ctx: ModularContext) -> LOperator:
-    """Independent route: conjugate L(c|u) by the intertwiner matrices."""
+def l_tilde(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
+    """Difference Lax matrix: entry (i, j) = ltilde_table[i, j] T_i."""
     n = ctx.n
-    lop = l_op(c, u, ctx)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            parts = []
-            for a in range(n):
-                for b in range(n):
-                    def factor(lam, _a=a, _b=b, _i=i, _j=j):
-                        pair = intertwiners(u, lam, ctx)
-                        return pair.phibar[_j, _b] * pair.phi[_a, _i]
-                    parts.append(op_scale(lop.entries[a][b], factor))
-            row.append(op_add(*parts))
-        rows.append(tuple(row))
-    return LOperator(c, u, tuple(rows))
+    g = c * ctx.hbar / n
+    rows = np.arange(n)
+
+    def table(lams):
+        out = np.zeros((len(lams), n, n, n), dtype=complex)
+        out[:, rows, rows] = ltilde_table(g, u, lams, ctx)
+        return out
+    return OperatorMatrix(n, n, tuple(unit_key(n, i) for i in range(n)), table)
+
+
+def l_tilde_conjugated(c: complex, u: complex,
+                       ctx: ModularContext) -> OperatorMatrix:
+    """Independent route: L(c|u) conjugated by the intertwiner matrices,
+    entry (i, j) = sum_ab phi(u)[a, i] L(c|u)^a_b phibar(u)[j, b]."""
+    n = ctx.n
+
+    def table(lams):
+        lams = list(lams)
+        us = [u] * len(lams)
+        phi, phibar = intertwiner_arrays(us, lams, ctx)
+        return np.einsum("sai,skab,sjb->skij", phi,
+                         l_coeff_tensor(c, us, lams, ctx), phibar)
+    return OperatorMatrix(n, n, tuple(unit_key(n, k) for k in range(n)), table)
 
 
 def verify_ltilde_conjugation(c: complex, u: complex, ctx: ModularContext,
                               samples) -> Residual:
     direct = l_tilde(c, u, ctx)
     conj = l_tilde_conjugated(c, u, ctx)
-    return worst_of(operator_residual(direct.entries[i][j], conj.entries[i][j],
+    return worst_of(operator_residual(direct.entry(i, j), conj.entry(i, j),
                                       samples, ctx)
                     for i in range(ctx.n) for j in range(ctx.n))
 
@@ -421,16 +388,9 @@ def verify_ltilde_limit(c: complex, u: complex, ctx: ModularContext,
     order limit), the absolute residual is the deviation at the small step.
     """
     h1, h2 = steps
-    errs = {}
-    for h in steps:
-        sctx = ctx.replace(hbar=h)
-        worst = 0.0
-        for lam in samples:
-            for i in range(ctx.n):
-                for j in range(ctx.n):
-                    val = ltilde_coeff(c, u, i, j, lam, sctx)
-                    worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-        errs[h] = worst
+    errs = {h: float(np.max(np.abs(ltilde_table(c * h / ctx.n, u, samples, ctx)
+                                   - np.eye(ctx.n))))
+            for h in steps}
     a1, a2 = errs[h1] / abs(h1), errs[h2] / abs(h2)
     return Residual(rel=abs(a1 - a2) / (a1 + a2 + _EPS), abs=errs[h2])
 
@@ -438,9 +398,8 @@ def verify_ltilde_limit(c: complex, u: complex, ctx: ModularContext,
 def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
                           ctx: ModularContext, samples) -> Residual:
     """:det[l_tilde - t]: also reproduces the generating sum."""
-    lt = l_tilde(c, u, ctx)
-    det = normal_det([list(row) for row in lt.entries], t, ctx)
-    return operator_residual(det, genfunc_sum(c, u, t, ctx), samples, ctx)
+    return operator_residual(normal_det(l_tilde(c, u, ctx), t, ctx),
+                             genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
 def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
@@ -526,15 +485,16 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     """
     n = ctx.n
     g = c / n
+    tab = {h: ltilde_table(c * h / n, u, samples, ctx)
+           for h in (step, -step, 2 * step, -2 * step)}
+    d1 = (tab[step] - tab[-step]) / (2 * step)
+    d2 = (tab[2 * step] - tab[-2 * step]) / (4 * step)
+    derivs = (4 * d1 - d2) / 3.0                                # [s, i, j]
     found = []
-    for lam in samples:
+    for lam, deriv_ij in zip(samples, derivs):
         for i in range(n):
             for j in range(n):
-                def cfun(h):
-                    return ltilde_coeff(c, u, i, j, lam, ctx, hbar_override=h)
-                d1 = (cfun(step) - cfun(-step)) / (2 * step)
-                d2 = (cfun(2 * step) - cfun(-2 * step)) / (4 * step)
-                deriv = (4 * d1 - d2) / 3.0
+                deriv = complex(deriv_ij[i, j])
                 if i == j:
                     # Delta^{-c/n} d_i Delta^{c/n} adds (c/n) d_i log Delta
                     dlog = sum(theta(lam.diff(i, kk), ctx, 1)

@@ -152,8 +152,8 @@ def test_criterion_06_generating_function():
         lam = samples[0]
         ts_pts = [0.37 - 0.11j, -0.29 + 0.17j, 0.13 + 0.41j, 0.52 + 0.08j][: n + 1]
         vander = np.array([[t ** k for k in range(n + 1)] for t in ts_pts])
-        vals = np.array([oa.normal_det([list(r) for r in lop.entries], t, ctx)
-                         .coeff((0,) * n, lam) for t in ts_pts])
+        vals = np.array([oa.normal_det(lop, t, ctx).coeff((0,) * n, lam)
+                         for t in ts_pts])
         coeffs = np.linalg.solve(vander, vals)
         lead_err = max(lead_err, abs(coeffs[n] - (-1.0) ** n))
     ok = _report(6, "normal determinant equals generating sum", worst, 1e-7)
@@ -379,7 +379,7 @@ def test_criterion_11_invariance_and_module_structure():
         lop = tr.l_op(float(l), u, ctx)
         for i in range(n):
             for j in range(n):
-                _, res = ts.fit_action(l, u, lop.entries[i][j], ctx, seed=3)
+                _, res = ts.fit_action(l, u, lop.entry(i, j), ctx, seed=3)
                 fit_err = max(fit_err, res.rel)
         m1 = tr.m_closed(float(l), u, 1, ctx)
         neg_floor = min(neg_floor, ts.negative_control(l, m1, ctx, seed=4).rel)

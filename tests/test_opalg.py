@@ -96,19 +96,28 @@ def test_self_commutator_vanishes(ctx3):
 
 def test_operator_equality_detects_difference(ctx3):
     samples = wt.sample_many(8, 12, ctx3)
-    a = oa.scalar_op(3, lambda mu: mu.coords[0])
-    b = oa.scalar_op(3, lambda mu: mu.coords[0] + 1e-6)
+    a = oa.diff_op(3, [((0, 0, 0), lambda mu: mu.coords[0])])
+    b = oa.diff_op(3, [((0, 0, 0), lambda mu: mu.coords[0] + 1e-6)])
     assert oa.operator_residual(a, b, samples, ctx3).rel > 1e-8
     assert oa.operator_residual(a, a, samples, ctx3).rel == 0.0
+
+
+def _matrix(n, keys, coeff):
+    """OperatorMatrix with coefficient coeff(key, i, j, lam) of T_key in the
+    entry (i, j), mapped over the batch."""
+    def table(lams):
+        return np.array([[[[coeff(key, i, j, lam) for j in range(n)]
+                           for i in range(n)] for key in keys]
+                         for lam in lams], dtype=complex)
+    return oa.OperatorMatrix(n, n, tuple(keys), table)
 
 
 def test_normal_det_scalar_matrix(ctx3, rng):
     lam = wt.sample_generic(9, ctx3)
     mat = np.array([[rand_complex(rng) for _ in range(3)] for _ in range(3)])
     t = rand_complex(rng)
-    entries = [[oa.scalar_op(3, complex(mat[i, j])) for j in range(3)]
-               for i in range(3)]
-    det_op = oa.normal_det(entries, t, ctx3)
+    matrix = _matrix(3, [(0, 0, 0)], lambda key, i, j, mu: mat[i, j])
+    det_op = oa.normal_det(matrix, t, ctx3)
     got = det_op.coeff((0, 0, 0), lam)
     want = complex(np.linalg.det(mat - t * np.eye(3)))
     assert abs(got - want) / abs(want) < 1e-13
@@ -116,18 +125,11 @@ def test_normal_det_scalar_matrix(ctx3, rng):
 
 def test_normal_det_diagonal_shift_operators(ctx3):
     lam = wt.sample_generic(10, ctx3)
-    entries = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            if i == j:
-                key = tuple(1 if k == i else 0 for k in range(3))
-                row.append(oa.diff_op(3, [(key, (lambda i_: lambda mu:
-                                                 mu.coords[i_] + 2.0)(i))]))
-            else:
-                row.append(oa.scalar_op(3, 0.0))
-        entries.append(row)
-    det_op = oa.normal_det(entries, 0.0, ctx3)
+    keys = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]
+    matrix = _matrix(3, keys, lambda key, i, j, mu:
+                     mu.coords[i] + 2.0 if i == j and key[i] else 0.0)
+    assert matrix.entry(1, 1).table([lam])[keys[0]][0] == 0.0
+    det_op = oa.normal_det(matrix, 0.0, ctx3)
     got = det_op.coeff((1, 1, 1), lam)   # canonicalizes to the identity key
     want = math.prod(lam.coords[i] + 2.0 for i in range(3))
     assert abs(got - want) / abs(want) < 1e-14

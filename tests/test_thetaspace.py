@@ -90,7 +90,7 @@ def test_fit_action_invariance(ctx2, ctx3, rng):
         worst = 0.0
         for i in range(ctx.n):
             for j in range(ctx.n):
-                _, res = ts.fit_action(l, U0, lop.entries[i][j], ctx, seed=9)
+                _, res = ts.fit_action(l, U0, lop.entry(i, j), ctx, seed=9)
                 worst = max(worst, res.rel)
         assert worst < 1e-7
         m1 = tr.m_closed(float(l), U0, 1, ctx)
@@ -125,7 +125,7 @@ def test_fit_action_recovers_r_matrix_coefficients(ctx3):
     basis = ts.character_basis(1, ctx3)
     for i in range(n):
         for j in range(n):
-            coeffs, res = ts.fit_action(1, U0, lop.entries[i][j], ctx3, seed=21)
+            coeffs, res = ts.fit_action(1, U0, lop.entry(i, j), ctx3, seed=21)
             assert res.rel < 1e-8
             for row, js in enumerate(basis.elements):
                 a = ts.gamma_index(js[0], n)
