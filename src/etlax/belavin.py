@@ -8,7 +8,17 @@ acts as R(u) e^i x e^j = sum e^{i'} x e^{j'} R(u)^{ij}_{i'j'} with entries
 
 where the theta^(i-j')(u) denominator has been cancelled against the
 numerator product, making every entry manifestly holomorphic in u (this is
-what makes R(0) = P exact instead of a 0/0 limit).
+what makes R(0) = P exact instead of a 0/0 limit).  R is evaluated per
+batch of spectral parameters: r_table reads one table of the characters
+theta^(k) at every u, u + hbar, hbar and 0 and places the n^3 entries of the
+ice rule through an index map cached per n.  Rcheck = P R is R with its
+rows reordered.  A product of Rcheck moves (braid_matrix) reads all its
+Rchecks from one table and applies each to its two tensor slots of the
+accumulated operator, as an n^2 x n^2 matrix on a reshaped stack; no
+n^k x n^k slot matrix is formed.  The symmetry, quasi-periodicity,
+holomorphy and Yang-Baxter checks take a whole sample batch, and the two
+vertex-face intertwining relations are einsum contractions over one
+intertwiner batch.
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
 step adding hbar*epsbar_i, held as an (n^k, k) integer array.  The weight
@@ -35,8 +45,8 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
-from .theta import (Residual, dedekind_eta, residual_pair, theta_char,
-                    theta_level_table, theta_table, worst_of)
+from .theta import (Residual, dedekind_eta, residual_arrays, theta_char_table,
+                    theta_level_table, theta_table, worst_of_arrays)
 from .weights import WeightPoint, canonical_key
 
 _EPS = 1e-300
@@ -67,33 +77,63 @@ class RTensor:
 
     def as_matrix(self) -> np.ndarray:
         """Matrix with column (i,j), row (i',j'): out = M @ in."""
-        n = self.entries.shape[0]
-        return np.transpose(self.entries, (2, 3, 0, 1)).reshape(n * n, n * n)
+        return _r_matrices(self.entries[None])[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _r_index(n: int):
+    """Where the n^3 entries R[i, j, i', j'] with i + j = i' + j' (mod n)
+    sit, and which characters each reads: (i, j, i', j'), the rows i' - j'
+    of theta^(.)(u + hbar), i' - i of theta^(.)(hbar) and i - j' of the
+    products prod_{k != m} theta^(k)(u), whose factors k are others[m]."""
+    i, j, ip = np.indices((n, n, n)).reshape(3, -1)
+    jp = (i + j - ip) % n
+    others = np.array([[k for k in range(n) if k != m] for m in range(n)])
+    index = (i, j, ip, jp, (ip - jp) % n, (ip - i) % n, (i - jp) % n, others)
+    for arr in index:
+        arr.setflags(write=False)       # the cached map is shared
+    return index
+
+
+def _r_values(us, ctx: ModularContext) -> np.ndarray:
+    """The n^3 entries of the ice rule of R at every u of us, as [p, e] in
+    the order of _r_index(n), from one table of the characters theta^(k)
+    at every u, u + hbar, hbar and 0."""
+    n = ctx.n
+    us = np.atleast_1d(np.asarray(us, dtype=complex))
+    count = len(us)
+    tc = theta_char_table(range(n), np.concatenate(
+        [us, us + ctx.hbar, [ctx.hbar, 0.0]]), ctx).T
+    tc_u, tc_uh, tc_h, tc_0 = tc[:count], tc[count:-2], tc[-2], tc[-1]
+    if np.min(np.abs(tc_h)) < 100 * _EPS:
+        raise SingularParameterError(f"theta^(k)(hbar) vanishes at hbar={ctx.hbar}")
+    denom0 = np.prod(tc_0[1:])
+    _, _, _, _, a, b, c, others = _r_index(n)
+    # prod_except[p, m] = prod_{k != m} theta^(k)(us[p])
+    prod_except = np.prod(tc_u[:, others], axis=-1)
+    return tc_uh[:, a] / tc_h[b] * prod_except[:, c] / denom0
+
+
+def r_table(us, ctx: ModularContext) -> np.ndarray:
+    """Belavin R-matrices at the spectral parameters us, as [p, i, j, i', j']:
+    the _r_values placed through the cached index map of n."""
+    n = ctx.n
+    values = _r_values(us, ctx)
+    i, j, ip, jp = _r_index(n)[:4]
+    ent = np.zeros((len(values), n, n, n, n), dtype=complex)
+    ent[:, i, j, ip, jp] = values
+    return ent
 
 
 def build_r(u: complex, ctx: ModularContext) -> RTensor:
-    """Belavin R-matrix at spectral parameter u."""
-    n = ctx.n
-    tc_u = np.array([theta_char(k, u, ctx) for k in range(n)])
-    tc_uh = np.array([theta_char(k, u + ctx.hbar, ctx) for k in range(n)])
-    tc_h = np.array([theta_char(k, ctx.hbar, ctx) for k in range(n)])
-    tc_0 = np.array([theta_char(k, 0.0, ctx) for k in range(n)])
-    if min(abs(x) for x in tc_h) < 100 * _EPS:
-        raise SingularParameterError(f"theta^(k)(hbar) vanishes at hbar={ctx.hbar}")
-    denom0 = np.prod(tc_0[1:])
-    # prod_except[m] = prod_{k != m} theta^(k)(u)
-    prod_except = np.empty(n, dtype=complex)
-    for m in range(n):
-        prod_except[m] = np.prod(np.concatenate([tc_u[:m], tc_u[m + 1:]]))
-    ent = np.zeros((n, n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s = (i + j) % n
-            for ip in range(n):
-                jp = (s - ip) % n
-                ent[i, j, ip, jp] = (tc_uh[(ip - jp) % n] / tc_h[(ip - i) % n]
-                                     * prod_except[(i - jp) % n] / denom0)
-    return RTensor(ent, u)
+    """Belavin R-matrix at spectral parameter u (the r_table of one)."""
+    return RTensor(r_table([u], ctx)[0], u)
+
+
+def _r_matrices(ent: np.ndarray) -> np.ndarray:
+    """RTensor.as_matrix of every R in an r_table."""
+    n = ent.shape[1]
+    return ent.transpose(0, 3, 4, 1, 2).reshape(len(ent), n * n, n * n)
 
 
 def permutation_matrix(n: int) -> np.ndarray:
@@ -104,42 +144,68 @@ def permutation_matrix(n: int) -> np.ndarray:
     return p
 
 
+def rcheck_table(deltas, ctx: ModularContext) -> np.ndarray:
+    """Rcheck(delta) = P R(delta) at every delta, as [p, n^2, n^2].
+
+    P only swaps the row pair (i', j') to (j', i'), so each Rcheck is R
+    with its rows reordered.
+    """
+    n = ctx.n
+    ent = r_table(deltas, ctx)
+    return ent.transpose(0, 4, 3, 1, 2).reshape(len(ent), n * n, n * n)
+
+
 def rcheck_matrix(delta: complex, ctx: ModularContext) -> np.ndarray:
     """Rcheck(delta) = P R(delta) as an n^2 x n^2 matrix."""
-    return permutation_matrix(ctx.n) @ build_r(delta, ctx).as_matrix()
+    return rcheck_table([delta], ctx)[0]
 
 
-def _conj(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return x @ m @ np.linalg.inv(x)
+def _apply_moves(op: np.ndarray, rchecks, moves, n: int) -> np.ndarray:
+    """rchecks[r] applied to the slots (moves[r], moves[r] + 1) of the
+    columns of op, in order; op is [..., n^k, cols] and rchecks[r]
+    [..., n^2, n^2] with the same leading axes.  op is overwritten: the
+    moves alternate between it and one buffer, where a fresh array per move
+    left the heap about 1 MB larger at n = k = 4."""
+    buf = np.empty_like(op)
+    for m, rc in zip(moves, rchecks):
+        slots = (*op.shape[:-2], n ** m, n * n, -1)
+        np.matmul(rc[..., None, :, :], op.reshape(slots), out=buf.reshape(slots))
+        op, buf = buf, op
+    return op
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> Residual:
-    d = float(np.max(np.abs(a - b)))
-    scale = float(np.max(np.abs(a)) + np.max(np.abs(b)) + _EPS)
-    return Residual(rel=d / scale, abs=d)
+    """Max entry difference relative to max|a| + max|b|, per matrix of the
+    stacks a, b [..., rows, cols]; the worst over the stacks."""
+    d = np.max(np.abs(a - b), axis=(-2, -1))
+    scale = (np.max(np.abs(a), axis=(-2, -1))
+             + np.max(np.abs(b), axis=(-2, -1)) + _EPS)
+    return worst_of_arrays(d / scale, d)
 
 
-def verify_r_symmetry(u: complex, ctx: ModularContext) -> dict:
-    """(x (x) x) R (x (x) x)^{-1} = R for x = g, h."""
-    rm = build_r(u, ctx).as_matrix()
+def verify_r_symmetry(us, ctx: ModularContext) -> dict:
+    """(x (x) x) R (x (x) x)^{-1} = R for x = g, h, worst over the batch us."""
+    rm = _r_matrices(r_table(us, ctx))
     out = {}
     for name, x in (("g", g_matrix(ctx)), ("h", h_matrix(ctx))):
         xx = np.kron(x, x)
-        out[name] = _rel(_conj(xx, rm), rm)
+        out[name] = _rel(xx @ rm @ np.linalg.inv(xx), rm)
     return out
 
 
-def verify_r_quasiperiodicity(u: complex, ctx: ModularContext) -> dict:
-    """The u+1 and u+tau transformation laws of the R-matrix."""
+def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
+    """The u+1 and u+tau transformation laws of the R-matrix, worst over
+    the batch us (one r_table at us, us + 1 and us + tau)."""
     n = ctx.n
-    rm = build_r(u, ctx).as_matrix()
+    us = np.atleast_1d(np.asarray(us, dtype=complex))
+    rm, r_u1, r_ut = _r_matrices(r_table(
+        np.concatenate([us, us + 1.0, us + ctx.tau]), ctx)).reshape(
+            3, len(us), n * n, n * n)
     g1 = np.kron(g_matrix(ctx), np.eye(n))
     h1 = np.kron(h_matrix(ctx), np.eye(n))
-    r_u1 = build_r(u + 1.0, ctx).as_matrix()
     law1 = -np.linalg.inv(g1) @ rm @ g1
-    r_ut = build_r(u + ctx.tau, ctx).as_matrix()
-    fac = (-np.exp(2j * np.pi * (u + ctx.hbar / n + ctx.tau / 2.0))) ** (-1)
-    lawt = fac * (h1 @ rm @ np.linalg.inv(h1))
+    fac = (-np.exp(2j * np.pi * (us + ctx.hbar / n + ctx.tau / 2.0))) ** (-1)
+    lawt = fac[:, None, None] * (h1 @ rm @ np.linalg.inv(h1))
     return {"period-1": _rel(r_u1, law1), "period-tau": _rel(r_ut, lawt)}
 
 
@@ -154,35 +220,39 @@ def verify_r_holomorphy(ctx: ModularContext, radius: float = 0.12,
     The raw entry formula divides by theta^(i-j')(u); its zeros m*tau are the
     only candidate u-poles.  A vanishing loop integral certifies that the
     cancellation against the numerator product is real, not accidental.
+    All (n-1) * nodes contour nodes are read from one table; the entries
+    the ice rule sets to 0 integrate to 0 and are left out.
     """
-    worst_abs, scale = 0.0, 0.0
-    for m in range(1, ctx.n):
-        center = m * ctx.tau
-        acc = np.zeros((ctx.n,) * 4, dtype=complex)
-        for t in range(nodes):
-            ang = 2.0 * np.pi * t / nodes
-            z = center + radius * np.exp(1j * ang)
-            dz = radius * np.exp(1j * ang) * (2j * np.pi / nodes)
-            ent = build_r(z, ctx).entries
-            acc += ent * dz
-            scale = max(scale, float(np.max(np.abs(ent))) * 2.0 * np.pi * radius)
-        worst_abs = max(worst_abs, float(np.max(np.abs(acc))))
+    n = ctx.n
+    ring = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+    dz = ring * (2j * np.pi / nodes)
+    centers = np.arange(1, n) * ctx.tau
+    values = _r_values((centers[:, None] + ring).ravel(), ctx)
+    acc = dz @ values.reshape(n - 1, nodes, -1)          # [center, entry]
+    worst_abs = float(np.max(np.abs(acc)))
+    scale = float(np.max(np.abs(values))) * 2.0 * np.pi * radius
     return Residual(rel=worst_abs / (scale + _EPS), abs=worst_abs)
 
 
-def verify_ybe(u: complex, v: complex, w: complex, ctx: ModularContext) -> Residual:
-    """Yang-Baxter equation in braid (Rcheck) form on V^(x)3."""
+def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
+    """Yang-Baxter equation in braid (Rcheck) form on V^(x)3,
+
+        Rcheck_23(u-v) Rcheck_12(u-w) Rcheck_23(v-w)
+            = Rcheck_12(v-w) Rcheck_23(u-w) Rcheck_12(u-v),
+
+    worst over the triples (us[p], vs[p], ws[p]), from one Rcheck table.
+    """
     n = ctx.n
-    eye = np.eye(n)
-    def lift12(m):
-        return np.kron(m, eye)
-    def lift23(m):
-        return np.kron(eye, m)
-    r_uv = rcheck_matrix(u - v, ctx)
-    r_uw = rcheck_matrix(u - w, ctx)
-    r_vw = rcheck_matrix(v - w, ctx)
-    lhs = lift23(r_uv) @ lift12(r_uw) @ lift23(r_vw)
-    rhs = lift12(r_vw) @ lift23(r_uw) @ lift12(r_uv)
+    us, vs, ws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=complex))
+                                       for x in (us, vs, ws)))
+    r_uv, r_uw, r_vw = rcheck_table(
+        np.concatenate([us - vs, us - ws, vs - ws]), ctx).reshape(
+            3, len(us), n * n, n * n)
+    eye = np.eye(n ** 3, dtype=complex)
+    lhs = _apply_moves(np.tile(eye, (len(us), 1, 1)), [r_vw, r_uw, r_uv],
+                       [1, 0, 1], n)
+    rhs = _apply_moves(np.tile(eye, (len(us), 1, 1)), [r_uv, r_uw, r_vw],
+                       [0, 1, 0], n)
     return _rel(lhs, rhs)
 
 
@@ -422,58 +492,63 @@ def _two_step_weights(lam: WeightPoint, delta: complex, ctx: ModularContext):
     return keep.reshape(ctx.n, ctx.n), cross.reshape(ctx.n, ctx.n)
 
 
-def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
-                                    ctx: ModularContext) -> Residual:
-    """Outgoing intertwining relation tying R(u-v) to the face weights."""
+def _intertwining_factors(u: complex, v: complex, lam: WeightPoint,
+                          ctx: ModularContext):
+    """R(u-v), the two-step face weights keep and cross at u-v, and the
+    intertwiners at (u, lam), (v, lam), (u, lam + h epsbar_a), (v, lam + h
+    epsbar_a) for a < n as (2n+2, n, n) stacks, from one intertwiner batch."""
     n = ctx.n
-    rt = build_r(u - v, ctx).entries
     keep, cross = _two_step_weights(lam, u - v, ctx)
     ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
-    phi_u, phi_v = intertwiners(u, lam, ctx).phi, intertwiners(v, lam, ctx).phi
-    phi_u_up = [intertwiners(u, mu, ctx).phi for mu in ups]
-    phi_v_up = [intertwiners(v, mu, ctx).phi for mu in ups]
-    found = []
-    for a in range(n):          # first step lam -> mu
-        for b in range(n):      # second step mu -> nu
-            # middle weight lam + h epsbar_ap, second step bp, weight w
-            middles = ([(a, a, keep[a, a])] if a == b else
-                       [(a, b, keep[a, b]), (b, a, cross[a, b])])
-            for ip in range(n):
-                for jp in range(n):
-                    lhs = sum(rt[i, j, ip, jp] * phi_u[i, a] * phi_v_up[a][j, b]
-                              for i in range(n) for j in range(n))
-                    rhs = 0.0 + 0.0j
-                    for ap, bp, w in middles:
-                        rhs += phi_v[jp, ap] * phi_u_up[ap][ip, bp] * w
-                    found.append(residual_pair(lhs, rhs))
-    return worst_of(found)
+    phi, phibar = intertwiner_arrays([u, v] + [u] * n + [v] * n,
+                                     [lam, lam] + ups + ups, ctx)
+    return r_table([u - v], ctx)[0], keep, cross, phi, phibar
+
+
+def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
+                                    ctx: ModularContext) -> Residual:
+    """Outgoing intertwining relation tying R(u-v) to the face weights,
+
+        sum_ij R^{ij}_{i'j'} phi_u[i, a] phi_v^{a}[j, b]
+            = sum over the middles (a', b') of phi_v[j', a'] phi_u^{a'}[i', b'] W,
+
+    where phi^{a} sits at lam + h epsbar_a, the middles of the path (a, b)
+    are (a, b) with W = keep[a, b] and (b, a) with W = cross[a, b]; worst
+    over (a, b, i', j').
+    """
+    n = ctx.n
+    rt, keep, cross, phi, _ = _intertwining_factors(u, v, lam, ctx)
+    phi_u, phi_v, phi_u_up, phi_v_up = phi[0], phi[1], phi[2:2 + n], phi[2 + n:]
+    lhs = np.einsum("ijpq,ia,ajb->abpq", rt, phi_u, phi_v_up)
+    # [a, b, i'] = phi_u^{a}[i', b]; cross is 0 on the diagonal a = b
+    up = phi_u_up.transpose(0, 2, 1)
+    rhs = (phi_v.T[:, None, None, :] * up[:, :, :, None]
+           * keep[:, :, None, None]
+           + phi_v.T[None, :, None, :] * up.transpose(1, 0, 2)[:, :, :, None]
+           * cross[:, :, None, None])
+    return worst_of_arrays(*residual_arrays(lhs, rhs))
 
 
 def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
                              ctx: ModularContext) -> Residual:
-    """Incoming intertwining relation (the inverse-vector version)."""
+    """Incoming intertwining relation (the inverse-vector version),
+
+        sum_{i'j'} phibar_v[a, j'] phibar_u^{a}[b, i'] R^{ij}_{i'j'}
+            = sum over the middles of W phibar_u[a', i] phibar_v^{a'}[b', j],
+
+    with the middles (a, b), W = keep[a, b] and (b, a), W = cross[b, a];
+    worst over (a, b, i, j).
+    """
     n = ctx.n
-    rt = build_r(u - v, ctx).entries
-    keep, cross = _two_step_weights(lam, u - v, ctx)
-    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
-    pb_u_lam = intertwiners(u, lam, ctx).phibar
-    pb_v_lam = intertwiners(v, lam, ctx).phibar    # lam -> lam + h eps_a
-    pb_u_up = [intertwiners(u, mu, ctx).phibar for mu in ups]
-    pb_v_up = [intertwiners(v, mu, ctx).phibar for mu in ups]
-    found = []
-    for a in range(n):
-        for b in range(n):
-            middles = ([(a, a, keep[a, a])] if a == b else
-                       [(a, b, keep[a, b]), (b, a, cross[b, a])])
-            for i in range(n):
-                for j in range(n):
-                    lhs = sum(pb_v_lam[a, jp] * pb_u_up[a][b, ip] * rt[i, j, ip, jp]
-                              for ip in range(n) for jp in range(n))
-                    rhs = 0.0 + 0.0j
-                    for ap, bp, w in middles:
-                        rhs += w * pb_u_lam[ap, i] * pb_v_up[ap][bp, j]
-                    found.append(residual_pair(lhs, rhs))
-    return worst_of(found)
+    rt, keep, cross, _, phibar = _intertwining_factors(u, v, lam, ctx)
+    pb_u, pb_v = phibar[0], phibar[1]
+    pb_u_up, pb_v_up = phibar[2:2 + n], phibar[2 + n:]
+    lhs = np.einsum("aq,abp,ijpq->abij", pb_v, pb_u_up, rt)
+    rhs = (keep[:, :, None, None] * pb_u[:, None, :, None]
+           * pb_v_up[:, :, None, :]
+           + cross.T[:, :, None, None] * pb_u[None, :, :, None]
+           * pb_v_up.transpose(1, 0, 2)[:, :, None, :])
+    return worst_of_arrays(*residual_arrays(lhs, rhs))
 
 
 # ----------------------------------------------------------------- fusion
@@ -497,21 +572,27 @@ def crossing_moves(k: int, l: int):
     return moves
 
 
-def _slot_matrix(mat2: np.ndarray, pos: int, total: int, n: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(n ** pos), mat2), np.eye(n ** (total - pos - 2)))
+def _braid_on(params, moves, op: np.ndarray, ctx: ModularContext) -> np.ndarray:
+    """The vertex Rcheck moves, with positional parameter tracking, applied
+    to the columns of op (n^k rows); op is overwritten.
+
+    The Rchecks of all moves come from one table; each acts on its two
+    slots of the accumulated columns, never as an n^k x n^k matrix.
+    Applying the moves to the columns themselves, not forming the product
+    and then multiplying, also rounds less where the product projects
+    away most of the columns (the rank-1 antisymmetrizer at k = n).
+    """
+    params, deltas = list(params), []
+    for m in moves:
+        deltas.append(params[m] - params[m + 1])
+        params[m], params[m + 1] = params[m + 1], params[m]
+    return _apply_moves(op, rcheck_table(deltas, ctx), moves, ctx.n)
 
 
 def braid_matrix(params, moves, ctx: ModularContext) -> np.ndarray:
     """Product of vertex Rcheck moves with positional parameter tracking."""
-    n = ctx.n
-    total = len(params)
-    params = list(params)
-    op = np.eye(n ** total, dtype=complex)
-    for m in moves:
-        delta = params[m] - params[m + 1]
-        op = _slot_matrix(rcheck_matrix(delta, ctx), m, total, n) @ op
-        params[m], params[m + 1] = params[m + 1], params[m]
-    return op
+    return _braid_on(params, moves,
+                     np.eye(ctx.n ** len(params), dtype=complex), ctx)
 
 
 def face_braid_matrix(base: WeightPoint, params, moves, ctx: ModularContext) -> np.ndarray:
@@ -565,11 +646,16 @@ def phi_tensor_matrix(base: WeightPoint, params, ctx: ModularContext) -> np.ndar
 
 def verify_fusion_intertwining(k: int, u: complex, lam: WeightPoint,
                                ctx: ModularContext) -> Residual:
-    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam."""
+    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam;
+    the braid of pi acts on the columns of (phi x ... x phi)."""
     params = fusion_parameters(k, u, ctx)
-    lhs = antisymmetrizer(k, ctx, u) @ phi_tensor_matrix(lam, params, ctx)
+    # rhs first: at n = k = 4 the other order left the heap about 1 MB
+    # larger (glibc serves the 1 MB arrays from the heap once a larger
+    # one has been freed)
     rhs = phi_tensor_matrix(lam, list(reversed(params)), ctx) \
         @ face_fusion_operator(k, lam, ctx, u)
+    lhs = _braid_on(params, fusion_moves(k),
+                    phi_tensor_matrix(lam, params, ctx), ctx)
     return _rel(lhs, rhs)
 
 
@@ -599,14 +685,13 @@ def fused_rcheck_matrix(k: int, kp: int, u: complex, v: complex,
     written in the antisymmetric subset bases on both sides."""
     n = ctx.n
     params = fusion_parameters(k, u, ctx)[::-1] + fusion_parameters(kp, v, ctx)[::-1]
-    big = braid_matrix(params, crossing_moves(k, kp), ctx)
     cols = []
     for big_i in subsets(n, k):
         vi = antisym_vector(n, big_i)
         for big_j in subsets(n, kp):
             cols.append(np.kron(vi, antisym_vector(n, big_j)))
-    incoming = np.stack(cols, axis=1)
-    image = big @ incoming
+    image = _braid_on(params, crossing_moves(k, kp), np.stack(cols, axis=1),
+                      ctx)
     # read off coefficients on the dual (increasing-index slot) basis
     rows = []
     for big_jp in subsets(n, kp):

@@ -182,6 +182,19 @@ def apply_batch(op: DifferenceOperator, f, lams,
     return total
 
 
+def apply_matrix(matrix: OperatorMatrix, f, lams,
+                 ctx: ModularContext) -> np.ndarray:
+    """[(M_ij f)(lams[s])]_{s, i, j}: apply_batch of every entry of the
+    matrix, reading its table once."""
+    lams = list(lams)
+    a = matrix.table(lams)
+    total = np.zeros((len(lams), matrix.size, matrix.size), dtype=complex)
+    for k, key in enumerate(matrix.terms):
+        values = np.array([f(lam.shifted(key, ctx.hbar)) for lam in lams])
+        total += a[:, k] * values[:, None, None]
+    return total
+
+
 def apply_op(op: DifferenceOperator, f, lam: WeightPoint,
              ctx: ModularContext) -> complex:
     """(op f)(lambda), the batch of one."""

@@ -145,17 +145,12 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
 
 def suite_ybe(ctx: ModularContext, rng, tol: float):
     cases = []
-    syms, qps = [], []
-    for _ in range(10):
-        u = _rc(rng)
-        syms.append(bv.verify_r_symmetry(u, ctx))
-        qps.append(bv.verify_r_quasiperiodicity(u, ctx))
-    cases.append(_case("gh-symmetry", th.worst_of(
-        r for sym in syms for r in (sym["g"], sym["h"])), tol))
-    cases.append(_case("period-1", th.worst_of(qp["period-1"] for qp in qps),
-                       tol))
-    cases.append(_case("period-tau",
-                       th.worst_of(qp["period-tau"] for qp in qps), tol))
+    us = [_rc(rng) for _ in range(10)]
+    sym = bv.verify_r_symmetry(us, ctx)
+    qp = bv.verify_r_quasiperiodicity(us, ctx)
+    cases.append(_case("gh-symmetry", th.worst_of([sym["g"], sym["h"]]), tol))
+    cases.append(_case("period-1", qp["period-1"], tol))
+    cases.append(_case("period-tau", qp["period-tau"], tol))
     cases.append(_case("r0-is-permutation", bv.verify_r_zero_is_permutation(ctx),
                        tol))
     cases.append(_case("holomorphy-contour", bv.verify_r_holomorphy(ctx), tol))
@@ -167,9 +162,8 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
         cases.append(_case("eight-vertex-pattern",
                            Residual(0.0 if nz == 8 else 1.0, float(nz != 8)),
                            tol))
-    cases.append(_case("vertex-ybe", th.worst_of(
-        bv.verify_ybe(_rc(rng), _rc(rng), _rc(rng), ctx) for _ in range(25)),
-        tol))
+    triples = [[_rc(rng) for _ in range(3)] for _ in range(25)]
+    cases.append(_case("vertex-ybe", bv.verify_ybe(*zip(*triples), ctx), tol))
     u = _rc(rng)
     cases.append(_case("vertex-ybe-degenerate", bv.verify_ybe(u, u, _rc(rng), ctx),
                        tol))
@@ -543,9 +537,9 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         bad = float(rank != dim)
         cases.append(_case(f"dimension-rank-l{l}", Residual(bad, bad), tol))
         lop = tr.l_op(float(l), u, ctx)
-        cases.append(_case(f"l-operator-invariance-l{l}", th.worst_of(
-            ts.fit_action(l, u, lop.entry(i, j), ctx, seed=_seed(rng))[1]
-            for i in range(n) for j in range(n)), tol))
+        seeds = [_seed(rng) for _ in range(n * n)]
+        cases.append(_case(f"l-operator-invariance-l{l}",
+                           ts.fit_matrix_action(l, lop, ctx, seeds)[1], tol))
         m1 = tr.m_closed(float(l), u, 1, ctx)
         _, res = ts.fit_action(l, u, m1, ctx, seed=_seed(rng))
         cases.append(_case(f"m1-invariance-l{l}", res, tol))

@@ -22,12 +22,17 @@ exp over the terms and one sum.  The exponent is kept inside the exp, not
 split off as a Gaussian factor, because exp(2 pi i mu u) alone overflows
 where that factor underflows (|Im u| of a few periods), and inf * 0 is nan.
 theta_level_table evaluates a whole table theta_level_j(u_k) the same way,
-with one exp over a (rows, points, terms) array per chunk of points, and
-theta_table evaluates the odd theta at an array of points through the same
-chunk loop, bit for bit the values of theta, without per-value cache
-entries.  The face weights, the deformed and Cauchy-type determinant
-identities, the closed-form M_d coefficients and the sampling guard read
-all their theta values from one such table per move, sample or batch.
+with one exp over a (rows, points, terms) array per chunk of points;
+theta_table (the odd theta) and theta_char_table (the R-matrix characters)
+go through the same chunk loop, bit for bit the values of theta and
+theta_char, without per-value cache entries.  The face weights, the
+R-matrices, the deformed and Cauchy-type determinant identities, the
+closed-form M_d coefficients and the sampling guard read all their theta
+values from one such table per move, sample or batch.
+
+A check reduces its residuals with worst_of (or worst_of_arrays for a
+vectorized check): the largest rel, the first on ties, and a NaN rel wins,
+so a check that computed a NaN fails.
 """
 
 from __future__ import annotations
@@ -71,14 +76,35 @@ class Residual:
 def worst_of(residuals) -> Residual:
     """The residual with the largest rel, the first one on ties.
 
-    Starts from Residual(0, 0), so an empty or all-zero input gives that,
-    and a NaN rel never wins.
+    Starts from Residual(0, 0), so an empty or all-zero input gives that.
+    A NaN rel wins over every number (the first NaN is kept), so a check
+    that computed a NaN residual fails.  Every item is consumed.
     """
     worst = Residual(0.0, 0.0)
     for r in residuals:
-        if r.rel > worst.rel:
+        if r.rel > worst.rel or (r.rel != r.rel and worst.rel == worst.rel):
             worst = r
     return worst
+
+
+def worst_of_arrays(rel, ab) -> Residual:
+    """worst_of over the residuals Residual(rel[k], ab[k]), k running over
+    the flattened arrays: the first NaN, else the first maximum if it is
+    positive, else Residual(0, 0)."""
+    rel = np.asarray(rel, dtype=float).ravel()
+    if not rel.size:
+        return Residual(0.0, 0.0)
+    nan = np.isnan(rel)
+    k = int(np.argmax(nan)) if nan[np.argmax(nan)] else int(np.argmax(rel))
+    if not (nan[k] or rel[k] > 0.0):
+        return Residual(0.0, 0.0)
+    return Residual(float(rel[k]), float(np.asarray(ab, dtype=float).ravel()[k]))
+
+
+def residual_arrays(lhs, rhs) -> tuple:
+    """rel and abs of residual_pair at every entry of the arrays lhs, rhs."""
+    d = np.abs(lhs - rhs)
+    return d / (np.abs(lhs) + np.abs(rhs) + _EPS), d
 
 
 def residual_pair(lhs: complex, rhs: complex) -> Residual:
@@ -205,6 +231,18 @@ def theta_table(us, ctx: ModularContext) -> np.ndarray:
     us = np.asarray(us, dtype=complex)
     tpm, phase, _ = _series((0.5,), 1, complex(ctx.tau), ctx.trunc, 0)
     return _table(tpm, phase, us.ravel() + 0.5)[0].reshape(us.shape)
+
+
+def theta_char_table(rows, us, ctx: ModularContext) -> np.ndarray:
+    """The table [theta_char_j(u_k)]_{j in rows, k} of R-matrix characters.
+
+    Bit for bit the values of theta_char, from one exp per chunk of points;
+    no per-value cache entries.
+    """
+    n = ctx.n
+    tpm, phase, _ = _series(tuple(0.5 - (j % n) / n for j in rows), 1,
+                            complex(n * ctx.tau), ctx.trunc, 0)
+    return _table(tpm, phase, np.asarray(us, dtype=complex) + 0.5)
 
 
 def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:

@@ -17,8 +17,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .context import ModularContext
-from .belavin import build_r
-from .opalg import DifferenceOperator, apply_batch
+from .belavin import build_r, r_table
+from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, apply_matrix
 from .theta import Residual, residual_pair, theta, worst_of
 from .transfer import l_op, m_closed
 from .weights import WeightPoint, sample_many
@@ -127,24 +127,56 @@ def gram_rank(l: int, points, ctx: ModularContext,
     return int(np.sum(svals > cutoff * svals[0]))
 
 
+def _fit_points(l: int, seed: int, ctx: ModularContext):
+    """The 3 dim fit points and dim + 4 held-out points of a fit."""
+    dim = basis_dimension(ctx.n, l)
+    return sample_many(seed, 3 * dim, ctx), sample_many(seed + 77, dim + 4, ctx)
+
+
+def _fit_values(l: int, pts, values, hold, held, ctx: ModularContext):
+    """Least-squares expansion of the values at pts in the basis and its
+    residual at the held-out points, in relative sup norm."""
+    basis = character_basis(l, ctx)
+    dim = len(basis)
+    mat = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
+                    for lam in pts])
+    coeffs, *_ = np.linalg.lstsq(mat, values, rcond=1e-10)
+    hm = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
+                   for lam in hold])
+    err = np.abs(hm @ coeffs - held)
+    scale = float(np.max(np.abs(held))) + _EPS
+    return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
+
+
 def fit_function(l: int, target, ctx: ModularContext, seed: int = 0):
     """Least-squares expansion of target in the basis; residual on held-out
     points in relative sup norm.  target maps a list of points to the array
     of its values there.  Returns (coefficients, Residual)."""
+    pts, hold = _fit_points(l, seed, ctx)
+    return _fit_values(l, pts, target(pts), hold, target(hold), ctx)
+
+
+def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
+    """Fit column e of apply(fn, lams) at the points of seeds[e], for every
+    basis function fn: one apply per function, at the points of all columns.
+
+    Returns the coefficients [e, m, :] and the held-out Residuals [e][m].
+    """
     basis = character_basis(l, ctx)
     dim = len(basis)
-    pts = sample_many(seed, 3 * dim, ctx)
-    hold = sample_many(seed + 77, dim + 4, ctx)
-    mat = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
-                    for lam in pts])
-    rhs = target(pts)
-    coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=1e-10)
-    hm = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
-                   for lam in hold])
-    hv = target(hold)
-    err = np.abs(hm @ coeffs - hv)
-    scale = float(np.max(np.abs(hv))) + _EPS
-    return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
+    coeffs = np.empty((len(seeds), dim, dim), dtype=complex)
+    found = [[None] * dim for _ in seeds]
+    for m in range(dim):
+        sets = [_fit_points(l, seed + m, ctx) for seed in seeds]
+        lams = [lam for pts, hold in sets for lam in (*pts, *hold)]
+        values = apply(basis.function(m, ctx), lams)
+        start = 0
+        for e, (pts, hold) in enumerate(sets):
+            mid, stop = start + len(pts), start + len(pts) + len(hold)
+            coeffs[e, m], found[e][m] = _fit_values(
+                l, pts, values[start:mid, e], hold, values[mid:stop, e], ctx)
+            start = stop
+    return coeffs, found
 
 
 def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
@@ -153,16 +185,27 @@ def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
 
     Returns (coefficient matrix, worst held-out Residual).
     """
-    basis = character_basis(l, ctx)
-    dim = len(basis)
-    coeff_rows, found = [], []
-    for m in range(dim):
-        fn = basis.function(m, ctx)
-        target = lambda lams: apply_batch(op, fn, lams, ctx)
-        coeffs, res = fit_function(l, target, ctx, seed=seed + m)
-        coeff_rows.append(coeffs)
-        found.append(res)
-    return np.array(coeff_rows), worst_of(found)
+    coeffs, found = _fit_entries(
+        l, lambda fn, lams: apply_batch(op, fn, lams, ctx)[:, None], [seed],
+        ctx)
+    return coeffs[0], worst_of(found[0])
+
+
+def fit_matrix_action(l: int, matrix: OperatorMatrix, ctx: ModularContext,
+                      seeds):
+    """fit_action of every entry of matrix, entry (i, j) at the points of
+    seeds[i * size + j]; each basis function reads the matrix table once,
+    at the points of all entries.
+
+    Returns (coefficients [i, j, m, :], worst held-out Residual), the worst
+    taken entry by entry in row-major order.
+    """
+    coeffs, found = _fit_entries(
+        l, lambda fn, lams: apply_matrix(matrix, fn, lams, ctx).reshape(
+            len(lams), -1), seeds, ctx)
+    size, dim = matrix.size, coeffs.shape[-1]
+    return (coeffs.reshape(size, size, dim, dim),
+            worst_of(res for row in found for res in row))
 
 
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
@@ -196,19 +239,16 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     r4 = build_r(u, ctx).entries
     pref = theta(ctx.hbar, ctx) / theta(u, ctx)
     lams = sample_many(seed, samples, ctx)
-    lhs_all = {}
-    for a in range(n):
-        fn = lambda mu, _a=a: chi(gamma_index(_a, n), mu, ctx)
-        for i in range(n):
-            for j in range(n):
-                lhs_all[a, i, j] = apply_batch(lop.entry(i, j), fn, lams, ctx)
+    lhs_all = [apply_matrix(lop, lambda mu, _a=a: chi(gamma_index(_a, n),
+                                                      mu, ctx), lams, ctx)
+               for a in range(n)]
     found = []
     for s, lam in enumerate(lams):
         chival = [chi(gamma_index(b, n), lam, ctx) for b in range(n)]
         for a in range(n):
             for i in range(n):
                 for j in range(n):
-                    lhs = complex(lhs_all[a, i, j][s])
+                    lhs = complex(lhs_all[a][s, i, j])
                     rhs = pref * sum(chival[b] * r4[i, a, j, b] for b in range(n))
                     found.append(residual_pair(lhs, rhs))
     return worst_of(found)
@@ -242,7 +282,7 @@ def _coproduct_action(i: int, ip: int, js: tuple, u: complex,
     """
     n = ctx.n
     l = len(js)
-    rmats = [build_r(u + m * ctx.hbar, ctx).entries for m in range(l)]
+    rmats = r_table([u + m * ctx.hbar for m in range(l)], ctx)
     out = {}
 
     def rec(m, ia, prefix, coeff):
@@ -278,11 +318,11 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     found = []
     for js in basis.elements:
         gjs = tuple(gamma_index(j, n) for j in js)
+        applied_all = apply_matrix(lop, basis.function(gjs, ctx), lams, ctx)
         for i in range(n):
             for ip in range(n):
                 action = _coproduct_action(i, ip, js, u, ctx)
-                prod_fn = basis.function(gjs, ctx)
-                applied = apply_batch(lop.entry(i, ip), prod_fn, lams, ctx)
+                applied = applied_all[:, i, ip]
                 for s, lam in enumerate(lams):
                     lhs = 0.0 + 0.0j
                     for outjs, coeff in action.items():

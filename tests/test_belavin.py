@@ -396,3 +396,232 @@ def test_fused_rcheck_reduces_to_rcheck(ctx3, rng):
     fused = bv.fused_rcheck_matrix(1, 1, u, v, ctx3)
     plain = bv.rcheck_matrix(u - v, ctx3)
     assert np.max(np.abs(fused - plain)) < 1e-12
+
+
+# In-test copy of the per-entry loop build_r used before the R tables:
+# 4n scalar cached theta_char values and an n^3 placement loop.
+
+def _loop_r(u, ctx):
+    from etlax.theta import theta_char
+    n = ctx.n
+    tc_u = np.array([theta_char(k, u, ctx) for k in range(n)])
+    tc_uh = np.array([theta_char(k, u + ctx.hbar, ctx) for k in range(n)])
+    tc_h = np.array([theta_char(k, ctx.hbar, ctx) for k in range(n)])
+    tc_0 = np.array([theta_char(k, 0.0, ctx) for k in range(n)])
+    denom0 = np.prod(tc_0[1:])
+    prod_except = [np.prod(np.concatenate([tc_u[:m], tc_u[m + 1:]]))
+                   for m in range(n)]
+    ent = np.zeros((n, n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for ip in range(n):
+                jp = (i + j - ip) % n
+                ent[i, j, ip, jp] = (tc_uh[(ip - jp) % n] / tc_h[(ip - i) % n]
+                                     * prod_except[(i - jp) % n] / denom0)
+    return ent
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_r_table_matches_entry_loop(n, rng):
+    # measured at most 1.3e-16 relative to each R's largest entry
+    ctx = default_context(n)
+    us = [rand_complex(rng) for _ in range(6)] + [0.0, ctx.tau / 2]
+    got = bv.r_table(us, ctx)
+    want = np.stack([_loop_r(u, ctx.replace()) for u in us])
+    assert got.shape == (len(us),) + (n,) * 4
+    scale = np.max(np.abs(want), axis=(1, 2, 3, 4))[:, None, None, None, None]
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+    i, j, ip, jp = np.indices((n,) * 4)
+    off = (i + j - ip - jp) % n != 0           # the ice rule, exactly
+    assert np.all(got[:, off] == 0) and np.all(want[:, off] == 0)
+    assert np.all(got[:, ~off] != 0)
+    for p, u in enumerate(us):
+        # numpy's vector loops may round a lone point and a batch member
+        # differently, in the last bit
+        one = bv.build_r(u, ctx).entries
+        assert np.max(np.abs(one - got[p])) <= 1e-15 * np.max(np.abs(one))
+    # control: the same comparison sees i' and j' exchanged
+    swapped = want.transpose(0, 1, 2, 4, 3)
+    assert np.max(np.abs(got - swapped) / scale) > 1e-2
+
+
+def _kron_braid(params, moves, ctx):
+    # the dense product the braids were built with before: P R as a
+    # matrix, lifted to all k slots with two Kronecker products per move
+    n, total, params = ctx.n, len(params), list(params)
+    op = np.eye(n ** total, dtype=complex)
+    for m in moves:
+        ent = _loop_r(params[m] - params[m + 1], ctx)
+        rc = bv.permutation_matrix(n) @ np.transpose(
+            ent, (2, 3, 0, 1)).reshape(n * n, n * n)
+        lift = np.kron(np.kron(np.eye(n ** m), rc),
+                       np.eye(n ** (total - m - 2)))
+        op = lift @ op
+        params[m], params[m + 1] = params[m + 1], params[m]
+    return op
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_braid_matrix_matches_kron_slots(n, rng):
+    # measured at most 3e-16 relative to the largest entry
+    ctx = default_context(n)
+    for k in range(2, n + 1):
+        params = [rand_complex(rng) for _ in range(k)]
+        for moves in (bv.fusion_moves(k), [k - 2, 0, k - 2]):
+            got = bv.braid_matrix(params, moves, ctx)
+            want = _kron_braid(params, moves, ctx)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (k, moves)
+        # the same moves applied to columns
+        cols = rng.normal(size=(n ** k, 3)) + 1j * rng.normal(size=(n ** k, 3))
+        on_cols = bv._braid_on(params, moves, cols.copy(), ctx)
+        assert np.max(np.abs(on_cols - want @ cols)) \
+            <= 1e-13 * scale * np.max(np.abs(cols)) * n ** k
+        # control: the parameters in reverse order give another operator
+        back = _kron_braid(params[::-1], moves, ctx)
+        assert np.max(np.abs(got - back)) > 1e-3 * scale
+    plain = bv.braid_matrix(params[:2], [0], ctx.replace())
+    assert np.max(np.abs(plain - _kron_braid(params[:2], [0], ctx))) \
+        <= 1e-13 * np.max(np.abs(plain))
+
+
+# In-test copies of the intertwining relations as they were written before
+# the einsum contractions: one generator sum per output entry.
+
+def _loop_vertex_face(u, v, lam, ctx):
+    from etlax.theta import residual_pair, worst_of
+    n = ctx.n
+    rt = _loop_r(u - v, ctx)
+    keep, cross = bv._two_step_weights(lam, u - v, ctx)
+    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    phi_u, phi_v = bv.intertwiners(u, lam, ctx).phi, bv.intertwiners(v, lam, ctx).phi
+    phi_u_up = [bv.intertwiners(u, mu, ctx).phi for mu in ups]
+    phi_v_up = [bv.intertwiners(v, mu, ctx).phi for mu in ups]
+    found = []
+    for a in range(n):
+        for b in range(n):
+            middles = ([(a, a, keep[a, a])] if a == b else
+                       [(a, b, keep[a, b]), (b, a, cross[a, b])])
+            for ip in range(n):
+                for jp in range(n):
+                    lhs = sum(rt[i, j, ip, jp] * phi_u[i, a] * phi_v_up[a][j, b]
+                              for i in range(n) for j in range(n))
+                    rhs = sum(phi_v[jp, ap] * phi_u_up[ap][ip, bp] * w
+                              for ap, bp, w in middles)
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
+
+
+def _loop_dual(u, v, lam, ctx):
+    from etlax.theta import residual_pair, worst_of
+    n = ctx.n
+    rt = _loop_r(u - v, ctx)
+    keep, cross = bv._two_step_weights(lam, u - v, ctx)
+    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    pb_u = bv.intertwiners(u, lam, ctx).phibar
+    pb_v = bv.intertwiners(v, lam, ctx).phibar
+    pb_u_up = [bv.intertwiners(u, mu, ctx).phibar for mu in ups]
+    pb_v_up = [bv.intertwiners(v, mu, ctx).phibar for mu in ups]
+    found = []
+    for a in range(n):
+        for b in range(n):
+            middles = ([(a, a, keep[a, a])] if a == b else
+                       [(a, b, keep[a, b]), (b, a, cross[b, a])])
+            for i in range(n):
+                for j in range(n):
+                    lhs = sum(pb_v[a, jp] * pb_u_up[a][b, ip] * rt[i, j, ip, jp]
+                              for ip in range(n) for jp in range(n))
+                    rhs = sum(w * pb_u[ap, i] * pb_v_up[ap][bp, j]
+                              for ap, bp, w in middles)
+                    found.append(residual_pair(lhs, rhs))
+    return worst_of(found)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwining_relations_match_loop_forms(n, rng, monkeypatch):
+    ctx = default_context(n)
+    lam = wt.sample_generic(63, ctx)
+    u, v = rand_complex(rng), rand_complex(rng)
+    pairs = ((bv.verify_vertex_face_intertwining, _loop_vertex_face),
+             (bv.verify_dual_intertwining, _loop_dual))
+    for fast, loop in pairs:
+        assert fast(u, v, lam, ctx).rel < 1e-11
+        assert loop(u, v, lam, ctx).rel < 1e-11
+    # control: keep and cross exchanged off the diagonal (a == b has the
+    # one middle keep[a, a]) break both relations, and both forms report
+    # the same worst residual
+    weights = bv._two_step_weights
+    def swapped(*args):
+        keep, cross = weights(*args)
+        diag = np.diag(np.diag(keep))
+        return cross + diag, keep - diag
+    monkeypatch.setattr(bv, "_two_step_weights", swapped)
+    for fast, loop in pairs:
+        got, want = fast(u, v, lam, ctx), loop(u, v, lam, ctx)
+        assert want.rel > 1e-2
+        assert abs(got.rel - want.rel) <= 1e-12 * want.rel
+
+
+def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
+    ctx = default_context(3)
+    calls = []
+    table = bv.theta_char_table
+    monkeypatch.setattr(bv, "theta_char_table",
+                        lambda rows, us, c: calls.append(len(us))
+                        or table(rows, us, c))
+    us = [rand_complex(rng) for _ in range(10)]
+    checks = [
+        lambda: bv.r_table(us, ctx),
+        lambda: bv.build_r(us[0], ctx),
+        lambda: bv.verify_r_symmetry(us, ctx),
+        lambda: bv.verify_r_quasiperiodicity(us, ctx),
+        lambda: bv.verify_r_holomorphy(ctx),
+        lambda: bv.verify_ybe(us[:4], us[4:8], us[6:], ctx),
+        lambda: bv.braid_matrix(us[:3], bv.fusion_moves(3), ctx),
+        lambda: bv.verify_vertex_face_intertwining(
+            us[0], us[1], wt.sample_generic(64, ctx), ctx),
+    ]
+    for check in checks:
+        calls.clear()
+        check()
+        assert len(calls) == 1
+    assert calls == [1 * 2 + 2]        # u - v and u - v + hbar, hbar, 0
+    assert not [key for key in ctx._cache if key[0] == "tc"]
+
+
+def test_nan_residual_fails_its_case(monkeypatch):
+    from etlax.suites import run_suite
+    ctx = default_context(2)
+    # a NaN through the vectorized reduction: one R of the vertex-ybe batch
+    table = bv.rcheck_table
+    def poisoned(deltas, c):
+        out = table(deltas, c)
+        if len(deltas) == 75:
+            out[7] = np.nan
+        return out
+    monkeypatch.setattr(bv, "rcheck_table", poisoned)
+    rep = run_suite("ybe", ctx, 0)
+    case = {c.name: c for c in rep.cases}["vertex-ybe"]
+    assert math.isnan(case.rel) and not case.ok and not rep.passed
+    # and through worst_of: one of the 25 face-ybe draws
+    monkeypatch.undo()
+    face = bv.verify_face_ybe
+    count = []
+    def one_nan(*args):
+        count.append(1)
+        res = face(*args)
+        return type(res)(float("nan"), res.abs) if len(count) == 3 else res
+    monkeypatch.setattr(bv, "verify_face_ybe", one_nan)
+    rep = run_suite("face-ybe", ctx, 0)
+    case = {c.name: c for c in rep.cases}["face-ybe"]
+    assert math.isnan(case.rel) and not case.ok and not rep.passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_vertex_suites_pass_across_seeds(n):
+    from etlax.suites import run_suite
+    failed = [(name, seed)
+              for name in ("ybe", "face-ybe", "intertwiner")
+              for seed in range(8)
+              if not run_suite(name, default_context(n), seed).passed]
+    assert failed == []

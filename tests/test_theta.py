@@ -1,6 +1,7 @@
 """Theta evaluators against brute-force references and their identities."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ def test_theta_level_table_matches_scalar(rng):
                     assert abs(table[a, k] - want) <= 1e-15 * abs(want)
 
 
+def test_theta_char_table_matches_theta_char_bit_for_bit(rng):
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        us = [rand_complex(rng) for _ in range(70)] + [0.0, ctx.hbar, ctx.tau]
+        rows = list(range(n)) + [n + 1, -1]        # characteristics mod n
+        table = th.theta_char_table(rows, us, ctx)
+        assert table.shape == (len(rows), len(us))
+        want = [[th.theta_char(j, u, ctx.replace()) for u in us] for j in rows]
+        assert table.tolist() == want
+        assert not [key for key in ctx._cache if key[0] == "tc"]
+
+
 def test_theta_ml_mpmath_oracle(rng):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -343,7 +356,25 @@ def test_worst_of_keeps_first_maximum():
     assert th.worst_of([R(0.0, 3.0), R(0.0, 5.0)]) == R(0.0, 0.0)
     assert th.worst_of(iter([R(1e-9, 1.0), R(2e-9, 4.0), R(2e-9, 5.0),
                              R(1e-9, 6.0)])) == R(2e-9, 4.0)
-    assert th.worst_of([R(float("nan"), 1.0), R(1e-9, 2.0)]) == R(1e-9, 2.0)
+    # a NaN rel wins, the first one on repeats, so its check fails
+    nan = float("nan")
+    for items in ([R(nan, 1.0), R(1e-9, 2.0)], [R(1e-9, 2.0), R(nan, 1.0)],
+                  [R(0.0, 0.0), R(nan, 1.0), R(nan, 3.0), R(5.0, 4.0)]):
+        got = th.worst_of(items)
+        assert math.isnan(got.rel) and got.abs == 1.0
+
+
+def test_worst_of_arrays_follows_worst_of(rng):
+    R = th.Residual
+    nan = float("nan")
+    cases = [[], [0.0, 0.0], [1e-9, 2e-9, 2e-9, 1e-9], [nan, 1e-9],
+             [1e-9, nan, 3.0, nan], list(rng.uniform(0, 1, 30))]
+    for rels in cases:
+        abss = [float(k + 1) for k in range(len(rels))]
+        want = th.worst_of(R(r, a) for r, a in zip(rels, abss))
+        got = th.worst_of_arrays(np.reshape(rels, (-1, 1)), abss)
+        assert (got == want or (math.isnan(got.rel) and math.isnan(want.rel)
+                                and got.abs == want.abs)), rels
 
 
 def test_theta_table_matches_theta_bit_for_bit(rng):

@@ -9,6 +9,7 @@ import pytest
 from etlax import thetaspace as ts
 from etlax import transfer as tr
 from etlax import weights as wt
+from etlax.context import default_context
 
 U0 = 0.213 + 0.057j
 
@@ -158,3 +159,43 @@ def test_gamma_index_involution():
             assert ts.gamma_index(ts.gamma_index(j, n), n) == j
     assert ts.gamma_index(1, 2) == 1    # labels coincide at n = 2
     assert ts.gamma_index(1, 3) == 2
+
+
+def test_apply_matrix_matches_entry_batches(ctx3):
+    from etlax.opalg import apply_batch, apply_matrix
+    lop = tr.l_op(1.0, U0, ctx3)
+    lams = wt.sample_many(17, 5, ctx3)
+    fn = ts.character_basis(1, ctx3).function(1, ctx3)
+    got = apply_matrix(lop, fn, lams, ctx3)
+    assert got.shape == (5, 3, 3)
+    for i in range(3):
+        for j in range(3):
+            want = apply_batch(lop.entry(i, j), fn, lams, ctx3)
+            assert np.array_equal(got[:, i, j], want)
+
+
+def test_fit_matrix_action_matches_entry_fits(ctx2):
+    lop = tr.l_op(2.0, U0, ctx2)
+    seeds = [31, 32, 33, 34]
+    coeffs, res = ts.fit_matrix_action(2, lop, ctx2, seeds)
+    found = []
+    for i in range(2):
+        for j in range(2):
+            want, one = ts.fit_action(2, U0, lop.entry(i, j), ctx2,
+                                      seed=seeds[2 * i + j])
+            assert np.array_equal(coeffs[i, j], want)
+            found.append(one)
+    assert res == max(found, key=lambda r: r.rel) and res.rel < 1e-7
+
+
+def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
+    from etlax.suites import run_suite
+    calls = []
+    table = tr.l_coeff_tensor
+    monkeypatch.setattr(tr, "l_coeff_tensor",
+                        lambda *args: calls.append(1) or table(*args))
+    # 60 (n = 2) and 108 (n = 3) batches when every entry read the table
+    for n, want in ((2, 10), (3, 9)):
+        calls.clear()
+        assert run_suite("theta-space", default_context(n), 42).passed
+        assert len(calls) == want
