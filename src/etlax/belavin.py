@@ -155,11 +155,6 @@ def rcheck_table(deltas, ctx: ModularContext) -> np.ndarray:
     return ent.transpose(0, 4, 3, 1, 2).reshape(len(ent), n * n, n * n)
 
 
-def rcheck_matrix(delta: complex, ctx: ModularContext) -> np.ndarray:
-    """Rcheck(delta) = P R(delta) as an n^2 x n^2 matrix."""
-    return rcheck_table([delta], ctx)[0]
-
-
 def _apply_moves(op: np.ndarray, rchecks, moves, n: int) -> np.ndarray:
     """rchecks[r] applied to the slots (moves[r], moves[r] + 1) of the
     columns of op, in order; op is [..., n^k, cols] and rchecks[r]
@@ -433,9 +428,10 @@ _COND_LIMIT = 1e8
 
 
 def _build_intertwiners(us, mus, ctx: ModularContext,
-                        cond_limit: float = _COND_LIMIT) -> list:
-    """IntertwinerPairs of the pairs (us[p], mus[p]): one theta table, one
-    stacked condition number and one stacked solve for all of them."""
+                        cond_limit: float = _COND_LIMIT):
+    """phi, phibar and cond of the pairs (us[p], mus[p]), stacked as (P, n, n)
+    and (P,): one theta table, one stacked condition number and one stacked
+    solve for all of them."""
     n, count = ctx.n, len(us)
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
     args = [u / n - mu.pair_eps(k) for u, mu in zip(us, mus) for k in range(n)]
@@ -449,32 +445,21 @@ def _build_intertwiners(us, mus, ctx: ModularContext,
         raise SingularParameterError(
             f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
             f"at u={us[p]}")
-    phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
-    return [IntertwinerPair(phi[p], phibar[p], us[p], mus[p], float(cond[p]))
-            for p in range(count)]
+    return phi, np.linalg.solve(phi, np.eye(n, dtype=complex)), cond
 
 
 def intertwiner_arrays(us, mus, ctx: ModularContext):
-    """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n).
-
-    The pairs not cached yet are built in one batch, under the same guard
-    on the raw 2-norm condition number as intertwiners.
-    """
-    pairs = ctx.cached_many(
-        [("itw", complex(u), mu.coords) for u, mu in zip(us, mus)],
-        lambda todo: _build_intertwiners([us[p] for p in todo],
-                                         [mus[p] for p in todo], ctx))
-    return (np.stack([pair.phi for pair in pairs]),
-            np.stack([pair.phibar for pair in pairs]))
+    """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n),
+    built in one batch under the guard on the raw 2-norm condition number."""
+    return _build_intertwiners(list(us), list(mus), ctx)[:2]
 
 
 def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
                  cond_limit: float = _COND_LIMIT) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar, solved numerically (a batch of one)."""
-    return ctx.cached(("itw", complex(u), mu.coords),
-                      lambda: _build_intertwiners([u], [mu], ctx,
-                                                  cond_limit)[0])
+    phi, phibar, cond = _build_intertwiners([u], [mu], ctx, cond_limit)
+    return IntertwinerPair(phi[0], phibar[0], u, mu, float(cond[0]))
 
 
 def verify_intertwiner_duality(u: complex, mu: WeightPoint,

@@ -81,25 +81,19 @@ class ModularContext:
         return cmath.exp(2j * cmath.pi * self.hbar)
 
     def cached(self, key, builder):
-        """Memoize pure evaluations keyed by exact argument values."""
+        """Memoize pure evaluations keyed by exact argument values.
+
+        The key families are eta (Dedekind eta), chilat (the lattice
+        points of the affine characters), dj (the jets of Delta) and dr (the
+        d^J Delta / Delta jets); theta values and intertwiners are read
+        from tables, not memoized.
+        """
         try:
             return self._cache[key]
         except KeyError:
             value = builder()
             self._cache[key] = value
             return value
-
-    def cached_many(self, keys, build):
-        """Memoize a batch: build(positions) returns, in one call, the values
-        of the keys at those positions of keys (the first position of each
-        key not cached yet); returns the values of all keys in order.  Every
-        key is then looked up through cached, one lookup per key."""
-        todo = {}
-        for pos, key in enumerate(keys):
-            if key not in self._cache and key not in todo:
-                todo[key] = pos
-        built = dict(zip(todo, build(list(todo.values())))) if todo else {}
-        return [self.cached(key, lambda key=key: built[key]) for key in keys]
 
     def replace(self, **kw) -> "ModularContext":
         """A copy of this context with some fields replaced (fresh cache)."""

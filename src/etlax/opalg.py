@@ -426,14 +426,13 @@ class Jet:
         return out
 
 
-def jet_of_affine(derivs, const: complex, grad, lam: WeightPoint, order: int) -> Jet:
-    """Jet at lam of f(const + sum_i grad_i lambda_i); derivs(m) = f^(m)(x0)."""
-    n = lam.n
-    x0 = const + sum(g * c for g, c in zip(grad, lam.coords))
+def jet_of_affine(derivs, grad) -> Jet:
+    """Jet of f(x0 + sum_i grad_i (lambda_i - lam_i)) at lam, to the order
+    len(derivs) - 1, from the derivatives derivs[m] = f^(m)(x0)."""
+    n, order = len(grad), len(derivs) - 1
     out = Jet(n, order)
     for m in monomials(n, order):
-        tot = sum(m)
-        coef = derivs(tot) / _mfact(m)
+        coef = derivs[sum(m)] / _mfact(m)
         for i, mi in enumerate(m):
             coef *= grad[i] ** mi
         if coef != 0.0:

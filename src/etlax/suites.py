@@ -20,7 +20,7 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext
-from .opalg import (apply_op, commutator_residual, identity_op, normal_det,
+from .opalg import (apply_matrix, commutator_residual, identity_op, normal_det,
                     op_add, op_scale, operator_residual,
                     pdo_commutator_residual)
 from .report import Case, SuiteReport
@@ -56,6 +56,11 @@ def _sumzero_vec(rng, n: int):
     return v - v.mean()
 
 
+def _worst_deviation(devs) -> Residual:
+    """worst_of over the deviations devs, each its own rel and abs."""
+    return th.worst_of(Residual(d, d) for d in devs)
+
+
 def _exp_fn(vec):
     def fn(lam: WeightPoint) -> complex:
         return cmath.exp(2j * cmath.pi
@@ -69,19 +74,21 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
     cases = []
     us = [_rc(rng) for _ in range(20)]
     fac = lambda u: -cmath.exp(-2j * cmath.pi * (u + ctx.tau / 2.0))
+    at_u, at_u1, at_utau, at_neg = th.theta_table(
+        [us, [u + 1 for u in us], [u + ctx.tau for u in us], [-u for u in us]],
+        ctx).tolist()
     cases.append(_case("quasi-periodicity-1", th.worst_of(
-        th.residual_pair(th.theta(u + 1, ctx), -th.theta(u, ctx))
-        for u in us), tol))
+        th.residual_pair(t1, -t0) for t0, t1 in zip(at_u, at_u1)), tol))
     cases.append(_case("quasi-periodicity-tau", th.worst_of(
-        th.residual_pair(th.theta(u + ctx.tau, ctx), fac(u) * th.theta(u, ctx))
-        for u in us), tol))
+        th.residual_pair(tt, fac(u) * t0)
+        for u, t0, tt in zip(us, at_u, at_utau)), tol))
     cases.append(_case("oddness", th.worst_of(
-        th.residual_pair(th.theta(-u, ctx), -th.theta(u, ctx)) for u in us),
-        tol))
+        th.residual_pair(tn, -t0) for t0, tn in zip(at_u, at_neg)), tol))
 
+    us = [_rc(rng) for _ in range(10)]
     cases.append(_case("triple-product", th.worst_of(
-        th.residual_pair(th.theta(u, ctx), th.jacobi_theta_triple_product(u, ctx))
-        for u in [_rc(rng) for _ in range(10)]), 1e-12))
+        th.residual_pair(t0, th.jacobi_theta_triple_product(u, ctx))
+        for u, t0 in zip(us, th.theta_table(us, ctx).tolist())), 1e-12))
 
     # brute-force reference summation at trunc+10
     found = []
@@ -107,13 +114,17 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
         th.theta_ml(0.3, 1, u, ctx.tau, trunc=ctx.trunc).value)
     cases.append(_case("characteristic-shift", shift_res, 1e-12))
 
+    rows = range(ctx.n)
+    zeros = np.diag(th.theta_char_table(rows, [j * ctx.tau for j in rows], ctx))
+    chars = th.theta_char_table([*rows, *(j + ctx.n for j in rows)], [u],
+                                ctx)[:, 0].tolist()
+    levels = th.theta_level_table(rows, [u], ctx)[:, 0].tolist()
     found = []
-    for j in range(ctx.n):
-        z = abs(th.theta_char(j, j * ctx.tau, ctx))
+    for j in rows:
+        z = abs(complex(zeros[j]))
         found += [Residual(z, z),
-                  th.residual_pair(th.theta_char(j + ctx.n, u, ctx),
-                                   th.theta_char(j, u, ctx)),
-                  th.residual_pair(th.theta_level_n(j, u, ctx),
+                  th.residual_pair(chars[ctx.n + j], chars[j]),
+                  th.residual_pair(levels[j],
                                    th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
                                                ctx.tau, trunc=ctx.trunc).value)]
     cases.append(_case("character-thetas", th.worst_of(found), tol))
@@ -122,15 +133,13 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
     cases.append(_case("eta-log-sum", th.residual_pair(
         eta.value, th.dedekind_eta_logsum(ctx.tau, ctx)), 1e-13))
 
-    found = []
-    for _ in range(10):
-        u = _rc(rng)
-        d_series = th.theta(u, ctx, 1)
-        h = 1e-5
-        d_fd = (th.theta(u + h, ctx) - th.theta(u - h, ctx)) / (2 * h)
-        err = abs(d_series - d_fd)
-        found.append(Residual(err, err))
-    cases.append(_case("derivative-vs-fd", th.worst_of(found), 1e-7))
+    us = [_rc(rng) for _ in range(10)]
+    h = 1e-5
+    plus, minus = th.theta_table([[u + h for u in us], [u - h for u in us]],
+                                 ctx).tolist()
+    cases.append(_case("derivative-vs-fd", _worst_deviation(
+        abs(d_series - (tp - tm) / (2 * h)) for d_series, tp, tm
+        in zip(th.theta_table(us, ctx, 1).tolist(), plus, minus)), 1e-7))
 
     u = _rc(rng, 0.3) + 0.05
     wp = th.weierstrass_p
@@ -199,13 +208,9 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
         # det phi against the closed determinant formula
         pair = bv.intertwiners(u, lam, ctx)
         n = ctx.n
-        ieta = 1j * th.dedekind_eta(ctx.tau, ctx).value
         got = complex(np.linalg.det(pair.phi))
-        us = [u / n - lam.pair_eps(k) for k in range(n)]
-        want = th.vandermonde_sign(n) * th.theta(sum(us), ctx) / ieta
-        for a in range(n):
-            for b in range(a + 1, n):
-                want *= th.theta(us[b] - us[a], ctx) / ieta
+        want = th.vandermonde_product(
+            [u / n - lam.pair_eps(k) for k in range(n)], ctx)
         # rows 0..n-1 are a cyclic shift of rows 1..n
         want *= (-1) ** (n - 1)
         dets.append(th.residual_pair(got, want))
@@ -256,13 +261,11 @@ def suite_rll(ctx: ModularContext, rng, tol: float):
     cases.append(_case("rll-equal-points", tr.verify_rll(c, u, u, ctx, lams[:2],
                                                          fns[:2]), tol))
     lop0 = tr.l_op(0.0, u, ctx)
-    one = lambda lam: 1.0 + 0.0j
-    worst = 0.0
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            val = apply_op(lop0.entry(i, j), one, lams[0], ctx)
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    cases.append(_case("c0-identity", Residual(worst, worst), tol))
+    vals = apply_matrix(lop0, lambda lam: 1.0 + 0.0j, lams[:1], ctx)[0]
+    cases.append(_case("c0-identity", _worst_deviation(
+        abs(val - (1.0 if i == j else 0.0))
+        for i, row in enumerate(vals.tolist()) for j, val in enumerate(row)),
+        tol))
     if ctx.n >= 3:
         cases.append(_case("fused-rll-k2",
                            tr.verify_fused_rll(c, u, v, 2, 2, ctx, lams[:2],
@@ -301,7 +304,8 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
                        commutator_residual(m1, m1, samples, ctx), tol))
     full = tr.m_closed(c, u, ctx.n, ctx)
     ident = identity_op(ctx.n)
-    pref = th.theta(u + c * ctx.hbar, ctx) / th.theta(u, ctx)
+    num, den = th.theta_table([u + c * ctx.hbar, u], ctx).tolist()
+    pref = num / den
     cases.append(_case("full-set-is-scalar",
                        operator_residual(full, op_scale(ident, pref), samples,
                                          ctx), tol))
@@ -325,12 +329,13 @@ def suite_qfay(ctx: ModularContext, rng, tol: float):
     lams = [_rc(rng) for _ in range(d)]
     mus = [_rc(rng) for _ in range(d)]
     lhs = th.qfay_lhs(d, u, lams, mus, sctx)
-    fay_scaled = th.theta(u + sum(m - l for m, l in zip(mus, lams)), ctx) \
-        * th.theta(u, ctx) ** (d - 1)
-    for s in range(d):
-        for sp in range(s + 1, d):
-            fay_scaled *= th.theta(lams[sp] - lams[s], ctx)
-            fay_scaled *= th.theta(mus[s] - mus[sp], ctx)
+    values = th.theta_table(
+        [u + sum(m - l for m, l in zip(mus, lams)), u]
+        + [a for s in range(d) for sp in range(s + 1, d)
+           for a in (lams[sp] - lams[s], mus[s] - mus[sp])], ctx).tolist()
+    fay_scaled = values[0] * values[1] ** (d - 1)
+    for factor in values[2:]:
+        fay_scaled *= factor
     cases.append(_case("qfay-hbar0-degeneration",
                        th.residual_pair(lhs, fay_scaled), 1e-4))
     return cases
@@ -429,14 +434,10 @@ def suite_krichever(ctx: ModularContext, rng, tol: float):
     cases.append(_case("lax-conjugation-route",
                        tr.verify_ltilde_conjugation(c, u, ctx, samples), 1e-9))
     kmat = tr.krichever_k(0.0, u, ctx)
-    worst = 0.0
-    lam = samples[0]
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            for alpha, val in _coeffs_at(kmat[i][j], lam).items():
-                want = 1.0 if (i == j and sum(alpha) == 1) else 0.0
-                worst = max(worst, abs(val - want))
-    cases.append(_case("c0-pure-derivative", Residual(worst, worst), tol))
+    cases.append(_case("c0-pure-derivative", _worst_deviation(
+        abs(val - (1.0 if (i == j and sum(alpha) == 1) else 0.0))
+        for i in range(ctx.n) for j in range(ctx.n)
+        for alpha, val in _coeffs_at(kmat[i][j], samples[0]).items()), tol))
     return cases
 
 
@@ -482,40 +483,36 @@ def suite_debiard(ctx: ModularContext, rng, tol: float):
     # Delta vanish identically by oddness, so residuals are scaled by the
     # magnitude of the individual terms rather than by the (zero) sum
     lam = samples[0]
-    worst = 0.0
     d1 = _coeffs_at(d_ops[0], lam)
-    got = d1[(0,) * n]
-    terms = [th.theta(lam.diff(i, k), ctx, 1) / th.theta(lam.diff(i, k), ctx)
-             for i in range(n) for k in range(n) if k != i]
+    xs = [lam.diff(i, k) for i in range(n) for k in range(n) if k != i]
+    terms = [t1 / t0 for t1, t0 in zip(th.theta_table(xs, ctx, 1).tolist(),
+                                       th.theta_table(xs, ctx).tolist())]
     scale = sum(abs(t) for t in terms) + 1e-300
-    worst = max(worst, abs(got - sum(terms)) / scale)
+    devs = [abs(d1[(0,) * n] - sum(terms)) / scale]
     for i in range(n):
         ei = tuple(1 if a == i else 0 for a in range(n))
-        worst = max(worst, abs(d1[ei] - (-n / c)) / abs(n / c))
-    cases.append(_case("first-operator-form", Residual(worst, worst), tol))
+        devs.append(abs(d1[ei] - (-n / c)) / abs(n / c))
+    cases.append(_case("first-operator-form", _worst_deviation(devs), tol))
     if n >= 2:
         d2 = _coeffs_at(d_ops[1], lam)
         jd = tr.delta_jet(lam, 2, ctx)
-        worst = 0.0
+        devs = []
         for i in range(n):
             for j in range(i + 1, n):
                 eij = tuple(1 if a in (i, j) else 0 for a in range(n))
-                got = d2[eij]
-                worst = max(worst, abs(got - (n / c) ** 2) / abs(n / c) ** 2)
+                devs.append(abs(d2[eij] - (n / c) ** 2) / abs(n / c) ** 2)
                 alpha = tuple(1 if a == i else 0 for a in range(n))
-                gotl = d2[alpha]
                 # sum over pairs {i, j'} containing i of d_j' Delta/Delta (-n/c)
                 lterms = [jd.dshift(jp).value / jd.value * (-n / c)
                           for jp in range(n) if jp != i]
                 lscale = sum(abs(t) for t in lterms) + 1e-300
-                worst = max(worst, abs(gotl - sum(lterms)) / lscale)
-        got0 = d2[(0,) * n]
+                devs.append(abs(d2[alpha] - sum(lterms)) / lscale)
         zterms = [(jd.dmulti(tuple(1 if a in (i, j) else 0 for a in range(n)))
                    / jd).value
                   for i in range(n) for j in range(i + 1, n)]
         zscale = sum(abs(t) for t in zterms) + 1e-300
-        worst = max(worst, abs(got0 - sum(zterms)) / zscale)
-        cases.append(_case("second-operator-form", Residual(worst, worst), tol))
+        devs.append(abs(d2[(0,) * n] - sum(zterms)) / zscale)
+        cases.append(_case("second-operator-form", _worst_deviation(devs), tol))
     cases.append(_case("pairwise-commutators", th.worst_of(
         pdo_commutator_residual(d_ops[a], d_ops[b], samples, ctx)
         for a in range(n) for b in range(a + 1, n)), tol))

@@ -5,30 +5,28 @@ The whole package is built on the level-(m,l) series
     theta_{m,l}(u, tau) = sum_{mu in m + l Z} exp 2 pi i (mu u + mu^2 tau / (2l)),
 
 truncated to |mu - m| <= l * trunc; theta_ml also returns an estimate of the
-discarded tail.  Three named specializations appear throughout, each
-memoized in the context as a plain value, without a tail estimate:
+discarded tail.  Three named specializations appear throughout:
 
     theta(u)        = theta_{1/2,1}(u + 1/2, tau)        (odd Jacobi theta)
     theta_char_j(u) = theta_{1/2-j/n,1}(u + 1/2, n tau)  (R-matrix characters)
     theta_level_j(u)= theta_{n/2-j,n}(u + 1/2, tau)      (intertwiner entries)
 
-Derivatives are always taken term-wise on the series; finite differences are
-used only as independent cross-checks in the test suites.
+Each is evaluated as a table over a batch of points (theta_table,
+theta_char_table, theta_level_table); theta, theta_char and theta_level_n
+are the table of one point.  Derivatives are always taken term-wise on the
+series; finite differences are used only as independent cross-checks in
+the test suites.
 
 The u-independent part of a series is computed once per (characteristics,
 level, tau, trunc, derivative order) and shared: 2 pi i mu, the exponent
-2 pi i mu^2 tau/(2l) and the factor (2 pi i mu)^d.  A value is then one
-exp over the terms and one sum.  The exponent is kept inside the exp, not
-split off as a Gaussian factor, because exp(2 pi i mu u) alone overflows
-where that factor underflows (|Im u| of a few periods), and inf * 0 is nan.
-theta_level_table evaluates a whole table theta_level_j(u_k) the same way,
-with one exp over a (rows, points, terms) array per chunk of points;
-theta_table (the odd theta) and theta_char_table (the R-matrix characters)
-go through the same chunk loop, bit for bit the values of theta and
-theta_char, without per-value cache entries.  The face weights, the
-R-matrices, the deformed and Cauchy-type determinant identities, the
-closed-form M_d coefficients and the sampling guard read all their theta
-values from one such table per move, sample or batch.
+2 pi i mu^2 tau/(2l) and the factor (2 pi i mu)^d.  A table is then one exp
+over a (rows, points, terms) array per chunk of points and one sum.  The
+exponent is kept inside the exp, not split off as a Gaussian factor,
+because exp(2 pi i mu u) alone overflows where that factor underflows
+(|Im u| of a few periods), and inf * 0 is nan.  The face weights, the
+R-matrices, the intertwiners, the determinant identities, the closed-form
+M_d coefficients and the sampling guard read all their theta values from
+one such table per move, sample or batch.
 
 A check reduces its residuals with worst_of (or worst_of_arrays for a
 vectorized check): the largest rel, the first on ties, and a NaN rel wins,
@@ -48,7 +46,7 @@ from .context import ContextError, ModularContext, SingularParameterError
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
-_TABLE_CHUNK = 64      # points per theta_level_table work array
+_TABLE_CHUNK = 64      # points per theta table work array
 
 
 @dataclass(frozen=True)
@@ -139,29 +137,20 @@ def _series(ms: tuple, l: int, tau: complex, trunc: int, deriv_order: int):
     return tpm, phase, dfac
 
 
-def _theta_value(m: float, l: int, u: complex, tau: complex, trunc: int,
-                 deriv_order: int) -> complex:
-    """The truncated series value alone: one exp over the terms and one sum."""
-    tpm, phase, dfac = _series((m,), l, tau, trunc, deriv_order)
-    terms = np.exp(tpm[0] * u + phase[0])
-    if dfac is not None:
-        terms = terms * dfac[0]
-    return complex(terms.sum())
-
-
 def theta_ml(m: float, l: int, u: complex, tau: complex, *,
              trunc: int = 24, deriv_order: int = 0) -> ThetaValue:
     """Truncated theta series with characteristic m at level l, and its tail.
 
     Sums mu = m + l*k over k in [-trunc, trunc]; deriv_order differentiates
     each term in u.  Raises ContextError off the upper half-plane.  The
-    cached evaluators below keep the value only; the tail bound is computed
-    here, where it is read.
+    value is the _table of one point; the tail bound is computed here, the
+    only place that reads it.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
-    value = _theta_value(m, l, u, tau, trunc, deriv_order)
+    value = complex(_table(_series((m,), l, tau, trunc, deriv_order),
+                           np.array([u], dtype=complex))[0, 0])
     tau2l = tau / (2.0 * l)
     tail = 0.0
     for sgn in (1, -1):
@@ -174,42 +163,11 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     return ThetaValue(value, tail)
 
 
-def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
-    """The odd Jacobi theta theta(u) = theta_{1/2,1}(u + 1/2) and u-derivatives."""
-    if deriv_order < 0 or deriv_order > 8:
-        raise ContextError(f"deriv_order must be in 0..8, got {deriv_order}")
-    return ctx.cached(
-        ("jt", u, deriv_order),
-        lambda: _theta_value(0.5, 1, u + 0.5, complex(ctx.tau), ctx.trunc,
-                             deriv_order))
-
-
-def theta_char(j: int, u: complex, ctx: ModularContext,
-               deriv_order: int = 0) -> complex:
-    """Level-one character theta theta^(j), characteristic j mod n, modulus n*tau.
-
-    Zeros sit on Z + (j + nZ) tau.
-    """
-    j = j % ctx.n
-    return ctx.cached(
-        ("tc", j, u, deriv_order),
-        lambda: _theta_value(0.5 - j / ctx.n, 1, u + 0.5,
-                             complex(ctx.n * ctx.tau), ctx.trunc,
-                             deriv_order))
-
-
-def theta_level_n(j: int, u: complex, ctx: ModularContext) -> complex:
-    """Level-n theta theta_j entering the intertwining vectors, j mod n."""
-    j = j % ctx.n
-    return ctx.cached(
-        ("tl", j, u),
-        lambda: _theta_value(ctx.n / 2.0 - j, ctx.n, u + 0.5,
-                             complex(ctx.tau), ctx.trunc, 0))
-
-
-def _table(tpm, phase, args) -> np.ndarray:
-    """[sum_terms exp(tpm[r] args[k] + phase[r])]_{r, k}: the series values
-    of every row of _series constants at the points args."""
+def _table(series, args) -> np.ndarray:
+    """[sum_terms exp(tpm[r] args[k] + phase[r]) dfac[r]]_{r, k}: the series
+    values of every row of the _series constants (tpm, phase, dfac) at the
+    points args."""
+    tpm, phase, dfac = series
     out = np.empty((len(tpm), len(args)), dtype=complex)
     # the (rows, points, terms) work array is built and exponentiated in
     # place, _TABLE_CHUNK points at a time: a batch of thousands of points
@@ -218,43 +176,56 @@ def _table(tpm, phase, args) -> np.ndarray:
         part = slice(start, start + _TABLE_CHUNK)
         terms = tpm[:, None, :] * args[None, part, None]
         terms += phase[:, None, :]
-        out[:, part] = np.exp(terms, out=terms).sum(axis=-1)
+        np.exp(terms, out=terms)
+        if dfac is not None:
+            terms *= dfac[:, None, :]
+        out[:, part] = terms.sum(axis=-1)
     return out
 
 
-def theta_table(us, ctx: ModularContext) -> np.ndarray:
-    """The odd theta theta(u) at every point of the array us, same shape.
-
-    Bit for bit the values of theta(u, ctx), from one exp per chunk of
-    points; no per-value cache entries.
+def theta_table(us, ctx: ModularContext, deriv_order: int = 0) -> np.ndarray:
+    """The odd Jacobi theta theta(u) = theta_{1/2,1}(u + 1/2), or its
+    deriv_order-th u-derivative, at every point of the array us, same shape.
     """
+    if deriv_order < 0 or deriv_order > 8:
+        raise ContextError(f"deriv_order must be in 0..8, got {deriv_order}")
     us = np.asarray(us, dtype=complex)
-    tpm, phase, _ = _series((0.5,), 1, complex(ctx.tau), ctx.trunc, 0)
-    return _table(tpm, phase, us.ravel() + 0.5)[0].reshape(us.shape)
+    series = _series((0.5,), 1, complex(ctx.tau), ctx.trunc, deriv_order)
+    return _table(series, us.ravel() + 0.5)[0].reshape(us.shape)
 
 
 def theta_char_table(rows, us, ctx: ModularContext) -> np.ndarray:
-    """The table [theta_char_j(u_k)]_{j in rows, k} of R-matrix characters.
-
-    Bit for bit the values of theta_char, from one exp per chunk of points;
-    no per-value cache entries.
-    """
+    """The table [theta_char_j(u_k)]_{j in rows, k} of R-matrix characters:
+    characteristic j mod n at modulus n*tau."""
     n = ctx.n
-    tpm, phase, _ = _series(tuple(0.5 - (j % n) / n for j in rows), 1,
-                            complex(n * ctx.tau), ctx.trunc, 0)
-    return _table(tpm, phase, np.asarray(us, dtype=complex) + 0.5)
+    series = _series(tuple(0.5 - (j % n) / n for j in rows), 1,
+                     complex(n * ctx.tau), ctx.trunc, 0)
+    return _table(series, np.asarray(us, dtype=complex) + 0.5)
 
 
 def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
-    """The table [theta_level_j(u_k)]_{j in rows, k} of theta_level_n values.
-
-    One exp over all rows and series terms of a chunk of points, and one
-    sum; no tail bounds and no per-value cache entries.
-    """
+    """The table [theta_level_j(u_k)]_{j in rows, k} of the level-n thetas
+    entering the intertwining vectors, j mod n."""
     n = ctx.n
-    tpm, phase, _ = _series(tuple(n / 2.0 - j % n for j in rows), n,
-                            complex(ctx.tau), ctx.trunc, 0)
-    return _table(tpm, phase, np.asarray(us, dtype=complex) + 0.5)
+    series = _series(tuple(n / 2.0 - j % n for j in rows), n,
+                     complex(ctx.tau), ctx.trunc, 0)
+    return _table(series, np.asarray(us, dtype=complex) + 0.5)
+
+
+def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
+    """theta_table at one point u."""
+    return complex(theta_table([u], ctx, deriv_order)[0])
+
+
+def theta_char(j: int, u: complex, ctx: ModularContext) -> complex:
+    """theta_char_table at one character j and point u; zeros sit on
+    Z + (j + nZ) tau."""
+    return complex(theta_char_table([j], [u], ctx)[0, 0])
+
+
+def theta_level_n(j: int, u: complex, ctx: ModularContext) -> complex:
+    """theta_level_table at one row j and point u."""
+    return complex(theta_level_table([j], [u], ctx)[0, 0])
 
 
 def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
@@ -342,11 +313,23 @@ def vandermonde_sign(n: int) -> int:
     return (-1) ** (n - 1) * (-1) ** (n * (n - 1) // 2)
 
 
+def vandermonde_product(us, ctx: ModularContext) -> complex:
+    """vandermonde_sign(n) * theta(sum u)/(i eta) * prod_{j<k} theta(u_k-u_j)/(i eta)
+    over the n = len(us) points, from one theta_table call."""
+    n = len(us)
+    ieta = 1j * dedekind_eta(ctx.tau, ctx).value
+    values = theta_table([sum(us)] + [us[k] - us[j] for j in range(n)
+                                      for k in range(j + 1, n)], ctx).tolist()
+    value = vandermonde_sign(n) * values[0] / ieta
+    for factor in values[1:]:
+        value *= factor / ieta
+    return value
+
+
 def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     """Determinant identity for the level-n thetas.
 
-    det[theta_j(u_k) / (i eta)]_{j,k=1..n} against
-    vandermonde_sign(n) * theta(sum u)/(i eta) * prod_{j<k} theta(u_k-u_j)/(i eta).
+    det[theta_j(u_k) / (i eta)]_{j,k=1..n} against vandermonde_product(us).
 
     Both sides below tol_identity times the Hadamard bound of the matrix
     (the product of its column norms) reports as degenerate residual 0.
@@ -357,10 +340,7 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
     mat = theta_level_table(range(1, n + 1), us, ctx) / ieta
     lhs = complex(np.linalg.det(mat))
-    rhs = vandermonde_sign(n) * theta(sum(us), ctx) / ieta
-    for j in range(n):
-        for k in range(j + 1, n):
-            rhs *= theta(us[k] - us[j], ctx) / ieta
+    rhs = vandermonde_product(us, ctx)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
     # rounding in a determinant that vanishes exactly
     floor = ctx.tol_identity * float(np.prod(np.linalg.norm(mat, axis=0)))

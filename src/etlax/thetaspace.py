@@ -19,7 +19,8 @@ import numpy as np
 from .context import ModularContext
 from .belavin import build_r, r_table
 from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, apply_matrix
-from .theta import Residual, residual_pair, theta, worst_of
+from .theta import (Residual, residual_pair, theta_table, worst_of,
+                    worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import WeightPoint, sample_many
 
@@ -237,7 +238,8 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     n = ctx.n
     lop = l_op(1.0, u, ctx)
     r4 = build_r(u, ctx).entries
-    pref = theta(ctx.hbar, ctx) / theta(u, ctx)
+    th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
+    pref = th_h / th_u
     lams = sample_many(seed, samples, ctx)
     lhs_all = [apply_matrix(lop, lambda mu, _a=a: chi(gamma_index(_a, n),
                                                       mu, ctx), lams, ctx)
@@ -260,17 +262,18 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     n = ctx.n
     m1 = m_closed(1.0, u, 1, ctx)
     r4 = build_r(u, ctx).entries
-    pref = theta(ctx.hbar, ctx) / theta(u, ctx)
+    th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
+    pref = th_h / th_u
     eig = pref * sum(r4[i, 0, i, 0] for i in range(n))
     eigs_by_j = [pref * sum(r4[i, j, i, j] for i in range(n)) for j in range(n)]
-    spread = max(abs(e - eig) for e in eigs_by_j) / (abs(eig) + _EPS)
+    spread = [abs(e - eig) / (abs(eig) + _EPS) for e in eigs_by_j]
     lams = sample_many(seed, samples, ctx)
     fns = [lambda mu, _j=j: chi(_j, mu, ctx) for j in range(n)]
     applied = [apply_batch(m1, fn, lams, ctx) for fn in fns]
     found = [residual_pair(complex(applied[j][s]), eig * fns[j](lam))
              for s, lam in enumerate(lams) for j in range(n)]
     return {"eigen": worst_of(found),
-            "shared": Residual(rel=spread, abs=spread)}
+            "shared": worst_of_arrays(spread, spread)}
 
 
 def _coproduct_action(i: int, ip: int, js: tuple, u: complex,
@@ -310,9 +313,11 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     """
     n = ctx.n
     lop = l_op(float(l), u, ctx)
+    values = theta_table([u + s * ctx.hbar for s in range(l)] + [ctx.hbar],
+                         ctx).tolist()
     norm = 1.0 + 0.0j
-    for s in range(l):
-        norm *= theta(u + s * ctx.hbar, ctx) / theta(ctx.hbar, ctx)
+    for value in values[:-1]:
+        norm *= value / values[-1]
     basis = character_basis(l, ctx)
     lams = sample_many(seed, samples, ctx)
     found = []

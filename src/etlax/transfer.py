@@ -26,7 +26,7 @@ the fused L-operator at k = 1 (l_op).  The coefficient of the ordered shift
 
 A_r = l_coeff_tensor(c, u - (r-1) hbar).  fused_l tabulates every A_r at
 the distinct partial-shift points of every sample in one batch (one build
-of the intertwiners not cached yet), gathers them per ordered shift tuple,
+of their intertwiners), gathers them per ordered shift tuple,
 contracts them with the generalized-Kronecker signs (opalg.signed_products)
 and adds the tuples onto their canonical keys with a fixed 0/1 matrix;
 m_trace is the trace of that array.  verify_fused_rll reads the same
@@ -48,7 +48,7 @@ import numpy as np
 from .context import ModularContext, SingularParameterError
 from .belavin import fused_rcheck_matrix, intertwiner_arrays
 from .opalg import (DifferenceOperator, DifferentialOperator, Jet,
-                    OperatorMatrix, apply_op, commutator_residual, compose,
+                    OperatorMatrix, apply_batch, commutator_residual, compose,
                     exp_test_function, identity_op, jet_of_affine, key_map,
                     op_add, op_scale, operator_residual, normal_det, pdo,
                     pdo_add, pdo_apply, pdo_compose, pdo_const_coeff,
@@ -66,7 +66,7 @@ def l_coeff_tensor(c: complex, us, lams, ctx: ModularContext) -> np.ndarray:
     """A[p,k,i,j] with L(c|us[p])^i_j = sum_k A[p,k,i,j] T_k at lams[p].
 
     The intertwiners at (us[p], lams[p]) and (us[p] + c hbar, lams[p]) are
-    read, or built, in one batch.
+    built in one batch.
     """
     us, lams = list(us), list(lams)
     count = len(us)
@@ -224,8 +224,8 @@ def m_closed(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceO
     """Closed form of M_d(c|u); d = 0 gives the identity."""
     if d == 0:
         return identity_op(ctx.n)
-    pref = theta(u + d * c * ctx.hbar / ctx.n, ctx) / theta(u, ctx)
-    return op_scale(m_dot(c, d, ctx), pref)
+    num, den = theta_table([u + d * c * ctx.hbar / ctx.n, u], ctx).tolist()
+    return op_scale(m_dot(c, d, ctx), num / den)
 
 
 def verify_trace_closed(c: complex, u: complex, d: int, ctx: ModularContext,
@@ -239,8 +239,9 @@ def verify_spectral_factorization(c: complex, u1: complex, u2: complex, d: int,
                                   ctx: ModularContext, samples) -> Residual:
     """theta(u)/theta(u+dc hbar/n) M_d(c|u) does not depend on u (trace route)."""
     def normalized(u):
-        fac = theta(u, ctx) / theta(u + d * c * ctx.hbar / ctx.n, ctx)
-        return op_scale(m_trace(c, u, d, ctx), fac)
+        num, den = theta_table([u, u + d * c * ctx.hbar / ctx.n],
+                               ctx).tolist()
+        return op_scale(m_trace(c, u, d, ctx), num / den)
     return operator_residual(normalized(u1), normalized(u2), samples, ctx)
 
 
@@ -328,13 +329,14 @@ def ltilde_table(g: complex, u: complex, lams,
     n = ctx.n
     coords = np.array([lam.coords for lam in lams], dtype=complex)
     diff = coords[:, :, None] - coords[:, None, :]             # [s, k, i]
-    shifted, plain, gap = theta_table(
-        np.stack([(g + u) + diff, g + diff, diff]), ctx)
+    values = theta_table(np.append(np.stack([(g + u) + diff, g + diff, diff]),
+                                   u), ctx)
+    shifted, plain, gap = values[:-1].reshape(3, *diff.shape)
     off = ~np.eye(n, dtype=bool)
     if np.any(np.abs(gap[:, off]) < ctx.tol_identity):
         raise SingularParameterError("resonant weight point in Lax entry")
     gap = np.where(off, gap, 1.0)
-    coeff = shifted.transpose(0, 2, 1) / theta(u, ctx)        # [s, i, j]
+    coeff = shifted.transpose(0, 2, 1) / values[-1]           # [s, i, j]
     for k in range(n):
         ratio = plain[:, k, :, None] / gap[:, k, None, :]
         ratio[:, :, k] = 1.0                                  # no factor k = j
@@ -426,7 +428,7 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     a_u_after = flu.table(after_v).reshape(count, kv, ku, nk, nk)
     pts_uv = [mu.shifted(key, hb) for mu in after_u for key in flv.terms]
     pts_vu = [mu.shifted(key, hb) for mu in after_v for key in flu.terms]
-    worst, scale = 0.0, 0.0
+    worst, scale = [], []
     for f in fns:
         f_uv = np.array([f(pt) for pt in pts_uv]).reshape(count, ku, kv)
         f_vu = np.array([f(pt) for pt in pts_vu]).reshape(count, kv, ku)
@@ -436,9 +438,10 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
         # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
         rhs = np.einsum("yxij,skyd,skmxc,skm->sijcd",
                         rf, a_v0, a_u_after, f_vu)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        scale = max(scale, float(np.max(np.abs(lhs))),
-                    float(np.max(np.abs(rhs))))
+        worst.append(np.max(np.abs(lhs - rhs)))
+        scale += [np.max(np.abs(lhs)), np.max(np.abs(rhs))]
+    # np.max, unlike Python's max, keeps a NaN, so a NaN residual fails
+    worst, scale = float(np.max(worst)), float(np.max(scale))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
 
 
@@ -449,8 +452,8 @@ def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
     n = ctx.n
     g = c / n
     tu = theta(u, ctx)
-    diag_scalar = g * theta(u, ctx, 1) / tu
-    tp0 = theta(0.0, ctx, 1)
+    tu1, tp0 = theta_table([u, 0.0], ctx, 1).tolist()
+    diag_scalar = g * tu1 / tu
     out = []
     for i in range(n):
         row = []
@@ -463,13 +466,13 @@ def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
                 def cfn(lam, order, _i=i, _j=j):
                     grad = [0.0] * n
                     grad[_j], grad[_i] = 1.0, -1.0
-                    num = jet_of_affine(
-                        lambda m: theta(u + lam.diff(_j, _i), ctx, m) * g * tp0 / tu,
-                        0.0, grad, lam, order)
-                    den = jet_of_affine(
-                        lambda m: theta(lam.diff(_j, _i), ctx, m),
-                        0.0, grad, lam, order)
-                    return num / den
+                    x = lam.diff(_j, _i)
+                    shifted, plain = np.array(
+                        [theta_table([u + x, x], ctx, m)
+                         for m in range(order + 1)]).T.tolist()
+                    num = jet_of_affine([t * g * tp0 / tu for t in shifted],
+                                        grad)
+                    return num / jet_of_affine(plain, grad)
                 row.append(pdo(n, [((0,) * n, cfn)]))
         out.append(row)
     return out
@@ -490,29 +493,36 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     d1 = (tab[step] - tab[-step]) / (2 * step)
     d2 = (tab[2 * step] - tab[-2 * step]) / (4 * step)
     derivs = (4 * d1 - d2) / 3.0                                # [s, i, j]
+    coords = np.array([lam.coords for lam in samples], dtype=complex)
+    diff = coords[:, :, None] - coords[:, None, :]             # [s, i, j]
+    # theta(lam_ij), theta(u + lam_ij) and theta(u) from one table, and
+    # theta'(lam_ij), theta'(u) and theta'(0) from one more
+    values = theta_table(np.append(np.stack([diff, u + diff]), u), ctx)
+    plain, shifted = values[:-1].reshape(2, *diff.shape).tolist()
+    tu = complex(values[-1])
+    dvalues = theta_table(np.append(diff, [u, 0.0]), ctx, 1)
+    dplain = dvalues[:-2].reshape(diff.shape).tolist()
+    tu1, tp0 = dvalues[-2:].tolist()
     found = []
-    for lam, deriv_ij in zip(samples, derivs):
+    for t0, t1, ts, deriv_ij in zip(plain, dplain, shifted, derivs):
         for i in range(n):
             for j in range(n):
                 deriv = complex(deriv_ij[i, j])
                 if i == j:
                     # Delta^{-c/n} d_i Delta^{c/n} adds (c/n) d_i log Delta
-                    dlog = sum(theta(lam.diff(i, kk), ctx, 1)
-                               / theta(lam.diff(i, kk), ctx)
+                    dlog = sum(t1[i][kk] / t0[i][kk]
                                for kk in range(n) if kk != i)
                     got = deriv + g * dlog
-                    want = g * theta(u, ctx, 1) / theta(u, ctx)
+                    want = g * tu1 / tu
                 else:
                     ratio = 1.0 + 0.0j
                     for kk in range(n):
                         if kk != j:
-                            ratio *= theta(lam.diff(kk, j), ctx)
+                            ratio *= t0[kk][j]
                         if kk != i:
-                            ratio /= theta(lam.diff(kk, i), ctx)
+                            ratio /= t0[kk][i]
                     got = ratio * deriv
-                    want = (g * theta(u + lam.diff(j, i), ctx)
-                            * theta(0.0, ctx, 1)
-                            / (theta(u, ctx) * theta(lam.diff(j, i), ctx)))
+                    want = g * ts[j][i] * tp0 / (tu * t0[j][i])
                 found.append(residual_pair(got, want))
     return worst_of(found)
 
@@ -551,15 +561,15 @@ def phi_ratio_closed(lam: WeightPoint, subset, g: complex,
     """Phi / T_I Phi from the telescoped theta form."""
     hb = ctx.hbar
     gh = g * hb
-    val = 1.0 + 0.0j
+    args = []
     for i in subset:
         for j in range(ctx.n):
-            if j in subset:
-                continue
-            lij = lam.diff(i, j)
-            lji = -lij
-            val *= (theta(hb + lij, ctx) * theta(gh + lji, ctx)
-                    / (theta(gh + hb + lij, ctx) * theta(lji, ctx)))
+            if j not in subset:
+                lij = lam.diff(i, j)
+                args += [hb + lij, gh - lij, gh + hb + lij, -lij]
+    val = 1.0 + 0.0j
+    for num1, num2, den1, den2 in theta_table(args, ctx).reshape(-1, 4).tolist():
+        val *= num1 * num2 / (den1 * den2)
     return val
 
 
@@ -580,23 +590,28 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam: WeightPoint,
     ratio = worst_of(
         residual_pair(base / phi_weight(lam.shifted_eps(i, hb), g, ctx),
                       phi_ratio_closed(lam, (i,), g, ctx)) for i in range(n))
+    subs = list(combinations(range(n), d))
+    # per subset: the factors of C_I over (s, t), then of the rhs over (t, s)
+    args = []
+    for subset in subs:
+        rest = [s for s in range(n) if s not in subset]
+        args += [a for s in rest for t in subset
+                 for a in (lam.diff(s, t) + gh, lam.diff(s, t))]
+        args += [a for t in subset for s in rest
+                 for a in (gh + hb + lam.diff(t, s), hb + lam.diff(t, s))]
+    values = theta_table(args, ctx).tolist()
+    ratios = iter([num / den for num, den in zip(values[::2], values[1::2])])
     found = []
-    for subset in combinations(range(n), d):
+    for subset in subs:
+        count = d * (n - d)
         c_i = 1.0 + 0.0j
-        for s in range(n):
-            if s in subset:
-                continue
-            for t in subset:
-                c_i *= theta(lam.diff(s, t) + gh, ctx) / theta(lam.diff(s, t), ctx)
+        for _ in range(count):
+            c_i *= next(ratios)
         shifted = phi_weight(lam.shifted(subset_key(n, subset), hb), g, ctx)
         lhs = c_i * shifted / base
         rhs = 1.0 + 0.0j
-        for t in subset:
-            for s in range(n):
-                if s in subset:
-                    continue
-                lts = lam.diff(t, s)
-                rhs *= theta(gh + hb + lts, ctx) / theta(hb + lts, ctx)
+        for _ in range(count):
+            rhs *= next(ratios)
         found.append(residual_pair(lhs, rhs))
     return {"ratio": ratio, "coefficient": worst_of(found)}
 
@@ -607,14 +622,16 @@ def delta_jet(lam: WeightPoint, order: int, ctx: ModularContext) -> Jet:
     """Jet of Delta(lambda) = prod_{k<l} theta(lambda_k - lambda_l)."""
     def build():
         n = lam.n
+        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+        xs = [lam.coords[k] - lam.coords[l] for k, l in pairs]
+        # derivs[p][m] = theta^(m)(xs[p]): one table per derivative order
+        derivs = np.array([theta_table(xs, ctx, m)
+                           for m in range(order + 1)]).T.tolist()
         out = Jet.constant(n, order, 1.0)
-        for k in range(n):
-            for l in range(k + 1, n):
-                grad = [0.0] * n
-                grad[k], grad[l] = 1.0, -1.0
-                x0 = lam.coords[k] - lam.coords[l]
-                out = out * jet_of_affine(
-                    lambda m, _x=x0: theta(_x, ctx, m), 0.0, grad, lam, order)
+        for (k, l), derivs_kl in zip(pairs, derivs):
+            grad = [0.0] * n
+            grad[k], grad[l] = 1.0, -1.0
+            out = out * jet_of_affine(derivs_kl, grad)
         return out
     return ctx.cached(("dj", lam.coords, order), build)
 
@@ -688,12 +705,12 @@ def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
         for i in range(n):
             gj = gi_jet(i, lam, order + 1)
             acc = acc + gj.dshift(i) * (-1.0) + gj * gj
+        xs = [lam.coords[i] - lam.coords[j]
+              for i in range(n) for j in range(i + 1, n)]
         pot = 0.0 + 0.0j
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = lam.coords[i] - lam.coords[j]
-                t0, t1, t2 = theta(x, ctx), theta(x, ctx, 1), theta(x, ctx, 2)
-                pot += (t2 * t0 - t1 * t1) / (t0 * t0)
+        for t0, t1, t2 in zip(*(theta_table(xs, ctx, m).tolist()
+                                for m in range(3))):
+            pot += (t2 * t0 - t1 * t1) / (t0 * t0)
         return acc + Jet.constant(lam.n, order, 2.0 * g * (g + 1.0) * pot)
     items.append(((0,) * n, zero_order))
     return pdo(n, items)
@@ -713,10 +730,11 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
 
 
-def _mdot_apply(c: complex, d: int, hb: complex, f, lam: WeightPoint,
-                ctx: ModularContext) -> complex:
+def _mdot_apply(c: complex, d: int, hb: complex, f, lams,
+                ctx: ModularContext) -> list:
+    """(Mdot_d f)(lams[s]) at the deformation parameter hb, as a list."""
     sctx = ctx.replace(hbar=hb)
-    return apply_op(m_dot(c, d, sctx), f, lam, sctx)
+    return apply_batch(m_dot(c, d, sctx), f, lams, sctx).tolist()
 
 
 def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
@@ -730,23 +748,26 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
     n = ctx.n
     h1, h2 = steps
     ham = hamiltonian_cm(c, ctx)
+    samples = list(samples)
     found = []
     for vec in vecs:
         fjet = exp_test_function(vec)
         f = lambda lam: fjet(lam, 0).value
-        for lam in samples:
-            def expr(hb):
-                sctx = ctx.replace(hbar=hb)
-                m1 = m_dot(c, 1, sctx)
-                m2 = m_dot(c, 2, sctx)
-                v2 = apply_op(m2, f, lam, sctx)
-                v11 = apply_op(compose(m1, m1, sctx), f, lam, sctx)
-                v1 = apply_op(m1, f, lam, sctx)
-                return (-2.0 * v2 + v11 - 2.0 * v1 + n * f(lam)) / (hb * hb)
+        fvals = [f(lam) for lam in samples]
 
-            def sym(h):
-                return (expr(h) + expr(-h)) / 2.0
-            extrap = (h2 * h2 * sym(h1) - h1 * h1 * sym(h2)) / (h2 * h2 - h1 * h1)
+        def expr(hb):
+            sctx = ctx.replace(hbar=hb)
+            m1 = m_dot(c, 1, sctx)
+            m2 = m_dot(c, 2, sctx)
+            v2, v11, v1 = (apply_batch(op, f, samples, sctx).tolist()
+                           for op in (m2, compose(m1, m1, sctx), m1))
+            return [(-2.0 * a2 + a11 - 2.0 * a1 + n * f0) / (hb * hb)
+                    for a2, a11, a1, f0 in zip(v2, v11, v1, fvals)]
+
+        def sym(h):
+            return [(a + b) / 2.0 for a, b in zip(expr(h), expr(-h))]
+        for lam, s1, s2 in zip(samples, sym(h1), sym(h2)):
+            extrap = (h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1)
             found.append(residual_pair(extrap, pdo_apply(ham, fjet, lam)))
     return worst_of(found)
 
@@ -757,18 +778,24 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
     n = ctx.n
     g = c / n
     d2 = pdo_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
+    samples = list(samples)
     found = []
     for vec in vecs:
         fjet = exp_test_function(vec)
         f = lambda lam: fjet(lam, 0).value
-        for lam in samples:
-            def second(dd):
-                f0 = math.comb(n, dd) * f(lam)
-                def dd2(h):
-                    return (_mdot_apply(c, dd, h, f, lam, ctx) - 2.0 * f0
-                            + _mdot_apply(c, dd, -h, f, lam, ctx)) / (h * h)
-                return (4.0 * dd2(step) - dd2(2 * step)) / 3.0
-            got = (second(2) - (n - 1) * second(1)) / 2.0
+        fvals = [f(lam) for lam in samples]
+
+        def second(dd):
+            f0 = [math.comb(n, dd) * value for value in fvals]
+
+            def dd2(h):
+                return [(plus - 2.0 * mid + minus) / (h * h) for plus, mid, minus
+                        in zip(_mdot_apply(c, dd, h, f, samples, ctx), f0,
+                               _mdot_apply(c, dd, -h, f, samples, ctx))]
+            return [(4.0 * a - b) / 3.0
+                    for a, b in zip(dd2(step), dd2(2 * step))]
+        for lam, s2, s1 in zip(samples, second(2), second(1)):
+            got = (s2 - (n - 1) * s1) / 2.0
             found.append(residual_pair(got, pdo_apply(d2, fjet, lam)))
     return worst_of(found)
 

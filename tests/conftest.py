@@ -19,6 +19,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def table_reads(monkeypatch):
+    """The point count of every theta._table call from now on, in order.
+
+    _table is the one kernel behind every theta value, so a scalar theta
+    read shows up here as a call of its own.
+    """
+    from etlax import theta as th
+    reads = []
+    kernel = th._table
+
+    def counting(series, args):
+        reads.append(len(args))
+        return kernel(series, args)
+    monkeypatch.setattr(th, "_table", counting)
+    return reads
+
+
 def rand_complex(rng, box=0.4):
     return complex(rng.uniform(-box, box) + 1j * rng.uniform(-box, box))
 

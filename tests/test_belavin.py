@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import rand_complex
+from conftest import rand_complex, table_reads
 from etlax.context import (ContextError, ModularContext, SingularParameterError,
                            default_context)
 from etlax import belavin as bv
@@ -222,11 +222,15 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
     moves = [(m, rand_complex(rng)) for m in bv.fusion_moves(3)]
     bv.face_operator_matrix(lam, 3, moves, ctx)
     assert len(calls) == len(moves)
+    reads = table_reads(monkeypatch)
     bv.phi_tensor_matrix(lam, [rand_complex(rng) for _ in range(3)], ctx)
     bv.verify_face_ybe(*(rand_complex(rng) for _ in range(3)), lam, ctx)
     bv.verify_vertex_face_intertwining(rand_complex(rng), rand_complex(rng),
                                        lam, ctx)
-    assert not [key for key in ctx._cache if key[0] == "jt"]
+    # one theta kernel call per path level, per face move (6 in the face
+    # YBE) and per factor batch of the relation (weights, phis, R); a
+    # scalar theta read would add calls of its own
+    assert len(reads) == 3 + 6 + 3
 
 
 def test_face_operator_matrix_resonant_prefix():
@@ -306,12 +310,15 @@ def test_intertwiner_batch_matches_single_builds(n, rng):
     ctx = default_context(n)
     lams = [wt.sample_generic(70 + s, ctx) for s in range(3)]
     us = [rand_complex(rng) for _ in range(4)]
-    # a repeated pair, a pair cached before the batch, and several new ones
+    # a repeated pair and several distinct ones, all in one build: every
+    # pair, the repeat too, is one column block of a single theta table
     pairs = [(us[0], lams[0]), (us[1], lams[1]), (us[0], lams[0]),
              (us[2], lams[2]), (us[3], lams[0]), (us[1], lams[2])]
-    bv.intertwiners(us[3], lams[0], ctx)
-    phi, phibar = bv.intertwiner_arrays([u for u, _ in pairs],
-                                        [lam for _, lam in pairs], ctx)
+    with pytest.MonkeyPatch.context() as mp:
+        reads = table_reads(mp)
+        phi, phibar = bv.intertwiner_arrays([u for u, _ in pairs],
+                                            [lam for _, lam in pairs], ctx)
+    assert reads == [len(pairs) * n]
     assert phi.shape == phibar.shape == (len(pairs), n, n)
     for p, (u, lam) in enumerate(pairs):
         single = bv.intertwiners(u, lam, ctx.replace())
@@ -394,7 +401,7 @@ def test_fusion_intertwining(ctx3, rng):
 def test_fused_rcheck_reduces_to_rcheck(ctx3, rng):
     u, v = rand_complex(rng), rand_complex(rng)
     fused = bv.fused_rcheck_matrix(1, 1, u, v, ctx3)
-    plain = bv.rcheck_matrix(u - v, ctx3)
+    plain = bv.rcheck_table([u - v], ctx3)[0]
     assert np.max(np.abs(fused - plain)) < 1e-12
 
 
@@ -570,6 +577,7 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
                         lambda rows, us, c: calls.append(len(us))
                         or table(rows, us, c))
     us = [rand_complex(rng) for _ in range(10)]
+    lam = wt.sample_generic(64, ctx)
     checks = [
         lambda: bv.r_table(us, ctx),
         lambda: bv.build_r(us[0], ctx),
@@ -578,15 +586,18 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
         lambda: bv.verify_r_holomorphy(ctx),
         lambda: bv.verify_ybe(us[:4], us[4:8], us[6:], ctx),
         lambda: bv.braid_matrix(us[:3], bv.fusion_moves(3), ctx),
-        lambda: bv.verify_vertex_face_intertwining(
-            us[0], us[1], wt.sample_generic(64, ctx), ctx),
+        lambda: bv.verify_vertex_face_intertwining(us[0], us[1], lam, ctx),
     ]
+    reads = table_reads(monkeypatch)
     for check in checks:
         calls.clear()
+        del reads[:]
         check()
         assert len(calls) == 1
+        # and no scalar theta read next to it: R alone is one kernel call,
+        # the intertwining relation adds its face weights and phis
+        assert len(reads) == (3 if check is checks[-1] else 1)
     assert calls == [1 * 2 + 2]        # u - v and u - v + hbar, hbar, 0
-    assert not [key for key in ctx._cache if key[0] == "tc"]
 
 
 def test_nan_residual_fails_its_case(monkeypatch):

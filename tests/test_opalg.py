@@ -140,14 +140,52 @@ def test_normal_det_diagonal_shift_operators(ctx3):
 def test_jet_of_affine_against_finite_differences(ctx3):
     lam = wt.sample_generic(11, ctx3)
     grad = [1.0, -1.0, 0.0]
-    jet = oa.jet_of_affine(lambda m: theta(lam.coords[0] - lam.coords[1],
-                                           ctx3, m), 0.0, grad, lam, 3)
-    h = 1e-5
     x = lam.coords[0] - lam.coords[1]
+    jet = oa.jet_of_affine([theta(x, ctx3, m) for m in range(4)], grad)
+    h = 1e-5
     fd = (theta(x + h, ctx3) - 2 * theta(x, ctx3) + theta(x - h, ctx3)) / (h * h)
     assert abs(jet.deriv((2, 0, 0)) - fd) < 1e-5
     assert abs(jet.deriv((1, 1, 0)) + fd) < 1e-5   # mixed = -second by grad
     assert abs(jet.value - theta(x, ctx3)) < 1e-15
+
+
+def _per_monomial_jet(derivs, grad, order):
+    """The per-monomial loop jet_of_affine replaced, transcribed: derivs(m)
+    is called again for every monomial of degree m."""
+    coeffs = {}
+    for m in oa.monomials(len(grad), order):
+        coef = derivs(sum(m)) / math.prod(math.factorial(a) for a in m)
+        for i, mi in enumerate(m):
+            coef *= grad[i] ** mi
+        if coef != 0.0:
+            coeffs[m] = coef
+    return coeffs
+
+
+def test_jet_of_affine_matches_the_per_monomial_loop(rng):
+    from etlax.context import default_context
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        lam = wt.sample_generic(19, ctx)
+        for order in range(5):
+            for i, j in ((0, 1), (n - 1, 0)):
+                grad = [0.0] * n
+                grad[i], grad[j] = 1.0, -1.0
+                x = lam.diff(i, j)
+                derivs = [theta(x, ctx, m) for m in range(order + 1)]
+                want = _per_monomial_jet(lambda m: theta(x, ctx, m), grad,
+                                         order)
+                got = oa.jet_of_affine(derivs, grad).coeffs
+                assert got.keys() == want.keys()
+                scale = max(abs(v) for v in want.values())
+                assert max(abs(got[m] - want[m]) for m in want) \
+                    <= 1e-15 * scale
+                if order >= 2:
+                    # negative control: the order-1 derivative dropped
+                    dropped = derivs[:1] + derivs[2:] + [0.0]
+                    bad = oa.jet_of_affine(dropped, grad).coeffs
+                    assert max(abs(bad.get(m, 0.0) - want[m]) for m in want) \
+                        > 1e-3 * scale
 
 
 def test_jet_product_and_quotient(ctx3):
@@ -155,8 +193,8 @@ def test_jet_product_and_quotient(ctx3):
     def mk(i, j, order):
         grad = [0.0] * 3
         grad[i], grad[j] = 1.0, -1.0
-        return oa.jet_of_affine(lambda m: theta(lam.coords[i] - lam.coords[j],
-                                                ctx3, m), 0.0, grad, lam, order)
+        return oa.jet_of_affine([theta(lam.coords[i] - lam.coords[j], ctx3, m)
+                                 for m in range(order + 1)], grad)
     a, b = mk(0, 1, 3), mk(1, 2, 3)
     prod = a * b
     h = 1e-5
@@ -176,8 +214,8 @@ def test_jet_product_and_quotient(ctx3):
 def test_jet_dshift(ctx3):
     lam = wt.sample_generic(13, ctx3)
     grad = [1.0, 0.0, -1.0]
-    jet = oa.jet_of_affine(lambda m: theta(lam.coords[0] - lam.coords[2],
-                                           ctx3, m), 0.0, grad, lam, 3)
+    jet = oa.jet_of_affine([theta(lam.coords[0] - lam.coords[2], ctx3, m)
+                            for m in range(4)], grad)
     d0 = jet.dshift(0)
     assert abs(d0.value - theta(lam.coords[0] - lam.coords[2], ctx3, 1)) < 1e-14
     assert abs(d0.deriv((1, 0, 0))
@@ -197,8 +235,8 @@ def test_leibniz_base_case(ctx3):
     lam = wt.sample_generic(15, ctx3)
     def coeff(mu, order):
         grad = [1.0, -1.0, 0.0]
-        return oa.jet_of_affine(lambda m: theta(mu.coords[0] - mu.coords[1],
-                                                ctx3, m), 0.0, grad, mu, order)
+        return oa.jet_of_affine([theta(mu.coords[0] - mu.coords[1], ctx3, m)
+                                 for m in range(order + 1)], grad)
     mult = oa.pdo(3, [((0, 0, 0), coeff)])
     d0 = oa.pdo(3, [((1, 0, 0), oa.pdo_const_coeff(1.0))])
     comm_left = oa.pdo_compose(mult, d0, ctx3)
@@ -223,8 +261,8 @@ def test_pdo_compose_full_leibniz(ctx3):
     lam = wt.sample_generic(17, ctx3)
     def coeff(mu, order):
         grad = [0.0, 1.0, -1.0]
-        return oa.jet_of_affine(lambda m: theta(mu.coords[1] - mu.coords[2],
-                                                ctx3, m), 0.0, grad, mu, order)
+        return oa.jet_of_affine([theta(mu.coords[1] - mu.coords[2], ctx3, m)
+                                 for m in range(order + 1)], grad)
     a = oa.pdo(3, [((0, 2, 0), oa.pdo_const_coeff(1.0))])
     b = oa.pdo(3, [((0, 0, 0), coeff)])
     comp = oa.pdo_compose(a, b, ctx3)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_complex
+from conftest import rand_complex, table_reads
 from etlax.context import ContextError, default_context
 from etlax import theta as th
 
@@ -227,16 +227,18 @@ def test_theta_level_table_matches_scalar(rng):
                     assert abs(table[a, k] - want) <= 1e-15 * abs(want)
 
 
-def test_theta_char_table_matches_theta_char_bit_for_bit(rng):
+def test_theta_char_table_matches_theta_char_bit_for_bit(monkeypatch, rng):
+    reads = table_reads(monkeypatch)
     for n in (2, 3, 4):
         ctx = default_context(n)
         us = [rand_complex(rng) for _ in range(70)] + [0.0, ctx.hbar, ctx.tau]
         rows = list(range(n)) + [n + 1, -1]        # characteristics mod n
+        del reads[:]
         table = th.theta_char_table(rows, us, ctx)
+        assert reads == [len(us)]       # every row and point in one call
         assert table.shape == (len(rows), len(us))
         want = [[th.theta_char(j, u, ctx.replace()) for u in us] for j in rows]
         assert table.tolist() == want
-        assert not [key for key in ctx._cache if key[0] == "tc"]
 
 
 def test_theta_ml_mpmath_oracle(rng):
@@ -398,16 +400,18 @@ def test_determinant_identities_read_one_theta_table(monkeypatch, rng):
     table = th.theta_table
     monkeypatch.setattr(th, "theta_table",
                         lambda us, c: calls.append(len(us)) or table(us, c))
+    reads = table_reads(monkeypatch)
     for d in (1, 2, 3, 4):
         args = (rand_complex(rng), [rand_complex(rng) for _ in range(d)],
                 [rand_complex(rng) for _ in range(d)])
-        del calls[:]
+        del calls[:], reads[:]
         th.verify_qfay(d, *args, ctx)
         assert calls == [d ** 3, 1 + (d - 1) + d * (d - 1)]   # lhs, rhs
-        del calls[:]
+        assert reads == calls           # no theta value read outside them
+        del calls[:], reads[:]
         th.verify_fay(d, *args, ctx)
         assert calls == [2 + 2 * d * d + d * (d - 1)]
-    assert not [key for key in ctx._cache if key[0] == "jt"]
+        assert reads == calls
 
 
 def test_fay_guards_keep_their_messages(ctx2):
@@ -453,3 +457,73 @@ def test_eta_wp_triple_product_mpmath_oracle(rng):
                 # negative control: the prefactor p^(1/8) read as p^(1/4)
                 wrong = got * cmath.exp(1j * cmath.pi * tau_c / 4)
                 assert abs(wrong - want) > 1e-3 * abs(want)
+
+
+def _per_value_series(m, l, u, tau, trunc, order):
+    """The per-value evaluator the tables replaced, transcribed: the series
+    constants of one characteristic, one exp over its terms at one point
+    and one sum."""
+    k = np.arange(-trunc, trunc + 1, dtype=float)
+    mu = np.array([m], dtype=float)[:, None] + l * k
+    tpm = th.TWO_PI_I * mu
+    phase = th.TWO_PI_I * (mu * mu * (tau / (2.0 * l)))
+    terms = np.exp(tpm[0] * u + phase[0])
+    if order:
+        terms = terms * (tpm ** order)[0]
+    return complex(terms.sum())
+
+
+def test_tables_equal_the_per_value_series_bit_for_bit(rng):
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        tau, trunc = complex(ctx.tau), ctx.trunc
+        us = [rand_complex(rng) for _ in range(20)] + [0.0, 1.0, ctx.tau,
+                                                       0.5 + 5j, 0.2 - 7j]
+        for order in range(4):
+            table = th.theta_table(us, ctx, order).tolist()
+            assert table == [_per_value_series(0.5, 1, u + 0.5, tau, trunc,
+                                               order) for u in us]
+            assert table == [th.theta(u, ctx, order) for u in us]
+            assert table == [th.theta_ml(0.5, 1, u + 0.5, tau, trunc=trunc,
+                                         deriv_order=order).value for u in us]
+        # the level-n series overflow to nan at |Im u| = 7, so the other
+        # two families are compared on the moderate points
+        rows, us = range(n), us[:-2]
+        chars = th.theta_char_table(rows, us, ctx).tolist()
+        assert chars == [[_per_value_series(0.5 - j / n, 1, u + 0.5, n * tau,
+                                            trunc, 0) for u in us]
+                         for j in rows]
+        assert chars == [[th.theta_char(j, u, ctx) for u in us] for j in rows]
+        levels = th.theta_level_table(rows, us, ctx).tolist()
+        assert levels == [[_per_value_series(n / 2.0 - j, n, u + 0.5, tau,
+                                             trunc, 0) for u in us]
+                          for j in rows]
+        assert levels == [[th.theta_level_n(j, u, ctx) for u in us]
+                          for j in rows]
+        assert levels == [[th.theta_ml(n / 2.0 - j, n, u + 0.5, tau,
+                                       trunc=trunc).value for u in us]
+                          for j in rows]
+    # negative control: the transcription is sensitive to the order
+    assert _per_value_series(0.5, 1, 0.3, TAU, 24, 1) \
+        != _per_value_series(0.5, 1, 0.3, TAU, 24, 2)
+
+
+def test_vandermonde_product_matches_its_loop_form(monkeypatch, rng):
+    reads = table_reads(monkeypatch)
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        for _ in range(10):
+            us = [rand_complex(rng) for _ in range(n)]
+            del reads[:]
+            got = th.vandermonde_product(us, ctx)
+            assert reads == [1 + n * (n - 1) // 2]     # one table
+            ieta = 1j * th.dedekind_eta(ctx.tau, ctx).value
+            want = th.vandermonde_sign(n) * th.theta(sum(us), ctx) / ieta
+            for j in range(n):
+                for k in range(j + 1, n):
+                    want *= th.theta(us[k] - us[j], ctx) / ieta
+            assert got == want
+            # negative control: one factor with its arguments swapped
+            wrong = want / th.theta(us[1] - us[0], ctx) \
+                * th.theta(us[0] - us[1], ctx)
+            assert abs(wrong - got) > 1e-3 * abs(got)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_complex, sumzero_exp
+from conftest import rand_complex, sumzero_exp, table_reads
 from etlax.context import SingularParameterError, default_context
 from etlax import opalg as oa
 from etlax import transfer as tr
@@ -622,3 +622,98 @@ def test_operator_suites_pass_across_seeds(n):
               for seed in range(8)
               if not run_suite(name, default_context(n), seed).passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_remaining_suites_pass_across_seeds(n):
+    # with the vertex and operator suites gated above, every suite of
+    # verify all is gated at seeds 0-7
+    failed = [(name, seed)
+              for name in ("theta", "qfay", "fay", "vandermonde",
+                           "ruijsenaars", "macdonald-limit", "eigen-l1")
+              for seed in range(8)
+              if not run_suite(name, default_context(n), seed).passed]
+    assert failed == []
+
+
+def test_context_memoizes_no_theta_value_or_intertwiner():
+    ctx = default_context(2)
+    for name in ("intertwiner", "debiard", "krichever", "eigen-l1"):
+        run_suite(name, ctx, 0)
+    # theta values and intertwiners are read from tables on every use
+    assert {key[0] for key in ctx._cache} == {"eta", "chilat", "dj", "dr"}
+
+
+def test_delta_jet_reads_one_table_per_derivative_order(monkeypatch):
+    reads = table_reads(monkeypatch)
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        lam = wt.sample_generic(47, ctx)
+        del reads[:]
+        jet = tr.delta_jet(lam, 3, ctx)
+        # every pair lam_k - lam_l in one table per order 0..3, where the
+        # per-monomial jets read theta once per monomial and pair
+        assert reads == [n * (n - 1) // 2] * 4
+        want = math.prod(theta(lam.diff(k, l), ctx)
+                         for k in range(n) for l in range(k + 1, n))
+        assert abs(jet.value - want) <= 1e-14 * abs(want)
+
+
+def _nan_at_zero_key(coeffs_at):
+    def poisoned(op, lam):
+        out = coeffs_at(op, lam)
+        return {alpha: (math.nan if not any(alpha) else value)
+                for alpha, value in out.items()}
+    return poisoned
+
+
+def _nan_in_matrix(apply_matrix):
+    def poisoned(matrix, f, lams, ctx):
+        out = apply_matrix(matrix, f, lams, ctx)
+        out[0, 0, 1] = math.nan
+        return out
+    return poisoned
+
+
+def _nan_in_r(build_r):
+    def poisoned(u, ctx):
+        r = build_r(u, ctx)
+        entries = r.entries.copy()
+        entries[0, 1, 0, 1] = math.nan
+        return type(r)(entries, r.u)
+    return poisoned
+
+
+def _nan_in_fused_rcheck(fused_rcheck_matrix):
+    def poisoned(*args):
+        out = fused_rcheck_matrix(*args).copy()
+        out[0, 0] = math.nan
+        return out
+    return poisoned
+
+
+_NAN_CASES = [
+    ("rll", 2, "c0-identity", "suites", "apply_matrix", _nan_in_matrix),
+    ("rll", 3, "fused-rll-k2", "transfer", "fused_rcheck_matrix",
+     _nan_in_fused_rcheck),
+    ("krichever", 2, "c0-pure-derivative", "suites", "_coeffs_at",
+     _nan_at_zero_key),
+    ("debiard", 2, "first-operator-form", "suites", "_coeffs_at",
+     _nan_at_zero_key),
+    ("debiard", 2, "second-operator-form", "suites", "_coeffs_at",
+     _nan_at_zero_key),
+    ("eigen-l1", 2, "eigenvalue-shared", "thetaspace", "build_r", _nan_in_r),
+]
+
+
+@pytest.mark.parametrize("name, n, case, module, attr, poison", _NAN_CASES,
+                         ids=[f"{c[0]}/{c[2]}" for c in _NAN_CASES])
+def test_nan_residual_fails_its_suite_case(monkeypatch, name, n, case, module,
+                                           attr, poison):
+    # each of these cases reduced with Python's max, which drops a NaN
+    import importlib
+    owner = importlib.import_module(f"etlax.{module}")
+    monkeypatch.setattr(owner, attr, poison(getattr(owner, attr)))
+    rep = run_suite(name, default_context(n), 0)
+    got = {c.name: c for c in rep.cases}[case]
+    assert math.isnan(got.rel) and not got.ok and not rep.passed

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rand_complex
+from conftest import rand_complex, table_reads
 from etlax.context import SamplingError
 from etlax import weights as wt
 
@@ -122,7 +122,7 @@ def test_sampling_with_intertwiner_guard(ctx3):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_theta_gap_guard_table_keeps_every_sample(n):
+def test_theta_gap_guard_table_keeps_every_sample(n, monkeypatch):
     import math
     from etlax.context import default_context
     from etlax.theta import theta
@@ -138,5 +138,7 @@ def test_theta_gap_guard_table_keeps_every_sample(n):
         got = wt.sample_generic(seed, fresh)
         assert got == wt.sample_generic(seed, ctx, guards=[scalar_guard])
         assert wt.theta_gap_guard(fresh)(got) == scalar_guard(got)
-    # the guard reads one theta table per candidate, no cached values
-    assert not [key for key in fresh._cache if key[0] == "jt"]
+    # the guard reads one theta table per candidate, no value on its own
+    reads = table_reads(monkeypatch)
+    wt.theta_gap_guard(fresh)(got)
+    assert reads == [n * (n - 1)]
