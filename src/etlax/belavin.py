@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +46,8 @@ import numpy as np
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
 from .theta import (Residual, dedekind_eta, residual_arrays, theta_char_table,
-                    theta_level_table, theta_table, worst_of_arrays)
+                    theta_level_table, theta_table, vandermonde_product,
+                    worst_of_arrays)
 from .weights import WeightPoint, canonical_key
 
 _EPS = 1e-300
@@ -61,11 +62,7 @@ def g_matrix(ctx: ModularContext) -> np.ndarray:
 
 def h_matrix(ctx: ModularContext) -> np.ndarray:
     """h e^k = e^{k+1}."""
-    n = ctx.n
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        m[(k + 1) % n, k] = 1.0
-    return m
+    return np.roll(np.eye(ctx.n, dtype=complex), 1, axis=0)
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,8 @@ def _r_matrices(ent: np.ndarray) -> np.ndarray:
 
 
 def permutation_matrix(n: int) -> np.ndarray:
-    p = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            p[b * n + a, a * n + b] = 1.0
-    return p
+    """P e^a x e^b = e^b x e^a."""
+    return np.eye(n * n, dtype=complex)[np.arange(n * n).reshape(n, n).T.ravel()]
 
 
 def rcheck_table(deltas, ctx: ModularContext) -> np.ndarray:
@@ -317,27 +311,30 @@ def _path_plan(n: int, k: int) -> SimpleNamespace:
         scatter=scatter)
 
 
-def _face_weights(lij, delta: complex, ctx: ModularContext):
-    """The face weights with spectral argument delta, from one theta table:
+def _face_weights(lij, deltas, ctx: ModularContext):
+    """The face weights of every sample s, with spectral argument deltas[s]
+    at the weights lij[s], from one theta table:
 
-    diag                          theta(delta+h)/theta(h)
-    cis[a]   at lij[a]            theta(-delta+lij)/theta(lij)
-    trans[a] at lij[a]            theta(delta)/theta(h) * theta(h+lij)/theta(lij)
+    diag[s]                        theta(delta+h)/theta(h)
+    cis[s, a]   at lij[s, a]       theta(-delta+lij)/theta(lij)
+    trans[s, a] at lij[s, a]       theta(delta)/theta(h) * theta(h+lij)/theta(lij)
 
     Raises SingularParameterError where |theta(lij)| < tol_identity.
     """
     hb = ctx.hbar
     lij = np.asarray(lij, dtype=complex)
-    m = len(lij)
+    deltas = np.asarray(deltas, dtype=complex)[:, None]
+    m = lij.shape[1]
     t = theta_table(np.concatenate(
-        [[delta + hb, hb, delta], lij, lij - delta, lij + hb]), ctx)
-    den = t[3:3 + m]
+        [deltas + hb, np.broadcast_to(hb, deltas.shape), deltas, lij,
+         lij - deltas, lij + hb], axis=1), ctx)
+    den = t[:, 3:3 + m]
     bad = np.abs(den) < ctx.tol_identity
     if bad.any():
         raise SingularParameterError(
-            f"resonant weight: theta(lambda_ij)~0 at {lij[np.argmax(bad)]}")
-    return (t[0] / t[1], t[3 + m:3 + 2 * m] / den,
-            t[2] / t[1] * t[3 + 2 * m:] / den)
+            f"resonant weight: theta(lambda_ij)~0 at {lij[bad][0]}")
+    return (t[:, 0] / t[:, 1], t[:, 3 + m:3 + 2 * m] / den,
+            (t[:, 2] / t[:, 1])[:, None] * t[:, 3 + 2 * m:] / den)
 
 
 def face_weight(lam: WeightPoint, i: int, j: int, kind: str, u: complex,
@@ -354,58 +351,63 @@ def face_weight(lam: WeightPoint, i: int, j: int, kind: str, u: complex,
     if (kind == "diag") != (i == j):
         raise ValueError(f"{kind} face weight needs "
                          f"{'i == j' if kind == 'diag' else 'i != j'}")
-    diag, cis, trans = _face_weights([] if i == j else [lam.diff(i, j)], u,
-                                     ctx)
-    return complex(diag if kind == "diag" else
-                   (cis if kind == "cis" else trans)[0])
+    diag, cis, trans = _face_weights([[lam.diff(i, j)] if i != j else []], [u], ctx)
+    return complex(diag[0] if kind == "diag" else (cis if kind == "cis" else trans)[0, 0])
 
 
-def _move_weights(plan: SimpleNamespace, pos: int, base: WeightPoint,
-                  delta: complex, ctx: ModularContext):
-    """keep[p] and cross[p]: the weights of the move at (pos, pos+1) from
-    path p to itself and to its swap (0 where the steps agree)."""
+def _move_weights(plan: SimpleNamespace, pos: int, coords: np.ndarray,
+                  deltas, ctx: ModularContext):
+    """keep[s, p] and cross[s, p]: the weights of the move at (pos, pos+1)
+    with argument deltas[s] from path p at the base weight coords[s] to
+    itself and to its swap (0 where the steps agree)."""
     i, j, m = plan.pairs[pos].T
-    coords = np.array(base.coords)
-    diag, cis, trans = _face_weights(coords[i] - coords[j] + ctx.hbar * m,
-                                     delta, ctx)
+    diag, cis, trans = _face_weights(coords[:, i] - coords[:, j] + ctx.hbar * m,
+                                     deltas, ctx)
     at = plan.pair[pos]                 # -1 reads the appended entry
-    return np.append(cis, diag)[at], np.append(trans, 0.0)[at]
+    return (np.concatenate([cis, diag[:, None]], axis=1)[:, at],
+            np.concatenate([trans, np.zeros((len(trans), 1))], axis=1)[:, at])
 
 
-def face_operator_matrix(base: WeightPoint, k: int, moves, ctx: ModularContext) -> np.ndarray:
-    """Matrix of a product of face moves on the length-k path space at base.
+def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray:
+    """Matrix of a product of face moves on the length-k path space at base,
+    a WeightPoint, or the stack of these matrices at a sequence of bases.
 
-    moves is a list of (pos, delta), first entry applied first.  Each move
-    reads its weights from one theta table and acts on the stack of
-    step-multiset blocks; the stack is scattered into the paths x paths
-    matrix once.
+    moves is a list of (pos, delta), first entry applied first; delta is one
+    value or one per base.  Each move reads its weights at every base from
+    one theta table and acts on the stack of step-multiset blocks; the
+    stack is scattered into the paths x paths matrices once.
     """
+    bases = [base] if isinstance(base, WeightPoint) else list(base)
+    coords = np.array([lam.coords for lam in bases], dtype=complex)
     plan = _path_plan(ctx.n, k)
     count, width = plan.layout.shape
     rows = np.arange(count)[:, None]
-    stack = np.tile(np.eye(width, dtype=complex), (count, 1, 1))
+    stack = np.tile(np.eye(width, dtype=complex), (len(bases), count, 1, 1))
     for pos, delta in moves:
-        keep, cross = _move_weights(plan, pos, base, delta, ctx)
-        keep, cross = np.append(keep, 0.0), np.append(cross, 0.0)
+        # a 0 for the padding slot len(paths) of short blocks
+        keep, cross = (np.pad(w, ((0, 0), (0, 1))) for w in _move_weights(
+            plan, pos, coords, np.broadcast_to(delta, len(bases)), ctx))
         mate = plan.partner[pos]
         # path q receives keep[q] from itself and cross[swap q] from its
         # swap; updated in place, so a move holds one extra stack
-        swapped = stack[rows, mate]
-        swapped *= cross[plan.layout[rows, mate]][:, :, None]
-        stack *= keep[plan.layout][:, :, None]
+        swapped = stack[:, rows, mate]
+        swapped *= cross[:, plan.layout[rows, mate]][..., None]
+        stack *= keep[:, plan.layout][..., None]
         stack += swapped
     size = len(plan.paths)
-    mat = np.zeros((size, size), dtype=complex)
+    mat = np.zeros((len(bases), size, size), dtype=complex)
     src, row, col = plan.scatter
-    mat[row, col] = stack.reshape(-1)[src]
-    return mat
+    mat[:, row, col] = stack.reshape(len(bases), -1)[:, src]
+    return mat[0] if isinstance(base, WeightPoint) else mat
 
 
-def verify_face_ybe(u: complex, v: complex, w: complex, lam: WeightPoint,
-                    ctx: ModularContext) -> Residual:
-    """Face Yang-Baxter equation on three-step paths from lam."""
-    lhs = face_operator_matrix(lam, 3, [(1, v - w), (0, u - w), (1, u - v)], ctx)
-    rhs = face_operator_matrix(lam, 3, [(0, u - v), (1, u - w), (0, v - w)], ctx)
+def verify_face_ybe(us, vs, ws, lams, ctx: ModularContext) -> Residual:
+    """Face Yang-Baxter equation on three-step paths from lams[s] at the
+    spectral parameters (us[s], vs[s], ws[s]), worst over the samples s
+    (or at one triple and one base weight lams)."""
+    us, vs, ws = (np.asarray(x, dtype=complex) for x in (us, vs, ws))
+    lhs = face_operator_matrix(lams, 3, [(1, vs - ws), (0, us - ws), (1, us - vs)], ctx)
+    rhs = face_operator_matrix(lams, 3, [(0, us - vs), (1, us - ws), (0, vs - ws)], ctx)
     return _rel(lhs, rhs)
 
 
@@ -462,78 +464,81 @@ def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
     return IntertwinerPair(phi[0], phibar[0], u, mu, float(cond[0]))
 
 
-def verify_intertwiner_duality(u: complex, mu: WeightPoint,
-                               ctx: ModularContext) -> dict:
-    pair = intertwiners(u, mu, ctx)
-    eye = np.eye(ctx.n)
-    return {"phibar-phi": _rel(pair.phibar @ pair.phi, eye),
-            "phi-phibar": _rel(pair.phi @ pair.phibar, eye)}
+def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
+    """Duality phibar phi = phi phibar = 1 and the closed determinant
 
+        det phi = (-1)^(n-1) vandermonde_product(u/n - <mu, epsbar_k>, k < n)
 
-def _two_step_weights(lam: WeightPoint, delta: complex, ctx: ModularContext):
-    """keep[a, b] and cross[a, b]: the weights of the move on the two-step
-    paths (a, b) from lam, to (a, b) and to (b, a)."""
-    keep, cross = _move_weights(_path_plan(ctx.n, 2), 0, lam, delta, ctx)
-    return keep.reshape(ctx.n, ctx.n), cross.reshape(ctx.n, ctx.n)
-
-
-def _intertwining_factors(u: complex, v: complex, lam: WeightPoint,
-                          ctx: ModularContext):
-    """R(u-v), the two-step face weights keep and cross at u-v, and the
-    intertwiners at (u, lam), (v, lam), (u, lam + h epsbar_a), (v, lam + h
-    epsbar_a) for a < n as (2n+2, n, n) stacks, from one intertwiner batch."""
+    (rows 0..n-1 of phi are a cyclic shift of the rows 1..n of the
+    Vandermonde matrix), worst over the pairs (us[p], mus[p]), from one
+    intertwiner batch."""
     n = ctx.n
-    keep, cross = _two_step_weights(lam, u - v, ctx)
-    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
-    phi, phibar = intertwiner_arrays([u, v] + [u] * n + [v] * n,
-                                     [lam, lam] + ups + ups, ctx)
-    return r_table([u - v], ctx)[0], keep, cross, phi, phibar
+    phi, phibar = intertwiner_arrays(us, mus, ctx)
+    want = vandermonde_product(
+        [[u / n - mu.pair_eps(k) for k in range(n)] for u, mu in zip(us, mus)],
+        ctx) * (-1) ** (n - 1)
+    return {"duality": _rel(np.stack([phibar @ phi, phi @ phibar], axis=1),
+                            np.eye(n)),
+            "det-closed-form": worst_of_arrays(*residual_arrays(
+                np.linalg.det(phi), want))}
 
 
-def verify_vertex_face_intertwining(u: complex, v: complex, lam: WeightPoint,
-                                    ctx: ModularContext) -> Residual:
-    """Outgoing intertwining relation tying R(u-v) to the face weights,
+def _two_step_weights(lams, deltas, ctx: ModularContext):
+    """keep[s, a, b] and cross[s, a, b]: the weights of the move with
+    argument deltas[s] on the two-step paths (a, b) from lams[s], to (a, b)
+    and to (b, a)."""
+    n = ctx.n
+    coords = np.array([lam.coords for lam in lams], dtype=complex)
+    keep, cross = _move_weights(_path_plan(n, 2), 0, coords, deltas, ctx)
+    return keep.reshape(-1, n, n), cross.reshape(-1, n, n)
+
+
+def verify_intertwining(us, vs, lams, ctx: ModularContext) -> dict:
+    """The outgoing ("vertex-face") and incoming ("dual") vertex-face
+    intertwining relations at the samples (us[s], vs[s], lams[s]), worst
+    over the samples and entries, from one intertwiner batch:
 
         sum_ij R^{ij}_{i'j'} phi_u[i, a] phi_v^{a}[j, b]
             = sum over the middles (a', b') of phi_v[j', a'] phi_u^{a'}[i', b'] W,
-
-    where phi^{a} sits at lam + h epsbar_a, the middles of the path (a, b)
-    are (a, b) with W = keep[a, b] and (b, a) with W = cross[a, b]; worst
-    over (a, b, i', j').
-    """
-    n = ctx.n
-    rt, keep, cross, phi, _ = _intertwining_factors(u, v, lam, ctx)
-    phi_u, phi_v, phi_u_up, phi_v_up = phi[0], phi[1], phi[2:2 + n], phi[2 + n:]
-    lhs = np.einsum("ijpq,ia,ajb->abpq", rt, phi_u, phi_v_up)
-    # [a, b, i'] = phi_u^{a}[i', b]; cross is 0 on the diagonal a = b
-    up = phi_u_up.transpose(0, 2, 1)
-    rhs = (phi_v.T[:, None, None, :] * up[:, :, :, None]
-           * keep[:, :, None, None]
-           + phi_v.T[None, :, None, :] * up.transpose(1, 0, 2)[:, :, :, None]
-           * cross[:, :, None, None])
-    return worst_of_arrays(*residual_arrays(lhs, rhs))
-
-
-def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
-                             ctx: ModularContext) -> Residual:
-    """Incoming intertwining relation (the inverse-vector version),
-
         sum_{i'j'} phibar_v[a, j'] phibar_u^{a}[b, i'] R^{ij}_{i'j'}
             = sum over the middles of W phibar_u[a', i] phibar_v^{a'}[b', j],
 
-    with the middles (a, b), W = keep[a, b] and (b, a), W = cross[b, a];
-    worst over (a, b, i, j).
+    with R = R(u-v) and phi^{a} at lam + h epsbar_a.  The middles of the
+    path (a, b) are (a, b) with W = keep[a, b] and (b, a) with W = cross[a, b]
+    (outgoing) or cross[b, a] (incoming), the two-step face weights at u-v.
     """
     n = ctx.n
-    rt, keep, cross, _, phibar = _intertwining_factors(u, v, lam, ctx)
-    pb_u, pb_v = phibar[0], phibar[1]
-    pb_u_up, pb_v_up = phibar[2:2 + n], phibar[2 + n:]
-    lhs = np.einsum("aq,abp,ijpq->abij", pb_v, pb_u_up, rt)
-    rhs = (keep[:, :, None, None] * pb_u[:, None, :, None]
-           * pb_v_up[:, :, None, :]
-           + cross.T[:, :, None, None] * pb_u[None, :, :, None]
-           * pb_v_up.transpose(1, 0, 2)[:, :, None, :])
-    return worst_of_arrays(*residual_arrays(lhs, rhs))
+    us, vs = np.asarray(us, dtype=complex), np.asarray(vs, dtype=complex)
+    keep, cross = _two_step_weights(lams, us - vs, ctx)
+    keep, cross = keep[..., None, None], cross[..., None, None]
+    rt = r_table(us - vs, ctx)
+    # per sample, phi at (u, lam), (v, lam), (u, lam + h epsbar_a) and
+    # (v, lam + h epsbar_a) for a < n
+    params, pts = [], []
+    for u, v, lam in zip(us.tolist(), vs.tolist(), lams):
+        ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+        params += [u, v] + [u] * n + [v] * n
+        pts += [lam, lam] + ups + ups
+    phi, phibar = (x.reshape(len(lams), 2 * n + 2, n, n)
+                   for x in intertwiner_arrays(params, pts, ctx))
+    phi_u, phi_v = phi[:, 0], phi[:, 1]
+    phi_u_up, phi_v_up = phi[:, 2:2 + n], phi[:, 2 + n:]
+    lhs = np.einsum("sijpq,sia,sajb->sabpq", rt, phi_u, phi_v_up)
+    # [s, a, b, i'] = phi_u^{a}[i', b]; cross is 0 on the diagonal a = b
+    up = phi_u_up.transpose(0, 1, 3, 2)
+    phi_vt = phi_v.transpose(0, 2, 1)
+    rhs = (phi_vt[:, :, None, None, :] * up[..., None] * keep
+           + phi_vt[:, None, :, None, :] * up.transpose(0, 2, 1, 3)[..., None]
+           * cross)
+    out = {"vertex-face": worst_of_arrays(*residual_arrays(lhs, rhs))}
+    pb_u, pb_v = phibar[:, 0], phibar[:, 1]
+    pb_u_up, pb_v_up = phibar[:, 2:2 + n], phibar[:, 2 + n:]
+    lhs = np.einsum("saq,sabp,sijpq->sabij", pb_v, pb_u_up, rt)
+    rhs = (keep * pb_u[:, :, None, :, None] * pb_v_up[:, :, :, None, :]
+           + cross.transpose(0, 2, 1, 3, 4) * pb_u[:, None, :, :, None]
+           * pb_v_up.transpose(0, 2, 1, 3)[:, :, :, None, :])
+    out["dual"] = worst_of_arrays(*residual_arrays(lhs, rhs))
+    return out
 
 
 # ----------------------------------------------------------------- fusion
@@ -541,20 +546,22 @@ def verify_dual_intertwining(u: complex, v: complex, lam: WeightPoint,
 def fusion_moves(k: int):
     """Adjacent-swap positions of the half-twist fusion braid (applied first
     to last); pairing with spectral parameters happens positionally."""
-    moves = []
-    for j in range(k - 1):
-        for m in range(k - 2, j - 1, -1):
-            moves.append(m)
-    return moves
+    return [m for j in range(k - 1) for m in range(k - 2, j - 1, -1)]
 
 
 def crossing_moves(k: int, l: int):
     """Moves carrying l strands from the right of a k-block to its left."""
-    moves = []
-    for j in range(l):
-        for m in range(k + j - 1, j - 1, -1):
-            moves.append(m)
-    return moves
+    return [m for j in range(l) for m in range(k + j - 1, j - 1, -1)]
+
+
+def _move_deltas(params, moves):
+    """The spectral argument params[m] - params[m + 1] of every move m, the
+    parameters swapping places as the moves go (positional tracking)."""
+    params, deltas = list(params), []
+    for m in moves:
+        deltas.append(params[m] - params[m + 1])
+        params[m], params[m + 1] = params[m + 1], params[m]
+    return deltas
 
 
 def _braid_on(params, moves, op: np.ndarray, ctx: ModularContext) -> np.ndarray:
@@ -567,11 +574,8 @@ def _braid_on(params, moves, op: np.ndarray, ctx: ModularContext) -> np.ndarray:
     and then multiplying, also rounds less where the product projects
     away most of the columns (the rank-1 antisymmetrizer at k = n).
     """
-    params, deltas = list(params), []
-    for m in moves:
-        deltas.append(params[m] - params[m + 1])
-        params[m], params[m + 1] = params[m + 1], params[m]
-    return _apply_moves(op, rcheck_table(deltas, ctx), moves, ctx.n)
+    return _apply_moves(op, rcheck_table(_move_deltas(params, moves), ctx),
+                        moves, ctx.n)
 
 
 def braid_matrix(params, moves, ctx: ModularContext) -> np.ndarray:
@@ -582,12 +586,8 @@ def braid_matrix(params, moves, ctx: ModularContext) -> np.ndarray:
 
 def face_braid_matrix(base: WeightPoint, params, moves, ctx: ModularContext) -> np.ndarray:
     """Product of face moves with positional parameter tracking."""
-    params = list(params)
-    mv = []
-    for m in moves:
-        mv.append((m, params[m] - params[m + 1]))
-        params[m], params[m + 1] = params[m + 1], params[m]
-    return face_operator_matrix(base, len(params), mv, ctx)
+    return face_operator_matrix(base, len(params),
+                                list(zip(moves, _move_deltas(params, moves))), ctx)
 
 
 def fusion_parameters(k: int, u: complex, ctx: ModularContext):
@@ -646,21 +646,14 @@ def verify_fusion_intertwining(k: int, u: complex, lam: WeightPoint,
 
 def antisym_vector(n: int, subset) -> np.ndarray:
     """e^I = sum_sigma sgn(sigma) e^{i_sigma(1)} x ... x e^{i_sigma(k)}."""
-    from itertools import permutations
     k = len(subset)
     vec = np.zeros(n ** k, dtype=complex)
-    base = list(subset)
     for perm in permutations(range(k)):
-        sgn = perm_sign(perm)
-        idx = 0
-        for r in range(k):
-            idx = idx * n + base[perm[r]]
-        vec[idx] += sgn
+        vec[np.ravel_multi_index([subset[p] for p in perm], (n,) * k)] += perm_sign(perm)
     return vec
 
 
 def subsets(n: int, k: int):
-    from itertools import combinations
     return list(combinations(range(n), k))
 
 
@@ -678,13 +671,6 @@ def fused_rcheck_matrix(k: int, kp: int, u: complex, v: complex,
     image = _braid_on(params, crossing_moves(k, kp), np.stack(cols, axis=1),
                       ctx)
     # read off coefficients on the dual (increasing-index slot) basis
-    rows = []
-    for big_jp in subsets(n, kp):
-        for big_ip in subsets(n, k):
-            idx = 0
-            for s in big_jp:
-                idx = idx * n + s
-            for s in big_ip:
-                idx = idx * n + s
-            rows.append(idx)
+    rows = [np.ravel_multi_index(big_jp + big_ip, (n,) * (k + kp))
+            for big_jp in subsets(n, kp) for big_ip in subsets(n, k)]
     return image[rows, :]

@@ -44,7 +44,7 @@ class ModularContext:
     trunc       number of lattice terms kept on each side of a theta series
     tol_series  target bound for the discarded series tail
     tol_identity  singularity floor, not a pass threshold: the sampling
-                guard (x10), the verify_fay, face-weight and ltilde
+                guard (x10), the fay_sides, face-weight and ltilde
                 denominators, the lattice distance of hbar and of the p
                 argument (x10), and the Vandermonde "both vanish" floor
                 (times the Hadamard bound)

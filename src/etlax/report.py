@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .theta import Residual, worst_of
+
 
 SCHEMA_VERSION = 2
 
@@ -56,7 +58,9 @@ class SuiteReport:
         return self
 
     def worst(self) -> float:
-        return max((c.rel for c in self.cases if not c.control), default=0.0)
+        """worst_of over the non-control cases: a NaN rel wins."""
+        return worst_of(Residual(c.rel, c.abs) for c in self.cases
+                        if not c.control).rel
 
 
 def _param_lines(params: dict):
@@ -142,7 +146,8 @@ def report_json(reports) -> str:
         ],
         "summary": {
             "pass": all(r.passed for r in reports),
-            "worst_rel": max((r.worst() for r in reports), default=0.0),
+            "worst_rel": worst_of(Residual(r.worst(), 0.0)
+                                  for r in reports).rel,
         },
     }
     return _emit_json(doc) + "\n"

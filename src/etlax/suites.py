@@ -43,8 +43,14 @@ def _control_case(name: str, res, floor: float) -> Case:
                 control=True)
 
 
+def _rcs(rng, shape, box: float = 0.4) -> np.ndarray:
+    """Complex draws of the given shape, real and imaginary parts uniform in
+    [-box, box], from one uniform call: in row-major order, one point at a time."""
+    return rng.uniform(-box, box, size=(*shape, 2)).view(complex)[..., 0]
+
+
 def _rc(rng, box: float = 0.4) -> complex:
-    return complex(rng.uniform(-box, box) + 1j * rng.uniform(-box, box))
+    return complex(_rcs(rng, (), box))
 
 
 def _seed(rng) -> int:
@@ -72,7 +78,7 @@ def _exp_fn(vec):
 
 def suite_theta(ctx: ModularContext, rng, tol: float):
     cases = []
-    us = [_rc(rng) for _ in range(20)]
+    us = _rcs(rng, (20,)).tolist()
     fac = lambda u: -cmath.exp(-2j * cmath.pi * (u + ctx.tau / 2.0))
     at_u, at_u1, at_utau, at_neg = th.theta_table(
         [us, [u + 1 for u in us], [u + ctx.tau for u in us], [-u for u in us]],
@@ -85,7 +91,7 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
     cases.append(_case("oddness", th.worst_of(
         th.residual_pair(tn, -t0) for t0, tn in zip(at_u, at_neg)), tol))
 
-    us = [_rc(rng) for _ in range(10)]
+    us = _rcs(rng, (10,)).tolist()
     cases.append(_case("triple-product", th.worst_of(
         th.residual_pair(t0, th.jacobi_theta_triple_product(u, ctx))
         for u, t0 in zip(us, th.theta_table(us, ctx).tolist())), 1e-12))
@@ -133,7 +139,7 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
     cases.append(_case("eta-log-sum", th.residual_pair(
         eta.value, th.dedekind_eta_logsum(ctx.tau, ctx)), 1e-13))
 
-    us = [_rc(rng) for _ in range(10)]
+    us = _rcs(rng, (10,)).tolist()
     h = 1e-5
     plus, minus = th.theta_table([[u + h for u in us], [u - h for u in us]],
                                  ctx).tolist()
@@ -154,7 +160,7 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
 
 def suite_ybe(ctx: ModularContext, rng, tol: float):
     cases = []
-    us = [_rc(rng) for _ in range(10)]
+    us = _rcs(rng, (10,))
     sym = bv.verify_r_symmetry(us, ctx)
     qp = bv.verify_r_quasiperiodicity(us, ctx)
     cases.append(_case("gh-symmetry", th.worst_of([sym["g"], sym["h"]]), tol))
@@ -171,8 +177,8 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
         cases.append(_case("eight-vertex-pattern",
                            Residual(0.0 if nz == 8 else 1.0, float(nz != 8)),
                            tol))
-    triples = [[_rc(rng) for _ in range(3)] for _ in range(25)]
-    cases.append(_case("vertex-ybe", bv.verify_ybe(*zip(*triples), ctx), tol))
+    cases.append(_case("vertex-ybe", bv.verify_ybe(*_rcs(rng, (25, 3)).T, ctx),
+                       tol))
     u = _rc(rng)
     cases.append(_case("vertex-ybe-degenerate", bv.verify_ybe(u, u, _rc(rng), ctx),
                        tol))
@@ -180,11 +186,9 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
 
 
 def suite_face_ybe(ctx: ModularContext, rng, tol: float):
-    found = []
-    for _ in range(25):
-        lam = sample_generic(_seed(rng), ctx)
-        found.append(bv.verify_face_ybe(_rc(rng), _rc(rng), _rc(rng), lam, ctx))
-    cases = [_case("face-ybe", th.worst_of(found), tol)]
+    lams, us, vs, ws = zip(*[(sample_generic(_seed(rng), ctx), _rc(rng), _rc(rng),
+                              _rc(rng)) for _ in range(25)])
+    cases = [_case("face-ybe", bv.verify_face_ybe(us, vs, ws, lams, ctx), tol)]
     lam = sample_generic(_seed(rng), ctx)
     w0 = bv.face_weight(lam, 0, 0, "diag", 0.0, ctx)
     cases.append(_case("face-weight-diag-u0",
@@ -199,32 +203,17 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
 
 def suite_intertwiner(ctx: ModularContext, rng, tol: float):
     cases = []
-    duals, dets = [], []
-    for _ in range(10):
-        u = _rc(rng)
-        lam = sample_generic(_seed(rng), ctx)
-        dual = bv.verify_intertwiner_duality(u, lam, ctx)
-        duals += [dual["phibar-phi"], dual["phi-phibar"]]
-        # det phi against the closed determinant formula
-        pair = bv.intertwiners(u, lam, ctx)
-        n = ctx.n
-        got = complex(np.linalg.det(pair.phi))
-        want = th.vandermonde_product(
-            [u / n - lam.pair_eps(k) for k in range(n)], ctx)
-        # rows 0..n-1 are a cyclic shift of rows 1..n
-        want *= (-1) ** (n - 1)
-        dets.append(th.residual_pair(got, want))
-    cases.append(_case("duality", th.worst_of(duals), 1e-10))
-    cases.append(_case("det-closed-form", th.worst_of(dets), tol))
+    us, lams = zip(*[(_rc(rng), sample_generic(_seed(rng), ctx))
+                     for _ in range(10)])
+    out = bv.verify_intertwiners(us, lams, ctx)
+    cases.append(_case("duality", out["duality"], 1e-10))
+    cases.append(_case("det-closed-form", out["det-closed-form"], tol))
 
-    outs, ins = [], []
-    for _ in range(4):
-        u, v = _rc(rng), _rc(rng)
-        lam = sample_generic(_seed(rng), ctx)
-        outs.append(bv.verify_vertex_face_intertwining(u, v, lam, ctx))
-        ins.append(bv.verify_dual_intertwining(u, v, lam, ctx))
-    cases.append(_case("vertex-face-intertwining", th.worst_of(outs), tol))
-    cases.append(_case("dual-intertwining", th.worst_of(ins), tol))
+    us, vs, lams = zip(*[(_rc(rng), _rc(rng), sample_generic(_seed(rng), ctx))
+                         for _ in range(4)])
+    out = bv.verify_intertwining(us, vs, lams, ctx)
+    cases.append(_case("vertex-face-intertwining", out["vertex-face"], tol))
+    cases.append(_case("dual-intertwining", out["dual"], tol))
 
     # fusion operators
     u = _rc(rng)
@@ -315,20 +304,16 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
 def suite_qfay(ctx: ModularContext, rng, tol: float):
     cases = []
     for d in range(1, 5):
-        found = []
-        for _ in range(50):
-            u = _rc(rng)
-            lams = [_rc(rng) for _ in range(d)]
-            mus = [_rc(rng) for _ in range(d)]
-            found.append(th.verify_qfay(d, u, lams, mus, ctx))
-        cases.append(_case(f"qfay-d{d}", th.worst_of(found), tol))
+        # each sample draws u, then lambda_1..d, then mu_1..d
+        draws = _rcs(rng, (50, 2 * d + 1))
+        cases.append(_case(f"qfay-d{d}", th.verify_qfay(
+            d, draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:], ctx), tol))
     # hbar -> 0 degeneration towards the Cauchy-type form
     d = 2
     sctx = ctx.replace(hbar=1e-6)
-    u = _rc(rng)
-    lams = [_rc(rng) for _ in range(d)]
-    mus = [_rc(rng) for _ in range(d)]
-    lhs = th.qfay_lhs(d, u, lams, mus, sctx)
+    u, *draws = _rcs(rng, (2 * d + 1,)).tolist()
+    lams, mus = draws[:d], draws[d:]
+    lhs = complex(th.qfay_lhs(d, u, lams, mus, sctx))
     values = th.theta_table(
         [u + sum(m - l for m, l in zip(mus, lams)), u]
         + [a for s in range(d) for sp in range(s + 1, d)
@@ -344,16 +329,20 @@ def suite_qfay(ctx: ModularContext, rng, tol: float):
 def suite_fay(ctx: ModularContext, rng, tol: float):
     cases = []
     for d in range(1, 5):
-        found = []
-        while len(found) < 50:
-            u = _rc(rng)
-            lams = [_rc(rng) for _ in range(d)]
-            mus = [_rc(rng) for _ in range(d)]
-            try:
-                found.append(th.verify_fay(d, u, lams, mus, ctx))
-            except th.SingularParameterError:
-                continue
-        cases.append(_case(f"fay-d{d}", th.worst_of(found), tol))
+        # 50 regular samples: a singular one is dropped and only the
+        # shortfall drawn again, so the stream is that of drawing one
+        # sample at a time until 50 are regular
+        lhs, rhs, need = [], [], 50
+        while need:
+            draws = _rcs(rng, (need, 2 * d + 1))
+            left, right, small = th.fay_sides(d, draws[:, 0], draws[:, 1:d + 1],
+                                              draws[:, d + 1:], ctx)
+            regular = ~small.any(axis=-1)
+            lhs.append(left[regular])
+            rhs.append(right[regular])
+            need -= int(regular.sum())
+        cases.append(_case(f"fay-d{d}", th.worst_of_arrays(*th.residual_arrays(
+            np.concatenate(lhs), np.concatenate(rhs))), tol))
     return cases
 
 
@@ -361,11 +350,10 @@ def suite_vandermonde(ctx: ModularContext, rng, tol: float):
     cases = []
     for n in (2, 3, 4):
         sub = ctx.replace(n=n) if n != ctx.n else ctx
-        cases.append(_case(f"vandermonde-n{n}", th.worst_of(
-            th.verify_vandermonde([_rc(rng) for _ in range(n)], sub)
-            for _ in range(50)), tol))
+        cases.append(_case(f"vandermonde-n{n}",
+                           th.verify_vandermonde(_rcs(rng, (50, n)), sub), tol))
         # shared zero: sum of arguments an integer
-        us = [_rc(rng) for _ in range(n - 1)]
+        us = _rcs(rng, (n - 1,)).tolist()
         us.append(1.0 - sum(us))
         res = th.verify_vandermonde(us, sub)
         cases.append(_case(f"vandermonde-degenerate-n{n}", res, tol))

@@ -26,7 +26,9 @@ because exp(2 pi i mu u) alone overflows where that factor underflows
 (|Im u| of a few periods), and inf * 0 is nan.  The face weights, the
 R-matrices, the intertwiners, the determinant identities, the closed-form
 M_d coefficients and the sampling guard read all their theta values from
-one such table per move, sample or batch.
+one such table per move or per batch of samples: the determinant
+identities (qFay, Fay, Vandermonde) take leading batch axes, one point
+set per sample, and a single point set is the batch of one.
 
 A check reduces its residuals with worst_of (or worst_of_arrays for a
 vectorized check): the largest rel, the first on ties, and a NaN rel wins,
@@ -313,120 +315,139 @@ def vandermonde_sign(n: int) -> int:
     return (-1) ** (n - 1) * (-1) ** (n * (n - 1) // 2)
 
 
-def vandermonde_product(us, ctx: ModularContext) -> complex:
+def vandermonde_product(us, ctx: ModularContext):
     """vandermonde_sign(n) * theta(sum u)/(i eta) * prod_{j<k} theta(u_k-u_j)/(i eta)
-    over the n = len(us) points, from one theta_table call."""
-    n = len(us)
+    over the n points on the last axis of us, at every sample of its leading
+    axes, from one theta_table call."""
+    us = np.asarray(us, dtype=complex)
+    n = us.shape[-1]
+    j, k = np.triu_indices(n, 1)
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-    values = theta_table([sum(us)] + [us[k] - us[j] for j in range(n)
-                                      for k in range(j + 1, n)], ctx).tolist()
-    value = vandermonde_sign(n) * values[0] / ieta
-    for factor in values[1:]:
-        value *= factor / ieta
-    return value
+    table = theta_table(np.concatenate(
+        [sum(us[..., [c]] for c in range(n)), us[..., k] - us[..., j]], axis=-1), ctx)
+    # the columns are summed in order, and the factors multiplied in
+    # Python's complex arithmetic: numpy's complex division rounds otherwise
+    out = []
+    for values in table.reshape(-1, table.shape[-1]).tolist():
+        value = vandermonde_sign(n) * values[0] / ieta
+        for factor in values[1:]:
+            value *= factor / ieta
+        out.append(value)
+    return np.array(out, dtype=complex).reshape(us.shape[:-1])[()]
 
 
 def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     """Determinant identity for the level-n thetas.
 
-    det[theta_j(u_k) / (i eta)]_{j,k=1..n} against vandermonde_product(us).
+    det[theta_j(u_k) / (i eta)]_{j,k=1..n} against vandermonde_product(us),
+    at every sample of the leading axes of us (one stacked det); the worst
+    over them, or the one sample's own residual when us is one point set.
 
     Both sides below tol_identity times the Hadamard bound of the matrix
     (the product of its column norms) reports as degenerate residual 0.
     """
     n = ctx.n
-    if len(us) != n:
-        raise ValueError(f"need exactly n={n} points, got {len(us)}")
+    us = np.asarray(us, dtype=complex)
+    if us.shape[-1:] != (n,):
+        raise ValueError(f"need exactly n={n} points, got {us.shape[-1:]}")
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-    mat = theta_level_table(range(1, n + 1), us, ctx) / ieta
-    lhs = complex(np.linalg.det(mat))
+    mat = np.moveaxis((theta_level_table(range(1, n + 1), us.ravel(), ctx) / ieta)
+                      .reshape((n,) + us.shape), 0, -2)
+    lhs = np.linalg.det(mat)
     rhs = vandermonde_product(us, ctx)
+    rel, ab = residual_arrays(lhs, rhs)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
     # rounding in a determinant that vanishes exactly
-    floor = ctx.tol_identity * float(np.prod(np.linalg.norm(mat, axis=0)))
-    if abs(lhs) < floor and abs(rhs) < floor:
-        return Residual(0.0, abs(lhs - rhs))
-    return residual_pair(lhs, rhs)
+    floor = ctx.tol_identity * np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
+    rel = np.where((np.abs(lhs) < floor) & (np.abs(rhs) < floor), 0.0, rel)
+    if rel.ndim == 0:
+        return Residual(float(rel), float(ab))
+    return worst_of_arrays(rel, ab)
 
 
-def qfay_lhs(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> complex:
+def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext):
     """Determinant side of the hbar-deformed determinant identity.
 
-    The d x d x d theta arguments are read from one theta_table call.
+    u holds one point per sample, lambdas and mus d points per sample on
+    their last axis; the d x d x d theta arguments of every sample are read
+    from one theta_table call and the d x d matrices take one stacked det.
     """
     hb = ctx.hbar
-    args = []
-    for s in range(1, d + 1):
-        for sp in range(1, d + 1):
-            for r in range(1, d + 1):
-                arg = mus[r - 1] - lambdas[sp - 1]
-                if r < s:
-                    arg += hb
-                if r == s:
-                    arg += u - (s - 1) * hb
-                args.append(arg)
-    values = iter(theta_table(args, ctx).tolist())
-    mat = np.empty((d, d), dtype=complex)
-    for s in range(d):
-        for sp in range(d):
-            prod = 1.0 + 0.0j
-            for _ in range(d):
-                prod *= next(values)
-            mat[s, sp] = prod
-    return complex(np.linalg.det(mat))
+    u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
+    # offset [..., s, r]: hb below the diagonal, u - s hb on it
+    off = np.tril(np.full(u.shape + (d, d), hb, dtype=complex), -1)
+    off[..., range(d), range(d)] = u[..., None] - np.arange(d) * hb
+    # argument [..., s, s', r] = mu_r - lambda_s' + offset[s, r]
+    args = (mu[..., None, None, :] - lam[..., None, :, None]) + off[..., :, None, :]
+    return np.linalg.det(np.prod(theta_table(args, ctx), axis=-1))
 
 
-def qfay_rhs(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> complex:
-    """Product side of the hbar-deformed determinant identity (one theta
-    table for all its factors)."""
+def qfay_rhs(d: int, u, lambdas, mus, ctx: ModularContext):
+    """Product side of the hbar-deformed determinant identity, at every
+    sample (one theta table for all their factors)."""
     hb = ctx.hbar
-    args = [u + sum(mus[r] - lambdas[r] for r in range(d))]
-    args += [u - s * hb for s in range(1, d)]
-    for s in range(d):
-        for sp in range(s + 1, d):
-            args += [lambdas[sp] - lambdas[s], hb + mus[s] - mus[sp]]
-    values = theta_table(args, ctx).tolist()
-    value = values[0]
-    for factor in values[1:]:
-        value *= factor
-    return value
+    u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
+    s, sp = np.triu_indices(d, 1)
+    args = np.concatenate([
+        (u + sum(mu[..., r] - lam[..., r] for r in range(d)))[..., None],
+        u[..., None] - np.arange(1, d) * hb,
+        np.stack([lam[..., sp] - lam[..., s], hb + mu[..., s] - mu[..., sp]],
+                 axis=-1).reshape(u.shape + (-1,))], axis=-1)
+    return np.prod(theta_table(args, ctx), axis=-1)
 
 
-def verify_qfay(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> Residual:
-    """Residual of the deformed determinant identity at the given points."""
+def verify_qfay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
+    """Residual of the deformed determinant identity, worst over the
+    samples (one point set or a batch of them, as in qfay_lhs)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return residual_pair(qfay_lhs(d, u, lambdas, mus, ctx),
-                         qfay_rhs(d, u, lambdas, mus, ctx))
+    return worst_of_arrays(*residual_arrays(qfay_lhs(d, u, lambdas, mus, ctx),
+                                            qfay_rhs(d, u, lambdas, mus, ctx)))
 
 
-def verify_fay(d: int, u: complex, lambdas, mus, ctx: ModularContext) -> Residual:
-    """Residual of the Cauchy-type determinant identity (genus-one trisecant).
-
-    Every theta value is read from one theta_table call.
+def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
+    """Both sides of the Cauchy-type determinant identity (genus-one
+    trisecant) at every sample, from one theta_table call, and where it is
+    singular: small[..., 0] marks |theta(u)| < tol_identity and
+    small[..., 1] some |theta(mu_s - lambda_s')| < tol_identity, where
+    the sides are left out (they read 0).
     """
     tol = ctx.tol_identity
-    cross = [mus[s] - lambdas[sp] for s in range(d) for sp in range(d)]
-    pairs = [(s, sp) for s in range(d) for sp in range(s + 1, d)]
-    args = [u, u + sum(mus[r] - lambdas[r] for r in range(d))]
-    args += cross + [x + u for x in cross]
-    args += [a for s, sp in pairs
-             for a in (mus[s] - mus[sp], lambdas[sp] - lambdas[s])]
-    values = theta_table(args, ctx).tolist()
-    tu, top = values[0], values[1]
-    dens = values[2:2 + d * d]
-    nums = values[2 + d * d:2 + 2 * d * d]
-    if abs(tu) < tol:
+    u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
+    cross = (mu[..., :, None] - lam[..., None, :]).reshape(u.shape + (d * d,))
+    s, sp = np.triu_indices(d, 1)
+    table = theta_table(np.concatenate([
+        u[..., None], (u + sum(mu[..., r] - lam[..., r] for r in range(d)))[..., None],
+        cross, cross + u[..., None],
+        np.stack([mu[..., s] - mu[..., sp], lam[..., sp] - lam[..., s]],
+                 axis=-1).reshape(u.shape + (-1,))], axis=-1), ctx)
+    # the quotients are formed in Python's complex arithmetic, sample by
+    # sample, as in vandermonde_product
+    mats, rhs, small = [], [], []
+    for values in table.reshape(-1, table.shape[-1]).tolist():
+        tu, top, dens = values[0], values[1], values[2:2 + d * d]
+        nums, rest = values[2 + d * d:2 + 2 * d * d], values[2 + 2 * d * d:]
+        small.append((abs(tu) < tol, any(abs(den) < tol for den in dens)))
+        if any(small[-1]):
+            tu, top, dens, nums = 1.0, 0j, [1.0] * (d * d), [0j] * (d * d)
+        mats.append([num / (den * tu) for num, den in zip(nums, dens)])
+        value = top / tu
+        for mu_factor, lambda_factor in zip(rest[::2], rest[1::2]):
+            value *= mu_factor * lambda_factor
+        for den in dens:
+            value /= den
+        rhs.append(value)
+    return (np.linalg.det(np.array(mats, dtype=complex).reshape(u.shape + (d, d))),
+            np.array(rhs, dtype=complex).reshape(u.shape)[()],
+            np.array(small).reshape(u.shape + (2,)))
+
+
+def verify_fay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
+    """Residual of the Cauchy-type determinant identity, worst over the
+    samples; raises SingularParameterError where fay_sides is singular."""
+    lhs, rhs, small = fay_sides(d, u, lambdas, mus, ctx)
+    if small[..., 0].any():
         raise SingularParameterError("theta(u) too close to 0")
-    if any(abs(den) < tol for den in dens):
+    if small.any():
         raise SingularParameterError("theta(mu_s - lambda_s') too close to 0")
-    mat = np.array([num / (den * tu) for num, den in zip(nums, dens)],
-                   dtype=complex).reshape(d, d)
-    lhs = complex(np.linalg.det(mat))
-    rhs = top / tu
-    rest = values[2 + 2 * d * d:]
-    for mu_factor, lambda_factor in zip(rest[::2], rest[1::2]):
-        rhs *= mu_factor * lambda_factor
-    for den in dens:
-        rhs /= den
-    return residual_pair(lhs, rhs)
+    return worst_of_arrays(*residual_arrays(lhs, rhs))

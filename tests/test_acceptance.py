@@ -18,6 +18,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from conftest import rand_complex, sumzero_exp
 from etlax import belavin as bv
@@ -29,6 +30,17 @@ from etlax import weights as wt
 from etlax.context import default_context
 
 
+def _worst(found):
+    """The worst rel of the residuals found by worst_of: a NaN wins, so a
+    criterion that computed one fails (builtin max(0.0, nan) is 0.0)."""
+    return th.worst_of(found).rel
+
+
+def _worst_number(values):
+    """_worst over bare deviations."""
+    return _worst(th.Residual(v, v) for v in values)
+
+
 def _report(num, label, worst, tol):
     ok = worst < tol
     print(f"ACCEPTANCE {num} [{label}]: {'PASS' if ok else 'FAIL'} "
@@ -37,116 +49,110 @@ def _report(num, label, worst, tol):
 
 
 def test_criterion_01_r_matrix_characterization():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([1, n])
-        worst = max(worst, bv.verify_r_zero_is_permutation(ctx).rel)
-        worst = max(worst, bv.verify_r_holomorphy(ctx).rel)
+        found.append(bv.verify_r_zero_is_permutation(ctx))
+        found.append(bv.verify_r_holomorphy(ctx))
         for _ in range(10):
             u = rand_complex(rng)
             sym = bv.verify_r_symmetry(u, ctx)
             qp = bv.verify_r_quasiperiodicity(u, ctx)
-            worst = max(worst, sym["g"].rel, sym["h"].rel,
-                        qp["period-1"].rel, qp["period-tau"].rel)
-    assert _report(1, "five characterization conditions", worst, 1e-8)
+            found += [sym["g"], sym["h"], qp["period-1"], qp["period-tau"]]
+    assert _report(1, "five characterization conditions", _worst(found), 1e-8)
 
 
 def test_criterion_02_yang_baxter():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([2, n])
         for _ in range(25):
-            worst = max(worst, bv.verify_ybe(rand_complex(rng),
-                                             rand_complex(rng),
-                                             rand_complex(rng), ctx).rel)
+            found.append(bv.verify_ybe(rand_complex(rng), rand_complex(rng),
+                                       rand_complex(rng), ctx))
             lam = wt.sample_generic(int(rng.integers(0, 2 ** 31)), ctx)
-            worst = max(worst, bv.verify_face_ybe(rand_complex(rng),
-                                                  rand_complex(rng),
-                                                  rand_complex(rng), lam,
-                                                  ctx).rel)
-    assert _report(2, "vertex and face Yang-Baxter", worst, 1e-8)
+            found.append(bv.verify_face_ybe(rand_complex(rng),
+                                            rand_complex(rng),
+                                            rand_complex(rng), lam, ctx))
+    assert _report(2, "vertex and face Yang-Baxter", _worst(found), 1e-8)
 
 
 def test_criterion_03_rll_relation():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([3, n])
         lams = wt.sample_many(int(rng.integers(0, 2 ** 31)), 5, ctx)
         fns = [sumzero_exp(rng, n) for _ in range(5)]
-        worst = max(worst, tr.verify_rll(rand_complex(rng), rand_complex(rng),
-                                         rand_complex(rng), ctx, lams,
-                                         fns).rel)
-    assert _report(3, "RLL exchange relation", worst, 1e-8)
+        found.append(tr.verify_rll(rand_complex(rng), rand_complex(rng),
+                                   rand_complex(rng), ctx, lams, fns))
+    assert _report(3, "RLL exchange relation", _worst(found), 1e-8)
 
 
 def test_criterion_04_main_theorem():
-    worst_eq = 0.0
-    worst_comm = 0.0
+    found_eq, found_comm = [], []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([4, n])
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 12, ctx)
         for d in range(1, n + 1):
             for _ in range(10):
-                worst_eq = max(worst_eq, tr.verify_trace_closed(
-                    rand_complex(rng), rand_complex(rng), d, ctx, samples).rel)
+                found_eq.append(tr.verify_trace_closed(
+                    rand_complex(rng), rand_complex(rng), d, ctx, samples))
         c = rand_complex(rng)
         for d in range(1, n + 1):
             for dp in range(1, n + 1):
-                worst_comm = max(worst_comm, tr.verify_commutation(
+                found_comm.append(tr.verify_commutation(
                     c, rand_complex(rng), rand_complex(rng), d, dp, ctx,
-                    samples).rel)
-        worst_comm = max(worst_comm, tr.verify_commutation_trace(
+                    samples))
+        found_comm.append(tr.verify_commutation_trace(
             c, rand_complex(rng), rand_complex(rng), 1, min(2, n), ctx,
-            samples).rel)
-    ok1 = _report(4, "trace equals closed form", worst_eq, 1e-7)
-    ok2 = _report(4, "commuting family", worst_comm, 1e-8)
+            samples))
+    ok1 = _report(4, "trace equals closed form", _worst(found_eq), 1e-7)
+    ok2 = _report(4, "commuting family", _worst(found_comm), 1e-8)
     assert ok1 and ok2
 
 
 def test_criterion_05_determinant_identities():
     ctx = default_context(2)
     rng = np.random.default_rng(5)
-    worst_q = worst_f = 0.0
+    found_q, found_f = [], []
     for d in range(1, 5):
         done = 0
         while done < 50:
             u = rand_complex(rng)
             lams = [rand_complex(rng) for _ in range(d)]
             mus = [rand_complex(rng) for _ in range(d)]
-            worst_q = max(worst_q, th.verify_qfay(d, u, lams, mus, ctx).rel)
+            found_q.append(th.verify_qfay(d, u, lams, mus, ctx))
             try:
-                worst_f = max(worst_f, th.verify_fay(d, u, lams, mus, ctx).rel)
+                found_f.append(th.verify_fay(d, u, lams, mus, ctx))
             except th.SingularParameterError:
                 continue
             done += 1
-    worst_v = 0.0
+    found_v = []
     for n in (2, 3, 4):
         sub = default_context(n)
         for _ in range(50):
-            worst_v = max(worst_v, th.verify_vandermonde(
-                [rand_complex(rng) for _ in range(n)], sub).rel)
-    ok = _report(5, "deformed determinant identity", worst_q, 1e-9)
-    ok &= _report(5, "trisecant identity", worst_f, 1e-9)
-    ok &= _report(5, "Vandermonde-type determinant", worst_v, 1e-9)
+            found_v.append(th.verify_vandermonde(
+                [rand_complex(rng) for _ in range(n)], sub))
+    ok = _report(5, "deformed determinant identity", _worst(found_q), 1e-9)
+    ok &= _report(5, "trisecant identity", _worst(found_f), 1e-9)
+    ok &= _report(5, "Vandermonde-type determinant", _worst(found_v), 1e-9)
     assert ok
 
 
 def test_criterion_06_generating_function():
-    worst = 0.0
-    lead_err = 0.0
+    found, lead_errs = [], []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([6, n])
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 12, ctx)
         c, u = rand_complex(rng), rand_complex(rng)
         for _ in range(5):
-            worst = max(worst, tr.verify_genfunc(c, u, rand_complex(rng, 0.8),
-                                                 ctx, samples).rel)
-        worst = max(worst, tr.verify_genfunc(c, u, 0.0, ctx, samples).rel)
+            found.append(tr.verify_genfunc(c, u, rand_complex(rng, 0.8), ctx,
+                                           samples))
+        found.append(tr.verify_genfunc(c, u, 0.0, ctx, samples))
         # leading coefficient of the operator polynomial det(t) is (-1)^n id
         lop = tr.l_op(c, u, ctx)
         lam = samples[0]
@@ -155,14 +161,15 @@ def test_criterion_06_generating_function():
         vals = np.array([oa.normal_det(lop, t, ctx).coeff((0,) * n, lam)
                          for t in ts_pts])
         coeffs = np.linalg.solve(vander, vals)
-        lead_err = max(lead_err, abs(coeffs[n] - (-1.0) ** n))
-    ok = _report(6, "normal determinant equals generating sum", worst, 1e-7)
-    ok &= _report(6, "t^n edge coefficient", lead_err, 1e-7)
+        lead_errs.append(abs(coeffs[n] - (-1.0) ** n))
+    ok = _report(6, "normal determinant equals generating sum", _worst(found),
+                 1e-7)
+    ok &= _report(6, "t^n edge coefficient", _worst_number(lead_errs), 1e-7)
     assert ok
 
 
 def test_criterion_07_ground_state_conjugation():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         assert abs(ctx.q) <= 0.5
@@ -171,20 +178,37 @@ def test_criterion_07_ground_state_conjugation():
             lam = wt.sample_generic(int(rng.integers(0, 2 ** 31)), ctx)
             out = tr.verify_ruijsenaars(rand_complex(rng), rand_complex(rng),
                                         d, lam, ctx)
-            worst = max(worst, out["ratio"].rel, out["coefficient"].rel)
-    assert _report(7, "squared conjugation identity", worst, 1e-6)
+            found += [out["ratio"], out["coefficient"]]
+    assert _report(7, "squared conjugation identity", _worst(found), 1e-6)
 
 
 def test_criterion_08_krichever_matrix():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([8, n])
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 3, ctx)
-        worst = max(worst, tr.verify_krichever(rand_complex(rng),
-                                               rand_complex(rng), ctx,
-                                               samples).rel)
-    assert _report(8, "Lax matrix hbar-derivative", worst, 1e-5)
+        found.append(tr.verify_krichever(rand_complex(rng), rand_complex(rng),
+                                         ctx, samples))
+    assert _report(8, "Lax matrix hbar-derivative", _worst(found), 1e-5)
+
+
+def test_nan_residual_turns_a_criterion_red(monkeypatch):
+    # one of the two Krichever checks computes a NaN residual: the
+    # criterion must fail, where max(worst, nan) would have kept worst
+    krichever = tr.verify_krichever
+    calls = []
+
+    def second_nan(*args):
+        calls.append(1)
+        res = krichever(*args)
+        return th.Residual(float("nan"), res.abs) if len(calls) == 2 else res
+    monkeypatch.setattr(tr, "verify_krichever", second_nan)
+    with pytest.raises(AssertionError):
+        test_criterion_08_krichever_matrix()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    test_criterion_08_krichever_matrix()
 
 
 def test_criterion_09_differential_limit():
@@ -195,29 +219,25 @@ def test_criterion_09_differential_limit():
     # displayed forms
     d_ops = tr.build_d_ops(c, 0.0, ctx3)
     lam = samples3[0]
-    form_err = 0.0
     terms = [th.theta(lam.diff(i, k), ctx3, 1) / th.theta(lam.diff(i, k), ctx3)
              for i in range(3) for k in range(3) if k != i]
-    form_err = max(form_err, abs(d_ops[0].coeff((0, 0, 0), lam) - sum(terms))
-                   / sum(abs(t) for t in terms))
+    form_errs = [abs(d_ops[0].coeff((0, 0, 0), lam) - sum(terms))
+                 / sum(abs(t) for t in terms)]
     for i in range(3):
         ei = tuple(1 if a == i else 0 for a in range(3))
-        form_err = max(form_err,
-                       abs(d_ops[0].coeff(ei, lam) - (-3 / c)) / abs(3 / c))
+        form_errs.append(abs(d_ops[0].coeff(ei, lam) - (-3 / c)) / abs(3 / c))
         for j in range(i + 1, 3):
             eij = tuple(1 if a in (i, j) else 0 for a in range(3))
-            form_err = max(form_err, abs(d_ops[1].coeff(eij, lam)
-                                         - (3 / c) ** 2) / abs(3 / c) ** 2)
-    comm = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            comm = max(comm, oa.pdo_commutator_residual(
-                d_ops[a], d_ops[b], samples3, ctx3).rel)
+            form_errs.append(abs(d_ops[1].coeff(eij, lam) - (3 / c) ** 2)
+                             / abs(3 / c) ** 2)
+    form_err = _worst_number(form_errs)
+    comm = _worst(oa.pdo_commutator_residual(d_ops[a], d_ops[b], samples3, ctx3)
+                  for a in range(3) for b in range(a + 1, 3))
     ctx2 = default_context(2)
     samples2 = wt.sample_many(int(rng.integers(0, 2 ** 31)), 2, ctx2)
     vecs = [v - v.mean() for v in (rng.normal(size=2), rng.normal(size=2))]
-    h_err = max(tr.verify_h_identity(c, ctx2, samples2).rel,
-                tr.verify_h_identity(c, ctx3, samples3).rel)
+    h_err = _worst([tr.verify_h_identity(c, ctx2, samples2),
+                    tr.verify_h_identity(c, ctx3, samples3)])
     limit_err = tr.verify_cm_limit(c, ctx2, samples2, vecs,
                                    steps=(1e-3, 2e-3)).rel
     ok = _report(9, "displayed differential operators", form_err, 1e-7)
@@ -228,16 +248,16 @@ def test_criterion_09_differential_limit():
 
 
 def test_criterion_10_macdonald_limit():
-    worst = 0.0
+    found = []
     for n in (2, 3):
         ctx = default_context(n)
         rng = np.random.default_rng([10, n])
         mac = ctx.replace(tau=30j)
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 5, mac)
         for d in range(1, n + 1):
-            worst = max(worst, tr.verify_macdonald_limit(
-                rand_complex(rng), rand_complex(rng), d, ctx, samples).rel)
-    assert _report(10, "trigonometric coefficients", worst, 1e-9)
+            found.append(tr.verify_macdonald_limit(
+                rand_complex(rng), rand_complex(rng), d, ctx, samples))
+    assert _report(10, "trigonometric coefficients", _worst(found), 1e-9)
 
 
 # Lattice oracle for criterion 11's dimension clause.  It shares no code with
@@ -372,29 +392,30 @@ def test_criterion_11_dimension_formula_as_stated():
 
 def test_criterion_11_invariance_and_module_structure():
     u = 0.213 + 0.057j
-    fit_err = 0.0
-    neg_floor = 1.0
+    fits, controls = [], []
     for n, l in ((2, 1), (2, 2), (3, 1)):
         ctx = default_context(n)
         lop = tr.l_op(float(l), u, ctx)
         for i in range(n):
             for j in range(n):
-                _, res = ts.fit_action(l, u, lop.entry(i, j), ctx, seed=3)
-                fit_err = max(fit_err, res.rel)
+                fits.append(ts.fit_action(l, u, lop.entry(i, j), ctx, seed=3)[1])
         m1 = tr.m_closed(float(l), u, 1, ctx)
-        neg_floor = min(neg_floor, ts.negative_control(l, m1, ctx, seed=4).rel)
-    rel_err = max(ts.verify_thminl1(u, default_context(2)).rel,
-                  ts.verify_thminl1(u, default_context(3)).rel)
+        controls.append(ts.negative_control(l, m1, ctx, seed=4).rel)
+    rel_err = _worst([ts.verify_thminl1(u, default_context(2)),
+                      ts.verify_thminl1(u, default_context(3))])
     iso_err = ts.verify_module_iso(2, u, default_context(2)).rel
-    eig = 0.0
+    eigs = []
     for n in (2, 3):
         out = ts.m1_eigen_check(u, default_context(n))
-        eig = max(eig, out["eigen"].rel, out["shared"].rel)
-    ok = _report(11, "invariance of the symmetric theta space", fit_err, 1e-7)
+        eigs += [out["eigen"], out["shared"]]
+    ok = _report(11, "invariance of the symmetric theta space", _worst(fits),
+                 1e-7)
     ok &= _report(11, "level-1 module relation", rel_err, 1e-7)
     ok &= _report(11, "symmetrized module isomorphism", iso_err, 1e-7)
-    ok &= _report(11, "shared eigenvalue", eig, 1e-8)
-    neg_ok = neg_floor >= 1e-2
+    ok &= _report(11, "shared eigenvalue", _worst(eigs), 1e-8)
+    # a NaN control is no floor: every control must reach it
+    neg_floor = min(controls)
+    neg_ok = all(rel >= 1e-2 for rel in controls)
     print(f"ACCEPTANCE 11 [negative control floor]: "
           f"{'PASS' if neg_ok else 'FAIL'} floor={neg_floor:.3g} >= 0.01")
     assert ok and neg_ok

@@ -10,6 +10,7 @@ from conftest import rand_complex, table_reads
 from etlax.context import (ContextError, ModularContext, SingularParameterError,
                            default_context)
 from etlax import belavin as bv
+from etlax import theta as th
 from etlax import weights as wt
 
 
@@ -187,6 +188,37 @@ def test_face_operator_matrix_matches_path_walk(n, rng):
                 (n, k, moves)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_face_batch_matches_per_sample_matrices(n, rng):
+    ctx = default_context(n)
+    lams = [wt.sample_generic(80 + s, ctx) for s in range(5)]
+    moves = [(m, np.array([rand_complex(rng) for _ in lams]))
+             for m in bv.fusion_moves(3)]
+    got = bv.face_operator_matrix(lams, 3, moves, ctx)
+    assert got.shape == (5, n ** 3, n ** 3)
+    bound = 1e-12 if n <= 3 else 1e-10
+    for s, lam in enumerate(lams):
+        mine = [(m, deltas[s]) for m, deltas in moves]
+        # the batch of one is the same arithmetic: bit for bit
+        assert np.array_equal(got[s], bv.face_operator_matrix(lam, 3, mine, ctx))
+        want = _path_walk_matrix(lam, 3, mine, ctx)
+        assert np.max(np.abs(got[s] - want)) <= bound * np.max(np.abs(want))
+    # the face YBE over the batch is the worst of its samples, exactly
+    us, vs, ws = (np.array([rand_complex(rng) for _ in lams]) for _ in range(3))
+    batch = bv.verify_face_ybe(us, vs, ws, lams, ctx)
+    assert batch == th.worst_of(bv.verify_face_ybe(*sample, ctx)
+                                for sample in zip(us, vs, ws, lams))
+    assert batch.rel < 1e-9
+    # negative control: sample 2 with u and v exchanged on one side only
+    rhs = bv.face_operator_matrix(lams, 3, [(0, us - vs), (1, us - ws),
+                                            (0, vs - ws)], ctx)
+    us[2], vs[2] = vs[2], us[2]
+    lhs = bv.face_operator_matrix(lams, 3, [(1, vs - ws), (0, us - ws),
+                                            (1, us - vs)], ctx)
+    dev = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(rhs), axis=(1, 2))
+    assert dev[2] > 1e-3 and np.delete(dev, 2).max() < 1e-9
+
+
 def _kron_loop(base, params, ctx):
     cols = []
     for path in product(range(ctx.n), repeat=len(params)):
@@ -225,8 +257,7 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
     reads = table_reads(monkeypatch)
     bv.phi_tensor_matrix(lam, [rand_complex(rng) for _ in range(3)], ctx)
     bv.verify_face_ybe(*(rand_complex(rng) for _ in range(3)), lam, ctx)
-    bv.verify_vertex_face_intertwining(rand_complex(rng), rand_complex(rng),
-                                       lam, ctx)
+    bv.verify_intertwining([rand_complex(rng)], [rand_complex(rng)], [lam], ctx)
     # one theta kernel call per path level, per face move (6 in the face
     # YBE) and per factor batch of the relation (weights, phis, R); a
     # scalar theta read would add calls of its own
@@ -247,11 +278,15 @@ def test_face_operator_matrix_resonant_prefix():
 
 def test_intertwiner_duality(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
-        for s in range(3):
-            lam = wt.sample_generic(50 + s, ctx)
-            out = bv.verify_intertwiner_duality(rand_complex(rng), lam, ctx)
-            assert out["phibar-phi"].rel < 1e-10
-            assert out["phi-phibar"].rel < 1e-10
+        lams = [wt.sample_generic(50 + s, ctx) for s in range(3)]
+        us = [rand_complex(rng) for _ in lams]
+        out = bv.verify_intertwiners(us, lams, ctx)
+        assert out["duality"].rel < 1e-10
+        assert out["det-closed-form"].rel < 1e-10
+        # one batch reads as the worst of its batches of one, exactly
+        ones = [bv.verify_intertwiners([u], [lam], ctx) for u, lam in zip(us, lams)]
+        for key in out:
+            assert out[key] == th.worst_of(one[key] for one in ones)
 
 
 def test_intertwiner_entries_definition(ctx3, rng):
@@ -267,7 +302,6 @@ def test_intertwiner_entries_definition(ctx3, rng):
 
 
 def test_dedekind_eta_built_once_per_context(monkeypatch, rng):
-    from etlax import theta as th
     calls = []
     product = th._eta_product
     monkeypatch.setattr(th, "_eta_product",
@@ -343,23 +377,23 @@ def test_intertwiner_batch_names_the_singular_pair(n, rng):
 def test_vertex_face_intertwining(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         lam = wt.sample_generic(60, ctx)
-        res = bv.verify_vertex_face_intertwining(rand_complex(rng),
-                                                 rand_complex(rng), lam, ctx)
+        res = bv.verify_intertwining([rand_complex(rng)], [rand_complex(rng)],
+                                     [lam], ctx)["vertex-face"]
         assert res.rel < 1e-9
 
 
 def test_dual_intertwining(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         lam = wt.sample_generic(61, ctx)
-        res = bv.verify_dual_intertwining(rand_complex(rng), rand_complex(rng),
-                                          lam, ctx)
+        res = bv.verify_intertwining([rand_complex(rng)], [rand_complex(rng)],
+                                     [lam], ctx)["dual"]
         assert res.rel < 1e-9
 
 
 def test_intertwining_at_equal_points(ctx3):
     lam = wt.sample_generic(62, ctx3)
-    res = bv.verify_vertex_face_intertwining(0.21 + 0.08j, 0.21 + 0.08j,
-                                             lam, ctx3)
+    res = bv.verify_intertwining([0.21 + 0.08j], [0.21 + 0.08j], [lam],
+                                 ctx3)["vertex-face"]
     assert res.rel < 1e-11
 
 
@@ -499,7 +533,7 @@ def _loop_vertex_face(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = bv._two_step_weights(lam, u - v, ctx)
+    keep, cross = (w[0] for w in bv._two_step_weights([lam], [u - v], ctx))
     ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
     phi_u, phi_v = bv.intertwiners(u, lam, ctx).phi, bv.intertwiners(v, lam, ctx).phi
     phi_u_up = [bv.intertwiners(u, mu, ctx).phi for mu in ups]
@@ -523,7 +557,7 @@ def _loop_dual(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = bv._two_step_weights(lam, u - v, ctx)
+    keep, cross = (w[0] for w in bv._two_step_weights([lam], [u - v], ctx))
     ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
     pb_u = bv.intertwiners(u, lam, ctx).phibar
     pb_v = bv.intertwiners(v, lam, ctx).phibar
@@ -547,26 +581,28 @@ def _loop_dual(u, v, lam, ctx):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_intertwining_relations_match_loop_forms(n, rng, monkeypatch):
     ctx = default_context(n)
-    lam = wt.sample_generic(63, ctx)
-    u, v = rand_complex(rng), rand_complex(rng)
-    pairs = ((bv.verify_vertex_face_intertwining, _loop_vertex_face),
-             (bv.verify_dual_intertwining, _loop_dual))
-    for fast, loop in pairs:
-        assert fast(u, v, lam, ctx).rel < 1e-11
-        assert loop(u, v, lam, ctx).rel < 1e-11
+    lams = [wt.sample_generic(63 + s, ctx) for s in range(3)]
+    us = [rand_complex(rng) for _ in lams]
+    vs = [rand_complex(rng) for _ in lams]
+    pairs = (("vertex-face", _loop_vertex_face), ("dual", _loop_dual))
+    got = bv.verify_intertwining(us, vs, lams, ctx)
+    for key, loop in pairs:
+        assert got[key].rel < 1e-11
+        assert max(loop(*sample, ctx).rel for sample in zip(us, vs, lams)) < 1e-11
     # control: keep and cross exchanged off the diagonal (a == b has the
-    # one middle keep[a, a]) break both relations, and both forms report
-    # the same worst residual
+    # one middle keep[a, a]) break both relations, and the batch reports
+    # the worst residual of the per-sample loop forms
     weights = bv._two_step_weights
     def swapped(*args):
         keep, cross = weights(*args)
-        diag = np.diag(np.diag(keep))
+        diag = keep * np.eye(n)
         return cross + diag, keep - diag
     monkeypatch.setattr(bv, "_two_step_weights", swapped)
-    for fast, loop in pairs:
-        got, want = fast(u, v, lam, ctx), loop(u, v, lam, ctx)
-        assert want.rel > 1e-2
-        assert abs(got.rel - want.rel) <= 1e-12 * want.rel
+    got = bv.verify_intertwining(us, vs, lams, ctx)
+    for key, loop in pairs:
+        want = max(loop(*sample, ctx).rel for sample in zip(us, vs, lams))
+        assert want > 1e-2
+        assert abs(got[key].rel - want) <= 1e-12 * want
 
 
 def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
@@ -586,7 +622,7 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
         lambda: bv.verify_r_holomorphy(ctx),
         lambda: bv.verify_ybe(us[:4], us[4:8], us[6:], ctx),
         lambda: bv.braid_matrix(us[:3], bv.fusion_moves(3), ctx),
-        lambda: bv.verify_vertex_face_intertwining(us[0], us[1], lam, ctx),
+        lambda: bv.verify_intertwining(us[:1], us[1:2], [lam], ctx),
     ]
     reads = table_reads(monkeypatch)
     for check in checks:
@@ -614,15 +650,15 @@ def test_nan_residual_fails_its_case(monkeypatch):
     rep = run_suite("ybe", ctx, 0)
     case = {c.name: c for c in rep.cases}["vertex-ybe"]
     assert math.isnan(case.rel) and not case.ok and not rep.passed
-    # and through worst_of: one of the 25 face-ybe draws
+    # and through the batched face-ybe check: one of its 25 samples
     monkeypatch.undo()
-    face = bv.verify_face_ybe
-    count = []
-    def one_nan(*args):
-        count.append(1)
-        res = face(*args)
-        return type(res)(float("nan"), res.abs) if len(count) == 3 else res
-    monkeypatch.setattr(bv, "verify_face_ybe", one_nan)
+    face = bv.face_operator_matrix
+    def one_nan(bases, k, moves, c):
+        out = face(bases, k, moves, c)
+        if len(bases) == 25:
+            out[2, 0, 0] = np.nan
+        return out
+    monkeypatch.setattr(bv, "face_operator_matrix", one_nan)
     rep = run_suite("face-ybe", ctx, 0)
     case = {c.name: c for c in rep.cases}["face-ybe"]
     assert math.isnan(case.rel) and not case.ok and not rep.passed
@@ -633,6 +669,18 @@ def test_vertex_suites_pass_across_seeds(n):
     from etlax.suites import run_suite
     failed = [(name, seed)
               for name in ("ybe", "face-ybe", "intertwiner")
+              for seed in range(8)
+              if not run_suite(name, default_context(n), seed).passed]
+    assert failed == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_suites_pass_across_seeds(n):
+    # the theta identity suites of the identities workload, next to its
+    # vertex suites above
+    from etlax.suites import run_suite
+    failed = [(name, seed)
+              for name in ("theta", "qfay", "fay", "vandermonde")
               for seed in range(8)
               if not run_suite(name, default_context(n), seed).passed]
     assert failed == []

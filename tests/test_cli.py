@@ -1,6 +1,7 @@
 """CLI driver, report formats, determinism, exit codes."""
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -61,6 +62,25 @@ def test_strip_timing_keeps_json_content():
     failing = strip_timing(report_json([report(1e-3, False)]))
     assert passing and failing and passing != failing
     assert "wall_time_s" not in passing
+
+
+def test_report_worst_values_keep_a_nan():
+    # builtin max keeps or drops a NaN depending on where it sits; the
+    # worst_of rule lets it win wherever it is
+    nan = float("nan")
+
+    def report(*rels, control=False):
+        cases = [Case(f"c{k}", r, r, 1e-9, r < 1e-9) for k, r in enumerate(rels)]
+        cases.append(Case("floor", 5.0, 5.0, 1e-2, True, control=True))
+        return SuiteReport("fay", {"n": 2}, 1e-9, cases).finalize()
+    for rels in ((nan, 1e-3), (1e-3, nan), (0.0, nan, nan, 5.0)):
+        assert math.isnan(report(*rels).worst()), rels
+    assert report(1e-12, 3e-10, 1e-10).worst() == 3e-10
+    assert report().worst() == 0.0              # the control is left out
+    for reps in ((report(1e-3), report(nan)), (report(nan), report(1e-3))):
+        assert '"worst_rel": nan' in report_json(reps)
+        assert "worst_rel=nan" in report_text(reps)
+    assert '"worst_rel": 0.001' in report_json([report(1e-3), report(1e-12)])
 
 
 def test_seed_changes_residuals_not_outcome():

@@ -399,7 +399,7 @@ def test_determinant_identities_read_one_theta_table(monkeypatch, rng):
     calls = []
     table = th.theta_table
     monkeypatch.setattr(th, "theta_table",
-                        lambda us, c: calls.append(len(us)) or table(us, c))
+                        lambda us, c: calls.append(np.size(us)) or table(us, c))
     reads = table_reads(monkeypatch)
     for d in (1, 2, 3, 4):
         args = (rand_complex(rng), [rand_complex(rng) for _ in range(d)],
@@ -527,3 +527,217 @@ def test_vandermonde_product_matches_its_loop_form(monkeypatch, rng):
             wrong = want / th.theta(us[1] - us[0], ctx) \
                 * th.theta(us[0] - us[1], ctx)
             assert abs(wrong - got) > 1e-3 * abs(got)
+
+
+# In-test transcriptions of the per-sample qFay, Fay and Vandermonde checks
+# as they were before the batched ones: one theta table per sample and side,
+# Python complex arithmetic on its values.
+
+def _loop_qfay(d, u, lambdas, mus, ctx):
+    hb = ctx.hbar
+    args = []
+    for s in range(1, d + 1):
+        for sp in range(1, d + 1):
+            for r in range(1, d + 1):
+                arg = mus[r - 1] - lambdas[sp - 1]
+                if r < s:
+                    arg += hb
+                if r == s:
+                    arg += u - (s - 1) * hb
+                args.append(arg)
+    values = iter(th.theta_table(args, ctx).tolist())
+    mat = np.empty((d, d), dtype=complex)
+    for s in range(d):
+        for sp in range(d):
+            prod = 1.0 + 0.0j
+            for _ in range(d):
+                prod *= next(values)
+            mat[s, sp] = prod
+    args = [u + sum(mus[r] - lambdas[r] for r in range(d))]
+    args += [u - s * hb for s in range(1, d)]
+    for s in range(d):
+        for sp in range(s + 1, d):
+            args += [lambdas[sp] - lambdas[s], hb + mus[s] - mus[sp]]
+    values = th.theta_table(args, ctx).tolist()
+    rhs = values[0]
+    for factor in values[1:]:
+        rhs *= factor
+    return complex(np.linalg.det(mat)), rhs
+
+
+def _loop_fay(d, u, lambdas, mus, ctx):
+    """Both sides, or None where a guard of the check would raise."""
+    tol = ctx.tol_identity
+    cross = [mus[s] - lambdas[sp] for s in range(d) for sp in range(d)]
+    pairs = [(s, sp) for s in range(d) for sp in range(s + 1, d)]
+    args = [u, u + sum(mus[r] - lambdas[r] for r in range(d))]
+    args += cross + [x + u for x in cross]
+    args += [a for s, sp in pairs
+             for a in (mus[s] - mus[sp], lambdas[sp] - lambdas[s])]
+    values = th.theta_table(args, ctx).tolist()
+    tu, top = values[0], values[1]
+    dens = values[2:2 + d * d]
+    nums = values[2 + d * d:2 + 2 * d * d]
+    if abs(tu) < tol or any(abs(den) < tol for den in dens):
+        return None
+    mat = np.array([num / (den * tu) for num, den in zip(nums, dens)],
+                   dtype=complex).reshape(d, d)
+    rhs = top / tu
+    rest = values[2 + 2 * d * d:]
+    for mu_factor, lambda_factor in zip(rest[::2], rest[1::2]):
+        rhs *= mu_factor * lambda_factor
+    for den in dens:
+        rhs /= den
+    return complex(np.linalg.det(mat)), rhs
+
+
+def _loop_vandermonde(us, ctx):
+    n = len(us)
+    ieta = 1j * th.dedekind_eta(ctx.tau, ctx).value
+    mat = th.theta_level_table(range(1, n + 1), us, ctx) / ieta
+    values = th.theta_table([sum(us)] + [us[k] - us[j] for j in range(n)
+                                         for k in range(j + 1, n)], ctx).tolist()
+    rhs = th.vandermonde_sign(n) * values[0] / ieta
+    for factor in values[1:]:
+        rhs *= factor / ieta
+    return complex(np.linalg.det(mat)), rhs
+
+
+def _draws(rng, count, d):
+    """count samples of (u, lambda_1..d, mu_1..d), one sample per row."""
+    return rng.uniform(-0.4, 0.4, size=(count, 2 * d + 1, 2)).view(complex)[..., 0]
+
+
+def _swap_first_two(points, k):
+    """points with the first two of sample k exchanged: a transposition,
+    which flips the sign of the determinant side alone."""
+    out = np.array(points)
+    out[k, [0, 1]] = out[k, [1, 0]]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qfay_batch_matches_its_per_sample_loop(n, rng):
+    ctx = default_context(n)
+    for d in range(1, 5):
+        draws = _draws(rng, 12, d)
+        u, lams, mus = draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:]
+        lhs, rhs = th.qfay_lhs(d, u, lams, mus, ctx), th.qfay_rhs(d, u, lams, mus, ctx)
+        want = [_loop_qfay(d, row[0], row[1:d + 1], row[d + 1:], ctx)
+                for row in draws.tolist()]
+        # same operations in the same order: bit for bit
+        assert lhs.tolist() == [w[0] for w in want]
+        assert rhs.tolist() == [w[1] for w in want]
+        assert th.verify_qfay(d, u, lams, mus, ctx) == th.worst_of_arrays(
+            *th.residual_arrays(lhs, rhs))
+        if d > 1:
+            # negative control: sample 5 with two lambdas swapped on the
+            # determinant side only
+            bad = th.qfay_lhs(d, u, _swap_first_two(lams, 5), mus, ctx)
+            rel, _ = th.residual_arrays(bad, rhs)
+            assert rel[5] > 1e-3 and np.delete(rel, 5).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fay_batch_matches_its_per_sample_loop(n, rng):
+    # a raised singularity floor makes some samples singular
+    ctx = default_context(n).replace(tol_identity=0.1)
+    singular = 0
+    for d in range(1, 5):
+        draws = _draws(rng, 40, d)
+        u, lams, mus = draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:]
+        lhs, rhs, small = th.fay_sides(d, u, lams, mus, ctx)
+        for k, row in enumerate(draws.tolist()):
+            want = _loop_fay(d, row[0], row[1:d + 1], row[d + 1:], ctx)
+            assert (want is None) == small[k].any()
+            singular += want is None
+            if want is not None:
+                assert (lhs[k], rhs[k]) == want
+        if d > 1:
+            # negative control at the first regular sample k
+            regular = ~small.any(axis=-1)
+            k = int(np.argmax(regular))
+            bad, _, _ = th.fay_sides(d, u, _swap_first_two(lams, k), mus, ctx)
+            rel, _ = th.residual_arrays(bad, rhs)
+            assert regular[k] and rel[k] > 1e-3
+            assert rel[regular & (np.arange(40) != k)].max() < 1e-9
+    assert singular > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vandermonde_batch_matches_its_per_sample_loop(n, rng):
+    ctx = default_context(n)
+    us = rng.uniform(-0.4, 0.4, size=(12, n, 2)).view(complex)[..., 0]
+    want = [_loop_vandermonde(row, ctx) for row in us.tolist()]
+    assert th.vandermonde_product(us, ctx).tolist() == [w[1] for w in want]
+    lhs = np.array([w[0] for w in want])
+    assert th.verify_vandermonde(us, ctx) == th.worst_of_arrays(
+        *th.residual_arrays(lhs, np.array([w[1] for w in want])))
+    # negative control: sample 5 with two points swapped on the product side
+    rel, _ = th.residual_arrays(lhs, th.vandermonde_product(
+        _swap_first_two(us, 5), ctx))
+    assert rel[5] > 1e-3 and np.delete(rel, 5).max() < 1e-9
+
+
+def test_array_draws_are_the_scalar_stream():
+    # rand_complex is the scalar draw the suites made one point at a time
+    from etlax.suites import _rc, _rcs
+    for shape, box in (((7,), 0.4), ((5, 3), 0.4), ((50, 9), 0.8), ((0, 2), 0.4)):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        got = _rcs(a, shape, box)
+        assert got.shape == shape
+        want = [rand_complex(b, box) for _ in range(got.size)]
+        assert got.ravel().tolist() == want
+        assert a.uniform() == b.uniform()       # left at the same place
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    assert [_rc(a) for _ in range(9)] == [rand_complex(b) for _ in range(9)]
+
+
+def test_fay_suite_draws_the_per_sample_stream(monkeypatch):
+    # the suite as it was: one sample at a time, a singular one skipped,
+    # until 50 are regular; a raised floor makes the skips happen
+    from etlax.suites import SUITE_ORDER, run_suite
+    ctx = default_context(2).replace(tol_identity=0.05)
+    rng = np.random.default_rng([3, SUITE_ORDER.index("fay"), 2])
+    for _ in range(3):
+        rand_complex(rng)                       # run_suite's u, v, t
+    want, skipped = [], 0
+    for d in range(1, 5):
+        found = []
+        while len(found) < 50:
+            u = rand_complex(rng)
+            lams = [rand_complex(rng) for _ in range(d)]
+            mus = [rand_complex(rng) for _ in range(d)]
+            sides = _loop_fay(d, u, lams, mus, ctx)
+            skipped += sides is None
+            if sides is not None:
+                found.append(th.residual_pair(*sides))
+        want.append(th.worst_of(found))
+    got = run_suite("fay", ctx, 3)
+    assert skipped > 0
+    for case, res in zip(got.cases, want):
+        assert abs(case.rel - res.rel) <= 1e-15 * res.rel
+
+
+@pytest.mark.parametrize("suite, target, failing", [
+    ("qfay", "qfay_rhs", ["qfay-d1", "qfay-d2", "qfay-d3", "qfay-d4"]),
+    ("fay", "fay_sides", ["fay-d1", "fay-d2", "fay-d3", "fay-d4"]),
+    ("vandermonde", "vandermonde_product",
+     ["vandermonde-n2", "vandermonde-n3", "vandermonde-n4"]),
+])
+def test_nan_sample_fails_its_identity_case(monkeypatch, suite, target, failing):
+    # one NaN among the 50 samples of each batched case turns it red
+    from etlax.suites import run_suite
+    real = getattr(th, target)
+
+    def one_nan(*args):
+        out = real(*args)
+        side = out[0] if isinstance(out, tuple) else out
+        if np.shape(side) == (50,):
+            side[7] = np.nan
+        return out
+    monkeypatch.setattr(th, target, one_nan)
+    rep = run_suite(suite, default_context(2), 0)
+    bad = [c for c in rep.cases if not c.ok]
+    assert [c.name for c in bad] == failing
+    assert all(math.isnan(c.rel) for c in bad) and not rep.passed

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from etlax import theta as th
 from etlax import thetaspace as ts
 from etlax import transfer as tr
 from etlax import weights as wt
@@ -88,12 +89,9 @@ def test_gram_rank_needs_enough_points(ctx2):
 def test_fit_action_invariance(ctx2, ctx3, rng):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         lop = tr.l_op(float(l), U0, ctx)
-        worst = 0.0
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                _, res = ts.fit_action(l, U0, lop.entry(i, j), ctx, seed=9)
-                worst = max(worst, res.rel)
-        assert worst < 1e-7
+        worst = th.worst_of(ts.fit_action(l, U0, lop.entry(i, j), ctx, seed=9)[1]
+                            for i in range(ctx.n) for j in range(ctx.n))
+        assert worst.rel < 1e-7
         m1 = tr.m_closed(float(l), U0, 1, ctx)
         _, res = ts.fit_action(l, U0, m1, ctx, seed=11)
         assert res.rel < 1e-7
