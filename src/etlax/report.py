@@ -3,17 +3,20 @@
 Numbers are rendered with 17 significant digits so that identical runs
 produce byte-identical output; wall-time fields are the only nondeterministic
 entries and are kept on their own lines / keys so consumers can strip them.
+A NaN or infinite number reads nan / inf in the text report and null in the
+JSON report (JSON has no such numbers; schema 3).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .theta import Residual, worst_of
 
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fmt_float(x: float) -> str:
@@ -101,7 +104,8 @@ def report_text(reports, include_summary: bool = True) -> str:
 
 
 def _emit_json(obj) -> str:
-    """JSON with fixed field order and 17-significant-digit floats."""
+    """JSON with fixed field order and 17-significant-digit floats; a NaN
+    or infinite float is null."""
     if obj is None:
         return "null"
     if obj is True:
@@ -113,10 +117,10 @@ def _emit_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return fmt_float(obj)
+        return fmt_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, complex):
-        return ('{"re": ' + fmt_float(obj.real)
-                + ', "im": ' + fmt_float(obj.imag) + "}")
+        return ('{"re": ' + _emit_json(obj.real)
+                + ', "im": ' + _emit_json(obj.imag) + "}")
     if isinstance(obj, dict):
         inner = ", ".join(json.dumps(str(k)) + ": " + _emit_json(v)
                           for k, v in obj.items())

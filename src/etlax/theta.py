@@ -30,6 +30,20 @@ one such table per move or per batch of samples: the determinant
 identities (qFay, Fay, Vandermonde) take leading batch axes, one point
 set per sample, and a single point set is the batch of one.
 
+Only a window of the terms is summed.  Along k the terms follow a Gaussian
+whose peak moves with Im u: the term dk places from the peak is smaller by
+exp(-pi Im(tau) l dk^2).  Each (row, point) sums the 2w + 1 terms around
+its own peak (the window moved inside [-trunc, trunc] where it sticks
+out), and the terms left out are bounded, all together, by 2^-60 times the
+largest term kept: below the rounding of the sum.  The half-width w
+depends on l, Im tau, trunc and the derivative order alone; at the default
+tau and n <= 4 it is 2 to 5, so a table sums 5 to 11 of the 49 terms.
+Where Im tau is small, w is trunc and the sum is that of all the terms, bit
+for bit.  A value depends on its own row and point only, never on the rest
+of the batch.  theta_ml, whose tail estimate is read against an absolute
+tolerance, sums every term at a point where the window's left-out terms
+are not below 2^-60 in absolute terms.
+
 A check reduces its residuals with worst_of (or worst_of_arrays for a
 vectorized check): the largest rel, the first on ties, and a NaN rel wins,
 so a check that computed a NaN fails.
@@ -41,6 +55,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +63,11 @@ from .context import ContextError, ModularContext, SingularParameterError
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
-_TABLE_CHUNK = 64      # points per theta table work array
+_TABLE_CHUNK = 3136    # terms per row of a theta table work array (64 x 49)
+# the terms a theta table leaves out sum to at most this times the largest
+# term it keeps (_dropped_bound): below the rounding of the kept sum;
+# theta_ml sums a window only where what it leaves out is below this itself
+_WINDOW_DROP = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -120,23 +139,87 @@ def _term_magnitude(mu: float, u: complex, tau2l: complex, order: int) -> float:
     return math.exp(ex) * (2.0 * math.pi * abs(mu)) ** order if order else math.exp(ex)
 
 
+class _Series(NamedTuple):
+    """Shared constants of one series table (see _series)."""
+
+    tpm: np.ndarray        # 2 pi i mu, (rows, 2 trunc + 1)
+    phase: np.ndarray      # 2 pi i mu^2 tau / (2l), same shape
+    dfac: np.ndarray | None   # (2 pi i mu)^deriv_order, or None at order 0
+    half: int              # half-width w of the summed window of terms
+    centre: np.ndarray     # trunc - w + 1/2 - m_r / l, (rows, 1)
+    offsets: np.ndarray    # flat index r (2 trunc + 1) of row r, (rows, 1)
+    inv_im_tau: float      # 1 / Im tau
+
+
+def _dropped_bound(a: float, half: int, trunc: int, deriv_order: int) -> float:
+    """Bound on the terms a window of half-width `half` leaves out, summed
+    over both sides, relative to the reference term it keeps.
+
+    With a = pi Im(tau) l, the term at k has modulus G exp(-a (k - k*)^2)
+    |2 pi mu_k|^d, where k* (a real number) is the peak of the Gaussian and
+    G its height, and a left-out term lies at |k - k*| >= half + 1/2.  The
+    reference is the term at the k nearest k* (at least G exp(-a/4)) when
+    d = 0.  When d > 0 it is the one of the two terms around k* with the
+    larger |mu|, M: its Gaussian factor is at least exp(-a), and M is at
+    least l/2 and at least |mu*| (mu at k*, which lies between the two), so
+    a left-out |mu_k| <= |mu*| + l |k - k*| is at most M (1 + 2 |k - k*|).
+    A window moved to an end of [-trunc, trunc] leaves out only terms
+    farther from k* still.
+    """
+    lost = 0.25 if deriv_order == 0 else 1.0
+    total = 0.0
+    for j in range(2 * trunc + 1):
+        delta = half + 0.5 + j
+        total += 2.0 * math.exp(-a * (delta * delta - lost)) \
+            * (1.0 + 2.0 * delta) ** deriv_order
+    return total
+
+
 @functools.lru_cache(maxsize=64)
-def _series(ms: tuple, l: int, tau: complex, trunc: int, deriv_order: int):
+def _series(ms: tuple, l: int, tau: complex, trunc: int,
+            deriv_order: int) -> _Series:
     """Shared constants of the series with characteristics ms at level l.
 
     Rows follow ms, columns mu = m + l*k for k in [-trunc, trunc]: 2 pi i mu,
     the exponent 2 pi i mu^2 tau/(2l) and (2 pi i mu)^deriv_order (None when
     deriv_order is 0).  The arrays are read-only because callers share them.
+
+    half is the least half-width w whose dropped terms (_dropped_bound) stay
+    below _WINDOW_DROP, clamped at trunc; it depends on l, Im tau, trunc and
+    deriv_order only.  A small Im tau therefore sums all 2 trunc + 1 terms.
     """
     k = np.arange(-trunc, trunc + 1, dtype=float)
     mu = np.array(ms, dtype=float)[:, None] + l * k
     tpm = TWO_PI_I * mu
     phase = TWO_PI_I * (mu * mu * (tau / (2.0 * l)))
     dfac = tpm ** deriv_order if deriv_order else None
-    for arr in (tpm, phase, dfac):
+    a = math.pi * tau.imag * l
+    half = next((w for w in range(1, trunc)
+                 if _dropped_bound(a, w, trunc, deriv_order) <= _WINDOW_DROP),
+                trunc)
+    centre = (trunc - half + 0.5) - np.array(ms, dtype=float)[:, None] / l
+    offsets = np.arange(0, tpm.size, 2 * trunc + 1)[:, None]
+    for arr in (tpm, phase, dfac, centre, offsets):
         if arr is not None:
             arr.setflags(write=False)
-    return tpm, phase, dfac
+    return _Series(tpm, phase, dfac, half, centre, offsets, 1.0 / tau.imag)
+
+
+def _window_starts(series: _Series, args) -> np.ndarray:
+    """Column of the first summed term, for every row and point: the window
+    [k0 - w, k0 + w] around k0 = floor(-Im(arg)/Im tau - m_r/l + 1/2), the
+    term nearest the Gaussian peak, moved inside [-trunc, trunc] where it
+    sticks out.  The column is computed from the row's own constants and
+    the point alone, as floor(centre - Im(arg)/Im tau) clamped to
+    [0, 2 (trunc - w)].
+
+    Clamping before the integer cast also maps a non-finite Im(arg) to an
+    end of the range (its value is non-finite anyway).
+    """
+    pos = series.centre - args.imag * series.inv_im_tau
+    np.fmax(pos, 0.5, out=pos)
+    np.fmin(pos, series.tpm.shape[1] - 2 * series.half - 0.5, out=pos)
+    return pos.astype(np.intp)
 
 
 def theta_ml(m: float, l: int, u: complex, tau: complex, *,
@@ -146,15 +229,27 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     Sums mu = m + l*k over k in [-trunc, trunc]; deriv_order differentiates
     each term in u.  Raises ContextError off the upper half-plane.  The
     value is the _table of one point; the tail bound is computed here, the
-    only place that reads it.
+    only place that reads it, and covers everything the value leaves out.
+    That bound is read against an absolute tolerance, while the terms a
+    window leaves out are small only relative to its largest term.  So the
+    window is summed where the terms it leaves out add up to at most
+    _WINDOW_DROP in absolute terms (added to the tail), and every term of
+    [-trunc, trunc] elsewhere: the tail is then the series beyond trunc
+    alone, a geometric bound.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
-    value = complex(_table(_series((m,), l, tau, trunc, deriv_order),
-                           np.array([u], dtype=complex))[0, 0])
+    series = _series((m,), l, tau, trunc, deriv_order)
+    args = np.array([u], dtype=complex)
     tau2l = tau / (2.0 * l)
-    tail = 0.0
+    first = int(_window_starts(series, args)[0, 0]) - trunc
+    tail = sum(_term_magnitude(m + l * k, u, tau2l, deriv_order)
+               for k in range(-trunc, trunc + 1)
+               if not first <= k <= first + 2 * series.half)
+    if tail > _WINDOW_DROP:
+        series, tail = series._replace(half=trunc), 0.0
+    value = complex(_table(series, args)[0, 0])
     for sgn in (1, -1):
         mu1 = m + sgn * l * (trunc + 1)
         mu2 = m + sgn * l * (trunc + 2)
@@ -165,22 +260,38 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     return ThetaValue(value, tail)
 
 
-def _table(series, args) -> np.ndarray:
+def _table(series: _Series, args) -> np.ndarray:
     """[sum_terms exp(tpm[r] args[k] + phase[r]) dfac[r]]_{r, k}: the series
-    values of every row of the _series constants (tpm, phase, dfac) at the
-    points args."""
-    tpm, phase, dfac = series
-    out = np.empty((len(tpm), len(args)), dtype=complex)
+    values of every row of the _series constants at the points args.
+
+    Each (row, point) sums only the 2w + 1 terms of its own window
+    (_window_starts); the terms left out are below _WINDOW_DROP times the
+    largest term kept.  A value therefore depends on its own row and point
+    alone, never on the rest of the batch, and where w = trunc the sum is
+    that of all 2 trunc + 1 terms, in the same order.
+    """
+    tpm, phase = series.tpm.ravel(), series.phase.ravel()
+    dfac = None if series.dfac is None else series.dfac.ravel()
+    out = np.empty((len(series.tpm), len(args)), dtype=complex)
+    # flat index of the first term of every window, and the offsets of the
+    # rest: the terms are gathered from the flattened constants
+    first = _window_starts(series, args)
+    first += series.offsets
+    window = np.arange(2 * series.half + 1)
     # the (rows, points, terms) work array is built and exponentiated in
-    # place, _TABLE_CHUNK points at a time: a batch of thousands of points
-    # then holds one small work array, not three whole-batch ones
-    for start in range(0, len(args), _TABLE_CHUNK):
-        part = slice(start, start + _TABLE_CHUNK)
-        terms = tpm[:, None, :] * args[None, part, None]
-        terms += phase[:, None, :]
+    # place, at most _TABLE_CHUNK terms per row at a time: a batch of
+    # thousands of points then holds one small work array, not three
+    # whole-batch ones
+    chunk = max(1, _TABLE_CHUNK // len(window))
+    for start in range(0, len(args), chunk):
+        part = slice(start, start + chunk)
+        index = first[:, part, None] + window
+        terms = tpm[index]
+        np.multiply(terms, args[None, part, None], out=terms)
+        terms += phase[index]
         np.exp(terms, out=terms)
         if dfac is not None:
-            terms *= dfac[:, None, :]
+            terms *= dfac[index]
         out[:, part] = terms.sum(axis=-1)
     return out
 

@@ -78,9 +78,29 @@ def test_report_worst_values_keep_a_nan():
     assert report(1e-12, 3e-10, 1e-10).worst() == 3e-10
     assert report().worst() == 0.0              # the control is left out
     for reps in ((report(1e-3), report(nan)), (report(nan), report(1e-3))):
-        assert '"worst_rel": nan' in report_json(reps)
+        assert '"worst_rel": null' in report_json(reps)
         assert "worst_rel=nan" in report_text(reps)
     assert '"worst_rel": 0.001' in report_json([report(1e-3), report(1e-12)])
+
+
+def test_json_report_with_a_nan_case_parses():
+    # JSON has no NaN: a NaN or infinite number is written as null, so a
+    # report that holds one still parses; the text report keeps nan
+    nan = float("nan")
+    cases = [Case("fine", 1e-12, 1e-12, 1e-9, True),
+             Case("poisoned", nan, nan, 1e-9, nan < 1e-9),
+             Case("blown", float("inf"), 1.0, 1e-9, False)]
+    rep = SuiteReport("fay", {"n": 2, "tau": complex(nan, 0.8)}, 1e-9,
+                      cases).finalize()
+    doc = json.loads(report_json([rep]))
+    poisoned, blown = doc["suites"][0]["cases"][1:]
+    assert poisoned["rel"] is None and poisoned["abs"] is None
+    assert poisoned["ok"] is False
+    assert blown["rel"] is None and blown["abs"] == 1.0
+    assert doc["suites"][0]["params"]["tau"] == {"re": None, "im": 0.8}
+    assert doc["summary"] == {"pass": False, "worst_rel": None}
+    assert "case: poisoned rel=nan abs=nan" in report_text([rep])
+    assert "case: blown rel=inf" in report_text([rep])
 
 
 def test_seed_changes_residuals_not_outcome():
@@ -94,7 +114,7 @@ def test_seed_changes_residuals_not_outcome():
 def test_json_shape_and_digits():
     rep = run_suite("qfay", default_context(2), 42)
     doc = json.loads(report_json([rep]))
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     suite = doc["suites"][0]
     assert suite["suite"] == "qfay"
     assert list(suite["params"].keys()) == [
@@ -111,7 +131,7 @@ def test_cli_single_suite_exit_zero(capsys, tmp_path):
     rc = cli.main(["qfay", "--seed", "42", "--json", str(out)])
     assert rc == 0
     captured = capsys.readouterr().out
-    assert "schema: 2" in captured
+    assert "schema: 3" in captured
     assert "suite: qfay" in captured
     doc = json.loads(out.read_text())
     assert doc["summary"]["pass"] is True

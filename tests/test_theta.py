@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -459,18 +460,72 @@ def test_eta_wp_triple_product_mpmath_oracle(rng):
                 assert abs(wrong - want) > 1e-3 * abs(want)
 
 
+def _window_half(l, tau, trunc, order):
+    """The least half-width w in 1..trunc-1 whose left-out terms, bounded
+    term by term, sum to at most 2^-60 of the reference term; else trunc."""
+    a = math.pi * tau.imag * l
+    lost = 0.25 if order == 0 else 1.0
+    for w in range(1, trunc):
+        dropped = 0.0
+        for j in range(2 * trunc + 1):
+            delta = w + 0.5 + j
+            dropped += 2.0 * math.exp(-a * (delta ** 2 - lost)) \
+                * (1.0 + 2.0 * delta) ** order
+        if dropped <= 2.0 ** -60:
+            return w
+    return trunc
+
+
+def _window_first(m, l, u, tau, trunc, w):
+    """The first k of the window at the point u, with k0 rounded half up
+    as the tables do, moved inside [-trunc, trunc]."""
+    pos = ((trunc - w + 0.5) - m / l) - u.imag * (1.0 / tau.imag)
+    return math.floor(min(max(pos, 0.5), 2 * (trunc - w) + 0.5)) - trunc
+
+
 def _per_value_series(m, l, u, tau, trunc, order):
-    """The per-value evaluator the tables replaced, transcribed: the series
-    constants of one characteristic, one exp over its terms at one point
-    and one sum."""
-    k = np.arange(-trunc, trunc + 1, dtype=float)
-    mu = np.array([m], dtype=float)[:, None] + l * k
+    """The windowed series at one point, transcribed: the 2w + 1 terms
+    around k0 = floor(-Im u / Im tau - m / l + 1/2) (the window moved
+    inside [-trunc, trunc]), one exp over them and one sum."""
+    w = _window_half(l, tau, trunc, order)
+    first = _window_first(m, l, u, tau, trunc, w)
+    mu = m + l * np.arange(first, first + 2 * w + 1, dtype=float)
     tpm = th.TWO_PI_I * mu
-    phase = th.TWO_PI_I * (mu * mu * (tau / (2.0 * l)))
-    terms = np.exp(tpm[0] * u + phase[0])
+    terms = np.exp(tpm * u + th.TWO_PI_I * (mu * mu * (tau / (2.0 * l))))
     if order:
-        terms = terms * (tpm ** order)[0]
+        terms = terms * tpm ** order
     return complex(terms.sum())
+
+
+def _full_series(m, l, us, tau, trunc, order):
+    """The sum of all 2 trunc + 1 terms at the points us, as every table
+    summed it before the window, and the sum of their moduli."""
+    mu = m + l * np.arange(-trunc, trunc + 1, dtype=float)
+    tpm = th.TWO_PI_I * mu
+    terms = np.exp(np.multiply.outer(us, tpm)
+                   + th.TWO_PI_I * (mu * mu * (tau / (2.0 * l))))
+    if order:
+        terms = terms * tpm ** order
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+def _left_out(m, l, u, tau, trunc, order):
+    """The sum of the moduli of the terms of [-trunc, trunc] that the
+    table's window leaves out at the point u."""
+    w = _window_half(l, tau, trunc, order)
+    first = _window_first(m, l, u, tau, trunc, w)
+    mu = m + l * np.array([k for k in range(-trunc, trunc + 1)
+                           if not first <= k <= first + 2 * w], dtype=float)
+    terms = np.exp(th.TWO_PI_I * (mu * u + mu * mu * (tau / (2.0 * l))))
+    return float(np.sum(np.abs(terms * (2.0 * math.pi * mu) ** order)))
+
+
+def _theta_ml_series(m, l, u, tau, trunc, order):
+    """theta_ml's value, transcribed: the window where the terms it leaves
+    out add up to at most 2^-60, else the sum of all 2 trunc + 1 terms."""
+    if _left_out(m, l, u, tau, trunc, order) <= 2.0 ** -60:
+        return _per_value_series(m, l, u, tau, trunc, order)
+    return complex(_full_series(m, l, np.array([u]), tau, trunc, order)[0][0])
 
 
 def test_tables_equal_the_per_value_series_bit_for_bit(rng):
@@ -484,8 +539,10 @@ def test_tables_equal_the_per_value_series_bit_for_bit(rng):
             assert table == [_per_value_series(0.5, 1, u + 0.5, tau, trunc,
                                                order) for u in us]
             assert table == [th.theta(u, ctx, order) for u in us]
-            assert table == [th.theta_ml(0.5, 1, u + 0.5, tau, trunc=trunc,
-                                         deriv_order=order).value for u in us]
+            assert [_theta_ml_series(0.5, 1, u + 0.5, tau, trunc, order)
+                    for u in us] \
+                == [th.theta_ml(0.5, 1, u + 0.5, tau, trunc=trunc,
+                                deriv_order=order).value for u in us]
         # the level-n series overflow to nan at |Im u| = 7, so the other
         # two families are compared on the moderate points
         rows, us = range(n), us[:-2]
@@ -500,12 +557,140 @@ def test_tables_equal_the_per_value_series_bit_for_bit(rng):
                           for j in rows]
         assert levels == [[th.theta_level_n(j, u, ctx) for u in us]
                           for j in rows]
-        assert levels == [[th.theta_ml(n / 2.0 - j, n, u + 0.5, tau,
-                                       trunc=trunc).value for u in us]
-                          for j in rows]
+        assert [[_theta_ml_series(n / 2.0 - j, n, u + 0.5, tau, trunc, 0)
+                 for u in us] for j in rows] \
+            == [[th.theta_ml(n / 2.0 - j, n, u + 0.5, tau, trunc=trunc).value
+                 for u in us] for j in rows]
     # negative control: the transcription is sensitive to the order
     assert _per_value_series(0.5, 1, 0.3, TAU, 24, 1) \
         != _per_value_series(0.5, 1, 0.3, TAU, 24, 2)
+
+
+def _families(ctx):
+    """(name, table, deriv orders, series (m, l, tau) per row) of the
+    three theta families at the context."""
+    n, tau = ctx.n, complex(ctx.tau)
+    rows = range(n)
+    return [
+        ("theta", lambda us, d: th.theta_table(us, ctx, d)[None], range(9),
+         [(0.5, 1, tau)]),
+        ("char", lambda us, d: th.theta_char_table(rows, us, ctx), (0,),
+         [(0.5 - j / n, 1, n * tau) for j in rows]),
+        ("level", lambda us, d: th.theta_level_table(rows, us, ctx), (0,),
+         [(n / 2.0 - j, n, tau) for j in rows]),
+    ]
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.3 + 0.5j, 0.1 + 0.005j])
+def test_windowed_tables_match_the_full_series(tau, rng):
+    # Within 4 ulp of sum |terms| of the sum of all 2 trunc + 1 terms (the
+    # measured worst is about 1.5), and bit for bit where Im tau is so small
+    # that the window is the whole range.
+    full_width = tau.imag < 0.01
+    box = 0.05 if full_width else 7.0
+    us = rng.uniform(-2, 2, 120) + 1j * rng.uniform(-box, box, 120)
+    if not full_width:
+        us = np.concatenate([us, [0.0, 7j, -7j, 5j, 2 - 5j, 0.5 - 0.5j]])
+    eps = np.finfo(float).eps
+    for n in (2, 3, 4):
+        ctx = default_context(n, tau=tau)
+        for name, table, orders, params in _families(ctx):
+            for m, l, stau in params:
+                for d in orders:
+                    half = th._series((m,), l, stau, ctx.trunc, d).half
+                    assert (half == ctx.trunc) == full_width
+                    if tau == 0.1 + 0.8j:      # the default context
+                        assert 3 * (2 * half + 1) <= 2 * ctx.trunc + 1
+            for d in orders:
+                # the points where every series of the family is finite
+                keep = [u for u in us if all(
+                    math.pi * l * (u + 0.5).imag ** 2 / stau.imag < 600
+                    for _, l, stau in params)]
+                got = table(np.array(keep), d)
+                for row, (m, l, stau) in zip(got, params):
+                    full, scale = _full_series(m, l, np.array(keep) + 0.5,
+                                               stau, ctx.trunc, d)
+                    assert np.all(np.isfinite(scale))
+                    if full_width:
+                        assert row.tolist() == full.tolist()
+                    else:
+                        assert np.all(np.abs(row - full) <= 4 * eps * scale)
+                if name == "theta":         # |Im u| = 7 included
+                    assert len(keep) == len(us)
+
+
+def test_window_values_do_not_depend_on_the_batch():
+    # each of two points alone and side by side, in both orders: their
+    # windows differ, their values do not
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        points = np.array([-0.5, 0.3 + 5j])
+        for _, table, orders, params in _families(ctx):
+            for d in orders:
+                alone = [table(points[[k]], d)[:, 0].tolist() for k in (0, 1)]
+                for order in ([0, 1], [1, 0]):
+                    pair = table(points[order], d)
+                    assert [pair[:, k].tolist() for k in np.argsort(order)] \
+                        == alone
+            m, l, stau = params[0]
+            starts = th._window_starts(th._series((m,), l, stau, ctx.trunc, 0),
+                                       points + 0.5)
+            assert starts[0, 0] != starts[0, 1]
+
+
+def test_window_starts_clamp_non_finite_points():
+    # a NaN or infinite Im(arg) lands on an end of the range, with no
+    # warning from the integer cast
+    series = th._series((0.5, 0.25), 1, TAU, 24, 0)
+    args = np.array([complex(0, math.nan), complex(0, math.inf),
+                     complex(0, -math.inf), complex(math.nan, 0.3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        starts = th._window_starts(series, args)
+    last = 2 * (24 - series.half)
+    assert starts.tolist() == [[0, 0, last, starts[0, 3]],
+                               [0, 0, last, starts[1, 3]]]
+    assert 0 < starts[0, 3] < last
+
+
+def test_a_narrower_window_breaks_the_bound(rng):
+    # negative control: half-width 2 instead of 4 at the default context
+    ctx = default_context(2)
+    tau = complex(ctx.tau)
+    args = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-3, 3, 50) + 0.5
+    series = th._series((0.5,), 1, tau, ctx.trunc, 0)
+    assert series.half == 4
+    full, scale = _full_series(0.5, 1, args, tau, ctx.trunc, 0)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(th._table(series, args)[0] - full) <= 4 * eps * scale)
+    cut = th._table(series._replace(half=2, centre=series.centre + 2), args)[0]
+    assert np.max(np.abs(cut - full) / scale) > 1e4 * eps
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.05j])
+def test_theta_ml_tail_covers_what_it_leaves_out(tau, rng):
+    # theta_ml's tail is read against the absolute tol_series.  It sums the
+    # table's window where the terms the window leaves out add up to at
+    # most 2^-60, and adds them to the tail; elsewhere it sums every term.
+    # At Im tau = 0.05 the window of l = 3 leaves out terms far above 1e-13
+    # where |Im u| = 0.4, although they are below 2^-60 of the largest term.
+    windowed = full_width = 0
+    for _ in range(30):
+        m, l = float(rng.uniform(-1, 1)), int(rng.integers(1, 4))
+        u = complex(rng.uniform(-2, 2), rng.uniform(-0.4, 0.4))
+        for d in range(3):
+            got = th.theta_ml(m, l, u, tau, deriv_order=d)
+            left_out = _left_out(m, l, u, tau, 24, d)
+            if left_out <= 2.0 ** -60:
+                windowed += 1
+                assert left_out <= got.tail_bound * (1 + 1e-12)
+            else:
+                full_width += 1
+            assert got.value == _theta_ml_series(m, l, u, tau, 24, d)
+            if d == 0:
+                assert got.tail_bound < 1e-13
+    assert windowed > 0
+    assert (full_width > 0) == (tau.imag < 0.1)
 
 
 def test_vandermonde_product_matches_its_loop_form(monkeypatch, rng):
