@@ -83,10 +83,10 @@ class ModularContext:
     def cached(self, key, builder):
         """Memoize pure evaluations keyed by exact argument values.
 
-        The key families are eta (Dedekind eta), chilat (the lattice
-        points of the affine characters), dj (the jets of Delta) and dr (the
-        d^J Delta / Delta jets); theta values and intertwiners are read
-        from tables, not memoized.
+        The key families are eta (Dedekind eta) and chilat (the lattice
+        points of the affine characters); theta values, intertwiners and
+        the jets of the differential operators are read from tables, not
+        memoized.
         """
         try:
             return self._cache[key]

@@ -25,13 +25,21 @@ finite products of theta values, so meromorphic, and vanishing on a dozen
 random points decides vanishing).
 
 A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha of the
-same shape: jets(lam, order) returns exact Taylor jets {alpha: Jet} of all
-its coefficients at one point, so the Leibniz rule never needs numerical
-differentiation, and every combinator reads each operand once per point.
+same shape: table(lams, order) returns {alpha: J[s, m]}, the exact Taylor
+jets of every coefficient over a batch of points, so the Leibniz rule never
+needs numerical differentiation, and every combinator reads each operand's
+table once per batch.  A jet of a batch is one complex array J[..., m],
+m running over monomials(n, order) in graded order; a lower-order jet is a
+prefix slice, so the order is implied by the width.  Products, inverses,
+derivatives and the jets of affine substitutions are array expressions over
+the whole batch, with index plans fixed per (n, order) (truncated
+multivariate Taylor arithmetic, as in Griewank and Walther, Evaluating
+Derivatives, 2008).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -212,14 +220,16 @@ def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
 
     a and b are both DifferenceOperators or both DifferentialOperators;
     either kind exposes its keys as terms and its coefficients on a batch
-    of points as table, which is read once per operator.
+    of points as table, which is read once per operator.  A difference
+    table holds the values over the batch, a differential table their jets
+    J[s, m] (at order 0, one column): column 0 of either is read.
     """
     samples = list(samples)
     ta, tb = a.table(samples), b.table(samples)
-    zero = np.zeros(len(samples), dtype=complex)
+    zero = np.zeros((len(samples), 1), dtype=complex)
     keys = list(dict.fromkeys([*a.terms, *b.terms]))
-    ca = np.array([ta.get(key, zero) for key in keys])
-    cb = np.array([tb.get(key, zero) for key in keys])
+    ca, cb = (np.array([np.reshape(t.get(key, zero), (len(samples), -1))[:, 0]
+                        for key in keys]) for t in (ta, tb))
     worst = float(np.max(np.abs(ca - cb)))
     scale = max(float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
@@ -316,128 +326,105 @@ def monomials(n: int, order: int):
     return sorted((m for m in out), key=lambda m: (sum(m), m))
 
 
-def _mfact(alpha) -> float:
-    out = 1.0
-    for a in alpha:
-        out *= math.factorial(a)
+def jet_order(n: int, width: int) -> int:
+    """The order of a jet in n variables with width coefficients."""
+    order = 0
+    while math.comb(n + order, n) < width:
+        order += 1
+    return order
+
+
+@dataclass(frozen=True)
+class _JetPlan:
+    """Index arrays of the jets of one order in n variables.
+
+    Row m of exps is monomials(n, order)[m], degree[m] its total degree,
+    fact[m] its factorial m! and index maps it back to m.  The product of
+    two jets adds left[t] * right[t] onto the monomial left[t] + right[t];
+    the pairs t are grouped by that monomial, whose group starts at
+    starts[monomial].
+    """
+
+    exps: np.ndarray
+    degree: np.ndarray
+    fact: np.ndarray
+    index: dict
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_plan(n: int, order: int) -> _JetPlan:
+    monos = monomials(n, order)
+    index = {m: k for k, m in enumerate(monos)}
+    left, right, starts = [], [], []
+    for c in monos:
+        starts.append(len(left))
+        for b in product(*(range(x + 1) for x in c)):
+            left.append(index[tuple(x - y for x, y in zip(c, b))])
+            right.append(index[b])
+    exps = np.array(monos, dtype=int).reshape(len(monos), n)
+    return _JetPlan(exps, exps.sum(axis=1),
+                    np.array([math.prod(map(math.factorial, m))
+                              for m in monos], dtype=float),
+                    index, np.array(left), np.array(right), np.array(starts))
+
+
+@functools.lru_cache(maxsize=None)
+def _deriv_gather(n: int, order: int, alpha: tuple) -> tuple:
+    """Gather and weights of d^alpha on a jet of that order: entry m of the
+    result is (m + alpha)!/m! times entry m + alpha."""
+    index = _jet_plan(n, order).index
+    monos = monomials(n, order - sum(alpha))
+    shifted = [tuple(x + a for x, a in zip(m, alpha)) for m in monos]
+    return (np.array([index[m] for m in shifted]),
+            np.array([math.prod(map(math.perm, m, alpha)) for m in shifted],
+                     dtype=float))
+
+
+def jet_constant(value, count: int, n: int, order: int) -> np.ndarray:
+    """The jets of the constant value at count points."""
+    out = np.zeros((count, math.comb(n + order, n)), dtype=complex)
+    out[:, 0] = value
     return out
 
 
-class Jet:
-    """Truncated multivariate Taylor expansion (coefficients, not derivatives)."""
-
-    __slots__ = ("n", "order", "coeffs")
-
-    def __init__(self, n: int, order: int, coeffs=None):
-        self.n = n
-        self.order = order
-        self.coeffs = dict(coeffs) if coeffs else {}
-
-    @staticmethod
-    def constant(n: int, order: int, value: complex) -> "Jet":
-        return Jet(n, order, {(0,) * n: complex(value)})
-
-    @property
-    def value(self) -> complex:
-        return self.coeffs.get((0,) * self.n, 0.0 + 0.0j)
-
-    def deriv(self, alpha) -> complex:
-        """The derivative d^alpha f, i.e. coefficient times alpha factorial."""
-        return self.coeffs.get(tuple(alpha), 0.0 + 0.0j) * _mfact(alpha)
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(self.n, self.order, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        order = min(self.order, other.order)
-        out = Jet(self.n, order)
-        for src in (self.coeffs, other.coeffs):
-            for k, v in src.items():
-                if sum(k) <= order:
-                    out.coeffs[k] = out.coeffs.get(k, 0.0) + v
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.n, self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            z = complex(other)
-            return Jet(self.n, self.order,
-                       {k: z * v for k, v in self.coeffs.items()})
-        order = min(self.order, other.order)
-        out = Jet(self.n, order)
-        for k1, v1 in self.coeffs.items():
-            if sum(k1) > order:
-                continue
-            for k2, v2 in other.coeffs.items():
-                tot = tuple(a + b for a, b in zip(k1, k2))
-                if sum(tot) <= order:
-                    out.coeffs[tot] = out.coeffs.get(tot, 0.0) + v1 * v2
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / complex(other))
-        order = min(self.order, other.order)
-        b0 = other.value
-        out = Jet(self.n, order)
-        for m in monomials(self.n, order):
-            acc = self.coeffs.get(m, 0.0 + 0.0j)
-            for k, v in out.coeffs.items():
-                diff = tuple(a - b for a, b in zip(m, k))
-                if any(d < 0 for d in diff) or all(d == 0 for d in diff):
-                    continue
-                acc -= other.coeffs.get(diff, 0.0 + 0.0j) * v
-            out.coeffs[m] = acc / b0
-        return out
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def dshift(self, i: int) -> "Jet":
-        """Jet of d_i f, one order lower."""
-        out = Jet(self.n, self.order - 1)
-        for k, v in self.coeffs.items():
-            if k[i] >= 1:
-                kk = tuple(a - (1 if j == i else 0) for j, a in enumerate(k))
-                if sum(kk) <= out.order:
-                    out.coeffs[kk] = v * k[i]
-        return out
-
-    def dmulti(self, alpha) -> "Jet":
-        out = self
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                out = out.dshift(i)
-        return out
+def jet_of_affine(derivs, grad) -> np.ndarray:
+    """Jets of f(x0 + sum_i grad_i (lambda_i - lam_i)) at lam, to the order
+    derivs.shape[-1] - 1, from derivs[..., k] = f^(k)(x0).  Leading axes of
+    derivs and grad[..., i] broadcast (a batch of points, of directions)."""
+    derivs = np.asarray(derivs, dtype=complex)
+    grad = np.asarray(grad, dtype=complex)
+    plan = _jet_plan(grad.shape[-1], derivs.shape[-1] - 1)
+    weights = np.prod(grad[..., None, :] ** plan.exps, axis=-1) / plan.fact
+    return derivs[..., plan.degree] * weights
 
 
-def jet_of_affine(derivs, grad) -> Jet:
-    """Jet of f(x0 + sum_i grad_i (lambda_i - lam_i)) at lam, to the order
-    len(derivs) - 1, from the derivatives derivs[m] = f^(m)(x0)."""
-    n, order = len(grad), len(derivs) - 1
-    out = Jet(n, order)
-    for m in monomials(n, order):
-        coef = derivs[sum(m)] / _mfact(m)
-        for i, mi in enumerate(m):
-            coef *= grad[i] ** mi
-        if coef != 0.0:
-            out.coeffs[m] = coef
-    return out
+def jet_mul(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Product of two jets, to the lower of their orders."""
+    plan = _jet_plan(n, jet_order(n, min(x.shape[-1], y.shape[-1])))
+    return np.add.reduceat(x[..., plan.left] * y[..., plan.right],
+                           plan.starts, axis=-1)
+
+
+def jet_inv(x: np.ndarray, n: int) -> np.ndarray:
+    """1 / x for a jet with nonzero constant term: with x = x0 (1 + N) and
+    N nilpotent, the Neumann series 1 - N + N^2 - ... in Horner form."""
+    x0 = x[..., :1]
+    nil = x / x0
+    nil[..., 0] = 0.0
+    inv = unit = np.eye(1, x.shape[-1], dtype=complex)[0]     # the jet 1
+    for _ in range(jet_order(n, x.shape[-1])):
+        inv = unit - jet_mul(nil, inv, n)
+    return inv / x0
+
+
+def jet_deriv(x: np.ndarray, n: int, alpha) -> np.ndarray:
+    """The jet of d^alpha f, |alpha| orders lower, from the jet x of f."""
+    index, weights = _deriv_gather(n, jet_order(n, x.shape[-1]),
+                                   tuple(alpha))
+    return x[..., index] * weights
 
 
 # --------------------------------------------------------- differential ops
@@ -446,71 +433,63 @@ def jet_of_affine(derivs, grad) -> Jet:
 class DifferentialOperator:
     """Finite sum of coeff_alpha(lambda) d^alpha.
 
-    terms holds the multi-indices alpha; jets(lam, order) returns the Taylor
-    jets, to at least that order, of every coefficient at lam as a dict
-    {alpha: Jet}.  Callers never write into those jets.
+    terms holds the multi-indices alpha; table(lams, order=0) returns the
+    jets, to exactly that order, of every coefficient at the points lams as
+    a dict {alpha: J[s, m]}, m running over monomials(n, order), so column
+    0 holds the coefficient values.  Callers never write into those arrays.
     """
 
     n: int
     terms: tuple
-    jets: Callable
+    table: Callable
 
     def coeff(self, alpha, lam: WeightPoint) -> complex:
-        jet = self.jets(lam, 0).get(tuple(alpha))
-        return 0.0 + 0.0j if jet is None else jet.value
-
-    def table(self, lams) -> dict:
-        rows = [self.jets(lam, 0) for lam in lams]
-        return {alpha: np.array([row[alpha].value for row in rows],
-                                dtype=complex) for alpha in self.terms}
+        jet = self.table([lam]).get(tuple(alpha))
+        return 0.0 + 0.0j if jet is None else complex(jet[0, 0])
 
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)
 
 
 def pdo(n: int, items) -> DifferentialOperator:
-    """Sum of (alpha, jet closure (lam, order) -> Jet) items."""
+    """Sum of (alpha, coefficient) items; a coefficient is a constant or a
+    jet closure (lams, order) -> J[s, m]."""
     items = [(tuple(alpha), fn) for alpha, fn in items]
 
-    def jets(lam, order):
+    def table(lams, order=0):
         out = {}
         for alpha, fn in items:
-            _accumulate(out, alpha, fn(lam, order))
+            _accumulate(out, alpha, fn(lams, order) if callable(fn) else
+                        jet_constant(fn, len(lams), n, order))
         return out
     return DifferentialOperator(
-        n, tuple(dict.fromkeys(alpha for alpha, _ in items)), jets)
-
-
-def pdo_const_coeff(value: complex):
-    """Coefficient closure for a constant."""
-    def fn(lam, order):
-        return Jet.constant(lam.n, order, value)
-    return fn
+        n, tuple(dict.fromkeys(alpha for alpha, _ in items)), table)
 
 
 def pdo_add(*ops: DifferentialOperator) -> DifferentialOperator:
-    def jets(lam, order):
+    def table(lams, order=0):
         out = {}
         for op in ops:
-            for alpha, jet in op.jets(lam, order).items():
+            for alpha, jet in op.table(lams, order).items():
                 _accumulate(out, alpha, jet)
         return out
     terms = dict.fromkeys(alpha for op in ops for alpha in op.terms)
-    return DifferentialOperator(ops[0].n, tuple(terms), jets)
+    return DifferentialOperator(ops[0].n, tuple(terms), table)
 
 
 def pdo_scale(op: DifferentialOperator, z: complex) -> DifferentialOperator:
-    def jets(lam, order):
-        return {alpha: jet * z for alpha, jet in op.jets(lam, order).items()}
-    return DifferentialOperator(op.n, op.terms, jets)
+    def table(lams, order=0):
+        return {alpha: jet * z for alpha, jet in op.table(lams, order).items()}
+    return DifferentialOperator(op.n, op.terms, table)
 
 
 def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
                 ctx: ModularContext) -> DifferentialOperator:
     """Leibniz-rule composition a(lam, d) b(lam, d): a_alpha d^alpha b_beta
     d^beta sums C(alpha, gamma) a_alpha (d^(alpha-gamma) b_beta)
-    d^(gamma+beta) over gamma <= alpha.  That plan is fixed here; a point
+    d^(gamma+beta) over gamma <= alpha.  That plan is fixed here; a batch
     reads a once and b once, a.order() orders deeper for the derivatives."""
+    n = a.n
     plan = [(alpha, beta, tuple(x - y for x, y in zip(alpha, gamma)),
              math.prod(map(math.comb, alpha, gamma)),
              tuple(x + y for x, y in zip(gamma, beta)))
@@ -518,23 +497,26 @@ def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
             for gamma in product(*(range(x + 1) for x in alpha))]
     extra = a.order()
 
-    def jets(lam, order):
-        ja, jb = a.jets(lam, order), b.jets(lam, order + extra)
+    def table(lams, order=0):
+        ja, jb = a.table(lams, order), b.table(lams, order + extra)
         out = {}
         for alpha, beta, rest, mult, key in plan:
-            _accumulate(out, key, ja[alpha] * jb[beta].dmulti(rest) * mult)
+            _accumulate(out, key, jet_mul(ja[alpha],
+                                          jet_deriv(jb[beta], n, rest), n)
+                        * mult)
         return out
     return DifferentialOperator(
-        a.n, tuple(dict.fromkeys(key for *_, key in plan)), jets)
+        n, tuple(dict.fromkeys(key for *_, key in plan)), table)
 
 
-def pdo_apply(op: DifferentialOperator, fjet, lam: WeightPoint) -> complex:
-    """Apply to a test function given as a jet factory (lam, order) -> Jet."""
-    coeffs = op.jets(lam, 0)
-    fj = fjet(lam, op.order())
-    total = 0.0 + 0.0j
+def pdo_apply(op: DifferentialOperator, fjet, lams) -> np.ndarray:
+    """(op f)(lams[s]) over a batch, for a test function given by its jet
+    table fjet(lams, order) -> J[s, m]."""
+    coeffs = op.table(lams)
+    fj = fjet(lams, op.order())
+    total = np.zeros(len(lams), dtype=complex)
     for alpha in op.terms:
-        total += coeffs[alpha].value * fj.deriv(alpha)
+        total += coeffs[alpha][:, 0] * jet_deriv(fj, op.n, alpha)[:, 0]
     return total
 
 
@@ -546,17 +528,15 @@ def pdo_commutator_residual(a: DifferentialOperator, b: DifferentialOperator,
 
 
 def exp_test_function(vec):
-    """f(lambda) = exp(2 pi i <lambda, vec>) with exact jets."""
-    import cmath
+    """f(lambda) = exp(2 pi i <lambda, vec>) with exact jets: the jet table
+    (lams, order) -> J[s, m]."""
     tp = 2j * math.pi
+    vec = np.asarray(vec, dtype=float)
 
-    def fjet(lam: WeightPoint, order: int) -> Jet:
-        base = cmath.exp(tp * sum(v * c for v, c in zip(vec, lam.coords)))
-        out = Jet(lam.n, order)
-        for m in monomials(lam.n, order):
-            coef = base / _mfact(m)
-            for i, mi in enumerate(m):
-                coef *= (tp * vec[i]) ** mi
-            out.coeffs[m] = coef
-        return out
+    def fjet(lams, order: int) -> np.ndarray:
+        coords = np.array([lam.coords for lam in lams], dtype=complex)
+        base = np.exp(tp * (coords @ vec))[:, None]
+        if order == 0:      # the values: the one column, without weights
+            return base
+        return jet_of_affine(np.repeat(base, order + 1, axis=1), tp * vec)
     return fjet

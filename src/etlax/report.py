@@ -4,7 +4,9 @@ Numbers are rendered with 17 significant digits so that identical runs
 produce byte-identical output; wall-time fields are the only nondeterministic
 entries and are kept on their own lines / keys so consumers can strip them.
 A NaN or infinite number reads nan / inf in the text report and null in the
-JSON report (JSON has no such numbers; schema 3).
+JSON report (JSON has no such numbers; schema 3).  The params of a report
+are the context and the seed a suite ran at (schema 4; each suite draws its
+own spectral parameters and points from that seed).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from .theta import Residual, worst_of
 
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def fmt_float(x: float) -> str:
@@ -50,7 +52,7 @@ class SuiteReport:
     """Outcome of one suite run at one parameter record."""
 
     suite: str
-    params: dict           # n, tau, hbar, u, v, t, trunc, seed
+    params: dict           # n, tau, hbar, trunc, seed
     tolerance: float
     cases: list = field(default_factory=list)
     passed: bool = True

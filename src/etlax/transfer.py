@@ -47,14 +47,16 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .belavin import fused_rcheck_matrix, intertwiner_arrays
-from .opalg import (DifferenceOperator, DifferentialOperator, Jet,
+from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
-                    exp_test_function, identity_op, jet_of_affine, key_map,
-                    op_add, op_scale, operator_residual, normal_det, pdo,
-                    pdo_add, pdo_apply, pdo_compose, pdo_const_coeff,
-                    pdo_scale, perm_sign, signed_products)
-from .theta import (Residual, residual_pair, theta, theta_level_table,
-                    theta_table, worst_of)
+                    exp_test_function, identity_op, jet_constant, jet_deriv,
+                    jet_inv, jet_mul, jet_of_affine, key_map, op_add,
+                    op_scale, operator_residual, normal_det, pdo, pdo_add,
+                    pdo_apply, pdo_compose, pdo_scale, perm_sign,
+                    signed_products)
+from .theta import (Residual, residual_arrays, residual_pair, theta,
+                    theta_level_table, theta_table, worst_of,
+                    worst_of_arrays)
 from .weights import WeightPoint, canonical_key, subset_key, unit_key
 
 _EPS = 1e-300
@@ -459,20 +461,21 @@ def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
         row = []
         for j in range(n):
             if i == j:
-                row.append(pdo(n, [((0,) * n, pdo_const_coeff(diag_scalar)),
+                row.append(pdo(n, [((0,) * n, diag_scalar),
                                    (tuple(1 if a == j else 0 for a in range(n)),
-                                    pdo_const_coeff(1.0))]))
+                                    1.0)]))
             else:
-                def cfn(lam, order, _i=i, _j=j):
+                def cfn(lams, order, _i=i, _j=j):
                     grad = [0.0] * n
                     grad[_j], grad[_i] = 1.0, -1.0
-                    x = lam.diff(_j, _i)
-                    shifted, plain = np.array(
-                        [theta_table([u + x, x], ctx, m)
-                         for m in range(order + 1)]).T.tolist()
-                    num = jet_of_affine([t * g * tp0 / tu for t in shifted],
-                                        grad)
-                    return num / jet_of_affine(plain, grad)
+                    xs = np.array([lam.diff(_j, _i) for lam in lams])
+                    # theta^(m) at u + x and at x, [s, m]
+                    shifted, plain = np.stack(
+                        [theta_table([u + xs, xs], ctx, m)
+                         for m in range(order + 1)], axis=-1)
+                    num = jet_of_affine(shifted * g * tp0 / tu, grad)
+                    return jet_mul(num, jet_inv(jet_of_affine(plain, grad), n),
+                                   n)
                 row.append(pdo(n, [((0,) * n, cfn)]))
         out.append(row)
     return out
@@ -618,60 +621,73 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam: WeightPoint,
 
 # ---------------------------------------------- differential (CM) limit
 
-def delta_jet(lam: WeightPoint, order: int, ctx: ModularContext) -> Jet:
-    """Jet of Delta(lambda) = prod_{k<l} theta(lambda_k - lambda_l)."""
-    def build():
-        n = lam.n
-        pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-        xs = [lam.coords[k] - lam.coords[l] for k, l in pairs]
-        # derivs[p][m] = theta^(m)(xs[p]): one table per derivative order
-        derivs = np.array([theta_table(xs, ctx, m)
-                           for m in range(order + 1)]).T.tolist()
-        out = Jet.constant(n, order, 1.0)
-        for (k, l), derivs_kl in zip(pairs, derivs):
-            grad = [0.0] * n
-            grad[k], grad[l] = 1.0, -1.0
-            out = out * jet_of_affine(derivs_kl, grad)
-        return out
-    return ctx.cached(("dj", lam.coords, order), build)
+def _pair_jets(lams, order: int, ctx: ModularContext) -> np.ndarray:
+    """Jets of theta(lambda_k - lambda_l) for the pairs k < l at a batch, as
+    one array [s, pair, m]: one theta_table per derivative order over every
+    pair and point."""
+    n = ctx.n
+    first, second = np.array(list(combinations(range(n), 2))).T
+    coords = np.array([lam.coords for lam in lams], dtype=complex)
+    grads = np.zeros((len(first), n))
+    grads[np.arange(len(first)), first] = 1.0
+    grads[np.arange(len(first)), second] = -1.0
+    xs = coords[:, first] - coords[:, second]
+    return jet_of_affine(np.stack([theta_table(xs, ctx, m)
+                                   for m in range(order + 1)], axis=-1), grads)
 
 
-def _delta_ratio_coeff(jset: tuple, scale: complex, ctx: ModularContext):
-    """Coefficient closure for scale * (d^J Delta / Delta)(lambda).
+def delta_jet(lams, order: int, ctx: ModularContext) -> np.ndarray:
+    """Jets J[s, m] of Delta(lambda) = prod_{k<l} theta(lambda_k - lambda_l)
+    at a batch."""
+    pair_jets = _pair_jets(lams, order, ctx)
+    out = pair_jets[:, 0]
+    for p in range(1, pair_jets.shape[1]):
+        out = jet_mul(out, pair_jets[:, p], ctx.n)
+    return out
 
-    The ratio depends on J only: it is divided once per J, point and order
-    and shared by every item and operator with that J.
-    """
-    def ratio(lam, order):
-        jd = delta_jet(lam, order + len(jset), ctx)
-        alpha = tuple(int(a in jset) for a in range(lam.n))
-        return jd.dmulti(alpha) / jd
 
-    def fn(lam, order):
-        return ctx.cached(("dr", jset, lam.coords, order),
-                          lambda: ratio(lam, order)) * scale
-    return fn
+def _delta_ratios(lams, order: int, jsets, ctx: ModularContext) -> dict:
+    """{J: jets of d^J Delta / Delta} to the given order at a batch: Delta's
+    jet is built once, to the order the largest J needs, and inverted once.
+    The empty J gives the constant 1 exactly, not Delta times its rounded
+    inverse, whose noisy derivatives a composition would pick up."""
+    n = ctx.n
+    jd = delta_jet(lams, order + max(map(len, jsets)), ctx)
+    inv = jet_inv(jd, n)
+    width = math.comb(n + order, n)
+    return {jset: jet_mul(jet_deriv(jd, n, [int(a in jset) for a in range(n)])
+                          [:, :width], inv, n) if jset else
+            jet_constant(1.0, len(lams), n, order) for jset in jsets}
 
 
 def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
     """The commuting differential operators D[1..n] (Debiard normalization):
 
     D[m] = sum_{|I|=m} sum_{J subset I} (d^J Delta / Delta) (-n/c d)^{I \\ J}.
+
+    A read of D[m]'s table builds d^J Delta / Delta once per distinct J
+    (at n = 3, D[3] has 26 (I, J) items and 8 distinct J).
     """
     n = ctx.n
     factor = -n / c
-    out = []
-    for m in range(1, n + 1):
-        items = []
-        for big_i in combinations(range(n), m):
-            for jsize in range(m + 1):
-                for jset in combinations(big_i, jsize):
-                    rest = tuple(sorted(set(big_i) - set(jset)))
-                    alpha = tuple(1 if a in rest else 0 for a in range(n))
-                    items.append((alpha, _delta_ratio_coeff(
-                        jset, factor ** len(rest), ctx)))
-        out.append(pdo(n, items))
-    return out
+
+    def d_op(m):
+        items = [(tuple(int(a in big_i and a not in jset) for a in range(n)),
+                  jset, factor ** (m - jsize))
+                 for big_i in combinations(range(n), m)
+                 for jsize in range(m + 1)
+                 for jset in combinations(big_i, jsize)]
+        jsets = tuple(dict.fromkeys(jset for _, jset, _ in items))
+
+        def table(lams, order=0):
+            ratios = _delta_ratios(lams, order, jsets, ctx)
+            out = {}
+            for alpha, jset, scale in items:
+                out[alpha] = out.get(alpha, 0.0) + ratios[jset] * scale
+            return out
+        return DifferentialOperator(
+            n, tuple(dict.fromkeys(alpha for alpha, _, _ in items)), table)
+    return [d_op(m) for m in range(1, n + 1)]
 
 
 def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
@@ -683,37 +699,37 @@ def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
     g_i = g d_i log Delta.  The potential coefficient +2g(g+1) is pinned by
     the hbar^2 limit of the difference family (exact to machine precision
     for n = 2, 3); in Weierstrass form it reads -2g(g+1) p(lam_ij) plus a
-    constant.
+    constant.  A read builds g_i one order deeper than asked, for d_i g_i.
     """
     n = ctx.n
     g = c / n
+    units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
+    firsts = [units[k] for k, _ in combinations(range(n), 2)]
 
-    def gi_jet(i, lam, order):
-        jd = delta_jet(lam, order + 1, ctx)
-        return (jd.dshift(i) / jd) * g
-
-    items = []
-    for i in range(n):
-        items.append((tuple(2 if a == i else 0 for a in range(n)),
-                      pdo_const_coeff(1.0)))
-        def lin(lam, order, _i=i):
-            return gi_jet(_i, lam, order) * (-2.0)
-        items.append((tuple(1 if a == i else 0 for a in range(n)), lin))
-
-    def zero_order(lam, order):
-        acc = Jet.constant(lam.n, order, 0.0)
-        for i in range(n):
-            gj = gi_jet(i, lam, order + 1)
-            acc = acc + gj.dshift(i) * (-1.0) + gj * gj
-        xs = [lam.coords[i] - lam.coords[j]
-              for i in range(n) for j in range(i + 1, n)]
-        pot = 0.0 + 0.0j
-        for t0, t1, t2 in zip(*(theta_table(xs, ctx, m).tolist()
-                                for m in range(3))):
-            pot += (t2 * t0 - t1 * t1) / (t0 * t0)
-        return acc + Jet.constant(lam.n, order, 2.0 * g * (g + 1.0) * pot)
-    items.append(((0,) * n, zero_order))
-    return pdo(n, items)
+    def table(lams, order=0):
+        # g_i / g = d_i Delta / Delta, one order deeper than asked
+        ratios = _delta_ratios(lams, order + 1, [(i,) for i in range(n)], ctx)
+        pair_jets = _pair_jets(lams, order + 2, ctx)
+        pair_inv = jet_inv(pair_jets, n)
+        deeper = math.comb(n + order + 1, n)
+        width = math.comb(n + order, n)
+        out, zero = {}, jet_constant(0.0, len(lams), n, order)
+        for i, e in enumerate(units):
+            gi = ratios[(i,)] * g
+            out[tuple(2 * x for x in e)] = jet_constant(1.0, len(lams), n,
+                                                        order)
+            out[e] = gi[:, :width] * (-2.0)
+            zero = (zero + jet_deriv(gi, n, e) * (-1.0)
+                    + jet_mul(gi[:, :width], gi, n))
+        # sum_{k<l} (log theta)''(lam_kl), each as d_k (d_k theta / theta)
+        pot = sum(jet_deriv(jet_mul(jet_deriv(pair_jets[:, p], n, e)
+                                    [:, :deeper], pair_inv[:, p], n), n, e)
+                  for p, e in enumerate(firsts))
+        out[(0,) * n] = zero + 2.0 * g * (g + 1.0) * pot
+        return out
+    return DifferentialOperator(
+        n, tuple(key for e in units for key in (tuple(2 * x for x in e), e))
+        + ((0,) * n,), table)
 
 
 def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
@@ -731,10 +747,10 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
 
 
 def _mdot_apply(c: complex, d: int, hb: complex, f, lams,
-                ctx: ModularContext) -> list:
-    """(Mdot_d f)(lams[s]) at the deformation parameter hb, as a list."""
+                ctx: ModularContext) -> np.ndarray:
+    """(Mdot_d f)(lams[s]) at the deformation parameter hb."""
     sctx = ctx.replace(hbar=hb)
-    return apply_batch(m_dot(c, d, sctx), f, lams, sctx).tolist()
+    return apply_batch(m_dot(c, d, sctx), f, lams, sctx)
 
 
 def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
@@ -749,27 +765,24 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
     h1, h2 = steps
     ham = hamiltonian_cm(c, ctx)
     samples = list(samples)
-    found = []
+    got, want = [], []
     for vec in vecs:
         fjet = exp_test_function(vec)
-        f = lambda lam: fjet(lam, 0).value
-        fvals = [f(lam) for lam in samples]
+        f = lambda lam: complex(fjet([lam], 0)[0, 0])
+        fvals = fjet(samples, 0)[:, 0]
 
         def expr(hb):
             sctx = ctx.replace(hbar=hb)
             m1 = m_dot(c, 1, sctx)
             m2 = m_dot(c, 2, sctx)
-            v2, v11, v1 = (apply_batch(op, f, samples, sctx).tolist()
+            v2, v11, v1 = (apply_batch(op, f, samples, sctx)
                            for op in (m2, compose(m1, m1, sctx), m1))
-            return [(-2.0 * a2 + a11 - 2.0 * a1 + n * f0) / (hb * hb)
-                    for a2, a11, a1, f0 in zip(v2, v11, v1, fvals)]
+            return (-2.0 * v2 + v11 - 2.0 * v1 + n * fvals) / (hb * hb)
 
-        def sym(h):
-            return [(a + b) / 2.0 for a, b in zip(expr(h), expr(-h))]
-        for lam, s1, s2 in zip(samples, sym(h1), sym(h2)):
-            extrap = (h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1)
-            found.append(residual_pair(extrap, pdo_apply(ham, fjet, lam)))
-    return worst_of(found)
+        s1, s2 = ((expr(h) + expr(-h)) / 2.0 for h in (h1, h2))
+        got.append((h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1))
+        want.append(pdo_apply(ham, fjet, samples))
+    return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
 
 
 def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
@@ -779,25 +792,22 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
     g = c / n
     d2 = pdo_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
     samples = list(samples)
-    found = []
+    got, want = [], []
     for vec in vecs:
         fjet = exp_test_function(vec)
-        f = lambda lam: fjet(lam, 0).value
-        fvals = [f(lam) for lam in samples]
+        f = lambda lam: complex(fjet([lam], 0)[0, 0])
+        fvals = fjet(samples, 0)[:, 0]
 
         def second(dd):
-            f0 = [math.comb(n, dd) * value for value in fvals]
+            f0 = math.comb(n, dd) * fvals
 
             def dd2(h):
-                return [(plus - 2.0 * mid + minus) / (h * h) for plus, mid, minus
-                        in zip(_mdot_apply(c, dd, h, f, samples, ctx), f0,
-                               _mdot_apply(c, dd, -h, f, samples, ctx))]
-            return [(4.0 * a - b) / 3.0
-                    for a, b in zip(dd2(step), dd2(2 * step))]
-        for lam, s2, s1 in zip(samples, second(2), second(1)):
-            got = (s2 - (n - 1) * s1) / 2.0
-            found.append(residual_pair(got, pdo_apply(d2, fjet, lam)))
-    return worst_of(found)
+                return (_mdot_apply(c, dd, h, f, samples, ctx) - 2.0 * f0
+                        + _mdot_apply(c, dd, -h, f, samples, ctx)) / (h * h)
+            return (4.0 * dd2(step) - dd2(2 * step)) / 3.0
+        got.append((second(2) - (n - 1) * second(1)) / 2.0)
+        want.append(pdo_apply(d2, fjet, samples))
+    return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
 
 
 # ------------------------------------------------------- Macdonald limit

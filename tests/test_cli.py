@@ -31,8 +31,9 @@ def test_run_suite_passes_and_records_params():
     assert rep.passed
     assert rep.params["n"] == 2
     assert rep.params["seed"] == 42
-    for key in ("tau", "hbar", "u", "v", "t", "trunc"):
-        assert key in rep.params
+    # the context and the seed; the suite's spectral parameters are drawn
+    # from the seed, not reported as params
+    assert list(rep.params) == ["n", "tau", "hbar", "trunc", "seed"]
     assert all(c.rel < c.tol for c in rep.cases if not c.control)
 
 
@@ -114,11 +115,11 @@ def test_seed_changes_residuals_not_outcome():
 def test_json_shape_and_digits():
     rep = run_suite("qfay", default_context(2), 42)
     doc = json.loads(report_json([rep]))
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     suite = doc["suites"][0]
     assert suite["suite"] == "qfay"
     assert list(suite["params"].keys()) == [
-        "n", "tau", "hbar", "u", "v", "t", "trunc", "seed"]
+        "n", "tau", "hbar", "trunc", "seed"]
     assert {"name", "rel", "abs", "tol", "control", "ok"} \
         <= set(suite["cases"][0].keys())
     assert fmt_float(0.1) == "0.10000000000000001"
@@ -131,7 +132,7 @@ def test_cli_single_suite_exit_zero(capsys, tmp_path):
     rc = cli.main(["qfay", "--seed", "42", "--json", str(out)])
     assert rc == 0
     captured = capsys.readouterr().out
-    assert "schema: 3" in captured
+    assert "schema: 4" in captured
     assert "suite: qfay" in captured
     doc = json.loads(out.read_text())
     assert doc["summary"]["pass"] is True

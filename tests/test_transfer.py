@@ -366,13 +366,13 @@ def test_debiard_first_operator(ctx3):
 def test_debiard_second_operator(ctx3):
     d2 = tr.build_d_ops(C0, U0, ctx3)[1]
     lam = wt.sample_generic(46, ctx3)
-    jd = tr.delta_jet(lam, 2, ctx3)
+    jd = tr.delta_jet([lam], 2, ctx3)
     for i in range(3):
         for j in range(i + 1, 3):
             eij = tuple(1 if a in (i, j) else 0 for a in range(3))
             assert abs(d2.coeff(eij, lam) - (3 / C0) ** 2) < 1e-11
-    zterms = [(jd.dmulti(tuple(1 if a in (i, j) else 0 for a in range(3))) / jd
-               ).value for i in range(3) for j in range(i + 1, 3)]
+    zterms = [oa.jet_deriv(jd, 3, (int(a in (i, j)) for a in range(3)))[0, 0]
+              / jd[0, 0] for i in range(3) for j in range(i + 1, 3)]
     assert abs(d2.coeff((0, 0, 0), lam) - sum(zterms)) \
         / sum(abs(t) for t in zterms) < 1e-12
 
@@ -386,50 +386,70 @@ def test_debiard_commutators(ctx3):
             assert res.rel < 1e-8
 
 
-def test_pdo_commutator_reads_each_operand_once_per_point(ctx3, monkeypatch):
-    # every coefficient closure of build_d_ops counts its own calls
-    real = tr._delta_ratio_coeff
-    calls = []
-
-    def counting(*args):
-        fn = real(*args)
-        leaf = len(calls)
-        calls.append(0)
-
-        def counted(lam, order):
-            calls[leaf] += 1
-            return fn(lam, order)
-        return counted
-    monkeypatch.setattr(tr, "_delta_ratio_coeff", counting)
+def test_pdo_commutator_reads_each_operand_once_per_batch(ctx3, monkeypatch):
+    # every table read of D[1..3] asks for its ratios d^J Delta / Delta once
+    real = tr._delta_ratios
+    reads = []
+    monkeypatch.setattr(tr, "_delta_ratios", lambda lams, order, jsets, ctx:
+                        reads.append((len(lams), len(jsets), order))
+                        or real(lams, order, jsets, ctx))
     d1, d2, _ = tr.build_d_ops(C0, U0, ctx3)
-    leaves = 2 * 3 + 4 * 3             # (I, J subset I) with |I| = 1, 2
     k = 3
     samples = wt.sample_many(47, k, ctx3)
     res = oa.pdo_commutator_residual(d1, d2, samples, ctx3)
     assert res.rel < 1e-8
-    # 2 compositions x 2 operand reads x k points bounds every leaf; one
-    # call per Leibniz item per multi-index per point is far above that
-    assert all(0 < count <= 2 * 2 * k for count in calls[:leaves])
-    assert not any(calls[leaves:])     # D[3] is not read
+    # D[1] D[2] reads D[1] at order 0 and D[2] one order deeper; D[2] D[1]
+    # reads D[2] at order 0 and D[1] two orders deeper; operator_residual
+    # then reads each composition once, at order 0 (D[3] is not read)
+    assert sorted(reads) == sorted([(k, 4, 0), (k, 7, 1), (k, 7, 0),
+                                    (k, 4, 2)])
 
 
 def test_debiard_divides_once_per_subset(monkeypatch):
-    # D[1..3] at n = 3 hold 26 (I, J) items but only 8 distinct J, and
-    # d^J Delta / Delta depends on J alone
+    # D[1..3] at n = 3 hold 4 + 12 + 26 (I, J) items but only 4, 7 and 8
+    # distinct J, and d^J Delta / Delta depends on J alone: a table read
+    # inverts Delta's jet once and multiplies it into each distinct d^J Delta
     ctx = default_context(3)
-    calls = []
-    divide = oa.Jet.__truediv__
-    monkeypatch.setattr(oa.Jet, "__truediv__",
-                        lambda a, b: calls.append(1) or divide(a, b))
+    inverses, products = [], []
+    inv, mul = oa.jet_inv, oa.jet_mul
+    monkeypatch.setattr(tr, "jet_inv", lambda x, n: inverses.append(x.shape)
+                        or inv(x, n))
+    monkeypatch.setattr(tr, "jet_mul", lambda x, y, n: products.append(1)
+                        or mul(x, y, n))
     d_ops = tr.build_d_ops(C0, U0, ctx)
-    lam = wt.sample_generic(47, ctx)
-    first = [op.jets(lam, 1) for op in d_ops]
-    assert len(calls) == 8
-    again = [op.jets(lam, 1) for op in d_ops]
-    assert len(calls) == 8
+    samples = wt.sample_many(47, 2, ctx)
+    first = []
+    for op, distinct in zip(d_ops, (4, 7, 8)):
+        del inverses[:], products[:]
+        first.append(op.table(samples, 1))
+        # Delta's jet is 2 pair products, then one product per distinct
+        # nonempty J (the empty J's ratio is the constant 1)
+        assert len(inverses) == 1 and len(products) == 2 + distinct - 1
+    again = [op.table(samples, 1) for op in d_ops]
     for a, b in zip(first, again):
-        assert {k: v.coeffs for k, v in a.items()} \
-            == {k: v.coeffs for k, v in b.items()}
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[key], b[key]) for key in a)
+
+
+def test_differential_tables_hold_the_jets_of_their_values(ctx3):
+    # each coefficient's first derivatives in a table read at order 2 match
+    # central differences of its values, and every jet has the width of
+    # order 2 (a wider one would only broadcast)
+    lam = wt.sample_generic(44, ctx3)
+    h = 1e-5
+    ops = [tr.hamiltonian_cm(C0, ctx3), *tr.build_d_ops(C0, U0, ctx3),
+           tr.krichever_k(C0, U0, ctx3)[0][1]]
+    for op in ops:
+        table = op.table([lam], 2)
+        assert table.keys() == set(op.terms)
+        for alpha, jet in table.items():
+            assert jet.shape == (1, 10)
+            for i in range(3):
+                e = tuple(int(a == i) for a in range(3))
+                fd = (op.coeff(alpha, lam.shifted(e, h))
+                      - op.coeff(alpha, lam.shifted(e, -h))) / (2 * h)
+                got = oa.jet_deriv(jet, 3, e)[0, 0]
+                assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
 
 def test_h_identity(ctx2, ctx3):
@@ -641,22 +661,27 @@ def test_context_memoizes_no_theta_value_or_intertwiner():
     for name in ("intertwiner", "debiard", "krichever", "eigen-l1"):
         run_suite(name, ctx, 0)
     # theta values and intertwiners are read from tables on every use
-    assert {key[0] for key in ctx._cache} == {"eta", "chilat", "dj", "dr"}
+    assert {key[0] for key in ctx._cache} == {"eta", "chilat"}
 
 
 def test_delta_jet_reads_one_table_per_derivative_order(monkeypatch):
     reads = table_reads(monkeypatch)
     for n in (2, 3, 4):
         ctx = default_context(n)
-        lam = wt.sample_generic(47, ctx)
+        lams = wt.sample_many(47, 3, ctx)
         del reads[:]
-        jet = tr.delta_jet(lam, 3, ctx)
+        jet = tr.delta_jet(lams[:1], 3, ctx)
         # every pair lam_k - lam_l in one table per order 0..3, where the
         # per-monomial jets read theta once per monomial and pair
         assert reads == [n * (n - 1) // 2] * 4
-        want = math.prod(theta(lam.diff(k, l), ctx)
+        want = math.prod(theta(lams[0].diff(k, l), ctx)
                          for k in range(n) for l in range(k + 1, n))
-        assert abs(jet.value - want) <= 1e-14 * abs(want)
+        assert abs(jet[0, 0] - want) <= 1e-14 * abs(want)
+        # and a batch reads the same four tables, over every point
+        del reads[:]
+        batch = tr.delta_jet(lams, 3, ctx)
+        assert reads == [3 * n * (n - 1) // 2] * 4
+        assert np.array_equal(batch[:1], jet)
 
 
 def _nan_at_zero_key(coeffs_at):
@@ -664,6 +689,17 @@ def _nan_at_zero_key(coeffs_at):
         out = coeffs_at(op, lam)
         return {alpha: (math.nan if not any(alpha) else value)
                 for alpha, value in out.items()}
+    return poisoned
+
+
+def _nan_in_d_tables(build_d_ops):
+    # every read of a D-operator table gets a NaN coefficient jet
+    def poisoned(*args):
+        return [oa.DifferentialOperator(op.n, op.terms, lambda lams, order=0,
+                                        _table=op.table: {
+            alpha: (jet * math.nan if not any(alpha) else jet)
+            for alpha, jet in _table(lams, order).items()})
+                for op in build_d_ops(*args)]
     return poisoned
 
 
@@ -702,6 +738,8 @@ _NAN_CASES = [
      _nan_at_zero_key),
     ("debiard", 2, "second-operator-form", "suites", "_coeffs_at",
      _nan_at_zero_key),
+    ("debiard", 2, "pairwise-commutators", "transfer", "build_d_ops",
+     _nan_in_d_tables),
     ("eigen-l1", 2, "eigenvalue-shared", "thetaspace", "build_r", _nan_in_r),
 ]
 
@@ -710,7 +748,9 @@ _NAN_CASES = [
                          ids=[f"{c[0]}/{c[2]}" for c in _NAN_CASES])
 def test_nan_residual_fails_its_suite_case(monkeypatch, name, n, case, module,
                                            attr, poison):
-    # each of these cases reduced with Python's max, which drops a NaN
+    # each of these cases reduced with Python's max, which drops a NaN,
+    # except pairwise-commutators, which reads the D-operator tables through
+    # pdo_commutator_residual: a NaN must neither raise nor pass there
     import importlib
     owner = importlib.import_module(f"etlax.{module}")
     monkeypatch.setattr(owner, attr, poison(getattr(owner, attr)))

@@ -23,8 +23,11 @@ The record is JSON: {"src", "runs": [[suite, n, seed, outcome]], "cases":
 case not ok) or the error's type and message, and a NaN rel is null.
 `--compare A B` prints the runs whose outcome differs, the cases whose ok
 flag flips (with both rels), the cases present on one side only, and the
-ratio rel_B / rel_A: its range, how many cases are bit-identical, and the
-largest growths.  It exits 1 if any ok flag or outcome differs, else 0.
+ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
+bit-identical, and the largest growths.  Below FLOOR = 1e-14 a rel is
+rounding noise, so a rel that moves within the rounding floor (say from
+1e-17 to 6e-16) reads as a ratio of 1, not as a growth of 64x.  It exits 1
+if any ok flag or outcome differs, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(8)
 TOP_GROWTHS = 10        # largest rel growths --compare lists
+FLOOR = 1e-14           # rounding floor of the rel ratios --compare prints
 
 
 def _bench():
@@ -128,16 +132,18 @@ def compare(path_a, path_b) -> int:
             flips.append((key, ok_a, rel_a, ok_b, rel_b))
         if rel_a == rel_b or (math.isnan(rel_a) and math.isnan(rel_b)):
             same += 1
-        elif rel_a > 0.0 and rel_b > 0.0:
-            ratios.append((rel_b / rel_a, key, rel_a, rel_b))
+        elif not (math.isnan(rel_a) or math.isnan(rel_b)):
+            ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
+                           rel_a, rel_b))
     for key, ok_a, rel_a, ok_b, rel_b in flips:
         print(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} rel={rel_b:.3g}")
     print(f"{len(common)} common cases: {len(flips)} ok flips, {same} "
           f"bit-identical rels, {len(ratios)} moved, "
-          f"{len(common) - same - len(ratios)} moved to or from 0 or NaN")
+          f"{len(common) - same - len(ratios)} moved to or from NaN")
     if ratios:
         ratios.sort()
-        print(f"rel_B / rel_A from {ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
+        print(f"max(rel_B, {FLOOR:g}) / max(rel_A, {FLOOR:g}) from "
+              f"{ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
         for ratio, key, rel_a, rel_b in ratios[::-1][:TOP_GROWTHS]:
             print(f"  x{ratio:.3g} {key}: {rel_a:.3g} -> {rel_b:.3g}")
     return 1 if flips or differs else 0
