@@ -48,7 +48,7 @@ from .opalg import perm_sign
 from .theta import (Residual, dedekind_eta, residual_arrays, theta_char_table,
                     theta_level_table, theta_table, vandermonde_product,
                     worst_of_arrays)
-from .weights import WeightPoint, canonical_key
+from .weights import canonical_key, shifted, unit_key
 
 _EPS = 1e-300
 
@@ -337,9 +337,9 @@ def _face_weights(lij, deltas, ctx: ModularContext):
             (t[:, 2] / t[:, 1])[:, None] * t[:, 3 + 2 * m:] / den)
 
 
-def face_weight(lam: WeightPoint, i: int, j: int, kind: str, u: complex,
+def face_weight(lam, i: int, j: int, kind: str, u: complex,
                 ctx: ModularContext) -> complex:
-    """One face weight at base weight lam (the one-entry _face_weights).
+    """One face weight at base weight lam[n] (the one-entry _face_weights).
 
     kind 'diag':  both steps i (requires i == j)     theta(u+h)/theta(h)
     kind 'cis':   steps (i,j), unchanged middle      theta(-u+lam_ij)/theta(lam_ij)
@@ -351,7 +351,8 @@ def face_weight(lam: WeightPoint, i: int, j: int, kind: str, u: complex,
     if (kind == "diag") != (i == j):
         raise ValueError(f"{kind} face weight needs "
                          f"{'i == j' if kind == 'diag' else 'i != j'}")
-    diag, cis, trans = _face_weights([[lam.diff(i, j)] if i != j else []], [u], ctx)
+    diag, cis, trans = _face_weights([[lam[i] - lam[j]] if i != j else []],
+                                     [u], ctx)
     return complex(diag[0] if kind == "diag" else (cis if kind == "cis" else trans)[0, 0])
 
 
@@ -369,24 +370,24 @@ def _move_weights(plan: SimpleNamespace, pos: int, coords: np.ndarray,
 
 
 def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray:
-    """Matrix of a product of face moves on the length-k path space at base,
-    a WeightPoint, or the stack of these matrices at a sequence of bases.
+    """Matrix of a product of face moves on the length-k path space at one
+    point base[n], or the stack of these matrices at the points base[s, n].
 
     moves is a list of (pos, delta), first entry applied first; delta is one
     value or one per base.  Each move reads its weights at every base from
     one theta table and acts on the stack of step-multiset blocks; the
     stack is scattered into the paths x paths matrices once.
     """
-    bases = [base] if isinstance(base, WeightPoint) else list(base)
-    coords = np.array([lam.coords for lam in bases], dtype=complex)
+    base = np.asarray(base, dtype=complex)
+    coords = base.reshape(-1, ctx.n)
     plan = _path_plan(ctx.n, k)
     count, width = plan.layout.shape
     rows = np.arange(count)[:, None]
-    stack = np.tile(np.eye(width, dtype=complex), (len(bases), count, 1, 1))
+    stack = np.tile(np.eye(width, dtype=complex), (len(coords), count, 1, 1))
     for pos, delta in moves:
         # a 0 for the padding slot len(paths) of short blocks
         keep, cross = (np.pad(w, ((0, 0), (0, 1))) for w in _move_weights(
-            plan, pos, coords, np.broadcast_to(delta, len(bases)), ctx))
+            plan, pos, coords, np.broadcast_to(delta, len(coords)), ctx))
         mate = plan.partner[pos]
         # path q receives keep[q] from itself and cross[swap q] from its
         # swap; updated in place, so a move holds one extra stack
@@ -395,19 +396,19 @@ def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray
         stack *= keep[:, plan.layout][..., None]
         stack += swapped
     size = len(plan.paths)
-    mat = np.zeros((len(bases), size, size), dtype=complex)
+    mat = np.zeros((len(coords), size, size), dtype=complex)
     src, row, col = plan.scatter
-    mat[:, row, col] = stack.reshape(len(bases), -1)[:, src]
-    return mat[0] if isinstance(base, WeightPoint) else mat
+    mat[:, row, col] = stack.reshape(len(coords), -1)[:, src]
+    return mat[0] if base.ndim == 1 else mat
 
 
-def verify_face_ybe(us, vs, ws, lams, ctx: ModularContext) -> Residual:
-    """Face Yang-Baxter equation on three-step paths from lams[s] at the
+def verify_face_ybe(us, vs, ws, P, ctx: ModularContext) -> Residual:
+    """Face Yang-Baxter equation on three-step paths from P[s] at the
     spectral parameters (us[s], vs[s], ws[s]), worst over the samples s
-    (or at one triple and one base weight lams)."""
+    (or at one triple and one base weight P[n])."""
     us, vs, ws = (np.asarray(x, dtype=complex) for x in (us, vs, ws))
-    lhs = face_operator_matrix(lams, 3, [(1, vs - ws), (0, us - ws), (1, us - vs)], ctx)
-    rhs = face_operator_matrix(lams, 3, [(0, us - vs), (1, us - ws), (0, vs - ws)], ctx)
+    lhs = face_operator_matrix(P, 3, [(1, vs - ws), (0, us - ws), (1, us - vs)], ctx)
+    rhs = face_operator_matrix(P, 3, [(0, us - vs), (1, us - ws), (0, vs - ws)], ctx)
     return _rel(lhs, rhs)
 
 
@@ -415,13 +416,14 @@ def verify_face_ybe(us, vs, ws, lams, ctx: ModularContext) -> Residual:
 
 @dataclass(frozen=True)
 class IntertwinerPair:
-    """phi(u) at base mu (rows = vector index, columns = step index) and its
-    inverse phibar (rows = step index), with the recorded condition number."""
+    """phi(u) at base mu[n] (rows = vector index, columns = step index) and
+    its inverse phibar (rows = step index), with the recorded condition
+    number."""
 
     phi: np.ndarray
     phibar: np.ndarray
     u: complex
-    mu: WeightPoint
+    mu: np.ndarray
     cond: float
 
 
@@ -436,7 +438,7 @@ def _build_intertwiners(us, mus, ctx: ModularContext,
     solve for all of them."""
     n, count = ctx.n, len(us)
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
-    args = [u / n - mu.pair_eps(k) for u, mu in zip(us, mus) for k in range(n)]
+    args = _phi_args(us, mus, n).ravel()
     phi = np.ascontiguousarray(
         (theta_level_table(range(n), args, ctx) / ieta)
         .reshape(n, count, n).transpose(1, 0, 2))
@@ -450,17 +452,25 @@ def _build_intertwiners(us, mus, ctx: ModularContext,
     return phi, np.linalg.solve(phi, np.eye(n, dtype=complex)), cond
 
 
+def _phi_args(us, mus, n: int) -> np.ndarray:
+    """[p, k] = us[p]/n - <mus[p], epsbar_k>, u/n divided as Python does."""
+    return (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
+            - np.asarray(mus, dtype=complex).reshape(-1, n))
+
+
 def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n),
     built in one batch under the guard on the raw 2-norm condition number."""
-    return _build_intertwiners(list(us), list(mus), ctx)[:2]
+    return _build_intertwiners(list(us), mus, ctx)[:2]
 
 
-def intertwiners(u: complex, mu: WeightPoint, ctx: ModularContext,
+def intertwiners(u: complex, mu, ctx: ModularContext,
                  cond_limit: float = _COND_LIMIT) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
-    and the inverse matrix phibar, solved numerically (a batch of one)."""
-    phi, phibar, cond = _build_intertwiners([u], [mu], ctx, cond_limit)
+    and the inverse matrix phibar at one point mu[n], solved numerically:
+    the batch of one (a one-point view kept for the traced benchmark)."""
+    mu = np.asarray(mu, dtype=complex)
+    phi, phibar, cond = _build_intertwiners([u], mu[None], ctx, cond_limit)
     return IntertwinerPair(phi[0], phibar[0], u, mu, float(cond[0]))
 
 
@@ -474,28 +484,26 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
     intertwiner batch."""
     n = ctx.n
     phi, phibar = intertwiner_arrays(us, mus, ctx)
-    want = vandermonde_product(
-        [[u / n - mu.pair_eps(k) for k in range(n)] for u, mu in zip(us, mus)],
-        ctx) * (-1) ** (n - 1)
+    want = vandermonde_product(_phi_args(list(us), mus, n),
+                               ctx) * (-1) ** (n - 1)
     return {"duality": _rel(np.stack([phibar @ phi, phi @ phibar], axis=1),
                             np.eye(n)),
             "det-closed-form": worst_of_arrays(*residual_arrays(
                 np.linalg.det(phi), want))}
 
 
-def _two_step_weights(lams, deltas, ctx: ModularContext):
+def _two_step_weights(P, deltas, ctx: ModularContext):
     """keep[s, a, b] and cross[s, a, b]: the weights of the move with
-    argument deltas[s] on the two-step paths (a, b) from lams[s], to (a, b)
+    argument deltas[s] on the two-step paths (a, b) from P[s], to (a, b)
     and to (b, a)."""
     n = ctx.n
-    coords = np.array([lam.coords for lam in lams], dtype=complex)
-    keep, cross = _move_weights(_path_plan(n, 2), 0, coords, deltas, ctx)
+    keep, cross = _move_weights(_path_plan(n, 2), 0, P, deltas, ctx)
     return keep.reshape(-1, n, n), cross.reshape(-1, n, n)
 
 
-def verify_intertwining(us, vs, lams, ctx: ModularContext) -> dict:
+def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     """The outgoing ("vertex-face") and incoming ("dual") vertex-face
-    intertwining relations at the samples (us[s], vs[s], lams[s]), worst
+    intertwining relations at the samples (us[s], vs[s], P[s]), worst
     over the samples and entries, from one intertwiner batch:
 
         sum_ij R^{ij}_{i'j'} phi_u[i, a] phi_v^{a}[j, b]
@@ -509,18 +517,18 @@ def verify_intertwining(us, vs, lams, ctx: ModularContext) -> dict:
     """
     n = ctx.n
     us, vs = np.asarray(us, dtype=complex), np.asarray(vs, dtype=complex)
-    keep, cross = _two_step_weights(lams, us - vs, ctx)
+    P = np.asarray(P, dtype=complex)
+    keep, cross = _two_step_weights(P, us - vs, ctx)
     keep, cross = keep[..., None, None], cross[..., None, None]
     rt = r_table(us - vs, ctx)
     # per sample, phi at (u, lam), (v, lam), (u, lam + h epsbar_a) and
     # (v, lam + h epsbar_a) for a < n
-    params, pts = [], []
-    for u, v, lam in zip(us.tolist(), vs.tolist(), lams):
-        ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
-        params += [u, v] + [u] * n + [v] * n
-        pts += [lam, lam] + ups + ups
-    phi, phibar = (x.reshape(len(lams), 2 * n + 2, n, n)
-                   for x in intertwiner_arrays(params, pts, ctx))
+    params = np.stack([us, vs] + [us] * n + [vs] * n, axis=1).ravel()
+    ups = shifted(P, [unit_key(n, a) for a in range(n)], ctx.hbar)
+    pts = np.concatenate([P[:, None], P[:, None], ups, ups], axis=1)
+    phi, phibar = (x.reshape(len(P), 2 * n + 2, n, n)
+                   for x in intertwiner_arrays(params, pts.reshape(-1, n),
+                                               ctx))
     phi_u, phi_v = phi[:, 0], phi[:, 1]
     phi_u_up, phi_v_up = phi[:, 2:2 + n], phi[:, 2 + n:]
     lhs = np.einsum("sijpq,sia,sajb->sabpq", rt, phi_u, phi_v_up)
@@ -584,12 +592,6 @@ def braid_matrix(params, moves, ctx: ModularContext) -> np.ndarray:
                      np.eye(ctx.n ** len(params), dtype=complex), ctx)
 
 
-def face_braid_matrix(base: WeightPoint, params, moves, ctx: ModularContext) -> np.ndarray:
-    """Product of face moves with positional parameter tracking."""
-    return face_operator_matrix(base, len(params),
-                                list(zip(moves, _move_deltas(params, moves))), ctx)
-
-
 def fusion_parameters(k: int, u: complex, ctx: ModularContext):
     """(u - (k-1) hbar, ..., u - hbar, u)."""
     return [u - (k - 1 - r) * ctx.hbar for r in range(k)]
@@ -602,14 +604,18 @@ def antisymmetrizer(k: int, ctx: ModularContext, u: complex = 0.0) -> np.ndarray
     return braid_matrix(fusion_parameters(k, u, ctx), fusion_moves(k), ctx)
 
 
-def face_fusion_operator(k: int, base: WeightPoint, ctx: ModularContext,
+def face_fusion_operator(k: int, base, ctx: ModularContext,
                          u: complex = 0.0) -> np.ndarray:
-    """The face-side fusion operator on length-k paths from base."""
-    return face_braid_matrix(base, fusion_parameters(k, u, ctx), fusion_moves(k), ctx)
+    """The face-side fusion operator on length-k paths from base: the face
+    moves of the fusion braid, with positional parameter tracking."""
+    moves = fusion_moves(k)
+    return face_operator_matrix(base, k, list(zip(
+        moves, _move_deltas(fusion_parameters(k, u, ctx), moves))), ctx)
 
 
-def phi_tensor_matrix(base: WeightPoint, params, ctx: ModularContext) -> np.ndarray:
-    """The stacked outgoing intertwiner map paths -> V^(x)k at base weight.
+def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
+    """The stacked outgoing intertwiner map paths -> V^(x)k at the base
+    weight base[n].
 
     Column (i_1..i_k) holds tensor prod_m phi(params[m]) along the path.
     Level m reads phi(params[m]) at every distinct prefix weight in one
@@ -621,7 +627,7 @@ def phi_tensor_matrix(base: WeightPoint, params, ctx: ModularContext) -> np.ndar
     mat = np.ones((n ** k, size), dtype=complex)
     grid = mat.reshape((n,) * k + (size,))
     for m, keys in enumerate(plan.prefixes):
-        pts = [base.shifted(key, ctx.hbar) if m else base for key in keys]
+        pts = shifted(base, keys, ctx.hbar) if m else np.asarray(base)[None]
         phi, _ = intertwiner_arrays([params[m]] * len(pts), pts, ctx)
         vecs = phi[plan.prefix[m], :, plan.paths[:, m]]        # [path, i]
         # tensor factor m of every column, multiplied in place
@@ -629,9 +635,9 @@ def phi_tensor_matrix(base: WeightPoint, params, ctx: ModularContext) -> np.ndar
     return mat
 
 
-def verify_fusion_intertwining(k: int, u: complex, lam: WeightPoint,
+def verify_fusion_intertwining(k: int, u: complex, lam,
                                ctx: ModularContext) -> Residual:
-    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam;
+    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam[n];
     the braid of pi acts on the columns of (phi x ... x phi)."""
     params = fusion_parameters(k, u, ctx)
     # rhs first: at n = k = 4 the other order left the heap about 1 MB

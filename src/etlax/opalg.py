@@ -3,16 +3,17 @@
 A DifferenceOperator is a finite sum coeff_K(lambda) * T_K where T_K shifts
 lambda by hbar * sum_i K_i epsbar_i; keys are canonicalized modulo (1,...,1)
 because sum_i epsbar_i = 0.  An operator is its key set and one batch-first
-coefficient table: table(lams) returns {K: array of coeff_K(lams[s])} over
-a whole batch of points.  diff_op is the only builder from closures: it maps
-scalar coefficient closures over the batch.  Sums, products and determinants
-build their table from their operands' tables, reading each operand's table
-once per batch: a composition a b reads b once, on the batch of every point
-lams[s] shifted by every key of a, and its key sums are fixed when it is
-built.
+coefficient table: table(P) returns {K: array of coeff_K(P[s])} over a
+batch of points P[s, n] (weights.canonical rows).  Sums, products and
+determinants build their table from their operands' tables, reading each
+operand's table once per batch: a composition a b reads b once, on the
+batch of every point P[s] shifted by every key of a (one broadcast,
+weights.shifted), and its key sums are fixed when it is built.  A test
+function takes a batch P[..., n] and returns its values[...]; apply_batch
+and apply_matrix call it once, on every point shifted by every key.
 
 An OperatorMatrix is a matrix of difference operators kept as one table:
-table(lams) returns the array A[s, key, i, j] over one key set shared by
+table(P) returns the array A[s, key, i, j] over one key set shared by
 every entry, and entry(i, j) is the DifferenceOperator view of one entry.
 The L-operator, its fusions, the Lax matrix and the Sekiguchi matrix are
 OperatorMatrix tables.  normal_det reads its matrix's table once per batch
@@ -25,7 +26,7 @@ finite products of theta values, so meromorphic, and vanishing on a dozen
 random points decides vanishing).
 
 A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha of the
-same shape: table(lams, order) returns {alpha: J[s, m]}, the exact Taylor
+same shape: table(P, order) returns {alpha: J[s, m]}, the exact Taylor
 jets of every coefficient over a batch of points, so the Leibniz rule never
 needs numerical differentiation, and every combinator reads each operand's
 table once per batch.  A jet of a batch is one complex array J[..., m],
@@ -49,7 +50,7 @@ import numpy as np
 
 from .context import ModularContext
 from .theta import Residual
-from .weights import WeightPoint, canonical_key
+from .weights import canonical_key, shifted
 
 _EPS = 1e-300
 
@@ -60,17 +61,20 @@ _EPS = 1e-300
 class DifferenceOperator:
     """Finite sum of coefficient times shift.
 
-    terms holds the canonical shift keys; table(lams) returns the
-    coefficients of every one of them at the points lams as a dict
-    {key: complex array over lams}.  Callers never write into those arrays.
+    terms holds the canonical shift keys; table(P) returns the
+    coefficients of every one of them at the points P[s, n] as a dict
+    {key: complex array over s}.  Callers never write into those arrays.
     """
 
     n: int
     terms: tuple
     table: Callable
 
-    def coeff(self, key, lam: WeightPoint) -> complex:
-        value = self.table([lam]).get(canonical_key(key))
+    def coeff(self, key, lam) -> complex:
+        """The coefficient of T_key at one point lam[n]: a one-point view
+        of table, kept as a name the benchmark traces."""
+        value = self.table(np.asarray(lam, dtype=complex)[None]).get(
+            canonical_key(key))
         return 0.0 + 0.0j if value is None else complex(value[0])
 
     def keys(self):
@@ -82,9 +86,9 @@ class OperatorMatrix:
     """Square matrix of difference operators kept as one table.
 
     n is the rank of the weight space and size the matrix dimension; terms
-    holds the canonical shift keys shared by every entry, and table(lams)
+    holds the canonical shift keys shared by every entry, and table(P)
     returns the array A[s, key, i, j], the coefficient of T_key in the entry
-    (i, j) at lams[s] (zero where the entry lacks that key).  Callers never
+    (i, j) at P[s] (zero where the entry lacks that key).  Callers never
     write into that array.
     """
 
@@ -95,8 +99,8 @@ class OperatorMatrix:
 
     def entry(self, i: int, j: int) -> DifferenceOperator:
         """The entry (i, j) as an operator; its batch reads the whole table."""
-        def table(lams):
-            a = self.table(lams)
+        def table(P):
+            a = self.table(P)
             return {key: a[:, k, i, j] for k, key in enumerate(self.terms)}
         return DifferenceOperator(self.n, self.terms, table)
 
@@ -105,26 +109,11 @@ def _accumulate(out: dict, key, value) -> None:
     out[key] = out[key] + value if key in out else value
 
 
-def diff_op(n: int, items) -> DifferenceOperator:
-    """Build an operator from (key, coefficient closure) pairs; each closure
-    is mapped over the points of a batch."""
-    items = [(canonical_key(key), fn) for key, fn in items]
-
-    def table(lams):
-        out = {}
-        for key, fn in items:
-            _accumulate(out, key,
-                        np.array([fn(lam) for lam in lams], dtype=complex))
-        return out
-    return DifferenceOperator(n, tuple(dict.fromkeys(k for k, _ in items)),
-                              table)
-
-
 def scalar_op(n: int, value) -> DifferenceOperator:
     """Multiplication by the constant value."""
     zero, const = (0,) * n, complex(value)
     return DifferenceOperator(
-        n, (zero,), lambda lams: {zero: np.full(len(lams), const)})
+        n, (zero,), lambda P: {zero: np.full(len(P), const)})
 
 
 def identity_op(n: int) -> DifferenceOperator:
@@ -132,10 +121,10 @@ def identity_op(n: int) -> DifferenceOperator:
 
 
 def op_add(*ops: DifferenceOperator) -> DifferenceOperator:
-    def table(lams):
+    def table(P):
         out = {}
         for op in ops:
-            for key, value in op.table(lams).items():
+            for key, value in op.table(P).items():
                 _accumulate(out, key, value)
         return out
     keys = dict.fromkeys(key for op in ops for key in op.terms)
@@ -147,21 +136,21 @@ def _product(a: DifferenceOperator, b: DifferenceOperator,
     """Keys add and coefficients multiply: c_a(lam) c_b(lam + hbar K_a).
 
     With hbar the product is the composition a after b, and b is read once,
-    on the batch of every lams[s] shifted by every key of a; with hbar None,
-    b is read at lams itself (the normal product, all shifts moved right).
+    on the batch of every P[s] shifted by every key of a; with hbar None,
+    b is read at P itself (the normal product, all shifts moved right).
     """
     sums = [(ia, ka, kb, canonical_key([x + y for x, y in zip(ka, kb)]))
             for ia, ka in enumerate(a.terms) for kb in b.terms]
 
-    def table(lams):
-        ta = a.table(lams)
+    def table(P):
+        ta = a.table(P)
         if hbar is None:
-            tb = b.table(lams)
+            tb = b.table(P)
             right = lambda ia, kb: tb[kb]
         else:
-            count = len(lams)
-            tb = b.table([lam.shifted(ka, hbar)
-                          for ka in a.terms for lam in lams])
+            count = len(P)
+            tb = b.table(shifted(P, a.terms, hbar).swapaxes(0, 1)
+                         .reshape(-1, a.n))
             right = lambda ia, kb: tb[kb][ia * count:(ia + 1) * count]
         out = {}
         for ia, ka, kb, key in sums:
@@ -179,34 +168,36 @@ def op_scale(op: DifferenceOperator, factor) -> DifferenceOperator:
     return _product(factor, op)
 
 
-def apply_batch(op: DifferenceOperator, f, lams,
+def apply_batch(op: DifferenceOperator, f, P,
                 ctx: ModularContext) -> np.ndarray:
-    """(op f)(lams[s]) = sum_K coeff_K(lams[s]) f(lams[s] + hbar K . epsbar)
-    over a batch of points, reading the table of op once."""
-    lams = list(lams)
-    total = np.zeros(len(lams), dtype=complex)
-    for key, c in op.table(lams).items():
-        total += c * np.array([f(lam.shifted(key, ctx.hbar)) for lam in lams])
-    return total
+    """(op f)(P[s]) = sum_K coeff_K(P[s]) f(P[s] + hbar K . epsbar) over a
+    batch of points, reading the table of op once and calling f once, on
+    every point shifted by every key."""
+    P = np.asarray(P, dtype=complex)
+    coeffs = op.table(P)
+    values = f(shifted(P, list(coeffs), ctx.hbar))               # [s, key]
+    return sum((c * values[:, k] for k, c in enumerate(coeffs.values())),
+               np.zeros(len(P), dtype=complex))
 
 
-def apply_matrix(matrix: OperatorMatrix, f, lams,
+def apply_matrix(matrix: OperatorMatrix, f, P,
                  ctx: ModularContext) -> np.ndarray:
-    """[(M_ij f)(lams[s])]_{s, i, j}: apply_batch of every entry of the
-    matrix, reading its table once."""
-    lams = list(lams)
-    a = matrix.table(lams)
-    total = np.zeros((len(lams), matrix.size, matrix.size), dtype=complex)
-    for k, key in enumerate(matrix.terms):
-        values = np.array([f(lam.shifted(key, ctx.hbar)) for lam in lams])
-        total += a[:, k] * values[:, None, None]
-    return total
+    """[(M_ij f)(P[s])]_{s, i, j}: apply_batch of every entry of the
+    matrix, reading its table once and calling f once."""
+    P = np.asarray(P, dtype=complex)
+    a = matrix.table(P)
+    values = f(shifted(P, matrix.terms, ctx.hbar))               # [s, key]
+    return sum((a[:, k] * values[:, k, None, None]
+                for k in range(len(matrix.terms))),
+               np.zeros((len(P), matrix.size, matrix.size), dtype=complex))
 
 
-def apply_op(op: DifferenceOperator, f, lam: WeightPoint,
+def apply_op(op: DifferenceOperator, f, lam,
              ctx: ModularContext) -> complex:
-    """(op f)(lambda), the batch of one."""
-    return complex(apply_batch(op, f, [lam], ctx)[0])
+    """(op f)(lambda) at one point lam[n]: the batch of one, kept as a name
+    the benchmark traces."""
+    return complex(apply_batch(op, f, np.asarray(lam, dtype=complex)[None],
+                               ctx)[0])
 
 
 def compose(a: DifferenceOperator, b: DifferenceOperator,
@@ -224,7 +215,7 @@ def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
     table holds the values over the batch, a differential table their jets
     J[s, m] (at order 0, one column): column 0 of either is read.
     """
-    samples = list(samples)
+    samples = np.asarray(samples, dtype=complex)
     ta, tb = a.table(samples), b.table(samples)
     zero = np.zeros((len(samples), 1), dtype=complex)
     keys = list(dict.fromkeys([*a.terms, *b.terms]))
@@ -287,9 +278,9 @@ def normal_det(matrix: OperatorMatrix, t: complex,
     signs = np.array([perm_sign(p) for p in perms], dtype=float)
     diag = np.arange(size)
 
-    def table(lams):
-        m = np.zeros((len(lams), len(keys), size, size), dtype=complex)
-        m[:, slots] = matrix.table(lams)
+    def table(P):
+        m = np.zeros((len(P), len(keys), size, size), dtype=complex)
+        m[:, slots] = matrix.table(P)
         m[:, 0, diag, diag] -= t
         # factor r: M[s, K_r, r, sigma(r)] over (ordered key tuple, sigma)
         coeffs = signed_products(
@@ -433,19 +424,16 @@ def jet_deriv(x: np.ndarray, n: int, alpha) -> np.ndarray:
 class DifferentialOperator:
     """Finite sum of coeff_alpha(lambda) d^alpha.
 
-    terms holds the multi-indices alpha; table(lams, order=0) returns the
-    jets, to exactly that order, of every coefficient at the points lams as
-    a dict {alpha: J[s, m]}, m running over monomials(n, order), so column
-    0 holds the coefficient values.  Callers never write into those arrays.
+    terms holds the multi-indices alpha; table(P, order=0) returns the
+    jets, to exactly that order, of every coefficient at the points P[s, n]
+    as a dict {alpha: J[s, m]}, m running over monomials(n, order), so
+    column 0 holds the coefficient values.  Callers never write into those
+    arrays.
     """
 
     n: int
     terms: tuple
     table: Callable
-
-    def coeff(self, alpha, lam: WeightPoint) -> complex:
-        jet = self.table([lam]).get(tuple(alpha))
-        return 0.0 + 0.0j if jet is None else complex(jet[0, 0])
 
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)
@@ -453,24 +441,24 @@ class DifferentialOperator:
 
 def pdo(n: int, items) -> DifferentialOperator:
     """Sum of (alpha, coefficient) items; a coefficient is a constant or a
-    jet closure (lams, order) -> J[s, m]."""
+    jet closure (P, order) -> J[s, m]."""
     items = [(tuple(alpha), fn) for alpha, fn in items]
 
-    def table(lams, order=0):
+    def table(P, order=0):
         out = {}
         for alpha, fn in items:
-            _accumulate(out, alpha, fn(lams, order) if callable(fn) else
-                        jet_constant(fn, len(lams), n, order))
+            _accumulate(out, alpha, fn(P, order) if callable(fn) else
+                        jet_constant(fn, len(P), n, order))
         return out
     return DifferentialOperator(
         n, tuple(dict.fromkeys(alpha for alpha, _ in items)), table)
 
 
 def pdo_add(*ops: DifferentialOperator) -> DifferentialOperator:
-    def table(lams, order=0):
+    def table(P, order=0):
         out = {}
         for op in ops:
-            for alpha, jet in op.table(lams, order).items():
+            for alpha, jet in op.table(P, order).items():
                 _accumulate(out, alpha, jet)
         return out
     terms = dict.fromkeys(alpha for op in ops for alpha in op.terms)
@@ -478,8 +466,8 @@ def pdo_add(*ops: DifferentialOperator) -> DifferentialOperator:
 
 
 def pdo_scale(op: DifferentialOperator, z: complex) -> DifferentialOperator:
-    def table(lams, order=0):
-        return {alpha: jet * z for alpha, jet in op.table(lams, order).items()}
+    def table(P, order=0):
+        return {alpha: jet * z for alpha, jet in op.table(P, order).items()}
     return DifferentialOperator(op.n, op.terms, table)
 
 
@@ -497,8 +485,8 @@ def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
             for gamma in product(*(range(x + 1) for x in alpha))]
     extra = a.order()
 
-    def table(lams, order=0):
-        ja, jb = a.table(lams, order), b.table(lams, order + extra)
+    def table(P, order=0):
+        ja, jb = a.table(P, order), b.table(P, order + extra)
         out = {}
         for alpha, beta, rest, mult, key in plan:
             _accumulate(out, key, jet_mul(ja[alpha],
@@ -509,12 +497,12 @@ def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
         n, tuple(dict.fromkeys(key for *_, key in plan)), table)
 
 
-def pdo_apply(op: DifferentialOperator, fjet, lams) -> np.ndarray:
-    """(op f)(lams[s]) over a batch, for a test function given by its jet
-    table fjet(lams, order) -> J[s, m]."""
-    coeffs = op.table(lams)
-    fj = fjet(lams, op.order())
-    total = np.zeros(len(lams), dtype=complex)
+def pdo_apply(op: DifferentialOperator, fjet, P) -> np.ndarray:
+    """(op f)(P[s]) over a batch, for a test function given by its jet
+    table fjet(P, order) -> J[s, m]."""
+    coeffs = op.table(P)
+    fj = fjet(P, op.order())
+    total = np.zeros(len(P), dtype=complex)
     for alpha in op.terms:
         total += coeffs[alpha][:, 0] * jet_deriv(fj, op.n, alpha)[:, 0]
     return total
@@ -529,14 +517,27 @@ def pdo_commutator_residual(a: DifferentialOperator, b: DifferentialOperator,
 
 def exp_test_function(vec):
     """f(lambda) = exp(2 pi i <lambda, vec>) with exact jets: the jet table
-    (lams, order) -> J[s, m]."""
+    (P, order) -> J[..., m] at the points P[..., n]; exp_function is its
+    column 0 at order 0, a test function of apply_batch."""
     tp = 2j * math.pi
     vec = np.asarray(vec, dtype=float)
 
-    def fjet(lams, order: int) -> np.ndarray:
-        coords = np.array([lam.coords for lam in lams], dtype=complex)
-        base = np.exp(tp * (coords @ vec))[:, None]
+    def fjet(P, order: int) -> np.ndarray:
+        P = np.asarray(P, dtype=complex)
+        # <lambda, vec> summed over the columns left to right, so a value
+        # does not depend on the shape of the batch
+        pairing = P[..., 0] * vec[0]
+        for k in range(1, len(vec)):
+            pairing = pairing + P[..., k] * vec[k]
+        base = np.exp(tp * pairing)[..., None]
         if order == 0:      # the values: the one column, without weights
             return base
-        return jet_of_affine(np.repeat(base, order + 1, axis=1), tp * vec)
+        return jet_of_affine(np.repeat(base, order + 1, axis=-1), tp * vec)
     return fjet
+
+
+def exp_function(vec):
+    """The test function P[..., n] -> exp(2 pi i <P, vec>): the values of
+    exp_test_function."""
+    fjet = exp_test_function(vec)
+    return lambda P: fjet(P, 0)[..., 0]

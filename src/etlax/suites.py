@@ -20,12 +20,12 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext
-from .opalg import (apply_matrix, commutator_residual, identity_op, jet_deriv,
-                    normal_det, op_add, op_scale, operator_residual,
-                    pdo_commutator_residual)
+from .opalg import (apply_matrix, commutator_residual, exp_function,
+                    identity_op, jet_deriv, normal_det, op_add, op_scale,
+                    operator_residual, pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .theta import Residual
-from .weights import WeightPoint, sample_generic, sample_many
+from .weights import sample_generic, sample_many
 
 
 def _case(name: str, res, tol: float) -> Case:
@@ -65,13 +65,6 @@ def _sumzero_vec(rng, n: int):
 def _worst_deviation(devs) -> Residual:
     """worst_of over the deviations devs, each its own rel and abs."""
     return th.worst_of(Residual(d, d) for d in devs)
-
-
-def _exp_fn(vec):
-    def fn(lam: WeightPoint) -> complex:
-        return cmath.exp(2j * cmath.pi
-                         * sum(a * b for a, b in zip(vec, lam.coords)))
-    return fn
 
 
 # ----------------------------------------------------------------- suites
@@ -245,12 +238,13 @@ def suite_rll(ctx: ModularContext, rng, tol: float):
     cases = []
     c, u, v = _rc(rng), _rc(rng), _rc(rng)
     lams = sample_many(_seed(rng), 5, ctx)
-    fns = [_exp_fn(_sumzero_vec(rng, ctx.n)) for _ in range(5)]
+    fns = [exp_function(_sumzero_vec(rng, ctx.n)) for _ in range(5)]
     cases.append(_case("rll", tr.verify_rll(c, u, v, ctx, lams, fns), tol))
     cases.append(_case("rll-equal-points", tr.verify_rll(c, u, u, ctx, lams[:2],
                                                          fns[:2]), tol))
     lop0 = tr.l_op(0.0, u, ctx)
-    vals = apply_matrix(lop0, lambda lam: 1.0 + 0.0j, lams[:1], ctx)[0]
+    vals = apply_matrix(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
+                        lams[:1], ctx)[0]
     cases.append(_case("c0-identity", _worst_deviation(
         abs(val - (1.0 if i == j else 0.0))
         for i, row in enumerate(vals.tolist()) for j, val in enumerate(row)),
@@ -405,9 +399,10 @@ def suite_ruijsenaars(ctx: ModularContext, rng, tol: float):
 
 
 def _coeffs_at(op, lam) -> dict:
-    """Every coefficient of a differential operator at lam: its table at
-    the batch of one, read once."""
-    return {alpha: complex(jet[0, 0]) for alpha, jet in op.table([lam]).items()}
+    """Every coefficient of a differential operator at one point lam[n]:
+    its table at the batch of one, read once."""
+    return {alpha: complex(jet[0, 0])
+            for alpha, jet in op.table(lam[None]).items()}
 
 
 def suite_krichever(ctx: ModularContext, rng, tol: float):
@@ -473,7 +468,7 @@ def suite_debiard(ctx: ModularContext, rng, tol: float):
     # magnitude of the individual terms rather than by the (zero) sum
     lam = samples[0]
     d1 = _coeffs_at(d_ops[0], lam)
-    xs = [lam.diff(i, k) for i in range(n) for k in range(n) if k != i]
+    xs = [lam[i] - lam[k] for i in range(n) for k in range(n) if k != i]
     terms = [t1 / t0 for t1, t0 in zip(th.theta_table(xs, ctx, 1).tolist(),
                                        th.theta_table(xs, ctx).tolist())]
     scale = sum(abs(t) for t in terms) + 1e-300
@@ -483,7 +478,7 @@ def suite_debiard(ctx: ModularContext, rng, tol: float):
         devs.append(abs(d1[ei] - (-n / c)) / abs(n / c))
     cases.append(_case("first-operator-form", _worst_deviation(devs), tol))
     d2 = _coeffs_at(d_ops[1], lam)
-    jd = tr.delta_jet([lam], 2, ctx)
+    jd = tr.delta_jet(lam[None], 2, ctx)
     # d^alpha Delta / Delta at lam, from the jet of Delta
     ratio = lambda alpha: complex(jet_deriv(jd, n, alpha)[0, 0] / jd[0, 0])
     devs = []

@@ -552,13 +552,3 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
             np.array(rhs, dtype=complex).reshape(u.shape)[()],
             np.array(small).reshape(u.shape + (2,)))
 
-
-def verify_fay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
-    """Residual of the Cauchy-type determinant identity, worst over the
-    samples; raises SingularParameterError where fay_sides is singular."""
-    lhs, rhs, small = fay_sides(d, u, lambdas, mus, ctx)
-    if small[..., 0].any():
-        raise SingularParameterError("theta(u) too close to 0")
-    if small.any():
-        raise SingularParameterError("theta(mu_s - lambda_s') too close to 0")
-    return worst_of_arrays(*residual_arrays(lhs, rhs))

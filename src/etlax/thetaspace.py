@@ -7,59 +7,130 @@ them span the symmetric level-l space; the evaluators here check the
 quasi-periodicity laws, the dimension by numerical rank, invariance under the
 difference operators at integer coupling, and the identification of that
 action with the l-fold R-matrix coproduct on symmetrized tensors.
+
+chi_table(P) reads every character at every point of a batch P[..., n] as
+one array X[..., j]; a basis member is a product of its columns, so a point
+set is read once for every member.  The lattice sum at lambda keeps the
+vectors w of a ball |w| <= R around 0.  The term of w has modulus
+G exp(-pi Im(tau) |w - w*|^2), a Gaussian whose peak w* = -Im(lambda)/Im(tau)
+moves with Im(lambda).  R is |w*| plus a margin rho fixed by Im tau, the
+rank and the target: the terms left out then sum to at most
+min(2^-60, tol_series) times the largest term kept (_margin), so the ball
+grows as Im tau falls and stays small at the default modulus.  The lattice
+points of a batch's largest ball are built once per (n, j, ceil(R^2)).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .context import ModularContext
+from .context import ContextError, ModularContext
 from .belavin import build_r, r_table
-from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, apply_matrix
-from .theta import (Residual, residual_pair, theta_table, worst_of,
-                    worst_of_arrays)
+from .opalg import (DifferenceOperator, OperatorMatrix, apply_batch,
+                    apply_matrix, exp_function)
+from .theta import (_WINDOW_DROP, Residual, residual_arrays, theta_table,
+                    worst_of, worst_of_arrays)
 from .transfer import l_op, m_closed
-from .weights import WeightPoint, sample_many
+from .weights import canonical, sample_many
 
 _EPS = 1e-300
-LATTICE_RADIUS2 = 40.0
+_CHI_CHUNK = 1 << 20    # terms of a chi_table work array (16 MB)
+_CHI_BOX = 1 << 21      # lattice candidates a ball may enumerate (~0.4 GB)
 
 
-def _lattice_points(n: int, j: int, ctx: ModularContext):
-    """Integer vectors v with sum(v) = j and |v - (j/n) 1|^2 <= radius^2.
+@functools.lru_cache(maxsize=None)
+def _margin(n: int, a: float, drop: float) -> float:
+    """Least rho (in steps of 1/16) such that the lattice vectors farther
+    than rho from the peak add up to at most drop times the largest term
+    kept, a = pi Im(tau): at most (1 + sqrt(2) r)^(n-1) coset points (sqrt(2)
+    apart) lie within r of a point, and one lies within the covering radius
+    delta of the peak, delta^2 = floor(n/2) ceil(n/2) / n."""
+    delta2 = (n // 2) * (n - n // 2) / n
+    rho = math.sqrt(delta2)
+    while True:
+        tail = sum((1.0 + math.sqrt(2.0) * (rho + k + 1)) ** (n - 1)
+                   * math.exp(-a * ((rho + k) ** 2 - delta2))
+                   for k in range(64))
+        if tail <= drop:
+            return rho
+        rho += 1.0 / 16.0
 
-    Returned as the rows of an integer matrix V and the vector nn of their
-    squared norms |v - (j/n) 1|^2.
-    """
+
+def _ball_radii2(P: np.ndarray, ctx: ModularContext) -> np.ndarray:
+    """ceil(R^2) of every point's ball: R = |w*| + _margin of P[s, n]."""
+    imt = ctx.tau.imag
+    reach = np.linalg.norm(P.imag, axis=-1) / imt
+    radius = _margin(ctx.n, math.pi * imt,
+                     min(_WINDOW_DROP, ctx.tol_series)) + np.where(
+                         np.isfinite(reach), reach, 0.0)
+    return np.ceil(radius * radius)
+
+
+def _lattice_points(n: int, j: int, radius2: int, ctx: ModularContext):
+    """Rows V of integer v with sum(v) = j and nn = |v - (j/n) 1|^2 <= radius2,
+    sorted by nn (ties lexicographic): a smaller ball is a prefix."""
     def build():
-        span = int(np.ceil(np.sqrt(LATTICE_RADIUS2))) + 1
-        lo, hi = int(np.floor(j / n)) - span, int(np.ceil(j / n)) + span
-        pts, norms = [], []
-        def rec(prefix, remaining):
-            if remaining == 1:
-                v = prefix + (j - sum(prefix),)
-                if lo <= v[-1] <= hi:
-                    nn = sum((x - j / n) ** 2 for x in v)
-                    if nn <= LATTICE_RADIUS2:
-                        pts.append(v)
-                        norms.append(nn)
-                return
-            for x in range(lo, hi + 1):
-                rec(prefix + (x,), remaining - 1)
-        rec((), n)
-        return np.array(pts, dtype=int), np.array(norms)
-    return ctx.cached(("chilat", n, j), build)
+        span = math.isqrt(radius2) + 1
+        centre = j / n
+        axis = np.arange(math.floor(centre) - span, math.ceil(centre) + span + 1)
+        if len(axis) ** (n - 1) > _CHI_BOX:     # Im tau far too small for n
+            raise ContextError(f"character lattice ball radius^2 {radius2} "
+                               f"is too large at n = {n}")
+        head = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"),
+                        axis=-1).reshape(-1, n - 1)
+        vs = np.column_stack([head, j - head.sum(axis=1)])
+        nn = ((vs - centre) ** 2).sum(axis=1)
+        order = np.argsort(nn, kind="stable")
+        keep = order[nn[order] <= radius2]
+        return vs[keep], nn[keep]
+    return ctx.cached(("chilat", n, j, radius2), build)
 
 
-def chi(j: int, lam: WeightPoint, ctx: ModularContext) -> complex:
-    """Level-one character theta sum over Lambda_j + Q."""
+def chi_table(P, ctx: ModularContext) -> np.ndarray:
+    """X[..., j] = chi_j at every point of P[..., n], j < n.  Each point
+    sums the prefix of the batch's lattice that is its own ball, left to
+    right, so a value depends on its own point alone."""
+    return _chi_columns(P, range(ctx.n), ctx)
+
+
+def _chi_columns(P, labels, ctx: ModularContext) -> np.ndarray:
+    """The columns labels of chi_table, [..., a] = chi_{labels[a]}."""
+    P = np.asarray(P, dtype=complex)
     n = ctx.n
-    vs, nn = _lattice_points(n, j % n, ctx)
-    return complex(np.exp(2j * np.pi * (vs @ np.asarray(lam.coords)
-                                        + nn * (ctx.tau / 2.0))).sum())
+    flat = P.reshape(-1, n)
+    radii2 = _ball_radii2(flat, ctx)
+    radius2 = int(np.max(radii2, initial=0.0))
+    out = np.empty((len(flat), len(labels)), dtype=complex)
+    for a, j in enumerate(labels):
+        vs, nn = _lattice_points(n, j, radius2, ctx)
+        ends = np.searchsorted(nn, radii2, side="right") - 1
+        # the terms, built in place, for at most _CHI_CHUNK at a time
+        step = max(1, _CHI_CHUNK // len(nn))
+        for s in range(0, len(flat), step):
+            terms = flat[s:s + step, :1] * vs[:, 0]
+            for k in range(1, n):
+                terms += flat[s:s + step, k:k + 1] * vs[:, k]
+            terms += nn * (ctx.tau / 2.0)
+            terms *= 2j * np.pi
+            np.cumsum(np.exp(terms, out=terms), axis=-1, out=terms)
+            out[s:s + step, a] = terms[np.arange(len(terms)), ends[s:s + step]]
+    return out.reshape(P.shape[:-1] + (len(labels),))
+
+
+def chi(j: int, lam, ctx: ModularContext) -> complex:
+    """chi_j at one point lam[n]: a one-point view the benchmark traces."""
+    return complex(chi_table(np.asarray(lam)[None], ctx)[0, j % ctx.n])
+
+
+def _products(X: np.ndarray, elements) -> np.ndarray:
+    """[..., m] = prod_{j in elements[m]} X[..., j]."""
+    return np.stack([np.prod(X[..., list(js)], axis=-1) for js in elements],
+                    axis=-1)
 
 
 @dataclass(frozen=True)
@@ -72,14 +143,17 @@ class CharacterBasis:
     def __len__(self):
         return len(self.elements)
 
+    def table(self, P, ctx: ModularContext) -> np.ndarray:
+        """[..., m] = member m at every point of P[..., n], one chi_table."""
+        return _products(chi_table(P, ctx), self.elements)
+
     def function(self, member, ctx: ModularContext):
-        js = self.elements[member] if isinstance(member, int) else tuple(member)
-        def fn(lam: WeightPoint) -> complex:
-            val = 1.0 + 0.0j
-            for j in js:
-                val *= chi(j, lam, ctx)
-            return val
-        return fn
+        """The test function of one member (an index, or labels mod n)."""
+        js = self.elements[member] if isinstance(member, int) else tuple(
+            j % ctx.n for j in member)
+        labels = sorted(set(js))
+        columns = [labels.index(j) for j in js]
+        return lambda P: np.prod(_chi_columns(P, labels, ctx)[..., columns], -1)
 
 
 def character_basis(l: int, ctx: ModularContext) -> CharacterBasis:
@@ -89,31 +163,31 @@ def character_basis(l: int, ctx: ModularContext) -> CharacterBasis:
 
 def basis_dimension(n: int, l: int) -> int:
     """Multiset count = (l+n-1)! / (l! (n-1)!)."""
-    from math import comb
-    return comb(n + l - 1, l)
+    return math.comb(n + l - 1, l)
 
 
 def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
                                 samples: int = 10) -> Residual:
-    """Both level-l laws on random basis products and random small roots."""
+    """Both level-l laws on random basis products and random small roots:
+    chi_table at the samples, shifted by their roots and by tau times them."""
+    n = ctx.n
     rng = np.random.default_rng(seed)
     basis = character_basis(l, ctx)
-    lams = sample_many(seed, samples, ctx)
-    found = []
-    for lam in lams:
-        m = int(rng.integers(0, len(basis)))
-        fn = basis.function(m, ctx)
-        i = int(rng.integers(0, ctx.n))
-        j = (i + 1 + int(rng.integers(0, ctx.n - 1))) % ctx.n
-        alpha = tuple(1 if a == i else (-1 if a == j else 0) for a in range(ctx.n))
-        base = fn(lam)
-        shifted_1 = fn(lam.shifted(alpha, 1.0))
-        r1 = residual_pair(shifted_1, base)
-        pairing = lam.coords[i] - lam.coords[j]
-        factor = np.exp(-2j * np.pi * l * (pairing + 2.0 * ctx.tau / 2.0))
-        shifted_tau = fn(lam.shifted(alpha, ctx.tau))
-        found += [r1, residual_pair(shifted_tau, factor * base)]
-    return worst_of(found)
+    P = sample_many(seed, samples, ctx)
+    members, roots = [], np.zeros((samples, n), dtype=int)
+    for s in range(samples):
+        members.append(basis.elements[int(rng.integers(0, len(basis)))])
+        i = int(rng.integers(0, n))
+        roots[s, i], roots[s, (i + 1 + int(rng.integers(0, n - 1))) % n] = 1, -1
+    base, shifted_1, shifted_tau = (
+        np.array([np.prod(X[s, list(js)]) for s, js in enumerate(members)])
+        for X in (chi_table(Q, ctx) for Q in (
+            P, canonical(P + 1.0 * roots), canonical(P + ctx.tau * roots))))
+    pairing = np.sum(P * roots, axis=-1)                # <lambda, alpha>
+    factor = np.exp(-2j * np.pi * l * (pairing + 2.0 * ctx.tau / 2.0))
+    return worst_of_arrays(*residual_arrays(
+        np.stack([shifted_1, shifted_tau], axis=-1),
+        np.stack([base, factor * base], axis=-1)))
 
 
 def gram_rank(l: int, points, ctx: ModularContext,
@@ -122,9 +196,7 @@ def gram_rank(l: int, points, ctx: ModularContext,
     basis = character_basis(l, ctx)
     if len(points) < 2 * len(basis):
         raise ValueError("need at least 2 * dim sample points")
-    mat = np.array([[basis.function(m, ctx)(lam) for m in range(len(basis))]
-                    for lam in points])
-    svals = np.linalg.svd(mat, compute_uv=False)
+    svals = np.linalg.svd(basis.table(points, ctx), compute_uv=False)
     return int(np.sum(svals > cutoff * svals[0]))
 
 
@@ -138,27 +210,14 @@ def _fit_values(l: int, pts, values, hold, held, ctx: ModularContext):
     """Least-squares expansion of the values at pts in the basis and its
     residual at the held-out points, in relative sup norm."""
     basis = character_basis(l, ctx)
-    dim = len(basis)
-    mat = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
-                    for lam in pts])
-    coeffs, *_ = np.linalg.lstsq(mat, values, rcond=1e-10)
-    hm = np.array([[basis.function(m, ctx)(lam) for m in range(dim)]
-                   for lam in hold])
-    err = np.abs(hm @ coeffs - held)
+    coeffs, *_ = np.linalg.lstsq(basis.table(pts, ctx), values, rcond=1e-10)
+    err = np.abs(basis.table(hold, ctx) @ coeffs - held)
     scale = float(np.max(np.abs(held))) + _EPS
     return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
 
 
-def fit_function(l: int, target, ctx: ModularContext, seed: int = 0):
-    """Least-squares expansion of target in the basis; residual on held-out
-    points in relative sup norm.  target maps a list of points to the array
-    of its values there.  Returns (coefficients, Residual)."""
-    pts, hold = _fit_points(l, seed, ctx)
-    return _fit_values(l, pts, target(pts), hold, target(hold), ctx)
-
-
 def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
-    """Fit column e of apply(fn, lams) at the points of seeds[e], for every
+    """Fit column e of apply(fn, P) at the points of seeds[e], for every
     basis function fn: one apply per function, at the points of all columns.
 
     Returns the coefficients [e, m, :] and the held-out Residuals [e][m].
@@ -169,14 +228,13 @@ def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
     found = [[None] * dim for _ in seeds]
     for m in range(dim):
         sets = [_fit_points(l, seed + m, ctx) for seed in seeds]
-        lams = [lam for pts, hold in sets for lam in (*pts, *hold)]
-        values = apply(basis.function(m, ctx), lams)
-        start = 0
+        values = apply(basis.function(m, ctx), np.concatenate(
+            [x for pair in sets for x in pair])).reshape(len(seeds), -1,
+                                                         len(seeds))
         for e, (pts, hold) in enumerate(sets):
-            mid, stop = start + len(pts), start + len(pts) + len(hold)
             coeffs[e, m], found[e][m] = _fit_values(
-                l, pts, values[start:mid, e], hold, values[mid:stop, e], ctx)
-            start = stop
+                l, pts, values[e, :len(pts), e], hold, values[e, len(pts):, e],
+                ctx)
     return coeffs, found
 
 
@@ -187,8 +245,7 @@ def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
     Returns (coefficient matrix, worst held-out Residual).
     """
     coeffs, found = _fit_entries(
-        l, lambda fn, lams: apply_batch(op, fn, lams, ctx)[:, None], [seed],
-        ctx)
+        l, lambda fn, P: apply_batch(op, fn, P, ctx)[:, None], [seed], ctx)
     return coeffs[0], worst_of(found[0])
 
 
@@ -202,8 +259,8 @@ def fit_matrix_action(l: int, matrix: OperatorMatrix, ctx: ModularContext,
     taken entry by entry in row-major order.
     """
     coeffs, found = _fit_entries(
-        l, lambda fn, lams: apply_matrix(matrix, fn, lams, ctx).reshape(
-            len(lams), -1), seeds, ctx)
+        l, lambda fn, P: apply_matrix(matrix, fn, P, ctx).reshape(len(P), -1),
+        seeds, ctx)
     size, dim = matrix.size, coeffs.shape[-1]
     return (coeffs.reshape(size, size, dim, dim),
             worst_of(res for row in found for res in row))
@@ -212,15 +269,13 @@ def fit_matrix_action(l: int, matrix: OperatorMatrix, ctx: ModularContext,
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
                      seed: int = 0) -> Residual:
     """Fit residual for op applied to a generic non-theta exponential."""
-    import cmath
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=ctx.n) + 0.1 * rng.normal(size=ctx.n)
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
-    fn = lambda lam: cmath.exp(2j * np.pi * sum(
-        v * c for v, c in zip(vec, lam.coords)))
-    target = lambda lams: apply_batch(op, fn, lams, ctx)
-    _, res = fit_function(l, target, ctx, seed=seed)
-    return res
+    fn = exp_function(vec)
+    pts, hold = _fit_points(l, seed, ctx)
+    return _fit_values(l, pts, apply_batch(op, fn, pts, ctx), hold,
+                       apply_batch(op, fn, hold, ctx), ctx)[1]
 
 
 def gamma_index(j: int, n: int) -> int:
@@ -240,20 +295,13 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     r4 = build_r(u, ctx).entries
     th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
     pref = th_h / th_u
-    lams = sample_many(seed, samples, ctx)
-    lhs_all = [apply_matrix(lop, lambda mu, _a=a: chi(gamma_index(_a, n),
-                                                      mu, ctx), lams, ctx)
-               for a in range(n)]
-    found = []
-    for s, lam in enumerate(lams):
-        chival = [chi(gamma_index(b, n), lam, ctx) for b in range(n)]
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    lhs = complex(lhs_all[a][s, i, j])
-                    rhs = pref * sum(chival[b] * r4[i, a, j, b] for b in range(n))
-                    found.append(residual_pair(lhs, rhs))
-    return worst_of(found)
+    P = sample_many(seed, samples, ctx)
+    gamma = [gamma_index(b, n) for b in range(n)]
+    basis = character_basis(1, ctx)
+    lhs = np.stack([apply_matrix(lop, basis.function((j,), ctx), P, ctx)
+                    for j in gamma], axis=1)                    # [s, a, i, j]
+    rhs = pref * np.einsum("sb,iajb->saij", chi_table(P, ctx)[:, gamma], r4)
+    return worst_of_arrays(*residual_arrays(lhs, rhs))
 
 
 def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
@@ -267,12 +315,12 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eig = pref * sum(r4[i, 0, i, 0] for i in range(n))
     eigs_by_j = [pref * sum(r4[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = [abs(e - eig) / (abs(eig) + _EPS) for e in eigs_by_j]
-    lams = sample_many(seed, samples, ctx)
-    fns = [lambda mu, _j=j: chi(_j, mu, ctx) for j in range(n)]
-    applied = [apply_batch(m1, fn, lams, ctx) for fn in fns]
-    found = [residual_pair(complex(applied[j][s]), eig * fns[j](lam))
-             for s, lam in enumerate(lams) for j in range(n)]
-    return {"eigen": worst_of(found),
+    P = sample_many(seed, samples, ctx)
+    basis = character_basis(1, ctx)
+    applied = np.stack([apply_batch(m1, basis.function(j, ctx), P, ctx)
+                        for j in range(n)], axis=1)
+    return {"eigen": worst_of_arrays(*residual_arrays(
+                applied, eig * chi_table(P, ctx))),
             "shared": worst_of_arrays(spread, spread)}
 
 
@@ -319,45 +367,36 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     for value in values[:-1]:
         norm *= value / values[-1]
     basis = character_basis(l, ctx)
-    lams = sample_many(seed, samples, ctx)
-    found = []
+    P = sample_many(seed, samples, ctx)
+    X = chi_table(P, ctx)
+    lhs, rhs = [], []
     for js in basis.elements:
         gjs = tuple(gamma_index(j, n) for j in js)
-        applied_all = apply_matrix(lop, basis.function(gjs, ctx), lams, ctx)
+        applied = apply_matrix(lop, basis.function(gjs, ctx), P, ctx)
         for i in range(n):
             for ip in range(n):
                 action = _coproduct_action(i, ip, js, u, ctx)
-                applied = applied_all[:, i, ip]
-                for s, lam in enumerate(lams):
-                    lhs = 0.0 + 0.0j
-                    for outjs, coeff in action.items():
-                        val = coeff
-                        for j in outjs:
-                            val *= chi(gamma_index(j, n), lam, ctx)
-                        lhs += val
-                    rhs = norm * complex(applied[s])
-                    found.append(residual_pair(lhs, rhs))
-    return worst_of(found)
+                lhs.append(sum(coeff * _products(X, [[gamma_index(j, n)
+                                                      for j in outjs]])[:, 0]
+                               for outjs, coeff in action.items()))
+                rhs.append(norm * applied[:, i, ip])
+    return worst_of_arrays(*residual_arrays(np.array(lhs), np.array(rhs)))
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
                                 seed: int = 0) -> Residual:
     """Transposed monomial orderings give the same symmetrized image."""
     n = ctx.n
-    lams = sample_many(seed, 4, ctx)
-    found = []
+    X = chi_table(sample_many(seed, 4, ctx), ctx)
+    sides = ([], [])
     for js in combinations_with_replacement(range(n), l):
         if len(set(js)) < 2:
             continue
-        rev = tuple(reversed(js))
         for i in range(n):
             for ip in range(n):
-                a1 = _coproduct_action(i, ip, js, u, ctx)
-                a2 = _coproduct_action(i, ip, rev, u, ctx)
-                for lam in lams:
-                    v1 = sum(c * np.prod([chi(j, lam, ctx) for j in outjs])
-                             for outjs, c in a1.items())
-                    v2 = sum(c * np.prod([chi(j, lam, ctx) for j in outjs])
-                             for outjs, c in a2.items())
-                    found.append(residual_pair(complex(v1), complex(v2)))
-    return worst_of(found)
+                for side, order in zip(sides, (js, tuple(reversed(js)))):
+                    action = _coproduct_action(i, ip, order, u, ctx)
+                    side.append(sum(c * _products(X, [outjs])[:, 0]
+                                    for outjs, c in action.items()))
+    return worst_of_arrays(*residual_arrays(np.array(sides[0]),
+                                            np.array(sides[1])))

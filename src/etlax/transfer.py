@@ -49,31 +49,30 @@ from .context import ModularContext, SingularParameterError
 from .belavin import fused_rcheck_matrix, intertwiner_arrays
 from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
-                    exp_test_function, identity_op, jet_constant, jet_deriv,
-                    jet_inv, jet_mul, jet_of_affine, key_map, op_add,
-                    op_scale, operator_residual, normal_det, pdo, pdo_add,
-                    pdo_apply, pdo_compose, pdo_scale, perm_sign,
-                    signed_products)
-from .theta import (Residual, residual_arrays, residual_pair, theta,
-                    theta_level_table, theta_table, worst_of,
-                    worst_of_arrays)
-from .weights import WeightPoint, canonical_key, subset_key, unit_key
+                    exp_function, exp_test_function, identity_op,
+                    jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
+                    key_map, op_add, op_scale, operator_residual, normal_det,
+                    pdo, pdo_add, pdo_apply, pdo_compose, pdo_scale,
+                    perm_sign, signed_products)
+from .theta import (Residual, residual_arrays, theta, theta_level_table,
+                    theta_table, worst_of, worst_of_arrays)
+from .weights import canonical_key, shifted, subset_key, unit_key
 
 _EPS = 1e-300
 
 
 # ----------------------------------------------------------- basic L-operator
 
-def l_coeff_tensor(c: complex, us, lams, ctx: ModularContext) -> np.ndarray:
-    """A[p,k,i,j] with L(c|us[p])^i_j = sum_k A[p,k,i,j] T_k at lams[p].
+def l_coeff_tensor(c: complex, us, P, ctx: ModularContext) -> np.ndarray:
+    """A[p,k,i,j] with L(c|us[p])^i_j = sum_k A[p,k,i,j] T_k at P[p].
 
-    The intertwiners at (us[p], lams[p]) and (us[p] + c hbar, lams[p]) are
+    The intertwiners at (us[p], P[p]) and (us[p] + c hbar, P[p]) are
     built in one batch.
     """
-    us, lams = list(us), list(lams)
+    us, P = list(us), np.asarray(P, dtype=complex)
     count = len(us)
     phi, phibar = intertwiner_arrays(
-        us + [u + c * ctx.hbar for u in us], lams + lams, ctx)
+        us + [u + c * ctx.hbar for u in us], np.concatenate([P, P]), ctx)
     return np.einsum("pki,pjk->pkij", phibar[:count], phi[count:])
 
 
@@ -84,10 +83,10 @@ def l_op(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
 
 
 def verify_rll(c: complex, u: complex, v: complex, ctx: ModularContext,
-               lams, fns) -> Residual:
+               P, fns) -> Residual:
     """Residual of Rcheck(u-v) L(u) (x) L(v) = L(v) (x) L(u) Rcheck(u-v)
     applied to the given test functions at the given weight points."""
-    return verify_fused_rll(c, u, v, 1, 1, ctx, lams, fns)
+    return verify_fused_rll(c, u, v, 1, 1, ctx, P, fns)
 
 
 # ------------------------------------------------------------------ fusion
@@ -156,18 +155,17 @@ def fused_l(c: complex, u: complex, k: int,
     plan = _fusion_plan(n, k)
     hb = ctx.hbar
 
-    def table(lams):
-        lams = list(lams)
-        count = len(lams)
+    def table(P):
+        P = np.asarray(P, dtype=complex)
+        count = len(P)
         # level r reads L(u - r hbar) at every partial shift of every sample;
         # level 0 at the samples themselves
-        us, pts = [], []
+        us, pts = [], [P]
         for r, keys in enumerate(plan.prefixes):
-            for key in keys:
-                us += [u - r * hb] * count
-                pts += lams if r == 0 else [lam.shifted(key, hb)
-                                            for lam in lams]
-        a = l_coeff_tensor(c, us, pts, ctx)
+            us += [u - r * hb] * (len(keys) * count)
+            if r:
+                pts.append(shifted(P, keys, hb).swapaxes(0, 1).reshape(-1, n))
+        a = l_coeff_tensor(c, us, np.concatenate(pts), ctx)
         factors, start = [], 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
@@ -185,8 +183,8 @@ def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOp
     """Trace of the fused L-operator over the degree-d antisymmetric space."""
     fl = fused_l(c, u, d, ctx)
 
-    def table(lams):
-        trace = np.einsum("skii->sk", fl.table(lams))
+    def table(P):
+        trace = np.einsum("skii->sk", fl.table(P))
         return {key: trace[:, a] for a, key in enumerate(fl.terms)}
     return DifferenceOperator(ctx.n, fl.terms, table)
 
@@ -201,24 +199,22 @@ def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
     n = ctx.n
     g = c * ctx.hbar / n
     subs = list(combinations(range(n), d))
-    pairs = [[(s, t) for s in range(n) if s not in big_i for t in big_i]
-             for big_i in subs]
+    # s outside and t inside each subset I, [I, pair]
+    s, t = np.array([[(s, t) for s in range(n) if s not in big_i
+                      for t in big_i] for big_i in subs],
+                    dtype=int).reshape(len(subs), d * (n - d), 2).T
     keys = tuple(canonical_key(subset_key(n, big_i)) for big_i in subs)
 
-    def table(lams):
-        diffs = [lam.diff(s, t) for lam in lams
-                 for sub_pairs in pairs for s, t in sub_pairs]
-        values = theta_table(diffs + [x + g for x in diffs], ctx).tolist()
-        ratios = iter([num / den for num, den in
-                       zip(values[len(diffs):], values[:len(diffs)])])
-        coeffs = np.empty((len(subs), len(lams)), dtype=complex)
-        for p in range(len(lams)):
-            for a, sub_pairs in enumerate(pairs):
-                val = 1.0 + 0.0j
-                for _ in sub_pairs:
-                    val *= next(ratios)
-                coeffs[a, p] = val
-        return dict(zip(keys, coeffs))
+    def table(P):
+        P = np.asarray(P, dtype=complex)
+        diffs = P[:, s] - P[:, t]                               # [p, pair, I]
+        den, num = theta_table([diffs, diffs + g], ctx)
+        # the quotients in Python's complex arithmetic, as the rest of the
+        # coefficient: numpy's complex division rounds otherwise
+        ratios = [x / y for x, y in zip(num.ravel().tolist(),
+                                        den.ravel().tolist())]
+        return dict(zip(keys, np.prod(np.reshape(ratios, num.shape),
+                                      axis=1).T))
     return DifferenceOperator(n, keys, table)
 
 
@@ -278,11 +274,11 @@ def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
                              genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
-def _level_thetas(v: complex, lams, ctx: ModularContext) -> np.ndarray:
-    """[s, i, j] = theta_level_j(v/n - lam_i) at lams[s], from one
+def _level_thetas(v: complex, P, ctx: ModularContext) -> np.ndarray:
+    """[s, i, j] = theta_level_j(v/n - lam_i) at P[s], from one
     theta_level_table call."""
     n = ctx.n
-    args = [v / n - lam.pair_eps(i) for lam in lams for i in range(n)]
+    args = (v / n - np.asarray(P, dtype=complex)).ravel()
     return theta_level_table(range(n), args, ctx).T.reshape(-1, n, n)
 
 
@@ -293,10 +289,10 @@ def sekiguchi_matrix(c: complex, u: complex, t: complex,
     n = ctx.n
     rows = np.arange(n)
 
-    def table(lams):
-        out = np.zeros((len(lams), n + 1, n, n), dtype=complex)
-        out[:, rows, rows] = _level_thetas(u + c * ctx.hbar, lams, ctx)
-        out[:, n] = -t * _level_thetas(u, lams, ctx)
+    def table(P):
+        out = np.zeros((len(P), n + 1, n, n), dtype=complex)
+        out[:, rows, rows] = _level_thetas(u + c * ctx.hbar, P, ctx)
+        out[:, n] = -t * _level_thetas(u, P, ctx)
         return out
     terms = tuple(unit_key(n, i) for i in range(n)) + ((0,) * n,)
     return OperatorMatrix(n, n, terms, table)
@@ -311,17 +307,17 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     """
     zero = (0,) * ctx.n
     det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
-    weight = DifferenceOperator(ctx.n, (zero,), lambda lams: {
-        zero: np.linalg.det(_level_thetas(u, lams, ctx))})
+    weight = DifferenceOperator(ctx.n, (zero,), lambda P: {
+        zero: np.linalg.det(_level_thetas(u, P, ctx))})
     return operator_residual(det, op_scale(genfunc_sum(c, u, t, ctx), weight),
                              samples, ctx)
 
 
 # ------------------------------------------------------------ Lax matrix
 
-def ltilde_table(g: complex, u: complex, lams,
+def ltilde_table(g: complex, u: complex, P,
                  ctx: ModularContext) -> np.ndarray:
-    """C[s, i, j], the coefficient of T_i in the Lax entry (i, j) at lams[s]:
+    """C[s, i, j], the coefficient of T_i in the Lax entry (i, j) at P[s]:
 
         theta(g + u + lam_ji)/theta(u) prod_{k != j} theta(g + lam_ki)/theta(lam_kj)
 
@@ -329,8 +325,8 @@ def ltilde_table(g: complex, u: complex, lams,
     The thetas of a batch come from one theta_table call.
     """
     n = ctx.n
-    coords = np.array([lam.coords for lam in lams], dtype=complex)
-    diff = coords[:, :, None] - coords[:, None, :]             # [s, k, i]
+    P = np.asarray(P, dtype=complex)
+    diff = P[:, :, None] - P[:, None, :]                       # [s, k, i]
     values = theta_table(np.append(np.stack([(g + u) + diff, g + diff, diff]),
                                    u), ctx)
     shifted, plain, gap = values[:-1].reshape(3, *diff.shape)
@@ -352,9 +348,9 @@ def l_tilde(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
     g = c * ctx.hbar / n
     rows = np.arange(n)
 
-    def table(lams):
-        out = np.zeros((len(lams), n, n, n), dtype=complex)
-        out[:, rows, rows] = ltilde_table(g, u, lams, ctx)
+    def table(P):
+        out = np.zeros((len(P), n, n, n), dtype=complex)
+        out[:, rows, rows] = ltilde_table(g, u, P, ctx)
         return out
     return OperatorMatrix(n, n, tuple(unit_key(n, i) for i in range(n)), table)
 
@@ -365,12 +361,11 @@ def l_tilde_conjugated(c: complex, u: complex,
     entry (i, j) = sum_ab phi(u)[a, i] L(c|u)^a_b phibar(u)[j, b]."""
     n = ctx.n
 
-    def table(lams):
-        lams = list(lams)
-        us = [u] * len(lams)
-        phi, phibar = intertwiner_arrays(us, lams, ctx)
+    def table(P):
+        us = [u] * len(P)
+        phi, phibar = intertwiner_arrays(us, P, ctx)
         return np.einsum("sai,skab,sjb->skij", phi,
-                         l_coeff_tensor(c, us, lams, ctx), phibar)
+                         l_coeff_tensor(c, us, P, ctx), phibar)
     return OperatorMatrix(n, n, tuple(unit_key(n, k) for k in range(n)), table)
 
 
@@ -407,12 +402,14 @@ def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
 
 
 def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
-                     ctx: ModularContext, lams, fns) -> Residual:
+                     ctx: ModularContext, P, fns) -> Residual:
     """Fused RLL relation with the projected fused braid matrix.
 
     Both sides are contracted from tabulated coefficients: the operator
     applied first is read at lam, the other one at lam shifted by each key
-    of the first, and the test function at the doubly shifted points.
+    of the first, and the test functions at the doubly shifted points, each
+    called once.  The values of all test functions are one axis, so each
+    side is one einsum, on a contraction path (optimize=True).
     """
     n = ctx.n
     hb = ctx.hbar
@@ -420,30 +417,29 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     # rows (J'', I''), columns (I', J')
     rf = fused_rcheck_matrix(k, kp, u, v, ctx).reshape(nkp, nk, nk, nkp)
     flu, flv = fused_l(c, u, k, ctx), fused_l(c, v, kp, ctx)
-    lams = list(lams)
-    count, ku, kv = len(lams), len(flu.terms), len(flv.terms)
-    after_u = [lam.shifted(key, hb) for lam in lams for key in flu.terms]
-    after_v = [lam.shifted(key, hb) for lam in lams for key in flv.terms]
-    a_u0 = flu.table(lams)                                     # [s,K,I,I']
-    a_v0 = flv.table(lams)                                     # [s,K,J,J']
-    a_v_after = flv.table(after_u).reshape(count, ku, kv, nkp, nkp)
-    a_u_after = flu.table(after_v).reshape(count, kv, ku, nk, nk)
-    pts_uv = [mu.shifted(key, hb) for mu in after_u for key in flv.terms]
-    pts_vu = [mu.shifted(key, hb) for mu in after_v for key in flu.terms]
-    worst, scale = [], []
-    for f in fns:
-        f_uv = np.array([f(pt) for pt in pts_uv]).reshape(count, ku, kv)
-        f_vu = np.array([f(pt) for pt in pts_vu]).reshape(count, kv, ku)
-        # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
-        lhs = np.einsum("dcxy,skix,skmjy,skm->sijcd",
-                        rf, a_u0, a_v_after, f_uv)
-        # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
-        rhs = np.einsum("yxij,skyd,skmxc,skm->sijcd",
-                        rf, a_v0, a_u_after, f_vu)
-        worst.append(np.max(np.abs(lhs - rhs)))
-        scale += [np.max(np.abs(lhs)), np.max(np.abs(rhs))]
+    P = np.asarray(P, dtype=complex)
+    count, ku, kv = len(P), len(flu.terms), len(flv.terms)
+    after_u = shifted(P, flu.terms, hb)                        # [s, K, n]
+    after_v = shifted(P, flv.terms, hb)
+    a_u0 = flu.table(P)                                        # [s,K,I,I']
+    a_v0 = flv.table(P)                                        # [s,K,J,J']
+    a_v_after = flv.table(after_u.reshape(-1, n)).reshape(
+        count, ku, kv, nkp, nkp)
+    a_u_after = flu.table(after_v.reshape(-1, n)).reshape(
+        count, kv, ku, nk, nk)
+    pts_uv = shifted(after_u, flv.terms, hb)                   # [s,K,M,n]
+    pts_vu = shifted(after_v, flu.terms, hb)
+    f_uv = np.stack([f(pts_uv) for f in fns], axis=-1)         # [s,K,M,f]
+    f_vu = np.stack([f(pts_vu) for f in fns], axis=-1)
+    # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
+    lhs = np.einsum("dcxy,skix,skmjy,skmf->fsijcd",
+                    rf, a_u0, a_v_after, f_uv, optimize=True)
+    # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
+    rhs = np.einsum("yxij,skyd,skmxc,skmf->fsijcd",
+                    rf, a_v0, a_u_after, f_vu, optimize=True)
     # np.max, unlike Python's max, keeps a NaN, so a NaN residual fails
-    worst, scale = float(np.max(worst)), float(np.max(scale))
+    worst = float(np.max(np.abs(lhs - rhs)))
+    scale = float(np.max([np.max(np.abs(lhs)), np.max(np.abs(rhs))]))
     return Residual(rel=worst / (scale + _EPS), abs=worst)
 
 
@@ -465,10 +461,10 @@ def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
                                    (tuple(1 if a == j else 0 for a in range(n)),
                                     1.0)]))
             else:
-                def cfn(lams, order, _i=i, _j=j):
+                def cfn(P, order, _i=i, _j=j):
                     grad = [0.0] * n
                     grad[_j], grad[_i] = 1.0, -1.0
-                    xs = np.array([lam.diff(_j, _i) for lam in lams])
+                    xs = P[:, _j] - P[:, _i]
                     # theta^(m) at u + x and at x, [s, m]
                     shifted, plain = np.stack(
                         [theta_table([u + xs, xs], ctx, m)
@@ -496,44 +492,35 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     d1 = (tab[step] - tab[-step]) / (2 * step)
     d2 = (tab[2 * step] - tab[-2 * step]) / (4 * step)
     derivs = (4 * d1 - d2) / 3.0                                # [s, i, j]
-    coords = np.array([lam.coords for lam in samples], dtype=complex)
-    diff = coords[:, :, None] - coords[:, None, :]             # [s, i, j]
+    samples = np.asarray(samples, dtype=complex)
+    diff = samples[:, :, None] - samples[:, None, :]           # [s, i, j]
     # theta(lam_ij), theta(u + lam_ij) and theta(u) from one table, and
     # theta'(lam_ij), theta'(u) and theta'(0) from one more
     values = theta_table(np.append(np.stack([diff, u + diff]), u), ctx)
-    plain, shifted = values[:-1].reshape(2, *diff.shape).tolist()
+    plain, shifted = values[:-1].reshape(2, *diff.shape)
     tu = complex(values[-1])
     dvalues = theta_table(np.append(diff, [u, 0.0]), ctx, 1)
-    dplain = dvalues[:-2].reshape(diff.shape).tolist()
+    dplain = dvalues[:-2].reshape(diff.shape)
     tu1, tp0 = dvalues[-2:].tolist()
-    found = []
-    for t0, t1, ts, deriv_ij in zip(plain, dplain, shifted, derivs):
-        for i in range(n):
-            for j in range(n):
-                deriv = complex(deriv_ij[i, j])
-                if i == j:
-                    # Delta^{-c/n} d_i Delta^{c/n} adds (c/n) d_i log Delta
-                    dlog = sum(t1[i][kk] / t0[i][kk]
-                               for kk in range(n) if kk != i)
-                    got = deriv + g * dlog
-                    want = g * tu1 / tu
-                else:
-                    ratio = 1.0 + 0.0j
-                    for kk in range(n):
-                        if kk != j:
-                            ratio *= t0[kk][j]
-                        if kk != i:
-                            ratio /= t0[kk][i]
-                    got = ratio * deriv
-                    want = g * ts[j][i] * tp0 / (tu * t0[j][i])
-                found.append(residual_pair(got, want))
-    return worst_of(found)
+    eye = np.eye(n, dtype=bool)
+    plain = np.where(eye, 1.0, plain)           # theta(0) = 0 is never read
+    # off the diagonal: prod_{k != j} theta(lam_kj) / prod_{k != i}
+    # theta(lam_ki) times the derivative, against the theta closed form
+    cols = np.prod(plain, axis=1)                               # [s, j]
+    got = cols[:, None, :] / cols[:, :, None] * derivs
+    want = g * shifted.transpose(0, 2, 1) * tp0 / (tu * plain.transpose(0, 2, 1))
+    # on it: Delta^{-c/n} d_i Delta^{c/n} adds (c/n) d_i log Delta
+    dlog = np.sum(np.where(eye, 0.0, dplain / plain), axis=-1)  # [s, i]
+    got[:, eye] = derivs[:, eye] + g * dlog
+    want[:, eye] = g * tu1 / tu
+    return worst_of_arrays(*residual_arrays(got, want))
 
 
 # ------------------------------------------------------ Ruijsenaars weight
 
-def _dplus(z: complex, g: complex, ctx: ModularContext) -> complex:
-    """The building factor of the ground-state weight (double q,p-product)."""
+def _dplus(z, g: complex, ctx: ModularContext) -> np.ndarray:
+    """The building factor of the ground-state weight (double q,p-product)
+    at every z of an array."""
     q, p = ctx.q, ctx.p
     if abs(q) >= 1.0:
         raise SingularParameterError(f"|q| must be < 1, got {abs(q)}")
@@ -543,42 +530,38 @@ def _dplus(z: complex, g: complex, ctx: ModularContext) -> complex:
     pk = p ** np.arange(kmax + 1)[:, None]
     pk1 = pk * p
     qm = q ** np.arange(mmax + 1)[None, :]
-    return complex(np.prod((1.0 - z * qm * q * pk) / (1.0 - z * qm * q * qg * pk)
-                           * (1.0 - qm / (z * qg) * pk1) / (1.0 - qm / z * pk1)))
+    z = np.asarray(z, dtype=complex)[..., None, None]
+    return np.prod((1.0 - z * qm * q * pk) / (1.0 - z * qm * q * qg * pk)
+                   * (1.0 - qm / (z * qg) * pk1) / (1.0 - qm / z * pk1),
+                   axis=(-2, -1))
 
 
-def phi_weight(lam: WeightPoint, g: complex, ctx: ModularContext) -> complex:
-    """Phi(lambda) = prod_{k != k'} dplus(z_k / z_k')."""
-    n = ctx.n
-    z = [cmath.exp(2j * cmath.pi * lam.pair_eps(k)) for k in range(n)]
-    val = 1.0 + 0.0j
-    for k in range(n):
-        for kp in range(n):
-            if k != kp:
-                val *= _dplus(z[k] / z[kp], g, ctx)
-    return val
+def phi_weight(P, g: complex, ctx: ModularContext) -> np.ndarray:
+    """Phi(lambda) = prod_{k != k'} dplus(z_k / z_k') at every point of
+    P[..., n]."""
+    z = np.exp(2j * np.pi * np.asarray(P, dtype=complex))
+    off = ~np.eye(ctx.n, dtype=bool)
+    return np.prod(_dplus((z[..., :, None] / z[..., None, :])[..., off], g,
+                          ctx), axis=-1)
 
 
-def phi_ratio_closed(lam: WeightPoint, subset, g: complex,
+def phi_ratio_closed(lam, subset, g: complex,
                      ctx: ModularContext) -> complex:
-    """Phi / T_I Phi from the telescoped theta form."""
+    """Phi / T_I Phi from the telescoped theta form, at one point lam[n]."""
     hb = ctx.hbar
     gh = g * hb
-    args = []
-    for i in subset:
-        for j in range(ctx.n):
-            if j not in subset:
-                lij = lam.diff(i, j)
-                args += [hb + lij, gh - lij, gh + hb + lij, -lij]
-    val = 1.0 + 0.0j
-    for num1, num2, den1, den2 in theta_table(args, ctx).reshape(-1, 4).tolist():
-        val *= num1 * num2 / (den1 * den2)
-    return val
+    lam = np.asarray(lam, dtype=complex)
+    rest = [j for j in range(ctx.n) if j not in subset]
+    lij = (lam[list(subset)][:, None] - lam[rest]).ravel()
+    num1, num2, den1, den2 = theta_table(
+        [hb + lij, gh - lij, gh + hb + lij, -lij], ctx)
+    return complex(np.prod(num1 * num2 / (den1 * den2)))
 
 
-def verify_ruijsenaars(c: complex, u: complex, d: int, lam: WeightPoint,
+def verify_ruijsenaars(c: complex, u: complex, d: int, lam,
                        ctx: ModularContext) -> dict:
-    """Both halves of the ground-state conjugation identity.
+    """Both halves of the ground-state conjugation identity at one point
+    lam[n].
 
     'ratio':  Phi/T_i Phi from the double product vs the theta closed form.
     'coefficient': for each |I| = d the squared coefficient identity
@@ -590,74 +573,66 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam: WeightPoint,
     g = c / n
     gh = g * hb
     base = phi_weight(lam, g, ctx)
-    ratio = worst_of(
-        residual_pair(base / phi_weight(lam.shifted_eps(i, hb), g, ctx),
-                      phi_ratio_closed(lam, (i,), g, ctx)) for i in range(n))
+    units = shifted(lam, [unit_key(n, i) for i in range(n)], hb)
+    ratio = worst_of_arrays(*residual_arrays(
+        base / phi_weight(units, g, ctx),
+        np.array([phi_ratio_closed(lam, (i,), g, ctx) for i in range(n)])))
     subs = list(combinations(range(n), d))
-    # per subset: the factors of C_I over (s, t), then of the rhs over (t, s)
-    args = []
-    for subset in subs:
-        rest = [s for s in range(n) if s not in subset]
-        args += [a for s in rest for t in subset
-                 for a in (lam.diff(s, t) + gh, lam.diff(s, t))]
-        args += [a for t in subset for s in rest
-                 for a in (gh + hb + lam.diff(t, s), hb + lam.diff(t, s))]
-    values = theta_table(args, ctx).tolist()
-    ratios = iter([num / den for num, den in zip(values[::2], values[1::2])])
-    found = []
-    for subset in subs:
-        count = d * (n - d)
-        c_i = 1.0 + 0.0j
-        for _ in range(count):
-            c_i *= next(ratios)
-        shifted = phi_weight(lam.shifted(subset_key(n, subset), hb), g, ctx)
-        lhs = c_i * shifted / base
-        rhs = 1.0 + 0.0j
-        for _ in range(count):
-            rhs *= next(ratios)
-        found.append(residual_pair(lhs, rhs))
-    return {"ratio": ratio, "coefficient": worst_of(found)}
+    raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
+    # lam_st for s outside and t inside each subset, [subset, pair]: C_I
+    # and the rhs are products over the pairs
+    s, t = np.array([[(s, t) for s in range(n) if s not in subset
+                      for t in subset] for subset in subs],
+                    dtype=int).reshape(len(subs), d * (n - d), 2).T
+    lst = (lam[s] - lam[t]).T
+    num, den, rnum, rden = theta_table([lst + gh, lst, gh + hb - lst, hb - lst],
+                                       ctx)
+    lhs = np.prod(num / den, axis=-1) * phi_weight(raised, g, ctx) / base
+    found = residual_arrays(lhs, np.prod(rnum / rden, axis=-1))
+    return {"ratio": ratio, "coefficient": worst_of_arrays(*found)}
 
 
 # ---------------------------------------------- differential (CM) limit
 
-def _pair_jets(lams, order: int, ctx: ModularContext) -> np.ndarray:
+def _pair_jets(P, order: int, ctx: ModularContext) -> np.ndarray:
     """Jets of theta(lambda_k - lambda_l) for the pairs k < l at a batch, as
     one array [s, pair, m]: one theta_table per derivative order over every
     pair and point."""
     n = ctx.n
     first, second = np.array(list(combinations(range(n), 2))).T
-    coords = np.array([lam.coords for lam in lams], dtype=complex)
+    P = np.asarray(P, dtype=complex)
     grads = np.zeros((len(first), n))
     grads[np.arange(len(first)), first] = 1.0
     grads[np.arange(len(first)), second] = -1.0
-    xs = coords[:, first] - coords[:, second]
+    xs = P[:, first] - P[:, second]
     return jet_of_affine(np.stack([theta_table(xs, ctx, m)
                                    for m in range(order + 1)], axis=-1), grads)
 
 
-def delta_jet(lams, order: int, ctx: ModularContext) -> np.ndarray:
-    """Jets J[s, m] of Delta(lambda) = prod_{k<l} theta(lambda_k - lambda_l)
-    at a batch."""
-    pair_jets = _pair_jets(lams, order, ctx)
+def _product_jet(pair_jets: np.ndarray, n: int) -> np.ndarray:
+    """The jet of Delta, the product of the _pair_jets over their pairs."""
     out = pair_jets[:, 0]
     for p in range(1, pair_jets.shape[1]):
-        out = jet_mul(out, pair_jets[:, p], ctx.n)
+        out = jet_mul(out, pair_jets[:, p], n)
     return out
 
 
-def _delta_ratios(lams, order: int, jsets, ctx: ModularContext) -> dict:
-    """{J: jets of d^J Delta / Delta} to the given order at a batch: Delta's
-    jet is built once, to the order the largest J needs, and inverted once.
-    The empty J gives the constant 1 exactly, not Delta times its rounded
-    inverse, whose noisy derivatives a composition would pick up."""
-    n = ctx.n
-    jd = delta_jet(lams, order + max(map(len, jsets)), ctx)
+def delta_jet(P, order: int, ctx: ModularContext) -> np.ndarray:
+    """Jets J[s, m] of Delta(lambda) = prod_{k<l} theta(lambda_k - lambda_l)
+    at a batch."""
+    return _product_jet(_pair_jets(P, order, ctx), ctx.n)
+
+
+def _delta_ratios(jd: np.ndarray, order: int, jsets, n: int) -> dict:
+    """{J: jets of d^J Delta / Delta} to the given order, from the jet jd of
+    Delta, at least len(J) orders deeper, inverted once.  The empty J gives
+    the constant 1 exactly, not Delta times its rounded inverse, whose noisy
+    derivatives a composition would pick up."""
     inv = jet_inv(jd, n)
     width = math.comb(n + order, n)
     return {jset: jet_mul(jet_deriv(jd, n, [int(a in jset) for a in range(n)])
                           [:, :width], inv, n) if jset else
-            jet_constant(1.0, len(lams), n, order) for jset in jsets}
+            jet_constant(1.0, len(jd), n, order) for jset in jsets}
 
 
 def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
@@ -679,8 +654,10 @@ def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
                  for jset in combinations(big_i, jsize)]
         jsets = tuple(dict.fromkeys(jset for _, jset, _ in items))
 
-        def table(lams, order=0):
-            ratios = _delta_ratios(lams, order, jsets, ctx)
+        def table(P, order=0):
+            # Delta's jet to the order the largest J needs
+            ratios = _delta_ratios(delta_jet(P, order + max(map(len, jsets)),
+                                             ctx), order, jsets, n)
             out = {}
             for alpha, jset, scale in items:
                 out[alpha] = out.get(alpha, 0.0) + ratios[jset] * scale
@@ -699,24 +676,27 @@ def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
     g_i = g d_i log Delta.  The potential coefficient +2g(g+1) is pinned by
     the hbar^2 limit of the difference family (exact to machine precision
     for n = 2, 3); in Weierstrass form it reads -2g(g+1) p(lam_ij) plus a
-    constant.  A read builds g_i one order deeper than asked, for d_i g_i.
+    constant.  A read builds g_i one order deeper than asked, for d_i g_i,
+    and reads the pair theta tables once: Delta's jet, for g_i, is the
+    product of the same pair jets that give the potential.
     """
     n = ctx.n
     g = c / n
     units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
     firsts = [units[k] for k, _ in combinations(range(n), 2)]
 
-    def table(lams, order=0):
+    def table(P, order=0):
+        pair_jets = _pair_jets(P, order + 2, ctx)
         # g_i / g = d_i Delta / Delta, one order deeper than asked
-        ratios = _delta_ratios(lams, order + 1, [(i,) for i in range(n)], ctx)
-        pair_jets = _pair_jets(lams, order + 2, ctx)
+        ratios = _delta_ratios(_product_jet(pair_jets, n), order + 1,
+                               [(i,) for i in range(n)], n)
         pair_inv = jet_inv(pair_jets, n)
         deeper = math.comb(n + order + 1, n)
         width = math.comb(n + order, n)
-        out, zero = {}, jet_constant(0.0, len(lams), n, order)
+        out, zero = {}, jet_constant(0.0, len(P), n, order)
         for i, e in enumerate(units):
             gi = ratios[(i,)] * g
-            out[tuple(2 * x for x in e)] = jet_constant(1.0, len(lams), n,
+            out[tuple(2 * x for x in e)] = jet_constant(1.0, len(P), n,
                                                         order)
             out[e] = gi[:, :width] * (-2.0)
             zero = (zero + jet_deriv(gi, n, e) * (-1.0)
@@ -746,11 +726,11 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
 
 
-def _mdot_apply(c: complex, d: int, hb: complex, f, lams,
+def _mdot_apply(c: complex, d: int, hb: complex, f, P,
                 ctx: ModularContext) -> np.ndarray:
-    """(Mdot_d f)(lams[s]) at the deformation parameter hb."""
+    """(Mdot_d f)(P[s]) at the deformation parameter hb."""
     sctx = ctx.replace(hbar=hb)
-    return apply_batch(m_dot(c, d, sctx), f, lams, sctx)
+    return apply_batch(m_dot(c, d, sctx), f, P, sctx)
 
 
 def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
@@ -764,12 +744,12 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
     n = ctx.n
     h1, h2 = steps
     ham = hamiltonian_cm(c, ctx)
-    samples = list(samples)
+    samples = np.asarray(samples, dtype=complex)
     got, want = [], []
     for vec in vecs:
         fjet = exp_test_function(vec)
-        f = lambda lam: complex(fjet([lam], 0)[0, 0])
-        fvals = fjet(samples, 0)[:, 0]
+        f = exp_function(vec)
+        fvals = f(samples)
 
         def expr(hb):
             sctx = ctx.replace(hbar=hb)
@@ -791,12 +771,12 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
     n = ctx.n
     g = c / n
     d2 = pdo_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
-    samples = list(samples)
+    samples = np.asarray(samples, dtype=complex)
     got, want = [], []
     for vec in vecs:
         fjet = exp_test_function(vec)
-        f = lambda lam: complex(fjet([lam], 0)[0, 0])
-        fvals = fjet(samples, 0)[:, 0]
+        f = exp_function(vec)
+        fvals = f(samples)
 
         def second(dd):
             f0 = math.comb(n, dd) * fvals
@@ -827,21 +807,17 @@ def verify_macdonald_limit(c: complex, u: complex, d: int,
     mop = m_dot(c, d, mctx)
     tpar = cmath.exp(2j * cmath.pi * gh)
     tpar_half = cmath.exp(1j * cmath.pi * gh)   # branch-free square root
-    found = []
     coeffs = mop.table(samples)
-    for a, lam in enumerate(samples):
-        for subset in combinations(range(n), d):
-            got = complex(coeffs[canonical_key(subset_key(n, subset))][a])
-            sine = 1.0 + 0.0j
-            zform = 1.0 + 0.0j
-            for s in range(n):
-                if s in subset:
-                    continue
-                for t in subset:
-                    lst = lam.diff(s, t)
-                    sine *= cmath.sin(cmath.pi * (lst + gh)) / cmath.sin(cmath.pi * lst)
-                    zs, zt = cmath.exp(2j * cmath.pi * lam.pair_eps(s)), \
-                        cmath.exp(2j * cmath.pi * lam.pair_eps(t))
-                    zform *= (tpar * zs - zt) / (zs - zt) / tpar_half
-            found += [residual_pair(got, sine), residual_pair(sine, zform)]
-    return worst_of(found)
+    z = np.exp(2j * np.pi * samples)
+    sides = []                                  # [subset, lhs/rhs, s, case]
+    for subset in combinations(range(n), d):
+        s, t = np.array([(s, t) for s in range(n) if s not in subset
+                         for t in subset], dtype=int).reshape(-1, 2).T
+        lst = samples[:, s] - samples[:, t]
+        sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=-1)
+        zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
+                        / tpar_half, axis=-1)
+        got = coeffs[canonical_key(subset_key(n, subset))]
+        sides.append([np.stack([got, sine], -1), np.stack([sine, zform], -1)])
+    lhs, rhs = np.array(sides).transpose(1, 2, 0, 3)
+    return worst_of_arrays(*residual_arrays(lhs, rhs))

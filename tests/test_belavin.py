@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import rand_complex, table_reads
+from conftest import rand_complex, shift_eps, table_reads
 from etlax.context import (ContextError, ModularContext, SingularParameterError,
                            default_context)
 from etlax import belavin as bv
@@ -110,7 +110,7 @@ def test_face_weight_argument_validation(ctx3):
 
 
 def test_face_weight_resonant_rejection(ctx3):
-    near = wt.WeightPoint.make([1e-12, 0.0, 0.31])
+    near = wt.canonical([1e-12, 0.0, 0.31])
     with pytest.raises(SingularParameterError):
         bv.face_weight(near, 0, 1, "cis", 0.1, ctx3)
 
@@ -126,14 +126,14 @@ def test_face_ybe(ctx2, ctx3, rng):
 
 # In-test copy of the dict path walk the face matrices were built with
 # before the integer path plan: every path re-walks its prefix through
-# WeightPoint shifts and reads each weight from scalar cached thetas.
+# one-point shifts and reads each weight from scalar cached thetas.
 
 def _scalar_face_weight(lam, i, j, kind, u, ctx):
     from etlax.theta import theta
     hb = ctx.hbar
     if kind == "diag":
         return theta(u + hb, ctx) / theta(hb, ctx)
-    lij = lam.diff(i, j)
+    lij = (lam[i] - lam[j])
     den = theta(lij, ctx)
     if kind == "cis":
         return theta(-u + lij, ctx) / den
@@ -145,7 +145,7 @@ def _walk_move(base, state, pos, delta, ctx):
     for path, coeff in state.items():
         lam = base
         for r in range(pos):
-            lam = lam.shifted_eps(path[r], ctx.hbar)
+            lam = shift_eps(lam, path[r], ctx.hbar)
         i, j = path[pos], path[pos + 1]
         if i == j:
             w = _scalar_face_weight(lam, i, i, "diag", delta, ctx)
@@ -226,7 +226,7 @@ def _kron_loop(base, params, ctx):
         for m, step in enumerate(path):
             vec = bv.intertwiners(params[m], lam, ctx).phi[:, step]
             acc = vec if acc is None else np.kron(acc, vec)
-            lam = lam.shifted_eps(step, ctx.hbar)
+            lam = shift_eps(lam, step, ctx.hbar)
         cols.append(acc)
     return np.stack(cols, axis=1)
 
@@ -267,11 +267,11 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
 def test_face_operator_matrix_resonant_prefix():
     ctx = default_context(3)
     # lam_01 = -hbar: resonant only after a first step 0, at position 1
-    base = wt.WeightPoint.make([-ctx.hbar, 0.0, 0.31])
+    base = wt.canonical([-ctx.hbar, 0.0, 0.31])
     bv.face_operator_matrix(base, 3, [(0, 0.1 + 0.05j)], ctx)
     with pytest.raises(SingularParameterError, match="resonant weight"):
         bv.face_operator_matrix(base, 3, [(0, 0.1 + 0.05j), (1, 0.2j)], ctx)
-    near = wt.WeightPoint.make([1e-12, 0.0, 0.31])
+    near = wt.canonical([1e-12, 0.0, 0.31])
     with pytest.raises(SingularParameterError, match="resonant weight"):
         bv.face_operator_matrix(near, 2, [(0, 0.1 + 0.05j)], ctx)
 
@@ -297,7 +297,7 @@ def test_intertwiner_entries_definition(ctx3, rng):
     ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
     for j in range(3):
         for k in range(3):
-            want = theta_level_n(j, u / 3 - lam.pair_eps(k), ctx3) / ieta
+            want = theta_level_n(j, u / 3 - lam[k], ctx3) / ieta
             assert abs(pair.phi[j, k] - want) < 1e-13
 
 
@@ -323,7 +323,7 @@ def test_intertwiner_determinant_closed_form(ctx3, rng):
     pair = bv.intertwiners(u, lam, ctx3)
     n = 3
     ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
-    us = [u / n - lam.pair_eps(k) for k in range(n)]
+    us = [u / n - lam[k] for k in range(n)]
     want = vandermonde_sign(n) * theta(sum(us), ctx3) / ieta
     for a in range(n):
         for b in range(a + 1, n):
@@ -364,9 +364,9 @@ def test_intertwiner_batch_matches_single_builds(n, rng):
 def test_intertwiner_batch_names_the_singular_pair(n, rng):
     ctx = default_context(n)
     lam = wt.sample_generic(8, ctx)
-    coords = list(wt.sample_generic(9, ctx).coords)
+    coords = wt.sample_generic(9, ctx)
     coords[1] = coords[0]                 # two equal columns of phi
-    flat = wt.WeightPoint.make(coords)
+    flat = wt.canonical(coords)
     us = [0.11 + 0.05j, 0.23 - 0.07j, -0.17 + 0.13j]
     with pytest.raises(SingularParameterError, match=r"at u=\(0\.23-0\.07j\)"):
         bv.intertwiner_arrays(us, [lam, flat, lam], ctx)
@@ -533,8 +533,8 @@ def _loop_vertex_face(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0] for w in bv._two_step_weights([lam], [u - v], ctx))
-    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    keep, cross = (w[0] for w in bv._two_step_weights(lam[None], [u - v], ctx))
+    ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     phi_u, phi_v = bv.intertwiners(u, lam, ctx).phi, bv.intertwiners(v, lam, ctx).phi
     phi_u_up = [bv.intertwiners(u, mu, ctx).phi for mu in ups]
     phi_v_up = [bv.intertwiners(v, mu, ctx).phi for mu in ups]
@@ -557,8 +557,8 @@ def _loop_dual(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0] for w in bv._two_step_weights([lam], [u - v], ctx))
-    ups = [lam.shifted_eps(a, ctx.hbar) for a in range(n)]
+    keep, cross = (w[0] for w in bv._two_step_weights(lam[None], [u - v], ctx))
+    ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     pb_u = bv.intertwiners(u, lam, ctx).phibar
     pb_v = bv.intertwiners(v, lam, ctx).phibar
     pb_u_up = [bv.intertwiners(u, mu, ctx).phibar for mu in ups]

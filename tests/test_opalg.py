@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 
-from conftest import rand_complex, sumzero_exp
+from conftest import (diff_op, ones, pdo_coeff, rand_complex, shift_eps,
+                      sumzero_exp)
 from etlax import opalg as oa
 from etlax import weights as wt
 from etlax.theta import theta
@@ -13,22 +14,21 @@ from etlax.theta import theta
 
 def test_identity_apply(ctx3):
     lam = wt.sample_generic(1, ctx3)
-    f = lambda mu: mu.coords[0] ** 2 + 2.0
+    f = lambda mu: mu[..., 0] ** 2 + 2.0
     assert abs(oa.apply_op(oa.identity_op(3), f, lam, ctx3) - f(lam)) < 1e-15
 
 
 def test_single_term_on_constant(ctx3):
     lam = wt.sample_generic(2, ctx3)
-    a = lambda mu: mu.coords[0] - mu.coords[1]
-    op = oa.diff_op(3, [((1, 0, 0), a)])
-    one = lambda mu: 1.0 + 0.0j
-    assert abs(oa.apply_op(op, one, lam, ctx3) - a(lam)) < 1e-15
+    a = lambda mu: mu[..., 0] - mu[..., 1]
+    op = diff_op(3, [((1, 0, 0), a)])
+    assert abs(oa.apply_op(op, ones, lam, ctx3) - a(lam)) < 1e-15
 
 
 def test_full_key_acts_as_identity(ctx3, rng):
     lam = wt.sample_generic(3, ctx3)
     f = sumzero_exp(rng, 3)
-    op = oa.diff_op(3, [((1, 1, 1), lambda mu: 1.0)])
+    op = diff_op(3, [((1, 1, 1), lambda mu: 1.0)])
     assert op.keys() == [(0, 0, 0)]
     assert abs(oa.apply_op(op, f, lam, ctx3) - f(lam)) < 1e-15
 
@@ -36,27 +36,29 @@ def test_full_key_acts_as_identity(ctx3, rng):
 def test_compose_definition(ctx3):
     lam = wt.sample_generic(4, ctx3)
     hb = ctx3.hbar
-    a = lambda mu: cmath.exp(mu.coords[0])
-    b = lambda mu: mu.coords[1] ** 2 + 0.5
-    opa = oa.diff_op(3, [((1, 0, 0), a)])
-    opb = oa.diff_op(3, [((0, 1, 0), b)])
+    a = lambda mu: cmath.exp(mu[..., 0])
+    b = lambda mu: mu[..., 1] ** 2 + 0.5
+    opa = diff_op(3, [((1, 0, 0), a)])
+    opb = diff_op(3, [((0, 1, 0), b)])
     comp = oa.compose(opa, opb, ctx3)
     assert comp.keys() == [(1, 1, 0)]
-    want = a(lam) * b(lam.shifted_eps(0, hb))
+    want = a(lam) * b(shift_eps(lam, 0, hb))
     assert abs(comp.coeff((1, 1, 0), lam) - want) < 1e-14
 
 
 def test_compose_matches_double_application(ctx3, rng):
     lams = wt.sample_many(5, 3, ctx3)
     f = sumzero_exp(rng, 3)
-    a = oa.diff_op(3, [((1, 0, 0), lambda mu: cmath.exp(mu.coords[0])),
-                       ((0, 1, 0), lambda mu: mu.coords[1] ** 2 + 2)])
-    b = oa.diff_op(3, [((0, 0, 1), lambda mu: 1 / (mu.coords[0] - mu.coords[2] + 0.5)),
+    a = diff_op(3, [((1, 0, 0), lambda mu: cmath.exp(mu[..., 0])),
+                       ((0, 1, 0), lambda mu: mu[..., 1] ** 2 + 2)])
+    b = diff_op(3, [((0, 0, 1), lambda mu: 1 / (mu[..., 0] - mu[..., 2] + 0.5)),
                        ((1, 1, 1), lambda mu: 3.0)])
     ab = oa.compose(a, b, ctx3)
     for lam in lams:
         direct = oa.apply_op(ab, f, lam, ctx3)
-        nested = oa.apply_op(a, lambda mu: oa.apply_op(b, f, mu, ctx3), lam, ctx3)
+        inner = lambda mu: oa.apply_batch(b, f, mu.reshape(-1, 3), ctx3
+                                          ).reshape(mu.shape[:-1])
+        nested = oa.apply_op(a, inner, lam, ctx3)
         assert abs(direct - nested) / (abs(direct) + 1e-300) < 1e-12
 
 
@@ -66,13 +68,13 @@ def test_compose_reads_left_coefficient_once_per_point(ctx3, rng):
 
     def a_coeff(mu):
         calls.append(mu)
-        return mu.coords[0] + 1.5
-    a = oa.diff_op(3, [((1, 0, 0), a_coeff)])
-    b = oa.diff_op(3, [((0, 0, 0), lambda mu: 2.0),
-                       ((0, 1, 0), lambda mu: mu.coords[1]),
-                       ((0, 0, 1), lambda mu: mu.coords[2])])
+        return mu[..., 0] + 1.5
+    a = diff_op(3, [((1, 0, 0), a_coeff)])
+    b = diff_op(3, [((0, 0, 0), lambda mu: 2.0),
+                       ((0, 1, 0), lambda mu: mu[..., 1]),
+                       ((0, 0, 1), lambda mu: mu[..., 2])])
     oa.apply_op(oa.compose(a, b, ctx3), sumzero_exp(rng, 3), lam, ctx3)
-    assert calls == [lam]
+    assert len(calls) == 1 and np.array_equal(calls[0], lam)
 
 
 def test_compose_associative(ctx3, rng):
@@ -80,8 +82,8 @@ def test_compose_associative(ctx3, rng):
     ops = []
     for s in range(3):
         key = tuple(1 if k == s else 0 for k in range(3))
-        ops.append(oa.diff_op(3, [(key, (lambda s_: lambda mu:
-                                         mu.coords[s_] + 1.5 + 0.2j)(s))]))
+        ops.append(diff_op(3, [(key, (lambda s_: lambda mu:
+                                         mu[s_] + 1.5 + 0.2j)(s))]))
     left = oa.compose(oa.compose(ops[0], ops[1], ctx3), ops[2], ctx3)
     right = oa.compose(ops[0], oa.compose(ops[1], ops[2], ctx3), ctx3)
     assert oa.operator_residual(left, right, samples, ctx3).rel < 1e-13
@@ -89,15 +91,15 @@ def test_compose_associative(ctx3, rng):
 
 def test_self_commutator_vanishes(ctx3):
     samples = wt.sample_many(7, 4, ctx3)
-    a = oa.diff_op(3, [((1, 0, 0), lambda mu: mu.coords[0]),
+    a = diff_op(3, [((1, 0, 0), lambda mu: mu[..., 0]),
                        ((0, 0, 1), lambda mu: 2.0 + 0j)])
     assert oa.commutator_residual(a, a, samples, ctx3).rel == 0.0
 
 
 def test_operator_equality_detects_difference(ctx3):
     samples = wt.sample_many(8, 12, ctx3)
-    a = oa.diff_op(3, [((0, 0, 0), lambda mu: mu.coords[0])])
-    b = oa.diff_op(3, [((0, 0, 0), lambda mu: mu.coords[0] + 1e-6)])
+    a = diff_op(3, [((0, 0, 0), lambda mu: mu[..., 0])])
+    b = diff_op(3, [((0, 0, 0), lambda mu: mu[..., 0] + 1e-6)])
     assert oa.operator_residual(a, b, samples, ctx3).rel > 1e-8
     assert oa.operator_residual(a, a, samples, ctx3).rel == 0.0
 
@@ -127,11 +129,11 @@ def test_normal_det_diagonal_shift_operators(ctx3):
     lam = wt.sample_generic(10, ctx3)
     keys = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]
     matrix = _matrix(3, keys, lambda key, i, j, mu:
-                     mu.coords[i] + 2.0 if i == j and key[i] else 0.0)
-    assert matrix.entry(1, 1).table([lam])[keys[0]][0] == 0.0
+                     mu[i] + 2.0 if i == j and key[i] else 0.0)
+    assert matrix.entry(1, 1).table(lam[None])[keys[0]][0] == 0.0
     det_op = oa.normal_det(matrix, 0.0, ctx3)
     got = det_op.coeff((1, 1, 1), lam)   # canonicalizes to the identity key
-    want = math.prod(lam.coords[i] + 2.0 for i in range(3))
+    want = math.prod(lam[i] + 2.0 for i in range(3))
     assert abs(got - want) / abs(want) < 1e-14
 
 
@@ -265,7 +267,7 @@ def test_jet_tables_match_the_dict_jet(rng):
                     for l in range(k + 1, n):
                         pair = [0.0] * n
                         pair[k], pair[l] = 1.0, -1.0
-                        derivs = [theta(lam.diff(k, l), ctx, m)
+                        derivs = [theta((lam[k] - lam[l]), ctx, m)
                                   for m in range(order + 1)]
                         jet = jet * _DictJet(n, order, _per_monomial_jet(
                             derivs.__getitem__, pair, order))
@@ -305,7 +307,7 @@ def test_jet_product_with_a_dropped_cross_term_reads_wrong(rng, monkeypatch):
 def test_jet_of_affine_against_finite_differences(ctx3):
     lam = wt.sample_generic(11, ctx3)
     grad = [1.0, -1.0, 0.0]
-    x = lam.coords[0] - lam.coords[1]
+    x = lam[0] - lam[1]
     jet = oa.jet_of_affine([[theta(x, ctx3, m) for m in range(4)]], grad)
     h = 1e-5
     fd = (theta(x + h, ctx3) - 2 * theta(x, ctx3) + theta(x - h, ctx3)) / (h * h)
@@ -324,7 +326,7 @@ def test_jet_of_affine_matches_the_per_monomial_loop(rng):
             for i, j in ((0, 1), (n - 1, 0)):
                 grad = [0.0] * n
                 grad[i], grad[j] = 1.0, -1.0
-                xs = [lam.diff(i, j) for lam in lams]
+                xs = [(lam[i] - lam[j]) for lam in lams]
                 derivs = [[theta(x, ctx, m) for m in range(order + 1)]
                           for x in xs]
                 want = [_DictJet(n, order, _per_monomial_jet(
@@ -344,35 +346,35 @@ def _pair_jet(lams, i, j, order, ctx):
     """Jets of theta(lambda_i - lambda_j) at a batch."""
     grad = [0.0] * ctx.n
     grad[i], grad[j] = 1.0, -1.0
-    return oa.jet_of_affine([[theta(lam.diff(i, j), ctx, m)
+    return oa.jet_of_affine([[theta((lam[i] - lam[j]), ctx, m)
                               for m in range(order + 1)] for lam in lams],
                             grad)
 
 
 def test_jet_product_and_quotient(ctx3):
     lam = wt.sample_generic(12, ctx3)
-    a, b = _pair_jet([lam], 0, 1, 3, ctx3), _pair_jet([lam], 1, 2, 3, ctx3)
+    a, b = _pair_jet(lam[None], 0, 1, 3, ctx3), _pair_jet(lam[None], 1, 2, 3, ctx3)
     prod = oa.jet_mul(a, b, 3)
     h = 1e-5
     def f(c0, c1, c2):
         return theta(c0 - c1, ctx3) * theta(c1 - c2, ctx3)
-    fd = (f(lam.coords[0], lam.coords[1] + h, lam.coords[2])
-          - f(lam.coords[0], lam.coords[1] - h, lam.coords[2])) / (2 * h)
+    fd = (f(lam[0], lam[1] + h, lam[2])
+          - f(lam[0], lam[1] - h, lam[2])) / (2 * h)
     assert abs(oa.jet_deriv(prod, 3, (0, 1, 0))[0, 0] - fd) < 1e-5
     quot = oa.jet_mul(a, oa.jet_inv(b, 3), 3)
     def g(c0, c1, c2):
         return theta(c0 - c1, ctx3) / theta(c1 - c2, ctx3)
-    fd2 = (g(lam.coords[0], lam.coords[1] + h, lam.coords[2])
-           - g(lam.coords[0], lam.coords[1] - h, lam.coords[2])) / (2 * h)
+    fd2 = (g(lam[0], lam[1] + h, lam[2])
+           - g(lam[0], lam[1] - h, lam[2])) / (2 * h)
     assert abs(oa.jet_deriv(quot, 3, (0, 1, 0))[0, 0] - fd2) < 1e-4
 
 
 def test_jet_dshift(ctx3):
     lam = wt.sample_generic(13, ctx3)
-    jet = _pair_jet([lam], 0, 2, 3, ctx3)
+    jet = _pair_jet(lam[None], 0, 2, 3, ctx3)
     d0 = oa.jet_deriv(jet, 3, (1, 0, 0))
     assert d0.shape == (1, 10)          # one order lower: a prefix width
-    x = lam.coords[0] - lam.coords[2]
+    x = lam[0] - lam[2]
     assert abs(d0[0, 0] - theta(x, ctx3, 1)) < 1e-14
     assert abs(oa.jet_deriv(d0, 3, (1, 0, 0))[0, 0] - theta(x, ctx3, 2)) \
         < 1e-13
@@ -394,8 +396,9 @@ def test_leibniz_base_case(ctx3):
     d0 = oa.pdo(3, [((1, 0, 0), 1.0)])
     comm_left = oa.pdo_compose(mult, d0, ctx3)
     comm_right = oa.pdo_compose(d0, mult, ctx3)
-    got = comm_left.coeff((0, 0, 0), lam) - comm_right.coeff((0, 0, 0), lam)
-    want = -theta(lam.coords[0] - lam.coords[1], ctx3, 1)
+    got = (pdo_coeff(comm_left, (0, 0, 0), lam)
+           - pdo_coeff(comm_right, (0, 0, 0), lam))
+    want = -theta(lam[0] - lam[1], ctx3, 1)
     assert abs(got - want) < 1e-13
 
 
@@ -416,7 +419,7 @@ def test_pdo_compose_full_leibniz(ctx3):
     b = oa.pdo(3, [((0, 0, 0), lambda mus, order:
                     _pair_jet(mus, 1, 2, order, ctx3))])
     table = oa.pdo_compose(a, b, ctx3).table(lams)
-    xs = [lam.coords[1] - lam.coords[2] for lam in lams]
+    xs = [lam[1] - lam[2] for lam in lams]
     values = lambda m: np.array([theta(x, ctx3, m) for x in xs])
     # d_1^2 (theta .) = theta'' + 2 theta' d_1 + theta d_1^2
     assert table.keys() == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}
@@ -433,7 +436,7 @@ def test_exp_test_function_derivatives(ctx3, rng):
     lams = wt.sample_many(18, 3, ctx3)
     jet = fjet(lams, 2)
     base = np.array([cmath.exp(2j * np.pi * sum(a * b for a, b in
-                                                 zip(v, lam.coords)))
+                                                 zip(v, lam)))
                      for lam in lams])
     assert np.max(np.abs(jet[:, 0] - base)) < 1e-14
     for i in range(3):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_complex, table_reads
+from conftest import fay_residual, rand_complex, table_reads
 from etlax.context import ContextError, default_context
 from etlax import theta as th
 
@@ -313,13 +313,13 @@ def test_qfay_degenerate_column(ctx2, rng):
 
 
 def test_fay_identity(ctx2, rng):
-    assert th.verify_fay(1, rand_complex(rng), [rand_complex(rng)],
+    assert fay_residual(1, rand_complex(rng), [rand_complex(rng)],
                          [rand_complex(rng)], ctx2).rel < 1e-14
     for d in (2, 3):
         done = 0
         while done < 20:
             try:
-                res = th.verify_fay(d, rand_complex(rng),
+                res = fay_residual(d, rand_complex(rng),
                                     [rand_complex(rng) for _ in range(d)],
                                     [rand_complex(rng) for _ in range(d)], ctx2)
             except th.SingularParameterError:
@@ -410,16 +410,16 @@ def test_determinant_identities_read_one_theta_table(monkeypatch, rng):
         assert calls == [d ** 3, 1 + (d - 1) + d * (d - 1)]   # lhs, rhs
         assert reads == calls           # no theta value read outside them
         del calls[:], reads[:]
-        th.verify_fay(d, *args, ctx)
+        fay_residual(d, *args, ctx)
         assert calls == [2 + 2 * d * d + d * (d - 1)]
         assert reads == calls
 
 
 def test_fay_guards_keep_their_messages(ctx2):
     with pytest.raises(th.SingularParameterError, match="theta\\(u\\)"):
-        th.verify_fay(2, 1.0, [0.1, 0.2j], [0.3, 0.1j], ctx2)
+        fay_residual(2, 1.0, [0.1, 0.2j], [0.3, 0.1j], ctx2)
     with pytest.raises(th.SingularParameterError, match="mu_s - lambda_s'"):
-        th.verify_fay(2, 0.3, [0.1, 0.2j], [0.3, 0.1 + ctx2.tau], ctx2)
+        fay_residual(2, 0.3, [0.1, 0.2j], [0.3, 0.1 + ctx2.tau], ctx2)
 
 
 def test_eta_wp_triple_product_mpmath_oracle(rng):

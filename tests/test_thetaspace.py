@@ -11,19 +11,21 @@ from etlax import thetaspace as ts
 from etlax import transfer as tr
 from etlax import weights as wt
 from etlax.context import default_context
+from conftest import shift
 
 U0 = 0.213 + 0.057j
 
 
 def test_chi_matches_lattice_loop(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
-        lam = wt.sample_generic(3, ctx).shifted((1,) + (0,) * (ctx.n - 1),
-                                                ctx.hbar)
+        lam = shift(wt.sample_generic(3, ctx), (1,) + (0,) * (ctx.n - 1),
+                    ctx.hbar)
+        radius2 = int(ts._ball_radii2(lam[None], ctx)[0])
         for j in range(ctx.n):
-            vs, nn = ts._lattice_points(ctx.n, j, ctx)
+            vs, nn = ts._lattice_points(ctx.n, j, radius2, ctx)
             want = 0j
             for v, norm in zip(vs.tolist(), nn.tolist()):
-                pairing = sum(c * x for c, x in zip(lam.coords, v))
+                pairing = sum(c * x for c, x in zip(lam.tolist(), v))
                 want += cmath.exp(2j * math.pi * (pairing + norm * ctx.tau / 2))
             got = ts.chi(j, lam, ctx)
             assert abs(got - want) <= 1e-14 * abs(want)
@@ -35,13 +37,13 @@ def test_chi_root_lattice_periodicity(ctx3, rng):
     alpha = (1, -1, 0)
     for j in range(3):
         base = ts.chi(j, lam, ctx3)
-        shifted = ts.chi(j, lam.shifted(alpha, 1.0), ctx3)
+        shifted = ts.chi(j, shift(lam, alpha, 1.0), ctx3)
         assert abs(shifted - base) / abs(base) < 1e-12
 
 
 def test_chi_weyl_invariance(ctx3, rng):
     lam = wt.sample_generic(2, ctx3)
-    perm = wt.WeightPoint.make([lam.coords[1], lam.coords[2], lam.coords[0]])
+    perm = wt.canonical([lam[1], lam[2], lam[0]])
     for j in range(3):
         a, b = ts.chi(j, lam, ctx3), ts.chi(j, perm, ctx3)
         assert abs(a - b) / abs(a) < 1e-12
@@ -50,10 +52,10 @@ def test_chi_weyl_invariance(ctx3, rng):
 def test_chi_tau_shift_law(ctx3, rng):
     lam = wt.sample_generic(3, ctx3)
     alpha = (0, 1, -1)
-    pairing = lam.coords[1] - lam.coords[2]
+    pairing = lam[1] - lam[2]
     factor = np.exp(-2j * np.pi * (pairing + 2.0 * ctx3.tau / 2.0))
     for j in range(3):
-        lhs = ts.chi(j, lam.shifted(alpha, ctx3.tau), ctx3)
+        lhs = ts.chi(j, shift(lam, alpha, ctx3.tau), ctx3)
         rhs = factor * ts.chi(j, lam, ctx3)
         assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
@@ -197,3 +199,70 @@ def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
         calls.clear()
         assert run_suite("theta-space", default_context(n), 42).passed
         assert len(calls) == want
+
+
+# ------------------------------------------------ the ball of the lattice sum
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tau_im", [0.8, 0.3, 0.1])
+def test_the_ball_leaves_out_below_2_to_the_minus_60(n, tau_im):
+    # every character at sample points, at their hbar and tau shifts: the
+    # terms outside each point's ball, summed over a far larger ball, are
+    # below 2^-60 of the largest term inside it
+    ctx = default_context(n, tau=0.1 + 1j * tau_im)
+    root = (1, -1) + (0,) * (n - 2)
+    P = wt.sample_many(3, 6, ctx)
+    P = np.concatenate([P, wt.shifted(P, [root], ctx.hbar)[:, 0],
+                        wt.shifted(P, [root], ctx.tau)[:, 0]])
+    radii2 = ts._ball_radii2(P, ctx)
+    reach = int((math.sqrt(radii2.max()) + 12.0 / math.sqrt(tau_im)) ** 2)
+    for j in range(n):
+        vs, nn = ts._lattice_points(n, j, reach, ctx)
+        # log |term| = -2 pi Im(<v, lambda> + |v - j/n|^2 tau / 2)
+        logs = -2 * np.pi * (P.imag @ vs.T + nn * tau_im / 2)
+        for row, r2 in zip(logs, radii2):
+            kept = nn <= r2
+            top = row[kept].max()
+            assert (~kept).any()                      # the far ball is wider
+            assert np.exp(row[~kept] - top).sum() <= 2.0 ** -60
+
+
+def test_chi_table_values_depend_on_their_own_point_alone(ctx3):
+    P = wt.sample_many(8, 5, ctx3)
+    far = wt.shifted(P[:1], [(2, -2, 0)], ctx3.tau)[0]      # a larger ball
+    alone = ts.chi_table(P, ctx3)
+    assert np.array_equal(ts.chi_table(np.vstack([P, far]), ctx3)[:5], alone)
+    assert np.array_equal(ts.chi_table(P.reshape(5, 1, 3), ctx3)[:, 0], alone)
+    assert all(ts.chi(j, P[2], ctx3) == alone[2, j] for j in range(3))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theta_space_and_eigen_pass_off_the_default_modulus(n):
+    from etlax.suites import run_suite
+    for seed in range(8):
+        for name in ("theta-space", "eigen-l1"):
+            rep = run_suite(name, default_context(n, tau=0.1 + 0.3j), seed)
+            assert rep.passed, [(c.name, c.rel) for c in rep.cases if not c.ok]
+
+
+def test_a_ball_cut_at_the_old_radius_fails_off_the_default_modulus(
+        monkeypatch):
+    from etlax.suites import run_suite
+
+    def case():
+        rep = run_suite("theta-space", default_context(2, tau=0.1 + 0.3j), 0)
+        return next(c for c in rep.cases if c.name == "quasi-periodicity-l2")
+    assert case().ok
+    # the fixed radius^2 = 40 of the lattice ball before it followed Im tau
+    monkeypatch.setattr(ts, "_ball_radii2",
+                        lambda P, ctx: np.full(len(P), 40.0))
+    assert not case().ok
+
+
+def test_a_ball_too_large_to_enumerate_is_refused():
+    # at n = 4 and Im tau = 0.005 the ball would hold tens of millions of
+    # lattice vectors; the sum is refused before anything is allocated
+    from etlax.context import ContextError
+    ctx = default_context(4, tau=0.1 + 0.005j)
+    with pytest.raises(ContextError, match="too large"):
+        ts.chi_table(wt.sample_many(0, 2, ctx), ctx)

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_complex, sumzero_exp, table_reads
+from conftest import (diff_op, ones, pdo_coeff, rand_complex, shift,
+                      sumzero_exp, table_reads)
 from etlax.context import SingularParameterError, default_context
 from etlax import opalg as oa
 from etlax import transfer as tr
@@ -31,7 +32,7 @@ def test_l_operator_structure(ctx3):
 
 
 def test_c0_collapses_to_identity(ctx2, ctx3):
-    one = lambda mu: 1.0 + 0.0j
+    one = ones
     for ctx in (ctx2, ctx3):
         lop = tr.l_op(0.0, U0, ctx)
         lam = wt.sample_generic(21, ctx)
@@ -110,7 +111,7 @@ def test_m_closed_edges(ctx3, rng):
 def test_m1_on_constant_sums_coefficients(ctx3):
     lam = wt.sample_generic(27, ctx3)
     m1 = tr.m_closed(C0, U0, 1, ctx3)
-    one = lambda mu: 1.0 + 0.0j
+    one = ones
     got = oa.apply_op(m1, one, lam, ctx3)
     want = sum(m1.coeff(key, lam) for key in m1.keys())
     assert abs(got - want) < 1e-13
@@ -128,7 +129,8 @@ def test_compose_m1_matches_double_application(ctx3, rng):
     f = sumzero_exp(rng, 3)
     for lam in wt.sample_many(55, 3, ctx3):
         direct = oa.apply_op(mm, f, lam, ctx3)
-        nested = oa.apply_op(m1, lambda mu: oa.apply_op(m1, f, mu, ctx3),
+        nested = oa.apply_op(m1, lambda mu: oa.apply_batch(
+            m1, f, mu.reshape(-1, 3), ctx3).reshape(mu.shape[:-1]),
                              lam, ctx3)
         assert abs(direct - nested) / abs(direct) < 1e-12
 
@@ -154,7 +156,7 @@ def test_commutator_trace_route(ctx3, rng):
 def test_commutes_with_full_shift(ctx3):
     samples = wt.sample_many(30, 6, ctx3)
     m2 = tr.m_closed(C0, U0, 2, ctx3)
-    full_shift = oa.diff_op(3, [((1, 1, 1), lambda mu: 1.0)])
+    full_shift = diff_op(3, [((1, 1, 1), lambda mu: 1.0)])
     assert oa.commutator_residual(m2, full_shift, samples, ctx3).rel < 1e-14
 
 
@@ -224,20 +226,20 @@ def test_lax_matrix_determinant_route(ctx2, ctx3, rng):
 
 
 def test_lax_resonant_rejection(ctx3):
-    near = wt.WeightPoint.make([1e-13, 0.0, 0.31])
+    near = wt.canonical([1e-13, 0.0, 0.31])
     with pytest.raises(SingularParameterError):
         tr.ltilde_table(C0 * ctx3.hbar / 3, U0, [near], ctx3)
     with pytest.raises(SingularParameterError):
-        tr.l_tilde(C0, U0, ctx3).table(wt.sample_many(66, 2, ctx3) + [near])
+        tr.l_tilde(C0, U0, ctx3).table(np.vstack([wt.sample_many(66, 2, ctx3), near]))
 
 
 def _ltilde_scalar(g, u, i, j, lam, ctx):
     """The Lax coefficient of T_i in the entry (i, j), one theta at a time:
     theta(g + u + lam_ji)/theta(u) prod_{k != j} theta(g + lam_ki)/theta(lam_kj)."""
-    val = theta(g + u + lam.diff(j, i), ctx) / theta(u, ctx)
+    val = theta(g + u + (lam[j] - lam[i]), ctx) / theta(u, ctx)
     for k in range(ctx.n):
         if k != j:
-            val *= theta(g + lam.diff(k, i), ctx) / theta(lam.diff(k, j), ctx)
+            val *= theta(g + (lam[k] - lam[i]), ctx) / theta((lam[k] - lam[j]), ctx)
     return val
 
 
@@ -298,15 +300,15 @@ def test_krichever_structure(ctx3):
     # diagonal: scalar part is (c/n) theta'(u)/theta(u), derivative part d_i
     for i in range(3):
         ei = tuple(1 if a == i else 0 for a in range(3))
-        assert abs(kmat[i][i].coeff(ei, lam) - 1.0) < 1e-14
+        assert abs(pdo_coeff(kmat[i][i], ei, lam) - 1.0) < 1e-14
         want = g * theta(U0, ctx3, 1) / theta(U0, ctx3)
-        assert abs(kmat[i][i].coeff((0, 0, 0), lam) - want) < 1e-13
+        assert abs(pdo_coeff(kmat[i][i], (0, 0, 0), lam) - want) < 1e-13
     # c = 0 is the pure derivative matrix
     k0 = tr.krichever_k(0.0, U0, ctx3)
     for i in range(3):
         for j in range(3):
             for alpha in k0[i][j].terms:
-                val = k0[i][j].coeff(alpha, lam)
+                val = pdo_coeff(k0[i][j], alpha, lam)
                 want = 1.0 if (i == j and sum(alpha) == 1 and alpha[j] == 1) \
                     else 0.0
                 assert abs(val - want) < 1e-14
@@ -354,26 +356,26 @@ def test_dplus_matches_double_loop(ctx2, ctx3):
 def test_debiard_first_operator(ctx3):
     d1 = tr.build_d_ops(C0, U0, ctx3)[0]
     lam = wt.sample_generic(45, ctx3)
-    terms = [theta(lam.diff(i, k), ctx3, 1) / theta(lam.diff(i, k), ctx3)
+    terms = [theta((lam[i] - lam[k]), ctx3, 1) / theta((lam[i] - lam[k]), ctx3)
              for i in range(3) for k in range(3) if k != i]
-    assert abs(d1.coeff((0, 0, 0), lam) - sum(terms)) \
+    assert abs(pdo_coeff(d1, (0, 0, 0), lam) - sum(terms)) \
         / sum(abs(t) for t in terms) < 1e-13
     for i in range(3):
         ei = tuple(1 if a == i else 0 for a in range(3))
-        assert abs(d1.coeff(ei, lam) - (-3 / C0)) < 1e-12
+        assert abs(pdo_coeff(d1, ei, lam) - (-3 / C0)) < 1e-12
 
 
 def test_debiard_second_operator(ctx3):
     d2 = tr.build_d_ops(C0, U0, ctx3)[1]
     lam = wt.sample_generic(46, ctx3)
-    jd = tr.delta_jet([lam], 2, ctx3)
+    jd = tr.delta_jet(lam[None], 2, ctx3)
     for i in range(3):
         for j in range(i + 1, 3):
             eij = tuple(1 if a in (i, j) else 0 for a in range(3))
-            assert abs(d2.coeff(eij, lam) - (3 / C0) ** 2) < 1e-11
+            assert abs(pdo_coeff(d2, eij, lam) - (3 / C0) ** 2) < 1e-11
     zterms = [oa.jet_deriv(jd, 3, (int(a in (i, j)) for a in range(3)))[0, 0]
               / jd[0, 0] for i in range(3) for j in range(i + 1, 3)]
-    assert abs(d2.coeff((0, 0, 0), lam) - sum(zterms)) \
+    assert abs(pdo_coeff(d2, (0, 0, 0), lam) - sum(zterms)) \
         / sum(abs(t) for t in zterms) < 1e-12
 
 
@@ -390,9 +392,9 @@ def test_pdo_commutator_reads_each_operand_once_per_batch(ctx3, monkeypatch):
     # every table read of D[1..3] asks for its ratios d^J Delta / Delta once
     real = tr._delta_ratios
     reads = []
-    monkeypatch.setattr(tr, "_delta_ratios", lambda lams, order, jsets, ctx:
-                        reads.append((len(lams), len(jsets), order))
-                        or real(lams, order, jsets, ctx))
+    monkeypatch.setattr(tr, "_delta_ratios", lambda jd, order, jsets, n:
+                        reads.append((len(jd), len(jsets), order))
+                        or real(jd, order, jsets, n))
     d1, d2, _ = tr.build_d_ops(C0, U0, ctx3)
     k = 3
     samples = wt.sample_many(47, k, ctx3)
@@ -440,14 +442,14 @@ def test_differential_tables_hold_the_jets_of_their_values(ctx3):
     ops = [tr.hamiltonian_cm(C0, ctx3), *tr.build_d_ops(C0, U0, ctx3),
            tr.krichever_k(C0, U0, ctx3)[0][1]]
     for op in ops:
-        table = op.table([lam], 2)
+        table = op.table(lam[None], 2)
         assert table.keys() == set(op.terms)
         for alpha, jet in table.items():
             assert jet.shape == (1, 10)
             for i in range(3):
                 e = tuple(int(a == i) for a in range(3))
-                fd = (op.coeff(alpha, lam.shifted(e, h))
-                      - op.coeff(alpha, lam.shifted(e, -h))) / (2 * h)
+                fd = (pdo_coeff(op, alpha, shift(lam, e, h))
+                      - pdo_coeff(op, alpha, shift(lam, e, -h))) / (2 * h)
                 got = oa.jet_deriv(jet, 3, e)[0, 0]
                 assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
 
@@ -484,7 +486,7 @@ def test_l_op_entry_reads_one_coefficient_tensor(ctx3, monkeypatch):
     monkeypatch.setattr(tr, "l_coeff_tensor", counted)
     lam = wt.sample_generic(52, ctx3)
     entry = tr.l_op(C0, U0, ctx3).entry(0, 1)
-    oa.apply_op(entry, lambda mu: 1.0 + 0.0j, lam, ctx3)
+    oa.apply_op(entry, ones, lam, ctx3)
     assert len(calls) == 1
 
 
@@ -674,7 +676,7 @@ def test_delta_jet_reads_one_table_per_derivative_order(monkeypatch):
         # every pair lam_k - lam_l in one table per order 0..3, where the
         # per-monomial jets read theta once per monomial and pair
         assert reads == [n * (n - 1) // 2] * 4
-        want = math.prod(theta(lams[0].diff(k, l), ctx)
+        want = math.prod(theta((lams[0][k] - lams[0][l]), ctx)
                          for k in range(n) for l in range(k + 1, n))
         assert abs(jet[0, 0] - want) <= 1e-14 * abs(want)
         # and a batch reads the same four tables, over every point
@@ -757,3 +759,61 @@ def test_nan_residual_fails_its_suite_case(monkeypatch, name, n, case, module,
     rep = run_suite(name, default_context(n), 0)
     got = {c.name: c for c in rep.cases}[case]
     assert math.isnan(got.rel) and not got.ok and not rep.passed
+
+
+def _two_read_hamiltonian(c, ctx, P, order):
+    """In-test transcription of the H table that read the pair theta tables
+    twice: once for Delta's jet (its g_i) and once for the potential."""
+    n = ctx.n
+    g = c / n
+    units = [tuple(int(a == i) for a in range(n)) for i in range(n)]
+    firsts = [units[k] for k, _ in itertools.combinations(range(n), 2)]
+    ratios = tr._delta_ratios(tr.delta_jet(P, order + 2, ctx), order + 1,
+                              [(i,) for i in range(n)], n)
+    pair_jets = tr._pair_jets(P, order + 2, ctx)
+    pair_inv = oa.jet_inv(pair_jets, n)
+    deeper = math.comb(n + order + 1, n)
+    width = math.comb(n + order, n)
+    out, zero = {}, oa.jet_constant(0.0, len(P), n, order)
+    for i, e in enumerate(units):
+        gi = ratios[(i,)] * g
+        out[tuple(2 * x for x in e)] = oa.jet_constant(1.0, len(P), n, order)
+        out[e] = gi[:, :width] * (-2.0)
+        zero = (zero + oa.jet_deriv(gi, n, e) * (-1.0)
+                + oa.jet_mul(gi[:, :width], gi, n))
+    pot = sum(oa.jet_deriv(oa.jet_mul(oa.jet_deriv(pair_jets[:, p], n, e)
+                                      [:, :deeper], pair_inv[:, p], n), n, e)
+              for p, e in enumerate(firsts))
+    out[(0,) * n] = zero + 2.0 * g * (g + 1.0) * pot
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hamiltonian_reads_the_pair_tables_once(n, monkeypatch):
+    ctx = default_context(n)
+    P = wt.sample_many(71, 3, ctx)
+    ham = tr.hamiltonian_cm(C0, ctx)
+    for order in (0, 1, 2):
+        want = _two_read_hamiltonian(C0, ctx, P, order)
+        reads = table_reads(monkeypatch)
+        got = ham.table(P, order)
+        # one theta table per derivative order 0..order+2 of the pair jets
+        assert reads == [3 * n * (n - 1) // 2] * (order + 3)
+        monkeypatch.undo()
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in got)
+
+
+def test_fused_rll_reads_every_test_function_once_per_side(ctx3, rng):
+    lams = wt.sample_many(72, 2, ctx3)
+    calls, fns = [], []
+    for _ in range(3):
+        f = sumzero_exp(rng, 3)
+        fns.append(lambda P, f=f: calls.append(P.shape) or f(P))
+    res = tr.verify_fused_rll(C0, U0, 0.31 - 0.12j, 2, 2, ctx3, lams, fns)
+    assert res.rel < 1e-8
+    assert len(calls) == 2 * len(fns)
+    # the stacked functions read as the worst of the functions one by one
+    alone = [tr.verify_fused_rll(C0, U0, 0.31 - 0.12j, 2, 2, ctx3, lams, [f])
+             for f in fns]
+    assert abs(res.abs - max(r.abs for r in alone)) <= 1e-12 * res.abs / res.rel
