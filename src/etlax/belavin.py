@@ -433,23 +433,39 @@ _COND_LIMIT = 1e8
 
 def _build_intertwiners(us, mus, ctx: ModularContext,
                         cond_limit: float = _COND_LIMIT):
-    """phi, phibar and cond of the pairs (us[p], mus[p]), stacked as (P, n, n)
-    and (P,): one theta table, one stacked condition number and one stacked
-    solve for all of them."""
+    """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
+    one theta table and one stacked solve for all of them.
+
+    The guard on the 2-norm condition number is screened first: it is at
+    most |phi|_F |phibar|_F, so a pair whose product stays below half the
+    limit (room for the rounding of phibar) passes without an SVD.  The
+    rest, or every pair where the solve finds phi singular, get the
+    stacked np.linalg.cond, and the first above the limit raises.
+    """
     n, count = ctx.n, len(us)
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
     args = _phi_args(us, mus, n).ravel()
     phi = np.ascontiguousarray(
         (theta_level_table(range(n), args, ctx) / ieta)
         .reshape(n, count, n).transpose(1, 0, 2))
-    cond = np.linalg.cond(phi)
-    within = cond <= cond_limit          # False for nan and inf as well
-    if not within.all():
-        p = int(np.argmin(within))
-        raise SingularParameterError(
-            f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
-            f"at u={us[p]}")
-    return phi, np.linalg.solve(phi, np.eye(n, dtype=complex)), cond
+    try:
+        phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
+        bound = (np.linalg.norm(phi, axis=(1, 2))
+                 * np.linalg.norm(phibar, axis=(1, 2)))
+        suspect = np.flatnonzero(~(bound <= 0.5 * cond_limit))
+    except np.linalg.LinAlgError:
+        phibar, suspect = None, np.arange(count)
+    if suspect.size:
+        cond = np.linalg.cond(phi[suspect])
+        within = cond <= cond_limit          # False for nan and inf as well
+        if not within.all():
+            p = int(np.argmin(within))
+            raise SingularParameterError(
+                f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
+                f"at u={us[suspect[p]]}")
+    if phibar is None:
+        phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
+    return phi, phibar
 
 
 def _phi_args(us, mus, n: int) -> np.ndarray:
@@ -461,7 +477,7 @@ def _phi_args(us, mus, n: int) -> np.ndarray:
 def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n),
     built in one batch under the guard on the raw 2-norm condition number."""
-    return _build_intertwiners(list(us), mus, ctx)[:2]
+    return _build_intertwiners(list(us), mus, ctx)
 
 
 def intertwiners(u: complex, mu, ctx: ModularContext,
@@ -470,8 +486,9 @@ def intertwiners(u: complex, mu, ctx: ModularContext,
     and the inverse matrix phibar at one point mu[n], solved numerically:
     the batch of one (a one-point view kept for the traced benchmark)."""
     mu = np.asarray(mu, dtype=complex)
-    phi, phibar, cond = _build_intertwiners([u], mu[None], ctx, cond_limit)
-    return IntertwinerPair(phi[0], phibar[0], u, mu, float(cond[0]))
+    phi, phibar = _build_intertwiners([u], mu[None], ctx, cond_limit)
+    return IntertwinerPair(phi[0], phibar[0], u, mu,
+                           float(np.linalg.cond(phi[0])))
 
 
 def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:

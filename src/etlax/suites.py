@@ -25,7 +25,7 @@ from .opalg import (apply_matrix, commutator_residual, exp_function,
                     operator_residual, pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .theta import Residual
-from .weights import sample_generic, sample_many
+from .weights import sample_many, sample_points
 
 
 def _case(name: str, res, tol: float) -> Case:
@@ -179,10 +179,12 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
 
 
 def suite_face_ybe(ctx: ModularContext, rng, tol: float):
-    lams, us, vs, ws = zip(*[(sample_generic(_seed(rng), ctx), _rc(rng), _rc(rng),
-                              _rc(rng)) for _ in range(25)])
-    cases = [_case("face-ybe", bv.verify_face_ybe(us, vs, ws, lams, ctx), tol)]
-    lam = sample_generic(_seed(rng), ctx)
+    seeds, us, vs, ws = zip(*[(_seed(rng), _rc(rng), _rc(rng), _rc(rng))
+                              for _ in range(25)])
+    P = sample_points(seeds + (_seed(rng),), ctx)
+    cases = [_case("face-ybe", bv.verify_face_ybe(us, vs, ws, P[:25], ctx),
+                   tol)]
+    lam = P[25]
     w0 = bv.face_weight(lam, 0, 0, "diag", 0.0, ctx)
     cases.append(_case("face-weight-diag-u0",
                        th.residual_pair(w0, 1.0 + 0.0j), tol))
@@ -196,23 +198,27 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
 
 def suite_intertwiner(ctx: ModularContext, rng, tol: float):
     cases = []
-    us, lams = zip(*[(_rc(rng), sample_generic(_seed(rng), ctx))
-                     for _ in range(10)])
-    out = bv.verify_intertwiners(us, lams, ctx)
+    # every draw in the order the checks read them: (u, seed) x 10,
+    # (u, v, seed) x 4, the fusion u, then (u', seed) per fusion level
+    us, seeds = zip(*[(_rc(rng), _seed(rng)) for _ in range(10)])
+    us2, vs2, seeds2 = zip(*[(_rc(rng), _rc(rng), _seed(rng))
+                             for _ in range(4)])
+    u = _rc(rng)
+    fusion = [(_rc(rng), _seed(rng)) for _ in range(2, ctx.n + 1)]
+    lams = sample_points(seeds + seeds2 + tuple(s for _, s in fusion), ctx)
+
+    out = bv.verify_intertwiners(us, lams[:10], ctx)
     cases.append(_case("duality", out["duality"], 1e-10))
     cases.append(_case("det-closed-form", out["det-closed-form"], tol))
 
-    us, vs, lams = zip(*[(_rc(rng), _rc(rng), sample_generic(_seed(rng), ctx))
-                         for _ in range(4)])
-    out = bv.verify_intertwining(us, vs, lams, ctx)
+    out = bv.verify_intertwining(us2, vs2, lams[10:14], ctx)
     cases.append(_case("vertex-face-intertwining", out["vertex-face"], tol))
     cases.append(_case("dual-intertwining", out["dual"], tol))
 
     # fusion operators
-    u = _rc(rng)
-    for k in range(2, ctx.n + 1):
+    for k, (ub, _), lam in zip(range(2, ctx.n + 1), fusion, lams[14:]):
         pi = bv.antisymmetrizer(k, ctx, u)
-        pib = bv.antisymmetrizer(k, ctx, _rc(rng))
+        pib = bv.antisymmetrizer(k, ctx, ub)
         scale = float(np.max(np.abs(pi)))
         dep = float(np.max(np.abs(pi - pib))) / scale
         cases.append(_case(f"fusion-u-independence-k{k}", Residual(dep, dep), tol))
@@ -227,7 +233,6 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
             sym = (np.eye(ctx.n ** 2) + perm) @ pi
             rs = float(np.max(np.abs(sym))) / scale
             cases.append(_case("fusion-antisymmetry", Residual(rs, rs), tol))
-        lam = sample_generic(_seed(rng), ctx)
         cases.append(_case(f"fusion-intertwining-k{k}",
                            bv.verify_fusion_intertwining(k, u, lam, ctx),
                            1e-9 if k < 3 else 1e-8))
@@ -386,14 +391,13 @@ def suite_ruijsenaars(ctx: ModularContext, rng, tol: float):
     if abs(ctx.q) >= 1.0:
         raise ValueError("ruijsenaars suite needs Im hbar > 0 (|q| < 1)")
     c, u = _rc(rng), _rc(rng)
-    for d in range(1, ctx.n + 1):
-        lam = sample_generic(_seed(rng), ctx)
+    P = sample_points([_seed(rng) for _ in range(ctx.n + 1)], ctx)
+    for d, lam in enumerate(P[:-1], start=1):
         out = tr.verify_ruijsenaars(c, u, d, lam, ctx)
         cases.append(_case(f"phi-ratio-closed-form-d{d}", out["ratio"], 1e-8))
         cases.append(_case(f"coefficient-identity-d{d}", out["coefficient"],
                            tol))
-    lam = sample_generic(_seed(rng), ctx)
-    out0 = tr.verify_ruijsenaars(0.0, u, 1, lam, ctx)
+    out0 = tr.verify_ruijsenaars(0.0, u, 1, P[-1], ctx)
     cases.append(_case("c0-trivial", out0["coefficient"], tol))
     return cases
 

@@ -12,10 +12,9 @@ discarded tail.  Three named specializations appear throughout:
     theta_level_j(u)= theta_{n/2-j,n}(u + 1/2, tau)      (intertwiner entries)
 
 Each is evaluated as a table over a batch of points (theta_table,
-theta_char_table, theta_level_table); theta, theta_char and theta_level_n
-are the table of one point.  Derivatives are always taken term-wise on the
-series; finite differences are used only as independent cross-checks in
-the test suites.
+theta_char_table, theta_level_table); theta is the table of one point.
+Derivatives are always taken term-wise on the series; finite differences
+are used only as independent cross-checks in the test suites.
 
 The u-independent part of a series is computed once per (characteristics,
 level, tau, trunc, derivative order) and shared: 2 pi i mu, the exponent
@@ -328,17 +327,6 @@ def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
 def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
     """theta_table at one point u."""
     return complex(theta_table([u], ctx, deriv_order)[0])
-
-
-def theta_char(j: int, u: complex, ctx: ModularContext) -> complex:
-    """theta_char_table at one character j and point u; zeros sit on
-    Z + (j + nZ) tau."""
-    return complex(theta_char_table([j], [u], ctx)[0, 0])
-
-
-def theta_level_n(j: int, u: complex, ctx: ModularContext) -> complex:
-    """theta_level_table at one row j and point u."""
-    return complex(theta_level_table([j], [u], ctx)[0, 0])
 
 
 def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:

@@ -36,7 +36,7 @@ from .opalg import (DifferenceOperator, OperatorMatrix, apply_batch,
 from .theta import (_WINDOW_DROP, Residual, residual_arrays, theta_table,
                     worst_of, worst_of_arrays)
 from .transfer import l_op, m_closed
-from .weights import canonical, sample_many
+from .weights import canonical, sample_many, sample_points, subseeds
 
 _EPS = 1e-300
 _CHI_CHUNK = 1 << 20    # terms of a chi_table work array (16 MB)
@@ -200,18 +200,19 @@ def gram_rank(l: int, points, ctx: ModularContext,
     return int(np.sum(svals > cutoff * svals[0]))
 
 
-def _fit_points(l: int, seed: int, ctx: ModularContext):
-    """The 3 dim fit points and dim + 4 held-out points of a fit."""
+def _fit_seeds(l: int, seed: int, ctx: ModularContext):
+    """The sub-seeds of the 3 dim fit points and the dim + 4 held-out points
+    of a fit."""
     dim = basis_dimension(ctx.n, l)
-    return sample_many(seed, 3 * dim, ctx), sample_many(seed + 77, dim + 4, ctx)
+    return subseeds(seed, 3 * dim), subseeds(seed + 77, dim + 4)
 
 
-def _fit_values(l: int, pts, values, hold, held, ctx: ModularContext):
-    """Least-squares expansion of the values at pts in the basis and its
-    residual at the held-out points, in relative sup norm."""
-    basis = character_basis(l, ctx)
-    coeffs, *_ = np.linalg.lstsq(basis.table(pts, ctx), values, rcond=1e-10)
-    err = np.abs(basis.table(hold, ctx) @ coeffs - held)
+def _fit_values(table, values, hold_table, held) -> tuple:
+    """Least-squares expansion of the values at the fit points (basis
+    table rows) and its residual at the held-out points, in relative sup
+    norm."""
+    coeffs, *_ = np.linalg.lstsq(table, values, rcond=1e-10)
+    err = np.abs(hold_table @ coeffs - held)
     scale = float(np.max(np.abs(held))) + _EPS
     return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
 
@@ -219,22 +220,30 @@ def _fit_values(l: int, pts, values, hold, held, ctx: ModularContext):
 def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
     """Fit column e of apply(fn, P) at the points of seeds[e], for every
     basis function fn: one apply per function, at the points of all columns.
+    The points of every (function, column) fit are sampled in one call and
+    read in one basis table.
 
     Returns the coefficients [e, m, :] and the held-out Residuals [e][m].
     """
     basis = character_basis(l, ctx)
     dim = len(basis)
+    sets = [_fit_seeds(l, seed + m, ctx) for m in range(dim) for seed in seeds]
+    k = len(sets[0][0])
+    size = k + len(sets[0][1])
+    # [m, e] = the fit points, then the held-out points, of function m and
+    # column e
+    P = sample_points([s for fit, held in sets for s in fit + held],
+                      ctx).reshape(dim, len(seeds), size, ctx.n)
+    table = basis.table(P, ctx)
     coeffs = np.empty((len(seeds), dim, dim), dtype=complex)
     found = [[None] * dim for _ in seeds]
     for m in range(dim):
-        sets = [_fit_points(l, seed + m, ctx) for seed in seeds]
-        values = apply(basis.function(m, ctx), np.concatenate(
-            [x for pair in sets for x in pair])).reshape(len(seeds), -1,
-                                                         len(seeds))
-        for e, (pts, hold) in enumerate(sets):
+        values = apply(basis.function(m, ctx), P[m].reshape(-1, ctx.n)
+                       ).reshape(len(seeds), size, len(seeds))
+        for e in range(len(seeds)):
             coeffs[e, m], found[e][m] = _fit_values(
-                l, pts, values[e, :len(pts), e], hold, values[e, len(pts):, e],
-                ctx)
+                table[m, e, :k], values[e, :k, e], table[m, e, k:],
+                values[e, k:, e])
     return coeffs, found
 
 
@@ -273,9 +282,12 @@ def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
     vec = rng.normal(size=ctx.n) + 0.1 * rng.normal(size=ctx.n)
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
     fn = exp_function(vec)
-    pts, hold = _fit_points(l, seed, ctx)
-    return _fit_values(l, pts, apply_batch(op, fn, pts, ctx), hold,
-                       apply_batch(op, fn, hold, ctx), ctx)[1]
+    fit, held = _fit_seeds(l, seed, ctx)
+    P = sample_points(fit + held, ctx)
+    table = character_basis(l, ctx).table(P, ctx)
+    pts, hold = P[:len(fit)], P[len(fit):]
+    return _fit_values(table[:len(fit)], apply_batch(op, fn, pts, ctx),
+                       table[len(fit):], apply_batch(op, fn, hold, ctx))[1]
 
 
 def gamma_index(j: int, n: int) -> int:

@@ -73,8 +73,8 @@ def subset_key(n: int, subset) -> tuple:
 def theta_gap_guard(ctx: ModularContext):
     """Smallest |theta(lambda_ij)| over i != j: keeps denominators alive.
 
-    One theta_table call over the n(n-1) differences of a candidate point
-    (a coordinate row).
+    A batch guard: one theta_table call over the n(n-1) differences of
+    every candidate row of P[s, n] gives the values [s].
 
     Normalized by the leading series magnitude 2|p|^{1/8} so the guard is
     comparable across moduli (it approaches |sin pi lambda_ij| as p -> 0).
@@ -82,42 +82,68 @@ def theta_gap_guard(ctx: ModularContext):
     scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
     off = ~np.eye(ctx.n, dtype=bool)
 
-    def guard(lam) -> float:
-        values = theta_table(np.subtract.outer(lam, lam)[off], ctx)
-        return min(abs(value) for value in values.tolist()) / scale
+    def guard(P) -> np.ndarray:
+        values = theta_table((P[:, :, None] - P[:, None, :])[:, off], ctx)
+        # hypot is Python's abs(complex); np.abs may round differently
+        return np.hypot(values.real, values.imag).min(axis=-1) / scale
     return guard
+
+
+def subseeds(seed: int, count: int) -> list:
+    """The sub-seeds of the points of sample_many(seed, count)."""
+    return [(seed + 1) * 100003 + k for k in range(count)]
+
+
+def sample_points(seeds, ctx: ModularContext, guards=None, box: float = 0.4,
+                  max_tries: int = 1000) -> np.ndarray:
+    """Pseudo-random generic weight points P[len(seeds), n], row s drawn
+    from its own stream default_rng(seeds[s]), avoiding the given singular
+    loci.
+
+    Each round draws the next candidate of every pending row (real parts,
+    then imaginary parts, uniform in [-box, box]), canonicalizes them
+    together and reads every guard once over them; a row is kept when all
+    its guard values exceed 10 * tol_identity, and only the rejected rows
+    draw again.  A guard is a batch callable g(P[s, n]) -> values[s].  So
+    row s is the point a stream of its own gives, whatever else the batch
+    holds.
+    """
+    if guards is None:
+        guards = [theta_gap_guard(ctx)]
+    n = ctx.n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    floor = 10.0 * ctx.tol_identity
+    out = np.empty((len(rngs), n), dtype=complex)
+    todo = np.arange(len(rngs))
+    for _ in range(max_tries):
+        if not todo.size:
+            break
+        # one call of 2n draws is the two calls of n, re then im
+        draws = np.array([rngs[s].uniform(-box, box, 2 * n) for s in todo])
+        lam = canonical(draws[:, :n] + 1j * draws[:, n:])
+        values = np.array([g(lam) for g in guards])
+        good = (values > floor).all(axis=0)
+        out[todo[good]] = lam[good]
+        todo = todo[~good]
+    if todo.size:
+        # the first row left, at its last candidate
+        worst = int(np.argmin(values[:, np.argmin(good)]))
+        raise SamplingError(
+            f"could not sample a generic point in {max_tries} tries; "
+            f"guard {worst} kept failing")
+    return out
 
 
 def sample_generic(seed: int, ctx: ModularContext, guards=None,
                    box: float = 0.4, max_tries: int = 1000) -> np.ndarray:
-    """A pseudo-random generic weight point, as a coordinate row, avoiding
-    the given singular loci.
-
-    Coordinates are drawn uniformly (real and imaginary parts) from
-    [-box, box] and projected; every guard value must exceed
-    10 * tol_identity.  Deterministic in the seed.
-    """
-    if guards is None:
-        guards = [theta_gap_guard(ctx)]
-    rng = np.random.default_rng(seed)
-    floor = 10.0 * ctx.tol_identity
-    worst = None
-    for _ in range(max_tries):
-        re = rng.uniform(-box, box, ctx.n)
-        im = rng.uniform(-box, box, ctx.n)
-        lam = canonical(re + 1j * im)
-        values = [g(lam) for g in guards]
-        if all(v > floor for v in values):
-            return lam
-        worst = min(range(len(values)), key=lambda k: values[k])
-    raise SamplingError(
-        f"could not sample a generic point in {max_tries} tries; "
-        f"guard {worst} kept failing")
+    """A pseudo-random generic weight point, as a coordinate row: the
+    sample_points row of one seed (a one-point view the benchmark traces).
+    Deterministic in the seed."""
+    return sample_points([seed], ctx, guards, box, max_tries)[0]
 
 
 def sample_many(seed: int, count: int, ctx: ModularContext, guards=None,
                 box: float = 0.4) -> np.ndarray:
-    """A deterministic batch P[count, n] of generic points (distinct
-    sub-seeds)."""
-    return np.array([sample_generic((seed + 1) * 100003 + k, ctx, guards, box)
-                     for k in range(count)])
+    """A deterministic batch P[count, n] of generic points, one sample_points
+    call over the sub-seeds of seed."""
+    return sample_points(subseeds(seed, count), ctx, guards, box)

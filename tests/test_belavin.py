@@ -1,6 +1,7 @@
 """R-matrix characterization, face weights, intertwiners, fusion."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -290,14 +291,15 @@ def test_intertwiner_duality(ctx2, ctx3, rng):
 
 
 def test_intertwiner_entries_definition(ctx3, rng):
-    from etlax.theta import dedekind_eta, theta_level_n
+    from etlax.theta import dedekind_eta, theta_ml
     u = rand_complex(rng)
     lam = wt.sample_generic(8, ctx3)
     pair = bv.intertwiners(u, lam, ctx3)
     ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
     for j in range(3):
         for k in range(3):
-            want = theta_level_n(j, u / 3 - lam[k], ctx3) / ieta
+            want = theta_ml(1.5 - j, 3, u / 3 - lam[k] + 0.5, ctx3.tau,
+                            trunc=ctx3.trunc).value / ieta
             assert abs(pair.phi[j, k] - want) < 1e-13
 
 
@@ -374,6 +376,82 @@ def test_intertwiner_batch_names_the_singular_pair(n, rng):
         bv.intertwiners(us[1], flat, ctx.replace())
 
 
+def _near_pair(n, gap):
+    """A point whose coordinates 0 and 1 lie gap apart: phi has two nearly
+    equal columns, so its cond grows like 1 / gap."""
+    ctx = default_context(n)
+    coords = wt.sample_generic(9, ctx)
+    coords[1] = coords[0] + gap
+    return ctx, wt.canonical(coords)
+
+
+def test_intertwiner_guard_raises_on_equal_columns_where_solve_fails():
+    # at n = 3 this phi, two equal columns, is singular in floating point:
+    # the stacked solve raises LinAlgError, and the guard reports the cond
+    ctx = default_context(3)
+    coords = wt.sample_generic(0, ctx)
+    coords[1] = coords[0]
+    flat = wt.canonical(coords)
+    u = 0.23 - 0.07j
+    ieta = 1j * th.dedekind_eta(ctx.tau, ctx).value
+    phi = th.theta_level_table(range(3), u / 3 - flat, ctx) / ieta
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(phi[None], np.eye(3, dtype=complex))
+    with pytest.raises(SingularParameterError, match=re.escape(
+            f"(cond={np.linalg.cond(phi):.3g}) at u={u}")):
+        bv.intertwiner_arrays([0.1j, u], [wt.sample_generic(8, ctx), flat],
+                              ctx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwiner_guard_names_the_exact_cond(n):
+    ctx, near = _near_pair(n, 1e-10)
+    lam = wt.sample_generic(8, ctx)
+    us = [0.11 + 0.05j, 0.23 - 0.07j, -0.17 + 0.13j, 0.05 + 0.3j]
+    phi = bv.intertwiners(us[1], near, ctx, cond_limit=math.inf).phi
+    cond = np.linalg.cond(phi)
+    assert cond > 1e8
+    # the first ill-conditioned pair is named, with its 2-norm cond
+    with pytest.raises(SingularParameterError,
+                       match=re.escape(f"(cond={cond:.3g}) at u={us[1]}")):
+        bv.intertwiner_arrays(us, [lam, near, lam, near], ctx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwiner_guard_admits_a_pair_above_the_screen(n, monkeypatch):
+    u = 0.23 - 0.07j
+    ctx, near = _near_pair(n, 1e-6)
+    # move the gap until the exact cond sits at 7e7 (it scales as 1 / gap)
+    cond = np.linalg.cond(bv.intertwiners(u, near, ctx, math.inf).phi)
+    ctx, near = _near_pair(n, 1e-6 * cond / 7e7)
+    pair = bv.intertwiners(u, near, ctx, math.inf)
+    bound = np.linalg.norm(pair.phi) * np.linalg.norm(pair.phibar)
+    assert bound > 0.5 * bv._COND_LIMIT
+    assert 5e7 < pair.cond < bv._COND_LIMIT
+    conds = []
+    svd_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda x: conds.append(len(x)) or svd_cond(x))
+    lam = wt.sample_generic(8, ctx)
+    phi, phibar = bv.intertwiner_arrays([u, u, u], [lam, near, lam], ctx)
+    assert np.array_equal(phi[1], pair.phi)
+    assert np.array_equal(phibar[1], pair.phibar)
+    # only the pair above the screen took the SVD
+    assert conds == [1]
+    del conds[:]
+    bv.intertwiner_arrays([u, u], [lam, lam], ctx)
+    assert conds == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwiners_report_the_exact_cond(n, rng):
+    ctx = default_context(n)
+    for s in range(3):
+        pair = bv.intertwiners(rand_complex(rng), wt.sample_generic(70 + s, ctx),
+                               ctx)
+        assert pair.cond == np.linalg.cond(pair.phi)
+
+
 def test_vertex_face_intertwining(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         lam = wt.sample_generic(60, ctx)
@@ -440,10 +518,13 @@ def test_fused_rcheck_reduces_to_rcheck(ctx3, rng):
 
 
 # In-test copy of the per-entry loop build_r used before the R tables:
-# 4n scalar cached theta_char values and an n^3 placement loop.
+# 4n scalar theta_char values and an n^3 placement loop.
 
 def _loop_r(u, ctx):
-    from etlax.theta import theta_char
+    from etlax.theta import theta_char_table
+
+    def theta_char(k, u, ctx):
+        return complex(theta_char_table([k], [u], ctx)[0, 0])
     n = ctx.n
     tc_u = np.array([theta_char(k, u, ctx) for k in range(n)])
     tc_uh = np.array([theta_char(k, u + ctx.hbar, ctx) for k in range(n)])

@@ -114,22 +114,24 @@ def test_jacobi_theta_derivative_depth_capped(ctx2):
 
 def test_theta_char_zeros_and_periodicity(ctx3, rng):
     u = rand_complex(rng)
+    zeros = th.theta_char_table(range(3), [j * ctx3.tau for j in range(3)],
+                                ctx3)
+    at_u = th.theta_char_table(range(6), [u], ctx3)[:, 0]
     for j in range(3):
-        assert abs(th.theta_char(j, j * ctx3.tau, ctx3)) < 1e-8
-        a = th.theta_char(j + 3, u, ctx3)
-        b = th.theta_char(j, u, ctx3)
-        assert a == b
+        assert abs(zeros[j, j]) < 1e-8
+        assert at_u[j + 3] == at_u[j]
         want = th.theta_ml(0.5 - j / 3.0, 1, u + 0.5, 3 * ctx3.tau).value
-        assert abs(b - want) / abs(want) < 1e-13
+        assert abs(at_u[j] - want) / abs(want) < 1e-13
 
 
 def test_theta_level_definitional(ctx3, rng):
     u = rand_complex(rng)
+    at_u = th.theta_level_table(range(1, 7), [u], ctx3)[:, 0]
     for j in range(1, 4):
-        got = th.theta_level_n(j, u, ctx3)
+        got = at_u[j - 1]
         want = th.theta_ml(1.5 - j, 3, u + 0.5, ctx3.tau).value
         assert abs(got - want) / abs(want) < 1e-12
-        assert th.theta_level_n(j + 3, u, ctx3) == got
+        assert at_u[j + 2] == got
 
 
 def test_dedekind_eta(ctx2):
@@ -216,19 +218,21 @@ def test_vandermonde_floor_negative_control(monkeypatch):
 
 
 def test_theta_level_table_matches_scalar(rng):
+    # every entry is the per-value series of its row j mod n, bit for bit
     for n in (2, 3, 4):
         ctx = default_context(n)
+        tau, trunc = complex(ctx.tau), ctx.trunc
         us = [rand_complex(rng) for _ in range(n)]
         for rows in (range(n), range(1, n + 1)):
             table = th.theta_level_table(rows, us, ctx)
             assert table.shape == (n, n)
-            for a, j in enumerate(rows):
-                for k, u in enumerate(us):
-                    want = th.theta_level_n(j, u, ctx)
-                    assert abs(table[a, k] - want) <= 1e-15 * abs(want)
+            assert table.tolist() == [
+                [_per_value_series(n / 2.0 - j % n, n, u + 0.5, tau, trunc, 0)
+                 for u in us] for j in rows]
 
 
-def test_theta_char_table_matches_theta_char_bit_for_bit(monkeypatch, rng):
+def test_theta_char_table_matches_per_value_series_bit_for_bit(monkeypatch,
+                                                               rng):
     reads = table_reads(monkeypatch)
     for n in (2, 3, 4):
         ctx = default_context(n)
@@ -238,7 +242,9 @@ def test_theta_char_table_matches_theta_char_bit_for_bit(monkeypatch, rng):
         table = th.theta_char_table(rows, us, ctx)
         assert reads == [len(us)]       # every row and point in one call
         assert table.shape == (len(rows), len(us))
-        want = [[th.theta_char(j, u, ctx.replace()) for u in us] for j in rows]
+        want = [[_per_value_series(0.5 - (j % n) / n, 1, u + 0.5,
+                                   complex(n * ctx.tau), ctx.trunc, 0)
+                 for u in us] for j in rows]
         assert table.tolist() == want
 
 
@@ -342,14 +348,14 @@ def test_qfay_degenerates_to_fay(ctx2, rng):
 
 
 def test_tail_bounds_accepted(ctx2, rng):
-    # the series behind theta and theta_level_n, with their tail bounds
+    # the series behind theta and theta_level_table, with their tail bounds
     for _ in range(10):
         u = rand_complex(rng)
         jac = th.theta_ml(0.5, 1, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
         assert jac.value == th.theta(u, ctx2)
         assert jac.tail_bound < ctx2.tol_series
         lev = th.theta_ml(0.0, 2, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
-        assert lev.value == th.theta_level_n(1, u, ctx2)
+        assert lev.value == th.theta_level_table([1], [u], ctx2)[0, 0]
         assert lev.tail_bound < ctx2.tol_series
 
 
@@ -550,12 +556,9 @@ def test_tables_equal_the_per_value_series_bit_for_bit(rng):
         assert chars == [[_per_value_series(0.5 - j / n, 1, u + 0.5, n * tau,
                                             trunc, 0) for u in us]
                          for j in rows]
-        assert chars == [[th.theta_char(j, u, ctx) for u in us] for j in rows]
         levels = th.theta_level_table(rows, us, ctx).tolist()
         assert levels == [[_per_value_series(n / 2.0 - j, n, u + 0.5, tau,
                                              trunc, 0) for u in us]
-                          for j in rows]
-        assert levels == [[th.theta_level_n(j, u, ctx) for u in us]
                           for j in rows]
         assert [[_theta_ml_series(n / 2.0 - j, n, u + 0.5, tau, trunc, 0)
                  for u in us] for j in rows] \

@@ -188,6 +188,31 @@ def test_fit_matrix_action_matches_entry_fits(ctx2):
     assert res == max(found, key=lambda r: r.rel) and res.rel < 1e-7
 
 
+@pytest.mark.parametrize("n,l", [(2, 2), (3, 1)])
+def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
+    # every (function m, column e) fit keeps the points the two sample_many
+    # calls of its seed drew: 3 dim fit points, then dim + 4 held out
+    ctx = default_context(n)
+    dim = ts.basis_dimension(n, l)
+    seeds = [5, 40, 41]
+    seen, samplings = [], []
+    sample = wt.sample_points
+    monkeypatch.setattr(ts, "sample_points", lambda *a: samplings.append(1)
+                        or sample(*a))
+
+    def apply(fn, P):
+        seen.append(P)
+        return np.ones((len(P), len(seeds)), dtype=complex)
+    ts._fit_entries(l, apply, seeds, ctx)
+    assert samplings == [1]        # one sampling for every fit
+    assert len(seen) == dim
+    for m, P in enumerate(seen):
+        assert np.array_equal(P, np.concatenate(
+            [part for seed in seeds for part in (
+                wt.sample_many(seed + m, 3 * dim, ctx),
+                wt.sample_many(seed + m + 77, dim + 4, ctx))]))
+
+
 def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
     from etlax.suites import run_suite
     calls = []

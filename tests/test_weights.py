@@ -165,25 +165,41 @@ def test_sampling_respects_default_guard(ctx3):
 
 
 def test_sampling_exhaustion_reports_guard(ctx3):
-    impossible = lambda lam: 0.0
+    ones = lambda P: np.ones(len(P))
+    impossible = lambda P: np.zeros(len(P))
     with pytest.raises(SamplingError) as err:
-        wt.sample_generic(1, ctx3, guards=[lambda lam: 1.0, impossible],
-                          max_tries=50)
+        wt.sample_generic(1, ctx3, guards=[ones, impossible], max_tries=50)
     assert "guard 1" in str(err.value)
+    # in a batch, the first row left names its worst guard at its last
+    # try, as that seed's own sampling does
+    sign = lambda P: np.where(P[:, 0].real > 0.0, 1.0, 0.0)
+    for seeds in ([3, 4, 5], [6, 3]):
+        with pytest.raises(SamplingError) as alone:
+            wt.sample_generic(seeds[0], ctx3, guards=[sign, impossible],
+                              max_tries=20)
+        with pytest.raises(SamplingError) as err:
+            wt.sample_points(seeds, ctx3, guards=[sign, impossible],
+                             max_tries=20)
+        assert str(err.value) == str(alone.value)
 
 
 def test_sampling_with_intertwiner_guard(ctx3):
-    from etlax.belavin import intertwiners
+    from etlax.belavin import intertwiner_arrays, intertwiners
     u = 0.19 + 0.07j
 
-    def det_guard(lam):
-        pair = intertwiners(u, lam, ctx3, cond_limit=1e300)
-        return abs(np.linalg.det(pair.phi))
+    def det_guard(P):
+        phi, _ = intertwiner_arrays([u] * len(P), P, ctx3)
+        return np.abs(np.linalg.det(phi))
 
-    lam = wt.sample_generic(2, ctx3, guards=[wt.theta_gap_guard(ctx3), det_guard])
+    guards = [wt.theta_gap_guard(ctx3), det_guard]
+    lam = wt.sample_generic(2, ctx3, guards=guards)
     pair = intertwiners(u, lam, ctx3)
     assert pair.cond < 1e8
     assert np.max(np.abs(pair.phibar @ pair.phi - np.eye(3))) < 1e-10
+    # the batch of several sub-seeds draws the same rows
+    many = wt.sample_points([2, 7, 9], ctx3, guards=guards)
+    assert np.array_equal(many[0], lam)
+    assert np.array_equal(many[2], wt.sample_generic(9, ctx3, guards=guards))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -193,17 +209,56 @@ def test_theta_gap_guard_table_keeps_every_sample(n, monkeypatch):
     ctx = default_context(n)
     scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
 
-    def scalar_guard(lam):
-        return min(abs(theta(lam[i] - lam[j], ctx))
-                   for i in range(n) for j in range(n) if i != j) / scale
+    def scalar_guard(P):
+        return np.array([min(abs(theta(lam[i] - lam[j], ctx))
+                             for i in range(n) for j in range(n) if i != j)
+                         for lam in P]) / scale
 
     fresh = ctx.replace()
-    for seed in range(50):
-        got = wt.sample_generic(seed, fresh)
-        assert np.array_equal(got, wt.sample_generic(seed, ctx,
-                                                     guards=[scalar_guard]))
-        assert wt.theta_gap_guard(fresh)(got) == scalar_guard(got)
-    # the guard reads one theta table per candidate, no value on its own
+    got = wt.sample_many(3, 50, fresh)
+    assert np.array_equal(got, wt.sample_many(3, 50, ctx,
+                                              guards=[scalar_guard]))
+    assert np.array_equal(wt.theta_gap_guard(fresh)(got), scalar_guard(got))
+    # the guard reads one theta table per batch, no value on its own
     reads = table_reads(monkeypatch)
     wt.theta_gap_guard(fresh)(got)
-    assert reads == [n * (n - 1)]
+    assert reads == [50 * n * (n - 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rejected_rows_draw_the_per_point_samples(n):
+    # a raised singularity floor rejects the first candidates of many
+    # sub-seeds; the batch still gives every row its own stream's point
+    ctx = default_context(n, tol_identity=0.04)
+    seeds = wt.subseeds(11, 30)
+    rejected = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        first = wt.canonical(rng.uniform(-0.4, 0.4, n)
+                             + 1j * rng.uniform(-0.4, 0.4, n))
+        rejected += bool(wt.theta_gap_guard(ctx)(first[None])[0]
+                         <= 10.0 * ctx.tol_identity)
+    assert 0 < rejected < len(seeds)
+    got = wt.sample_points(seeds, ctx)
+    assert np.array_equal(got, np.array([_sample(s, ctx) for s in seeds]))
+    assert np.array_equal(wt.sample_many(11, 30, ctx), got)
+
+
+def test_one_guard_table_per_rejection_round(monkeypatch):
+    ctx = default_context(3, tol_identity=0.04)
+    seeds = wt.subseeds(5, 20)
+    # rounds a row needs: the per-point draw count of its stream
+    rounds = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for tries in range(1, 1000):
+            lam = wt.canonical(rng.uniform(-0.4, 0.4, 3)
+                               + 1j * rng.uniform(-0.4, 0.4, 3))
+            if wt.theta_gap_guard(ctx)(lam[None])[0] > 10.0 * ctx.tol_identity:
+                break
+        rounds.append(tries)
+    assert max(rounds) > 1
+    reads = table_reads(monkeypatch)
+    wt.sample_points(seeds, ctx)
+    pending = [sum(r >= k for r in rounds) for k in range(1, max(rounds) + 1)]
+    assert reads == [6 * p for p in pending]
