@@ -45,13 +45,10 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError
 from .opalg import perm_sign
-from .theta import (Residual, dedekind_eta, residual_arrays, theta_char_table,
-                    theta_level_table, theta_table, vandermonde_product,
-                    worst_of_arrays)
+from .theta import (_EPS, Residual, dedekind_eta, residual_arrays,
+                    theta_char_table, theta_level_table, theta_table,
+                    vandermonde_product, worst_of_arrays)
 from .weights import canonical_key, shifted, unit_key
-
-_EPS = 1e-300
-
 
 # ---------------------------------------------------------------- vertex side
 
@@ -248,6 +245,25 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
 # ------------------------------------------------------------------ face side
 
 @functools.lru_cache(maxsize=None)
+def partial_shifts(n: int, k: int) -> tuple:
+    """(prefixes, prefix): the canonical partial shifts of the ordered step
+    tuples [n]^k, in product order.  At level r < k, prefixes[r] holds the
+    distinct canonical step counts of the first r steps, in order of first
+    appearance, and prefix[r][t] indexes the one of tuple t."""
+    tuples = list(product(range(n), repeat=k))
+    prefixes, prefix = [], []
+    for r in range(k):
+        keys = [canonical_key([t[:r].count(i) for i in range(n)])
+                for t in tuples]
+        distinct = tuple(dict.fromkeys(keys))
+        pos = {key: a for a, key in enumerate(distinct)}
+        prefixes.append(distinct)
+        prefix.append(np.array([pos[key] for key in keys], dtype=int))
+        prefix[-1].setflags(write=False)    # the cached plan is shared
+    return tuple(prefixes), tuple(prefix)
+
+
+@functools.lru_cache(maxsize=None)
 def _path_plan(n: int, k: int) -> SimpleNamespace:
     """Index arrays of the length-k paths at rank n.
 
@@ -266,14 +282,7 @@ def _path_plan(n: int, k: int) -> SimpleNamespace:
     """
     tuples = list(product(range(n), repeat=k))
     index = {t: p for p, t in enumerate(tuples)}
-    prefixes, prefix = [], []
-    for r in range(k):
-        keys = [canonical_key([t[:r].count(i) for i in range(n)])
-                for t in tuples]
-        distinct = tuple(dict.fromkeys(keys))
-        pos = {key: a for a, key in enumerate(distinct)}
-        prefixes.append(distinct)
-        prefix.append(np.array([pos[key] for key in keys], dtype=int))
+    prefixes, prefix = partial_shifts(n, k)
     blocks = {}
     for p, t in enumerate(tuples):
         blocks.setdefault(tuple(sorted(t)), []).append(p)
@@ -303,10 +312,10 @@ def _path_plan(n: int, k: int) -> SimpleNamespace:
     b, s, sp = np.nonzero(real[:, :, None] & real[:, None, :])
     scatter = ((b * width + s) * width + sp, layout[b, s], layout[b, sp])
     paths = np.array(tuples, dtype=int).reshape(len(tuples), k)
-    for arr in (paths, *prefix, *pairs, *pair, layout, *partner, *scatter):
+    for arr in (paths, *pairs, *pair, layout, *partner, *scatter):
         arr.setflags(write=False)       # the cached plan is shared
     return SimpleNamespace(
-        paths=paths, prefixes=tuple(prefixes), prefix=tuple(prefix), pairs=tuple(pairs),
+        paths=paths, prefixes=prefixes, prefix=prefix, pairs=tuple(pairs),
         pair=tuple(pair), layout=layout, partner=tuple(partner),
         scatter=scatter)
 

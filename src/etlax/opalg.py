@@ -2,40 +2,40 @@
 
 A DifferenceOperator is a finite sum coeff_K(lambda) * T_K where T_K shifts
 lambda by hbar * sum_i K_i epsbar_i; keys are canonicalized modulo (1,...,1)
-because sum_i epsbar_i = 0.  An operator is its key set and one batch-first
-coefficient table: table(P) returns {K: array of coeff_K(P[s])} over a
-batch of points P[s, n] (weights.canonical rows).  Sums, products and
-determinants build their table from their operands' tables, reading each
-operand's table once per batch: a composition a b reads b once, on the
-batch of every point P[s] shifted by every key of a (one broadcast,
-weights.shifted), and its key sums are fixed when it is built.  A test
-function takes a batch P[..., n] and returns its values[...]; apply_batch
-and apply_matrix call it once, on every point shifted by every key.
+because sum_i epsbar_i = 0.  A DifferentialOperator is a finite sum
+coeff_alpha(lambda) * d^alpha.  An operator is its tuple of terms and one
+table: table(P) returns one complex array over a batch of points P[s, n]
+(weights.canonical rows) whose axis 1 runs over the terms,
 
-An OperatorMatrix is a matrix of difference operators kept as one table:
-table(P) returns the array A[s, key, i, j] over one key set shared by
-every entry, and entry(i, j) is the DifferenceOperator view of one entry.
-The L-operator, its fusions, the Lax matrix and the Sekiguchi matrix are
-OperatorMatrix tables.  normal_det reads its matrix's table once per batch
-and sums the signed products over permutations in one contraction
-(signed_products); a fixed 0/1 matrix (key_map) then adds each ordered
-tuple of keys onto its canonical key.  The fused traces of transfer use the
-same two steps.  No symbolic simplification is attempted, and operator
-equality is decided numerically on generic sample points (coefficients are
-finite products of theta values, so meromorphic, and vanishing on a dozen
-random points decides vanishing).
+    C[s, key]         a difference operator;
+    A[s, key, i, j]   an OperatorMatrix (the L-operator, its fusions, the
+                      Lax and Sekiguchi matrices), one key set shared by
+                      every entry; entry(i, j) is the slice A[:, :, i, j];
+    J[s, term, m]     a differential operator: the exact Taylor jets of its
+                      coefficients at the order table(P, order) asks, so
+                      the Leibniz rule never needs numerical differentiation.
 
-A DifferentialOperator is a finite sum coeff_alpha(lambda) * d^alpha of the
-same shape: table(P, order) returns {alpha: J[s, m]}, the exact Taylor
-jets of every coefficient over a batch of points, so the Leibniz rule never
-needs numerical differentiation, and every combinator reads each operand's
-table once per batch.  A jet of a batch is one complex array J[..., m],
-m running over monomials(n, order) in graded order; a lower-order jet is a
-prefix slice, so the order is implied by the width.  Products, inverses,
-derivatives and the jets of affine substitutions are array expressions over
-the whole batch, with index plans fixed per (n, order) (truncated
-multivariate Taylor arithmetic, as in Griewank and Walther, Evaluating
-Derivatives, 2008).
+Sums, products and determinants build their table from their operands'
+tables, read once per batch; where several products or operands land on
+one term, the 0/1 matrix of key_map, fixed when the operator is built, adds
+them (merge_keys), the one key merge.  A composition a b reads b once, on
+the batch of every point P[s] shifted by every key of a (one broadcast,
+weights.shifted); normal_det sums the signed products over permutations in
+one contraction (signed_products) before its merge, as the fused traces of
+transfer do.  A test function takes a batch P[..., n] and returns its
+values[...]; apply_batch calls it once, on every point shifted by every
+key.  No symbolic simplification is attempted, and operator equality is
+decided numerically on generic sample points (coefficients are finite
+products of theta values, so meromorphic, and vanishing on a dozen random
+points decides vanishing).
+
+A jet of a batch is one complex array J[..., m], m running over
+monomials(n, order) in graded order, so column 0 holds the values; a
+lower-order jet is a prefix slice, so the order is implied by the width.
+Products, inverses, derivatives and the jets of affine substitutions are
+array expressions over the whole batch, with index plans fixed per
+(n, order) (truncated multivariate Taylor arithmetic, as in Griewank and
+Walther, Evaluating Derivatives, 2008).
 """
 
 from __future__ import annotations
@@ -49,10 +49,8 @@ from typing import Callable
 import numpy as np
 
 from .context import ModularContext
-from .theta import Residual
+from .theta import Residual, max_relative, worst_of_arrays
 from .weights import canonical_key, shifted
-
-_EPS = 1e-300
 
 
 # ----------------------------------------------------------- difference ops
@@ -61,9 +59,9 @@ _EPS = 1e-300
 class DifferenceOperator:
     """Finite sum of coefficient times shift.
 
-    terms holds the canonical shift keys; table(P) returns the
-    coefficients of every one of them at the points P[s, n] as a dict
-    {key: complex array over s}.  Callers never write into those arrays.
+    terms holds the canonical shift keys; table(P) returns the array
+    C[s, key] of the coefficients of every one of them at the points
+    P[s, n].  Callers never write into that array.
     """
 
     n: int
@@ -73,9 +71,11 @@ class DifferenceOperator:
     def coeff(self, key, lam) -> complex:
         """The coefficient of T_key at one point lam[n]: a one-point view
         of table, kept as a name the benchmark traces."""
-        value = self.table(np.asarray(lam, dtype=complex)[None]).get(
-            canonical_key(key))
-        return 0.0 + 0.0j if value is None else complex(value[0])
+        key = canonical_key(key)
+        if key not in self.terms:
+            return 0.0 + 0.0j
+        return complex(self.table(np.asarray(lam, dtype=complex)[None])
+                       [0, self.terms.index(key)])
 
     def keys(self):
         return sorted(self.terms)
@@ -99,97 +99,69 @@ class OperatorMatrix:
 
     def entry(self, i: int, j: int) -> DifferenceOperator:
         """The entry (i, j) as an operator; its batch reads the whole table."""
-        def table(P):
-            a = self.table(P)
-            return {key: a[:, k, i, j] for k, key in enumerate(self.terms)}
-        return DifferenceOperator(self.n, self.terms, table)
+        return DifferenceOperator(self.n, self.terms,
+                                  lambda P: self.table(P)[:, :, i, j])
 
 
-def _accumulate(out: dict, key, value) -> None:
-    out[key] = out[key] + value if key in out else value
+def key_map(keys):
+    """The distinct keys in order of first appearance, and the 0/1 matrix
+    Q[key, t] that adds the coefficient of keys[t] onto its key.  Q is
+    complex, as the tables it contracts: an einsum that must cast an
+    operand runs through buffers that raise the peak memory."""
+    distinct = tuple(dict.fromkeys(keys))
+    index = {key: a for a, key in enumerate(distinct)}
+    q = np.zeros((len(distinct), len(keys)), dtype=complex)
+    q[[index[key] for key in keys], np.arange(len(keys))] = 1.0
+    return distinct, q
+
+
+def merge_keys(q, table) -> np.ndarray:
+    """[s, key, ...] = sum_t q[key, t] table[s, t, ...]: the table's axis 1
+    contracted with a key map (or a weighted one), each key's terms added
+    in the order of t."""
+    return np.einsum("kt,st...->sk...", q, table)
 
 
 def scalar_op(n: int, value) -> DifferenceOperator:
     """Multiplication by the constant value."""
-    zero, const = (0,) * n, complex(value)
-    return DifferenceOperator(
-        n, (zero,), lambda P: {zero: np.full(len(P), const)})
+    const = complex(value)
+    return DifferenceOperator(n, ((0,) * n,),
+                              lambda P: np.full((len(P), 1), const))
 
 
 def identity_op(n: int) -> DifferenceOperator:
     return scalar_op(n, 1.0)
 
 
-def op_add(*ops: DifferenceOperator) -> DifferenceOperator:
-    def table(P):
-        out = {}
-        for op in ops:
-            for key, value in op.table(P).items():
-                _accumulate(out, key, value)
-        return out
-    keys = dict.fromkeys(key for op in ops for key in op.terms)
-    return DifferenceOperator(ops[0].n, tuple(keys), table)
+def op_add(*ops):
+    """The sum of operators of one kind: their tables side by side along
+    axis 1, merged onto the distinct terms."""
+    terms, q = key_map([key for op in ops for key in op.terms])
+
+    def table(P, *order):           # order: that of a differential table
+        return merge_keys(q, np.concatenate([op.table(P, *order)
+                                             for op in ops], axis=1))
+    return type(ops[0])(ops[0].n, terms, table)
 
 
-def _product(a: DifferenceOperator, b: DifferenceOperator,
-             hbar=None) -> DifferenceOperator:
-    """Keys add and coefficients multiply: c_a(lam) c_b(lam + hbar K_a).
-
-    With hbar the product is the composition a after b, and b is read once,
-    on the batch of every P[s] shifted by every key of a; with hbar None,
-    b is read at P itself (the normal product, all shifts moved right).
-    """
-    sums = [(ia, ka, kb, canonical_key([x + y for x, y in zip(ka, kb)]))
-            for ia, ka in enumerate(a.terms) for kb in b.terms]
-
-    def table(P):
-        ta = a.table(P)
-        if hbar is None:
-            tb = b.table(P)
-            right = lambda ia, kb: tb[kb]
-        else:
-            count = len(P)
-            tb = b.table(shifted(P, a.terms, hbar).swapaxes(0, 1)
-                         .reshape(-1, a.n))
-            right = lambda ia, kb: tb[kb][ia * count:(ia + 1) * count]
-        out = {}
-        for ia, ka, kb, key in sums:
-            _accumulate(out, key, ta[ka] * right(ia, kb))
-        return out
-    keys = dict.fromkeys(key for _, _, _, key in sums)
-    return DifferenceOperator(a.n, tuple(keys), table)
+def op_scale(op, z):
+    """Multiplication of an operator of either kind by the constant z."""
+    def table(P, *order):
+        return z * op.table(P, *order)
+    return type(op)(op.n, op.terms, table)
 
 
-def op_scale(op: DifferenceOperator, factor) -> DifferenceOperator:
-    """Left multiplication by factor: a constant, or an operator whose only
-    key is the identity shift (a batch-first scalar)."""
-    if not isinstance(factor, DifferenceOperator):
-        factor = scalar_op(op.n, factor)
-    return _product(factor, op)
-
-
-def apply_batch(op: DifferenceOperator, f, P,
-                ctx: ModularContext) -> np.ndarray:
+def apply_batch(op, f, P, ctx: ModularContext) -> np.ndarray:
     """(op f)(P[s]) = sum_K coeff_K(P[s]) f(P[s] + hbar K . epsbar) over a
-    batch of points, reading the table of op once and calling f once, on
-    every point shifted by every key."""
+    batch of points, for a DifferenceOperator ([s]) or an OperatorMatrix
+    ([s, i, j], every entry): reads the table of op once and calls f once,
+    on every point shifted by every key."""
     P = np.asarray(P, dtype=complex)
-    coeffs = op.table(P)
-    values = f(shifted(P, list(coeffs), ctx.hbar))               # [s, key]
-    return sum((c * values[:, k] for k, c in enumerate(coeffs.values())),
-               np.zeros(len(P), dtype=complex))
-
-
-def apply_matrix(matrix: OperatorMatrix, f, P,
-                 ctx: ModularContext) -> np.ndarray:
-    """[(M_ij f)(P[s])]_{s, i, j}: apply_batch of every entry of the
-    matrix, reading its table once and calling f once."""
-    P = np.asarray(P, dtype=complex)
-    a = matrix.table(P)
-    values = f(shifted(P, matrix.terms, ctx.hbar))               # [s, key]
-    return sum((a[:, k] * values[:, k, None, None]
-                for k in range(len(matrix.terms))),
-               np.zeros((len(P), matrix.size, matrix.size), dtype=complex))
+    coeffs = op.table(P)                                        # [s, key, ...]
+    values = f(shifted(P, op.terms, ctx.hbar))                  # [s, key]
+    values = values.reshape(values.shape + (1,) * (coeffs.ndim - 2))
+    return sum((coeffs[:, k] * values[:, k] for k in range(len(op.terms))),
+               np.zeros(coeffs.shape[:1] + coeffs.shape[2:], dtype=complex))
 
 
 def apply_op(op: DifferenceOperator, f, lam,
@@ -202,28 +174,41 @@ def apply_op(op: DifferenceOperator, f, lam,
 
 def compose(a: DifferenceOperator, b: DifferenceOperator,
             ctx: ModularContext) -> DifferenceOperator:
-    """a after b: coefficient c_a(lam) c_b(lam + hbar K_a), keys add."""
-    return _product(a, b, ctx.hbar)
+    """a after b: coefficient c_a(lam) c_b(lam + hbar K_a), keys add.
+
+    b is read once, on the batch of every P[s] shifted by every key of a,
+    and the product of every pair of keys is merged onto its canonical sum.
+    """
+    hbar = ctx.hbar
+    terms, q = key_map([canonical_key([x + y for x, y in zip(ka, kb)])
+                        for ka in a.terms for kb in b.terms])
+
+    def table(P):
+        count = len(P)
+        ta = a.table(P)
+        tb = b.table(shifted(P, a.terms, hbar).swapaxes(0, 1)
+                     .reshape(-1, a.n)).reshape(len(a.terms), count, -1)
+        return merge_keys(q, (ta[:, :, None] * tb.swapaxes(0, 1))
+                          .reshape(count, -1))
+    return DifferenceOperator(a.n, terms, table)
 
 
 def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
-    """Max coefficient difference over keys and samples, relative to scale.
+    """Max coefficient difference over terms and samples, relative to scale.
 
-    a and b are both DifferenceOperators or both DifferentialOperators;
-    either kind exposes its keys as terms and its coefficients on a batch
-    of points as table, which is read once per operator.  A difference
-    table holds the values over the batch, a differential table their jets
-    J[s, m] (at order 0, one column): column 0 of either is read.
+    a and b are both DifferenceOperators or both DifferentialOperators, and
+    each table is read once.  Its values are C[s, key], or column 0 of
+    J[s, term, m]; the two are aligned by index on the union of the terms,
+    a term missing from one operator counting as zero there.
     """
     samples = np.asarray(samples, dtype=complex)
-    ta, tb = a.table(samples), b.table(samples)
-    zero = np.zeros((len(samples), 1), dtype=complex)
-    keys = list(dict.fromkeys([*a.terms, *b.terms]))
-    ca, cb = (np.array([np.reshape(t.get(key, zero), (len(samples), -1))[:, 0]
-                        for key in keys]) for t in (ta, tb))
-    worst = float(np.max(np.abs(ca - cb)))
-    scale = max(float(np.max(np.abs(ca))), float(np.max(np.abs(cb))))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
+    terms = tuple(dict.fromkeys(a.terms + b.terms))
+    ca, cb = (np.zeros((len(samples), len(terms)), dtype=complex)
+              for _ in range(2))
+    for out, op in ((ca, a), (cb, b)):
+        out[:, [terms.index(key) for key in op.terms]] = op.table(
+            samples).reshape(len(samples), len(op.terms), -1)[:, :, 0]
+    return worst_of_arrays(*max_relative(ca, cb))
 
 
 def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
@@ -231,18 +216,6 @@ def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
     """Residual of [a, b] = 0, i.e. of a b = b a."""
     return operator_residual(compose(a, b, ctx), compose(b, a, ctx),
                              samples, ctx)
-
-
-def key_map(raw_keys):
-    """The canonical keys of raw shift vectors, in order of first
-    appearance, and the 0/1 matrix Q[key, t] that adds the coefficient of
-    raw_keys[t] onto its canonical key."""
-    canon = [canonical_key(key) for key in raw_keys]
-    keys = tuple(dict.fromkeys(canon))
-    index = {key: a for a, key in enumerate(keys)}
-    q = np.zeros((len(keys), len(canon)))
-    q[[index[key] for key in canon], np.arange(len(canon))] = 1.0
-    return keys, q
 
 
 def signed_products(factors, signs) -> np.ndarray:
@@ -272,8 +245,8 @@ def normal_det(matrix: OperatorMatrix, t: complex,
     keys = tuple(dict.fromkeys((zero,) + matrix.terms))
     slots = [keys.index(key) for key in matrix.terms]
     tuples = np.array(list(product(range(len(keys)), repeat=size)))  # (T, n)
-    out_keys, keymap = key_map(
-        [[sum(keys[a][x] for a in tup) for x in range(nn)] for tup in tuples])
+    terms, keymap = key_map([canonical_key(
+        [sum(keys[a][x] for a in tup) for x in range(nn)]) for tup in tuples])
     perms = np.array(list(permutations(range(size))))               # (P, n)
     signs = np.array([perm_sign(p) for p in perms], dtype=float)
     diag = np.arange(size)
@@ -283,11 +256,10 @@ def normal_det(matrix: OperatorMatrix, t: complex,
         m[:, slots] = matrix.table(P)
         m[:, 0, diag, diag] -= t
         # factor r: M[s, K_r, r, sigma(r)] over (ordered key tuple, sigma)
-        coeffs = signed_products(
+        return merge_keys(keymap, signed_products(
             [m[:, tuples[:, r][:, None], r, perms[:, r][None, :]]
-             for r in range(size)], signs) @ keymap.T
-        return {key: coeffs[:, a] for a, key in enumerate(out_keys)}
-    return DifferenceOperator(nn, out_keys, table)
+             for r in range(size)], signs))
+    return DifferenceOperator(nn, terms, table)
 
 
 def perm_sign(perm) -> int:
@@ -425,10 +397,10 @@ class DifferentialOperator:
     """Finite sum of coeff_alpha(lambda) d^alpha.
 
     terms holds the multi-indices alpha; table(P, order=0) returns the
-    jets, to exactly that order, of every coefficient at the points P[s, n]
-    as a dict {alpha: J[s, m]}, m running over monomials(n, order), so
-    column 0 holds the coefficient values.  Callers never write into those
-    arrays.
+    array J[s, term, m] of the jets, to exactly that order, of every
+    coefficient at the points P[s, n], m running over monomials(n, order),
+    so J[..., 0] holds the coefficient values.  Callers never write into
+    that array.
     """
 
     n: int
@@ -443,58 +415,66 @@ def pdo(n: int, items) -> DifferentialOperator:
     """Sum of (alpha, coefficient) items; a coefficient is a constant or a
     jet closure (P, order) -> J[s, m]."""
     items = [(tuple(alpha), fn) for alpha, fn in items]
+    terms, q = key_map([alpha for alpha, _ in items])
 
     def table(P, order=0):
-        out = {}
-        for alpha, fn in items:
-            _accumulate(out, alpha, fn(P, order) if callable(fn) else
-                        jet_constant(fn, len(P), n, order))
-        return out
-    return DifferentialOperator(
-        n, tuple(dict.fromkeys(alpha for alpha, _ in items)), table)
+        return merge_keys(q, np.stack(
+            [fn(P, order) if callable(fn) else
+             jet_constant(fn, len(P), n, order) for _, fn in items], axis=1))
+    return DifferentialOperator(n, terms, table)
 
 
-def pdo_add(*ops: DifferentialOperator) -> DifferentialOperator:
-    def table(P, order=0):
-        out = {}
-        for op in ops:
-            for alpha, jet in op.table(P, order).items():
-                _accumulate(out, alpha, jet)
-        return out
-    terms = dict.fromkeys(alpha for op in ops for alpha in op.terms)
-    return DifferentialOperator(ops[0].n, tuple(terms), table)
+@functools.lru_cache(maxsize=None)
+def _leibniz_plan(a_terms: tuple, b_terms: tuple) -> tuple:
+    """Gather arrays of the Leibniz items of a composition a b.
 
-
-def pdo_scale(op: DifferentialOperator, z: complex) -> DifferentialOperator:
-    def table(P, order=0):
-        return {alpha: jet * z for alpha, jet in op.table(P, order).items()}
-    return DifferentialOperator(op.n, op.terms, table)
+    An item is (alpha of a, beta of b, gamma <= alpha); it multiplies the
+    jet left[item] of a with d^rests[which[item]] of the jet right[item] of
+    b, times mults[item] = C(alpha, gamma), and q merges it onto its term
+    gamma + beta of terms.
+    """
+    plan = [(ia, ib, tuple(x - y for x, y in zip(alpha, gamma)),
+             math.prod(map(math.comb, alpha, gamma)),
+             tuple(x + y for x, y in zip(gamma, beta)))
+            for ia, alpha in enumerate(a_terms)
+            for ib, beta in enumerate(b_terms)
+            for gamma in product(*(range(x + 1) for x in alpha))]
+    left, right, rest, mults, keys = zip(*plan)
+    rests = {r: a for a, r in enumerate(dict.fromkeys(rest))}
+    which = np.array([rests[r] for r in rest])
+    left, right = np.array(left), np.array(right)
+    mults = np.array(mults, dtype=float)[:, None]
+    terms, q = key_map(keys)
+    for arr in (which, left, right, mults, q):
+        arr.setflags(write=False)       # the cached plan is shared
+    return tuple(rests), which, left, right, mults, terms, q
 
 
 def pdo_compose(a: DifferentialOperator, b: DifferentialOperator,
                 ctx: ModularContext) -> DifferentialOperator:
     """Leibniz-rule composition a(lam, d) b(lam, d): a_alpha d^alpha b_beta
     d^beta sums C(alpha, gamma) a_alpha (d^(alpha-gamma) b_beta)
-    d^(gamma+beta) over gamma <= alpha.  That plan is fixed here; a batch
-    reads a once and b once, a.order() orders deeper for the derivatives."""
+    d^(gamma+beta) over gamma <= alpha.
+
+    Those items are gather arrays fixed per pair of term tuples
+    (_leibniz_plan).  A batch reads a once and b once, a.order() orders
+    deeper, takes each distinct derivative d^(alpha-gamma) of b's table
+    once, and multiplies the jets of every item in one jet_mul.
+    """
     n = a.n
-    plan = [(alpha, beta, tuple(x - y for x, y in zip(alpha, gamma)),
-             math.prod(map(math.comb, alpha, gamma)),
-             tuple(x + y for x, y in zip(gamma, beta)))
-            for alpha in a.terms for beta in b.terms
-            for gamma in product(*(range(x + 1) for x in alpha))]
+    rests, which, left, right, mults, terms, q = _leibniz_plan(a.terms,
+                                                               b.terms)
     extra = a.order()
 
     def table(P, order=0):
         ja, jb = a.table(P, order), b.table(P, order + extra)
-        out = {}
-        for alpha, beta, rest, mult, key in plan:
-            _accumulate(out, key, jet_mul(ja[alpha],
-                                          jet_deriv(jb[beta], n, rest), n)
-                        * mult)
-        return out
-    return DifferentialOperator(
-        n, tuple(dict.fromkeys(key for *_, key in plan)), table)
+        width = ja.shape[-1]
+        derivs = np.stack([jet_deriv(jb, n, rest)[..., :width]
+                           for rest in rests])          # [rest, s, beta, m]
+        return merge_keys(q, jet_mul(ja[:, left],
+                                     derivs[which, :, right].swapaxes(0, 1),
+                                     n) * mults)
+    return DifferentialOperator(n, terms, table)
 
 
 def pdo_apply(op: DifferentialOperator, fjet, P) -> np.ndarray:
@@ -503,8 +483,8 @@ def pdo_apply(op: DifferentialOperator, fjet, P) -> np.ndarray:
     coeffs = op.table(P)
     fj = fjet(P, op.order())
     total = np.zeros(len(P), dtype=complex)
-    for alpha in op.terms:
-        total += coeffs[alpha][:, 0] * jet_deriv(fj, op.n, alpha)[:, 0]
+    for t, alpha in enumerate(op.terms):
+        total += coeffs[:, t, 0] * jet_deriv(fj, op.n, alpha)[:, 0]
     return total
 
 

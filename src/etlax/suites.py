@@ -20,7 +20,7 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext
-from .opalg import (apply_matrix, commutator_residual, exp_function,
+from .opalg import (apply_batch, commutator_residual, exp_function,
                     identity_op, jet_deriv, normal_det, op_add, op_scale,
                     operator_residual, pdo_commutator_residual)
 from .report import Case, SuiteReport
@@ -248,8 +248,8 @@ def suite_rll(ctx: ModularContext, rng, tol: float):
     cases.append(_case("rll-equal-points", tr.verify_rll(c, u, u, ctx, lams[:2],
                                                          fns[:2]), tol))
     lop0 = tr.l_op(0.0, u, ctx)
-    vals = apply_matrix(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
-                        lams[:1], ctx)[0]
+    vals = apply_batch(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
+                       lams[:1], ctx)[0]
     cases.append(_case("c0-identity", _worst_deviation(
         abs(val - (1.0 if i == j else 0.0))
         for i, row in enumerate(vals.tolist()) for j, val in enumerate(row)),
@@ -403,10 +403,9 @@ def suite_ruijsenaars(ctx: ModularContext, rng, tol: float):
 
 
 def _coeffs_at(op, lam) -> dict:
-    """Every coefficient of a differential operator at one point lam[n]:
-    its table at the batch of one, read once."""
-    return {alpha: complex(jet[0, 0])
-            for alpha, jet in op.table(lam[None]).items()}
+    """Every coefficient of a differential operator at one point lam[n],
+    by term: its table at the batch of one, read once."""
+    return dict(zip(op.terms, op.table(lam[None])[0, :, 0].tolist()))
 
 
 def suite_krichever(ctx: ModularContext, rng, tol: float):
@@ -526,7 +525,7 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         cases.append(_case(f"l-operator-invariance-l{l}",
                            ts.fit_matrix_action(l, lop, ctx, seeds)[1], tol))
         m1 = tr.m_closed(float(l), u, 1, ctx)
-        _, res = ts.fit_action(l, u, m1, ctx, seed=_seed(rng))
+        _, res = ts.fit_action(l, m1, ctx, seed=_seed(rng))
         cases.append(_case(f"m1-invariance-l{l}", res, tol))
         cases.append(_control_case(f"negative-control-l{l}",
                                    ts.negative_control(l, m1, ctx, _seed(rng)),

@@ -125,6 +125,16 @@ def residual_arrays(lhs, rhs) -> tuple:
     return d / (np.abs(lhs) + np.abs(rhs) + _EPS), d
 
 
+def max_relative(lhs, rhs, axis=None) -> tuple:
+    """rel and abs of max|lhs - rhs| relative to max(max|lhs|, max|rhs|),
+    the maxima taken over axis (all of it by default).  np.max, unlike
+    Python's max, keeps a NaN, so a NaN entry gives a NaN rel."""
+    worst = np.max(np.abs(lhs - rhs), axis=axis)
+    scale = np.maximum(np.max(np.abs(lhs), axis=axis),
+                       np.max(np.abs(rhs), axis=axis))
+    return worst / (scale + _EPS), worst
+
+
 def residual_pair(lhs: complex, rhs: complex) -> Residual:
     """|lhs-rhs| in absolute and in relative (scale |lhs|+|rhs|) form."""
     d = abs(lhs - rhs)

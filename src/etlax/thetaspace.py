@@ -31,14 +31,12 @@ import numpy as np
 
 from .context import ContextError, ModularContext
 from .belavin import build_r, r_table
-from .opalg import (DifferenceOperator, OperatorMatrix, apply_batch,
-                    apply_matrix, exp_function)
-from .theta import (_WINDOW_DROP, Residual, residual_arrays, theta_table,
+from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
+from .theta import (_EPS, _WINDOW_DROP, Residual, residual_arrays, theta_table,
                     worst_of, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_many, sample_points, subseeds
 
-_EPS = 1e-300
 _CHI_CHUNK = 1 << 20    # terms of a chi_table work array (16 MB)
 _CHI_BOX = 1 << 21      # lattice candidates a ball may enumerate (~0.4 GB)
 
@@ -247,7 +245,7 @@ def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
     return coeffs, found
 
 
-def fit_action(l: int, u: complex, op: DifferenceOperator, ctx: ModularContext,
+def fit_action(l: int, op: DifferenceOperator, ctx: ModularContext,
                seed: int = 0):
     """Expand op applied to every basis function back in the basis.
 
@@ -268,7 +266,7 @@ def fit_matrix_action(l: int, matrix: OperatorMatrix, ctx: ModularContext,
     taken entry by entry in row-major order.
     """
     coeffs, found = _fit_entries(
-        l, lambda fn, P: apply_matrix(matrix, fn, P, ctx).reshape(len(P), -1),
+        l, lambda fn, P: apply_batch(matrix, fn, P, ctx).reshape(len(P), -1),
         seeds, ctx)
     size, dim = matrix.size, coeffs.shape[-1]
     return (coeffs.reshape(size, size, dim, dim),
@@ -310,7 +308,7 @@ def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
     P = sample_many(seed, samples, ctx)
     gamma = [gamma_index(b, n) for b in range(n)]
     basis = character_basis(1, ctx)
-    lhs = np.stack([apply_matrix(lop, basis.function((j,), ctx), P, ctx)
+    lhs = np.stack([apply_batch(lop, basis.function((j,), ctx), P, ctx)
                     for j in gamma], axis=1)                    # [s, a, i, j]
     rhs = pref * np.einsum("sb,iajb->saij", chi_table(P, ctx)[:, gamma], r4)
     return worst_of_arrays(*residual_arrays(lhs, rhs))
@@ -384,7 +382,7 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     lhs, rhs = [], []
     for js in basis.elements:
         gjs = tuple(gamma_index(j, n) for j in js)
-        applied = apply_matrix(lop, basis.function(gjs, ctx), P, ctx)
+        applied = apply_batch(lop, basis.function(gjs, ctx), P, ctx)
         for i in range(n):
             for ip in range(n):
                 action = _coproduct_action(i, ip, js, u, ctx)

@@ -15,24 +15,30 @@ the generating-function determinant, the Ruijsenaars conjugation, the
 Krichever matrix, the differential (Calogero-Moser) limit and the
 trigonometric (Macdonald) limit.
 
-Every matrix of difference operators here is one opalg.OperatorMatrix
-table A[s, key, i, j] over a batch of points: the fused L-operators, the
-Lax matrix L~, its conjugation route and the Sekiguchi matrix.  L(c|u) is
-the fused L-operator at k = 1 (l_op).  The coefficient of the ordered shift
-(k_1..k_d) in the fused entry (I, I') is the quantum minor
+Every operator here is one opalg table over a batch of points, axis 1
+running over its terms: C[s, key] for the traces, closed forms and their
+sums and products; A[s, key, i, j] (an OperatorMatrix) for the fused
+L-operators, the Lax matrix L~, its conjugation route and the Sekiguchi
+matrix; J[s, term, m] for the differential operators D[1..n], H and the
+Krichever entries.  L(c|u) is the fused L-operator at k = 1 (l_op).  The
+coefficient of the ordered shift (k_1..k_d) in the fused entry (I, I') is
+the quantum minor
 
     sum_sigma sgn(sigma) prod_r A_r[k_r, i_sigma(r), i'_r]
                                   (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
 
 A_r = l_coeff_tensor(c, u - (r-1) hbar).  fused_l tabulates every A_r at
-the distinct partial-shift points of every sample in one batch (one build
-of their intertwiners), gathers them per ordered shift tuple,
-contracts them with the generalized-Kronecker signs (opalg.signed_products)
-and adds the tuples onto their canonical keys with a fixed 0/1 matrix;
-m_trace is the trace of that array.  verify_fused_rll reads the same
-arrays, and normal_det reads any of these matrices' tables once per batch
-for the generating determinant.  The Lax coefficients are one function of
-g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at g = c h/n.
+the distinct partial-shift points (belavin.partial_shifts) of every sample
+in one batch (one build of their intertwiners), gathers them per ordered
+shift tuple, contracts them with the generalized-Kronecker signs
+(opalg.signed_products) and adds the tuples onto their canonical keys with
+the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
+build_d_ops merges d^J Delta / Delta onto the terms of D[m] the same way,
+with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll reads the
+same arrays, and normal_det reads any of these matrices' tables once per
+batch for the generating determinant.  The Lax coefficients are one
+function of g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at
+g = c h/n.
 """
 
 from __future__ import annotations
@@ -46,19 +52,17 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .context import ModularContext, SingularParameterError
-from .belavin import fused_rcheck_matrix, intertwiner_arrays
+from .belavin import fused_rcheck_matrix, intertwiner_arrays, partial_shifts
 from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
                     exp_function, exp_test_function, identity_op,
                     jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
-                    key_map, op_add, op_scale, operator_residual, normal_det,
-                    pdo, pdo_add, pdo_apply, pdo_compose, pdo_scale,
-                    perm_sign, signed_products)
-from .theta import (Residual, residual_arrays, theta, theta_level_table,
-                    theta_table, worst_of, worst_of_arrays)
+                    key_map, merge_keys, op_add, op_scale, operator_residual,
+                    normal_det, pdo, pdo_apply, pdo_compose, perm_sign,
+                    signed_products)
+from .theta import (_EPS, Residual, max_relative, residual_arrays, theta,
+                    theta_level_table, theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
-
-_EPS = 1e-300
 
 
 # ----------------------------------------------------------- basic L-operator
@@ -97,10 +101,11 @@ class _FusionPlan:
 
     Ordered shift tuples t = (k_0..k_{k-1}) run over [n]^k.  At level r,
     prefix[r][t] indexes the canonical partial shift e_k_0 + ... + e_k_{r-1}
-    of t in prefixes[r] and shift[r][t] = k_r.  A term z = (I, sigma) of
-    the generalized Kronecker sum reads the L-entry (rows[r][z], cols[r][w])
-    at level r for the column subset w = I', with signs[z, I] = sgn(sigma).
-    keymap adds each tuple onto its canonical key in terms.
+    of t in prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r.  A
+    term z = (I, sigma) of the generalized Kronecker sum reads the L-entry
+    (rows[r][z], cols[r][w]) at level r for the column subset w = I', with
+    signs[z, I] = sgn(sigma).  keymap adds each tuple onto its canonical key
+    in terms.
     """
 
     prefixes: tuple
@@ -118,15 +123,8 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
     subs = list(combinations(range(n), k))
     perms = list(permutations(range(k)))
     tuples = list(product(range(n), repeat=k))
-    prefixes, prefix, shift = [], [], []
-    for r in range(k):
-        keys = [canonical_key([t[:r].count(i) for i in range(n)])
-                for t in tuples]
-        distinct = tuple(dict.fromkeys(keys))
-        pos = {key: a for a, key in enumerate(distinct)}
-        prefixes.append(distinct)
-        prefix.append(np.array([pos[key] for key in keys]))
-        shift.append(np.array([t[r] for t in tuples]))
+    prefixes, prefix = partial_shifts(n, k)
+    shift = [np.array([t[r] for t in tuples]) for r in range(k)]
     terms = [(a, perm) for a in range(len(subs)) for perm in perms]
     rows = tuple(np.array([subs[a][perm[r]] for a, perm in terms])
                  for r in range(k))
@@ -134,11 +132,12 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
     signs = np.zeros((len(terms), len(subs)))
     for z, (a, perm) in enumerate(terms):
         signs[z, a] = perm_sign(perm)
-    keys, keymap = key_map([[t.count(i) for i in range(n)] for t in tuples])
-    for arr in (*prefix, *shift, *rows, *cols, signs, keymap):
+    keys, keymap = key_map([canonical_key([t.count(i) for i in range(n)])
+                            for t in tuples])
+    for arr in (*shift, *rows, *cols, signs, keymap):
         arr.setflags(write=False)       # the cached plan is shared
-    return _FusionPlan(tuple(prefixes), tuple(prefix), tuple(shift), rows,
-                       cols, signs, keys, keymap)
+    return _FusionPlan(prefixes, prefix, tuple(shift), rows, cols, signs,
+                       keys, keymap)
 
 
 def fused_l(c: complex, u: complex, k: int,
@@ -175,18 +174,15 @@ def fused_l(c: complex, u: complex, k: int,
             factors.append(g[:, :, plan.rows[r][None, :],
                              plan.cols[r][:, None]])            # [t, s, I', z]
         fused = signed_products(factors, plan.signs)            # [t, s, I', I]
-        return np.einsum("kt,tswi->skiw", plan.keymap, fused)
+        return merge_keys(plan.keymap, fused.transpose(1, 0, 3, 2))
     return OperatorMatrix(n, math.comb(n, k), plan.terms, table)
 
 
 def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
     """Trace of the fused L-operator over the degree-d antisymmetric space."""
     fl = fused_l(c, u, d, ctx)
-
-    def table(P):
-        trace = np.einsum("skii->sk", fl.table(P))
-        return {key: trace[:, a] for a, key in enumerate(fl.terms)}
-    return DifferenceOperator(ctx.n, fl.terms, table)
+    return DifferenceOperator(ctx.n, fl.terms,
+                              lambda P: np.einsum("skii->sk", fl.table(P)))
 
 
 # ------------------------------------------------------------- closed form
@@ -213,8 +209,7 @@ def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
         # coefficient: numpy's complex division rounds otherwise
         ratios = [x / y for x, y in zip(num.ravel().tolist(),
                                         den.ravel().tolist())]
-        return dict(zip(keys, np.prod(np.reshape(ratios, num.shape),
-                                      axis=1).T))
+        return np.prod(np.reshape(ratios, num.shape), axis=1)  # [p, I]
     return DifferenceOperator(n, keys, table)
 
 
@@ -305,12 +300,11 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     :det[theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i)]: equals
     det[theta_j(u/n - lam_i)] * sum_d (-t)^(n-d) M_d(c|u) coefficientwise.
     """
-    zero = (0,) * ctx.n
     det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
-    weight = DifferenceOperator(ctx.n, (zero,), lambda P: {
-        zero: np.linalg.det(_level_thetas(u, P, ctx))})
-    return operator_residual(det, op_scale(genfunc_sum(c, u, t, ctx), weight),
-                             samples, ctx)
+    gen = genfunc_sum(c, u, t, ctx)
+    weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: np.linalg.det(
+        _level_thetas(u, P, ctx))[:, None] * gen.table(P))
+    return operator_residual(det, weighted, samples, ctx)
 
 
 # ------------------------------------------------------------ Lax matrix
@@ -371,11 +365,14 @@ def l_tilde_conjugated(c: complex, u: complex,
 
 def verify_ltilde_conjugation(c: complex, u: complex, ctx: ModularContext,
                               samples) -> Residual:
-    direct = l_tilde(c, u, ctx)
-    conj = l_tilde_conjugated(c, u, ctx)
-    return worst_of(operator_residual(direct.entry(i, j), conj.entry(i, j),
-                                      samples, ctx)
-                    for i in range(ctx.n) for j in range(ctx.n))
+    """The coefficients of l_tilde against its conjugation route, entry by
+    entry: each table is read once, the residual of an entry is the
+    operator_residual of its keys and samples, and the worst entry is taken
+    in row-major order."""
+    samples = np.asarray(samples, dtype=complex)
+    return worst_of_arrays(*max_relative(
+        l_tilde(c, u, ctx).table(samples),
+        l_tilde_conjugated(c, u, ctx).table(samples), axis=(0, 1)))
 
 
 def verify_ltilde_limit(c: complex, u: complex, ctx: ModularContext,
@@ -437,10 +434,7 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
     rhs = np.einsum("yxij,skyd,skmxc,skmf->fsijcd",
                     rf, a_v0, a_u_after, f_vu, optimize=True)
-    # np.max, unlike Python's max, keeps a NaN, so a NaN residual fails
-    worst = float(np.max(np.abs(lhs - rhs)))
-    scale = float(np.max([np.max(np.abs(lhs)), np.max(np.abs(rhs))]))
-    return Residual(rel=worst / (scale + _EPS), abs=worst)
+    return worst_of_arrays(*max_relative(lhs, rhs))
 
 
 # --------------------------------------------------------- Krichever matrix
@@ -623,16 +617,19 @@ def delta_jet(P, order: int, ctx: ModularContext) -> np.ndarray:
     return _product_jet(_pair_jets(P, order, ctx), ctx.n)
 
 
-def _delta_ratios(jd: np.ndarray, order: int, jsets, n: int) -> dict:
-    """{J: jets of d^J Delta / Delta} to the given order, from the jet jd of
-    Delta, at least len(J) orders deeper, inverted once.  The empty J gives
-    the constant 1 exactly, not Delta times its rounded inverse, whose noisy
-    derivatives a composition would pick up."""
+def _delta_ratios(jd: np.ndarray, order: int, jsets, n: int) -> np.ndarray:
+    """[s, J, m], the jets of d^J Delta / Delta to the given order for every
+    J of jsets, from the jet jd of Delta, at least len(J) orders deeper,
+    inverted once.  The empty J gives the constant 1 exactly, not Delta
+    times its rounded inverse, whose noisy derivatives a composition would
+    pick up."""
     inv = jet_inv(jd, n)
     width = math.comb(n + order, n)
-    return {jset: jet_mul(jet_deriv(jd, n, [int(a in jset) for a in range(n)])
-                          [:, :width], inv, n) if jset else
-            jet_constant(1.0, len(jd), n, order) for jset in jsets}
+    return np.stack([jet_mul(jet_deriv(jd, n, [int(a in jset)
+                                               for a in range(n)])
+                             [:, :width], inv, n) if jset else
+                     jet_constant(1.0, len(jd), n, order) for jset in jsets],
+                    axis=1)
 
 
 def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
@@ -641,7 +638,9 @@ def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
     D[m] = sum_{|I|=m} sum_{J subset I} (d^J Delta / Delta) (-n/c d)^{I \\ J}.
 
     A read of D[m]'s table builds d^J Delta / Delta once per distinct J
-    (at n = 3, D[3] has 26 (I, J) items and 8 distinct J).
+    (at n = 3, D[3] has 26 (I, J) items and 8 distinct J) and merges them
+    onto the terms alpha = I \\ J with a matrix fixed here, the key map of
+    the items weighted by their (-n/c)^|I \\ J|.
     """
     n = ctx.n
     factor = -n / c
@@ -652,18 +651,19 @@ def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
                  for big_i in combinations(range(n), m)
                  for jsize in range(m + 1)
                  for jset in combinations(big_i, jsize)]
-        jsets = tuple(dict.fromkeys(jset for _, jset, _ in items))
+        alphas, jset_of, scales = zip(*items)
+        jsets = tuple(dict.fromkeys(jset_of))
+        terms, q = key_map(alphas)
+        pick = np.zeros((len(items), len(jsets)), dtype=complex)
+        pick[np.arange(len(items)), [jsets.index(j) for j in jset_of]] = scales
+        weights = q @ pick                                  # [alpha, J]
 
         def table(P, order=0):
             # Delta's jet to the order the largest J needs
-            ratios = _delta_ratios(delta_jet(P, order + max(map(len, jsets)),
-                                             ctx), order, jsets, n)
-            out = {}
-            for alpha, jset, scale in items:
-                out[alpha] = out.get(alpha, 0.0) + ratios[jset] * scale
-            return out
-        return DifferentialOperator(
-            n, tuple(dict.fromkeys(alpha for alpha, _, _ in items)), table)
+            return merge_keys(weights, _delta_ratios(
+                delta_jet(P, order + max(map(len, jsets)), ctx), order,
+                jsets, n))
+        return DifferentialOperator(n, terms, table)
     return [d_op(m) for m in range(1, n + 1)]
 
 
@@ -693,19 +693,20 @@ def hamiltonian_cm(c: complex, ctx: ModularContext) -> DifferentialOperator:
         pair_inv = jet_inv(pair_jets, n)
         deeper = math.comb(n + order + 1, n)
         width = math.comb(n + order, n)
-        out, zero = {}, jet_constant(0.0, len(P), n, order)
+        # terms d_i^2, d_i for every i, then the zero-order term
+        out = np.empty((len(P), 2 * n + 1, width), dtype=complex)
+        zero = jet_constant(0.0, len(P), n, order)
         for i, e in enumerate(units):
-            gi = ratios[(i,)] * g
-            out[tuple(2 * x for x in e)] = jet_constant(1.0, len(P), n,
-                                                        order)
-            out[e] = gi[:, :width] * (-2.0)
+            gi = ratios[:, i] * g
+            out[:, 2 * i] = jet_constant(1.0, len(P), n, order)
+            out[:, 2 * i + 1] = gi[:, :width] * (-2.0)
             zero = (zero + jet_deriv(gi, n, e) * (-1.0)
                     + jet_mul(gi[:, :width], gi, n))
         # sum_{k<l} (log theta)''(lam_kl), each as d_k (d_k theta / theta)
         pot = sum(jet_deriv(jet_mul(jet_deriv(pair_jets[:, p], n, e)
                                     [:, :deeper], pair_inv[:, p], n), n, e)
                   for p, e in enumerate(firsts))
-        out[(0,) * n] = zero + 2.0 * g * (g + 1.0) * pot
+        out[:, 2 * n] = zero + 2.0 * g * (g + 1.0) * pot
         return out
     return DifferentialOperator(
         n, tuple(key for e in units for key in (tuple(2 * x for x in e), e))
@@ -720,9 +721,9 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     """
     g = c / ctx.n
     d_ops = build_d_ops(c, 0.0, ctx)
-    d1 = pdo_scale(d_ops[0], g)
-    d2 = pdo_scale(d_ops[1], g * g)
-    combo = pdo_add(pdo_compose(d1, d1, ctx), pdo_scale(d2, -2.0))
+    d1 = op_scale(d_ops[0], g)
+    d2 = op_scale(d_ops[1], g * g)
+    combo = op_add(pdo_compose(d1, d1, ctx), op_scale(d2, -2.0))
     return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
 
 
@@ -770,7 +771,7 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
     """(c/n)^2 D[2] = (Mdot_2'' - (n-1) Mdot_1'')/2 via hbar differences."""
     n = ctx.n
     g = c / n
-    d2 = pdo_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
+    d2 = op_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
     samples = np.asarray(samples, dtype=complex)
     got, want = [], []
     for vec in vecs:
@@ -807,17 +808,17 @@ def verify_macdonald_limit(c: complex, u: complex, d: int,
     mop = m_dot(c, d, mctx)
     tpar = cmath.exp(2j * cmath.pi * gh)
     tpar_half = cmath.exp(1j * cmath.pi * gh)   # branch-free square root
-    coeffs = mop.table(samples)
+    coeffs = mop.table(samples)                 # [s, subset]
     z = np.exp(2j * np.pi * samples)
     sides = []                                  # [subset, lhs/rhs, s, case]
-    for subset in combinations(range(n), d):
+    for a, subset in enumerate(combinations(range(n), d)):
         s, t = np.array([(s, t) for s in range(n) if s not in subset
                          for t in subset], dtype=int).reshape(-1, 2).T
         lst = samples[:, s] - samples[:, t]
         sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=-1)
         zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
                         / tpar_half, axis=-1)
-        got = coeffs[canonical_key(subset_key(n, subset))]
+        got = coeffs[:, a]
         sides.append([np.stack([got, sine], -1), np.stack([sine, zform], -1)])
     lhs, rhs = np.array(sides).transpose(1, 2, 0, 3)
     return worst_of_arrays(*residual_arrays(lhs, rhs))

@@ -68,8 +68,10 @@ def shift_eps(lam, i, scale):
 def pdo_coeff(op, alpha, lam):
     """The coefficient of d^alpha in a differential operator at one point
     lam[n], from its table at the batch of one."""
-    jet = op.table(np.asarray(lam)[None]).get(tuple(alpha))
-    return 0.0 + 0.0j if jet is None else complex(jet[0, 0])
+    if tuple(alpha) not in op.terms:
+        return 0.0 + 0.0j
+    return complex(op.table(np.asarray(lam)[None])
+                   [0, op.terms.index(tuple(alpha)), 0])
 
 
 def fay_residual(d, u, lambdas, mus, ctx):
@@ -89,15 +91,11 @@ def fay_residual(d, u, lambdas, mus, ctx):
 def diff_op(n, items):
     """A difference operator from (key, coefficient closure) pairs, each
     closure mapped over the rows of a batch."""
-    from etlax.opalg import DifferenceOperator, _accumulate
+    from etlax.opalg import DifferenceOperator, key_map, merge_keys
     from etlax.weights import canonical_key
-    items = [(canonical_key(key), fn) for key, fn in items]
+    terms, q = key_map([canonical_key(key) for key, _ in items])
 
     def table(P):
-        out = {}
-        for key, fn in items:
-            _accumulate(out, key, np.array([fn(lam) for lam in P],
-                                           dtype=complex))
-        return out
-    return DifferenceOperator(n, tuple(dict.fromkeys(k for k, _ in items)),
-                              table)
+        return merge_keys(q, np.array([[fn(lam) for _, fn in items]
+                                       for lam in P], dtype=complex))
+    return DifferenceOperator(n, terms, table)

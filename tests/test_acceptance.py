@@ -397,7 +397,7 @@ def test_criterion_11_invariance_and_module_structure():
         lop = tr.l_op(float(l), u, ctx)
         for i in range(n):
             for j in range(n):
-                fits.append(ts.fit_action(l, u, lop.entry(i, j), ctx, seed=3)[1])
+                fits.append(ts.fit_action(l, lop.entry(i, j), ctx, seed=3)[1])
         m1 = tr.m_closed(float(l), u, 1, ctx)
         controls.append(ts.negative_control(l, m1, ctx, seed=4).rel)
     rel_err = _worst([ts.verify_thminl1(u, default_context(2)),

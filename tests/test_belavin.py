@@ -765,3 +765,21 @@ def test_identity_suites_pass_across_seeds(n):
               for seed in range(8)
               if not run_suite(name, default_context(n), seed).passed]
     assert failed == []
+
+
+def test_partial_shifts_are_the_plans_of_both_sides():
+    from etlax import transfer as tr
+    for n in (2, 3, 4):
+        for k in range(1, n + 1):
+            prefixes, prefix = bv.partial_shifts(n, k)
+            # the per-level loop each plan ran on its own, transcribed
+            tuples = list(product(range(n), repeat=k))
+            for r in range(k):
+                keys = [wt.canonical_key([t[:r].count(i) for i in range(n)])
+                        for t in tuples]
+                distinct = tuple(dict.fromkeys(keys))
+                assert prefixes[r] == distinct
+                assert prefix[r].dtype == int and np.array_equal(
+                    prefix[r], [distinct.index(key) for key in keys])
+            assert bv._path_plan(n, k).prefix is prefix
+            assert tr._fusion_plan(n, k).prefix is prefix

@@ -1,0 +1,59 @@
+"""tools/case_parity.py --compare on synthetic records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "case_parity.py"
+
+
+@pytest.fixture(scope="module")
+def parity():
+    spec = importlib.util.spec_from_file_location("case_parity", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(cases):
+    """A record with one ok run per (suite, n, seed) of its cases."""
+    runs = {tuple(c[:3]): [*c[:3], "ok"] for c in cases}
+    return {"src": "synthetic", "runs": list(runs.values()), "cases": cases}
+
+
+def _compare(parity, tmp_path, a, b):
+    paths = []
+    for name, doc in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    return parity.main(["--compare", *map(str, paths)])
+
+
+_BASE = [["theta", 2, 0, "quasi-periodicity", True, 3e-15],
+         ["commute", 3, 1, "commutator", True, 2e-12]]
+
+
+def test_an_ok_flip_exits_one(parity, tmp_path, capsys):
+    flipped = [_BASE[0], ["commute", 3, 1, "commutator", False, 2e-6]]
+    assert _compare(parity, tmp_path, _record(_BASE), _record(flipped)) == 1
+    assert "ok flip ('commute', 3, 1, 'commutator')" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_one_sided_case_exits_one(parity, tmp_path, capsys, side):
+    extra = _BASE + [["commute", 3, 1, "renamed-case", True, 1e-13]]
+    a, b = (extra, _BASE) if side == "A" else (_BASE, extra)
+    assert _compare(parity, tmp_path, _record(a), _record(b)) == 1
+    assert (f"only in {side}: ('commute', 3, 1, 'renamed-case')"
+            in capsys.readouterr().out)
+
+
+def test_rels_within_the_floor_read_ratio_one(parity, tmp_path, capsys):
+    moved = [["theta", 2, 0, "quasi-periodicity", True, 6e-15],
+             _BASE[1]]
+    assert _compare(parity, tmp_path, _record(_BASE), _record(moved)) == 0
+    out = capsys.readouterr().out
+    assert "0 ok flips, 1 bit-identical rels, 1 moved" in out
+    assert "from 1 to 1" in out

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from conftest import (diff_op, ones, pdo_coeff, rand_complex, shift_eps,
                       sumzero_exp)
@@ -130,7 +131,8 @@ def test_normal_det_diagonal_shift_operators(ctx3):
     keys = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]
     matrix = _matrix(3, keys, lambda key, i, j, mu:
                      mu[i] + 2.0 if i == j and key[i] else 0.0)
-    assert matrix.entry(1, 1).table(lam[None])[keys[0]][0] == 0.0
+    entry = matrix.entry(1, 1)
+    assert entry.table(lam[None])[0, entry.terms.index(keys[0])] == 0.0
     det_op = oa.normal_det(matrix, 0.0, ctx3)
     got = det_op.coeff((1, 1, 1), lam)   # canonicalizes to the identity key
     want = math.prod(lam[i] + 2.0 for i in range(3))
@@ -418,15 +420,17 @@ def test_pdo_compose_full_leibniz(ctx3):
     a = oa.pdo(3, [((0, 2, 0), 1.0)])
     b = oa.pdo(3, [((0, 0, 0), lambda mus, order:
                     _pair_jet(mus, 1, 2, order, ctx3))])
-    table = oa.pdo_compose(a, b, ctx3).table(lams)
+    op = oa.pdo_compose(a, b, ctx3)
+    table = op.table(lams)
     xs = [lam[1] - lam[2] for lam in lams]
     values = lambda m: np.array([theta(x, ctx3, m) for x in xs])
+    at = lambda alpha: table[:, op.terms.index(alpha), 0]
     # d_1^2 (theta .) = theta'' + 2 theta' d_1 + theta d_1^2
-    assert table.keys() == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}
-    assert all(jet.shape == (3, 1) for jet in table.values())
-    assert np.max(np.abs(table[(0, 0, 0)][:, 0] - values(2))) < 1e-12
-    assert np.max(np.abs(table[(0, 1, 0)][:, 0] - 2 * values(1))) < 1e-12
-    assert np.max(np.abs(table[(0, 2, 0)][:, 0] - values(0))) < 1e-13
+    assert set(op.terms) == {(0, 0, 0), (0, 1, 0), (0, 2, 0)}
+    assert table.shape == (3, 3, 1)
+    assert np.max(np.abs(at((0, 0, 0)) - values(2))) < 1e-12
+    assert np.max(np.abs(at((0, 1, 0)) - 2 * values(1))) < 1e-12
+    assert np.max(np.abs(at((0, 2, 0)) - values(0))) < 1e-13
 
 
 def test_exp_test_function_derivatives(ctx3, rng):
@@ -443,3 +447,179 @@ def test_exp_test_function_derivatives(ctx3, rng):
         alpha = tuple(1 if a == i else 0 for a in range(3))
         assert np.max(np.abs(oa.jet_deriv(jet, 3, alpha)[:, 0]
                              - 2j * np.pi * v[i] * base)) < 1e-13
+
+
+# ------------------------------------------------ dict tables, transcribed
+
+def _accumulate(out, key, value):
+    out[key] = out[key] + value if key in out else value
+
+
+def _as_dict(op, P, *order):
+    """{term: table column}: the table of op at P as the dict table the
+    array tables replaced."""
+    return dict(zip(op.terms, op.table(P, *order).swapaxes(0, 1)))
+
+
+def _dict_op_add(tables):
+    """op_add (and pdo_add) on dict tables, transcribed."""
+    out = {}
+    for table in tables:
+        for key, value in table.items():
+            _accumulate(out, key, value)
+    return out
+
+
+def _dict_compose(a, b, P, ctx):
+    """compose on dict tables, transcribed: b read once, at every point
+    shifted by every key of a."""
+    count = len(P)
+    ta = _as_dict(a, P)
+    tb = _as_dict(b, wt.shifted(P, a.terms, ctx.hbar).swapaxes(0, 1)
+                  .reshape(-1, a.n))
+    out = {}
+    for ia, ka in enumerate(a.terms):
+        for kb in b.terms:
+            key = wt.canonical_key([x + y for x, y in zip(ka, kb)])
+            _accumulate(out, key,
+                        ta[ka] * tb[kb][ia * count:(ia + 1) * count])
+    return out
+
+
+def _dict_normal_det(matrix, t, P):
+    """normal_det on dict tables, transcribed: the signed permutation sum
+    of every ordered key tuple, accumulated onto its canonical key."""
+    from itertools import permutations, product
+    size, zero = matrix.size, (0,) * matrix.n
+    rows = _as_dict(matrix, P)
+    rows[zero] = rows.get(zero, np.zeros((len(P), size, size))) - t * np.eye(size)
+    out = {}
+    for tup in product(list(rows), repeat=size):
+        value = sum(oa.perm_sign(perm) * math.prod(
+            rows[tup[r]][:, r, perm[r]] for r in range(size))
+            for perm in permutations(range(size)))
+        _accumulate(out, wt.canonical_key(np.sum(tup, axis=0)), value)
+    return out
+
+
+def _dict_pdo_compose(a, b, P, order, ctx):
+    """pdo_compose on dict tables, transcribed: one jet_mul and one
+    jet_deriv per Leibniz item."""
+    from itertools import product
+    n = a.n
+    ja, jb = _as_dict(a, P, order), _as_dict(b, P, order + a.order())
+    out = {}
+    for alpha in a.terms:
+        for beta in b.terms:
+            for gamma in product(*(range(x + 1) for x in alpha)):
+                rest = tuple(x - y for x, y in zip(alpha, gamma))
+                key = tuple(x + y for x, y in zip(gamma, beta))
+                _accumulate(out, key, oa.jet_mul(
+                    ja[alpha], oa.jet_deriv(jb[beta], n, rest), n)
+                    * math.prod(map(math.comb, alpha, gamma)))
+    return out
+
+
+def _dict_d_op(c, m, P, order, ctx):
+    """D[m] of build_d_ops on dict tables, transcribed: each (I, J) item
+    added onto its alpha = I \\ J with out.get."""
+    from itertools import combinations
+    from etlax import transfer as tr
+    n, factor = ctx.n, -ctx.n / c
+    items = [(tuple(int(a in big_i and a not in jset) for a in range(n)),
+              jset, factor ** (m - jsize))
+             for big_i in combinations(range(n), m)
+             for jsize in range(m + 1)
+             for jset in combinations(big_i, jsize)]
+    jsets = tuple(dict.fromkeys(jset for _, jset, _ in items))
+    ratios = dict(zip(jsets, tr._delta_ratios(
+        tr.delta_jet(P, order + max(map(len, jsets)), ctx), order, jsets,
+        n).swapaxes(0, 1)))
+    out = {}
+    for alpha, jset, scale in items:
+        out[alpha] = out.get(alpha, 0.0) + ratios[jset] * scale
+    return out
+
+
+def _dict_rel(op, got, want):
+    """max |got - want| relative to the largest entry of want, over the
+    union of the terms: the array table got of op against a dict table."""
+    zero = 0.0 * next(iter(want.values()))
+    assert set(op.terms) == set(want) and got.shape[1] == len(op.terms)
+    got = dict(zip(op.terms, got.swapaxes(0, 1)))
+    return (max(float(np.max(np.abs(got[key] - want[key]))) for key in want)
+            / max(float(np.max(np.abs(v))) for v in want.values()))
+
+
+def _dict_cases(n):
+    """(name, array table, its operator, dict table) at rank n, for every
+    combinator the dict path had."""
+    from etlax import transfer as tr
+    from etlax.context import default_context
+    ctx = default_context(n)
+    rng = np.random.default_rng(700 + n)
+    c, u, v, t = (rand_complex(rng) for _ in range(4))
+    P = wt.sample_many(70 + n, 3, ctx)
+    m1, m2 = tr.m_closed(c, u, 1, ctx), tr.m_trace(c, v, 2, ctx)
+    cases = []
+    add = oa.op_add(m1, oa.op_scale(m2, t), tr.m_dot(c, 1, ctx))
+    cases.append(("op_add", add, add.table(P), _dict_op_add(
+        [_as_dict(m1, P), _as_dict(oa.op_scale(m2, t), P),
+         _as_dict(tr.m_dot(c, 1, ctx), P)])))
+    for a, b in ((m1, m1), (m1, m2), (m2, tr.l_op(c, u, ctx).entry(0, 1))):
+        comp = oa.compose(a, b, ctx)
+        cases.append(("compose", comp, comp.table(P),
+                      _dict_compose(a, b, P, ctx)))
+    for matrix, tt in ((tr.l_op(c, u, ctx), t), (tr.l_tilde(c, u, ctx), t),
+                       (tr.sekiguchi_matrix(c, u, t, ctx), 0.0)):
+        det = oa.normal_det(matrix, tt, ctx)
+        cases.append(("normal_det", det, det.table(P),
+                      _dict_normal_det(matrix, tt, P)))
+    d_ops = tr.build_d_ops(c + 0.25, u, ctx)
+    for m, op in enumerate(d_ops, start=1):
+        for order in (0, 1):
+            cases.append(("build_d_ops", op, op.table(P, order),
+                          _dict_d_op(c + 0.25, m, P, order, ctx)))
+    ham = tr.hamiltonian_cm(c, ctx)
+    for a, b in ((d_ops[0], d_ops[-1]), (d_ops[-1], d_ops[0]), (ham, ham)):
+        for order in (0, 1):
+            comp = oa.pdo_compose(a, b, ctx)
+            cases.append(("pdo_compose", comp, comp.table(P, order),
+                          _dict_pdo_compose(a, b, P, order, ctx)))
+    padd = oa.op_add(ham, d_ops[0], oa.op_scale(d_ops[1], t))
+    cases.append(("pdo_add", padd, padd.table(P, 1), _dict_op_add(
+        [_as_dict(ham, P, 1), _as_dict(d_ops[0], P, 1),
+         _as_dict(oa.op_scale(d_ops[1], t), P, 1)])))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_array_tables_match_the_dict_tables(n):
+    for name, op, got, want in _dict_cases(n):
+        assert _dict_rel(op, got, want) < 1e-14, name
+
+
+def test_merge_with_a_dropped_column_reads_wrong(monkeypatch):
+    # negative control of the dict comparison: every key merge of opalg
+    # loses one column of its merge matrix, the largest term that shares
+    # its key with another
+    real = oa.merge_keys
+
+    def dropped(q, table):
+        shared = np.nonzero(q[np.count_nonzero(q, axis=1) > 1].any(axis=0))[0]
+        if len(shared):
+            size = np.max(np.abs(table.swapaxes(0, 1).reshape(
+                table.shape[1], -1)), axis=1)
+            q = q.copy()
+            q[:, shared[np.argmax(size[shared])]] = 0.0
+        return real(q, table)
+    monkeypatch.setattr(oa, "merge_keys", dropped)
+    for n in (2, 3, 4):
+        worst = {}
+        for name, op, got, want in _dict_cases(n):
+            worst[name] = max(worst.get(name, 0.0), _dict_rel(op, got, want))
+        # every combinator that merges in opalg (the D operators and the
+        # fused traces merge in transfer)
+        for name in ("op_add", "compose", "normal_det", "pdo_compose",
+                     "pdo_add"):
+            assert worst[name] > 1e-3, (n, name)

@@ -91,11 +91,11 @@ def test_gram_rank_needs_enough_points(ctx2):
 def test_fit_action_invariance(ctx2, ctx3, rng):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         lop = tr.l_op(float(l), U0, ctx)
-        worst = th.worst_of(ts.fit_action(l, U0, lop.entry(i, j), ctx, seed=9)[1]
+        worst = th.worst_of(ts.fit_action(l, lop.entry(i, j), ctx, seed=9)[1]
                             for i in range(ctx.n) for j in range(ctx.n))
         assert worst.rel < 1e-7
         m1 = tr.m_closed(float(l), U0, 1, ctx)
-        _, res = ts.fit_action(l, U0, m1, ctx, seed=11)
+        _, res = ts.fit_action(l, m1, ctx, seed=11)
         assert res.rel < 1e-7
 
 
@@ -105,7 +105,7 @@ def test_negative_control_is_loud(ctx2, ctx3):
         m1 = tr.m_closed(float(l), U0, 1, ctx)
         res = ts.negative_control(l, m1, ctx, seed=13)
         assert res.rel > 1e-2
-        _, fit = ts.fit_action(l, U0, m1, ctx, seed=13)
+        _, fit = ts.fit_action(l, m1, ctx, seed=13)
         assert res.rel / (fit.rel + 1e-300) > 1e5
 
 
@@ -126,7 +126,7 @@ def test_fit_action_recovers_r_matrix_coefficients(ctx3):
     basis = ts.character_basis(1, ctx3)
     for i in range(n):
         for j in range(n):
-            coeffs, res = ts.fit_action(1, U0, lop.entry(i, j), ctx3, seed=21)
+            coeffs, res = ts.fit_action(1, lop.entry(i, j), ctx3, seed=21)
             assert res.rel < 1e-8
             for row, js in enumerate(basis.elements):
                 a = ts.gamma_index(js[0], n)
@@ -161,12 +161,12 @@ def test_gamma_index_involution():
     assert ts.gamma_index(1, 3) == 2
 
 
-def test_apply_matrix_matches_entry_batches(ctx3):
-    from etlax.opalg import apply_batch, apply_matrix
+def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
+    from etlax.opalg import apply_batch
     lop = tr.l_op(1.0, U0, ctx3)
     lams = wt.sample_many(17, 5, ctx3)
     fn = ts.character_basis(1, ctx3).function(1, ctx3)
-    got = apply_matrix(lop, fn, lams, ctx3)
+    got = apply_batch(lop, fn, lams, ctx3)
     assert got.shape == (5, 3, 3)
     for i in range(3):
         for j in range(3):
@@ -181,7 +181,7 @@ def test_fit_matrix_action_matches_entry_fits(ctx2):
     found = []
     for i in range(2):
         for j in range(2):
-            want, one = ts.fit_action(2, U0, lop.entry(i, j), ctx2,
+            want, one = ts.fit_action(2, lop.entry(i, j), ctx2,
                                       seed=seeds[2 * i + j])
             assert np.array_equal(coeffs[i, j], want)
             found.append(one)

@@ -68,9 +68,9 @@ def test_fused_l_edges(ctx3):
     assert np.array_equal(lop.table(samples), want)
     for i in range(3):
         for j in range(3):
-            entry = lop.entry(i, j).table(samples)
-            for k, key in enumerate(lop.terms):
-                assert np.array_equal(entry[key], want[:, k, i, j])
+            entry = lop.entry(i, j)
+            assert entry.terms == lop.terms
+            assert np.array_equal(entry.table(samples), want[:, :, i, j])
     fn = tr.fused_l(C0, U0, 3, ctx3)
     assert fn.table(samples).shape[2:] == (1, 1)   # the one subset (0, 1, 2)
 
@@ -293,6 +293,26 @@ def test_krichever_closed_form(ctx2, ctx3, rng):
         assert res.rel < 1e-5
 
 
+def test_ltilde_conjugation_reads_each_table_once(monkeypatch):
+    from etlax.theta import worst_of
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        samples = wt.sample_many(76, 4, ctx)
+        direct, conj = tr.l_tilde(C0, U0, ctx), tr.l_tilde_conjugated(C0, U0,
+                                                                      ctx)
+        # the entry-by-entry reduction, one operator_residual per entry
+        want = worst_of(oa.operator_residual(direct.entry(i, j),
+                                             conj.entry(i, j), samples, ctx)
+                        for i in range(n) for j in range(n))
+        calls, real = [], tr.l_coeff_tensor
+        monkeypatch.setattr(tr, "l_coeff_tensor",
+                            lambda *args: calls.append(1) or real(*args))
+        got = tr.verify_ltilde_conjugation(C0, U0, ctx, samples)
+        monkeypatch.undo()
+        assert len(calls) == 1          # n^2 when every entry read its table
+        assert (got.rel, got.abs) == (want.rel, want.abs) and got.rel < 1e-9
+
+
 def test_krichever_structure(ctx3):
     kmat = tr.krichever_k(C0, U0, ctx3)
     lam = wt.sample_generic(40, ctx3)
@@ -429,8 +449,7 @@ def test_debiard_divides_once_per_subset(monkeypatch):
         assert len(inverses) == 1 and len(products) == 2 + distinct - 1
     again = [op.table(samples, 1) for op in d_ops]
     for a, b in zip(first, again):
-        assert a.keys() == b.keys()
-        assert all(np.array_equal(a[key], b[key]) for key in a)
+        assert np.array_equal(a, b)
 
 
 def test_differential_tables_hold_the_jets_of_their_values(ctx3):
@@ -443,15 +462,58 @@ def test_differential_tables_hold_the_jets_of_their_values(ctx3):
            tr.krichever_k(C0, U0, ctx3)[0][1]]
     for op in ops:
         table = op.table(lam[None], 2)
-        assert table.keys() == set(op.terms)
-        for alpha, jet in table.items():
-            assert jet.shape == (1, 10)
+        assert table.shape == (1, len(op.terms), 10)
+        for alpha, jet in zip(op.terms, table.swapaxes(0, 1)):
             for i in range(3):
                 e = tuple(int(a == i) for a in range(3))
                 fd = (pdo_coeff(op, alpha, shift(lam, e, h))
                       - pdo_coeff(op, alpha, shift(lam, e, -h))) / (2 * h)
                 got = oa.jet_deriv(jet, 3, e)[0, 0]
                 assert abs(got - fd) <= 1e-6 * max(1.0, abs(got))
+
+
+_T0 = 0.27 - 0.41j
+_BUILDERS = {
+    "scalar_op": lambda ctx: oa.scalar_op(ctx.n, 2.5),
+    "op_add": lambda ctx: oa.op_add(tr.m_closed(C0, U0, 1, ctx),
+                                    tr.m_dot(C0, 2, ctx)),
+    "op_scale": lambda ctx: oa.op_scale(tr.m_dot(C0, 1, ctx), _T0),
+    "compose": lambda ctx: oa.compose(tr.m_dot(C0, 1, ctx),
+                                      tr.m_dot(C0, 2, ctx), ctx),
+    "normal_det": lambda ctx: oa.normal_det(tr.l_op(C0, U0, ctx), _T0, ctx),
+    "m_trace": lambda ctx: tr.m_trace(C0, U0, 2, ctx),
+    "m_dot": lambda ctx: tr.m_dot(C0, 2, ctx),
+    "m_closed": lambda ctx: tr.m_closed(C0, U0, 1, ctx),
+    "entry": lambda ctx: tr.l_op(C0, U0, ctx).entry(0, 1),
+    "fused_l": lambda ctx: tr.fused_l(C0, U0, 2, ctx),
+    "l_tilde": lambda ctx: tr.l_tilde(C0, U0, ctx),
+    "l_tilde_conjugated": lambda ctx: tr.l_tilde_conjugated(C0, U0, ctx),
+    "sekiguchi_matrix": lambda ctx: tr.sekiguchi_matrix(C0, U0, _T0, ctx),
+    "pdo": lambda ctx: oa.pdo(ctx.n, [((0, 1, 0), 2.0), ((1, 0, 0), 1.0),
+                                      ((0, 1, 0), -1.0)]),
+    "pdo_compose": lambda ctx: oa.pdo_compose(
+        *tr.build_d_ops(C0, U0, ctx)[:2], ctx),
+    "op_add_differential": lambda ctx: oa.op_add(*tr.build_d_ops(C0, U0, ctx)),
+    "op_scale_differential": lambda ctx: oa.op_scale(
+        tr.hamiltonian_cm(C0, ctx), _T0),
+    "build_d_ops": lambda ctx: tr.build_d_ops(C0, U0, ctx)[1],
+    "hamiltonian_cm": lambda ctx: tr.hamiltonian_cm(C0, ctx),
+    "krichever_k": lambda ctx: tr.krichever_k(C0, U0, ctx)[0][0],
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_table_axis_one_runs_over_terms(ctx3, name):
+    op = _BUILDERS[name](ctx3)
+    P = wt.sample_many(75, 2, ctx3)
+    if isinstance(op, oa.DifferentialOperator):
+        table, rest = op.table(P, 1), (4,)        # the jets of order 1
+    elif isinstance(op, oa.OperatorMatrix):
+        table, rest = op.table(P), (op.size, op.size)
+    else:
+        table, rest = op.table(P), ()
+    assert table.shape == (2, len(op.terms)) + rest
+    assert len(set(op.terms)) == len(op.terms)
 
 
 def test_h_identity(ctx2, ctx3):
@@ -538,11 +600,17 @@ def _tree_m_trace(c, u, d, ctx, wrong_level=None):
     return oa.op_add(*parts)
 
 
+def _table_of(op, samples):
+    """{key: coefficients over the samples}: the table of a difference
+    operator by key."""
+    return dict(zip(op.terms, op.table(samples).T))
+
+
 def _det_by_definition(entries, t, samples):
     """:det[entries - t]: from its definition, a signed sum over permutations
     and over one key of each factor, on the entries' own tables."""
     n, zero = len(entries), (0,) * entries[0][0].n
-    tabs = [[dict(op.table(samples)) for op in row] for row in entries]
+    tabs = [[_table_of(op, samples) for op in row] for row in entries]
     for i in range(n):
         tabs[i][i][zero] = tabs[i][i].get(zero, np.zeros(len(samples))) - t
     out = {}
@@ -580,10 +648,10 @@ def test_fused_trace_matches_closure_tree():
             for _ in range(3 if (n, d) == (4, 4) else 1):
                 c, u = rand_complex(rng), rand_complex(rng)
                 # separate caches: each path builds its own intertwiners
-                got = _outcome(lambda: tr.m_trace(c, u, d, ctx.replace())
-                               .table(samples))
-                want = _outcome(lambda: _tree_m_trace(c, u, d, ctx.replace())
-                                .table(samples))
+                got = _outcome(lambda: _table_of(
+                    tr.m_trace(c, u, d, ctx.replace()), samples))
+                want = _outcome(lambda: _table_of(
+                    _tree_m_trace(c, u, d, ctx.replace()), samples))
                 assert (got == "raised") == (want == "raised"), (n, d)
                 if got == "raised":
                     raised.append((n, d))
@@ -595,9 +663,10 @@ def test_fused_trace_matches_closure_tree():
 
 def test_fused_trace_negative_control(ctx3):
     samples = wt.sample_many(62, 4, ctx3)
-    got = tr.m_trace(C0, U0, 3, ctx3).table(samples)
+    got = _table_of(tr.m_trace(C0, U0, 3, ctx3), samples)
     for r in range(3):
-        wrong = _tree_m_trace(C0, U0, 3, ctx3, wrong_level=r).table(samples)
+        wrong = _table_of(_tree_m_trace(C0, U0, 3, ctx3, wrong_level=r),
+                          samples)
         assert _table_rel(got, wrong) > 1e-3
 
 
@@ -612,7 +681,7 @@ def test_normal_det_matches_definition():
                            (tr.sekiguchi_matrix(c, u, t, ctx), 0.0)):
             entries = [[matrix.entry(i, j) for j in range(n)]
                        for i in range(n)]
-            got = oa.normal_det(matrix, tt, ctx).table(samples)
+            got = _table_of(oa.normal_det(matrix, tt, ctx), samples)
             assert _table_rel(got, _det_by_definition(entries, tt, samples)) \
                 <= 1e-12, n
 
@@ -695,19 +764,21 @@ def _nan_at_zero_key(coeffs_at):
 
 
 def _nan_in_d_tables(build_d_ops):
-    # every read of a D-operator table gets a NaN coefficient jet
-    def poisoned(*args):
-        return [oa.DifferentialOperator(op.n, op.terms, lambda lams, order=0,
-                                        _table=op.table: {
-            alpha: (jet * math.nan if not any(alpha) else jet)
-            for alpha, jet in _table(lams, order).items()})
-                for op in build_d_ops(*args)]
-    return poisoned
+    # every read of a D-operator table gets a NaN zero-order coefficient jet
+    def nan_zero_term(op):
+        zero = op.terms.index((0,) * op.n)
+
+        def table(lams, order=0):
+            out = op.table(lams, order).copy()
+            out[:, zero] *= math.nan
+            return out
+        return oa.DifferentialOperator(op.n, op.terms, table)
+    return lambda *args: [nan_zero_term(op) for op in build_d_ops(*args)]
 
 
-def _nan_in_matrix(apply_matrix):
+def _nan_in_matrix(apply_batch):
     def poisoned(matrix, f, lams, ctx):
-        out = apply_matrix(matrix, f, lams, ctx)
+        out = apply_batch(matrix, f, lams, ctx)
         out[0, 0, 1] = math.nan
         return out
     return poisoned
@@ -731,7 +802,7 @@ def _nan_in_fused_rcheck(fused_rcheck_matrix):
 
 
 _NAN_CASES = [
-    ("rll", 2, "c0-identity", "suites", "apply_matrix", _nan_in_matrix),
+    ("rll", 2, "c0-identity", "suites", "apply_batch", _nan_in_matrix),
     ("rll", 3, "fused-rll-k2", "transfer", "fused_rcheck_matrix",
      _nan_in_fused_rcheck),
     ("krichever", 2, "c0-pure-derivative", "suites", "_coeffs_at",
@@ -776,7 +847,7 @@ def _two_read_hamiltonian(c, ctx, P, order):
     width = math.comb(n + order, n)
     out, zero = {}, oa.jet_constant(0.0, len(P), n, order)
     for i, e in enumerate(units):
-        gi = ratios[(i,)] * g
+        gi = ratios[:, i] * g
         out[tuple(2 * x for x in e)] = oa.jet_constant(1.0, len(P), n, order)
         out[e] = gi[:, :width] * (-2.0)
         zero = (zero + oa.jet_deriv(gi, n, e) * (-1.0)
@@ -800,8 +871,9 @@ def test_hamiltonian_reads_the_pair_tables_once(n, monkeypatch):
         # one theta table per derivative order 0..order+2 of the pair jets
         assert reads == [3 * n * (n - 1) // 2] * (order + 3)
         monkeypatch.undo()
-        assert got.keys() == want.keys()
-        assert all(np.array_equal(got[key], want[key]) for key in got)
+        assert set(ham.terms) == want.keys()
+        assert all(np.array_equal(got[:, ham.terms.index(key)], want[key])
+                   for key in want)
 
 
 def test_fused_rll_reads_every_test_function_once_per_side(ctx3, rng):

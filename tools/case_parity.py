@@ -27,7 +27,8 @@ ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
 bit-identical, and the largest growths.  Below FLOOR = 1e-14 a rel is
 rounding noise, so a rel that moves within the rounding floor (say from
 1e-17 to 6e-16) reads as a ratio of 1, not as a growth of 64x.  It exits 1
-if any ok flag or outcome differs, else 0.
+if any ok flag or outcome differs or a run or case is present on one side
+only (a dropped or renamed case), else 0.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def compare(path_a, path_b) -> int:
             print(f"run {key}: {runs_a.get(key)} -> {runs_b.get(key)}")
     cases_a = {_case_key(c): c[4:] for c in a["cases"]}
     cases_b = {_case_key(c): c[4:] for c in b["cases"]}
-    for key in sorted(cases_a.keys() ^ cases_b.keys(), key=str):
+    one_sided = sorted(cases_a.keys() ^ cases_b.keys(), key=str)
+    for key in one_sided:
         print(f"only in {'A' if key in cases_a else 'B'}: {key}")
     common = sorted(cases_a.keys() & cases_b.keys(), key=str)
     flips, same, ratios = [], 0, []
@@ -146,7 +148,7 @@ def compare(path_a, path_b) -> int:
               f"{ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
         for ratio, key, rel_a, rel_b in ratios[::-1][:TOP_GROWTHS]:
             print(f"  x{ratio:.3g} {key}: {rel_a:.3g} -> {rel_b:.3g}")
-    return 1 if flips or differs else 0
+    return 1 if flips or differs or one_sided else 0
 
 
 def main(argv=None) -> int:
