@@ -21,8 +21,8 @@ one term, the 0/1 matrix of key_map, fixed when the operator is built, adds
 them (merge_keys), the one key merge.  A composition a b reads b once, on
 the batch of every point P[s] shifted by every key of a (one broadcast,
 weights.shifted); normal_det sums the signed products over permutations in
-one contraction (signed_products) before its merge, as the fused traces of
-transfer do.  A test function takes a batch P[..., n] and returns its
+one contraction (signed_products), from gather arrays built once per term
+tuple (_det_plan), before its merge, as the fused traces of transfer do.  A test function takes a batch P[..., n] and returns its
 values[...]; apply_batch calls it once, on every point shifted by every
 key.  No symbolic simplification is attempted, and operator equality is
 decided numerically on generic sample points (coefficients are finite
@@ -240,15 +240,9 @@ def normal_det(matrix: OperatorMatrix, t: complex,
     it onto the canonical key of K_0 + ... + K_{n-1}.  The matrix's table is
     read once per batch.
     """
-    nn, size = matrix.n, matrix.size
-    zero = (0,) * nn
-    keys = tuple(dict.fromkeys((zero,) + matrix.terms))
-    slots = [keys.index(key) for key in matrix.terms]
-    tuples = np.array(list(product(range(len(keys)), repeat=size)))  # (T, n)
-    terms, keymap = key_map([canonical_key(
-        [sum(keys[a][x] for a in tup) for x in range(nn)]) for tup in tuples])
-    perms = np.array(list(permutations(range(size))))               # (P, n)
-    signs = np.array([perm_sign(p) for p in perms], dtype=float)
+    size = matrix.size
+    keys, slots, tuples, terms, keymap, perms, signs = _det_plan(
+        matrix.n, matrix.terms, size)
     diag = np.arange(size)
 
     def table(P):
@@ -259,7 +253,24 @@ def normal_det(matrix: OperatorMatrix, t: complex,
         return merge_keys(keymap, signed_products(
             [m[:, tuples[:, r][:, None], r, perms[:, r][None, :]]
              for r in range(size)], signs))
-    return DifferenceOperator(nn, terms, table)
+    return DifferenceOperator(matrix.n, terms, table)
+
+
+@functools.lru_cache(maxsize=None)
+def _det_plan(n: int, terms: tuple, size: int) -> tuple:
+    """normal_det's plan, built once per (n, terms, size): the keys (the
+    identity first), each term's slot among them, the ordered key tuples
+    and the key map of their sums, the permutations and their signs."""
+    keys = tuple(dict.fromkeys(((0,) * n,) + terms))
+    slots = np.array([keys.index(key) for key in terms])
+    tuples = np.array(list(product(range(len(keys)), repeat=size)))
+    sums, keymap = key_map([canonical_key(
+        [sum(keys[a][x] for a in tup) for x in range(n)]) for tup in tuples])
+    perms = np.array(list(permutations(range(size))))
+    signs = np.array([perm_sign(p) for p in perms], dtype=float)
+    for arr in (slots, tuples, keymap, perms, signs):
+        arr.setflags(write=False)       # the cached plan is shared
+    return keys, slots, tuples, sums, keymap, perms, signs
 
 
 def perm_sign(perm) -> int:

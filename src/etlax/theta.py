@@ -491,6 +491,15 @@ def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext):
     return np.linalg.det(np.prod(theta_table(args, ctx), axis=-1))
 
 
+def richardson_even(expr, steps=(1e-3, 2e-3)):
+    """expr(h) as h -> 0 when it has a term odd in h: the symmetric part
+    S(h) = (expr(h) + expr(-h))/2 is even in h, and Richardson on S at the
+    two steps cancels its h^2 term, leaving O(h^4)."""
+    h1, h2 = steps
+    s1, s2 = ((expr(h) + expr(-h)) / 2.0 for h in steps)
+    return (h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1)
+
+
 def qfay_rhs(d: int, u, lambdas, mus, ctx: ModularContext):
     """Product side of the hbar-deformed determinant identity, at every
     sample (one theta table for all their factors)."""

@@ -5,8 +5,8 @@ chi_j is the lattice theta series over the shifted root lattice Lambda_j + Q
 integer vectors of coordinate sum j projected to sum zero).  Products of l of
 them span the symmetric level-l space; the evaluators here check the
 quasi-periodicity laws, the dimension by numerical rank, invariance under the
-difference operators at integer coupling, and the identification of that
-action with the l-fold R-matrix coproduct on symmetrized tensors.
+difference operators at integer coupling, and that L(l|u) acts there as the
+l-fold coproduct T, slot m < l carrying R(u + m hbar), on symmetrized tensors.
 
 chi_table(P) reads every character at every point of a batch P[..., n] as
 one array X[..., j]; a basis member is a product of its columns, so a point
@@ -25,12 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .context import ContextError, ModularContext
-from .belavin import build_r, r_table
+from .belavin import r_table
 from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
 from .theta import (_EPS, _WINDOW_DROP, Residual, residual_arrays, theta_table,
                     worst_of, worst_of_arrays)
@@ -297,116 +297,86 @@ def gamma_index(j: int, n: int) -> int:
     return (-j) % n
 
 
-def verify_thminl1(u: complex, ctx: ModularContext, seed: int = 0,
-                   samples: int = 15) -> Residual:
-    """L(1|u)^i_j gamma(e^a) = theta(hbar)/theta(u) sum_b gamma(e^b) R(u)^{ia}_{jb}."""
-    n = ctx.n
-    lop = l_op(1.0, u, ctx)
-    r4 = build_r(u, ctx).entries
-    th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
-    pref = th_h / th_u
-    P = sample_many(seed, samples, ctx)
-    gamma = [gamma_index(b, n) for b in range(n)]
-    basis = character_basis(1, ctx)
-    lhs = np.stack([apply_batch(lop, basis.function((j,), ctx), P, ctx)
-                    for j in gamma], axis=1)                    # [s, a, i, j]
-    rhs = pref * np.einsum("sb,iajb->saij", chi_table(P, ctx)[:, gamma], r4)
-    return worst_of_arrays(*residual_arrays(lhs, rhs))
-
-
 def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
                    samples: int = 15) -> dict:
-    """chi_j are joint eigenfunctions of M_1(1|u) with a shared eigenvalue."""
+    """chi_j are joint eigenfunctions of M_1(1|u) with a shared eigenvalue:
+    theta(hbar)/theta(u) sum_i R(u)^{ij}_{ij}, read from the level-1 T."""
     n = ctx.n
     m1 = m_closed(1.0, u, 1, ctx)
-    r4 = build_r(u, ctx).entries
+    T = _coproduct(1, u, ctx)
     th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
     pref = th_h / th_u
-    eig = pref * sum(r4[i, 0, i, 0] for i in range(n))
-    eigs_by_j = [pref * sum(r4[i, j, i, j] for i in range(n)) for j in range(n)]
-    spread = [abs(e - eig) / (abs(eig) + _EPS) for e in eigs_by_j]
+    eigs = [pref * sum(T[i, j, i, j] for i in range(n)) for j in range(n)]
+    spread = [abs(e - eigs[0]) / (abs(eigs[0]) + _EPS) for e in eigs]
     P = sample_many(seed, samples, ctx)
     basis = character_basis(1, ctx)
     applied = np.stack([apply_batch(m1, basis.function(j, ctx), P, ctx)
                         for j in range(n)], axis=1)
     return {"eigen": worst_of_arrays(*residual_arrays(
-                applied, eig * chi_table(P, ctx))),
+                applied, eigs[0] * chi_table(P, ctx))),
             "shared": worst_of_arrays(spread, spread)}
 
 
-def _coproduct_action(i: int, ip: int, js: tuple, u: complex,
-                      ctx: ModularContext) -> dict:
-    """R-matrix coproduct action on the monomial e^{j_1} x ... x e^{j_l}.
+def _coproduct(l: int, u: complex, ctx: ModularContext) -> np.ndarray:
+    """The l-fold R-matrix coproduct as T[i, J, i', J'], J and J' row-major
+    over [n]^l: the coefficient of e^J' with boundary indices (i, i') when
+    the auxiliary line crosses e^J = e^{j_0} x ... x e^{j_(l-1)}, slot m
+    carrying R(u + m hbar), a_0 = i and a_l = i':
 
-    Slot m carries spectral parameter -(m-1) hbar; returns a map from output
-    index tuples to coefficients, with boundary indices (i, ip).
-    """
+        T[i, J, i', J'] = sum_a prod_m R(u + m hbar)^{a_m j_m}_{a_(m+1) j'_m}.
+
+    One r_table reads the l R-matrices, and the line is contracted slot by
+    slot, each product formed left to right."""
     n = ctx.n
-    l = len(js)
-    rmats = r_table([u + m * ctx.hbar for m in range(l)], ctx)
-    out = {}
+    rs = r_table([u + m * ctx.hbar for m in range(l)], ctx)
+    T = rs[0]
+    for r in rs[1:]:
+        width = T.shape[1] * n
+        T = np.einsum("iJaK,ajbk->iJjbKk", T, r).reshape(n, width, n, width)
+    return T
 
-    def rec(m, ia, prefix, coeff):
-        if m == l:
-            if ia == ip:
-                out[prefix] = out.get(prefix, 0.0) + coeff
-            return
-        for ib in range(n):
-            for jp in range(n):
-                w = rmats[m][ia, js[m], ib, jp]
-                if abs(w) < 1e-16:
-                    continue
-                rec(m + 1, ib, prefix + (jp,), coeff * w)
-    rec(0, i, (), 1.0 + 0.0j)
-    return out
+
+def _images(monomials, u: complex, labels, P, ctx: ModularContext):
+    """[J, i, i', s] = sum_J' T[i, J, i', J'] prod_m chi_{labels[j'_m]}(P[s])
+    for the monomials J of one level: their coproduct images read through
+    the character labels, from one T and one chi_table."""
+    n, l = ctx.n, len(monomials[0])
+    rows = np.ravel_multi_index(np.array(monomials).T, (n,) * l)
+    Y = _products(chi_table(P, ctx)[:, labels],
+                  list(product(range(n), repeat=l)))
+    return np.einsum("iJaK,sK->Jias", _coproduct(l, u, ctx)[:, rows], Y)
 
 
 def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
                       samples: int = 12) -> Residual:
     """The symmetrized l-fold coproduct matches the normalized operators.
 
-    gamma(L(u)^i_ip . monomial) vs L_norm(l|u)^i_ip gamma(monomial), where
+    gamma(T^i_i' . monomial) vs L_norm(l|u)^i_i' gamma(monomial), where
     gamma sends e^{j_1}...e^{j_l} to chi_{-j_1}...chi_{-j_l} (labels mod n)
     and L_norm carries the scalar factor prod_{s<l} theta(u+s hbar)/theta(hbar).
+    At l = 1 this is L(1|u)^i_j gamma(e^a) = theta(hbar)/theta(u) sum_b
+    gamma(e^b) R(u)^{ia}_{jb}, both sides times theta(u)/theta(hbar).
     """
     n = ctx.n
     lop = l_op(float(l), u, ctx)
-    values = theta_table([u + s * ctx.hbar for s in range(l)] + [ctx.hbar],
-                         ctx).tolist()
-    norm = 1.0 + 0.0j
-    for value in values[:-1]:
-        norm *= value / values[-1]
+    *shifts, th_h = theta_table([u + s * ctx.hbar for s in range(l)]
+                                 + [ctx.hbar], ctx).tolist()
+    norm = math.prod(value / th_h for value in shifts)
     basis = character_basis(l, ctx)
     P = sample_many(seed, samples, ctx)
-    X = chi_table(P, ctx)
-    lhs, rhs = [], []
-    for js in basis.elements:
-        gjs = tuple(gamma_index(j, n) for j in js)
-        applied = apply_batch(lop, basis.function(gjs, ctx), P, ctx)
-        for i in range(n):
-            for ip in range(n):
-                action = _coproduct_action(i, ip, js, u, ctx)
-                lhs.append(sum(coeff * _products(X, [[gamma_index(j, n)
-                                                      for j in outjs]])[:, 0]
-                               for outjs, coeff in action.items()))
-                rhs.append(norm * applied[:, i, ip])
-    return worst_of_arrays(*residual_arrays(np.array(lhs), np.array(rhs)))
+    gamma = [gamma_index(j, n) for j in range(n)]
+    applied = np.stack([apply_batch(lop, basis.function(
+        tuple(gamma[j] for j in js), ctx), P, ctx) for js in basis.elements])
+    return worst_of_arrays(*residual_arrays(
+        _images(basis.elements, u, gamma, P, ctx),
+        norm * applied.transpose(0, 2, 3, 1)))
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
                                 seed: int = 0) -> Residual:
     """Transposed monomial orderings give the same symmetrized image."""
-    n = ctx.n
-    X = chi_table(sample_many(seed, 4, ctx), ctx)
-    sides = ([], [])
-    for js in combinations_with_replacement(range(n), l):
-        if len(set(js)) < 2:
-            continue
-        for i in range(n):
-            for ip in range(n):
-                for side, order in zip(sides, (js, tuple(reversed(js)))):
-                    action = _coproduct_action(i, ip, order, u, ctx)
-                    side.append(sum(c * _products(X, [outjs])[:, 0]
-                                    for outjs, c in action.items()))
-    return worst_of_arrays(*residual_arrays(np.array(sides[0]),
-                                            np.array(sides[1])))
+    orders = [js for js in combinations_with_replacement(range(ctx.n), l)
+              if len(set(js)) > 1]
+    images = _images(orders + [js[::-1] for js in orders], u, range(ctx.n),
+                     sample_many(seed, 4, ctx), ctx)
+    return worst_of_arrays(*residual_arrays(*np.split(images, 2)))

@@ -60,8 +60,9 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     key_map, merge_keys, op_add, op_scale, operator_residual,
                     normal_det, pdo, pdo_apply, pdo_compose, perm_sign,
                     signed_products)
-from .theta import (_EPS, Residual, max_relative, residual_arrays, theta,
-                    theta_level_table, theta_table, worst_of_arrays)
+from .theta import (_EPS, Residual, max_relative, residual_arrays,
+                    richardson_even, theta, theta_level_table, theta_table,
+                    worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
 
@@ -187,6 +188,21 @@ def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOp
 
 # ------------------------------------------------------------- closed form
 
+@functools.lru_cache(maxsize=None)
+def _subset_pairs(n: int, d: int) -> tuple:
+    """The d-subsets I of range(n), the index arrays s, t [pair, I] of the
+    pairs with s outside and t inside each I, and the canonical shift key
+    of each I."""
+    subs = tuple(combinations(range(n), d))
+    s, t = np.array([[(s, t) for s in range(n) if s not in big_i
+                      for t in big_i] for big_i in subs],
+                    dtype=int).reshape(len(subs), d * (n - d), 2).T
+    for arr in (s, t):
+        arr.setflags(write=False)       # the cached plan is shared
+    return subs, s, t, tuple(canonical_key(subset_key(n, big_i))
+                             for big_i in subs)
+
+
 def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
     """The u-independent part: sum_I prod theta(lam_st + c h/n)/theta(lam_st) T_I.
 
@@ -194,12 +210,7 @@ def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
     """
     n = ctx.n
     g = c * ctx.hbar / n
-    subs = list(combinations(range(n), d))
-    # s outside and t inside each subset I, [I, pair]
-    s, t = np.array([[(s, t) for s in range(n) if s not in big_i
-                      for t in big_i] for big_i in subs],
-                    dtype=int).reshape(len(subs), d * (n - d), 2).T
-    keys = tuple(canonical_key(subset_key(n, big_i)) for big_i in subs)
+    _, s, t, keys = _subset_pairs(n, d)
 
     def table(P):
         P = np.asarray(P, dtype=complex)
@@ -571,13 +582,10 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam,
     ratio = worst_of_arrays(*residual_arrays(
         base / phi_weight(units, g, ctx),
         np.array([phi_ratio_closed(lam, (i,), g, ctx) for i in range(n)])))
-    subs = list(combinations(range(n), d))
+    subs, s, t, _ = _subset_pairs(n, d)
     raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
     # lam_st for s outside and t inside each subset, [subset, pair]: C_I
     # and the rhs are products over the pairs
-    s, t = np.array([[(s, t) for s in range(n) if s not in subset
-                      for t in subset] for subset in subs],
-                    dtype=int).reshape(len(subs), d * (n - d), 2).T
     lst = (lam[s] - lam[t]).T
     num, den, rnum, rden = theta_table([lst + gh, lst, gh + hb - lst, hb - lst],
                                        ctx)
@@ -736,14 +744,9 @@ def _mdot_apply(c: complex, d: int, hb: complex, f, P,
 
 def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
                     steps=(1e-3, 2e-3)) -> Residual:
-    """(1/h^2)(-2 Mdot_2 + Mdot_1^2 - 2 Mdot_1 + n) -> H as h -> 0.
-
-    E(h) has a term odd in h, so the symmetric part S(h) = (E(h) + E(-h))/2
-    is even in h; Richardson on S at the two steps cancels its h^2 term,
-    leaving O(h^4).
-    """
+    """(1/h^2)(-2 Mdot_2 + Mdot_1^2 - 2 Mdot_1 + n) -> H as h -> 0, by
+    richardson_even (the expression has a term odd in h)."""
     n = ctx.n
-    h1, h2 = steps
     ham = hamiltonian_cm(c, ctx)
     samples = np.asarray(samples, dtype=complex)
     got, want = [], []
@@ -760,8 +763,7 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
                            for op in (m2, compose(m1, m1, sctx), m1))
             return (-2.0 * v2 + v11 - 2.0 * v1 + n * fvals) / (hb * hb)
 
-        s1, s2 = ((expr(h) + expr(-h)) / 2.0 for h in (h1, h2))
-        got.append((h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1))
+        got.append(richardson_even(expr, steps))
         want.append(pdo_apply(ham, fjet, samples))
     return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
 
@@ -810,15 +812,10 @@ def verify_macdonald_limit(c: complex, u: complex, d: int,
     tpar_half = cmath.exp(1j * cmath.pi * gh)   # branch-free square root
     coeffs = mop.table(samples)                 # [s, subset]
     z = np.exp(2j * np.pi * samples)
-    sides = []                                  # [subset, lhs/rhs, s, case]
-    for a, subset in enumerate(combinations(range(n), d)):
-        s, t = np.array([(s, t) for s in range(n) if s not in subset
-                         for t in subset], dtype=int).reshape(-1, 2).T
-        lst = samples[:, s] - samples[:, t]
-        sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=-1)
-        zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
-                        / tpar_half, axis=-1)
-        got = coeffs[:, a]
-        sides.append([np.stack([got, sine], -1), np.stack([sine, zform], -1)])
-    lhs, rhs = np.array(sides).transpose(1, 2, 0, 3)
-    return worst_of_arrays(*residual_arrays(lhs, rhs))
+    _, s, t, _ = _subset_pairs(n, d)
+    lst = samples[:, s] - samples[:, t]         # [sample, pair, subset]
+    sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=1)
+    zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
+                    / tpar_half, axis=1)
+    return worst_of_arrays(*residual_arrays(np.stack([coeffs, sine], -1),
+                                            np.stack([sine, zform], -1)))

@@ -126,6 +126,21 @@ def test_normal_det_scalar_matrix(ctx3, rng):
     assert abs(got - want) / abs(want) < 1e-13
 
 
+def test_a_second_normal_det_over_the_same_terms_builds_no_plan(ctx3):
+    from etlax import transfer as tr
+    first = oa.normal_det(tr.l_op(0.37 + 0.21j, 0.213 + 0.057j, ctx3), 0.3,
+                          ctx3)
+    before = oa._det_plan.cache_info()
+    lop = tr.l_op(1.1 - 0.2j, -0.2 + 0.1j, ctx3)
+    second = oa.normal_det(lop, 0.5 + 0.1j, ctx3)
+    after = oa._det_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert second.terms == first.terms
+    plan = oa._det_plan(ctx3.n, lop.terms, lop.size)
+    assert all(not part.flags.writeable for part in plan
+               if isinstance(part, np.ndarray))
+
+
 def test_normal_det_diagonal_shift_operators(ctx3):
     lam = wt.sample_generic(10, ctx3)
     keys = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]

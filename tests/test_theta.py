@@ -107,6 +107,33 @@ def test_jacobi_theta_derivative_vs_finite_difference(ctx2, rng):
         assert abs(d1 - fd) < 1e-7
 
 
+@pytest.mark.parametrize("tau_im", [0.8, 0.08, 0.05])
+def test_contour_derivative_is_relative_and_its_second_order_reads_red(
+        tau_im, rng):
+    from etlax.suites import _contour_derivative
+    ctx = default_context(2, tau=0.1 + 1j * tau_im)
+    us = rng.uniform(-0.4, 0.4, (10, 2)).view(complex)[:, 0]
+    for order in (1, 2):
+        got = _contour_derivative(us, order, ctx)
+        assert th.worst_of_arrays(*th.residual_arrays(
+            got, th.theta_table(us, ctx, order))).rel < 1e-11
+    # negative control: the contour of theta'' against the series theta'
+    assert th.worst_of_arrays(*th.residual_arrays(
+        _contour_derivative(us, 2, ctx), th.theta_table(us, ctx, 1))).rel > 1e-2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_theta_passes_at_small_im_tau(n, capsys):
+    # the absolute central difference the contour replaced failed here at
+    # every seed, though the series derivative was right
+    from etlax import cli
+    for tau_im in ("0.05", "0.08"):
+        for seed in range(4):
+            assert cli.main(["theta", "--n", str(n), "--seed", str(seed),
+                             "--tau_im", tau_im]) == 0
+    capsys.readouterr()
+
+
 def test_jacobi_theta_derivative_depth_capped(ctx2):
     with pytest.raises(ContextError):
         th.theta(0.1, ctx2, deriv_order=9)
@@ -345,6 +372,22 @@ def test_qfay_degenerates_to_fay(ctx2, rng):
         * th.theta(u, ctx2) ** (d - 1) \
         * th.theta(lams[1] - lams[0], ctx2) * th.theta(mus[0] - mus[1], ctx2)
     assert abs(lhs - want) / abs(want) < 1e-4
+
+
+def test_qfay_hbar0_limit_is_the_fay_form_and_a_factor_less_reads_red(ctx2):
+    # the Richardson limit of the determinant side against the Fay form,
+    # and against that form without its theta(u)^(d-1) factor
+    d = 2
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        u, l0, l1, m0, m1 = rng.uniform(-0.4, 0.4, (5, 2)).view(complex)[:, 0]
+        lhs = complex(th.richardson_even(lambda h: th.qfay_lhs(
+            d, u, [l0, l1], [m0, m1], ctx2.replace(hbar=h))))
+        bare = th.theta(u + m0 + m1 - l0 - l1, ctx2) \
+            * th.theta(l1 - l0, ctx2) * th.theta(m0 - m1, ctx2)
+        want = bare * th.theta(u, ctx2) ** (d - 1)
+        assert th.residual_pair(lhs, want).rel < 1e-8
+        assert th.residual_pair(lhs, bare).rel >= 1e-2
 
 
 def test_tail_bounds_accepted(ctx2, rng):

@@ -1,6 +1,7 @@
 """Symmetric theta space: characters, rank, invariance, module structure."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -110,8 +111,8 @@ def test_negative_control_is_loud(ctx2, ctx3):
 
 
 def test_level1_module_relation(ctx2, ctx3):
-    assert ts.verify_thminl1(U0, ctx2).rel < 1e-8
-    assert ts.verify_thminl1(U0, ctx3).rel < 1e-8
+    assert ts.verify_module_iso(1, U0, ctx2, samples=15).rel < 1e-8
+    assert ts.verify_module_iso(1, U0, ctx3, samples=15).rel < 1e-8
 
 
 def test_fit_action_recovers_r_matrix_coefficients(ctx3):
@@ -140,6 +141,68 @@ def test_module_isomorphism(ctx2, ctx3):
     assert ts.verify_module_iso(1, U0, ctx2).rel < 1e-8
     assert ts.verify_module_iso(2, U0, ctx2).rel < 1e-7
     assert ts.verify_module_iso(1, U0, ctx3).rel < 1e-8
+
+
+def _walk(i, ip, js, u, ctx):
+    """In-test transcription of the recursive coproduct walk that T
+    replaced: a dict of the output monomials of e^js with boundary indices
+    (i, ip), slot m carrying R(u + m hbar)."""
+    from etlax.belavin import r_table
+    n, l = ctx.n, len(js)
+    rmats = r_table([u + m * ctx.hbar for m in range(l)], ctx)
+    out = {}
+
+    def rec(m, ia, prefix, coeff):
+        if m == l:
+            if ia == ip:
+                out[prefix] = out.get(prefix, 0.0) + coeff
+            return
+        for ib in range(n):
+            for jp in range(n):
+                w = rmats[m][ia, js[m], ib, jp]
+                if abs(w) < 1e-16:
+                    continue
+                rec(m + 1, ib, prefix + (jp,), coeff * w)
+    rec(0, i, (), 1.0 + 0.0j)
+    return out
+
+
+@pytest.mark.parametrize("n,l", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (4, 1), (4, 2)])
+def test_coproduct_matches_the_recursive_walk(n, l):
+    ctx = default_context(n)
+    got = ts._coproduct(l, U0, ctx)
+    monomials = list(itertools.product(range(n), repeat=l))
+    assert got.shape == (n, n ** l, n, n ** l)
+    want = np.zeros_like(got)
+    for a, js in enumerate(monomials):
+        for i in range(n):
+            for ip in range(n):
+                for out, coeff in _walk(i, ip, js, U0, ctx).items():
+                    want[i, a, ip, monomials.index(out)] = coeff
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,l", [(2, 1), (2, 2), (3, 1)])
+def test_module_iso_with_a_slot_off_by_hbar_reads_red(n, l, monkeypatch):
+    ctx = default_context(n)
+    assert ts.verify_module_iso(l, U0, ctx).rel < 1e-8
+    table = ts.r_table
+    # the last slot carries u + l hbar instead of u + (l - 1) hbar
+    monkeypatch.setattr(ts, "r_table", lambda us, ctx: table(
+        list(us[:-1]) + [us[-1] + ctx.hbar], ctx))
+    assert ts.verify_module_iso(l, U0, ctx).rel > 1e-3
+
+
+def test_module_iso_reads_one_r_table(monkeypatch):
+    calls = []
+    table = ts.r_table
+    monkeypatch.setattr(ts, "r_table",
+                        lambda us, ctx: calls.append(len(us)) or table(us, ctx))
+    for n, l in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        calls.clear()
+        assert ts.verify_module_iso(l, U0, default_context(n)).rel < 1e-7
+        assert calls == [l]
 
 
 def test_symmetrized_ordering(ctx2):

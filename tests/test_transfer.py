@@ -14,7 +14,7 @@ from etlax import opalg as oa
 from etlax import transfer as tr
 from etlax import weights as wt
 from etlax.suites import run_suite
-from etlax.theta import theta
+from etlax.theta import residual_arrays, theta, worst_of_arrays
 
 
 C0 = 0.37 + 0.21j
@@ -582,6 +582,65 @@ def test_macdonald_limit(ctx2, ctx3, rng):
         assert tr.verify_macdonald_limit(0.0, U0, 1, ctx, samples).rel < 1e-14
 
 
+def _loop_macdonald(c, u, d, ctx, samples):
+    """In-test transcription of verify_macdonald_limit's per-subset loop,
+    before the subsets read one pair plan."""
+    n = ctx.n
+    gh = c * ctx.hbar / n
+    tpar = cmath.exp(2j * cmath.pi * gh)
+    tpar_half = cmath.exp(1j * cmath.pi * gh)
+    coeffs = tr.m_dot(c, d, ctx.replace(tau=30j)).table(samples)
+    z = np.exp(2j * np.pi * samples)
+    sides = []
+    for a, subset in enumerate(itertools.combinations(range(n), d)):
+        s, t = np.array([(s, t) for s in range(n) if s not in subset
+                         for t in subset], dtype=int).reshape(-1, 2).T
+        lst = samples[:, s] - samples[:, t]
+        sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=-1)
+        zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
+                        / tpar_half, axis=-1)
+        sides.append([np.stack([coeffs[:, a], sine], -1),
+                      np.stack([sine, zform], -1)])
+    lhs, rhs = np.array(sides).transpose(1, 2, 0, 3)
+    return worst_of_arrays(*residual_arrays(lhs, rhs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_macdonald_limit_matches_its_per_subset_loop(n):
+    ctx = default_context(n)
+    samples = wt.sample_many(51, 5, ctx.replace(tau=30j))
+    for d in range(1, n + 1):
+        for c in (C0, 0.0):
+            assert tr.verify_macdonald_limit(c, U0, d, ctx, samples) == \
+                _loop_macdonald(c, U0, d, ctx, samples)
+
+
+def test_subset_pairs_are_one_read_only_plan_per_n_and_d():
+    for n in (2, 3, 4):
+        for d in range(1, n + 1):
+            subs, s, t, keys = tr._subset_pairs(n, d)
+            assert subs == tuple(itertools.combinations(range(n), d))
+            assert s.shape == t.shape == (d * (n - d), len(subs))
+            for a, subset in enumerate(subs):
+                assert list(zip(s[:, a], t[:, a])) == [
+                    (x, y) for x in range(n) if x not in subset
+                    for y in subset]
+            assert keys == tuple(wt.canonical_key(wt.subset_key(n, i))
+                                 for i in subs)
+            assert not (s.flags.writeable or t.flags.writeable)
+    # m_dot, verify_ruijsenaars and verify_macdonald_limit take the plan
+    # from the cache once it is built
+    ctx = default_context(3)
+    samples = wt.sample_many(51, 4, ctx.replace(tau=30j))
+    tr._subset_pairs(3, 2)
+    before = tr._subset_pairs.cache_info()
+    tr.m_dot(C0, 2, ctx)
+    tr.verify_macdonald_limit(C0, U0, 2, ctx, samples)
+    tr.verify_ruijsenaars(C0, U0, 2, wt.sample_many(3, 1, ctx)[0], ctx)
+    after = tr._subset_pairs.cache_info()
+    assert after.misses == before.misses and after.hits >= before.hits + 3
+
+
 # ---------------------------------------- array contractions against oracles
 
 def _tree_m_trace(c, u, d, ctx, wrong_level=None):
@@ -784,12 +843,11 @@ def _nan_in_matrix(apply_batch):
     return poisoned
 
 
-def _nan_in_r(build_r):
-    def poisoned(u, ctx):
-        r = build_r(u, ctx)
-        entries = r.entries.copy()
-        entries[0, 1, 0, 1] = math.nan
-        return type(r)(entries, r.u)
+def _nan_in_coproduct(coproduct):
+    def poisoned(l, u, ctx):
+        out = coproduct(l, u, ctx).copy()
+        out[0, 1, 0, 1] = math.nan
+        return out
     return poisoned
 
 
@@ -813,7 +871,8 @@ _NAN_CASES = [
      _nan_at_zero_key),
     ("debiard", 2, "pairwise-commutators", "transfer", "build_d_ops",
      _nan_in_d_tables),
-    ("eigen-l1", 2, "eigenvalue-shared", "thetaspace", "build_r", _nan_in_r),
+    ("eigen-l1", 2, "eigenvalue-shared", "thetaspace", "_coproduct",
+     _nan_in_coproduct),
 ]
 
 
