@@ -21,15 +21,15 @@ vertex-face intertwining relations are einsum contractions over one
 intertwiner batch.
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
-step adding hbar*epsbar_i, held as an (n^k, k) integer array.  The weight
-after a prefix is base + hbar * (its step counts), so lam_ij there is
-base_ij + hbar * (count_i - count_j) with integer counts, never a
-re-canonicalized shifted point.  A face move at (pos, pos+1) reads all its
-weights from one theta table; it keeps every path's step multiset, so a
-product of moves is block-diagonal (blocks of at most k! paths), is applied
-to a stack of blocks and scattered into the path matrix once.  The path
-plan of each (n, k) is built once.  The intertwiner map along paths reads
-one intertwiner batch per step level, at the distinct prefix weights.
+step adding hbar*epsbar_i, in product order (the first step most
+significant).  The weight after a prefix is base + hbar * (its step counts),
+so lam_ij there is base_ij + hbar * (count_i - count_j) with integer counts,
+never a re-canonicalized shifted point.  A face move at (pos, pos+1) reads
+its weights from one theta table, at the (i, j, count_i - count_j) that the
+prefixes reach, and acts in place on the rows of the path matrix viewed as
+[n^pos, n, n, rest], the way a vertex move acts on its two tensor slots.
+The intertwiner map along paths reads one intertwiner batch per step level,
+at the distinct prefix weights.
 The fusion operators on both sides are products of adjacent-swap moves whose
 spectral parameters are tracked positionally.
 """
@@ -39,11 +39,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from types import SimpleNamespace
 
 import numpy as np
 
-from .context import ModularContext, SingularParameterError
+from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
 from .theta import (_EPS, Residual, dedekind_eta, residual_arrays,
                     theta_char_table, theta_level_table, theta_table,
@@ -83,10 +82,8 @@ def _r_index(n: int):
     i, j, ip = np.indices((n, n, n)).reshape(3, -1)
     jp = (i + j - ip) % n
     others = np.array([[k for k in range(n) if k != m] for m in range(n)])
-    index = (i, j, ip, jp, (ip - jp) % n, (ip - i) % n, (i - jp) % n, others)
-    for arr in index:
-        arr.setflags(write=False)       # the cached map is shared
-    return index
+    return read_only(i, j, ip, jp, (ip - jp) % n, (ip - i) % n, (i - jp) % n,
+                     others)
 
 
 def _r_values(us, ctx: ModularContext) -> np.ndarray:
@@ -258,66 +255,8 @@ def partial_shifts(n: int, k: int) -> tuple:
         distinct = tuple(dict.fromkeys(keys))
         pos = {key: a for a, key in enumerate(distinct)}
         prefixes.append(distinct)
-        prefix.append(np.array([pos[key] for key in keys], dtype=int))
-        prefix[-1].setflags(write=False)    # the cached plan is shared
+        prefix += read_only(np.array([pos[key] for key in keys], dtype=int))
     return tuple(prefixes), tuple(prefix)
-
-
-@functools.lru_cache(maxsize=None)
-def _path_plan(n: int, k: int) -> SimpleNamespace:
-    """Index arrays of the length-k paths at rank n.
-
-    paths[p] is the step sequence of path p, in paths order (lexicographic).
-    At level r, prefixes[r] holds the distinct canonical step counts of the
-    first r steps and prefix[r][p] the one of path p.  A move at position
-    pos acts on steps (pos, pos+1) with the weight lam_ij,
-    lam = base + hbar * (step counts of the prefix): pairs[pos] lists the
-    distinct (i, j, count_i - count_j) over the paths with i != j there and
-    pair[pos][p] indexes it (-1 when i == j).  A move keeps each path's
-    step multiset, so it acts on blocks: layout[b, s] is the path in slot s
-    of block b (len(paths) pads short blocks), partner[pos][b, s] the slot
-    of its swap at pos (its own slot for padding), and the stack entry
-    (b, s, s') lands at scatter[0] in the flattened stack and at
-    (scatter[1], scatter[2]) in the path matrix.
-    """
-    tuples = list(product(range(n), repeat=k))
-    index = {t: p for p, t in enumerate(tuples)}
-    prefixes, prefix = partial_shifts(n, k)
-    blocks = {}
-    for p, t in enumerate(tuples):
-        blocks.setdefault(tuple(sorted(t)), []).append(p)
-    width = max(len(b) for b in blocks.values())
-    layout = np.full((len(blocks), width), len(tuples))
-    slot = np.empty(len(tuples), dtype=int)
-    for b, members in enumerate(blocks.values()):
-        layout[b, :len(members)] = members
-        slot[members] = np.arange(len(members))
-    real = layout < len(tuples)
-    pairs, pair, partner = [], [], []
-    for pos in range(k - 1):
-        found = {}
-        at = np.full(len(tuples), -1)
-        swap = np.empty(len(tuples), dtype=int)
-        for p, t in enumerate(tuples):
-            i, j = t[pos], t[pos + 1]
-            swap[p] = index[t[:pos] + (j, i) + t[pos + 2:]]
-            if i != j:
-                triple = (i, j, t[:pos].count(i) - t[:pos].count(j))
-                at[p] = found.setdefault(triple, len(found))
-        pairs.append(np.array(list(found), dtype=int).reshape(-1, 3))
-        pair.append(at)
-        mate = np.tile(np.arange(width), (len(blocks), 1))
-        mate[real] = slot[swap[layout[real]]]
-        partner.append(mate)
-    b, s, sp = np.nonzero(real[:, :, None] & real[:, None, :])
-    scatter = ((b * width + s) * width + sp, layout[b, s], layout[b, sp])
-    paths = np.array(tuples, dtype=int).reshape(len(tuples), k)
-    for arr in (paths, *pairs, *pair, layout, *partner, *scatter):
-        arr.setflags(write=False)       # the cached plan is shared
-    return SimpleNamespace(
-        paths=paths, prefixes=prefixes, prefix=prefix, pairs=tuple(pairs),
-        pair=tuple(pair), layout=layout, partner=tuple(partner),
-        scatter=scatter)
 
 
 def _face_weights(lij, deltas, ctx: ModularContext):
@@ -346,36 +285,34 @@ def _face_weights(lij, deltas, ctx: ModularContext):
             (t[:, 2] / t[:, 1])[:, None] * t[:, 3 + 2 * m:] / den)
 
 
-def face_weight(lam, i: int, j: int, kind: str, u: complex,
-                ctx: ModularContext) -> complex:
-    """One face weight at base weight lam[n] (the one-entry _face_weights).
+def _move_weights(k: int, pos: int, coords: np.ndarray, deltas,
+                  ctx: ModularContext):
+    """keep[s, a, i, j] and cross[s, a, i, j]: the weights of the move at
+    (pos, pos+1) with argument deltas[s] on the length-k paths with prefix a
+    (of n^pos, in product order) and steps (i, j) there, at the base weight
+    coords[s], to themselves and to their swaps (0 where i == j).
 
-    kind 'diag':  both steps i (requires i == j)     theta(u+h)/theta(h)
-    kind 'cis':   steps (i,j), unchanged middle      theta(-u+lam_ij)/theta(lam_ij)
-    kind 'trans': steps (i,j), crossed middle        theta(u)/theta(h)
-                                                     * theta(h+lam_ij)/theta(lam_ij)
+    The weight after prefix a is base + hbar * (its step counts), so only
+    the (i, j, count_i - count_j) that some prefix reaches are read, from
+    one _face_weights table, in order of first appearance.
     """
-    if kind not in ("diag", "cis", "trans"):
-        raise ValueError(f"unknown face weight kind {kind!r}")
-    if (kind == "diag") != (i == j):
-        raise ValueError(f"{kind} face weight needs "
-                         f"{'i == j' if kind == 'diag' else 'i != j'}")
-    diag, cis, trans = _face_weights([[lam[i] - lam[j]] if i != j else []],
-                                     [u], ctx)
-    return complex(diag[0] if kind == "diag" else (cis if kind == "cis" else trans)[0, 0])
-
-
-def _move_weights(plan: SimpleNamespace, pos: int, coords: np.ndarray,
-                  deltas, ctx: ModularContext):
-    """keep[s, p] and cross[s, p]: the weights of the move at (pos, pos+1)
-    with argument deltas[s] from path p at the base weight coords[s] to
-    itself and to its swap (0 where the steps agree)."""
-    i, j, m = plan.pairs[pos].T
-    diag, cis, trans = _face_weights(coords[:, i] - coords[:, j] + ctx.hbar * m,
+    n = ctx.n
+    prefixes, prefix = partial_shifts(n, k)
+    counts = [prefixes[pos][a] for a in prefix[pos][::n ** (k - pos)]]
+    off = ~np.eye(n, dtype=bool)
+    i, j = np.nonzero(off)
+    found = {}
+    at = [found.setdefault((a, b, c[a] - c[b]), len(found))
+          for c in counts for a, b in zip(i.tolist(), j.tolist())]
+    ti, tj, tm = np.array(list(found), dtype=int).T
+    diag, cis, trans = _face_weights(coords[:, ti] - coords[:, tj] + ctx.hbar * tm,
                                      deltas, ctx)
-    at = plan.pair[pos]                 # -1 reads the appended entry
-    return (np.concatenate([cis, diag[:, None]], axis=1)[:, at],
-            np.concatenate([trans, np.zeros((len(trans), 1))], axis=1)[:, at])
+    keep = np.empty((len(coords), len(counts), n, n), dtype=complex)
+    cross = np.zeros_like(keep)
+    keep[:, :, off] = cis[:, at].reshape(len(coords), len(counts), -1)
+    cross[:, :, off] = trans[:, at].reshape(len(coords), len(counts), -1)
+    keep[:, :, ~off] = diag[:, None, None]
+    return keep, cross
 
 
 def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray:
@@ -384,30 +321,29 @@ def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray
 
     moves is a list of (pos, delta), first entry applied first; delta is one
     value or one per base.  Each move reads its weights at every base from
-    one theta table and acts on the stack of step-multiset blocks; the
-    stack is scattered into the paths x paths matrices once.
+    one theta table and acts on the rows of the paths x paths matrices in
+    place, viewed as [s, n^pos, n, n, rest]: the row of the path (a, i, j, r)
+    becomes keep[a, i, j] times itself plus cross[a, j, i] times the row of
+    its swap (a, j, i, r).
     """
     base = np.asarray(base, dtype=complex)
     coords = base.reshape(-1, ctx.n)
-    plan = _path_plan(ctx.n, k)
-    count, width = plan.layout.shape
-    rows = np.arange(count)[:, None]
-    stack = np.tile(np.eye(width, dtype=complex), (len(coords), count, 1, 1))
+    n, count, size = ctx.n, len(coords), ctx.n ** k
+    mat = np.zeros((count, size, size), dtype=complex)
+    mat[:, np.arange(size), np.arange(size)] = 1.0
     for pos, delta in moves:
-        # a 0 for the padding slot len(paths) of short blocks
-        keep, cross = (np.pad(w, ((0, 0), (0, 1))) for w in _move_weights(
-            plan, pos, coords, np.broadcast_to(delta, len(coords)), ctx))
-        mate = plan.partner[pos]
-        # path q receives keep[q] from itself and cross[swap q] from its
-        # swap; updated in place, so a move holds one extra stack
-        swapped = stack[:, rows, mate]
-        swapped *= cross[:, plan.layout[rows, mate]][..., None]
-        stack *= keep[:, plan.layout][..., None]
-        stack += swapped
-    size = len(plan.paths)
-    mat = np.zeros((len(coords), size, size), dtype=complex)
-    src, row, col = plan.scatter
-    mat[:, row, col] = stack.reshape(len(coords), -1)[:, src]
+        keep, cross = (w[..., None] for w in _move_weights(
+            k, pos, coords, np.broadcast_to(delta, count), ctx))
+        rows = mat.reshape(count, n ** pos, n, n, -1)
+        for i in range(n):
+            rows[:, :, i, i] *= keep[:, :, i, i]        # the diagonal only scales
+            for j in range(i + 1, n):
+                x, y = rows[:, :, i, j], rows[:, :, j, i]
+                old = x.copy()
+                x *= keep[:, :, i, j]
+                x += y * cross[:, :, j, i]
+                y *= keep[:, :, j, i]
+                y += old * cross[:, :, i, j]
     return mat[0] if base.ndim == 1 else mat
 
 
@@ -440,8 +376,8 @@ class IntertwinerPair:
 _COND_LIMIT = 1e8
 
 
-def _build_intertwiners(us, mus, ctx: ModularContext,
-                        cond_limit: float = _COND_LIMIT):
+def intertwiner_arrays(us, mus, ctx: ModularContext,
+                       cond_limit: float = _COND_LIMIT):
     """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
     one theta table and one stacked solve for all of them.
 
@@ -451,6 +387,7 @@ def _build_intertwiners(us, mus, ctx: ModularContext,
     rest, or every pair where the solve finds phi singular, get the
     stacked np.linalg.cond, and the first above the limit raises.
     """
+    us = list(us)
     n, count = ctx.n, len(us)
     ieta = 1j * dedekind_eta(ctx.tau, ctx).value
     args = _phi_args(us, mus, n).ravel()
@@ -483,19 +420,13 @@ def _phi_args(us, mus, n: int) -> np.ndarray:
             - np.asarray(mus, dtype=complex).reshape(-1, n))
 
 
-def intertwiner_arrays(us, mus, ctx: ModularContext):
-    """phi and phibar of every pair (us[p], mus[p]), stacked as (P, n, n),
-    built in one batch under the guard on the raw 2-norm condition number."""
-    return _build_intertwiners(list(us), mus, ctx)
-
-
 def intertwiners(u: complex, mu, ctx: ModularContext,
                  cond_limit: float = _COND_LIMIT) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar at one point mu[n], solved numerically:
     the batch of one (a one-point view kept for the traced benchmark)."""
     mu = np.asarray(mu, dtype=complex)
-    phi, phibar = _build_intertwiners([u], mu[None], ctx, cond_limit)
+    phi, phibar = intertwiner_arrays([u], mu[None], ctx, cond_limit)
     return IntertwinerPair(phi[0], phibar[0], u, mu,
                            float(np.linalg.cond(phi[0])))
 
@@ -518,15 +449,6 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
                 np.linalg.det(phi), want))}
 
 
-def _two_step_weights(P, deltas, ctx: ModularContext):
-    """keep[s, a, b] and cross[s, a, b]: the weights of the move with
-    argument deltas[s] on the two-step paths (a, b) from P[s], to (a, b)
-    and to (b, a)."""
-    n = ctx.n
-    keep, cross = _move_weights(_path_plan(n, 2), 0, P, deltas, ctx)
-    return keep.reshape(-1, n, n), cross.reshape(-1, n, n)
-
-
 def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     """The outgoing ("vertex-face") and incoming ("dual") vertex-face
     intertwining relations at the samples (us[s], vs[s], P[s]), worst
@@ -544,8 +466,8 @@ def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     n = ctx.n
     us, vs = np.asarray(us, dtype=complex), np.asarray(vs, dtype=complex)
     P = np.asarray(P, dtype=complex)
-    keep, cross = _two_step_weights(P, us - vs, ctx)
-    keep, cross = keep[..., None, None], cross[..., None, None]
+    keep, cross = (w[:, 0, ..., None, None]
+                   for w in _move_weights(2, 0, P, us - vs, ctx))
     rt = r_table(us - vs, ctx)
     # per sample, phi at (u, lam), (v, lam), (u, lam + h epsbar_a) and
     # (v, lam + h epsbar_a) for a < n
@@ -648,16 +570,16 @@ def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
     intertwiner batch and multiplies its vectors into every column at once.
     """
     n, k = ctx.n, len(params)
-    plan = _path_plan(n, k)
-    size = len(plan.paths)
-    mat = np.ones((n ** k, size), dtype=complex)
-    grid = mat.reshape((n,) * k + (size,))
-    for m, keys in enumerate(plan.prefixes):
+    prefixes, prefix = partial_shifts(n, k)
+    steps = np.indices((n,) * k).reshape(k, -1)                 # [m, path]
+    mat = np.ones((n ** k, n ** k), dtype=complex)
+    grid = mat.reshape((n,) * k + (-1,))
+    for m, keys in enumerate(prefixes):
         pts = shifted(base, keys, ctx.hbar) if m else np.asarray(base)[None]
         phi, _ = intertwiner_arrays([params[m]] * len(pts), pts, ctx)
-        vecs = phi[plan.prefix[m], :, plan.paths[:, m]]        # [path, i]
+        vecs = phi[prefix[m], :, steps[m]]                      # [path, i]
         # tensor factor m of every column, multiplied in place
-        grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1) + (size,))
+        grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1) + (-1,))
     return mat
 
 

@@ -25,6 +25,15 @@ class SamplingError(RuntimeError):
     """Generic-point sampling exhausted its resampling budget."""
 
 
+def read_only(*arrays) -> tuple:
+    """The arrays of a cached plan, marked read-only because every caller
+    shares them (a None entry is skipped)."""
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+    return arrays
+
+
 def lattice_distance(z: complex, tau: complex) -> float:
     """Distance from z to the nearest point of Z + Z*tau."""
     b = z.imag / tau.imag

@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .context import ModularContext
+from .context import ModularContext, read_only
 from .theta import Residual, max_relative, worst_of_arrays
 from .weights import canonical_key, shifted
 
@@ -268,8 +268,7 @@ def _det_plan(n: int, terms: tuple, size: int) -> tuple:
         [sum(keys[a][x] for a in tup) for x in range(n)]) for tup in tuples])
     perms = np.array(list(permutations(range(size))))
     signs = np.array([perm_sign(p) for p in perms], dtype=float)
-    for arr in (slots, tuples, keymap, perms, signs):
-        arr.setflags(write=False)       # the cached plan is shared
+    read_only(slots, tuples, keymap, perms, signs)
     return keys, slots, tuples, sums, keymap, perms, signs
 
 
@@ -339,10 +338,12 @@ def _jet_plan(n: int, order: int) -> _JetPlan:
             left.append(index[tuple(x - y for x, y in zip(c, b))])
             right.append(index[b])
     exps = np.array(monos, dtype=int).reshape(len(monos), n)
-    return _JetPlan(exps, exps.sum(axis=1),
-                    np.array([math.prod(map(math.factorial, m))
-                              for m in monos], dtype=float),
-                    index, np.array(left), np.array(right), np.array(starts))
+    exps, degree, fact, left, right, starts = read_only(
+        exps, exps.sum(axis=1),
+        np.array([math.prod(map(math.factorial, m)) for m in monos],
+                 dtype=float),
+        np.array(left), np.array(right), np.array(starts))
+    return _JetPlan(exps, degree, fact, index, left, right, starts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,9 +353,9 @@ def _deriv_gather(n: int, order: int, alpha: tuple) -> tuple:
     index = _jet_plan(n, order).index
     monos = monomials(n, order - sum(alpha))
     shifted = [tuple(x + a for x, a in zip(m, alpha)) for m in monos]
-    return (np.array([index[m] for m in shifted]),
-            np.array([math.prod(map(math.perm, m, alpha)) for m in shifted],
-                     dtype=float))
+    return read_only(np.array([index[m] for m in shifted]),
+                     np.array([math.prod(map(math.perm, m, alpha))
+                               for m in shifted], dtype=float))
 
 
 def jet_constant(value, count: int, n: int, order: int) -> np.ndarray:
@@ -456,8 +457,7 @@ def _leibniz_plan(a_terms: tuple, b_terms: tuple) -> tuple:
     left, right = np.array(left), np.array(right)
     mults = np.array(mults, dtype=float)[:, None]
     terms, q = key_map(keys)
-    for arr in (which, left, right, mults, q):
-        arr.setflags(write=False)       # the cached plan is shared
+    read_only(which, left, right, mults, q)
     return tuple(rests), which, left, right, mults, terms, q
 
 

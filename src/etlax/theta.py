@@ -58,7 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .context import ContextError, ModularContext, SingularParameterError
+from .context import (ContextError, ModularContext, SingularParameterError,
+                      read_only)
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
@@ -208,9 +209,7 @@ def _series(ms: tuple, l: int, tau: complex, trunc: int,
                 trunc)
     centre = (trunc - half + 0.5) - np.array(ms, dtype=float)[:, None] / l
     offsets = np.arange(0, tpm.size, 2 * trunc + 1)[:, None]
-    for arr in (tpm, phase, dfac, centre, offsets):
-        if arr is not None:
-            arr.setflags(write=False)
+    read_only(tpm, phase, dfac, centre, offsets)
     return _Series(tpm, phase, dfac, half, centre, offsets, 1.0 / tau.imag)
 
 
@@ -350,10 +349,16 @@ def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
     return ctx.cached(("eta", tau), lambda: _eta_product(tau, ctx.trunc))
 
 
+def _product_length(p: complex, trunc: int) -> int:
+    """Factors of a product over the powers p^m: until |p|^m reaches
+    1e-46, at least trunc and at most 6000."""
+    return max(trunc, min(6000, int(math.ceil(-46.0 / math.log10(abs(p))))))
+
+
 def _eta_product(tau: complex, trunc: int) -> ThetaValue:
     p = cmath.exp(TWO_PI_I * tau)
     ap = abs(p)
-    nterms = max(trunc, min(6000, int(math.ceil(-46.0 / math.log10(ap)))))
+    nterms = _product_length(p, trunc)
     value = cmath.exp(TWO_PI_I * tau / 24.0)
     for mm in range(1, nterms + 1):
         value *= 1.0 - p ** mm
@@ -364,7 +369,7 @@ def _eta_product(tau: complex, trunc: int) -> ThetaValue:
 def dedekind_eta_logsum(tau: complex, ctx: ModularContext) -> complex:
     """Independent log-domain route: exp(2 pi i tau/24 + sum log(1 - p^m))."""
     p = cmath.exp(TWO_PI_I * complex(tau))
-    nterms = max(ctx.trunc, min(6000, int(math.ceil(-46.0 / math.log10(abs(p))))))
+    nterms = _product_length(p, ctx.trunc)
     acc = TWO_PI_I * tau / 24.0
     for mm in range(1, nterms + 1):
         acc += cmath.log(1.0 - p ** mm)
@@ -380,7 +385,7 @@ def jacobi_theta_triple_product(u: complex, ctx: ModularContext) -> complex:
     p = ctx.p
     zh = cmath.exp(1j * math.pi * u)
     z = zh * zh
-    nterms = max(ctx.trunc, min(6000, int(math.ceil(-46.0 / math.log10(abs(p))))))
+    nterms = _product_length(p, ctx.trunc)
     value = 1j * cmath.exp(1j * math.pi * ctx.tau / 4.0) * (zh - 1.0 / zh)
     for mm in range(1, nterms + 1):
         pm = p ** mm
@@ -391,7 +396,7 @@ def jacobi_theta_triple_product(u: complex, ctx: ModularContext) -> complex:
 def eta_tau_log_derivative(ctx: ModularContext) -> complex:
     """d/dtau log eta(tau) = 2 pi i (1/24 - sum m p^m / (1 - p^m))."""
     p = ctx.p
-    nterms = max(ctx.trunc, min(6000, int(math.ceil(-46.0 / math.log10(abs(p))))))
+    nterms = _product_length(p, ctx.trunc)
     s = sum(mm * p ** mm / (1.0 - p ** mm) for mm in range(1, nterms + 1))
     return TWO_PI_I * (1.0 / 24.0 - s)
 

@@ -29,7 +29,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .context import ContextError, ModularContext
+from .context import ContextError, ModularContext, read_only
 from .belavin import r_table
 from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
 from .theta import (_EPS, _WINDOW_DROP, Residual, residual_arrays, theta_table,
@@ -85,7 +85,7 @@ def _lattice_points(n: int, j: int, radius2: int, ctx: ModularContext):
         nn = ((vs - centre) ** 2).sum(axis=1)
         order = np.argsort(nn, kind="stable")
         keep = order[nn[order] <= radius2]
-        return vs[keep], nn[keep]
+        return read_only(vs[keep], nn[keep])
     return ctx.cached(("chilat", n, j, radius2), build)
 
 

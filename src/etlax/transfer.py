@@ -51,7 +51,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .context import ModularContext, SingularParameterError
+from .context import ModularContext, SingularParameterError, read_only
 from .belavin import fused_rcheck_matrix, intertwiner_arrays, partial_shifts
 from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
@@ -135,8 +135,7 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
         signs[z, a] = perm_sign(perm)
     keys, keymap = key_map([canonical_key([t.count(i) for i in range(n)])
                             for t in tuples])
-    for arr in (*shift, *rows, *cols, signs, keymap):
-        arr.setflags(write=False)       # the cached plan is shared
+    read_only(*shift, *rows, *cols, signs, keymap)
     return _FusionPlan(prefixes, prefix, tuple(shift), rows, cols, signs,
                        keys, keymap)
 
@@ -197,8 +196,7 @@ def _subset_pairs(n: int, d: int) -> tuple:
     s, t = np.array([[(s, t) for s in range(n) if s not in big_i
                       for t in big_i] for big_i in subs],
                     dtype=int).reshape(len(subs), d * (n - d), 2).T
-    for arr in (s, t):
-        arr.setflags(write=False)       # the cached plan is shared
+    read_only(s, t)
     return subs, s, t, tuple(canonical_key(subset_key(n, big_i))
                              for big_i in subs)
 
@@ -499,25 +497,22 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     derivs = (4 * d1 - d2) / 3.0                                # [s, i, j]
     samples = np.asarray(samples, dtype=complex)
     diff = samples[:, :, None] - samples[:, None, :]           # [s, i, j]
-    # theta(lam_ij), theta(u + lam_ij) and theta(u) from one table, and
-    # theta'(lam_ij), theta'(u) and theta'(0) from one more
-    values = theta_table(np.append(np.stack([diff, u + diff]), u), ctx)
-    plain, shifted = values[:-1].reshape(2, *diff.shape)
-    tu = complex(values[-1])
-    dvalues = theta_table(np.append(diff, [u, 0.0]), ctx, 1)
-    dplain = dvalues[:-2].reshape(diff.shape)
-    tu1, tp0 = dvalues[-2:].tolist()
     eye = np.eye(n, dtype=bool)
-    plain = np.where(eye, 1.0, plain)           # theta(0) = 0 is never read
+    # theta(0) = 0 is never read
+    plain = np.where(eye, 1.0, theta_table(diff, ctx))
     # off the diagonal: prod_{k != j} theta(lam_kj) / prod_{k != i}
-    # theta(lam_ki) times the derivative, against the theta closed form
+    # theta(lam_ki) times the derivative
     cols = np.prod(plain, axis=1)                               # [s, j]
     got = cols[:, None, :] / cols[:, :, None] * derivs
-    want = g * shifted.transpose(0, 2, 1) * tp0 / (tu * plain.transpose(0, 2, 1))
     # on it: Delta^{-c/n} d_i Delta^{c/n} adds (c/n) d_i log Delta
-    dlog = np.sum(np.where(eye, 0.0, dplain / plain), axis=-1)  # [s, i]
+    dlog = np.sum(np.where(eye, 0.0, theta_table(diff, ctx, 1) / plain),
+                  axis=-1)                                      # [s, i]
     got[:, eye] = derivs[:, eye] + g * dlog
-    want[:, eye] = g * tu1 / tu
+    # against the order-0 parts of krichever_k(c, u)
+    zero = (0,) * n
+    want = np.stack([np.stack([op.table(samples)[:, op.terms.index(zero), 0]
+                               for op in row], axis=-1)
+                     for row in krichever_k(c, u, ctx)], axis=1)
     return worst_of_arrays(*residual_arrays(got, want))
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,25 +96,20 @@ def test_ybe_degenerate_equal_points(ctx3, rng):
 
 def test_face_weight_values_at_zero(ctx3):
     lam = wt.sample_generic(4, ctx3)
-    assert abs(bv.face_weight(lam, 1, 1, "diag", 0.0, ctx3) - 1.0) < 1e-12
-    assert abs(bv.face_weight(lam, 0, 2, "cis", 0.0, ctx3) - 1.0) < 1e-12
-    assert abs(bv.face_weight(lam, 0, 2, "trans", 0.0, ctx3)) < 1e-12
-
-
-def test_face_weight_argument_validation(ctx3):
-    lam = wt.sample_generic(4, ctx3)
-    with pytest.raises(ValueError):
-        bv.face_weight(lam, 0, 1, "diag", 0.1, ctx3)
-    with pytest.raises(ValueError):
-        bv.face_weight(lam, 1, 1, "cis", 0.1, ctx3)
-    with pytest.raises(ValueError):
-        bv.face_weight(lam, 0, 1, "sideways", 0.1, ctx3)
+    diag, cis, trans = bv._face_weights([[lam[0] - lam[2], lam[1] - lam[0]]],
+                                        [0.0], ctx3)
+    assert abs(diag[0] - 1.0) < 1e-12
+    assert np.max(np.abs(cis - 1.0)) < 1e-12
+    assert np.max(np.abs(trans)) < 1e-12
+    # control: off u = 0 the cis and trans weights move away from 1 and 0
+    diag, cis, trans = bv._face_weights([[lam[0] - lam[2]]], [0.3], ctx3)
+    assert abs(cis[0, 0] - 1.0) > 1e-3 and abs(trans[0, 0]) > 1e-3
 
 
 def test_face_weight_resonant_rejection(ctx3):
     near = wt.canonical([1e-12, 0.0, 0.31])
     with pytest.raises(SingularParameterError):
-        bv.face_weight(near, 0, 1, "cis", 0.1, ctx3)
+        bv._face_weights([[near[0] - near[1]]], [0.1], ctx3)
 
 
 def test_face_ybe(ctx2, ctx3, rng):
@@ -218,6 +214,157 @@ def test_face_batch_matches_per_sample_matrices(n, rng):
                                             (1, us - vs)], ctx)
     dev = np.max(np.abs(lhs - rhs), axis=(1, 2)) / np.max(np.abs(rhs), axis=(1, 2))
     assert dev[2] > 1e-3 and np.delete(dev, 2).max() < 1e-9
+
+
+# In-test copy of the block plan the face matrices were built with before
+# the moves acted on the path tensor: the paths sorted into step-multiset
+# blocks (short blocks padded), a swap partner per slot, a scatter map into
+# the path matrix, and the weights of each move read at the distinct
+# (i, j, count_i - count_j) of its paths in order of first appearance.
+
+def _block_plan(n, k):
+    tuples = list(product(range(n), repeat=k))
+    index = {t: p for p, t in enumerate(tuples)}
+    blocks = {}
+    for p, t in enumerate(tuples):
+        blocks.setdefault(tuple(sorted(t)), []).append(p)
+    width = max(len(b) for b in blocks.values())
+    layout = np.full((len(blocks), width), len(tuples))
+    slot = np.empty(len(tuples), dtype=int)
+    for b, members in enumerate(blocks.values()):
+        layout[b, :len(members)] = members
+        slot[members] = np.arange(len(members))
+    real = layout < len(tuples)
+    pairs, pair, partner = [], [], []
+    for pos in range(k - 1):
+        found = {}
+        at = np.full(len(tuples), -1)
+        swap = np.empty(len(tuples), dtype=int)
+        for p, t in enumerate(tuples):
+            i, j = t[pos], t[pos + 1]
+            swap[p] = index[t[:pos] + (j, i) + t[pos + 2:]]
+            if i != j:
+                triple = (i, j, t[:pos].count(i) - t[:pos].count(j))
+                at[p] = found.setdefault(triple, len(found))
+        pairs.append(np.array(list(found), dtype=int).reshape(-1, 3))
+        pair.append(at)
+        mate = np.tile(np.arange(width), (len(blocks), 1))
+        mate[real] = slot[swap[layout[real]]]
+        partner.append(mate)
+    b, s, sp = np.nonzero(real[:, :, None] & real[:, None, :])
+    scatter = ((b * width + s) * width + sp, layout[b, s], layout[b, sp])
+    return SimpleNamespace(size=len(tuples), pairs=pairs, pair=pair,
+                           layout=layout, partner=partner, scatter=scatter)
+
+
+def _block_move_weights(plan, pos, coords, deltas, ctx):
+    i, j, m = plan.pairs[pos].T
+    diag, cis, trans = bv._face_weights(
+        coords[:, i] - coords[:, j] + ctx.hbar * m, deltas, ctx)
+    at = plan.pair[pos]                 # -1 reads the appended entry
+    return (np.concatenate([cis, diag[:, None]], axis=1)[:, at],
+            np.concatenate([trans, np.zeros((len(trans), 1))], axis=1)[:, at])
+
+
+def _block_face_matrix(base, k, moves, ctx):
+    base = np.asarray(base, dtype=complex)
+    coords = base.reshape(-1, ctx.n)
+    plan = _block_plan(ctx.n, k)
+    count, width = plan.layout.shape
+    rows = np.arange(count)[:, None]
+    stack = np.tile(np.eye(width, dtype=complex), (len(coords), count, 1, 1))
+    for pos, delta in moves:
+        keep, cross = (np.pad(w, ((0, 0), (0, 1))) for w in _block_move_weights(
+            plan, pos, coords, np.broadcast_to(delta, len(coords)), ctx))
+        mate = plan.partner[pos]
+        swapped = stack[:, rows, mate]
+        swapped *= cross[:, plan.layout[rows, mate]][..., None]
+        stack *= keep[:, plan.layout][..., None]
+        stack += swapped
+    mat = np.zeros((len(coords), plan.size, plan.size), dtype=complex)
+    src, row, col = plan.scatter
+    mat[:, row, col] = stack.reshape(len(coords), -1)[:, src]
+    return mat[0] if base.ndim == 1 else mat
+
+
+def _block_phi_tensor(base, params, ctx):
+    n, k = ctx.n, len(params)
+    prefixes, prefix = bv.partial_shifts(n, k)
+    paths = np.array(list(product(range(n), repeat=k)), dtype=int)
+    mat = np.ones((n ** k, len(paths)), dtype=complex)
+    grid = mat.reshape((n,) * k + (len(paths),))
+    for m, keys in enumerate(prefixes):
+        pts = wt.shifted(base, keys, ctx.hbar) if m else np.asarray(base)[None]
+        phi, _ = bv.intertwiner_arrays([params[m]] * len(pts), pts, ctx)
+        vecs = phi[prefix[m], :, paths[:, m]]
+        grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1)
+                               + (len(paths),))
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_face_moves_on_the_path_tensor_equal_the_block_plan(n, rng):
+    ctx = default_context(n)
+    for trial in range(2):
+        lam = wt.sample_generic(110 + trial, ctx)
+        P = wt.sample_many(120 + trial, 3, ctx)
+        for k in range(2, n + 1):
+            moves = [(int(rng.integers(0, k - 1)), rand_complex(rng))
+                     for _ in range(int(rng.integers(2, 7)))]
+            assert np.array_equal(bv.face_operator_matrix(lam, k, moves, ctx),
+                                  _block_face_matrix(lam, k, moves, ctx))
+            batched = [(pos, np.array([rand_complex(rng) for _ in P]))
+                       for pos, _ in moves]
+            assert np.array_equal(bv.face_operator_matrix(P, k, batched, ctx),
+                                  _block_face_matrix(P, k, batched, ctx))
+            # the weights themselves, path by path
+            plan = _block_plan(n, k)
+            for pos, deltas in batched:
+                got = bv._move_weights(k, pos, P, deltas, ctx)
+                want = _block_move_weights(plan, pos, P, deltas, ctx)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w.reshape(g.shape + (-1,))[..., 0])
+            # the fusion operator, moves and parameters of the fusion braid
+            u = rand_complex(rng)
+            fm = bv.fusion_moves(k)
+            fused = list(zip(fm, bv._move_deltas(bv.fusion_parameters(k, u, ctx),
+                                                 fm)))
+            assert np.array_equal(bv.face_fusion_operator(k, lam, ctx, u),
+                                  _block_face_matrix(lam, k, fused, ctx))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_tensor_and_intertwining_equal_the_block_plan(n, rng, monkeypatch):
+    ctx = default_context(n)
+    lam = wt.sample_generic(130, ctx)
+    for k in range(1, n + 1):
+        params = bv.fusion_parameters(k, rand_complex(rng), ctx)
+        assert np.array_equal(bv.phi_tensor_matrix(lam, params, ctx),
+                              _block_phi_tensor(lam, params, ctx))
+    P = wt.sample_many(131, 3, ctx)
+    us, vs = ([rand_complex(rng) for _ in P] for _ in range(2))
+    got = bv.verify_intertwining(us, vs, P, ctx)
+
+    def block(k, pos, coords, deltas, c):
+        return (w.reshape(len(coords), c.n ** pos, c.n, c.n, -1)[..., 0]
+                for w in _block_move_weights(_block_plan(c.n, k), pos, coords,
+                                             deltas, c))
+    monkeypatch.setattr(bv, "_move_weights", block)
+    assert bv.verify_intertwining(us, vs, P, ctx) == got
+
+
+def test_face_moves_read_only_the_weights_their_prefixes_reach():
+    ctx = default_context(2)
+    base = np.array([1e-12, -1e-12], dtype=complex)     # theta(lam_01) ~ 0
+    # at pos 1 the prefix holds one step, so lam_01 is read shifted by
+    # +-hbar only: no raise, as with the block plan
+    for moves in ([(1, 0.3)], [(1, 0.3), (1, 0.1)]):
+        assert np.array_equal(bv.face_operator_matrix(base, 3, moves, ctx),
+                              _block_face_matrix(base, 3, moves, ctx))
+    # control: at pos 0 the empty prefix reads lam_01 itself
+    for face in (bv.face_operator_matrix, _block_face_matrix):
+        with pytest.raises(SingularParameterError, match="resonant weight"):
+            face(base, 3, [(1, 0.3), (0, 0.3)], ctx)
 
 
 def _kron_loop(base, params, ctx):
@@ -614,7 +761,8 @@ def _loop_vertex_face(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0] for w in bv._two_step_weights(lam[None], [u - v], ctx))
+    keep, cross = (w[0, 0] for w in bv._move_weights(2, 0, lam[None], [u - v],
+                                                      ctx))
     ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     phi_u, phi_v = bv.intertwiners(u, lam, ctx).phi, bv.intertwiners(v, lam, ctx).phi
     phi_u_up = [bv.intertwiners(u, mu, ctx).phi for mu in ups]
@@ -638,7 +786,8 @@ def _loop_dual(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0] for w in bv._two_step_weights(lam[None], [u - v], ctx))
+    keep, cross = (w[0, 0] for w in bv._move_weights(2, 0, lam[None], [u - v],
+                                                      ctx))
     ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     pb_u = bv.intertwiners(u, lam, ctx).phibar
     pb_v = bv.intertwiners(v, lam, ctx).phibar
@@ -673,12 +822,12 @@ def test_intertwining_relations_match_loop_forms(n, rng, monkeypatch):
     # control: keep and cross exchanged off the diagonal (a == b has the
     # one middle keep[a, a]) break both relations, and the batch reports
     # the worst residual of the per-sample loop forms
-    weights = bv._two_step_weights
+    weights = bv._move_weights
     def swapped(*args):
         keep, cross = weights(*args)
         diag = keep * np.eye(n)
         return cross + diag, keep - diag
-    monkeypatch.setattr(bv, "_two_step_weights", swapped)
+    monkeypatch.setattr(bv, "_move_weights", swapped)
     got = bv.verify_intertwining(us, vs, lams, ctx)
     for key, loop in pairs:
         want = max(loop(*sample, ctx).rel for sample in zip(us, vs, lams))
@@ -781,5 +930,23 @@ def test_partial_shifts_are_the_plans_of_both_sides():
                 assert prefixes[r] == distinct
                 assert prefix[r].dtype == int and np.array_equal(
                     prefix[r], [distinct.index(key) for key in keys])
-            assert bv._path_plan(n, k).prefix is prefix
             assert tr._fusion_plan(n, k).prefix is prefix
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sketched_fusion_rank_agrees_with_the_full_svd(n):
+    from etlax.suites import _sketched_rank
+    ctx = default_context(n)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for k in range(2, n + 1):
+            pi = bv.antisymmetrizer(k, ctx, rand_complex(rng))
+            svals = np.linalg.svd(pi, compute_uv=False)
+            full = int(np.sum(svals > 1e-8 * svals[0]))
+            want = math.comb(n, k)
+            assert _sketched_rank(pi, want + 2, k) == full == want
+            # control: a rank-one perturbation of 1e-3 max|pi| reads one more
+            a, b = (rng.standard_normal(n ** k) for _ in range(2))
+            bump = np.outer(a, b)
+            bump *= 1e-3 * np.max(np.abs(pi)) / np.max(np.abs(bump))
+            assert _sketched_rank(pi + bump, want + 2, k) == want + 1

@@ -1,6 +1,7 @@
 """Difference/differential operator calculus and the jet algebra."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -638,3 +639,39 @@ def test_merge_with_a_dropped_column_reads_wrong(monkeypatch):
         for name in ("op_add", "compose", "normal_det", "pdo_compose",
                      "pdo_add"):
             assert worst[name] > 1e-3, (n, name)
+
+
+def _plan_arrays(plan):
+    """Every array inside a cached plan: tuples, dataclasses, named tuples."""
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, (tuple, list)):
+        for part in plan:
+            yield from _plan_arrays(part)
+    elif dataclasses.is_dataclass(plan):
+        for f in dataclasses.fields(plan):
+            yield from _plan_arrays(getattr(plan, f.name))
+
+
+def test_cached_plans_reject_writes(ctx3):
+    from etlax import belavin as bv
+    from etlax import theta as th
+    from etlax import thetaspace as ts
+    from etlax import transfer as tr
+    ctx = ctx3
+    plans = [bv._r_index(3), bv.partial_shifts(3, 3), tr._fusion_plan(3, 2),
+             tr._subset_pairs(3, 2),
+             th._series((0.5,), 1, complex(ctx.tau), ctx.trunc, 1),
+             oa._det_plan(3, ((1, 0, 0), (0, 1, 0)), 2),
+             oa._leibniz_plan(((0, 0, 0), (1, 0, 0)), ((0, 1, 0),)),
+             oa._jet_plan(3, 2), oa._deriv_gather(3, 2, (1, 0, 0)),
+             ts._lattice_points(3, 1, 9, ctx)]
+    for plan in plans:
+        arrays = list(_plan_arrays(plan))
+        assert arrays, plan
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+    # control: a fresh array of the same kind takes the write
+    fresh = np.array(tr._subset_pairs(3, 2)[1])
+    fresh.flat[0] = fresh.flat[0]

@@ -293,6 +293,30 @@ def test_krichever_closed_form(ctx2, ctx3, rng):
         assert res.rel < 1e-5
 
 
+def test_krichever_check_reads_k_at_its_coupling(ctx3, monkeypatch):
+    samples = wt.sample_many(39, 3, ctx3)
+    assert tr.verify_krichever(C0, U0, ctx3, samples).rel < 1e-5
+    # K's order-0 parts against the closed form the check wrote inline:
+    # (c/n) theta(u + lam_ji) theta'(0) / (theta(u) theta(lam_ji)) off the
+    # diagonal, (c/n) theta'(u) / theta(u) on it
+    kmat = tr.krichever_k(C0, U0, ctx3)
+    g, tp0, tu = C0 / 3, theta(0.0, ctx3, 1), theta(U0, ctx3)
+    for lam in samples:
+        for i in range(3):
+            for j in range(3):
+                x = lam[j] - lam[i]
+                want = g * (theta(U0, ctx3, 1) / tu if i == j else
+                            theta(U0 + x, ctx3) * tp0 / (tu * theta(x, ctx3)))
+                got = pdo_coeff(kmat[i][j], (0, 0, 0), lam)
+                assert abs(got - want) <= 1e-13 * abs(want)
+    # control: K at another coupling turns the check red, so it reads K at
+    # c != 0 (the suite's c0-pure-derivative case reads it at c = 0 only)
+    real = tr.krichever_k
+    monkeypatch.setattr(tr, "krichever_k",
+                        lambda c, u, ctx: real(1.07 * c, u, ctx))
+    assert tr.verify_krichever(C0, U0, ctx3, samples).rel > 1e-3
+
+
 def test_ltilde_conjugation_reads_each_table_once(monkeypatch):
     from etlax.theta import worst_of
     for n in (2, 3, 4):
