@@ -11,13 +11,18 @@ singularity floor (see ModularContext); each suite passes or fails against
 its own tolerance in suites.SUITES.  Exit
 codes: 0 all checks passed, 1 verification failure, 2 configuration error
 or an evaluation that could not be carried out (a singular parameter or an
-exhausted sampling budget).
+exhausted sampling budget).  `verify all` spreads its runs over one forked
+process per CPU (run_all); its reports and exit codes are those of one
+serial pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import pickle
+import signal
 import sys
 
 from .context import (DEFAULT_HBAR, DEFAULT_TAU, ContextError, ModularContext,
@@ -92,12 +97,94 @@ def context_from_config(cfg: dict, n: int = None) -> ModularContext:
     )
 
 
+def worker_count(runs: int) -> int:
+    """Processes that share `runs` suite runs: one per CPU in the process's
+    affinity mask, and one where fork or the mask is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), runs)
+
+
+def _run_share(cfg: dict, seed: int, runs, share):
+    """[(index, report)] of the runs in `share`, in order; the first run
+    that raises ends the share as (index, exception)."""
+    out = []
+    for i in share:
+        name, n = runs[i]
+        try:
+            out.append((i, run_suite(name, context_from_config(cfg, n=n),
+                                     seed)))
+        except Exception as exc:
+            out.append((i, exc))
+            break
+    return out
+
+
+def _worker(pipe, cfg: dict, seed: int, runs, share):
+    """A forked child: pickle its share's results to the write end of
+    `pipe`, then leave with os._exit, so nothing of the parent (its
+    handlers, its stdio buffers) runs twice.  Never returns."""
+    status = 1
+    try:
+        os.close(pipe[0])
+        with os.fdopen(pipe[1], "wb") as fh:
+            pickle.dump(_run_share(cfg, seed, runs, share), fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_all(cfg: dict, seed: int):
-    """Every suite for n in {2, 3}; reports in fixed order."""
-    return [run_suite(name, context_from_config(cfg, n=n), seed)
-            for n in (2, 3) for name in SUITE_ORDER]
+    """Every suite for n in {2, 3}; reports in fixed order.
+
+    The runs are independent (each is seeded by seed, suite and n alone),
+    so they are dealt, n = 3 first and then round-robin, into one fixed
+    share per worker process.  The parent runs share 0 and forked children
+    the others.  The reports, and the exception raised (the first in run
+    order), are those of one serial pass.  A child that dies raises
+    ChildProcessError naming its runs; if the parent fails, it kills and
+    reaps its children, so none outlives the call."""
+    runs = [(name, n) for n in (2, 3) for name in SUITE_ORDER]
+    order = sorted(range(len(runs)), key=lambda i: -runs[i][1])
+    workers = worker_count(len(runs))
+    # each share in run order, so the first run that raises in a share
+    # comes before every run the share leaves out
+    shares = [sorted(order[k::workers]) for k in range(workers)]
+    children = {}                       # pid -> (read end, share)
+    results = []
+    try:
+        for share in shares[1:]:
+            pipe = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(pipe, cfg, seed, runs, share)
+            os.close(pipe[1])
+            children[pid] = (os.fdopen(pipe[0], "rb"), share)
+        results += _run_share(cfg, seed, runs, shares[0])
+        for pid, (fh, share) in list(children.items()):
+            data = fh.read()
+            fh.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                lost = ", ".join(f"{runs[i][0]} n={runs[i][1]}" for i in share)
+                raise ChildProcessError(
+                    f"worker process exited with status {status} before "
+                    f"reporting its runs: {lost}")
+            results += pickle.loads(data)
+    finally:
+        for pid, (fh, _) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results.sort(key=lambda item: item[0])
+    for _, out in results:
+        if isinstance(out, Exception):
+            raise out
+    return [out for _, out in results]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import time
 from dataclasses import fields
 
 import pytest
 
 from etlax import cli
-from etlax.context import ModularContext, SamplingError, default_context
+from etlax.context import ModularContext, SamplingError, \
+    SingularParameterError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
     report_json, report_text, strip_timing
 from etlax.suites import SUITE_ORDER, run_suite
@@ -203,3 +206,150 @@ def test_cli_flag_beats_env(monkeypatch, capsys):
     monkeypatch.setenv("ETL_TRUNC", "26")
     assert cli.main(["qfay", "--trunc", "25"]) == 0
     assert "trunc: 25" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["vandermonde", "--n", "3", "--trunc", "30"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["vandermonde"]) == 0
+    second = capsys.readouterr().out
+    assert "n: 3" in first and "trunc: 30" in first
+    assert "n: 2" in second and "trunc: 24" in second
+
+
+# ------------------------------------------------------------ verify all
+# `verify all` deals its runs into one share per worker process; the parent
+# runs share 0.  At two workers the first, third, ... suites of SUITE_ORDER
+# (theta, face-ybe, ...) run in the parent, the others (ybe, ...) in the
+# forked child.
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_is_the_affinity_mask_or_one(monkeypatch):
+    assert cli.worker_count(36) == min(len(os.sched_getaffinity(0)), 36)
+    assert cli.worker_count(1) == 1
+    monkeypatch.delattr(os, "fork")
+    assert cli.worker_count(36) == 1
+
+
+def test_verify_all_reports_do_not_depend_on_the_worker_count(
+        monkeypatch, tmp_path, capsys):
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "worker_count", lambda runs, w=workers: w)
+        out = tmp_path / f"all-{workers}.json"
+        assert cli.main(["all", "--seed", "3", "--json", str(out)]) == 0
+        assert_no_children()
+        outputs.append((strip_timing(out.read_text()),
+                        strip_timing(capsys.readouterr().out)))
+    assert outputs[0] == outputs[1] == outputs[2]
+    doc = json.loads(outputs[0][0])
+    assert [(s["suite"], s["params"]["n"]) for s in doc["suites"]] == \
+        [(name, n) for n in (2, 3) for name in SUITE_ORDER]
+
+
+def stub_runs(monkeypatch, actions, workers=2):
+    """Replace run_suite by a cheap passing report, except for the runs in
+    `actions`, which call action(where) with where "parent" or "child"."""
+    parent = os.getpid()
+    monkeypatch.setattr(cli, "worker_count", lambda runs: workers)
+
+    def fake(name, ctx, seed):
+        action = actions.get((name, ctx.n))
+        if action is not None:
+            return action("parent" if os.getpid() == parent else "child")
+        rep = SuiteReport(name, {"n": ctx.n}, 1e-9,
+                          [Case("stub", 0.0, 0.0, 1e-9, True)])
+        return rep.finalize()
+    monkeypatch.setattr(cli, "run_suite", fake)
+
+
+def singular(name):
+    def action(where):
+        raise SingularParameterError(f"{name} in the {where}")
+    return action
+
+
+def test_verify_all_raises_the_first_error_in_run_order(monkeypatch, capsys):
+    stub_runs(monkeypatch, {("ybe", 3): singular("ybe n=3")})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: ybe n=3 in the child\n"
+    # the child's run comes first in run order, then the parent's
+    stub_runs(monkeypatch, {("ybe", 2): singular("ybe n=2"),
+                            ("theta", 3): singular("theta n=3")})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: ybe n=2 in the child\n"
+    # the parent's run comes first
+    stub_runs(monkeypatch, {("ybe", 3): singular("ybe n=3"),
+                            ("face-ybe", 2): singular("face-ybe n=2")})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: face-ybe n=2 in the parent\n"
+    # two runs of one share: n = 3 runs are dealt first, n = 2 runs first
+    stub_runs(monkeypatch, {("ybe", 3): singular("ybe n=3"),
+                            ("ybe", 2): singular("ybe n=2")})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: ybe n=2 in the child\n"
+
+
+def test_verify_all_error_does_not_depend_on_the_worker_count(
+        monkeypatch, capsys):
+    # at Im tau = 0.08 nine runs raise; the first in run order is
+    # trace-closed n=2, in the child's share at two workers
+    errors = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli, "worker_count", lambda runs, w=workers: w)
+        assert cli.main(["all", "--tau_im", "0.08"]) == 2
+        assert_no_children()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0].startswith("error: intertwiner matrix ill-conditioned "
+                                "(cond=1.26e+10)")
+
+
+def test_verify_all_failure_in_a_child_exits_one(monkeypatch, capsys):
+    def failing(where):
+        rep = SuiteReport("ybe", {"n": 2, "where": where}, 1e-9,
+                          [Case("stub", 1.0, 1.0, 1e-9, False)])
+        return rep.finalize()
+    stub_runs(monkeypatch, {("ybe", 2): failing})
+    assert cli.main(["all"]) == 1
+    assert_no_children()
+    out = capsys.readouterr().out
+    assert "where: child" in out and "overall: fail" in out
+
+
+def test_verify_all_names_the_runs_of_a_dead_worker(monkeypatch, capsys):
+    def die(where):
+        if where == "child":
+            os._exit(3)
+    stub_runs(monkeypatch, {("ybe", 2): die})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker process exited with status 3")
+    assert "ybe n=3" in err and "ybe n=2" in err and "theta n=2" not in err
+
+
+def test_verify_all_kills_its_workers_when_the_parent_fails(monkeypatch):
+    class Interrupted(BaseException):
+        pass
+
+    def stall_or_fail(where):
+        if where == "child":
+            time.sleep(60)
+        raise Interrupted
+    stub_runs(monkeypatch, {("theta", 3): stall_or_fail,
+                            ("ybe", 3): stall_or_fail})
+    start = time.perf_counter()
+    with pytest.raises(Interrupted):
+        cli.main(["all"])
+    assert_no_children()
+    assert time.perf_counter() - start < 30
