@@ -92,10 +92,9 @@ class ModularContext:
     def cached(self, key, builder):
         """Memoize pure evaluations keyed by exact argument values.
 
-        The key families are eta (Dedekind eta) and chilat (the lattice
-        points of the affine characters); theta values, intertwiners and
-        the jets of the differential operators are read from tables, not
-        memoized.
+        The one key family is eta (Dedekind eta); theta values, characters,
+        intertwiners and the jets of the differential operators are read
+        from tables, not memoized.
         """
         try:
             return self._cache[key]

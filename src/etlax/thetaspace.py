@@ -10,114 +10,51 @@ l-fold coproduct T, slot m < l carrying R(u + m hbar), on symmetrized tensors.
 
 chi_table(P) reads every character at every point of a batch P[..., n] as
 one array X[..., j]; a basis member is a product of its columns, so a point
-set is read once for every member.  The lattice sum at lambda keeps the
-vectors w of a ball |w| <= R around 0.  The term of w has modulus
-G exp(-pi Im(tau) |w - w*|^2), a Gaussian whose peak w* = -Im(lambda)/Im(tau)
-moves with Im(lambda).  R is |w*| plus a margin rho fixed by Im tau, the
-rank and the target: the terms left out then sum to at most
-min(2^-60, tol_series) times the largest term kept (_margin), so the ball
-grows as Im tau falls and stays small at the default modulus.  The lattice
-points of a batch's largest ball are built once per (n, j, ceil(R^2)).
+set is read once for every member.  The characters come from the one theta
+kernel (theta._table), by the decomposition of Z^n into the cosets of the
+weight lattice (Kac, Infinite-dimensional Lie Algebras, ch. 12-13): at a
+point of coordinate sum zero, a vector v of sum j + n t is w + t (1, ..., 1)
+with w of sum j, so the length-n discrete Fourier transform of a product of
+n one-dimensional theta_3 splits into the characters,
+
+    (1/n) sum_{m<n} e^(-2 pi i j m/n) prod_k theta_3(lambda_k + m/n)
+        = chi_j(lambda) D_j,   D_j = theta_{j,n}(0 | tau),
+
+exactly: the vectors it adds to chi_j are the w + t (1, ..., 1), and they
+give the constant factor D_j = sum_t exp(pi i n tau (t + j/n)^2).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .context import ContextError, ModularContext, read_only
+from .context import ModularContext
 from .belavin import r_table
 from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
-from .theta import (_EPS, _WINDOW_DROP, Residual, residual_arrays, theta_table,
-                    worst_of, worst_of_arrays)
+from .theta import (_EPS, Residual, _series, _table, residual_arrays,
+                    theta_table, worst_of, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_many, sample_points, subseeds
 
-_CHI_CHUNK = 1 << 20    # terms of a chi_table work array (16 MB)
-_CHI_BOX = 1 << 21      # lattice candidates a ball may enumerate (~0.4 GB)
-
-
-@functools.lru_cache(maxsize=None)
-def _margin(n: int, a: float, drop: float) -> float:
-    """Least rho (in steps of 1/16) such that the lattice vectors farther
-    than rho from the peak add up to at most drop times the largest term
-    kept, a = pi Im(tau): at most (1 + sqrt(2) r)^(n-1) coset points (sqrt(2)
-    apart) lie within r of a point, and one lies within the covering radius
-    delta of the peak, delta^2 = floor(n/2) ceil(n/2) / n."""
-    delta2 = (n // 2) * (n - n // 2) / n
-    rho = math.sqrt(delta2)
-    while True:
-        tail = sum((1.0 + math.sqrt(2.0) * (rho + k + 1)) ** (n - 1)
-                   * math.exp(-a * ((rho + k) ** 2 - delta2))
-                   for k in range(64))
-        if tail <= drop:
-            return rho
-        rho += 1.0 / 16.0
-
-
-def _ball_radii2(P: np.ndarray, ctx: ModularContext) -> np.ndarray:
-    """ceil(R^2) of every point's ball: R = |w*| + _margin of P[s, n]."""
-    imt = ctx.tau.imag
-    reach = np.linalg.norm(P.imag, axis=-1) / imt
-    radius = _margin(ctx.n, math.pi * imt,
-                     min(_WINDOW_DROP, ctx.tol_series)) + np.where(
-                         np.isfinite(reach), reach, 0.0)
-    return np.ceil(radius * radius)
-
-
-def _lattice_points(n: int, j: int, radius2: int, ctx: ModularContext):
-    """Rows V of integer v with sum(v) = j and nn = |v - (j/n) 1|^2 <= radius2,
-    sorted by nn (ties lexicographic): a smaller ball is a prefix."""
-    def build():
-        span = math.isqrt(radius2) + 1
-        centre = j / n
-        axis = np.arange(math.floor(centre) - span, math.ceil(centre) + span + 1)
-        if len(axis) ** (n - 1) > _CHI_BOX:     # Im tau far too small for n
-            raise ContextError(f"character lattice ball radius^2 {radius2} "
-                               f"is too large at n = {n}")
-        head = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"),
-                        axis=-1).reshape(-1, n - 1)
-        vs = np.column_stack([head, j - head.sum(axis=1)])
-        nn = ((vs - centre) ** 2).sum(axis=1)
-        order = np.argsort(nn, kind="stable")
-        keep = order[nn[order] <= radius2]
-        return read_only(vs[keep], nn[keep])
-    return ctx.cached(("chilat", n, j, radius2), build)
-
 
 def chi_table(P, ctx: ModularContext) -> np.ndarray:
-    """X[..., j] = chi_j at every point of P[..., n], j < n.  Each point
-    sums the prefix of the batch's lattice that is its own ball, left to
-    right, so a value depends on its own point alone."""
-    return _chi_columns(P, range(ctx.n), ctx)
-
-
-def _chi_columns(P, labels, ctx: ModularContext) -> np.ndarray:
-    """The columns labels of chi_table, [..., a] = chi_{labels[a]}."""
+    """X[..., j] = chi_j at every point of P[..., n], j < n: one theta_3
+    table at the n shifts lambda_k + m/n and one D_j table.  The transform
+    is an elementwise product summed over m, so a value depends on its own
+    point alone."""
     P = np.asarray(P, dtype=complex)
-    n = ctx.n
-    flat = P.reshape(-1, n)
-    radii2 = _ball_radii2(flat, ctx)
-    radius2 = int(np.max(radii2, initial=0.0))
-    out = np.empty((len(flat), len(labels)), dtype=complex)
-    for a, j in enumerate(labels):
-        vs, nn = _lattice_points(n, j, radius2, ctx)
-        ends = np.searchsorted(nn, radii2, side="right") - 1
-        # the terms, built in place, for at most _CHI_CHUNK at a time
-        step = max(1, _CHI_CHUNK // len(nn))
-        for s in range(0, len(flat), step):
-            terms = flat[s:s + step, :1] * vs[:, 0]
-            for k in range(1, n):
-                terms += flat[s:s + step, k:k + 1] * vs[:, k]
-            terms += nn * (ctx.tau / 2.0)
-            terms *= 2j * np.pi
-            np.cumsum(np.exp(terms, out=terms), axis=-1, out=terms)
-            out[s:s + step, a] = terms[np.arange(len(terms)), ends[s:s + step]]
-    return out.reshape(P.shape[:-1] + (len(labels),))
+    n, tau, m = ctx.n, complex(ctx.tau), np.arange(ctx.n)
+    theta3 = _table(_series((0.0,), 1, tau, ctx.trunc, 0),
+                    (P[..., None, :] + m[:, None] / n).ravel())
+    prods = np.prod(theta3.reshape(P.shape[:-1] + (n, n)), axis=-1)  # [..., m]
+    norms = _table(_series(tuple(range(n)), n, tau, ctx.trunc, 0),
+                   np.zeros(1, dtype=complex))[:, 0]                  # D_j
+    dft = np.exp(-2j * np.pi / n * np.outer(m, m))                    # [j, m]
+    return np.sum(prods[..., None, :] * dft, axis=-1) / (n * norms)
 
 
 def chi(j: int, lam, ctx: ModularContext) -> complex:
@@ -147,11 +84,9 @@ class CharacterBasis:
 
     def function(self, member, ctx: ModularContext):
         """The test function of one member (an index, or labels mod n)."""
-        js = self.elements[member] if isinstance(member, int) else tuple(
-            j % ctx.n for j in member)
-        labels = sorted(set(js))
-        columns = [labels.index(j) for j in js]
-        return lambda P: np.prod(_chi_columns(P, labels, ctx)[..., columns], -1)
+        js = list(self.elements[member] if isinstance(member, int) else (
+            j % ctx.n for j in member))
+        return lambda P: np.prod(chi_table(P, ctx)[..., js], -1)
 
 
 def character_basis(l: int, ctx: ModularContext) -> CharacterBasis:

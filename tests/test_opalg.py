@@ -656,7 +656,6 @@ def _plan_arrays(plan):
 def test_cached_plans_reject_writes(ctx3):
     from etlax import belavin as bv
     from etlax import theta as th
-    from etlax import thetaspace as ts
     from etlax import transfer as tr
     ctx = ctx3
     plans = [bv._r_index(3), bv.partial_shifts(3, 3), tr._fusion_plan(3, 2),
@@ -664,8 +663,7 @@ def test_cached_plans_reject_writes(ctx3):
              th._series((0.5,), 1, complex(ctx.tau), ctx.trunc, 1),
              oa._det_plan(3, ((1, 0, 0), (0, 1, 0)), 2),
              oa._leibniz_plan(((0, 0, 0), (1, 0, 0)), ((0, 1, 0),)),
-             oa._jet_plan(3, 2), oa._deriv_gather(3, 2, (1, 0, 0)),
-             ts._lattice_points(3, 1, 9, ctx)]
+             oa._jet_plan(3, 2), oa._deriv_gather(3, 2, (1, 0, 0))]
     for plan in plans:
         arrays = list(_plan_arrays(plan))
         assert arrays, plan

@@ -19,18 +19,85 @@ U0 = 0.213 + 0.057j
 
 def test_chi_matches_lattice_loop(ctx2, ctx3):
     for ctx in (ctx2, ctx3):
-        lam = shift(wt.sample_generic(3, ctx), (1,) + (0,) * (ctx.n - 1),
+        n = ctx.n
+        lam = shift(wt.sample_generic(3, ctx), (1,) + (0,) * (n - 1),
                     ctx.hbar)
-        radius2 = int(ts._ball_radii2(lam[None], ctx)[0])
-        for j in range(ctx.n):
-            vs, nn = ts._lattice_points(ctx.n, j, radius2, ctx)
+        # a box around the Gaussian peak -Im(lambda)/Im(tau) past which the
+        # terms are below e^-50 of the largest one
+        radius = math.ceil(max(abs(x.imag) for x in lam.tolist())
+                           / ctx.tau.imag
+                           + math.sqrt(50.0 / (math.pi * ctx.tau.imag))) + 1
+        for j in range(n):
             want = 0j
-            for v, norm in zip(vs.tolist(), nn.tolist()):
+            for head in itertools.product(range(-radius, radius + 1),
+                                          repeat=n - 1):
+                v = head + (j - sum(head),)
+                norm = sum((x - j / n) ** 2 for x in v)
                 pairing = sum(c * x for c, x in zip(lam.tolist(), v))
                 want += cmath.exp(2j * math.pi * (pairing + norm * ctx.tau / 2))
             got = ts.chi(j, lam, ctx)
             assert abs(got - want) <= 1e-14 * abs(want)
-            assert ts.chi(j + ctx.n, lam, ctx) == got
+            assert ts.chi(j + n, lam, ctx) == got
+
+
+def _lattice_sum(P, n, tau, radius):
+    """[s, j] = sum of exp 2 pi i (<lambda_s, v> + |v - j/n|^2 tau / 2) over
+    the integer v of sum j with |v_k| <= radius (k < n - 1), by brute force."""
+    axis = np.arange(-radius, radius + 1)
+    head = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"),
+                    axis=-1).reshape(-1, n - 1)
+    cols = []
+    for j in range(n):
+        vs = np.column_stack([head, j - head.sum(axis=1)])
+        norms = ((vs - j / n) ** 2).sum(axis=1)
+        cols.append(np.exp(2j * np.pi * (P @ vs.T + norms * tau / 2)).sum(1))
+    return np.stack(cols, axis=-1)
+
+
+def _oracle_points(n, ctx):
+    """Sample points and their hbar- and tau-shifted copies, and the radius
+    of a box around the Gaussian peaks -Im(lambda)/Im(tau) past which the
+    lattice terms are below e^-50 of the largest one."""
+    root = (1, -1) + (0,) * (n - 2)
+    P = wt.sample_many(3, 6, ctx)
+    P = np.concatenate([P, wt.shifted(P, [root], ctx.hbar)[:, 0],
+                        wt.shifted(P, [root], ctx.tau)[:, 0]])
+    tau_im = ctx.tau.imag
+    return P, math.ceil(np.abs(P.imag).max() / tau_im
+                        + math.sqrt(50.0 / (math.pi * tau_im))) + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tau_im", [0.8, 0.3, 0.08])
+def test_chi_table_matches_a_brute_force_lattice_sum(n, tau_im):
+    ctx = default_context(n, tau=0.1 + 1j * tau_im)
+    P, radius = _oracle_points(n, ctx)
+    want = _lattice_sum(P, n, ctx.tau, radius)
+    got = ts.chi_table(P, ctx)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    assert all(ts.chi(j + n, P[0], ctx) == got[0, j] for j in range(n))
+
+
+def test_chi_table_matches_a_30_digit_lattice_sum():
+    mpmath = pytest.importorskip("mpmath")
+    n, ctx = 3, default_context(3, tau=0.1 + 0.08j)
+    P, radius = _oracle_points(n, ctx)
+    P = P[::6]                      # a sample point and its two shifts
+    got = ts.chi_table(P, ctx)
+    with mpmath.mp.workdps(30):
+        tau = mpmath.mpc(ctx.tau.real, ctx.tau.imag)
+        for s, lam in enumerate(P):
+            lam = [mpmath.mpc(x.real, x.imag) for x in lam]
+            for j in range(n):
+                want = mpmath.mpc(0)
+                for a, b in itertools.product(range(-radius, radius + 1),
+                                              repeat=2):
+                    v = (a, b, j - a - b)
+                    norm = sum((x - mpmath.mpf(j) / n) ** 2 for x in v)
+                    want += mpmath.expjpi(
+                        2 * sum(x * y for x, y in zip(lam, v)) + norm * tau)
+                assert abs(got[s, j] - complex(want)) <= 1e-13 * abs(
+                    complex(want))
 
 
 def test_chi_root_lattice_periodicity(ctx3, rng):
@@ -291,31 +358,7 @@ def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
         assert len(calls) == want
 
 
-# ------------------------------------------------ the ball of the lattice sum
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("tau_im", [0.8, 0.3, 0.1])
-def test_the_ball_leaves_out_below_2_to_the_minus_60(n, tau_im):
-    # every character at sample points, at their hbar and tau shifts: the
-    # terms outside each point's ball, summed over a far larger ball, are
-    # below 2^-60 of the largest term inside it
-    ctx = default_context(n, tau=0.1 + 1j * tau_im)
-    root = (1, -1) + (0,) * (n - 2)
-    P = wt.sample_many(3, 6, ctx)
-    P = np.concatenate([P, wt.shifted(P, [root], ctx.hbar)[:, 0],
-                        wt.shifted(P, [root], ctx.tau)[:, 0]])
-    radii2 = ts._ball_radii2(P, ctx)
-    reach = int((math.sqrt(radii2.max()) + 12.0 / math.sqrt(tau_im)) ** 2)
-    for j in range(n):
-        vs, nn = ts._lattice_points(n, j, reach, ctx)
-        # log |term| = -2 pi Im(<v, lambda> + |v - j/n|^2 tau / 2)
-        logs = -2 * np.pi * (P.imag @ vs.T + nn * tau_im / 2)
-        for row, r2 in zip(logs, radii2):
-            kept = nn <= r2
-            top = row[kept].max()
-            assert (~kept).any()                      # the far ball is wider
-            assert np.exp(row[~kept] - top).sum() <= 2.0 ** -60
-
+# ----------------------------------------- characters off the default modulus
 
 def test_chi_table_values_depend_on_their_own_point_alone(ctx3):
     P = wt.sample_many(8, 5, ctx3)
@@ -335,24 +378,38 @@ def test_theta_space_and_eigen_pass_off_the_default_modulus(n):
             assert rep.passed, [(c.name, c.rel) for c in rep.cases if not c.ok]
 
 
-def test_a_ball_cut_at_the_old_radius_fails_off_the_default_modulus(
-        monkeypatch):
+def _theta_space_case(n, name, tau=None):
     from etlax.suites import run_suite
-
-    def case():
-        rep = run_suite("theta-space", default_context(2, tau=0.1 + 0.3j), 0)
-        return next(c for c in rep.cases if c.name == "quasi-periodicity-l2")
-    assert case().ok
-    # the fixed radius^2 = 40 of the lattice ball before it followed Im tau
-    monkeypatch.setattr(ts, "_ball_radii2",
-                        lambda P, ctx: np.full(len(P), 40.0))
-    assert not case().ok
+    ctx = default_context(n) if tau is None else default_context(n, tau=tau)
+    rep = run_suite("theta-space", ctx, 0)
+    return next(c for c in rep.cases if c.name == name)
 
 
-def test_a_ball_too_large_to_enumerate_is_refused():
-    # at n = 4 and Im tau = 0.005 the ball would hold tens of millions of
-    # lattice vectors; the sum is refused before anything is allocated
-    from etlax.context import ContextError
-    ctx = default_context(4, tau=0.1 + 0.005j)
-    with pytest.raises(ContextError, match="too large"):
-        ts.chi_table(wt.sample_many(0, 2, ctx), ctx)
+def test_a_theta3_series_cut_short_fails_quasi_periodicity(monkeypatch):
+    assert _theta_space_case(2, "quasi-periodicity-l2", 0.1 + 0.3j).ok
+    # theta_3 summed over |k| <= 1 only
+    series = ts._series
+    monkeypatch.setattr(ts, "_series", lambda ms, l, tau, trunc, d: series(
+        ms, l, tau, 1 if ms == (0.0,) else trunc, d))
+    assert not _theta_space_case(2, "quasi-periodicity-l2", 0.1 + 0.3j).ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_characters_without_their_norms_fail_the_module_relation(
+        n, monkeypatch):
+    # the quasi-periodicity laws cannot see a constant factor per j; the
+    # level-1 module relation mixes the characters, so it can
+    assert _theta_space_case(n, "level1-module-relation").ok
+    kernel = ts._table
+    monkeypatch.setattr(ts, "_table", lambda series, args: np.ones(
+        (len(series.tpm), len(args)), dtype=complex)
+        if len(series.tpm) > 1 else kernel(series, args))     # D_j = 1
+    assert not _theta_space_case(n, "level1-module-relation").ok
+
+
+def test_theta_space_passes_at_rank_4_across_seeds():
+    from etlax.suites import run_suite
+    failed = [(seed, c.name, c.rel) for seed in range(8)
+              for c in run_suite("theta-space", default_context(4), seed).cases
+              if not c.ok]
+    assert failed == []

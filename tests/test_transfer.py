@@ -815,7 +815,7 @@ def test_context_memoizes_no_theta_value_or_intertwiner():
     for name in ("intertwiner", "debiard", "krichever", "eigen-l1"):
         run_suite(name, ctx, 0)
     # theta values and intertwiners are read from tables on every use
-    assert {key[0] for key in ctx._cache} == {"eta", "chilat"}
+    assert {key[0] for key in ctx._cache} == {"eta"}
 
 
 def test_delta_jet_reads_one_table_per_derivative_order(monkeypatch):
