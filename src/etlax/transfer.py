@@ -19,10 +19,11 @@ Every operator here is one opalg table over a batch of points, axis 1
 running over its terms: C[s, key] for the traces, closed forms and their
 sums and products; A[s, key, i, j] (an OperatorMatrix) for the fused
 L-operators, the Lax matrix L~, its conjugation route and the Sekiguchi
-matrix; J[s, term, m] for the differential operators D[1..n], H and the
-Krichever entries.  L(c|u) is the fused L-operator at k = 1 (l_op).  The
-coefficient of the ordered shift (k_1..k_d) in the fused entry (I, I') is
-the quantum minor
+matrix; J[s, term, m] for the differential operators D[1..n] and H.
+Krichever's K is the scalar table C[s, i, j] (krichever_table); the d_i of
+its diagonal is structural and not tabulated.  L(c|u) is the fused
+L-operator at k = 1 (l_op).  The coefficient of the ordered shift
+(k_1..k_d) in the fused entry (I, I') is the quantum minor
 
     sum_sigma sgn(sigma) prod_r A_r[k_r, i_sigma(r), i'_r]
                                   (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
@@ -38,7 +39,7 @@ with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll reads the
 same arrays, and normal_det reads any of these matrices' tables once per
 batch for the generating determinant.  The Lax coefficients are one
 function of g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at
-g = c h/n.
+g = c h/n; every hbar-derivative there is one richardson_even.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     exp_function, exp_test_function, identity_op,
                     jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
                     key_map, merge_keys, op_add, op_scale, operator_residual,
-                    normal_det, pdo, pdo_apply, pdo_compose, perm_sign,
+                    normal_det, pdo_apply, pdo_compose, perm_sign,
                     signed_products)
 from .theta import (_EPS, Residual, max_relative, residual_arrays,
-                    richardson_even, theta, theta_level_table, theta_table,
+                    richardson_even, theta_level_table, theta_table,
                     worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
@@ -214,11 +215,7 @@ def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
         P = np.asarray(P, dtype=complex)
         diffs = P[:, s] - P[:, t]                               # [p, pair, I]
         den, num = theta_table([diffs, diffs + g], ctx)
-        # the quotients in Python's complex arithmetic, as the rest of the
-        # coefficient: numpy's complex division rounds otherwise
-        ratios = [x / y for x, y in zip(num.ravel().tolist(),
-                                        den.ravel().tolist())]
-        return np.prod(np.reshape(ratios, num.shape), axis=1)  # [p, I]
+        return np.prod(num / den, axis=1)                      # [p, I]
     return DifferenceOperator(n, keys, table)
 
 
@@ -448,53 +445,47 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
 
 # --------------------------------------------------------- Krichever matrix
 
-def krichever_k(c: complex, u: complex, ctx: ModularContext) -> list:
-    """K(c|u)^i_j as a matrix of first-order differential operators."""
+def krichever_table(c: complex, u: complex, P,
+                    ctx: ModularContext) -> np.ndarray:
+    """K[s, i, j], the scalar part of Krichever's Lax matrix K(c|u) at P[s]:
+
+        g theta'(u)/theta(u)                                  (i = j)
+        g theta'(0) theta(u + lam_ji)/(theta(u) theta(lam_ji))  (i != j)
+
+    with g = c/n.  K(c|u)^i_j is this scalar plus d_i on the diagonal; that
+    derivative part is structural (the T_i of l_tilde's diagonal to first
+    order in hbar) and is not tabulated.  A batch reads one theta_table of
+    values and one of first derivatives.
+    """
     n = ctx.n
     g = c / n
-    tu = theta(u, ctx)
-    tu1, tp0 = theta_table([u, 0.0], ctx, 1).tolist()
-    diag_scalar = g * tu1 / tu
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(pdo(n, [((0,) * n, diag_scalar),
-                                   (tuple(1 if a == j else 0 for a in range(n)),
-                                    1.0)]))
-            else:
-                def cfn(P, order, _i=i, _j=j):
-                    grad = [0.0] * n
-                    grad[_j], grad[_i] = 1.0, -1.0
-                    xs = P[:, _j] - P[:, _i]
-                    # theta^(m) at u + x and at x, [s, m]
-                    shifted, plain = np.stack(
-                        [theta_table([u + xs, xs], ctx, m)
-                         for m in range(order + 1)], axis=-1)
-                    num = jet_of_affine(shifted * g * tp0 / tu, grad)
-                    return jet_mul(num, jet_inv(jet_of_affine(plain, grad), n),
-                                   n)
-                row.append(pdo(n, [((0,) * n, cfn)]))
-        out.append(row)
-    return out
+    P = np.asarray(P, dtype=complex)
+    lam_ji = P[:, None, :] - P[:, :, None]                    # [s, i, j]
+    values = theta_table(np.append(np.stack([u + lam_ji, lam_ji]), u), ctx)
+    shifted, plain = values[:-1].reshape(2, *lam_ji.shape)
+    tu = values[-1]
+    tu1, tp0 = theta_table([u, 0.0], ctx, 1)
+    eye = np.eye(n, dtype=bool)
+    # theta(lam_ii) = 0 is never read
+    off = shifted * g * tp0 / tu / np.where(eye, 1.0, plain)
+    return np.where(eye, g * tu1 / tu, off)
 
 
 def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
                      step: float = 1e-3) -> Residual:
-    """Richardson hbar-derivative of the Lax matrix against the closed form.
+    """The hbar-derivative of the Lax matrix against Krichever's K.
 
-    d/dh of the l_tilde coefficients at h=0 (central differences at step and
-    2*step), conjugated by Delta^{c/n} and the diagonal theta similarity,
-    must reproduce the scalar parts of krichever_k.
+    d/dh at h = 0 of the l_tilde coefficients at g = c h/n, by
+    richardson_even on (l_tilde - 1)/h at step and 2*step, conjugated by
+    Delta^{c/n} and the diagonal theta similarity, must reproduce
+    krichever_table, the scalar part of K (the d_i of K's diagonal is the
+    first order of l_tilde's T_i).
     """
     n = ctx.n
     g = c / n
-    tab = {h: ltilde_table(c * h / n, u, samples, ctx)
-           for h in (step, -step, 2 * step, -2 * step)}
-    d1 = (tab[step] - tab[-step]) / (2 * step)
-    d2 = (tab[2 * step] - tab[-2 * step]) / (4 * step)
-    derivs = (4 * d1 - d2) / 3.0                                # [s, i, j]
+    derivs = richardson_even(                                   # [s, i, j]
+        lambda h: (ltilde_table(c * h / n, u, samples, ctx) - np.eye(n)) / h,
+        (step, 2 * step))
     samples = np.asarray(samples, dtype=complex)
     diff = samples[:, :, None] - samples[:, None, :]           # [s, i, j]
     eye = np.eye(n, dtype=bool)
@@ -508,12 +499,8 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     dlog = np.sum(np.where(eye, 0.0, theta_table(diff, ctx, 1) / plain),
                   axis=-1)                                      # [s, i]
     got[:, eye] = derivs[:, eye] + g * dlog
-    # against the order-0 parts of krichever_k(c, u)
-    zero = (0,) * n
-    want = np.stack([np.stack([op.table(samples)[:, op.terms.index(zero), 0]
-                               for op in row], axis=-1)
-                     for row in krichever_k(c, u, ctx)], axis=1)
-    return worst_of_arrays(*residual_arrays(got, want))
+    return worst_of_arrays(*residual_arrays(
+        got, krichever_table(c, u, samples, ctx)))
 
 
 # ------------------------------------------------------ Ruijsenaars weight
@@ -558,7 +545,7 @@ def phi_ratio_closed(lam, subset, g: complex,
     return complex(np.prod(num1 * num2 / (den1 * den2)))
 
 
-def verify_ruijsenaars(c: complex, u: complex, d: int, lam,
+def verify_ruijsenaars(c: complex, d: int, lam,
                        ctx: ModularContext) -> dict:
     """Both halves of the ground-state conjugation identity at one point
     lam[n].
@@ -566,7 +553,8 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam,
     'ratio':  Phi/T_i Phi from the double product vs the theta closed form.
     'coefficient': for each |I| = d the squared coefficient identity
         C_I(lam) * (T_I Phi / Phi) = prod theta(g h + h + lam_ts)/theta(h + lam_ts),
-    which is the branch-free square of the symmetrized form.
+    which is the branch-free square of the symmetrized form; C_I is read
+    from the table of m_dot.
     """
     n = ctx.n
     hb = ctx.hbar
@@ -579,12 +567,12 @@ def verify_ruijsenaars(c: complex, u: complex, d: int, lam,
         np.array([phi_ratio_closed(lam, (i,), g, ctx) for i in range(n)])))
     subs, s, t, _ = _subset_pairs(n, d)
     raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
-    # lam_st for s outside and t inside each subset, [subset, pair]: C_I
-    # and the rhs are products over the pairs
+    # lam_st for s outside and t inside each subset, [subset, pair]: the rhs
+    # is a product over the pairs
     lst = (lam[s] - lam[t]).T
-    num, den, rnum, rden = theta_table([lst + gh, lst, gh + hb - lst, hb - lst],
-                                       ctx)
-    lhs = np.prod(num / den, axis=-1) * phi_weight(raised, g, ctx) / base
+    rnum, rden = theta_table([gh + hb - lst, hb - lst], ctx)
+    lhs = (m_dot(c, d, ctx).table(lam[None])[0]
+           * phi_weight(raised, g, ctx) / base)
     found = residual_arrays(lhs, np.prod(rnum / rden, axis=-1))
     return {"ratio": ratio, "coefficient": worst_of_arrays(*found)}
 
@@ -635,7 +623,7 @@ def _delta_ratios(jd: np.ndarray, order: int, jsets, n: int) -> np.ndarray:
                     axis=1)
 
 
-def build_d_ops(c: complex, u: complex, ctx: ModularContext) -> list:
+def build_d_ops(c: complex, ctx: ModularContext) -> list:
     """The commuting differential operators D[1..n] (Debiard normalization):
 
     D[m] = sum_{|I|=m} sum_{J subset I} (d^J Delta / Delta) (-n/c d)^{I \\ J}.
@@ -723,18 +711,11 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     is ((c/n) D[1])^2 - 2 (c/n)^2 D[2].
     """
     g = c / ctx.n
-    d_ops = build_d_ops(c, 0.0, ctx)
+    d_ops = build_d_ops(c, ctx)
     d1 = op_scale(d_ops[0], g)
     d2 = op_scale(d_ops[1], g * g)
     combo = op_add(pdo_compose(d1, d1, ctx), op_scale(d2, -2.0))
     return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
-
-
-def _mdot_apply(c: complex, d: int, hb: complex, f, P,
-                ctx: ModularContext) -> np.ndarray:
-    """(Mdot_d f)(P[s]) at the deformation parameter hb."""
-    sctx = ctx.replace(hbar=hb)
-    return apply_batch(m_dot(c, d, sctx), f, P, sctx)
 
 
 def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
@@ -768,7 +749,7 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
     """(c/n)^2 D[2] = (Mdot_2'' - (n-1) Mdot_1'')/2 via hbar differences."""
     n = ctx.n
     g = c / n
-    d2 = op_scale(build_d_ops(c, 0.0, ctx)[1], g * g)
+    d2 = op_scale(build_d_ops(c, ctx)[1], g * g)
     samples = np.asarray(samples, dtype=complex)
     got, want = [], []
     for vec in vecs:
@@ -779,10 +760,11 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
         def second(dd):
             f0 = math.comb(n, dd) * fvals
 
-            def dd2(h):
-                return (_mdot_apply(c, dd, h, f, samples, ctx) - 2.0 * f0
-                        + _mdot_apply(c, dd, -h, f, samples, ctx)) / (h * h)
-            return (4.0 * dd2(step) - dd2(2 * step)) / 3.0
+            def expr(h):
+                sctx = ctx.replace(hbar=h)
+                return 2.0 * (apply_batch(m_dot(c, dd, sctx), f, samples, sctx)
+                              - f0) / (h * h)
+            return richardson_even(expr, (step, 2 * step))
         got.append((second(2) - (n - 1) * second(1)) / 2.0)
         want.append(pdo_apply(d2, fjet, samples))
     return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
@@ -790,8 +772,8 @@ def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
 
 # ------------------------------------------------------- Macdonald limit
 
-def verify_macdonald_limit(c: complex, u: complex, d: int,
-                           ctx: ModularContext, samples) -> Residual:
+def verify_macdonald_limit(c: complex, d: int, ctx: ModularContext,
+                           samples) -> Residual:
     """p -> 0 coefficients of the closed form against the sine-ratio form.
 
     Evaluated at Im tau large enough that the theta series reduce to their

@@ -176,8 +176,8 @@ def test_criterion_07_ground_state_conjugation():
         rng = np.random.default_rng([7, n])
         for d in range(1, n + 1):
             lam = wt.sample_generic(int(rng.integers(0, 2 ** 31)), ctx)
-            out = tr.verify_ruijsenaars(rand_complex(rng), rand_complex(rng),
-                                        d, lam, ctx)
+            c, _ = rand_complex(rng), rand_complex(rng)
+            out = tr.verify_ruijsenaars(c, d, lam, ctx)
             found += [out["ratio"], out["coefficient"]]
     assert _report(7, "squared conjugation identity", _worst(found), 1e-6)
 
@@ -217,7 +217,7 @@ def test_criterion_09_differential_limit():
     samples3 = wt.sample_many(int(rng.integers(0, 2 ** 31)), 3, ctx3)
     c = rand_complex(rng) + 0.25
     # displayed forms
-    d_ops = tr.build_d_ops(c, 0.0, ctx3)
+    d_ops = tr.build_d_ops(c, ctx3)
     lam = samples3[0]
     terms = [th.theta((lam[i] - lam[k]), ctx3, 1) / th.theta((lam[i] - lam[k]), ctx3)
              for i in range(3) for k in range(3) if k != i]
@@ -255,8 +255,8 @@ def test_criterion_10_macdonald_limit():
         mac = ctx.replace(tau=30j)
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 5, mac)
         for d in range(1, n + 1):
-            found.append(tr.verify_macdonald_limit(
-                rand_complex(rng), rand_complex(rng), d, ctx, samples))
+            c, _ = rand_complex(rng), rand_complex(rng)
+            found.append(tr.verify_macdonald_limit(c, d, ctx, samples))
     assert _report(10, "trigonometric coefficients", _worst(found), 1e-9)
 
 

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +60,22 @@ def test_rels_within_the_floor_read_ratio_one(parity, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0 ok flips, 1 bit-identical rels, 1 moved" in out
     assert "from 1 to 1" in out
+
+
+@pytest.mark.parametrize("status", [0, 1])
+def test_a_closed_reader_keeps_the_exit_status_quietly(tmp_path, status):
+    # `--compare A B | head`: the reader has gone before the first line, so
+    # every print meets a broken pipe; no traceback, the same exit status
+    flipped = [_BASE[0], ["commute", 3, 1, "commutator", False, 2e-6]]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, cases in zip(paths, (_BASE, flipped if status else _BASE)):
+        path.write_text(json.dumps(_record(cases)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(_TOOL), "--compare",
+                               *map(str, paths)], stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (status, b"")

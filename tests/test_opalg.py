@@ -591,7 +591,7 @@ def _dict_cases(n):
         det = oa.normal_det(matrix, tt, ctx)
         cases.append(("normal_det", det, det.table(P),
                       _dict_normal_det(matrix, tt, P)))
-    d_ops = tr.build_d_ops(c + 0.25, u, ctx)
+    d_ops = tr.build_d_ops(c + 0.25, ctx)
     for m, op in enumerate(d_ops, start=1):
         for order in (0, 1):
             cases.append(("build_d_ops", op, op.table(P, order),

@@ -390,6 +390,17 @@ def test_qfay_hbar0_limit_is_the_fay_form_and_a_factor_less_reads_red(ctx2):
         assert th.residual_pair(lhs, bare).rel >= 1e-2
 
 
+@pytest.mark.parametrize("steps", [(1e-3, 2e-3), (0.1, 0.3)])
+def test_richardson_even_leaves_the_quartic_term(steps):
+    # on a + b h + c h^2 + d h^3 + e h^4 the symmetric part drops b and d and
+    # the two steps cancel c, which leaves a - e h1^2 h2^2
+    a, b, c, d, e = 0.3 - 1.1j, 2.0 + 0.5j, -1.7 + 0.2j, 0.9 - 0.4j, 3.1 + 1.3j
+    h1, h2 = steps
+    got = th.richardson_even(
+        lambda h: a + b * h + c * h ** 2 + d * h ** 3 + e * h ** 4, steps)
+    assert abs(got - (a - e * h1 ** 2 * h2 ** 2)) <= 1e-13 * abs(a)
+
+
 def test_tail_bounds_accepted(ctx2, rng):
     # the series behind theta and theta_level_table, with their tail bounds
     for _ in range(10):

@@ -296,25 +296,26 @@ def test_krichever_closed_form(ctx2, ctx3, rng):
 def test_krichever_check_reads_k_at_its_coupling(ctx3, monkeypatch):
     samples = wt.sample_many(39, 3, ctx3)
     assert tr.verify_krichever(C0, U0, ctx3, samples).rel < 1e-5
-    # K's order-0 parts against the closed form the check wrote inline:
-    # (c/n) theta(u + lam_ji) theta'(0) / (theta(u) theta(lam_ji)) off the
-    # diagonal, (c/n) theta'(u) / theta(u) on it
-    kmat = tr.krichever_k(C0, U0, ctx3)
-    g, tp0, tu = C0 / 3, theta(0.0, ctx3, 1), theta(U0, ctx3)
-    for lam in samples:
-        for i in range(3):
-            for j in range(3):
-                x = lam[j] - lam[i]
-                want = g * (theta(U0, ctx3, 1) / tu if i == j else
-                            theta(U0 + x, ctx3) * tp0 / (tu * theta(x, ctx3)))
-                got = pdo_coeff(kmat[i][j], (0, 0, 0), lam)
-                assert abs(got - want) <= 1e-13 * abs(want)
     # control: K at another coupling turns the check red, so it reads K at
     # c != 0 (the suite's c0-pure-derivative case reads it at c = 0 only)
-    real = tr.krichever_k
-    monkeypatch.setattr(tr, "krichever_k",
-                        lambda c, u, ctx: real(1.07 * c, u, ctx))
+    real = tr.krichever_table
+    monkeypatch.setattr(tr, "krichever_table",
+                        lambda c, u, P, ctx: real(1.07 * c, u, P, ctx))
     assert tr.verify_krichever(C0, U0, ctx3, samples).rel > 1e-3
+
+
+@pytest.mark.parametrize("n, floor", [(2, 0.5), (3, 0.1)])
+def test_transposed_krichever_turns_its_suite_case_red(n, floor,
+                                                       monkeypatch):
+    # K with lam_ij in place of lam_ji off the diagonal: the Lax derivative
+    # tells the two apart (rel 0.99 at n = 2, 0.37 at n = 3)
+    real = tr.krichever_table
+    monkeypatch.setattr(tr, "krichever_table",
+                        lambda *args: real(*args).transpose(0, 2, 1))
+    got = {c.name: c for c in run_suite("krichever", default_context(n),
+                                        0).cases}
+    assert got["lax-derivative-vs-closed-form"].rel > floor
+    assert not got["lax-derivative-vs-closed-form"].ok
 
 
 def test_ltilde_conjugation_reads_each_table_once(monkeypatch):
@@ -337,40 +338,65 @@ def test_ltilde_conjugation_reads_each_table_once(monkeypatch):
         assert (got.rel, got.abs) == (want.rel, want.abs) and got.rel < 1e-9
 
 
-def test_krichever_structure(ctx3):
-    kmat = tr.krichever_k(C0, U0, ctx3)
-    lam = wt.sample_generic(40, ctx3)
-    g = C0 / 3
-    # diagonal: scalar part is (c/n) theta'(u)/theta(u), derivative part d_i
-    for i in range(3):
-        ei = tuple(1 if a == i else 0 for a in range(3))
-        assert abs(pdo_coeff(kmat[i][i], ei, lam) - 1.0) < 1e-14
-        want = g * theta(U0, ctx3, 1) / theta(U0, ctx3)
-        assert abs(pdo_coeff(kmat[i][i], (0, 0, 0), lam) - want) < 1e-13
-    # c = 0 is the pure derivative matrix
-    k0 = tr.krichever_k(0.0, U0, ctx3)
-    for i in range(3):
-        for j in range(3):
-            for alpha in k0[i][j].terms:
-                val = pdo_coeff(k0[i][j], alpha, lam)
-                want = 1.0 if (i == j and sum(alpha) == 1 and alpha[j] == 1) \
-                    else 0.0
-                assert abs(val - want) < 1e-14
+def test_krichever_structure(ctx2, ctx3):
+    # the table against the scalar theta formula, entry by entry:
+    # (c/n) theta(u + lam_ji) theta'(0) / (theta(u) theta(lam_ji)) off the
+    # diagonal, (c/n) theta'(u) / theta(u) on it
+    for ctx in (ctx2, ctx3):
+        n = ctx.n
+        samples = wt.sample_many(40, 3, ctx)
+        table = tr.krichever_table(C0, U0, samples, ctx)
+        assert table.shape == (3, n, n)
+        g, tp0, tu = C0 / n, theta(0.0, ctx, 1), theta(U0, ctx)
+        for lam, got in zip(samples, table):
+            for i in range(n):
+                for j in range(n):
+                    x = lam[j] - lam[i]
+                    want = g * (theta(U0, ctx, 1) / tu if i == j else
+                                theta(U0 + x, ctx) * tp0
+                                / (tu * theta(x, ctx)))
+                    assert abs(got[i, j] - want) <= 1e-13 * abs(want)
+        # c = 0 is the pure derivative matrix: no scalar part at all
+        assert not np.any(tr.krichever_table(0.0, U0, samples, ctx))
+
+
+def test_krichever_table_reads_two_theta_tables(ctx3, monkeypatch):
+    samples = wt.sample_many(40, 3, ctx3)
+    want = tr.krichever_table(C0, U0, samples, ctx3)
+    calls, real = [], tr.theta_table
+    monkeypatch.setattr(tr, "theta_table",
+                        lambda *args: calls.append(args) or real(*args))
+    assert np.array_equal(tr.krichever_table(C0, U0, samples, ctx3), want)
+    # the values and the first derivatives, over every point and entry
+    assert [args[2:] for args in calls] == [(), (1,)]
 
 
 def test_ruijsenaars_identities(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         for d in range(1, ctx.n + 1):
             lam = wt.sample_generic(41 + d, ctx)
-            out = tr.verify_ruijsenaars(rand_complex(rng), rand_complex(rng),
-                                        d, lam, ctx)
+            c, _ = rand_complex(rng), rand_complex(rng)
+            out = tr.verify_ruijsenaars(c, d, lam, ctx)
             assert out["ratio"].rel < 1e-8
             assert out["coefficient"].rel < 1e-7
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_ruijsenaars_coefficient_reads_the_library_m_dot(n, monkeypatch):
+    # C_I is read from m_dot's table: Mdot at another coupling turns the
+    # coefficient identity red (rel 4.8e-3 at n = 2, 6.2e-3 at n = 3)
+    real = tr.m_dot
+    monkeypatch.setattr(tr, "m_dot",
+                        lambda c, d, ctx: real(1.07 * c, d, ctx))
+    got = {c.name: c for c in run_suite("ruijsenaars", default_context(n),
+                                        0).cases}
+    assert got["coefficient-identity-d1"].rel > 1e-3
+    assert not got["coefficient-identity-d1"].ok
+
+
 def test_ruijsenaars_trivial_coupling(ctx2, rng):
     lam = wt.sample_generic(44, ctx2)
-    out = tr.verify_ruijsenaars(0.0, rand_complex(rng), 1, lam, ctx2)
+    out = tr.verify_ruijsenaars(0.0, 1, lam, ctx2)
     assert out["coefficient"].rel < 1e-12
 
 
@@ -398,7 +424,7 @@ def test_dplus_matches_double_loop(ctx2, ctx3):
 
 
 def test_debiard_first_operator(ctx3):
-    d1 = tr.build_d_ops(C0, U0, ctx3)[0]
+    d1 = tr.build_d_ops(C0, ctx3)[0]
     lam = wt.sample_generic(45, ctx3)
     terms = [theta((lam[i] - lam[k]), ctx3, 1) / theta((lam[i] - lam[k]), ctx3)
              for i in range(3) for k in range(3) if k != i]
@@ -410,7 +436,7 @@ def test_debiard_first_operator(ctx3):
 
 
 def test_debiard_second_operator(ctx3):
-    d2 = tr.build_d_ops(C0, U0, ctx3)[1]
+    d2 = tr.build_d_ops(C0, ctx3)[1]
     lam = wt.sample_generic(46, ctx3)
     jd = tr.delta_jet(lam[None], 2, ctx3)
     for i in range(3):
@@ -425,7 +451,7 @@ def test_debiard_second_operator(ctx3):
 
 def test_debiard_commutators(ctx3):
     samples = wt.sample_many(47, 3, ctx3)
-    d_ops = tr.build_d_ops(C0, U0, ctx3)
+    d_ops = tr.build_d_ops(C0, ctx3)
     for a in range(3):
         for b in range(a + 1, 3):
             res = oa.pdo_commutator_residual(d_ops[a], d_ops[b], samples, ctx3)
@@ -439,7 +465,7 @@ def test_pdo_commutator_reads_each_operand_once_per_batch(ctx3, monkeypatch):
     monkeypatch.setattr(tr, "_delta_ratios", lambda jd, order, jsets, n:
                         reads.append((len(jd), len(jsets), order))
                         or real(jd, order, jsets, n))
-    d1, d2, _ = tr.build_d_ops(C0, U0, ctx3)
+    d1, d2, _ = tr.build_d_ops(C0, ctx3)
     k = 3
     samples = wt.sample_many(47, k, ctx3)
     res = oa.pdo_commutator_residual(d1, d2, samples, ctx3)
@@ -462,7 +488,7 @@ def test_debiard_divides_once_per_subset(monkeypatch):
                         or inv(x, n))
     monkeypatch.setattr(tr, "jet_mul", lambda x, y, n: products.append(1)
                         or mul(x, y, n))
-    d_ops = tr.build_d_ops(C0, U0, ctx)
+    d_ops = tr.build_d_ops(C0, ctx)
     samples = wt.sample_many(47, 2, ctx)
     first = []
     for op, distinct in zip(d_ops, (4, 7, 8)):
@@ -482,8 +508,7 @@ def test_differential_tables_hold_the_jets_of_their_values(ctx3):
     # order 2 (a wider one would only broadcast)
     lam = wt.sample_generic(44, ctx3)
     h = 1e-5
-    ops = [tr.hamiltonian_cm(C0, ctx3), *tr.build_d_ops(C0, U0, ctx3),
-           tr.krichever_k(C0, U0, ctx3)[0][1]]
+    ops = [tr.hamiltonian_cm(C0, ctx3), *tr.build_d_ops(C0, ctx3)]
     for op in ops:
         table = op.table(lam[None], 2)
         assert table.shape == (1, len(op.terms), 10)
@@ -516,13 +541,12 @@ _BUILDERS = {
     "pdo": lambda ctx: oa.pdo(ctx.n, [((0, 1, 0), 2.0), ((1, 0, 0), 1.0),
                                       ((0, 1, 0), -1.0)]),
     "pdo_compose": lambda ctx: oa.pdo_compose(
-        *tr.build_d_ops(C0, U0, ctx)[:2], ctx),
-    "op_add_differential": lambda ctx: oa.op_add(*tr.build_d_ops(C0, U0, ctx)),
+        *tr.build_d_ops(C0, ctx)[:2], ctx),
+    "op_add_differential": lambda ctx: oa.op_add(*tr.build_d_ops(C0, ctx)),
     "op_scale_differential": lambda ctx: oa.op_scale(
         tr.hamiltonian_cm(C0, ctx), _T0),
-    "build_d_ops": lambda ctx: tr.build_d_ops(C0, U0, ctx)[1],
+    "build_d_ops": lambda ctx: tr.build_d_ops(C0, ctx)[1],
     "hamiltonian_cm": lambda ctx: tr.hamiltonian_cm(C0, ctx),
-    "krichever_k": lambda ctx: tr.krichever_k(C0, U0, ctx)[0][0],
 }
 
 
@@ -600,13 +624,13 @@ def test_macdonald_limit(ctx2, ctx3, rng):
         mac = ctx.replace(tau=30j)
         samples = wt.sample_many(51, 4, mac)
         for d in range(1, ctx.n + 1):
-            res = tr.verify_macdonald_limit(rand_complex(rng), U0, d, ctx,
+            res = tr.verify_macdonald_limit(rand_complex(rng), d, ctx,
                                             samples)
             assert res.rel < 1e-10
-        assert tr.verify_macdonald_limit(0.0, U0, 1, ctx, samples).rel < 1e-14
+        assert tr.verify_macdonald_limit(0.0, 1, ctx, samples).rel < 1e-14
 
 
-def _loop_macdonald(c, u, d, ctx, samples):
+def _loop_macdonald(c, d, ctx, samples):
     """In-test transcription of verify_macdonald_limit's per-subset loop,
     before the subsets read one pair plan."""
     n = ctx.n
@@ -635,8 +659,8 @@ def test_macdonald_limit_matches_its_per_subset_loop(n):
     samples = wt.sample_many(51, 5, ctx.replace(tau=30j))
     for d in range(1, n + 1):
         for c in (C0, 0.0):
-            assert tr.verify_macdonald_limit(c, U0, d, ctx, samples) == \
-                _loop_macdonald(c, U0, d, ctx, samples)
+            assert tr.verify_macdonald_limit(c, d, ctx, samples) == \
+                _loop_macdonald(c, d, ctx, samples)
 
 
 def test_subset_pairs_are_one_read_only_plan_per_n_and_d():
@@ -659,8 +683,8 @@ def test_subset_pairs_are_one_read_only_plan_per_n_and_d():
     tr._subset_pairs(3, 2)
     before = tr._subset_pairs.cache_info()
     tr.m_dot(C0, 2, ctx)
-    tr.verify_macdonald_limit(C0, U0, 2, ctx, samples)
-    tr.verify_ruijsenaars(C0, U0, 2, wt.sample_many(3, 1, ctx)[0], ctx)
+    tr.verify_macdonald_limit(C0, 2, ctx, samples)
+    tr.verify_ruijsenaars(C0, 2, wt.sample_many(3, 1, ctx)[0], ctx)
     after = tr._subset_pairs.cache_info()
     assert after.misses == before.misses and after.hits >= before.hits + 3
 
@@ -810,6 +834,17 @@ def test_remaining_suites_pass_across_seeds(n):
     assert failed == []
 
 
+def test_differential_side_suites_pass_at_rank_four():
+    # the Krichever, Calogero-Moser, Debiard, Macdonald and ground-state
+    # suites at the scaling rank n = 4, seeds 0-7
+    failed = [(name, seed)
+              for name in ("krichever", "cm-limit", "debiard",
+                           "macdonald-limit", "ruijsenaars")
+              for seed in range(8)
+              if not run_suite(name, default_context(4), seed).passed]
+    assert failed == []
+
+
 def test_context_memoizes_no_theta_value_or_intertwiner():
     ctx = default_context(2)
     for name in ("intertwiner", "debiard", "krichever", "eigen-l1"):
@@ -867,6 +902,14 @@ def _nan_in_matrix(apply_batch):
     return poisoned
 
 
+def _nan_in_krichever_table(krichever_table):
+    def poisoned(*args):
+        out = krichever_table(*args).copy()
+        out[0, 0, 1] = math.nan
+        return out
+    return poisoned
+
+
 def _nan_in_coproduct(coproduct):
     def poisoned(l, u, ctx):
         out = coproduct(l, u, ctx).copy()
@@ -887,8 +930,8 @@ _NAN_CASES = [
     ("rll", 2, "c0-identity", "suites", "apply_batch", _nan_in_matrix),
     ("rll", 3, "fused-rll-k2", "transfer", "fused_rcheck_matrix",
      _nan_in_fused_rcheck),
-    ("krichever", 2, "c0-pure-derivative", "suites", "_coeffs_at",
-     _nan_at_zero_key),
+    ("krichever", 2, "c0-pure-derivative", "transfer", "krichever_table",
+     _nan_in_krichever_table),
     ("debiard", 2, "first-operator-form", "suites", "_coeffs_at",
      _nan_at_zero_key),
     ("debiard", 2, "second-operator-form", "suites", "_coeffs_at",
@@ -906,7 +949,8 @@ def test_nan_residual_fails_its_suite_case(monkeypatch, name, n, case, module,
                                            attr, poison):
     # each of these cases reduced with Python's max, which drops a NaN,
     # except pairwise-commutators, which reads the D-operator tables through
-    # pdo_commutator_residual: a NaN must neither raise nor pass there
+    # pdo_commutator_residual, and c0-pure-derivative, which reads the K
+    # table through worst_of_arrays: a NaN must neither raise nor pass there
     import importlib
     owner = importlib.import_module(f"etlax.{module}")
     monkeypatch.setattr(owner, attr, poison(getattr(owner, attr)))

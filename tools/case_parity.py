@@ -28,7 +28,9 @@ bit-identical, and the largest growths.  Below FLOOR = 1e-14 a rel is
 rounding noise, so a rel that moves within the rounding floor (say from
 1e-17 to 6e-16) reads as a ratio of 1, not as a growth of 64x.  It exits 1
 if any ok flag or outcome differs or a run or case is present on one side
-only (a dropped or renamed case), else 0.
+only (a dropped or renamed case), else 0.  If the reader of its output
+goes away early (`--compare A B | head`), the rest is discarded quietly and
+the exit status is the same.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -111,6 +114,15 @@ def _rel(value):
     return math.nan if value is None else value
 
 
+def _say(line):
+    """print line; once stdout's reader has gone, send stdout to os.devnull,
+    so the comparison still runs to its exit status."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def compare(path_a, path_b) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     differs = 0
@@ -119,12 +131,12 @@ def compare(path_a, path_b) -> int:
     for key in runs_a.keys() | runs_b.keys():
         if runs_a.get(key) != runs_b.get(key):
             differs += 1
-            print(f"run {key}: {runs_a.get(key)} -> {runs_b.get(key)}")
+            _say(f"run {key}: {runs_a.get(key)} -> {runs_b.get(key)}")
     cases_a = {_case_key(c): c[4:] for c in a["cases"]}
     cases_b = {_case_key(c): c[4:] for c in b["cases"]}
     one_sided = sorted(cases_a.keys() ^ cases_b.keys(), key=str)
     for key in one_sided:
-        print(f"only in {'A' if key in cases_a else 'B'}: {key}")
+        _say(f"only in {'A' if key in cases_a else 'B'}: {key}")
     common = sorted(cases_a.keys() & cases_b.keys(), key=str)
     flips, same, ratios = [], 0, []
     for key in common:
@@ -138,16 +150,16 @@ def compare(path_a, path_b) -> int:
             ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
                            rel_a, rel_b))
     for key, ok_a, rel_a, ok_b, rel_b in flips:
-        print(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} rel={rel_b:.3g}")
-    print(f"{len(common)} common cases: {len(flips)} ok flips, {same} "
-          f"bit-identical rels, {len(ratios)} moved, "
-          f"{len(common) - same - len(ratios)} moved to or from NaN")
+        _say(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} rel={rel_b:.3g}")
+    _say(f"{len(common)} common cases: {len(flips)} ok flips, {same} "
+         f"bit-identical rels, {len(ratios)} moved, "
+         f"{len(common) - same - len(ratios)} moved to or from NaN")
     if ratios:
         ratios.sort()
-        print(f"max(rel_B, {FLOOR:g}) / max(rel_A, {FLOOR:g}) from "
-              f"{ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
+        _say(f"max(rel_B, {FLOOR:g}) / max(rel_A, {FLOOR:g}) from "
+             f"{ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
         for ratio, key, rel_a, rel_b in ratios[::-1][:TOP_GROWTHS]:
-            print(f"  x{ratio:.3g} {key}: {rel_a:.3g} -> {rel_b:.3g}")
+            _say(f"  x{ratio:.3g} {key}: {rel_a:.3g} -> {rel_b:.3g}")
     return 1 if flips or differs or one_sided else 0
 
 
