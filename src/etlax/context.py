@@ -50,7 +50,7 @@ class ModularContext:
     n           rank (the operators live on the sl_n weight space), n >= 2
     tau         modulus, Im tau > 0
     hbar        deformation parameter, kept off the period lattice
-    trunc       number of lattice terms kept on each side of a theta series
+    trunc       terms kept on each side of a theta series; no product reads it
     tol_series  target bound for the discarded series tail
     tol_identity  singularity floor, not a pass threshold: the sampling
                 guard (x10), the fay_sides, face-weight and ltilde

@@ -41,7 +41,9 @@ Where Im tau is small, w is trunc and the sum is that of all the terms, bit
 for bit.  A value depends on its own row and point only, never on the rest
 of the batch.  theta_ml, whose tail estimate is read against an absolute
 tolerance, sums every term at a point where the window's left-out terms
-are not below 2^-60 in absolute terms.
+are not below 2^-60 in absolute terms.  A product over powers x^m (eta,
+the triple product, the ground-state weight) stops by the same 2^-60, at
+the least M with |x|^M <= 2^-60 (_product_length); trunc is not read.
 
 A check reduces its residuals with worst_of (or worst_of_arrays for a
 vectorized check): the largest rel, the first on ties, and a NaN rel wins,
@@ -59,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import (ContextError, ModularContext, SingularParameterError,
-                      read_only)
+                      lattice_distance, read_only)
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
@@ -144,9 +146,8 @@ def residual_pair(lhs: complex, rhs: complex) -> Residual:
 
 def _term_magnitude(mu: float, u: complex, tau2l: complex, order: int) -> float:
     ex = -2.0 * math.pi * (mu * u + mu * mu * tau2l).imag
-    if ex > 700.0:
-        return math.inf
-    return math.exp(ex) * (2.0 * math.pi * abs(mu)) ** order if order else math.exp(ex)
+    return math.inf if ex > 700.0 else \
+        math.exp(ex) * (2.0 * math.pi * abs(mu)) ** order
 
 
 class _Series(NamedTuple):
@@ -259,10 +260,8 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
         series, tail = series._replace(half=trunc), 0.0
     value = complex(_table(series, args)[0, 0])
     for sgn in (1, -1):
-        mu1 = m + sgn * l * (trunc + 1)
-        mu2 = m + sgn * l * (trunc + 2)
-        t1 = _term_magnitude(mu1, u, tau2l, deriv_order)
-        t2 = _term_magnitude(mu2, u, tau2l, deriv_order)
+        t1, t2 = (_term_magnitude(m + sgn * l * (trunc + j), u, tau2l,
+                                  deriv_order) for j in (1, 2))
         ratio = min(t2 / t1 if t1 > 0 else 0.0, 0.95)
         tail += t1 / (1.0 - ratio)
     return ThetaValue(value, tail)
@@ -346,22 +345,20 @@ def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
-    return ctx.cached(("eta", tau), lambda: _eta_product(tau, ctx.trunc))
+    return ctx.cached(("eta", tau), lambda: _eta_product(tau))
 
 
-def _product_length(p: complex, trunc: int) -> int:
-    """Factors of a product over the powers p^m: until |p|^m reaches
-    1e-46, at least trunc and at most 6000."""
-    return max(trunc, min(6000, int(math.ceil(-46.0 / math.log10(abs(p))))))
+def _product_length(x: complex) -> int:
+    """Factors of a product over the powers x^m, 0 < |x| < 1: the least
+    M >= 1 with |x|^M <= _WINDOW_DROP, the bound of a theta window."""
+    return max(1, math.ceil(math.log2(_WINDOW_DROP) / math.log2(abs(x))))
 
 
-def _eta_product(tau: complex, trunc: int) -> ThetaValue:
+def _eta_product(tau: complex) -> ThetaValue:
     p = cmath.exp(TWO_PI_I * tau)
-    ap = abs(p)
-    nterms = _product_length(p, trunc)
-    value = cmath.exp(TWO_PI_I * tau / 24.0)
-    for mm in range(1, nterms + 1):
-        value *= 1.0 - p ** mm
+    ap, nterms = abs(p), _product_length(p)
+    value = math.prod((1.0 - p ** mm for mm in range(1, nterms + 1)),
+                      start=cmath.exp(TWO_PI_I * tau / 24.0))
     tail = abs(value) * ap ** (nterms + 1) / (1.0 - ap) * 2.0
     return ThetaValue(value, tail)
 
@@ -369,11 +366,9 @@ def _eta_product(tau: complex, trunc: int) -> ThetaValue:
 def dedekind_eta_logsum(tau: complex, ctx: ModularContext) -> complex:
     """Independent log-domain route: exp(2 pi i tau/24 + sum log(1 - p^m))."""
     p = cmath.exp(TWO_PI_I * complex(tau))
-    nterms = _product_length(p, ctx.trunc)
-    acc = TWO_PI_I * tau / 24.0
-    for mm in range(1, nterms + 1):
-        acc += cmath.log(1.0 - p ** mm)
-    return cmath.exp(acc)
+    return cmath.exp(sum((cmath.log(1.0 - p ** mm)
+                          for mm in range(1, _product_length(p) + 1)),
+                         TWO_PI_I * tau / 24.0))
 
 
 def jacobi_theta_triple_product(u: complex, ctx: ModularContext) -> complex:
@@ -385,19 +380,17 @@ def jacobi_theta_triple_product(u: complex, ctx: ModularContext) -> complex:
     p = ctx.p
     zh = cmath.exp(1j * math.pi * u)
     z = zh * zh
-    nterms = _product_length(p, ctx.trunc)
-    value = 1j * cmath.exp(1j * math.pi * ctx.tau / 4.0) * (zh - 1.0 / zh)
-    for mm in range(1, nterms + 1):
-        pm = p ** mm
-        value *= (1.0 - z * pm) * (1.0 - pm / z) * (1.0 - pm)
-    return value
+    return math.prod(
+        ((1.0 - z * pm) * (1.0 - pm / z) * (1.0 - pm)
+         for pm in (p ** mm for mm in range(1, _product_length(p) + 1))),
+        start=1j * cmath.exp(1j * math.pi * ctx.tau / 4.0) * (zh - 1.0 / zh))
 
 
 def eta_tau_log_derivative(ctx: ModularContext) -> complex:
     """d/dtau log eta(tau) = 2 pi i (1/24 - sum m p^m / (1 - p^m))."""
     p = ctx.p
-    nterms = _product_length(p, ctx.trunc)
-    s = sum(mm * p ** mm / (1.0 - p ** mm) for mm in range(1, nterms + 1))
+    s = sum(mm * p ** mm / (1.0 - p ** mm)
+            for mm in range(1, _product_length(p) + 1))
     return TWO_PI_I * (1.0 / 24.0 - s)
 
 
@@ -409,7 +402,6 @@ def weierstrass_p(u: complex, ctx: ModularContext) -> complex:
     summation oracle (a "+h" constant instead leaves a spurious constant
     term 3h in the Laurent expansion at 0).
     """
-    from .context import lattice_distance
     if lattice_distance(complex(u), complex(ctx.tau)) <= 10 * ctx.tol_identity:
         raise SingularParameterError(f"u={u} is on the period lattice (pole)")
     t0 = theta(u, ctx)

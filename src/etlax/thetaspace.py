@@ -26,13 +26,14 @@ give the constant factor D_j = sum_t exp(pi i n tau (t + j/n)^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .context import ModularContext
+from .context import ModularContext, read_only
 from .belavin import r_table
 from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
 from .theta import (_EPS, Residual, _series, _table, residual_arrays,
@@ -41,19 +42,27 @@ from .transfer import l_op, m_closed
 from .weights import canonical, sample_many, sample_points, subseeds
 
 
+@functools.lru_cache(maxsize=16)
+def _chi_constants(n: int, tau: complex, trunc: int) -> tuple:
+    """D_j = theta_{j,n}(0 | tau), j < n, and the DFT [e^(-2 pi i jm/n)]_{j,m}
+    of chi_table, read-only as every call shares them."""
+    m = np.arange(n)
+    return read_only(_table(_series(tuple(range(n)), n, tau, trunc, 0),
+                            np.zeros(1, dtype=complex))[:, 0],
+                     np.exp(-2j * np.pi / n * np.outer(m, m)))
+
+
 def chi_table(P, ctx: ModularContext) -> np.ndarray:
     """X[..., j] = chi_j at every point of P[..., n], j < n: one theta_3
-    table at the n shifts lambda_k + m/n and one D_j table.  The transform
-    is an elementwise product summed over m, so a value depends on its own
-    point alone."""
+    table at the n shifts lambda_k + m/n, and D_j and the DFT of
+    _chi_constants.  The transform is an elementwise product summed over m,
+    so a value depends on its own point alone."""
     P = np.asarray(P, dtype=complex)
     n, tau, m = ctx.n, complex(ctx.tau), np.arange(ctx.n)
     theta3 = _table(_series((0.0,), 1, tau, ctx.trunc, 0),
                     (P[..., None, :] + m[:, None] / n).ravel())
     prods = np.prod(theta3.reshape(P.shape[:-1] + (n, n)), axis=-1)  # [..., m]
-    norms = _table(_series(tuple(range(n)), n, tau, ctx.trunc, 0),
-                   np.zeros(1, dtype=complex))[:, 0]                  # D_j
-    dft = np.exp(-2j * np.pi / n * np.outer(m, m))                    # [j, m]
+    norms, dft = _chi_constants(n, tau, ctx.trunc)
     return np.sum(prods[..., None, :] * dft, axis=-1) / (n * norms)
 
 

@@ -61,9 +61,9 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     key_map, merge_keys, op_add, op_scale, operator_residual,
                     normal_det, pdo_apply, pdo_compose, perm_sign,
                     signed_products)
-from .theta import (_EPS, Residual, max_relative, residual_arrays,
-                    richardson_even, theta_level_table, theta_table,
-                    worst_of_arrays)
+from .theta import (_EPS, Residual, _product_length, max_relative,
+                    residual_arrays, richardson_even, theta_level_table,
+                    theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
 
@@ -506,17 +506,16 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
 # ------------------------------------------------------ Ruijsenaars weight
 
 def _dplus(z, g: complex, ctx: ModularContext) -> np.ndarray:
-    """The building factor of the ground-state weight (double q,p-product)
-    at every z of an array."""
+    """The building factor of the ground-state weight at every z of an
+    array: the double q,p-product over q^m p^k, m <= M(q) and k <= M(p),
+    M = _product_length (the 2^-60 rule of a theta window)."""
     q, p = ctx.q, ctx.p
     if abs(q) >= 1.0:
         raise SingularParameterError(f"|q| must be < 1, got {abs(q)}")
     qg = cmath.exp(2j * cmath.pi * ctx.hbar * g)
-    mmax = max(8, int(math.ceil(-40.0 / math.log10(abs(q)))))
-    kmax = max(4, int(math.ceil(-40.0 / math.log10(abs(p)))))
-    pk = p ** np.arange(kmax + 1)[:, None]
+    pk = p ** np.arange(_product_length(p) + 1)[:, None]
     pk1 = pk * p
-    qm = q ** np.arange(mmax + 1)[None, :]
+    qm = q ** np.arange(_product_length(q) + 1)[None, :]
     z = np.asarray(z, dtype=complex)[..., None, None]
     return np.prod((1.0 - z * qm * q * pk) / (1.0 - z * qm * q * qg * pk)
                    * (1.0 - qm / (z * qg) * pk1) / (1.0 - qm / z * pk1),
@@ -532,17 +531,18 @@ def phi_weight(P, g: complex, ctx: ModularContext) -> np.ndarray:
                           ctx), axis=-1)
 
 
-def phi_ratio_closed(lam, subset, g: complex,
-                     ctx: ModularContext) -> complex:
-    """Phi / T_I Phi from the telescoped theta form, at one point lam[n]."""
-    hb = ctx.hbar
-    gh = g * hb
-    lam = np.asarray(lam, dtype=complex)
-    rest = [j for j in range(ctx.n) if j not in subset]
-    lij = (lam[list(subset)][:, None] - lam[rest]).ravel()
+def phi_ratio_table(P, d: int, g: complex, ctx: ModularContext) -> np.ndarray:
+    """Phi / T_I Phi from the telescoped theta form, [s, I] at every point
+    of P[s, n] and every d-subset I (_subset_pairs order): the product over
+    t in I, s not in I of theta(h + lam_ts) theta(g h - lam_ts)
+    / (theta(g h + h + lam_ts) theta(-lam_ts)), from one theta_table call."""
+    hb, gh = ctx.hbar, g * ctx.hbar
+    _, s, t, _ = _subset_pairs(ctx.n, d)
+    P = np.asarray(P, dtype=complex)
+    lts = P[:, t] - P[:, s]                                    # [p, pair, I]
     num1, num2, den1, den2 = theta_table(
-        [hb + lij, gh - lij, gh + hb + lij, -lij], ctx)
-    return complex(np.prod(num1 * num2 / (den1 * den2)))
+        [hb + lts, gh - lts, gh + hb + lts, -lts], ctx)
+    return np.prod(num1 * num2 / (den1 * den2), axis=1)
 
 
 def verify_ruijsenaars(c: complex, d: int, lam,
@@ -556,21 +556,19 @@ def verify_ruijsenaars(c: complex, d: int, lam,
     which is the branch-free square of the symmetrized form; C_I is read
     from the table of m_dot.
     """
-    n = ctx.n
-    hb = ctx.hbar
+    n, hb = ctx.n, ctx.hbar
     g = c / n
-    gh = g * hb
     base = phi_weight(lam, g, ctx)
     units = shifted(lam, [unit_key(n, i) for i in range(n)], hb)
     ratio = worst_of_arrays(*residual_arrays(
         base / phi_weight(units, g, ctx),
-        np.array([phi_ratio_closed(lam, (i,), g, ctx) for i in range(n)])))
+        phi_ratio_table(lam[None], 1, g, ctx)[0]))
     subs, s, t, _ = _subset_pairs(n, d)
     raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
     # lam_st for s outside and t inside each subset, [subset, pair]: the rhs
     # is a product over the pairs
     lst = (lam[s] - lam[t]).T
-    rnum, rden = theta_table([gh + hb - lst, hb - lst], ctx)
+    rnum, rden = theta_table([g * hb + hb - lst, hb - lst], ctx)
     lhs = (m_dot(c, d, ctx).table(lam[None])[0]
            * phi_weight(raised, g, ctx) / base)
     found = residual_arrays(lhs, np.prod(rnum / rden, axis=-1))

@@ -173,6 +173,30 @@ def test_dedekind_eta(ctx2):
     assert abs(th.dedekind_eta(far.tau, far).value / lead - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.3j, 30j])
+def test_eta_is_the_24_factor_product_bit_for_bit(tau):
+    # eta stops at the least M with |p|^M <= 2^-60 (9 factors at the
+    # default modulus); the factors after it round away, so every
+    # intertwiner, which divides by i eta, keeps its value
+    ctx = default_context(2, tau=tau)
+    p = cmath.exp(2j * cmath.pi * tau)
+    want = cmath.exp(2j * cmath.pi * tau / 24.0)
+    for m in range(1, 25):
+        want *= 1.0 - p ** m
+    assert th._product_length(p) <= 24
+    assert th.dedekind_eta(tau, ctx).value == want
+
+
+def test_product_length_is_the_least_power_below_2_to_minus_60():
+    for x in (0.0066 + 0.0001j, 0.25, -0.15j, 0.9, 1e-30):
+        m = th._product_length(x)
+        assert m >= 1 and abs(x) ** m <= 2.0 ** -60
+        assert m == 1 or abs(x) ** (m - 1) > 2.0 ** -60
+    # trunc is a theta-series knob: no product reads it
+    assert th.dedekind_eta(TAU, default_context(2, trunc=8)).value \
+        == th.dedekind_eta(TAU, default_context(2, trunc=40)).value
+
+
 def test_weierstrass_symmetries(ctx2, rng):
     u = rand_complex(rng, 0.3) + 0.05
     assert abs(th.weierstrass_p(u, ctx2) - th.weierstrass_p(-u, ctx2)) < 1e-8

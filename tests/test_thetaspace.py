@@ -358,6 +358,45 @@ def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
         assert len(calls) == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chi_constants_are_the_norms_and_the_dft(n):
+    ctx = default_context(n)
+    tau, m = complex(ctx.tau), np.arange(n)
+    norms, dft = ts._chi_constants(n, tau, ctx.trunc)
+    # D_j = theta_{j,n}(0 | tau) from the one kernel, and e^(-2 pi i jm/n)
+    want = th._table(th._series(tuple(range(n)), n, tau, ctx.trunc, 0),
+                     np.zeros(1, dtype=complex))[:, 0]
+    assert np.array_equal(norms, want)
+    assert np.array_equal(dft, np.exp(-2j * np.pi / n * np.outer(m, m)))
+    assert not norms.flags.writeable and not dft.flags.writeable
+    assert ts._chi_constants(n, tau, ctx.trunc)[0] is norms
+    # the characters are the transform of the theta_3 products over them
+    P = wt.sample_many(50, 6, ctx)
+    theta3 = th._table(th._series((0.0,), 1, tau, ctx.trunc, 0),
+                       (P[:, None, :] + m[:, None] / n).ravel())
+    prods = np.prod(theta3.reshape(len(P), n, n), axis=-1)
+    assert np.array_equal(ts.chi_table(P, ctx), np.sum(
+        prods[:, None, :] * dft, axis=-1) / (n * norms))
+
+
+def test_theta_space_reads_the_character_norms_once(monkeypatch):
+    from etlax.suites import run_suite
+    ts._chi_constants.cache_clear()
+    kernel, calls = th._table, []
+
+    def counting(series, args):
+        calls.append(len(series.tpm) == 2 and len(args) == 1
+                      and args[0] == 0)
+        return kernel(series, args)
+    monkeypatch.setattr(th, "_table", counting)
+    monkeypatch.setattr(ts, "_table", counting)
+    for seed in range(8):
+        run_suite("theta-space", default_context(2), seed)
+    # one D_j = theta_{j,2}(0 | tau) read per chi_table call would be 256
+    # of 824 kernel calls
+    assert sum(calls) == 1 and len(calls) <= 824 - 255
+
+
 # ----------------------------------------- characters off the default modulus
 
 def test_chi_table_values_depend_on_their_own_point_alone(ctx3):
@@ -400,10 +439,9 @@ def test_characters_without_their_norms_fail_the_module_relation(
     # the quasi-periodicity laws cannot see a constant factor per j; the
     # level-1 module relation mixes the characters, so it can
     assert _theta_space_case(n, "level1-module-relation").ok
-    kernel = ts._table
-    monkeypatch.setattr(ts, "_table", lambda series, args: np.ones(
-        (len(series.tpm), len(args)), dtype=complex)
-        if len(series.tpm) > 1 else kernel(series, args))     # D_j = 1
+    constants = ts._chi_constants
+    monkeypatch.setattr(ts, "_chi_constants", lambda n, tau, trunc: (
+        np.ones(n, dtype=complex), constants(n, tau, trunc)[1]))  # D_j = 1
     assert not _theta_space_case(n, "level1-module-relation").ok
 
 

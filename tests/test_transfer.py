@@ -423,6 +423,118 @@ def test_dplus_matches_double_loop(ctx2, ctx3):
             assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def _mp_dplus(mp, z, g, ctx):
+    """The double product of _dplus in mpmath, each loop run until its
+    factors are within 1e-40 of 1 (the factors shrink towards 1 in m and
+    in k)."""
+    q, p, hb = (mp.mpc(x.real, x.imag)
+                for x in (ctx.q, ctx.p, complex(ctx.hbar)))
+    z, qg = mp.mpc(z.real, z.imag), mp.exp(2j * mp.pi * hb * mp.mpc(g))
+    tiny, out, k = mp.mpf(10) ** -40, mp.mpc(1), 0
+    while True:
+        m = 0
+        while True:
+            a, b = z * q ** (m + 1) * p ** k, q ** m / z * p ** (k + 1)
+            factor = (1 - a) / (1 - a * qg) * (1 - b / qg) / (1 - b)
+            out *= factor
+            if abs(factor - 1) < tiny:
+                break
+            m += 1
+        if m == 0:
+            return out
+        k += 1
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.3j])
+@pytest.mark.parametrize("n", [2, 3])
+def test_dplus_matches_a_30_digit_double_product(n, tau):
+    # the 2^-60 stopping rule against a product run far past it, at the
+    # ratios z_k / z_k' of a sampled point
+    mp = pytest.importorskip("mpmath")
+    ctx = default_context(n, tau=tau)
+    lam = wt.sample_generic(48, ctx)
+    z = np.exp(2j * np.pi * lam)
+    ratios = [z[k] / z[kp] for k in range(n) for kp in range(n) if k != kp]
+    g = C0 / n
+    got = tr._dplus(np.array(ratios), g, ctx)
+    with mp.workdps(30):
+        want = [complex(_mp_dplus(mp, r, g, ctx)) for r in ratios]
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+def _ratio_case(n):
+    return next(c for c in run_suite("ruijsenaars", default_context(n), 0).cases
+                if c.name == "phi-ratio-closed-form-d1")
+
+
+def test_products_cut_short_fail_the_ratio_check(monkeypatch):
+    # control: Phi's double product stopped at three powers of q and of p
+    # breaks its agreement with the theta closed form
+    assert _ratio_case(2).ok and _ratio_case(3).ok
+    monkeypatch.setattr(tr, "_product_length", lambda x: 3)
+    assert not _ratio_case(2).ok and not _ratio_case(3).ok
+
+
+def _phi_ratio_closed(lam, subset, g, ctx):
+    """Phi / T_I Phi at one point lam[n] and one subset, from the telescoped
+    theta form one theta value at a time: the reference of phi_ratio_table."""
+    hb = ctx.hbar
+    gh = g * hb
+    rest = [j for j in range(ctx.n) if j not in subset]
+    lij = (lam[list(subset)][:, None] - lam[rest]).ravel()
+    num1, num2, den1, den2 = (np.array([theta(x, ctx) for x in args])
+                              for args in (hb + lij, gh - lij, gh + hb + lij,
+                                           -lij))
+    return complex(np.prod(num1 * num2 / (den1 * den2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_ratio_table_matches_the_per_subset_closed_form(n, monkeypatch):
+    ctx = default_context(n)
+    P = wt.sample_many(49, 4, ctx)
+    g = C0 / n
+    for d in range(1, n + 1):
+        reads = table_reads(monkeypatch)
+        got = tr.phi_ratio_table(P, d, g, ctx)
+        assert len(reads) == 1          # every pair of every subset at once
+        subsets = list(itertools.combinations(range(n), d))
+        want = np.array([[_phi_ratio_closed(lam, sub, g, ctx)
+                          for sub in subsets] for lam in P])
+        assert got.shape == (len(P), len(subsets))
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        monkeypatch.undo()
+
+
+def test_ruijsenaars_run_stays_small():
+    # the double product of every ordered pair is one array per point set,
+    # [points, n(n-1), M(p)+1, M(q)+1]: 10 x 32 factors a pair at the
+    # default modulus under the 2^-60 rule, a peak of about 0.4 MB
+    import tracemalloc
+    run_suite("ruijsenaars", default_context(3), 0)    # warm plan caches
+    tracemalloc.start()
+    try:
+        run_suite("ruijsenaars", default_context(3), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6e6
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_suites_pass_across_seeds_off_the_default_modulus(n):
+    # at tau = 0.1 + 0.3i; intertwiner, rll, trace-closed and commute raise
+    # at some seeds there (the raw condition guard of the intertwiners), and
+    # theta, theta-space and eigen-l1 are gated in their own modules
+    ctx = default_context(n, tau=0.1 + 0.3j)
+    failed = [(name, seed)
+              for name in ("ybe", "face-ybe", "qfay", "fay", "vandermonde",
+                           "genfunc", "ruijsenaars", "krichever", "cm-limit",
+                           "macdonald-limit", "debiard")
+              for seed in range(8)
+              if not run_suite(name, ctx, seed).passed]
+    assert failed == []
+
+
 def test_debiard_first_operator(ctx3):
     d1 = tr.build_d_ops(C0, ctx3)[0]
     lam = wt.sample_generic(45, ctx3)
