@@ -4,16 +4,14 @@
     verify all ...
 
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
-hbar_re, hbar_im, trunc, tol_series, tol_identity, seed); every key can be
-overridden by a command-line flag of the same name, and the environment
-variable ETL_TRUNC overrides trunc (flags still win).  tol_identity is a
-singularity floor (see ModularContext); each suite passes or fails against
-its own tolerance in suites.SUITES.  Exit
-codes: 0 all checks passed, 1 verification failure, 2 configuration error
-or an evaluation that could not be carried out (a singular parameter or an
-exhausted sampling budget).  `verify all` spreads its runs over one forked
-process per CPU (run_all); its reports and exit codes are those of one
-serial pass.
+hbar_re, hbar_im, tol_identity, seed); every key can be overridden by a
+command-line flag of the same name.  tol_identity is a singularity floor
+(see ModularContext); each suite passes or fails against its own tolerance
+in suites.SUITES.  Exit codes: 0 all checks passed, 1 verification
+failure, 2 configuration error or an evaluation that could not be carried
+out (a singular parameter or an exhausted sampling budget).  `verify all`
+spreads its runs over one forked process per CPU (run_all); its reports
+and exit codes are those of one serial pass.
 """
 
 from __future__ import annotations
@@ -30,18 +28,18 @@ from .context import (DEFAULT_HBAR, DEFAULT_TAU, ContextError, ModularContext,
 from .report import report_json, report_text
 from .suites import SUITE_ORDER, run_suite
 
-CONFIG_KEYS = ("n", "tau_re", "tau_im", "hbar_re", "hbar_im", "trunc",
-               "tol_series", "tol_identity", "seed")
+CONFIG_KEYS = ("n", "tau_re", "tau_im", "hbar_re", "hbar_im", "tol_identity",
+               "seed")
 
 DEFAULTS = {
     "n": 2,
     "tau_re": DEFAULT_TAU.real, "tau_im": DEFAULT_TAU.imag,
     "hbar_re": DEFAULT_HBAR.real, "hbar_im": DEFAULT_HBAR.imag,
-    "trunc": 24, "tol_series": 1e-13, "tol_identity": 1e-8,
+    "tol_identity": 1e-8,
     "seed": 42,
 }
 
-_INT_KEYS = {"n", "trunc", "seed"}
+_INT_KEYS = {"n", "seed"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -69,16 +67,10 @@ def parse_config_file(path: str) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """defaults < config file < ETL_TRUNC < explicit flags."""
+    """defaults < config file < explicit flags."""
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(parse_config_file(args.config))
-    env_trunc = os.environ.get("ETL_TRUNC")
-    if env_trunc is not None:
-        try:
-            cfg["trunc"] = int(env_trunc)
-        except ValueError:
-            raise ContextError(f"ETL_TRUNC must be an integer, got {env_trunc!r}")
     for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
@@ -91,8 +83,6 @@ def context_from_config(cfg: dict, n: int = None) -> ModularContext:
         n=n if n is not None else int(cfg["n"]),
         tau=complex(cfg["tau_re"], cfg["tau_im"]),
         hbar=complex(cfg["hbar_re"], cfg["hbar_im"]),
-        trunc=int(cfg["trunc"]),
-        tol_series=float(cfg["tol_series"]),
         tol_identity=float(cfg["tol_identity"]),
     )
 
@@ -196,9 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", help="write a JSON report to this path")
     parser.add_argument("--n", type=int, help="rank n (single-suite runs)")
     parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--trunc", type=int, help="theta series truncation")
-    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "tol_series",
-                "tol_identity"):
+    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "tol_identity"):
         parser.add_argument(f"--{key}", type=float)
     return parser
 

@@ -2,9 +2,9 @@
 
 Every evaluator in this package is a pure function of its arguments and a
 ModularContext, which fixes the rank n, the modulus tau, the deformation
-parameter hbar, the series truncation depth and the singularity floor
-tol_identity.  The coupling c is a builder argument, drawn by each suite;
-the pass thresholds are the per-suite tolerances in suites.SUITES.
+parameter hbar and the singularity floor tol_identity.  The coupling c is
+a builder argument, drawn by each suite; the pass thresholds are the
+per-suite tolerances in suites.SUITES.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ class ModularContext:
     n           rank (the operators live on the sl_n weight space), n >= 2
     tau         modulus, Im tau > 0
     hbar        deformation parameter, kept off the period lattice
-    trunc       terms kept on each side of a theta series; no product reads it
-    tol_series  target bound for the discarded series tail
     tol_identity  singularity floor, not a pass threshold: the sampling
                 guard (x10), the fay_sides, face-weight and ltilde
                 denominators, the lattice distance of hbar and of the p
@@ -62,8 +60,6 @@ class ModularContext:
     n: int
     tau: complex
     hbar: complex
-    trunc: int = 24
-    tol_series: float = 1e-13
     tol_identity: float = 1e-8
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -72,10 +68,8 @@ class ModularContext:
             raise ContextError(f"rank n must be >= 2, got {self.n}")
         if complex(self.tau).imag <= 0:
             raise ContextError(f"Im tau must be positive, got tau={self.tau}")
-        if self.trunc < 4:
-            raise ContextError(f"trunc must be >= 4, got {self.trunc}")
-        if self.tol_series <= 0 or self.tol_identity <= 0:
-            raise ContextError("tolerances must be positive")
+        if self.tol_identity <= 0:
+            raise ContextError("tol_identity must be positive")
         if lattice_distance(complex(self.hbar), complex(self.tau)) <= self.tol_identity:
             raise ContextError(f"hbar={self.hbar} sits on the period lattice Z + Z*tau")
 
@@ -105,8 +99,8 @@ class ModularContext:
 
     def replace(self, **kw) -> "ModularContext":
         """A copy of this context with some fields replaced (fresh cache)."""
-        data = dict(n=self.n, tau=self.tau, hbar=self.hbar, trunc=self.trunc,
-                    tol_series=self.tol_series, tol_identity=self.tol_identity)
+        data = dict(n=self.n, tau=self.tau, hbar=self.hbar,
+                    tol_identity=self.tol_identity)
         data.update(kw)
         return ModularContext(**data)
 

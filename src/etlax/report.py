@@ -5,7 +5,7 @@ produce byte-identical output; wall-time fields are the only nondeterministic
 entries and are kept on their own lines / keys so consumers can strip them.
 A NaN or infinite number reads nan / inf in the text report and null in the
 JSON report (JSON has no such numbers; schema 3).  The params of a report
-are the context and the seed a suite ran at (schema 4; each suite draws its
+are the context and the seed a suite ran at (schema 5; each suite draws its
 own spectral parameters and points from that seed).
 """
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .theta import Residual, worst_of
 
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def fmt_float(x: float) -> str:
@@ -52,7 +52,7 @@ class SuiteReport:
     """Outcome of one suite run at one parameter record."""
 
     suite: str
-    params: dict           # n, tau, hbar, trunc, seed
+    params: dict           # n, tau, hbar, seed
     tolerance: float
     cases: list = field(default_factory=list)
     passed: bool = True

@@ -78,6 +78,26 @@ def _contour_derivative(us, order: int, ctx: ModularContext) -> np.ndarray:
                                                     w ** -order)
 
 
+def _reference_series(m: float, l: int, u: complex, tau: complex) -> tuple:
+    """Brute-force theta_{m,l}(u, tau), term by term in cmath, and the
+    modulus of its largest term: every term above 2^-70 of the largest on
+    both sides of the peak of the Gaussian, summed in increasing k.  A term
+    that underflows to 0 ends its side."""
+    def term(k):
+        mu = m + l * k
+        return cmath.exp(2j * cmath.pi * (mu * u + mu * mu * tau / (2 * l)))
+
+    peak = round(-u.imag / tau.imag - m / l)
+    largest = abs(term(peak))
+    floor = 2.0 ** -70 * largest
+    lo = hi = peak
+    while abs(term(lo - 1)) > floor:
+        lo -= 1
+    while abs(term(hi + 1)) > floor:
+        hi += 1
+    return sum((term(k) for k in range(lo, hi + 1)), 0j), largest
+
+
 # ----------------------------------------------------------------- suites
 
 def suite_theta(ctx: ModularContext, rng, tol: float):
@@ -100,19 +120,16 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
         th.residual_pair(t0, th.jacobi_theta_triple_product(u, ctx))
         for u, t0 in zip(us, th.theta_table(us, ctx).tolist())), 1e-12))
 
-    # brute-force reference summation at trunc+10
     found = []
     tail_ok = True
     for _ in range(6):
         m = float(rng.uniform(-1, 1))
         l = int(rng.integers(1, 4))
         u = _rc(rng)
-        got = th.theta_ml(m, l, u, ctx.tau, trunc=ctx.trunc)
-        tail_ok = tail_ok and got.tail_bound < ctx.tol_series
-        ref = 0.0 + 0.0j
-        for k in range(-(ctx.trunc + 10), ctx.trunc + 11):
-            mu = m + l * k
-            ref += cmath.exp(2j * cmath.pi * (mu * u + mu * mu * ctx.tau / (2 * l)))
+        got = th.theta_ml(m, l, u, ctx.tau)
+        ref, largest = _reference_series(m, l, u, ctx.tau)
+        # theta_ml's tail is at most the window's drop times the largest term
+        tail_ok = tail_ok and got.tail_bound <= th._WINDOW_DROP * largest
         found.append(th.residual_pair(got.value, ref))
     cases.append(_case("series-vs-reference", th.worst_of(found), 1e-12))
     cases.append(_case("tail-bounds", Residual(0.0 if tail_ok else 1.0, 0.0),
@@ -120,8 +137,8 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
 
     u = _rc(rng)
     shift_res = th.residual_pair(
-        th.theta_ml(0.3 + 1.0, 1, u, ctx.tau, trunc=ctx.trunc).value,
-        th.theta_ml(0.3, 1, u, ctx.tau, trunc=ctx.trunc).value)
+        th.theta_ml(0.3 + 1.0, 1, u, ctx.tau).value,
+        th.theta_ml(0.3, 1, u, ctx.tau).value)
     cases.append(_case("characteristic-shift", shift_res, 1e-12))
 
     rows = range(ctx.n)
@@ -136,12 +153,12 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
                   th.residual_pair(chars[ctx.n + j], chars[j]),
                   th.residual_pair(levels[j],
                                    th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
-                                               ctx.tau, trunc=ctx.trunc).value)]
+                                               ctx.tau).value)]
     cases.append(_case("character-thetas", th.worst_of(found), tol))
 
     eta = th.dedekind_eta(ctx.tau, ctx)
     cases.append(_case("eta-log-sum", th.residual_pair(
-        eta.value, th.dedekind_eta_logsum(ctx.tau, ctx)), 1e-13))
+        eta.value, th.dedekind_eta_logsum(ctx.tau)), 1e-13))
 
     us = _rcs(rng, (10,))
     cases.append(_case("derivative-vs-contour", th.worst_of_arrays(
@@ -598,8 +615,7 @@ def run_suite(name: str, ctx: ModularContext, seed: int) -> SuiteReport:
     # three draws that no check reads: every suite's own draws, and so its
     # cases at each seed, come after them
     _rcs(rng, (3,))
-    params = {"n": ctx.n, "tau": ctx.tau, "hbar": ctx.hbar,
-              "trunc": ctx.trunc, "seed": seed}
+    params = {"n": ctx.n, "tau": ctx.tau, "hbar": ctx.hbar, "seed": seed}
     rep = SuiteReport(suite=name, params=params, tolerance=tol)
     start = time.perf_counter()
     rep.cases = fn(ctx, rng, tol)

@@ -4,8 +4,8 @@ The whole package is built on the level-(m,l) series
 
     theta_{m,l}(u, tau) = sum_{mu in m + l Z} exp 2 pi i (mu u + mu^2 tau / (2l)),
 
-truncated to |mu - m| <= l * trunc; theta_ml also returns an estimate of the
-discarded tail.  Three named specializations appear throughout:
+summed over the terms around its peak; theta_ml also returns a bound on the
+terms it leaves out.  Three named specializations appear throughout:
 
     theta(u)        = theta_{1/2,1}(u + 1/2, tau)        (odd Jacobi theta)
     theta_char_j(u) = theta_{1/2-j/n,1}(u + 1/2, n tau)  (R-matrix characters)
@@ -16,34 +16,33 @@ theta_char_table, theta_level_table); theta is the table of one point.
 Derivatives are always taken term-wise on the series; finite differences
 are used only as independent cross-checks in the test suites.
 
-The u-independent part of a series is computed once per (characteristics,
-level, tau, trunc, derivative order) and shared: 2 pi i mu, the exponent
-2 pi i mu^2 tau/(2l) and the factor (2 pi i mu)^d.  A table is then one exp
-over a (rows, points, terms) array per chunk of points and one sum.  The
-exponent is kept inside the exp, not split off as a Gaussian factor,
-because exp(2 pi i mu u) alone overflows where that factor underflows
-(|Im u| of a few periods), and inf * 0 is nan.  The face weights, the
-R-matrices, the intertwiners, the determinant identities, the closed-form
-M_d coefficients and the sampling guard read all their theta values from
-one such table per move or per batch of samples: the determinant
-identities (qFay, Fay, Vandermonde) take leading batch axes, one point
-set per sample, and a single point set is the batch of one.
+The constants of a series are computed once per (characteristics, level,
+tau, derivative order) and shared: the window half-width and the row
+constants.  A table then forms, for the terms of every window, 2 pi i mu,
+the exponent 2 pi i mu^2 tau/(2l) and the factor (2 pi i mu)^d, and takes
+one exp over a (rows, points, terms) array per chunk of points and one
+sum.  The exponent is kept inside the exp, not split off as a Gaussian
+factor, because exp(2 pi i mu u) alone overflows where that factor
+underflows (|Im u| of a few periods), and inf * 0 is nan.  The face
+weights, the R-matrices, the intertwiners, the determinant identities, the
+closed-form M_d coefficients and the sampling guard read all their theta
+values from one such table per move or per batch of samples: the
+determinant identities (qFay, Fay, Vandermonde) take leading batch axes,
+one point set per sample, and a single point set is the batch of one.
 
-Only a window of the terms is summed.  Along k the terms follow a Gaussian
+Only a window of the terms is summed (the windowed evaluation of
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
+functions", Math. Comp. 73 (2004)).  Along k the terms follow a Gaussian
 whose peak moves with Im u: the term dk places from the peak is smaller by
 exp(-pi Im(tau) l dk^2).  Each (row, point) sums the 2w + 1 terms around
-its own peak (the window moved inside [-trunc, trunc] where it sticks
-out), and the terms left out are bounded, all together, by 2^-60 times the
-largest term kept: below the rounding of the sum.  The half-width w
-depends on l, Im tau, trunc and the derivative order alone; at the default
-tau and n <= 4 it is 2 to 5, so a table sums 5 to 11 of the 49 terms.
-Where Im tau is small, w is trunc and the sum is that of all the terms, bit
-for bit.  A value depends on its own row and point only, never on the rest
-of the batch.  theta_ml, whose tail estimate is read against an absolute
-tolerance, sums every term at a point where the window's left-out terms
-are not below 2^-60 in absolute terms.  A product over powers x^m (eta,
-the triple product, the ground-state weight) stops by the same 2^-60, at
-the least M with |x|^M <= 2^-60 (_product_length); trunc is not read.
+its own peak, wherever that peak lies, and the terms left out are bounded,
+all together, by 2^-60 times the largest term kept: below the rounding of
+the sum.  The half-width w depends on l, Im tau and the derivative order
+alone; at the default tau and n <= 4 it is 2 to 5, and it grows like
+1/sqrt(Im tau).  A value depends on its own row and point only, never on
+the rest of the batch.  A product over powers x^m (eta, the triple
+product, the ground-state weight) stops by the same 2^-60, at the least M
+with |x|^M <= 2^-60 (_product_length).
 
 A check reduces its residuals with worst_of (or worst_of_arrays for a
 vectorized check): the largest rel, the first on ties, and a NaN rel wins,
@@ -65,16 +64,16 @@ from .context import (ContextError, ModularContext, SingularParameterError,
 
 TWO_PI_I = 2j * math.pi
 _EPS = 1e-300
-_TABLE_CHUNK = 3136    # terms per row of a theta table work array (64 x 49)
+_TABLE_CHUNK = 3136    # terms per row of a theta table work array
 # the terms a theta table leaves out sum to at most this times the largest
-# term it keeps (_dropped_bound): below the rounding of the kept sum;
-# theta_ml sums a window only where what it leaves out is below this itself
+# term it keeps (_dropped_bound): below the rounding of the kept sum
 _WINDOW_DROP = 2.0 ** -60
 
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """A truncated series value together with its tail estimate."""
+    """A windowed series value together with a bound on the terms it leaves
+    out."""
 
     value: complex
     tail_bound: float
@@ -144,25 +143,19 @@ def residual_pair(lhs: complex, rhs: complex) -> Residual:
     return Residual(rel=d / (abs(lhs) + abs(rhs) + _EPS), abs=d)
 
 
-def _term_magnitude(mu: float, u: complex, tau2l: complex, order: int) -> float:
-    ex = -2.0 * math.pi * (mu * u + mu * mu * tau2l).imag
-    return math.inf if ex > 700.0 else \
-        math.exp(ex) * (2.0 * math.pi * abs(mu)) ** order
-
-
 class _Series(NamedTuple):
     """Shared constants of one series table (see _series)."""
 
-    tpm: np.ndarray        # 2 pi i mu, (rows, 2 trunc + 1)
-    phase: np.ndarray      # 2 pi i mu^2 tau / (2l), same shape
-    dfac: np.ndarray | None   # (2 pi i mu)^deriv_order, or None at order 0
+    ms: np.ndarray         # the characteristics m_r, (rows, 1, 1)
+    l: int                 # the level
+    tau2l: complex         # tau / (2l)
+    deriv_order: int
     half: int              # half-width w of the summed window of terms
-    centre: np.ndarray     # trunc - w + 1/2 - m_r / l, (rows, 1)
-    offsets: np.ndarray    # flat index r (2 trunc + 1) of row r, (rows, 1)
+    centre: np.ndarray     # 1/2 - m_r / l, (rows, 1)
     inv_im_tau: float      # 1 / Im tau
 
 
-def _dropped_bound(a: float, half: int, trunc: int, deriv_order: int) -> float:
+def _dropped_bound(a: float, half: int, deriv_order: int) -> float:
     """Bound on the terms a window of half-width `half` leaves out, summed
     over both sides, relative to the reference term it keeps.
 
@@ -174,132 +167,130 @@ def _dropped_bound(a: float, half: int, trunc: int, deriv_order: int) -> float:
     larger |mu|, M: its Gaussian factor is at least exp(-a), and M is at
     least l/2 and at least |mu*| (mu at k*, which lies between the two), so
     a left-out |mu_k| <= |mu*| + l |k - k*| is at most M (1 + 2 |k - k*|).
-    A window moved to an end of [-trunc, trunc] leaves out only terms
-    farther from k* still.
+    The bound is summed until its terms stop adding to it: they rise at
+    most to one peak and then only fall.
     """
     lost = 0.25 if deriv_order == 0 else 1.0
-    total = 0.0
-    for j in range(2 * trunc + 1):
-        delta = half + 0.5 + j
-        total += 2.0 * math.exp(-a * (delta * delta - lost)) \
+    total, delta = 0.0, half + 0.5
+    while True:
+        term = 2.0 * math.exp(-a * (delta * delta - lost)) \
             * (1.0 + 2.0 * delta) ** deriv_order
-    return total
+        if total + term == total:
+            return total
+        total += term
+        delta += 1.0
+
+
+def _half_width(a: float, deriv_order: int) -> int:
+    """The least half-width w >= 1 whose dropped terms (_dropped_bound)
+    stay below _WINDOW_DROP.
+
+    The bound falls as w grows, so w is found by doubling steps and then
+    bisection, starting where the first left-out term alone (at least
+    2 exp(-a ((w + 1/2)^2 - 1/4))) no longer exceeds _WINDOW_DROP: every
+    w below that start fails.  That keeps the search to a few dozen bounds
+    even where w runs to tens of thousands (Im tau = 1e-8).
+    """
+    def fits(w):
+        return _dropped_bound(a, w, deriv_order) <= _WINDOW_DROP
+
+    lo = max(1, math.floor(math.sqrt(-math.log(_WINDOW_DROP / 2.0) / a + 0.25)
+                           - 0.5))
+    hi = lo                  # every w below lo fails
+    while not fits(hi):
+        lo, hi = hi + 1, hi + 2 * (hi - lo + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    return hi
 
 
 @functools.lru_cache(maxsize=64)
-def _series(ms: tuple, l: int, tau: complex, trunc: int,
-            deriv_order: int) -> _Series:
+def _series(ms: tuple, l: int, tau: complex, deriv_order: int) -> _Series:
     """Shared constants of the series with characteristics ms at level l.
 
-    Rows follow ms, columns mu = m + l*k for k in [-trunc, trunc]: 2 pi i mu,
-    the exponent 2 pi i mu^2 tau/(2l) and (2 pi i mu)^deriv_order (None when
-    deriv_order is 0).  The arrays are read-only because callers share them.
-
-    half is the least half-width w whose dropped terms (_dropped_bound) stay
-    below _WINDOW_DROP, clamped at trunc; it depends on l, Im tau, trunc and
-    deriv_order only.  A small Im tau therefore sums all 2 trunc + 1 terms.
+    Rows follow ms.  half is the window half-width (_half_width); it
+    depends on l, Im tau and deriv_order only.  The arrays are read-only
+    because callers share them.
     """
-    k = np.arange(-trunc, trunc + 1, dtype=float)
-    mu = np.array(ms, dtype=float)[:, None] + l * k
-    tpm = TWO_PI_I * mu
-    phase = TWO_PI_I * (mu * mu * (tau / (2.0 * l)))
-    dfac = tpm ** deriv_order if deriv_order else None
-    a = math.pi * tau.imag * l
-    half = next((w for w in range(1, trunc)
-                 if _dropped_bound(a, w, trunc, deriv_order) <= _WINDOW_DROP),
-                trunc)
-    centre = (trunc - half + 0.5) - np.array(ms, dtype=float)[:, None] / l
-    offsets = np.arange(0, tpm.size, 2 * trunc + 1)[:, None]
-    read_only(tpm, phase, dfac, centre, offsets)
-    return _Series(tpm, phase, dfac, half, centre, offsets, 1.0 / tau.imag)
+    ms = np.array(ms, dtype=float)[:, None, None]
+    half = _half_width(math.pi * tau.imag * l, deriv_order)
+    centre = 0.5 - ms[:, :, 0] / l
+    read_only(ms, centre)
+    return _Series(ms, l, tau / (2.0 * l), deriv_order, half, centre,
+                   1.0 / tau.imag)
 
 
-def _window_starts(series: _Series, args) -> np.ndarray:
-    """Column of the first summed term, for every row and point: the window
-    [k0 - w, k0 + w] around k0 = floor(-Im(arg)/Im tau - m_r/l + 1/2), the
-    term nearest the Gaussian peak, moved inside [-trunc, trunc] where it
-    sticks out.  The column is computed from the row's own constants and
-    the point alone, as floor(centre - Im(arg)/Im tau) clamped to
-    [0, 2 (trunc - w)].
-
-    Clamping before the integer cast also maps a non-finite Im(arg) to an
-    end of the range (its value is non-finite anyway).
-    """
-    pos = series.centre - args.imag * series.inv_im_tau
-    np.fmax(pos, 0.5, out=pos)
-    np.fmin(pos, series.tpm.shape[1] - 2 * series.half - 0.5, out=pos)
-    return pos.astype(np.intp)
+def _window_first(series: _Series, args) -> np.ndarray:
+    """k of the first summed term, for every row and point: the window
+    [k0 - w, k0 + w] around k0 = floor(1/2 - m_r/l - Im(arg)/Im tau), the
+    term nearest the Gaussian peak.  It is a float, so a non-finite Im(arg)
+    gives a non-finite k, and a non-finite value, with no integer cast."""
+    return np.floor(series.centre - args.imag * series.inv_im_tau) \
+        - series.half
 
 
 def theta_ml(m: float, l: int, u: complex, tau: complex, *,
-             trunc: int = 24, deriv_order: int = 0) -> ThetaValue:
-    """Truncated theta series with characteristic m at level l, and its tail.
+             deriv_order: int = 0) -> ThetaValue:
+    """Theta series with characteristic m at level l, and its tail.
 
-    Sums mu = m + l*k over k in [-trunc, trunc]; deriv_order differentiates
-    each term in u.  Raises ContextError off the upper half-plane.  The
-    value is the _table of one point; the tail bound is computed here, the
-    only place that reads it, and covers everything the value leaves out.
-    That bound is read against an absolute tolerance, while the terms a
-    window leaves out are small only relative to its largest term.  So the
-    window is summed where the terms it leaves out add up to at most
-    _WINDOW_DROP in absolute terms (added to the tail), and every term of
-    [-trunc, trunc] elsewhere: the tail is then the series beyond trunc
-    alone, a geometric bound.
+    deriv_order differentiates each term in u.  Raises ContextError off the
+    upper half-plane.  The value is the _table of one point.  The tail
+    bound, computed here, the only place that reads it, is the window's
+    dropped-term bound (_dropped_bound) times the largest term it keeps,
+    so it covers every term the value leaves out and is at most
+    _WINDOW_DROP times that term.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
-    series = _series((m,), l, tau, trunc, deriv_order)
+    series = _series((m,), l, tau, deriv_order)
     args = np.array([u], dtype=complex)
-    tau2l = tau / (2.0 * l)
-    first = int(_window_starts(series, args)[0, 0]) - trunc
-    tail = sum(_term_magnitude(m + l * k, u, tau2l, deriv_order)
-               for k in range(-trunc, trunc + 1)
-               if not first <= k <= first + 2 * series.half)
-    if tail > _WINDOW_DROP:
-        series, tail = series._replace(half=trunc), 0.0
-    value = complex(_table(series, args)[0, 0])
-    for sgn in (1, -1):
-        t1, t2 = (_term_magnitude(m + sgn * l * (trunc + j), u, tau2l,
-                                  deriv_order) for j in (1, 2))
-        ratio = min(t2 / t1 if t1 > 0 else 0.0, 0.95)
-        tail += t1 / (1.0 - ratio)
-    return ThetaValue(value, tail)
+    mu = m + l * (_window_first(series, args)[0, 0]
+                  + np.arange(2 * series.half + 1))
+    largest = float(np.max(
+        np.exp(-2.0 * math.pi * (mu * u + mu * mu * series.tau2l).imag)
+        * (2.0 * math.pi * np.abs(mu)) ** deriv_order))
+    tail = _dropped_bound(math.pi * tau.imag * l, series.half,
+                          deriv_order) * largest
+    return ThetaValue(complex(_table(series, args)[0, 0]), tail)
 
 
 def _table(series: _Series, args) -> np.ndarray:
-    """[sum_terms exp(tpm[r] args[k] + phase[r]) dfac[r]]_{r, k}: the series
-    values of every row of the _series constants at the points args.
+    """[sum_k exp(2 pi i mu u_p + 2 pi i mu^2 tau/(2l)) (2 pi i mu)^d]_{r, p},
+    mu = m_r + l k: the series values of every row of the _series
+    constants at the points args.
 
     Each (row, point) sums only the 2w + 1 terms of its own window
-    (_window_starts); the terms left out are below _WINDOW_DROP times the
+    (_window_first); the terms left out are below _WINDOW_DROP times the
     largest term kept.  A value therefore depends on its own row and point
-    alone, never on the rest of the batch, and where w = trunc the sum is
-    that of all 2 trunc + 1 terms, in the same order.
+    alone, never on the rest of the batch.
     """
-    tpm, phase = series.tpm.ravel(), series.phase.ravel()
-    dfac = None if series.dfac is None else series.dfac.ravel()
-    out = np.empty((len(series.tpm), len(args)), dtype=complex)
-    # flat index of the first term of every window, and the offsets of the
-    # rest: the terms are gathered from the flattened constants
-    first = _window_starts(series, args)
-    first += series.offsets
-    window = np.arange(2 * series.half + 1)
-    # the (rows, points, terms) work array is built and exponentiated in
-    # place, at most _TABLE_CHUNK terms per row at a time: a batch of
-    # thousands of points then holds one small work array, not three
-    # whole-batch ones
+    out = np.empty((len(series.ms), len(args)), dtype=complex)
+    first = _window_first(series, args)
+    window = np.arange(2 * series.half + 1, dtype=float)
+    # the (rows, points, terms) work arrays are built at most _TABLE_CHUNK
+    # terms per row at a time: a batch of thousands of points then holds a
+    # few small work arrays, not whole-batch ones
     chunk = max(1, _TABLE_CHUNK // len(window))
     for start in range(0, len(args), chunk):
         part = slice(start, start + chunk)
-        index = first[:, part, None] + window
-        terms = tpm[index]
-        np.multiply(terms, args[None, part, None], out=terms)
-        terms += phase[index]
+        mu = first[:, part, None] + window
+        mu *= series.l
+        mu += series.ms
+        # the exponent 2 pi i mu u + 2 pi i mu^2 tau/(2l) in two buffers,
+        # each product formed in place where it can be
+        phase = np.multiply(mu * mu, series.tau2l)
+        phase *= TWO_PI_I
+        terms = np.multiply(mu, TWO_PI_I)
+        terms *= args[None, part, None]
+        terms += phase
+        del phase
         np.exp(terms, out=terms)
-        if dfac is not None:
-            terms *= dfac[index]
+        if series.deriv_order:
+            terms *= (TWO_PI_I * mu) ** series.deriv_order
         out[:, part] = terms.sum(axis=-1)
+        del mu, terms           # before the next chunk builds its own
     return out
 
 
@@ -310,7 +301,7 @@ def theta_table(us, ctx: ModularContext, deriv_order: int = 0) -> np.ndarray:
     if deriv_order < 0 or deriv_order > 8:
         raise ContextError(f"deriv_order must be in 0..8, got {deriv_order}")
     us = np.asarray(us, dtype=complex)
-    series = _series((0.5,), 1, complex(ctx.tau), ctx.trunc, deriv_order)
+    series = _series((0.5,), 1, complex(ctx.tau), deriv_order)
     return _table(series, us.ravel() + 0.5)[0].reshape(us.shape)
 
 
@@ -319,7 +310,7 @@ def theta_char_table(rows, us, ctx: ModularContext) -> np.ndarray:
     characteristic j mod n at modulus n*tau."""
     n = ctx.n
     series = _series(tuple(0.5 - (j % n) / n for j in rows), 1,
-                     complex(n * ctx.tau), ctx.trunc, 0)
+                     complex(n * ctx.tau), 0)
     return _table(series, np.asarray(us, dtype=complex) + 0.5)
 
 
@@ -328,7 +319,7 @@ def theta_level_table(rows, us, ctx: ModularContext) -> np.ndarray:
     entering the intertwining vectors, j mod n."""
     n = ctx.n
     series = _series(tuple(n / 2.0 - j % n for j in rows), n,
-                     complex(ctx.tau), ctx.trunc, 0)
+                     complex(ctx.tau), 0)
     return _table(series, np.asarray(us, dtype=complex) + 0.5)
 
 
@@ -363,7 +354,7 @@ def _eta_product(tau: complex) -> ThetaValue:
     return ThetaValue(value, tail)
 
 
-def dedekind_eta_logsum(tau: complex, ctx: ModularContext) -> complex:
+def dedekind_eta_logsum(tau: complex) -> complex:
     """Independent log-domain route: exp(2 pi i tau/24 + sum log(1 - p^m))."""
     p = cmath.exp(TWO_PI_I * complex(tau))
     return cmath.exp(sum((cmath.log(1.0 - p ** mm)

@@ -43,11 +43,11 @@ from .weights import canonical, sample_many, sample_points, subseeds
 
 
 @functools.lru_cache(maxsize=16)
-def _chi_constants(n: int, tau: complex, trunc: int) -> tuple:
+def _chi_constants(n: int, tau: complex) -> tuple:
     """D_j = theta_{j,n}(0 | tau), j < n, and the DFT [e^(-2 pi i jm/n)]_{j,m}
     of chi_table, read-only as every call shares them."""
     m = np.arange(n)
-    return read_only(_table(_series(tuple(range(n)), n, tau, trunc, 0),
+    return read_only(_table(_series(tuple(range(n)), n, tau, 0),
                             np.zeros(1, dtype=complex))[:, 0],
                      np.exp(-2j * np.pi / n * np.outer(m, m)))
 
@@ -59,10 +59,10 @@ def chi_table(P, ctx: ModularContext) -> np.ndarray:
     so a value depends on its own point alone."""
     P = np.asarray(P, dtype=complex)
     n, tau, m = ctx.n, complex(ctx.tau), np.arange(ctx.n)
-    theta3 = _table(_series((0.0,), 1, tau, ctx.trunc, 0),
+    theta3 = _table(_series((0.0,), 1, tau, 0),
                     (P[..., None, :] + m[:, None] / n).ravel())
     prods = np.prod(theta3.reshape(P.shape[:-1] + (n, n)), axis=-1)  # [..., m]
-    norms, dft = _chi_constants(n, tau, ctx.trunc)
+    norms, dft = _chi_constants(n, tau)
     return np.sum(prods[..., None, :] * dft, axis=-1) / (n * norms)
 
 

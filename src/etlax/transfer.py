@@ -550,7 +550,8 @@ def verify_ruijsenaars(c: complex, d: int, lam,
     """Both halves of the ground-state conjugation identity at one point
     lam[n].
 
-    'ratio':  Phi/T_i Phi from the double product vs the theta closed form.
+    'ratio':  Phi/T_I Phi from the double product vs the theta closed form
+        (phi_ratio_table), for each |I| = d.
     'coefficient': for each |I| = d the squared coefficient identity
         C_I(lam) * (T_I Phi / Phi) = prod theta(g h + h + lam_ts)/theta(h + lam_ts),
     which is the branch-free square of the symmetrized form; C_I is read
@@ -559,18 +560,16 @@ def verify_ruijsenaars(c: complex, d: int, lam,
     n, hb = ctx.n, ctx.hbar
     g = c / n
     base = phi_weight(lam, g, ctx)
-    units = shifted(lam, [unit_key(n, i) for i in range(n)], hb)
-    ratio = worst_of_arrays(*residual_arrays(
-        base / phi_weight(units, g, ctx),
-        phi_ratio_table(lam[None], 1, g, ctx)[0]))
     subs, s, t, _ = _subset_pairs(n, d)
     raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
+    weights = phi_weight(raised, g, ctx)
+    ratio = worst_of_arrays(*residual_arrays(
+        base / weights, phi_ratio_table(lam[None], d, g, ctx)[0]))
     # lam_st for s outside and t inside each subset, [subset, pair]: the rhs
     # is a product over the pairs
     lst = (lam[s] - lam[t]).T
     rnum, rden = theta_table([g * hb + hb - lst, hb - lst], ctx)
-    lhs = (m_dot(c, d, ctx).table(lam[None])[0]
-           * phi_weight(raised, g, ctx) / base)
+    lhs = m_dot(c, d, ctx).table(lam[None])[0] * weights / base
     found = residual_arrays(lhs, np.prod(rnum / rden, axis=-1))
     return {"ratio": ratio, "coefficient": worst_of_arrays(*found)}
 

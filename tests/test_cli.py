@@ -36,7 +36,7 @@ def test_run_suite_passes_and_records_params():
     assert rep.params["seed"] == 42
     # the context and the seed; the suite's spectral parameters are drawn
     # from the seed, not reported as params
-    assert list(rep.params) == ["n", "tau", "hbar", "trunc", "seed"]
+    assert list(rep.params) == ["n", "tau", "hbar", "seed"]
     assert all(c.rel < c.tol for c in rep.cases if not c.control)
 
 
@@ -118,11 +118,10 @@ def test_seed_changes_residuals_not_outcome():
 def test_json_shape_and_digits():
     rep = run_suite("qfay", default_context(2), 42)
     doc = json.loads(report_json([rep]))
-    assert doc["schema"] == 4
+    assert doc["schema"] == 5
     suite = doc["suites"][0]
     assert suite["suite"] == "qfay"
-    assert list(suite["params"].keys()) == [
-        "n", "tau", "hbar", "trunc", "seed"]
+    assert list(suite["params"].keys()) == ["n", "tau", "hbar", "seed"]
     assert {"name", "rel", "abs", "tol", "control", "ok"} \
         <= set(suite["cases"][0].keys())
     assert fmt_float(0.1) == "0.10000000000000001"
@@ -135,7 +134,7 @@ def test_cli_single_suite_exit_zero(capsys, tmp_path):
     rc = cli.main(["qfay", "--seed", "42", "--json", str(out)])
     assert rc == 0
     captured = capsys.readouterr().out
-    assert "schema: 4" in captured
+    assert "schema: 5" in captured
     assert "suite: qfay" in captured
     doc = json.loads(out.read_text())
     assert doc["summary"]["pass"] is True
@@ -163,17 +162,19 @@ def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: could not sample")
 
 
+def _resolved(*argv):
+    return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
+
+
 def test_cli_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 3\ntrunc: 28\n# comment\n")
+    cfg.write_text("n = 3\ntol_identity: 1e-9\n# comment\n")
     rc = cli.main(["vandermonde", "--config", str(cfg)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "n: 3" in out
-    assert "trunc: 28" in out
-    rc = cli.main(["vandermonde", "--config", str(cfg), "--trunc", "30"])
-    assert rc == 0
-    assert "trunc: 30" in capsys.readouterr().out
+    assert "n: 3" in capsys.readouterr().out
+    assert _resolved("vandermonde", "--config", str(cfg))["tol_identity"] \
+        == 1e-9
+    assert _resolved("vandermonde")["tol_identity"] == 1e-8
 
 
 def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -194,28 +195,56 @@ def test_cli_has_no_coupling_knob(tmp_path, capsys):
     assert "c" not in {f.name for f in fields(ModularContext)}
 
 
-def test_env_var_overrides_trunc(monkeypatch, capsys):
-    monkeypatch.setenv("ETL_TRUNC", "26")
-    assert cli.main(["qfay"]) == 0
-    assert "trunc: 26" in capsys.readouterr().out
+def test_trunc_is_not_a_knob(tmp_path, monkeypatch, capsys):
+    # each theta window follows its own peak: no truncation to set, by
+    # config key, flag or environment variable
+    cfg = tmp_path / "old.txt"
+    cfg.write_text("trunc = 24\n")
+    assert cli.main(["qfay", "--config", str(cfg)]) == 2
+    assert "unknown key 'trunc'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qfay", "--trunc", "30"])
+    assert exc.value.code == 2
     monkeypatch.setenv("ETL_TRUNC", "nope")
-    assert cli.main(["qfay"]) == 2
+    assert cli.main(["qfay"]) == 0
+    assert "trunc" not in capsys.readouterr().out
+    assert "trunc" not in {f.name for f in fields(ModularContext)}
+    assert "trunc" not in cli.DEFAULTS
 
 
-def test_cli_flag_beats_env(monkeypatch, capsys):
-    monkeypatch.setenv("ETL_TRUNC", "26")
-    assert cli.main(["qfay", "--trunc", "25"]) == 0
-    assert "trunc: 25" in capsys.readouterr().out
+def test_tol_series_is_not_a_knob(tmp_path, capsys):
+    # theta_ml's tail is read relative to the largest term, against the
+    # window's own drop: no series tolerance to set
+    cfg = tmp_path / "old.txt"
+    cfg.write_text("tol_series = 1e-13\n")
+    assert cli.main(["qfay", "--config", str(cfg)]) == 2
+    assert "unknown key 'tol_series'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qfay", "--tol_series", "1e-13"])
+    assert exc.value.code == 2
+    assert "tol_series" not in {f.name for f in fields(ModularContext)}
+    assert "tol_series" not in cli.DEFAULTS
+
+
+def test_cli_flag_beats_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 3\ntol_identity = 1e-9\n")
+    assert cli.main(["qfay", "--config", str(cfg), "--n", "2"]) == 0
+    assert "n: 2" in capsys.readouterr().out
+    assert _resolved("qfay", "--config", str(cfg),
+                     "--tol_identity", "1e-7")["tol_identity"] == 1e-7
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
-    assert cli.main(["vandermonde", "--n", "3", "--trunc", "30"]) == 0
+    assert cli.main(["vandermonde", "--n", "3", "--tol_identity", "1e-7"]) == 0
     first = capsys.readouterr().out
     assert cli.main(["vandermonde"]) == 0
     second = capsys.readouterr().out
-    assert "n: 3" in first and "trunc: 30" in first
-    assert "n: 2" in second and "trunc: 24" in second
+    assert "n: 3" in first and "n: 2" in second
+    assert _resolved("vandermonde", "--tol_identity", "1e-7")["tol_identity"] \
+        == 1e-7
+    assert _resolved("vandermonde")["tol_identity"] == 1e-8
 
 
 # ------------------------------------------------------------ verify all

@@ -660,7 +660,7 @@ def test_cached_plans_reject_writes(ctx3):
     ctx = ctx3
     plans = [bv._r_index(3), bv.partial_shifts(3, 3), tr._fusion_plan(3, 2),
              tr._subset_pairs(3, 2),
-             th._series((0.5,), 1, complex(ctx.tau), ctx.trunc, 1),
+             th._series((0.5,), 1, complex(ctx.tau), 1),
              oa._det_plan(3, ((1, 0, 0), (0, 1, 0)), 2),
              oa._leibniz_plan(((0, 0, 0), (1, 0, 0)), ((0, 1, 0),)),
              oa._jet_plan(3, 2), oa._deriv_gather(3, 2, (1, 0, 0))]

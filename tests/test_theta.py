@@ -1,8 +1,8 @@
 """Theta evaluators against brute-force references and their identities."""
 
 import cmath
+import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ def test_theta_ml_random_against_brute(rng):
         m = float(rng.uniform(-1, 1))
         l = int(rng.integers(1, 4))
         u = rand_complex(rng)
-        got = th.theta_ml(m, l, u, TAU, trunc=24)
+        got = th.theta_ml(m, l, u, TAU)
         ref = brute_theta_ml(m, l, u, TAU, window=34)
         assert abs(got.value - ref) / (abs(ref) + 1e-300) < 1e-12
         assert got.tail_bound < 1e-13
@@ -165,7 +165,7 @@ def test_dedekind_eta(ctx2):
     eta = th.dedekind_eta(ctx2.tau, ctx2)
     assert abs(eta.value - FROZEN_ETA) / abs(FROZEN_ETA) < 1e-13
     assert abs(eta.value) > 0.1
-    logsum = th.dedekind_eta_logsum(ctx2.tau, ctx2)
+    logsum = th.dedekind_eta_logsum(ctx2.tau)
     assert abs(eta.value - logsum) / abs(logsum) < 1e-13
     # p -> 0: eta approaches p^(1/24)
     far = default_context(2, tau=6j)
@@ -192,9 +192,6 @@ def test_product_length_is_the_least_power_below_2_to_minus_60():
         m = th._product_length(x)
         assert m >= 1 and abs(x) ** m <= 2.0 ** -60
         assert m == 1 or abs(x) ** (m - 1) > 2.0 ** -60
-    # trunc is a theta-series knob: no product reads it
-    assert th.dedekind_eta(TAU, default_context(2, trunc=8)).value \
-        == th.dedekind_eta(TAU, default_context(2, trunc=40)).value
 
 
 def test_weierstrass_symmetries(ctx2, rng):
@@ -272,13 +269,13 @@ def test_theta_level_table_matches_scalar(rng):
     # every entry is the per-value series of its row j mod n, bit for bit
     for n in (2, 3, 4):
         ctx = default_context(n)
-        tau, trunc = complex(ctx.tau), ctx.trunc
+        tau = complex(ctx.tau)
         us = [rand_complex(rng) for _ in range(n)]
         for rows in (range(n), range(1, n + 1)):
             table = th.theta_level_table(rows, us, ctx)
             assert table.shape == (n, n)
             assert table.tolist() == [
-                [_per_value_series(n / 2.0 - j % n, n, u + 0.5, tau, trunc, 0)
+                [_per_value_series(n / 2.0 - j % n, n, u + 0.5, tau, 0)
                  for u in us] for j in rows]
 
 
@@ -294,7 +291,7 @@ def test_theta_char_table_matches_per_value_series_bit_for_bit(monkeypatch,
         assert reads == [len(us)]       # every row and point in one call
         assert table.shape == (len(rows), len(us))
         want = [[_per_value_series(0.5 - (j % n) / n, 1, u + 0.5,
-                                   complex(n * ctx.tau), ctx.trunc, 0)
+                                   complex(n * ctx.tau), 0)
                  for u in us] for j in rows]
         assert table.tolist() == want
 
@@ -429,12 +426,12 @@ def test_tail_bounds_accepted(ctx2, rng):
     # the series behind theta and theta_level_table, with their tail bounds
     for _ in range(10):
         u = rand_complex(rng)
-        jac = th.theta_ml(0.5, 1, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
+        jac = th.theta_ml(0.5, 1, u + 0.5, ctx2.tau)
         assert jac.value == th.theta(u, ctx2)
-        assert jac.tail_bound < ctx2.tol_series
-        lev = th.theta_ml(0.0, 2, u + 0.5, ctx2.tau, trunc=ctx2.trunc)
+        assert jac.tail_bound < 1e-13
+        lev = th.theta_ml(0.0, 2, u + 0.5, ctx2.tau)
         assert lev.value == th.theta_level_table([1], [u], ctx2)[0, 0]
-        assert lev.tail_bound < ctx2.tol_series
+        assert lev.tail_bound < 1e-13
 
 
 def test_worst_of_keeps_first_maximum():
@@ -544,35 +541,40 @@ def test_eta_wp_triple_product_mpmath_oracle(rng):
                 assert abs(wrong - want) > 1e-3 * abs(want)
 
 
-def _window_half(l, tau, trunc, order):
-    """The least half-width w in 1..trunc-1 whose left-out terms, bounded
-    term by term, sum to at most 2^-60 of the reference term; else trunc."""
+def _bound(l, tau, w, order):
+    """The left-out terms of a half-width w window, bounded term by term
+    and summed until the terms stop adding, relative to the reference
+    term."""
     a = math.pi * tau.imag * l
     lost = 0.25 if order == 0 else 1.0
-    for w in range(1, trunc):
-        dropped = 0.0
-        for j in range(2 * trunc + 1):
-            delta = w + 0.5 + j
-            dropped += 2.0 * math.exp(-a * (delta ** 2 - lost)) \
-                * (1.0 + 2.0 * delta) ** order
-        if dropped <= 2.0 ** -60:
-            return w
-    return trunc
+    dropped = 0.0
+    for j in itertools.count():
+        delta = w + 0.5 + j
+        term = 2.0 * math.exp(-a * (delta ** 2 - lost)) \
+            * (1.0 + 2.0 * delta) ** order
+        if dropped + term == dropped:
+            return dropped
+        dropped += term
 
 
-def _window_first(m, l, u, tau, trunc, w):
-    """The first k of the window at the point u, with k0 rounded half up
-    as the tables do, moved inside [-trunc, trunc]."""
-    pos = ((trunc - w + 0.5) - m / l) - u.imag * (1.0 / tau.imag)
-    return math.floor(min(max(pos, 0.5), 2 * (trunc - w) + 0.5)) - trunc
+def _window_half(l, tau, order):
+    """The least half-width w >= 1 whose _bound is at most 2^-60."""
+    return next(w for w in itertools.count(1)
+                if _bound(l, tau, w, order) <= 2.0 ** -60)
 
 
-def _per_value_series(m, l, u, tau, trunc, order):
+def _window_first(m, l, u, tau, w):
+    """The first k of the window at the point u: k0 - w, with
+    k0 = floor(1/2 - m/l - Im u / Im tau) rounded as the tables do."""
+    return math.floor((0.5 - m / l) - u.imag * (1.0 / tau.imag)) - w
+
+
+def _per_value_series(m, l, u, tau, order, w=None):
     """The windowed series at one point, transcribed: the 2w + 1 terms
-    around k0 = floor(-Im u / Im tau - m / l + 1/2) (the window moved
-    inside [-trunc, trunc]), one exp over them and one sum."""
-    w = _window_half(l, tau, trunc, order)
-    first = _window_first(m, l, u, tau, trunc, w)
+    around k0 = floor(1/2 - m/l - Im u / Im tau), wherever k0 lies, one exp
+    over them and one sum; w is the table's half-width unless given."""
+    w = _window_half(l, tau, order) if w is None else w
+    first = _window_first(m, l, u, tau, w)
     mu = m + l * np.arange(first, first + 2 * w + 1, dtype=float)
     tpm = th.TWO_PI_I * mu
     terms = np.exp(tpm * u + th.TWO_PI_I * (mu * mu * (tau / (2.0 * l))))
@@ -581,10 +583,13 @@ def _per_value_series(m, l, u, tau, trunc, order):
     return complex(terms.sum())
 
 
-def _full_series(m, l, us, tau, trunc, order):
-    """The sum of all 2 trunc + 1 terms at the points us, as every table
-    summed it before the window, and the sum of their moduli."""
-    mu = m + l * np.arange(-trunc, trunc + 1, dtype=float)
+REACH = 120     # the full series: every k in [-REACH, REACH]
+
+
+def _full_series(m, l, us, tau, order):
+    """The sum of all the terms of [-REACH, REACH] at the points us, far
+    past every window the tests read, and the sum of their moduli."""
+    mu = m + l * np.arange(-REACH, REACH + 1, dtype=float)
     tpm = th.TWO_PI_I * mu
     terms = np.exp(np.multiply.outer(us, tpm)
                    + th.TWO_PI_I * (mu * mu * (tau / (2.0 * l))))
@@ -593,58 +598,48 @@ def _full_series(m, l, us, tau, trunc, order):
     return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
-def _left_out(m, l, u, tau, trunc, order):
-    """The sum of the moduli of the terms of [-trunc, trunc] that the
-    table's window leaves out at the point u."""
-    w = _window_half(l, tau, trunc, order)
-    first = _window_first(m, l, u, tau, trunc, w)
-    mu = m + l * np.array([k for k in range(-trunc, trunc + 1)
-                           if not first <= k <= first + 2 * w], dtype=float)
-    terms = np.exp(th.TWO_PI_I * (mu * u + mu * mu * (tau / (2.0 * l))))
-    return float(np.sum(np.abs(terms * (2.0 * math.pi * mu) ** order)))
-
-
-def _theta_ml_series(m, l, u, tau, trunc, order):
-    """theta_ml's value, transcribed: the window where the terms it leaves
-    out add up to at most 2^-60, else the sum of all 2 trunc + 1 terms."""
-    if _left_out(m, l, u, tau, trunc, order) <= 2.0 ** -60:
-        return _per_value_series(m, l, u, tau, trunc, order)
-    return complex(_full_series(m, l, np.array([u]), tau, trunc, order)[0][0])
+def _left_out(m, l, u, tau, order, w=None):
+    """The sum of the moduli of the terms of [-REACH, REACH] that the
+    window of half-width w (the table's unless given) leaves out at the
+    point u, and the largest it keeps."""
+    w = _window_half(l, tau, order) if w is None else w
+    first = _window_first(m, l, u, tau, w)
+    k = np.arange(-REACH, REACH + 1)
+    mu = m + l * k.astype(float)
+    terms = np.abs(np.exp(th.TWO_PI_I * (mu * u + mu * mu * (tau / (2.0 * l))))
+                   * (2.0 * math.pi * mu) ** order)
+    kept = (first <= k) & (k <= first + 2 * w)
+    return float(np.sum(terms[~kept])), float(np.max(terms[kept]))
 
 
 def test_tables_equal_the_per_value_series_bit_for_bit(rng):
     for n in (2, 3, 4):
         ctx = default_context(n)
-        tau, trunc = complex(ctx.tau), ctx.trunc
+        tau = complex(ctx.tau)
         us = [rand_complex(rng) for _ in range(20)] + [0.0, 1.0, ctx.tau,
                                                        0.5 + 5j, 0.2 - 7j]
         for order in range(4):
             table = th.theta_table(us, ctx, order).tolist()
-            assert table == [_per_value_series(0.5, 1, u + 0.5, tau, trunc,
-                                               order) for u in us]
+            assert table == [_per_value_series(0.5, 1, u + 0.5, tau, order)
+                             for u in us]
             assert table == [th.theta(u, ctx, order) for u in us]
-            assert [_theta_ml_series(0.5, 1, u + 0.5, tau, trunc, order)
-                    for u in us] \
-                == [th.theta_ml(0.5, 1, u + 0.5, tau, trunc=trunc,
-                                deriv_order=order).value for u in us]
+            assert table == [th.theta_ml(0.5, 1, u + 0.5, tau,
+                                         deriv_order=order).value for u in us]
         # the level-n series overflow to nan at |Im u| = 7, so the other
         # two families are compared on the moderate points
         rows, us = range(n), us[:-2]
         chars = th.theta_char_table(rows, us, ctx).tolist()
         assert chars == [[_per_value_series(0.5 - j / n, 1, u + 0.5, n * tau,
-                                            trunc, 0) for u in us]
+                                            0) for u in us]
                          for j in rows]
         levels = th.theta_level_table(rows, us, ctx).tolist()
-        assert levels == [[_per_value_series(n / 2.0 - j, n, u + 0.5, tau,
-                                             trunc, 0) for u in us]
-                          for j in rows]
-        assert [[_theta_ml_series(n / 2.0 - j, n, u + 0.5, tau, trunc, 0)
-                 for u in us] for j in rows] \
-            == [[th.theta_ml(n / 2.0 - j, n, u + 0.5, tau, trunc=trunc).value
-                 for u in us] for j in rows]
+        assert levels == [[_per_value_series(n / 2.0 - j, n, u + 0.5, tau, 0)
+                           for u in us] for j in rows]
+        assert levels == [[th.theta_ml(n / 2.0 - j, n, u + 0.5, tau).value
+                           for u in us] for j in rows]
     # negative control: the transcription is sensitive to the order
-    assert _per_value_series(0.5, 1, 0.3, TAU, 24, 1) \
-        != _per_value_series(0.5, 1, 0.3, TAU, 24, 2)
+    assert _per_value_series(0.5, 1, 0.3, TAU, 1) \
+        != _per_value_series(0.5, 1, 0.3, TAU, 2)
 
 
 def _families(ctx):
@@ -664,13 +659,13 @@ def _families(ctx):
 
 @pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.3 + 0.5j, 0.1 + 0.005j])
 def test_windowed_tables_match_the_full_series(tau, rng):
-    # Within 4 ulp of sum |terms| of the sum of all 2 trunc + 1 terms (the
-    # measured worst is about 1.5), and bit for bit where Im tau is so small
-    # that the window is the whole range.
-    full_width = tau.imag < 0.01
-    box = 0.05 if full_width else 7.0
+    # Within 4 ulp of sum |terms| of the sum of every term of
+    # [-REACH, REACH] (the measured worst is about 1.5).  At Im tau = 0.005
+    # the window holds more than the 49 terms of [-24, 24].
+    small = tau.imag < 0.01
+    box = 0.05 if small else 7.0
     us = rng.uniform(-2, 2, 120) + 1j * rng.uniform(-box, box, 120)
-    if not full_width:
+    if not small:
         us = np.concatenate([us, [0.0, 7j, -7j, 5j, 2 - 5j, 0.5 - 0.5j]])
     eps = np.finfo(float).eps
     for n in (2, 3, 4):
@@ -678,10 +673,12 @@ def test_windowed_tables_match_the_full_series(tau, rng):
         for name, table, orders, params in _families(ctx):
             for m, l, stau in params:
                 for d in orders:
-                    half = th._series((m,), l, stau, ctx.trunc, d).half
-                    assert (half == ctx.trunc) == full_width
+                    half = th._series((m,), l, stau, d).half
+                    assert half == _window_half(l, stau, d)
                     if tau == 0.1 + 0.8j:      # the default context
-                        assert 3 * (2 * half + 1) <= 2 * ctx.trunc + 1
+                        assert 2 <= half <= 5
+                    if small and l == 1 and stau == tau:
+                        assert 2 * half + 1 > 49
             for d in orders:
                 # the points where every series of the family is finite
                 keep = [u for u in us if all(
@@ -690,12 +687,9 @@ def test_windowed_tables_match_the_full_series(tau, rng):
                 got = table(np.array(keep), d)
                 for row, (m, l, stau) in zip(got, params):
                     full, scale = _full_series(m, l, np.array(keep) + 0.5,
-                                               stau, ctx.trunc, d)
+                                               stau, d)
                     assert np.all(np.isfinite(scale))
-                    if full_width:
-                        assert row.tolist() == full.tolist()
-                    else:
-                        assert np.all(np.abs(row - full) <= 4 * eps * scale)
+                    assert np.all(np.abs(row - full) <= 4 * eps * scale)
                 if name == "theta":         # |Im u| = 7 included
                     assert len(keep) == len(us)
 
@@ -714,24 +708,28 @@ def test_window_values_do_not_depend_on_the_batch():
                     assert [pair[:, k].tolist() for k in np.argsort(order)] \
                         == alone
             m, l, stau = params[0]
-            starts = th._window_starts(th._series((m,), l, stau, ctx.trunc, 0),
-                                       points + 0.5)
-            assert starts[0, 0] != starts[0, 1]
+            first = th._window_first(th._series((m,), l, stau, 0),
+                                     points + 0.5)
+            assert first[0, 0] != first[0, 1]
 
 
-def test_window_starts_clamp_non_finite_points():
-    # a NaN or infinite Im(arg) lands on an end of the range, with no
-    # warning from the integer cast
-    series = th._series((0.5, 0.25), 1, TAU, 24, 0)
-    args = np.array([complex(0, math.nan), complex(0, math.inf),
-                     complex(0, -math.inf), complex(math.nan, 0.3)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        starts = th._window_starts(series, args)
-    last = 2 * (24 - series.half)
-    assert starts.tolist() == [[0, 0, last, starts[0, 3]],
-                               [0, 0, last, starts[1, 3]]]
-    assert 0 < starts[0, 3] < last
+def test_non_finite_points_give_non_finite_values():
+    # a NaN or infinite Im u has no window; its value and tail are
+    # non-finite, and nothing raises (no index or integer cast)
+    ctx = default_context(3)
+    us = np.array([complex(0, math.nan), complex(0, math.inf),
+                   complex(0.2, -math.inf), complex(math.nan, 0.3), 0.3j])
+    with np.errstate(invalid="ignore", over="ignore"):
+        tables = [th.theta_table(us, ctx, d) for d in range(3)] + [
+            th.theta_char_table(range(3), us, ctx),
+            th.theta_level_table(range(3), us, ctx)]
+        for table in tables:
+            assert not np.any(np.isfinite(table[..., :4]))
+            assert np.all(np.isfinite(table[..., 4]))
+        for u in us[:3]:
+            got = th.theta_ml(0.5, 1, u, ctx.tau, deriv_order=1)
+            assert not (cmath.isfinite(got.value)
+                        or math.isfinite(got.tail_bound))
 
 
 def test_a_narrower_window_breaks_the_bound(rng):
@@ -739,39 +737,100 @@ def test_a_narrower_window_breaks_the_bound(rng):
     ctx = default_context(2)
     tau = complex(ctx.tau)
     args = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-3, 3, 50) + 0.5
-    series = th._series((0.5,), 1, tau, ctx.trunc, 0)
+    series = th._series((0.5,), 1, tau, 0)
     assert series.half == 4
-    full, scale = _full_series(0.5, 1, args, tau, ctx.trunc, 0)
+    full, scale = _full_series(0.5, 1, args, tau, 0)
     eps = np.finfo(float).eps
     assert np.all(np.abs(th._table(series, args)[0] - full) <= 4 * eps * scale)
-    cut = th._table(series._replace(half=2, centre=series.centre + 2), args)[0]
+    cut = th._table(series._replace(half=2), args)[0]
     assert np.max(np.abs(cut - full) / scale) > 1e4 * eps
 
 
 @pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.05j])
 def test_theta_ml_tail_covers_what_it_leaves_out(tau, rng):
-    # theta_ml's tail is read against the absolute tol_series.  It sums the
-    # table's window where the terms the window leaves out add up to at
-    # most 2^-60, and adds them to the tail; elsewhere it sums every term.
-    # At Im tau = 0.05 the window of l = 3 leaves out terms far above 1e-13
-    # where |Im u| = 0.4, although they are below 2^-60 of the largest term.
-    windowed = full_width = 0
+    # theta_ml is the table's window at one point, and its tail, the
+    # window's dropped-term bound times the largest term kept, covers the
+    # terms it leaves out and is at most 2^-60 of that term.  At
+    # Im tau = 0.05 the largest term reaches e^30 where |Im u| = 0.4 and
+    # l = 3, so the tail is not small in absolute terms there.
     for _ in range(30):
         m, l = float(rng.uniform(-1, 1)), int(rng.integers(1, 4))
         u = complex(rng.uniform(-2, 2), rng.uniform(-0.4, 0.4))
         for d in range(3):
             got = th.theta_ml(m, l, u, tau, deriv_order=d)
-            left_out = _left_out(m, l, u, tau, 24, d)
-            if left_out <= 2.0 ** -60:
-                windowed += 1
-                assert left_out <= got.tail_bound * (1 + 1e-12)
-            else:
-                full_width += 1
-            assert got.value == _theta_ml_series(m, l, u, tau, 24, d)
-            if d == 0:
-                assert got.tail_bound < 1e-13
-    assert windowed > 0
-    assert (full_width > 0) == (tau.imag < 0.1)
+            assert got.value == _per_value_series(m, l, u, tau, d)
+            left_out, largest = _left_out(m, l, u, tau, d)
+            assert left_out <= got.tail_bound * (1 + 1e-12)
+            assert got.tail_bound <= 2.0 ** -60 * largest * (1 + 1e-12)
+
+
+def test_half_width_is_the_least_that_fits_at_tiny_im_tau():
+    # w runs to thousands here; the search still reads only a few dozen
+    # bounds, and finds the least w whose bound fits
+    for im_tau in (1e-6, 1e-8):
+        tau = complex(0.1, im_tau)
+        for d in (0, 3, 8):
+            w = th._series((0.5,), 1, tau, d).half
+            assert w > 3000
+            assert _bound(1, tau, w, d) <= 2.0 ** -60 < _bound(1, tau, w - 1, d)
+
+
+def test_reference_series_ends_where_its_terms_underflow():
+    # at Im tau = 2000 every term of theta_{1/2,1}, the largest too,
+    # underflows to 0: the reference sums the peak term alone and stops
+    from etlax.suites import _reference_series
+    assert _reference_series(0.5, 1, 0.2 + 0.1j, 0.1 + 2000j) == (0j, 0.0)
+    value, largest = _reference_series(0.3, 2, 0.2 + 0.1j, TAU)
+    assert largest > 0 and abs(value - th.theta_ml(0.3, 2, 0.2 + 0.1j,
+                                                    TAU).value) \
+        <= 1e-13 * abs(value)
+
+
+PEAKS_PAST_24 = (0.13 + 2j, 0.13 + 1.5j)    # at tau = 0.1 + 0.08i
+
+
+def test_windows_past_the_old_range_match_mpmath():
+    # the peak k* = -Im u / Im tau - m/l of these points lies beyond
+    # [-24, 24]: each window follows it there
+    mp = pytest.importorskip("mpmath")
+    tau = 0.1 + 0.08j
+
+    def series(m, l, v, stau):
+        # theta_{m,l}(v) = e^{2 pi i (m v + m^2 tau / 2l)}
+        #                  * jtheta_3(pi (l v + m tau), e^{i pi l tau})
+        v, stau = mp.mpc(v), mp.mpc(stau)
+        return complex(mp.exp(2j * mp.pi * (m * v + m * m * stau / (2 * l)))
+                       * mp.jtheta(3, mp.pi * (l * v + m * stau),
+                                   mp.exp(1j * mp.pi * l * stau)))
+
+    def close(got, want, tol=1e-13):
+        return abs(got - want) <= tol * abs(want)
+
+    with mp.workdps(30):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        for n in (2, 3):
+            ctx = default_context(n, tau=tau)
+            rows = range(n)
+            for u in PEAKS_PAST_24:
+                for d in range(3):
+                    # theta(u) = -jtheta_1(pi u, e^{i pi tau})
+                    want = complex(-mp.pi ** d
+                                   * mp.jtheta(1, mp.pi * mp.mpc(u), q, d))
+                    assert close(th.theta(u, ctx, d), want)
+                    assert close(th.theta_ml(0.5, 1, u + 0.5, tau,
+                                             deriv_order=d).value, want)
+                chars = th.theta_char_table(rows, [u], ctx)[:, 0]
+                levels = th.theta_level_table(rows, [u], ctx)[:, 0]
+                for j in rows:
+                    assert close(chars[j], series(0.5 - j / n, 1, u + 0.5,
+                                                  n * tau))
+                    # the level-n terms here have |mu| up to about 75 and
+                    # phases of hundreds of radians, whose rounding alone
+                    # reads up to 3e-13 (Sum |terms| / |value| is below 7)
+                    want = series(n / 2.0 - j, n, u + 0.5, tau)
+                    assert close(levels[j], want, 1e-12)
+                    assert close(th.theta_ml(n / 2.0 - j, n, u + 0.5,
+                                             tau).value, want, 1e-12)
 
 
 def test_vandermonde_product_matches_its_loop_form(monkeypatch, rng):
