@@ -196,17 +196,17 @@ def verify_r_zero_is_permutation(ctx: ModularContext) -> Residual:
     return _rel(build_r(0.0, ctx).as_matrix(), permutation_matrix(ctx.n))
 
 
-def verify_r_holomorphy(ctx: ModularContext, radius: float = 0.12,
-                        nodes: int = 64) -> Residual:
+def verify_r_holomorphy(ctx: ModularContext) -> Residual:
     """Contour check: entrywise loop integral of R(u) around candidate poles.
 
     The raw entry formula divides by theta^(i-j')(u); its zeros m*tau are the
     only candidate u-poles.  A vanishing loop integral certifies that the
     cancellation against the numerator product is real, not accidental.
-    All (n-1) * nodes contour nodes are read from one table; the entries
-    the ice rule sets to 0 integrate to 0 and are left out.
+    The loops are circles of radius 0.12 by the 64-node trapezoidal rule;
+    all (n-1) * 64 nodes are read from one table; the entries the ice rule
+    sets to 0 integrate to 0 and are left out.
     """
-    n = ctx.n
+    n, radius, nodes = ctx.n, 0.12, 64
     ring = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
     dz = ring * (2j * np.pi / nodes)
     centers = np.arange(1, n) * ctx.tau
@@ -321,10 +321,11 @@ def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray
 
     moves is a list of (pos, delta), first entry applied first; delta is one
     value or one per base.  Each move reads its weights at every base from
-    one theta table and acts on the rows of the paths x paths matrices in
-    place, viewed as [s, n^pos, n, n, rest]: the row of the path (a, i, j, r)
-    becomes keep[a, i, j] times itself plus cross[a, j, i] times the row of
-    its swap (a, j, i, r).
+    one theta table and acts on the rows of the paths x paths matrices,
+    viewed as [s, n^pos, n, n, rest], in one swap update over all of them:
+    the row of the path (a, i, j, r) becomes keep[a, i, j] times itself plus
+    cross[a, j, i] times the row of its swap (a, j, i, r), and cross is 0 on
+    i == j, where a row only scales.
     """
     base = np.asarray(base, dtype=complex)
     coords = base.reshape(-1, ctx.n)
@@ -335,15 +336,9 @@ def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray
         keep, cross = (w[..., None] for w in _move_weights(
             k, pos, coords, np.broadcast_to(delta, count), ctx))
         rows = mat.reshape(count, n ** pos, n, n, -1)
-        for i in range(n):
-            rows[:, :, i, i] *= keep[:, :, i, i]        # the diagonal only scales
-            for j in range(i + 1, n):
-                x, y = rows[:, :, i, j], rows[:, :, j, i]
-                old = x.copy()
-                x *= keep[:, :, i, j]
-                x += y * cross[:, :, j, i]
-                y *= keep[:, :, j, i]
-                y += old * cross[:, :, i, j]
+        swapped = (rows * cross).swapaxes(2, 3)
+        rows *= keep
+        rows += swapped
     return mat[0] if base.ndim == 1 else mat
 
 
@@ -389,7 +384,7 @@ def intertwiner_arrays(us, mus, ctx: ModularContext,
     """
     us = list(us)
     n, count = ctx.n, len(us)
-    ieta = 1j * dedekind_eta(ctx.tau, ctx).value
+    ieta = 1j * dedekind_eta(ctx.tau, ctx)
     args = _phi_args(us, mus, n).ravel()
     phi = np.ascontiguousarray(
         (theta_level_table(range(n), args, ctx) / ieta)

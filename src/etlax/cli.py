@@ -9,9 +9,10 @@ command-line flag of the same name.  tol_identity is a singularity floor
 (see ModularContext); each suite passes or fails against its own tolerance
 in suites.SUITES.  Exit codes: 0 all checks passed, 1 verification
 failure, 2 configuration error or an evaluation that could not be carried
-out (a singular parameter or an exhausted sampling budget).  `verify all`
-spreads its runs over one forked process per CPU (run_all); its reports
-and exit codes are those of one serial pass.
+out (a singular parameter, a value out of floating-point range or an
+exhausted sampling budget).  `verify all` spreads its runs over one forked
+process per CPU (run_all); its reports and exit codes are those of one
+serial pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import signal
 import sys
 
 from .context import (DEFAULT_HBAR, DEFAULT_TAU, ContextError, ModularContext,
-                      SamplingError, SingularParameterError)
+                      SamplingError)
 from .report import report_json, report_text
 from .suites import SUITE_ORDER, run_suite
 
@@ -205,7 +206,9 @@ def main(argv=None) -> int:
                 return 2
             ctx = context_from_config(cfg)
             reports = [run_suite(args.suite, ctx, seed)]
-    except (ContextError, OSError, ValueError, SingularParameterError,
+    # ArithmeticError: a singular parameter (SingularParameterError) or a
+    # value out of floating-point range (OverflowError)
+    except (ContextError, OSError, ValueError, ArithmeticError,
             SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

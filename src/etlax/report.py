@@ -78,8 +78,8 @@ def _param_lines(params: dict):
             yield f"{key}: {val}"
 
 
-def report_text(reports, include_summary: bool = True) -> str:
-    """Structured-text document, one block per suite run."""
+def report_text(reports) -> str:
+    """Structured-text document, one block per suite run, then a summary."""
     lines = [f"schema: {SCHEMA_VERSION}"]
     for rep in reports:
         lines.append("")
@@ -93,15 +93,14 @@ def report_text(reports, include_summary: bool = True) -> str:
                 f"tol={fmt_float(c.tol)}{kind} ok={'yes' if c.ok else 'no'}")
         lines.append(f"pass: {'yes' if rep.passed else 'no'}")
         lines.append(f"wall_time_s: {fmt_float(rep.wall_time_s)}")
-    if include_summary:
-        lines.append("")
-        lines.append("summary:")
-        for rep in reports:
-            lines.append(f"  {rep.suite}[n={rep.params.get('n')}]: "
-                         f"worst_rel={fmt_float(rep.worst())} "
-                         f"pass={'yes' if rep.passed else 'no'}")
-        overall = all(r.passed for r in reports)
-        lines.append(f"overall: {'pass' if overall else 'fail'}")
+    lines.append("")
+    lines.append("summary:")
+    for rep in reports:
+        lines.append(f"  {rep.suite}[n={rep.params.get('n')}]: "
+                     f"worst_rel={fmt_float(rep.worst())} "
+                     f"pass={'yes' if rep.passed else 'no'}")
+    overall = all(r.passed for r in reports)
+    lines.append(f"overall: {'pass' if overall else 'fail'}")
     return "\n".join(lines) + "\n"
 
 

@@ -328,7 +328,7 @@ def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
     return complex(theta_table([u], ctx, deriv_order)[0])
 
 
-def dedekind_eta(tau: complex, ctx: ModularContext) -> ThetaValue:
+def dedekind_eta(tau: complex, ctx: ModularContext) -> complex:
     """Dedekind eta p^{1/24} prod (1 - p^m), p = exp(2 pi i tau).
 
     Memoized in ctx: every intertwiner build divides by i eta(tau).
@@ -345,13 +345,10 @@ def _product_length(x: complex) -> int:
     return max(1, math.ceil(math.log2(_WINDOW_DROP) / math.log2(abs(x))))
 
 
-def _eta_product(tau: complex) -> ThetaValue:
+def _eta_product(tau: complex) -> complex:
     p = cmath.exp(TWO_PI_I * tau)
-    ap, nterms = abs(p), _product_length(p)
-    value = math.prod((1.0 - p ** mm for mm in range(1, nterms + 1)),
-                      start=cmath.exp(TWO_PI_I * tau / 24.0))
-    tail = abs(value) * ap ** (nterms + 1) / (1.0 - ap) * 2.0
-    return ThetaValue(value, tail)
+    return math.prod((1.0 - p ** mm for mm in range(1, _product_length(p) + 1)),
+                     start=cmath.exp(TWO_PI_I * tau / 24.0))
 
 
 def dedekind_eta_logsum(tau: complex) -> complex:
@@ -415,22 +412,15 @@ def vandermonde_sign(n: int) -> int:
 def vandermonde_product(us, ctx: ModularContext):
     """vandermonde_sign(n) * theta(sum u)/(i eta) * prod_{j<k} theta(u_k-u_j)/(i eta)
     over the n points on the last axis of us, at every sample of its leading
-    axes, from one theta_table call."""
+    axes: one theta_table call, and the factors of every sample multiplied
+    along its last axis."""
     us = np.asarray(us, dtype=complex)
     n = us.shape[-1]
     j, k = np.triu_indices(n, 1)
-    ieta = 1j * dedekind_eta(ctx.tau, ctx).value
+    ieta = 1j * dedekind_eta(ctx.tau, ctx)
     table = theta_table(np.concatenate(
         [sum(us[..., [c]] for c in range(n)), us[..., k] - us[..., j]], axis=-1), ctx)
-    # the columns are summed in order, and the factors multiplied in
-    # Python's complex arithmetic: numpy's complex division rounds otherwise
-    out = []
-    for values in table.reshape(-1, table.shape[-1]).tolist():
-        value = vandermonde_sign(n) * values[0] / ieta
-        for factor in values[1:]:
-            value *= factor / ieta
-        out.append(value)
-    return np.array(out, dtype=complex).reshape(us.shape[:-1])[()]
+    return vandermonde_sign(n) * np.prod(table / ieta, axis=-1)[()]
 
 
 def verify_vandermonde(us, ctx: ModularContext) -> Residual:
@@ -447,7 +437,7 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     us = np.asarray(us, dtype=complex)
     if us.shape[-1:] != (n,):
         raise ValueError(f"need exactly n={n} points, got {us.shape[-1:]}")
-    ieta = 1j * dedekind_eta(ctx.tau, ctx).value
+    ieta = 1j * dedekind_eta(ctx.tau, ctx)
     mat = np.moveaxis((theta_level_table(range(1, n + 1), us.ravel(), ctx) / ieta)
                       .reshape((n,) + us.shape), 0, -2)
     lhs = np.linalg.det(mat)
@@ -516,7 +506,8 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
     trisecant) at every sample, from one theta_table call, and where it is
     singular: small[..., 0] marks |theta(u)| < tol_identity and
     small[..., 1] some |theta(mu_s - lambda_s')| < tol_identity, where
-    the sides are left out (they read 0).
+    the sides are left out (they read 0).  The quotients, the products and
+    the stacked det are each one array expression over the batch.
     """
     tol = ctx.tol_identity
     u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
@@ -527,23 +518,17 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
         cross, cross + u[..., None],
         np.stack([mu[..., s] - mu[..., sp], lam[..., sp] - lam[..., s]],
                  axis=-1).reshape(u.shape + (-1,))], axis=-1), ctx)
-    # the quotients are formed in Python's complex arithmetic, sample by
-    # sample, as in vandermonde_product
-    mats, rhs, small = [], [], []
-    for values in table.reshape(-1, table.shape[-1]).tolist():
-        tu, top, dens = values[0], values[1], values[2:2 + d * d]
-        nums, rest = values[2 + d * d:2 + 2 * d * d], values[2 + 2 * d * d:]
-        small.append((abs(tu) < tol, any(abs(den) < tol for den in dens)))
-        if any(small[-1]):
-            tu, top, dens, nums = 1.0, 0j, [1.0] * (d * d), [0j] * (d * d)
-        mats.append([num / (den * tu) for num, den in zip(nums, dens)])
-        value = top / tu
-        for mu_factor, lambda_factor in zip(rest[::2], rest[1::2]):
-            value *= mu_factor * lambda_factor
-        for den in dens:
-            value /= den
-        rhs.append(value)
-    return (np.linalg.det(np.array(mats, dtype=complex).reshape(u.shape + (d, d))),
-            np.array(rhs, dtype=complex).reshape(u.shape)[()],
-            np.array(small).reshape(u.shape + (2,)))
+    tu, top = table[..., 0], table[..., 1]
+    dens, nums = table[..., 2:2 + d * d], table[..., 2 + d * d:2 + 2 * d * d]
+    small = np.stack([np.abs(tu) < tol, np.any(np.abs(dens) < tol, axis=-1)],
+                     axis=-1)
+    # a singular sample is left out: its sides read 0
+    singular = small.any(axis=-1)
+    tu, top = np.where(singular, 1.0, tu), np.where(singular, 0.0, top)
+    dens = np.where(singular[..., None], 1.0, dens)
+    nums = np.where(singular[..., None], 0.0, nums)
+    mats = nums / (dens * tu[..., None])
+    rhs = top / tu * np.prod(table[..., 2 + 2 * d * d:], axis=-1) \
+        / np.prod(dens, axis=-1)
+    return np.linalg.det(mats.reshape(u.shape + (d, d))), rhs[()], small
 

@@ -132,14 +132,14 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
         np.stack([base, factor * base], axis=-1)))
 
 
-def gram_rank(l: int, points, ctx: ModularContext,
-              cutoff: float = 1e-8) -> int:
-    """Numerical rank of the basis evaluation matrix at the given points."""
+def gram_rank(l: int, points, ctx: ModularContext) -> int:
+    """Numerical rank of the basis evaluation matrix at the given points:
+    its singular values above 1e-8 times the largest."""
     basis = character_basis(l, ctx)
     if len(points) < 2 * len(basis):
         raise ValueError("need at least 2 * dim sample points")
     svals = np.linalg.svd(basis.table(points, ctx), compute_uv=False)
-    return int(np.sum(svals > cutoff * svals[0]))
+    return int(np.sum(svals > 1e-8 * svals[0]))
 
 
 def _fit_seeds(l: int, seed: int, ctx: ModularContext):

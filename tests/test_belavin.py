@@ -333,6 +333,61 @@ def test_face_moves_on_the_path_tensor_equal_the_block_plan(n, rng):
                                   _block_face_matrix(lam, k, fused, ctx))
 
 
+def _pair_loop_face_matrix(base, k, moves, ctx, weights=bv._move_weights):
+    """face_operator_matrix as it was before the one swap update per move:
+    each pair i < j of steps at (pos, pos + 1) updated in turn."""
+    base = np.asarray(base, dtype=complex)
+    coords = base.reshape(-1, ctx.n)
+    n, count, size = ctx.n, len(coords), ctx.n ** k
+    mat = np.zeros((count, size, size), dtype=complex)
+    mat[:, np.arange(size), np.arange(size)] = 1.0
+    for pos, delta in moves:
+        keep, cross = (w[..., None] for w in weights(
+            k, pos, coords, np.broadcast_to(delta, count), ctx))
+        rows = mat.reshape(count, n ** pos, n, n, -1)
+        for i in range(n):
+            rows[:, :, i, i] *= keep[:, :, i, i]
+            for j in range(i + 1, n):
+                x, y = rows[:, :, i, j], rows[:, :, j, i]
+                old = x.copy()
+                x *= keep[:, :, i, j]
+                x += y * cross[:, :, j, i]
+                y *= keep[:, :, j, i]
+                y += old * cross[:, :, i, j]
+    return mat[0] if base.ndim == 1 else mat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_face_swap_update_equals_the_pair_loop(n, rng):
+    # the same products and sums of the same entries, in the same order:
+    # bit for bit, for one base, a batch of bases, and the fusion braid
+    ctx = default_context(n)
+    lam = wt.sample_generic(140, ctx)
+    P = wt.sample_many(141, 3, ctx)
+    for k in (2, 3, 4):
+        moves = [(int(rng.integers(0, k - 1)), rand_complex(rng))
+                 for _ in range(int(rng.integers(2, 7)))]
+        assert np.array_equal(bv.face_operator_matrix(lam, k, moves, ctx),
+                              _pair_loop_face_matrix(lam, k, moves, ctx))
+        batched = [(pos, np.array([rand_complex(rng) for _ in P]))
+                   for pos, _ in moves]
+        assert np.array_equal(bv.face_operator_matrix(P, k, batched, ctx),
+                              _pair_loop_face_matrix(P, k, batched, ctx))
+        u = rand_complex(rng)
+        fm = bv.fusion_moves(k)
+        fused = list(zip(fm, bv._move_deltas(bv.fusion_parameters(k, u, ctx),
+                                             fm)))
+        got = bv.face_fusion_operator(k, lam, ctx, u)
+        assert np.array_equal(got, _pair_loop_face_matrix(lam, k, fused, ctx))
+        # negative control: the cross weight of each path read from the
+        # path itself, not from its swap
+        def unswapped(*args):
+            keep, cross = bv._move_weights(*args)
+            return keep, cross.swapaxes(-1, -2)
+        wrong = _pair_loop_face_matrix(lam, k, fused, ctx, unswapped)
+        assert np.max(np.abs(wrong - got)) > 1e-3 * np.max(np.abs(got))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_phi_tensor_and_intertwining_equal_the_block_plan(n, rng, monkeypatch):
     ctx = default_context(n)
@@ -442,7 +497,7 @@ def test_intertwiner_entries_definition(ctx3, rng):
     u = rand_complex(rng)
     lam = wt.sample_generic(8, ctx3)
     pair = bv.intertwiners(u, lam, ctx3)
-    ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
+    ieta = 1j * dedekind_eta(ctx3.tau, ctx3)
     for j in range(3):
         for k in range(3):
             want = theta_ml(1.5 - j, 3, u / 3 - lam[k] + 0.5,
@@ -471,7 +526,7 @@ def test_intertwiner_determinant_closed_form(ctx3, rng):
     lam = wt.sample_generic(8, ctx3)
     pair = bv.intertwiners(u, lam, ctx3)
     n = 3
-    ieta = 1j * dedekind_eta(ctx3.tau, ctx3).value
+    ieta = 1j * dedekind_eta(ctx3.tau, ctx3)
     us = [u / n - lam[k] for k in range(n)]
     want = vandermonde_sign(n) * theta(sum(us), ctx3) / ieta
     for a in range(n):
@@ -540,7 +595,7 @@ def test_intertwiner_guard_raises_on_equal_columns_where_solve_fails():
     coords[1] = coords[0]
     flat = wt.canonical(coords)
     u = 0.23 - 0.07j
-    ieta = 1j * th.dedekind_eta(ctx.tau, ctx).value
+    ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
     phi = th.theta_level_table(range(3), u / 3 - flat, ctx) / ieta
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(phi[None], np.eye(3, dtype=complex))

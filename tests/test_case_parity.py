@@ -62,6 +62,31 @@ def test_rels_within_the_floor_read_ratio_one(parity, tmp_path, capsys):
     assert "from 1 to 1" in out
 
 
+def test_moved_rels_are_counted_per_case_stem(parity, tmp_path, capsys):
+    # fay-d1 at two seeds and fay-d3 move, fay-d2 and theta keep their
+    # rels, and a case that moves to NaN counts too
+    a = _BASE + [["fay", n, seed, f"fay-d{d}", True, 1e-14 * d]
+                 for n in (2, 3) for seed in (0, 1) for d in (1, 2, 3)]
+    a += [["vandermonde", 2, 0, "vandermonde-n2", True, 1e-15]]
+    b = [list(row) for row in a]
+    for row in b:
+        if row[3] in ("fay-d1", "fay-d3") and (row[1], row[2]) != (3, 1):
+            row[5] *= 1.5
+        if row[3] == "vandermonde-n2":
+            row[5] = None
+    assert _compare(parity, tmp_path, _record(a), _record(b)) == 0
+    out = capsys.readouterr().out
+    assert "15 common cases: 0 ok flips, 8 bit-identical rels, 6 moved, " \
+        "1 moved to or from NaN" in out
+    stems = out.split("moved rels per suite/case stem:\n")[1]
+    assert stems == "  fay/fay-d 6\n  vandermonde/vandermonde-n 1\n"
+
+
+def test_no_moved_rels_print_no_stems(parity, tmp_path, capsys):
+    assert _compare(parity, tmp_path, _record(_BASE), _record(_BASE)) == 0
+    assert "case stem" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("status", [0, 1])
 def test_a_closed_reader_keeps_the_exit_status_quietly(tmp_path, status):
     # `--compare A B | head`: the reader has gone before the first line, so

@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from dataclasses import fields
 
 import pytest
@@ -160,6 +163,21 @@ def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", exhausted)
     assert cli.main(["qfay"]) == 2
     assert capsys.readouterr().err.startswith("error: could not sample")
+
+
+def test_cli_overflow_exits_two_without_a_traceback():
+    # at Im tau = 2000 the quasi-periodicity multiplier of suite theta
+    # leaves the floating-point range: one error line, exit 2
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "etlax.cli", "theta",
+                           "--tau_im", "2000"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("error: ")]
+    assert errors == ["error: math range error"]
 
 
 def _resolved(*argv):
@@ -341,6 +359,15 @@ def test_verify_all_error_does_not_depend_on_the_worker_count(
     assert errors[0] == errors[1] == errors[2]
     assert errors[0].startswith("error: intertwiner matrix ill-conditioned "
                                 "(cond=1.26e+10)")
+
+
+def test_verify_all_overflow_in_a_child_exits_two(monkeypatch, capsys):
+    def overflow(where):
+        raise OverflowError(f"math range error in the {where}")
+    stub_runs(monkeypatch, {("ybe", 3): overflow})
+    assert cli.main(["all"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: math range error in the child\n"
 
 
 def test_verify_all_failure_in_a_child_exits_one(monkeypatch, capsys):

@@ -24,9 +24,12 @@ case not ok) or the error's type and message, and a NaN rel is null.
 `--compare A B` prints the runs whose outcome differs, the cases whose ok
 flag flips (with both rels), the cases present on one side only, and the
 ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
-bit-identical, and the largest growths.  Below FLOOR = 1e-14 a rel is
-rounding noise, so a rel that moves within the rounding floor (say from
-1e-17 to 6e-16) reads as a ratio of 1, not as a growth of 64x.  It exits 1
+bit-identical, and the largest growths; then, per (suite, case stem), the
+number of rels that moved, the stem being the case name without its
+trailing digits (`fay/fay-d 200` counts fay-d1 to fay-d4 of every n and
+seed).  Below FLOOR = 1e-14 a rel is rounding noise, so a rel that moves
+within the rounding floor (say from 1e-17 to 6e-16) reads as a ratio of
+1, not as a growth of 64x.  It exits 1
 if any ok flag or outcome differs or a run or case is present on one side
 only (a dropped or renamed case), else 0.  If the reader of its output
 goes away early (`--compare A B | head`), the rest is discarded quietly and
@@ -41,6 +44,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,7 +142,7 @@ def compare(path_a, path_b) -> int:
     for key in one_sided:
         _say(f"only in {'A' if key in cases_a else 'B'}: {key}")
     common = sorted(cases_a.keys() & cases_b.keys(), key=str)
-    flips, same, ratios = [], 0, []
+    flips, same, ratios, stems = [], 0, [], Counter()
     for key in common:
         (ok_a, rel_a), (ok_b, rel_b) = cases_a[key], cases_b[key]
         rel_a, rel_b = _rel(rel_a), _rel(rel_b)
@@ -146,7 +150,9 @@ def compare(path_a, path_b) -> int:
             flips.append((key, ok_a, rel_a, ok_b, rel_b))
         if rel_a == rel_b or (math.isnan(rel_a) and math.isnan(rel_b)):
             same += 1
-        elif not (math.isnan(rel_a) or math.isnan(rel_b)):
+            continue
+        stems[f"{key[0]}/{key[3].rstrip('0123456789')}"] += 1
+        if not (math.isnan(rel_a) or math.isnan(rel_b)):
             ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
                            rel_a, rel_b))
     for key, ok_a, rel_a, ok_b, rel_b in flips:
@@ -160,6 +166,10 @@ def compare(path_a, path_b) -> int:
              f"{ratios[0][0]:.3g} to {ratios[-1][0]:.3g}")
         for ratio, key, rel_a, rel_b in ratios[::-1][:TOP_GROWTHS]:
             _say(f"  x{ratio:.3g} {key}: {rel_a:.3g} -> {rel_b:.3g}")
+    if stems:
+        _say("moved rels per suite/case stem:")
+        for stem, count in sorted(stems.items()):
+            _say(f"  {stem} {count}")
     return 1 if flips or differs or one_sided else 0
 
 
