@@ -25,11 +25,11 @@ step adding hbar*epsbar_i, in product order (the first step most
 significant).  The weight after a prefix is base + hbar * (its step counts),
 so lam_ij there is base_ij + hbar * (count_i - count_j) with integer counts,
 never a re-canonicalized shifted point.  A face move at (pos, pos+1) reads
-its weights from one theta table, at the (i, j, count_i - count_j) that the
-prefixes reach, and acts in place on the rows of the path matrix viewed as
-[n^pos, n, n, rest], the way a vertex move acts on its two tensor slots.
-The intertwiner map along paths reads one intertwiner batch per step level,
-at the distinct prefix weights.
+its weights at the (i, j, count_i - count_j) that the prefixes reach, and
+all moves of a product (or of both sides of the face YBE) read one theta
+table.  A move only reorders steps, so the moves act on the S_k orbit of
+each column path, n^k * k! entries per base, not on the n^k x n^k path
+matrix.  The intertwiner map along paths reads one intertwiner batch.
 The fusion operators on both sides are products of adjacent-swap moves whose
 spectral parameters are tracked positionally.
 """
@@ -259,30 +259,73 @@ def partial_shifts(n: int, k: int) -> tuple:
     return tuple(prefixes), tuple(prefix)
 
 
-def _face_weights(lij, deltas, ctx: ModularContext):
-    """The face weights of every sample s, with spectral argument deltas[s]
-    at the weights lij[s], from one theta table:
+@functools.lru_cache(maxsize=None)
+def _orbit_plan(n: int, k: int):
+    """The S_k orbits of the length-k paths c (product order): row[c, sigma],
+    the path c o sigma (steps c[sigma(0)], ..., c[sigma(k-1)]), sigma in
+    itertools order; start[e], e = (c, sigma) flattened, whether that row is
+    c; and per move position pos: ti, tj, tm, the distinct (i, j, count_i -
+    count_j), i != j, that the prefixes reach, in order of first appearance;
+    pair[a, i, j], the one of prefix a (of n^pos) and steps (i, j), len(ti)
+    where i == j; partner[e] = (c, sigma o (pos pos+1)); keep[e], cross[e],
+    pair at the steps (i, j) of row e there and at (j, i)."""
+    perms = list(permutations(range(k)))
+    index = {p: s for s, p in enumerate(perms)}
+    steps = np.indices((n,) * k).reshape(k, -1).T[:, perms]  # [c, sigma, m]
+    row, moves = steps @ n ** np.arange(k - 1, -1, -1), []
+    for pos in range(k - 1):
+        found = {}
+        pair = np.array([[found.setdefault((i, j, t.count(i) - t.count(j)),
+                                           len(found)) if i != j else -1
+                          for i in range(n) for j in range(n)]
+                         for t in product(range(n), repeat=pos)])
+        pair = np.where(pair < 0, len(found), pair).reshape(-1, n, n)
+        partner = np.arange(n ** k)[:, None] * len(perms) + [
+            index[p[:pos] + (p[pos + 1], p[pos]) + p[pos + 2:]] for p in perms]
+        a, i, j = row // n ** (k - pos), steps[..., pos], steps[..., pos + 1]
+        moves.append(read_only(*np.array(list(found)).T, pair, partner.ravel(),
+                               pair[a, i, j].ravel(), pair[a, j, i].ravel()))
+    return read_only(row, (row == np.arange(n ** k)[:, None]).ravel()) \
+        + (tuple(moves),)
 
-    diag[s]                        theta(delta+h)/theta(h)
-    cis[s, a]   at lij[s, a]       theta(-delta+lij)/theta(lij)
-    trans[s, a] at lij[s, a]       theta(delta)/theta(h) * theta(h+lij)/theta(lij)
 
-    Raises SingularParameterError where |theta(lij)| < tol_identity.
-    """
+def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
+    """The face weights of every move (g, deltas) of moves, at the weights
+    lijs[g][s] with spectral argument deltas[s], as [cis, diag] and
+    [trans, 0] along the last axis, from one theta table:
+        diag[s]                    theta(delta+h)/theta(h)
+        cis[s, a]   at lij[s, a]   theta(-delta+lij)/theta(lij)
+        trans[s, a] at lij[s, a]   theta(delta)/theta(h) * theta(h+lij)/theta(lij)
+    theta(lij) and theta(lij + h) are read once per lijs[g].  Raises
+    SingularParameterError at the first lijs[g] in order of use where
+    |theta(lij)| < tol_identity."""
     hb = ctx.hbar
-    lij = np.asarray(lij, dtype=complex)
-    deltas = np.asarray(deltas, dtype=complex)[:, None]
-    m = lij.shape[1]
-    t = theta_table(np.concatenate(
-        [deltas + hb, np.broadcast_to(hb, deltas.shape), deltas, lij,
-         lij - deltas, lij + hb], axis=1), ctx)
-    den = t[:, 3:3 + m]
-    bad = np.abs(den) < ctx.tol_identity
-    if bad.any():
-        raise SingularParameterError(
-            f"resonant weight: theta(lambda_ij)~0 at {lij[bad][0]}")
-    return (t[:, 0] / t[:, 1], t[:, 3 + m:3 + 2 * m] / den,
-            (t[:, 2] / t[:, 1])[:, None] * t[:, 3 + 2 * m:] / den)
+    lijs = [np.asarray(lij, dtype=complex) for lij in lijs]
+    ds = [np.asarray(d, dtype=complex)[:, None] for _, d in moves]
+    parts = [x for lij in lijs for x in (lij, lij + hb)] + [
+        x for (g, _), d in zip(moves, ds) for x in (lijs[g] - d, d + hb, d)]
+    t = np.split(theta_table(np.concatenate(
+        parts + [np.full((len(ds[0]), 1), hb)], axis=1), ctx),
+        np.cumsum([x.shape[1] for x in parts]), axis=1)
+    for g in dict.fromkeys(g for g, _ in moves):
+        bad = np.abs(t[2 * g]) < ctx.tol_identity
+        if bad.any():
+            raise SingularParameterError(
+                f"resonant weight: theta(lambda_ij)~0 at {lijs[g][bad][0]}")
+    th, out = t[-1], []
+    for r, (g, _) in enumerate(moves):
+        den, t_lh = t[2 * g], t[2 * g + 1]
+        t_lmd, t_dh, t_d = t[2 * len(lijs) + 3 * r:][:3]
+        out.append((np.concatenate([t_lmd / den, t_dh / th], axis=1),
+                    np.concatenate([t_d / th * t_lh / den, np.zeros_like(th)],
+                                   axis=1)))
+    return out
+
+
+def _face_weights(lij, deltas, ctx: ModularContext):
+    """diag, cis, trans of one move (_weight_tables) at lij[s], deltas[s]."""
+    keep, cross = _weight_tables([lij], [(0, deltas)], ctx)[0]
+    return keep[:, -1], keep[:, :-1], cross[:, :-1]
 
 
 def _move_weights(k: int, pos: int, coords: np.ndarray, deltas,
@@ -290,65 +333,64 @@ def _move_weights(k: int, pos: int, coords: np.ndarray, deltas,
     """keep[s, a, i, j] and cross[s, a, i, j]: the weights of the move at
     (pos, pos+1) with argument deltas[s] on the length-k paths with prefix a
     (of n^pos, in product order) and steps (i, j) there, at the base weight
-    coords[s], to themselves and to their swaps (0 where i == j).
+    coords[s], to themselves and to their swaps (0 where i == j)."""
+    ti, tj, tm, pair = _orbit_plan(ctx.n, k)[2][pos][:4]
+    keep, cross = _weight_tables(
+        [coords[:, ti] - coords[:, tj] + ctx.hbar * tm], [(0, deltas)], ctx)[0]
+    return keep[:, pair], cross[:, pair]
 
-    The weight after prefix a is base + hbar * (its step counts), so only
-    the (i, j, count_i - count_j) that some prefix reaches are read, from
-    one _face_weights table, in order of first appearance.
-    """
-    n = ctx.n
-    prefixes, prefix = partial_shifts(n, k)
-    counts = [prefixes[pos][a] for a in prefix[pos][::n ** (k - pos)]]
-    off = ~np.eye(n, dtype=bool)
-    i, j = np.nonzero(off)
-    found = {}
-    at = [found.setdefault((a, b, c[a] - c[b]), len(found))
-          for c in counts for a, b in zip(i.tolist(), j.tolist())]
-    ti, tj, tm = np.array(list(found), dtype=int).T
-    diag, cis, trans = _face_weights(coords[:, ti] - coords[:, tj] + ctx.hbar * tm,
-                                     deltas, ctx)
-    keep = np.empty((len(coords), len(counts), n, n), dtype=complex)
-    cross = np.zeros_like(keep)
-    keep[:, :, off] = cis[:, at].reshape(len(coords), len(counts), -1)
-    cross[:, :, off] = trans[:, at].reshape(len(coords), len(counts), -1)
-    keep[:, :, ~off] = diag[:, None, None]
-    return keep, cross
+
+def _face_orbits(base, k: int, sides, ctx: ModularContext) -> list:
+    """The products of moves sides[r] (lists of (pos, delta), delta one
+    value or one per base) on the length-k paths at the bases base[s], as
+    stacks M[s, c, sigma], the entry at row c o sigma, column c: a move only
+    reorders steps, so all others are 0.  All moves read one _weight_tables;
+    one at pos sets M[e] to keep times M[e] plus cross times M[partner]."""
+    coords = np.asarray(base, dtype=complex).reshape(-1, ctx.n)
+    (row, start, plans), count = _orbit_plan(ctx.n, k), len(coords)
+    moves = [(pos, np.broadcast_to(delta, count)) for side in sides
+             for pos, delta in side]
+    groups = list(dict.fromkeys(pos for pos, _ in moves))
+    lijs = [coords[:, ti] - coords[:, tj] + ctx.hbar * tm
+            for ti, tj, tm in (plans[pos][:3] for pos in groups)]
+    weights = iter(moves and _weight_tables(
+        lijs, [(groups.index(pos), d) for pos, d in moves], ctx))
+    out = []
+    for side in sides:
+        # as [e, s], so that every gather reads whole contiguous rows
+        stack = np.repeat(start[:, None].astype(complex), count, axis=1)
+        for pos, _ in side:
+            partner, keep, cross = plans[pos][4:]
+            w_keep, w_cross = next(weights)
+            w_keep, w_cross = w_keep.T[keep], w_cross.T[cross]
+            # the stack on the left of each product, as on the path matrix:
+            # numpy's complex multiply (FMA) rounds a * b and b * a apart
+            stack = stack * w_keep + stack[partner] * w_cross
+        out.append(stack.T.reshape(count, *row.shape))
+    return out
 
 
 def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray:
     """Matrix of a product of face moves on the length-k path space at one
-    point base[n], or the stack of these matrices at the points base[s, n].
-
+    point base[n], or the stack of these matrices at the points base[s, n]:
     moves is a list of (pos, delta), first entry applied first; delta is one
-    value or one per base.  Each move reads its weights at every base from
-    one theta table and acts on the rows of the paths x paths matrices,
-    viewed as [s, n^pos, n, n, rest], in one swap update over all of them:
-    the row of the path (a, i, j, r) becomes keep[a, i, j] times itself plus
-    cross[a, j, i] times the row of its swap (a, j, i, r), and cross is 0 on
-    i == j, where a row only scales.
-    """
-    base = np.asarray(base, dtype=complex)
-    coords = base.reshape(-1, ctx.n)
-    n, count, size = ctx.n, len(coords), ctx.n ** k
-    mat = np.zeros((count, size, size), dtype=complex)
-    mat[:, np.arange(size), np.arange(size)] = 1.0
-    for pos, delta in moves:
-        keep, cross = (w[..., None] for w in _move_weights(
-            k, pos, coords, np.broadcast_to(delta, count), ctx))
-        rows = mat.reshape(count, n ** pos, n, n, -1)
-        swapped = (rows * cross).swapaxes(2, 3)
-        rows *= keep
-        rows += swapped
+    value or one per base.  The _face_orbits stack, scattered."""
+    base, size = np.asarray(base, dtype=complex), ctx.n ** k
+    stack, = _face_orbits(base, k, [moves], ctx)
+    mat = np.zeros((len(stack), size, size), dtype=complex)
+    mat[:, _orbit_plan(ctx.n, k)[0], np.arange(size)[:, None]] = stack
     return mat[0] if base.ndim == 1 else mat
 
 
 def verify_face_ybe(us, vs, ws, P, ctx: ModularContext) -> Residual:
     """Face Yang-Baxter equation on three-step paths from P[s] at the
     spectral parameters (us[s], vs[s], ws[s]), worst over the samples s
-    (or at one triple and one base weight P[n])."""
+    (or at one triple and one base weight P[n]), on the _face_orbits
+    stacks of both sides."""
     us, vs, ws = (np.asarray(x, dtype=complex) for x in (us, vs, ws))
-    lhs = face_operator_matrix(P, 3, [(1, vs - ws), (0, us - ws), (1, us - vs)], ctx)
-    rhs = face_operator_matrix(P, 3, [(0, us - vs), (1, us - ws), (0, vs - ws)], ctx)
+    lhs, rhs = _face_orbits(P, 3, [
+        [(1, vs - ws), (0, us - ws), (1, us - vs)],
+        [(0, us - vs), (1, us - ws), (0, vs - ws)]], ctx)
     return _rel(lhs, rhs)
 
 
@@ -558,21 +600,22 @@ def face_fusion_operator(k: int, base, ctx: ModularContext,
 
 def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
     """The stacked outgoing intertwiner map paths -> V^(x)k at the base
-    weight base[n].
-
-    Column (i_1..i_k) holds tensor prod_m phi(params[m]) along the path.
-    Level m reads phi(params[m]) at every distinct prefix weight in one
-    intertwiner batch and multiplies its vectors into every column at once.
-    """
+    weight base[n]: column (i_1..i_k) holds tensor prod_m phi(params[m])
+    along the path.  One intertwiner batch reads phi(params[m]) at the
+    distinct prefix weights of every level m; each level multiplies its
+    vectors into every column at once."""
     n, k = ctx.n, len(params)
     prefixes, prefix = partial_shifts(n, k)
     steps = np.indices((n,) * k).reshape(k, -1)                 # [m, path]
+    pts = [np.asarray(base, dtype=complex)[None]] + [
+        shifted(base, keys, ctx.hbar) for keys in prefixes[1:]]
+    first = np.cumsum([0] + [len(p) for p in pts])
+    phi = intertwiner_arrays([params[m] for m in range(k) for _ in pts[m]],
+                             np.concatenate(pts), ctx)[0]
     mat = np.ones((n ** k, n ** k), dtype=complex)
     grid = mat.reshape((n,) * k + (-1,))
-    for m, keys in enumerate(prefixes):
-        pts = shifted(base, keys, ctx.hbar) if m else np.asarray(base)[None]
-        phi, _ = intertwiner_arrays([params[m]] * len(pts), pts, ctx)
-        vecs = phi[prefix[m], :, steps[m]]                      # [path, i]
+    for m in range(k):
+        vecs = phi[first[m] + prefix[m], :, steps[m]]           # [path, i]
         # tensor factor m of every column, multiplied in place
         grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1) + (-1,))
     return mat

@@ -10,6 +10,7 @@ per-suite tolerances in suites.SUITES.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 
@@ -48,7 +49,7 @@ class ModularContext:
     """Global parameters shared by every evaluator.
 
     n           rank (the operators live on the sl_n weight space), n >= 2
-    tau         modulus, Im tau > 0
+    tau         modulus, Im tau > 0, with exp(pi Im tau) a double
     hbar        deformation parameter, kept off the period lattice
     tol_identity  singularity floor, not a pass threshold: the sampling
                 guard (x10), the fay_sides, face-weight and ltilde
@@ -68,6 +69,9 @@ class ModularContext:
             raise ContextError(f"rank n must be >= 2, got {self.n}")
         if complex(self.tau).imag <= 0:
             raise ContextError(f"Im tau must be positive, got tau={self.tau}")
+        # theta(u + tau) is theta(u) times about exp(pi Im tau): OverflowError
+        # where that leaves the double range, before a theta table overflows
+        math.exp(math.pi * complex(self.tau).imag)
         if self.tol_identity <= 0:
             raise ContextError("tol_identity must be positive")
         if lattice_distance(complex(self.hbar), complex(self.tau)) <= self.tol_identity:

@@ -26,7 +26,7 @@ factor, because exp(2 pi i mu u) alone overflows where that factor
 underflows (|Im u| of a few periods), and inf * 0 is nan.  The face
 weights, the R-matrices, the intertwiners, the determinant identities, the
 closed-form M_d coefficients and the sampling guard read all their theta
-values from one such table per move or per batch of samples: the
+values from one table per product of moves or batch of samples: the
 determinant identities (qFay, Fay, Vandermonde) take leading batch axes,
 one point set per sample, and a single point set is the batch of one.
 

@@ -2,7 +2,7 @@
 
 import math
 import re
-from itertools import product
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -388,6 +388,93 @@ def test_face_swap_update_equals_the_pair_loop(n, rng):
         assert np.max(np.abs(wrong - got)) > 1e-3 * np.max(np.abs(got))
 
 
+def _step_multiset_mask(n, k):
+    """[row, col]: whether the two length-k paths hold the same steps."""
+    keys = [tuple(sorted(t)) for t in product(range(n), repeat=k)]
+    return np.array([[a == b for b in keys] for a in keys])
+
+
+def test_face_matrix_is_zero_outside_the_step_multisets(rng):
+    # a face move only reorders the steps of a path, so a product of moves
+    # is 0 outside the S_k orbit of each column: at most the sum over step
+    # multisets of (arrangements)^2 entries, 256 of 4,096 at n = 4, k = 3
+    for n, k, most in ((4, 3, 256), (4, 4, 2716), (3, 3, 93), (2, 2, 6)):
+        ctx = default_context(n)
+        mask = _step_multiset_mask(n, k)
+        assert np.count_nonzero(mask) == most
+        lam = wt.sample_generic(150 + k, ctx)
+        moves = [(int(rng.integers(0, k - 1)), rand_complex(rng))
+                 for _ in range(6)]
+        for mat in (bv.face_operator_matrix(lam, k, moves, ctx),
+                    _pair_loop_face_matrix(lam, k, moves, ctx)):
+            assert not np.any(mat[~mask])
+            assert 0 < np.count_nonzero(mat) <= most
+
+
+def _scatter_orbits(stack, n, k):
+    """An orbit stack M[s, c, sigma] written into the paths x paths
+    matrices: the entry at row c o sigma, column c; the copies of a row
+    where c repeats a step must agree."""
+    paths = list(product(range(n), repeat=k))
+    index = {t: a for a, t in enumerate(paths)}
+    mat = np.zeros((len(stack), len(paths), len(paths)), dtype=complex)
+    for c, t in enumerate(paths):
+        for s, sigma in enumerate(permutations(range(k))):
+            row = index[tuple(t[m] for m in sigma)]
+            if mat[0, row, c] != 0:
+                assert np.array_equal(mat[:, row, c], stack[:, c, s])
+            mat[:, row, c] = stack[:, c, s]
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_stacks_scatter_to_the_dense_face_matrix(n, rng):
+    # the orbit stacks, scattered path by path, are the face matrix and the
+    # dense pair-loop update bit for bit, for one base and a batch of bases;
+    # the face YBE residual is _rel of the dense matrices of both sides
+    ctx = default_context(n)
+    lam = wt.sample_generic(160, ctx)
+    P = wt.sample_many(161, 3, ctx)
+    for k in range(1, n + 1):
+        # the empty product is the identity, at every k
+        assert np.array_equal(bv.face_operator_matrix(lam, k, [], ctx),
+                              np.eye(n ** k))
+        if k == 1:
+            continue
+        moves = [(int(rng.integers(0, k - 1)), rand_complex(rng))
+                 for _ in range(int(rng.integers(2, 7)))]
+        batched = [(pos, np.array([rand_complex(rng) for _ in P]))
+                   for pos, _ in moves]
+        for base, mv in ((lam, moves), (P, batched)):
+            coords = np.asarray(base, dtype=complex).reshape(-1, n)
+            stack, = bv._face_orbits(base, k, [mv], ctx)
+            assert stack.shape == (len(coords), n ** k, math.factorial(k))
+            got = _scatter_orbits(stack, n, k)
+            dense = _pair_loop_face_matrix(coords, k, mv, ctx)
+            assert np.array_equal(got, dense)
+            face = bv.face_operator_matrix(base, k, mv, ctx)
+            assert np.array_equal(got.reshape(face.shape), face)
+    us, vs, ws = (np.array([rand_complex(rng) for _ in P]) for _ in range(3))
+    lhs = _pair_loop_face_matrix(P, 3, [(1, vs - ws), (0, us - ws),
+                                        (1, us - vs)], ctx)
+    rhs = _pair_loop_face_matrix(P, 3, [(0, us - vs), (1, us - ws),
+                                        (0, vs - ws)], ctx)
+    assert bv.verify_face_ybe(us, vs, ws, P, ctx) == bv._rel(lhs, rhs)
+
+
+def test_phi_tensor_matrix_names_the_singular_level():
+    # lam_01 = -hbar: phi is regular at lam itself and singular after a
+    # first step 0, so the one intertwiner batch over all levels raises
+    # at the level-1 parameter, as the batch of that level did alone
+    ctx = default_context(3)
+    base = wt.canonical([-ctx.hbar, 0.0, 0.31])
+    params = [0.11 + 0.03j, 0.27 - 0.05j, -0.13 + 0.2j]
+    bv.phi_tensor_matrix(base, params[:1], ctx)
+    with pytest.raises(SingularParameterError,
+                       match=re.escape(f"at u={params[1]}")):
+        bv.phi_tensor_matrix(base, params, ctx)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_phi_tensor_and_intertwining_equal_the_block_plan(n, rng, monkeypatch):
     ctx = default_context(n)
@@ -455,16 +542,24 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
     monkeypatch.setattr(bv, "theta_table",
                         lambda us, c: calls.append(len(us)) or table(us, c))
     moves = [(m, rand_complex(rng)) for m in bv.fusion_moves(3)]
-    bv.face_operator_matrix(lam, 3, moves, ctx)
-    assert len(calls) == len(moves)
+    # every move of a product, and both sides of the face YBE, read one
+    # theta table
+    u, v, w = (rand_complex(rng) for _ in range(3))
+    for face in (lambda: bv.face_operator_matrix(lam, 3, moves, ctx),
+                 lambda: bv.face_fusion_operator(3, lam, ctx, u),
+                 lambda: bv.verify_face_ybe(u, v, w, lam, ctx)):
+        del calls[:]
+        face()
+        assert len(calls) == 1
     reads = table_reads(monkeypatch)
     bv.phi_tensor_matrix(lam, [rand_complex(rng) for _ in range(3)], ctx)
     bv.verify_face_ybe(*(rand_complex(rng) for _ in range(3)), lam, ctx)
     bv.verify_intertwining([rand_complex(rng)], [rand_complex(rng)], [lam], ctx)
-    # one theta kernel call per path level, per face move (6 in the face
-    # YBE) and per factor batch of the relation (weights, phis, R); a
-    # scalar theta read would add calls of its own
-    assert len(reads) == 3 + 6 + 3
+    # one theta kernel call for the path map (one intertwiner batch over
+    # its levels), one for the face YBE, and one per factor batch of the
+    # relation (weights, phis, R); a scalar theta read would add calls of
+    # its own
+    assert len(reads) == 1 + 1 + 3
 
 
 def test_face_operator_matrix_resonant_prefix():
@@ -935,31 +1030,34 @@ def test_nan_residual_fails_its_case(monkeypatch):
     rep = run_suite("ybe", ctx, 0)
     case = {c.name: c for c in rep.cases}["vertex-ybe"]
     assert math.isnan(case.rel) and not case.ok and not rep.passed
-    # and through the batched face-ybe check: one of its 25 samples
+    # and through the batched face-ybe check: one of its 25 samples, on
+    # the orbit stack of one side
     monkeypatch.undo()
-    face = bv.face_operator_matrix
-    def one_nan(bases, k, moves, c):
-        out = face(bases, k, moves, c)
+    face = bv._face_orbits
+    def one_nan(bases, k, sides, c):
+        out = face(bases, k, sides, c)
         if len(bases) == 25:
-            out[2, 0, 0] = np.nan
+            out[0][2, 0, 0] = np.nan
         return out
-    monkeypatch.setattr(bv, "face_operator_matrix", one_nan)
+    monkeypatch.setattr(bv, "_face_orbits", one_nan)
     rep = run_suite("face-ybe", ctx, 0)
     case = {c.name: c for c in rep.cases}["face-ybe"]
     assert math.isnan(case.rel) and not case.ok and not rep.passed
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_vertex_suites_pass_across_seeds(n):
     from etlax.suites import run_suite
+    # intertwiner raises at some seeds at n = 4 (ill-conditioned phi)
+    names = ("ybe", "face-ybe", "intertwiner")[:2 if n == 4 else 3]
     failed = [(name, seed)
-              for name in ("ybe", "face-ybe", "intertwiner")
+              for name in names
               for seed in range(8)
               if not run_suite(name, default_context(n), seed).passed]
     assert failed == []
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_identity_suites_pass_across_seeds(n):
     # the theta identity suites of the identities workload, next to its
     # vertex suites above

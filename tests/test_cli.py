@@ -180,6 +180,29 @@ def test_cli_overflow_exits_two_without_a_traceback():
     assert errors == ["error: math range error"]
 
 
+@pytest.mark.parametrize("argv", [["theta", "--tau_im", "2000"],
+                                  ["all", "--tau_im", "400"],
+                                  ["all", "--tau_im", "800"]])
+def test_tau_past_the_double_range_prints_one_error_line(argv):
+    # exp(pi Im tau), the quasi-periodicity factor of theta(u + tau), is
+    # past the double range: the context refuses it before any theta table
+    # overflows, so no numpy warning precedes the error line
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "etlax.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: math range error"]
+    assert done.stdout == ""
+
+
+def test_context_bound_is_the_double_range():
+    limit = math.log(sys.float_info.max) / math.pi        # about 225.95
+    ModularContext(n=2, tau=0.1 + 225.9j, hbar=0.173 + 0.219j)
+    with pytest.raises(OverflowError):
+        ModularContext(n=2, tau=0.1 + 1.0001j * limit, hbar=0.173 + 0.219j)
+
+
 def _resolved(*argv):
     return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
 

@@ -658,7 +658,8 @@ def test_cached_plans_reject_writes(ctx3):
     from etlax import theta as th
     from etlax import transfer as tr
     ctx = ctx3
-    plans = [bv._r_index(3), bv.partial_shifts(3, 3), tr._fusion_plan(3, 2),
+    plans = [bv._r_index(3), bv.partial_shifts(3, 3), bv._orbit_plan(3, 3),
+             tr._fusion_plan(3, 2),
              tr._subset_pairs(3, 2),
              th._series((0.5,), 1, complex(ctx.tau), 1),
              oa._det_plan(3, ((1, 0, 0), (0, 1, 0)), 2),
