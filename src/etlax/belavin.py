@@ -413,8 +413,7 @@ class IntertwinerPair:
 _COND_LIMIT = 1e8
 
 
-def intertwiner_arrays(us, mus, ctx: ModularContext,
-                       cond_limit: float = _COND_LIMIT):
+def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
     one theta table and one stacked solve for all of them.
 
@@ -435,12 +434,12 @@ def intertwiner_arrays(us, mus, ctx: ModularContext,
         phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
         bound = (np.linalg.norm(phi, axis=(1, 2))
                  * np.linalg.norm(phibar, axis=(1, 2)))
-        suspect = np.flatnonzero(~(bound <= 0.5 * cond_limit))
+        suspect = np.flatnonzero(~(bound <= 0.5 * _COND_LIMIT))
     except np.linalg.LinAlgError:
         phibar, suspect = None, np.arange(count)
     if suspect.size:
         cond = np.linalg.cond(phi[suspect])
-        within = cond <= cond_limit          # False for nan and inf as well
+        within = cond <= _COND_LIMIT         # False for nan and inf as well
         if not within.all():
             p = int(np.argmin(within))
             raise SingularParameterError(
@@ -457,13 +456,12 @@ def _phi_args(us, mus, n: int) -> np.ndarray:
             - np.asarray(mus, dtype=complex).reshape(-1, n))
 
 
-def intertwiners(u: complex, mu, ctx: ModularContext,
-                 cond_limit: float = _COND_LIMIT) -> IntertwinerPair:
+def intertwiners(u: complex, mu, ctx: ModularContext) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar at one point mu[n], solved numerically:
     the batch of one (a one-point view kept for the traced benchmark)."""
     mu = np.asarray(mu, dtype=complex)
-    phi, phibar = intertwiner_arrays([u], mu[None], ctx, cond_limit)
+    phi, phibar = intertwiner_arrays([u], mu[None], ctx)
     return IntertwinerPair(phi[0], phibar[0], u, mu,
                            float(np.linalg.cond(phi[0])))
 

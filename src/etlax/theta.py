@@ -340,9 +340,10 @@ def dedekind_eta(tau: complex, ctx: ModularContext) -> complex:
 
 
 def _product_length(x: complex) -> int:
-    """Factors of a product over the powers x^m, 0 < |x| < 1: the least
-    M >= 1 with |x|^M <= _WINDOW_DROP, the bound of a theta window."""
-    return max(1, math.ceil(math.log2(_WINDOW_DROP) / math.log2(abs(x))))
+    """Factors of a product over the powers x^m, |x| < 1 (x is 0 above Im
+    tau of about 118): the least M >= 1 with |x|^M <= _WINDOW_DROP."""
+    return max(1, math.ceil(math.log2(_WINDOW_DROP)
+                            / math.log2(max(abs(x), _WINDOW_DROP))))
 
 
 def _eta_product(tau: complex) -> complex:

@@ -10,10 +10,14 @@ A batch of points is one complex array P[..., n] with rows of sum zero, so
 <lambda, epsbar_i> is P[..., i].  Shift keys stay exact integers: shifting by
 every key of K[k, n] is one broadcast, canonical(P[..., None, :] + scale * K).
 WeightPoint is the one-point view of canonical (a traced benchmark name).
+
+Sampling runs the streams of default_rng(seed) bit for bit as uint64 arrays,
+all seeds at once: SeedSequence, then PCG64 jumps (O'Neill 2014; Brown 1994).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,61 +93,123 @@ def theta_gap_guard(ctx: ModularContext):
     return guard
 
 
+_BOX, _MAX_TRIES = 0.4, 1000    # candidates in [-_BOX, _BOX]; a row's tries
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, \
+    0x58F38DED
+_MIX_L, _MIX_R, _M32, _M64 = 0xCA01F9DD, 0x4973F715, 2 ** 32 - 1, 2 ** 64 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_constants(draws: int):
+    """The (xor, multiplier) of each hashmix of SeedSequence: 4 pool words,
+    12 mixing calls by source word (own column unused), 8 state words; and
+    [A_k, C_k] = [M^k, sum_{i<k} M^i] mod 2^128, k = 2..draws + 1, for _mul:
+    k steps of PCG64 map x to A_k x + C_k inc."""
+    a = np.array([_INIT_A * _MULT_A ** i & _M32 for i in range(17)], np.uint32)
+    b = np.array([_INIT_B * _MULT_B ** i & _M32 for i in range(9)], np.uint32)
+    calls = np.array([[4 + 3 * src + dst - (dst > src) if dst != src else 0
+                       for dst in range(4)] for src in range(4)])
+    powers = [pow(_PCG_MULT, i, 2 ** 128) for i in range(draws + 2)]
+    sums = [sum(powers[:k]) % 2 ** 128 for k in range(2, draws + 2)]
+    jump = np.array([powers[2:], sums], dtype=object)[:, None]
+    hi, lo = (jump >> 64).astype(np.uint64), (jump & _M64).astype(np.uint64)
+    return ((a[:4], a[1:5]), (a[calls], a[calls + 1]), (b[:8].reshape(2, 4),
+            b[1:].reshape(2, 4)), (hi, lo, lo & _M32, lo >> 32))
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mul(x, c):
+    """x * c mod 2^128 in 32-bit limbs: (hi, lo) uint64 arrays x, jump c."""
+    (hi, lo), (c_hi, c_lo, b0, b1) = x, c
+    a0, a1 = lo & _M32, lo >> 32
+    # the high word of lo * c_lo, no partial sum past 2^64 (Hacker's Delight)
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = (t & _M32) + a0 * b1
+    return a1 * b1 + (t >> 32) + (u >> 32) + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add(x, y):
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+def _draws(hi, lo, jump):
+    """Generator.uniform(-_BOX, _BOX) of the next 2n states A_k q + C_k inc
+    of the rows [q, inc] (XSL-RR output, then 2^-53 (x >> 11)), and those."""
+    (a_hi, c_hi), (a_lo, c_lo) = _mul((hi[..., None], lo[..., None]), jump)
+    x_hi, x_lo = _add((a_hi, a_lo), (c_hi, c_lo))
+    x, rot = x_hi ^ x_lo, x_hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return -_BOX + (_BOX - -_BOX) * ((x >> 11) * 2.0 ** -53), x_hi, x_lo
+
+
 def subseeds(seed: int, count: int) -> list:
     """The sub-seeds of the points of sample_many(seed, count)."""
     return [(seed + 1) * 100003 + k for k in range(count)]
 
 
-def sample_points(seeds, ctx: ModularContext, guards=None, box: float = 0.4,
-                  max_tries: int = 1000) -> np.ndarray:
+def sample_points(seeds, ctx: ModularContext, guards=None) -> np.ndarray:
     """Pseudo-random generic weight points P[len(seeds), n], row s drawn
-    from its own stream default_rng(seeds[s]), avoiding the given singular
-    loci.
-
-    Each round draws the next candidate of every pending row (real parts,
-    then imaginary parts, uniform in [-box, box]), canonicalizes them
-    together and reads every guard once over them; a row is kept when all
-    its guard values exceed 10 * tol_identity, and only the rejected rows
-    draw again.  A guard is a batch callable g(P[s, n]) -> values[s].  So
-    row s is the point a stream of its own gives, whatever else the batch
-    holds.
-    """
-    if guards is None:
-        guards = [theta_gap_guard(ctx)]
-    n = ctx.n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    floor = 10.0 * ctx.tol_identity
-    out = np.empty((len(rngs), n), dtype=complex)
-    todo = np.arange(len(rngs))
-    for _ in range(max_tries):
+    from the stream of default_rng(seeds[s]), avoiding the given singular
+    loci.  Each round draws the next candidate of every pending row and
+    reads every guard, a batch callable g(P[s, n]) -> values[s], once over
+    them; a row is kept when all its values exceed 10 * tol_identity, so
+    row s is the point its own stream gives, whatever the batch holds."""
+    for seed in (seed for seed in seeds if not 0 <= seed <= _M64):
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    guards = [theta_gap_guard(ctx)] if guards is None else guards
+    n, floor = ctx.n, 10.0 * ctx.tol_identity
+    first, mixing, state, jump = _stream_constants(2 * n)
+    # SeedSequence pools: two uint32 words a seed, a missing word hashes as 0
+    seeds = np.array(seeds, dtype=np.uint64)
+    pool = _hashmix(np.stack([seeds & _M32, seeds >> 32, 0 * seeds, 0 * seeds],
+                             axis=1).astype(np.uint32), *first)
+    for src in range(4):
+        # mix(x, y) of word src into the three others; it stays as it is
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[:, src, None],
+                                                  *(m[src] for m in mixing))
+        pool = np.where(np.arange(4) == src, pool, mixed ^ (mixed >> 16))
+    # PCG64 seeded by generate_state(4, uint64) = w0..w3: inc = 2 w2w3 + 1,
+    # state M q + inc with q = inc + w0w1; (hi, lo) hold the rows [q, inc]
+    w = (_hashmix(pool[:, None, :], *state).reshape(-1, 8)
+         .astype("<u4", copy=False).view("<u8").T)
+    inc = (w[2] << 1 | w[3] >> 63, w[3] << 1 | 1)
+    hi, lo = (np.stack(pair) for pair in zip(_add(w[:2], inc), inc))
+    out, todo = np.empty((len(seeds), n), dtype=complex), np.arange(len(seeds))
+    for _ in range(_MAX_TRIES):
         if not todo.size:
             break
-        # one call of 2n draws is the two calls of n, re then im
-        draws = np.array([rngs[s].uniform(-box, box, 2 * n) for s in todo])
-        lam = canonical(draws[:, :n] + 1j * draws[:, n:])
+        draws, x_hi, x_lo = _draws(hi, lo, jump)
+        lam = canonical(draws[:, :n] + 1j * draws[:, n:])   # re then im
         values = np.array([g(lam) for g in guards])
         good = (values > floor).all(axis=0)
         out[todo[good]] = lam[good]
-        todo = todo[~good]
+        # a rejected row's q moves to the state before its last draw
+        todo, hi, lo = todo[~good], hi[:, ~good], lo[:, ~good]
+        hi[0], lo[0] = x_hi[~good, -2], x_lo[~good, -2]
     if todo.size:
         # the first row left, at its last candidate
         worst = int(np.argmin(values[:, np.argmin(good)]))
-        raise SamplingError(
-            f"could not sample a generic point in {max_tries} tries; "
-            f"guard {worst} kept failing")
+        raise SamplingError(f"could not sample a generic point in "
+                            f"{_MAX_TRIES} tries; guard {worst} kept failing")
     return out
 
 
-def sample_generic(seed: int, ctx: ModularContext, guards=None,
-                   box: float = 0.4, max_tries: int = 1000) -> np.ndarray:
+def sample_generic(seed: int, ctx: ModularContext, guards=None) -> np.ndarray:
     """A pseudo-random generic weight point, as a coordinate row: the
     sample_points row of one seed (a one-point view the benchmark traces).
     Deterministic in the seed."""
-    return sample_points([seed], ctx, guards, box, max_tries)[0]
+    return sample_points([seed], ctx, guards)[0]
 
 
-def sample_many(seed: int, count: int, ctx: ModularContext, guards=None,
-                box: float = 0.4) -> np.ndarray:
+def sample_many(seed: int, count: int, ctx: ModularContext,
+                guards=None) -> np.ndarray:
     """A deterministic batch P[count, n] of generic points, one sample_points
     call over the sub-seeds of seed."""
-    return sample_points(subseeds(seed, count), ctx, guards, box)
+    return sample_points(subseeds(seed, count), ctx, guards)

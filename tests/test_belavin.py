@@ -632,10 +632,11 @@ def test_intertwiner_determinant_closed_form(ctx3, rng):
     assert abs(got - want) / abs(want) < 1e-10
 
 
-def test_intertwiner_condition_rejection(ctx3):
+def test_intertwiner_condition_rejection(ctx3, monkeypatch):
     lam = wt.sample_generic(8, ctx3)
+    monkeypatch.setattr(bv, "_COND_LIMIT", 1.0)
     with pytest.raises(SingularParameterError):
-        bv.intertwiners(0.4 + 0.2j, lam, ctx3, cond_limit=1.0)
+        bv.intertwiners(0.4 + 0.2j, lam, ctx3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -705,7 +706,9 @@ def test_intertwiner_guard_names_the_exact_cond(n):
     ctx, near = _near_pair(n, 1e-10)
     lam = wt.sample_generic(8, ctx)
     us = [0.11 + 0.05j, 0.23 - 0.07j, -0.17 + 0.13j, 0.05 + 0.3j]
-    phi = bv.intertwiners(us[1], near, ctx, cond_limit=math.inf).phi
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bv, "_COND_LIMIT", math.inf)
+        phi = bv.intertwiners(us[1], near, ctx).phi
     cond = np.linalg.cond(phi)
     assert cond > 1e8
     # the first ill-conditioned pair is named, with its 2-norm cond
@@ -719,9 +722,11 @@ def test_intertwiner_guard_admits_a_pair_above_the_screen(n, monkeypatch):
     u = 0.23 - 0.07j
     ctx, near = _near_pair(n, 1e-6)
     # move the gap until the exact cond sits at 7e7 (it scales as 1 / gap)
-    cond = np.linalg.cond(bv.intertwiners(u, near, ctx, math.inf).phi)
-    ctx, near = _near_pair(n, 1e-6 * cond / 7e7)
-    pair = bv.intertwiners(u, near, ctx, math.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bv, "_COND_LIMIT", math.inf)
+        cond = np.linalg.cond(bv.intertwiners(u, near, ctx).phi)
+        ctx, near = _near_pair(n, 1e-6 * cond / 7e7)
+        pair = bv.intertwiners(u, near, ctx)
     bound = np.linalg.norm(pair.phi) * np.linalg.norm(pair.phibar)
     assert bound > 0.5 * bv._COND_LIMIT
     assert 5e7 < pair.cond < bv._COND_LIMIT

@@ -203,6 +203,14 @@ def test_context_bound_is_the_double_range():
         ModularContext(n=2, tau=0.1 + 1.0001j * limit, hbar=0.173 + 0.219j)
 
 
+@pytest.mark.parametrize("tau_im", ["150", "200", "224"])
+def test_theta_passes_where_p_underflows(tau_im, capsys):
+    # above Im tau of about 118, p = exp(2 pi i tau) underflows to 0: the
+    # eta product is one factor, and suite theta still checks and passes
+    assert cli.main(["theta", "--tau_im", tau_im]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
 def _resolved(*argv):
     return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
 

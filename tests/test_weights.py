@@ -168,18 +168,17 @@ def test_sampling_exhaustion_reports_guard(ctx3):
     ones = lambda P: np.ones(len(P))
     impossible = lambda P: np.zeros(len(P))
     with pytest.raises(SamplingError) as err:
-        wt.sample_generic(1, ctx3, guards=[ones, impossible], max_tries=50)
-    assert "guard 1" in str(err.value)
+        wt.sample_generic(1, ctx3, guards=[ones, impossible])
+    assert str(err.value) == ("could not sample a generic point in 1000 "
+                              "tries; guard 1 kept failing")
     # in a batch, the first row left names its worst guard at its last
     # try, as that seed's own sampling does
     sign = lambda P: np.where(P[:, 0].real > 0.0, 1.0, 0.0)
     for seeds in ([3, 4, 5], [6, 3]):
         with pytest.raises(SamplingError) as alone:
-            wt.sample_generic(seeds[0], ctx3, guards=[sign, impossible],
-                              max_tries=20)
+            wt.sample_generic(seeds[0], ctx3, guards=[sign, impossible])
         with pytest.raises(SamplingError) as err:
-            wt.sample_points(seeds, ctx3, guards=[sign, impossible],
-                             max_tries=20)
+            wt.sample_points(seeds, ctx3, guards=[sign, impossible])
         assert str(err.value) == str(alone.value)
 
 
@@ -262,3 +261,65 @@ def test_one_guard_table_per_rejection_round(monkeypatch):
     wt.sample_points(seeds, ctx)
     pending = [sum(r >= k for r in rounds) for k in range(1, max(rounds) + 1)]
     assert reads == [6 * p for p in pending]
+
+
+# sub-seeds of the program reach 2^48; these cover one and two uint32 words,
+# both edges of the seed range and a sub-seed of 2^31 - 1
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
+                *wt.subseeds(2 ** 31 - 1, 3), 2 ** 31 - 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_streams_are_the_numpy_streams(n, monkeypatch):
+    # every row rejects its first three candidates: the four rounds of
+    # draws of each seed are its default_rng stream, 2n uniforms a round
+    ctx = default_context(n)
+    drawn, rounds = [], 4
+    canonical = wt.canonical
+    monkeypatch.setattr(wt, "canonical",
+                        lambda P: drawn.append(P) or canonical(P))
+    late = lambda P: np.full(len(P), float(len(drawn) >= rounds))
+    got = wt.sample_points(STREAM_SEEDS, ctx, guards=[late])
+    assert len(drawn) == rounds
+    for s, seed in enumerate(STREAM_SEEDS):
+        rng = np.random.default_rng(seed)
+        for P in drawn:
+            want = rng.uniform(-0.4, 0.4, 2 * n)
+            assert np.array_equal(P[s], want[:n] + 1j * want[n:])
+        assert np.array_equal(got[s], canonical(drawn[-1][s]))
+
+
+def test_128_bit_jump_is_the_integer_multiply_add():
+    # A q + C inc mod 2^128 in uint64 limbs, at random and all-ones words
+    rng = np.random.default_rng(9)
+    words = rng.integers(0, 2 ** 64, (2, 2, 300), dtype=np.uint64)
+    words[..., :4] = 2 ** 64 - 1
+    hi, lo = words
+    jump = wt._stream_constants(6)[3]
+    (a_hi, c_hi), (a_lo, c_lo) = wt._mul((hi[..., None], lo[..., None]), jump)
+    x_hi, x_lo = wt._add((a_hi, a_lo), (c_hi, c_lo))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    for s in range(300):
+        q, inc = (int(hi[r, s]) << 64 | int(lo[r, s]) for r in (0, 1))
+        for k in range(2, 8):
+            want = (mult ** k * q + sum(mult ** i for i in range(k)) * inc)
+            want %= 2 ** 128
+            assert (int(x_hi[s, k - 2]), int(x_lo[s, k - 2])) == \
+                (want >> 64, want % 2 ** 64)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seeds_outside_the_uint64_range_are_refused(seed, ctx3):
+    with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+        wt.sample_points([3, seed], ctx3)
+
+
+def test_sampling_builds_no_numpy_generator(ctx3, monkeypatch):
+    want = np.array([_sample(seed, ctx3) for seed in wt.subseeds(4, 40)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    assert np.array_equal(wt.sample_many(4, 40, ctx3.replace()), want)
