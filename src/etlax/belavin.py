@@ -45,8 +45,8 @@ import numpy as np
 from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
 from .theta import (_EPS, Residual, dedekind_eta, residual_arrays,
-                    theta_char_table, theta_level_table, theta_table,
-                    vandermonde_product, worst_of_arrays)
+                    theta_char_table, theta_level_table, theta_scale,
+                    theta_table, vandermonde_product, worst_of_arrays)
 from .weights import canonical_key, shifted, unit_key
 
 # ---------------------------------------------------------------- vertex side
@@ -298,7 +298,8 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
         trans[s, a] at lij[s, a]   theta(delta)/theta(h) * theta(h+lij)/theta(lij)
     theta(lij) and theta(lij + h) are read once per lijs[g].  Raises
     SingularParameterError at the first lijs[g] in order of use where
-    |theta(lij)| < tol_identity."""
+    |theta(lij)| < tol_identity * theta_scale, the floor of the sampling
+    guard on its scale."""
     hb = ctx.hbar
     lijs = [np.asarray(lij, dtype=complex) for lij in lijs]
     ds = [np.asarray(d, dtype=complex)[:, None] for _, d in moves]
@@ -307,8 +308,9 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
     t = np.split(theta_table(np.concatenate(
         parts + [np.full((len(ds[0]), 1), hb)], axis=1), ctx),
         np.cumsum([x.shape[1] for x in parts]), axis=1)
+    floor = ctx.tol_identity * theta_scale(ctx)
     for g in dict.fromkeys(g for g, _ in moves):
-        bad = np.abs(t[2 * g]) < ctx.tol_identity
+        bad = np.abs(t[2 * g]) < floor
         if bad.any():
             raise SingularParameterError(
                 f"resonant weight: theta(lambda_ij)~0 at {lijs[g][bad][0]}")

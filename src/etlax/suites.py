@@ -217,18 +217,6 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
     return cases
 
 
-def _sketched_rank(mat: np.ndarray, width: int, seed: int) -> int:
-    """The number of singular values of mat above 1e-8 of the largest, read
-    from the SVD of mat G, G a fixed Gaussian of width columns drawn from
-    default_rng(seed): the randomized range finder of Halko, Martinsson
-    and Tropp (2011), which reads any rank up to width."""
-    sketch = np.random.default_rng(seed).standard_normal((mat.shape[1], width))
-    # einsum: the BLAS mat @ sketch left the peak RSS 0.4 MB higher at 256^2
-    svals = np.linalg.svd(np.einsum("ij,jk->ik", mat, sketch),
-                          compute_uv=False)
-    return int(np.sum(svals > 1e-8 * svals[0]))
-
-
 def suite_intertwiner(ctx: ModularContext, rng, tol: float):
     cases = []
     # every draw in the order the checks read them: (u, seed) x 10,
@@ -256,7 +244,14 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
         dep = float(np.max(np.abs(pi - pib))) / scale
         cases.append(_case(f"fusion-u-independence-k{k}", Residual(dep, dep), tol))
         want = math.comb(ctx.n, k)
-        rank = _sketched_rank(pi, want + 2, k)
+        # the rank of pi G, G a fixed Gaussian of want + 2 columns: the
+        # randomized range finder of Halko, Martinsson and Tropp (2011),
+        # which reads any rank up to its width
+        sketch = np.random.default_rng(k).standard_normal(
+            (pi.shape[1], want + 2))
+        # einsum: the BLAS pi @ sketch left the peak RSS 0.4 MB higher at 256^2
+        rank = np.linalg.matrix_rank(np.einsum("ij,jk->ik", pi, sketch),
+                                     rtol=1e-8)
         cases.append(_case(f"fusion-rank-k{k}",
                            Residual(float(rank != want), float(rank != want)),
                            tol))
@@ -547,9 +542,9 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         lop = tr.l_op(float(l), u, ctx)
         seeds = [_seed(rng) for _ in range(n * n)]
         cases.append(_case(f"l-operator-invariance-l{l}",
-                           ts.fit_matrix_action(l, lop, ctx, seeds)[1], tol))
+                           ts.fit_action(l, lop, ctx, seeds)[1], tol))
         m1 = tr.m_closed(float(l), u, 1, ctx)
-        _, res = ts.fit_action(l, m1, ctx, seed=_seed(rng))
+        _, res = ts.fit_action(l, m1, ctx, [_seed(rng)])
         cases.append(_case(f"m1-invariance-l{l}", res, tol))
         cases.append(_control_case(f"negative-control-l{l}",
                                    ts.negative_control(l, m1, ctx, _seed(rng)),

@@ -305,6 +305,14 @@ def theta_table(us, ctx: ModularContext, deriv_order: int = 0) -> np.ndarray:
     return _table(series, us.ravel() + 0.5)[0].reshape(us.shape)
 
 
+def theta_scale(ctx: ModularContext) -> float:
+    """2|p|^{1/8} = 2 exp(-pi Im tau / 4), p = e^(2 pi i tau): the modulus of
+    the leading terms of the theta series, so |theta(u)| / theta_scale ->
+    |sin pi u| as p -> 0.  The singularity floors on theta are taken on
+    this scale, so that they mean the same at every modulus."""
+    return 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
+
+
 def theta_char_table(rows, us, ctx: ModularContext) -> np.ndarray:
     """The table [theta_char_j(u_k)]_{j in rows, k} of R-matrix characters:
     characteristic j mod n at modulus n*tau."""

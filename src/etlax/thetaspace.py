@@ -9,8 +9,9 @@ difference operators at integer coupling, and that L(l|u) acts there as the
 l-fold coproduct T, slot m < l carrying R(u + m hbar), on symmetrized tensors.
 
 chi_table(P) reads every character at every point of a batch P[..., n] as
-one array X[..., j]; a basis member is a product of its columns, so a point
-set is read once for every member.  The characters come from the one theta
+one array X[..., j]; a basis member is a product of its columns, the row of
+its multiset in E = character_basis(l, n), so basis_table(E, P) is one
+gather of X and a point set is read once for every member.  The characters come from the one theta
 kernel (theta._table), by the decomposition of Z^n into the cosets of the
 weight lattice (Kac, Infinite-dimensional Lie Algebras, ch. 12-13): at a
 point of coordinate sum zero, a vector v of sum j + n t is w + t (1, ..., 1)
@@ -28,16 +29,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .context import ModularContext, read_only
 from .belavin import r_table
-from .opalg import DifferenceOperator, OperatorMatrix, apply_batch, exp_function
+from .opalg import DifferenceOperator, apply_batch, exp_function
 from .theta import (_EPS, Residual, _series, _table, residual_arrays,
-                    theta_table, worst_of, worst_of_arrays)
+                    theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_many, sample_points, subseeds
 
@@ -71,36 +71,22 @@ def chi(j: int, lam, ctx: ModularContext) -> complex:
     return complex(chi_table(np.asarray(lam)[None], ctx)[0, j % ctx.n])
 
 
-def _products(X: np.ndarray, elements) -> np.ndarray:
-    """[..., m] = prod_{j in elements[m]} X[..., j]."""
-    return np.stack([np.prod(X[..., list(js)], axis=-1) for js in elements],
-                    axis=-1)
+@functools.lru_cache(maxsize=32)
+def character_basis(l: int, n: int) -> np.ndarray:
+    """E[m, l]: the multisets 0 <= j_1 <= ... <= j_l <= n-1 of the basis
+    members chi_{j_1} ... chi_{j_l}, in combinations_with_replacement order
+    (read-only, as every call shares it)."""
+    return read_only(np.array(list(combinations_with_replacement(range(n), l)),
+                              dtype=int))[0]
 
 
-@dataclass(frozen=True)
-class CharacterBasis:
-    """Products chi_{j_1} ... chi_{j_l} over multisets 0 <= j_1 <= ... <= n-1."""
-
-    level: int
-    elements: tuple  # sorted index tuples
-
-    def __len__(self):
-        return len(self.elements)
-
-    def table(self, P, ctx: ModularContext) -> np.ndarray:
-        """[..., m] = member m at every point of P[..., n], one chi_table."""
-        return _products(chi_table(P, ctx), self.elements)
-
-    def function(self, member, ctx: ModularContext):
-        """The test function of one member (an index, or labels mod n)."""
-        js = list(self.elements[member] if isinstance(member, int) else (
-            j % ctx.n for j in member))
-        return lambda P: np.prod(chi_table(P, ctx)[..., js], -1)
-
-
-def character_basis(l: int, ctx: ModularContext) -> CharacterBasis:
-    elements = tuple(combinations_with_replacement(range(ctx.n), l))
-    return CharacterBasis(l, elements)
+def basis_table(E, P, ctx: ModularContext) -> np.ndarray:
+    """[..., m] = prod_k chi_{E[m, k]} at every point of P[..., n], one
+    chi_table; a single row E[m] gives that member alone, [...]."""
+    # the gather lays the point axes innermost in memory; the copy is in C
+    # order, so a fit's matrix products read contiguous rows (np.matmul's
+    # rounding depends on the layout)
+    return np.prod(chi_table(P, ctx)[..., E], axis=-1).copy()
 
 
 def basis_dimension(n: int, l: int) -> int:
@@ -114,17 +100,20 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
     chi_table at the samples, shifted by their roots and by tau times them."""
     n = ctx.n
     rng = np.random.default_rng(seed)
-    basis = character_basis(l, ctx)
+    E = character_basis(l, n)
     P = sample_many(seed, samples, ctx)
-    members, roots = [], np.zeros((samples, n), dtype=int)
+    members, roots = np.zeros(samples, dtype=int), np.zeros((samples, n), int)
     for s in range(samples):
-        members.append(basis.elements[int(rng.integers(0, len(basis)))])
+        members[s] = int(rng.integers(0, len(E)))
         i = int(rng.integers(0, n))
         roots[s, i], roots[s, (i + 1 + int(rng.integers(0, n - 1))) % n] = 1, -1
+    # row s holds the factors of its own member, contiguous, so each product
+    # is a 1-D reduce; basis_table's strided gather of every member is
+    # reduced by numpy's vectorised complex multiply, which rounds apart
+    own = np.arange(samples)[:, None], E[members]
     base, shifted_1, shifted_tau = (
-        np.array([np.prod(X[s, list(js)]) for s, js in enumerate(members)])
-        for X in (chi_table(Q, ctx) for Q in (
-            P, canonical(P + 1.0 * roots), canonical(P + ctx.tau * roots))))
+        np.prod(chi_table(Q, ctx)[own], axis=-1) for Q in (
+            P, canonical(P + 1.0 * roots), canonical(P + ctx.tau * roots)))
     pairing = np.sum(P * roots, axis=-1)                # <lambda, alpha>
     factor = np.exp(-2j * np.pi * l * (pairing + 2.0 * ctx.tau / 2.0))
     return worst_of_arrays(*residual_arrays(
@@ -135,86 +124,58 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
 def gram_rank(l: int, points, ctx: ModularContext) -> int:
     """Numerical rank of the basis evaluation matrix at the given points:
     its singular values above 1e-8 times the largest."""
-    basis = character_basis(l, ctx)
-    if len(points) < 2 * len(basis):
+    E = character_basis(l, ctx.n)
+    if len(points) < 2 * len(E):
         raise ValueError("need at least 2 * dim sample points")
-    svals = np.linalg.svd(basis.table(points, ctx), compute_uv=False)
-    return int(np.sum(svals > 1e-8 * svals[0]))
+    return int(np.linalg.matrix_rank(basis_table(E, points, ctx), rtol=1e-8))
 
 
-def _fit_seeds(l: int, seed: int, ctx: ModularContext):
-    """The sub-seeds of the 3 dim fit points and the dim + 4 held-out points
-    of a fit."""
-    dim = basis_dimension(ctx.n, l)
-    return subseeds(seed, 3 * dim), subseeds(seed + 77, dim + 4)
+def _fit(l: int, op, fns, seeds, ctx: ModularContext):
+    """Fit entry e of op applied to fns[m] in the level-l basis: a
+    least-squares expansion at the 3 dim points of sample_many(seeds[e] + m)
+    and its residual, in relative sup norm, at the dim + 4 held-out points
+    of sample_many(seeds[e] + m + 77).  The points of every (m, e) are
+    sampled in one call and read in one basis table, and op is applied once
+    per function, at the points of every entry.
 
-
-def _fit_values(table, values, hold_table, held) -> tuple:
-    """Least-squares expansion of the values at the fit points (basis
-    table rows) and its residual at the held-out points, in relative sup
-    norm."""
-    coeffs, *_ = np.linalg.lstsq(table, values, rcond=1e-10)
-    err = np.abs(hold_table @ coeffs - held)
-    scale = float(np.max(np.abs(held))) + _EPS
-    return coeffs, Residual(rel=float(np.max(err)) / scale, abs=float(np.max(err)))
-
-
-def _fit_entries(l: int, apply, seeds, ctx: ModularContext):
-    """Fit column e of apply(fn, P) at the points of seeds[e], for every
-    basis function fn: one apply per function, at the points of all columns.
-    The points of every (function, column) fit are sampled in one call and
-    read in one basis table.
-
-    Returns the coefficients [e, m, :] and the held-out Residuals [e][m].
+    Returns the coefficients [e, m, :] and the worst held-out Residual,
+    taken entry by entry.
     """
-    basis = character_basis(l, ctx)
-    dim = len(basis)
-    sets = [_fit_seeds(l, seed + m, ctx) for m in range(dim) for seed in seeds]
-    k = len(sets[0][0])
-    size = k + len(sets[0][1])
-    # [m, e] = the fit points, then the held-out points, of function m and
-    # column e
-    P = sample_points([s for fit, held in sets for s in fit + held],
-                      ctx).reshape(dim, len(seeds), size, ctx.n)
-    table = basis.table(P, ctx)
-    coeffs = np.empty((len(seeds), dim, dim), dtype=complex)
-    found = [[None] * dim for _ in seeds]
-    for m in range(dim):
-        values = apply(basis.function(m, ctx), P[m].reshape(-1, ctx.n)
-                       ).reshape(len(seeds), size, len(seeds))
-        for e in range(len(seeds)):
-            coeffs[e, m], found[e][m] = _fit_values(
-                table[m, e, :k], values[e, :k, e], table[m, e, k:],
-                values[e, k:, e])
-    return coeffs, found
+    E, entries = character_basis(l, ctx.n), len(seeds)
+    k, size = 3 * len(E), 4 * len(E) + 4        # fit points, all points
+    # [m, e] = the fit points, then the held-out points, of fns[m] and entry e
+    P = sample_points([s for m in range(len(fns)) for seed in seeds
+                       for s in subseeds(seed + m, k)
+                       + subseeds(seed + m + 77, size - k)],
+                      ctx).reshape(len(fns), entries, size, ctx.n)
+    table = basis_table(E, P, ctx)
+    coeffs = np.empty((entries, len(fns), len(E)), dtype=complex)
+    rel, ab = np.empty((2, entries, len(fns)))
+    for m, fn in enumerate(fns):
+        values = apply_batch(op, fn, P[m].reshape(-1, ctx.n), ctx).reshape(
+            entries, size, -1)
+        if values.shape[-1] != entries:
+            raise ValueError(f"{values.shape[-1]} operator entries, "
+                             f"{entries} seeds")
+        for e in range(entries):
+            coeffs[e, m] = fit = np.linalg.lstsq(
+                table[m, e, :k], values[e, :k, e], rcond=1e-10)[0]
+            held = values[e, k:, e]
+            ab[e, m] = np.max(np.abs(table[m, e, k:] @ fit - held))
+            rel[e, m] = ab[e, m] / (np.max(np.abs(held)) + _EPS)
+    return coeffs, worst_of_arrays(rel, ab)
 
 
-def fit_action(l: int, op: DifferenceOperator, ctx: ModularContext,
-               seed: int = 0):
-    """Expand op applied to every basis function back in the basis.
+def fit_action(l: int, op, ctx: ModularContext, seeds):
+    """Expand op applied to every basis function back in the basis: op a
+    DifferenceOperator (one entry) or an OperatorMatrix (size^2 entries,
+    row-major), entry e fitted at the points of seeds[e].
 
-    Returns (coefficient matrix, worst held-out Residual).
+    Returns (coefficients [e, m, :], worst held-out Residual).
     """
-    coeffs, found = _fit_entries(
-        l, lambda fn, P: apply_batch(op, fn, P, ctx)[:, None], [seed], ctx)
-    return coeffs[0], worst_of(found[0])
-
-
-def fit_matrix_action(l: int, matrix: OperatorMatrix, ctx: ModularContext,
-                      seeds):
-    """fit_action of every entry of matrix, entry (i, j) at the points of
-    seeds[i * size + j]; each basis function reads the matrix table once,
-    at the points of all entries.
-
-    Returns (coefficients [i, j, m, :], worst held-out Residual), the worst
-    taken entry by entry in row-major order.
-    """
-    coeffs, found = _fit_entries(
-        l, lambda fn, P: apply_batch(matrix, fn, P, ctx).reshape(len(P), -1),
-        seeds, ctx)
-    size, dim = matrix.size, coeffs.shape[-1]
-    return (coeffs.reshape(size, size, dim, dim),
-            worst_of(res for row in found for res in row))
+    E = character_basis(l, ctx.n)
+    return _fit(l, op, [functools.partial(basis_table, row, ctx=ctx)
+                        for row in E], seeds, ctx)
 
 
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
@@ -223,13 +184,7 @@ def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=ctx.n) + 0.1 * rng.normal(size=ctx.n)
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
-    fn = exp_function(vec)
-    fit, held = _fit_seeds(l, seed, ctx)
-    P = sample_points(fit + held, ctx)
-    table = character_basis(l, ctx).table(P, ctx)
-    pts, hold = P[:len(fit)], P[len(fit):]
-    return _fit_values(table[:len(fit)], apply_batch(op, fn, pts, ctx),
-                       table[len(fit):], apply_batch(op, fn, hold, ctx))[1]
+    return _fit(l, op, [exp_function(vec)], [seed], ctx)[1]
 
 
 def gamma_index(j: int, n: int) -> int:
@@ -253,9 +208,9 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eigs = [pref * sum(T[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = [abs(e - eigs[0]) / (abs(eigs[0]) + _EPS) for e in eigs]
     P = sample_many(seed, samples, ctx)
-    basis = character_basis(1, ctx)
-    applied = np.stack([apply_batch(m1, basis.function(j, ctx), P, ctx)
-                        for j in range(n)], axis=1)
+    applied = np.stack([apply_batch(m1, functools.partial(
+        basis_table, row, ctx=ctx), P, ctx) for row in character_basis(1, n)],
+        axis=1)
     return {"eigen": worst_of_arrays(*residual_arrays(
                 applied, eigs[0] * chi_table(P, ctx))),
             "shared": worst_of_arrays(spread, spread)}
@@ -284,10 +239,10 @@ def _images(monomials, u: complex, labels, P, ctx: ModularContext):
     """[J, i, i', s] = sum_J' T[i, J, i', J'] prod_m chi_{labels[j'_m]}(P[s])
     for the monomials J of one level: their coproduct images read through
     the character labels, from one T and one chi_table."""
-    n, l = ctx.n, len(monomials[0])
-    rows = np.ravel_multi_index(np.array(monomials).T, (n,) * l)
-    Y = _products(chi_table(P, ctx)[:, labels],
-                  list(product(range(n), repeat=l)))
+    n, l = ctx.n, monomials.shape[1]
+    rows = np.ravel_multi_index(monomials.T, (n,) * l)
+    Y = basis_table(np.asarray(labels)[list(product(range(n), repeat=l))], P,
+                    ctx)
     return np.einsum("iJaK,sK->Jias", _coproduct(l, u, ctx)[:, rows], Y)
 
 
@@ -306,21 +261,20 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     *shifts, th_h = theta_table([u + s * ctx.hbar for s in range(l)]
                                  + [ctx.hbar], ctx).tolist()
     norm = math.prod(value / th_h for value in shifts)
-    basis = character_basis(l, ctx)
+    E = character_basis(l, n)
     P = sample_many(seed, samples, ctx)
     gamma = [gamma_index(j, n) for j in range(n)]
-    applied = np.stack([apply_batch(lop, basis.function(
-        tuple(gamma[j] for j in js), ctx), P, ctx) for js in basis.elements])
+    applied = np.stack([apply_batch(lop, functools.partial(
+        basis_table, row, ctx=ctx), P, ctx) for row in np.array(gamma)[E]])
     return worst_of_arrays(*residual_arrays(
-        _images(basis.elements, u, gamma, P, ctx),
-        norm * applied.transpose(0, 2, 3, 1)))
+        _images(E, u, gamma, P, ctx), norm * applied.transpose(0, 2, 3, 1)))
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
                                 seed: int = 0) -> Residual:
     """Transposed monomial orderings give the same symmetrized image."""
-    orders = [js for js in combinations_with_replacement(range(ctx.n), l)
-              if len(set(js)) > 1]
-    images = _images(orders + [js[::-1] for js in orders], u, range(ctx.n),
-                     sample_many(seed, 4, ctx), ctx)
+    E = character_basis(l, ctx.n)
+    orders = E[E[:, 0] != E[:, -1]]             # not one index l times
+    images = _images(np.concatenate([orders, orders[:, ::-1]]), u,
+                     range(ctx.n), sample_many(seed, 4, ctx), ctx)
     return worst_of_arrays(*residual_arrays(*np.split(images, 2)))

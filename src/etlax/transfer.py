@@ -63,7 +63,7 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     signed_products)
 from .theta import (_EPS, Residual, _product_length, max_relative,
                     residual_arrays, richardson_even, theta_level_table,
-                    theta_table, worst_of_arrays)
+                    theta_scale, theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
 
@@ -322,7 +322,8 @@ def ltilde_table(g: complex, u: complex, P,
         theta(g + u + lam_ji)/theta(u) prod_{k != j} theta(g + lam_ki)/theta(lam_kj)
 
     with g = c hbar/n; the limit checks read it at g = c h/n for small h.
-    The thetas of a batch come from one theta_table call.
+    The thetas of a batch come from one theta_table call.  A point with
+    some |theta(lam_kj)| below tol_identity * theta_scale raises.
     """
     n = ctx.n
     P = np.asarray(P, dtype=complex)
@@ -331,7 +332,7 @@ def ltilde_table(g: complex, u: complex, P,
                                    u), ctx)
     shifted, plain, gap = values[:-1].reshape(3, *diff.shape)
     off = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(gap[:, off]) < ctx.tol_identity):
+    if np.any(np.abs(gap[:, off]) < ctx.tol_identity * theta_scale(ctx)):
         raise SingularParameterError("resonant weight point in Lax entry")
     gap = np.where(off, gap, 1.0)
     coeff = shifted.transpose(0, 2, 1) / values[-1]           # [s, i, j]

@@ -18,13 +18,12 @@ all seeds at once: SeedSequence, then PCG64 jumps (O'Neill 2014; Brown 1994).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .context import ModularContext, SamplingError
-from .theta import theta_table
+from .theta import theta_scale, theta_table
 
 
 def canonical(P) -> np.ndarray:
@@ -80,10 +79,11 @@ def theta_gap_guard(ctx: ModularContext):
     A batch guard: one theta_table call over the n(n-1) differences of
     every candidate row of P[s, n] gives the values [s].
 
-    Normalized by the leading series magnitude 2|p|^{1/8} so the guard is
-    comparable across moduli (it approaches |sin pi lambda_ij| as p -> 0).
+    Normalized by theta_scale, the leading series magnitude 2|p|^{1/8}, so
+    the guard is comparable across moduli (it approaches |sin pi lambda_ij|
+    as p -> 0).
     """
-    scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
+    scale = theta_scale(ctx)
     off = ~np.eye(ctx.n, dtype=bool)
 
     def guard(P) -> np.ndarray:
@@ -154,16 +154,16 @@ def subseeds(seed: int, count: int) -> list:
     return [(seed + 1) * 100003 + k for k in range(count)]
 
 
-def sample_points(seeds, ctx: ModularContext, guards=None) -> np.ndarray:
+def sample_points(seeds, ctx: ModularContext) -> np.ndarray:
     """Pseudo-random generic weight points P[len(seeds), n], row s drawn
-    from the stream of default_rng(seeds[s]), avoiding the given singular
-    loci.  Each round draws the next candidate of every pending row and
-    reads every guard, a batch callable g(P[s, n]) -> values[s], once over
-    them; a row is kept when all its values exceed 10 * tol_identity, so
-    row s is the point its own stream gives, whatever the batch holds."""
+    from the stream of default_rng(seeds[s]), away from the zeros of the
+    theta(lambda_ij).  Each round draws the next candidate of every pending
+    row and reads theta_gap_guard once over them; a row is kept when its
+    value exceeds 10 * tol_identity, so row s is the point its own stream
+    gives, whatever the batch holds."""
     for seed in (seed for seed in seeds if not 0 <= seed <= _M64):
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    guards = [theta_gap_guard(ctx)] if guards is None else guards
+    guard = theta_gap_guard(ctx)
     n, floor = ctx.n, 10.0 * ctx.tol_identity
     first, mixing, state, jump = _stream_constants(2 * n)
     # SeedSequence pools: two uint32 words a seed, a missing word hashes as 0
@@ -187,29 +187,25 @@ def sample_points(seeds, ctx: ModularContext, guards=None) -> np.ndarray:
             break
         draws, x_hi, x_lo = _draws(hi, lo, jump)
         lam = canonical(draws[:, :n] + 1j * draws[:, n:])   # re then im
-        values = np.array([g(lam) for g in guards])
-        good = (values > floor).all(axis=0)
+        good = guard(lam) > floor
         out[todo[good]] = lam[good]
         # a rejected row's q moves to the state before its last draw
         todo, hi, lo = todo[~good], hi[:, ~good], lo[:, ~good]
         hi[0], lo[0] = x_hi[~good, -2], x_lo[~good, -2]
     if todo.size:
-        # the first row left, at its last candidate
-        worst = int(np.argmin(values[:, np.argmin(good)]))
         raise SamplingError(f"could not sample a generic point in "
-                            f"{_MAX_TRIES} tries; guard {worst} kept failing")
+                            f"{_MAX_TRIES} tries at seed {seeds[todo[0]]}")
     return out
 
 
-def sample_generic(seed: int, ctx: ModularContext, guards=None) -> np.ndarray:
+def sample_generic(seed: int, ctx: ModularContext) -> np.ndarray:
     """A pseudo-random generic weight point, as a coordinate row: the
     sample_points row of one seed (a one-point view the benchmark traces).
     Deterministic in the seed."""
-    return sample_points([seed], ctx, guards)[0]
+    return sample_points([seed], ctx)[0]
 
 
-def sample_many(seed: int, count: int, ctx: ModularContext,
-                guards=None) -> np.ndarray:
+def sample_many(seed: int, count: int, ctx: ModularContext) -> np.ndarray:
     """A deterministic batch P[count, n] of generic points, one sample_points
     call over the sub-seeds of seed."""
-    return sample_points(subseeds(seed, count), ctx, guards)
+    return sample_points(subseeds(seed, count), ctx)

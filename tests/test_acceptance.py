@@ -328,8 +328,7 @@ def _rank(columns):
 
 
 def _character_products(l, pts, ctx):
-    basis = ts.character_basis(l, ctx)
-    return [basis.function(m, ctx)(pts) for m in range(len(basis))]
+    return list(ts.basis_table(ts.character_basis(l, ctx.n), pts, ctx).T)
 
 
 def test_criterion_11_dimension_formula_as_stated():
@@ -397,7 +396,7 @@ def test_criterion_11_invariance_and_module_structure():
         lop = tr.l_op(float(l), u, ctx)
         for i in range(n):
             for j in range(n):
-                fits.append(ts.fit_action(l, lop.entry(i, j), ctx, seed=3)[1])
+                fits.append(ts.fit_action(l, lop.entry(i, j), ctx, [3])[1])
         m1 = tr.m_closed(float(l), u, 1, ctx)
         controls.append(ts.negative_control(l, m1, ctx, seed=4).rel)
     rel_err = _worst([ts.verify_module_iso(1, u, default_context(n), samples=15)

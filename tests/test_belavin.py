@@ -1092,19 +1092,35 @@ def test_partial_shifts_are_the_plans_of_both_sides():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_sketched_fusion_rank_agrees_with_the_full_svd(n):
-    from etlax.suites import _sketched_rank
-    ctx = default_context(n)
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        for k in range(2, n + 1):
-            pi = bv.antisymmetrizer(k, ctx, rand_complex(rng))
-            svals = np.linalg.svd(pi, compute_uv=False)
-            full = int(np.sum(svals > 1e-8 * svals[0]))
-            want = math.comb(n, k)
-            assert _sketched_rank(pi, want + 2, k) == full == want
-            # control: a rank-one perturbation of 1e-3 max|pi| reads one more
-            a, b = (rng.standard_normal(n ** k) for _ in range(2))
-            bump = np.outer(a, b)
-            bump *= 1e-3 * np.max(np.abs(pi)) / np.max(np.abs(bump))
-            assert _sketched_rank(pi + bump, want + 2, k) == want + 1
+def test_sketched_fusion_rank_agrees_with_the_full_svd(n, monkeypatch):
+    # fusion-rank-k{k} counts the singular values of a Gaussian sketch of
+    # pi: it passes at every pi the suite builds, whose full SVD reads
+    # C(n, k) too, and a rank-one bump of 1e-3 max|pi| makes it read red
+    from etlax.suites import run_suite
+    ctx, build, built = default_context(n), bv.antisymmetrizer, []
+    bumps = {}
+    for k in range(2, n + 1):
+        bump = np.outer(*np.random.default_rng(k).standard_normal((2, n ** k)))
+        bumps[k] = 1e-3 * bump / np.max(np.abs(bump))
+
+    def rank_cases(scale):
+        def bumped(k, ctx, u=0.0):
+            pi = build(k, ctx, u)
+            built.append((k, pi))
+            return pi + scale * np.max(np.abs(pi)) * bumps[k]
+        monkeypatch.setattr(bv, "antisymmetrizer", bumped)
+        found = []
+        for seed in range(8):
+            try:
+                rep = run_suite("intertwiner", ctx, seed)
+            except SingularParameterError:
+                continue    # the cond guard fires before the fusion cases
+            found += [c.ok for c in rep.cases
+                      if c.name.startswith("fusion-rank-k")]
+        assert len(found) >= 6 * (n - 1)
+        return found
+
+    assert all(rank_cases(0.0))
+    for k, pi in built:
+        assert np.linalg.matrix_rank(pi, rtol=1e-8) == math.comb(n, k)
+    assert not any(rank_cases(1.0))

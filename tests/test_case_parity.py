@@ -104,3 +104,11 @@ def test_a_closed_reader_keeps_the_exit_status_quietly(tmp_path, status):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (status, b"")
+
+
+def test_the_sweep_runs_every_suite_at_n_2_3_4(parity):
+    from types import SimpleNamespace
+    cli = SimpleNamespace(SUITE_ORDER=["theta", "ybe"])
+    assert parity.suite_runs(SimpleNamespace(sweep=True), cli) == [
+        (s, n, seed) for seed in range(8) for n in (2, 3, 4)
+        for s in ("theta", "ybe")]

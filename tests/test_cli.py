@@ -211,6 +211,14 @@ def test_theta_passes_where_p_underflows(tau_im, capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tau_im", ["150", "200", "224"])
+def test_face_ybe_passes_at_large_im_tau(tau_im, capsys):
+    # theta scales like 2|p|^(1/8) = 2 exp(-pi Im tau / 4): the face-weight
+    # floor on that scale accepts the points the sampling guard accepts
+    assert cli.main(["face-ybe", "--tau_im", tau_im]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
 def _resolved(*argv):
     return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
 

@@ -1,6 +1,7 @@
 """Symmetric theta space: characters, rank, invariance, module structure."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -143,6 +144,21 @@ def test_basis_dimension_counts():
         assert ts.basis_dimension(n, l) == math.comb(n + l - 1, l)
 
 
+@pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2), (4, 2)])
+def test_character_basis_is_the_multisets_in_order(n, l):
+    E = ts.character_basis(l, n)
+    assert E.tolist() == [list(js) for js in
+                          itertools.combinations_with_replacement(range(n), l)]
+    assert E.shape == (ts.basis_dimension(n, l), l) and not E.flags.writeable
+    assert ts.character_basis(l, n) is E
+    # column m of the table is the product of the characters of row m
+    ctx = default_context(n)
+    P = wt.sample_many(2, 5, ctx)
+    X = ts.chi_table(P, ctx)
+    assert np.array_equal(ts.basis_table(E, P, ctx), np.stack(
+        [np.prod(X[:, row], axis=-1) for row in E], axis=-1))
+
+
 def test_gram_rank_matches_basis(ctx2, ctx3):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         dim = ts.basis_dimension(ctx.n, l)
@@ -159,11 +175,11 @@ def test_gram_rank_needs_enough_points(ctx2):
 def test_fit_action_invariance(ctx2, ctx3, rng):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         lop = tr.l_op(float(l), U0, ctx)
-        worst = th.worst_of(ts.fit_action(l, lop.entry(i, j), ctx, seed=9)[1]
+        worst = th.worst_of(ts.fit_action(l, lop.entry(i, j), ctx, [9])[1]
                             for i in range(ctx.n) for j in range(ctx.n))
         assert worst.rel < 1e-7
         m1 = tr.m_closed(float(l), U0, 1, ctx)
-        _, res = ts.fit_action(l, m1, ctx, seed=11)
+        _, res = ts.fit_action(l, m1, ctx, [11])
         assert res.rel < 1e-7
 
 
@@ -173,7 +189,7 @@ def test_negative_control_is_loud(ctx2, ctx3):
         m1 = tr.m_closed(float(l), U0, 1, ctx)
         res = ts.negative_control(l, m1, ctx, seed=13)
         assert res.rel > 1e-2
-        _, fit = ts.fit_action(l, m1, ctx, seed=13)
+        _, fit = ts.fit_action(l, m1, ctx, [13])
         assert res.rel / (fit.rel + 1e-300) > 1e5
 
 
@@ -191,17 +207,17 @@ def test_fit_action_recovers_r_matrix_coefficients(ctx3):
     r4 = build_r(U0, ctx3).entries
     pref = theta(ctx3.hbar, ctx3) / theta(U0, ctx3)
     lop = tr.l_op(1.0, U0, ctx3)
-    basis = ts.character_basis(1, ctx3)
+    basis = ts.character_basis(1, n)
     for i in range(n):
         for j in range(n):
-            coeffs, res = ts.fit_action(1, lop.entry(i, j), ctx3, seed=21)
-            assert res.rel < 1e-8
-            for row, js in enumerate(basis.elements):
+            coeffs, res = ts.fit_action(1, lop.entry(i, j), ctx3, [21])
+            assert coeffs.shape == (1, n, n) and res.rel < 1e-8
+            for row, js in enumerate(basis):
                 a = ts.gamma_index(js[0], n)
-                for col, js2 in enumerate(basis.elements):
+                for col, js2 in enumerate(basis):
                     b = ts.gamma_index(js2[0], n)
                     want = pref * r4[i, a, j, b]
-                    assert abs(coeffs[row][col] - want) < 1e-8
+                    assert abs(coeffs[0, row, col] - want) < 1e-8
 
 
 def test_module_isomorphism(ctx2, ctx3):
@@ -295,7 +311,7 @@ def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
     from etlax.opalg import apply_batch
     lop = tr.l_op(1.0, U0, ctx3)
     lams = wt.sample_many(17, 5, ctx3)
-    fn = ts.character_basis(1, ctx3).function(1, ctx3)
+    fn = lambda P: ts.basis_table(ts.character_basis(1, 3)[1], P, ctx3)
     got = apply_batch(lop, fn, lams, ctx3)
     assert got.shape == (5, 3, 3)
     for i in range(3):
@@ -304,18 +320,23 @@ def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
             assert np.array_equal(got[:, i, j], want)
 
 
-def test_fit_matrix_action_matches_entry_fits(ctx2):
+def test_fit_action_of_a_matrix_matches_entry_fits(ctx2):
+    # entry (i, j) of an OperatorMatrix is entry 2 i + j of its fit, at the
+    # points of its own seed
     lop = tr.l_op(2.0, U0, ctx2)
     seeds = [31, 32, 33, 34]
-    coeffs, res = ts.fit_matrix_action(2, lop, ctx2, seeds)
+    coeffs, res = ts.fit_action(2, lop, ctx2, seeds)
+    assert coeffs.shape == (4, 3, 3)
     found = []
     for i in range(2):
         for j in range(2):
             want, one = ts.fit_action(2, lop.entry(i, j), ctx2,
-                                      seed=seeds[2 * i + j])
-            assert np.array_equal(coeffs[i, j], want)
+                                      [seeds[2 * i + j]])
+            assert np.array_equal(coeffs[2 * i + j], want[0])
             found.append(one)
     assert res == max(found, key=lambda r: r.rel) and res.rel < 1e-7
+    with pytest.raises(ValueError, match="4 operator entries, 3 seeds"):
+        ts.fit_action(2, lop, ctx2, seeds[:3])
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 1)])
@@ -330,10 +351,11 @@ def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
     monkeypatch.setattr(ts, "sample_points", lambda *a: samplings.append(1)
                         or sample(*a))
 
-    def apply(fn, P):
+    def apply(op, fn, P, ctx):
         seen.append(P)
         return np.ones((len(P), len(seeds)), dtype=complex)
-    ts._fit_entries(l, apply, seeds, ctx)
+    monkeypatch.setattr(ts, "apply_batch", apply)
+    ts.fit_action(l, None, ctx, seeds)
     assert samplings == [1]        # one sampling for every fit
     assert len(seen) == dim
     for m, P in enumerate(seen):
@@ -428,10 +450,10 @@ def test_eigen_passes_at_im_tau_0_05(n):
         assert rep.passed, [(c.name, c.rel) for c in rep.cases if not c.ok]
 
 
-def _theta_space_case(n, name, tau=None):
+def _theta_space_case(n, name, tau=None, seed=0):
     from etlax.suites import run_suite
     ctx = default_context(n) if tau is None else default_context(n, tau=tau)
-    rep = run_suite("theta-space", ctx, 0)
+    rep = run_suite("theta-space", ctx, seed)
     return next(c for c in rep.cases if c.name == name)
 
 
@@ -479,3 +501,63 @@ def test_theta_space_passes_at_rank_4_across_seeds():
               for c in run_suite("theta-space", default_context(4), seed).cases
               if not c.ok]
     assert failed == []
+
+
+# ------------------------------------------------ every case can read red
+
+@pytest.mark.parametrize("n,l,rank", [(2, 1, 1), (2, 2, 1), (3, 1, 2)])
+def test_a_repeated_character_fails_the_rank_case(n, l, rank, monkeypatch):
+    # chi_1 read as chi_0: the products span fewer dimensions than the
+    # multisets count
+    name = f"dimension-rank-l{l}"
+    assert _theta_space_case(n, name).ok
+    table = ts.chi_table
+
+    def repeated(P, ctx):
+        X = table(P, ctx)
+        X[..., 1] = X[..., 0]
+        return X
+    monkeypatch.setattr(ts, "chi_table", repeated)
+    assert not _theta_space_case(n, name).ok
+    E = ts.character_basis(l, n)
+    pts = wt.sample_many(6, 2 * len(E) + 4, default_context(n))
+    assert ts.gram_rank(l, pts, default_context(n)) == rank < len(E)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_m1_off_integer_coupling_fails_the_invariance_case(n, monkeypatch):
+    # M_1 at coupling l + 0.07 does not leave the level-l space invariant
+    m_closed = tr.m_closed
+    monkeypatch.setattr(tr, "m_closed", lambda c, u, d, ctx: m_closed(
+        c + 0.07, u, d, ctx))
+    for seed in range(4):
+        for l in (1, 2) if n == 2 else (1,):
+            case = _theta_space_case(n, f"m1-invariance-l{l}", seed=seed)
+            assert not case.ok and case.rel > 1e-2, (seed, case)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_control_function_in_the_space_fails_the_control_case(
+        n, monkeypatch):
+    # chi_0 in place of the exponential lies in the level-1 space, so its
+    # fit residual is at roundoff, below the control's floor
+    assert _theta_space_case(n, "negative-control-l1").ok
+    ctx = default_context(n)
+    monkeypatch.setattr(ts, "exp_function", lambda vec: functools.partial(
+        ts.basis_table, ts.character_basis(1, n)[0], ctx=ctx))
+    case = _theta_space_case(n, "negative-control-l1")
+    assert not case.ok and case.rel < 1e-12
+
+
+def test_a_slot_off_by_hbar_fails_the_module_cases(monkeypatch):
+    # the last coproduct slot at u + l hbar: the level-1 relation, the
+    # level-2 isomorphism and the symmetrized ordering all read red
+    names = ("level1-module-relation", "module-isomorphism-l2",
+             "symmetrized-ordering")
+    assert all(_theta_space_case(2, name).ok for name in names)
+    table = ts.r_table
+    monkeypatch.setattr(ts, "r_table", lambda us, ctx: table(
+        list(us[:-1]) + [us[-1] + ctx.hbar], ctx))
+    for name in names:
+        case = _theta_space_case(2, name)
+        assert not case.ok and case.rel > 1e-2, case

@@ -164,41 +164,44 @@ def test_sampling_respects_default_guard(ctx3):
         assert gap > 10 * ctx3.tol_identity * 1e-2   # guard is scale-normalized
 
 
-def test_sampling_exhaustion_reports_guard(ctx3):
-    ones = lambda P: np.ones(len(P))
-    impossible = lambda P: np.zeros(len(P))
+def test_sampling_exhaustion_reports_guard(ctx3, monkeypatch):
+    # a guard that no candidate passes: the first row left names its seed,
+    # in a batch as in that seed's own sampling
+    monkeypatch.setattr(wt, "theta_gap_guard",
+                        lambda ctx: lambda P: np.zeros(len(P)))
     with pytest.raises(SamplingError) as err:
-        wt.sample_generic(1, ctx3, guards=[ones, impossible])
+        wt.sample_generic(1, ctx3)
     assert str(err.value) == ("could not sample a generic point in 1000 "
-                              "tries; guard 1 kept failing")
-    # in a batch, the first row left names its worst guard at its last
-    # try, as that seed's own sampling does
-    sign = lambda P: np.where(P[:, 0].real > 0.0, 1.0, 0.0)
+                              "tries at seed 1")
     for seeds in ([3, 4, 5], [6, 3]):
         with pytest.raises(SamplingError) as alone:
-            wt.sample_generic(seeds[0], ctx3, guards=[sign, impossible])
+            wt.sample_generic(seeds[0], ctx3)
         with pytest.raises(SamplingError) as err:
-            wt.sample_points(seeds, ctx3, guards=[sign, impossible])
+            wt.sample_points(seeds, ctx3)
         assert str(err.value) == str(alone.value)
+        assert str(err.value).endswith(f"at seed {seeds[0]}")
 
 
-def test_sampling_with_intertwiner_guard(ctx3):
+def test_sampling_with_intertwiner_guard(ctx3, monkeypatch):
     from etlax.belavin import intertwiner_arrays, intertwiners
     u = 0.19 + 0.07j
+    gap = wt.theta_gap_guard(ctx3)
 
     def det_guard(P):
         phi, _ = intertwiner_arrays([u] * len(P), P, ctx3)
         return np.abs(np.linalg.det(phi))
 
-    guards = [wt.theta_gap_guard(ctx3), det_guard]
-    lam = wt.sample_generic(2, ctx3, guards=guards)
+    # a row passes when the theta gap and the intertwiner det both do
+    monkeypatch.setattr(wt, "theta_gap_guard", lambda ctx: lambda P: np.minimum(
+        gap(P), det_guard(P)))
+    lam = wt.sample_generic(2, ctx3)
     pair = intertwiners(u, lam, ctx3)
     assert pair.cond < 1e8
     assert np.max(np.abs(pair.phibar @ pair.phi - np.eye(3))) < 1e-10
     # the batch of several sub-seeds draws the same rows
-    many = wt.sample_points([2, 7, 9], ctx3, guards=guards)
+    many = wt.sample_points([2, 7, 9], ctx3)
     assert np.array_equal(many[0], lam)
-    assert np.array_equal(many[2], wt.sample_generic(9, ctx3, guards=guards))
+    assert np.array_equal(many[2], wt.sample_generic(9, ctx3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -215,8 +218,9 @@ def test_theta_gap_guard_table_keeps_every_sample(n, monkeypatch):
 
     fresh = ctx.replace()
     got = wt.sample_many(3, 50, fresh)
-    assert np.array_equal(got, wt.sample_many(3, 50, ctx,
-                                              guards=[scalar_guard]))
+    with monkeypatch.context() as patch:
+        patch.setattr(wt, "theta_gap_guard", lambda ctx: scalar_guard)
+        assert np.array_equal(got, wt.sample_many(3, 50, ctx))
     assert np.array_equal(wt.theta_gap_guard(fresh)(got), scalar_guard(got))
     # the guard reads one theta table per batch, no value on its own
     reads = table_reads(monkeypatch)
@@ -278,8 +282,9 @@ def test_batch_streams_are_the_numpy_streams(n, monkeypatch):
     canonical = wt.canonical
     monkeypatch.setattr(wt, "canonical",
                         lambda P: drawn.append(P) or canonical(P))
-    late = lambda P: np.full(len(P), float(len(drawn) >= rounds))
-    got = wt.sample_points(STREAM_SEEDS, ctx, guards=[late])
+    monkeypatch.setattr(wt, "theta_gap_guard", lambda ctx: lambda P: np.full(
+        len(P), float(len(drawn) >= rounds)))
+    got = wt.sample_points(STREAM_SEEDS, ctx)
     assert len(drawn) == rounds
     for s, seed in enumerate(STREAM_SEEDS):
         rng = np.random.default_rng(seed)

@@ -11,8 +11,9 @@ rounding.  This tool records both, case by case, and compares two records:
 
 `run --workload W --seed S --seconds T` evaluates the suite runs of the
 benchmark workload W (bench/run.py's operation lists) at the program seeds
-S + i * 1000003 of its T-second run; `run --sweep` evaluates `verify all`
-(every suite at n = 2, 3) at the seeds 0-7.  --src names the `src`
+S + i * 1000003 of its T-second run; `run --sweep` evaluates every suite
+at n = 2, 3 (what `verify all` runs) and at n = 4, the scaling probe, at
+the seeds 0-7.  --src names the `src`
 directory whose etlax is evaluated (default: this checkout's).  Each suite
 run is evaluated on its own, as `verify <suite> --n N --seed S` would, so
 a run that raises is recorded with its error and does not hide the others
@@ -49,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(8)
+SWEEP_RANKS = (2, 3, 4)
 TOP_GROWTHS = 10        # largest rel growths --compare lists
 FLOOR = 1e-14           # rounding floor of the rel ratios --compare prints
 
@@ -75,7 +77,7 @@ def _import_etlax(src):
 def suite_runs(args, cli):
     """The (suite, n, seed) runs to evaluate, in order."""
     if args.sweep:
-        return [(s, n, seed) for seed in SWEEP_SEEDS for n in (2, 3)
+        return [(s, n, seed) for seed in SWEEP_SEEDS for n in SWEEP_RANKS
                 for s in cli.SUITE_ORDER]
     bench = _bench()
     seeds = [args.seed + i * bench.SEED_STRIDE
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--sweep", action="store_true",
-                        help="verify all at the seeds 0-7")
+                        help="every suite at n = 2, 3, 4 and the seeds 0-7")
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--out")
     args = parser.parse_args(argv)
