@@ -178,18 +178,25 @@ def verify_r_symmetry(us, ctx: ModularContext) -> dict:
 
 def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
     """The u+1 and u+tau transformation laws of the R-matrix, worst over
-    the batch us (one r_table at us, us + 1 and us + tau)."""
+    the batch us (one r_table at us, us + 1 and us + tau).
+
+    The entries at u + tau carry about exp(pi Im tau) per theta factor, and
+    products of two such factors leave the double range from Im tau of
+    about 225 on: an overflow there raises FloatingPointError, an
+    evaluation out of floating-point range, not a warning and a NaN case."""
     n = ctx.n
     us = np.atleast_1d(np.asarray(us, dtype=complex))
-    rm, r_u1, r_ut = _r_matrices(r_table(
-        np.concatenate([us, us + 1.0, us + ctx.tau]), ctx)).reshape(
-            3, len(us), n * n, n * n)
-    g1 = np.kron(g_matrix(ctx), np.eye(n))
-    h1 = np.kron(h_matrix(ctx), np.eye(n))
-    law1 = -np.linalg.inv(g1) @ rm @ g1
-    fac = (-np.exp(2j * np.pi * (us + ctx.hbar / n + ctx.tau / 2.0))) ** (-1)
-    lawt = fac[:, None, None] * (h1 @ rm @ np.linalg.inv(h1))
-    return {"period-1": _rel(r_u1, law1), "period-tau": _rel(r_ut, lawt)}
+    with np.errstate(over="raise", invalid="raise"):
+        rm, r_u1, r_ut = _r_matrices(r_table(
+            np.concatenate([us, us + 1.0, us + ctx.tau]), ctx)).reshape(
+                3, len(us), n * n, n * n)
+        g1 = np.kron(g_matrix(ctx), np.eye(n))
+        h1 = np.kron(h_matrix(ctx), np.eye(n))
+        law1 = -np.linalg.inv(g1) @ rm @ g1
+        fac = (-np.exp(2j * np.pi * (us + ctx.hbar / n + ctx.tau / 2.0))) \
+            ** (-1)
+        lawt = fac[:, None, None] * (h1 @ rm @ np.linalg.inv(h1))
+        return {"period-1": _rel(r_u1, law1), "period-tau": _rel(r_ut, lawt)}
 
 
 def verify_r_zero_is_permutation(ctx: ModularContext) -> Residual:
@@ -417,14 +424,7 @@ _COND_LIMIT = 1e8
 
 def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
-    one theta table and one stacked solve for all of them.
-
-    The guard on the 2-norm condition number is screened first: it is at
-    most |phi|_F |phibar|_F, so a pair whose product stays below half the
-    limit (room for the rounding of phibar) passes without an SVD.  The
-    rest, or every pair where the solve finds phi singular, get the
-    stacked np.linalg.cond, and the first above the limit raises.
-    """
+    one theta table, and guarded_inverse of the stack."""
     us = list(us)
     n, count = ctx.n, len(us)
     ieta = 1j * dedekind_eta(ctx.tau, ctx)
@@ -432,13 +432,53 @@ def intertwiner_arrays(us, mus, ctx: ModularContext):
     phi = np.ascontiguousarray(
         (theta_level_table(range(n), args, ctx) / ieta)
         .reshape(n, count, n).transpose(1, 0, 2))
+    return phi, guarded_inverse(phi, us.__getitem__)
+
+
+def shift_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
+    """phi(v - r hbar) at lam + hbar sum_j counts[m][j] epsbar_j, r the sum
+    of counts[m], as [d, b, m, s, n, n] for v = vs[d][b] and lam = P[d, s].
+
+    Column k there is theta_level(v/n - lam_k - hbar counts[m][k]) / (i eta),
+    exactly: <lam + hbar sum_j kappa_j epsbar_j, epsbar_k> is
+    lam_k + hbar (kappa_k - r/n), and the r/n cancels against the shift of
+    v.  So one theta_level_table over the distinct (v, k, counts_k) of every
+    point fills every matrix by a gather, with no shifted point
+    re-canonicalized; v/n is divided as Python does, so a zero count reads
+    what intertwiner_arrays reads at (v, lam)."""
+    n = ctx.n
+    P, counts = np.asarray(P, dtype=complex), np.asarray(counts)
+    heights = np.arange(counts.max() + 1)
+    bases = np.array([[complex(v) / n for v in row] for row in vs])
+    # [d, b, h, s, k] = v/n - lam_k - hbar h
+    args = ((bases[:, :, None, None, None] - P[:, None, None])
+            - ctx.hbar * heights[:, None, None])
+    values = (theta_level_table(range(n), args.ravel(), ctx)
+              / (1j * dedekind_eta(ctx.tau, ctx))).reshape(n, *args.shape)
+    # [d, b, m, k, s, j] = column k of matrix m, then as [d, b, m, s, j, k]
+    cols = values.transpose(1, 2, 3, 5, 4, 0)[:, :, counts, np.arange(n)]
+    return np.ascontiguousarray(cols.transpose(0, 1, 2, 4, 5, 3))
+
+
+def guarded_inverse(phi: np.ndarray, spectral) -> np.ndarray:
+    """phibar, the inverse of every matrix of the stack phi (P, n, n), from
+    one stacked solve, under the guard on the 2-norm condition number.
+
+    The guard is screened first: the condition number is at most
+    |phi|_F |phibar|_F, so a matrix whose product stays below half the
+    limit (room for the rounding of phibar) passes without an SVD.  The
+    rest, or every matrix where the solve finds phi singular, get the
+    stacked np.linalg.cond, and the first above the limit, in stack order,
+    raises, naming its spectral parameter spectral(p).
+    """
+    n = phi.shape[-1]
     try:
         phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
         bound = (np.linalg.norm(phi, axis=(1, 2))
                  * np.linalg.norm(phibar, axis=(1, 2)))
         suspect = np.flatnonzero(~(bound <= 0.5 * _COND_LIMIT))
     except np.linalg.LinAlgError:
-        phibar, suspect = None, np.arange(count)
+        phibar, suspect = None, np.arange(len(phi))
     if suspect.size:
         cond = np.linalg.cond(phi[suspect])
         within = cond <= _COND_LIMIT         # False for nan and inf as well
@@ -446,10 +486,10 @@ def intertwiner_arrays(us, mus, ctx: ModularContext):
             p = int(np.argmin(within))
             raise SingularParameterError(
                 f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
-                f"at u={us[suspect[p]]}")
+                f"at u={spectral(int(suspect[p]))}")
     if phibar is None:
         phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
-    return phi, phibar
+    return phibar
 
 
 def _phi_args(us, mus, n: int) -> np.ndarray:

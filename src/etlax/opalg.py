@@ -154,14 +154,19 @@ def op_scale(op, z):
 def apply_batch(op, f, P, ctx: ModularContext) -> np.ndarray:
     """(op f)(P[s]) = sum_K coeff_K(P[s]) f(P[s] + hbar K . epsbar) over a
     batch of points, for a DifferenceOperator ([s]) or an OperatorMatrix
-    ([s, i, j], every entry): reads the table of op once and calls f once,
-    on every point shifted by every key."""
+    ([s, i, j], every entry), and f one test function or several on a
+    trailing axis of its values ([s, m] or [s, i, j, m]): reads the table
+    of op once and calls f once, on every point shifted by every key.  The
+    terms are added key by key, so a function's values do not depend on
+    the others."""
     P = np.asarray(P, dtype=complex)
     coeffs = op.table(P)                                        # [s, key, ...]
-    values = f(shifted(P, op.terms, ctx.hbar))                  # [s, key]
-    values = values.reshape(values.shape + (1,) * (coeffs.ndim - 2))
+    values = f(shifted(P, op.terms, ctx.hbar))                  # [s, key, (m)]
+    entries, fns = coeffs.shape[2:], values.shape[2:]
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * len(fns))
+    values = values.reshape(values.shape[:2] + (1,) * len(entries) + fns)
     return sum((coeffs[:, k] * values[:, k] for k in range(len(op.terms))),
-               np.zeros(coeffs.shape[:1] + coeffs.shape[2:], dtype=complex))
+               np.zeros((len(P),) + entries + fns, dtype=complex))
 
 
 def apply_op(op: DifferenceOperator, f, lam,
@@ -197,18 +202,23 @@ def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
     """Max coefficient difference over terms and samples, relative to scale.
 
     a and b are both DifferenceOperators or both DifferentialOperators, and
-    each table is read once.  Its values are C[s, key], or column 0 of
-    J[s, term, m]; the two are aligned by index on the union of the terms,
-    a term missing from one operator counting as zero there.
+    each table is read once, on every point of samples[..., s, n].  Its
+    values are C[s, key], or column 0 of J[s, term, m]; the two are aligned
+    by index on the union of the terms, a term missing from one operator
+    counting as zero there.  With leading axes, each index of them (a draw)
+    gets its own residual over its samples and terms, and the worst of
+    those is returned.
     """
     samples = np.asarray(samples, dtype=complex)
+    lead, points = samples.shape[:-2], samples.reshape(-1, samples.shape[-1])
     terms = tuple(dict.fromkeys(a.terms + b.terms))
-    ca, cb = (np.zeros((len(samples), len(terms)), dtype=complex)
+    ca, cb = (np.zeros((len(points), len(terms)), dtype=complex)
               for _ in range(2))
     for out, op in ((ca, a), (cb, b)):
         out[:, [terms.index(key) for key in op.terms]] = op.table(
-            samples).reshape(len(samples), len(op.terms), -1)[:, :, 0]
-    return worst_of_arrays(*max_relative(ca, cb))
+            points).reshape(len(points), len(op.terms), -1)[:, :, 0]
+    return worst_of_arrays(*max_relative(ca.reshape(lead + (-1,)),
+                                         cb.reshape(lead + (-1,)), axis=-1))
 
 
 def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,

@@ -290,9 +290,10 @@ def suite_trace_closed(ctx: ModularContext, rng, tol: float):
     cases = []
     samples = sample_many(_seed(rng), 12, ctx)
     for d in range(1, ctx.n + 1):
-        cases.append(_case(f"trace-equals-closed-d{d}", th.worst_of(
-            tr.verify_trace_closed(_rc(rng), _rc(rng), d, ctx, samples)
-            for _ in range(10)), tol))
+        # ten draws (c, u), each c then u, checked as one batch
+        c, u = _rcs(rng, (10, 2)).T
+        cases.append(_case(f"trace-equals-closed-d{d}",
+                           tr.verify_trace_closed(c, u, d, ctx, samples), tol))
     c, u, v = _rc(rng), _rc(rng), _rc(rng)
     for d in (1, ctx.n):
         cases.append(_case(f"spectral-factorization-d{d}",

@@ -130,39 +130,38 @@ def gram_rank(l: int, points, ctx: ModularContext) -> int:
     return int(np.linalg.matrix_rank(basis_table(E, points, ctx), rtol=1e-8))
 
 
-def _fit(l: int, op, fns, seeds, ctx: ModularContext):
-    """Fit entry e of op applied to fns[m] in the level-l basis: a
-    least-squares expansion at the 3 dim points of sample_many(seeds[e] + m)
-    and its residual, in relative sup norm, at the dim + 4 held-out points
-    of sample_many(seeds[e] + m + 77).  The points of every (m, e) are
-    sampled in one call and read in one basis table, and op is applied once
-    per function, at the points of every entry.
+def _fit(l: int, op, fn, seeds, ctx: ModularContext):
+    """Fit entry e of op applied to the functions fn (points P[..., n] to
+    their values [..., m]) in the level-l basis: every function of entry e
+    is expanded by least squares at the 3 dim points of
+    sample_many(seeds[e]), and its residual taken, in relative sup norm, at
+    the dim + 4 held-out points of sample_many(seeds[e] + 77).  The points
+    of every entry are sampled in one call and read in one basis table, op
+    is applied once, to every function at the points of every entry, and
+    the functions of an entry are fitted by one multi-RHS lstsq.
 
     Returns the coefficients [e, m, :] and the worst held-out Residual,
-    taken entry by entry.
+    taken entry by entry, function by function.
     """
     E, entries = character_basis(l, ctx.n), len(seeds)
     k, size = 3 * len(E), 4 * len(E) + 4        # fit points, all points
-    # [m, e] = the fit points, then the held-out points, of fns[m] and entry e
-    P = sample_points([s for m in range(len(fns)) for seed in seeds
-                       for s in subseeds(seed + m, k)
-                       + subseeds(seed + m + 77, size - k)],
-                      ctx).reshape(len(fns), entries, size, ctx.n)
-    table = basis_table(E, P, ctx)
-    coeffs = np.empty((entries, len(fns), len(E)), dtype=complex)
-    rel, ab = np.empty((2, entries, len(fns)))
-    for m, fn in enumerate(fns):
-        values = apply_batch(op, fn, P[m].reshape(-1, ctx.n), ctx).reshape(
-            entries, size, -1)
-        if values.shape[-1] != entries:
-            raise ValueError(f"{values.shape[-1]} operator entries, "
-                             f"{entries} seeds")
-        for e in range(entries):
-            coeffs[e, m] = fit = np.linalg.lstsq(
-                table[m, e, :k], values[e, :k, e], rcond=1e-10)[0]
-            held = values[e, k:, e]
-            ab[e, m] = np.max(np.abs(table[m, e, k:] @ fit - held))
-            rel[e, m] = ab[e, m] / (np.max(np.abs(held)) + _EPS)
+    P = sample_points([s for seed in seeds for s in subseeds(seed, k)
+                       + subseeds(seed + 77, size - k)], ctx)
+    table = basis_table(E, P.reshape(entries, size, ctx.n), ctx)
+    values = apply_batch(op, fn, P, ctx)                # [e size, ..., m]
+    values = values.reshape(entries, size, -1, values.shape[-1])
+    if values.shape[2] != entries:
+        raise ValueError(f"{values.shape[2]} operator entries, "
+                         f"{entries} seeds")
+    coeffs = np.empty((entries, values.shape[-1], len(E)), dtype=complex)
+    rel, ab = np.empty((2, entries, values.shape[-1]))
+    for e in range(entries):
+        fit = np.linalg.lstsq(table[e, :k], values[e, :k, e],
+                              rcond=1e-10)[0]           # [member, m]
+        coeffs[e] = fit.T
+        held = values[e, k:, e]
+        ab[e] = np.max(np.abs(table[e, k:] @ fit - held), axis=0)
+        rel[e] = ab[e] / (np.max(np.abs(held), axis=0) + _EPS)
     return coeffs, worst_of_arrays(rel, ab)
 
 
@@ -173,9 +172,8 @@ def fit_action(l: int, op, ctx: ModularContext, seeds):
 
     Returns (coefficients [e, m, :], worst held-out Residual).
     """
-    E = character_basis(l, ctx.n)
-    return _fit(l, op, [functools.partial(basis_table, row, ctx=ctx)
-                        for row in E], seeds, ctx)
+    return _fit(l, op, functools.partial(
+        basis_table, character_basis(l, ctx.n), ctx=ctx), seeds, ctx)
 
 
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
@@ -184,7 +182,8 @@ def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=ctx.n) + 0.1 * rng.normal(size=ctx.n)
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
-    return _fit(l, op, [exp_function(vec)], [seed], ctx)[1]
+    control = exp_function(vec)
+    return _fit(l, op, lambda P: control(P)[..., None], [seed], ctx)[1]
 
 
 def gamma_index(j: int, n: int) -> int:
@@ -208,9 +207,8 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eigs = [pref * sum(T[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = [abs(e - eigs[0]) / (abs(eigs[0]) + _EPS) for e in eigs]
     P = sample_many(seed, samples, ctx)
-    applied = np.stack([apply_batch(m1, functools.partial(
-        basis_table, row, ctx=ctx), P, ctx) for row in character_basis(1, n)],
-        axis=1)
+    applied = apply_batch(m1, functools.partial(
+        basis_table, character_basis(1, n), ctx=ctx), P, ctx)    # [s, m]
     return {"eigen": worst_of_arrays(*residual_arrays(
                 applied, eigs[0] * chi_table(P, ctx))),
             "shared": worst_of_arrays(spread, spread)}
@@ -264,10 +262,10 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     E = character_basis(l, n)
     P = sample_many(seed, samples, ctx)
     gamma = [gamma_index(j, n) for j in range(n)]
-    applied = np.stack([apply_batch(lop, functools.partial(
-        basis_table, row, ctx=ctx), P, ctx) for row in np.array(gamma)[E]])
+    applied = apply_batch(lop, functools.partial(
+        basis_table, np.array(gamma)[E], ctx=ctx), P, ctx)   # [s, i, j, m]
     return worst_of_arrays(*residual_arrays(
-        _images(E, u, gamma, P, ctx), norm * applied.transpose(0, 2, 3, 1)))
+        _images(E, u, gamma, P, ctx), norm * applied.transpose(3, 1, 2, 0)))
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,

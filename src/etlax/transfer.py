@@ -30,7 +30,11 @@ L-operator at k = 1 (l_op).  The coefficient of the ordered shift
 
 A_r = l_coeff_tensor(c, u - (r-1) hbar).  fused_l tabulates every A_r at
 the distinct partial-shift points (belavin.partial_shifts) of every sample
-in one batch (one build of their intertwiners), gathers them per ordered
+in one batch.  Their intertwiners are read at integer step counts kappa,
+never at a re-canonicalized shifted point: column k of phi(u - r hbar) at
+lam + hbar sum_j kappa_j epsbar_j is theta_level(u/n - lam_k - hbar
+kappa_k), so one theta table over the 2 n k distinct columns of a sample
+fills every matrix.  fused_l gathers the A_r per ordered
 shift tuple, contracts them with the generalized-Kronecker signs
 (opalg.signed_products) and adds the tuples onto their canonical keys with
 the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
@@ -40,6 +44,11 @@ same arrays, and normal_det reads any of these matrices' tables once per
 batch for the generating determinant.  The Lax coefficients are one
 function of g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at
 g = c h/n; every hbar-derivative there is one richardson_even.
+
+l_coeff_tensor, fused_l, m_trace, m_dot, m_closed and verify_trace_closed
+take c and u as one value or as one per draw; the rows of a batch then
+split evenly among the draws, so ten draws of the trace/closed-form check
+are one table of each side over the samples tiled ten times.
 """
 
 from __future__ import annotations
@@ -53,7 +62,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .context import ModularContext, SingularParameterError, read_only
-from .belavin import fused_rcheck_matrix, intertwiner_arrays, partial_shifts
+from .belavin import (fused_rcheck_matrix, guarded_inverse, intertwiner_arrays,
+                      partial_shifts, shift_intertwiners)
 from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
                     exp_function, exp_test_function, identity_op,
@@ -69,17 +79,55 @@ from .weights import canonical_key, shifted, subset_key, unit_key
 
 # ----------------------------------------------------------- basic L-operator
 
-def l_coeff_tensor(c: complex, us, P, ctx: ModularContext) -> np.ndarray:
-    """A[p,k,i,j] with L(c|us[p])^i_j = sum_k A[p,k,i,j] T_k at P[p].
+def _draws(*values) -> list:
+    """Each of the values, one value or one per draw, as a list of Python
+    numbers with one entry per draw."""
+    lists = [np.asarray(x).tolist() if np.ndim(x) else [x] for x in values]
+    count = max(map(len, lists))
+    return [x * count if len(x) == 1 else x for x in lists]
 
-    The intertwiners at (us[p], P[p]) and (us[p] + c hbar, P[p]) are
-    built in one batch.
+
+def _per_row(values: list, rows: int, ndim: int = 1):
+    """The per-draw values over the rows of a batch that split evenly among
+    the draws, shaped to broadcast against an array of ndim axes whose
+    first runs over the rows; the one value itself at one draw."""
+    if len(values) == 1:
+        return values[0]
+    return np.repeat(np.asarray(values, dtype=complex),
+                     rows // len(values)).reshape((rows,) + (1,) * (ndim - 1))
+
+
+def l_coeff_tensor(c, u, P, ctx: ModularContext, counts=None) -> np.ndarray:
+    """A[(m, s), k, i, j] with L(c | u - r hbar)^i_j = sum_k A[.., k, i, j] T_k
+    at P[s] + hbar sum_j counts[m][j] epsbar_j, r the sum of counts[m] (a
+    level of a fused L-operator); by default counts is the one zero count,
+    so A[s, k, i, j] is L(c|u) at P[s].
+
+    c and u are one value, or one per draw: the rows of P then split evenly
+    among the draws, in order.  The intertwiners phibar(u - r hbar) and
+    phi(u - r hbar + c hbar) at every shifted point come from one
+    belavin.shift_intertwiners, every column at its exact shift, and one
+    guarded_inverse over the matrices in the order (draw, phibar then phi
+    side, m, row): a raise names the u - r hbar, or u - r hbar + c hbar,
+    of the first raising matrix of the first raising draw.
     """
-    us, P = list(us), np.asarray(P, dtype=complex)
-    count = len(us)
-    phi, phibar = intertwiner_arrays(
-        us + [u + c * ctx.hbar for u in us], np.concatenate([P, P]), ctx)
-    return np.einsum("pki,pjk->pkij", phibar[:count], phi[count:])
+    n, hb = ctx.n, ctx.hbar
+    us, cs = _draws(u, c)
+    counts = np.zeros((1, n), dtype=int) if counts is None \
+        else np.asarray(counts)
+    P = np.asarray(P, dtype=complex).reshape(len(us), -1, n)
+    phi = shift_intertwiners([(x, x + y * hb) for x, y in zip(us, cs)], P,
+                             counts, ctx)
+
+    def spectral(p):
+        d, side, m, _ = np.unravel_index(p, phi.shape[:4])
+        r = int(counts[m].sum())
+        v = us[d] - r * hb if r else us[d]
+        return v + cs[d] * hb if side else v
+    phibar = guarded_inverse(phi.reshape(-1, n, n), spectral).reshape(
+        phi.shape)
+    return np.einsum("dmski,dmsjk->mdskij", phibar[:, 0], phi[:, 1]).reshape(
+        -1, n, n, n)
 
 
 def l_op(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
@@ -103,7 +151,9 @@ class _FusionPlan:
 
     Ordered shift tuples t = (k_0..k_{k-1}) run over [n]^k.  At level r,
     prefix[r][t] indexes the canonical partial shift e_k_0 + ... + e_k_{r-1}
-    of t in prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r.  A
+    of t in prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r;
+    counts holds the step counts (summing to r) of every partial shift of
+    every level, level by level, prefixes[r] being their canonical keys.  A
     term z = (I, sigma) of the generalized Kronecker sum reads the L-entry
     (rows[r][z], cols[r][w]) at level r for the column subset w = I', with
     signs[z, I] = sgn(sigma).  keymap adds each tuple onto its canonical key
@@ -112,6 +162,7 @@ class _FusionPlan:
 
     prefixes: tuple
     prefix: tuple
+    counts: np.ndarray
     shift: tuple
     rows: tuple
     cols: tuple
@@ -126,6 +177,8 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
     perms = list(permutations(range(k)))
     tuples = list(product(range(n), repeat=k))
     prefixes, prefix = partial_shifts(n, k)
+    counts = np.array([[x + (r - sum(key)) // n for x in key]
+                       for r, keys in enumerate(prefixes) for key in keys])
     shift = [np.array([t[r] for t in tuples]) for r in range(k)]
     terms = [(a, perm) for a in range(len(subs)) for perm in perms]
     rows = tuple(np.array([subs[a][perm[r]] for a, perm in terms])
@@ -136,50 +189,45 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
         signs[z, a] = perm_sign(perm)
     keys, keymap = key_map([canonical_key([t.count(i) for i in range(n)])
                             for t in tuples])
-    read_only(*shift, *rows, *cols, signs, keymap)
-    return _FusionPlan(prefixes, prefix, tuple(shift), rows, cols, signs,
-                       keys, keymap)
+    read_only(counts, *shift, *rows, *cols, signs, keymap)
+    return _FusionPlan(prefixes, prefix, counts, tuple(shift), rows, cols,
+                       signs, keys, keymap)
 
 
-def fused_l(c: complex, u: complex, k: int,
-            ctx: ModularContext) -> OperatorMatrix:
+def fused_l(c, u, k: int, ctx: ModularContext) -> OperatorMatrix:
     """Fused L-operator on the k-th antisymmetric space, with entries
 
         sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
 
-    indexed by the subsets I, I' in combinations order.
+    indexed by the subsets I, I' in combinations order.  c and u are one
+    value, or one per draw, as in l_coeff_tensor.
     """
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..n, got {k}")
     plan = _fusion_plan(n, k)
-    hb = ctx.hbar
 
     def table(P):
-        P = np.asarray(P, dtype=complex)
         count = len(P)
-        # level r reads L(u - r hbar) at every partial shift of every sample;
-        # level 0 at the samples themselves
-        us, pts = [], [P]
-        for r, keys in enumerate(plan.prefixes):
-            us += [u - r * hb] * (len(keys) * count)
-            if r:
-                pts.append(shifted(P, keys, hb).swapaxes(0, 1).reshape(-1, n))
-        a = l_coeff_tensor(c, us, np.concatenate(pts), ctx)
+        # level r reads L(u - r hbar) at every partial shift of every sample
+        a = l_coeff_tensor(c, u, P, ctx, plan.counts)
         factors, start = [], 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
                 len(keys), count, n, n, n)
             start += len(keys) * count
-            g = level[plan.prefix[r], :, plan.shift[r]]         # [t, s, i, j]
-            factors.append(g[:, :, plan.rows[r][None, :],
-                             plan.cols[r][:, None]])            # [t, s, I', z]
+            # [t, I', z, s], read as [t, s, I', z]
+            factors.append(level[plan.prefix[r][:, None, None], :,
+                                 plan.shift[r][:, None, None],
+                                 plan.rows[r][None, None, :],
+                                 plan.cols[r][None, :, None]].transpose(
+                                     0, 3, 1, 2))
         fused = signed_products(factors, plan.signs)            # [t, s, I', I]
         return merge_keys(plan.keymap, fused.transpose(1, 0, 3, 2))
     return OperatorMatrix(n, math.comb(n, k), plan.terms, table)
 
 
-def m_trace(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
+def m_trace(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
     """Trace of the fused L-operator over the degree-d antisymmetric space."""
     fl = fused_l(c, u, d, ctx)
     return DifferenceOperator(ctx.n, fl.terms,
@@ -202,36 +250,48 @@ def _subset_pairs(n: int, d: int) -> tuple:
                              for big_i in subs)
 
 
-def m_dot(c: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
+def m_dot(c, d: int, ctx: ModularContext) -> DifferenceOperator:
     """The u-independent part: sum_I prod theta(lam_st + c h/n)/theta(lam_st) T_I.
 
     A batch reads every factor of every subset from one theta_table call.
+    c is one value, or one per draw, as in l_coeff_tensor.
     """
     n = ctx.n
-    g = c * ctx.hbar / n
+    gs = [x * ctx.hbar / n for x in _draws(c)[0]]
     _, s, t, keys = _subset_pairs(n, d)
 
     def table(P):
         P = np.asarray(P, dtype=complex)
         diffs = P[:, s] - P[:, t]                               # [p, pair, I]
-        den, num = theta_table([diffs, diffs + g], ctx)
+        den, num = theta_table([diffs, diffs + _per_row(gs, len(P), 3)], ctx)
         return np.prod(num / den, axis=1)                      # [p, I]
     return DifferenceOperator(n, keys, table)
 
 
-def m_closed(c: complex, u: complex, d: int, ctx: ModularContext) -> DifferenceOperator:
-    """Closed form of M_d(c|u); d = 0 gives the identity."""
+def m_closed(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
+    """Closed form of M_d(c|u); d = 0 gives the identity.  c and u are one
+    value, or one per draw, as in l_coeff_tensor."""
     if d == 0:
         return identity_op(ctx.n)
-    num, den = theta_table([u + d * c * ctx.hbar / ctx.n, u], ctx).tolist()
-    return op_scale(m_dot(c, d, ctx), num / den)
+    us, cs = _draws(u, c)
+    num, den = theta_table([[x + d * y * ctx.hbar / ctx.n
+                             for x, y in zip(us, cs)], us], ctx).tolist()
+    ratio = [x / y for x, y in zip(num, den)]
+    dot = m_dot(c, d, ctx)
+    return DifferenceOperator(ctx.n, dot.terms, lambda P: _per_row(
+        ratio, len(P), 2) * dot.table(P))
 
 
-def verify_trace_closed(c: complex, u: complex, d: int, ctx: ModularContext,
+def verify_trace_closed(c, u, d: int, ctx: ModularContext,
                         samples) -> Residual:
-    """Coefficientwise equality of the fused trace and the closed form."""
+    """Coefficientwise equality of the fused trace and the closed form, at
+    one draw (c, u) or at arrays of draws: each side is one table over the
+    samples tiled once per draw, and the residual is that of the draw that
+    reads worst over its samples and terms (the first on ties)."""
+    samples = np.asarray(samples, dtype=complex)
     return operator_residual(m_trace(c, u, d, ctx), m_closed(c, u, d, ctx),
-                             samples, ctx)
+                             np.broadcast_to(samples, (len(_draws(c, u)[0]),)
+                                             + samples.shape), ctx)
 
 
 def verify_spectral_factorization(c: complex, u1: complex, u2: complex, d: int,
@@ -363,10 +423,9 @@ def l_tilde_conjugated(c: complex, u: complex,
     n = ctx.n
 
     def table(P):
-        us = [u] * len(P)
-        phi, phibar = intertwiner_arrays(us, P, ctx)
+        phi, phibar = intertwiner_arrays([u] * len(P), P, ctx)
         return np.einsum("sai,skab,sjb->skij", phi,
-                         l_coeff_tensor(c, us, P, ctx), phibar)
+                         l_coeff_tensor(c, u, P, ctx), phibar)
     return OperatorMatrix(n, n, tuple(unit_key(n, k) for k in range(n)), table)
 
 

@@ -76,18 +76,19 @@ def subset_key(n: int, subset) -> tuple:
 def theta_gap_guard(ctx: ModularContext):
     """Smallest |theta(lambda_ij)| over i != j: keeps denominators alive.
 
-    A batch guard: one theta_table call over the n(n-1) differences of
-    every candidate row of P[s, n] gives the values [s].
+    A batch guard: one theta_table call over the n(n-1)/2 differences
+    i < j of every candidate row of P[s, n] gives the values [s]; theta is
+    odd, so the pairs i > j add nothing.
 
     Normalized by theta_scale, the leading series magnitude 2|p|^{1/8}, so
     the guard is comparable across moduli (it approaches |sin pi lambda_ij|
     as p -> 0).
     """
     scale = theta_scale(ctx)
-    off = ~np.eye(ctx.n, dtype=bool)
+    first, second = np.triu_indices(ctx.n, 1)
 
     def guard(P) -> np.ndarray:
-        values = theta_table((P[:, :, None] - P[:, None, :])[:, off], ctx)
+        values = theta_table(P[:, first] - P[:, second], ctx)
         # hypot is Python's abs(complex); np.abs may round differently
         return np.hypot(values.real, values.imag).min(axis=-1) / scale
     return guard

@@ -112,3 +112,55 @@ def test_the_sweep_runs_every_suite_at_n_2_3_4(parity):
     assert parity.suite_runs(SimpleNamespace(sweep=True), cli) == [
         (s, n, seed) for seed in range(8) for n in (2, 3, 4)
         for s in ("theta", "ybe")]
+
+
+def test_the_grid_runs_every_suite_at_each_tau_and_hbar(parity):
+    from types import SimpleNamespace
+    cli = SimpleNamespace(SUITE_ORDER=["theta", "ybe"])
+    contexts = {"tau=0.1+0.3j": {"tau_re": 0.1, "tau_im": 0.3},
+                "tau=0.3+0.5j": {"tau_re": 0.3, "tau_im": 0.5},
+                "tau=0.1+0.08j": {"tau_re": 0.1, "tau_im": 0.08},
+                "tau=0.1+0.05j": {"tau_re": 0.1, "tau_im": 0.05},
+                "tau=0+0.05j": {"tau_re": 0.0, "tau_im": 0.05},
+                "hbar=0.45+0.4j": {"hbar_re": 0.45, "hbar_im": 0.4},
+                "hbar=0.6+0.1j": {"hbar_re": 0.6, "hbar_im": 0.1},
+                "hbar=0.01+0.01j": {"hbar_re": 0.01, "hbar_im": 0.01}}
+    assert parity.GRID == contexts
+    assert list(parity.GRID) == list(contexts)
+    args = SimpleNamespace(sweep=False, grid=True)
+    assert parity.suite_runs(args, cli) == [
+        (s, n, seed, where) for where in contexts for seed in range(8)
+        for n in (2, 3) for s in ("theta", "ybe")]
+
+
+def _grid_record(outcomes):
+    """A grid record: one run per (suite, seed, context, outcome), each
+    with one case that is ok when the run is."""
+    return {"src": "synthetic",
+            "runs": [[s, 2, seed, out, where]
+                     for s, seed, where, out in outcomes],
+            "cases": [[s, 2, seed, "case", out == "ok", 1e-15, where]
+                      for s, seed, where, out in outcomes
+                      if not out.startswith("Singular")]}
+
+
+_RAISE = "SingularParameterError: intertwiner matrix ill-conditioned"
+
+
+def test_compare_prints_raises_and_failures_per_context_and_suite(
+        parity, tmp_path, capsys):
+    a = [("qfay", 0, "tau=0.1+0.08j", "fail"),
+         ("rll", 0, "tau=0.1+0.08j", _RAISE),
+         ("rll", 1, "tau=0.1+0.08j", _RAISE),
+         ("rll", 0, "hbar=0.6+0.1j", "ok")]
+    b = [a[0], a[1], ("rll", 1, "tau=0.1+0.08j", "ok"), a[3]]
+    assert _compare(parity, tmp_path, _grid_record(a), _grid_record(b)) == 1
+    out = capsys.readouterr().out
+    assert "raises and failing runs per context and suite, A -> B:\n" \
+        "  tau=0.1+0.08j qfay: raises 0 -> 0, fails 1 -> 1\n" \
+        "  tau=0.1+0.08j rll: raises 2 -> 1, fails 0 -> 0\n" in out
+    assert "hbar=0.6+0.1j" not in out
+    # the context is part of a run's key: the same run at two contexts
+    # is two runs, and a record compared with itself exits 0
+    assert "run ('rll', 2, 1, 'tau=0.1+0.08j')" in out
+    assert _compare(parity, tmp_path, _grid_record(a), _grid_record(a)) == 0

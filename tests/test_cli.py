@@ -196,6 +196,22 @@ def test_tau_past_the_double_range_prints_one_error_line(argv):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [["ybe", "--tau_im", "225"],
+                                  ["all", "--tau_im", "225"]])
+def test_r_matrix_overflow_prints_one_error_line(argv):
+    # just inside the context's bound, products of two factors of about
+    # exp(pi Im tau) in the R-matrix at u + tau overflow in suite ybe: the
+    # overflow raises, so one error line, with no numpy warning before it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "etlax.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: overflow encountered in multiply"]
+    assert done.stdout == ""
+
+
 def test_context_bound_is_the_double_range():
     limit = math.log(sys.float_info.max) / math.pi        # about 225.95
     ModularContext(n=2, tau=0.1 + 225.9j, hbar=0.173 + 0.219j)

@@ -341,8 +341,10 @@ def test_fit_action_of_a_matrix_matches_entry_fits(ctx2):
 
 @pytest.mark.parametrize("n,l", [(2, 2), (3, 1)])
 def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
-    # every (function m, column e) fit keeps the points the two sample_many
-    # calls of its seed drew: 3 dim fit points, then dim + 4 held out
+    # every function of entry e is fitted at the points the two sample_many
+    # calls of its seed drew: 3 dim fit points, then dim + 4 held out; the
+    # points of every entry come from one sampling, and op is applied once,
+    # to all dim basis functions on a trailing axis
     ctx = default_context(n)
     dim = ts.basis_dimension(n, l)
     seeds = [5, 40, 41]
@@ -352,17 +354,36 @@ def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
                         or sample(*a))
 
     def apply(op, fn, P, ctx):
-        seen.append(P)
-        return np.ones((len(P), len(seeds)), dtype=complex)
+        seen.append((fn(P).shape, P))
+        return np.ones((len(P), len(seeds), dim), dtype=complex)
     monkeypatch.setattr(ts, "apply_batch", apply)
     ts.fit_action(l, None, ctx, seeds)
     assert samplings == [1]        # one sampling for every fit
-    assert len(seen) == dim
-    for m, P in enumerate(seen):
-        assert np.array_equal(P, np.concatenate(
-            [part for seed in seeds for part in (
-                wt.sample_many(seed + m, 3 * dim, ctx),
-                wt.sample_many(seed + m + 77, dim + 4, ctx))]))
+    assert len(seen) == 1          # one application for every function
+    shape, P = seen[0]
+    assert shape == (len(seeds) * (4 * dim + 4), dim)
+    assert np.array_equal(P, np.concatenate(
+        [part for seed in seeds for part in (
+            wt.sample_many(seed, 3 * dim, ctx),
+            wt.sample_many(seed + 77, dim + 4, ctx))]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shared_point_fits_read_red_off_integer_coupling(n):
+    # every basis function of an entry is fitted at the same points: at
+    # coupling l + 0.07 neither L nor M_1 keeps the level-l space, and the
+    # shared-point fit says so, while at coupling l it reads clean
+    ctx = default_context(n)
+    for l in (1, 2) if n == 2 else (1,):
+        seeds = list(range(40, 40 + n * n))
+        for coupling, wrong in ((float(l), False), (l + 0.07, True)):
+            fits = [ts.fit_action(l, tr.l_op(coupling, U0, ctx), ctx,
+                                  seeds)[1],
+                    ts.fit_action(l, tr.m_closed(coupling, U0, 1, ctx), ctx,
+                                  [7])[1]]
+            for res in fits:
+                assert (res.rel > 1e-3) if wrong else (res.rel < 1e-9), \
+                    (l, coupling, res)
 
 
 def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
@@ -371,10 +392,10 @@ def test_theta_space_reads_the_l_table_once_per_function(monkeypatch):
     table = tr.l_coeff_tensor
     monkeypatch.setattr(tr, "l_coeff_tensor",
                         lambda *args: calls.append(1) or table(*args))
-    # 60 (n = 2) and 108 (n = 3) batches when every entry read the table;
-    # n = 3 read 9 while it also ran module-isomorphism-l1, a subset of
-    # level1-module-relation
-    for n, want in ((2, 10), (3, 6)):
+    # one read per fit of L and per module relation, however many basis
+    # functions they apply L to: 10 (n = 2) and 6 (n = 3) reads when each
+    # function read the table, 60 and 108 when each entry did
+    for n, want in ((2, 4), (3, 2)):
         calls.clear()
         assert run_suite("theta-space", default_context(n), 42).passed
         assert len(calls) == want

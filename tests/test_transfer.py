@@ -75,6 +75,94 @@ def test_fused_l_edges(ctx3):
     assert fn.table(samples).shape[2:] == (1, 1)   # the one subset (0, 1, 2)
 
 
+def _level_oracle(c, u, lam, counts, ctx):
+    """A[k, i, j] of L(c | u - r hbar) at lam + hbar sum_j counts[j] epsbar_j,
+    r = sum(counts), from intertwiners at that re-canonicalized point, as
+    fused_l built them before it read exact columns."""
+    from etlax.belavin import intertwiner_arrays
+    pt = wt.shifted(lam, [counts], ctx.hbar)
+    v = u - sum(counts) * ctx.hbar
+    phi, phibar = intertwiner_arrays([v, v + c * ctx.hbar],
+                                     np.concatenate([pt, pt]), ctx)
+    return np.einsum("ki,jk->kij", phibar[0], phi[1])
+
+
+def _fused_l_oracle(c, u, k, ctx, samples):
+    """{key: [s, I, I']}: the fused L-operator from its definition, point by
+    point and term by term, each level from _level_oracle."""
+    n = ctx.n
+    subs = list(itertools.combinations(range(n), k))
+    out = {}
+    for s, lam in enumerate(samples):
+        levels = {}
+        for t in itertools.product(range(n), repeat=k):
+            key = wt.canonical_key([t.count(i) for i in range(n)])
+            table = out.setdefault(key, np.zeros((len(samples), len(subs),
+                                                  len(subs)), dtype=complex))
+            for r in range(k):
+                counts = tuple(t[:r].count(i) for i in range(n))
+                if counts not in levels:
+                    levels[counts] = _level_oracle(c, u, lam, counts, ctx)
+            for a, big_i in enumerate(subs):
+                for b, big_ip in enumerate(subs):
+                    for perm in itertools.permutations(range(k)):
+                        term = float(oa.perm_sign(perm))
+                        for r in range(k):
+                            term *= levels[tuple(t[:r].count(i)
+                                                 for i in range(n))][
+                                t[r], big_i[perm[r]], big_ip[r]]
+                        table[s, a, b] += term
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_columns_match_the_canonicalized_points(n):
+    # every level of fused_l reads column k of its intertwiners at
+    # u/n - lam_k - hbar kappa_k; the coefficient tensors at the
+    # re-canonicalized shifted points, and the fused operator from its
+    # definition on those, agree to rounding at every degree.  (The fused
+    # operator alone cannot tell: its antisymmetrized products read the
+    # same with every column left unshifted.)
+    ctx = default_context(n)
+    samples = wt.sample_many(65, 2, ctx)
+    for k in range(1, n + 1):
+        counts = tr._fusion_plan(n, k).counts
+        got = tr.l_coeff_tensor(C0, U0, samples, ctx, counts).reshape(
+            len(counts), len(samples), n, n, n)
+        want = np.array([[_level_oracle(C0, U0, lam, list(kappa), ctx)
+                          for lam in samples] for kappa in counts])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        fl = tr.fused_l(C0, U0, k, ctx)
+        got = dict(zip(fl.terms, fl.table(samples).transpose(1, 0, 2, 3)))
+        want = _fused_l_oracle(C0, U0, k, ctx, samples)
+        assert got.keys() == want.keys()
+        assert _table_rel(got, want) <= 1e-12, k
+
+
+def test_batched_trace_closed_is_the_worst_draw():
+    # ten draws in one batch read as the per-draw loop did: the worst
+    # residual, bit for bit, or the raise of the first raising draw, naming
+    # the same u (the intertwiner guard raises on some n = 4 draws)
+    from etlax.suites import _rcs
+    raised = []
+    for n, seed in ((2, 0), (3, 1), (4, 0), (4, 6)):
+        ctx = default_context(n)
+        rng = np.random.default_rng([seed, n])
+        samples = wt.sample_many(seed, 12, ctx)
+        for d in range(1, n + 1):
+            draws = _rcs(rng, (10, 2))
+            batch = _outcome(lambda: tr.verify_trace_closed(
+                draws[:, 0], draws[:, 1], d, ctx, samples), text=True)
+            loop = _outcome(lambda: max(
+                (tr.verify_trace_closed(c, u, d, ctx, samples)
+                 for c, u in draws.tolist()), key=lambda r: r.rel),
+                text=True)
+            assert batch == loop, (n, seed, d)
+            if isinstance(batch, str):
+                raised.append((n, seed, d))
+    assert raised == [(4, 0, 4), (4, 6, 3), (4, 6, 4)]
+
+
 def test_fused_l_validation(ctx3):
     with pytest.raises(ValueError):
         tr.fused_l(C0, U0, 4, ctx3)
@@ -896,12 +984,13 @@ def _table_rel(got, want):
     return diff / max(np.max(np.abs(v)) for v in want.values())
 
 
-def _outcome(fn):
-    """The value of fn(), or 'raised' if the intertwiner guard rejects it."""
+def _outcome(fn, text=False):
+    """The value of fn(), or 'raised' (or, with text, the message) if the
+    intertwiner guard rejects it."""
     try:
         return fn()
-    except SingularParameterError:
-        return "raised"
+    except SingularParameterError as exc:
+        return str(exc) if text else "raised"
 
 
 def test_fused_trace_matches_closure_tree():

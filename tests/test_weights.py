@@ -211,21 +211,27 @@ def test_theta_gap_guard_table_keeps_every_sample(n, monkeypatch):
     ctx = default_context(n)
     scale = 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
 
-    def scalar_guard(P):
+    below = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    every = [(i, j) for i in range(n) for j in range(n) if i != j]
+
+    def scalar_guard(P, pairs):
         return np.array([min(abs(theta(lam[i] - lam[j], ctx))
-                             for i in range(n) for j in range(n) if i != j)
-                         for lam in P]) / scale
+                             for i, j in pairs) for lam in P]) / scale
 
     fresh = ctx.replace()
     got = wt.sample_many(3, 50, fresh)
+    # theta is odd: the guard on the pairs i < j keeps the points that the
+    # one on every pair i != j keeps
     with monkeypatch.context() as patch:
-        patch.setattr(wt, "theta_gap_guard", lambda ctx: scalar_guard)
+        patch.setattr(wt, "theta_gap_guard",
+                      lambda ctx: lambda P: scalar_guard(P, every))
         assert np.array_equal(got, wt.sample_many(3, 50, ctx))
-    assert np.array_equal(wt.theta_gap_guard(fresh)(got), scalar_guard(got))
+    assert np.array_equal(wt.theta_gap_guard(fresh)(got),
+                          scalar_guard(got, below))
     # the guard reads one theta table per batch, no value on its own
     reads = table_reads(monkeypatch)
     wt.theta_gap_guard(fresh)(got)
-    assert reads == [50 * n * (n - 1)]
+    assert reads == [50 * n * (n - 1) // 2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -264,7 +270,7 @@ def test_one_guard_table_per_rejection_round(monkeypatch):
     reads = table_reads(monkeypatch)
     wt.sample_points(seeds, ctx)
     pending = [sum(r >= k for r in rounds) for k in range(1, max(rounds) + 1)]
-    assert reads == [6 * p for p in pending]
+    assert reads == [3 * p for p in pending]      # the pairs i < j of n = 3
 
 
 # sub-seeds of the program reach 2^48; these cover one and two uint32 words,

@@ -7,13 +7,29 @@ rounding.  This tool records both, case by case, and compares two records:
     python3 tools/case_parity.py run --workload identities --seed 42 \\
         --seconds 45 --src src --out change.json
     python3 tools/case_parity.py run --sweep --src ../parent/src --out parent.json
+    python3 tools/case_parity.py run --grid --out grid.json
     python3 tools/case_parity.py --compare parent.json change.json
 
 `run --workload W --seed S --seconds T` evaluates the suite runs of the
 benchmark workload W (bench/run.py's operation lists) at the program seeds
 S + i * 1000003 of its T-second run; `run --sweep` evaluates every suite
 at n = 2, 3 (what `verify all` runs) and at n = 4, the scaling probe, at
-the seeds 0-7.  --src names the `src`
+the seeds 0-7, all at the default tau and hbar; `run --grid` evaluates
+every suite at n = 2, 3 and the seeds 0-7 at each modulus of GRID_TAUS and
+then at each hbar of GRID_HBARS, the other parameter at its default.  The
+grid stands for the context domain a green `verify all` speaks for.  At
+the commit that added it, its 2304 runs read:
+
+    tau=0.1+0.3j     18 raises, 1 failing run
+    tau=0.3+0.5j     1 raise, 1 failing run
+    tau=0.1+0.08j    90 raises, 21 failing runs
+    tau=0.1+0.05j    99 raises, 14 failing runs
+    tau=0+0.05j      107 raises, 85 failing runs
+    hbar=0.45+0.4j   16 raises
+    hbar=0.6+0.1j    none
+    hbar=0.01+0.01j  none
+
+--src names the `src`
 directory whose etlax is evaluated (default: this checkout's).  Each suite
 run is evaluated on its own, as `verify <suite> --n N --seed S` would, so
 a run that raises is recorded with its error and does not hide the others
@@ -21,8 +37,11 @@ a run that raises is recorded with its error and does not hide the others
 
 The record is JSON: {"src", "runs": [[suite, n, seed, outcome]], "cases":
 [[suite, n, seed, case, ok, rel]]}, where outcome is "ok", "fail" (some
-case not ok) or the error's type and message, and a NaN rel is null.
-`--compare A B` prints the runs whose outcome differs, the cases whose ok
+case not ok) or the error's type and message, and a NaN rel is null; a
+grid row ends with one more field, its context ("tau=0.1+0.3j"), which
+is part of its key.  `--compare A B` prints the runs whose outcome
+differs, then, per context and suite, the raises and the failing runs of
+A and of B wherever either has some, the cases whose ok
 flag flips (with both rels), the cases present on one side only, and the
 ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
 bit-identical, and the largest growths; then, per (suite, case stem), the
@@ -51,6 +70,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_SEEDS = range(8)
 SWEEP_RANKS = (2, 3, 4)
+GRID_RANKS = (2, 3)
+GRID_TAUS = (0.1 + 0.3j, 0.3 + 0.5j, 0.1 + 0.08j, 0.1 + 0.05j, 0.05j)
+GRID_HBARS = (0.45 + 0.4j, 0.6 + 0.1j, 0.01 + 0.01j)
 TOP_GROWTHS = 10        # largest rel growths --compare lists
 FLOOR = 1e-14           # rounding floor of the rel ratios --compare prints
 
@@ -74,11 +96,26 @@ def _import_etlax(src):
     return etlax.cli
 
 
+def _label(name, z):
+    return f"{name}={z.real:g}{z.imag:+g}j"
+
+
+# grid context -> its config overrides, in grid order
+GRID = {**{_label("tau", t): {"tau_re": t.real, "tau_im": t.imag}
+           for t in GRID_TAUS},
+        **{_label("hbar", h): {"hbar_re": h.real, "hbar_im": h.imag}
+           for h in GRID_HBARS}}
+
+
 def suite_runs(args, cli):
-    """The (suite, n, seed) runs to evaluate, in order."""
+    """The (suite, n, seed) runs to evaluate, in order; a grid run carries
+    its context as a fourth entry."""
     if args.sweep:
         return [(s, n, seed) for seed in SWEEP_SEEDS for n in SWEEP_RANKS
                 for s in cli.SUITE_ORDER]
+    if args.grid:
+        return [(s, n, seed, where) for where in GRID for seed in SWEEP_SEEDS
+                for n in GRID_RANKS for s in cli.SUITE_ORDER]
     bench = _bench()
     seeds = [args.seed + i * bench.SEED_STRIDE
              for i in range(bench.pass_count(args.workload, args.seconds))]
@@ -90,30 +127,42 @@ def suite_runs(args, cli):
 def record(args):
     cli = _import_etlax(args.src)
     runs, cases = [], []
-    for suite, n, seed in suite_runs(args, cli):
+    for suite, n, seed, *where in suite_runs(args, cli):
+        cfg = dict(cli.DEFAULTS, **(GRID[where[0]] if where else {}))
         try:
-            rep = cli.run_suite(suite, cli.context_from_config(cli.DEFAULTS, n),
-                                seed)
+            rep = cli.run_suite(suite, cli.context_from_config(cfg, n), seed)
         except Exception as exc:  # recorded: a raise is an outcome
-            runs.append([suite, n, seed, f"{type(exc).__name__}: {exc}"])
+            runs.append([suite, n, seed, f"{type(exc).__name__}: {exc}",
+                         *where])
             continue
-        runs.append([suite, n, seed, "ok" if rep.passed else "fail"])
+        runs.append([suite, n, seed, "ok" if rep.passed else "fail", *where])
         cases += [[suite, n, seed, c.name, bool(c.ok),
-                   None if math.isnan(c.rel) else float(c.rel)]
+                   None if math.isnan(c.rel) else float(c.rel), *where]
                   for c in rep.cases]
     doc = {"src": str(Path(args.src).resolve()), "runs": runs, "cases": cases}
     Path(args.out).write_text(json.dumps(doc) + "\n")
-    failed = sum(outcome != "ok" for *_, outcome in runs)
+    failed = sum(row[3] != "ok" for row in runs)
     print(f"{len(runs)} suite runs ({failed} not ok), {len(cases)} cases "
           f"-> {args.out}")
 
 
-def _run_key(row):          # (suite, n, seed)
-    return tuple(row[:3])
+def _run_key(row):          # (suite, n, seed), then a grid row's context
+    return tuple(row[:3]) + tuple(row[4:])
 
 
-def _case_key(row):         # (suite, n, seed, case)
-    return tuple(row[:4])
+def _case_key(row):         # (suite, n, seed, case), then the context
+    return tuple(row[:4]) + tuple(row[6:])
+
+
+def _tallies(doc) -> Counter:
+    """(context, suite, "raises" or "fails") -> its number of runs."""
+    out = Counter()
+    for row in doc["runs"]:
+        if row[3] != "ok":
+            where = row[4] if len(row) > 4 else "default"
+            out[(where, row[0],
+                 "fails" if row[3] == "fail" else "raises")] += 1
+    return out
 
 
 def _rel(value):
@@ -138,8 +187,17 @@ def compare(path_a, path_b) -> int:
         if runs_a.get(key) != runs_b.get(key):
             differs += 1
             _say(f"run {key}: {runs_a.get(key)} -> {runs_b.get(key)}")
-    cases_a = {_case_key(c): c[4:] for c in a["cases"]}
-    cases_b = {_case_key(c): c[4:] for c in b["cases"]}
+    tally_a, tally_b = _tallies(a), _tallies(b)
+    groups = sorted({key[:2] for key in tally_a | tally_b})
+    if groups:
+        _say("raises and failing runs per context and suite, A -> B:")
+    for where, suite in groups:
+        _say(f"  {where} {suite}: " + ", ".join(
+            f"{kind} {tally_a[(where, suite, kind)]} -> "
+            f"{tally_b[(where, suite, kind)]}"
+            for kind in ("raises", "fails")))
+    cases_a = {_case_key(c): c[4:6] for c in a["cases"]}
+    cases_b = {_case_key(c): c[4:6] for c in b["cases"]}
     one_sided = sorted(cases_a.keys() ^ cases_b.keys(), key=str)
     for key in one_sided:
         _say(f"only in {'A' if key in cases_a else 'B'}: {key}")
@@ -153,7 +211,7 @@ def compare(path_a, path_b) -> int:
         if rel_a == rel_b or (math.isnan(rel_a) and math.isnan(rel_b)):
             same += 1
             continue
-        stems[f"{key[0]}/{key[3].rstrip('0123456789')}"] += 1
+        stems["/".join([*key[4:], key[0], key[3].rstrip("0123456789")])] += 1
         if not (math.isnan(rel_a) or math.isnan(rel_b)):
             ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
                            rel_a, rel_b))
@@ -185,15 +243,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--sweep", action="store_true",
                         help="every suite at n = 2, 3, 4 and the seeds 0-7")
+    parser.add_argument("--grid", action="store_true",
+                        help="every suite at n = 2, 3 and the seeds 0-7 at "
+                             "each tau of GRID_TAUS and hbar of GRID_HBARS")
     parser.add_argument("--src", default=str(ROOT / "src"))
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if args.action != "run" or not args.out \
-            or bool(args.sweep) == bool(args.workload):
+            or args.sweep + args.grid + bool(args.workload) != 1:
         parser.error("use `run --out FILE` with one of --workload, --sweep, "
-                     "or --compare A B")
+                     "--grid, or --compare A B")
     record(args)
     return 0
 
