@@ -44,9 +44,10 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
-from .theta import (_EPS, Residual, dedekind_eta, residual_arrays,
-                    theta_char_table, theta_level_table, theta_scale,
-                    theta_table, vandermonde_product, worst_of_arrays)
+from .theta import (_EPS, Residual, circle, dedekind_eta,
+                    laurent_coefficient, residual_arrays, theta_char_table,
+                    theta_level_table, theta_scale, theta_table,
+                    vandermonde_product, worst_of_arrays)
 from .weights import canonical_key, shifted, unit_key
 
 # ---------------------------------------------------------------- vertex side
@@ -209,16 +210,16 @@ def verify_r_holomorphy(ctx: ModularContext) -> Residual:
     The raw entry formula divides by theta^(i-j')(u); its zeros m*tau are the
     only candidate u-poles.  A vanishing loop integral certifies that the
     cancellation against the numerator product is real, not accidental.
-    The loops are circles of radius 0.12 by the 64-node trapezoidal rule;
+    The loop integral is 2 pi i times the residue a_-1 of
+    theta.laurent_coefficient on the circle of radius 0.12 and 64 nodes;
     all (n-1) * 64 nodes are read from one table; the entries the ice rule
     sets to 0 integrate to 0 and are left out.
     """
-    n, radius, nodes = ctx.n, 0.12, 64
-    ring = radius * np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
-    dz = ring * (2j * np.pi / nodes)
-    centers = np.arange(1, n) * ctx.tau
-    values = _r_values((centers[:, None] + ring).ravel(), ctx)
-    acc = dz @ values.reshape(n - 1, nodes, -1)          # [center, entry]
+    n, radius = ctx.n, 0.12
+    ring = circle(radius, 64)
+    values = _r_values(np.add.outer(ring, np.arange(1, n) * ctx.tau).ravel(),
+                       ctx).reshape(len(ring), n - 1, -1)
+    acc = 2j * np.pi * laurent_coefficient(values, ring, -1)  # [center, entry]
     worst_abs = float(np.max(np.abs(acc)))
     scale = float(np.max(np.abs(values))) * 2.0 * np.pi * radius
     return Residual(rel=worst_abs / (scale + _EPS), abs=worst_abs)

@@ -2,9 +2,10 @@
 
 Each suite draws its sample parameters from a seeded generator, runs the
 corresponding module checks, and reports per-case relative/absolute
-residuals.  Suite tolerances follow the defaults below; the two limit suites
-run at looser tolerances reflecting their extrapolation error (documented
-per suite function).
+residuals.  Suite tolerances follow the defaults below.  The hbar -> 0
+cases (krichever, cm-limit and qfay-hbar0-degeneration) read Laurent
+coefficients on theta.circle; their looser tolerances were set for an
+earlier finite-difference extrapolation and are not tightened yet.
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ def _worst_deviation(devs) -> Residual:
 
 
 def _contour_derivative(us, order: int, ctx: ModularContext) -> np.ndarray:
-    """The order-th derivative of theta at every u of us by the 32-node
-    trapezoidal rule on the Cauchy integral over |z - u| = 0.02, read from
+    """The order-th derivative of theta at every u of us: order! times its
+    Laurent coefficient on the circle |z - u| = 0.02 of 32 nodes, read from
     one theta_table; spectrally accurate, so it is compared in relative
     terms."""
-    w = 0.02 * np.exp(2j * np.pi * np.arange(32) / 32)
-    values = th.theta_table(np.asarray(us)[..., None] + w, ctx)
-    return (math.factorial(order) / 32) * np.einsum("...k,k->...", values,
-                                                    w ** -order)
+    nodes = th.circle(0.02, 32)
+    values = th.theta_table(np.add.outer(nodes, us), ctx)
+    return math.factorial(order) * th.laurent_coefficient(values, nodes, order)
 
 
 def _reference_series(m: float, l: int, u: complex, tau: complex) -> tuple:
@@ -337,8 +337,9 @@ def suite_qfay(ctx: ModularContext, rng, tol: float):
     d = 2
     u, *draws = _rcs(rng, (2 * d + 1,)).tolist()
     lams, mus = draws[:d], draws[d:]
-    lhs = complex(th.richardson_even(lambda h: th.qfay_lhs(
-        d, u, lams, mus, ctx.replace(hbar=h))))
+    hs = th.circle()
+    lhs = complex(th.laurent_coefficient([th.qfay_lhs(
+        d, u, lams, mus, ctx.replace(hbar=h)) for h in hs], hs, 0))
     values = th.theta_table(
         [u + sum(m - l for m, l in zip(mus, lams))] + [u] * (d - 1)
         + [a for s in range(d) for sp in range(s + 1, d)
@@ -435,12 +436,10 @@ def suite_krichever(ctx: ModularContext, rng, tol: float):
     cases = []
     c, u = _rc(rng), _rc(rng)
     samples = sample_many(_seed(rng), 3, ctx)
-    cases.append(_case("lax-derivative-vs-closed-form",
-                       tr.verify_krichever(c, u, ctx, samples), tol))
-    # rel is at most 8.9e-5 over seeds 0-63 and 42 + i*1000003 (i < 8),
-    # n = 2, 3: the tolerance keeps a factor 11 above it
-    cases.append(_case("lax-to-identity",
-                       tr.verify_ltilde_limit(c, u, ctx, samples[:2]), 1e-3))
+    limits = tr.verify_krichever(c, u, ctx, samples)
+    cases.append(_case("lax-derivative-vs-closed-form", limits["derivative"],
+                       tol))
+    cases.append(_case("lax-to-identity", limits["identity"], 1e-3))
     cases.append(_case("lax-conjugation-route",
                        tr.verify_ltilde_conjugation(c, u, ctx, samples), 1e-9))
     # at c = 0, K is the pure derivative matrix: its scalar part vanishes
@@ -450,20 +449,17 @@ def suite_krichever(ctx: ModularContext, rng, tol: float):
 
 
 def suite_cm_limit(ctx: ModularContext, rng, tol: float):
-    """Differential-limit suite; tolerance 1e-4 bounds the error left by
-    symmetric (+-h) Richardson extrapolation in hbar, which is O(h^4)."""
+    """Differential-limit suite: both hbar -> 0 cases read one evaluation of
+    Mdot_1 f, Mdot_2 f and Mdot_1^2 f on theta.circle (verify_cm_limit)."""
     cases = []
     c = _rc(rng) + 0.25   # keep |c| away from 0 for the 1/c normalizations
     samples = sample_many(_seed(rng), 3, ctx)
     vecs = [_sumzero_vec(rng, ctx.n) for _ in range(2)]
     cases.append(_case("h-identity", tr.verify_h_identity(c, ctx, samples),
                        1e-7))
-    steps = (1e-3, 2e-3) if ctx.n == 2 else (5e-4, 1e-3)
-    cases.append(_case("elliptic-cm-limit",
-                       tr.verify_cm_limit(c, ctx, samples[:2], vecs, steps),
-                       tol))
-    cases.append(_case("d2-via-second-derivatives",
-                       tr.verify_d2_via_mdot(c, ctx, samples[:2], vecs), tol))
+    limits = tr.verify_cm_limit(c, ctx, samples[:2], vecs)
+    cases.append(_case("elliptic-cm-limit", limits["elliptic"], tol))
+    cases.append(_case("d2-via-second-derivatives", limits["d2"], tol))
     return cases
 
 

@@ -13,8 +13,9 @@ terms it leaves out.  Three named specializations appear throughout:
 
 Each is evaluated as a table over a batch of points (theta_table,
 theta_char_table, theta_level_table); theta is the table of one point.
-Derivatives are always taken term-wise on the series; finite differences
-are used only as independent cross-checks in the test suites.
+Derivatives are always taken term-wise on the series.  Every limit
+hbar -> 0 and every contour integral is one rule, laurent_coefficient: the
+trapezoidal Cauchy mean of the values on a circle of nodes.
 
 The constants of a series are computed once per (characteristics, level,
 tau, derivative order) and shared: the window half-width and the row
@@ -68,6 +69,9 @@ _TABLE_CHUNK = 3136    # terms per row of a theta table work array
 # the terms a theta table leaves out sum to at most this times the largest
 # term it keeps (_dropped_bound): below the rounding of the kept sum
 _WINDOW_DROP = 2.0 ** -60
+# every hbar -> 0 limit reads its expression at the HBAR_NODES nodes of the
+# circle |h| = HBAR_RADIUS (circle, laurent_coefficient)
+HBAR_RADIUS, HBAR_NODES = 0.003, 12
 
 
 @dataclass(frozen=True)
@@ -478,13 +482,24 @@ def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext):
     return np.linalg.det(np.prod(theta_table(args, ctx), axis=-1))
 
 
-def richardson_even(expr, steps=(1e-3, 2e-3)):
-    """expr(h) as h -> 0 when it has a term odd in h: the symmetric part
-    S(h) = (expr(h) + expr(-h))/2 is even in h, and Richardson on S at the
-    two steps cancels its h^2 term, leaving O(h^4)."""
-    h1, h2 = steps
-    s1, s2 = ((expr(h) + expr(-h)) / 2.0 for h in steps)
-    return (h2 * h2 * s1 - h1 * h1 * s2) / (h2 * h2 - h1 * h1)
+def circle(radius: float = HBAR_RADIUS, count: int = HBAR_NODES) -> np.ndarray:
+    """The nodes r w^j (j < N, w = exp(2 pi i/N)) of laurent_coefficient."""
+    return radius * np.exp(2j * np.pi * np.arange(count) / count)
+
+
+def laurent_coefficient(values, nodes, k: int):
+    """The order-k Laurent coefficient at 0 of f, from its values f_j =
+    values[j] (node axis first) at the nodes of a circle:
+
+        a_k = (1/N) sum_j f_j (r w^j)^(-k),
+
+    the trapezoidal rule on the Cauchy integral (Lyness and Moler, SIAM J.
+    Numer. Anal. 4 (1967); Bornemann, Found. Comput. Math. 11 (2011)).  A
+    term c h^m of f adds nothing unless m = k + jN, and then c r^(jN): the
+    rule is exact on N consecutive powers, and on a disk of analyticity of
+    radius R its error falls like (r/R)^N.  Every hbar -> 0 limit reads it
+    on circle(); the u-plane contours on circles of their own."""
+    return np.tensordot(nodes ** -k, np.asarray(values), 1) / len(nodes)
 
 
 def qfay_rhs(d: int, u, lambdas, mus, ctx: ModularContext):

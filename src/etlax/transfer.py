@@ -43,7 +43,8 @@ with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll reads the
 same arrays, and normal_det reads any of these matrices' tables once per
 batch for the generating determinant.  The Lax coefficients are one
 function of g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at
-g = c h/n; every hbar-derivative there is one richardson_even.
+g = c h/n.  Every hbar -> 0 limit is a Laurent coefficient in h
+(theta.laurent_coefficient) of values at the nodes of theta.circle.
 
 l_coeff_tensor, fused_l, m_trace, m_dot, m_closed and verify_trace_closed
 take c and u as one value or as one per draw; the rows of a batch then
@@ -71,9 +72,10 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     key_map, merge_keys, op_add, op_scale, operator_residual,
                     normal_det, pdo_apply, pdo_compose, perm_sign,
                     signed_products)
-from .theta import (_EPS, Residual, _product_length, max_relative,
-                    residual_arrays, richardson_even, theta_level_table,
-                    theta_scale, theta_table, worst_of_arrays)
+from .theta import (_EPS, Residual, _product_length, circle,
+                    laurent_coefficient, max_relative, residual_arrays,
+                    theta_level_table, theta_scale, theta_table,
+                    worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
 
@@ -375,30 +377,33 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
 
 # ------------------------------------------------------------ Lax matrix
 
-def ltilde_table(g: complex, u: complex, P,
-                 ctx: ModularContext) -> np.ndarray:
-    """C[s, i, j], the coefficient of T_i in the Lax entry (i, j) at P[s]:
+def ltilde_table(g, u: complex, P, ctx: ModularContext) -> np.ndarray:
+    """C[..., s, i, j], the coefficient of T_i in the Lax entry (i, j) at P[s]:
 
         theta(g + u + lam_ji)/theta(u) prod_{k != j} theta(g + lam_ki)/theta(lam_kj)
 
-    with g = c hbar/n; the limit checks read it at g = c h/n for small h.
+    with g = c hbar/n, one value or an array of them (the leading axes);
+    the limit checks read it at g = c h/n on the nodes h of theta.circle.
     The thetas of a batch come from one theta_table call.  A point with
     some |theta(lam_kj)| below tol_identity * theta_scale raises.
     """
     n = ctx.n
     P = np.asarray(P, dtype=complex)
     diff = P[:, :, None] - P[:, None, :]                       # [s, k, i]
-    values = theta_table(np.append(np.stack([(g + u) + diff, g + diff, diff]),
-                                   u), ctx)
-    shifted, plain, gap = values[:-1].reshape(3, *diff.shape)
+    g = np.asarray(g, dtype=complex)[..., None, None, None]
+    moved = np.stack([(g + u) + diff, g + diff])               # [2, ..., s, k, i]
+    values = theta_table(np.concatenate([moved.ravel(), diff.ravel(), [u]]),
+                         ctx)
+    shifted, plain = values[:moved.size].reshape(moved.shape)
+    gap = values[moved.size:-1].reshape(diff.shape)
     off = ~np.eye(n, dtype=bool)
     if np.any(np.abs(gap[:, off]) < ctx.tol_identity * theta_scale(ctx)):
         raise SingularParameterError("resonant weight point in Lax entry")
     gap = np.where(off, gap, 1.0)
-    coeff = shifted.transpose(0, 2, 1) / values[-1]           # [s, i, j]
+    coeff = shifted.swapaxes(-1, -2) / values[-1]             # [..., s, i, j]
     for k in range(n):
-        ratio = plain[:, k, :, None] / gap[:, k, None, :]
-        ratio[:, :, k] = 1.0                                  # no factor k = j
+        ratio = plain[..., k, :, None] / gap[:, k, None, :]
+        ratio[..., :, k] = 1.0                                # no factor k = j
         coeff = coeff * ratio
     return coeff
 
@@ -439,22 +444,6 @@ def verify_ltilde_conjugation(c: complex, u: complex, ctx: ModularContext,
     return worst_of_arrays(*max_relative(
         l_tilde(c, u, ctx).table(samples),
         l_tilde_conjugated(c, u, ctx).table(samples), axis=(0, 1)))
-
-
-def verify_ltilde_limit(c: complex, u: complex, ctx: ModularContext,
-                        samples, steps=(1e-4, 1e-5)) -> Residual:
-    """Entries of l_tilde tend to the identity matrix with error O(hbar).
-
-    Measures the worst deviation from delta at both steps; the relative
-    residual compares the hbar-normalized errors (equal for a clean first
-    order limit), the absolute residual is the deviation at the small step.
-    """
-    h1, h2 = steps
-    errs = {h: float(np.max(np.abs(ltilde_table(c * h / ctx.n, u, samples, ctx)
-                                   - np.eye(ctx.n))))
-            for h in steps}
-    a1, a2 = errs[h1] / abs(h1), errs[h2] / abs(h2)
-    return Residual(rel=abs(a1 - a2) / (a1 + a2 + _EPS), abs=errs[h2])
 
 
 def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
@@ -531,21 +520,23 @@ def krichever_table(c: complex, u: complex, P,
     return np.where(eye, g * tu1 / tu, off)
 
 
-def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
-                     step: float = 1e-3) -> Residual:
-    """The hbar-derivative of the Lax matrix against Krichever's K.
+def verify_krichever(c: complex, u: complex, ctx: ModularContext,
+                     samples) -> dict:
+    """The hbar -> 0 limit of the Lax matrix, from one ltilde_table at
+    g = c h/n over the nodes h of circle():
 
-    d/dh at h = 0 of the l_tilde coefficients at g = c h/n, by
-    richardson_even on (l_tilde - 1)/h at step and 2*step, conjugated by
-    Delta^{c/n} and the diagonal theta similarity, must reproduce
-    krichever_table, the scalar part of K (the d_i of K's diagonal is the
-    first order of l_tilde's T_i).
+    "identity": l_tilde tends to the identity; the rel is max |a_0| of
+        l_tilde - 1 over its largest modulus on the circle, the abs max |a_0|;
+    "derivative": a_1 of l_tilde - 1, conjugated by Delta^{c/n} and the
+        diagonal theta similarity, against krichever_table, the scalar part
+        of K (the d_i of K's diagonal is the first order of l_tilde's T_i).
     """
     n = ctx.n
     g = c / n
-    derivs = richardson_even(                                   # [s, i, j]
-        lambda h: (ltilde_table(c * h / n, u, samples, ctx) - np.eye(n)) / h,
-        (step, 2 * step))
+    hs = circle()
+    dev = ltilde_table(c * hs / n, u, samples, ctx) - np.eye(n)  # [h, s, i, j]
+    at0 = float(np.max(np.abs(laurent_coefficient(dev, hs, 0))))
+    derivs = laurent_coefficient(dev, hs, 1)                    # [s, i, j]
     samples = np.asarray(samples, dtype=complex)
     diff = samples[:, :, None] - samples[:, None, :]           # [s, i, j]
     eye = np.eye(n, dtype=bool)
@@ -559,8 +550,10 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext, samples,
     dlog = np.sum(np.where(eye, 0.0, theta_table(diff, ctx, 1) / plain),
                   axis=-1)                                      # [s, i]
     got[:, eye] = derivs[:, eye] + g * dlog
-    return worst_of_arrays(*residual_arrays(
-        got, krichever_table(c, u, samples, ctx)))
+    return {"identity": Residual(at0 / (float(np.max(np.abs(dev))) + _EPS),
+                                 at0),
+            "derivative": worst_of_arrays(*residual_arrays(
+                got, krichever_table(c, u, samples, ctx)))}
 
 
 # ------------------------------------------------------ Ruijsenaars weight
@@ -775,56 +768,42 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
     return operator_residual(combo, hamiltonian_cm(c, ctx), samples, ctx)
 
 
-def verify_cm_limit(c: complex, ctx: ModularContext, samples, vecs,
-                    steps=(1e-3, 2e-3)) -> Residual:
-    """(1/h^2)(-2 Mdot_2 + Mdot_1^2 - 2 Mdot_1 + n) -> H as h -> 0, by
-    richardson_even (the expression has a term odd in h)."""
-    n = ctx.n
-    ham = hamiltonian_cm(c, ctx)
-    samples = np.asarray(samples, dtype=complex)
-    got, want = [], []
-    for vec in vecs:
-        fjet = exp_test_function(vec)
-        f = exp_function(vec)
-        fvals = f(samples)
+def verify_cm_limit(c: complex, ctx: ModularContext, samples,
+                    vecs) -> dict:
+    """The differential limits, from one evaluation of Mdot_1 f, Mdot_2 f
+    and Mdot_1^2 f per node h of circle(), every test function of vecs on
+    apply_batch's function axis:
 
-        def expr(hb):
-            sctx = ctx.replace(hbar=hb)
-            m1 = m_dot(c, 1, sctx)
-            m2 = m_dot(c, 2, sctx)
-            v2, v11, v1 = (apply_batch(op, f, samples, sctx)
-                           for op in (m2, compose(m1, m1, sctx), m1))
-            return (-2.0 * v2 + v11 - 2.0 * v1 + n * fvals) / (hb * hb)
-
-        got.append(richardson_even(expr, steps))
-        want.append(pdo_apply(ham, fjet, samples))
-    return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
-
-
-def verify_d2_via_mdot(c: complex, ctx: ModularContext, samples, vecs,
-                       step: float = 1e-2) -> Residual:
-    """(c/n)^2 D[2] = (Mdot_2'' - (n-1) Mdot_1'')/2 via hbar differences."""
+    "elliptic": a_2 of -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f + n f, the
+        hbar^2 term, against H f (hamiltonian_cm);
+    "d2": (c/n)^2 D[2] f against (Mdot_2'' - (n-1) Mdot_1'') f / 2, with
+        Mdot_d'' f = 2 a_2 of Mdot_d f, so against a_2 of
+        Mdot_2 f - (n-1) Mdot_1 f.
+    """
     n = ctx.n
     g = c / n
-    d2 = op_scale(build_d_ops(c, ctx)[1], g * g)
     samples = np.asarray(samples, dtype=complex)
-    got, want = [], []
-    for vec in vecs:
-        fjet = exp_test_function(vec)
-        f = exp_function(vec)
-        fvals = f(samples)
+    fns = [exp_function(vec) for vec in vecs]
+    f = lambda P: np.stack([fn(P) for fn in fns], axis=-1)     # [..., m]
 
-        def second(dd):
-            f0 = math.comb(n, dd) * fvals
+    def at(h):
+        sctx = ctx.replace(hbar=h)
+        m1, m2 = m_dot(c, 1, sctx), m_dot(c, 2, sctx)
+        return [apply_batch(op, f, samples, sctx)
+                for op in (m1, m2, compose(m1, m1, sctx))]
+    hs = circle()
+    v1, v2, v11 = np.moveaxis(np.array([at(h) for h in hs]), 1, 0)  # [h, s, m]
+    a2 = lambda v: laurent_coefficient(v, hs, 2)
 
-            def expr(h):
-                sctx = ctx.replace(hbar=h)
-                return 2.0 * (apply_batch(m_dot(c, dd, sctx), f, samples, sctx)
-                              - f0) / (h * h)
-            return richardson_even(expr, (step, 2 * step))
-        got.append((second(2) - (n - 1) * second(1)) / 2.0)
-        want.append(pdo_apply(d2, fjet, samples))
-    return worst_of_arrays(*residual_arrays(np.array(got), np.array(want)))
+    def want(op):
+        return np.stack([pdo_apply(op, exp_test_function(vec), samples)
+                         for vec in vecs], axis=-1)
+    elliptic = a2(-2.0 * v2 + v11 - 2.0 * v1 + n * f(samples))
+    d2 = a2(v2) - (n - 1) * a2(v1)
+    return {"elliptic": worst_of_arrays(*residual_arrays(
+                elliptic, want(hamiltonian_cm(c, ctx)))),
+            "d2": worst_of_arrays(*residual_arrays(
+                d2, want(op_scale(build_d_ops(c, ctx)[1], g * g))))}
 
 
 # ------------------------------------------------------- Macdonald limit

@@ -169,8 +169,9 @@ def sample_points(seeds, ctx: ModularContext) -> np.ndarray:
     first, mixing, state, jump = _stream_constants(2 * n)
     # SeedSequence pools: two uint32 words a seed, a missing word hashes as 0
     seeds = np.array(seeds, dtype=np.uint64)
-    pool = _hashmix(np.stack([seeds & _M32, seeds >> 32, 0 * seeds, 0 * seeds],
-                             axis=1).astype(np.uint32), *first)
+    words = np.zeros((len(seeds), 4), dtype=np.uint32)
+    words[:, 0], words[:, 1] = seeds & _M32, seeds >> 32
+    pool = _hashmix(words, *first)
     for src in range(4):
         # mix(x, y) of word src into the three others; it stays as it is
         mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[:, src, None],

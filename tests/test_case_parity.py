@@ -44,6 +44,20 @@ def test_an_ok_flip_exits_one(parity, tmp_path, capsys):
     assert "ok flip ('commute', 3, 1, 'commutator')" in capsys.readouterr().out
 
 
+def test_ok_flips_are_counted_by_direction(parity, tmp_path, capsys):
+    # theta goes red, both commute cases go green: per context and suite
+    a = [_BASE[0], ["commute", 3, 1, "commutator", False, 2e-6],
+         ["commute", 3, 2, "commutator", False, 3e-6]]
+    b = [["theta", 2, 0, "quasi-periodicity", False, 3e-7],
+         ["commute", 3, 1, "commutator", True, 2e-12],
+         ["commute", 3, 2, "commutator", True, 1e-12]]
+    assert _compare(parity, tmp_path, _record(a), _record(b)) == 1
+    out = capsys.readouterr().out
+    assert "ok flips per context and suite:\n" \
+        "  default commute: green->red 0, red->green 2\n" \
+        "  default theta: green->red 1, red->green 0\n" in out
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_a_one_sided_case_exits_one(parity, tmp_path, capsys, side):
     extra = _BASE + [["commute", 3, 1, "renamed-case", True, 1e-13]]

@@ -396,30 +396,71 @@ def test_qfay_degenerates_to_fay(ctx2, rng):
 
 
 def test_qfay_hbar0_limit_is_the_fay_form_and_a_factor_less_reads_red(ctx2):
-    # the Richardson limit of the determinant side against the Fay form,
+    # a_0 on the hbar circle of the determinant side against the Fay form,
     # and against that form without its theta(u)^(d-1) factor
-    d = 2
+    d, hs = 2, th.circle()
     for seed in range(8):
         rng = np.random.default_rng(seed)
         u, l0, l1, m0, m1 = rng.uniform(-0.4, 0.4, (5, 2)).view(complex)[:, 0]
-        lhs = complex(th.richardson_even(lambda h: th.qfay_lhs(
-            d, u, [l0, l1], [m0, m1], ctx2.replace(hbar=h))))
+        lhs = complex(th.laurent_coefficient([th.qfay_lhs(
+            d, u, [l0, l1], [m0, m1], ctx2.replace(hbar=h)) for h in hs], hs, 0))
         bare = th.theta(u + m0 + m1 - l0 - l1, ctx2) \
             * th.theta(l1 - l0, ctx2) * th.theta(m0 - m1, ctx2)
         want = bare * th.theta(u, ctx2) ** (d - 1)
-        assert th.residual_pair(lhs, want).rel < 1e-8
+        assert th.residual_pair(lhs, want).rel < 1e-13
         assert th.residual_pair(lhs, bare).rel >= 1e-2
 
 
-@pytest.mark.parametrize("steps", [(1e-3, 2e-3), (0.1, 0.3)])
-def test_richardson_even_leaves_the_quartic_term(steps):
-    # on a + b h + c h^2 + d h^3 + e h^4 the symmetric part drops b and d and
-    # the two steps cancel c, which leaves a - e h1^2 h2^2
-    a, b, c, d, e = 0.3 - 1.1j, 2.0 + 0.5j, -1.7 + 0.2j, 0.9 - 0.4j, 3.1 + 1.3j
-    h1, h2 = steps
-    got = th.richardson_even(
-        lambda h: a + b * h + c * h ** 2 + d * h ** 3 + e * h ** 4, steps)
-    assert abs(got - (a - e * h1 ** 2 * h2 ** 2)) <= 1e-13 * abs(a)
+@pytest.mark.parametrize("tau", [0.1 + 0.08j, 0.1 + 0.05j])
+@pytest.mark.parametrize("n", [2, 3])
+def test_qfay_hbar0_case_passes_at_small_im_tau(n, tau):
+    # the case, not the suite: qfay-d3 and qfay-d4 still fail here; at
+    # tau = 0.1+0.05i, n = 2, seed 2 a +-hbar step of 2e-3 read 1.7e-5
+    from etlax.suites import run_suite
+    ctx = default_context(n, tau=tau)
+    failed = [seed for seed in range(8) if not {
+        c.name: c for c in run_suite("qfay", ctx, seed).cases}[
+            "qfay-hbar0-degeneration"].ok]
+    assert failed == []
+
+
+def _laurent(coeffs, hs):
+    """The values at the nodes hs of sum_m coeffs[m] h^m."""
+    return [sum(c * h ** m for m, c in coeffs.items()) for h in hs]
+
+
+@pytest.mark.parametrize("radius", [th.HBAR_RADIUS, 0.02, 1.0])
+def test_laurent_coefficient_is_exact_on_n_consecutive_powers(radius):
+    # N consecutive powers h^-2 .. h^(N-3) fall in N distinct classes mod
+    # N, so the rule reads each coefficient alone; each term is scaled to
+    # modulus about 1 on the circle, so rounding stays near eps
+    count = th.HBAR_NODES
+    hs = th.circle(radius, count)
+    rng = np.random.default_rng(7)
+    draws = rng.normal(size=(count, 2)).view(complex)[:, 0]
+    coeffs = {m: b * radius ** -m for m, b in zip(range(-2, count - 2), draws)}
+    values = _laurent(coeffs, hs)
+    for k, want in coeffs.items():
+        got = th.laurent_coefficient(values, hs, k)
+        assert abs(got - want) <= 1e-13 * abs(want), k
+
+
+def test_an_h_to_the_n_term_aliases_onto_a0():
+    # on circle(), h^12 takes the node class of h^0: a_0 gains its
+    # coefficient times r^12, and a_1 does not move; this pins N = 12 and
+    # r = 0.003
+    count, r = 12, 0.003
+    hs = th.circle()
+    assert len(hs) == count and np.allclose(np.abs(hs), r, rtol=1e-15, atol=0)
+    coeffs = {-1: 0.4 - 0.2j, 0: 1.3 + 0.5j, 1: -0.7 + 2.1j}
+    extra = (0.9 - 1.7j) * r ** -count
+    values = np.add(_laurent(coeffs, hs), extra * hs ** count)
+    # the rounding of a value, about eps max|f|, reaches a_k times r^-k
+    floor = 1e-15 * np.max(np.abs(values))
+    assert abs(th.laurent_coefficient(values, hs, 0)
+               - (coeffs[0] + extra * r ** count)) <= floor
+    assert abs(th.laurent_coefficient(values, hs, 0) - coeffs[0]) > 1.0
+    assert abs(th.laurent_coefficient(values, hs, 1) - coeffs[1]) <= floor / r
 
 
 def test_tail_bounds_accepted(ctx2, rng):

@@ -299,10 +299,11 @@ def test_lax_matrix_conjugation_route(ctx2, ctx3, rng):
 
 
 def test_lax_matrix_identity_limit(ctx3, rng):
+    # a_0 of l_tilde - 1 on the hbar circle vanishes to rounding
     samples = wt.sample_many(36, 2, ctx3)
-    res = tr.verify_ltilde_limit(C0, U0, ctx3, samples)
-    assert res.rel < 1e-3       # clean first-order convergence
-    assert res.abs < 1e-3
+    res = tr.verify_krichever(C0, U0, ctx3, samples)["identity"]
+    assert res.rel < 1e-11
+    assert res.abs < 1e-14
 
 
 def test_lax_matrix_determinant_route(ctx2, ctx3, rng):
@@ -377,19 +378,19 @@ def test_krichever_closed_form(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         samples = wt.sample_many(39, 3, ctx)
         res = tr.verify_krichever(rand_complex(rng), rand_complex(rng), ctx,
-                                  samples)
+                                  samples)["derivative"]
         assert res.rel < 1e-5
 
 
 def test_krichever_check_reads_k_at_its_coupling(ctx3, monkeypatch):
     samples = wt.sample_many(39, 3, ctx3)
-    assert tr.verify_krichever(C0, U0, ctx3, samples).rel < 1e-5
+    assert tr.verify_krichever(C0, U0, ctx3, samples)["derivative"].rel < 1e-5
     # control: K at another coupling turns the check red, so it reads K at
     # c != 0 (the suite's c0-pure-derivative case reads it at c = 0 only)
     real = tr.krichever_table
     monkeypatch.setattr(tr, "krichever_table",
                         lambda c, u, P, ctx: real(1.07 * c, u, P, ctx))
-    assert tr.verify_krichever(C0, U0, ctx3, samples).rel > 1e-3
+    assert tr.verify_krichever(C0, U0, ctx3, samples)["derivative"].rel > 1e-3
 
 
 @pytest.mark.parametrize("n, floor", [(2, 0.5), (3, 0.1)])
@@ -821,16 +822,76 @@ def test_cm_limit(ctx2, rng):
     samples = wt.sample_many(49, 2, ctx2)
     vecs = [rng.normal(size=2) for _ in range(2)]
     vecs = [v - v.mean() for v in vecs]
-    res = tr.verify_cm_limit(C0, ctx2, samples, vecs)
+    res = tr.verify_cm_limit(C0, ctx2, samples, vecs)["elliptic"]
     assert res.rel < 1e-4
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cm_limit_suite_passes_across_seeds(n):
-    # an unsymmetrized two-step 2E(h) - E(2h) fails 8 of these 48 runs
     failed = [seed for seed in range(24)
               if not run_suite("cm-limit", default_context(n), seed).passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cm_limit_suite_passes_at_small_im_tau(n):
+    # n = 2, seed 2 puts a pole of the limit expression at |hbar| = 0.0083,
+    # where a +-hbar step of 2e-3 read 3.3e-4 and the circle reads 2.1e-6
+    ctx = default_context(n, tau=0.1 + 0.05j)
+    failed = [seed for seed in range(8)
+              if not run_suite("cm-limit", ctx, seed).passed]
+    assert failed == []
+
+
+def _off_by_1e6(real, pick):
+    """real, with its result (an array or a difference operator's table)
+    off by 1e-6 relative wherever pick(*args)."""
+    def scaled(*args):
+        out = real(*args)
+        if not pick(*args):
+            return out
+        if isinstance(out, oa.DifferenceOperator):
+            return oa.DifferenceOperator(out.n, out.terms,
+                                         lambda P: (1 + 1e-6) * out.table(P))
+        return (1 + 1e-6) * out
+    return scaled
+
+
+# (suite, case, module, attr, pick): one coefficient of the case's limit
+# expression off by 1e-6 relative, through the builder it reads
+_LIMIT_CONTROLS = [
+    # the 1 of Mdot_1^2 f in -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f + n f
+    ("cm-limit", "elliptic-cm-limit", "transfer", "compose",
+     lambda *args: True),
+    # the Mdot_1'' of (Mdot_2'' - (n-1) Mdot_1'') / 2
+    ("cm-limit", "d2-via-second-derivatives", "transfer", "m_dot",
+     lambda c, d, ctx: d == 1),
+    ("krichever", "lax-derivative-vs-closed-form", "transfer", "ltilde_table",
+     lambda *args: True),
+    ("krichever", "lax-to-identity", "transfer", "ltilde_table",
+     lambda *args: True),
+    ("qfay", "qfay-hbar0-degeneration", "theta", "qfay_lhs",
+     lambda *args: True),
+]
+# every hbar-limit case reads at most 5.5e-10 at the default tau, n = 2, 3,
+# 4 and seeds 0-7, so the circle rule supports this tolerance for each
+_LIMIT_SUPPORTED = 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name, case, module, attr, pick", _LIMIT_CONTROLS,
+                         ids=[c[1] for c in _LIMIT_CONTROLS])
+def test_hbar_limit_case_reads_a_1e6_defect_red_at_its_supported_tolerance(
+        monkeypatch, n, name, case, module, attr, pick):
+    # the defect moves each rel to 5e-7 or more; the cases' own tolerances
+    # (1e-5 to 1e-3) still let it through, so `ok` is not asserted here
+    import importlib
+    ctx = default_context(n)
+    clean = {c.name: c for c in run_suite(name, ctx, 0).cases}[case]
+    owner = importlib.import_module(f"etlax.{module}")
+    monkeypatch.setattr(owner, attr, _off_by_1e6(getattr(owner, attr), pick))
+    bad = {c.name: c for c in run_suite(name, ctx, 0).cases}[case]
+    assert clean.rel < _LIMIT_SUPPORTED < bad.rel
 
 
 def test_l_op_entry_reads_one_coefficient_tensor(ctx3, monkeypatch):
@@ -863,7 +924,7 @@ def test_d2_via_mdot_second_derivatives(ctx2, ctx3, rng):
         samples = wt.sample_many(50, 2, ctx)
         vecs = [rng.normal(size=ctx.n) for _ in range(2)]
         vecs = [v - v.mean() for v in vecs]
-        assert tr.verify_d2_via_mdot(C0, ctx, samples, vecs).rel < 1e-4
+        assert tr.verify_cm_limit(C0, ctx, samples, vecs)["d2"].rel < 1e-4
 
 
 def test_macdonald_limit(ctx2, ctx3, rng):

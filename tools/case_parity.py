@@ -41,9 +41,9 @@ case not ok) or the error's type and message, and a NaN rel is null; a
 grid row ends with one more field, its context ("tau=0.1+0.3j"), which
 is part of its key.  `--compare A B` prints the runs whose outcome
 differs, then, per context and suite, the raises and the failing runs of
-A and of B wherever either has some, the cases whose ok
-flag flips (with both rels), the cases present on one side only, and the
-ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
+A and of B wherever either has some, the cases whose ok flag flips (with
+both rels) and, per context and suite, how many flip green->red and how
+many red->green, the cases present on one side only, and the ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
 bit-identical, and the largest growths; then, per (suite, case stem), the
 number of rels that moved, the stem being the case name without its
 trailing digits (`fay/fay-d 200` counts fay-d1 to fay-d4 of every n and
@@ -215,8 +215,17 @@ def compare(path_a, path_b) -> int:
         if not (math.isnan(rel_a) or math.isnan(rel_b)):
             ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
                            rel_a, rel_b))
+    directions = Counter()
     for key, ok_a, rel_a, ok_b, rel_b in flips:
         _say(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} rel={rel_b:.3g}")
+        directions[(key[4] if len(key) > 4 else "default", key[0],
+                    "green->red" if ok_a else "red->green")] += 1
+    if flips:
+        _say("ok flips per context and suite:")
+    for where, suite in sorted({key[:2] for key in directions}):
+        _say(f"  {where} {suite}: " + ", ".join(
+            f"{kind} {directions[(where, suite, kind)]}"
+            for kind in ("green->red", "red->green")))
     _say(f"{len(common)} common cases: {len(flips)} ok flips, {same} "
          f"bit-identical rels, {len(ratios)} moved, "
          f"{len(common) - same - len(ratios)} moved to or from NaN")
