@@ -18,7 +18,14 @@ accumulated operator, as an n^2 x n^2 matrix on a reshaped stack; no
 n^k x n^k slot matrix is formed.  The symmetry, quasi-periodicity,
 holomorphy and Yang-Baxter checks take a whole sample batch, and the two
 vertex-face intertwining relations are einsum contractions over one
-intertwiner batch.
+intertwiner batch.  An identity of braids whose residual is rounding is
+read on a fixed real Gaussian block G (gaussian_block), not on the
+identity: both sides of the Yang-Baxter equation act on n columns, and the
+suite reads the u-independence, rank and antisymmetry of the fusion
+operator pi from pi G (antisymmetrizer_on), C(n, k) + 2 columns, so no
+n^k x n^k braid product is formed for them.  The fusion intertwining
+relation stays on the dense phi tensor matrix: at some n = 4 seeds its
+residual sits near its tolerance, where any change of rounding shows.
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
 step adding hbar*epsbar_i, in product order (the first step most
@@ -158,6 +165,14 @@ def _apply_moves(op: np.ndarray, rchecks, moves, n: int) -> np.ndarray:
     return op
 
 
+@functools.lru_cache(maxsize=None)
+def gaussian_block(k: int, n: int, cols: int) -> np.ndarray:
+    """A fixed real Gaussian block [n^k, cols] from default_rng(k), the
+    columns an identity of operators on V^(x)k is read on (read-only)."""
+    return read_only(np.random.default_rng(k).standard_normal(
+        (n ** k, cols)))[0]
+
+
 def _rel(a: np.ndarray, b: np.ndarray) -> Residual:
     """Max entry difference relative to max|a| + max|b|, per matrix of the
     stacks a, b [..., rows, cols]; the worst over the stacks."""
@@ -232,6 +247,9 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
             = Rcheck_12(v-w) Rcheck_23(u-w) Rcheck_12(u-v),
 
     worst over the triples (us[p], vs[p], ws[p]), from one Rcheck table.
+    Both sides act on the n columns of gaussian_block(3, n, n), not on
+    the identity: AG = BG for a fixed Gaussian G (Freivalds' check) reads
+    a defect in any Rcheck, and no n^3 x n^3 product is formed.
     """
     n = ctx.n
     us, vs, ws = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=complex))
@@ -239,11 +257,9 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
     r_uv, r_uw, r_vw = rcheck_table(
         np.concatenate([us - vs, us - ws, vs - ws]), ctx).reshape(
             3, len(us), n * n, n * n)
-    eye = np.eye(n ** 3, dtype=complex)
-    lhs = _apply_moves(np.tile(eye, (len(us), 1, 1)), [r_vw, r_uw, r_uv],
-                       [1, 0, 1], n)
-    rhs = _apply_moves(np.tile(eye, (len(us), 1, 1)), [r_uv, r_uw, r_vw],
-                       [0, 1, 0], n)
+    block = np.broadcast_to(gaussian_block(3, n, n), (len(us), n ** 3, n))
+    lhs = _apply_moves(block.astype(complex), [r_vw, r_uw, r_uv], [1, 0, 1], n)
+    rhs = _apply_moves(block.astype(complex), [r_uv, r_uw, r_vw], [0, 1, 0], n)
     return _rel(lhs, rhs)
 
 
@@ -623,11 +639,20 @@ def fusion_parameters(k: int, u: complex, ctx: ModularContext):
     return [u - (k - 1 - r) * ctx.hbar for r in range(k)]
 
 
+def antisymmetrizer_on(k: int, cols: np.ndarray, ctx: ModularContext,
+                       u: complex = 0.0) -> np.ndarray:
+    """The vertex fusion operator pi on V^(x)k (independent of u) applied
+    to the columns of cols [n^k, m], which are overwritten; pi itself is
+    not formed."""
+    return _braid_on(fusion_parameters(k, u, ctx), fusion_moves(k), cols, ctx)
+
+
 def antisymmetrizer(k: int, ctx: ModularContext, u: complex = 0.0) -> np.ndarray:
-    """The vertex fusion operator on V^(x)k (independent of u)."""
+    """The vertex fusion operator on V^(x)k (independent of u): the
+    columns of the identity, braided."""
     if not 2 <= k <= ctx.n:
         raise ValueError(f"k must be in 2..n, got {k}")
-    return braid_matrix(fusion_parameters(k, u, ctx), fusion_moves(k), ctx)
+    return antisymmetrizer_on(k, np.eye(ctx.n ** k, dtype=complex), ctx, u)
 
 
 def face_fusion_operator(k: int, base, ctx: ModularContext,

@@ -104,58 +104,55 @@ def report_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_json(obj) -> str:
-    """JSON with fixed field order and 17-significant-digit floats; a NaN
-    or infinite float is null."""
-    if obj is None:
+def _json_num(x) -> str:
+    """A float with 17 significant digits; a NaN or infinite one is null."""
+    return fmt_float(x) if math.isfinite(x) else "null"
+
+
+def _json_bool(b) -> str:
+    return "true" if b else "false"
+
+
+def _json_scalar(v) -> str:
+    """A param value: null, a bool, a string, an int, a float or a
+    complex {"re", "im"}."""
+    if v is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, complex):
-        return ('{"re": ' + _emit_json(obj.real)
-                + ', "im": ' + _emit_json(obj.imag) + "}")
-    if isinstance(obj, dict):
-        inner = ", ".join(json.dumps(str(k)) + ": " + _emit_json(v)
-                          for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if isinstance(v, bool):
+        return _json_bool(v)
+    if isinstance(v, str):
+        return json.dumps(v)
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return _json_num(v)
+    if isinstance(v, complex):
+        return f'{{"re": {_json_num(v.real)}, "im": {_json_num(v.imag)}}}'
+    raise TypeError(f"cannot serialize {type(v)!r}")
+
+
+def _suite_json(rep) -> str:
+    params = ", ".join(f"{json.dumps(str(k))}: {_json_scalar(v)}"
+                       for k, v in rep.params.items())
+    cases = ", ".join(
+        f'{{"name": {json.dumps(c.name)}, "rel": {_json_num(c.rel)}, '
+        f'"abs": {_json_num(c.abs)}, "tol": {_json_num(c.tol)}, '
+        f'"control": {_json_bool(c.control)}, "ok": {_json_bool(c.ok)}}}'
+        for c in rep.cases)
+    return (f'{{"suite": {json.dumps(rep.suite)}, "params": {{{params}}}, '
+            f'"tolerance": {_json_num(rep.tolerance)}, "cases": [{cases}], '
+            f'"pass": {_json_bool(rep.passed)}, '
+            f'"wall_time_s": {_json_num(rep.wall_time_s)}}}')
 
 
 def report_json(reports) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "suites": [
-            {
-                "suite": rep.suite,
-                "params": dict(rep.params),
-                "tolerance": rep.tolerance,
-                "cases": [
-                    {"name": c.name, "rel": c.rel, "abs": c.abs,
-                     "tol": c.tol, "control": c.control, "ok": c.ok}
-                    for c in rep.cases
-                ],
-                "pass": rep.passed,
-                "wall_time_s": rep.wall_time_s,
-            }
-            for rep in reports
-        ],
-        "summary": {
-            "pass": all(r.passed for r in reports),
-            "worst_rel": worst_of(Residual(r.worst(), 0.0)
-                                  for r in reports).rel,
-        },
-    }
-    return _emit_json(doc) + "\n"
+    """The JSON document of the suite runs: fixed field order and
+    17-significant-digit floats, a NaN or infinite float null."""
+    suites = ", ".join(_suite_json(rep) for rep in reports)
+    worst = worst_of(Residual(r.worst(), 0.0) for r in reports).rel
+    return (f'{{"schema": {SCHEMA_VERSION}, "suites": [{suites}], '
+            f'"summary": {{"pass": {_json_bool(all(r.passed for r in reports))}, '
+            f'"worst_rel": {_json_num(worst)}}}}}\n')
 
 
 def strip_timing(text: str) -> str:

@@ -901,6 +901,11 @@ def test_braid_matrix_matches_kron_slots(n, rng):
         on_cols = bv._braid_on(params, moves, cols.copy(), ctx)
         assert np.max(np.abs(on_cols - want @ cols)) \
             <= 1e-13 * scale * np.max(np.abs(cols)) * n ** k
+        # and on the fixed Gaussian block the fusion cases read
+        block = bv.gaussian_block(k, n, math.comb(n, k) + 2)
+        on_block = bv._braid_on(params, moves, block.astype(complex), ctx)
+        assert np.max(np.abs(on_block - got @ block)) \
+            <= 1e-13 * np.max(np.abs(got @ block))
         # control: the parameters in reverse order give another operator
         back = _kron_braid(params[::-1], moves, ctx)
         assert np.max(np.abs(got - back)) > 1e-3 * scale
@@ -1093,22 +1098,25 @@ def test_partial_shifts_are_the_plans_of_both_sides():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sketched_fusion_rank_agrees_with_the_full_svd(n, monkeypatch):
-    # fusion-rank-k{k} counts the singular values of a Gaussian sketch of
-    # pi: it passes at every pi the suite builds, whose full SVD reads
-    # C(n, k) too, and a rank-one bump of 1e-3 max|pi| makes it read red
+    # fusion-rank-k{k} counts the singular values of pi G, G the fixed
+    # Gaussian block: it passes at every pi the suite reads, whose full
+    # SVD reads C(n, k) too, and a rank-one bump of 1e-3 max|pi|, applied
+    # as bump G, makes it read red
     from etlax.suites import run_suite
-    ctx, build, built = default_context(n), bv.antisymmetrizer, []
+    ctx, build, built = default_context(n), bv.antisymmetrizer_on, []
     bumps = {}
     for k in range(2, n + 1):
         bump = np.outer(*np.random.default_rng(k).standard_normal((2, n ** k)))
         bumps[k] = 1e-3 * bump / np.max(np.abs(bump))
 
     def rank_cases(scale):
-        def bumped(k, ctx, u=0.0):
-            pi = build(k, ctx, u)
+        def bumped(k, cols, ctx, u=0.0):
+            pi = build(k, np.eye(n ** k, dtype=complex), ctx, u)
             built.append((k, pi))
-            return pi + scale * np.max(np.abs(pi)) * bumps[k]
-        monkeypatch.setattr(bv, "antisymmetrizer", bumped)
+            bump_g = bumps[k] @ cols
+            return build(k, cols, ctx, u) \
+                + scale * np.max(np.abs(pi)) * bump_g
+        monkeypatch.setattr(bv, "antisymmetrizer_on", bumped)
         found = []
         for seed in range(8):
             try:
@@ -1124,3 +1132,130 @@ def test_sketched_fusion_rank_agrees_with_the_full_svd(n, monkeypatch):
     for k, pi in built:
         assert np.linalg.matrix_rank(pi, rtol=1e-8) == math.comb(n, k)
     assert not any(rank_cases(1.0))
+
+
+def _dense_ybe(us, vs, ws, ctx):
+    # verify_ybe as it was written before the Gaussian block: both sides
+    # braid the n^3 x n^3 identity of every triple
+    n = ctx.n
+    r_uv, r_uw, r_vw = bv.rcheck_table(
+        np.concatenate([us - vs, us - ws, vs - ws]), ctx).reshape(
+            3, len(us), n * n, n * n)
+    eye = np.tile(np.eye(n ** 3, dtype=complex), (len(us), 1, 1))
+    lhs = bv._apply_moves(eye.copy(), [r_vw, r_uw, r_uv], [1, 0, 1], n)
+    rhs = bv._apply_moves(eye, [r_uv, r_uw, r_vw], [0, 1, 0], n)
+    return bv._rel(lhs, rhs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sketched_ybe_matches_the_dense_oracle(n, monkeypatch):
+    # both read rounding at seeds 0-7, and one Rcheck off by 1e-6 of its
+    # largest entry turns both red at the suite tolerance 1e-8
+    ctx = default_context(n)
+    for seed in range(8):
+        us, vs, ws = np.random.default_rng(seed).uniform(
+            -0.4, 0.4, size=(3, 25, 2)).view(complex)[..., 0]
+        assert bv.verify_ybe(us, vs, ws, ctx).rel <= 1e-13
+        assert _dense_ybe(us, vs, ws, ctx).rel <= 1e-13
+    table = bv.rcheck_table
+    def off(deltas, c):
+        out = table(deltas, c)
+        out[7, 1, 2] += 1e-6 * np.max(np.abs(out[7]))
+        return out
+    monkeypatch.setattr(bv, "rcheck_table", off)
+    assert bv.verify_ybe(us, vs, ws, ctx).rel > 1e-8
+    assert _dense_ybe(us, vs, ws, ctx).rel > 1e-8
+
+
+def _bumped_case(name, n, seed, monkeypatch, patch):
+    # the case `name` of the suite at (n, seed) with `patch` in place, or
+    # None where the intertwiner cond guard fires before it
+    from etlax.suites import run_suite
+    monkeypatch.setattr(bv, patch[0], patch[1])
+    suite = "ybe" if "ybe" in name else "intertwiner"
+    try:
+        rep = run_suite(suite, default_context(n), seed)
+    except SingularParameterError:
+        return None
+    finally:
+        monkeypatch.undo()
+    return {c.name: c for c in rep.cases}[name]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sketched_cases_read_their_controls_red(n, monkeypatch):
+    # each case read on the Gaussian block sees a defect of 1e-6 relative
+    # in the operator it checks, at every seed 0-7, at its tolerance
+    table, build = bv.rcheck_table, bv.antisymmetrizer_on
+    gen = np.random.default_rng(5)
+
+    def one_rcheck_off(deltas, c):
+        # one Rcheck of the vertex-ybe batch of 25 triples
+        out = table(deltas, c)
+        if len(deltas) == 75:
+            bump = gen.standard_normal(out[7].shape)
+            out[7] += 1e-6 * np.max(np.abs(out[7])) * bump / np.max(np.abs(bump))
+        return out
+
+    def bumped(sym):
+        # pi + 1e-6 max|pi| B, B a fixed Gaussian scaled to max 1: made
+        # symmetric under the swap P and added at k = 2 (sym), else added
+        # to every pi(u) but that of the first u read at each k
+        first = {}
+        def on(k, cols, c, u=0.0):
+            out = build(k, cols.copy(), c, u)
+            if not (k == 2 if sym else first.setdefault(k, u) != u):
+                return out
+            bump = np.random.default_rng(k).standard_normal((n ** k,) * 2)
+            if sym:
+                bump += bv.permutation_matrix(n).real @ bump
+            pi = build(k, np.eye(n ** k, dtype=complex), c, u)
+            return out + 1e-6 * np.max(np.abs(pi)) \
+                * (bump / np.max(np.abs(bump))) @ cols
+        return on
+
+    read = 0
+    for seed in range(8):
+        controls = (("vertex-ybe", ("rcheck_table", one_rcheck_off)),
+                    ("fusion-antisymmetry", ("antisymmetrizer_on", bumped(True))))
+        controls += tuple((f"fusion-u-independence-k{k}",
+                           ("antisymmetrizer_on", bumped(False)))
+                          for k in range(2, n + 1))
+        for name, patch in controls:
+            case = _bumped_case(name, n, seed, monkeypatch, patch)
+            if case is not None:
+                assert case.tol == 1e-8 and not case.ok, (name, seed, case.rel)
+                read += 1
+    # the cond guard fires before the fusion cases at two n = 4 seeds
+    assert read == 8 * (n + 1) - (8 if n == 4 else 0)
+
+
+def test_vertex_suites_braid_no_dense_operand_outside_fusion_intertwining(
+        monkeypatch):
+    # at n = 4 every _apply_moves operand of the ybe and intertwiner suites
+    # has fewer than n^k columns, except the phi tensor matrix of
+    # fusion-intertwining-k{k}, one per k
+    from etlax.suites import run_suite
+    apply, fusion = bv._apply_moves, bv.verify_fusion_intertwining
+    shapes, inside = [], []
+    def recorded(op, rchecks, moves, n):
+        shapes.append((op.shape, bool(inside)))
+        return apply(op, rchecks, moves, n)
+    def within(*args):
+        inside.append(1)
+        try:
+            return fusion(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(bv, "_apply_moves", recorded)
+    monkeypatch.setattr(bv, "verify_fusion_intertwining", within)
+    ctx = default_context(4)
+    for name in ("ybe", "intertwiner"):
+        del shapes[:]
+        run_suite(name, ctx, 1)
+        dense = [(shape, fused) for shape, fused in shapes
+                 if shape[-1] == shape[-2]]
+        assert all(fused for _, fused in dense)
+        assert len(dense) == (3 if name == "intertwiner" else 0)
+        assert shapes and all(shape[-1] < shape[-2] or fused
+                              for shape, fused in shapes)

@@ -110,6 +110,72 @@ def test_json_report_with_a_nan_case_parses():
     assert "case: blown rel=inf" in report_text([rep])
 
 
+def _recursive_json(obj):
+    # the recursive emitter report_json was written with before its
+    # f-string form, kept as the byte-for-byte oracle
+    from etlax.report import fmt_float as ff
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return ff(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, complex):
+        return ('{"re": ' + _recursive_json(obj.real)
+                + ', "im": ' + _recursive_json(obj.imag) + "}")
+    if isinstance(obj, dict):
+        return "{" + ", ".join(json.dumps(str(k)) + ": " + _recursive_json(v)
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_recursive_json(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _recursive_report_json(reports):
+    from etlax.report import SCHEMA_VERSION
+    from etlax.theta import Residual, worst_of
+    return _recursive_json({
+        "schema": SCHEMA_VERSION,
+        "suites": [{"suite": rep.suite, "params": dict(rep.params),
+                    "tolerance": rep.tolerance,
+                    "cases": [{"name": c.name, "rel": c.rel, "abs": c.abs,
+                               "tol": c.tol, "control": c.control, "ok": c.ok}
+                              for c in rep.cases],
+                    "pass": rep.passed, "wall_time_s": rep.wall_time_s}
+                   for rep in reports],
+        "summary": {"pass": all(r.passed for r in reports),
+                    "worst_rel": worst_of(Residual(r.worst(), 0.0)
+                                          for r in reports).rel},
+    }) + "\n"
+
+
+def test_json_report_is_byte_identical_to_the_recursive_emitter():
+    nan, inf = float("nan"), float("inf")
+    cases = [Case("fine", 1e-12, 3e-13, 1e-9, True),
+             Case("poisoned", nan, nan, 1e-9, False),
+             Case("blown", inf, -inf, 1e-9, False),
+             Case('quote"d', 0.0, 0.0, 1e-9, True),
+             Case("floor", 0.5, 0.25, 1e-3, True, control=True)]
+    odd = SuiteReport("fay", {"n": 3, "tau": complex(nan, 0.8),
+                              "hbar": complex(0.1, -inf), "seed": 7,
+                              "note": "x", "scale": 1.5, "flag": True,
+                              "none": None}, 1e-9, cases).finalize()
+    odd.wall_time_s = 0.125
+    real = [run_suite("ybe", default_context(2), 42),
+            run_suite("intertwiner", default_context(3), 1)]
+    for reports in ([], [odd], real, real + [odd]):
+        assert report_json(reports) == _recursive_report_json(reports)
+    # a type JSON has no form for still raises
+    with pytest.raises(TypeError):
+        report_json([SuiteReport("fay", {"n": [2]}, 1e-9)])
+
+
 def test_seed_changes_residuals_not_outcome():
     ctx = default_context(2)
     rep1 = run_suite("fay", ctx, 1)

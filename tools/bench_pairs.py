@@ -16,8 +16,15 @@ directory.  For every workload and seed the output holds each run's last
 JSON line and its `failed` lines ("runs") and, per end-to-end metric, both
 sides' median and linear-interpolation quartiles, the pairs each side won,
 the median ratio change/parent, the median gap parent - change (positive
-when the change is better, for a lower-is-better metric) and the parent's
-quartile distance ("summary").  "rss" holds, for each tree, the peak
+when the change is better, for a lower-is-better metric), the parent's
+quartile distance and a verdict ("summary").  The verdict is "gain" when
+the change wins at least nine tenths of the pairs and the median gap
+exceeds the parent's quartile distance; otherwise "worse beyond bound"
+when the change's median exceeds the parent's by more than the metric's
+relative bound in BENCHMARK.json, "unresolved" when either side's
+quartile distance exceeds that bound times the parent's median and not
+every run of the change reads better than every run of the parent, and
+"within bound" else.  "rss" holds, for each tree, the peak
 resident set of one fresh `verify all --seed S` process (RUSAGE_SELF) and
 of the largest process it forked and reaped (RUSAGE_CHILDREN), in MB.
 """
@@ -39,7 +46,6 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")   # all lower-is-better
 SIDES = ("parent", "change")
 
 # One fresh `verify all`: its report goes to a scratch file, and the last
@@ -98,10 +104,34 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs):
-    """The summary of one workload and seed from its paired runs."""
+def end_to_end_bounds():
+    """{metric: relative bound} of the end-to-end metrics BENCHMARK.json
+    declares; every one is lower-is-better."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics):
+        raise ValueError("every end-to-end metric must be lower-is-better")
+    return {m["name"]: m["bound"] for m in metrics}
+
+
+def verdict(parent, change, bound):
+    """The verdict on one metric from its paired runs (module docstring)."""
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum(b < a for a, b in zip(parent, change))
+    if wins >= 0.9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]:
+        return "gain"
+    if c["median"] > (1.0 + bound) * p["median"]:
+        return "worse beyond bound"
+    spread = max(p["q3"] - p["q1"], c["q3"] - c["q1"])
+    if spread > bound * p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs, bounds):
+    """The summary of one workload and seed from its paired runs, per
+    metric of bounds ({metric: relative bound})."""
     out = {}
-    for name in METRICS:
+    for name, bound in bounds.items():
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         p, c = quartiles(parent), quartiles(change)
@@ -112,6 +142,8 @@ def summarize(runs):
             "median_ratio": c["median"] / p["median"],
             "median_gap": p["median"] - c["median"],
             "parent_quartile_distance": p["q3"] - p["q1"],
+            "bound": bound,
+            "verdict": verdict(parent, change, bound),
         }
     out["failed"] = {side: sorted({r["failed"] for r in runs[side]})
                      for side in SIDES}
@@ -138,6 +170,7 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
+    bounds = end_to_end_bounds()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         work = Path(tmp)
         trees, commits = {}, {}
@@ -155,7 +188,7 @@ def main(argv=None):
                             trees[side], workload, seed, args.seconds))
                     print(key, i, {side: runs[key][side][-1]["metrics"]
                                    for side in SIDES}, flush=True)
-                summary[key] = summarize(runs[key])
+                summary[key] = summarize(runs[key], bounds)
         rss = {side: peak_rss(trees[side], args.seed[0], work)
                for side in SIDES}
     doc = {
