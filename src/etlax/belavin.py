@@ -16,16 +16,14 @@ rows reordered.  A product of Rcheck moves (braid_matrix) reads all its
 Rchecks from one table and applies each to its two tensor slots of the
 accumulated operator, as an n^2 x n^2 matrix on a reshaped stack; no
 n^k x n^k slot matrix is formed.  The symmetry, quasi-periodicity,
-holomorphy and Yang-Baxter checks take a whole sample batch, and the two
-vertex-face intertwining relations are einsum contractions over one
-intertwiner batch.  An identity of braids whose residual is rounding is
-read on a fixed real Gaussian block G (gaussian_block), not on the
-identity: both sides of the Yang-Baxter equation act on n columns, and the
-suite reads the u-independence, rank and antisymmetry of the fusion
-operator pi from pi G (antisymmetrizer_on), C(n, k) + 2 columns, so no
-n^k x n^k braid product is formed for them.  The fusion intertwining
-relation stays on the dense phi tensor matrix: at some n = 4 seeds its
-residual sits near its tolerance, where any change of rounding shows.
+holomorphy and Yang-Baxter checks take a whole sample batch.  An identity
+of braids whose residual is rounding is read on a fixed real Gaussian block
+G (gaussian_block), not on the identity: both sides of the Yang-Baxter
+equation act on n columns, and the suite reads the u-independence, rank
+and antisymmetry of the fusion operator pi from pi G (antisymmetrizer_on),
+C(n, k) + 2 columns, so no n^k x n^k braid product is formed for them.  The
+fusion intertwining relation stays on the dense phi tensor matrix: at some
+n = 4 seeds its residual sits near its tolerance, where rounding shows.
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
 step adding hbar*epsbar_i, in product order (the first step most
@@ -36,9 +34,12 @@ its weights at the (i, j, count_i - count_j) that the prefixes reach, and
 all moves of a product (or of both sides of the face YBE) read one theta
 table.  A move only reorders steps, so the moves act on the S_k orbit of
 each column path, n^k * k! entries per base, not on the n^k x n^k path
-matrix.  The intertwiner map along paths reads one intertwiner batch.
-The fusion operators on both sides are products of adjacent-swap moves whose
-spectral parameters are tracked positionally.
+matrix; every face weight is read from these stacks.  phi has one kernel,
+shift_intertwiners (intertwiner_arrays at the zero count); the intertwiner
+map along paths multiplies one batch out level by level, and both two-step
+intertwining relations are read on these tensor matrices.  The fusion
+operators on both sides are products of adjacent-swap moves whose spectral
+parameters are tracked positionally.
 """
 
 from __future__ import annotations
@@ -348,24 +349,6 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
     return out
 
 
-def _face_weights(lij, deltas, ctx: ModularContext):
-    """diag, cis, trans of one move (_weight_tables) at lij[s], deltas[s]."""
-    keep, cross = _weight_tables([lij], [(0, deltas)], ctx)[0]
-    return keep[:, -1], keep[:, :-1], cross[:, :-1]
-
-
-def _move_weights(k: int, pos: int, coords: np.ndarray, deltas,
-                  ctx: ModularContext):
-    """keep[s, a, i, j] and cross[s, a, i, j]: the weights of the move at
-    (pos, pos+1) with argument deltas[s] on the length-k paths with prefix a
-    (of n^pos, in product order) and steps (i, j) there, at the base weight
-    coords[s], to themselves and to their swaps (0 where i == j)."""
-    ti, tj, tm, pair = _orbit_plan(ctx.n, k)[2][pos][:4]
-    keep, cross = _weight_tables(
-        [coords[:, ti] - coords[:, tj] + ctx.hbar * tm], [(0, deltas)], ctx)[0]
-    return keep[:, pair], cross[:, pair]
-
-
 def _face_orbits(base, k: int, sides, ctx: ModularContext) -> list:
     """The products of moves sides[r] (lists of (pos, delta), delta one
     value or one per base) on the length-k paths at the bases base[s], as
@@ -441,14 +424,11 @@ _COND_LIMIT = 1e8
 
 def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
-    one theta table, and guarded_inverse of the stack."""
-    us = list(us)
-    n, count = ctx.n, len(us)
-    ieta = 1j * dedekind_eta(ctx.tau, ctx)
-    args = _phi_args(us, mus, n).ravel()
-    phi = np.ascontiguousarray(
-        (theta_level_table(range(n), args, ctx) / ieta)
-        .reshape(n, count, n).transpose(1, 0, 2))
+    shift_intertwiners at the zero count, each pair its own point, and
+    guarded_inverse of the stack."""
+    us, n = list(us), ctx.n
+    phi = shift_intertwiners([[u] for u in us], np.reshape(mus, (-1, 1, n)),
+                             np.zeros((1, n), dtype=int), ctx).reshape(-1, n, n)
     return phi, guarded_inverse(phi, us.__getitem__)
 
 
@@ -509,12 +489,6 @@ def guarded_inverse(phi: np.ndarray, spectral) -> np.ndarray:
     return phibar
 
 
-def _phi_args(us, mus, n: int) -> np.ndarray:
-    """[p, k] = us[p]/n - <mus[p], epsbar_k>, u/n divided as Python does."""
-    return (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
-            - np.asarray(mus, dtype=complex).reshape(-1, n))
-
-
 def intertwiners(u: complex, mu, ctx: ModularContext) -> IntertwinerPair:
     """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
     and the inverse matrix phibar at one point mu[n], solved numerically:
@@ -535,8 +509,9 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
     intertwiner batch."""
     n = ctx.n
     phi, phibar = intertwiner_arrays(us, mus, ctx)
-    want = vandermonde_product(_phi_args(list(us), mus, n),
-                               ctx) * (-1) ** (n - 1)
+    args = (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
+            - np.asarray(mus, dtype=complex).reshape(-1, n))
+    want = vandermonde_product(args, ctx) * (-1) ** (n - 1)
     return {"duality": _rel(np.stack([phibar @ phi, phi @ phibar], axis=1),
                             np.eye(n)),
             "det-closed-form": worst_of_arrays(*residual_arrays(
@@ -545,24 +520,22 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
 
 def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     """The outgoing ("vertex-face") and incoming ("dual") vertex-face
-    intertwining relations at the samples (us[s], vs[s], P[s]), worst
-    over the samples and entries, from one intertwiner batch:
+    intertwining relations on two-step paths at the samples (us[s], vs[s],
+    P[s]), worst over the samples and entries, from one intertwiner batch:
 
-        sum_ij R^{ij}_{i'j'} phi_u[i, a] phi_v^{a}[j, b]
-            = sum over the middles (a', b') of phi_v[j', a'] phi_u^{a'}[i', b'] W,
-        sum_{i'j'} phibar_v[a, j'] phibar_u^{a}[b, i'] R^{ij}_{i'j'}
-            = sum over the middles of W phibar_u[a', i] phibar_v^{a'}[b', j],
+        Rcheck(u-v) Phi(u, v) = Phi(v, u) W,
+        Phibar(v, u) Rcheck(u-v) = W Phibar(u, v),
 
-    with R = R(u-v) and phi^{a} at lam + h epsbar_a.  The middles of the
-    path (a, b) are (a, b) with W = keep[a, b] and (b, a) with W = cross[a, b]
-    (outgoing) or cross[b, a] (incoming), the two-step face weights at u-v.
+    W the face move at (0, 1) with argument u - v, Phi(u, v) the
+    _path_tensor of phi(u) at lam and phi(v) at lam + h epsbar_a, and
+    Phibar(u, v) that of the rows of phibar, row (a, b) the product of row
+    a of phibar(u) and row b of phibar(v), so that Phibar Phi = 1.
     """
     n = ctx.n
     us, vs = np.asarray(us, dtype=complex), np.asarray(vs, dtype=complex)
     P = np.asarray(P, dtype=complex)
-    keep, cross = (w[:, 0, ..., None, None]
-                   for w in _move_weights(2, 0, P, us - vs, ctx))
-    rt = r_table(us - vs, ctx)
+    w = face_operator_matrix(P, 2, [(0, us - vs)], ctx)
+    rc = rcheck_table(us - vs, ctx)
     # per sample, phi at (u, lam), (v, lam), (u, lam + h epsbar_a) and
     # (v, lam + h epsbar_a) for a < n
     params = np.stack([us, vs] + [us] * n + [vs] * n, axis=1).ravel()
@@ -571,24 +544,14 @@ def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     phi, phibar = (x.reshape(len(P), 2 * n + 2, n, n)
                    for x in intertwiner_arrays(params, pts.reshape(-1, n),
                                                ctx))
-    phi_u, phi_v = phi[:, 0], phi[:, 1]
-    phi_u_up, phi_v_up = phi[:, 2:2 + n], phi[:, 2 + n:]
-    lhs = np.einsum("sijpq,sia,sajb->sabpq", rt, phi_u, phi_v_up)
-    # [s, a, b, i'] = phi_u^{a}[i', b]; cross is 0 on the diagonal a = b
-    up = phi_u_up.transpose(0, 1, 3, 2)
-    phi_vt = phi_v.transpose(0, 2, 1)
-    rhs = (phi_vt[:, :, None, None, :] * up[..., None] * keep
-           + phi_vt[:, None, :, None, :] * up.transpose(0, 2, 1, 3)[..., None]
-           * cross)
-    out = {"vertex-face": worst_of_arrays(*residual_arrays(lhs, rhs))}
-    pb_u, pb_v = phibar[:, 0], phibar[:, 1]
-    pb_u_up, pb_v_up = phibar[:, 2:2 + n], phibar[:, 2 + n:]
-    lhs = np.einsum("saq,sabp,sijpq->sabij", pb_v, pb_u_up, rt)
-    rhs = (keep * pb_u[:, :, None, :, None] * pb_v_up[:, :, :, None, :]
-           + cross.transpose(0, 2, 1, 3, 4) * pb_u[:, None, :, :, None]
-           * pb_v_up.transpose(0, 2, 1, 3)[:, :, :, None, :])
-    out["dual"] = worst_of_arrays(*residual_arrays(lhs, rhs))
-    return out
+    # the levels of Phi(u, v) and of Phi(v, u) in the batch of a sample
+    uv = lambda x: _path_tensor([x[:, :1], x[:, 2 + n:]], n)
+    vu = lambda x: _path_tensor([x[:, 1:2], x[:, 2:2 + n]], n)
+    rows = phibar.swapaxes(-1, -2)
+    return {"vertex-face": worst_of_arrays(*residual_arrays(
+                rc @ uv(phi), vu(phi) @ w)),
+            "dual": worst_of_arrays(*residual_arrays(
+                vu(rows).swapaxes(-1, -2) @ rc, w @ uv(rows).swapaxes(-1, -2)))}
 
 
 # ----------------------------------------------------------------- fusion
@@ -664,27 +627,37 @@ def face_fusion_operator(k: int, base, ctx: ModularContext,
         moves, _move_deltas(fusion_parameters(k, u, ctx), moves))), ctx)
 
 
+def _path_tensor(levels, n: int) -> np.ndarray:
+    """The tensor matrices [..., n^k, n^k] of the k = len(levels) levels
+    [..., points, n, n] of partial_shifts(n, k): column (i_1..i_k) holds
+    prod_m column i_m of level m at its prefix, multiplied in per level."""
+    k = len(levels)
+    prefix = partial_shifts(n, k)[1]
+    steps = np.indices((n,) * k).reshape(k, -1)                 # [m, path]
+    lead = levels[0].shape[:-3]
+    mat = np.ones(lead + (n ** k, n ** k), dtype=complex)
+    grid = mat.reshape(lead + (n,) * k + (-1,))
+    for m, level in enumerate(levels):
+        vecs = np.moveaxis(level[..., prefix[m], :, steps[m]], 0, -1)
+        # tensor factor m of every column, multiplied in place
+        grid *= vecs.reshape(lead + (1,) * m + (n,) + (1,) * (k - m - 1)
+                             + (-1,))
+    return mat
+
+
 def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
     """The stacked outgoing intertwiner map paths -> V^(x)k at the base
     weight base[n]: column (i_1..i_k) holds tensor prod_m phi(params[m])
     along the path.  One intertwiner batch reads phi(params[m]) at the
-    distinct prefix weights of every level m; each level multiplies its
-    vectors into every column at once."""
+    distinct prefix weights of every level m, and _path_tensor multiplies
+    them out."""
     n, k = ctx.n, len(params)
-    prefixes, prefix = partial_shifts(n, k)
-    steps = np.indices((n,) * k).reshape(k, -1)                 # [m, path]
     pts = [np.asarray(base, dtype=complex)[None]] + [
-        shifted(base, keys, ctx.hbar) for keys in prefixes[1:]]
-    first = np.cumsum([0] + [len(p) for p in pts])
+        shifted(base, keys, ctx.hbar) for keys in partial_shifts(n, k)[0][1:]]
     phi = intertwiner_arrays([params[m] for m in range(k) for _ in pts[m]],
                              np.concatenate(pts), ctx)[0]
-    mat = np.ones((n ** k, n ** k), dtype=complex)
-    grid = mat.reshape((n,) * k + (-1,))
-    for m in range(k):
-        vecs = phi[first[m] + prefix[m], :, steps[m]]           # [path, i]
-        # tensor factor m of every column, multiplied in place
-        grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1) + (-1,))
-    return mat
+    return _path_tensor(np.split(phi, np.cumsum([len(p) for p in pts[:-1]])),
+                        n)
 
 
 def verify_fusion_intertwining(k: int, u: complex, lam,

@@ -206,9 +206,9 @@ def suite_face_ybe(ctx: ModularContext, rng, tol: float):
     P = sample_points(seeds + (_seed(rng),), ctx)
     cases = [_case("face-ybe", bv.verify_face_ybe(us, vs, ws, P[:25], ctx),
                    tol)]
-    lam = P[25]
-    w0, wc, wt = (complex(w.ravel()[0]) for w in bv._face_weights(
-        [[lam[0] - lam[1]]], [0.0], ctx))
+    # W(0) on two-step paths: diag at (0,0), cis at (0,1), trans (0,1)->(1,0)
+    w = bv.face_operator_matrix(P[25], 2, [(0, 0.0)], ctx)
+    w0, wc, wt = (complex(w[r, c]) for r, c in ((0, 0), (1, 1), (ctx.n, 1)))
     cases.append(_case("face-weight-diag-u0",
                        th.residual_pair(w0, 1.0 + 0.0j), tol))
     cases.append(_case("face-weight-trans-u0", Residual(abs(wt), abs(wt)), tol))

@@ -774,8 +774,9 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
     and Mdot_1^2 f per node h of circle(), every test function of vecs on
     apply_batch's function axis:
 
-    "elliptic": a_2 of -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f + n f, the
-        hbar^2 term, against H f (hamiltonian_cm);
+    "elliptic": a_2 of E = -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f + n f,
+        the hbar^2 term, against H f (hamiltonian_cm), and a_0 and a_1 of
+        E against 0, all three on the scale |a_2| + |H f| of the first;
     "d2": (c/n)^2 D[2] f against (Mdot_2'' - (n-1) Mdot_1'') f / 2, with
         Mdot_d'' f = 2 a_2 of Mdot_d f, so against a_2 of
         Mdot_2 f - (n-1) Mdot_1 f.
@@ -798,10 +799,13 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
     def want(op):
         return np.stack([pdo_apply(op, exp_test_function(vec), samples)
                          for vec in vecs], axis=-1)
-    elliptic = a2(-2.0 * v2 + v11 - 2.0 * v1 + n * f(samples))
+    expr = -2.0 * v2 + v11 - 2.0 * v1 + n * f(samples)
+    elliptic, hf = a2(expr), want(hamiltonian_cm(c, ctx))
+    dev = np.abs(np.stack([elliptic - hf] + [laurent_coefficient(expr, hs, k)
+                                             for k in (0, 1)]))
     d2 = a2(v2) - (n - 1) * a2(v1)
-    return {"elliptic": worst_of_arrays(*residual_arrays(
-                elliptic, want(hamiltonian_cm(c, ctx)))),
+    return {"elliptic": worst_of_arrays(
+                dev / (np.abs(elliptic) + np.abs(hf) + _EPS), dev),
             "d2": worst_of_arrays(*residual_arrays(
                 d2, want(op_scale(build_d_ops(c, ctx)[1], g * g))))}
 

@@ -94,22 +94,39 @@ def test_ybe_degenerate_equal_points(ctx3, rng):
     assert bv.verify_ybe(u, u, rand_complex(rng), ctx3).rel < 1e-10
 
 
+def _face_weights(lij, deltas, ctx):
+    """diag, cis, trans of one move at lij[s], deltas[s]: the reader the
+    module kept beside _face_orbits, on the same _weight_tables."""
+    keep, cross = bv._weight_tables([lij], [(0, deltas)], ctx)[0]
+    return keep[:, -1], keep[:, :-1], cross[:, :-1]
+
+
 def test_face_weight_values_at_zero(ctx3):
+    # W(0) on two-step paths is the identity: diag and cis 1, trans 0 at
+    # every lam_ij the paths reach
     lam = wt.sample_generic(4, ctx3)
-    diag, cis, trans = bv._face_weights([[lam[0] - lam[2], lam[1] - lam[0]]],
-                                        [0.0], ctx3)
-    assert abs(diag[0] - 1.0) < 1e-12
-    assert np.max(np.abs(cis - 1.0)) < 1e-12
-    assert np.max(np.abs(trans)) < 1e-12
-    # control: off u = 0 the cis and trans weights move away from 1 and 0
-    diag, cis, trans = bv._face_weights([[lam[0] - lam[2]]], [0.3], ctx3)
-    assert abs(cis[0, 0] - 1.0) > 1e-3 and abs(trans[0, 0]) > 1e-3
+    assert np.max(np.abs(bv.face_operator_matrix(lam, 2, [(0, 0.0)], ctx3)
+                         - np.eye(9))) < 1e-12
+    # control: off u = 0 the cis weight of the path (0, 2) and the trans
+    # weight to its swap (2, 0) move away from 1 and 0
+    w = bv.face_operator_matrix(lam, 2, [(0, 0.3)], ctx3)
+    assert abs(w[2, 2] - 1.0) > 1e-3 and abs(w[6, 2]) > 1e-3
+    # the three entries the face-weight-*-u0 cases read are the weights of
+    # the one-move reader at lam_01, bit for bit
+    for n, tau in product((2, 3, 4), (0.1 + 0.8j, 0.05j)):
+        ctx = default_context(n, tau=tau)
+        for s in range(5):
+            lam = wt.sample_generic(40 + s, ctx)
+            w = bv.face_operator_matrix(lam, 2, [(0, 0.0)], ctx)
+            diag, cis, trans = _face_weights([[lam[0] - lam[1]]], [0.0], ctx)
+            assert w[0, 0] == diag[0] and w[1, 1] == cis[0, 0]
+            assert w[n, 1] == trans[0, 0]
 
 
 def test_face_weight_resonant_rejection(ctx3):
     near = wt.canonical([1e-12, 0.0, 0.31])
-    with pytest.raises(SingularParameterError):
-        bv._face_weights([[near[0] - near[1]]], [0.1], ctx3)
+    with pytest.raises(SingularParameterError, match="resonant weight"):
+        bv.face_operator_matrix(near, 2, [(0, 0.1)], ctx3)
 
 
 def test_face_ybe(ctx2, ctx3, rng):
@@ -259,7 +276,7 @@ def _block_plan(n, k):
 
 def _block_move_weights(plan, pos, coords, deltas, ctx):
     i, j, m = plan.pairs[pos].T
-    diag, cis, trans = bv._face_weights(
+    diag, cis, trans = _face_weights(
         coords[:, i] - coords[:, j] + ctx.hbar * m, deltas, ctx)
     at = plan.pair[pos]                 # -1 reads the appended entry
     return (np.concatenate([cis, diag[:, None]], axis=1)[:, at],
@@ -317,13 +334,11 @@ def test_face_moves_on_the_path_tensor_equal_the_block_plan(n, rng):
                        for pos, _ in moves]
             assert np.array_equal(bv.face_operator_matrix(P, k, batched, ctx),
                                   _block_face_matrix(P, k, batched, ctx))
-            # the weights themselves, path by path
-            plan = _block_plan(n, k)
-            for pos, deltas in batched:
-                got = bv._move_weights(k, pos, P, deltas, ctx)
-                want = _block_move_weights(plan, pos, P, deltas, ctx)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w.reshape(g.shape + (-1,))[..., 0])
+            # the weights themselves, path by path: each move alone
+            for move in batched:
+                assert np.array_equal(
+                    bv.face_operator_matrix(P, k, [move], ctx),
+                    _pair_loop_face_matrix(P, k, [move], ctx))
             # the fusion operator, moves and parameters of the fusion braid
             u = rand_complex(rng)
             fm = bv.fusion_moves(k)
@@ -333,7 +348,17 @@ def test_face_moves_on_the_path_tensor_equal_the_block_plan(n, rng):
                                   _block_face_matrix(lam, k, fused, ctx))
 
 
-def _pair_loop_face_matrix(base, k, moves, ctx, weights=bv._move_weights):
+def _pair_weights(k, pos, coords, deltas, ctx):
+    """keep[s, a, i, j] and cross[s, a, i, j]: the block plan's weights of
+    the move at (pos, pos+1) with argument deltas[s] on the length-k paths
+    with prefix a (of n^pos) and steps (i, j) there, at the base weight
+    coords[s], to themselves and to their swaps (0 where i == j)."""
+    return tuple(w.reshape(len(coords), ctx.n ** pos, ctx.n, ctx.n, -1)[..., 0]
+                 for w in _block_move_weights(_block_plan(ctx.n, k), pos,
+                                              coords, deltas, ctx))
+
+
+def _pair_loop_face_matrix(base, k, moves, ctx, weights=_pair_weights):
     """face_operator_matrix as it was before the one swap update per move:
     each pair i < j of steps at (pos, pos + 1) updated in turn."""
     base = np.asarray(base, dtype=complex)
@@ -382,7 +407,7 @@ def test_face_swap_update_equals_the_pair_loop(n, rng):
         # negative control: the cross weight of each path read from the
         # path itself, not from its swap
         def unswapped(*args):
-            keep, cross = bv._move_weights(*args)
+            keep, cross = _pair_weights(*args)
             return keep, cross.swapaxes(-1, -2)
         wrong = _pair_loop_face_matrix(lam, k, fused, ctx, unswapped)
         assert np.max(np.abs(wrong - got)) > 1e-3 * np.max(np.abs(got))
@@ -486,12 +511,8 @@ def test_phi_tensor_and_intertwining_equal_the_block_plan(n, rng, monkeypatch):
     P = wt.sample_many(131, 3, ctx)
     us, vs = ([rand_complex(rng) for _ in P] for _ in range(2))
     got = bv.verify_intertwining(us, vs, P, ctx)
-
-    def block(k, pos, coords, deltas, c):
-        return (w.reshape(len(coords), c.n ** pos, c.n, c.n, -1)[..., 0]
-                for w in _block_move_weights(_block_plan(c.n, k), pos, coords,
-                                             deltas, c))
-    monkeypatch.setattr(bv, "_move_weights", block)
+    # W from the block plan: the same relations, bit for bit
+    monkeypatch.setattr(bv, "face_operator_matrix", _block_face_matrix)
     assert bv.verify_intertwining(us, vs, P, ctx) == got
 
 
@@ -658,6 +679,37 @@ def test_intertwiner_batch_matches_single_builds(n, rng):
         single = bv.intertwiners(u, lam, ctx.replace())
         assert np.array_equal(phi[p], single.phi)
         assert np.array_equal(phibar[p], single.phibar)
+
+
+def _theta_phi(us, mus, ctx):
+    """phi as intertwiner_arrays read it before it went through
+    shift_intertwiners: one theta_level_table at the arguments
+    u/n - <mu, epsbar_k> (u/n divided as Python does), over i eta."""
+    n = ctx.n
+    args = (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
+            - np.asarray(mus, dtype=complex).reshape(-1, n))
+    ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
+    return (th.theta_level_table(range(n), args.ravel(), ctx) / ieta).reshape(
+        n, len(us), n).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.3j, 0.1 + 0.08j])
+def test_intertwiner_arrays_read_the_theta_path_bit_for_bit(n, tau, rng,
+                                                            monkeypatch):
+    # the one phi kernel, shift_intertwiners at the zero count, reads the
+    # same bits as the theta path it replaced, for batches of 1 to 11 pairs
+    # (the cond guard, which only raises, is lifted off the small moduli)
+    monkeypatch.setattr(bv, "_COND_LIMIT", math.inf)
+    ctx = default_context(n, tau=tau)
+    for count in range(1, 12):
+        us = [rand_complex(rng) for _ in range(count)]
+        mus = wt.sample_many(200 + count, count, ctx)
+        phi, _ = bv.intertwiner_arrays(us, mus, ctx)
+        assert np.array_equal(phi, _theta_phi(us, mus, ctx))
+    # control: the same path at u + hbar reads other bits
+    assert not np.array_equal(phi, _theta_phi([u + ctx.hbar for u in us],
+                                              mus, ctx))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -921,8 +973,8 @@ def _loop_vertex_face(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0, 0] for w in bv._move_weights(2, 0, lam[None], [u - v],
-                                                      ctx))
+    keep, cross = (w[0, 0] for w in _pair_weights(2, 0, lam[None], [u - v],
+                                                   ctx))
     ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     phi_u, phi_v = bv.intertwiners(u, lam, ctx).phi, bv.intertwiners(v, lam, ctx).phi
     phi_u_up = [bv.intertwiners(u, mu, ctx).phi for mu in ups]
@@ -946,8 +998,8 @@ def _loop_dual(u, v, lam, ctx):
     from etlax.theta import residual_pair, worst_of
     n = ctx.n
     rt = _loop_r(u - v, ctx)
-    keep, cross = (w[0, 0] for w in bv._move_weights(2, 0, lam[None], [u - v],
-                                                      ctx))
+    keep, cross = (w[0, 0] for w in _pair_weights(2, 0, lam[None], [u - v],
+                                                   ctx))
     ups = [shift_eps(lam, a, ctx.hbar) for a in range(n)]
     pb_u = bv.intertwiners(u, lam, ctx).phibar
     pb_v = bv.intertwiners(v, lam, ctx).phibar
@@ -968,6 +1020,16 @@ def _loop_dual(u, v, lam, ctx):
     return worst_of(found)
 
 
+def _swapped_off_diagonal(tables):
+    """_weight_tables with keep and cross exchanged off the diagonal: the
+    last column, where i == j, keeps its one weight, diag in keep."""
+    def swapped(*args):
+        return [(np.concatenate([cross[:, :-1], keep[:, -1:]], axis=1),
+                 np.concatenate([keep[:, :-1], cross[:, -1:]], axis=1))
+                for keep, cross in tables(*args)]
+    return swapped
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_intertwining_relations_match_loop_forms(n, rng, monkeypatch):
     ctx = default_context(n)
@@ -979,20 +1041,56 @@ def test_intertwining_relations_match_loop_forms(n, rng, monkeypatch):
     for key, loop in pairs:
         assert got[key].rel < 1e-11
         assert max(loop(*sample, ctx).rel for sample in zip(us, vs, lams)) < 1e-11
-    # control: keep and cross exchanged off the diagonal (a == b has the
-    # one middle keep[a, a]) break both relations, and the batch reports
-    # the worst residual of the per-sample loop forms
-    weights = bv._move_weights
-    def swapped(*args):
-        keep, cross = weights(*args)
-        diag = keep * np.eye(n)
-        return cross + diag, keep - diag
-    monkeypatch.setattr(bv, "_move_weights", swapped)
+    # control: keep and cross exchanged off the diagonal inside
+    # _weight_tables break both relations, and the batch reports the worst
+    # residual of the per-sample loop forms, which read the same tables
+    monkeypatch.setattr(bv, "_weight_tables",
+                        _swapped_off_diagonal(bv._weight_tables))
     got = bv.verify_intertwining(us, vs, lams, ctx)
     for key, loop in pairs:
         want = max(loop(*sample, ctx).rel for sample in zip(us, vs, lams))
         assert want > 1e-2
         assert abs(got[key].rel - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_intertwining_cases_read_their_controls_red(n):
+    # on the tensor matrices, at seeds 0-7: keep and cross exchanged off
+    # the diagonal inside _weight_tables turn both relations red; one entry
+    # of each phibar batch off by 1e-6 relative turns the dual relation red
+    # on its own, and the outgoing one, which reads no phibar, keeps its bits
+    from etlax.suites import run_suite
+    inverse = bv.guarded_inverse
+
+    def one_entry_off(phi, spectral):
+        out = inverse(phi, spectral)
+        out[0, 0, 0] *= 1 + 1e-6
+        return out
+
+    def cases(seed, patch=()):
+        with pytest.MonkeyPatch.context() as mp:
+            if patch:
+                mp.setattr(bv, *patch)
+            try:
+                rep = run_suite("intertwiner", default_context(n), seed)
+            except SingularParameterError:
+                return None     # the cond guard fires at the fusion cases
+        return {c.name: c for c in rep.cases}
+
+    outgoing, dual = "vertex-face-intertwining", "dual-intertwining"
+    read = 0
+    for seed in range(8):
+        clean = cases(seed)
+        if clean is None:
+            continue
+        swapped = cases(seed, ("_weight_tables",
+                               _swapped_off_diagonal(bv._weight_tables)))
+        assert swapped[outgoing].rel > 1e-2 and swapped[dual].rel > 1e-2
+        off = cases(seed, ("guarded_inverse", one_entry_off))
+        assert clean[dual].ok and not off[dual].ok
+        assert off[outgoing].rel == clean[outgoing].rel
+        read += 1
+    assert read == (6 if n == 4 else 8)
 
 
 def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):

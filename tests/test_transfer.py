@@ -843,6 +843,30 @@ def test_cm_limit_suite_passes_at_small_im_tau(n):
     assert failed == []
 
 
+def test_elliptic_cm_limit_reads_its_h0_and_h1_terms(monkeypatch):
+    # at n = 2, Mdot_2 f = f does not depend on hbar, so Mdot_2 off by 1 %
+    # moves only the hbar^0 term of -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f
+    # + n f: the case reads it red at seeds 0-7 through a_0 alone
+    ctx = default_context(2)
+    real = tr.m_dot
+
+    def elliptic(seed):
+        return {c.name: c for c in run_suite("cm-limit", ctx, seed).cases}[
+            "elliptic-cm-limit"]
+
+    def scaled(c, d, ctx):
+        out = real(c, d, ctx)
+        if d != 2:
+            return out
+        return oa.DifferenceOperator(out.n, out.terms,
+                                     lambda P: 1.01 * out.table(P))
+    clean = [elliptic(seed) for seed in range(8)]
+    monkeypatch.setattr(tr, "m_dot", scaled)
+    bad = [elliptic(seed) for seed in range(8)]
+    assert all(c.ok for c in clean) and not any(b.ok for b in bad)
+    assert min(b.rel for b in bad) > 1e-3
+
+
 def _off_by_1e6(real, pick):
     """real, with its result (an array or a difference operator's table)
     off by 1e-6 relative wherever pick(*args)."""
