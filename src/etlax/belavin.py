@@ -8,38 +8,29 @@ acts as R(u) e^i x e^j = sum e^{i'} x e^{j'} R(u)^{ij}_{i'j'} with entries
 
 where the theta^(i-j')(u) denominator has been cancelled against the
 numerator product, making every entry manifestly holomorphic in u (this is
-what makes R(0) = P exact instead of a 0/0 limit).  R is evaluated per
-batch of spectral parameters: r_table reads one table of the characters
-theta^(k) at every u, u + hbar, hbar and 0 and places the n^3 entries of the
-ice rule through an index map cached per n.  Rcheck = P R is R with its
-rows reordered.  A product of Rcheck moves (braid_matrix) reads all its
+what makes R(0) = P exact instead of a 0/0 limit).  r_table reads one table
+of the characters theta^(k) at every u, u + hbar, hbar and 0 and places the
+n^3 entries of the ice rule through an index map cached per n; Rcheck = P R
+is R with its rows reordered.  A product of Rcheck moves reads all its
 Rchecks from one table and applies each to its two tensor slots of the
-accumulated operator, as an n^2 x n^2 matrix on a reshaped stack; no
-n^k x n^k slot matrix is formed.  The symmetry, quasi-periodicity,
-holomorphy and Yang-Baxter checks take a whole sample batch.  An identity
-of braids whose residual is rounding is read on a fixed real Gaussian block
-G (gaussian_block), not on the identity: both sides of the Yang-Baxter
-equation act on n columns, and the suite reads the u-independence, rank
-and antisymmetry of the fusion operator pi from pi G (antisymmetrizer_on),
-C(n, k) + 2 columns, so no n^k x n^k braid product is formed for them.  The
-fusion intertwining relation stays on the dense phi tensor matrix: at some
-n = 4 seeds its residual sits near its tolerance, where rounding shows.
+accumulated columns, never as an n^k x n^k matrix.  An identity of braids
+whose residual is rounding is read on a fixed real Gaussian block G
+(gaussian_block, Freivalds' check): the Yang-Baxter equation on n columns,
+and the u-independence, rank and antisymmetry of the fusion operator pi on
+pi G (antisymmetrizer_on), C(n, k) + 2 columns.
 
 Face side: paths are step sequences (i_1, ..., i_k) from a base weight, each
 step adding hbar*epsbar_i, in product order (the first step most
 significant).  The weight after a prefix is base + hbar * (its step counts),
 so lam_ij there is base_ij + hbar * (count_i - count_j) with integer counts,
-never a re-canonicalized shifted point.  A face move at (pos, pos+1) reads
-its weights at the (i, j, count_i - count_j) that the prefixes reach, and
-all moves of a product (or of both sides of the face YBE) read one theta
-table.  A move only reorders steps, so the moves act on the S_k orbit of
-each column path, n^k * k! entries per base, not on the n^k x n^k path
-matrix; every face weight is read from these stacks.  phi has one kernel,
-shift_intertwiners (intertwiner_arrays at the zero count); the intertwiner
-map along paths multiplies one batch out level by level, and both two-step
-intertwining relations are read on these tensor matrices.  The fusion
-operators on both sides are products of adjacent-swap moves whose spectral
-parameters are tracked positionally.
+never a re-canonicalized shifted point.  A move only reorders steps, so
+the moves of a product act on the S_k orbit of each column path, a stack
+of n^k * k! entries per base read from one theta table (_face_orbits),
+never on the n^k x n^k path matrix.  phi has one kernel, shift_intertwiners;
+the map along paths multiplies one batch out level by level, and both
+two-step intertwining relations are read on these tensor matrices.  The
+fusion intertwining braids its vertex side whole (its rounding decides the
+case at some n = 4 seeds) and forms Phi' F in column blocks from the stack.
 """
 
 from __future__ import annotations
@@ -591,12 +582,6 @@ def _braid_on(params, moves, op: np.ndarray, ctx: ModularContext) -> np.ndarray:
                         moves, ctx.n)
 
 
-def braid_matrix(params, moves, ctx: ModularContext) -> np.ndarray:
-    """Product of vertex Rcheck moves with positional parameter tracking."""
-    return _braid_on(params, moves,
-                     np.eye(ctx.n ** len(params), dtype=complex), ctx)
-
-
 def fusion_parameters(k: int, u: complex, ctx: ModularContext):
     """(u - (k-1) hbar, ..., u - hbar, u)."""
     return [u - (k - 1 - r) * ctx.hbar for r in range(k)]
@@ -607,24 +592,9 @@ def antisymmetrizer_on(k: int, cols: np.ndarray, ctx: ModularContext,
     """The vertex fusion operator pi on V^(x)k (independent of u) applied
     to the columns of cols [n^k, m], which are overwritten; pi itself is
     not formed."""
-    return _braid_on(fusion_parameters(k, u, ctx), fusion_moves(k), cols, ctx)
-
-
-def antisymmetrizer(k: int, ctx: ModularContext, u: complex = 0.0) -> np.ndarray:
-    """The vertex fusion operator on V^(x)k (independent of u): the
-    columns of the identity, braided."""
     if not 2 <= k <= ctx.n:
         raise ValueError(f"k must be in 2..n, got {k}")
-    return antisymmetrizer_on(k, np.eye(ctx.n ** k, dtype=complex), ctx, u)
-
-
-def face_fusion_operator(k: int, base, ctx: ModularContext,
-                         u: complex = 0.0) -> np.ndarray:
-    """The face-side fusion operator on length-k paths from base: the face
-    moves of the fusion braid, with positional parameter tracking."""
-    moves = fusion_moves(k)
-    return face_operator_matrix(base, k, list(zip(
-        moves, _move_deltas(fusion_parameters(k, u, ctx), moves))), ctx)
+    return _braid_on(fusion_parameters(k, u, ctx), fusion_moves(k), cols, ctx)
 
 
 def _path_tensor(levels, n: int) -> np.ndarray:
@@ -645,34 +615,55 @@ def _path_tensor(levels, n: int) -> np.ndarray:
     return mat
 
 
-def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
-    """The stacked outgoing intertwiner map paths -> V^(x)k at the base
-    weight base[n]: column (i_1..i_k) holds tensor prod_m phi(params[m])
-    along the path.  One intertwiner batch reads phi(params[m]) at the
-    distinct prefix weights of every level m, and _path_tensor multiplies
-    them out."""
+def _phi_levels(base, params, ctx: ModularContext) -> list:
+    """The levels [points, n, n] of phi_tensor_matrix: phi(params[m]) at
+    the prefix weights of level m of partial_shifts(n, k), in one batch."""
     n, k = ctx.n, len(params)
     pts = [np.asarray(base, dtype=complex)[None]] + [
         shifted(base, keys, ctx.hbar) for keys in partial_shifts(n, k)[0][1:]]
     phi = intertwiner_arrays([params[m] for m in range(k) for _ in pts[m]],
                              np.concatenate(pts), ctx)[0]
-    return _path_tensor(np.split(phi, np.cumsum([len(p) for p in pts[:-1]])),
-                        n)
+    return np.split(phi, np.cumsum([len(p) for p in pts[:-1]]))
+
+
+def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
+    """The stacked outgoing intertwiner map paths -> V^(x)k at the base
+    weight base[n]: column (i_1..i_k) holds tensor prod_m phi(params[m])
+    along the path, the _phi_levels multiplied out by _path_tensor."""
+    return _path_tensor(_phi_levels(base, params, ctx), ctx.n)
 
 
 def verify_fusion_intertwining(k: int, u: complex, lam,
                                ctx: ModularContext) -> Residual:
-    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam[n];
-    the braid of pi acts on the columns of (phi x ... x phi)."""
-    params = fusion_parameters(k, u, ctx)
-    # rhs first: at n = k = 4 the other order left the heap about 1 MB
-    # larger (glibc serves the 1 MB arrays from the heap once a larger
-    # one has been freed)
-    rhs = phi_tensor_matrix(lam, list(reversed(params)), ctx) \
-        @ face_fusion_operator(k, lam, ctx, u)
-    lhs = _braid_on(params, fusion_moves(k),
-                    phi_tensor_matrix(lam, params, ctx), ctx)
-    return _rel(lhs, rhs)
+    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam[n],
+    as _rel(lhs, rhs), with no n^k x n^k matrix beside the braided side.
+
+    lhs, the braid of pi on the columns of Phi = phi x ... x phi, is built
+    first, so its braid buffer is freed before rhs allocates.  rhs = Phi' F
+    (Phi' at the reversed parameters, F the face moves of the fusion braid)
+    is formed 16 columns at a time from the _face_orbits stack, the maxima
+    of _rel reduced block by block: one matmul over all rows of Phi' from a
+    multiple of 16 columns, so BLAS sums every entry as in the dense Phi' F.
+    The guards fire in the dense order: Phi', F, then Phi."""
+    params, moves = fusion_parameters(k, u, ctx), fusion_moves(k)
+    levels, size = _phi_levels(lam, params[::-1], ctx), ctx.n ** k
+    stack = _face_orbits(lam, k, [list(zip(moves, _move_deltas(params, moves)))],
+                         ctx)[0][0]
+    lhs = _braid_on(params, moves, phi_tensor_matrix(lam, params, ctx), ctx)
+    top, row = np.max(np.abs(lhs)), _orbit_plan(ctx.n, k)[0]
+    phir = _path_tensor(levels, ctx.n)
+    worst = np.zeros(2)                      # max|lhs - rhs|, max|rhs|
+    # no block under 8 columns: BLAS rounds 1- and 2-column products apart
+    edges = [*range(0, max(size - 8, 1), 16), size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # column c of F holds M[c, sigma] at row c o sigma
+        f = np.zeros((size, hi - lo), dtype=complex)
+        f[row[lo:hi], np.arange(hi - lo)[:, None]] = stack[lo:hi]
+        rhs = phir @ f
+        high = np.max(np.abs(rhs))
+        rhs -= lhs[:, lo:hi]
+        worst = np.maximum(worst, [np.max(np.abs(rhs)), high])
+    return worst_of_arrays(worst[0] / (top + worst[1] + _EPS), worst[0])
 
 
 def antisym_vector(n: int, subset) -> np.ndarray:

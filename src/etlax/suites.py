@@ -165,12 +165,12 @@ def suite_theta(ctx: ModularContext, rng, tol: float):
                             _contour_derivative(us, 1, ctx))), 1e-11))
 
     u = _rc(rng, 0.3) + 0.05
-    wp = th.weierstrass_p
-    cases.append(_case("wp-even", th.residual_pair(wp(u, ctx), wp(-u, ctx)), tol))
-    cases.append(_case("wp-period", th.residual_pair(wp(u + 1, ctx), wp(u, ctx)),
-                       tol))
     u0 = 1e-3 * cmath.exp(0.37j)
-    res = abs(u0 * u0 * wp(u0, ctx) - 1.0)
+    wp_u, wp_minus, wp_period, wp_0 = th.weierstrass_p(
+        np.array([u, -u, u + 1, u0]), ctx).tolist()
+    cases.append(_case("wp-even", th.residual_pair(wp_u, wp_minus), tol))
+    cases.append(_case("wp-period", th.residual_pair(wp_period, wp_u), tol))
+    res = abs(u0 * u0 * wp_0 - 1.0)
     cases.append(_case("wp-laurent", Residual(res, res), 1e-4))
     return cases
 
@@ -241,8 +241,8 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
     # part of pi shows in pi G (Freivalds' check), and the rank of pi G is
     # that of pi (the randomized range finder of Halko, Martinsson and
     # Tropp, 2011, which reads any rank up to its width).  The intertwining
-    # case stays on the dense phi tensor matrix: it sits near its
-    # tolerance at some n = 4 seeds, where a change of rounding shows.
+    # case braids the whole phi tensor matrix: it sits near its tolerance
+    # at some n = 4 seeds, where a change of rounding shows.
     for k, (ub, _), lam in zip(range(2, ctx.n + 1), fusion, lams[14:]):
         want = math.comb(ctx.n, k)
         sketch = bv.gaussian_block(k, ctx.n, want + 2)
@@ -337,8 +337,8 @@ def suite_qfay(ctx: ModularContext, rng, tol: float):
     u, *draws = _rcs(rng, (2 * d + 1,)).tolist()
     lams, mus = draws[:d], draws[d:]
     hs = th.circle()
-    lhs = complex(th.laurent_coefficient([th.qfay_lhs(
-        d, u, lams, mus, ctx.replace(hbar=h)) for h in hs], hs, 0))
+    lhs = complex(th.laurent_coefficient(th.qfay_lhs(d, u, lams, mus, ctx, hs),
+                                         hs, 0))
     values = th.theta_table(
         [u + sum(m - l for m, l in zip(mus, lams))] + [u] * (d - 1)
         + [a for s in range(d) for sp in range(s + 1, d)
@@ -530,10 +530,9 @@ def suite_theta_space(ctx: ModularContext, rng, tol: float):
         cases.append(_case(f"quasi-periodicity-l{l}",
                            ts.verify_chi_quasiperiodicity(l, ctx, _seed(rng)),
                            1e-9))
-        dim = ts.basis_dimension(n, l)
+        dim = ts.orbit_count(n, l)
         pts = sample_many(_seed(rng), 2 * dim + 4, ctx)
-        rank = ts.gram_rank(l, pts, ctx)
-        bad = float(rank != dim)
+        bad = float(ts.gram_rank(l, pts, ctx) != dim)
         cases.append(_case(f"dimension-rank-l{l}", Residual(bad, bad), tol))
         lop = tr.l_op(float(l), u, ctx)
         seeds = [_seed(rng) for _ in range(n * n)]

@@ -395,21 +395,24 @@ def eta_tau_log_derivative(ctx: ModularContext) -> complex:
     return TWO_PI_I * (1.0 / 24.0 - s)
 
 
-def weierstrass_p(u: complex, ctx: ModularContext) -> complex:
-    """Weierstrass p-function via -(log theta)''(u) - 2h, h = -2 pi i d_tau log eta.
+def weierstrass_p(u, ctx: ModularContext):
+    """Weierstrass p-function via -(log theta)''(u) - 2h, h = -2 pi i d_tau log eta,
+    at every point of the array u, from one theta table per derivative order.
 
     The constant follows from sigma(u) = exp(h u^2) theta(u)/theta'(0):
     -(log sigma)'' = -(log theta)'' - 2h.  Pinned against a direct lattice
     summation oracle (a "+h" constant instead leaves a spurious constant
     term 3h in the Laurent expansion at 0).
     """
-    if lattice_distance(complex(u), complex(ctx.tau)) <= 10 * ctx.tol_identity:
-        raise SingularParameterError(f"u={u} is on the period lattice (pole)")
-    t0 = theta(u, ctx)
-    t1 = theta(u, ctx, 1)
-    t2 = theta(u, ctx, 2)
+    us = np.asarray(u, dtype=complex)
+    for x in us.ravel().tolist():
+        if lattice_distance(x, complex(ctx.tau)) <= 10 * ctx.tol_identity:
+            raise SingularParameterError(f"u={x} is on the period lattice (pole)")
+    t0, t1, t2 = (theta_table(us, ctx, k).ravel().tolist() for k in range(3))
     h = -TWO_PI_I * eta_tau_log_derivative(ctx)
-    return -(t2 * t0 - t1 * t1) / (t0 * t0) - 2.0 * h
+    # each value in Python's complex arithmetic, as a one-point call reads it
+    return np.reshape([-(c * a - b * b) / (a * a) - 2.0 * h
+                       for a, b, c in zip(t0, t1, t2)], us.shape)[()]
 
 
 def vandermonde_sign(n: int) -> int:
@@ -465,17 +468,17 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     return worst_of_arrays(rel, ab)
 
 
-def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext):
+def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext, hbar=None):
     """Determinant side of the hbar-deformed determinant identity.
 
-    u holds one point per sample, lambdas and mus d points per sample on
-    their last axis; the d x d x d theta arguments of every sample are read
-    from one theta_table call and the d x d matrices take one stacked det.
+    u and hbar (ctx.hbar by default) hold one value per sample, lambdas and
+    mus d points per sample on their last axis; one theta_table call reads
+    the d x d x d arguments of all samples, and their matrices take one det.
     """
-    hb = ctx.hbar
+    hb = np.asarray(ctx.hbar if hbar is None else hbar, dtype=complex)[..., None]
     u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
     # offset [..., s, r]: hb below the diagonal, u - s hb on it
-    off = np.tril(np.full(u.shape + (d, d), hb, dtype=complex), -1)
+    off = np.tril(hb[..., None] * np.ones(u.shape + (d, d)), -1)
     off[..., range(d), range(d)] = u[..., None] - np.arange(d) * hb
     # argument [..., s, s', r] = mu_r - lambda_s' + offset[s, r]
     args = (mu[..., None, None, :] - lam[..., None, :, None]) + off[..., :, None, :]

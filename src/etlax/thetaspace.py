@@ -3,10 +3,10 @@
 chi_j is the lattice theta series over the shifted root lattice Lambda_j + Q
 (Lambda_j the classical part of the j-th fundamental weight, realized as
 integer vectors of coordinate sum j projected to sum zero).  Products of l of
-them span the symmetric level-l space; the evaluators here check the
-quasi-periodicity laws, the dimension by numerical rank, invariance under the
-difference operators at integer coupling, and that L(l|u) acts there as the
-l-fold coproduct T, slot m < l carrying R(u + m hbar), on symmetrized tensors.
+them span the symmetric level-l space; the evaluators check the
+quasi-periodicity laws, the rank against the S_n-orbits on P/lQ, invariance
+under the difference operators at integer coupling, and that L(l|u) acts as
+the l-fold coproduct T (slot m < l at R(u + m hbar)) on symmetrized tensors.
 
 chi_table(P) reads every character at every point of a batch P[..., n] as
 one array X[..., j]; a basis member is a product of its columns, the row of
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -89,9 +89,16 @@ def basis_table(E, P, ctx: ModularContext) -> np.ndarray:
     return np.prod(chi_table(P, ctx)[..., E], axis=-1).copy()
 
 
-def basis_dimension(n: int, l: int) -> int:
-    """Multiset count = (l+n-1)! / (l! (n-1)!)."""
-    return math.comb(n + l - 1, l)
+def orbit_count(n: int, l: int) -> int:
+    """The S_n-orbits on P/lQ (P = Z^n / Z(1, ..., 1), Q the sum-zero vectors),
+    the dimension of the symmetric level-l space, counted on the lattice: v
+    lies in the class (x mod l, sum(x // l) mod n), x = v[:-1] - v[-1], and
+    (r_0 + l a, r_1, ..., r_{n-2}, 0), r_k < l, a < n, are all the classes."""
+    def key(v):
+        x = [c - v[-1] for c in v[:-1]]
+        return tuple(c % l for c in x), sum(c // l for c in x) % n
+    return len({frozenset(map(key, permutations((r[0] + l * a, *r[1:], 0))))
+                for r in product(range(l), repeat=n - 1) for a in range(n)})
 
 
 def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,

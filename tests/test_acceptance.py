@@ -345,7 +345,8 @@ def test_criterion_11_dimension_formula_as_stated():
     (l+n)!/(l!n!) = 3, 6, 4 exceeds n*l^(n-1) and cannot be attained.
 
     The oracle above enumerates P/lQ and its orbits directly and builds the
-    lattice theta sum of every class and of every orbit.  The program's
+    lattice theta sum of every class and of every orbit; the library's own
+    count, thetaspace.orbit_count, must read its orbit count.  The program's
     character products must have rank equal to the orbit count and lie in
     the span of the orbit sums; level-(l+1) products must not (negative
     control), so the clause can still fail.
@@ -372,12 +373,14 @@ def test_criterion_11_dimension_formula_as_stated():
         bound = n * l ** (n - 1)
         stated = math.comb(l + n, n)
         row = dict(n=n, l=l, classes=len(reps), full=full,
-                   orbits=len(orbits), sym=sym, products=measured,
+                   orbits=len(orbits), library=ts.orbit_count(n, l),
+                   sym=sym, products=measured,
                    joint=joint, gap=f"{gap:.1e}", control=control,
                    stated=stated)
         rows.append(row)
         if not (len(covered) == len(reps) == full == bound
-                and len(orbits) == sym == measured == joint
+                and len(orbits) == ts.orbit_count(n, l) == sym == measured
+                == joint
                 == math.comb(l + n - 1, l)
                 and control > sym and stated > bound):
             bad.append(row)

@@ -283,6 +283,28 @@ def _block_move_weights(plan, pos, coords, deltas, ctx):
             np.concatenate([trans, np.zeros((len(trans), 1))], axis=1)[:, at])
 
 
+def _braid_matrix(params, moves, ctx):
+    """The dense product of vertex Rcheck moves with positional parameter
+    tracking: the columns of the identity, braided."""
+    return bv._braid_on(params, moves,
+                        np.eye(ctx.n ** len(params), dtype=complex), ctx)
+
+
+def _antisymmetrizer(k, ctx, u=0.0):
+    """The dense vertex fusion operator on V^(x)k: the columns of the
+    identity, under antisymmetrizer_on."""
+    return bv.antisymmetrizer_on(k, np.eye(ctx.n ** k, dtype=complex), ctx, u)
+
+
+def _face_fusion_oracle(k, base, ctx, u=0.0):
+    """The dense face fusion operator on the length-k paths from base: the
+    face moves of the fusion braid, with positional parameter tracking, as
+    one n^k x n^k matrix."""
+    moves = bv.fusion_moves(k)
+    return bv.face_operator_matrix(base, k, list(zip(
+        moves, bv._move_deltas(bv.fusion_parameters(k, u, ctx), moves))), ctx)
+
+
 def _block_face_matrix(base, k, moves, ctx):
     base = np.asarray(base, dtype=complex)
     coords = base.reshape(-1, ctx.n)
@@ -344,7 +366,7 @@ def test_face_moves_on_the_path_tensor_equal_the_block_plan(n, rng):
             fm = bv.fusion_moves(k)
             fused = list(zip(fm, bv._move_deltas(bv.fusion_parameters(k, u, ctx),
                                                  fm)))
-            assert np.array_equal(bv.face_fusion_operator(k, lam, ctx, u),
+            assert np.array_equal(_face_fusion_oracle(k, lam, ctx, u),
                                   _block_face_matrix(lam, k, fused, ctx))
 
 
@@ -402,7 +424,7 @@ def test_face_swap_update_equals_the_pair_loop(n, rng):
         fm = bv.fusion_moves(k)
         fused = list(zip(fm, bv._move_deltas(bv.fusion_parameters(k, u, ctx),
                                              fm)))
-        got = bv.face_fusion_operator(k, lam, ctx, u)
+        got = _face_fusion_oracle(k, lam, ctx, u)
         assert np.array_equal(got, _pair_loop_face_matrix(lam, k, fused, ctx))
         # negative control: the cross weight of each path read from the
         # path itself, not from its swap
@@ -567,7 +589,7 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
     # theta table
     u, v, w = (rand_complex(rng) for _ in range(3))
     for face in (lambda: bv.face_operator_matrix(lam, 3, moves, ctx),
-                 lambda: bv.face_fusion_operator(3, lam, ctx, u),
+                 lambda: _face_fusion_oracle(3, lam, ctx, u),
                  lambda: bv.verify_face_ybe(u, v, w, lam, ctx)):
         del calls[:]
         face()
@@ -831,7 +853,7 @@ def test_intertwining_at_equal_points(ctx3):
 
 def test_antisymmetrizer_image(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
-        pi2 = bv.antisymmetrizer(2, ctx, u=rand_complex(rng))
+        pi2 = _antisymmetrizer(2, ctx, u=rand_complex(rng))
         perm = bv.permutation_matrix(ctx.n)
         sym = (np.eye(ctx.n ** 2) + perm) @ pi2
         assert np.max(np.abs(sym)) / np.max(np.abs(pi2)) < 1e-12
@@ -839,21 +861,21 @@ def test_antisymmetrizer_image(ctx2, ctx3, rng):
 
 def test_antisymmetrizer_rank(ctx3):
     for k in (2, 3):
-        pi = bv.antisymmetrizer(k, ctx3, u=0.13 + 0.21j)
+        pi = _antisymmetrizer(k, ctx3, u=0.13 + 0.21j)
         svals = np.linalg.svd(pi, compute_uv=False)
         assert int(np.sum(svals > 1e-8 * svals[0])) == math.comb(3, k)
 
 
 def test_antisymmetrizer_u_independence(ctx3, rng):
     for k in (2, 3):
-        a = bv.antisymmetrizer(k, ctx3, u=rand_complex(rng))
-        b = bv.antisymmetrizer(k, ctx3, u=rand_complex(rng))
+        a = _antisymmetrizer(k, ctx3, u=rand_complex(rng))
+        b = _antisymmetrizer(k, ctx3, u=rand_complex(rng))
         assert np.max(np.abs(a - b)) / np.max(np.abs(a)) < 1e-10
 
 
 def test_antisymmetrizer_range_validation(ctx3):
     with pytest.raises(ValueError):
-        bv.antisymmetrizer(4, ctx3)
+        bv.antisymmetrizer_on(4, np.eye(3 ** 4, dtype=complex), ctx3)
 
 
 def test_fusion_intertwining(ctx3, rng):
@@ -862,6 +884,78 @@ def test_fusion_intertwining(ctx3, rng):
         < 1e-9
     assert bv.verify_fusion_intertwining(3, rand_complex(rng), lam, ctx3).rel \
         < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocked_fusion_residual_equals_the_dense_product(n, rng):
+    # the column blocks of Phi' F reduce to _rel of the dense product with
+    # the dense face fusion operator, bit for bit
+    ctx = default_context(n)
+    read = 0
+    for seed in range(4):
+        lam = wt.sample_generic(170 + seed, ctx)
+        for k in range(2, n + 1):
+            u = rand_complex(rng)
+            params, moves = bv.fusion_parameters(k, u, ctx), bv.fusion_moves(k)
+            try:
+                got = bv.verify_fusion_intertwining(k, u, lam, ctx)
+            except SingularParameterError:
+                continue
+            lhs = bv._braid_on(params, moves,
+                               bv.phi_tensor_matrix(lam, params, ctx), ctx)
+            rhs = bv.phi_tensor_matrix(lam, params[::-1], ctx) \
+                @ _face_fusion_oracle(k, lam, ctx, u)
+            assert got == bv._rel(lhs, rhs), (seed, k)
+            read += 1
+    assert read >= 2 * (n - 1)
+
+
+def test_fusion_intertwining_reads_one_face_stack_entry_off_red(monkeypatch):
+    # the largest entry of the face stack at the path (0, 1, 2), whose
+    # orbit holds no repeated path, off by 1e-6 relative: the k = 3 case
+    # reads red at every seed 0-7 (the least 4.7e-8), clean at most 1e-10,
+    # against 1e-8.  An entry of a repeated path is one of several equal
+    # copies, and only the last copy of a row is written into F
+    from etlax.suites import run_suite
+    ctx = default_context(3)
+    face = bv._face_orbits
+
+    def case(seed):
+        rep = run_suite("intertwiner", ctx, seed)
+        return {c.name: c for c in rep.cases}["fusion-intertwining-k3"]
+
+    def off(base, k, sides, c):
+        out = face(base, k, sides, c)
+        if k == 3:
+            entry = out[0][0, 5]
+            entry[np.argmax(np.abs(entry))] *= 1 + 1e-6
+        return out
+    clean = [case(seed) for seed in range(8)]
+    monkeypatch.setattr(bv, "_face_orbits", off)
+    bad = [case(seed) for seed in range(8)]
+    assert all(c.ok for c in clean) and not any(b.ok for b in bad)
+
+
+def test_intertwiner_run_stays_small():
+    # fusion-intertwining-k4 holds the braided side and Phi' whole, and
+    # Phi' F only in column blocks: about 2.45 MB at n = 4, where the dense
+    # face fusion operator and Phi' F read 3.7 MB; the cond guard raises
+    # at seeds 5 and 7
+    import tracemalloc
+    from etlax.suites import run_suite
+    ctx = default_context(4)
+    run_suite("intertwiner", ctx, 0)                  # warm plan caches
+    peaks = []
+    for seed in range(8):
+        tracemalloc.start()
+        try:
+            run_suite("intertwiner", ctx, seed)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        except SingularParameterError:
+            pass
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 6 and max(peaks) <= 2.5e6
 
 
 def test_fused_rcheck_reduces_to_rcheck(ctx3, rng):
@@ -944,7 +1038,7 @@ def test_braid_matrix_matches_kron_slots(n, rng):
     for k in range(2, n + 1):
         params = [rand_complex(rng) for _ in range(k)]
         for moves in (bv.fusion_moves(k), [k - 2, 0, k - 2]):
-            got = bv.braid_matrix(params, moves, ctx)
+            got = _braid_matrix(params, moves, ctx)
             want = _kron_braid(params, moves, ctx)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (k, moves)
@@ -961,7 +1055,7 @@ def test_braid_matrix_matches_kron_slots(n, rng):
         # control: the parameters in reverse order give another operator
         back = _kron_braid(params[::-1], moves, ctx)
         assert np.max(np.abs(got - back)) > 1e-3 * scale
-    plain = bv.braid_matrix(params[:2], [0], ctx.replace())
+    plain = _braid_matrix(params[:2], [0], ctx.replace())
     assert np.max(np.abs(plain - _kron_braid(params[:2], [0], ctx))) \
         <= 1e-13 * np.max(np.abs(plain))
 
@@ -1109,7 +1203,7 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
         lambda: bv.verify_r_quasiperiodicity(us, ctx),
         lambda: bv.verify_r_holomorphy(ctx),
         lambda: bv.verify_ybe(us[:4], us[4:8], us[6:], ctx),
-        lambda: bv.braid_matrix(us[:3], bv.fusion_moves(3), ctx),
+        lambda: _braid_matrix(us[:3], bv.fusion_moves(3), ctx),
         lambda: bv.verify_intertwining(us[:1], us[1:2], [lam], ctx),
     ]
     reads = table_reads(monkeypatch)

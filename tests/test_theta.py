@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fay_residual, rand_complex, table_reads
-from etlax.context import ContextError, default_context
+from etlax.context import ContextError, SingularParameterError, default_context
 from etlax import theta as th
 
 TAU = 0.1 + 0.8j
@@ -393,6 +393,40 @@ def test_qfay_degenerates_to_fay(ctx2, rng):
         * th.theta(u, ctx2) ** (d - 1) \
         * th.theta(lams[1] - lams[0], ctx2) * th.theta(mus[0] - mus[1], ctx2)
     assert abs(lhs - want) / abs(want) < 1e-4
+
+
+@pytest.mark.parametrize("tau", [None, 0.1 + 0.3j])
+def test_qfay_lhs_on_an_hbar_axis_reads_each_node_alone(tau):
+    # one batch over the hbar circle, bit for bit the per-node contexts
+    hs = th.circle()
+    for n in (2, 3):
+        ctx = default_context(n) if tau is None else default_context(n, tau=tau)
+        rng = np.random.default_rng(n)
+        for d in range(1, 5):
+            u, *draws = rng.uniform(-0.4, 0.4, (2 * d + 1, 2)).view(complex)[:, 0]
+            lams, mus = draws[:d], draws[d:]
+            loop = [th.qfay_lhs(d, u, lams, mus, ctx.replace(hbar=h)) for h in hs]
+            assert np.array_equal(th.qfay_lhs(d, u, lams, mus, ctx, hs), loop)
+
+
+@pytest.mark.parametrize("tau", [None, 0.1 + 0.3j])
+def test_weierstrass_p_on_an_array_reads_each_point_alone(tau):
+    # one theta table per derivative order, bit for bit the one-point
+    # formula on three scalar theta reads
+    ctx = default_context(2) if tau is None else default_context(2, tau=tau)
+    rng = np.random.default_rng(9)
+    us = rng.uniform(-0.4, 0.4, (2, 5, 2)).view(complex)[..., 0] + 0.05
+    h = -th.TWO_PI_I * th.eta_tau_log_derivative(ctx)
+
+    def one(u):
+        t0, t1, t2 = (th.theta(u, ctx, k) for k in range(3))
+        return -(t2 * t0 - t1 * t1) / (t0 * t0) - 2.0 * h
+    got = th.weierstrass_p(us, ctx)
+    assert got.shape == us.shape
+    assert np.array_equal(got, [[one(u) for u in row] for row in us.tolist()])
+    assert th.weierstrass_p(us[0, 0], ctx) == one(complex(us[0, 0]))
+    with pytest.raises(SingularParameterError):
+        th.weierstrass_p(np.array([0.2, 1.0]), ctx)
 
 
 def test_qfay_hbar0_limit_is_the_fay_form_and_a_factor_less_reads_red(ctx2):

@@ -136,12 +136,16 @@ def test_product_quasi_periodicity(ctx2, ctx3):
 
 
 def test_basis_dimension_counts():
-    assert ts.basis_dimension(2, 1) == 2
-    assert ts.basis_dimension(2, 2) == 3
-    assert ts.basis_dimension(3, 1) == 3
-    assert ts.basis_dimension(3, 2) == 6
-    for n, l in ((2, 1), (2, 2), (3, 1), (3, 2)):
-        assert ts.basis_dimension(n, l) == math.comb(n + l - 1, l)
+    # the lattice count of S_n-orbits on P/lQ is the multiset count
+    # (l+n-1)! / (l! (n-1)!) of the character products
+    assert ts.orbit_count(2, 1) == 2
+    assert ts.orbit_count(2, 2) == 3
+    assert ts.orbit_count(3, 1) == 3
+    assert ts.orbit_count(3, 2) == 6
+    for n in range(2, 6):
+        for l in range(1, 4):
+            assert ts.orbit_count(n, l) == math.comb(n + l - 1, l) \
+                == len(ts.character_basis(l, n))
 
 
 @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2), (4, 2)])
@@ -149,7 +153,7 @@ def test_character_basis_is_the_multisets_in_order(n, l):
     E = ts.character_basis(l, n)
     assert E.tolist() == [list(js) for js in
                           itertools.combinations_with_replacement(range(n), l)]
-    assert E.shape == (ts.basis_dimension(n, l), l) and not E.flags.writeable
+    assert E.shape == (math.comb(n + l - 1, l), l) and not E.flags.writeable
     assert ts.character_basis(l, n) is E
     # column m of the table is the product of the characters of row m
     ctx = default_context(n)
@@ -161,7 +165,7 @@ def test_character_basis_is_the_multisets_in_order(n, l):
 
 def test_gram_rank_matches_basis(ctx2, ctx3):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
-        dim = ts.basis_dimension(ctx.n, l)
+        dim = ts.orbit_count(ctx.n, l)
         pts = wt.sample_many(6, 2 * dim + 4, ctx)
         assert ts.gram_rank(l, pts, ctx) == dim
 
@@ -346,7 +350,7 @@ def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
     # points of every entry come from one sampling, and op is applied once,
     # to all dim basis functions on a trailing axis
     ctx = default_context(n)
-    dim = ts.basis_dimension(n, l)
+    dim = ts.orbit_count(n, l)
     seeds = [5, 40, 41]
     seen, samplings = [], []
     sample = wt.sample_points
@@ -525,6 +529,23 @@ def test_theta_space_passes_at_rank_4_across_seeds():
 
 
 # ------------------------------------------------ every case can read red
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_rank_case_reads_the_lattice_count_not_the_product_count(
+        l, monkeypatch):
+    # the products taken at level l + 1 span more than the S_n-orbit count
+    # on P/lQ: the case reads red (at n = 2, where the sample of the
+    # level-l count is large enough for the level-(l + 1) products)
+    name = f"dimension-rank-l{l}"
+    assert _theta_space_case(2, name).ok
+    basis = ts.character_basis
+    monkeypatch.setattr(ts, "character_basis", lambda l, n: basis(l + 1, n))
+    assert not _theta_space_case(2, name).ok
+    ctx = default_context(2)
+    E = ts.character_basis(l, 2)
+    pts = wt.sample_many(6, 2 * len(E) + 4, ctx)
+    assert ts.gram_rank(l, pts, ctx) == len(E) > ts.orbit_count(2, l)
+
 
 @pytest.mark.parametrize("n,l,rank", [(2, 1, 1), (2, 2, 1), (3, 1, 2)])
 def test_a_repeated_character_fails_the_rank_case(n, l, rank, monkeypatch):
