@@ -14,8 +14,8 @@ n^3 entries of the ice rule through an index map cached per n; Rcheck = P R
 is R with its rows reordered.  A product of Rcheck moves reads all its
 Rchecks from one table and applies each to its two tensor slots of the
 accumulated columns, never as an n^k x n^k matrix.  An identity of braids
-whose residual is rounding is read on a fixed real Gaussian block G
-(gaussian_block, Freivalds' check): the Yang-Baxter equation on n columns,
+whose residual is rounding is read on a fixed real random block G
+(sketch_block, Freivalds' check): the Yang-Baxter equation on n columns,
 and the u-independence, rank and antisymmetry of the fusion operator pi on
 pi G (antisymmetrizer_on), C(n, k) + 2 columns.
 
@@ -43,6 +43,7 @@ import numpy as np
 
 from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
+from .stream import Stream
 from .theta import (_EPS, Residual, circle, dedekind_eta,
                     laurent_coefficient, residual_arrays, theta_char_table,
                     theta_level_table, theta_scale, theta_table,
@@ -158,11 +159,10 @@ def _apply_moves(op: np.ndarray, rchecks, moves, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def gaussian_block(k: int, n: int, cols: int) -> np.ndarray:
-    """A fixed real Gaussian block [n^k, cols] from default_rng(k), the
-    columns an identity of operators on V^(x)k is read on (read-only)."""
-    return read_only(np.random.default_rng(k).standard_normal(
-        (n ** k, cols)))[0]
+def sketch_block(k: int, n: int, cols: int) -> np.ndarray:
+    """A fixed real block [n^k, cols] of uniform(-1, 1) draws of Stream(k),
+    the columns an identity of operators on V^(x)k is read on (read-only)."""
+    return read_only(Stream(k).uniform(-1, 1, size=(n ** k, cols)))[0]
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> Residual:
@@ -239,8 +239,8 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
             = Rcheck_12(v-w) Rcheck_23(u-w) Rcheck_12(u-v),
 
     worst over the triples (us[p], vs[p], ws[p]), from one Rcheck table.
-    Both sides act on the n columns of gaussian_block(3, n, n), not on
-    the identity: AG = BG for a fixed Gaussian G (Freivalds' check) reads
+    Both sides act on the n columns of sketch_block(3, n, n), not on
+    the identity: AG = BG for a fixed random G (Freivalds' check) reads
     a defect in any Rcheck, and no n^3 x n^3 product is formed.
     """
     n = ctx.n
@@ -249,7 +249,7 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
     r_uv, r_uw, r_vw = rcheck_table(
         np.concatenate([us - vs, us - ws, vs - ws]), ctx).reshape(
             3, len(us), n * n, n * n)
-    block = np.broadcast_to(gaussian_block(3, n, n), (len(us), n ** 3, n))
+    block = np.broadcast_to(sketch_block(3, n, n), (len(us), n ** 3, n))
     lhs = _apply_moves(block.astype(complex), [r_vw, r_uw, r_uv], [1, 0, 1], n)
     rhs = _apply_moves(block.astype(complex), [r_uv, r_uw, r_vw], [0, 1, 0], n)
     return _rel(lhs, rhs)
@@ -277,18 +277,22 @@ def partial_shifts(n: int, k: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _orbit_plan(n: int, k: int):
-    """The S_k orbits of the length-k paths c (product order): row[c, sigma],
-    the path c o sigma (steps c[sigma(0)], ..., c[sigma(k-1)]), sigma in
-    itertools order; start[e], e = (c, sigma) flattened, whether that row is
-    c; and per move position pos: ti, tj, tm, the distinct (i, j, count_i -
-    count_j), i != j, that the prefixes reach, in order of first appearance;
-    pair[a, i, j], the one of prefix a (of n^pos) and steps (i, j), len(ti)
-    where i == j; partner[e] = (c, sigma o (pos pos+1)); keep[e], cross[e],
-    pair at the steps (i, j) of row e there and at (j, i)."""
-    perms = list(permutations(range(k)))
-    index = {p: s for s, p in enumerate(perms)}
-    steps = np.indices((n,) * k).reshape(k, -1).T[:, perms]  # [c, sigma, m]
-    row, moves = steps @ n ** np.arange(k - 1, -1, -1), []
+    """The S_k orbits of the length-k paths c (product order), one entry e
+    per distinct (c, r), r = c o sigma (steps c[sigma(0)], ..., c[sigma(k-1)])
+    a reordering of c, ordered by c and then r: row[e] = r, col[e] = c,
+    start[e] whether r is c; and per move position pos: ti, tj, tm, the
+    distinct (i, j, count_i - count_j), i != j, that the prefixes reach, in
+    order of first appearance; pair[a, i, j], the one of prefix a (of n^pos)
+    and steps (i, j), len(ti) where i == j; partner[e], the entry (c, r with
+    steps pos and pos+1 swapped); keep[e], cross[e], pair at the steps
+    (i, j) of r there and at (j, i)."""
+    size, place = n ** k, n ** np.arange(k - 1, -1, -1)
+    steps = np.indices((n,) * k).reshape(k, -1).T[:, list(permutations(
+        range(k)))]                                          # [c, sigma, m]
+    key, first = np.unique(np.arange(size)[:, None] * size + steps @ place,
+                           return_index=True)
+    col, row = np.divmod(key, size)
+    steps, moves = steps.reshape(-1, k)[first], []           # [e, m]
     for pos in range(k - 1):
         found = {}
         pair = np.array([[found.setdefault((i, j, t.count(i) - t.count(j)),
@@ -296,13 +300,12 @@ def _orbit_plan(n: int, k: int):
                           for i in range(n) for j in range(n)]
                          for t in product(range(n), repeat=pos)])
         pair = np.where(pair < 0, len(found), pair).reshape(-1, n, n)
-        partner = np.arange(n ** k)[:, None] * len(perms) + [
-            index[p[:pos] + (p[pos + 1], p[pos]) + p[pos + 2:]] for p in perms]
-        a, i, j = row // n ** (k - pos), steps[..., pos], steps[..., pos + 1]
-        moves.append(read_only(*np.array(list(found)).T, pair, partner.ravel(),
-                               pair[a, i, j].ravel(), pair[a, j, i].ravel()))
-    return read_only(row, (row == np.arange(n ** k)[:, None]).ravel()) \
-        + (tuple(moves),)
+        a, i, j = row // n ** (k - pos), steps[:, pos], steps[:, pos + 1]
+        swap = row + (j - i) * place[pos] + (i - j) * place[pos + 1]
+        moves.append(read_only(*np.array(list(found)).T, pair,
+                               np.searchsorted(key, col * size + swap),
+                               pair[a, i, j], pair[a, j, i]))
+    return read_only(row, col, row == col) + (tuple(moves),)
 
 
 def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
@@ -343,11 +346,12 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
 def _face_orbits(base, k: int, sides, ctx: ModularContext) -> list:
     """The products of moves sides[r] (lists of (pos, delta), delta one
     value or one per base) on the length-k paths at the bases base[s], as
-    stacks M[s, c, sigma], the entry at row c o sigma, column c: a move only
-    reorders steps, so all others are 0.  All moves read one _weight_tables;
-    one at pos sets M[e] to keep times M[e] plus cross times M[partner]."""
+    stacks M[s, e] over the entries e of _orbit_plan, M[s, e] at row row[e],
+    column col[e]: a move only reorders steps, so all others are 0.  All
+    moves read one _weight_tables; one at pos sets M[e] to keep times M[e]
+    plus cross times M[partner]."""
     coords = np.asarray(base, dtype=complex).reshape(-1, ctx.n)
-    (row, start, plans), count = _orbit_plan(ctx.n, k), len(coords)
+    (_, _, start, plans), count = _orbit_plan(ctx.n, k), len(coords)
     moves = [(pos, np.broadcast_to(delta, count)) for side in sides
              for pos, delta in side]
     groups = list(dict.fromkeys(pos for pos, _ in moves))
@@ -366,7 +370,7 @@ def _face_orbits(base, k: int, sides, ctx: ModularContext) -> list:
             # the stack on the left of each product, as on the path matrix:
             # numpy's complex multiply (FMA) rounds a * b and b * a apart
             stack = stack * w_keep + stack[partner] * w_cross
-        out.append(stack.T.reshape(count, *row.shape))
+        out.append(stack.T)
     return out
 
 
@@ -377,8 +381,9 @@ def face_operator_matrix(base, k: int, moves, ctx: ModularContext) -> np.ndarray
     value or one per base.  The _face_orbits stack, scattered."""
     base, size = np.asarray(base, dtype=complex), ctx.n ** k
     stack, = _face_orbits(base, k, [moves], ctx)
+    row, col = _orbit_plan(ctx.n, k)[:2]
     mat = np.zeros((len(stack), size, size), dtype=complex)
-    mat[:, _orbit_plan(ctx.n, k)[0], np.arange(size)[:, None]] = stack
+    mat[:, row, col] = stack
     return mat[0] if base.ndim == 1 else mat
 
 
@@ -391,7 +396,7 @@ def verify_face_ybe(us, vs, ws, P, ctx: ModularContext) -> Residual:
     lhs, rhs = _face_orbits(P, 3, [
         [(1, vs - ws), (0, us - ws), (1, us - vs)],
         [(0, us - vs), (1, us - ws), (0, vs - ws)]], ctx)
-    return _rel(lhs, rhs)
+    return _rel(lhs[..., None], rhs[..., None])
 
 
 # ------------------------------------------------------------- intertwiners
@@ -650,15 +655,16 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
     stack = _face_orbits(lam, k, [list(zip(moves, _move_deltas(params, moves)))],
                          ctx)[0][0]
     lhs = _braid_on(params, moves, phi_tensor_matrix(lam, params, ctx), ctx)
-    top, row = np.max(np.abs(lhs)), _orbit_plan(ctx.n, k)[0]
+    top, (row, col) = np.max(np.abs(lhs)), _orbit_plan(ctx.n, k)[:2]
     phir = _path_tensor(levels, ctx.n)
     worst = np.zeros(2)                      # max|lhs - rhs|, max|rhs|
     # no block under 8 columns: BLAS rounds 1- and 2-column products apart
     edges = [*range(0, max(size - 8, 1), 16), size]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        # column c of F holds M[c, sigma] at row c o sigma
+        # column c of F holds the entries (c, r) at rows r
+        part = slice(*np.searchsorted(col, [lo, hi]))
         f = np.zeros((size, hi - lo), dtype=complex)
-        f[row[lo:hi], np.arange(hi - lo)[:, None]] = stack[lo:hi]
+        f[row[part], col[part] - lo] = stack[part]
         rhs = phir @ f
         high = np.max(np.abs(rhs))
         rhs -= lhs[:, lo:hi]

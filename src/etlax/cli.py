@@ -8,11 +8,11 @@ hbar_re, hbar_im, tol_identity, seed); every key can be overridden by a
 command-line flag of the same name.  tol_identity is a singularity floor
 (see ModularContext); each suite passes or fails against its own tolerance
 in suites.SUITES.  Exit codes: 0 all checks passed, 1 verification
-failure, 2 configuration error or an evaluation that could not be carried
+failure, 2 configuration error, an evaluation that could not be carried
 out (a singular parameter, a value out of floating-point range or an
-exhausted sampling budget).  `verify all` spreads its runs over one forked
-process per CPU (run_all); its reports and exit codes are those of one
-serial pass.
+exhausted sampling budget) or a report that could not be written.
+`verify all` spreads its runs over one forked process per CPU (run_all);
+its reports and exit codes are those of one serial pass.
 """
 
 from __future__ import annotations
@@ -206,17 +206,17 @@ def main(argv=None) -> int:
                 return 2
             ctx = context_from_config(cfg)
             reports = [run_suite(args.suite, ctx, seed)]
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report_json(reports))
     # ArithmeticError: a singular parameter (SingularParameterError) or a
-    # value out of floating-point range (OverflowError)
+    # value out of floating-point range (OverflowError); OSError: also a
+    # report path that cannot be written
     except (ContextError, OSError, ValueError, ArithmeticError,
             SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = report_text(reports)
-    sys.stdout.write(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_json(reports))
+    sys.stdout.write(report_text(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

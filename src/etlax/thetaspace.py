@@ -36,6 +36,7 @@ import numpy as np
 from .context import ModularContext, read_only
 from .belavin import r_table
 from .opalg import DifferenceOperator, apply_batch, exp_function
+from .stream import Stream
 from .theta import (_EPS, Residual, _series, _table, residual_arrays,
                     theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
@@ -106,7 +107,7 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
     """Both level-l laws on random basis products and random small roots:
     chi_table at the samples, shifted by their roots and by tau times them."""
     n = ctx.n
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     E = character_basis(l, n)
     P = sample_many(seed, samples, ctx)
     members, roots = np.zeros(samples, dtype=int), np.zeros((samples, n), int)
@@ -186,8 +187,8 @@ def fit_action(l: int, op, ctx: ModularContext, seeds):
 def negative_control(l: int, op: DifferenceOperator, ctx: ModularContext,
                      seed: int = 0) -> Residual:
     """Fit residual for op applied to a generic non-theta exponential."""
-    rng = np.random.default_rng(seed)
-    vec = rng.normal(size=ctx.n) + 0.1 * rng.normal(size=ctx.n)
+    rng = Stream(seed)
+    vec = rng.uniform(-1, 1, size=ctx.n) + 0.1 * rng.uniform(-1, 1, size=ctx.n)
     vec = vec - vec.mean() + 0.37   # generic: not in the dual lattice
     control = exp_function(vec)
     return _fit(l, op, lambda P: control(P)[..., None], [seed], ctx)[1]

@@ -459,18 +459,18 @@ def test_face_matrix_is_zero_outside_the_step_multisets(rng):
 
 
 def _scatter_orbits(stack, n, k):
-    """An orbit stack M[s, c, sigma] written into the paths x paths
-    matrices: the entry at row c o sigma, column c; the copies of a row
-    where c repeats a step must agree."""
+    """An orbit stack M[s, e] written into the paths x paths matrices: one
+    entry for each column c and each distinct reordering c o sigma of its
+    steps, in order of c and then of the row c o sigma."""
     paths = list(product(range(n), repeat=k))
     index = {t: a for a, t in enumerate(paths)}
+    entries = [(c, r) for c, t in enumerate(paths) for r in sorted(
+        {index[tuple(t[m] for m in sigma)]
+         for sigma in permutations(range(k))})]
+    assert stack.shape[1] == len(entries)
     mat = np.zeros((len(stack), len(paths), len(paths)), dtype=complex)
-    for c, t in enumerate(paths):
-        for s, sigma in enumerate(permutations(range(k))):
-            row = index[tuple(t[m] for m in sigma)]
-            if mat[0, row, c] != 0:
-                assert np.array_equal(mat[:, row, c], stack[:, c, s])
-            mat[:, row, c] = stack[:, c, s]
+    for e, (c, r) in enumerate(entries):
+        mat[:, r, c] = stack[:, e]
     return mat
 
 
@@ -495,7 +495,7 @@ def test_orbit_stacks_scatter_to_the_dense_face_matrix(n, rng):
         for base, mv in ((lam, moves), (P, batched)):
             coords = np.asarray(base, dtype=complex).reshape(-1, n)
             stack, = bv._face_orbits(base, k, [mv], ctx)
-            assert stack.shape == (len(coords), n ** k, math.factorial(k))
+            assert stack.shape == (len(coords), len(bv._orbit_plan(n, k)[0]))
             got = _scatter_orbits(stack, n, k)
             dense = _pair_loop_face_matrix(coords, k, mv, ctx)
             assert np.array_equal(got, dense)
@@ -911,14 +911,14 @@ def test_blocked_fusion_residual_equals_the_dense_product(n, rng):
 
 
 def test_fusion_intertwining_reads_one_face_stack_entry_off_red(monkeypatch):
-    # the largest entry of the face stack at the path (0, 1, 2), whose
-    # orbit holds no repeated path, off by 1e-6 relative: the k = 3 case
-    # reads red at every seed 0-7 (the least 4.7e-8), clean at most 1e-10,
-    # against 1e-8.  An entry of a repeated path is one of several equal
-    # copies, and only the last copy of a row is written into F
+    # the largest entry of the face stack in the column of the path
+    # (0, 1, 2), whose orbit holds no repeated path, off by 1e-6 relative:
+    # the k = 3 case reads red at every seed 0-7 (the least 4.7e-8), clean
+    # at most 1e-10, against 1e-8
     from etlax.suites import run_suite
     ctx = default_context(3)
     face = bv._face_orbits
+    column = np.flatnonzero(bv._orbit_plan(3, 3)[1] == 5)
 
     def case(seed):
         rep = run_suite("intertwiner", ctx, seed)
@@ -927,8 +927,8 @@ def test_fusion_intertwining_reads_one_face_stack_entry_off_red(monkeypatch):
     def off(base, k, sides, c):
         out = face(base, k, sides, c)
         if k == 3:
-            entry = out[0][0, 5]
-            entry[np.argmax(np.abs(entry))] *= 1 + 1e-6
+            entry = out[0][0]
+            entry[column[np.argmax(np.abs(entry[column]))]] *= 1 + 1e-6
         return out
     clean = [case(seed) for seed in range(8)]
     monkeypatch.setattr(bv, "_face_orbits", off)
@@ -1047,8 +1047,8 @@ def test_braid_matrix_matches_kron_slots(n, rng):
         on_cols = bv._braid_on(params, moves, cols.copy(), ctx)
         assert np.max(np.abs(on_cols - want @ cols)) \
             <= 1e-13 * scale * np.max(np.abs(cols)) * n ** k
-        # and on the fixed Gaussian block the fusion cases read
-        block = bv.gaussian_block(k, n, math.comb(n, k) + 2)
+        # and on the fixed random block the fusion cases read
+        block = bv.sketch_block(k, n, math.comb(n, k) + 2)
         on_block = bv._braid_on(params, moves, block.astype(complex), ctx)
         assert np.max(np.abs(on_block - got @ block)) \
             <= 1e-13 * np.max(np.abs(got @ block))
@@ -1239,7 +1239,7 @@ def test_nan_residual_fails_its_case(monkeypatch):
     def one_nan(bases, k, sides, c):
         out = face(bases, k, sides, c)
         if len(bases) == 25:
-            out[0][2, 0, 0] = np.nan
+            out[0][2, 0] = np.nan
         return out
     monkeypatch.setattr(bv, "_face_orbits", one_nan)
     rep = run_suite("face-ybe", ctx, 0)
@@ -1291,7 +1291,7 @@ def test_partial_shifts_are_the_plans_of_both_sides():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sketched_fusion_rank_agrees_with_the_full_svd(n, monkeypatch):
     # fusion-rank-k{k} counts the singular values of pi G, G the fixed
-    # Gaussian block: it passes at every pi the suite reads, whose full
+    # random block: it passes at every pi the suite reads, whose full
     # SVD reads C(n, k) too, and a rank-one bump of 1e-3 max|pi|, applied
     # as bump G, makes it read red
     from etlax.suites import run_suite
@@ -1327,7 +1327,7 @@ def test_sketched_fusion_rank_agrees_with_the_full_svd(n, monkeypatch):
 
 
 def _dense_ybe(us, vs, ws, ctx):
-    # verify_ybe as it was written before the Gaussian block: both sides
+    # verify_ybe as it was written before the random block: both sides
     # braid the n^3 x n^3 identity of every triple
     n = ctx.n
     r_uv, r_uw, r_vw = bv.rcheck_table(
@@ -1376,7 +1376,7 @@ def _bumped_case(name, n, seed, monkeypatch, patch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sketched_cases_read_their_controls_red(n, monkeypatch):
-    # each case read on the Gaussian block sees a defect of 1e-6 relative
+    # each case read on the random block sees a defect of 1e-6 relative
     # in the operator it checks, at every seed 0-7, at its tolerance
     table, build = bv.rcheck_table, bv.antisymmetrizer_on
     gen = np.random.default_rng(5)

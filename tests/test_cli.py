@@ -216,6 +216,39 @@ def test_cli_bad_configuration_exits_two(capsys):
     assert "error:" in err
 
 
+def test_unwritable_report_path_exits_two(tmp_path, capsys):
+    # the suite runs, then the report cannot be written: a configuration
+    # error (2), not a verification failure (1), and no traceback
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["theta", "--n", "2", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert "Traceback" not in captured.err and not path.exists()
+
+
+@pytest.mark.parametrize("suite", ["theta", "all"])
+def test_negative_seed_exits_two_naming_it(suite, capsys):
+    assert cli.main([suite, "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: seed -5 is negative\n"
+
+
+@pytest.mark.parametrize("suite", ["theta", "face-ybe"])
+def test_seed_past_64_bits_reads_numpys_streams(suite, tmp_path, monkeypatch,
+                                                 capsys):
+    # 2^70 is five entropy words with the suite index and n; the report is
+    # the one numpy's Generator gives, timing apart, in suites that draw
+    # uniform and integers alone
+    from etlax import suites
+    import numpy as np
+    seed, paths = str(2 ** 70), [tmp_path / "a.json", tmp_path / "b.json"]
+    assert cli.main([suite, "--seed", seed, "--json", str(paths[0])]) == 0
+    monkeypatch.setattr(suites, "Stream", np.random.default_rng)
+    assert cli.main([suite, "--seed", seed, "--json", str(paths[1])]) == 0
+    ours, numpys = (strip_timing(p.read_text()) for p in paths)
+    assert ours == numpys and json.loads(ours)["suites"][0]["params"][
+        "seed"] == 2 ** 70
+
+
 def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
     # tau = 0.3 + 0.5i makes an intertwiner matrix ill-conditioned at seed 42
     rc = cli.main(["trace-closed", "--n", "3", "--tau_re", "0.3",

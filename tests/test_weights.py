@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_complex, table_reads
 from etlax.context import SamplingError, default_context
+from etlax import stream as st
 from etlax import weights as wt
 
 
@@ -306,9 +307,9 @@ def test_128_bit_jump_is_the_integer_multiply_add():
     words = rng.integers(0, 2 ** 64, (2, 2, 300), dtype=np.uint64)
     words[..., :4] = 2 ** 64 - 1
     hi, lo = words
-    jump = wt._stream_constants(6)[3]
-    (a_hi, c_hi), (a_lo, c_lo) = wt._mul((hi[..., None], lo[..., None]), jump)
-    x_hi, x_lo = wt._add((a_hi, a_lo), (c_hi, c_lo))
+    jump = st.jumps(6)
+    (a_hi, c_hi), (a_lo, c_lo) = st._mul((hi[..., None], lo[..., None]), jump)
+    x_hi, x_lo = st._add((a_hi, a_lo), (c_hi, c_lo))
     mult = 0x2360ED051FC65DA44385DF649FCCF645
     for s in range(300):
         q, inc = (int(hi[r, s]) << 64 | int(lo[r, s]) for r in (0, 1))
