@@ -26,8 +26,9 @@ so lam_ij there is base_ij + hbar * (count_i - count_j) with integer counts,
 never a re-canonicalized shifted point.  A move only reorders steps, so
 the moves of a product act on the S_k orbit of each column path, a stack
 of n^k * k! entries per base read from one theta table (_face_orbits),
-never on the n^k x n^k path matrix.  phi has one kernel, shift_intertwiners;
-the map along paths multiplies one batch out level by level, and both
+never on the n^k x n^k path matrix.  phi has one kernel, shift_intertwiners,
+and phibar one, dual_intertwiners, in closed form with no solve; the map
+along paths multiplies one batch of phi out level by level, and both
 two-step intertwining relations are read on these tensor matrices.  The
 fusion intertwining braids its vertex side whole (its rounding decides the
 case at some n = 4 seeds) and forms Phi' F in column blocks from the stack.
@@ -401,31 +402,14 @@ def verify_face_ybe(us, vs, ws, P, ctx: ModularContext) -> Residual:
 
 # ------------------------------------------------------------- intertwiners
 
-@dataclass(frozen=True)
-class IntertwinerPair:
-    """phi(u) at base mu[n] (rows = vector index, columns = step index) and
-    its inverse phibar (rows = step index), with the recorded condition
-    number."""
-
-    phi: np.ndarray
-    phibar: np.ndarray
-    u: complex
-    mu: np.ndarray
-    cond: float
-
-
-# Largest raw 2-norm condition number of phi accepted by the intertwiners.
-_COND_LIMIT = 1e8
-
-
 def intertwiner_arrays(us, mus, ctx: ModularContext):
     """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
-    shift_intertwiners at the zero count, each pair its own point, and
-    guarded_inverse of the stack."""
-    us, n = list(us), ctx.n
-    phi = shift_intertwiners([[u] for u in us], np.reshape(mus, (-1, 1, n)),
-                             np.zeros((1, n), dtype=int), ctx).reshape(-1, n, n)
-    return phi, guarded_inverse(phi, us.__getitem__)
+    shift_intertwiners and dual_intertwiners at the zero count, each pair
+    its own point."""
+    n = ctx.n
+    args = [[u] for u in us], np.reshape(mus, (-1, 1, n)), [[0] * n], ctx
+    return (shift_intertwiners(*args).reshape(-1, n, n),
+            dual_intertwiners(*args).reshape(-1, n, n))
 
 
 def shift_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
@@ -453,46 +437,88 @@ def shift_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
     return np.ascontiguousarray(cols.transpose(0, 1, 2, 4, 5, 3))
 
 
-def guarded_inverse(phi: np.ndarray, spectral) -> np.ndarray:
-    """phibar, the inverse of every matrix of the stack phi (P, n, n), from
-    one stacked solve, under the guard on the 2-norm condition number.
+@functools.lru_cache(maxsize=64)
+def _dual_nodes(ctx: ModularContext):
+    """The nodes y_t = y0 + t/n of dual_intertwiners and its DFT matrix
+    F[t, j] = i eta (-omega^j)^t / (n theta_level_j(y0)), omega = e^(2 pi i/n),
+    y0 the point of the grid a/(8n) + i b Im(tau)/4 (a < 8, |b| <= 2) with
+    the largest min_j |theta_level_j(y0)|: n and tau alone choose it."""
+    n = ctx.n
+    grid = (np.arange(8)[:, None] / (8 * n)
+            + 0.25j * ctx.tau.imag * np.arange(-2, 3)).ravel()
+    values = theta_level_table(range(n), grid, ctx)
+    best = int(np.argmax(np.min(np.abs(values), axis=0)))
+    dft = (-np.exp(2j * np.pi * np.arange(n) / n)) ** np.arange(n)[:, None]
+    return read_only(grid[best] + np.arange(n) / n, 1j * dedekind_eta(
+        ctx.tau, ctx) * dft / (n * values[:, best]))
 
-    The guard is screened first: the condition number is at most
-    |phi|_F |phibar|_F, so a matrix whose product stays below half the
-    limit (room for the rounding of phibar) passes without an SVD.  The
-    rest, or every matrix where the solve finds phi singular, get the
-    stacked np.linalg.cond, and the first above the limit, in stack order,
-    raises, naming its spectral parameter spectral(p).
-    """
-    n = phi.shape[-1]
-    try:
-        phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
-        bound = (np.linalg.norm(phi, axis=(1, 2))
-                 * np.linalg.norm(phibar, axis=(1, 2)))
-        suspect = np.flatnonzero(~(bound <= 0.5 * _COND_LIMIT))
-    except np.linalg.LinAlgError:
-        phibar, suspect = None, np.arange(len(phi))
-    if suspect.size:
-        cond = np.linalg.cond(phi[suspect])
-        within = cond <= _COND_LIMIT         # False for nan and inf as well
-        if not within.all():
-            p = int(np.argmin(within))
+
+def dual_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
+    """phibar(v - r hbar) = phi(v - r hbar)^-1 in closed form, as
+    [d, b, m, s, k, j] (row k the step) with shift_intertwiners' indices.
+
+    Row k is g_k(y) = theta(S - x_k + y)/theta(S) prod_{a != k}
+    theta(y - x_a)/theta(x_k - x_a) (Cramer's rule and the Vandermonde
+    identity; x_k = v/n - lam_k - hbar kappa_k, S = sum_k x_k) in the basis
+    theta_level_j / (i eta), read by the DFT sum_t g_k(y_t) F[t, j] at the
+    _dual_nodes.  One theta_table holds the odd-theta factors of every
+    count, on grids of small integers: (kappa_a, a), (r - kappa_k, k), r
+    and (kappa_a - kappa_k, a < k), pairs a > k read by oddness.  A
+    denominator below tol_identity * theta_scale raises naming it."""
+    n, hb, col = ctx.n, ctx.hbar, np.arange(ctx.n)
+    P, counts = np.asarray(P, dtype=complex), np.asarray(counts)
+    r = counts.sum(axis=1)
+    top = int(r.max())
+    nodes, dft = _dual_nodes(ctx)
+    first, second = np.array(list(combinations(range(n), 2))).T
+    # as [d, b, s, (t,) grid], the grid (h, a), (q, k), (r, 1) or (D, a < k)
+    # flattened: the batch leads, so a matrix reads the same bits in any
+    h = hb * np.arange(-top, top + 1)[:, None]
+    lam = P[:, None, :, None, None]                     # [d, 1, s, 1, 1, n]
+    sums = lam.sum(axis=-1, keepdims=True)
+    bases = np.array([[complex(v) / n for v in row] for row in vs])[
+        :, :, None, None, None, None]
+    y = nodes[:, None, None]
+    args = [a.reshape(*a.shape[:-2], -1) for a in (
+        y - ((bases - lam) - h[top:]),
+        y + (((n - 1) * bases - (sums - lam)) - h[top:]),
+        ((n * bases - sums) - h[top:])[:, :, :, 0],
+        ((lam[..., first] - lam[..., second]) + h)[:, :, :, 0])]
+    tables = np.split(theta_table(np.concatenate([a.ravel() for a in args]),
+                                  ctx), np.cumsum([a.size for a in args])[:-1])
+    at_y, at_rest, at_s, at_diff = (t.reshape(a.shape)
+                                    for t, a in zip(tables, args))
+    # [j, k]: the factors a = k + j + 1 != k, as the pairs (lo, hi), lo < hi
+    a = (col + np.arange(1, n)[:, None]) % n
+    lo, hi = np.minimum(a, col), np.maximum(a, col)
+    pairs = ((counts[:, lo] - counts[:, hi] + top) * len(first)
+             + lo * (2 * n - lo - 1) // 2 + hi - lo - 1)
+    floor = ctx.tol_identity * theta_scale(ctx)
+    for name, table, arg, index in (
+            ("theta(S)", at_s, args[2], r),
+            ("theta(x_k - x_a)", at_diff, args[3], pairs)):
+        bad = np.abs(np.take(table, index, axis=-1)) < floor
+        if bad.any():
             raise SingularParameterError(
-                f"intertwiner matrix ill-conditioned (cond={cond[p]:.3g}) "
-                f"at u={spectral(int(suspect[p]))}")
-    if phibar is None:
-        phibar = np.linalg.solve(phi, np.eye(n, dtype=complex))
-    return phibar
+                f"singular intertwiner: {name}~0 at "
+                f"{complex(np.take(arg, index, axis=-1)[bad][0])}")
+    g = np.take(at_rest, (r[:, None] - counts) * n + col, axis=-1)
+    ys = np.take(at_y, counts[:, a] * n + a, axis=-1)  # [d, b, s, t, m, j, k]
+    # theta(x_k - x_a) is the pair's factor, negated for the n - 1 - k a > k
+    den = np.take(at_s, r, axis=-1)[..., None] * (-1.0) ** (n - 1 - col)
+    diffs = np.take(at_diff, pairs, axis=-1)             # [d, 1, s, m, j, k]
+    for j in range(n - 1):
+        g *= ys[..., j, :]
+        den = den * diffs[..., j, :]
+    return np.einsum("dbstmk,tj->dbmskj", g / den[:, :, :, None], dft)
 
 
-def intertwiners(u: complex, mu, ctx: ModularContext) -> IntertwinerPair:
-    """Intertwining vectors phi[j,k] = theta_j(u/n - <mu,epsbar_k>)/(i eta)
-    and the inverse matrix phibar at one point mu[n], solved numerically:
-    the batch of one (a one-point view kept for the traced benchmark)."""
-    mu = np.asarray(mu, dtype=complex)
-    phi, phibar = intertwiner_arrays([u], mu[None], ctx)
-    return IntertwinerPair(phi[0], phibar[0], u, mu,
-                           float(np.linalg.cond(phi[0])))
+def intertwiners(u: complex, mu, ctx: ModularContext) -> tuple:
+    """(phi, phibar) at one point mu[n], phi[j,k] = theta_j(u/n -
+    <mu,epsbar_k>)/(i eta) and phibar its inverse: the batch of one (a
+    one-point view kept for the traced benchmark)."""
+    phi, phibar = intertwiner_arrays([u], np.asarray(mu)[None], ctx)
+    return phi[0], phibar[0]
 
 
 def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
@@ -626,9 +652,10 @@ def _phi_levels(base, params, ctx: ModularContext) -> list:
     n, k = ctx.n, len(params)
     pts = [np.asarray(base, dtype=complex)[None]] + [
         shifted(base, keys, ctx.hbar) for keys in partial_shifts(n, k)[0][1:]]
-    phi = intertwiner_arrays([params[m] for m in range(k) for _ in pts[m]],
-                             np.concatenate(pts), ctx)[0]
-    return np.split(phi, np.cumsum([len(p) for p in pts[:-1]]))
+    phi = shift_intertwiners([[params[m]] for m in range(k) for _ in pts[m]],
+                             np.concatenate(pts)[:, None], [[0] * n], ctx)
+    return np.split(phi.reshape(-1, n, n),
+                    np.cumsum([len(p) for p in pts[:-1]]))
 
 
 def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
@@ -648,8 +675,7 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
     (Phi' at the reversed parameters, F the face moves of the fusion braid)
     is formed 16 columns at a time from the _face_orbits stack, the maxima
     of _rel reduced block by block: one matmul over all rows of Phi' from a
-    multiple of 16 columns, so BLAS sums every entry as in the dense Phi' F.
-    The guards fire in the dense order: Phi', F, then Phi."""
+    multiple of 16 columns, so BLAS sums every entry as in the dense Phi' F."""
     params, moves = fusion_parameters(k, u, ctx), fusion_moves(k)
     levels, size = _phi_levels(lam, params[::-1], ctx), ctx.n ** k
     stack = _face_orbits(lam, k, [list(zip(moves, _move_deltas(params, moves)))],

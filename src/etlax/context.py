@@ -52,10 +52,10 @@ class ModularContext:
     tau         modulus, Im tau > 0, with exp(pi Im tau) a double
     hbar        deformation parameter, kept off the period lattice
     tol_identity  singularity floor, not a pass threshold: the sampling
-                guard (x10) and the face-weight and ltilde denominators
-                (on the scale theta.theta_scale), the fay_sides
-                denominators, the lattice distance of hbar and of the p
-                argument (x10), and the Vandermonde "both vanish" floor
+                guard (x10) and the face-weight, dual-intertwiner, ltilde
+                and fay_sides denominators (on the scale
+                theta.theta_scale), the lattice distance of hbar and of the
+                p argument (x10), and the Vandermonde "both vanish" floor
                 (times the Hadamard bound)
     """
 

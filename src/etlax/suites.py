@@ -20,14 +20,14 @@ from . import belavin as bv
 from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
-from .context import ModularContext
+from .context import ModularContext, SamplingError
 from .opalg import (apply_batch, commutator_residual, exp_function,
                     identity_op, jet_deriv, normal_det, op_add, op_scale,
                     operator_residual, pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .stream import Stream
 from .theta import Residual
-from .weights import sample_many, sample_points
+from .weights import _MAX_TRIES, sample_many, sample_points
 
 
 def _case(name: str, res, tol: float) -> Case:
@@ -354,9 +354,11 @@ def suite_fay(ctx: ModularContext, rng, tol: float):
     for d in range(1, 5):
         # 50 regular samples: a singular one is dropped and only the
         # shortfall drawn again, so the stream is that of drawing one
-        # sample at a time until 50 are regular
+        # sample at a time until 50 are regular, in at most _MAX_TRIES rounds
         lhs, rhs, need = [], [], 50
-        while need:
+        for _ in range(_MAX_TRIES):
+            if not need:
+                break
             draws = _rcs(rng, (need, 2 * d + 1))
             left, right, small = th.fay_sides(d, draws[:, 0], draws[:, 1:d + 1],
                                               draws[:, d + 1:], ctx)
@@ -364,6 +366,9 @@ def suite_fay(ctx: ModularContext, rng, tol: float):
             lhs.append(left[regular])
             rhs.append(right[regular])
             need -= int(regular.sum())
+        if need:
+            raise SamplingError(f"fay-d{d}: no 50 regular samples in "
+                                f"{_MAX_TRIES} rounds")
         cases.append(_case(f"fay-d{d}", th.worst_of_arrays(*th.residual_arrays(
             np.concatenate(lhs), np.concatenate(rhs))), tol))
     return cases
@@ -589,7 +594,10 @@ SUITE_ORDER = list(SUITES)
 
 
 def run_suite(name: str, ctx: ModularContext, seed: int) -> SuiteReport:
-    """Execute one named suite against the given context."""
+    """Execute one named suite against the given context.  An overflow, a
+    division by zero or an invalid value in its arithmetic raises
+    FloatingPointError, an evaluation out of floating-point range, not a
+    warning and a NaN case."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER}")
     fn, tol = SUITES[name]
@@ -601,6 +609,7 @@ def run_suite(name: str, ctx: ModularContext, seed: int) -> SuiteReport:
     params = {"n": ctx.n, "tau": ctx.tau, "hbar": ctx.hbar, "seed": seed}
     rep = SuiteReport(suite=name, params=params, tolerance=tol)
     start = time.perf_counter()
-    rep.cases = fn(ctx, rng, tol)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rep.cases = fn(ctx, rng, tol)
     rep.wall_time_s = time.perf_counter() - start
     return rep.finalize()

@@ -531,12 +531,13 @@ def verify_qfay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
 def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
     """Both sides of the Cauchy-type determinant identity (genus-one
     trisecant) at every sample, from one theta_table call, and where it is
-    singular: small[..., 0] marks |theta(u)| < tol_identity and
-    small[..., 1] some |theta(mu_s - lambda_s')| < tol_identity, where
-    the sides are left out (they read 0).  The quotients, the products and
-    the stacked det are each one array expression over the batch.
+    singular: small[..., 0] marks |theta(u)| < tol and small[..., 1] some
+    |theta(mu_s - lambda_s')| < tol, tol = tol_identity * theta_scale,
+    where the sides are left out (they read 0).  The quotients, the
+    products and the stacked det are each one array expression over the
+    batch.
     """
-    tol = ctx.tol_identity
+    tol = ctx.tol_identity * theta_scale(ctx)
     u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
     cross = (mu[..., :, None] - lam[..., None, :]).reshape(u.shape + (d * d,))
     s, sp = np.triu_indices(d, 1)

@@ -33,8 +33,8 @@ the distinct partial-shift points (belavin.partial_shifts) of every sample
 in one batch.  Their intertwiners are read at integer step counts kappa,
 never at a re-canonicalized shifted point: column k of phi(u - r hbar) at
 lam + hbar sum_j kappa_j epsbar_j is theta_level(u/n - lam_k - hbar
-kappa_k), so one theta table over the 2 n k distinct columns of a sample
-fills every matrix.  fused_l gathers the A_r per ordered
+kappa_k), so one theta table fills every phi of a sample, and one more
+every phibar, in closed form.  fused_l gathers the A_r per ordered
 shift tuple, contracts them with the generalized-Kronecker signs
 (opalg.signed_products) and adds the tuples onto their canonical keys with
 the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
@@ -63,8 +63,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .context import ModularContext, SingularParameterError, read_only
-from .belavin import (fused_rcheck_matrix, guarded_inverse, intertwiner_arrays,
-                      partial_shifts, shift_intertwiners)
+from .belavin import (dual_intertwiners, fused_rcheck_matrix,
+                      intertwiner_arrays, partial_shifts, shift_intertwiners)
 from .opalg import (DifferenceOperator, DifferentialOperator,
                     OperatorMatrix, apply_batch, commutator_residual, compose,
                     exp_function, exp_test_function, identity_op,
@@ -106,29 +106,19 @@ def l_coeff_tensor(c, u, P, ctx: ModularContext, counts=None) -> np.ndarray:
     so A[s, k, i, j] is L(c|u) at P[s].
 
     c and u are one value, or one per draw: the rows of P then split evenly
-    among the draws, in order.  The intertwiners phibar(u - r hbar) and
-    phi(u - r hbar + c hbar) at every shifted point come from one
-    belavin.shift_intertwiners, every column at its exact shift, and one
-    guarded_inverse over the matrices in the order (draw, phibar then phi
-    side, m, row): a raise names the u - r hbar, or u - r hbar + c hbar,
-    of the first raising matrix of the first raising draw.
+    among the draws, in order.  phibar(u - r hbar) at every shifted point
+    comes from belavin.dual_intertwiners and phi(u - r hbar + c hbar) from
+    belavin.shift_intertwiners, every column at its exact shift.
     """
-    n, hb = ctx.n, ctx.hbar
+    n = ctx.n
     us, cs = _draws(u, c)
     counts = np.zeros((1, n), dtype=int) if counts is None \
         else np.asarray(counts)
     P = np.asarray(P, dtype=complex).reshape(len(us), -1, n)
-    phi = shift_intertwiners([(x, x + y * hb) for x, y in zip(us, cs)], P,
+    phibar = dual_intertwiners([[x] for x in us], P, counts, ctx)
+    phi = shift_intertwiners([[x + y * ctx.hbar] for x, y in zip(us, cs)], P,
                              counts, ctx)
-
-    def spectral(p):
-        d, side, m, _ = np.unravel_index(p, phi.shape[:4])
-        r = int(counts[m].sum())
-        v = us[d] - r * hb if r else us[d]
-        return v + cs[d] * hb if side else v
-    phibar = guarded_inverse(phi.reshape(-1, n, n), spectral).reshape(
-        phi.shape)
-    return np.einsum("dmski,dmsjk->mdskij", phibar[:, 0], phi[:, 1]).reshape(
+    return np.einsum("dmski,dmsjk->mdskij", phibar[:, 0], phi[:, 0]).reshape(
         -1, n, n, n)
 
 

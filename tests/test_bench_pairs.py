@@ -1,6 +1,11 @@
 """tools/bench_pairs.py verdicts on synthetic paired runs."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,29 @@ def test_wide_spread_reads_unresolved_unless_every_change_run_is_better(pairs):
     # every change run below every parent run, every pair won, but by a
     # median gap under the quartile distance: within its bound, not a gain
     assert pairs.verdict(parent, [0.55] * 10, 0.25) == "within bound"
+
+
+def test_sigterm_removes_the_export_directory(tmp_path):
+    root = _TOOL.parent.parent
+    if subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=root,
+                      capture_output=True).returncode:
+        pytest.skip("needs a git checkout with a commit")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen(
+        [sys.executable, str(_TOOL), "--parent", "HEAD", "--change", "HEAD",
+         "--workload", "identities", "--seed", "42", "--seconds", "1",
+         "--out", str(tmp_path / "out.json")],
+        cwd=root, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob("bench-pairs-*")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not list(tmp_path.glob("bench-pairs-*"))
+    assert not (tmp_path / "out.json").exists()

@@ -250,18 +250,46 @@ def test_seed_past_64_bits_reads_numpys_streams(suite, tmp_path, monkeypatch,
 
 
 def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
-    # tau = 0.3 + 0.5i makes an intertwiner matrix ill-conditioned at seed 42
-    rc = cli.main(["trace-closed", "--n", "3", "--tau_re", "0.3",
-                   "--tau_im", "0.5"])
+    # at tol_identity 0.05 the floor of the closed-form phibar, 0.05 *
+    # theta_scale, exceeds theta(x_k - x_a) at a shifted point of suite
+    # commute, seed 42
+    rc = cli.main(["commute", "--n", "2", "--tol_identity", "0.05"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("error: intertwiner matrix ill-conditioned")
+    assert err.startswith("error: singular intertwiner: theta(x_k - x_a)~0")
 
     def exhausted(*args):
         raise SamplingError("could not sample a generic point")
     monkeypatch.setattr(cli, "run_suite", exhausted)
     assert cli.main(["qfay"]) == 2
     assert capsys.readouterr().err.startswith("error: could not sample")
+
+
+def test_fay_suite_ends_where_theta_is_small():
+    # at Im tau = 40 every |theta| is below the absolute 1e-8; the floor of
+    # fay_sides is on the scale theta_scale, so the suite samples and ends
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "etlax.cli", "fay", "--n",
+                           "2", "--tau_im", "40"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.count("ok=yes") == 4
+
+
+def test_fay_resampling_budget_exits_two(monkeypatch, capsys):
+    # a sample that always reads singular exhausts the _MAX_TRIES rounds
+    # of suite fay: SamplingError, exit 2, not an endless loop
+    from etlax import theta as th
+    sides = th.fay_sides
+
+    def singular(*args):
+        lhs, rhs, small = sides(*args)
+        return lhs, rhs, small | True
+    monkeypatch.setattr(th, "fay_sides", singular)
+    assert cli.main(["fay"]) == 2
+    assert capsys.readouterr().err == (
+        "error: fay-d1: no 50 regular samples in 1000 rounds\n")
 
 
 def test_cli_overflow_exits_two_without_a_traceback():
@@ -453,6 +481,29 @@ def test_verify_all_reports_do_not_depend_on_the_worker_count(
         [(name, n) for n in (2, 3) for name in SUITE_ORDER]
 
 
+@pytest.mark.parametrize("argv, code, red", [
+    (["--tau_im", "0.3"], 0, []),
+    (["--tau_re", "0.3", "--tau_im", "0.5"], 0, []),
+    (["--hbar_re", "0.45", "--hbar_im", "0.4"], 0, []),
+    (["--tau_im", "0.08"], 1, [("qfay", 2), ("cm-limit", 2),
+                               ("intertwiner", 3), ("qfay", 3), ("fay", 3)]),
+])
+def test_verify_all_off_the_default_context_reports_every_suite(
+        argv, code, red, tmp_path, capsys):
+    # where the cond guard of a solved phibar ended these runs with exit 2,
+    # the closed form reads every suite: a full report, red only where a
+    # check reads red
+    out = tmp_path / "all.json"
+    assert cli.main(["all", *argv, "--json", str(out)]) == code
+    assert_no_children()
+    doc = json.loads(out.read_text())
+    assert [(s["suite"], s["params"]["n"]) for s in doc["suites"]] == \
+        [(name, n) for n in (2, 3) for name in SUITE_ORDER]
+    assert [(s["suite"], s["params"]["n"]) for s in doc["suites"]
+            if not s["pass"]] == red
+    assert capsys.readouterr().out.count(" pass=no") == len(red)
+
+
 def stub_runs(monkeypatch, actions, workers=2):
     """Replace run_suite by a cheap passing report, except for the runs in
     `actions`, which call action(where) with where "parent" or "child"."""
@@ -502,17 +553,16 @@ def test_verify_all_raises_the_first_error_in_run_order(monkeypatch, capsys):
 
 def test_verify_all_error_does_not_depend_on_the_worker_count(
         monkeypatch, capsys):
-    # at Im tau = 0.08 nine runs raise; the first in run order is
-    # trace-closed n=2, in the child's share at two workers
+    # at Im tau = 225 most runs leave the floating-point range; the first
+    # in run order is ybe n=2, in a child's share at two and three workers
     errors = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(cli, "worker_count", lambda runs, w=workers: w)
-        assert cli.main(["all", "--tau_im", "0.08"]) == 2
+        assert cli.main(["all", "--tau_im", "225"]) == 2
         assert_no_children()
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == errors[2]
-    assert errors[0].startswith("error: intertwiner matrix ill-conditioned "
-                                "(cond=1.26e+10)")
+    assert errors[0] == "error: overflow encountered in multiply\n"
 
 
 def test_verify_all_overflow_in_a_child_exits_two(monkeypatch, capsys):

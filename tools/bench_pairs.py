@@ -36,6 +36,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -168,9 +169,15 @@ def parse_args(argv=None):
     return args
 
 
+def _terminate(signum, frame):
+    """SIGTERM as SystemExit, so that the export directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     args = parse_args(argv)
     bounds = end_to_end_bounds()
+    signal.signal(signal.SIGTERM, _terminate)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         work = Path(tmp)
         trees, commits = {}, {}
