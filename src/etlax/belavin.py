@@ -27,17 +27,19 @@ never a re-canonicalized shifted point.  A move only reorders steps, so
 the moves of a product act on the S_k orbit of each column path, a stack
 of n^k * k! entries per base read from one theta table (_face_orbits),
 never on the n^k x n^k path matrix.  phi has one kernel, shift_intertwiners,
-and phibar one, dual_intertwiners, in closed form with no solve; the map
-along paths multiplies one batch of phi out level by level, and both
-two-step intertwining relations are read on these tensor matrices.  The
-fusion intertwining braids its vertex side whole (its rounding decides the
-case at some n = 4 seeds) and forms Phi' F in column blocks from the stack.
+and phibar one, dual_intertwiners, in closed form with no solve; they build
+every phi and phibar of the module, always at integer step counts
+(partial_shifts decides those of a path map), so the vertex-face layer
+never forms a shifted point.  The map along paths multiplies one batch of
+phi out level by level, and both two-step intertwining relations are read
+on these tensor matrices.  The fusion intertwining braids its vertex side
+whole (its rounding decides the case at some n = 4 seeds) and forms Phi' F
+in column blocks from the stack.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -49,7 +51,6 @@ from .theta import (_EPS, Residual, circle, dedekind_eta,
                     laurent_coefficient, residual_arrays, theta_char_table,
                     theta_level_table, theta_scale, theta_table,
                     vandermonde_product, worst_of_arrays)
-from .weights import canonical_key, shifted, unit_key
 
 # ---------------------------------------------------------------- vertex side
 
@@ -61,18 +62,6 @@ def g_matrix(ctx: ModularContext) -> np.ndarray:
 def h_matrix(ctx: ModularContext) -> np.ndarray:
     """h e^k = e^{k+1}."""
     return np.roll(np.eye(ctx.n, dtype=complex), 1, axis=0)
-
-
-@dataclass(frozen=True)
-class RTensor:
-    """R(u) as an (n,n,n,n) array indexed [i, j, i', j'], plus its u."""
-
-    entries: np.ndarray
-    u: complex
-
-    def as_matrix(self) -> np.ndarray:
-        """Matrix with column (i,j), row (i',j'): out = M @ in."""
-        return _r_matrices(self.entries[None])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,13 +107,15 @@ def r_table(us, ctx: ModularContext) -> np.ndarray:
     return ent
 
 
-def build_r(u: complex, ctx: ModularContext) -> RTensor:
-    """Belavin R-matrix at spectral parameter u (the r_table of one)."""
-    return RTensor(r_table([u], ctx)[0], u)
+def build_r(u: complex, ctx: ModularContext) -> np.ndarray:
+    """Belavin R-matrix at spectral parameter u as [i, j, i', j'] (the
+    r_table of one, kept as a name for the traced benchmark)."""
+    return r_table([u], ctx)[0]
 
 
 def _r_matrices(ent: np.ndarray) -> np.ndarray:
-    """RTensor.as_matrix of every R in an r_table."""
+    """Every R of an r_table as the matrix with column (i, j) and row
+    (i', j'): out = M @ in."""
     n = ent.shape[1]
     return ent.transpose(0, 3, 4, 1, 2).reshape(len(ent), n * n, n * n)
 
@@ -209,7 +200,7 @@ def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
 
 
 def verify_r_zero_is_permutation(ctx: ModularContext) -> Residual:
-    return _rel(build_r(0.0, ctx).as_matrix(), permutation_matrix(ctx.n))
+    return _rel(_r_matrices(r_table([0.0], ctx))[0], permutation_matrix(ctx.n))
 
 
 def verify_r_holomorphy(ctx: ModularContext) -> Residual:
@@ -260,19 +251,20 @@ def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
 
 @functools.lru_cache(maxsize=None)
 def partial_shifts(n: int, k: int) -> tuple:
-    """(prefixes, prefix): the canonical partial shifts of the ordered step
-    tuples [n]^k, in product order.  At level r < k, prefixes[r] holds the
-    distinct canonical step counts of the first r steps, in order of first
-    appearance, and prefix[r][t] indexes the one of tuple t."""
+    """(prefixes, prefix): the partial shifts of the ordered step tuples
+    [n]^k, in product order, as exact step counts.  At level r < k,
+    prefixes[r] holds the distinct step counts t[:r].count(i) of the first
+    r steps, in order of first appearance, and prefix[r][t] indexes the one
+    of tuple t.  The counts of one level all sum to r, so two are equal
+    exactly when their shift keys modulo (1, ..., 1) are."""
     tuples = list(product(range(n), repeat=k))
     prefixes, prefix = [], []
     for r in range(k):
-        keys = [canonical_key([t[:r].count(i) for i in range(n)])
-                for t in tuples]
-        distinct = tuple(dict.fromkeys(keys))
-        pos = {key: a for a, key in enumerate(distinct)}
+        counts = [tuple(t[:r].count(i) for i in range(n)) for t in tuples]
+        distinct = tuple(dict.fromkeys(counts))
+        pos = {count: a for a, count in enumerate(distinct)}
         prefixes.append(distinct)
-        prefix += read_only(np.array([pos[key] for key in keys], dtype=int))
+        prefix += read_only(np.array([pos[c] for c in counts], dtype=int))
     return tuple(prefixes), tuple(prefix)
 
 
@@ -543,7 +535,7 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
 def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     """The outgoing ("vertex-face") and incoming ("dual") vertex-face
     intertwining relations on two-step paths at the samples (us[s], vs[s],
-    P[s]), worst over the samples and entries, from one intertwiner batch:
+    P[s]), worst over the samples and entries:
 
         Rcheck(u-v) Phi(u, v) = Phi(v, u) W,
         Phibar(v, u) Rcheck(u-v) = W Phibar(u, v),
@@ -551,25 +543,25 @@ def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     W the face move at (0, 1) with argument u - v, Phi(u, v) the
     _path_tensor of phi(u) at lam and phi(v) at lam + h epsbar_a, and
     Phibar(u, v) that of the rows of phibar, row (a, b) the product of row
-    a of phibar(u) and row b of phibar(v), so that Phibar Phi = 1.
+    a of phibar(u) and row b of phibar(v), so that Phibar Phi = 1.  Each
+    kernel is called once per level: count 0 at u and v, e_a at u + h and
+    v + h (where it reads phi(u) and phi(v)), so no other pair is formed.
     """
     n = ctx.n
     us, vs = np.asarray(us, dtype=complex), np.asarray(vs, dtype=complex)
     P = np.asarray(P, dtype=complex)
     w = face_operator_matrix(P, 2, [(0, us - vs)], ctx)
     rc = rcheck_table(us - vs, ctx)
-    # per sample, phi at (u, lam), (v, lam), (u, lam + h epsbar_a) and
-    # (v, lam + h epsbar_a) for a < n
-    params = np.stack([us, vs] + [us] * n + [vs] * n, axis=1).ravel()
-    ups = shifted(P, [unit_key(n, a) for a in range(n)], ctx.hbar)
-    pts = np.concatenate([P[:, None], P[:, None], ups, ups], axis=1)
-    phi, phibar = (x.reshape(len(P), 2 * n + 2, n, n)
-                   for x in intertwiner_arrays(params, pts.reshape(-1, n),
-                                               ctx))
-    # the levels of Phi(u, v) and of Phi(v, u) in the batch of a sample
-    uv = lambda x: _path_tensor([x[:, :1], x[:, 2 + n:]], n)
-    vu = lambda x: _path_tensor([x[:, 1:2], x[:, 2:2 + n]], n)
-    rows = phibar.swapaxes(-1, -2)
+    pair = np.stack([us, vs], axis=1)
+    # per level, [s, (u, v), count, n, n]
+    levels = [(pair, [[0] * n]), (pair + ctx.hbar, np.eye(n, dtype=int))]
+    phi, phibar = ([kernel(x, P[:, None], counts, ctx)[:, :, :, 0]
+                    for x, counts in levels]
+                   for kernel in (shift_intertwiners, dual_intertwiners))
+    # the levels of Phi(u, v) and of Phi(v, u)
+    uv = lambda x: _path_tensor([x[0][:, 0], x[1][:, 1]], n)
+    vu = lambda x: _path_tensor([x[0][:, 1], x[1][:, 0]], n)
+    rows = [x.swapaxes(-1, -2) for x in phibar]
     return {"vertex-face": worst_of_arrays(*residual_arrays(
                 rc @ uv(phi), vu(phi) @ w)),
             "dual": worst_of_arrays(*residual_arrays(
@@ -648,14 +640,16 @@ def _path_tensor(levels, n: int) -> np.ndarray:
 
 def _phi_levels(base, params, ctx: ModularContext) -> list:
     """The levels [points, n, n] of phi_tensor_matrix: phi(params[m]) at
-    the prefix weights of level m of partial_shifts(n, k), in one batch."""
+    the step counts of level m of partial_shifts(n, k), from one
+    shift_intertwiners call at base, which reads phi(v - m hbar) there at
+    v = params[m] + m hbar; level m is its block of counts."""
     n, k = ctx.n, len(params)
-    pts = [np.asarray(base, dtype=complex)[None]] + [
-        shifted(base, keys, ctx.hbar) for keys in partial_shifts(n, k)[0][1:]]
-    phi = shift_intertwiners([[params[m]] for m in range(k) for _ in pts[m]],
-                             np.concatenate(pts)[:, None], [[0] * n], ctx)
-    return np.split(phi.reshape(-1, n, n),
-                    np.cumsum([len(p) for p in pts[:-1]]))
+    prefixes = partial_shifts(n, k)[0]
+    phi = shift_intertwiners([[params[m] + m * ctx.hbar for m in range(k)]],
+                             np.asarray(base, dtype=complex)[None, None],
+                             [c for counts in prefixes for c in counts], ctx)
+    edges = np.cumsum([0] + [len(counts) for counts in prefixes])
+    return [phi[0, m, edges[m]:edges[m + 1], 0] for m in range(k)]
 
 
 def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:

@@ -5,7 +5,8 @@
 
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
 hbar_re, hbar_im, tol_identity, seed); every key can be overridden by a
-command-line flag of the same name.  tol_identity is a singularity floor
+command-line flag of the same name; `verify all` runs n = 2 and 3 and
+refuses --n (exit 2), so an n key is a default for single-suite runs.  tol_identity is a singularity floor
 (see ModularContext); each suite passes or fails against its own tolerance
 in suites.SUITES.  Exit codes: 0 all checks passed, 1 verification
 failure, 2 configuration error, an evaluation that could not be carried
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                              + ", ".join(SUITE_ORDER))
     parser.add_argument("--config", help="flat key-value config file")
     parser.add_argument("--json", help="write a JSON report to this path")
-    parser.add_argument("--n", type=int, help="rank n (single-suite runs)")
+    parser.add_argument("--n", type=int, help="rank n (single-suite runs only)")
     parser.add_argument("--seed", type=int, help="random seed")
     for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "tol_identity"):
         parser.add_argument(f"--{key}", type=float)
@@ -194,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.suite == "all" and args.n is not None:
+        print("error: --n applies to single-suite runs; verify all runs "
+              "n = 2 and 3", file=sys.stderr)
+        return 2
     try:
         cfg = resolve_config(args)
         seed = int(cfg["seed"])

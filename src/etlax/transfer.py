@@ -29,15 +29,14 @@ L-operator at k = 1 (l_op).  The coefficient of the ordered shift
                                   (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
 
 A_r = l_coeff_tensor(c, u - (r-1) hbar).  fused_l tabulates every A_r at
-the distinct partial-shift points (belavin.partial_shifts) of every sample
-in one batch.  Their intertwiners are read at integer step counts kappa,
-never at a re-canonicalized shifted point: column k of phi(u - r hbar) at
-lam + hbar sum_j kappa_j epsbar_j is theta_level(u/n - lam_k - hbar
-kappa_k), so one theta table fills every phi of a sample, and one more
-every phibar, in closed form.  fused_l gathers the A_r per ordered
-shift tuple, contracts them with the generalized-Kronecker signs
-(opalg.signed_products) and adds the tuples onto their canonical keys with
-the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
+the distinct partial-shift step counts kappa (belavin.partial_shifts) of
+every sample in one batch, never at a re-canonicalized shifted point:
+column k of phi(u - r hbar) at lam + hbar sum_j kappa_j epsbar_j is
+theta_level(u/n - lam_k - hbar kappa_k), so one theta table fills every
+phi of a sample, and one more every phibar, in closed form.  fused_l
+gathers the A_r per ordered shift tuple, contracts them with the
+generalized-Kronecker signs (opalg.signed_products) and adds the tuples
+onto their canonical keys with the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
 build_d_ops merges d^J Delta / Delta onto the terms of D[m] the same way,
 with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll reads the
 same arrays, and normal_det reads any of these matrices' tables once per
@@ -74,8 +73,7 @@ from .opalg import (DifferenceOperator, DifferentialOperator,
                     signed_products)
 from .theta import (_EPS, Residual, _product_length, circle,
                     laurent_coefficient, max_relative, residual_arrays,
-                    theta_level_table, theta_scale, theta_table,
-                    worst_of_arrays)
+                    theta_scale, theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
 
@@ -142,10 +140,9 @@ class _FusionPlan:
     """Index arrays of the degree-k fused contraction at rank n.
 
     Ordered shift tuples t = (k_0..k_{k-1}) run over [n]^k.  At level r,
-    prefix[r][t] indexes the canonical partial shift e_k_0 + ... + e_k_{r-1}
-    of t in prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r;
-    counts holds the step counts (summing to r) of every partial shift of
-    every level, level by level, prefixes[r] being their canonical keys.  A
+    prefix[r][t] indexes the step counts e_k_0 + ... + e_k_{r-1} of t in
+    prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r; counts
+    holds the counts (summing to r) of every level, level by level.  A
     term z = (I, sigma) of the generalized Kronecker sum reads the L-entry
     (rows[r][z], cols[r][w]) at level r for the column subset w = I', with
     signs[z, I] = sgn(sigma).  keymap adds each tuple onto its canonical key
@@ -169,8 +166,7 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
     perms = list(permutations(range(k)))
     tuples = list(product(range(n), repeat=k))
     prefixes, prefix = partial_shifts(n, k)
-    counts = np.array([[x + (r - sum(key)) // n for x in key]
-                       for r, keys in enumerate(prefixes) for key in keys])
+    counts = np.array([c for level in prefixes for c in level])
     shift = [np.array([t[r] for t in tuples]) for r in range(k)]
     terms = [(a, perm) for a in range(len(subs)) for perm in perms]
     rows = tuple(np.array([subs[a][perm[r]] for a, perm in terms])
@@ -327,25 +323,21 @@ def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
                              genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
-def _level_thetas(v: complex, P, ctx: ModularContext) -> np.ndarray:
-    """[s, i, j] = theta_level_j(v/n - lam_i) at P[s], from one
-    theta_level_table call."""
-    n = ctx.n
-    args = (v / n - np.asarray(P, dtype=complex)).ravel()
-    return theta_level_table(range(n), args, ctx).T.reshape(-1, n, n)
-
-
 def sekiguchi_matrix(c: complex, u: complex, t: complex,
                      ctx: ModularContext) -> OperatorMatrix:
-    """Entry (i, j) = theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i);
-    a batch reads two theta_level_table calls."""
+    """Entry (i, j) = (theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n -
+    lam_i)) / (i eta): phi(u + c hbar) and phi(u) of shift_intertwiners at
+    the zero count, transposed, so every entry carries the factor 1/(i eta)
+    of the intertwiners; a batch reads one kernel call."""
     n = ctx.n
     rows = np.arange(n)
 
     def table(P):
+        phi = shift_intertwiners([[u + c * ctx.hbar, u]], [P], [[0] * n],
+                                 ctx)[0, :, 0].swapaxes(-1, -2)
         out = np.zeros((len(P), n + 1, n, n), dtype=complex)
-        out[:, rows, rows] = _level_thetas(u + c * ctx.hbar, P, ctx)
-        out[:, n] = -t * _level_thetas(u, P, ctx)
+        out[:, rows, rows] = phi[0]
+        out[:, n] = -t * phi[1]
         return out
     terms = tuple(unit_key(n, i) for i in range(n)) + ((0,) * n,)
     return OperatorMatrix(n, n, terms, table)
@@ -357,11 +349,14 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
 
     :det[theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n - lam_i)]: equals
     det[theta_j(u/n - lam_i)] * sum_d (-t)^(n-d) M_d(c|u) coefficientwise.
+    Both sides are read with every theta_j divided by i eta, as in
+    sekiguchi_matrix, which scales each by (i eta)^-n.
     """
     det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
     gen = genfunc_sum(c, u, t, ctx)
     weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: np.linalg.det(
-        _level_thetas(u, P, ctx))[:, None] * gen.table(P))
+        shift_intertwiners([[u]], [P], [[0] * ctx.n], ctx)[0, 0, 0])[:, None]
+        * gen.table(P))
     return operator_residual(det, weighted, samples, ctx)
 
 

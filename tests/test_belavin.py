@@ -22,7 +22,7 @@ def test_r_zero_is_permutation(ctx2, ctx3):
 
 
 def test_eight_vertex_pattern(ctx2, rng):
-    ent = bv.build_r(rand_complex(rng), ctx2).entries
+    ent = bv.build_r(rand_complex(rng), ctx2)
     nonzero = [(i, j, a, b) for i in range(2) for j in range(2)
                for a in range(2) for b in range(2)
                if abs(ent[i, j, a, b]) > 1e-12]
@@ -32,7 +32,7 @@ def test_eight_vertex_pattern(ctx2, rng):
 
 
 def test_ice_rule(ctx3, rng):
-    ent = bv.build_r(rand_complex(rng), ctx3).entries
+    ent = bv.build_r(rand_complex(rng), ctx3)
     for i in range(3):
         for j in range(3):
             for a in range(3):
@@ -61,13 +61,13 @@ def test_quasi_periodicity_composition(ctx3, rng):
     # u -> u+1+tau through either law first agrees with the direct build
     u = rand_complex(rng)
     n = ctx3.n
-    rm = bv.build_r(u, ctx3).as_matrix()
+    rm = bv._r_matrices(bv.r_table([u], ctx3))[0]
     g1 = np.kron(bv.g_matrix(ctx3), np.eye(n))
     h1 = np.kron(bv.h_matrix(ctx3), np.eye(n))
     via_1_then_tau = (-np.exp(2j * np.pi * ((u + 1) + ctx3.hbar / n
                                             + ctx3.tau / 2.0))) ** (-1) \
         * (h1 @ (-np.linalg.inv(g1) @ rm @ g1) @ np.linalg.inv(h1))
-    direct = bv.build_r(u + 1 + ctx3.tau, ctx3).as_matrix()
+    direct = bv._r_matrices(bv.r_table([u + 1 + ctx3.tau], ctx3))[0]
     assert np.max(np.abs(direct - via_1_then_tau)) / np.max(np.abs(direct)) < 1e-9
 
 
@@ -327,14 +327,17 @@ def _block_face_matrix(base, k, moves, ctx):
 
 
 def _block_phi_tensor(base, params, ctx):
+    # phi(params[m]) at the exact step counts of level m, one kernel call
+    # per level: phi(v - m hbar) read at v = params[m] + m hbar
     n, k = ctx.n, len(params)
     prefixes, prefix = bv.partial_shifts(n, k)
     paths = np.array(list(product(range(n), repeat=k)), dtype=int)
     mat = np.ones((n ** k, len(paths)), dtype=complex)
     grid = mat.reshape((n,) * k + (len(paths),))
-    for m, keys in enumerate(prefixes):
-        pts = wt.shifted(base, keys, ctx.hbar) if m else np.asarray(base)[None]
-        phi, _ = bv.intertwiner_arrays([params[m]] * len(pts), pts, ctx)
+    for m, counts in enumerate(prefixes):
+        phi = bv.shift_intertwiners([[params[m] + m * ctx.hbar]],
+                                    np.asarray(base)[None, None], counts,
+                                    ctx)[0, 0, :, 0]
         vecs = phi[prefix[m], :, paths[:, m]]
         grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1)
                                + (len(paths),))
@@ -603,10 +606,10 @@ def test_face_and_path_maps_read_batched_thetas(monkeypatch, rng):
     bv.verify_face_ybe(*(rand_complex(rng) for _ in range(3)), lam, ctx)
     bv.verify_intertwining([rand_complex(rng)], [rand_complex(rng)], [lam], ctx)
     # one theta kernel call for the path map (one intertwiner batch over
-    # its levels), one for the face YBE, and one per factor batch of the
-    # relation (weights, phis, phibars, R); a scalar theta read would add
-    # calls of its own
-    assert len(reads) == 1 + 1 + 4
+    # its levels), one for the face YBE, and for the relation one for its
+    # weights, one for R and one per level for the phis and for the
+    # phibars; a scalar theta read would add calls of its own
+    assert len(reads) == 1 + 1 + 6
 
 
 def test_face_operator_matrix_resonant_prefix():
@@ -936,6 +939,24 @@ def test_intertwining_at_equal_points(ctx3):
     assert res.rel < 1e-11
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_intertwining_reads_only_the_pairs_its_relations_use(n):
+    # at u = hbar, phibar(u - hbar) = phibar(0) at a first step has
+    # theta(S) = theta(0): the relations read phibar(u) there (count e_a at
+    # u + hbar), so they are formed and hold
+    ctx = default_context(n)
+    lam, v = wt.sample_generic(66, ctx), 0.27 - 0.05j
+    res = bv.verify_intertwining([ctx.hbar], [v], [lam], ctx)
+    assert res["vertex-face"].rel < 1e-9 and res["dual"].rel < 1e-9
+    # control: one dual call over the cross product of the parameters
+    # and the counts of both levels reads that pair and raises
+    counts = np.vstack([np.zeros(n, dtype=int), np.eye(n, dtype=int)])
+    with pytest.raises(SingularParameterError,
+                       match=re.escape("theta(S)~0 at ")):
+        bv.dual_intertwiners([[ctx.hbar, v, 2 * ctx.hbar, v + ctx.hbar]],
+                             lam[None, None], counts, ctx)
+
+
 def test_antisymmetrizer_image(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         pi2 = _antisymmetrizer(2, ctx, u=rand_complex(rng))
@@ -1090,7 +1111,7 @@ def test_r_table_matches_entry_loop(n, rng):
     for p, u in enumerate(us):
         # numpy's vector loops may round a lone point and a batch member
         # differently, in the last bit
-        one = bv.build_r(u, ctx).entries
+        one = bv.build_r(u, ctx)
         assert np.max(np.abs(one - got[p])) <= 1e-15 * np.max(np.abs(one))
     # control: the same comparison sees i' and j' exchanged
     swapped = want.transpose(0, 1, 2, 4, 3)
@@ -1289,8 +1310,9 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
         check()
         assert len(calls) == 1
         # and no scalar theta read next to it: R alone is one kernel call,
-        # the intertwining relation adds its face weights, phis and phibars
-        assert len(reads) == (4 if check is checks[-1] else 1)
+        # the intertwining relation adds its face weights, and the phis and
+        # the phibars of its two levels
+        assert len(reads) == (6 if check is checks[-1] else 1)
     assert calls == [1 * 2 + 2]        # u - v and u - v + hbar, hbar, 0
 
 
@@ -1352,16 +1374,31 @@ def test_partial_shifts_are_the_plans_of_both_sides():
     for n in (2, 3, 4):
         for k in range(1, n + 1):
             prefixes, prefix = bv.partial_shifts(n, k)
-            # the per-level loop each plan ran on its own, transcribed
+            # the per-level loop each plan ran on its own, transcribed, on
+            # the exact step counts
             tuples = list(product(range(n), repeat=k))
             for r in range(k):
-                keys = [wt.canonical_key([t[:r].count(i) for i in range(n)])
-                        for t in tuples]
-                distinct = tuple(dict.fromkeys(keys))
+                counts = [tuple(t[:r].count(i) for i in range(n))
+                          for t in tuples]
+                distinct = tuple(dict.fromkeys(counts))
                 assert prefixes[r] == distinct
+                assert all(sum(c) == r for c in distinct)
                 assert prefix[r].dtype == int and np.array_equal(
-                    prefix[r], [distinct.index(key) for key in keys])
-            assert tr._fusion_plan(n, k).prefix is prefix
+                    prefix[r], [distinct.index(c) for c in counts])
+                # one level's counts are equal exactly when their canonical
+                # keys are, so the plan is the one the keys made
+                keys = [wt.canonical_key(c) for c in counts]
+                assert np.array_equal(prefix[r], [
+                    tuple(dict.fromkeys(keys)).index(key) for key in keys])
+            plan = tr._fusion_plan(n, k)
+            assert plan.prefix is prefix
+            assert np.array_equal(plan.counts,
+                                  [c for level in prefixes for c in level])
+            # and the counts the plan once rebuilt from the canonical keys
+            assert np.array_equal(plan.counts, [
+                [x + (r - sum(key)) // n for x in key]
+                for r, level in enumerate(prefixes)
+                for key in map(wt.canonical_key, level)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

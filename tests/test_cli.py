@@ -362,6 +362,48 @@ def test_face_ybe_passes_at_large_im_tau(tau_im, capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+def test_ybe_passes_at_large_im_tau(capsys):
+    # the four d entries of R fall like a power of p (5.3e-205 at u =
+    # 0.13+0.07i here) and stay nonzero: eight-vertex-pattern compares the
+    # support of R with the ice rule, where an absolute floor read red
+    assert cli.main(["ybe", "--n", "2", "--tau_im", "150"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
+def test_eight_vertex_pattern_reads_a_missing_ice_entry(monkeypatch):
+    from etlax import belavin as bv
+    ctx = default_context(2)
+
+    def pattern():
+        return {c.name: c for c in run_suite("ybe", ctx, 42).cases}[
+            "eight-vertex-pattern"]
+    assert pattern().ok
+    table = bv.r_table
+
+    def holed(us, c):
+        ent = table(us, c)
+        ent[:, 0, 1, 1, 0] = 0               # 0 + 1 = 1 + 0: an ice entry
+        return ent
+    monkeypatch.setattr(bv, "r_table", holed)
+    assert not pattern().ok
+
+
+def test_verify_all_refuses_the_rank_flag(tmp_path, monkeypatch, capsys):
+    # verify all runs n = 2 and 3 whatever --n says, so the flag is refused
+    assert cli.main(["all", "--n", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n applies to single-suite runs; verify all runs n = 2 "
+        "and 3\n")
+    # an n key in a config file stays a default for single-suite runs
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 4\n")
+    seen = []
+    monkeypatch.setattr(cli, "run_all",
+                        lambda cfg, seed: seen.append(cfg["n"]) or [])
+    assert cli.main(["all", "--config", str(cfg)]) == 0
+    assert seen == [4]
+
+
 def _resolved(*argv):
     return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
 

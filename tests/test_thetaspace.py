@@ -208,7 +208,7 @@ def test_fit_action_recovers_r_matrix_coefficients(ctx3):
     from etlax.belavin import build_r
     from etlax.theta import theta
     n = 3
-    r4 = build_r(U0, ctx3).entries
+    r4 = build_r(U0, ctx3)
     pref = theta(ctx3.hbar, ctx3) / theta(U0, ctx3)
     lop = tr.l_op(1.0, U0, ctx3)
     basis = ts.character_basis(1, n)

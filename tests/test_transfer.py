@@ -661,13 +661,13 @@ def test_suites_pass_across_seeds_at_small_im_tau(n):
     # values reach past k = +-24 (w is up to 14 here); each window follows
     # its peak wherever it lies.  qfay and fay still fail there at some
     # seeds, and so do intertwiner, trace-closed, commute and genfunc, whose
-    # phi-side residuals are rounding times the cond of phi; rll, krichever
-    # and theta-space are not gated here yet
+    # phi-side residuals are rounding times the cond of phi
     ctx = default_context(n, tau=0.1 + 0.08j)
     failed = [(name, seed)
               for name in ("theta", "ybe", "face-ybe", "vandermonde",
                            "ruijsenaars", "cm-limit", "macdonald-limit",
-                           "debiard", "eigen-l1")
+                           "debiard", "eigen-l1", "rll", "krichever",
+                           "theta-space")
               for seed in range(8)
               if not run_suite(name, ctx, seed).passed]
     assert failed == []
