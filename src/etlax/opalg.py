@@ -7,13 +7,13 @@ coeff_alpha(lambda) * d^alpha.  An operator is its tuple of terms and one
 table: table(P) returns one complex array over a batch of points P[s, n]
 (weights.canonical rows) whose axis 1 runs over the terms,
 
-    C[s, key]         a difference operator;
-    A[s, key, i, j]   an OperatorMatrix (the L-operator, its fusions, the
-                      Lax and Sekiguchi matrices), one key set shared by
-                      every entry; entry(i, j) is the slice A[:, :, i, j];
-    J[s, term, m]     a differential operator: the exact Taylor jets of its
-                      coefficients at the order table(P, order) asks, so
-                      the Leibniz rule never needs numerical differentiation.
+    C[s, key, *shape]  a difference operator with scalar (shape ()) or
+                       matrix (shape (size, size)) coefficients: the
+                       L-operator, its fusions, the Lax and Sekiguchi
+                       matrices; entry(i, j) is the slice C[:, :, i, j];
+    J[s, term, m]      a differential operator: the exact Taylor jets of its
+                       coefficients at the order table(P, order) asks, so
+                       the Leibniz rule never needs numerical differentiation.
 
 Sums, products and determinants build their table from their operands'
 tables, read once per batch; where several products or operands land on
@@ -22,12 +22,14 @@ them (merge_keys), the one key merge.  A composition a b reads b once, on
 the batch of every point P[s] shifted by every key of a (one broadcast,
 weights.shifted); normal_det sums the signed products over permutations in
 one contraction (signed_products), from gather arrays built once per term
-tuple (_det_plan), before its merge, as the fused traces of transfer do.  A test function takes a batch P[..., n] and returns its
-values[...]; apply_batch calls it once, on every point shifted by every
-key.  No symbolic simplification is attempted, and operator equality is
-decided numerically on generic sample points (coefficients are finite
-products of theta values, so meromorphic, and vanishing on a dozen random
-points decides vanishing).
+tuple (_det_plan), before its merge, as the fused traces of transfer do.
+A test function takes a batch P[..., n] and returns its values[...];
+apply_batch calls it once, on every point shifted by every key, so a
+product a b acts as apply_batch(a, apply_batch(b, f)).  No symbolic
+simplification is attempted, and operator equality is decided numerically
+on generic sample points (coefficients are finite products of theta
+values, so meromorphic, and vanishing on a dozen random points decides
+vanishing).
 
 A jet of a batch is one complex array J[..., m], m running over
 monomials(n, order) in graded order, so column 0 holds the values; a
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from typing import Callable
 
@@ -60,13 +62,15 @@ class DifferenceOperator:
     """Finite sum of coefficient times shift.
 
     terms holds the canonical shift keys; table(P) returns the array
-    C[s, key] of the coefficients of every one of them at the points
-    P[s, n].  Callers never write into that array.
+    C[s, key, *shape] of the coefficients of every one of them at the points
+    P[s, n]: scalars at shape (), matrices at shape (size, size), zero
+    where an entry lacks a key.  Callers never write into that array.
     """
 
     n: int
     terms: tuple
     table: Callable
+    shape: tuple = ()
 
     def coeff(self, key, lam) -> complex:
         """The coefficient of T_key at one point lam[n]: a one-point view
@@ -76,26 +80,6 @@ class DifferenceOperator:
             return 0.0 + 0.0j
         return complex(self.table(np.asarray(lam, dtype=complex)[None])
                        [0, self.terms.index(key)])
-
-    def keys(self):
-        return sorted(self.terms)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Square matrix of difference operators kept as one table.
-
-    n is the rank of the weight space and size the matrix dimension; terms
-    holds the canonical shift keys shared by every entry, and table(P)
-    returns the array A[s, key, i, j], the coefficient of T_key in the entry
-    (i, j) at P[s] (zero where the entry lacks that key).  Callers never
-    write into that array.
-    """
-
-    n: int
-    size: int
-    terms: tuple
-    table: Callable
 
     def entry(self, i: int, j: int) -> DifferenceOperator:
         """The entry (i, j) as an operator; its batch reads the whole table."""
@@ -122,15 +106,10 @@ def merge_keys(q, table) -> np.ndarray:
     return np.einsum("kt,st...->sk...", q, table)
 
 
-def scalar_op(n: int, value) -> DifferenceOperator:
-    """Multiplication by the constant value."""
-    const = complex(value)
-    return DifferenceOperator(n, ((0,) * n,),
-                              lambda P: np.full((len(P), 1), const))
-
-
 def identity_op(n: int) -> DifferenceOperator:
-    return scalar_op(n, 1.0)
+    """The identity, the one key 0 with coefficient 1."""
+    return DifferenceOperator(n, ((0,) * n,),
+                              lambda P: np.ones((len(P), 1), dtype=complex))
 
 
 def op_add(*ops):
@@ -141,32 +120,33 @@ def op_add(*ops):
     def table(P, *order):           # order: that of a differential table
         return merge_keys(q, np.concatenate([op.table(P, *order)
                                              for op in ops], axis=1))
-    return type(ops[0])(ops[0].n, terms, table)
+    return replace(ops[0], terms=terms, table=table)
 
 
 def op_scale(op, z):
     """Multiplication of an operator of either kind by the constant z."""
     def table(P, *order):
         return z * op.table(P, *order)
-    return type(op)(op.n, op.terms, table)
+    return replace(op, table=table)
 
 
 def apply_batch(op, f, P, ctx: ModularContext) -> np.ndarray:
-    """(op f)(P[s]) = sum_K coeff_K(P[s]) f(P[s] + hbar K . epsbar) over a
-    batch of points, for a DifferenceOperator ([s]) or an OperatorMatrix
-    ([s, i, j], every entry), and f one test function or several on a
-    trailing axis of its values ([s, m] or [s, i, j, m]): reads the table
-    of op once and calls f once, on every point shifted by every key.  The
+    """(op f)(P) = sum_K coeff_K(P) f(P + hbar K . epsbar) at every point
+    of P[..., n], as values [..., *op.shape, *rest] for f one test function
+    or several on the trailing axes rest of its values: reads the table of
+    op once and calls f once, on every point shifted by every key.  The
     terms are added key by key, so a function's values do not depend on
     the others."""
     P = np.asarray(P, dtype=complex)
-    coeffs = op.table(P)                                        # [s, key, ...]
-    values = f(shifted(P, op.terms, ctx.hbar))                  # [s, key, (m)]
-    entries, fns = coeffs.shape[2:], values.shape[2:]
-    coeffs = coeffs.reshape(coeffs.shape + (1,) * len(fns))
-    values = values.reshape(values.shape[:2] + (1,) * len(entries) + fns)
+    points = P.reshape(-1, P.shape[-1])
+    coeffs = op.table(points)                               # [s, key, *shape]
+    values = f(shifted(points, op.terms, ctx.hbar))         # [s, key, *rest]
+    rest = values.shape[2:]
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * len(rest))
+    values = values.reshape(values.shape[:2] + (1,) * len(op.shape) + rest)
     return sum((coeffs[:, k] * values[:, k] for k in range(len(op.terms))),
-               np.zeros((len(P),) + entries + fns, dtype=complex))
+               np.zeros((len(points),) + op.shape + rest, dtype=complex)
+               ).reshape(P.shape[:-1] + op.shape + rest)
 
 
 def apply_op(op: DifferenceOperator, f, lam,
@@ -201,24 +181,26 @@ def compose(a: DifferenceOperator, b: DifferenceOperator,
 def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
     """Max coefficient difference over terms and samples, relative to scale.
 
-    a and b are both DifferenceOperators or both DifferentialOperators, and
-    each table is read once, on every point of samples[..., s, n].  Its
-    values are C[s, key], or column 0 of J[s, term, m]; the two are aligned
-    by index on the union of the terms, a term missing from one operator
-    counting as zero there.  With leading axes, each index of them (a draw)
-    gets its own residual over its samples and terms, and the worst of
+    a and b are both DifferenceOperators of one shape or both
+    DifferentialOperators, and each table is read once, on every point of
+    samples[..., s, n].  Every entry of C[s, key, *shape], or of J[s, term,
+    m] at order 0 (the values), is compared; the two are aligned by index
+    on the union of the terms, a term missing from one operator counting as
+    zero there.  With leading axes, each index of them (a draw) gets its
+    own residual over its samples, terms and entries, and the worst of
     those is returned.
     """
     samples = np.asarray(samples, dtype=complex)
     lead, points = samples.shape[:-2], samples.reshape(-1, samples.shape[-1])
     terms = tuple(dict.fromkeys(a.terms + b.terms))
-    ca, cb = (np.zeros((len(points), len(terms)), dtype=complex)
-              for _ in range(2))
-    for out, op in ((ca, a), (cb, b)):
-        out[:, [terms.index(key) for key in op.terms]] = op.table(
-            points).reshape(len(points), len(op.terms), -1)[:, :, 0]
-    return worst_of_arrays(*max_relative(ca.reshape(lead + (-1,)),
-                                         cb.reshape(lead + (-1,)), axis=-1))
+    sides = []
+    for op in (a, b):
+        table = op.table(points).reshape(len(points), len(op.terms), -1)
+        side = np.zeros((len(points), len(terms), table.shape[-1]),
+                        dtype=complex)
+        side[:, [terms.index(key) for key in op.terms]] = table
+        sides.append(side.reshape(lead + (-1,)))
+    return worst_of_arrays(*max_relative(*sides, axis=-1))
 
 
 def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
@@ -238,9 +220,10 @@ def signed_products(factors, signs) -> np.ndarray:
     return prod @ signs
 
 
-def normal_det(matrix: OperatorMatrix, t: complex,
+def normal_det(matrix: DifferenceOperator, t: complex,
                ctx: ModularContext) -> DifferenceOperator:
-    """Normal-ordered determinant of [matrix - t].
+    """Normal-ordered determinant of [matrix - t], matrix of shape
+    (size, size).
 
     Within each permutation product all shift operators are moved to the
     right, so coefficients multiply as plain functions of the same lambda.
@@ -250,7 +233,7 @@ def normal_det(matrix: OperatorMatrix, t: complex,
     it onto the canonical key of K_0 + ... + K_{n-1}.  The matrix's table is
     read once per batch.
     """
-    size = matrix.size
+    size = matrix.shape[0]
     keys, slots, tuples, terms, keymap, perms, signs = _det_plan(
         matrix.n, matrix.terms, size)
     diag = np.arange(size)

@@ -8,8 +8,8 @@ in blocks by jump-ahead: k steps map a state x to A_k x + C_k inc, with
 a handful of array operations over a fixed table.  uniform reads the
 outputs as doubles and integers reads their 32-bit halves, the upper half
 of an output kept for the next 32-bit read, as PCG64's next32 does.
-weights.sample_points runs the streams of many seeds at once on the same
-helpers.
+weights.sample_points runs the streams of many seeds at once on the two
+functions Stream runs its one on, seeded and advance.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _entropy_words(entropy) -> list:
     return words
 
 
-def seed_rows(words):
+def _seed_rows(words):
     """PCG64 seeded from SeedSequence of the entropy rows words[S, L]
     (uint32, L >= 4; a missing word hashes as 0, so a row is padded with
     0s to 4 words): the rows [q, inc] as (hi, lo) uint64 arrays [2, S],
@@ -124,13 +124,35 @@ def seed_rows(words):
     return tuple(np.stack(pair) for pair in zip(_add(w[:2], inc), inc))
 
 
-def outputs(hi, lo, jump):
+def _outputs(hi, lo, jump):
     """The XSL-RR outputs [S, k] of the next states A_k q + C_k inc of the
     rows [q, inc] (hi, lo [2, S]), k as in jump, and the states."""
     (a_hi, c_hi), (a_lo, c_lo) = _mul((hi[..., None], lo[..., None]), jump)
     x_hi, x_lo = _add((a_hi, a_lo), (c_hi, c_lo))
     x, rot = x_hi ^ x_lo, x_hi >> 58
     return (x >> rot) | (x << ((64 - rot) & 63)), x_hi, x_lo
+
+
+def seeded(seeds):
+    """The rows [q, inc] (hi, lo [2, S]) of Stream(seeds[s]) for integer
+    seeds in [0, 2^64), hashed at once: two uint32 words a seed, a missing
+    word hashing as 0."""
+    for seed in (seed for seed in seeds if not 0 <= seed <= _M64):
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    seeds = np.array(seeds, dtype=np.uint64)
+    words = np.zeros((len(seeds), 4), dtype=np.uint32)
+    words[:, 0], words[:, 1] = seeds & _M32, seeds >> 32
+    return _seed_rows(words)
+
+
+def advance(rows, count: int):
+    """The next count >= 2 outputs [S, count] of the rows [q, inc] (hi, lo
+    [2, S]); q moves, in place, to the state before the last of them, where
+    the next block starts."""
+    x, x_hi, x_lo = _outputs(*rows, jumps(count))
+    hi, lo = rows
+    hi[0], lo[0] = x_hi[:, -2], x_lo[:, -2]
+    return x
 
 
 def unit_doubles(x):
@@ -150,8 +172,8 @@ class Stream:
 
     def __init__(self, entropy):
         words = _entropy_words(entropy)
-        self._rows = seed_rows(np.array([words + [0] * (4 - len(words))],
-                                        dtype=np.uint32))
+        self._rows = _seed_rows(np.array([words + [0] * (4 - len(words))],
+                                         dtype=np.uint32))
         self._raw, self._unit = np.empty(0, np.uint64), np.empty(0)
         self._next, self._block, self._half = 0, _FIRST_BLOCK, None
 
@@ -159,10 +181,7 @@ class Stream:
         """Where the next count outputs start in the buffers; makes blocks
         until they hold them."""
         while self._next + count > len(self._raw):
-            x, x_hi, x_lo = outputs(*self._rows, jumps(self._block))
-            # q moves to the state before the block's last output
-            hi, lo = self._rows
-            hi[0], lo[0] = x_hi[:, -2], x_lo[:, -2]
+            x = advance(self._rows, self._block)
             self._raw = np.concatenate([self._raw[self._next:], x[0]])
             self._unit = np.concatenate([self._unit[self._next:],
                                          unit_doubles(x[0])])

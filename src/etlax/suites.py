@@ -21,9 +21,9 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext, SamplingError
-from .opalg import (apply_batch, commutator_residual, exp_function,
-                    identity_op, jet_deriv, normal_det, op_add, op_scale,
-                    operator_residual, pdo_commutator_residual)
+from .opalg import (apply_batch, exp_function, identity_op, jet_deriv,
+                    normal_det, op_add, op_scale, operator_residual,
+                    pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .stream import Stream
 from .theta import Residual
@@ -314,9 +314,6 @@ def suite_commute(ctx: ModularContext, rng, tol: float):
     cases.append(_case("trace-route-pair",
                        tr.verify_commutation_trace(c, u, v, 1, min(2, ctx.n),
                                                    ctx, samples), tol))
-    m1 = tr.m_closed(c, u, 1, ctx)
-    cases.append(_case("self-commutator",
-                       commutator_residual(m1, m1, samples, ctx), tol))
     full = tr.m_closed(c, u, ctx.n, ctx)
     ident = identity_op(ctx.n)
     num, den = th.theta_table([u + c * ctx.hbar, u], ctx).tolist()

@@ -175,8 +175,8 @@ def _fit(l: int, op, fn, seeds, ctx: ModularContext):
 
 def fit_action(l: int, op, ctx: ModularContext, seeds):
     """Expand op applied to every basis function back in the basis: op a
-    DifferenceOperator (one entry) or an OperatorMatrix (size^2 entries,
-    row-major), entry e fitted at the points of seeds[e].
+    DifferenceOperator of shape () (one entry) or (size, size) (size^2
+    entries, row-major), entry e fitted at the points of seeds[e].
 
     Returns (coefficients [e, m, :], worst held-out Residual).
     """

@@ -16,14 +16,15 @@ Krichever matrix, the differential (Calogero-Moser) limit and the
 trigonometric (Macdonald) limit.
 
 Every operator here is one opalg table over a batch of points, axis 1
-running over its terms: C[s, key] for the traces, closed forms and their
-sums and products; A[s, key, i, j] (an OperatorMatrix) for the fused
-L-operators, the Lax matrix L~, its conjugation route and the Sekiguchi
-matrix; J[s, term, m] for the differential operators D[1..n] and H.
-Krichever's K is the scalar table C[s, i, j] (krichever_table); the d_i of
-its diagonal is structural and not tabulated.  L(c|u) is the fused
-L-operator at k = 1 (l_op).  The coefficient of the ordered shift
-(k_1..k_d) in the fused entry (I, I') is the quantum minor
+running over its terms, of one of two kinds.  C[s, key, *shape] is a
+difference operator: of shape () for the traces, closed forms and their
+sums and products, of shape (size, size) for the fused L-operators, the
+Lax matrix L~, its conjugation route and the Sekiguchi matrix.
+J[s, term, m] is a differential operator, D[1..n] and H.  Krichever's K
+is a plain array K[s, i, j] (krichever_table); the d_i of its diagonal is
+structural and not tabulated.  L(c|u) is the fused L-operator at k = 1
+(l_op).  The coefficient of the ordered shift (k_1..k_d) in the fused
+entry (I, I') is the quantum minor
 
     sum_sigma sgn(sigma) prod_r A_r[k_r, i_sigma(r), i'_r]
                                   (lam + hbar(epsbar_k_1 + ... + epsbar_k_{r-1})),
@@ -36,14 +37,16 @@ theta_level(u/n - lam_k - hbar kappa_k), so one theta table fills every
 phi of a sample, and one more every phibar, in closed form.  fused_l
 gathers the A_r per ordered shift tuple, contracts them with the
 generalized-Kronecker signs (opalg.signed_products) and adds the tuples
-onto their canonical keys with the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
-build_d_ops merges d^J Delta / Delta onto the terms of D[m] the same way,
-with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll reads the
-same arrays, and normal_det reads any of these matrices' tables once per
-batch for the generating determinant.  The Lax coefficients are one
-function of g = c hbar/n (ltilde_table), which the hbar -> 0 checks read at
-g = c h/n.  Every hbar -> 0 limit is a Laurent coefficient in h
-(theta.laurent_coefficient) of values at the nodes of theta.circle.
+onto their canonical keys with the fixed 0/1 matrix of opalg.key_map;
+m_trace is the trace of that array.  build_d_ops merges d^J Delta / Delta
+onto the terms of D[m] the same way, with that matrix weighted by
+(-n/c)^|I \\ J|.  verify_fused_rll applies two fused L-operators in turn
+through opalg.apply_batch, and normal_det reads any of these matrices'
+tables once per batch for the generating determinant.  The Lax
+coefficients are one function of g = c hbar/n (ltilde_table), which the
+hbar -> 0 checks read at g = c h/n.  Every hbar -> 0 limit is a Laurent
+coefficient in h (theta.laurent_coefficient) of values at the nodes of
+theta.circle.
 
 l_coeff_tensor, fused_l, m_trace, m_dot, m_closed and verify_trace_closed
 take c and u as one value or as one per draw; the rows of a batch then
@@ -61,17 +64,17 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .context import ModularContext, SingularParameterError, read_only
+from .context import (ModularContext, SingularParameterError,
+                      lattice_distance, read_only)
 from .belavin import (dual_intertwiners, fused_rcheck_matrix,
                       intertwiner_arrays, partial_shifts, shift_intertwiners)
-from .opalg import (DifferenceOperator, DifferentialOperator,
-                    OperatorMatrix, apply_batch, commutator_residual, compose,
-                    exp_function, exp_test_function, identity_op,
-                    jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
-                    key_map, merge_keys, op_add, op_scale, operator_residual,
-                    normal_det, pdo_apply, pdo_compose, perm_sign,
-                    signed_products)
-from .theta import (_EPS, Residual, _product_length, circle,
+from .opalg import (DifferenceOperator, DifferentialOperator, apply_batch,
+                    commutator_residual, compose, exp_function,
+                    exp_test_function, identity_op, jet_constant, jet_deriv,
+                    jet_inv, jet_mul, jet_of_affine, key_map, merge_keys,
+                    op_add, op_scale, operator_residual, normal_det,
+                    pdo_apply, pdo_compose, perm_sign, signed_products)
+from .theta import (_EPS, HBAR_RADIUS, Residual, _product_length, circle,
                     laurent_coefficient, max_relative, residual_arrays,
                     theta_scale, theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
@@ -120,7 +123,7 @@ def l_coeff_tensor(c, u, P, ctx: ModularContext, counts=None) -> np.ndarray:
         -1, n, n, n)
 
 
-def l_op(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
+def l_op(c: complex, u: complex, ctx: ModularContext) -> DifferenceOperator:
     """L(c|u), the fused L-operator at k = 1: entry (i, j) has the n
     single-shift keys, and a batch reads one l_coeff_tensor."""
     return fused_l(c, u, 1, ctx)
@@ -182,7 +185,7 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
                        signs, keys, keymap)
 
 
-def fused_l(c, u, k: int, ctx: ModularContext) -> OperatorMatrix:
+def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
     """Fused L-operator on the k-th antisymmetric space, with entries
 
         sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
@@ -212,7 +215,8 @@ def fused_l(c, u, k: int, ctx: ModularContext) -> OperatorMatrix:
                                      0, 3, 1, 2))
         fused = signed_products(factors, plan.signs)            # [t, s, I', I]
         return merge_keys(plan.keymap, fused.transpose(1, 0, 3, 2))
-    return OperatorMatrix(n, math.comb(n, k), plan.terms, table)
+    size = math.comb(n, k)
+    return DifferenceOperator(n, plan.terms, table, (size, size))
 
 
 def m_trace(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
@@ -324,7 +328,7 @@ def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
 
 
 def sekiguchi_matrix(c: complex, u: complex, t: complex,
-                     ctx: ModularContext) -> OperatorMatrix:
+                     ctx: ModularContext) -> DifferenceOperator:
     """Entry (i, j) = (theta_j((u+c h)/n - lam_i) T_i - t theta_j(u/n -
     lam_i)) / (i eta): phi(u + c hbar) and phi(u) of shift_intertwiners at
     the zero count, transposed, so every entry carries the factor 1/(i eta)
@@ -340,7 +344,7 @@ def sekiguchi_matrix(c: complex, u: complex, t: complex,
         out[:, n] = -t * phi[1]
         return out
     terms = tuple(unit_key(n, i) for i in range(n)) + ((0,) * n,)
-    return OperatorMatrix(n, n, terms, table)
+    return DifferenceOperator(n, terms, table, (n, n))
 
 
 def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
@@ -393,7 +397,7 @@ def ltilde_table(g, u: complex, P, ctx: ModularContext) -> np.ndarray:
     return coeff
 
 
-def l_tilde(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
+def l_tilde(c: complex, u: complex, ctx: ModularContext) -> DifferenceOperator:
     """Difference Lax matrix: entry (i, j) = ltilde_table[i, j] T_i."""
     n = ctx.n
     g = c * ctx.hbar / n
@@ -403,11 +407,12 @@ def l_tilde(c: complex, u: complex, ctx: ModularContext) -> OperatorMatrix:
         out = np.zeros((len(P), n, n, n), dtype=complex)
         out[:, rows, rows] = ltilde_table(g, u, P, ctx)
         return out
-    return OperatorMatrix(n, n, tuple(unit_key(n, i) for i in range(n)), table)
+    return DifferenceOperator(n, tuple(unit_key(n, i) for i in range(n)),
+                              table, (n, n))
 
 
 def l_tilde_conjugated(c: complex, u: complex,
-                       ctx: ModularContext) -> OperatorMatrix:
+                       ctx: ModularContext) -> DifferenceOperator:
     """Independent route: L(c|u) conjugated by the intertwiner matrices,
     entry (i, j) = sum_ab phi(u)[a, i] L(c|u)^a_b phibar(u)[j, b]."""
     n = ctx.n
@@ -416,7 +421,8 @@ def l_tilde_conjugated(c: complex, u: complex,
         phi, phibar = intertwiner_arrays([u] * len(P), P, ctx)
         return np.einsum("sai,skab,sjb->skij", phi,
                          l_coeff_tensor(c, u, P, ctx), phibar)
-    return OperatorMatrix(n, n, tuple(unit_key(n, k) for k in range(n)), table)
+    return DifferenceOperator(n, tuple(unit_key(n, k) for k in range(n)),
+                              table, (n, n))
 
 
 def verify_ltilde_conjugation(c: complex, u: complex, ctx: ModularContext,
@@ -442,38 +448,25 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
                      ctx: ModularContext, P, fns) -> Residual:
     """Fused RLL relation with the projected fused braid matrix.
 
-    Both sides are contracted from tabulated coefficients: the operator
-    applied first is read at lam, the other one at lam shifted by each key
-    of the first, and the test functions at the doubly shifted points, each
-    called once.  The values of all test functions are one axis, so each
-    side is one einsum, on a contraction path (optimize=True).
+    Each side is the product of the two fused L-operators applied to the
+    test functions, (L L' f)(lam) = apply_batch(L, Q -> apply_batch(L', f,
+    Q), lam), every entry of both at once and every test function on one
+    trailing axis, so each function is called once a side; the braid is
+    contracted with that product in one einsum.
     """
-    n = ctx.n
-    hb = ctx.hbar
-    nk, nkp = math.comb(n, k), math.comb(n, kp)
+    nk, nkp = math.comb(ctx.n, k), math.comb(ctx.n, kp)
     # rows (J'', I''), columns (I', J')
     rf = fused_rcheck_matrix(k, kp, u, v, ctx).reshape(nkp, nk, nk, nkp)
     flu, flv = fused_l(c, u, k, ctx), fused_l(c, v, kp, ctx)
-    P = np.asarray(P, dtype=complex)
-    count, ku, kv = len(P), len(flu.terms), len(flv.terms)
-    after_u = shifted(P, flu.terms, hb)                        # [s, K, n]
-    after_v = shifted(P, flv.terms, hb)
-    a_u0 = flu.table(P)                                        # [s,K,I,I']
-    a_v0 = flv.table(P)                                        # [s,K,J,J']
-    a_v_after = flv.table(after_u.reshape(-1, n)).reshape(
-        count, ku, kv, nkp, nkp)
-    a_u_after = flu.table(after_v.reshape(-1, n)).reshape(
-        count, kv, ku, nk, nk)
-    pts_uv = shifted(after_u, flv.terms, hb)                   # [s,K,M,n]
-    pts_vu = shifted(after_v, flu.terms, hb)
-    f_uv = np.stack([f(pts_uv) for f in fns], axis=-1)         # [s,K,M,f]
-    f_vu = np.stack([f(pts_vu) for f in fns], axis=-1)
+    f = lambda Q: np.stack([fn(Q) for fn in fns], axis=-1)     # [..., f]
+
+    def product(first, second):
+        return apply_batch(first, lambda Q: apply_batch(second, f, Q, ctx),
+                           P, ctx)
     # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
-    lhs = np.einsum("dcxy,skix,skmjy,skmf->fsijcd",
-                    rf, a_u0, a_v_after, f_uv, optimize=True)
+    lhs = np.einsum("dcxy,sixjyf->fsijcd", rf, product(flu, flv))
     # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
-    rhs = np.einsum("yxij,skyd,skmxc,skmf->fsijcd",
-                    rf, a_v0, a_u_after, f_vu, optimize=True)
+    rhs = np.einsum("yxij,sydxcf->fsijcd", rf, product(flv, flu))
     return worst_of_arrays(*max_relative(lhs, rhs))
 
 
@@ -756,8 +749,11 @@ def verify_h_identity(c: complex, ctx: ModularContext, samples) -> Residual:
 def verify_cm_limit(c: complex, ctx: ModularContext, samples,
                     vecs) -> dict:
     """The differential limits, from one evaluation of Mdot_1 f, Mdot_2 f
-    and Mdot_1^2 f per node h of circle(), every test function of vecs on
-    apply_batch's function axis:
+    and Mdot_1^2 f per node h of circle(r), every test function of vecs on
+    apply_batch's function axis.  Mdot_1^2 reads the coefficients of Mdot_1
+    at lam + h K, whose denominators theta(lam_st +- h) vanish at |h| = d,
+    the least lattice distance of the samples' lam_st; r = min(HBAR_RADIUS,
+    d/3) keeps that pole off the circle's aliasing:
 
     "elliptic": a_2 of E = -2 Mdot_2 f + Mdot_1^2 f - 2 Mdot_1 f + n f,
         the hbar^2 term, against H f (hamiltonian_cm), and a_0 and a_1 of
@@ -777,7 +773,9 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
         m1, m2 = m_dot(c, 1, sctx), m_dot(c, 2, sctx)
         return [apply_batch(op, f, samples, sctx)
                 for op in (m1, m2, compose(m1, m1, sctx))]
-    hs = circle()
+    d = min(lattice_distance(complex(lam[s] - lam[t]), complex(ctx.tau))
+            for lam in samples for s, t in combinations(range(n), 2))
+    hs = circle(min(HBAR_RADIUS, d / 3))
     v1, v2, v11 = np.moveaxis(np.array([at(h) for h in hs]), 1, 0)  # [h, s, m]
     a2 = lambda v: laurent_coefficient(v, hs, 2)
 

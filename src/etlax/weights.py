@@ -12,8 +12,8 @@ every key of K[k, n] is one broadcast, canonical(P[..., None, :] + scale * K).
 WeightPoint is the one-point view of canonical (a traced benchmark name).
 
 Sampling runs the streams of stream.Stream(seed) (numpy's default_rng(seed)
-bit for bit) as uint64 arrays, all seeds at once, on the helpers of the
-stream module: SeedSequence, then PCG64 jumps (O'Neill 2014; Brown 1994).
+bit for bit) as uint64 arrays, all seeds at once, on stream.seeded and
+stream.advance: SeedSequence, then PCG64 jumps (O'Neill 2014; Brown 1994).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import ModularContext, SamplingError
-from .stream import _M32, _M64, jumps, outputs, seed_rows, unit_doubles
+from .stream import advance, seeded, unit_doubles
 from .theta import theta_scale, theta_table
 
 
@@ -110,28 +110,18 @@ def sample_points(seeds, ctx: ModularContext) -> np.ndarray:
     row and reads theta_gap_guard once over them; a row is kept when its
     value exceeds 10 * tol_identity, so row s is the point its own stream
     gives, whatever the batch holds."""
-    for seed in (seed for seed in seeds if not 0 <= seed <= _M64):
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    rows = seeded(seeds)
     guard = theta_gap_guard(ctx)
     n, floor = ctx.n, 10.0 * ctx.tol_identity
-    # SeedSequence pools: two uint32 words a seed, a missing word hashes as 0
-    seeds = np.array(seeds, dtype=np.uint64)
-    words = np.zeros((len(seeds), 4), dtype=np.uint32)
-    words[:, 0], words[:, 1] = seeds & _M32, seeds >> 32
-    hi, lo = seed_rows(words)
-    jump = jumps(2 * n)
     out, todo = np.empty((len(seeds), n), dtype=complex), np.arange(len(seeds))
     for _ in range(_MAX_TRIES):
         if not todo.size:
             break
-        x, x_hi, x_lo = outputs(hi, lo, jump)
-        draws = -_BOX + (_BOX - -_BOX) * unit_doubles(x)
+        draws = -_BOX + (_BOX - -_BOX) * unit_doubles(advance(rows, 2 * n))
         lam = canonical(draws[:, :n] + 1j * draws[:, n:])   # re then im
         good = guard(lam) > floor
         out[todo[good]] = lam[good]
-        # a rejected row's q moves to the state before its last draw
-        todo, hi, lo = todo[~good], hi[:, ~good], lo[:, ~good]
-        hi[0], lo[0] = x_hi[~good, -2], x_lo[~good, -2]
+        todo, rows = todo[~good], tuple(part[:, ~good] for part in rows)
     if todo.size:
         raise SamplingError(f"could not sample a generic point in "
                             f"{_MAX_TRIES} tries at seed {seeds[todo[0]]}")

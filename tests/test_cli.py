@@ -527,8 +527,10 @@ def test_verify_all_reports_do_not_depend_on_the_worker_count(
     (["--tau_im", "0.3"], 0, []),
     (["--tau_re", "0.3", "--tau_im", "0.5"], 0, []),
     (["--hbar_re", "0.45", "--hbar_im", "0.4"], 0, []),
-    (["--tau_im", "0.08"], 1, [("qfay", 2), ("cm-limit", 2),
-                               ("intertwiner", 3), ("qfay", 3), ("fay", 3)]),
+    # cm-limit n = 2 read 0.999 here while its circle of radius 0.003
+    # enclosed a pole of the limit expression; a radius of d/3 reads 1.1e-6
+    (["--tau_im", "0.08"], 1, [("qfay", 2), ("intertwiner", 3), ("qfay", 3),
+                               ("fay", 3)]),
 ])
 def test_verify_all_off_the_default_context_reports_every_suite(
         argv, code, red, tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_full_key_acts_as_identity(ctx3, rng):
     lam = wt.sample_generic(3, ctx3)
     f = sumzero_exp(rng, 3)
     op = diff_op(3, [((1, 1, 1), lambda mu: 1.0)])
-    assert op.keys() == [(0, 0, 0)]
+    assert sorted(op.terms) == [(0, 0, 0)]
     assert abs(oa.apply_op(op, f, lam, ctx3) - f(lam)) < 1e-15
 
 
@@ -43,7 +43,7 @@ def test_compose_definition(ctx3):
     opa = diff_op(3, [((1, 0, 0), a)])
     opb = diff_op(3, [((0, 1, 0), b)])
     comp = oa.compose(opa, opb, ctx3)
-    assert comp.keys() == [(1, 1, 0)]
+    assert sorted(comp.terms) == [(1, 1, 0)]
     want = a(lam) * b(shift_eps(lam, 0, hb))
     assert abs(comp.coeff((1, 1, 0), lam) - want) < 1e-14
 
@@ -58,8 +58,7 @@ def test_compose_matches_double_application(ctx3, rng):
     ab = oa.compose(a, b, ctx3)
     for lam in lams:
         direct = oa.apply_op(ab, f, lam, ctx3)
-        inner = lambda mu: oa.apply_batch(b, f, mu.reshape(-1, 3), ctx3
-                                          ).reshape(mu.shape[:-1])
+        inner = lambda mu: oa.apply_batch(b, f, mu, ctx3)
         nested = oa.apply_op(a, inner, lam, ctx3)
         assert abs(direct - nested) / (abs(direct) + 1e-300) < 1e-12
 
@@ -106,14 +105,50 @@ def test_operator_equality_detects_difference(ctx3):
     assert oa.operator_residual(a, a, samples, ctx3).rel == 0.0
 
 
+@pytest.mark.parametrize("kind", ["scalar", "matrix"])
+def test_apply_batch_on_leading_axes_is_the_flat_call(ctx3, rng, kind):
+    # points [a, b, n] read the flat call's values reshaped, bit for bit,
+    # for one test function and for several on a trailing axis
+    from etlax import transfer as tr
+    c, u = 0.37 + 0.21j, 0.213 + 0.057j
+    op = tr.m_closed(c, u, 2, ctx3) if kind == "scalar" else \
+        tr.l_op(c, u, ctx3)
+    P = wt.sample_many(13, 6, ctx3).reshape(2, 3, 3)
+    fns = [oa.exp_function(rng.normal(size=3)) for _ in range(2)]
+    for f in (fns[0], lambda Q: np.stack([fn(Q) for fn in fns], axis=-1)):
+        flat = oa.apply_batch(op, f, P.reshape(-1, 3), ctx3)
+        got = oa.apply_batch(op, f, P, ctx3)
+        assert got.shape == (2, 3) + flat.shape[1:]
+        assert flat.shape[1:1 + len(op.shape)] == op.shape
+        assert np.array_equal(got, flat.reshape(got.shape))
+
+
+def test_operator_residual_compares_every_matrix_entry(ctx3):
+    # two (2, 2) operators that differ only in entry (1, 1) read red
+    samples = wt.sample_many(14, 4, ctx3)
+
+    def matrix(bump):
+        def table(P):
+            out = np.stack([(k + 1) * P[:, :2, None] + P[:, None, :2]
+                            for k in range(2)], axis=1)     # [s, key, 2, 2]
+            out[:, :, 1, 1] += bump
+            return out
+        return oa.DifferenceOperator(3, ((1, 0, 0), (0, 1, 0)), table, (2, 2))
+    a, b = matrix(0.0), matrix(1e-3)
+    assert oa.operator_residual(a, matrix(0.0), samples, ctx3).rel == 0.0
+    assert oa.operator_residual(a, b, samples, ctx3).rel > 1e-4
+    assert oa.operator_residual(a.entry(0, 0), b.entry(0, 0), samples,
+                                ctx3).rel == 0.0
+
+
 def _matrix(n, keys, coeff):
-    """OperatorMatrix with coefficient coeff(key, i, j, lam) of T_key in the
-    entry (i, j), mapped over the batch."""
+    """Matrix difference operator with coefficient coeff(key, i, j, lam) of
+    T_key in the entry (i, j), mapped over the batch."""
     def table(lams):
         return np.array([[[[coeff(key, i, j, lam) for j in range(n)]
                            for i in range(n)] for key in keys]
                          for lam in lams], dtype=complex)
-    return oa.OperatorMatrix(n, n, tuple(keys), table)
+    return oa.DifferenceOperator(n, tuple(keys), table, (n, n))
 
 
 def test_normal_det_scalar_matrix(ctx3, rng):
@@ -137,7 +172,7 @@ def test_a_second_normal_det_over_the_same_terms_builds_no_plan(ctx3):
     after = oa._det_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert second.terms == first.terms
-    plan = oa._det_plan(ctx3.n, lop.terms, lop.size)
+    plan = oa._det_plan(ctx3.n, lop.terms, lop.shape[0])
     assert all(not part.flags.writeable for part in plan
                if isinstance(part, np.ndarray))
 
@@ -506,7 +541,7 @@ def _dict_normal_det(matrix, t, P):
     """normal_det on dict tables, transcribed: the signed permutation sum
     of every ordered key tuple, accumulated onto its canonical key."""
     from itertools import permutations, product
-    size, zero = matrix.size, (0,) * matrix.n
+    size, zero = matrix.shape[0], (0,) * matrix.n
     rows = _as_dict(matrix, P)
     rows[zero] = rows.get(zero, np.zeros((len(P), size, size))) - t * np.eye(size)
     out = {}

@@ -325,7 +325,7 @@ def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
 
 
 def test_fit_action_of_a_matrix_matches_entry_fits(ctx2):
-    # entry (i, j) of an OperatorMatrix is entry 2 i + j of its fit, at the
+    # entry (i, j) of a matrix operator is entry 2 i + j of its fit, at the
     # points of its own seed
     lop = tr.l_op(2.0, U0, ctx2)
     seeds = [31, 32, 33, 34]

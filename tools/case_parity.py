@@ -20,14 +20,14 @@ then at each hbar of GRID_HBARS, the other parameter at its default.  The
 grid stands for the context domain a green `verify all` speaks for.  At
 the commit that added it, every raise was the condition-number guard of a
 solved phibar; since phibar is in closed form, its 2304 runs read no
-raise.  With every intertwiner at its exact integer shift count, 277 runs
-fail:
+raise.  With every intertwiner at its exact integer shift count and the
+cm-limit circle inside the nearest pole, 276 runs fail:
 
     tau=0.1+0.3j     2 failing runs (intertwiner)
     tau=0.3+0.5j     1 failing run (intertwiner)
     tau=0.1+0.08j    46 failing runs (intertwiner 14, qfay 11, fay 10, ...)
     tau=0.1+0.05j    42 failing runs (intertwiner 15, qfay 8, ...)
-    tau=0+0.05j      185 failing runs (10 suites in all 16 of their runs)
+    tau=0+0.05j      184 failing runs (10 suites in all 16 of their runs)
     hbar=0.45+0.4j   1 failing run (intertwiner)
     hbar=0.6+0.1j    none
     hbar=0.01+0.01j  none
