@@ -8,7 +8,7 @@ acts as R(u) e^i x e^j = sum e^{i'} x e^{j'} R(u)^{ij}_{i'j'} with entries
 
 where the theta^(i-j')(u) denominator has been cancelled against the
 numerator product, making every entry manifestly holomorphic in u (this is
-what makes R(0) = P exact instead of a 0/0 limit).  r_table reads one table
+what makes R(0) = P exact instead of a 0/0 limit).  build_r reads one table
 of the characters theta^(k) at every u, u + hbar, hbar and 0 and places the
 n^3 entries of the ice rule through an index map cached per n; Rcheck = P R
 is R with its rows reordered.  A product of Rcheck moves reads all its
@@ -27,14 +27,16 @@ never a re-canonicalized shifted point.  A move only reorders steps, so
 the moves of a product act on the S_k orbit of each column path, a stack
 of n^k * k! entries per base read from one theta table (_face_orbits),
 never on the n^k x n^k path matrix.  phi has one kernel, shift_intertwiners,
-and phibar one, dual_intertwiners, in closed form with no solve; they build
-every phi and phibar of the module, always at integer step counts
-(partial_shifts decides those of a path map), so the vertex-face layer
-never forms a shifted point.  The map along paths multiplies one batch of
-phi out level by level, and both two-step intertwining relations are read
-on these tensor matrices.  The fusion intertwining braids its vertex side
-whole (its rounding decides the case at some n = 4 seeds) and forms Phi' F
-in column blocks from the stack.
+and phibar one, dual_intertwiners, in closed form with no solve; each
+broadcasts its spectral parameters v[...] against the points P[..., n], as
+build_r and opalg.apply_op take leading axes.  They build every phi and
+phibar of the module, always at integer step counts (partial_shifts decides
+those of a path map), so the vertex-face layer never forms a shifted point.
+The map along paths multiplies one batch of phi out level by level, and
+both two-step intertwining relations are read on these tensor matrices.
+The fusion intertwining braids its vertex side whole (its rounding decides
+the case at some n = 4 seeds) and forms Phi' F in column blocks from the
+stack.
 """
 
 from __future__ import annotations
@@ -91,33 +93,35 @@ def _r_values(us, ctx: ModularContext) -> np.ndarray:
         raise SingularParameterError(f"theta^(k)(hbar) vanishes at hbar={ctx.hbar}")
     denom0 = np.prod(tc_0[1:])
     _, _, _, _, a, b, c, others = _r_index(n)
-    # prod_except[p, m] = prod_{k != m} theta^(k)(us[p])
-    prod_except = np.prod(tc_u[:, others], axis=-1)
+    # prod_except[p, m] = prod_{k != m} theta^(k)(us[p]), left to right, so
+    # that a value does not depend on the batch (np.prod rounds one row
+    # apart from the rows of a longer batch)
+    factors = tc_u[:, others]
+    prod_except = factors[..., 0]
+    for k in range(1, n - 1):
+        prod_except = prod_except * factors[..., k]
     return tc_uh[:, a] / tc_h[b] * prod_except[:, c] / denom0
 
 
-def r_table(us, ctx: ModularContext) -> np.ndarray:
-    """Belavin R-matrices at the spectral parameters us, as [p, i, j, i', j']:
-    the _r_values placed through the cached index map of n."""
+def build_r(us, ctx: ModularContext) -> np.ndarray:
+    """Belavin R-matrices at every spectral parameter of us, an array of
+    any shape, as [..., i, j, i', j'] ([i, j, i', j'] at one u): the
+    _r_values placed through the cached index map of n."""
     n = ctx.n
-    values = _r_values(us, ctx)
+    us = np.asarray(us, dtype=complex)
+    values = _r_values(us.ravel(), ctx)
     i, j, ip, jp = _r_index(n)[:4]
     ent = np.zeros((len(values), n, n, n, n), dtype=complex)
     ent[:, i, j, ip, jp] = values
-    return ent
-
-
-def build_r(u: complex, ctx: ModularContext) -> np.ndarray:
-    """Belavin R-matrix at spectral parameter u as [i, j, i', j'] (the
-    r_table of one, kept as a name for the traced benchmark)."""
-    return r_table([u], ctx)[0]
+    return ent.reshape(us.shape + (n,) * 4)
 
 
 def _r_matrices(ent: np.ndarray) -> np.ndarray:
-    """Every R of an r_table as the matrix with column (i, j) and row
-    (i', j'): out = M @ in."""
-    n = ent.shape[1]
-    return ent.transpose(0, 3, 4, 1, 2).reshape(len(ent), n * n, n * n)
+    """Every R of a build_r batch [..., i, j, i', j'] as the matrix with
+    column (i, j) and row (i', j'): out = M @ in."""
+    n = ent.shape[-1]
+    return np.ascontiguousarray(ent.reshape(
+        ent.shape[:-4] + (n * n, n * n)).swapaxes(-1, -2))
 
 
 def permutation_matrix(n: int) -> np.ndarray:
@@ -132,7 +136,7 @@ def rcheck_table(deltas, ctx: ModularContext) -> np.ndarray:
     with its rows reordered.
     """
     n = ctx.n
-    ent = r_table(deltas, ctx)
+    ent = build_r(deltas, ctx)
     return ent.transpose(0, 4, 3, 1, 2).reshape(len(ent), n * n, n * n)
 
 
@@ -168,7 +172,7 @@ def _rel(a: np.ndarray, b: np.ndarray) -> Residual:
 
 def verify_r_symmetry(us, ctx: ModularContext) -> dict:
     """(x (x) x) R (x (x) x)^{-1} = R for x = g, h, worst over the batch us."""
-    rm = _r_matrices(r_table(us, ctx))
+    rm = _r_matrices(build_r(us, ctx))
     out = {}
     for name, x in (("g", g_matrix(ctx)), ("h", h_matrix(ctx))):
         xx = np.kron(x, x)
@@ -178,7 +182,7 @@ def verify_r_symmetry(us, ctx: ModularContext) -> dict:
 
 def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
     """The u+1 and u+tau transformation laws of the R-matrix, worst over
-    the batch us (one r_table at us, us + 1 and us + tau).
+    the batch us (one build_r at us, us + 1 and us + tau).
 
     The entries at u + tau carry about exp(pi Im tau) per theta factor, and
     products of two such factors leave the double range from Im tau of
@@ -187,7 +191,7 @@ def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
     n = ctx.n
     us = np.atleast_1d(np.asarray(us, dtype=complex))
     with np.errstate(over="raise", invalid="raise"):
-        rm, r_u1, r_ut = _r_matrices(r_table(
+        rm, r_u1, r_ut = _r_matrices(build_r(
             np.concatenate([us, us + 1.0, us + ctx.tau]), ctx)).reshape(
                 3, len(us), n * n, n * n)
         g1 = np.kron(g_matrix(ctx), np.eye(n))
@@ -200,7 +204,7 @@ def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
 
 
 def verify_r_zero_is_permutation(ctx: ModularContext) -> Residual:
-    return _rel(_r_matrices(r_table([0.0], ctx))[0], permutation_matrix(ctx.n))
+    return _rel(_r_matrices(build_r(0.0, ctx)), permutation_matrix(ctx.n))
 
 
 def verify_r_holomorphy(ctx: ModularContext) -> Residual:
@@ -394,39 +398,39 @@ def verify_face_ybe(us, vs, ws, P, ctx: ModularContext) -> Residual:
 
 # ------------------------------------------------------------- intertwiners
 
-def intertwiner_arrays(us, mus, ctx: ModularContext):
-    """phi and phibar of the pairs (us[p], mus[p]), stacked as (P, n, n):
-    shift_intertwiners and dual_intertwiners at the zero count, each pair
-    its own point."""
-    n = ctx.n
-    args = [[u] for u in us], np.reshape(mus, (-1, 1, n)), [[0] * n], ctx
-    return (shift_intertwiners(*args).reshape(-1, n, n),
-            dual_intertwiners(*args).reshape(-1, n, n))
+def _over_n(v, n: int) -> np.ndarray:
+    """v / n at every complex v of an array, part by part as Python divides
+    a complex by an int: numpy's complex division multiplies by 1/n, which
+    rounds otherwise."""
+    v = np.asarray(v, dtype=complex)
+    out = np.empty_like(v)
+    out.real = (v.real + v.imag * 0.0) / n
+    out.imag = (v.imag - v.real * 0.0) / n
+    return out
 
 
-def shift_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
+def shift_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
     """phi(v - r hbar) at lam + hbar sum_j counts[m][j] epsbar_j, r the sum
-    of counts[m], as [d, b, m, s, n, n] for v = vs[d][b] and lam = P[d, s].
+    of counts[m], as [..., m, n, n] for v[...] broadcast against the points
+    lam = P[..., n].
 
     Column k there is theta_level(v/n - lam_k - hbar counts[m][k]) / (i eta),
     exactly: <lam + hbar sum_j kappa_j epsbar_j, epsbar_k> is
     lam_k + hbar (kappa_k - r/n), and the r/n cancels against the shift of
     v.  So one theta_level_table over the distinct (v, k, counts_k) of every
     point fills every matrix by a gather, with no shifted point
-    re-canonicalized; v/n is divided as Python does, so a zero count reads
-    what intertwiner_arrays reads at (v, lam)."""
+    re-canonicalized; v/n is divided as Python does (_over_n)."""
     n = ctx.n
     P, counts = np.asarray(P, dtype=complex), np.asarray(counts)
     heights = np.arange(counts.max() + 1)
-    bases = np.array([[complex(v) / n for v in row] for row in vs])
-    # [d, b, h, s, k] = v/n - lam_k - hbar h
-    args = ((bases[:, :, None, None, None] - P[:, None, None])
-            - ctx.hbar * heights[:, None, None])
+    # [..., h, k] = v/n - lam_k - hbar h
+    args = ((_over_n(v, n)[..., None, None] - P[..., None, :])
+            - ctx.hbar * heights[:, None])
     values = (theta_level_table(range(n), args.ravel(), ctx)
               / (1j * dedekind_eta(ctx.tau, ctx))).reshape(n, *args.shape)
-    # [d, b, m, k, s, j] = column k of matrix m, then as [d, b, m, s, j, k]
-    cols = values.transpose(1, 2, 3, 5, 4, 0)[:, :, counts, np.arange(n)]
-    return np.ascontiguousarray(cols.transpose(0, 1, 2, 4, 5, 3))
+    # [..., m, k, j] = column k of matrix m, then as [..., m, j, k]
+    cols = np.moveaxis(values, 0, -1)[..., counts, np.arange(n), :]
+    return np.ascontiguousarray(cols.swapaxes(-1, -2))
 
 
 @functools.lru_cache(maxsize=64)
@@ -445,9 +449,9 @@ def _dual_nodes(ctx: ModularContext):
         ctx.tau, ctx) * dft / (n * values[:, best]))
 
 
-def dual_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
+def dual_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
     """phibar(v - r hbar) = phi(v - r hbar)^-1 in closed form, as
-    [d, b, m, s, k, j] (row k the step) with shift_intertwiners' indices.
+    [..., m, k, j] (row k the step) with shift_intertwiners' indices.
 
     Row k is g_k(y) = theta(S - x_k + y)/theta(S) prod_{a != k}
     theta(y - x_a)/theta(x_k - x_a) (Cramer's rule and the Vandermonde
@@ -463,19 +467,18 @@ def dual_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
     top = int(r.max())
     nodes, dft = _dual_nodes(ctx)
     first, second = np.array(list(combinations(range(n), 2))).T
-    # as [d, b, s, (t,) grid], the grid (h, a), (q, k), (r, 1) or (D, a < k)
+    # as [..., (t,) grid], the grid (h, a), (q, k), (r, 1) or (D, a < k)
     # flattened: the batch leads, so a matrix reads the same bits in any
     h = hb * np.arange(-top, top + 1)[:, None]
-    lam = P[:, None, :, None, None]                     # [d, 1, s, 1, 1, n]
+    lam = P[..., None, None, :]                         # [..., 1, 1, n]
     sums = lam.sum(axis=-1, keepdims=True)
-    bases = np.array([[complex(v) / n for v in row] for row in vs])[
-        :, :, None, None, None, None]
+    bases = _over_n(v, n)[..., None, None, None]
     y = nodes[:, None, None]
     args = [a.reshape(*a.shape[:-2], -1) for a in (
         y - ((bases - lam) - h[top:]),
         y + (((n - 1) * bases - (sums - lam)) - h[top:]),
-        ((n * bases - sums) - h[top:])[:, :, :, 0],
-        ((lam[..., first] - lam[..., second]) + h)[:, :, :, 0])]
+        ((n * bases - sums) - h[top:])[..., 0, :, :],
+        ((lam[..., first] - lam[..., second]) + h)[..., 0, :, :])]
     tables = np.split(theta_table(np.concatenate([a.ravel() for a in args]),
                                   ctx), np.cumsum([a.size for a in args])[:-1])
     at_y, at_rest, at_s, at_diff = (t.reshape(a.shape)
@@ -495,22 +498,23 @@ def dual_intertwiners(vs, P, counts, ctx: ModularContext) -> np.ndarray:
                 f"singular intertwiner: {name}~0 at "
                 f"{complex(np.take(arg, index, axis=-1)[bad][0])}")
     g = np.take(at_rest, (r[:, None] - counts) * n + col, axis=-1)
-    ys = np.take(at_y, counts[:, a] * n + a, axis=-1)  # [d, b, s, t, m, j, k]
+    ys = np.take(at_y, counts[:, a] * n + a, axis=-1)  # [..., t, m, j, k]
     # theta(x_k - x_a) is the pair's factor, negated for the n - 1 - k a > k
     den = np.take(at_s, r, axis=-1)[..., None] * (-1.0) ** (n - 1 - col)
-    diffs = np.take(at_diff, pairs, axis=-1)             # [d, 1, s, m, j, k]
+    diffs = np.take(at_diff, pairs, axis=-1)             # [..., m, j, k]
     for j in range(n - 1):
         g *= ys[..., j, :]
         den = den * diffs[..., j, :]
-    return np.einsum("dbstmk,tj->dbmskj", g / den[:, :, :, None], dft)
+    return np.einsum("...tmk,tj->...mkj", g / den[..., None, :, :], dft)
 
 
-def intertwiners(u: complex, mu, ctx: ModularContext) -> tuple:
-    """(phi, phibar) at one point mu[n], phi[j,k] = theta_j(u/n -
-    <mu,epsbar_k>)/(i eta) and phibar its inverse: the batch of one (a
-    one-point view kept for the traced benchmark)."""
-    phi, phibar = intertwiner_arrays([u], np.asarray(mu)[None], ctx)
-    return phi[0], phibar[0]
+def intertwiners(u, mu, ctx: ModularContext) -> tuple:
+    """(phi, phibar) for u[...] broadcast against the points mu[..., n], as
+    [..., n, n] each, phi[j, k] = theta_j(u/n - <mu, epsbar_k>)/(i eta) and
+    phibar its inverse: both kernels at the zero count."""
+    zero = [[0] * ctx.n]
+    return (shift_intertwiners(u, mu, zero, ctx)[..., 0, :, :],
+            dual_intertwiners(u, mu, zero, ctx)[..., 0, :, :])
 
 
 def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
@@ -522,9 +526,8 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
     Vandermonde matrix), worst over the pairs (us[p], mus[p]), from one
     intertwiner batch."""
     n = ctx.n
-    phi, phibar = intertwiner_arrays(us, mus, ctx)
-    args = (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
-            - np.asarray(mus, dtype=complex).reshape(-1, n))
+    phi, phibar = intertwiners(us, mus, ctx)
+    args = _over_n(us, n)[:, None] - np.asarray(mus, dtype=complex)
     want = vandermonde_product(args, ctx) * (-1) ** (n - 1)
     return {"duality": _rel(np.stack([phibar @ phi, phi @ phibar], axis=1),
                             np.eye(n)),
@@ -555,8 +558,7 @@ def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     pair = np.stack([us, vs], axis=1)
     # per level, [s, (u, v), count, n, n]
     levels = [(pair, [[0] * n]), (pair + ctx.hbar, np.eye(n, dtype=int))]
-    phi, phibar = ([kernel(x, P[:, None], counts, ctx)[:, :, :, 0]
-                    for x, counts in levels]
+    phi, phibar = ([kernel(x, P[:, None], counts, ctx) for x, counts in levels]
                    for kernel in (shift_intertwiners, dual_intertwiners))
     # the levels of Phi(u, v) and of Phi(v, u)
     uv = lambda x: _path_tensor([x[0][:, 0], x[1][:, 1]], n)
@@ -645,11 +647,11 @@ def _phi_levels(base, params, ctx: ModularContext) -> list:
     v = params[m] + m hbar; level m is its block of counts."""
     n, k = ctx.n, len(params)
     prefixes = partial_shifts(n, k)[0]
-    phi = shift_intertwiners([[params[m] + m * ctx.hbar for m in range(k)]],
-                             np.asarray(base, dtype=complex)[None, None],
-                             [c for counts in prefixes for c in counts], ctx)
+    phi = shift_intertwiners([params[m] + m * ctx.hbar for m in range(k)],
+                             base, [c for counts in prefixes for c in counts],
+                             ctx)
     edges = np.cumsum([0] + [len(counts) for counts in prefixes])
-    return [phi[0, m, edges[m]:edges[m + 1], 0] for m in range(k)]
+    return [phi[m, edges[m]:edges[m + 1]] for m in range(k)]
 
 
 def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:

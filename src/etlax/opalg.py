@@ -24,8 +24,8 @@ weights.shifted); normal_det sums the signed products over permutations in
 one contraction (signed_products), from gather arrays built once per term
 tuple (_det_plan), before its merge, as the fused traces of transfer do.
 A test function takes a batch P[..., n] and returns its values[...];
-apply_batch calls it once, on every point shifted by every key, so a
-product a b acts as apply_batch(a, apply_batch(b, f)).  No symbolic
+apply_op calls it once, on every point shifted by every key, so a
+product a b acts as apply_op(a, apply_op(b, f)).  No symbolic
 simplification is attempted, and operator equality is decided numerically
 on generic sample points (coefficients are finite products of theta
 values, so meromorphic, and vanishing on a dozen random points decides
@@ -130,13 +130,13 @@ def op_scale(op, z):
     return replace(op, table=table)
 
 
-def apply_batch(op, f, P, ctx: ModularContext) -> np.ndarray:
+def apply_op(op, f, P, ctx: ModularContext) -> np.ndarray:
     """(op f)(P) = sum_K coeff_K(P) f(P + hbar K . epsbar) at every point
-    of P[..., n], as values [..., *op.shape, *rest] for f one test function
-    or several on the trailing axes rest of its values: reads the table of
-    op once and calls f once, on every point shifted by every key.  The
-    terms are added key by key, so a function's values do not depend on
-    the others."""
+    of P[..., n], or at one point P[n], as values [..., *op.shape, *rest]
+    for f one test function or several on the trailing axes rest of its
+    values: reads the table of op once and calls f once, on every point
+    shifted by every key.  The terms are added key by key, so a function's
+    values do not depend on the others."""
     P = np.asarray(P, dtype=complex)
     points = P.reshape(-1, P.shape[-1])
     coeffs = op.table(points)                               # [s, key, *shape]
@@ -147,14 +147,6 @@ def apply_batch(op, f, P, ctx: ModularContext) -> np.ndarray:
     return sum((coeffs[:, k] * values[:, k] for k in range(len(op.terms))),
                np.zeros((len(points),) + op.shape + rest, dtype=complex)
                ).reshape(P.shape[:-1] + op.shape + rest)
-
-
-def apply_op(op: DifferenceOperator, f, lam,
-             ctx: ModularContext) -> complex:
-    """(op f)(lambda) at one point lam[n]: the batch of one, kept as a name
-    the benchmark traces."""
-    return complex(apply_batch(op, f, np.asarray(lam, dtype=complex)[None],
-                               ctx)[0])
 
 
 def compose(a: DifferenceOperator, b: DifferenceOperator,
@@ -502,7 +494,7 @@ def pdo_commutator_residual(a: DifferentialOperator, b: DifferentialOperator,
 def exp_test_function(vec):
     """f(lambda) = exp(2 pi i <lambda, vec>) with exact jets: the jet table
     (P, order) -> J[..., m] at the points P[..., n]; exp_function is its
-    column 0 at order 0, a test function of apply_batch."""
+    column 0 at order 0, a test function of apply_op."""
     tp = 2j * math.pi
     vec = np.asarray(vec, dtype=float)
 

@@ -8,7 +8,7 @@ in blocks by jump-ahead: k steps map a state x to A_k x + C_k inc, with
 a handful of array operations over a fixed table.  uniform reads the
 outputs as doubles and integers reads their 32-bit halves, the upper half
 of an output kept for the next 32-bit read, as PCG64's next32 does.
-weights.sample_points runs the streams of many seeds at once on the two
+weights.sample_generic runs the streams of many seeds at once on the two
 functions Stream runs its one on, seeded and advance.
 """
 

@@ -21,20 +21,17 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext, SamplingError
-from .opalg import (apply_batch, exp_function, identity_op, jet_deriv,
+from .opalg import (apply_op, exp_function, identity_op, jet_deriv,
                     normal_det, op_add, op_scale, operator_residual,
                     pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .stream import Stream
 from .theta import Residual
-from .weights import _MAX_TRIES, sample_many, sample_points
+from .weights import _MAX_TRIES, sample_generic, sample_many
 
 
-def _case(name: str, res, tol: float) -> Case:
-    if isinstance(res, Residual):
-        rel, ab = float(res.rel), float(res.abs)
-    else:
-        rel = ab = float(res)
+def _case(name: str, res: Residual, tol: float) -> Case:
+    rel, ab = float(res.rel), float(res.abs)
     return Case(name=name, rel=rel, abs=ab, tol=tol, ok=rel < tol)
 
 
@@ -205,7 +202,7 @@ def suite_ybe(ctx: ModularContext, rng, tol: float):
 def suite_face_ybe(ctx: ModularContext, rng, tol: float):
     seeds, us, vs, ws = zip(*[(_seed(rng), _rc(rng), _rc(rng), _rc(rng))
                               for _ in range(25)])
-    P = sample_points(seeds + (_seed(rng),), ctx)
+    P = sample_generic(seeds + (_seed(rng),), ctx)
     cases = [_case("face-ybe", bv.verify_face_ybe(us, vs, ws, P[:25], ctx),
                    tol)]
     # W(0) on two-step paths: diag at (0,0), cis at (0,1), trans (0,1)->(1,0)
@@ -228,7 +225,7 @@ def suite_intertwiner(ctx: ModularContext, rng, tol: float):
                              for _ in range(4)])
     u = _rc(rng)
     fusion = [(_rc(rng), _seed(rng)) for _ in range(2, ctx.n + 1)]
-    lams = sample_points(seeds + seeds2 + tuple(s for _, s in fusion), ctx)
+    lams = sample_generic(seeds + seeds2 + tuple(s for _, s in fusion), ctx)
 
     out = bv.verify_intertwiners(us, lams[:10], ctx)
     cases.append(_case("duality", out["duality"], 1e-10))
@@ -276,8 +273,8 @@ def suite_rll(ctx: ModularContext, rng, tol: float):
     cases.append(_case("rll-equal-points", tr.verify_rll(c, u, u, ctx, lams[:2],
                                                          fns[:2]), tol))
     lop0 = tr.l_op(0.0, u, ctx)
-    vals = apply_batch(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
-                       lams[:1], ctx)[0]
+    vals = apply_op(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
+                    lams[:1], ctx)[0]
     dev = np.abs(vals - np.eye(ctx.n))
     cases.append(_case("c0-identity", th.worst_of_arrays(dev, dev), tol))
     if ctx.n >= 3:
@@ -418,7 +415,7 @@ def suite_ruijsenaars(ctx: ModularContext, rng, tol: float):
     if abs(ctx.q) >= 1.0:
         raise ValueError("ruijsenaars suite needs Im hbar > 0 (|q| < 1)")
     c, _ = _rc(rng), _rc(rng)   # u: unread, drawn to keep later draws
-    P = sample_points([_seed(rng) for _ in range(ctx.n + 1)], ctx)
+    P = sample_generic([_seed(rng) for _ in range(ctx.n + 1)], ctx)
     for d, lam in enumerate(P[:-1], start=1):
         out = tr.verify_ruijsenaars(c, d, lam, ctx)
         cases.append(_case(f"phi-ratio-closed-form-d{d}", out["ratio"], 1e-8))

@@ -82,9 +82,6 @@ class ThetaValue:
     value: complex
     tail_bound: float
 
-    def __complex__(self) -> complex:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Residual:
@@ -92,9 +89,6 @@ class Residual:
 
     rel: float
     abs: float
-
-    def __float__(self) -> float:
-        return self.rel
 
 
 def worst_of(residuals) -> Residual:

@@ -34,13 +34,13 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 
 from .context import ModularContext, read_only
-from .belavin import r_table
-from .opalg import DifferenceOperator, apply_batch, exp_function
+from .belavin import build_r
+from .opalg import DifferenceOperator, apply_op, exp_function
 from .stream import Stream
 from .theta import (_EPS, Residual, _series, _table, residual_arrays,
                     theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
-from .weights import canonical, sample_many, sample_points, subseeds
+from .weights import canonical, sample_generic, sample_many, subseeds
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,10 +153,10 @@ def _fit(l: int, op, fn, seeds, ctx: ModularContext):
     """
     E, entries = character_basis(l, ctx.n), len(seeds)
     k, size = 3 * len(E), 4 * len(E) + 4        # fit points, all points
-    P = sample_points([s for seed in seeds for s in subseeds(seed, k)
-                       + subseeds(seed + 77, size - k)], ctx)
+    P = sample_generic([s for seed in seeds for s in subseeds(seed, k)
+                        + subseeds(seed + 77, size - k)], ctx)
     table = basis_table(E, P.reshape(entries, size, ctx.n), ctx)
-    values = apply_batch(op, fn, P, ctx)                # [e size, ..., m]
+    values = apply_op(op, fn, P, ctx)                   # [e size, ..., m]
     values = values.reshape(entries, size, -1, values.shape[-1])
     if values.shape[2] != entries:
         raise ValueError(f"{values.shape[2]} operator entries, "
@@ -215,7 +215,7 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     eigs = [pref * sum(T[i, j, i, j] for i in range(n)) for j in range(n)]
     spread = [abs(e - eigs[0]) / (abs(eigs[0]) + _EPS) for e in eigs]
     P = sample_many(seed, samples, ctx)
-    applied = apply_batch(m1, functools.partial(
+    applied = apply_op(m1, functools.partial(
         basis_table, character_basis(1, n), ctx=ctx), P, ctx)    # [s, m]
     return {"eigen": worst_of_arrays(*residual_arrays(
                 applied, eigs[0] * chi_table(P, ctx))),
@@ -230,10 +230,10 @@ def _coproduct(l: int, u: complex, ctx: ModularContext) -> np.ndarray:
 
         T[i, J, i', J'] = sum_a prod_m R(u + m hbar)^{a_m j_m}_{a_(m+1) j'_m}.
 
-    One r_table reads the l R-matrices, and the line is contracted slot by
+    One build_r reads the l R-matrices, and the line is contracted slot by
     slot, each product formed left to right."""
     n = ctx.n
-    rs = r_table([u + m * ctx.hbar for m in range(l)], ctx)
+    rs = build_r([u + m * ctx.hbar for m in range(l)], ctx)
     T = rs[0]
     for r in rs[1:]:
         width = T.shape[1] * n
@@ -270,7 +270,7 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     E = character_basis(l, n)
     P = sample_many(seed, samples, ctx)
     gamma = [gamma_index(j, n) for j in range(n)]
-    applied = apply_batch(lop, functools.partial(
+    applied = apply_op(lop, functools.partial(
         basis_table, np.array(gamma)[E], ctx=ctx), P, ctx)   # [s, i, j, m]
     return worst_of_arrays(*residual_arrays(
         _images(E, u, gamma, P, ctx), norm * applied.transpose(3, 1, 2, 0)))

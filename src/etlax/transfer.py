@@ -41,7 +41,7 @@ onto their canonical keys with the fixed 0/1 matrix of opalg.key_map;
 m_trace is the trace of that array.  build_d_ops merges d^J Delta / Delta
 onto the terms of D[m] the same way, with that matrix weighted by
 (-n/c)^|I \\ J|.  verify_fused_rll applies two fused L-operators in turn
-through opalg.apply_batch, and normal_det reads any of these matrices'
+through opalg.apply_op, and normal_det reads any of these matrices'
 tables once per batch for the generating determinant.  The Lax
 coefficients are one function of g = c hbar/n (ltilde_table), which the
 hbar -> 0 checks read at g = c h/n.  Every hbar -> 0 limit is a Laurent
@@ -66,9 +66,9 @@ import numpy as np
 
 from .context import (ModularContext, SingularParameterError,
                       lattice_distance, read_only)
-from .belavin import (dual_intertwiners, fused_rcheck_matrix,
-                      intertwiner_arrays, partial_shifts, shift_intertwiners)
-from .opalg import (DifferenceOperator, DifferentialOperator, apply_batch,
+from .belavin import (dual_intertwiners, fused_rcheck_matrix, intertwiners,
+                      partial_shifts, shift_intertwiners)
+from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
                     commutator_residual, compose, exp_function,
                     exp_test_function, identity_op, jet_constant, jet_deriv,
                     jet_inv, jet_mul, jet_of_affine, key_map, merge_keys,
@@ -116,11 +116,11 @@ def l_coeff_tensor(c, u, P, ctx: ModularContext, counts=None) -> np.ndarray:
     counts = np.zeros((1, n), dtype=int) if counts is None \
         else np.asarray(counts)
     P = np.asarray(P, dtype=complex).reshape(len(us), -1, n)
-    phibar = dual_intertwiners([[x] for x in us], P, counts, ctx)
-    phi = shift_intertwiners([[x + y * ctx.hbar] for x, y in zip(us, cs)], P,
-                             counts, ctx)
-    return np.einsum("dmski,dmsjk->mdskij", phibar[:, 0], phi[:, 0]).reshape(
-        -1, n, n, n)
+    phibar = dual_intertwiners(np.array(us)[:, None], P, counts, ctx)
+    phi = shift_intertwiners(np.array([x + y * ctx.hbar
+                                       for x, y in zip(us, cs)])[:, None],
+                             P, counts, ctx)
+    return np.einsum("dsmki,dsmjk->mdskij", phibar, phi).reshape(-1, n, n, n)
 
 
 def l_op(c: complex, u: complex, ctx: ModularContext) -> DifferenceOperator:
@@ -337,8 +337,8 @@ def sekiguchi_matrix(c: complex, u: complex, t: complex,
     rows = np.arange(n)
 
     def table(P):
-        phi = shift_intertwiners([[u + c * ctx.hbar, u]], [P], [[0] * n],
-                                 ctx)[0, :, 0].swapaxes(-1, -2)
+        phi = shift_intertwiners(np.array([[u + c * ctx.hbar], [u]]), P,
+                                 [[0] * n], ctx)[:, :, 0].swapaxes(-1, -2)
         out = np.zeros((len(P), n + 1, n, n), dtype=complex)
         out[:, rows, rows] = phi[0]
         out[:, n] = -t * phi[1]
@@ -359,7 +359,7 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
     gen = genfunc_sum(c, u, t, ctx)
     weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: np.linalg.det(
-        shift_intertwiners([[u]], [P], [[0] * ctx.n], ctx)[0, 0, 0])[:, None]
+        shift_intertwiners(u, P, [[0] * ctx.n], ctx)[:, 0])[:, None]
         * gen.table(P))
     return operator_residual(det, weighted, samples, ctx)
 
@@ -418,7 +418,7 @@ def l_tilde_conjugated(c: complex, u: complex,
     n = ctx.n
 
     def table(P):
-        phi, phibar = intertwiner_arrays([u] * len(P), P, ctx)
+        phi, phibar = intertwiners(u, P, ctx)
         return np.einsum("sai,skab,sjb->skij", phi,
                          l_coeff_tensor(c, u, P, ctx), phibar)
     return DifferenceOperator(n, tuple(unit_key(n, k) for k in range(n)),
@@ -449,7 +449,7 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     """Fused RLL relation with the projected fused braid matrix.
 
     Each side is the product of the two fused L-operators applied to the
-    test functions, (L L' f)(lam) = apply_batch(L, Q -> apply_batch(L', f,
+    test functions, (L L' f)(lam) = apply_op(L, Q -> apply_op(L', f,
     Q), lam), every entry of both at once and every test function on one
     trailing axis, so each function is called once a side; the braid is
     contracted with that product in one einsum.
@@ -461,7 +461,7 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     f = lambda Q: np.stack([fn(Q) for fn in fns], axis=-1)     # [..., f]
 
     def product(first, second):
-        return apply_batch(first, lambda Q: apply_batch(second, f, Q, ctx),
+        return apply_op(first, lambda Q: apply_op(second, f, Q, ctx),
                            P, ctx)
     # lhs[I,J,I'',J''] = sum R^{I'J'}_{I''J''} (L_u^I_I' L_v^J_J' f)
     lhs = np.einsum("dcxy,sixjyf->fsijcd", rf, product(flu, flv))
@@ -750,7 +750,7 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
                     vecs) -> dict:
     """The differential limits, from one evaluation of Mdot_1 f, Mdot_2 f
     and Mdot_1^2 f per node h of circle(r), every test function of vecs on
-    apply_batch's function axis.  Mdot_1^2 reads the coefficients of Mdot_1
+    apply_op's function axis.  Mdot_1^2 reads the coefficients of Mdot_1
     at lam + h K, whose denominators theta(lam_st +- h) vanish at |h| = d,
     the least lattice distance of the samples' lam_st; r = min(HBAR_RADIUS,
     d/3) keeps that pole off the circle's aliasing:
@@ -771,7 +771,7 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
     def at(h):
         sctx = ctx.replace(hbar=h)
         m1, m2 = m_dot(c, 1, sctx), m_dot(c, 2, sctx)
-        return [apply_batch(op, f, samples, sctx)
+        return [apply_op(op, f, samples, sctx)
                 for op in (m1, m2, compose(m1, m1, sctx))]
     d = min(lattice_distance(complex(lam[s] - lam[t]), complex(ctx.tau))
             for lam in samples for s, t in combinations(range(n), 2))

@@ -103,13 +103,15 @@ def subseeds(seed: int, count: int) -> list:
     return [(seed + 1) * 100003 + k for k in range(count)]
 
 
-def sample_points(seeds, ctx: ModularContext) -> np.ndarray:
+def sample_generic(seeds, ctx: ModularContext) -> np.ndarray:
     """Pseudo-random generic weight points P[len(seeds), n], row s drawn
     from the stream of Stream(seeds[s]), away from the zeros of the
-    theta(lambda_ij).  Each round draws the next candidate of every pending
-    row and reads theta_gap_guard once over them; a row is kept when its
-    value exceeds 10 * tol_identity, so row s is the point its own stream
-    gives, whatever the batch holds."""
+    theta(lambda_ij); one seed gives its point [n].  Each round draws the
+    next candidate of every pending row and reads theta_gap_guard once over
+    them; a row is kept when its value exceeds 10 * tol_identity, so row s
+    is the point its own stream gives, whatever the batch holds."""
+    one = np.ndim(seeds) == 0
+    seeds = [seeds] if one else seeds
     rows = seeded(seeds)
     guard = theta_gap_guard(ctx)
     n, floor = ctx.n, 10.0 * ctx.tol_identity
@@ -125,17 +127,10 @@ def sample_points(seeds, ctx: ModularContext) -> np.ndarray:
     if todo.size:
         raise SamplingError(f"could not sample a generic point in "
                             f"{_MAX_TRIES} tries at seed {seeds[todo[0]]}")
-    return out
-
-
-def sample_generic(seed: int, ctx: ModularContext) -> np.ndarray:
-    """A pseudo-random generic weight point, as a coordinate row: the
-    sample_points row of one seed (a one-point view the benchmark traces).
-    Deterministic in the seed."""
-    return sample_points([seed], ctx)[0]
+    return out[0] if one else out
 
 
 def sample_many(seed: int, count: int, ctx: ModularContext) -> np.ndarray:
-    """A deterministic batch P[count, n] of generic points, one sample_points
-    call over the sub-seeds of seed."""
-    return sample_points(subseeds(seed, count), ctx)
+    """A deterministic batch P[count, n] of generic points, one
+    sample_generic call over the sub-seeds of seed."""
+    return sample_generic(subseeds(seed, count), ctx)

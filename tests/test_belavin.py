@@ -61,13 +61,13 @@ def test_quasi_periodicity_composition(ctx3, rng):
     # u -> u+1+tau through either law first agrees with the direct build
     u = rand_complex(rng)
     n = ctx3.n
-    rm = bv._r_matrices(bv.r_table([u], ctx3))[0]
+    rm = bv._r_matrices(bv.build_r([u], ctx3))[0]
     g1 = np.kron(bv.g_matrix(ctx3), np.eye(n))
     h1 = np.kron(bv.h_matrix(ctx3), np.eye(n))
     via_1_then_tau = (-np.exp(2j * np.pi * ((u + 1) + ctx3.hbar / n
                                             + ctx3.tau / 2.0))) ** (-1) \
         * (h1 @ (-np.linalg.inv(g1) @ rm @ g1) @ np.linalg.inv(h1))
-    direct = bv._r_matrices(bv.r_table([u + 1 + ctx3.tau], ctx3))[0]
+    direct = bv._r_matrices(bv.build_r([u + 1 + ctx3.tau], ctx3))[0]
     assert np.max(np.abs(direct - via_1_then_tau)) / np.max(np.abs(direct)) < 1e-9
 
 
@@ -335,9 +335,8 @@ def _block_phi_tensor(base, params, ctx):
     mat = np.ones((n ** k, len(paths)), dtype=complex)
     grid = mat.reshape((n,) * k + (len(paths),))
     for m, counts in enumerate(prefixes):
-        phi = bv.shift_intertwiners([[params[m] + m * ctx.hbar]],
-                                    np.asarray(base)[None, None], counts,
-                                    ctx)[0, 0, :, 0]
+        phi = bv.shift_intertwiners(params[m] + m * ctx.hbar, base, counts,
+                                    ctx)
         vecs = phi[prefix[m], :, paths[:, m]]
         grid *= vecs.T.reshape((1,) * m + (n,) + (1,) * (k - m - 1)
                                + (len(paths),))
@@ -522,10 +521,10 @@ def test_phi_tensor_matrix_names_the_singular_level():
     params = [0.11 + 0.03j, 0.27 - 0.05j, -0.13 + 0.2j]
     assert np.all(np.isfinite(bv.phi_tensor_matrix(base, params, ctx)))
     counts = np.array([[0, 0, 0], [1, 0, 0]])
-    bv.dual_intertwiners([[params[1]]], base[None, None], counts[:1], ctx)
+    bv.dual_intertwiners(params[1], base, counts[:1], ctx)
     with pytest.raises(SingularParameterError,
                        match=re.escape("theta(x_k - x_a)~0 at ")):
-        bv.dual_intertwiners([[params[1]]], base[None, None], counts, ctx)
+        bv.dual_intertwiners(params[1], base, counts, ctx)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -707,8 +706,8 @@ def test_intertwiner_batch_matches_single_builds(n, rng):
     bv._dual_nodes(ctx)
     with pytest.MonkeyPatch.context() as mp:
         reads = table_reads(mp)
-        phi, phibar = bv.intertwiner_arrays([u for u, _ in pairs],
-                                            [lam for _, lam in pairs], ctx)
+        phi, phibar = bv.intertwiners([u for u, _ in pairs],
+                                      [lam for _, lam in pairs], ctx)
     # phi: n level-n columns a pair; phibar: the odd thetas of its n^2
     # theta(y_t - x_a), n^2 theta(S - x_k + y_t), n(n-1)/2 theta(x_k - x_a)
     # and one theta(S)
@@ -722,7 +721,7 @@ def test_intertwiner_batch_matches_single_builds(n, rng):
 
 
 def _theta_phi(us, mus, ctx):
-    """phi as intertwiner_arrays read it before it went through
+    """phi as the theta path read it before it went through
     shift_intertwiners: one theta_level_table at the arguments
     u/n - <mu, epsbar_k> (u/n divided as Python does), over i eta."""
     n = ctx.n
@@ -742,11 +741,29 @@ def test_intertwiner_arrays_read_the_theta_path_bit_for_bit(n, tau, rng):
     for count in range(1, 12):
         us = [rand_complex(rng) for _ in range(count)]
         mus = wt.sample_many(200 + count, count, ctx)
-        phi, _ = bv.intertwiner_arrays(us, mus, ctx)
+        phi, _ = bv.intertwiners(us, mus, ctx)
         assert np.array_equal(phi, _theta_phi(us, mus, ctx))
     # control: the same path at u + hbar reads other bits
     assert not np.array_equal(phi, _theta_phi([u + ctx.hbar for u in us],
                                               mus, ctx))
+    # the kernels broadcast v[2, 1] against P[2, 3, n]: at nonzero counts
+    # every (v, point) of the batch reads the bits it reads alone
+    counts = np.array([[0] * n, [1] + [0] * (n - 1), [2, 1] + [0] * (n - 2)])
+    v = np.array([[rand_complex(rng)] for _ in range(2)])
+    P = wt.sample_many(300, 6, ctx).reshape(2, 3, n)
+    for kernel in (bv.shift_intertwiners, bv.dual_intertwiners):
+        batch = kernel(v, P, counts, ctx)
+        assert batch.shape == (2, 3, len(counts), n, n)
+        for d, s in product(range(2), range(3)):
+            assert np.array_equal(batch[d, s],
+                                  kernel(v[d, 0], P[d, s], counts, ctx))
+    # one u or one point is its row of a batch, bit for bit
+    rs = bv.build_r(v + P[..., 0], ctx)
+    assert rs.shape == (2, 3) + (n,) * 4
+    assert np.array_equal(rs[1, 2], bv.build_r(v[1, 0] + P[1, 2, 0], ctx))
+    pair = bv.intertwiners(us[-1], mus[-1], ctx)
+    assert np.array_equal(pair[0], phi[-1])
+    assert np.array_equal(pair[1], bv.intertwiners(us, mus, ctx)[1][-1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -760,7 +777,7 @@ def test_intertwiner_batch_names_the_singular_pair(n, rng):
     # theta(x_0 - x_1) = theta(0) vanishes exactly at the point flat
     named = re.escape("singular intertwiner: theta(x_k - x_a)~0 at 0j")
     with pytest.raises(SingularParameterError, match=named):
-        bv.intertwiner_arrays(us, [lam, flat, lam], ctx)
+        bv.intertwiners(us, [lam, flat, lam], ctx)
     with pytest.raises(SingularParameterError, match=named):
         bv.intertwiners(us[1], flat, ctx.replace())
 
@@ -789,8 +806,7 @@ def test_intertwiner_guard_raises_on_equal_columns_where_solve_fails():
         np.linalg.solve(phi[None], np.eye(3, dtype=complex))
     with pytest.raises(SingularParameterError, match=re.escape(
             "theta(x_k - x_a)~0 at 0j")):
-        bv.intertwiner_arrays([0.1j, u], [wt.sample_generic(8, ctx), flat],
-                              ctx)
+        bv.intertwiners([0.1j, u], [wt.sample_generic(8, ctx), flat], ctx)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -798,15 +814,15 @@ def test_intertwiner_guard_names_the_exact_cond(n):
     ctx, near = _near_pair(n, 1e-10)
     lam = wt.sample_generic(8, ctx)
     us = [0.11 + 0.05j, 0.23 - 0.07j, -0.17 + 0.13j, 0.05 + 0.3j]
-    phi = bv.shift_intertwiners([[us[1]]], near[None, None],
-                                np.zeros((1, n), dtype=int), ctx)[0, 0, 0, 0]
+    phi = bv.shift_intertwiners(us[1], near, np.zeros((1, n), dtype=int),
+                                ctx)[0]
     assert np.linalg.cond(phi) > 1e8
     # the singular pair is named by its factor, at the exact argument the
     # kernel reads
     arg = complex(near[0] - near[1] + ctx.hbar * 0)
     with pytest.raises(SingularParameterError, match=re.escape(
             f"theta(x_k - x_a)~0 at {arg}")):
-        bv.intertwiner_arrays(us, [lam, near, lam, near], ctx)
+        bv.intertwiners(us, [lam, near, lam, near], ctx)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -825,7 +841,7 @@ def test_intertwiner_guard_admits_a_pair_above_the_screen(n):
     assert 1e7 < cond < 1e10
     assert np.max(np.abs(pair[1] @ pair[0] - np.eye(n))) <= 1e-14 * cond
     lam = wt.sample_generic(8, ctx)
-    phi, phibar = bv.intertwiner_arrays([u, u, u], [lam, near, lam], ctx)
+    phi, phibar = bv.intertwiners([u, u, u], [lam, near, lam], ctx)
     assert np.array_equal(phi[1], pair[0])
     assert np.array_equal(phibar[1], pair[1])
     ctx, near = _near_pair(n, gap / 2)
@@ -879,7 +895,7 @@ def test_closed_form_phibar_matches_a_30_digit_inverse(n, tau, rng):
     ctx = default_context(n, tau=tau)
     us = [rand_complex(rng) for _ in range(3)]
     lams = wt.sample_many(140 + n, 3, ctx)
-    _, phibar = bv.intertwiner_arrays(us, lams, ctx)
+    _, phibar = bv.intertwiners(us, lams, ctx)
     for u, lam, got in zip(us, lams, phibar):
         want = _mp_phibar(u, lam, n, tau)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -953,8 +969,8 @@ def test_intertwining_reads_only_the_pairs_its_relations_use(n):
     counts = np.vstack([np.zeros(n, dtype=int), np.eye(n, dtype=int)])
     with pytest.raises(SingularParameterError,
                        match=re.escape("theta(S)~0 at ")):
-        bv.dual_intertwiners([[ctx.hbar, v, 2 * ctx.hbar, v + ctx.hbar]],
-                             lam[None, None], counts, ctx)
+        bv.dual_intertwiners(np.array([ctx.hbar, v, 2 * ctx.hbar,
+                                       v + ctx.hbar]), lam, counts, ctx)
 
 
 def test_antisymmetrizer_image(ctx2, ctx3, rng):
@@ -1099,7 +1115,7 @@ def test_r_table_matches_entry_loop(n, rng):
     # measured at most 1.3e-16 relative to each R's largest entry
     ctx = default_context(n)
     us = [rand_complex(rng) for _ in range(6)] + [0.0, ctx.tau / 2]
-    got = bv.r_table(us, ctx)
+    got = bv.build_r(us, ctx)
     want = np.stack([_loop_r(u, ctx.replace()) for u in us])
     assert got.shape == (len(us),) + (n,) * 4
     scale = np.max(np.abs(want), axis=(1, 2, 3, 4))[:, None, None, None, None]
@@ -1294,7 +1310,7 @@ def test_vertex_checks_read_one_character_table_per_batch(monkeypatch, rng):
     lam = wt.sample_generic(64, ctx)
     bv._dual_nodes(ctx)
     checks = [
-        lambda: bv.r_table(us, ctx),
+        lambda: bv.build_r(us, ctx),
         lambda: bv.build_r(us[0], ctx),
         lambda: bv.verify_r_symmetry(us, ctx),
         lambda: bv.verify_r_quasiperiodicity(us, ctx),

@@ -43,6 +43,24 @@ def test_traced_run_installs_and_uninstalls():
     assert trace.summary()["calls"]["suites.theta.n2"] == 1
 
 
+def test_traced_names_read_the_batched_work():
+    # each traced name is the batch function itself, so the suites' batched
+    # calls are the ones counted
+    from etlax import cli
+    trace = _tracer().Tracer()
+    trace.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for suite in ("intertwiner", "rll"):
+                assert cli.main([suite, "--n", "2"]) == 0
+    finally:
+        trace.uninstall()
+    calls = trace.summary()["calls"]
+    for name in ("opalg.apply_op", "belavin.build_r", "belavin.intertwiners",
+                 "weights.sample_generic"):
+        assert calls[name] >= 1, name
+
+
 def _names(node):
     """The names and attribute names that the code of node reads or binds."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)

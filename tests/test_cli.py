@@ -378,13 +378,13 @@ def test_eight_vertex_pattern_reads_a_missing_ice_entry(monkeypatch):
         return {c.name: c for c in run_suite("ybe", ctx, 42).cases}[
             "eight-vertex-pattern"]
     assert pattern().ok
-    table = bv.r_table
+    table = bv.build_r
 
     def holed(us, c):
         ent = table(us, c)
-        ent[:, 0, 1, 1, 0] = 0               # 0 + 1 = 1 + 0: an ice entry
+        ent[..., 0, 1, 1, 0] = 0             # 0 + 1 = 1 + 0: an ice entry
         return ent
-    monkeypatch.setattr(bv, "r_table", holed)
+    monkeypatch.setattr(bv, "build_r", holed)
     assert not pattern().ok
 
 

@@ -58,7 +58,7 @@ def test_compose_matches_double_application(ctx3, rng):
     ab = oa.compose(a, b, ctx3)
     for lam in lams:
         direct = oa.apply_op(ab, f, lam, ctx3)
-        inner = lambda mu: oa.apply_batch(b, f, mu, ctx3)
+        inner = lambda mu: oa.apply_op(b, f, mu, ctx3)
         nested = oa.apply_op(a, inner, lam, ctx3)
         assert abs(direct - nested) / (abs(direct) + 1e-300) < 1e-12
 
@@ -116,11 +116,13 @@ def test_apply_batch_on_leading_axes_is_the_flat_call(ctx3, rng, kind):
     P = wt.sample_many(13, 6, ctx3).reshape(2, 3, 3)
     fns = [oa.exp_function(rng.normal(size=3)) for _ in range(2)]
     for f in (fns[0], lambda Q: np.stack([fn(Q) for fn in fns], axis=-1)):
-        flat = oa.apply_batch(op, f, P.reshape(-1, 3), ctx3)
-        got = oa.apply_batch(op, f, P, ctx3)
+        flat = oa.apply_op(op, f, P.reshape(-1, 3), ctx3)
+        got = oa.apply_op(op, f, P, ctx3)
         assert got.shape == (2, 3) + flat.shape[1:]
         assert flat.shape[1:1 + len(op.shape)] == op.shape
         assert np.array_equal(got, flat.reshape(got.shape))
+        # one point P[n] is its row of the batch
+        assert np.array_equal(oa.apply_op(op, f, P[1, 2], ctx3), got[1, 2])
 
 
 def test_operator_residual_compares_every_matrix_entry(ctx3):

@@ -234,9 +234,9 @@ def _walk(i, ip, js, u, ctx):
     """In-test transcription of the recursive coproduct walk that T
     replaced: a dict of the output monomials of e^js with boundary indices
     (i, ip), slot m carrying R(u + m hbar)."""
-    from etlax.belavin import r_table
+    from etlax.belavin import build_r
     n, l = ctx.n, len(js)
-    rmats = r_table([u + m * ctx.hbar for m in range(l)], ctx)
+    rmats = build_r([u + m * ctx.hbar for m in range(l)], ctx)
     out = {}
 
     def rec(m, ia, prefix, coeff):
@@ -274,17 +274,17 @@ def test_coproduct_matches_the_recursive_walk(n, l):
 def test_module_iso_with_a_slot_off_by_hbar_reads_red(n, l, monkeypatch):
     ctx = default_context(n)
     assert ts.verify_module_iso(l, U0, ctx).rel < 1e-8
-    table = ts.r_table
+    table = ts.build_r
     # the last slot carries u + l hbar instead of u + (l - 1) hbar
-    monkeypatch.setattr(ts, "r_table", lambda us, ctx: table(
+    monkeypatch.setattr(ts, "build_r", lambda us, ctx: table(
         list(us[:-1]) + [us[-1] + ctx.hbar], ctx))
     assert ts.verify_module_iso(l, U0, ctx).rel > 1e-3
 
 
 def test_module_iso_reads_one_r_table(monkeypatch):
     calls = []
-    table = ts.r_table
-    monkeypatch.setattr(ts, "r_table",
+    table = ts.build_r
+    monkeypatch.setattr(ts, "build_r",
                         lambda us, ctx: calls.append(len(us)) or table(us, ctx))
     for n, l in ((2, 1), (2, 2), (3, 1), (3, 2)):
         calls.clear()
@@ -312,15 +312,15 @@ def test_gamma_index_involution():
 
 
 def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
-    from etlax.opalg import apply_batch
+    from etlax.opalg import apply_op
     lop = tr.l_op(1.0, U0, ctx3)
     lams = wt.sample_many(17, 5, ctx3)
     fn = lambda P: ts.basis_table(ts.character_basis(1, 3)[1], P, ctx3)
-    got = apply_batch(lop, fn, lams, ctx3)
+    got = apply_op(lop, fn, lams, ctx3)
     assert got.shape == (5, 3, 3)
     for i in range(3):
         for j in range(3):
-            want = apply_batch(lop.entry(i, j), fn, lams, ctx3)
+            want = apply_op(lop.entry(i, j), fn, lams, ctx3)
             assert np.array_equal(got[:, i, j], want)
 
 
@@ -353,14 +353,14 @@ def test_fit_points_are_the_sample_many_pairs(n, l, monkeypatch):
     dim = ts.orbit_count(n, l)
     seeds = [5, 40, 41]
     seen, samplings = [], []
-    sample = wt.sample_points
-    monkeypatch.setattr(ts, "sample_points", lambda *a: samplings.append(1)
+    sample = wt.sample_generic
+    monkeypatch.setattr(ts, "sample_generic", lambda *a: samplings.append(1)
                         or sample(*a))
 
     def apply(op, fn, P, ctx):
         seen.append((fn(P).shape, P))
         return np.ones((len(P), len(seeds), dim), dtype=complex)
-    monkeypatch.setattr(ts, "apply_batch", apply)
+    monkeypatch.setattr(ts, "apply_op", apply)
     ts.fit_action(l, None, ctx, seeds)
     assert samplings == [1]        # one sampling for every fit
     assert len(seen) == 1          # one application for every function
@@ -597,8 +597,8 @@ def test_a_slot_off_by_hbar_fails_the_module_cases(monkeypatch):
     names = ("level1-module-relation", "module-isomorphism-l2",
              "symmetrized-ordering")
     assert all(_theta_space_case(2, name).ok for name in names)
-    table = ts.r_table
-    monkeypatch.setattr(ts, "r_table", lambda us, ctx: table(
+    table = ts.build_r
+    monkeypatch.setattr(ts, "build_r", lambda us, ctx: table(
         list(us[:-1]) + [us[-1] + ctx.hbar], ctx))
     for name in names:
         case = _theta_space_case(2, name)

@@ -79,11 +79,11 @@ def _level_oracle(c, u, lam, counts, ctx):
     """A[k, i, j] of L(c | u - r hbar) at lam + hbar sum_j counts[j] epsbar_j,
     r = sum(counts), from intertwiners at that re-canonicalized point, as
     fused_l built them before it read exact columns."""
-    from etlax.belavin import intertwiner_arrays
+    from etlax.belavin import intertwiners
     pt = wt.shifted(lam, [counts], ctx.hbar)
     v = u - sum(counts) * ctx.hbar
-    phi, phibar = intertwiner_arrays([v, v + c * ctx.hbar],
-                                     np.concatenate([pt, pt]), ctx)
+    phi, phibar = intertwiners([v, v + c * ctx.hbar],
+                               np.concatenate([pt, pt]), ctx)
     return np.einsum("ki,jk->kij", phibar[0], phi[1])
 
 
@@ -178,6 +178,48 @@ def test_main_theorem_trace_equals_closed(ctx2, ctx3, rng):
                 assert res.rel < 1e-7
 
 
+def _mp_m_dot(mp, c, d, P, ctx):
+    """{key of T_I: [s]}: the coefficients of the u-free part of M_d(c|u),
+    prod_{s not in I, t in I} theta(lam_st + c hbar/n)/theta(lam_st) over
+    the d-subsets I, at the points P[s] in mpmath, with
+    theta(u) = -jtheta_1(pi u, e^{i pi tau})."""
+    n = ctx.n
+    q = mp.exp(1j * mp.pi * mp.mpc(ctx.tau))
+    g = mp.mpc(c) * mp.mpc(ctx.hbar) / n
+
+    def theta_mp(x):
+        return -mp.jtheta(1, mp.pi * x, q)
+    out = {}
+    for big_i in itertools.combinations(range(n), d):
+        pairs = [(s, t) for s in range(n) if s not in big_i for t in big_i]
+        out[wt.canonical_key(wt.subset_key(n, big_i))] = [complex(mp.fprod(
+            theta_mp(mp.mpc(lam[s]) - mp.mpc(lam[t]) + g)
+            / theta_mp(mp.mpc(lam[s]) - mp.mpc(lam[t])) for s, t in pairs))
+            for lam in P]
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.3j, 0.1 + 0.08j])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_m_dot_matches_a_30_digit_theta_product(n, tau):
+    # the M_d coefficients from the formula of M_d(c|u), read by mpmath's
+    # jtheta, against m_dot's table term by term; with c off by 0.07 the
+    # same product reads red
+    mp = pytest.importorskip("mpmath").mp
+    ctx = default_context(n, tau=tau)
+    P = wt.sample_many(60 + n, 3, ctx)
+    for d in range(1, n):
+        op = tr.m_dot(C0, d, ctx)
+
+        def oracle(c):
+            with mp.workdps(30):
+                coeffs = _mp_m_dot(mp, c, d, P, ctx)
+            return np.array([coeffs[key] for key in op.terms]).T  # [s, I]
+        got, want, off = op.table(P), oracle(C0), oracle(C0 + 0.07)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        assert np.max(np.abs(got - off) / np.abs(off)) > 1e-4
+
+
 def test_m_closed_edges(ctx3, rng):
     samples = wt.sample_many(26, 4, ctx3)
     lam = samples[0]
@@ -217,7 +259,7 @@ def test_compose_m1_matches_double_application(ctx3, rng):
     f = sumzero_exp(rng, 3)
     for lam in wt.sample_many(55, 3, ctx3):
         direct = oa.apply_op(mm, f, lam, ctx3)
-        nested = oa.apply_op(m1, lambda mu: oa.apply_batch(
+        nested = oa.apply_op(m1, lambda mu: oa.apply_op(
             m1, f, mu.reshape(-1, 3), ctx3).reshape(mu.shape[:-1]),
                              lam, ctx3)
         assert abs(direct - nested) / abs(direct) < 1e-12
@@ -1233,9 +1275,9 @@ def _nan_in_d_tables(build_d_ops):
     return lambda *args: [nan_zero_term(op) for op in build_d_ops(*args)]
 
 
-def _nan_in_matrix(apply_batch):
+def _nan_in_matrix(apply_op):
     def poisoned(matrix, f, lams, ctx):
-        out = apply_batch(matrix, f, lams, ctx)
+        out = apply_op(matrix, f, lams, ctx)
         out[0, 0, 1] = math.nan
         return out
     return poisoned
@@ -1266,7 +1308,7 @@ def _nan_in_fused_rcheck(fused_rcheck_matrix):
 
 
 _NAN_CASES = [
-    ("rll", 2, "c0-identity", "suites", "apply_batch", _nan_in_matrix),
+    ("rll", 2, "c0-identity", "suites", "apply_op", _nan_in_matrix),
     ("rll", 3, "fused-rll-k2", "transfer", "fused_rcheck_matrix",
      _nan_in_fused_rcheck),
     ("krichever", 2, "c0-pure-derivative", "transfer", "krichever_table",

@@ -84,6 +84,13 @@ def test_sampling_draws_are_the_per_point_draws_bit_for_bit(n):
     assert many.shape == (6, n)
     assert np.array_equal(many, np.array(
         [_sample(6 * 100003 + k, ctx) for k in range(6)]))
+    # a sequence of seeds gives [len, n], one seed its row [n]
+    seeds = (9, 3, 11)
+    rows = wt.sample_generic(seeds, ctx)
+    assert rows.shape == (3, n)
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(wt.sample_generic(seed, ctx), row)
+    assert np.array_equal(wt.sample_generic(np.int64(3), ctx), rows[1])
 
 
 def test_projected_basis_sums_to_zero(ctx3):
@@ -178,18 +185,18 @@ def test_sampling_exhaustion_reports_guard(ctx3, monkeypatch):
         with pytest.raises(SamplingError) as alone:
             wt.sample_generic(seeds[0], ctx3)
         with pytest.raises(SamplingError) as err:
-            wt.sample_points(seeds, ctx3)
+            wt.sample_generic(seeds, ctx3)
         assert str(err.value) == str(alone.value)
         assert str(err.value).endswith(f"at seed {seeds[0]}")
 
 
 def test_sampling_with_intertwiner_guard(ctx3, monkeypatch):
-    from etlax.belavin import intertwiner_arrays, intertwiners
+    from etlax.belavin import intertwiners
     u = 0.19 + 0.07j
     gap = wt.theta_gap_guard(ctx3)
 
     def det_guard(P):
-        phi, _ = intertwiner_arrays([u] * len(P), P, ctx3)
+        phi, _ = intertwiners(u, P, ctx3)
         return np.abs(np.linalg.det(phi))
 
     # a row passes when the theta gap and the intertwiner det both do
@@ -200,7 +207,7 @@ def test_sampling_with_intertwiner_guard(ctx3, monkeypatch):
     assert np.linalg.cond(pair[0]) < 1e8
     assert np.max(np.abs(pair[1] @ pair[0] - np.eye(3))) < 1e-10
     # the batch of several sub-seeds draws the same rows
-    many = wt.sample_points([2, 7, 9], ctx3)
+    many = wt.sample_generic([2, 7, 9], ctx3)
     assert np.array_equal(many[0], lam)
     assert np.array_equal(many[2], wt.sample_generic(9, ctx3))
 
@@ -249,7 +256,7 @@ def test_rejected_rows_draw_the_per_point_samples(n):
         rejected += bool(wt.theta_gap_guard(ctx)(first[None])[0]
                          <= 10.0 * ctx.tol_identity)
     assert 0 < rejected < len(seeds)
-    got = wt.sample_points(seeds, ctx)
+    got = wt.sample_generic(seeds, ctx)
     assert np.array_equal(got, np.array([_sample(s, ctx) for s in seeds]))
     assert np.array_equal(wt.sample_many(11, 30, ctx), got)
 
@@ -269,7 +276,7 @@ def test_one_guard_table_per_rejection_round(monkeypatch):
         rounds.append(tries)
     assert max(rounds) > 1
     reads = table_reads(monkeypatch)
-    wt.sample_points(seeds, ctx)
+    wt.sample_generic(seeds, ctx)
     pending = [sum(r >= k for r in rounds) for k in range(1, max(rounds) + 1)]
     assert reads == [3 * p for p in pending]      # the pairs i < j of n = 3
 
@@ -291,7 +298,7 @@ def test_batch_streams_are_the_numpy_streams(n, monkeypatch):
                         lambda P: drawn.append(P) or canonical(P))
     monkeypatch.setattr(wt, "theta_gap_guard", lambda ctx: lambda P: np.full(
         len(P), float(len(drawn) >= rounds)))
-    got = wt.sample_points(STREAM_SEEDS, ctx)
+    got = wt.sample_generic(STREAM_SEEDS, ctx)
     assert len(drawn) == rounds
     for s, seed in enumerate(STREAM_SEEDS):
         rng = np.random.default_rng(seed)
@@ -323,7 +330,7 @@ def test_128_bit_jump_is_the_integer_multiply_add():
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seeds_outside_the_uint64_range_are_refused(seed, ctx3):
     with pytest.raises(ValueError, match=f"seed {seed} is outside"):
-        wt.sample_points([3, seed], ctx3)
+        wt.sample_generic([3, seed], ctx3)
 
 
 def test_sampling_builds_no_numpy_generator(ctx3, monkeypatch):
