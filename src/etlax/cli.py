@@ -6,12 +6,13 @@
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
 hbar_re, hbar_im, tol_identity, seed); every key can be overridden by a
 command-line flag of the same name; `verify all` runs n = 2 and 3 and
-refuses --n (exit 2), so an n key is a default for single-suite runs.  tol_identity is a singularity floor
-(see ModularContext); each suite passes or fails against its own tolerance
-in suites.SUITES.  Exit codes: 0 all checks passed, 1 verification
-failure, 2 configuration error, an evaluation that could not be carried
-out (a singular parameter, a value out of floating-point range or an
-exhausted sampling budget) or a report that could not be written.
+refuses --n (exit 2), so an n key is a default for single-suite runs.
+tol_identity is a singularity floor (see ModularContext); each case passes
+or fails against its tolerance in the one table suites.SUITES (its suite's
+default or its override row).  Exit codes: 0 all checks passed, 1
+verification failure, 2 configuration error, an evaluation that could not
+be carried out (a singular parameter, a value out of floating-point range
+or an exhausted sampling budget) or a report that could not be written.
 `verify all` spreads its runs over one forked process per CPU (run_all);
 its reports and exit codes are those of one serial pass.
 """

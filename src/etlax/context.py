@@ -4,7 +4,7 @@ Every evaluator in this package is a pure function of its arguments and a
 ModularContext, which fixes the rank n, the modulus tau, the deformation
 parameter hbar and the singularity floor tol_identity.  The coupling c is
 a builder argument, drawn by each suite; the pass thresholds are the
-per-suite tolerances in suites.SUITES.
+tolerances of the one table suites.SUITES.
 """
 
 from __future__ import annotations

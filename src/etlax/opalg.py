@@ -10,7 +10,7 @@ table: table(P) returns one complex array over a batch of points P[s, n]
     C[s, key, *shape]  a difference operator with scalar (shape ()) or
                        matrix (shape (size, size)) coefficients: the
                        L-operator, its fusions, the Lax and Sekiguchi
-                       matrices; entry(i, j) is the slice C[:, :, i, j];
+                       matrices; entry (i, j) is the slice C[:, :, i, j];
     J[s, term, m]      a differential operator: the exact Taylor jets of its
                        coefficients at the order table(P, order) asks, so
                        the Leibniz rule never needs numerical differentiation.
@@ -80,11 +80,6 @@ class DifferenceOperator:
             return 0.0 + 0.0j
         return complex(self.table(np.asarray(lam, dtype=complex)[None])
                        [0, self.terms.index(key)])
-
-    def entry(self, i: int, j: int) -> DifferenceOperator:
-        """The entry (i, j) as an operator; its batch reads the whole table."""
-        return DifferenceOperator(self.n, self.terms,
-                                  lambda P: self.table(P)[:, :, i, j])
 
 
 def key_map(keys):
@@ -406,19 +401,6 @@ class DifferentialOperator:
 
     def order(self) -> int:
         return max((sum(a) for a in self.terms), default=0)
-
-
-def pdo(n: int, items) -> DifferentialOperator:
-    """Sum of (alpha, coefficient) items; a coefficient is a constant or a
-    jet closure (P, order) -> J[s, m]."""
-    items = [(tuple(alpha), fn) for alpha, fn in items]
-    terms, q = key_map([alpha for alpha, _ in items])
-
-    def table(P, order=0):
-        return merge_keys(q, np.stack(
-            [fn(P, order) if callable(fn) else
-             jet_constant(fn, len(P), n, order) for _, fn in items], axis=1))
-    return DifferentialOperator(n, terms, table)
 
 
 @functools.lru_cache(maxsize=None)

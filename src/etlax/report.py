@@ -43,8 +43,12 @@ class Case:
     rel: float
     abs: float
     tol: float
-    ok: bool
     control: bool = False
+
+    @property
+    def ok(self) -> bool:
+        """rel >= tol for a control, rel < tol otherwise: a NaN fails."""
+        return self.rel >= self.tol if self.control else self.rel < self.tol
 
 
 @dataclass
@@ -55,12 +59,11 @@ class SuiteReport:
     params: dict           # n, tau, hbar, seed
     tolerance: float
     cases: list = field(default_factory=list)
-    passed: bool = True
     wall_time_s: float = 0.0
 
-    def finalize(self):
-        self.passed = all(c.ok for c in self.cases)
-        return self
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.cases)
 
     def worst(self) -> float:
         """worst_of over the non-control cases: a NaN rel wins."""
@@ -153,21 +156,3 @@ def report_json(reports) -> str:
     return (f'{{"schema": {SCHEMA_VERSION}, "suites": [{suites}], '
             f'"summary": {{"pass": {_json_bool(all(r.passed for r in reports))}, '
             f'"worst_rel": {_json_num(worst)}}}}}\n')
-
-
-def strip_timing(text: str) -> str:
-    """Drop wall-time lines/fields for determinism comparisons.
-
-    A JSON report loses the wall_time_s key of each suite; any other text
-    loses every line that mentions wall_time_s.
-    """
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        doc = None
-    if isinstance(doc, dict) and "suites" in doc:
-        for suite in doc["suites"]:
-            suite.pop("wall_time_s", None)
-        return json.dumps(doc)
-    lines = [ln for ln in text.splitlines() if "wall_time_s" not in ln]
-    return "\n".join(lines)

@@ -84,10 +84,16 @@ def character_basis(l: int, n: int) -> np.ndarray:
 def basis_table(E, P, ctx: ModularContext) -> np.ndarray:
     """[..., m] = prod_k chi_{E[m, k]} at every point of P[..., n], one
     chi_table; a single row E[m] gives that member alone, [...]."""
-    # the gather lays the point axes innermost in memory; the copy is in C
-    # order, so a fit's matrix products read contiguous rows (np.matmul's
-    # rounding depends on the layout)
-    return np.prod(chi_table(P, ctx)[..., E], axis=-1).copy()
+    # the factors are multiplied left to right, so that a point's value
+    # does not depend on the batch (np.prod rounds one row apart from the
+    # rows of a longer batch).  The gather lays the point axes innermost in
+    # memory; the product is a C-order copy, so a fit's matrix products
+    # read contiguous rows (np.matmul's rounding depends on the layout)
+    factors = chi_table(P, ctx)[..., E]
+    out = factors[..., 0].copy()
+    for k in range(1, factors.shape[-1]):
+        out *= factors[..., k]
+    return out
 
 
 def orbit_count(n: int, l: int) -> int:
@@ -116,8 +122,8 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
         i = int(rng.integers(0, n))
         roots[s, i], roots[s, (i + 1 + int(rng.integers(0, n - 1))) % n] = 1, -1
     # row s holds the factors of its own member, contiguous, so each product
-    # is a 1-D reduce; basis_table's strided gather of every member is
-    # reduced by numpy's vectorised complex multiply, which rounds apart
+    # is a 1-D reduce; basis_table multiplies the factors of every member
+    # left to right, which rounds apart
     own = np.arange(samples)[:, None], E[members]
     base, shifted_1, shifted_tau = (
         np.prod(chi_table(Q, ctx)[own], axis=-1) for Q in (

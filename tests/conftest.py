@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,29 @@ def fay_residual(d, u, lambdas, mus, ctx):
     return worst_of_arrays(*residual_arrays(lhs, rhs))
 
 
+def strip_timing(text: str) -> str:
+    """A report without its wall-time lines/fields, for determinism
+    comparisons: a JSON report loses the wall_time_s key of each suite; any
+    other text loses every line that mentions wall_time_s."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and "suites" in doc:
+        for suite in doc["suites"]:
+            suite.pop("wall_time_s", None)
+        return json.dumps(doc)
+    return "\n".join(ln for ln in text.splitlines() if "wall_time_s" not in ln)
+
+
+def matrix_entry(op, i, j):
+    """The entry (i, j) of a matrix difference operator as a scalar
+    operator; its batch reads the whole table."""
+    from etlax.opalg import DifferenceOperator
+    return DifferenceOperator(op.n, op.terms,
+                              lambda P: op.table(P)[:, :, i, j])
+
+
 def diff_op(n, items):
     """A difference operator from (key, coefficient closure) pairs, each
     closure mapped over the rows of a batch."""
@@ -99,3 +124,18 @@ def diff_op(n, items):
         return merge_keys(q, np.array([[fn(lam) for _, fn in items]
                                        for lam in P], dtype=complex))
     return DifferenceOperator(n, terms, table)
+
+
+def pdo(n, items):
+    """A differential operator, the sum of (alpha, coefficient) items; a
+    coefficient is a constant or a jet closure (P, order) -> J[s, m]."""
+    from etlax.opalg import (DifferentialOperator, jet_constant, key_map,
+                             merge_keys)
+    items = [(tuple(alpha), fn) for alpha, fn in items]
+    terms, q = key_map([alpha for alpha, _ in items])
+
+    def table(P, order=0):
+        return merge_keys(q, np.stack(
+            [fn(P, order) if callable(fn) else
+             jet_constant(fn, len(P), n, order) for _, fn in items], axis=1))
+    return DifferentialOperator(n, terms, table)

@@ -20,7 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fay_residual, pdo_coeff, rand_complex, sumzero_exp
+from conftest import (fay_residual, matrix_entry, pdo_coeff, rand_complex,
+                      strip_timing, sumzero_exp)
 from etlax import belavin as bv
 from etlax import opalg as oa
 from etlax import theta as th
@@ -401,7 +402,8 @@ def test_criterion_11_invariance_and_module_structure():
         lop = tr.l_op(float(l), u, ctx)
         for i in range(n):
             for j in range(n):
-                fits.append(ts.fit_action(l, lop.entry(i, j), ctx, [3])[1])
+                fits.append(ts.fit_action(l, matrix_entry(lop, i, j), ctx,
+                                          [3])[1])
         m1 = tr.m_closed(float(l), u, 1, ctx)
         controls.append(ts.negative_control(l, m1, ctx, seed=4).rel)
     rel_err = _worst([ts.verify_module_iso(1, u, default_context(n), samples=15)
@@ -426,7 +428,6 @@ def test_criterion_11_invariance_and_module_structure():
 
 def test_criterion_12_determinism(tmp_path):
     from etlax import cli
-    from etlax.report import strip_timing
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     rc1 = cli.main(["all", "--seed", "42", "--json", str(out1)])
     rc2 = cli.main(["all", "--seed", "42", "--json", str(out2)])

@@ -13,8 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "etlax"
 
 # top-level names with no reference in the library, and why they stay
 UNREFERENCED = {
-    "pdo": "a test-facing constructor of partial differential operators",
-    "strip_timing": "drops a report's timing fields, for report consumers",
     "default_context": "the public entry point, exported by the package",
     "theta": "the one-point theta that bench/run.py reads at start-up",
 }

@@ -21,7 +21,9 @@ def parity():
 
 
 def _record(cases):
-    """A record with one ok run per (suite, n, seed) of its cases."""
+    """A record with one ok run per (suite, n, seed) of its cases; a case
+    row without its tolerance and control flag reads 1e-8 and no control."""
+    cases = [c if len(c) == 8 else [*c, 1e-8, False] for c in cases]
     runs = {tuple(c[:3]): [*c[:3], "ok"] for c in cases}
     return {"src": "synthetic", "runs": list(runs.values()), "cases": cases}
 
@@ -72,7 +74,8 @@ def test_rels_within_the_floor_read_ratio_one(parity, tmp_path, capsys):
              _BASE[1]]
     assert _compare(parity, tmp_path, _record(_BASE), _record(moved)) == 0
     out = capsys.readouterr().out
-    assert "0 ok flips, 1 bit-identical rels, 1 moved" in out
+    assert "0 ok flips, 0 tolerance changes, 1 bit-identical rels, " \
+        "1 moved" in out
     assert "from 1 to 1" in out
 
 
@@ -90,10 +93,40 @@ def test_moved_rels_are_counted_per_case_stem(parity, tmp_path, capsys):
             row[5] = None
     assert _compare(parity, tmp_path, _record(a), _record(b)) == 0
     out = capsys.readouterr().out
-    assert "15 common cases: 0 ok flips, 8 bit-identical rels, 6 moved, " \
-        "1 moved to or from NaN" in out
+    assert "15 common cases: 0 ok flips, 0 tolerance changes, " \
+        "8 bit-identical rels, 6 moved, 1 moved to or from NaN" in out
     stems = out.split("moved rels per suite/case stem:\n")[1]
     assert stems == "  fay/fay-d 6\n  vandermonde/vandermonde-n 1\n"
+
+
+def test_a_moved_tolerance_or_control_flag_exits_one(parity, tmp_path,
+                                                      capsys):
+    # the same rels and ok flags: only the tolerance of one case and the
+    # control flag of another move, and each is printed
+    a = [["theta", 2, 0, "triple-product", True, 3e-15, 1e-12, False],
+         ["theta-space", 2, 0, "negative-control-l1", True, 0.5, 1e-2, True],
+         ["rll", 3, 0, "fused-rll-k2", True, 1e-14, 1e-8, False]]
+    b = [list(row) for row in a]
+    b[0][6] = 1e-8
+    b[1][7] = False
+    assert _compare(parity, tmp_path, _record(a), _record(b)) == 1
+    out = capsys.readouterr().out
+    assert "tolerance moved ('theta', 2, 0, 'triple-product'): " \
+        "tol=1e-12 control=False -> tol=1e-08 control=False" in out
+    assert "tolerance moved ('theta-space', 2, 0, 'negative-control-l1'): " \
+        "tol=0.01 control=True -> tol=0.01 control=False" in out
+    assert "fused-rll-k2" not in out
+    assert "3 common cases: 0 ok flips, 2 tolerance changes, " \
+        "3 bit-identical rels" in out
+    assert _compare(parity, tmp_path, _record(a), _record(a)) == 0
+
+
+def test_a_record_without_tolerances_is_refused(parity, tmp_path):
+    # a case row of the six fields before tol and control were recorded
+    old = {"src": "old", "runs": [["theta", 2, 0, "ok"]],
+           "cases": [["theta", 2, 0, "quasi-periodicity", True, 3e-15]]}
+    with pytest.raises(SystemExit, match="without tol and control"):
+        _compare(parity, tmp_path, _record(_BASE), old)
 
 
 def test_no_moved_rels_print_no_stems(parity, tmp_path, capsys):
@@ -153,7 +186,8 @@ def _grid_record(outcomes):
     return {"src": "synthetic",
             "runs": [[s, 2, seed, out, where]
                      for s, seed, where, out in outcomes],
-            "cases": [[s, 2, seed, "case", out == "ok", 1e-15, where]
+            "cases": [[s, 2, seed, "case", out == "ok", 1e-15, 1e-8, False,
+                       where]
                       for s, seed, where, out in outcomes
                       if not out.startswith("Singular")]}
 

@@ -11,12 +11,13 @@ from dataclasses import fields
 
 import pytest
 
+from conftest import strip_timing
 from etlax import cli
 from etlax.context import ModularContext, SamplingError, \
     SingularParameterError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
-    report_json, report_text, strip_timing
-from etlax.suites import SUITE_ORDER, run_suite
+    report_json, report_text
+from etlax.suites import SUITE_ORDER, SUITES, Floor, run_suite
 
 
 def test_suite_registry_names():
@@ -43,6 +44,30 @@ def test_run_suite_passes_and_records_params():
     assert all(c.rel < c.tol for c in rep.cases if not c.control)
 
 
+def test_every_override_row_is_read_and_every_case_reads_its_row():
+    # a case reads the row of its exact name, else of its stem (the name
+    # without trailing digits), else its suite's default; no row is dead
+    read = set()
+    for name, suite in SUITES.items():
+        for n in (2, 3, 4):
+            rep = run_suite(name, default_context(n), 0)
+            assert rep.tolerance == suite.tol
+            for c in rep.cases:
+                stem = c.name.rstrip("0123456789")
+                key = next((k for k in (c.name, stem) if k in suite.overrides),
+                           None)
+                want = suite.tol if key is None else suite.overrides[key]
+                assert (c.tol, c.control) == (want, isinstance(want, Floor)), \
+                    (name, n, c.name)
+                read.add((name, key))
+    rows = {(name, key) for name, suite in SUITES.items()
+            for key in suite.overrides}
+    assert rows <= read, rows - read
+    assert [(name, key) for name, key in rows
+            if isinstance(SUITES[name].overrides[key], Floor)] \
+        == [("theta-space", "negative-control-l")]
+
+
 def test_run_suite_trace_closed_n3_reports_wall_time():
     rep = run_suite("trace-closed", default_context(3), 7)
     assert rep.passed
@@ -61,12 +86,11 @@ def test_report_determinism():
 
 
 def test_strip_timing_keeps_json_content():
-    def report(rel, ok):
-        rep = SuiteReport("fay", {"n": 2}, 1e-9,
-                          [Case("fay", rel, rel, 1e-9, ok)], wall_time_s=1.5)
-        return rep.finalize()
-    passing = strip_timing(report_json([report(1e-12, True)]))
-    failing = strip_timing(report_json([report(1e-3, False)]))
+    def report(rel):
+        return SuiteReport("fay", {"n": 2}, 1e-9,
+                           [Case("fay", rel, rel, 1e-9)], wall_time_s=1.5)
+    passing = strip_timing(report_json([report(1e-12)]))
+    failing = strip_timing(report_json([report(1e-3)]))
     assert passing and failing and passing != failing
     assert "wall_time_s" not in passing
 
@@ -77,9 +101,9 @@ def test_report_worst_values_keep_a_nan():
     nan = float("nan")
 
     def report(*rels, control=False):
-        cases = [Case(f"c{k}", r, r, 1e-9, r < 1e-9) for k, r in enumerate(rels)]
-        cases.append(Case("floor", 5.0, 5.0, 1e-2, True, control=True))
-        return SuiteReport("fay", {"n": 2}, 1e-9, cases).finalize()
+        cases = [Case(f"c{k}", r, r, 1e-9) for k, r in enumerate(rels)]
+        cases.append(Case("floor", 5.0, 5.0, 1e-2, control=True))
+        return SuiteReport("fay", {"n": 2}, 1e-9, cases)
     for rels in ((nan, 1e-3), (1e-3, nan), (0.0, nan, nan, 5.0)):
         assert math.isnan(report(*rels).worst()), rels
     assert report(1e-12, 3e-10, 1e-10).worst() == 3e-10
@@ -94,11 +118,10 @@ def test_json_report_with_a_nan_case_parses():
     # JSON has no NaN: a NaN or infinite number is written as null, so a
     # report that holds one still parses; the text report keeps nan
     nan = float("nan")
-    cases = [Case("fine", 1e-12, 1e-12, 1e-9, True),
-             Case("poisoned", nan, nan, 1e-9, nan < 1e-9),
-             Case("blown", float("inf"), 1.0, 1e-9, False)]
-    rep = SuiteReport("fay", {"n": 2, "tau": complex(nan, 0.8)}, 1e-9,
-                      cases).finalize()
+    cases = [Case("fine", 1e-12, 1e-12, 1e-9),
+             Case("poisoned", nan, nan, 1e-9),
+             Case("blown", float("inf"), 1.0, 1e-9)]
+    rep = SuiteReport("fay", {"n": 2, "tau": complex(nan, 0.8)}, 1e-9, cases)
     doc = json.loads(report_json([rep]))
     poisoned, blown = doc["suites"][0]["cases"][1:]
     assert poisoned["rel"] is None and poisoned["abs"] is None
@@ -157,15 +180,15 @@ def _recursive_report_json(reports):
 
 def test_json_report_is_byte_identical_to_the_recursive_emitter():
     nan, inf = float("nan"), float("inf")
-    cases = [Case("fine", 1e-12, 3e-13, 1e-9, True),
-             Case("poisoned", nan, nan, 1e-9, False),
-             Case("blown", inf, -inf, 1e-9, False),
-             Case('quote"d', 0.0, 0.0, 1e-9, True),
-             Case("floor", 0.5, 0.25, 1e-3, True, control=True)]
+    cases = [Case("fine", 1e-12, 3e-13, 1e-9),
+             Case("poisoned", nan, nan, 1e-9),
+             Case("blown", inf, -inf, 1e-9),
+             Case('quote"d', 0.0, 0.0, 1e-9),
+             Case("floor", 0.5, 0.25, 1e-3, control=True)]
     odd = SuiteReport("fay", {"n": 3, "tau": complex(nan, 0.8),
                               "hbar": complex(0.1, -inf), "seed": 7,
                               "note": "x", "scale": 1.5, "flag": True,
-                              "none": None}, 1e-9, cases).finalize()
+                              "none": None}, 1e-9, cases)
     odd.wall_time_s = 0.125
     real = [run_suite("ybe", default_context(2), 42),
             run_suite("intertwiner", default_context(3), 1)]
@@ -558,9 +581,8 @@ def stub_runs(monkeypatch, actions, workers=2):
         action = actions.get((name, ctx.n))
         if action is not None:
             return action("parent" if os.getpid() == parent else "child")
-        rep = SuiteReport(name, {"n": ctx.n}, 1e-9,
-                          [Case("stub", 0.0, 0.0, 1e-9, True)])
-        return rep.finalize()
+        return SuiteReport(name, {"n": ctx.n}, 1e-9,
+                           [Case("stub", 0.0, 0.0, 1e-9)])
     monkeypatch.setattr(cli, "run_suite", fake)
 
 
@@ -620,9 +642,8 @@ def test_verify_all_overflow_in_a_child_exits_two(monkeypatch, capsys):
 
 def test_verify_all_failure_in_a_child_exits_one(monkeypatch, capsys):
     def failing(where):
-        rep = SuiteReport("ybe", {"n": 2, "where": where}, 1e-9,
-                          [Case("stub", 1.0, 1.0, 1e-9, False)])
-        return rep.finalize()
+        return SuiteReport("ybe", {"n": 2, "where": where}, 1e-9,
+                           [Case("stub", 1.0, 1.0, 1e-9)])
     stub_runs(monkeypatch, {("ybe", 2): failing})
     assert cli.main(["all"]) == 1
     assert_no_children()

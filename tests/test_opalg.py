@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (diff_op, ones, pdo_coeff, rand_complex, shift_eps,
-                      sumzero_exp)
+from conftest import (diff_op, matrix_entry, ones, pdo, pdo_coeff,
+                      rand_complex, shift_eps, sumzero_exp)
 from etlax import opalg as oa
 from etlax import weights as wt
 from etlax.theta import theta
@@ -139,8 +139,8 @@ def test_operator_residual_compares_every_matrix_entry(ctx3):
     a, b = matrix(0.0), matrix(1e-3)
     assert oa.operator_residual(a, matrix(0.0), samples, ctx3).rel == 0.0
     assert oa.operator_residual(a, b, samples, ctx3).rel > 1e-4
-    assert oa.operator_residual(a.entry(0, 0), b.entry(0, 0), samples,
-                                ctx3).rel == 0.0
+    assert oa.operator_residual(matrix_entry(a, 0, 0), matrix_entry(b, 0, 0),
+                                samples, ctx3).rel == 0.0
 
 
 def _matrix(n, keys, coeff):
@@ -184,7 +184,7 @@ def test_normal_det_diagonal_shift_operators(ctx3):
     keys = [tuple(1 if k == i else 0 for k in range(3)) for i in range(3)]
     matrix = _matrix(3, keys, lambda key, i, j, mu:
                      mu[i] + 2.0 if i == j and key[i] else 0.0)
-    entry = matrix.entry(1, 1)
+    entry = matrix_entry(matrix, 1, 1)
     assert entry.table(lam[None])[0, entry.terms.index(keys[0])] == 0.0
     det_op = oa.normal_det(matrix, 0.0, ctx3)
     got = det_op.coeff((1, 1, 1), lam)   # canonicalizes to the identity key
@@ -439,16 +439,16 @@ def test_jet_dshift(ctx3):
 
 def test_partial_derivatives_commute(ctx3):
     samples = wt.sample_many(14, 3, ctx3)
-    di = oa.pdo(3, [((1, 0, 0), 1.0)])
-    dj = oa.pdo(3, [((0, 1, 0), 1.0)])
+    di = pdo(3, [((1, 0, 0), 1.0)])
+    dj = pdo(3, [((0, 1, 0), 1.0)])
     assert oa.pdo_commutator_residual(di, dj, samples, ctx3).rel == 0.0
 
 
 def test_leibniz_base_case(ctx3):
     lam = wt.sample_generic(15, ctx3)
-    mult = oa.pdo(3, [((0, 0, 0), lambda lams, order:
+    mult = pdo(3, [((0, 0, 0), lambda lams, order:
                        _pair_jet(lams, 0, 1, order, ctx3))])
-    d0 = oa.pdo(3, [((1, 0, 0), 1.0)])
+    d0 = pdo(3, [((1, 0, 0), 1.0)])
     comm_left = oa.pdo_compose(mult, d0, ctx3)
     comm_right = oa.pdo_compose(d0, mult, ctx3)
     got = (pdo_coeff(comm_left, (0, 0, 0), lam)
@@ -462,7 +462,7 @@ def test_pdo_apply_with_exponential(ctx3, rng):
     v = rng.normal(size=3)
     v -= v.mean()
     fjet = oa.exp_test_function(v)
-    d2 = oa.pdo(3, [((2, 0, 0), 1.0)])
+    d2 = pdo(3, [((2, 0, 0), 1.0)])
     got = oa.pdo_apply(d2, fjet, lams)
     want = (2j * np.pi * v[0]) ** 2 * fjet(lams, 0)[:, 0]
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
@@ -470,8 +470,8 @@ def test_pdo_apply_with_exponential(ctx3, rng):
 
 def test_pdo_compose_full_leibniz(ctx3):
     lams = wt.sample_many(17, 3, ctx3)
-    a = oa.pdo(3, [((0, 2, 0), 1.0)])
-    b = oa.pdo(3, [((0, 0, 0), lambda mus, order:
+    a = pdo(3, [((0, 2, 0), 1.0)])
+    b = pdo(3, [((0, 0, 0), lambda mus, order:
                     _pair_jet(mus, 1, 2, order, ctx3))])
     op = oa.pdo_compose(a, b, ctx3)
     table = op.table(lams)
@@ -619,7 +619,8 @@ def _dict_cases(n):
     cases.append(("op_add", add, add.table(P), _dict_op_add(
         [_as_dict(m1, P), _as_dict(oa.op_scale(m2, t), P),
          _as_dict(tr.m_dot(c, 1, ctx), P)])))
-    for a, b in ((m1, m1), (m1, m2), (m2, tr.l_op(c, u, ctx).entry(0, 1))):
+    for a, b in ((m1, m1), (m1, m2),
+                 (m2, matrix_entry(tr.l_op(c, u, ctx), 0, 1))):
         comp = oa.compose(a, b, ctx)
         cases.append(("compose", comp, comp.table(P),
                       _dict_compose(a, b, P, ctx)))

@@ -13,7 +13,7 @@ from etlax import thetaspace as ts
 from etlax import transfer as tr
 from etlax import weights as wt
 from etlax.context import default_context
-from conftest import shift
+from conftest import matrix_entry, shift
 
 U0 = 0.213 + 0.057j
 
@@ -163,6 +163,19 @@ def test_character_basis_is_the_multisets_in_order(n, l):
         [np.prod(X[:, row], axis=-1) for row in E], axis=-1))
 
 
+@pytest.mark.parametrize("n,l", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_basis_table_at_one_point_is_its_row_in_a_batch(n, l):
+    # the factors are multiplied left to right: a point's value does not
+    # depend on the batch it is read in, bit for bit
+    ctx = default_context(n)
+    E = ts.character_basis(l, n)
+    P = wt.sample_many(5, 6, ctx)
+    table = ts.basis_table(E, P, ctx)
+    for s in range(len(P)):
+        assert np.array_equal(ts.basis_table(E, P[s], ctx), table[s])
+    assert table.flags.c_contiguous
+
+
 def test_gram_rank_matches_basis(ctx2, ctx3):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         dim = ts.orbit_count(ctx.n, l)
@@ -179,7 +192,8 @@ def test_gram_rank_needs_enough_points(ctx2):
 def test_fit_action_invariance(ctx2, ctx3, rng):
     for ctx, l in ((ctx2, 1), (ctx2, 2), (ctx3, 1)):
         lop = tr.l_op(float(l), U0, ctx)
-        worst = th.worst_of(ts.fit_action(l, lop.entry(i, j), ctx, [9])[1]
+        worst = th.worst_of(ts.fit_action(l, matrix_entry(lop, i, j), ctx,
+                                          [9])[1]
                             for i in range(ctx.n) for j in range(ctx.n))
         assert worst.rel < 1e-7
         m1 = tr.m_closed(float(l), U0, 1, ctx)
@@ -214,7 +228,7 @@ def test_fit_action_recovers_r_matrix_coefficients(ctx3):
     basis = ts.character_basis(1, n)
     for i in range(n):
         for j in range(n):
-            coeffs, res = ts.fit_action(1, lop.entry(i, j), ctx3, [21])
+            coeffs, res = ts.fit_action(1, matrix_entry(lop, i, j), ctx3, [21])
             assert coeffs.shape == (1, n, n) and res.rel < 1e-8
             for row, js in enumerate(basis):
                 a = ts.gamma_index(js[0], n)
@@ -320,7 +334,7 @@ def test_apply_batch_of_a_matrix_matches_entry_batches(ctx3):
     assert got.shape == (5, 3, 3)
     for i in range(3):
         for j in range(3):
-            want = apply_op(lop.entry(i, j), fn, lams, ctx3)
+            want = apply_op(matrix_entry(lop, i, j), fn, lams, ctx3)
             assert np.array_equal(got[:, i, j], want)
 
 
@@ -334,7 +348,7 @@ def test_fit_action_of_a_matrix_matches_entry_fits(ctx2):
     found = []
     for i in range(2):
         for j in range(2):
-            want, one = ts.fit_action(2, lop.entry(i, j), ctx2,
+            want, one = ts.fit_action(2, matrix_entry(lop, i, j), ctx2,
                                       [seeds[2 * i + j]])
             assert np.array_equal(coeffs[2 * i + j], want[0])
             found.append(one)

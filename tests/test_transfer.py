@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (diff_op, ones, pdo_coeff, rand_complex, shift,
-                      sumzero_exp, table_reads)
+from conftest import (diff_op, matrix_entry, ones, pdo, pdo_coeff,
+                      rand_complex, shift, sumzero_exp, table_reads)
 from etlax.context import SingularParameterError, default_context
 from etlax import opalg as oa
 from etlax import transfer as tr
@@ -26,7 +26,7 @@ def test_l_operator_structure(ctx3):
     lop = tr.l_op(C0, U0, ctx3)
     for i in range(3):
         for j in range(3):
-            keys = sorted(lop.entry(i, j).terms)
+            keys = sorted(matrix_entry(lop, i, j).terms)
             assert len(keys) == 3      # one single-shift term per k
             assert (0, 0, 1) in keys or (0, 1, 0) in keys or (1, 0, 0) in keys
 
@@ -38,7 +38,7 @@ def test_c0_collapses_to_identity(ctx2, ctx3):
         lam = wt.sample_generic(21, ctx)
         for i in range(ctx.n):
             for j in range(ctx.n):
-                got = oa.apply_op(lop.entry(i, j), one, lam, ctx)
+                got = oa.apply_op(matrix_entry(lop, i, j), one, lam, ctx)
                 assert abs(got - (1.0 if i == j else 0.0)) < 1e-12
 
 
@@ -68,7 +68,7 @@ def test_fused_l_edges(ctx3):
     assert np.array_equal(lop.table(samples), want)
     for i in range(3):
         for j in range(3):
-            entry = lop.entry(i, j)
+            entry = matrix_entry(lop, i, j)
             assert entry.terms == lop.terms
             assert np.array_equal(entry.table(samples), want[:, :, i, j])
     fn = tr.fused_l(C0, U0, 3, ctx3)
@@ -457,8 +457,9 @@ def test_ltilde_conjugation_reads_each_table_once(monkeypatch):
         direct, conj = tr.l_tilde(C0, U0, ctx), tr.l_tilde_conjugated(C0, U0,
                                                                       ctx)
         # the entry-by-entry reduction, one operator_residual per entry
-        want = worst_of(oa.operator_residual(direct.entry(i, j),
-                                             conj.entry(i, j), samples, ctx)
+        want = worst_of(oa.operator_residual(matrix_entry(direct, i, j),
+                                             matrix_entry(conj, i, j),
+                                             samples, ctx)
                         for i in range(n) for j in range(n))
         calls, real = [], tr.l_coeff_tensor
         monkeypatch.setattr(tr, "l_coeff_tensor",
@@ -825,13 +826,13 @@ _BUILDERS = {
     "m_trace": lambda ctx: tr.m_trace(C0, U0, 2, ctx),
     "m_dot": lambda ctx: tr.m_dot(C0, 2, ctx),
     "m_closed": lambda ctx: tr.m_closed(C0, U0, 1, ctx),
-    "entry": lambda ctx: tr.l_op(C0, U0, ctx).entry(0, 1),
+    "entry": lambda ctx: matrix_entry(tr.l_op(C0, U0, ctx), 0, 1),
     "fused_l": lambda ctx: tr.fused_l(C0, U0, 2, ctx),
     "l_tilde": lambda ctx: tr.l_tilde(C0, U0, ctx),
     "l_tilde_conjugated": lambda ctx: tr.l_tilde_conjugated(C0, U0, ctx),
     "sekiguchi_matrix": lambda ctx: tr.sekiguchi_matrix(C0, U0, _T0, ctx),
-    "pdo": lambda ctx: oa.pdo(ctx.n, [((0, 1, 0), 2.0), ((1, 0, 0), 1.0),
-                                      ((0, 1, 0), -1.0)]),
+    "pdo": lambda ctx: pdo(ctx.n, [((0, 1, 0), 2.0), ((1, 0, 0), 1.0),
+                                  ((0, 1, 0), -1.0)]),
     "pdo_compose": lambda ctx: oa.pdo_compose(
         *tr.build_d_ops(C0, ctx)[:2], ctx),
     "op_add_differential": lambda ctx: oa.op_add(*tr.build_d_ops(C0, ctx)),
@@ -971,7 +972,7 @@ def test_l_op_entry_reads_one_coefficient_tensor(ctx3, monkeypatch):
         return real(*args)
     monkeypatch.setattr(tr, "l_coeff_tensor", counted)
     lam = wt.sample_generic(52, ctx3)
-    entry = tr.l_op(C0, U0, ctx3).entry(0, 1)
+    entry = matrix_entry(tr.l_op(C0, U0, ctx3), 0, 1)
     oa.apply_op(entry, ones, lam, ctx3)
     assert len(calls) == 1
 
@@ -1075,9 +1076,10 @@ def _tree_m_trace(c, u, d, ctx, wrong_level=None):
     parts = []
     for big_i in itertools.combinations(range(ctx.n), d):
         for perm in itertools.permutations(range(d)):
-            op = levels[0].entry(big_i[perm[0]], big_i[0])
+            op = matrix_entry(levels[0], big_i[perm[0]], big_i[0])
             for r in range(1, d):
-                op = oa.compose(op, levels[r].entry(big_i[perm[r]], big_i[r]),
+                op = oa.compose(op, matrix_entry(levels[r], big_i[perm[r]],
+                                                 big_i[r]),
                                 ctx)
             parts.append(oa.op_scale(op, float(oa.perm_sign(perm))))
     return oa.op_add(*parts)
@@ -1164,7 +1166,7 @@ def test_normal_det_matches_definition():
         for matrix, tt in ((tr.l_op(c, u, ctx), t),
                            (tr.l_tilde(c, u, ctx), t),
                            (tr.sekiguchi_matrix(c, u, t, ctx), 0.0)):
-            entries = [[matrix.entry(i, j) for j in range(n)]
+            entries = [[matrix_entry(matrix, i, j) for j in range(n)]
                        for i in range(n)]
             got = _table_of(oa.normal_det(matrix, tt, ctx), samples)
             assert _table_rel(got, _det_by_definition(entries, tt, samples)) \

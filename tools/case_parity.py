@@ -39,24 +39,29 @@ a run that raises is recorded with its error and does not hide the others
 (inside `verify all` the first raise ends the command with exit 2).
 
 The record is JSON: {"src", "runs": [[suite, n, seed, outcome]], "cases":
-[[suite, n, seed, case, ok, rel]]}, where outcome is "ok", "fail" (some
-case not ok) or the error's type and message, and a NaN rel is null; a
-grid row ends with one more field, its context ("tau=0.1+0.3j"), which
-is part of its key.  `--compare A B` prints the runs whose outcome
-differs, then, per context and suite, the raises and the failing runs of
-A and of B wherever either has some, the cases whose ok flag flips (with
-both rels) and, per context and suite, how many flip green->red and how
-many red->green, the cases present on one side only, and the ratio max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
+[[suite, n, seed, case, ok, rel, tol, control]]}, where outcome is "ok",
+"fail" (some case not ok) or the error's type and message, a NaN rel is
+null, tol is the case's tolerance (a control's floor) and control its
+negative-control flag; a grid row ends with one more field, its context
+("tau=0.1+0.3j"), which is part of its key.  `--compare A B` prints the
+runs whose outcome differs, then, per context and suite, the raises and
+the failing runs of A and of B wherever either has some, the cases present
+on one side only, the cases whose ok flag flips (with both rels) and, per
+context and suite, how many flip green->red and how many red->green, the
+cases whose tolerance or control flag moved (a tolerance table moved by a
+refactor shows here even where no ok flag flips), and the ratio
+max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
 bit-identical, and the largest growths; then, per (suite, case stem), the
 number of rels that moved, the stem being the case name without its
 trailing digits (`fay/fay-d 200` counts fay-d1 to fay-d4 of every n and
 seed).  Below FLOOR = 1e-14 a rel is rounding noise, so a rel that moves
 within the rounding floor (say from 1e-17 to 6e-16) reads as a ratio of
-1, not as a growth of 64x.  It exits 1
-if any ok flag or outcome differs or a run or case is present on one side
-only (a dropped or renamed case), else 0.  If the reader of its output
-goes away early (`--compare A B | head`), the rest is discarded quietly and
-the exit status is the same.
+1, not as a growth of 64x.  It exits 1 if any ok flag, tolerance, control
+flag or outcome differs or a run or case is present on one side only (a
+dropped or renamed case), else 0; a record whose case rows lack tol and
+control is refused.  If the reader of its output goes away
+early (`--compare A B | head`), the rest is discarded quietly and the exit
+status is the same.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ def record(args):
             continue
         runs.append([suite, n, seed, "ok" if rep.passed else "fail", *where])
         cases += [[suite, n, seed, c.name, bool(c.ok),
-                   None if math.isnan(c.rel) else float(c.rel), *where]
+                   None if math.isnan(c.rel) else float(c.rel),
+                   float(c.tol), bool(c.control), *where]
                   for c in rep.cases]
     doc = {"src": str(Path(args.src).resolve()), "runs": runs, "cases": cases}
     Path(args.out).write_text(json.dumps(doc) + "\n")
@@ -154,7 +160,7 @@ def _run_key(row):          # (suite, n, seed), then a grid row's context
 
 
 def _case_key(row):         # (suite, n, seed, case), then the context
-    return tuple(row[:4]) + tuple(row[6:])
+    return tuple(row[:4]) + tuple(row[8:])
 
 
 def _tallies(doc) -> Counter:
@@ -183,6 +189,10 @@ def _say(line):
 
 def compare(path_a, path_b) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    for path, doc in ((path_a, a), (path_b, b)):
+        if any(len(row) not in (8, 9) for row in doc["cases"]):
+            sys.exit(f"error: {path} has case rows without tol and control; "
+                     f"record it again with this tool")
     differs = 0
     runs_a = {_run_key(r): r[3] for r in a["runs"]}
     runs_b = {_run_key(r): r[3] for r in b["runs"]}
@@ -199,16 +209,19 @@ def compare(path_a, path_b) -> int:
             f"{kind} {tally_a[(where, suite, kind)]} -> "
             f"{tally_b[(where, suite, kind)]}"
             for kind in ("raises", "fails")))
-    cases_a = {_case_key(c): c[4:6] for c in a["cases"]}
-    cases_b = {_case_key(c): c[4:6] for c in b["cases"]}
+    cases_a = {_case_key(c): c[4:8] for c in a["cases"]}
+    cases_b = {_case_key(c): c[4:8] for c in b["cases"]}
     one_sided = sorted(cases_a.keys() ^ cases_b.keys(), key=str)
     for key in one_sided:
         _say(f"only in {'A' if key in cases_a else 'B'}: {key}")
     common = sorted(cases_a.keys() & cases_b.keys(), key=str)
-    flips, same, ratios, stems = [], 0, [], Counter()
+    flips, tols, same, ratios, stems = [], [], 0, [], Counter()
     for key in common:
-        (ok_a, rel_a), (ok_b, rel_b) = cases_a[key], cases_b[key]
+        (ok_a, rel_a, *tol_a), (ok_b, rel_b, *tol_b) = (cases_a[key],
+                                                        cases_b[key])
         rel_a, rel_b = _rel(rel_a), _rel(rel_b)
+        if tol_a != tol_b:
+            tols.append((key, tol_a, tol_b))
         if ok_a != ok_b:
             flips.append((key, ok_a, rel_a, ok_b, rel_b))
         if rel_a == rel_b or (math.isnan(rel_a) and math.isnan(rel_b)):
@@ -220,7 +233,8 @@ def compare(path_a, path_b) -> int:
                            rel_a, rel_b))
     directions = Counter()
     for key, ok_a, rel_a, ok_b, rel_b in flips:
-        _say(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} rel={rel_b:.3g}")
+        _say(f"ok flip {key}: {ok_a} rel={rel_a:.3g} -> {ok_b} "
+             f"rel={rel_b:.3g}")
         directions[(key[4] if len(key) > 4 else "default", key[0],
                     "green->red" if ok_a else "red->green")] += 1
     if flips:
@@ -229,9 +243,12 @@ def compare(path_a, path_b) -> int:
         _say(f"  {where} {suite}: " + ", ".join(
             f"{kind} {directions[(where, suite, kind)]}"
             for kind in ("green->red", "red->green")))
-    _say(f"{len(common)} common cases: {len(flips)} ok flips, {same} "
-         f"bit-identical rels, {len(ratios)} moved, "
-         f"{len(common) - same - len(ratios)} moved to or from NaN")
+    for key, (tol_a, control_a), (tol_b, control_b) in tols:
+        _say(f"tolerance moved {key}: tol={tol_a:g} control={control_a} -> "
+             f"tol={tol_b:g} control={control_b}")
+    _say(f"{len(common)} common cases: {len(flips)} ok flips, {len(tols)} "
+         f"tolerance changes, {same} bit-identical rels, {len(ratios)} "
+         f"moved, {len(common) - same - len(ratios)} moved to or from NaN")
     if ratios:
         ratios.sort()
         _say(f"max(rel_B, {FLOOR:g}) / max(rel_A, {FLOOR:g}) from "
@@ -242,7 +259,7 @@ def compare(path_a, path_b) -> int:
         _say("moved rels per suite/case stem:")
         for stem, count in sorted(stems.items()):
             _say(f"  {stem} {count}")
-    return 1 if flips or differs or one_sided else 0
+    return 1 if flips or tols or differs or one_sided else 0
 
 
 def main(argv=None) -> int:
