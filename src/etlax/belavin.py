@@ -50,7 +50,7 @@ from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
 from .stream import Stream
 from .theta import (_EPS, Residual, circle, dedekind_eta,
-                    laurent_coefficient, residual_arrays, theta_char_table,
+                    laurent_coefficient, residual_pair, theta_char_table,
                     theta_level_table, theta_scale, theta_table,
                     vandermonde_product, worst_of_arrays)
 
@@ -531,8 +531,7 @@ def verify_intertwiners(us, mus, ctx: ModularContext) -> dict:
     want = vandermonde_product(args, ctx) * (-1) ** (n - 1)
     return {"duality": _rel(np.stack([phibar @ phi, phi @ phibar], axis=1),
                             np.eye(n)),
-            "det-closed-form": worst_of_arrays(*residual_arrays(
-                np.linalg.det(phi), want))}
+            "det-closed-form": residual_pair(np.linalg.det(phi), want)}
 
 
 def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
@@ -564,10 +563,9 @@ def verify_intertwining(us, vs, P, ctx: ModularContext) -> dict:
     uv = lambda x: _path_tensor([x[0][:, 0], x[1][:, 1]], n)
     vu = lambda x: _path_tensor([x[0][:, 1], x[1][:, 0]], n)
     rows = [x.swapaxes(-1, -2) for x in phibar]
-    return {"vertex-face": worst_of_arrays(*residual_arrays(
-                rc @ uv(phi), vu(phi) @ w)),
-            "dual": worst_of_arrays(*residual_arrays(
-                vu(rows).swapaxes(-1, -2) @ rc, w @ uv(rows).swapaxes(-1, -2)))}
+    return {"vertex-face": residual_pair(rc @ uv(phi), vu(phi) @ w),
+            "dual": residual_pair(vu(rows).swapaxes(-1, -2) @ rc,
+                                  w @ uv(rows).swapaxes(-1, -2))}
 
 
 # ----------------------------------------------------------------- fusion

@@ -38,7 +38,7 @@ DEFAULTS = {
     "n": 2,
     "tau_re": DEFAULT_TAU.real, "tau_im": DEFAULT_TAU.imag,
     "hbar_re": DEFAULT_HBAR.real, "hbar_im": DEFAULT_HBAR.imag,
-    "tol_identity": 1e-8,
+    "tol_identity": ModularContext.tol_identity,
     "seed": 42,
 }
 
@@ -215,11 +215,11 @@ def main(argv=None) -> int:
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(report_json(reports))
+    # ValueError: also a bad context or config line (ContextError);
     # ArithmeticError: a singular parameter (SingularParameterError) or a
     # value out of floating-point range (OverflowError); OSError: also a
     # report path that cannot be written
-    except (ContextError, OSError, ValueError, ArithmeticError,
-            SamplingError) as exc:
+    except (OSError, ValueError, ArithmeticError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report_text(reports))

@@ -2,13 +2,16 @@
 
 Each suite is a generator: it draws its sample parameters from a seeded
 stream, runs the corresponding module checks and yields (case name,
-Residual) pairs.  run_suite turns each pair into a Case against the one
-tolerance table SUITES: the suite's default tolerance, or the override row
-of the case's stem (its name without trailing digits) or, where the members
-of one family differ, of its exact name.  The hbar -> 0 cases (krichever,
-cm-limit and qfay-hbar0-degeneration) read Laurent coefficients on
-theta.circle; their looser tolerances were set for an earlier
-finite-difference extrapolation and are not tightened yet.
+Residual) pairs.  A case that compares two sides itself reads them as
+arrays and takes theta.residual_pair; one that reduces deviations takes
+theta.worst_of_arrays, the one worst-case rule.  run_suite turns each pair
+into a Case against the one tolerance table SUITES: the suite's default
+tolerance, or the override row of the case's stem (its name without
+trailing digits) or, where the members of one family differ, of its exact
+name.  The hbar -> 0 cases (krichever, cm-limit and
+qfay-hbar0-degeneration) read Laurent coefficients on theta.circle; their
+looser tolerances were set for an earlier finite-difference extrapolation
+and are not tightened yet.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +34,7 @@ from .opalg import (apply_op, exp_function, identity_op, jet_deriv,
                     pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .stream import Stream
-from .theta import Residual
+from .theta import _EPS, Residual
 from .weights import _MAX_TRIES, sample_generic, sample_many
 
 
@@ -51,11 +55,6 @@ def _seed(rng) -> int:
 def _sumzero_vec(rng, n: int):
     v = rng.uniform(-1, 1, size=n)
     return v - v.mean()
-
-
-def _worst_deviation(devs) -> Residual:
-    """worst_of over the deviations devs, each its own rel and abs."""
-    return th.worst_of(Residual(d, d) for d in devs)
 
 
 def _contour_derivative(us, order: int, ctx: ModularContext) -> np.ndarray:
@@ -91,36 +90,31 @@ def _reference_series(m: float, l: int, u: complex, tau: complex) -> tuple:
 # ----------------------------------------------------------------- suites
 
 def suite_theta(ctx: ModularContext, rng):
-    us = _rcs(rng, (20,)).tolist()
-    fac = lambda u: -cmath.exp(-2j * cmath.pi * (u + ctx.tau / 2.0))
+    us = _rcs(rng, (20,))
     at_u, at_u1, at_utau, at_neg = th.theta_table(
-        [us, [u + 1 for u in us], [u + ctx.tau for u in us], [-u for u in us]],
-        ctx).tolist()
-    yield "quasi-periodicity-1", th.worst_of(
-        th.residual_pair(t1, -t0) for t0, t1 in zip(at_u, at_u1))
-    yield "quasi-periodicity-tau", th.worst_of(
-        th.residual_pair(tt, fac(u) * t0)
-        for u, t0, tt in zip(us, at_u, at_utau))
-    yield "oddness", th.worst_of(
-        th.residual_pair(tn, -t0) for t0, tn in zip(at_u, at_neg))
+        [us, us + 1, us + ctx.tau, -us], ctx)
+    fac = -np.exp(-2j * np.pi * (us + ctx.tau / 2.0))
+    yield "quasi-periodicity-1", th.residual_pair(at_u1, -at_u)
+    yield "quasi-periodicity-tau", th.residual_pair(at_utau, fac * at_u)
+    yield "oddness", th.residual_pair(at_neg, -at_u)
 
-    us = _rcs(rng, (10,)).tolist()
-    yield "triple-product", th.worst_of(
-        th.residual_pair(t0, th.jacobi_theta_triple_product(u, ctx))
-        for u, t0 in zip(us, th.theta_table(us, ctx).tolist()))
+    us = _rcs(rng, (10,))
+    yield "triple-product", th.residual_pair(
+        th.theta_table(us, ctx),
+        [th.jacobi_theta_triple_product(u, ctx) for u in map(complex, us)])
 
-    found = []
-    tail_ok = True
+    got, ref, tail_ok = [], [], True
     for _ in range(6):
         m = float(rng.uniform(-1, 1))
         l = int(rng.integers(1, 4))
         u = _rc(rng)
-        got = th.theta_ml(m, l, u, ctx.tau)
-        ref, largest = _reference_series(m, l, u, ctx.tau)
+        value = th.theta_ml(m, l, u, ctx.tau)
+        exact, largest = _reference_series(m, l, u, ctx.tau)
         # theta_ml's tail is at most the window's drop times the largest term
-        tail_ok = tail_ok and got.tail_bound <= th._WINDOW_DROP * largest
-        found.append(th.residual_pair(got.value, ref))
-    yield "series-vs-reference", th.worst_of(found)
+        tail_ok = tail_ok and value.tail_bound <= th._WINDOW_DROP * largest
+        got.append(value.value)
+        ref.append(exact)
+    yield "series-vs-reference", th.residual_pair(got, ref)
     yield "tail-bounds", Residual(0.0 if tail_ok else 1.0, 0.0)
 
     u = _rc(rng)
@@ -129,35 +123,30 @@ def suite_theta(ctx: ModularContext, rng):
         th.theta_ml(0.3, 1, u, ctx.tau).value)
 
     rows = range(ctx.n)
-    zeros = np.diag(th.theta_char_table(rows, [j * ctx.tau for j in rows], ctx))
+    zeros = np.abs(np.diag(th.theta_char_table(
+        rows, [j * ctx.tau for j in rows], ctx)))
     chars = th.theta_char_table([*rows, *(j + ctx.n for j in rows)], [u],
-                                ctx)[:, 0].tolist()
-    levels = th.theta_level_table(rows, [u], ctx)[:, 0].tolist()
-    found = []
-    for j in rows:
-        z = abs(complex(zeros[j]))
-        found += [Residual(z, z),
-                  th.residual_pair(chars[ctx.n + j], chars[j]),
-                  th.residual_pair(levels[j],
-                                   th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
-                                               ctx.tau).value)]
-    yield "character-thetas", th.worst_of(found)
+                                ctx)[:, 0]
+    yield "character-thetas", th.worst_of([
+        th.worst_of_arrays(zeros, zeros),
+        th.residual_pair(chars[ctx.n:], chars[:ctx.n]),
+        th.residual_pair(th.theta_level_table(rows, [u], ctx)[:, 0],
+                         [th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
+                                      ctx.tau).value for j in rows])])
 
     yield "eta-log-sum", th.residual_pair(
         th.dedekind_eta(ctx.tau, ctx), th.dedekind_eta_logsum(ctx.tau))
 
     us = _rcs(rng, (10,))
-    yield "derivative-vs-contour", th.worst_of_arrays(
-        *th.residual_arrays(th.theta_table(us, ctx, 1),
-                            _contour_derivative(us, 1, ctx)))
+    yield "derivative-vs-contour", th.residual_pair(
+        th.theta_table(us, ctx, 1), _contour_derivative(us, 1, ctx))
 
     u = _rc(rng, 0.3) + 0.05
     u0 = 1e-3 * cmath.exp(0.37j)
-    wp_u, wp_minus, wp_period, wp_0 = th.weierstrass_p(
-        np.array([u, -u, u + 1, u0]), ctx).tolist()
-    yield "wp-even", th.residual_pair(wp_u, wp_minus)
-    yield "wp-period", th.residual_pair(wp_period, wp_u)
-    res = abs(u0 * u0 * wp_0 - 1.0)
+    wp = th.weierstrass_p(np.array([u, -u, u + 1, u0]), ctx)
+    yield "wp-even", th.residual_pair(wp[0], wp[1])
+    yield "wp-period", th.residual_pair(wp[2], wp[0])
+    res = abs(u0 * u0 * wp[3] - 1.0)
     yield "wp-laurent", Residual(res, res)
 
 
@@ -189,10 +178,10 @@ def suite_face_ybe(ctx: ModularContext, rng):
     yield "face-ybe", bv.verify_face_ybe(us, vs, ws, P[:25], ctx)
     # W(0) on two-step paths: diag at (0,0), cis at (0,1), trans (0,1)->(1,0)
     w = bv.face_operator_matrix(P[25], 2, [(0, 0.0)], ctx)
-    w0, wc, wt = (complex(w[r, c]) for r, c in ((0, 0), (1, 1), (ctx.n, 1)))
-    yield "face-weight-diag-u0", th.residual_pair(w0, 1.0 + 0.0j)
-    yield "face-weight-trans-u0", Residual(abs(wt), abs(wt))
-    yield "face-weight-cis-u0", th.residual_pair(wc, 1.0 + 0.0j)
+    trans = np.abs(w[ctx.n, 1])
+    yield "face-weight-diag-u0", th.residual_pair(w[0, 0], 1.0)
+    yield "face-weight-trans-u0", Residual(trans, trans)
+    yield "face-weight-cis-u0", th.residual_pair(w[1, 1], 1.0)
 
 
 def suite_intertwiner(ctx: ModularContext, rng):
@@ -293,17 +282,16 @@ def suite_qfay(ctx: ModularContext, rng):
             d, draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:], ctx)
     # hbar -> 0 degeneration towards the Cauchy-type form
     d = 2
-    u, *draws = _rcs(rng, (2 * d + 1,)).tolist()
-    lams, mus = draws[:d], draws[d:]
+    draws = _rcs(rng, (2 * d + 1,))
+    u, lams, mus = draws[0], draws[1:d + 1], draws[d + 1:]
     hs = th.circle()
-    lhs = complex(th.laurent_coefficient(th.qfay_lhs(d, u, lams, mus, ctx, hs),
-                                         hs, 0))
-    values = th.theta_table(
-        [u + sum(m - l for m, l in zip(mus, lams))] + [u] * (d - 1)
-        + [a for s in range(d) for sp in range(s + 1, d)
-           for a in (lams[sp] - lams[s], mus[s] - mus[sp])], ctx)
+    s, sp = np.triu_indices(d, 1)
+    values = th.theta_table(np.concatenate(
+        [[u + np.sum(mus - lams)], [u] * (d - 1),
+         np.stack([lams[sp] - lams[s], mus[s] - mus[sp]], -1).ravel()]), ctx)
     yield "qfay-hbar0-degeneration", th.residual_pair(
-        lhs, complex(np.prod(values)))
+        th.laurent_coefficient(th.qfay_lhs(d, u, lams, mus, ctx, hs), hs, 0),
+        np.prod(values))
 
 
 def suite_fay(ctx: ModularContext, rng):
@@ -325,8 +313,8 @@ def suite_fay(ctx: ModularContext, rng):
         if need:
             raise SamplingError(f"fay-d{d}: no 50 regular samples in "
                                 f"{_MAX_TRIES} rounds")
-        yield f"fay-d{d}", th.worst_of_arrays(*th.residual_arrays(
-            np.concatenate(lhs), np.concatenate(rhs)))
+        yield f"fay-d{d}", th.residual_pair(np.concatenate(lhs),
+                                            np.concatenate(rhs))
 
 
 def suite_vandermonde(ctx: ModularContext, rng):
@@ -374,12 +362,6 @@ def suite_ruijsenaars(ctx: ModularContext, rng):
     yield "c0-trivial", out0["coefficient"]
 
 
-def _coeffs_at(op, lam) -> dict:
-    """Every coefficient of a differential operator at one point lam[n],
-    by term: its table at the batch of one, read once."""
-    return dict(zip(op.terms, op.table(lam[None])[0, :, 0].tolist()))
-
-
 def suite_krichever(ctx: ModularContext, rng):
     c, u = _rc(rng), _rc(rng)
     samples = sample_many(_seed(rng), 3, ctx)
@@ -420,40 +402,33 @@ def suite_debiard(ctx: ModularContext, rng):
     n = ctx.n
     d_ops = tr.build_d_ops(c, ctx)
     samples = sample_many(_seed(rng), 3, ctx)
-    # displayed forms of the first two operators; sums like sum_i d_i Delta /
-    # Delta vanish identically by oddness, so residuals are scaled by the
-    # magnitude of the individual terms rather than by the (zero) sum
-    lam = samples[0]
-    d1 = _coeffs_at(d_ops[0], lam)
-    xs = [lam[i] - lam[k] for i in range(n) for k in range(n) if k != i]
-    terms = [t1 / t0 for t1, t0 in zip(th.theta_table(xs, ctx, 1).tolist(),
-                                       th.theta_table(xs, ctx).tolist())]
-    scale = sum(abs(t) for t in terms) + 1e-300
-    devs = [abs(d1[(0,) * n] - sum(terms)) / scale]
-    for i in range(n):
-        ei = tuple(1 if a == i else 0 for a in range(n))
-        devs.append(abs(d1[ei] - (-n / c)) / abs(n / c))
-    yield "first-operator-form", _worst_deviation(devs)
-    d2 = _coeffs_at(d_ops[1], lam)
-    jd = tr.delta_jet(lam[None], 2, ctx)
+    # displayed forms of the first two operators at samples[0], each
+    # coefficient once, against the terms it sums: d_i Delta / Delta is
+    # sum_{k != i} theta'/theta(lam_ik) in D1, the d_j Delta / Delta (-n/c),
+    # j != i, of the unit key e_i in D2.  Sums like sum_i d_i Delta / Delta
+    # vanish identically by oddness, so a residual is scaled by the moduli
+    # of its terms rather than by their (zero) sum
+    lam = samples[:1]
+    key = lambda *idx: tuple(int(a in idx) for a in range(n))
+    pairs = list(combinations(range(n), 2))
+    xs = (lam[0, :, None] - lam[0])[~np.eye(n, dtype=bool)]
+    jd = tr.delta_jet(lam, 2, ctx)
     # d^alpha Delta / Delta at lam, from the jet of Delta
-    ratio = lambda alpha: complex(jet_deriv(jd, n, alpha)[0, 0] / jd[0, 0])
-    devs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            eij = tuple(1 if a in (i, j) else 0 for a in range(n))
-            devs.append(abs(d2[eij] - (n / c) ** 2) / abs(n / c) ** 2)
-            alpha = tuple(1 if a == i else 0 for a in range(n))
-            # sum over pairs {i, j'} containing i of d_j' Delta/Delta (-n/c)
-            lterms = [ratio(tuple(int(a == jp) for a in range(n)))
-                      * (-n / c) for jp in range(n) if jp != i]
-            lscale = sum(abs(t) for t in lterms) + 1e-300
-            devs.append(abs(d2[alpha] - sum(lterms)) / lscale)
-    zterms = [ratio(tuple(1 if a in (i, j) else 0 for a in range(n)))
-              for i in range(n) for j in range(i + 1, n)]
-    zscale = sum(abs(t) for t in zterms) + 1e-300
-    devs.append(abs(d2[(0,) * n] - sum(zterms)) / zscale)
-    yield "second-operator-form", _worst_deviation(devs)
+    ratio = lambda *idx: jet_deriv(jd, n, key(*idx))[0, 0] / jd[0, 0]
+    forms = {
+        "first-operator-form": (d_ops[0], {
+            key(): th.theta_table(xs, ctx, 1) / th.theta_table(xs, ctx),
+            **{key(i): [-n / c] for i in range(n)}}),
+        "second-operator-form": (d_ops[1], {
+            key(): [ratio(i, j) for i, j in pairs],
+            **{key(i): [ratio(j) * (-n / c) for j in range(n) if j != i]
+               for i in range(n)},
+            **{key(i, j): [(n / c) ** 2] for i, j in pairs}})}
+    for name, (op, want) in forms.items():
+        got = op.table(lam)[0, [op.terms.index(t) for t in want], 0]
+        devs = [abs(g - np.sum(t)) / (np.sum(np.abs(t)) + _EPS)
+                for g, t in zip(got, want.values())]
+        yield name, th.worst_of_arrays(devs, devs)
     yield "pairwise-commutators", th.worst_of(
         pdo_commutator_residual(d_ops[a], d_ops[b], samples, ctx)
         for a in range(n) for b in range(a + 1, n))
@@ -479,10 +454,13 @@ def suite_theta_space(ctx: ModularContext, rng):
         yield f"m1-invariance-l{l}", res
         yield f"negative-control-l{l}", ts.negative_control(l, m1, ctx,
                                                             _seed(rng))
-    yield "level1-module-relation", ts.verify_module_iso(1, u, ctx, samples=15)
+    yield "level1-module-relation", ts.verify_module_iso(1, u, ctx, _seed(rng),
+                                                         samples=15)
     if n == 2:
-        yield "module-isomorphism-l2", ts.verify_module_iso(2, u, ctx)
-        yield "symmetrized-ordering", ts.verify_symmetrized_ordering(2, u, ctx)
+        yield "module-isomorphism-l2", ts.verify_module_iso(2, u, ctx,
+                                                            _seed(rng))
+        yield "symmetrized-ordering", ts.verify_symmetrized_ordering(
+            2, u, ctx, _seed(rng))
 
 
 def suite_eigen_l1(ctx: ModularContext, rng):

@@ -45,9 +45,10 @@ the rest of the batch.  A product over powers x^m (eta, the triple
 product, the ground-state weight) stops by the same 2^-60, at the least M
 with |x|^M <= 2^-60 (_product_length).
 
-A check reduces its residuals with worst_of (or worst_of_arrays for a
-vectorized check): the largest rel, the first on ties, and a NaN rel wins,
-so a check that computed a NaN fails.
+Two sides are compared by one rule, residual_pair (residual_arrays entry
+by entry), and residuals are reduced by one rule, worst_of_arrays (worst_of
+over a sequence of Residuals): the largest rel, the first on ties, and a
+NaN rel wins, so a check that computed a NaN fails.
 """
 
 from __future__ import annotations
@@ -92,23 +93,18 @@ class Residual:
 
 
 def worst_of(residuals) -> Residual:
-    """The residual with the largest rel, the first one on ties.
-
-    Starts from Residual(0, 0), so an empty or all-zero input gives that.
-    A NaN rel wins over every number (the first NaN is kept), so a check
-    that computed a NaN residual fails.  Every item is consumed.
-    """
-    worst = Residual(0.0, 0.0)
-    for r in residuals:
-        if r.rel > worst.rel or (r.rel != r.rel and worst.rel == worst.rel):
-            worst = r
-    return worst
+    """worst_of_arrays over the rel and abs of the residuals, in order: the
+    first NaN rel, else the first largest rel if it is positive, else
+    Residual(0, 0).  Every item is consumed."""
+    found = list(residuals)
+    return worst_of_arrays([r.rel for r in found], [r.abs for r in found])
 
 
 def worst_of_arrays(rel, ab) -> Residual:
-    """worst_of over the residuals Residual(rel[k], ab[k]), k running over
-    the flattened arrays: the first NaN, else the first maximum if it is
-    positive, else Residual(0, 0)."""
+    """The worst of the residuals Residual(rel[k], ab[k]), k running over
+    the flattened arrays: the first NaN rel, so that a check that computed
+    a NaN fails, else the first maximum if it is positive, else
+    Residual(0, 0), which an empty or all-zero input gives."""
     rel = np.asarray(rel, dtype=float).ravel()
     if not rel.size:
         return Residual(0.0, 0.0)
@@ -120,8 +116,9 @@ def worst_of_arrays(rel, ab) -> Residual:
 
 
 def residual_arrays(lhs, rhs) -> tuple:
-    """rel and abs of residual_pair at every entry of the arrays lhs, rhs."""
-    d = np.abs(lhs - rhs)
+    """|lhs - rhs| relative to |lhs| + |rhs|, and absolute, at every entry
+    of lhs and rhs (scalars, sequences or arrays, broadcast together)."""
+    d = np.abs(np.subtract(lhs, rhs))
     return d / (np.abs(lhs) + np.abs(rhs) + _EPS), d
 
 
@@ -135,10 +132,10 @@ def max_relative(lhs, rhs, axis=None) -> tuple:
     return worst / (scale + _EPS), worst
 
 
-def residual_pair(lhs: complex, rhs: complex) -> Residual:
-    """|lhs-rhs| in absolute and in relative (scale |lhs|+|rhs|) form."""
-    d = abs(lhs - rhs)
-    return Residual(rel=d / (abs(lhs) + abs(rhs) + _EPS), abs=d)
+def residual_pair(lhs, rhs) -> Residual:
+    """The worst residual_arrays entry of lhs against rhs: the one
+    comparison of two sides, of a scalar pair or of arrays of any shape."""
+    return worst_of_arrays(*residual_arrays(lhs, rhs))
 
 
 class _Series(NamedTuple):
@@ -399,14 +396,12 @@ def weierstrass_p(u, ctx: ModularContext):
     term 3h in the Laurent expansion at 0).
     """
     us = np.asarray(u, dtype=complex)
-    for x in us.ravel().tolist():
+    for x in map(complex, us.flat):
         if lattice_distance(x, complex(ctx.tau)) <= 10 * ctx.tol_identity:
             raise SingularParameterError(f"u={x} is on the period lattice (pole)")
-    t0, t1, t2 = (theta_table(us, ctx, k).ravel().tolist() for k in range(3))
+    t0, t1, t2 = (theta_table(us, ctx, k) for k in range(3))
     h = -TWO_PI_I * eta_tau_log_derivative(ctx)
-    # each value in Python's complex arithmetic, as a one-point call reads it
-    return np.reshape([-(c * a - b * b) / (a * a) - 2.0 * h
-                       for a, b, c in zip(t0, t1, t2)], us.shape)[()]
+    return (-(t2 * t0 - t1 * t1) / (t0 * t0) - 2.0 * h)[()]
 
 
 def vandermonde_sign(n: int) -> int:
@@ -518,8 +513,8 @@ def verify_qfay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
     samples (one point set or a batch of them, as in qfay_lhs)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return worst_of_arrays(*residual_arrays(qfay_lhs(d, u, lambdas, mus, ctx),
-                                            qfay_rhs(d, u, lambdas, mus, ctx)))
+    return residual_pair(qfay_lhs(d, u, lambdas, mus, ctx),
+                         qfay_rhs(d, u, lambdas, mus, ctx))
 
 
 def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):

@@ -37,7 +37,7 @@ from .context import ModularContext, read_only
 from .belavin import build_r
 from .opalg import DifferenceOperator, apply_op, exp_function
 from .stream import Stream
-from .theta import (_EPS, Residual, _series, _table, residual_arrays,
+from .theta import (_EPS, Residual, _series, _table, residual_pair,
                     theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_generic, sample_many, subseeds
@@ -111,7 +111,8 @@ def orbit_count(n: int, l: int) -> int:
 def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
                                 samples: int = 10) -> Residual:
     """Both level-l laws on random basis products and random small roots:
-    chi_table at the samples, shifted by their roots and by tau times them."""
+    each sample's member, its column of basis_table, at the sample, shifted
+    by its root and by tau times it."""
     n = ctx.n
     rng = Stream(seed)
     E = character_basis(l, n)
@@ -121,18 +122,13 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
         members[s] = int(rng.integers(0, len(E)))
         i = int(rng.integers(0, n))
         roots[s, i], roots[s, (i + 1 + int(rng.integers(0, n - 1))) % n] = 1, -1
-    # row s holds the factors of its own member, contiguous, so each product
-    # is a 1-D reduce; basis_table multiplies the factors of every member
-    # left to right, which rounds apart
-    own = np.arange(samples)[:, None], E[members]
     base, shifted_1, shifted_tau = (
-        np.prod(chi_table(Q, ctx)[own], axis=-1) for Q in (
+        basis_table(E, Q, ctx)[np.arange(samples), members] for Q in (
             P, canonical(P + 1.0 * roots), canonical(P + ctx.tau * roots)))
     pairing = np.sum(P * roots, axis=-1)                # <lambda, alpha>
     factor = np.exp(-2j * np.pi * l * (pairing + 2.0 * ctx.tau / 2.0))
-    return worst_of_arrays(*residual_arrays(
-        np.stack([shifted_1, shifted_tau], axis=-1),
-        np.stack([base, factor * base], axis=-1)))
+    return residual_pair(np.stack([shifted_1, shifted_tau], axis=-1),
+                         np.stack([base, factor * base], axis=-1))
 
 
 def gram_rank(l: int, points, ctx: ModularContext) -> int:
@@ -223,8 +219,7 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     P = sample_many(seed, samples, ctx)
     applied = apply_op(m1, functools.partial(
         basis_table, character_basis(1, n), ctx=ctx), P, ctx)    # [s, m]
-    return {"eigen": worst_of_arrays(*residual_arrays(
-                applied, eigs[0] * chi_table(P, ctx))),
+    return {"eigen": residual_pair(applied, eigs[0] * chi_table(P, ctx)),
             "shared": worst_of_arrays(spread, spread)}
 
 
@@ -258,7 +253,7 @@ def _images(monomials, u: complex, labels, P, ctx: ModularContext):
     return np.einsum("iJaK,sK->Jias", _coproduct(l, u, ctx)[:, rows], Y)
 
 
-def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
+def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int,
                       samples: int = 12) -> Residual:
     """The symmetrized l-fold coproduct matches the normalized operators.
 
@@ -278,15 +273,15 @@ def verify_module_iso(l: int, u: complex, ctx: ModularContext, seed: int = 0,
     gamma = [gamma_index(j, n) for j in range(n)]
     applied = apply_op(lop, functools.partial(
         basis_table, np.array(gamma)[E], ctx=ctx), P, ctx)   # [s, i, j, m]
-    return worst_of_arrays(*residual_arrays(
-        _images(E, u, gamma, P, ctx), norm * applied.transpose(3, 1, 2, 0)))
+    return residual_pair(_images(E, u, gamma, P, ctx),
+                         norm * applied.transpose(3, 1, 2, 0))
 
 
 def verify_symmetrized_ordering(l: int, u: complex, ctx: ModularContext,
-                                seed: int = 0) -> Residual:
+                                seed: int) -> Residual:
     """Transposed monomial orderings give the same symmetrized image."""
     E = character_basis(l, ctx.n)
     orders = E[E[:, 0] != E[:, -1]]             # not one index l times
     images = _images(np.concatenate([orders, orders[:, ::-1]]), u,
                      range(ctx.n), sample_many(seed, 4, ctx), ctx)
-    return worst_of_arrays(*residual_arrays(*np.split(images, 2)))
+    return residual_pair(*np.split(images, 2))

@@ -75,7 +75,7 @@ from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
                     op_add, op_scale, operator_residual, normal_det,
                     pdo_apply, pdo_compose, perm_sign, signed_products)
 from .theta import (_EPS, HBAR_RADIUS, Residual, _product_length, circle,
-                    laurent_coefficient, max_relative, residual_arrays,
+                    laurent_coefficient, max_relative, residual_pair,
                     theta_scale, theta_table, worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key, unit_key
 
@@ -530,8 +530,8 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext,
     got[:, eye] = derivs[:, eye] + g * dlog
     return {"identity": Residual(at0 / (float(np.max(np.abs(dev))) + _EPS),
                                  at0),
-            "derivative": worst_of_arrays(*residual_arrays(
-                got, krichever_table(c, u, samples, ctx)))}
+            "derivative": residual_pair(got,
+                                        krichever_table(c, u, samples, ctx))}
 
 
 # ------------------------------------------------------ Ruijsenaars weight
@@ -594,15 +594,15 @@ def verify_ruijsenaars(c: complex, d: int, lam,
     subs, s, t, _ = _subset_pairs(n, d)
     raised = shifted(lam, [subset_key(n, subset) for subset in subs], hb)
     weights = phi_weight(raised, g, ctx)
-    ratio = worst_of_arrays(*residual_arrays(
-        base / weights, phi_ratio_table(lam[None], d, g, ctx)[0]))
+    ratio = residual_pair(base / weights,
+                          phi_ratio_table(lam[None], d, g, ctx)[0])
     # lam_st for s outside and t inside each subset, [subset, pair]: the rhs
     # is a product over the pairs
     lst = (lam[s] - lam[t]).T
     rnum, rden = theta_table([g * hb + hb - lst, hb - lst], ctx)
     lhs = m_dot(c, d, ctx).table(lam[None])[0] * weights / base
-    found = residual_arrays(lhs, np.prod(rnum / rden, axis=-1))
-    return {"ratio": ratio, "coefficient": worst_of_arrays(*found)}
+    return {"ratio": ratio,
+            "coefficient": residual_pair(lhs, np.prod(rnum / rden, axis=-1))}
 
 
 # ---------------------------------------------- differential (CM) limit
@@ -789,8 +789,8 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
     d2 = a2(v2) - (n - 1) * a2(v1)
     return {"elliptic": worst_of_arrays(
                 dev / (np.abs(elliptic) + np.abs(hf) + _EPS), dev),
-            "d2": worst_of_arrays(*residual_arrays(
-                d2, want(op_scale(build_d_ops(c, ctx)[1], g * g))))}
+            "d2": residual_pair(
+                d2, want(op_scale(build_d_ops(c, ctx)[1], g * g)))}
 
 
 # ------------------------------------------------------- Macdonald limit
@@ -817,5 +817,5 @@ def verify_macdonald_limit(c: complex, d: int, ctx: ModularContext,
     sine = np.prod(np.sin(np.pi * (lst + gh)) / np.sin(np.pi * lst), axis=1)
     zform = np.prod((tpar * z[:, s] - z[:, t]) / (z[:, s] - z[:, t])
                     / tpar_half, axis=1)
-    return worst_of_arrays(*residual_arrays(np.stack([coeffs, sine], -1),
-                                            np.stack([sine, zform], -1)))
+    return residual_pair(np.stack([coeffs, sine], -1),
+                         np.stack([sine, zform], -1))

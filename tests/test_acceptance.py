@@ -406,9 +406,9 @@ def test_criterion_11_invariance_and_module_structure():
                                           [3])[1])
         m1 = tr.m_closed(float(l), u, 1, ctx)
         controls.append(ts.negative_control(l, m1, ctx, seed=4).rel)
-    rel_err = _worst([ts.verify_module_iso(1, u, default_context(n), samples=15)
-                      for n in (2, 3)])
-    iso_err = ts.verify_module_iso(2, u, default_context(2)).rel
+    rel_err = _worst([ts.verify_module_iso(1, u, default_context(n), seed=0,
+                                           samples=15) for n in (2, 3)])
+    iso_err = ts.verify_module_iso(2, u, default_context(2), seed=0).rel
     eigs = []
     for n in (2, 3):
         out = ts.m1_eigen_check(u, default_context(n))

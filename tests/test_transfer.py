@@ -1256,14 +1256,6 @@ def test_delta_jet_reads_one_table_per_derivative_order(monkeypatch):
         assert np.array_equal(batch[:1], jet)
 
 
-def _nan_at_zero_key(coeffs_at):
-    def poisoned(op, lam):
-        out = coeffs_at(op, lam)
-        return {alpha: (math.nan if not any(alpha) else value)
-                for alpha, value in out.items()}
-    return poisoned
-
-
 def _nan_in_d_tables(build_d_ops):
     # every read of a D-operator table gets a NaN zero-order coefficient jet
     def nan_zero_term(op):
@@ -1315,10 +1307,10 @@ _NAN_CASES = [
      _nan_in_fused_rcheck),
     ("krichever", 2, "c0-pure-derivative", "transfer", "krichever_table",
      _nan_in_krichever_table),
-    ("debiard", 2, "first-operator-form", "suites", "_coeffs_at",
-     _nan_at_zero_key),
-    ("debiard", 2, "second-operator-form", "suites", "_coeffs_at",
-     _nan_at_zero_key),
+    ("debiard", 2, "first-operator-form", "transfer", "build_d_ops",
+     _nan_in_d_tables),
+    ("debiard", 2, "second-operator-form", "transfer", "build_d_ops",
+     _nan_in_d_tables),
     ("debiard", 2, "pairwise-commutators", "transfer", "build_d_ops",
      _nan_in_d_tables),
     ("eigen-l1", 2, "eigenvalue-shared", "thetaspace", "_coproduct",
@@ -1330,16 +1322,48 @@ _NAN_CASES = [
                          ids=[f"{c[0]}/{c[2]}" for c in _NAN_CASES])
 def test_nan_residual_fails_its_suite_case(monkeypatch, name, n, case, module,
                                            attr, poison):
-    # each of these cases reduced with Python's max, which drops a NaN,
-    # except pairwise-commutators, which reads the D-operator tables through
-    # pdo_commutator_residual, and c0-pure-derivative, which reads the K
-    # table through worst_of_arrays: a NaN must neither raise nor pass there
+    # a NaN in what the case reads must neither raise nor pass: the debiard
+    # forms read the D-operator tables by term index, pairwise-commutators
+    # through pdo_commutator_residual, and every case reduces through
+    # worst_of_arrays, where a NaN rel wins
     import importlib
     owner = importlib.import_module(f"etlax.{module}")
     monkeypatch.setattr(owner, attr, poison(getattr(owner, attr)))
     rep = run_suite(name, default_context(n), 0)
     got = {c.name: c for c in rep.cases}[case]
     assert math.isnan(got.rel) and not got.ok and not rep.passed
+
+
+def _scaled_unit_coefficient(build_d_ops, m, i, factor):
+    """build_d_ops with D[m + 1]'s coefficient of d_i times factor."""
+    def built(c, ctx):
+        ops = build_d_ops(c, ctx)
+        op = ops[m]
+        k = op.terms.index(tuple(int(a == i) for a in range(op.n)))
+
+        def table(P, order=0):
+            out = op.table(P, order).copy()
+            out[:, k] *= factor
+            return out
+        ops[m] = oa.DifferentialOperator(op.n, op.terms, table)
+        return ops
+    return built
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_defect_in_any_unit_coefficient_turns_its_form_case_red(
+        monkeypatch, n):
+    # each form compares every unit coefficient e_i, i < n, once: a 1 %
+    # defect in any one of them shows, and the other form stays green
+    ctx = default_context(n)
+    forms = ("first-operator-form", "second-operator-form")
+    for m, i in itertools.product(range(2), range(n)):
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "build_d_ops", _scaled_unit_coefficient(
+                tr.build_d_ops, m, i, 1.01))
+            got = {c.name: c for c in run_suite("debiard", ctx, 42).cases}
+        assert not got[forms[m]].ok and got[forms[m]].rel > 1e-4, (m, i)
+        assert got[forms[1 - m]].ok
 
 
 def _two_read_hamiltonian(c, ctx, P, order):
