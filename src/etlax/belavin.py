@@ -50,9 +50,9 @@ from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
 from .stream import Stream
 from .theta import (_EPS, Residual, circle, dedekind_eta,
-                    laurent_coefficient, residual_pair, theta_char_table,
-                    theta_level_table, theta_scale, theta_table,
-                    vandermonde_product, worst_of_arrays)
+                    laurent_coefficient, relative, residual_pair,
+                    theta_char_table, theta_level_table, theta_scale,
+                    theta_table, vandermonde_product, worst_of_arrays)
 
 # ---------------------------------------------------------------- vertex side
 
@@ -164,10 +164,9 @@ def sketch_block(k: int, n: int, cols: int) -> np.ndarray:
 def _rel(a: np.ndarray, b: np.ndarray) -> Residual:
     """Max entry difference relative to max|a| + max|b|, per matrix of the
     stacks a, b [..., rows, cols]; the worst over the stacks."""
-    d = np.max(np.abs(a - b), axis=(-2, -1))
-    scale = (np.max(np.abs(a), axis=(-2, -1))
-             + np.max(np.abs(b), axis=(-2, -1)) + _EPS)
-    return worst_of_arrays(d / scale, d)
+    return worst_of_arrays(*relative(
+        np.max(np.abs(a - b), axis=(-2, -1)),
+        np.max(np.abs(a), axis=(-2, -1)) + np.max(np.abs(b), axis=(-2, -1))))
 
 
 def verify_r_symmetry(us, ctx: ModularContext) -> dict:
@@ -223,9 +222,8 @@ def verify_r_holomorphy(ctx: ModularContext) -> Residual:
     values = _r_values(np.add.outer(ring, np.arange(1, n) * ctx.tau).ravel(),
                        ctx).reshape(len(ring), n - 1, -1)
     acc = 2j * np.pi * laurent_coefficient(values, ring, -1)  # [center, entry]
-    worst_abs = float(np.max(np.abs(acc)))
     scale = float(np.max(np.abs(values))) * 2.0 * np.pi * radius
-    return Residual(rel=worst_abs / (scale + _EPS), abs=worst_abs)
+    return worst_of_arrays(*relative(float(np.max(np.abs(acc))), scale))
 
 
 def verify_ybe(us, vs, ws, ctx: ModularContext) -> Residual:
@@ -689,7 +687,7 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
         high = np.max(np.abs(rhs))
         rhs -= lhs[:, lo:hi]
         worst = np.maximum(worst, [np.max(np.abs(rhs)), high])
-    return worst_of_arrays(worst[0] / (top + worst[1] + _EPS), worst[0])
+    return worst_of_arrays(*relative(worst[0], top + worst[1]))
 
 
 def antisym_vector(n: int, subset) -> np.ndarray:
@@ -701,10 +699,6 @@ def antisym_vector(n: int, subset) -> np.ndarray:
     return vec
 
 
-def subsets(n: int, k: int):
-    return list(combinations(range(n), k))
-
-
 def fused_rcheck_matrix(k: int, kp: int, u: complex, v: complex,
                         ctx: ModularContext) -> np.ndarray:
     """Fused braid operator V(1^k_u) x V(1^kp_v) -> V(1^kp_v) x V(1^k_u),
@@ -712,13 +706,14 @@ def fused_rcheck_matrix(k: int, kp: int, u: complex, v: complex,
     n = ctx.n
     params = fusion_parameters(k, u, ctx)[::-1] + fusion_parameters(kp, v, ctx)[::-1]
     cols = []
-    for big_i in subsets(n, k):
+    for big_i in combinations(range(n), k):
         vi = antisym_vector(n, big_i)
-        for big_j in subsets(n, kp):
+        for big_j in combinations(range(n), kp):
             cols.append(np.kron(vi, antisym_vector(n, big_j)))
     image = _braid_on(params, crossing_moves(k, kp), np.stack(cols, axis=1),
                       ctx)
     # read off coefficients on the dual (increasing-index slot) basis
     rows = [np.ravel_multi_index(big_jp + big_ip, (n,) * (k + kp))
-            for big_jp in subsets(n, kp) for big_ip in subsets(n, k)]
+            for big_jp in combinations(range(n), kp)
+            for big_ip in combinations(range(n), k)]
     return image[rows, :]

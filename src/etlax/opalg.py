@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .context import ModularContext, read_only
-from .theta import Residual, max_relative, worst_of_arrays
+from .theta import Residual, max_relative
 from .weights import canonical_key, shifted
 
 
@@ -187,7 +187,7 @@ def operator_residual(a, b, samples, ctx: ModularContext) -> Residual:
                         dtype=complex)
         side[:, [terms.index(key) for key in op.terms]] = table
         sides.append(side.reshape(lead + (-1,)))
-    return worst_of_arrays(*max_relative(*sides, axis=-1))
+    return max_relative(*sides, axis=-1)
 
 
 def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,

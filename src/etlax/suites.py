@@ -2,13 +2,13 @@
 
 Each suite is a generator: it draws its sample parameters from a seeded
 stream, runs the corresponding module checks and yields (case name,
-Residual) pairs.  A case that compares two sides itself reads them as
-arrays and takes theta.residual_pair; one that reduces deviations takes
-theta.worst_of_arrays, the one worst-case rule.  run_suite turns each pair
-into a Case against the one tolerance table SUITES: the suite's default
-tolerance, or the override row of the case's stem (its name without
-trailing digits) or, where the members of one family differ, of its exact
-name.  The hbar -> 0 cases (krichever, cm-limit and
+Residual) pairs.  A case that compares two sides takes theta.residual_pair;
+one with a deviation and a scale of its own takes theta.relative, the one
+rel, and theta.worst_of_arrays, the one worst-case rule.  run_suite turns
+each pair into a Case against the one tolerance table SUITES: the suite's
+default tolerance, or the override row of the case's stem (its name
+without trailing digits) or, where the members of one family differ, of
+its exact name.  The hbar -> 0 cases (krichever, cm-limit and
 qfay-hbar0-degeneration) read Laurent coefficients on theta.circle; their
 looser tolerances were set for an earlier finite-difference extrapolation
 and are not tightened yet.
@@ -29,12 +29,12 @@ from . import theta as th
 from . import thetaspace as ts
 from . import transfer as tr
 from .context import ModularContext, SamplingError
-from .opalg import (apply_op, exp_function, identity_op, jet_deriv,
-                    normal_det, op_add, op_scale, operator_residual,
-                    pdo_commutator_residual)
+from .opalg import (apply_op, commutator_residual, exp_function,
+                    identity_op, jet_deriv, normal_det, op_add, op_scale,
+                    operator_residual, pdo_commutator_residual)
 from .report import Case, SuiteReport
 from .stream import Stream
-from .theta import _EPS, Residual
+from .theta import Residual
 from .weights import _MAX_TRIES, sample_generic, sample_many
 
 
@@ -232,11 +232,11 @@ def suite_rll(ctx: ModularContext, rng):
     c, u, v = _rc(rng), _rc(rng), _rc(rng)
     lams = sample_many(_seed(rng), 5, ctx)
     fns = [exp_function(_sumzero_vec(rng, ctx.n)) for _ in range(5)]
-    yield "rll", tr.verify_rll(c, u, v, ctx, lams, fns)
-    yield "rll-equal-points", tr.verify_rll(c, u, u, ctx, lams[:2], fns[:2])
-    lop0 = tr.l_op(0.0, u, ctx)
-    vals = apply_op(lop0, lambda P: np.ones(P.shape[:-1], dtype=complex),
-                    lams[:1], ctx)[0]
+    yield "rll", tr.verify_fused_rll(c, u, v, 1, 1, ctx, lams, fns)
+    yield "rll-equal-points", tr.verify_fused_rll(c, u, u, 1, 1, ctx,
+                                                  lams[:2], fns[:2])
+    vals = apply_op(tr.l_op(0.0, u, ctx), lambda P: np.ones(
+        P.shape[:-1], dtype=complex), lams[:1], ctx)[0]
     dev = np.abs(vals - np.eye(ctx.n))
     yield "c0-identity", th.worst_of_arrays(dev, dev)
     if ctx.n >= 3:
@@ -261,25 +261,25 @@ def suite_commute(ctx: ModularContext, rng):
     samples = sample_many(_seed(rng), 12, ctx)
     c = _rc(rng)
     yield "closed-form-grid", th.worst_of(
-        tr.verify_commutation(c, _rc(rng), _rc(rng), d, dp, ctx, samples)
+        commutator_residual(tr.m_closed(c, _rc(rng), d, ctx),
+                            tr.m_closed(c, _rc(rng), dp, ctx), samples, ctx)
         for d in range(1, ctx.n + 1) for dp in range(1, ctx.n + 1))
     u, v = _rc(rng), _rc(rng)
-    yield "trace-route-pair", tr.verify_commutation_trace(
-        c, u, v, 1, min(2, ctx.n), ctx, samples)
-    full = tr.m_closed(c, u, ctx.n, ctx)
-    ident = identity_op(ctx.n)
+    m1, m2 = tr.m_trace(c, u, 1, ctx), tr.m_trace(c, v, min(2, ctx.n), ctx)
+    yield "trace-route-pair", commutator_residual(m1, m2, samples, ctx)
     num, den = th.theta_table([u + c * ctx.hbar, u], ctx).tolist()
-    pref = num / den
     yield "full-set-is-scalar", operator_residual(
-        full, op_scale(ident, pref), samples, ctx)
+        tr.m_closed(c, u, ctx.n, ctx), op_scale(identity_op(ctx.n), num / den),
+        samples, ctx)
 
 
 def suite_qfay(ctx: ModularContext, rng):
     for d in range(1, 5):
         # each sample draws u, then lambda_1..d, then mu_1..d
         draws = _rcs(rng, (50, 2 * d + 1))
-        yield f"qfay-d{d}", th.verify_qfay(
-            d, draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:], ctx)
+        args = (d, draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:], ctx)
+        yield f"qfay-d{d}", th.residual_pair(th.qfay_lhs(*args),
+                                             th.qfay_rhs(*args))
     # hbar -> 0 degeneration towards the Cauchy-type form
     d = 2
     draws = _rcs(rng, (2 * d + 1,))
@@ -331,22 +331,23 @@ def suite_vandermonde(ctx: ModularContext, rng):
 def suite_genfunc(ctx: ModularContext, rng):
     samples = sample_many(_seed(rng), 12, ctx)
     c, u = _rc(rng), _rc(rng)
-    yield "det-equals-sum", th.worst_of(
-        tr.verify_genfunc(c, u, _rc(rng, 0.8), ctx, samples)
-        for _ in range(5))
-    yield "t0-det-is-full-trace", tr.verify_genfunc(c, u, 0.0, ctx, samples)
-    # the t-derivative of the determinant also matches the generating sum
     lop = tr.l_op(c, u, ctx)
+    yield "det-equals-sum", th.worst_of(
+        tr.verify_genfunc(lop, c, u, _rc(rng, 0.8), ctx, samples)
+        for _ in range(5))
+    yield "t0-det-is-full-trace", tr.verify_genfunc(lop, c, u, 0.0, ctx,
+                                                    samples)
+    # the t-derivative of the determinant also matches the generating sum
     t1, t2 = _rc(rng, 0.8), _rc(rng, 0.8)
-    det1 = normal_det(lop, t1, ctx)
-    det2 = normal_det(lop, t2, ctx)
-    diff_det = op_add(det1, op_scale(det2, -1.0))
+    diff_det = op_add(normal_det(lop, t1, ctx),
+                      op_scale(normal_det(lop, t2, ctx), -1.0))
     diff_sum = op_add(tr.genfunc_sum(c, u, t1, ctx),
                       op_scale(tr.genfunc_sum(c, u, t2, ctx), -1.0))
     yield "t-dependence", operator_residual(diff_det, diff_sum, samples, ctx)
     t = _rc(rng, 0.8)
     yield "sekiguchi-numerator", tr.verify_sekiguchi(c, u, t, ctx, samples)
-    yield "lax-det-route", tr.verify_genfunc_ltilde(c, u, t, ctx, samples)
+    yield "lax-det-route", tr.verify_genfunc(tr.l_tilde(c, u, ctx), c, u, t,
+                                             ctx, samples)
 
 
 def suite_ruijsenaars(ctx: ModularContext, rng):
@@ -426,9 +427,9 @@ def suite_debiard(ctx: ModularContext, rng):
             **{key(i, j): [(n / c) ** 2] for i, j in pairs}})}
     for name, (op, want) in forms.items():
         got = op.table(lam)[0, [op.terms.index(t) for t in want], 0]
-        devs = [abs(g - np.sum(t)) / (np.sum(np.abs(t)) + _EPS)
-                for g, t in zip(got, want.values())]
-        yield name, th.worst_of_arrays(devs, devs)
+        yield name, th.worst_of_arrays(*th.relative(
+            [abs(g - np.sum(t)) for g, t in zip(got, want.values())],
+            [np.sum(np.abs(t)) for t in want.values()]))
     yield "pairwise-commutators", th.worst_of(
         pdo_commutator_residual(d_ops[a], d_ops[b], samples, ctx)
         for a in range(n) for b in range(a + 1, n))

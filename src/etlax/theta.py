@@ -45,10 +45,10 @@ the rest of the batch.  A product over powers x^m (eta, the triple
 product, the ground-state weight) stops by the same 2^-60, at the least M
 with |x|^M <= 2^-60 (_product_length).
 
-Two sides are compared by one rule, residual_pair (residual_arrays entry
-by entry), and residuals are reduced by one rule, worst_of_arrays (worst_of
-over a sequence of Residuals): the largest rel, the first on ties, and a
-NaN rel wins, so a check that computed a NaN fails.
+Every rel is relative's quotient, a deviation over its scale + _EPS (no
+other module divides by _EPS); two sides compare by residual_pair
+(residual_arrays entry by entry), and the worst case is worst_of_arrays
+(worst_of over Residuals): the largest rel, the first on ties; a NaN wins.
 """
 
 from __future__ import annotations
@@ -115,21 +115,27 @@ def worst_of_arrays(rel, ab) -> Residual:
     return Residual(float(rel[k]), float(np.asarray(ab, dtype=float).ravel()[k]))
 
 
+def relative(dev, scale) -> tuple:
+    """rel and abs of a check's deviations on its scales, entry by entry
+    and broadcast together: dev / (scale + _EPS), the package's one rel."""
+    dev = np.asarray(dev, dtype=float)
+    return dev / (np.asarray(scale, dtype=float) + _EPS), dev
+
+
 def residual_arrays(lhs, rhs) -> tuple:
-    """|lhs - rhs| relative to |lhs| + |rhs|, and absolute, at every entry
-    of lhs and rhs (scalars, sequences or arrays, broadcast together)."""
-    d = np.abs(np.subtract(lhs, rhs))
-    return d / (np.abs(lhs) + np.abs(rhs) + _EPS), d
+    """relative of |lhs - rhs| to |lhs| + |rhs| at every entry of lhs and
+    rhs (scalars, sequences or arrays, broadcast together)."""
+    return relative(np.abs(np.subtract(lhs, rhs)), np.abs(lhs) + np.abs(rhs))
 
 
-def max_relative(lhs, rhs, axis=None) -> tuple:
-    """rel and abs of max|lhs - rhs| relative to max(max|lhs|, max|rhs|),
-    the maxima taken over axis (all of it by default).  np.max, unlike
-    Python's max, keeps a NaN, so a NaN entry gives a NaN rel."""
-    worst = np.max(np.abs(lhs - rhs), axis=axis)
-    scale = np.maximum(np.max(np.abs(lhs), axis=axis),
-                       np.max(np.abs(rhs), axis=axis))
-    return worst / (scale + _EPS), worst
+def max_relative(lhs, rhs, axis=None) -> Residual:
+    """The worst relative of max|lhs - rhs| to max(max|lhs|, max|rhs|), the
+    maxima over axis (all of it by default).  np.max, unlike Python's max,
+    keeps a NaN, so a NaN entry gives a NaN rel."""
+    return worst_of_arrays(*relative(
+        np.max(np.abs(lhs - rhs), axis=axis),
+        np.maximum(np.max(np.abs(lhs), axis=axis),
+                   np.max(np.abs(rhs), axis=axis))))
 
 
 def residual_pair(lhs, rhs) -> Residual:
@@ -432,11 +438,10 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     """Determinant identity for the level-n thetas.
 
     det[theta_j(u_k) / (i eta)]_{j,k=1..n} against vandermonde_product(us),
-    at every sample of the leading axes of us (one stacked det); the worst
-    over them, or the one sample's own residual when us is one point set.
-
-    Both sides below tol_identity times the Hadamard bound of the matrix
-    (the product of its column norms) reports as degenerate residual 0.
+    at every sample of the leading axes of us (one stacked det; one point
+    set is the batch of one); the worst over them.  A sample with both
+    sides below tol_identity times the Hadamard bound of its matrix (the
+    product of its column norms) is degenerate: its deviation counts as 0.
     """
     n = ctx.n
     us = np.asarray(us, dtype=complex)
@@ -447,14 +452,12 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
                       .reshape((n,) + us.shape), 0, -2)
     lhs = np.linalg.det(mat)
     rhs = vandermonde_product(us, ctx)
-    rel, ab = residual_arrays(lhs, rhs)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
     # rounding in a determinant that vanishes exactly
     floor = ctx.tol_identity * np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
-    rel = np.where((np.abs(lhs) < floor) & (np.abs(rhs) < floor), 0.0, rel)
-    if rel.ndim == 0:
-        return Residual(float(rel), float(ab))
-    return worst_of_arrays(rel, ab)
+    dev = np.where((np.abs(lhs) < floor) & (np.abs(rhs) < floor), 0.0,
+                   np.abs(np.subtract(lhs, rhs)))
+    return worst_of_arrays(*relative(dev, np.abs(lhs) + np.abs(rhs)))
 
 
 def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext, hbar=None):
@@ -506,15 +509,6 @@ def qfay_rhs(d: int, u, lambdas, mus, ctx: ModularContext):
         np.stack([lam[..., sp] - lam[..., s], hb + mu[..., s] - mu[..., sp]],
                  axis=-1).reshape(u.shape + (-1,))], axis=-1)
     return np.prod(theta_table(args, ctx), axis=-1)
-
-
-def verify_qfay(d: int, u, lambdas, mus, ctx: ModularContext) -> Residual:
-    """Residual of the deformed determinant identity, worst over the
-    samples (one point set or a batch of them, as in qfay_lhs)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return residual_pair(qfay_lhs(d, u, lambdas, mus, ctx),
-                         qfay_rhs(d, u, lambdas, mus, ctx))
 
 
 def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):

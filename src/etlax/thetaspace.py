@@ -37,7 +37,7 @@ from .context import ModularContext, read_only
 from .belavin import build_r
 from .opalg import DifferenceOperator, apply_op, exp_function
 from .stream import Stream
-from .theta import (_EPS, Residual, _series, _table, residual_pair,
+from .theta import (Residual, _series, _table, relative, residual_pair,
                     theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_generic, sample_many, subseeds
@@ -164,15 +164,15 @@ def _fit(l: int, op, fn, seeds, ctx: ModularContext):
         raise ValueError(f"{values.shape[2]} operator entries, "
                          f"{entries} seeds")
     coeffs = np.empty((entries, values.shape[-1], len(E)), dtype=complex)
-    rel, ab = np.empty((2, entries, values.shape[-1]))
+    ab, scale = np.empty((2, entries, values.shape[-1]))
     for e in range(entries):
         fit = np.linalg.lstsq(table[e, :k], values[e, :k, e],
                               rcond=1e-10)[0]           # [member, m]
         coeffs[e] = fit.T
         held = values[e, k:, e]
         ab[e] = np.max(np.abs(table[e, k:] @ fit - held), axis=0)
-        rel[e] = ab[e] / (np.max(np.abs(held), axis=0) + _EPS)
-    return coeffs, worst_of_arrays(rel, ab)
+        scale[e] = np.max(np.abs(held), axis=0)
+    return coeffs, worst_of_arrays(*relative(ab, scale))
 
 
 def fit_action(l: int, op, ctx: ModularContext, seeds):
@@ -215,12 +215,12 @@ def m1_eigen_check(u: complex, ctx: ModularContext, seed: int = 0,
     th_h, th_u = theta_table([ctx.hbar, u], ctx).tolist()
     pref = th_h / th_u
     eigs = [pref * sum(T[i, j, i, j] for i in range(n)) for j in range(n)]
-    spread = [abs(e - eigs[0]) / (abs(eigs[0]) + _EPS) for e in eigs]
     P = sample_many(seed, samples, ctx)
     applied = apply_op(m1, functools.partial(
         basis_table, character_basis(1, n), ctx=ctx), P, ctx)    # [s, m]
     return {"eigen": residual_pair(applied, eigs[0] * chi_table(P, ctx)),
-            "shared": worst_of_arrays(spread, spread)}
+            "shared": worst_of_arrays(*relative(
+                [abs(e - eigs[0]) for e in eigs], abs(eigs[0])))}
 
 
 def _coproduct(l: int, u: complex, ctx: ModularContext) -> np.ndarray:

@@ -10,10 +10,11 @@ its fused antisymmetric traces give the commuting operators
                sum_{|I|=d} prod_{s not in I, t in I}
                    theta(lam_st + c hbar/n)/theta(lam_st)  T_I,
 
-and this module verifies the trace/closed-form equality, the RLL relation,
-the generating-function determinant, the Ruijsenaars conjugation, the
-Krichever matrix, the differential (Calogero-Moser) limit and the
-trigonometric (Macdonald) limit.
+and this module verifies, one evaluator per relation, the trace/closed-form
+equality, RLL (verify_fused_rll), the generating determinant of l_op or
+l_tilde (verify_genfunc), the Ruijsenaars conjugation, the Krichever matrix
+and the Calogero-Moser and Macdonald limits; the M_d commute by
+opalg.commutator_residual, and every rel is theta.relative's quotient.
 
 Every operator here is one opalg table over a batch of points, axis 1
 running over its terms, of one of two kinds.  C[s, key, *shape] is a
@@ -69,15 +70,15 @@ from .context import (ModularContext, SingularParameterError,
 from .belavin import (dual_intertwiners, fused_rcheck_matrix, intertwiners,
                       partial_shifts, shift_intertwiners)
 from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
-                    commutator_residual, compose, exp_function,
-                    exp_test_function, identity_op, jet_constant, jet_deriv,
-                    jet_inv, jet_mul, jet_of_affine, key_map, merge_keys,
-                    op_add, op_scale, operator_residual, normal_det,
-                    pdo_apply, pdo_compose, perm_sign, signed_products)
-from .theta import (_EPS, HBAR_RADIUS, Residual, _product_length, circle,
-                    laurent_coefficient, max_relative, residual_pair,
-                    theta_scale, theta_table, worst_of_arrays)
-from .weights import canonical_key, shifted, subset_key, unit_key
+                    compose, exp_function, exp_test_function, identity_op,
+                    jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
+                    key_map, merge_keys, op_add, op_scale, operator_residual,
+                    normal_det, pdo_apply, pdo_compose, perm_sign,
+                    signed_products)
+from .theta import (HBAR_RADIUS, Residual, _product_length, circle,
+                    laurent_coefficient, max_relative, relative,
+                    residual_pair, theta_scale, theta_table, worst_of_arrays)
+from .weights import canonical_key, shifted, subset_key
 
 
 # ----------------------------------------------------------- basic L-operator
@@ -127,13 +128,6 @@ def l_op(c: complex, u: complex, ctx: ModularContext) -> DifferenceOperator:
     """L(c|u), the fused L-operator at k = 1: entry (i, j) has the n
     single-shift keys, and a batch reads one l_coeff_tensor."""
     return fused_l(c, u, 1, ctx)
-
-
-def verify_rll(c: complex, u: complex, v: complex, ctx: ModularContext,
-               P, fns) -> Residual:
-    """Residual of Rcheck(u-v) L(u) (x) L(v) = L(v) (x) L(u) Rcheck(u-v)
-    applied to the given test functions at the given weight points."""
-    return verify_fused_rll(c, u, v, 1, 1, ctx, P, fns)
 
 
 # ------------------------------------------------------------------ fusion
@@ -296,20 +290,6 @@ def verify_spectral_factorization(c: complex, u1: complex, u2: complex, d: int,
     return operator_residual(normalized(u1), normalized(u2), samples, ctx)
 
 
-def verify_commutation(c: complex, u: complex, v: complex, d: int, dp: int,
-                       ctx: ModularContext, samples) -> Residual:
-    """[M_d(c|u), M_dp(c|v)] = 0 on the closed forms."""
-    return commutator_residual(m_closed(c, u, d, ctx), m_closed(c, v, dp, ctx),
-                               samples, ctx)
-
-
-def verify_commutation_trace(c: complex, u: complex, v: complex, d: int,
-                             dp: int, ctx: ModularContext, samples) -> Residual:
-    """[M_d(c|u), M_dp(c|v)] = 0 on the fused-trace construction."""
-    return commutator_residual(m_trace(c, u, d, ctx), m_trace(c, v, dp, ctx),
-                               samples, ctx)
-
-
 # ------------------------------------------------- generating function
 
 def genfunc_sum(c: complex, u: complex, t: complex,
@@ -320,10 +300,11 @@ def genfunc_sum(c: complex, u: complex, t: complex,
                     for d in range(n + 1)])
 
 
-def verify_genfunc(c: complex, u: complex, t: complex, ctx: ModularContext,
-                   samples) -> Residual:
-    """Normal-ordered det[L(c|u) - t] against the generating sum."""
-    return operator_residual(normal_det(l_op(c, u, ctx), t, ctx),
+def verify_genfunc(matrix: DifferenceOperator, c: complex, u: complex,
+                   t: complex, ctx: ModularContext, samples) -> Residual:
+    """Normal-ordered det[matrix - t] against the generating sum, matrix
+    one of the two Lax routes at (c, u): l_op, or l_tilde."""
+    return operator_residual(normal_det(matrix, t, ctx),
                              genfunc_sum(c, u, t, ctx), samples, ctx)
 
 
@@ -343,7 +324,7 @@ def sekiguchi_matrix(c: complex, u: complex, t: complex,
         out[:, rows, rows] = phi[0]
         out[:, n] = -t * phi[1]
         return out
-    terms = tuple(unit_key(n, i) for i in range(n)) + ((0,) * n,)
+    terms = tuple(subset_key(n, (i,)) for i in range(n)) + ((0,) * n,)
     return DifferenceOperator(n, terms, table, (n, n))
 
 
@@ -407,7 +388,7 @@ def l_tilde(c: complex, u: complex, ctx: ModularContext) -> DifferenceOperator:
         out = np.zeros((len(P), n, n, n), dtype=complex)
         out[:, rows, rows] = ltilde_table(g, u, P, ctx)
         return out
-    return DifferenceOperator(n, tuple(unit_key(n, i) for i in range(n)),
+    return DifferenceOperator(n, tuple(subset_key(n, (i,)) for i in range(n)),
                               table, (n, n))
 
 
@@ -421,7 +402,7 @@ def l_tilde_conjugated(c: complex, u: complex,
         phi, phibar = intertwiners(u, P, ctx)
         return np.einsum("sai,skab,sjb->skij", phi,
                          l_coeff_tensor(c, u, P, ctx), phibar)
-    return DifferenceOperator(n, tuple(unit_key(n, k) for k in range(n)),
+    return DifferenceOperator(n, tuple(subset_key(n, (k,)) for k in range(n)),
                               table, (n, n))
 
 
@@ -432,16 +413,9 @@ def verify_ltilde_conjugation(c: complex, u: complex, ctx: ModularContext,
     operator_residual of its keys and samples, and the worst entry is taken
     in row-major order."""
     samples = np.asarray(samples, dtype=complex)
-    return worst_of_arrays(*max_relative(
-        l_tilde(c, u, ctx).table(samples),
-        l_tilde_conjugated(c, u, ctx).table(samples), axis=(0, 1)))
-
-
-def verify_genfunc_ltilde(c: complex, u: complex, t: complex,
-                          ctx: ModularContext, samples) -> Residual:
-    """:det[l_tilde - t]: also reproduces the generating sum."""
-    return operator_residual(normal_det(l_tilde(c, u, ctx), t, ctx),
-                             genfunc_sum(c, u, t, ctx), samples, ctx)
+    return max_relative(l_tilde(c, u, ctx).table(samples),
+                        l_tilde_conjugated(c, u, ctx).table(samples),
+                        axis=(0, 1))
 
 
 def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
@@ -467,7 +441,7 @@ def verify_fused_rll(c: complex, u: complex, v: complex, k: int, kp: int,
     lhs = np.einsum("dcxy,sixjyf->fsijcd", rf, product(flu, flv))
     # rhs[I,J,I'',J''] = sum R^{IJ}_{AB} (L_v^B_J'' L_u^A_I'' f)
     rhs = np.einsum("yxij,sydxcf->fsijcd", rf, product(flv, flu))
-    return worst_of_arrays(*max_relative(lhs, rhs))
+    return max_relative(lhs, rhs)
 
 
 # --------------------------------------------------------- Krichever matrix
@@ -528,8 +502,8 @@ def verify_krichever(c: complex, u: complex, ctx: ModularContext,
     dlog = np.sum(np.where(eye, 0.0, theta_table(diff, ctx, 1) / plain),
                   axis=-1)                                      # [s, i]
     got[:, eye] = derivs[:, eye] + g * dlog
-    return {"identity": Residual(at0 / (float(np.max(np.abs(dev))) + _EPS),
-                                 at0),
+    return {"identity": worst_of_arrays(*relative(
+                at0, float(np.max(np.abs(dev))))),
             "derivative": residual_pair(got,
                                         krichever_table(c, u, samples, ctx))}
 
@@ -787,8 +761,8 @@ def verify_cm_limit(c: complex, ctx: ModularContext, samples,
     dev = np.abs(np.stack([elliptic - hf] + [laurent_coefficient(expr, hs, k)
                                              for k in (0, 1)]))
     d2 = a2(v2) - (n - 1) * a2(v1)
-    return {"elliptic": worst_of_arrays(
-                dev / (np.abs(elliptic) + np.abs(hf) + _EPS), dev),
+    return {"elliptic": worst_of_arrays(*relative(
+                dev, np.abs(elliptic) + np.abs(hf))),
             "d2": residual_pair(
                 d2, want(op_scale(build_d_ops(c, ctx)[1], g * g)))}
 

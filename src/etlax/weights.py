@@ -66,10 +66,6 @@ def canonical_key(key) -> tuple:
     return tuple(int(k) - m for k in key)
 
 
-def unit_key(n: int, i: int) -> tuple:
-    return tuple(1 if k == i else 0 for k in range(n))
-
-
 def subset_key(n: int, subset) -> tuple:
     return tuple(1 if k in subset else 0 for k in range(n))
 

@@ -63,8 +63,8 @@ def shift(lam, key, scale):
 
 def shift_eps(lam, i, scale):
     """The point lam[n] shifted by scale * epsbar_i."""
-    from etlax.weights import unit_key
-    return shift(lam, unit_key(len(lam), i), scale)
+    from etlax.weights import subset_key
+    return shift(lam, subset_key(len(lam), (i,)), scale)
 
 
 def pdo_coeff(op, alpha, lam):
@@ -74,6 +74,14 @@ def pdo_coeff(op, alpha, lam):
         return 0.0 + 0.0j
     return complex(op.table(np.asarray(lam)[None])
                    [0, op.terms.index(tuple(alpha)), 0])
+
+
+def qfay_residual(d, u, lambdas, mus, ctx):
+    """Residual of the hbar-deformed determinant identity, worst over the
+    samples: residual_pair of its two sides, as the qfay suite reads it."""
+    from etlax.theta import qfay_lhs, qfay_rhs, residual_pair
+    return residual_pair(qfay_lhs(d, u, lambdas, mus, ctx),
+                         qfay_rhs(d, u, lambdas, mus, ctx))
 
 
 def fay_residual(d, u, lambdas, mus, ctx):

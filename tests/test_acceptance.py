@@ -20,8 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (fay_residual, matrix_entry, pdo_coeff, rand_complex,
-                      strip_timing, sumzero_exp)
+from conftest import (fay_residual, matrix_entry, pdo_coeff, qfay_residual,
+                      rand_complex, strip_timing, sumzero_exp)
 from etlax import belavin as bv
 from etlax import opalg as oa
 from etlax import theta as th
@@ -86,8 +86,9 @@ def test_criterion_03_rll_relation():
         rng = np.random.default_rng([3, n])
         lams = wt.sample_many(int(rng.integers(0, 2 ** 31)), 5, ctx)
         fns = [sumzero_exp(rng, n) for _ in range(5)]
-        found.append(tr.verify_rll(rand_complex(rng), rand_complex(rng),
-                                   rand_complex(rng), ctx, lams, fns))
+        found.append(tr.verify_fused_rll(rand_complex(rng), rand_complex(rng),
+                                         rand_complex(rng), 1, 1, ctx, lams,
+                                         fns))
     assert _report(3, "RLL exchange relation", _worst(found), 1e-8)
 
 
@@ -104,12 +105,12 @@ def test_criterion_04_main_theorem():
         c = rand_complex(rng)
         for d in range(1, n + 1):
             for dp in range(1, n + 1):
-                found_comm.append(tr.verify_commutation(
-                    c, rand_complex(rng), rand_complex(rng), d, dp, ctx,
-                    samples))
-        found_comm.append(tr.verify_commutation_trace(
-            c, rand_complex(rng), rand_complex(rng), 1, min(2, n), ctx,
-            samples))
+                found_comm.append(oa.commutator_residual(
+                    tr.m_closed(c, rand_complex(rng), d, ctx),
+                    tr.m_closed(c, rand_complex(rng), dp, ctx), samples, ctx))
+        found_comm.append(oa.commutator_residual(
+            tr.m_trace(c, rand_complex(rng), 1, ctx),
+            tr.m_trace(c, rand_complex(rng), min(2, n), ctx), samples, ctx))
     ok1 = _report(4, "trace equals closed form", _worst(found_eq), 1e-7)
     ok2 = _report(4, "commuting family", _worst(found_comm), 1e-8)
     assert ok1 and ok2
@@ -125,7 +126,7 @@ def test_criterion_05_determinant_identities():
             u = rand_complex(rng)
             lams = [rand_complex(rng) for _ in range(d)]
             mus = [rand_complex(rng) for _ in range(d)]
-            found_q.append(th.verify_qfay(d, u, lams, mus, ctx))
+            found_q.append(qfay_residual(d, u, lams, mus, ctx))
             try:
                 found_f.append(fay_residual(d, u, lams, mus, ctx))
             except th.SingularParameterError:
@@ -150,12 +151,12 @@ def test_criterion_06_generating_function():
         rng = np.random.default_rng([6, n])
         samples = wt.sample_many(int(rng.integers(0, 2 ** 31)), 12, ctx)
         c, u = rand_complex(rng), rand_complex(rng)
-        for _ in range(5):
-            found.append(tr.verify_genfunc(c, u, rand_complex(rng, 0.8), ctx,
-                                           samples))
-        found.append(tr.verify_genfunc(c, u, 0.0, ctx, samples))
-        # leading coefficient of the operator polynomial det(t) is (-1)^n id
         lop = tr.l_op(c, u, ctx)
+        for _ in range(5):
+            found.append(tr.verify_genfunc(lop, c, u, rand_complex(rng, 0.8),
+                                           ctx, samples))
+        found.append(tr.verify_genfunc(lop, c, u, 0.0, ctx, samples))
+        # leading coefficient of the operator polynomial det(t) is (-1)^n id
         lam = samples[0]
         ts_pts = [0.37 - 0.11j, -0.29 + 0.17j, 0.13 + 0.41j, 0.52 + 0.08j][: n + 1]
         vander = np.array([[t ** k for k in range(n + 1)] for t in ts_pts])

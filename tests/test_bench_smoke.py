@@ -65,6 +65,30 @@ def _names(node):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _eps_reads(source: str) -> list:
+    """The line numbers where the code reads _EPS outside a comparison: in
+    a divisor, or in a sum or a name that a division may read later."""
+    tree = ast.parse(source)
+    compared = {id(node) for cmp in ast.walk(tree)
+                if isinstance(cmp, ast.Compare) for node in ast.walk(cmp)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if "_EPS" in (getattr(node, "id", None),
+                                getattr(node, "attr", None))
+                  and id(node) not in compared)
+
+
+def test_only_theta_divides_by_eps():
+    # every rel is theta.relative's quotient; another module may read _EPS
+    # in a comparison (belavin's singularity floor), not in a divisor
+    assert _eps_reads("a = b / (s + _EPS)\nscale = s + th._EPS\n"
+                      "if 100 * _EPS > f:\n    g = np.divide(x, y + _EPS)\n"
+                      "h = 100 * th._EPS < f\n") == [1, 2, 4]
+    found = {path.name: _eps_reads(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "theta.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _eps_reads((SRC / "theta.py").read_text())
+
+
 def test_every_top_level_name_is_referenced_traced_or_allowed():
     # a reference is a name or attribute in another top-level statement of
     # the library (a docstring mention is not one), so a function whose

@@ -22,8 +22,9 @@ def parity():
 
 def _record(cases):
     """A record with one ok run per (suite, n, seed) of its cases; a case
-    row without its tolerance and control flag reads 1e-8 and no control."""
-    cases = [c if len(c) == 8 else [*c, 1e-8, False] for c in cases]
+    row of six fields, up to its rel, reads its rel as its abs, tolerance
+    1e-8 and no control."""
+    cases = [c if len(c) == 9 else [*c, c[5], 1e-8, False] for c in cases]
     runs = {tuple(c[:3]): [*c[:3], "ok"] for c in cases}
     return {"src": "synthetic", "runs": list(runs.values()), "cases": cases}
 
@@ -103,12 +104,13 @@ def test_a_moved_tolerance_or_control_flag_exits_one(parity, tmp_path,
                                                       capsys):
     # the same rels and ok flags: only the tolerance of one case and the
     # control flag of another move, and each is printed
-    a = [["theta", 2, 0, "triple-product", True, 3e-15, 1e-12, False],
-         ["theta-space", 2, 0, "negative-control-l1", True, 0.5, 1e-2, True],
-         ["rll", 3, 0, "fused-rll-k2", True, 1e-14, 1e-8, False]]
+    a = [["theta", 2, 0, "triple-product", True, 3e-15, 1e-15, 1e-12, False],
+         ["theta-space", 2, 0, "negative-control-l1", True, 0.5, 2.0, 1e-2,
+          True],
+         ["rll", 3, 0, "fused-rll-k2", True, 1e-14, 1e-13, 1e-8, False]]
     b = [list(row) for row in a]
-    b[0][6] = 1e-8
-    b[1][7] = False
+    b[0][7] = 1e-8
+    b[1][8] = False
     assert _compare(parity, tmp_path, _record(a), _record(b)) == 1
     out = capsys.readouterr().out
     assert "tolerance moved ('theta', 2, 0, 'triple-product'): " \
@@ -125,8 +127,43 @@ def test_a_record_without_tolerances_is_refused(parity, tmp_path):
     # a case row of the six fields before tol and control were recorded
     old = {"src": "old", "runs": [["theta", 2, 0, "ok"]],
            "cases": [["theta", 2, 0, "quasi-periodicity", True, 3e-15]]}
-    with pytest.raises(SystemExit, match="without tol and control"):
+    with pytest.raises(SystemExit, match="without abs, tol or control"):
         _compare(parity, tmp_path, _record(_BASE), old)
+
+
+@pytest.mark.parametrize("where", [[], ["tau=0.1+0.3j"]])
+def test_a_record_without_abs_is_refused(parity, tmp_path, where):
+    # the rows recorded before abs was: tol and control, with and without
+    # a grid context, but no abs beside the rel
+    old = {"src": "old", "runs": [["theta", 2, 0, "ok", *where]],
+           "cases": [["theta", 2, 0, "quasi-periodicity", True, 3e-15, 1e-8,
+                      False, *where]]}
+    with pytest.raises(SystemExit, match="without abs, tol or control"):
+        _compare(parity, tmp_path, old, old)
+
+
+def test_moved_abs_beside_identical_rels_are_counted_per_stem(
+        parity, tmp_path, capsys):
+    # vandermonde-degenerate-n2 and -n3 report a new abs beside the same
+    # rel, theta a new abs beside a moved rel (counted as a moved rel
+    # only), and commute nothing: the exit status stays 0
+    a = _BASE + [["vandermonde", 2, seed, f"vandermonde-degenerate-n{n}",
+                  True, 0.0, 1e-14, 1e-9, False]
+                 for seed in (0, 1) for n in (2, 3)]
+    b = [list(row) for row in a]
+    b[0][5] = 6e-15
+    for row in b[2:5]:
+        row[6] = 0.0
+    assert _compare(parity, tmp_path, _record(a), _record(b)) == 0
+    out = capsys.readouterr().out
+    assert "6 common cases: 0 ok flips, 0 tolerance changes, " \
+        "5 bit-identical rels, 1 moved" in out
+    assert out.endswith(
+        "moved rels per suite/case stem:\n  theta/quasi-periodicity 1\n"
+        "moved abs beside a bit-identical rel per suite/case stem:\n"
+        "  vandermonde/vandermonde-degenerate-n 3\n")
+    assert _compare(parity, tmp_path, _record(a), _record(a)) == 0
+    assert "moved abs" not in capsys.readouterr().out
 
 
 def test_no_moved_rels_print_no_stems(parity, tmp_path, capsys):
@@ -186,8 +223,8 @@ def _grid_record(outcomes):
     return {"src": "synthetic",
             "runs": [[s, 2, seed, out, where]
                      for s, seed, where, out in outcomes],
-            "cases": [[s, 2, seed, "case", out == "ok", 1e-15, 1e-8, False,
-                       where]
+            "cases": [[s, 2, seed, "case", out == "ok", 1e-15, 1e-15, 1e-8,
+                       False, where]
                       for s, seed, where, out in outcomes
                       if not out.startswith("Singular")]}
 

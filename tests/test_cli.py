@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from conftest import strip_timing
@@ -409,6 +410,59 @@ def test_eight_vertex_pattern_reads_a_missing_ice_entry(monkeypatch):
         return ent
     monkeypatch.setattr(bv, "build_r", holed)
     assert not pattern().ok
+
+
+def _case(suite, name, ctx, seed=0):
+    return {c.name: c for c in run_suite(suite, ctx, seed).cases}[name]
+
+
+def test_face_weight_diag_reads_an_odd_slip_of_the_diagonal_weight(
+        monkeypatch):
+    # W(0) has diagonal weight theta(0 + h)/theta(h) = 1 exactly; read as
+    # theta(-h)/theta(h) (an oddness slip in the numerator) it is -1
+    from etlax import belavin as bv
+    ctx = default_context(2)
+    assert _case("face-ybe", "face-weight-diag-u0", ctx).rel == 0.0
+    real = bv._weight_tables
+
+    def slipped(lijs, moves, c):
+        out = real(lijs, moves, c)
+        for keep, _ in out:
+            keep[:, -1] *= -1.0
+        return out
+    monkeypatch.setattr(bv, "_weight_tables", slipped)
+    assert not _case("face-ybe", "face-weight-diag-u0", ctx).ok
+
+
+def test_vandermonde_degenerate_reads_a_product_without_its_shared_zero(
+        monkeypatch):
+    # at sum u = 1 both sides vanish through theta(sum u); a product side
+    # that drops that factor stays finite while the det vanishes
+    from etlax import theta as th
+    ctx = default_context(2)
+    names = [f"vandermonde-degenerate-n{n}" for n in (2, 3, 4)]
+    assert all(_case("vandermonde", name, ctx).rel == 0.0 for name in names)
+
+    def unshared(us, c):
+        us = np.asarray(us, dtype=complex)
+        j, k = np.triu_indices(us.shape[-1], 1)
+        ieta = 1j * th.dedekind_eta(c.tau, c)
+        return th.vandermonde_sign(us.shape[-1]) * np.prod(
+            th.theta_table(us[..., k] - us[..., j], c) / ieta, axis=-1)[()]
+    monkeypatch.setattr(th, "vandermonde_product", unshared)
+    assert not any(_case("vandermonde", name, ctx).ok for name in names)
+
+
+def test_c0_pure_derivative_reads_a_coupling_off_by_one(monkeypatch):
+    # at c = 0 every scalar entry of K carries the factor g = c/n = 0; K
+    # read at the coupling c + 1 has g = 1/n
+    from etlax import transfer as tr
+    ctx = default_context(2)
+    assert _case("krichever", "c0-pure-derivative", ctx).rel == 0.0
+    real = tr.krichever_table
+    monkeypatch.setattr(tr, "krichever_table",
+                        lambda c, u, P, cx: real(c + 1.0, u, P, cx))
+    assert not _case("krichever", "c0-pure-derivative", ctx).ok
 
 
 def test_verify_all_refuses_the_rank_flag(tmp_path, monkeypatch, capsys):

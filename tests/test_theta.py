@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fay_residual, rand_complex, table_reads
+from conftest import fay_residual, qfay_residual, rand_complex, table_reads
 from etlax.context import ContextError, SingularParameterError, default_context
 from etlax import theta as th
 
@@ -252,6 +252,18 @@ def test_vandermonde_degenerate_across_seeds():
             assert res.rel < 1e-9, (n, seed)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_degenerate_point_set_reads_residual_zero(n):
+    # one point set is the batch of one: a degenerate sample's deviation
+    # counts as 0, so its abs reads 0 beside its rel 0, as in a batch; the
+    # one-point branch that went kept the det's rounding (3e-16 to 6e-13
+    # here) as the abs of a floored rel
+    ctx = default_context(n)
+    for seed in (0, 42):
+        got = th.verify_vandermonde(_degenerate_points(seed, n), ctx)
+        assert got == th.Residual(0.0, 0.0), (n, seed)
+
+
 def test_vandermonde_floor_negative_control(monkeypatch):
     # With the sign of the identity flipped, the check must fail 1e-2 away
     # from the degenerate locus: the relative floor does not hide it there
@@ -333,17 +345,17 @@ def test_theta_ml_large_imaginary_argument():
 
 
 def test_qfay_d1_machine_precision(ctx2, rng):
-    res = th.verify_qfay(1, rand_complex(rng), [rand_complex(rng)],
-                         [rand_complex(rng)], ctx2)
+    res = qfay_residual(1, rand_complex(rng), [rand_complex(rng)],
+                        [rand_complex(rng)], ctx2)
     assert res.rel < 1e-14
 
 
 def test_qfay_all_depths(ctx2, rng):
     for d in range(1, 5):
         for _ in range(50):
-            res = th.verify_qfay(d, rand_complex(rng),
-                                 [rand_complex(rng) for _ in range(d)],
-                                 [rand_complex(rng) for _ in range(d)], ctx2)
+            res = qfay_residual(d, rand_complex(rng),
+                                [rand_complex(rng) for _ in range(d)],
+                                [rand_complex(rng) for _ in range(d)], ctx2)
             assert res.rel < ctx2.tol_identity
 
 
@@ -363,7 +375,7 @@ def test_qfay_degenerate_column(ctx2, rng):
     a12 = th.theta(mus[0] - lams[1] + u, ctx2) * th.theta(mus[1] - lams[1], ctx2)
     det = th.qfay_lhs(d, u, lams, mus, ctx2)
     assert abs(det - (-a21 * a12)) / abs(det) < 1e-12
-    assert th.verify_qfay(d, u, lams, mus, ctx2).rel < 1e-12
+    assert qfay_residual(d, u, lams, mus, ctx2).rel < 1e-12
 
 
 def test_fay_identity(ctx2, rng):
@@ -566,7 +578,7 @@ def test_determinant_identities_read_one_theta_table(monkeypatch, rng):
         args = (rand_complex(rng), [rand_complex(rng) for _ in range(d)],
                 [rand_complex(rng) for _ in range(d)])
         del calls[:], reads[:]
-        th.verify_qfay(d, *args, ctx)
+        qfay_residual(d, *args, ctx)
         assert calls == [d ** 3, 1 + (d - 1) + d * (d - 1)]   # lhs, rhs
         assert reads == calls           # no theta value read outside them
         del calls[:], reads[:]
@@ -1050,7 +1062,7 @@ def test_qfay_batch_matches_its_per_sample_loop(n, rng):
         # same operations in the same order: bit for bit
         assert lhs.tolist() == [w[0] for w in want]
         assert rhs.tolist() == [w[1] for w in want]
-        assert th.verify_qfay(d, u, lams, mus, ctx) == th.worst_of_arrays(
+        assert qfay_residual(d, u, lams, mus, ctx) == th.worst_of_arrays(
             *th.residual_arrays(lhs, rhs))
         if d > 1:
             # negative control: sample 5 with two lambdas swapped on the

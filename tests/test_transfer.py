@@ -46,8 +46,8 @@ def test_rll(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         lams = wt.sample_many(22, 5, ctx)
         fns = [sumzero_exp(rng, ctx.n) for _ in range(5)]
-        res = tr.verify_rll(rand_complex(rng), rand_complex(rng),
-                            rand_complex(rng), ctx, lams, fns)
+        res = tr.verify_fused_rll(rand_complex(rng), rand_complex(rng),
+                                  rand_complex(rng), 1, 1, ctx, lams, fns)
         assert res.rel < 1e-9
 
 
@@ -55,7 +55,7 @@ def test_rll_equal_spectral_points(ctx3, rng):
     lams = wt.sample_many(23, 2, ctx3)
     fns = [sumzero_exp(rng, 3) for _ in range(2)]
     u = rand_complex(rng)
-    assert tr.verify_rll(C0, u, u, ctx3, lams, fns).rel < 1e-11
+    assert tr.verify_fused_rll(C0, u, u, 1, 1, ctx3, lams, fns).rel < 1e-11
 
 
 def test_fused_l_edges(ctx3):
@@ -63,7 +63,7 @@ def test_fused_l_edges(ctx3):
     # tensor itself, bit for bit, with T_k the k-th unit key
     lop = tr.l_op(C0, U0, ctx3)
     samples = wt.sample_many(24, 4, ctx3)
-    assert lop.terms == tuple(wt.unit_key(3, k) for k in range(3))
+    assert lop.terms == tuple(wt.subset_key(3, (k,)) for k in range(3))
     want = tr.l_coeff_tensor(C0, [U0] * 4, samples, ctx3)     # [s, k, i, j]
     assert np.array_equal(lop.table(samples), want)
     for i in range(3):
@@ -271,15 +271,16 @@ def test_commutators(ctx2, ctx3, rng):
         c = rand_complex(rng)
         for d in range(1, ctx.n + 1):
             for dp in range(d, ctx.n + 1):
-                res = tr.verify_commutation(c, rand_complex(rng),
-                                            rand_complex(rng), d, dp, ctx,
-                                            samples)
+                res = oa.commutator_residual(
+                    tr.m_closed(c, rand_complex(rng), d, ctx),
+                    tr.m_closed(c, rand_complex(rng), dp, ctx), samples, ctx)
                 assert res.rel < 1e-9
 
 
 def test_commutator_trace_route(ctx3, rng):
     samples = wt.sample_many(29, 8, ctx3)
-    res = tr.verify_commutation_trace(C0, U0, V0, 1, 2, ctx3, samples)
+    res = oa.commutator_residual(tr.m_trace(C0, U0, 1, ctx3),
+                                 tr.m_trace(C0, V0, 2, ctx3), samples, ctx3)
     assert res.rel < 1e-9
 
 
@@ -304,10 +305,11 @@ def test_generating_function(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         samples = wt.sample_many(32, 12, ctx)
         c, u = rand_complex(rng), rand_complex(rng)
+        lop = tr.l_op(c, u, ctx)
         for _ in range(2):
-            assert tr.verify_genfunc(c, u, rand_complex(rng, 0.8), ctx,
+            assert tr.verify_genfunc(lop, c, u, rand_complex(rng, 0.8), ctx,
                                      samples).rel < 1e-7
-        assert tr.verify_genfunc(c, u, 0.0, ctx, samples).rel < 1e-7
+        assert tr.verify_genfunc(lop, c, u, 0.0, ctx, samples).rel < 1e-7
 
 
 def test_generating_function_leading_coefficient(ctx2, rng):
@@ -351,9 +353,22 @@ def test_lax_matrix_identity_limit(ctx3, rng):
 def test_lax_matrix_determinant_route(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         samples = wt.sample_many(37, 10, ctx)
-        res = tr.verify_genfunc_ltilde(rand_complex(rng), rand_complex(rng),
-                                       rand_complex(rng, 0.8), ctx, samples)
+        c, u = rand_complex(rng), rand_complex(rng)
+        res = tr.verify_genfunc(tr.l_tilde(c, u, ctx), c, u,
+                                rand_complex(rng, 0.8), ctx, samples)
         assert res.rel < 1e-8
+
+
+@pytest.mark.parametrize("route", [tr.l_op, tr.l_tilde],
+                         ids=["l_op", "l_tilde"])
+def test_determinant_routes_read_a_coupling_mismatch(route, ctx2, ctx3):
+    # negative control: either Lax matrix at c against the generating sum
+    # at c + 0.07 reads red on both routes
+    for ctx in (ctx2, ctx3):
+        samples = wt.sample_many(37, 10, ctx)
+        for t in (0.0, 0.3 + 0.1j):
+            assert tr.verify_genfunc(route(C0, U0, ctx), C0 + 0.07, U0, t,
+                                     ctx, samples).rel > 1e-3
 
 
 def test_lax_resonant_rejection(ctx3):
@@ -410,7 +425,8 @@ def test_rll_negative_control(ctx2, ctx3, rng, monkeypatch):
     for ctx in (ctx2, ctx3):
         lams = wt.sample_many(22, 5, ctx)
         fns = [sumzero_exp(rng, ctx.n) for _ in range(5)]
-        assert tr.verify_rll(C0, U0, V0, ctx, lams, fns).rel > 1e-2
+        assert tr.verify_fused_rll(C0, U0, V0, 1, 1, ctx, lams,
+                                   fns).rel > 1e-2
     lams = wt.sample_many(38, 2, ctx3)
     fns = [sumzero_exp(rng, 3) for _ in range(2)]
     assert tr.verify_fused_rll(C0, U0, V0, 2, 2, ctx3, lams, fns).rel > 1e-2
@@ -984,7 +1000,8 @@ def test_genfunc_reads_one_coefficient_tensor(ctx3, monkeypatch):
     monkeypatch.setattr(tr, "l_coeff_tensor",
                         lambda *args: calls.append(args) or real(*args))
     samples = wt.sample_many(53, 4, ctx3)
-    assert tr.verify_genfunc(C0, U0, 0.3 + 0.1j, ctx3, samples).rel < 1e-7
+    assert tr.verify_genfunc(tr.l_op(C0, U0, ctx3), C0, U0, 0.3 + 0.1j,
+                             ctx3, samples).rel < 1e-7
     assert len(calls) == 1
 
 

@@ -131,7 +131,7 @@ def test_shift_additivity(ctx3):
 def test_shift_changes_pairings_linearly(ctx3):
     lam = wt.sample_generic(7, ctx3)
     hb = ctx3.hbar
-    ups = wt.shifted(lam, [wt.unit_key(3, k) for k in range(3)], hb)
+    ups = wt.shifted(lam, [wt.subset_key(3, (k,)) for k in range(3)], hb)
     for k in range(3):
         for i in range(3):
             for j in range(3):

@@ -39,10 +39,10 @@ a run that raises is recorded with its error and does not hide the others
 (inside `verify all` the first raise ends the command with exit 2).
 
 The record is JSON: {"src", "runs": [[suite, n, seed, outcome]], "cases":
-[[suite, n, seed, case, ok, rel, tol, control]]}, where outcome is "ok",
-"fail" (some case not ok) or the error's type and message, a NaN rel is
-null, tol is the case's tolerance (a control's floor) and control its
-negative-control flag; a grid row ends with one more field, its context
+[[suite, n, seed, case, ok, rel, abs, tol, control]]}, where outcome is
+"ok", "fail" (some case not ok) or the error's type and message, a NaN rel
+or abs is null, tol is the case's tolerance (a control's floor) and control
+its negative-control flag; a grid row ends with one more field, its context
 ("tau=0.1+0.3j"), which is part of its key.  `--compare A B` prints the
 runs whose outcome differs, then, per context and suite, the raises and
 the failing runs of A and of B wherever either has some, the cases present
@@ -54,14 +54,16 @@ max(rel_B, FLOOR) / max(rel_A, FLOOR): its range, how many cases are
 bit-identical, and the largest growths; then, per (suite, case stem), the
 number of rels that moved, the stem being the case name without its
 trailing digits (`fay/fay-d 200` counts fay-d1 to fay-d4 of every n and
-seed).  Below FLOOR = 1e-14 a rel is rounding noise, so a rel that moves
-within the rounding floor (say from 1e-17 to 6e-16) reads as a ratio of
-1, not as a growth of 64x.  It exits 1 if any ok flag, tolerance, control
-flag or outcome differs or a run or case is present on one side only (a
-dropped or renamed case), else 0; a record whose case rows lack tol and
-control is refused.  If the reader of its output goes away
-early (`--compare A B | head`), the rest is discarded quietly and the exit
-status is the same.
+seed), and, per stem, the number of abs values that moved beside a
+bit-identical rel (a check that reports another absolute deviation beside
+the same rel).  Below FLOOR = 1e-14 a rel is rounding noise, so a rel that
+moves within the rounding floor (say from 1e-17 to 6e-16) reads as a
+ratio of 1, not as a growth of 64x.  It exits 1 if any ok flag,
+tolerance, control flag or outcome differs or a run or case is present on
+one side only (a dropped or renamed case), else 0, whatever abs moved; a
+record whose case rows lack abs, tol or control is refused.  If the reader
+of its output goes away early (`--compare A B | head`), the rest is
+discarded quietly and the exit status is the same.
 """
 
 from __future__ import annotations
@@ -144,9 +146,8 @@ def record(args):
                          *where])
             continue
         runs.append([suite, n, seed, "ok" if rep.passed else "fail", *where])
-        cases += [[suite, n, seed, c.name, bool(c.ok),
-                   None if math.isnan(c.rel) else float(c.rel),
-                   float(c.tol), bool(c.control), *where]
+        cases += [[suite, n, seed, c.name, bool(c.ok), _number(c.rel),
+                   _number(c.abs), float(c.tol), bool(c.control), *where]
                   for c in rep.cases]
     doc = {"src": str(Path(args.src).resolve()), "runs": runs, "cases": cases}
     Path(args.out).write_text(json.dumps(doc) + "\n")
@@ -160,7 +161,12 @@ def _run_key(row):          # (suite, n, seed), then a grid row's context
 
 
 def _case_key(row):         # (suite, n, seed, case), then the context
-    return tuple(row[:4]) + tuple(row[8:])
+    return tuple(row[:4]) + tuple(row[9:])
+
+
+def _full(row) -> bool:
+    """A case row of every field: nine, and a grid row's context."""
+    return len(row) - isinstance(row[-1], str) == 9
 
 
 def _tallies(doc) -> Counter:
@@ -172,6 +178,11 @@ def _tallies(doc) -> Counter:
             out[(where, row[0],
                  "fails" if row[3] == "fail" else "raises")] += 1
     return out
+
+
+def _number(value):
+    """A rel or abs as recorded: a NaN is null."""
+    return None if math.isnan(value) else float(value)
 
 
 def _rel(value):
@@ -190,9 +201,9 @@ def _say(line):
 def compare(path_a, path_b) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     for path, doc in ((path_a, a), (path_b, b)):
-        if any(len(row) not in (8, 9) for row in doc["cases"]):
-            sys.exit(f"error: {path} has case rows without tol and control; "
-                     f"record it again with this tool")
+        if not all(map(_full, doc["cases"])):
+            sys.exit(f"error: {path} has case rows without abs, tol or "
+                     f"control; record it again with this tool")
     differs = 0
     runs_a = {_run_key(r): r[3] for r in a["runs"]}
     runs_b = {_run_key(r): r[3] for r in b["runs"]}
@@ -209,25 +220,29 @@ def compare(path_a, path_b) -> int:
             f"{kind} {tally_a[(where, suite, kind)]} -> "
             f"{tally_b[(where, suite, kind)]}"
             for kind in ("raises", "fails")))
-    cases_a = {_case_key(c): c[4:8] for c in a["cases"]}
-    cases_b = {_case_key(c): c[4:8] for c in b["cases"]}
+    cases_a = {_case_key(c): c[4:9] for c in a["cases"]}
+    cases_b = {_case_key(c): c[4:9] for c in b["cases"]}
     one_sided = sorted(cases_a.keys() ^ cases_b.keys(), key=str)
     for key in one_sided:
         _say(f"only in {'A' if key in cases_a else 'B'}: {key}")
     common = sorted(cases_a.keys() & cases_b.keys(), key=str)
-    flips, tols, same, ratios, stems = [], [], 0, [], Counter()
+    flips, tols, same, ratios = [], [], 0, []
+    stems, abs_stems = Counter(), Counter()
     for key in common:
-        (ok_a, rel_a, *tol_a), (ok_b, rel_b, *tol_b) = (cases_a[key],
-                                                        cases_b[key])
+        (ok_a, rel_a, abs_a, *tol_a), (ok_b, rel_b, abs_b, *tol_b) = (
+            cases_a[key], cases_b[key])
         rel_a, rel_b = _rel(rel_a), _rel(rel_b)
+        stem = "/".join([*key[4:], key[0], key[3].rstrip("0123456789")])
         if tol_a != tol_b:
             tols.append((key, tol_a, tol_b))
         if ok_a != ok_b:
             flips.append((key, ok_a, rel_a, ok_b, rel_b))
         if rel_a == rel_b or (math.isnan(rel_a) and math.isnan(rel_b)):
             same += 1
+            if abs_a != abs_b:
+                abs_stems[stem] += 1
             continue
-        stems["/".join([*key[4:], key[0], key[3].rstrip("0123456789")])] += 1
+        stems[stem] += 1
         if not (math.isnan(rel_a) or math.isnan(rel_b)):
             ratios.append((max(rel_b, FLOOR) / max(rel_a, FLOOR), key,
                            rel_a, rel_b))
@@ -258,6 +273,10 @@ def compare(path_a, path_b) -> int:
     if stems:
         _say("moved rels per suite/case stem:")
         for stem, count in sorted(stems.items()):
+            _say(f"  {stem} {count}")
+    if abs_stems:
+        _say("moved abs beside a bit-identical rel per suite/case stem:")
+        for stem, count in sorted(abs_stems.items()):
             _say(f"  {stem} {count}")
     return 1 if flips or tols or differs or one_sided else 0
 
