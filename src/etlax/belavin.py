@@ -34,9 +34,10 @@ phibar of the module, always at integer step counts (partial_shifts decides
 those of a path map), so the vertex-face layer never forms a shifted point.
 The map along paths multiplies one batch of phi out level by level, and
 both two-step intertwining relations are read on these tensor matrices.
-The fusion intertwining braids its vertex side whole (its rounding decides
-the case at some n = 4 seeds) and forms Phi' F in column blocks from the
-stack.
+The fusion intertwining holds one n^k x n^k matrix, Phi' at the reversed
+parameters: Phi and its braid, and Phi' F from the stack, are formed 16
+columns at a time, Phi' F over all n^k rows of F so that it rounds as the
+dense product (its rounding decides the case at some n = 4 seeds).
 """
 
 from __future__ import annotations
@@ -140,13 +141,15 @@ def rcheck_table(deltas, ctx: ModularContext) -> np.ndarray:
     return ent.transpose(0, 4, 3, 1, 2).reshape(len(ent), n * n, n * n)
 
 
-def _apply_moves(op: np.ndarray, rchecks, moves, n: int) -> np.ndarray:
+def _apply_moves(op: np.ndarray, rchecks, moves, n: int,
+                 buf: np.ndarray | None = None) -> np.ndarray:
     """rchecks[r] applied to the slots (moves[r], moves[r] + 1) of the
     columns of op, in order; op is [..., n^k, cols] and rchecks[r]
     [..., n^2, n^2] with the same leading axes.  op is overwritten: the
-    moves alternate between it and one buffer, where a fresh array per move
-    left the heap about 1 MB larger at n = k = 4."""
-    buf = np.empty_like(op)
+    moves alternate between it and one buffer (buf if given, an array like
+    op), where a fresh array per move left the heap about 1 MB larger at
+    n = k = 4; the result is whichever of the two the last move wrote."""
+    buf = np.empty_like(op) if buf is None else buf
     for m, rc in zip(moves, rchecks):
         slots = (*op.shape[:-2], n ** m, n * n, -1)
         np.matmul(rc[..., None, :, :], op.reshape(slots), out=buf.reshape(slots))
@@ -618,27 +621,35 @@ def antisymmetrizer_on(k: int, cols: np.ndarray, ctx: ModularContext,
     return _braid_on(fusion_parameters(k, u, ctx), fusion_moves(k), cols, ctx)
 
 
-def _path_tensor(levels, n: int) -> np.ndarray:
-    """The tensor matrices [..., n^k, n^k] of the k = len(levels) levels
-    [..., points, n, n] of partial_shifts(n, k): column (i_1..i_k) holds
-    prod_m column i_m of level m at its prefix, multiplied in per level."""
+def _path_tensor(levels, n: int, lo: int = 0, hi: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The columns lo:hi (all by default) of the tensor matrices
+    [..., n^k, n^k] of the k = len(levels) levels [..., points, n, n] of
+    partial_shifts(n, k): column (i_1..i_k) holds prod_m column i_m of
+    level m at its prefix, multiplied in per level, into out if given (an
+    array [..., n^k, hi - lo])."""
     k = len(levels)
-    prefix = partial_shifts(n, k)[1]
-    steps = np.indices((n,) * k).reshape(k, -1)                 # [m, path]
+    hi = n ** k if hi is None else hi
+    prefix, paths = partial_shifts(n, k)[1], np.arange(lo, hi)
     lead = levels[0].shape[:-3]
-    mat = np.ones(lead + (n ** k, n ** k), dtype=complex)
-    grid = mat.reshape(lead + (n,) * k + (-1,))
+    if out is None:
+        out = np.empty(lead + (n ** k, hi - lo), dtype=complex)
+    out[...] = 1.0
+    grid = out.reshape(lead + (n,) * k + (-1,))
     for m, level in enumerate(levels):
-        vecs = np.moveaxis(level[..., prefix[m], :, steps[m]], 0, -1)
+        step = paths // n ** (k - 1 - m) % n
+        vecs = np.moveaxis(level[..., prefix[m][lo:hi], :, step], 0, -1)
         # tensor factor m of every column, multiplied in place
         grid *= vecs.reshape(lead + (1,) * m + (n,) + (1,) * (k - m - 1)
                              + (-1,))
-    return mat
+    return out
 
 
 def _phi_levels(base, params, ctx: ModularContext) -> list:
-    """The levels [points, n, n] of phi_tensor_matrix: phi(params[m]) at
-    the step counts of level m of partial_shifts(n, k), from one
+    """The levels [points, n, n] of the outgoing intertwiner map paths ->
+    V^(x)k at the base weight base[n] (column (i_1..i_k) the tensor
+    prod_m phi(params[m]) along the path, their _path_tensor): phi(params[m])
+    at the step counts of level m of partial_shifts(n, k), from one
     shift_intertwiners call at base, which reads phi(v - m hbar) there at
     v = params[m] + m hbar; level m is its block of counts."""
     n, k = ctx.n, len(params)
@@ -650,44 +661,49 @@ def _phi_levels(base, params, ctx: ModularContext) -> list:
     return [phi[m, edges[m]:edges[m + 1]] for m in range(k)]
 
 
-def phi_tensor_matrix(base, params, ctx: ModularContext) -> np.ndarray:
-    """The stacked outgoing intertwiner map paths -> V^(x)k at the base
-    weight base[n]: column (i_1..i_k) holds tensor prod_m phi(params[m])
-    along the path, the _phi_levels multiplied out by _path_tensor."""
-    return _path_tensor(_phi_levels(base, params, ctx), ctx.n)
-
-
 def verify_fusion_intertwining(k: int, u: complex, lam,
                                ctx: ModularContext) -> Residual:
-    """pi_{1^k} (phi x ... x phi) = (phi x ... x phi) Pi_{1^k} at base lam[n],
-    as _rel(lhs, rhs), with no n^k x n^k matrix beside the braided side.
+    """pi_{1^k} Phi = Phi' F at base lam[n], Phi = phi x ... x phi the path
+    map at the fusion parameters, Phi' the one at the reversed parameters
+    and F the face moves of the fusion braid: max|lhs - rhs| relative to
+    max|lhs| + max|rhs|, lhs = pi Phi and rhs = Phi' F, with no n^k x n^k
+    matrix but Phi'.
 
-    lhs, the braid of pi on the columns of Phi = phi x ... x phi, is built
-    first, so its braid buffer is freed before rhs allocates.  rhs = Phi' F
-    (Phi' at the reversed parameters, F the face moves of the fusion braid)
-    is formed 16 columns at a time from the _face_orbits stack, the maxima
-    of _rel reduced block by block: one matmul over all rows of Phi' from a
-    multiple of 16 columns, so BLAS sums every entry as in the dense Phi' F."""
+    Both sides are formed 16 columns at a time (no block under 8 columns:
+    BLAS rounds 1- and 2-column products apart), the three maxima folded
+    block by block.  A block of Phi is its _path_tensor columns, braided by
+    the Rchecks of one table; F's block is scattered from the _face_orbits
+    stack.  Phi' stays whole, so that each block of Phi' F is one matmul
+    over all n^k rows of F and BLAS sums every entry as in the dense
+    product.  The block arrays are reused from block to block."""
+    n, size = ctx.n, ctx.n ** k
     params, moves = fusion_parameters(k, u, ctx), fusion_moves(k)
-    levels, size = _phi_levels(lam, params[::-1], ctx), ctx.n ** k
+    rev = _phi_levels(lam, params[::-1], ctx)
     stack = _face_orbits(lam, k, [list(zip(moves, _move_deltas(params, moves)))],
                          ctx)[0][0]
-    lhs = _braid_on(params, moves, phi_tensor_matrix(lam, params, ctx), ctx)
-    top, (row, col) = np.max(np.abs(lhs)), _orbit_plan(ctx.n, k)[:2]
-    phir = _path_tensor(levels, ctx.n)
-    worst = np.zeros(2)                      # max|lhs - rhs|, max|rhs|
-    # no block under 8 columns: BLAS rounds 1- and 2-column products apart
+    # Phi' after the face stack, whose temporaries are then freed
+    phir, levels = _path_tensor(rev, n), _phi_levels(lam, params, ctx)
+    rchecks = rcheck_table(_move_deltas(params, moves), ctx)
+    row, col = _orbit_plan(n, k)[:2]
     edges = [*range(0, max(size - 8, 1), 16), size]
+    width = max(np.diff(edges))
+    work = np.empty((4, size * width), dtype=complex)
+    worst = np.zeros(3)                # max|lhs - rhs|, max|rhs|, max|lhs|
     for lo, hi in zip(edges[:-1], edges[1:]):
+        phi, buf, f, rhs = (a[:size * (hi - lo)].reshape(size, hi - lo)
+                            for a in work)
+        lhs = _apply_moves(_path_tensor(levels, n, lo, hi, phi), rchecks,
+                           moves, n, buf)
         # column c of F holds the entries (c, r) at rows r
         part = slice(*np.searchsorted(col, [lo, hi]))
-        f = np.zeros((size, hi - lo), dtype=complex)
+        f[...] = 0.0
         f[row[part], col[part] - lo] = stack[part]
-        rhs = phir @ f
+        np.matmul(phir, f, out=rhs)
         high = np.max(np.abs(rhs))
-        rhs -= lhs[:, lo:hi]
-        worst = np.maximum(worst, [np.max(np.abs(rhs)), high])
-    return worst_of_arrays(*relative(worst[0], top + worst[1]))
+        rhs -= lhs
+        worst = np.maximum(worst, [np.max(np.abs(rhs)), high,
+                                   np.max(np.abs(lhs))])
+    return worst_of_arrays(*relative(worst[0], worst[2] + worst[1]))
 
 
 def antisym_vector(n: int, subset) -> np.ndarray:

@@ -38,6 +38,15 @@ def table_reads(monkeypatch):
     return reads
 
 
+def phi_tensor_matrix(base, params, ctx):
+    """The dense oracle of the outgoing intertwiner map paths -> V^(x)k at
+    the base weight base[n]: column (i_1..i_k) holds tensor prod_m
+    phi(params[m]) along the path, all n^k columns of the _path_tensor of
+    belavin._phi_levels at once."""
+    from etlax import belavin as bv
+    return bv._path_tensor(bv._phi_levels(base, params, ctx), ctx.n)
+
+
 def rand_complex(rng, box=0.4):
     return complex(rng.uniform(-box, box) + 1j * rng.uniform(-box, box))
 

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py verdicts on synthetic paired runs."""
+"""tools/bench_pairs.py: verdicts on synthetic paired runs, and the peak-RSS
+processes of its record."""
 
 import importlib.util
+import json
 import os
 import shutil
 import signal
@@ -91,3 +93,43 @@ def test_sigterm_removes_the_export_directory(tmp_path):
         proc.wait()
     assert not list(tmp_path.glob("bench-pairs-*"))
     assert not (tmp_path / "out.json").exists()
+
+
+def test_peak_rss_runs_one_verify_command_in_a_fresh_process(pairs, tmp_path):
+    root = _TOOL.parent.parent
+    got = pairs.peak_rss(root, ["intertwiner", "--n", "2", "--seed", "3"],
+                         tmp_path)
+    assert got["exit"] == 0 and got["self_mb"] > 0 and got["children_mb"] >= 0
+    doc = json.loads((tmp_path / "rss.json").read_text())
+    assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
+            for s in doc["suites"]] == [("intertwiner", 2, 3)]
+
+
+def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
+                                                       monkeypatch):
+    # one fresh `verify all` and one `verify intertwiner --n 4` per tree,
+    # each at the first seed; the paired runs are stubbed
+    calls = []
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(pairs, "bench_once", lambda tree, w, seed, s: {
+        "correct": True, "attempted": 17, "failed": 0, "failed_lines": [],
+        "metrics": {"wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 40.0}})
+
+    def peak(tree, arguments, work):
+        calls.append((tree.name, arguments))
+        return {"self_mb": 30.0 + len(calls), "children_mb": 0.0, "exit": 0}
+    monkeypatch.setattr(pairs, "peak_rss", peak)
+    out = tmp_path / "out.json"
+    assert pairs.main(["--parent", "A", "--change", "B", "--workload",
+                       "identities", "--seed", "42", "--seed", "7",
+                       "--out", str(out)]) == 0
+    rss = json.loads(out.read_text())["rss"]
+    assert sorted(calls) == sorted(
+        (side, [*command, "--seed", "42"]) for side in pairs.SIDES
+        for command in (["all"], ["intertwiner", "--n", "4"]))
+    assert rss["what"] == {
+        "all": "one fresh `verify all --seed 42`",
+        "intertwiner-n4": "one fresh `verify intertwiner --n 4 --seed 42`"}
+    for side in pairs.SIDES:
+        assert set(rss[side]) == {"all", "intertwiner-n4"}
+        assert all(r["exit"] == 0 for r in rss[side].values())

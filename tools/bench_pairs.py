@@ -24,9 +24,12 @@ when the change's median exceeds the parent's by more than the metric's
 relative bound in BENCHMARK.json, "unresolved" when either side's
 quartile distance exceeds that bound times the parent's median and not
 every run of the change reads better than every run of the parent, and
-"within bound" else.  "rss" holds, for each tree, the peak
-resident set of one fresh `verify all --seed S` process (RUSAGE_SELF) and
-of the largest process it forked and reaped (RUSAGE_CHILDREN), in MB.
+"within bound" else.  "rss" holds, for each tree and each command of
+RSS_COMMANDS, the peak resident set of one fresh `verify <command> --seed
+S` process (RUSAGE_SELF) and of the largest process it forked and reaped
+(RUSAGE_CHILDREN), in MB, S the first --seed: `verify all`, and `verify
+intertwiner --n 4`, whose fusion intertwining at k = 4 is the largest
+transient array of the identities workload.
 """
 
 from __future__ import annotations
@@ -49,19 +52,23 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
-# One fresh `verify all`: its report goes to a scratch file, and the last
-# line of standard output is {"self_mb", "children_mb", "exit"}.
+# One fresh `verify <arguments...> --json <report>`, the report path first
+# on its command line: the report goes to a scratch file, and the last line
+# of standard output is {"self_mb", "children_mb", "exit"}.
 RSS_CODE = """
 import contextlib, io, json, resource, sys
 sys.path.insert(0, "src")
 from etlax import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["all", "--seed", sys.argv[1], "--json", sys.argv[2]])
+    code = cli.main(sys.argv[2:] + ["--json", sys.argv[1]])
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
 print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN),
                   "exit": code}))
 """
+# name -> the verify arguments of one peak-RSS process, before --seed
+RSS_COMMANDS = {"all": ["all"],
+                "intertwiner-n4": ["intertwiner", "--n", "4"]}
 
 
 def export(rev, dest):
@@ -93,9 +100,11 @@ def bench_once(tree, workload, seed, seconds):
                              if line.lstrip().startswith("failed")]}
 
 
-def peak_rss(tree, seed, work):
+def peak_rss(tree, arguments, work):
+    """{"self_mb", "children_mb", "exit"} of one fresh `verify
+    <arguments...>` process run in `tree`, its report written in `work`."""
     out = subprocess.run(
-        [sys.executable, "-c", RSS_CODE, str(seed), str(work / "rss.json")],
+        [sys.executable, "-c", RSS_CODE, str(work / "rss.json"), *arguments],
         cwd=tree, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -196,7 +205,9 @@ def main(argv=None):
                     print(key, i, {side: runs[key][side][-1]["metrics"]
                                    for side in SIDES}, flush=True)
                 summary[key] = summarize(runs[key], bounds)
-        rss = {side: peak_rss(trees[side], args.seed[0], work)
+        rss = {side: {name: peak_rss(trees[side], [*command, "--seed",
+                                                   str(args.seed[0])], work)
+                      for name, command in RSS_COMMANDS.items()}
                for side in SIDES}
     doc = {
         "what": __doc__.strip().split("\n\n")[-1].replace("\n", " "),
@@ -211,7 +222,9 @@ def main(argv=None):
                     "numpy": numpy.__version__,
                     "cpu": platform.machine()},
         "summary": summary,
-        "rss": {"what": f"one fresh `verify all --seed {args.seed[0]}`",
+        "rss": {"what": {name: "one fresh `verify %s --seed %d`" % (
+                    " ".join(command), args.seed[0])
+                    for name, command in RSS_COMMANDS.items()},
                 **rss},
         "runs": runs,
     }
