@@ -678,12 +678,15 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
     product.  The block arrays are reused from block to block."""
     n, size = ctx.n, ctx.n ** k
     params, moves = fusion_parameters(k, u, ctx), fusion_moves(k)
+    deltas = _move_deltas(params, moves)
     rev = _phi_levels(lam, params[::-1], ctx)
-    stack = _face_orbits(lam, k, [list(zip(moves, _move_deltas(params, moves)))],
-                         ctx)[0][0]
-    # Phi' after the face stack, whose temporaries are then freed
-    phir, levels = _path_tensor(rev, n), _phi_levels(lam, params, ctx)
-    rchecks = rcheck_table(_move_deltas(params, moves), ctx)
+    stack = _face_orbits(lam, k, [list(zip(moves, deltas))], ctx)[0][0]
+    # Phi' after the face stack, whose temporaries are then freed, and
+    # its phi batch freed before Phi's
+    phir = _path_tensor(rev, n)
+    del rev
+    levels = _phi_levels(lam, params, ctx)
+    rchecks = rcheck_table(deltas, ctx)
     row, col = _orbit_plan(n, k)[:2]
     edges = [*range(0, max(size - 8, 1), 16), size]
     width = max(np.diff(edges))
