@@ -51,8 +51,8 @@ from .context import ModularContext, SingularParameterError, read_only
 from .opalg import perm_sign
 from .stream import Stream
 from .theta import (_EPS, Residual, circle, dedekind_eta,
-                    laurent_coefficient, relative, residual_pair,
-                    theta_char_table, theta_level_table, theta_scale,
+                    laurent_coefficient, relative, require_regular,
+                    residual_pair, theta_char_table, theta_level_table,
                     theta_table, vandermonde_product, worst_of_arrays)
 
 # ---------------------------------------------------------------- vertex side
@@ -314,9 +314,8 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
         cis[s, a]   at lij[s, a]   theta(-delta+lij)/theta(lij)
         trans[s, a] at lij[s, a]   theta(delta)/theta(h) * theta(h+lij)/theta(lij)
     theta(lij) and theta(lij + h) are read once per lijs[g].  Raises
-    SingularParameterError at the first lijs[g] in order of use where
-    |theta(lij)| < tol_identity * theta_scale, the floor of the sampling
-    guard on its scale."""
+    SingularParameterError (theta.require_regular) at the first lijs[g] in
+    order of use with a singular theta(lij)."""
     hb = ctx.hbar
     lijs = [np.asarray(lij, dtype=complex) for lij in lijs]
     ds = [np.asarray(d, dtype=complex)[:, None] for _, d in moves]
@@ -325,12 +324,8 @@ def _weight_tables(lijs, moves, ctx: ModularContext) -> list:
     t = np.split(theta_table(np.concatenate(
         parts + [np.full((len(ds[0]), 1), hb)], axis=1), ctx),
         np.cumsum([x.shape[1] for x in parts]), axis=1)
-    floor = ctx.tol_identity * theta_scale(ctx)
     for g in dict.fromkeys(g for g, _ in moves):
-        bad = np.abs(t[2 * g]) < floor
-        if bad.any():
-            raise SingularParameterError(
-                f"resonant weight: theta(lambda_ij)~0 at {lijs[g][bad][0]}")
+        require_regular(t[2 * g], lijs[g], "resonant weight: theta(lambda_ij)", ctx)
     th, out = t[-1], []
     for r, (g, _) in enumerate(moves):
         den, t_lh = t[2 * g], t[2 * g + 1]
@@ -428,7 +423,7 @@ def shift_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
     args = ((_over_n(v, n)[..., None, None] - P[..., None, :])
             - ctx.hbar * heights[:, None])
     values = (theta_level_table(range(n), args.ravel(), ctx)
-              / (1j * dedekind_eta(ctx.tau, ctx))).reshape(n, *args.shape)
+              / (1j * dedekind_eta(ctx))).reshape(n, *args.shape)
     # [..., m, k, j] = column k of matrix m, then as [..., m, j, k]
     cols = np.moveaxis(values, 0, -1)[..., counts, np.arange(n), :]
     return np.ascontiguousarray(cols.swapaxes(-1, -2))
@@ -446,8 +441,8 @@ def _dual_nodes(ctx: ModularContext):
     values = theta_level_table(range(n), grid, ctx)
     best = int(np.argmax(np.min(np.abs(values), axis=0)))
     dft = (-np.exp(2j * np.pi * np.arange(n) / n)) ** np.arange(n)[:, None]
-    return read_only(grid[best] + np.arange(n) / n, 1j * dedekind_eta(
-        ctx.tau, ctx) * dft / (n * values[:, best]))
+    return read_only(grid[best] + np.arange(n) / n,
+                     1j * dedekind_eta(ctx) * dft / (n * values[:, best]))
 
 
 def dual_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
@@ -461,7 +456,7 @@ def dual_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
     _dual_nodes.  One theta_table holds the odd-theta factors of every
     count, on grids of small integers: (kappa_a, a), (r - kappa_k, k), r
     and (kappa_a - kappa_k, a < k), pairs a > k read by oddness.  A
-    denominator below tol_identity * theta_scale raises naming it."""
+    singular denominator raises naming it (theta.require_regular)."""
     n, hb, col = ctx.n, ctx.hbar, np.arange(ctx.n)
     P, counts = np.asarray(P, dtype=complex), np.asarray(counts)
     r = counts.sum(axis=1)
@@ -489,20 +484,16 @@ def dual_intertwiners(v, P, counts, ctx: ModularContext) -> np.ndarray:
     lo, hi = np.minimum(a, col), np.maximum(a, col)
     pairs = ((counts[:, lo] - counts[:, hi] + top) * len(first)
              + lo * (2 * n - lo - 1) // 2 + hi - lo - 1)
-    floor = ctx.tol_identity * theta_scale(ctx)
-    for name, table, arg, index in (
-            ("theta(S)", at_s, args[2], r),
-            ("theta(x_k - x_a)", at_diff, args[3], pairs)):
-        bad = np.abs(np.take(table, index, axis=-1)) < floor
-        if bad.any():
-            raise SingularParameterError(
-                f"singular intertwiner: {name}~0 at "
-                f"{complex(np.take(arg, index, axis=-1)[bad][0])}")
+    # theta(S) as [..., m], theta(x_k - x_a) as [..., m, j, k]
+    at_r, diffs = np.take(at_s, r, axis=-1), np.take(at_diff, pairs, axis=-1)
+    require_regular(at_r, np.take(args[2], r, axis=-1),
+                    "singular intertwiner: theta(S)", ctx)
+    require_regular(diffs, np.take(args[3], pairs, axis=-1),
+                    "singular intertwiner: theta(x_k - x_a)", ctx)
     g = np.take(at_rest, (r[:, None] - counts) * n + col, axis=-1)
     ys = np.take(at_y, counts[:, a] * n + a, axis=-1)  # [..., t, m, j, k]
     # theta(x_k - x_a) is the pair's factor, negated for the n - 1 - k a > k
-    den = np.take(at_s, r, axis=-1)[..., None] * (-1.0) ** (n - 1 - col)
-    diffs = np.take(at_diff, pairs, axis=-1)             # [..., m, j, k]
+    den = at_r[..., None] * (-1.0) ** (n - 1 - col)
     for j in range(n - 1):
         g *= ys[..., j, :]
         den = den * diffs[..., j, :]

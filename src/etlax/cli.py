@@ -4,15 +4,15 @@
     verify all ...
 
 Configuration is a flat key-value text file (keys: n, tau_re, tau_im,
-hbar_re, hbar_im, tol_identity, seed); every key can be overridden by a
-command-line flag of the same name; `verify all` runs n = 2 and 3 and
-refuses --n (exit 2), so an n key is a default for single-suite runs.
-tol_identity is a singularity floor (see ModularContext); each case passes
-or fails against its tolerance in the one table suites.SUITES (its suite's
-default or its override row).  Exit codes: 0 all checks passed, 1
-verification failure, 2 configuration error, an evaluation that could not
-be carried out (a singular parameter, a value out of floating-point range
-or an exhausted sampling budget) or a report that could not be written.
+hbar_re, hbar_im, seed); every key can be overridden by a command-line flag
+of the same name; `verify all` runs n = 2 and 3 and refuses --n (exit 2),
+so an n key is a default for single-suite runs; any other key or flag
+exits 2.  Each case passes or fails against its tolerance in the one table
+suites.SUITES; the singularity floor is the constant context.TOL_IDENTITY.
+Exit codes: 0 all checks passed, 1 verification failure, 2 configuration
+error, an evaluation that could not be carried out (a singular parameter, a
+value out of floating-point range or an exhausted sampling budget) or a
+report that could not be written.
 `verify all` spreads its runs over one forked process per CPU (run_all);
 its reports and exit codes are those of one serial pass.
 """
@@ -31,18 +31,13 @@ from .context import (DEFAULT_HBAR, DEFAULT_TAU, ContextError, ModularContext,
 from .report import report_json, report_text
 from .suites import SUITE_ORDER, run_suite
 
-CONFIG_KEYS = ("n", "tau_re", "tau_im", "hbar_re", "hbar_im", "tol_identity",
-               "seed")
-
 DEFAULTS = {
     "n": 2,
     "tau_re": DEFAULT_TAU.real, "tau_im": DEFAULT_TAU.imag,
     "hbar_re": DEFAULT_HBAR.real, "hbar_im": DEFAULT_HBAR.imag,
-    "tol_identity": ModularContext.tol_identity,
     "seed": 42,
 }
-
-_INT_KEYS = {"n", "seed"}
+CONFIG_KEYS = tuple(DEFAULTS)       # each read as the type of its default
 
 
 def parse_config_file(path: str) -> dict:
@@ -63,7 +58,7 @@ def parse_config_file(path: str) -> dict:
             if key not in CONFIG_KEYS:
                 raise ContextError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = int(val) if key in _INT_KEYS else float(val)
+                out[key] = type(DEFAULTS[key])(val)
             except ValueError as exc:
                 raise ContextError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
@@ -85,9 +80,7 @@ def context_from_config(cfg: dict, n: int = None) -> ModularContext:
     return ModularContext(
         n=n if n is not None else int(cfg["n"]),
         tau=complex(cfg["tau_re"], cfg["tau_im"]),
-        hbar=complex(cfg["hbar_re"], cfg["hbar_im"]),
-        tol_identity=float(cfg["tol_identity"]),
-    )
+        hbar=complex(cfg["hbar_re"], cfg["hbar_im"]))
 
 
 def worker_count(runs: int) -> int:
@@ -189,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", help="write a JSON report to this path")
     parser.add_argument("--n", type=int, help="rank n (single-suite runs only)")
     parser.add_argument("--seed", type=int, help="random seed")
-    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im", "tol_identity"):
+    for key in ("tau_re", "tau_im", "hbar_re", "hbar_im"):
         parser.add_argument(f"--{key}", type=float)
     return parser
 

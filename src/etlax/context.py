@@ -1,17 +1,25 @@
 """Shared evaluation context for all elliptic evaluators.
 
 Every evaluator in this package is a pure function of its arguments and a
-ModularContext, which fixes the rank n, the modulus tau, the deformation
-parameter hbar and the singularity floor tol_identity.  The coupling c is
-a builder argument, drawn by each suite; the pass thresholds are the
-tolerances of the one table suites.SUITES.
+ModularContext, which fixes the rank n, the modulus tau and the deformation
+parameter hbar.  The coupling c is a builder argument, drawn by each suite;
+the pass thresholds are the tolerances of the one table suites.SUITES.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
-from dataclasses import dataclass, field
+
+TOL_IDENTITY = 1e-8
+"""The singularity floor, not a pass threshold: quotients of theta values
+hold only off the resonant points theta(lambda_ij) = 0.  It sets the
+sampling guard (x10); on theta_scale, through theta.singular, the
+face-weight, dual-intertwiner and ltilde denominators and fay_sides'
+singular samples; the lattice distance of hbar (x1) and of a weierstrass_p
+point (x10); and the Vandermonde "both vanish" floor (times the Hadamard
+bound).  Each reads it as context.TOL_IDENTITY: one patch reaches them all."""
 
 
 class ContextError(ValueError):
@@ -44,26 +52,20 @@ def lattice_distance(z: complex, tau: complex) -> float:
                for da in (-1, 0, 1) for db in (-1, 0, 1))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModularContext:
     """Global parameters shared by every evaluator.
 
     n           rank (the operators live on the sl_n weight space), n >= 2
     tau         modulus, Im tau > 0, with exp(pi Im tau) a double
     hbar        deformation parameter, kept off the period lattice
-    tol_identity  singularity floor, not a pass threshold: the sampling
-                guard (x10) and the face-weight, dual-intertwiner, ltilde
-                and fay_sides denominators (on the scale
-                theta.theta_scale), the lattice distance of hbar and of the
-                p argument (x10), and the Vandermonde "both vanish" floor
-                (times the Hadamard bound)
     """
 
     n: int
     tau: complex
     hbar: complex
-    tol_identity: float = 1e-8
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = dataclasses.field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -73,9 +75,7 @@ class ModularContext:
         # theta(u + tau) is theta(u) times about exp(pi Im tau): OverflowError
         # where that leaves the double range, before a theta table overflows
         math.exp(math.pi * complex(self.tau).imag)
-        if self.tol_identity <= 0:
-            raise ContextError("tol_identity must be positive")
-        if lattice_distance(complex(self.hbar), complex(self.tau)) <= self.tol_identity:
+        if lattice_distance(complex(self.hbar), complex(self.tau)) <= TOL_IDENTITY:
             raise ContextError(f"hbar={self.hbar} sits on the period lattice Z + Z*tau")
 
     @property
@@ -95,19 +95,13 @@ class ModularContext:
         intertwiners and the jets of the differential operators are read
         from tables, not memoized.
         """
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = builder()
-            self._cache[key] = value
-            return value
+        if key not in self._cache:
+            self._cache[key] = builder()
+        return self._cache[key]
 
     def replace(self, **kw) -> "ModularContext":
         """A copy of this context with some fields replaced (fresh cache)."""
-        data = dict(n=self.n, tau=self.tau, hbar=self.hbar,
-                    tol_identity=self.tol_identity)
-        data.update(kw)
-        return ModularContext(**data)
+        return dataclasses.replace(self, **kw)
 
 
 DEFAULT_TAU = 0.1 + 0.8j
@@ -116,6 +110,4 @@ DEFAULT_HBAR = 0.173 + 0.219j
 
 def default_context(n: int = 2, **kw) -> ModularContext:
     """The generic desk-scale context used by the verification suites."""
-    params = dict(n=n, tau=DEFAULT_TAU, hbar=DEFAULT_HBAR)
-    params.update(kw)
-    return ModularContext(**params)
+    return ModularContext(n, **{"tau": DEFAULT_TAU, "hbar": DEFAULT_HBAR, **kw})

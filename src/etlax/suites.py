@@ -125,17 +125,20 @@ def suite_theta(ctx: ModularContext, rng):
     rows = range(ctx.n)
     zeros = np.abs(np.diag(th.theta_char_table(
         rows, [j * ctx.tau for j in rows], ctx)))
+    # theta_char_j vanishes at j tau: read on the largest term of its window
+    terms = [th.largest_term(0.5 - j / ctx.n, 1, j * ctx.tau + 0.5,
+                             ctx.n * ctx.tau) for j in rows]
     chars = th.theta_char_table([*rows, *(j + ctx.n for j in rows)], [u],
                                 ctx)[:, 0]
     yield "character-thetas", th.worst_of([
-        th.worst_of_arrays(zeros, zeros),
+        th.worst_of_arrays(*th.relative(zeros, terms)),
         th.residual_pair(chars[ctx.n:], chars[:ctx.n]),
         th.residual_pair(th.theta_level_table(rows, [u], ctx)[:, 0],
                          [th.theta_ml(ctx.n / 2.0 - j, ctx.n, u + 0.5,
                                       ctx.tau).value for j in rows])])
 
     yield "eta-log-sum", th.residual_pair(
-        th.dedekind_eta(ctx.tau, ctx), th.dedekind_eta_logsum(ctx.tau))
+        th.dedekind_eta(ctx), th.dedekind_eta_logsum(ctx.tau))
 
     us = _rcs(rng, (10,))
     yield "derivative-vs-contour", th.residual_pair(

@@ -61,6 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import context
 from .context import (ContextError, ModularContext, SingularParameterError,
                       lattice_distance, read_only)
 
@@ -246,15 +247,22 @@ def theta_ml(m: float, l: int, u: complex, tau: complex, *,
     if tau.imag <= 0:
         raise ContextError(f"Im tau must be positive, got {tau}")
     series = _series((m,), l, tau, deriv_order)
-    args = np.array([u], dtype=complex)
-    mu = m + l * (_window_first(series, args)[0, 0]
+    tail = _dropped_bound(math.pi * tau.imag * l, series.half, deriv_order) \
+        * largest_term(m, l, u, tau, deriv_order=deriv_order)
+    return ThetaValue(
+        complex(_table(series, np.array([u], dtype=complex))[0, 0]), tail)
+
+
+def largest_term(m: float, l: int, u: complex, tau: complex, *,
+                 deriv_order: int = 0) -> float:
+    """The modulus of the largest term theta_ml(m, l, u, tau) sums in its
+    window: the scale of its tail bound, and of a zero it vanishes at."""
+    series = _series((m,), l, complex(tau), deriv_order)
+    mu = m + l * (_window_first(series, np.array([u], dtype=complex))[0, 0]
                   + np.arange(2 * series.half + 1))
-    largest = float(np.max(
+    return float(np.max(
         np.exp(-2.0 * math.pi * (mu * u + mu * mu * series.tau2l).imag)
         * (2.0 * math.pi * np.abs(mu)) ** deriv_order))
-    tail = _dropped_bound(math.pi * tau.imag * l, series.half,
-                          deriv_order) * largest
-    return ThetaValue(complex(_table(series, args)[0, 0]), tail)
 
 
 def _table(series: _Series, args) -> np.ndarray:
@@ -314,6 +322,20 @@ def theta_scale(ctx: ModularContext) -> float:
     return 2.0 * math.exp(-math.pi * ctx.tau.imag / 4.0)
 
 
+def singular(values, ctx: ModularContext) -> np.ndarray:
+    """|values| < context.TOL_IDENTITY * theta_scale: the singular ones."""
+    return np.abs(values) < context.TOL_IDENTITY * theta_scale(ctx)
+
+
+def require_regular(values, args, what: str, ctx: ModularContext) -> None:
+    """The one guard on theta denominators: SingularParameterError "<what>~0
+    at <arg>", arg the entry of args at the first singular value."""
+    bad = singular(values, ctx)
+    if bad.any():
+        raise SingularParameterError(
+            f"{what}~0 at {complex(np.asarray(args)[bad][0])}")
+
+
 def theta_char_table(rows, us, ctx: ModularContext) -> np.ndarray:
     """The table [theta_char_j(u_k)]_{j in rows, k} of R-matrix characters:
     characteristic j mod n at modulus n*tau."""
@@ -337,14 +359,12 @@ def theta(u: complex, ctx: ModularContext, deriv_order: int = 0) -> complex:
     return complex(theta_table([u], ctx, deriv_order)[0])
 
 
-def dedekind_eta(tau: complex, ctx: ModularContext) -> complex:
-    """Dedekind eta p^{1/24} prod (1 - p^m), p = exp(2 pi i tau).
+def dedekind_eta(ctx: ModularContext) -> complex:
+    """Dedekind eta p^{1/24} prod (1 - p^m), p = exp(2 pi i ctx.tau).
 
     Memoized in ctx: every intertwiner build divides by i eta(tau).
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ContextError(f"Im tau must be positive, got {tau}")
+    tau = complex(ctx.tau)
     return ctx.cached(("eta", tau), lambda: _eta_product(tau))
 
 
@@ -403,7 +423,7 @@ def weierstrass_p(u, ctx: ModularContext):
     """
     us = np.asarray(u, dtype=complex)
     for x in map(complex, us.flat):
-        if lattice_distance(x, complex(ctx.tau)) <= 10 * ctx.tol_identity:
+        if lattice_distance(x, complex(ctx.tau)) <= 10 * context.TOL_IDENTITY:
             raise SingularParameterError(f"u={x} is on the period lattice (pole)")
     t0, t1, t2 = (theta_table(us, ctx, k) for k in range(3))
     h = -TWO_PI_I * eta_tau_log_derivative(ctx)
@@ -428,7 +448,7 @@ def vandermonde_product(us, ctx: ModularContext):
     us = np.asarray(us, dtype=complex)
     n = us.shape[-1]
     j, k = np.triu_indices(n, 1)
-    ieta = 1j * dedekind_eta(ctx.tau, ctx)
+    ieta = 1j * dedekind_eta(ctx)
     table = theta_table(np.concatenate(
         [sum(us[..., [c]] for c in range(n)), us[..., k] - us[..., j]], axis=-1), ctx)
     return vandermonde_sign(n) * np.prod(table / ieta, axis=-1)[()]
@@ -440,21 +460,21 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     det[theta_j(u_k) / (i eta)]_{j,k=1..n} against vandermonde_product(us),
     at every sample of the leading axes of us (one stacked det; one point
     set is the batch of one); the worst over them.  A sample with both
-    sides below tol_identity times the Hadamard bound of its matrix (the
+    sides below TOL_IDENTITY times the Hadamard bound of its matrix (the
     product of its column norms) is degenerate: its deviation counts as 0.
     """
     n = ctx.n
     us = np.asarray(us, dtype=complex)
     if us.shape[-1:] != (n,):
         raise ValueError(f"need exactly n={n} points, got {us.shape[-1:]}")
-    ieta = 1j * dedekind_eta(ctx.tau, ctx)
+    ieta = 1j * dedekind_eta(ctx)
     mat = np.moveaxis((theta_level_table(range(1, n + 1), us.ravel(), ctx) / ieta)
                       .reshape((n,) + us.shape), 0, -2)
     lhs = np.linalg.det(mat)
     rhs = vandermonde_product(us, ctx)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
     # rounding in a determinant that vanishes exactly
-    floor = ctx.tol_identity * np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
+    floor = context.TOL_IDENTITY * np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
     dev = np.where((np.abs(lhs) < floor) & (np.abs(rhs) < floor), 0.0,
                    np.abs(np.subtract(lhs, rhs)))
     return worst_of_arrays(*relative(dev, np.abs(lhs) + np.abs(rhs)))
@@ -514,13 +534,11 @@ def qfay_rhs(d: int, u, lambdas, mus, ctx: ModularContext):
 def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
     """Both sides of the Cauchy-type determinant identity (genus-one
     trisecant) at every sample, from one theta_table call, and where it is
-    singular: small[..., 0] marks |theta(u)| < tol and small[..., 1] some
-    |theta(mu_s - lambda_s')| < tol, tol = tol_identity * theta_scale,
-    where the sides are left out (they read 0).  The quotients, the
-    products and the stacked det are each one array expression over the
-    batch.
+    singular: small[..., 0] marks a singular theta(u) and small[..., 1]
+    some singular theta(mu_s - lambda_s') (theta.singular), where the sides
+    are left out (they read 0).  The quotients, the products and the
+    stacked det are each one array expression over the batch.
     """
-    tol = ctx.tol_identity * theta_scale(ctx)
     u, lam, mu = (np.asarray(x, dtype=complex) for x in (u, lambdas, mus))
     cross = (mu[..., :, None] - lam[..., None, :]).reshape(u.shape + (d * d,))
     s, sp = np.triu_indices(d, 1)
@@ -531,13 +549,13 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
                  axis=-1).reshape(u.shape + (-1,))], axis=-1), ctx)
     tu, top = table[..., 0], table[..., 1]
     dens, nums = table[..., 2:2 + d * d], table[..., 2 + d * d:2 + 2 * d * d]
-    small = np.stack([np.abs(tu) < tol, np.any(np.abs(dens) < tol, axis=-1)],
+    small = np.stack([singular(tu, ctx), np.any(singular(dens, ctx), axis=-1)],
                      axis=-1)
     # a singular sample is left out: its sides read 0
-    singular = small.any(axis=-1)
-    tu, top = np.where(singular, 1.0, tu), np.where(singular, 0.0, top)
-    dens = np.where(singular[..., None], 1.0, dens)
-    nums = np.where(singular[..., None], 0.0, nums)
+    skip = small.any(axis=-1)
+    tu, top = np.where(skip, 1.0, tu), np.where(skip, 0.0, top)
+    dens = np.where(skip[..., None], 1.0, dens)
+    nums = np.where(skip[..., None], 0.0, nums)
     mats = nums / (dens * tu[..., None])
     rhs = top / tu * np.prod(table[..., 2 + 2 * d * d:], axis=-1) \
         / np.prod(dens, axis=-1)

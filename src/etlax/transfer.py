@@ -77,7 +77,8 @@ from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
                     signed_products)
 from .theta import (HBAR_RADIUS, Residual, _product_length, circle,
                     laurent_coefficient, max_relative, relative,
-                    residual_pair, theta_scale, theta_table, worst_of_arrays)
+                    require_regular, residual_pair, theta_table,
+                    worst_of_arrays)
 from .weights import canonical_key, shifted, subset_key
 
 
@@ -355,7 +356,7 @@ def ltilde_table(g, u: complex, P, ctx: ModularContext) -> np.ndarray:
     with g = c hbar/n, one value or an array of them (the leading axes);
     the limit checks read it at g = c h/n on the nodes h of theta.circle.
     The thetas of a batch come from one theta_table call.  A point with
-    some |theta(lam_kj)| below tol_identity * theta_scale raises.
+    some singular theta(lam_kj) raises (theta.require_regular).
     """
     n = ctx.n
     P = np.asarray(P, dtype=complex)
@@ -367,8 +368,8 @@ def ltilde_table(g, u: complex, P, ctx: ModularContext) -> np.ndarray:
     shifted, plain = values[:moved.size].reshape(moved.shape)
     gap = values[moved.size:-1].reshape(diff.shape)
     off = ~np.eye(n, dtype=bool)
-    if np.any(np.abs(gap[:, off]) < ctx.tol_identity * theta_scale(ctx)):
-        raise SingularParameterError("resonant weight point in Lax entry")
+    require_regular(gap[:, off], diff[:, off],
+                    "resonant weight point in Lax entry: theta(lambda_kj)", ctx)
     gap = np.where(off, gap, 1.0)
     coeff = shifted.swapaxes(-1, -2) / values[-1]             # [..., s, i, j]
     for k in range(n):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import context
 from .context import ModularContext, SamplingError
 from .stream import advance, seeded, unit_doubles
 from .theta import theta_scale, theta_table
@@ -104,13 +105,13 @@ def sample_generic(seeds, ctx: ModularContext) -> np.ndarray:
     from the stream of Stream(seeds[s]), away from the zeros of the
     theta(lambda_ij); one seed gives its point [n].  Each round draws the
     next candidate of every pending row and reads theta_gap_guard once over
-    them; a row is kept when its value exceeds 10 * tol_identity, so row s
+    them; a row is kept when its value exceeds 10 * TOL_IDENTITY, so row s
     is the point its own stream gives, whatever the batch holds."""
     one = np.ndim(seeds) == 0
     seeds = [seeds] if one else seeds
     rows = seeded(seeds)
     guard = theta_gap_guard(ctx)
-    n, floor = ctx.n, 10.0 * ctx.tol_identity
+    n, floor = ctx.n, 10.0 * context.TOL_IDENTITY
     out, todo = np.empty((len(seeds), n), dtype=complex), np.arange(len(seeds))
     for _ in range(_MAX_TRIES):
         if not todo.size:

@@ -13,6 +13,7 @@ from conftest import (phi_tensor_matrix, rand_complex, shift_eps,
 from etlax.context import (ContextError, ModularContext, SingularParameterError,
                            default_context)
 from etlax import belavin as bv
+from etlax import context
 from etlax import theta as th
 from etlax import weights as wt
 
@@ -642,7 +643,7 @@ def test_intertwiner_entries_definition(ctx3, rng):
     u = rand_complex(rng)
     lam = wt.sample_generic(8, ctx3)
     pair = bv.intertwiners(u, lam, ctx3)
-    ieta = 1j * dedekind_eta(ctx3.tau, ctx3)
+    ieta = 1j * dedekind_eta(ctx3)
     for j in range(3):
         for k in range(3):
             want = theta_ml(1.5 - j, 3, u / 3 - lam[k] + 0.5,
@@ -671,7 +672,7 @@ def test_intertwiner_determinant_closed_form(ctx3, rng):
     lam = wt.sample_generic(8, ctx3)
     pair = bv.intertwiners(u, lam, ctx3)
     n = 3
-    ieta = 1j * dedekind_eta(ctx3.tau, ctx3)
+    ieta = 1j * dedekind_eta(ctx3)
     us = [u / n - lam[k] for k in range(n)]
     want = vandermonde_sign(n) * theta(sum(us), ctx3) / ieta
     for a in range(n):
@@ -682,17 +683,18 @@ def test_intertwiner_determinant_closed_form(ctx3, rng):
     assert abs(got - want) / abs(want) < 1e-10
 
 
-def test_intertwiner_condition_rejection():
+def test_intertwiner_condition_rejection(monkeypatch):
     # the closed-form phibar rejects a point whose denominator
-    # theta(x_0 - x_1) falls below tol_identity * theta_scale, and admits
+    # theta(x_0 - x_1) falls below TOL_IDENTITY * theta_scale, and admits
     # it where the floor sits just below that factor
     ctx, near = _near_pair(3, 1e-6)
     factor = abs(th.theta(near[0] - near[1], ctx)) / th.theta_scale(ctx)
-    bv.intertwiners(0.4 + 0.2j, near, ctx.replace(tol_identity=0.99 * factor))
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.99 * factor)
+    bv.intertwiners(0.4 + 0.2j, near, ctx)
+    monkeypatch.setattr(context, "TOL_IDENTITY", 1.01 * factor)
     with pytest.raises(SingularParameterError,
                        match=re.escape("theta(x_k - x_a)~0")):
-        bv.intertwiners(0.4 + 0.2j, near,
-                        ctx.replace(tol_identity=1.01 * factor))
+        bv.intertwiners(0.4 + 0.2j, near, ctx)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -728,7 +730,7 @@ def _theta_phi(us, mus, ctx):
     n = ctx.n
     args = (np.array([complex(u) / n for u in us], dtype=complex)[:, None]
             - np.asarray(mus, dtype=complex).reshape(-1, n))
-    ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
+    ieta = 1j * th.dedekind_eta(ctx)
     return (th.theta_level_table(range(n), args.ravel(), ctx) / ieta).reshape(
         n, len(us), n).transpose(1, 0, 2)
 
@@ -801,7 +803,7 @@ def test_intertwiner_guard_raises_on_equal_columns_where_solve_fails():
     coords[1] = coords[0]
     flat = wt.canonical(coords)
     u = 0.23 - 0.07j
-    ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
+    ieta = 1j * th.dedekind_eta(ctx)
     phi = th.theta_level_table(range(3), u / 3 - flat, ctx) / ieta
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(phi[None], np.eye(3, dtype=complex))
@@ -829,12 +831,12 @@ def test_intertwiner_guard_names_the_exact_cond(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_intertwiner_guard_admits_a_pair_above_the_screen(n):
     # move the gap until theta(x_0 - x_1) sits at twice the floor
-    # tol_identity * theta_scale (it scales as the gap): the pair is
+    # TOL_IDENTITY * theta_scale (it scales as the gap): the pair is
     # admitted, its phibar inverts phi to the rounding of a cond of about
     # 1e8, and at half the floor it raises
     u = 0.23 - 0.07j
     ctx, near = _near_pair(n, 1e-6)
-    floor = ctx.tol_identity * th.theta_scale(ctx)
+    floor = context.TOL_IDENTITY * th.theta_scale(ctx)
     gap = 1e-6 * floor / abs(th.theta(near[0] - near[1], ctx))
     ctx, near = _near_pair(n, 2 * gap)
     pair = bv.intertwiners(u, near, ctx)

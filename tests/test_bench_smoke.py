@@ -89,6 +89,35 @@ def test_only_theta_divides_by_eps():
     assert _eps_reads((SRC / "theta.py").read_text())
 
 
+def _floor_products(source: str) -> list:
+    """The functions (by name, "" at module level) that multiply a
+    theta_scale(...) call by the singularity floor TOL_IDENTITY."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                and {"theta_scale", "TOL_IDENTITY"} <= _names(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_the_guard_takes_the_floor_on_theta_scale():
+    # every theta floor is theta.singular's product, read through it by
+    # require_regular and fay_sides; no other function forms it again
+    assert _floor_products(
+        "def f(v, c):\n    return abs(v) < context.TOL_IDENTITY * "
+        "theta_scale(c)\n") == ["f"]
+    found = {path.name: _floor_products(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: fs for name, fs in found.items() if fs} == {
+        "theta.py": ["singular"]}
+
+
 def test_every_top_level_name_is_referenced_traced_or_allowed():
     # a reference is a name or attribute in another top-level statement of
     # the library (a docstring mention is not one), so a function whose

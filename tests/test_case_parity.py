@@ -206,6 +206,7 @@ def test_the_grid_runs_every_suite_at_each_tau_and_hbar(parity):
                 "tau=0.1+0.08j": {"tau_re": 0.1, "tau_im": 0.08},
                 "tau=0.1+0.05j": {"tau_re": 0.1, "tau_im": 0.05},
                 "tau=0+0.05j": {"tau_re": 0.0, "tau_im": 0.05},
+                "tau=0.1+3j": {"tau_re": 0.1, "tau_im": 3.0},
                 "hbar=0.45+0.4j": {"hbar_re": 0.45, "hbar_im": 0.4},
                 "hbar=0.6+0.1j": {"hbar_re": 0.6, "hbar_im": 0.1},
                 "hbar=0.01+0.01j": {"hbar_re": 0.01, "hbar_im": 0.01}}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import strip_timing
-from etlax import cli
+from etlax import cli, context
 from etlax.context import ModularContext, SamplingError, \
     SingularParameterError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
@@ -274,10 +274,11 @@ def test_seed_past_64_bits_reads_numpys_streams(suite, tmp_path, monkeypatch,
 
 
 def test_cli_evaluation_errors_exit_two(monkeypatch, capsys):
-    # at tol_identity 0.05 the floor of the closed-form phibar, 0.05 *
-    # theta_scale, exceeds theta(x_k - x_a) at a shifted point of suite
-    # commute, seed 42
-    rc = cli.main(["commute", "--n", "2", "--tol_identity", "0.05"])
+    # at a singularity floor of 0.05 the floor of the closed-form phibar,
+    # 0.05 * theta_scale, exceeds theta(x_k - x_a) at a shifted point of
+    # suite commute, seed 42
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.05)
+    rc = cli.main(["commute", "--n", "2"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: singular intertwiner: theta(x_k - x_a)~0")
@@ -394,6 +395,24 @@ def test_ybe_passes_at_large_im_tau(capsys):
     assert "overall: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tau_im", [0.8, 20, 150])
+@pytest.mark.parametrize("n", [2, 3])
+def test_character_zeros_read_on_their_largest_term(n, tau_im, monkeypatch):
+    # |theta_char_j(j tau)| over the largest term of its window stays at
+    # rounding where the absolute value reached 117 (n = 3, Im tau = 20);
+    # read 1e-6 off the zeros it is about 2 pi 1e-6, red at every modulus
+    from etlax import theta as th
+    ctx = default_context(n, tau=0.1 + 1j * tau_im)
+    case = _case("theta", "character-thetas", ctx, seed=1)
+    assert case.ok and case.rel < 1e-12
+    real = th.theta_char_table
+    monkeypatch.setattr(th, "theta_char_table", lambda rows, us, c: real(
+        rows, np.asarray(us, dtype=complex) + 1e-6, c))
+    off = _case("theta", "character-thetas", ctx, seed=1)
+    assert not off.ok
+    assert off.rel == pytest.approx(2e-6 * math.pi, rel=1e-3)
+
+
 def test_eight_vertex_pattern_reads_a_missing_ice_entry(monkeypatch):
     from etlax import belavin as bv
     ctx = default_context(2)
@@ -446,7 +465,7 @@ def test_vandermonde_degenerate_reads_a_product_without_its_shared_zero(
     def unshared(us, c):
         us = np.asarray(us, dtype=complex)
         j, k = np.triu_indices(us.shape[-1], 1)
-        ieta = 1j * th.dedekind_eta(c.tau, c)
+        ieta = 1j * th.dedekind_eta(c)
         return th.vandermonde_sign(us.shape[-1]) * np.prod(
             th.theta_table(us[..., k] - us[..., j], c) / ieta, axis=-1)[()]
     monkeypatch.setattr(th, "vandermonde_product", unshared)
@@ -487,13 +506,12 @@ def _resolved(*argv):
 
 def test_cli_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 3\ntol_identity: 1e-9\n# comment\n")
+    cfg.write_text("n = 3\ntau_re: 0.2\n# comment\n")
     rc = cli.main(["vandermonde", "--config", str(cfg)])
     assert rc == 0
     assert "n: 3" in capsys.readouterr().out
-    assert _resolved("vandermonde", "--config", str(cfg))["tol_identity"] \
-        == 1e-9
-    assert _resolved("vandermonde")["tol_identity"] == 1e-8
+    assert _resolved("vandermonde", "--config", str(cfg))["tau_re"] == 0.2
+    assert _resolved("vandermonde")["tau_re"] == 0.1
 
 
 def test_cli_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -545,25 +563,38 @@ def test_tol_series_is_not_a_knob(tmp_path, capsys):
     assert "tol_series" not in cli.DEFAULTS
 
 
+def test_tol_identity_is_not_a_knob(tmp_path, capsys):
+    # the singularity floor is the constant context.TOL_IDENTITY: no
+    # config key, flag or context field sets it
+    cfg = tmp_path / "old.txt"
+    cfg.write_text("tol_identity = 1e-9\n")
+    assert cli.main(["qfay", "--config", str(cfg)]) == 2
+    assert "unknown key 'tol_identity'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qfay", "--tol_identity", "1e-7"])
+    assert exc.value.code == 2
+    assert "tol_identity" not in {f.name for f in fields(ModularContext)}
+    assert "tol_identity" not in cli.DEFAULTS
+
+
 def test_cli_flag_beats_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 3\ntol_identity = 1e-9\n")
+    cfg.write_text("n = 3\ntau_re = 0.2\n")
     assert cli.main(["qfay", "--config", str(cfg), "--n", "2"]) == 0
     assert "n: 2" in capsys.readouterr().out
     assert _resolved("qfay", "--config", str(cfg),
-                     "--tol_identity", "1e-7")["tol_identity"] == 1e-7
+                     "--tau_re", "0.3")["tau_re"] == 0.3
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
-    assert cli.main(["vandermonde", "--n", "3", "--tol_identity", "1e-7"]) == 0
+    assert cli.main(["vandermonde", "--n", "3", "--tau_re", "0.2"]) == 0
     first = capsys.readouterr().out
     assert cli.main(["vandermonde"]) == 0
     second = capsys.readouterr().out
     assert "n: 3" in first and "n: 2" in second
-    assert _resolved("vandermonde", "--tol_identity", "1e-7")["tol_identity"] \
-        == 1e-7
-    assert _resolved("vandermonde")["tol_identity"] == 1e-8
+    assert _resolved("vandermonde", "--tau_re", "0.2")["tau_re"] == 0.2
+    assert _resolved("vandermonde")["tau_re"] == 0.1
 
 
 # ------------------------------------------------------------ verify all

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fay_residual, qfay_residual, rand_complex, table_reads
+from etlax import context
 from etlax.context import ContextError, SingularParameterError, default_context
 from etlax import theta as th
 
@@ -162,7 +163,7 @@ def test_theta_level_definitional(ctx3, rng):
 
 
 def test_dedekind_eta(ctx2):
-    eta = th.dedekind_eta(ctx2.tau, ctx2)
+    eta = th.dedekind_eta(ctx2)
     assert abs(eta - FROZEN_ETA) / abs(FROZEN_ETA) < 1e-13
     assert abs(eta) > 0.1
     logsum = th.dedekind_eta_logsum(ctx2.tau)
@@ -170,7 +171,7 @@ def test_dedekind_eta(ctx2):
     # p -> 0: eta approaches p^(1/24)
     far = default_context(2, tau=6j)
     lead = cmath.exp(2j * cmath.pi * far.tau / 24.0)
-    assert abs(th.dedekind_eta(far.tau, far) / lead - 1.0) < 1e-9
+    assert abs(th.dedekind_eta(far) / lead - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [0.1 + 0.8j, 0.1 + 0.3j, 30j])
@@ -184,7 +185,7 @@ def test_eta_is_the_24_factor_product_bit_for_bit(tau):
     for m in range(1, 25):
         want *= 1.0 - p ** m
     assert th._product_length(p) <= 24
-    assert th.dedekind_eta(tau, ctx) == want
+    assert th.dedekind_eta(ctx) == want
 
 
 def test_product_length_is_the_least_power_below_2_to_minus_60():
@@ -356,7 +357,7 @@ def test_qfay_all_depths(ctx2, rng):
             res = qfay_residual(d, rand_complex(rng),
                                 [rand_complex(rng) for _ in range(d)],
                                 [rand_complex(rng) for _ in range(d)], ctx2)
-            assert res.rel < ctx2.tol_identity
+            assert res.rel < context.TOL_IDENTITY
 
 
 def test_qfay_degenerate_column(ctx2, rng):
@@ -602,7 +603,7 @@ def test_eta_wp_triple_product_mpmath_oracle(rng):
         for tau_c in (TAU, 0.3 + 0.5j, -0.4 + 1.3j):
             ctx = default_context(2, tau=tau_c)
             tau = mp.mpc(tau_c)
-            got = th.dedekind_eta(tau_c, ctx)
+            got = th.dedekind_eta(ctx)
             want = complex(mp.exp(2j * mp.pi * tau / 24)
                            * mp.qp(mp.exp(2j * mp.pi * tau)))
             assert abs(got - want) <= 1e-14 * abs(want)
@@ -947,7 +948,7 @@ def test_vandermonde_product_matches_its_loop_form(monkeypatch, rng):
             del reads[:]
             got = th.vandermonde_product(us, ctx)
             assert reads == [1 + n * (n - 1) // 2]     # one table
-            ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
+            ieta = 1j * th.dedekind_eta(ctx)
             want = th.vandermonde_sign(n) * th.theta(sum(us), ctx) / ieta
             for j in range(n):
                 for k in range(j + 1, n):
@@ -1001,7 +1002,7 @@ def _loop_qfay(d, u, lambdas, mus, ctx):
 def _loop_fay(d, u, lambdas, mus, ctx):
     """Both sides and the Hadamard bound of the determinant's matrix, or
     None where a guard of the check would raise."""
-    tol = ctx.tol_identity
+    tol = context.TOL_IDENTITY * th.theta_scale(ctx)
     cross = [mus[s] - lambdas[sp] for s in range(d) for sp in range(d)]
     pairs = [(s, sp) for s in range(d) for sp in range(s + 1, d)]
     args = [u, u + sum(mus[r] - lambdas[r] for r in range(d))]
@@ -1027,7 +1028,7 @@ def _loop_fay(d, u, lambdas, mus, ctx):
 
 def _loop_vandermonde(us, ctx):
     n = len(us)
-    ieta = 1j * th.dedekind_eta(ctx.tau, ctx)
+    ieta = 1j * th.dedekind_eta(ctx)
     mat = th.theta_level_table(range(1, n + 1), us, ctx) / ieta
     values = th.theta_table([sum(us)] + [us[k] - us[j] for j in range(n)
                                          for k in range(j + 1, n)], ctx).tolist()
@@ -1073,9 +1074,10 @@ def test_qfay_batch_matches_its_per_sample_loop(n, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_fay_batch_matches_its_per_sample_loop(n, rng):
+def test_fay_batch_matches_its_per_sample_loop(n, rng, monkeypatch):
     # a raised singularity floor makes some samples singular
-    ctx = default_context(n).replace(tol_identity=0.1)
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.1)
+    ctx = default_context(n)
     singular = 0
     for d in range(1, 5):
         draws = _draws(rng, 40, d)
@@ -1135,7 +1137,8 @@ def test_fay_suite_draws_the_per_sample_stream(monkeypatch):
     # the suite as it was: one sample at a time, a singular one skipped,
     # until 50 are regular; a raised floor makes the skips happen
     from etlax.suites import SUITE_ORDER, run_suite
-    ctx = default_context(2).replace(tol_identity=0.05)
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.05)
+    ctx = default_context(2)
     rng = np.random.default_rng([3, SUITE_ORDER.index("fay"), 2])
     for _ in range(3):
         rand_complex(rng)                       # run_suite's u, v, t

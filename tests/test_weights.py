@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_complex, table_reads
+from etlax import context
 from etlax.context import SamplingError, default_context
 from etlax import stream as st
 from etlax import weights as wt
@@ -37,7 +38,7 @@ def _sample(seed, ctx, box=0.4, max_tries=1000):
         lam = _make(re + 1j * im)
         gap = min(abs(theta(lam[i] - lam[j], ctx)) for i in range(ctx.n)
                   for j in range(ctx.n) if i != j) / scale
-        if gap > 10.0 * ctx.tol_identity:
+        if gap > 10.0 * context.TOL_IDENTITY:
             return lam
     raise AssertionError("no sample")
 
@@ -169,7 +170,7 @@ def test_sampling_respects_default_guard(ctx3):
         lam = wt.sample_generic(seed, ctx3)
         gap = min(abs(theta(lam[i] - lam[j], ctx3))
                   for i in range(3) for j in range(3) if i != j)
-        assert gap > 10 * ctx3.tol_identity * 1e-2   # guard is scale-normalized
+        assert gap > 10 * context.TOL_IDENTITY * 1e-2   # guard is scale-normalized
 
 
 def test_sampling_exhaustion_reports_guard(ctx3, monkeypatch):
@@ -243,10 +244,11 @@ def test_theta_gap_guard_table_keeps_every_sample(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_rejected_rows_draw_the_per_point_samples(n):
+def test_rejected_rows_draw_the_per_point_samples(n, monkeypatch):
     # a raised singularity floor rejects the first candidates of many
     # sub-seeds; the batch still gives every row its own stream's point
-    ctx = default_context(n, tol_identity=0.04)
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.04)
+    ctx = default_context(n)
     seeds = wt.subseeds(11, 30)
     rejected = 0
     for seed in seeds:
@@ -254,7 +256,7 @@ def test_rejected_rows_draw_the_per_point_samples(n):
         first = wt.canonical(rng.uniform(-0.4, 0.4, n)
                              + 1j * rng.uniform(-0.4, 0.4, n))
         rejected += bool(wt.theta_gap_guard(ctx)(first[None])[0]
-                         <= 10.0 * ctx.tol_identity)
+                         <= 10.0 * context.TOL_IDENTITY)
     assert 0 < rejected < len(seeds)
     got = wt.sample_generic(seeds, ctx)
     assert np.array_equal(got, np.array([_sample(s, ctx) for s in seeds]))
@@ -262,7 +264,8 @@ def test_rejected_rows_draw_the_per_point_samples(n):
 
 
 def test_one_guard_table_per_rejection_round(monkeypatch):
-    ctx = default_context(3, tol_identity=0.04)
+    monkeypatch.setattr(context, "TOL_IDENTITY", 0.04)
+    ctx = default_context(3)
     seeds = wt.subseeds(5, 20)
     # rounds a row needs: the per-point draw count of its stream
     rounds = []
@@ -271,7 +274,7 @@ def test_one_guard_table_per_rejection_round(monkeypatch):
         for tries in range(1, 1000):
             lam = wt.canonical(rng.uniform(-0.4, 0.4, 3)
                                + 1j * rng.uniform(-0.4, 0.4, 3))
-            if wt.theta_gap_guard(ctx)(lam[None])[0] > 10.0 * ctx.tol_identity:
+            if wt.theta_gap_guard(ctx)(lam[None])[0] > 10.0 * context.TOL_IDENTITY:
                 break
         rounds.append(tries)
     assert max(rounds) > 1
