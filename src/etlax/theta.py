@@ -323,7 +323,7 @@ def theta_scale(ctx: ModularContext) -> float:
 
 
 def singular(values, ctx: ModularContext) -> np.ndarray:
-    """|values| < context.TOL_IDENTITY * theta_scale: the singular ones."""
+    """Where |values| < context.TOL_IDENTITY * theta_scale: the singular ones."""
     return np.abs(values) < context.TOL_IDENTITY * theta_scale(ctx)
 
 
