@@ -355,8 +355,6 @@ def suite_genfunc(ctx: ModularContext, rng):
 
 
 def suite_ruijsenaars(ctx: ModularContext, rng):
-    if abs(ctx.q) >= 1.0:
-        raise ValueError("ruijsenaars suite needs Im hbar > 0 (|q| < 1)")
     c, _ = _rc(rng), _rc(rng)   # u: unread, drawn to keep later draws
     P = sample_generic([_seed(rng) for _ in range(ctx.n + 1)], ctx)
     for d, lam in enumerate(P[:-1], start=1):

@@ -517,7 +517,8 @@ def _dplus(z, g: complex, ctx: ModularContext) -> np.ndarray:
     M = _product_length (the 2^-60 rule of a theta window)."""
     q, p = ctx.q, ctx.p
     if abs(q) >= 1.0:
-        raise SingularParameterError(f"|q| must be < 1, got {abs(q)}")
+        raise SingularParameterError(
+            f"ruijsenaars weight needs Im hbar > 0: |q| = {abs(q)} >= 1")
     qg = cmath.exp(2j * cmath.pi * ctx.hbar * g)
     pk = p ** np.arange(_product_length(p) + 1)[:, None]
     pk1 = pk * p

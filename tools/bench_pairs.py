@@ -29,7 +29,8 @@ RSS_COMMANDS, the peak resident set of one fresh `verify <command> --seed
 S` process (RUSAGE_SELF) and of the largest process it forked and reaped
 (RUSAGE_CHILDREN), in MB, S the first --seed: `verify all`, and `verify
 intertwiner --n 4`, whose fusion intertwining at k = 4 is the largest
-transient array of the identities workload.
+transient array of the identities workload.  Each also records the OS
+threads of that process right after it imported etlax ("threads").
 """
 
 from __future__ import annotations
@@ -54,17 +55,25 @@ SIDES = ("parent", "change")
 
 # One fresh `verify <arguments...> --json <report>`, the report path first
 # on its command line: the report goes to a scratch file, and the last line
-# of standard output is {"self_mb", "children_mb", "exit"}.
+# of standard output is {"self_mb", "children_mb", "exit", "threads"},
+# threads the OS threads of the process right after it imported the CLI
+# (null where /proc/self/status is missing).
 RSS_CODE = """
 import contextlib, io, json, resource, sys
 sys.path.insert(0, "src")
 from etlax import cli
+try:
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh
+                       if line.startswith("Threads:"))
+except OSError:
+    threads = None
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[2:] + ["--json", sys.argv[1]])
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
 print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN),
-                  "exit": code}))
+                  "exit": code, "threads": threads}))
 """
 # name -> the verify arguments of one peak-RSS process, before --seed
 RSS_COMMANDS = {"all": ["all"],
