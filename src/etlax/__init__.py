@@ -9,8 +9,10 @@ import os
 # started at import would make every fork happen in a multi-threaded
 # process.  This must run before any etlax module imports numpy; a value
 # the user has set wins, and once numpy is loaded it has no effect.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var
 

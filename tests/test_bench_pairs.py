@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from etlax import BLAS_THREAD_VARS
+
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
 
@@ -95,11 +97,18 @@ def test_sigterm_removes_the_export_directory(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_peak_rss_runs_one_verify_command_in_a_fresh_process(pairs, tmp_path):
+def test_peak_rss_runs_one_verify_command_in_a_fresh_process(
+        pairs, tmp_path, monkeypatch):
+    # with no BLAS variable inherited, the fresh process runs the one BLAS
+    # thread that importing etlax sets
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
     root = _TOOL.parent.parent
     got = pairs.peak_rss(root, ["intertwiner", "--n", "2", "--seed", "3"],
                          tmp_path)
     assert got["exit"] == 0 and got["self_mb"] > 0 and got["children_mb"] >= 0
+    assert got["threads"] == (1 if Path("/proc/self/status").is_file()
+                              else None)
     doc = json.loads((tmp_path / "rss.json").read_text())
     assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
             for s in doc["suites"]] == [("intertwiner", 2, 3)]
@@ -117,7 +126,8 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
 
     def peak(tree, arguments, work):
         calls.append((tree.name, arguments))
-        return {"self_mb": 30.0 + len(calls), "children_mb": 0.0, "exit": 0}
+        return {"self_mb": 30.0 + len(calls), "children_mb": 0.0, "exit": 0,
+                "threads": len(calls)}
     monkeypatch.setattr(pairs, "peak_rss", peak)
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",
@@ -133,3 +143,5 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
     for side in pairs.SIDES:
         assert set(rss[side]) == {"all", "intertwiner-n4"}
         assert all(r["exit"] == 0 for r in rss[side].values())
+    assert sorted(r["threads"] for side in pairs.SIDES
+                  for r in rss[side].values()) == [1, 2, 3, 4]

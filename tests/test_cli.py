@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import strip_timing
-from etlax import cli, context
+from etlax import BLAS_THREAD_VARS, cli, context
 from etlax.context import ModularContext, SamplingError, \
     SingularParameterError, default_context
 from etlax.report import Case, SuiteReport, fmt_complex, fmt_float, \
@@ -763,3 +764,75 @@ def test_verify_all_kills_its_workers_when_the_parent_fails(monkeypatch):
         cli.main(["all"])
     assert_no_children()
     assert time.perf_counter() - start < 30
+
+
+# defines threads(), the OS threads of the process, from /proc/self/status
+_THREADS = """
+def threads():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("Threads:"))
+"""
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                                reason="needs /proc/self/status")
+
+
+def _fresh(code, **preset):
+    """Standard output of `code`, after _THREADS, in a fresh interpreter
+    whose environment holds no BLAS thread variable but those of preset.
+    This process imported numpy before etlax, so its own environment holds
+    the variables but its BLAS pool ignored them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    done = subprocess.run([sys.executable, "-c", _THREADS + code],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(env, PYTHONPATH=str(src), **preset),
+                          check=True)
+    return done.stdout
+
+
+@needs_proc
+@pytest.mark.parametrize("preset, threads", [
+    ({}, 1),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, 2, marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="OpenBLAS caps its pool at the CPUs"))])
+def test_importing_etlax_runs_one_blas_thread_unless_preset(preset, threads):
+    # with no variable set, OpenBLAS starts one worker beside the main
+    # thread when numpy loads; etlax sets one thread before it does
+    out = _fresh("import etlax.cli\n"
+                 "import numpy as np\n"
+                 "a = np.ones((256, 256), complex)\n"
+                 "a @ a\n"
+                 "print(threads())\n", **preset)
+    assert int(out) == threads
+
+
+@needs_proc
+def test_verify_all_forks_from_a_single_thread():
+    # two workers on any host, so each verify all forks once; the first
+    # fork read 2 threads (the main one and an OpenBLAS worker) while the
+    # BLAS pool was numpy's default
+    out = _fresh("import contextlib, io, os\n"
+                 "from etlax import cli\n"
+                 "forks, fork = [], os.fork\n"
+                 "def counted():\n"
+                 "    forks.append(threads())\n"
+                 "    return fork()\n"
+                 "os.fork = counted\n"
+                 "cli.worker_count = lambda runs: 2\n"
+                 "for _ in range(2):\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert cli.main(['all', '--seed', '1']) in (0, 1)\n"
+                 "print(forks)\n")
+    assert json.loads(out) == [1, 1]
+
+
+@pytest.mark.parametrize("suite", ["ruijsenaars", "all"])
+def test_ruijsenaars_at_negative_im_hbar_names_the_remedy(suite, capsys):
+    # |q| = exp(-2 pi Im hbar) > 1 makes the weight's q-product diverge;
+    # the one check is the library's, and in verify all it is the first
+    # error in run order
+    assert cli.main([suite, "--hbar_im", "-0.1"]) == 2
+    assert re.fullmatch(r"error: ruijsenaars weight needs Im hbar > 0: "
+                        r"\|q\| = 1\.87\d* >= 1\n", capsys.readouterr().err)
