@@ -34,10 +34,11 @@ phibar of the module, always at integer step counts (partial_shifts decides
 those of a path map), so the vertex-face layer never forms a shifted point.
 The map along paths multiplies one batch of phi out level by level, and
 both two-step intertwining relations are read on these tensor matrices.
-The fusion intertwining holds one n^k x n^k matrix, Phi' at the reversed
-parameters: Phi and its braid, and Phi' F from the stack, are formed 16
-columns at a time, Phi' F over all n^k rows of F so that it rounds as the
-dense product (its rounding decides the case at some n = 4 seeds).
+The fusion intertwining holds no n^k x n^k matrix: Phi and its braid, and
+Phi' F from the stack, are formed 16 columns at a time, and Phi' at the
+reversed parameters in n row blocks, each block of Phi' F over all n^k
+rows of F so that it rounds as the dense product (its rounding decides
+the case at some n = 4 seeds).
 """
 
 from __future__ import annotations
@@ -612,28 +613,65 @@ def antisymmetrizer_on(k: int, cols: np.ndarray, ctx: ModularContext,
     return _braid_on(fusion_parameters(k, u, ctx), fusion_moves(k), cols, ctx)
 
 
+def _path_factors(levels, n: int, lo: int = 0, hi: int | None = None) -> list:
+    """Tensor factor m of the columns lo:hi (all by default) of the tensor
+    matrices of the k = len(levels) levels [..., points, n, n] of
+    partial_shifts(n, k), per level m: column i_m of level m at the prefix
+    of column (i_1..i_k), an array [..., n, hi - lo]."""
+    k = len(levels)
+    hi = n ** k if hi is None else hi
+    prefix, paths = partial_shifts(n, k)[1], np.arange(lo, hi)
+    return [np.moveaxis(level[..., prefix[m][lo:hi], :,
+                              paths // n ** (k - 1 - m) % n], 0, -1)
+            for m, level in enumerate(levels)]
+
+
+def _multiply_in(out: np.ndarray, factors, n: int) -> np.ndarray:
+    """out [..., rows, cols] times the factors [..., n, cols] in order,
+    factor m along tensor index m of the len(factors) trailing indices of
+    the rows (each row a leading index, then one index n per factor)."""
+    j = len(factors)
+    grid = out.reshape(out.shape[:-2] + (-1,) + (n,) * j + out.shape[-1:])
+    for m, vecs in enumerate(factors):
+        grid *= vecs.reshape(vecs.shape[:-2] + (1,) * (m + 1) + (n,)
+                             + (1,) * (j - m - 1) + vecs.shape[-1:])
+    return out
+
+
 def _path_tensor(levels, n: int, lo: int = 0, hi: int | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The columns lo:hi (all by default) of the tensor matrices
     [..., n^k, n^k] of the k = len(levels) levels [..., points, n, n] of
     partial_shifts(n, k): column (i_1..i_k) holds prod_m column i_m of
-    level m at its prefix, multiplied in per level, into out if given (an
-    array [..., n^k, hi - lo])."""
-    k = len(levels)
-    hi = n ** k if hi is None else hi
-    prefix, paths = partial_shifts(n, k)[1], np.arange(lo, hi)
-    lead = levels[0].shape[:-3]
+    level m at its prefix, each entry ((1 v_1) v_2) ... v_k in this order,
+    into out if given (an array [..., n^k, hi - lo])."""
+    factors = _path_factors(levels, n, lo, hi)
     if out is None:
-        out = np.empty(lead + (n ** k, hi - lo), dtype=complex)
+        out = np.empty(factors[0].shape[:-2] + (n ** len(levels),)
+                       + factors[0].shape[-1:], dtype=complex)
     out[...] = 1.0
-    grid = out.reshape(lead + (n,) * k + (-1,))
-    for m, level in enumerate(levels):
-        step = paths // n ** (k - 1 - m) % n
-        vecs = np.moveaxis(level[..., prefix[m][lo:hi], :, step], 0, -1)
-        # tensor factor m of every column, multiplied in place
-        grid *= vecs.reshape(lead + (1,) * m + (n,) + (1,) * (k - m - 1)
-                             + (-1,))
-    return out
+    return _multiply_in(out, factors, n)
+
+
+def _path_rows(levels, n: int):
+    """The whole tensor matrix of levels (as _path_tensor) in row blocks:
+    rows(a, out) writes the n^(k-1) rows whose first step index is a into
+    out [..., n^(k-1), n^k] and returns it, each entry multiplied in
+    _path_tensor's order, so bit for bit those rows of the whole matrix.
+    Beside out it holds the factors and the product of the first two,
+    [..., n, n, n^k], formed once for all blocks."""
+    factors = _path_factors(levels, n)
+    lead, size = factors[0].shape[:-2], factors[0].shape[-1]
+    head = _multiply_in(np.ones(lead + (n ** len(factors[:2]), size),
+                                dtype=complex), factors[:2], n)
+    # [..., first index, second index (none at k = 1), 1, cols]
+    head = head.reshape(lead + (n, -1, 1, size))
+
+    def rows(a: int, out: np.ndarray) -> np.ndarray:
+        out.reshape(lead + head.shape[-3:-2] + (-1, size))[...] = \
+            head[..., a, :, :, :]
+        return _multiply_in(out, factors[2:], n)
+    return rows
 
 
 def _phi_levels(base, params, ctx: ModularContext) -> list:
@@ -658,23 +696,24 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
     map at the fusion parameters, Phi' the one at the reversed parameters
     and F the face moves of the fusion braid: max|lhs - rhs| relative to
     max|lhs| + max|rhs|, lhs = pi Phi and rhs = Phi' F, with no n^k x n^k
-    matrix but Phi'.
+    matrix formed.
 
     Both sides are formed 16 columns at a time (no block under 8 columns:
     BLAS rounds 1- and 2-column products apart), the three maxima folded
     block by block.  A block of Phi is its _path_tensor columns, braided by
     the Rchecks of one table; F's block is scattered from the _face_orbits
-    stack.  Phi' stays whole, so that each block of Phi' F is one matmul
-    over all n^k rows of F and BLAS sums every entry as in the dense
-    product.  The block arrays are reused from block to block."""
+    stack.  Phi' comes in n row blocks of n^(k-1) rows (_path_rows), each
+    times F's block into its rows of Phi' F: one matmul over all n^k rows
+    of F, so BLAS sums every entry as in the dense product.  The block
+    arrays are reused from block to block."""
     n, size = ctx.n, ctx.n ** k
     params, moves = fusion_parameters(k, u, ctx), fusion_moves(k)
     deltas = _move_deltas(params, moves)
     rev = _phi_levels(lam, params[::-1], ctx)
     stack = _face_orbits(lam, k, [list(zip(moves, deltas))], ctx)[0][0]
-    # Phi' after the face stack, whose temporaries are then freed, and
-    # its phi batch freed before Phi's
-    phir = _path_tensor(rev, n)
+    # the factors of Phi' after the face stack, whose temporaries are then
+    # freed, and its phi batch freed before Phi's
+    phir = _path_rows(rev, n)
     del rev
     levels = _phi_levels(lam, params, ctx)
     rchecks = rcheck_table(deltas, ctx)
@@ -682,6 +721,7 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
     edges = [*range(0, max(size - 8, 1), 16), size]
     width = max(np.diff(edges))
     work = np.empty((4, size * width), dtype=complex)
+    block = np.empty((size // n, size), dtype=complex)
     worst = np.zeros(3)                # max|lhs - rhs|, max|rhs|, max|lhs|
     for lo, hi in zip(edges[:-1], edges[1:]):
         phi, buf, f, rhs = (a[:size * (hi - lo)].reshape(size, hi - lo)
@@ -692,7 +732,8 @@ def verify_fusion_intertwining(k: int, u: complex, lam,
         part = slice(*np.searchsorted(col, [lo, hi]))
         f[...] = 0.0
         f[row[part], col[part] - lo] = stack[part]
-        np.matmul(phir, f, out=rhs)
+        for a, out in enumerate(rhs.reshape(n, size // n, hi - lo)):
+            np.matmul(phir(a, block), f, out=out)
         high = np.max(np.abs(rhs))
         rhs -= lhs
         worst = np.maximum(worst, [np.max(np.abs(rhs)), high,

@@ -210,9 +210,10 @@ def suite_intertwiner(ctx: ModularContext, rng):
     # part of pi shows in pi G (Freivalds' check), and the rank of pi G is
     # that of pi (the randomized range finder of Halko, Martinsson and
     # Tropp, 2011, which reads any rank up to its width).  The intertwining
-    # case braids the phi tensor matrix in column blocks and keeps Phi' F
-    # summed as the dense product: it sits near its tolerance at some
-    # n = 4 seeds, where a change of rounding shows.
+    # case braids the phi tensor matrix in column blocks and forms Phi' in
+    # row blocks, each entry of Phi' F summed as in the dense product: it
+    # sits near its tolerance at some n = 4 seeds, where a change of
+    # rounding shows.
     for k, (ub, _), lam in zip(range(2, ctx.n + 1), fusion, lams[14:]):
         want = math.comb(ctx.n, k)
         sketch = bv.sketch_block(k, ctx.n, want + 2)

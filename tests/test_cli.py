@@ -766,22 +766,24 @@ def test_verify_all_kills_its_workers_when_the_parent_fails(monkeypatch):
     assert time.perf_counter() - start < 30
 
 
-# defines threads(), the OS threads of the process, from /proc/self/status
+# defines threads(), the OS threads of the process, from /proc/self/status,
+# here and in each fresh interpreter of _fresh
 _THREADS = """
 def threads():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh
                     if line.startswith("Threads:"))
 """
+exec(_THREADS)
 needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                                 reason="needs /proc/self/status")
 
 
 def _fresh(code, **preset):
     """Standard output of `code`, after _THREADS, in a fresh interpreter
-    whose environment holds no BLAS thread variable but those of preset.
-    This process imported numpy before etlax, so its own environment holds
-    the variables but its BLAS pool ignored them."""
+    whose environment holds no BLAS thread variable but those of preset:
+    this process holds the variables etlax set (conftest imports etlax
+    before numpy)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     done = subprocess.run([sys.executable, "-c", _THREADS + code],
@@ -826,6 +828,24 @@ def test_verify_all_forks_from_a_single_thread():
                  "        assert cli.main(['all', '--seed', '1']) in (0, 1)\n"
                  "print(forks)\n")
     assert json.loads(out) == [1, 1]
+
+
+@needs_proc
+def test_in_process_verify_all_forks_from_a_single_thread(monkeypatch):
+    # conftest imports etlax before numpy, so this process runs one BLAS
+    # thread and its own verify all forks from one thread; with numpy
+    # imported first, the forks read [2, 1] (the main thread and an
+    # OpenBLAS worker, which OpenBLAS stops at the first fork)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(threads())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(cli, "worker_count", lambda runs: 2)
+    for _ in range(2):
+        assert cli.main(["all", "--seed", "1"]) in (0, 1)
+    assert forks == [1, 1]
 
 
 @pytest.mark.parametrize("suite", ["ruijsenaars", "all"])

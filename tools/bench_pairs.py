@@ -28,8 +28,9 @@ every run of the change reads better than every run of the parent, and
 RSS_COMMANDS, the peak resident set of one fresh `verify <command> --seed
 S` process (RUSAGE_SELF) and of the largest process it forked and reaped
 (RUSAGE_CHILDREN), in MB, S the first --seed: `verify all`, and `verify
-intertwiner --n 4`, whose fusion intertwining at k = 4 is the largest
-transient array of the identities workload.  Each also records the OS
+intertwiner --n 4`, the largest intertwiner run of the identities workload,
+whose fusion intertwining at k = 4 holds Phi' only in row blocks and no
+n^k x n^k array.  Each also records the OS
 threads of that process right after it imported etlax ("threads").
 """
 
