@@ -3,7 +3,7 @@ import json
 # etlax before numpy: importing etlax sets one BLAS thread, which numpy's
 # BLAS pool reads only when numpy loads, so the test process runs (and
 # every in-process `verify all` forks) under the policy of `verify`
-import etlax  # noqa: F401  (isort: skip)
+import etlax  # noqa: F401
 import numpy as np
 import pytest
 

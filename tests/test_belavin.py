@@ -1129,8 +1129,7 @@ def test_intertwiner_run_stays_small():
     # fusion-intertwining-k4 holds Phi, its braid and Phi' F in column
     # blocks of 16 and Phi' in row blocks of 64, never an n^k x n^k
     # matrix: about 0.95 MB at n = 4.  A whole Phi' alone is 1,048,576
-    # bytes there (the run read 1.54 MB with it, 2.42 MB with the braided
-    # side whole beside it and 3.7 MB with the dense face fusion operator)
+    # bytes there, so the bound fails if one comes back
     import tracemalloc
     from etlax.suites import run_suite
     ctx = default_context(4)

@@ -30,8 +30,8 @@ S` process (RUSAGE_SELF) and of the largest process it forked and reaped
 (RUSAGE_CHILDREN), in MB, S the first --seed: `verify all`, and `verify
 intertwiner --n 4`, the largest intertwiner run of the identities workload,
 whose fusion intertwining at k = 4 holds Phi' only in row blocks and no
-n^k x n^k array.  Each also records the OS
-threads of that process right after it imported etlax ("threads").
+n^k x n^k array.  Each also records the OS threads of that process right
+after it imported etlax ("threads").
 """
 
 from __future__ import annotations
