@@ -20,9 +20,10 @@ tables, read once per batch; where several products or operands land on
 one term, the 0/1 matrix of key_map, fixed when the operator is built, adds
 them (merge_keys), the one key merge.  A composition a b reads b once, on
 the batch of every point P[s] shifted by every key of a (one broadcast,
-weights.shifted); normal_det sums the signed products over permutations in
-one contraction (signed_products), from gather arrays built once per term
-tuple (_det_plan), before its merge, as the fused traces of transfer do.
+weights.shifted); normal_det gathers the matrix of every ordered key tuple
+with index arrays built once per term tuple (_det_plan) and takes all
+their determinants in one batched LU (det) before its merge, as the fused
+L-operators of transfer do.
 A test function takes a batch P[..., n] and returns its values[...];
 apply_op calls it once, on every point shifted by every key, so a
 product a b acts as apply_op(a, apply_op(b, f)).  No symbolic
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import combinations, product
 from typing import Callable
 
 import numpy as np
@@ -197,14 +198,36 @@ def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
                              samples, ctx)
 
 
-def signed_products(factors, signs) -> np.ndarray:
-    """sum_z prod_r factors[r][..., z] signs[z, ...]: the products of one
-    term z of a signed sum (a permutation, or a subset and a permutation),
-    contracted with its signs over the last axis."""
-    prod = factors[0]
-    for factor in factors[1:]:
-        prod = prod * factor
-    return prod @ signs
+def det(matrices) -> np.ndarray:
+    """The determinants of matrices[..., k, k] over any leading axes: the
+    signed product of the pivots of Gaussian elimination with partial
+    pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 9), O(k^3) a matrix where the Leibniz sum is O(k! k).  A 1 x 1
+    matrix returns its entry bit for bit, a zero pivot column gives 0, not
+    nan, and object arrays of mpmath numbers work too."""
+    matrices = np.asarray(matrices)
+    lead, size = matrices.shape[:-2], matrices.shape[-1]
+    # a[i, j] is entry (i, j) of every matrix, one contiguous batch vector
+    a = np.moveaxis(matrices.reshape(-1, size, size), 0, -1).copy()
+    odd = np.zeros(a.shape[-1], dtype=bool)
+    for j in range(size - 1):
+        # row j takes in turn each row below it that is larger in column j
+        best = abs(a[j, j])
+        for i in range(j + 1, size):
+            mag = abs(a[i, j])
+            swap = mag > best
+            a[j, j:], a[i, j:] = (np.where(swap, a[i, j:], a[j, j:]),
+                                  np.where(swap, a[j, j:], a[i, j:]))
+            best = np.where(swap, mag, best)
+            odd ^= swap
+        pivot = a[j, j]
+        # a zero pivot heads a zero column: dividing by 1 keeps it zero
+        factors = a[j + 1:, j] * (1 / np.where(pivot == 0, 1, pivot))
+        a[j + 1:, j + 1:] -= factors[:, None] * a[j, None, j + 1:]
+    out = a[0, 0]
+    for j in range(1, size):
+        out = out * a[j, j]
+    return np.where(odd, -out, out).reshape(lead)
 
 
 def normal_det(matrix: DifferenceOperator, t: complex,
@@ -216,23 +239,19 @@ def normal_det(matrix: DifferenceOperator, t: complex,
     right, so coefficients multiply as plain functions of the same lambda.
     Row i contributes one key of the matrix (the identity key carries -t on
     the diagonal), so the coefficient of an ordered key tuple (K_0..K_{n-1})
-    is sum_sigma sgn(sigma) prod_i M[K_i, i, sigma(i)], and the key map adds
-    it onto the canonical key of K_0 + ... + K_{n-1}.  The matrix's table is
-    read once per batch.
+    is the determinant of the matrix whose row i is M[K_i, i, :], and the
+    key map adds it onto the canonical key of K_0 + ... + K_{n-1}.  The
+    matrix's table is read once per batch.
     """
     size = matrix.shape[0]
-    keys, slots, tuples, terms, keymap, perms, signs = _det_plan(
-        matrix.n, matrix.terms, size)
+    keys, slots, tuples, terms, keymap = _det_plan(matrix.n, matrix.terms, size)
     diag = np.arange(size)
 
     def table(P):
         m = np.zeros((len(P), len(keys), size, size), dtype=complex)
         m[:, slots] = matrix.table(P)
         m[:, 0, diag, diag] -= t
-        # factor r: M[s, K_r, r, sigma(r)] over (ordered key tuple, sigma)
-        return merge_keys(keymap, signed_products(
-            [m[:, tuples[:, r][:, None], r, perms[:, r][None, :]]
-             for r in range(size)], signs))
+        return merge_keys(keymap, det(m[:, tuples, diag]))
     return DifferenceOperator(matrix.n, terms, table)
 
 
@@ -240,33 +259,19 @@ def normal_det(matrix: DifferenceOperator, t: complex,
 def _det_plan(n: int, terms: tuple, size: int) -> tuple:
     """normal_det's plan, built once per (n, terms, size): the keys (the
     identity first), each term's slot among them, the ordered key tuples
-    and the key map of their sums, the permutations and their signs."""
+    and the key map of their sums."""
     keys = tuple(dict.fromkeys(((0,) * n,) + terms))
     slots = np.array([keys.index(key) for key in terms])
     tuples = np.array(list(product(range(len(keys)), repeat=size)))
     sums, keymap = key_map([canonical_key(
         [sum(keys[a][x] for a in tup) for x in range(n)]) for tup in tuples])
-    perms = np.array(list(permutations(range(size))))
-    signs = np.array([perm_sign(p) for p in perms], dtype=float)
-    read_only(slots, tuples, keymap, perms, signs)
-    return keys, slots, tuples, sums, keymap, perms, signs
+    read_only(slots, tuples, keymap)
+    return keys, slots, tuples, sums, keymap
 
 
 def perm_sign(perm) -> int:
-    """Sign of a permutation of range(len(perm)), from its cycle lengths."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        j, length = start, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation of range(len(perm)): -1 to its inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 # ------------------------------------------------------------------- jets

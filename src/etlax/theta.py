@@ -71,6 +71,9 @@ _TABLE_CHUNK = 3136    # terms per row of a theta table work array
 # the terms a theta table leaves out sum to at most this times the largest
 # term it keeps (_dropped_bound): below the rounding of the kept sum
 _WINDOW_DROP = 2.0 ** -60
+# the deepest theta_table derivative, as deep as its tail is checked against
+# mpmath: D[n-1] D[n] of debiard reads Delta's jet to order 2n - 1
+MAX_DERIV_ORDER = 10
 # every hbar -> 0 limit reads its expression at the HBAR_NODES nodes of the
 # circle |h| = HBAR_RADIUS (circle, laurent_coefficient)
 HBAR_RADIUS, HBAR_NODES = 0.003, 12
@@ -307,8 +310,9 @@ def theta_table(us, ctx: ModularContext, deriv_order: int = 0) -> np.ndarray:
     """The odd Jacobi theta theta(u) = theta_{1/2,1}(u + 1/2), or its
     deriv_order-th u-derivative, at every point of the array us, same shape.
     """
-    if deriv_order < 0 or deriv_order > 8:
-        raise ContextError(f"deriv_order must be in 0..8, got {deriv_order}")
+    if not 0 <= deriv_order <= MAX_DERIV_ORDER:
+        raise ContextError(f"deriv_order must be in 0..{MAX_DERIV_ORDER}, "
+                           f"got {deriv_order}")
     us = np.asarray(us, dtype=complex)
     series = _series((0.5,), 1, complex(ctx.tau), deriv_order)
     return _table(series, us.ravel() + 0.5)[0].reshape(us.shape)

@@ -36,18 +36,18 @@ every sample in one batch, never at a re-canonicalized shifted point:
 column k of phi(u - r hbar) at lam + hbar sum_j kappa_j epsbar_j is
 theta_level(u/n - lam_k - hbar kappa_k), so one theta table fills every
 phi of a sample, and one more every phibar, in closed form.  fused_l
-gathers the A_r per ordered shift tuple, contracts them with the
-generalized-Kronecker signs (opalg.signed_products) and adds the tuples
-onto their canonical keys with the fixed 0/1 matrix of opalg.key_map;
-m_trace is the trace of that array.  build_d_ops merges d^J Delta / Delta
-onto the terms of D[m] the same way, with that matrix weighted by
-(-n/c)^|I \\ J|.  verify_fused_rll applies two fused L-operators in turn
-through opalg.apply_op, and normal_det reads any of these matrices'
-tables once per batch for the generating determinant.  The Lax
-coefficients are one function of g = c hbar/n (ltilde_table), which the
-hbar -> 0 checks read at g = c h/n.  Every hbar -> 0 limit is a Laurent
-coefficient in h (theta.laurent_coefficient) of values at the nodes of
-theta.circle.
+gathers the k x k matrix of each quantum minor's A_r entries, per ordered
+shift tuple and pair of subsets, takes all their determinants in one
+batched LU (opalg.det) and adds the tuples onto their canonical keys with
+the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
+build_d_ops merges d^J Delta / Delta onto the terms of D[m] the same way,
+with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll applies
+two fused L-operators in turn through opalg.apply_op, and normal_det reads
+any of these matrices' tables once per batch for the generating
+determinant.  The Lax coefficients are one function of g = c hbar/n
+(ltilde_table), which the hbar -> 0 checks read at g = c h/n.  Every
+hbar -> 0 limit is a Laurent coefficient in h (theta.laurent_coefficient)
+of values at the nodes of theta.circle.
 
 l_coeff_tensor, fused_l, m_trace, m_dot, m_closed and verify_trace_closed
 take c and u as one value or as one per draw; the rows of a batch then
@@ -61,7 +61,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -70,11 +70,10 @@ from .context import (ModularContext, SingularParameterError,
 from .belavin import (dual_intertwiners, fused_rcheck_matrix, intertwiners,
                       partial_shifts, shift_intertwiners)
 from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
-                    compose, exp_function, exp_test_function, identity_op,
-                    jet_constant, jet_deriv, jet_inv, jet_mul, jet_of_affine,
-                    key_map, merge_keys, op_add, op_scale, operator_residual,
-                    normal_det, pdo_apply, pdo_compose, perm_sign,
-                    signed_products)
+                    compose, det, exp_function, exp_test_function,
+                    identity_op, jet_constant, jet_deriv, jet_inv, jet_mul,
+                    jet_of_affine, key_map, merge_keys, op_add, op_scale,
+                    operator_residual, normal_det, pdo_apply, pdo_compose)
 from .theta import (HBAR_RADIUS, Residual, _product_length, circle,
                     laurent_coefficient, max_relative, relative,
                     require_regular, residual_pair, theta_table,
@@ -140,44 +139,32 @@ class _FusionPlan:
     Ordered shift tuples t = (k_0..k_{k-1}) run over [n]^k.  At level r,
     prefix[r][t] indexes the step counts e_k_0 + ... + e_k_{r-1} of t in
     prefixes[r] (belavin.partial_shifts) and shift[r][t] = k_r; counts
-    holds the counts (summing to r) of every level, level by level.  A
-    term z = (I, sigma) of the generalized Kronecker sum reads the L-entry
-    (rows[r][z], cols[r][w]) at level r for the column subset w = I', with
-    signs[z, I] = sgn(sigma).  keymap adds each tuple onto its canonical key
-    in terms.
+    holds the counts (summing to r) of every level, level by level.  Row a
+    of subsets is the a-th k-subset of range(n) in combinations order.
+    keymap adds each tuple onto its canonical key in terms.
     """
 
     prefixes: tuple
     prefix: tuple
     counts: np.ndarray
     shift: tuple
-    rows: tuple
-    cols: tuple
-    signs: np.ndarray
+    subsets: np.ndarray
     terms: tuple
     keymap: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def _fusion_plan(n: int, k: int) -> _FusionPlan:
-    subs = list(combinations(range(n), k))
-    perms = list(permutations(range(k)))
     tuples = list(product(range(n), repeat=k))
     prefixes, prefix = partial_shifts(n, k)
     counts = np.array([c for level in prefixes for c in level])
     shift = [np.array([t[r] for t in tuples]) for r in range(k)]
-    terms = [(a, perm) for a in range(len(subs)) for perm in perms]
-    rows = tuple(np.array([subs[a][perm[r]] for a, perm in terms])
-                 for r in range(k))
-    cols = tuple(np.array([sub[r] for sub in subs]) for r in range(k))
-    signs = np.zeros((len(terms), len(subs)))
-    for z, (a, perm) in enumerate(terms):
-        signs[z, a] = perm_sign(perm)
+    subsets = np.array(list(combinations(range(n), k)))
     keys, keymap = key_map([canonical_key([t.count(i) for i in range(n)])
                             for t in tuples])
-    read_only(counts, *shift, *rows, *cols, signs, keymap)
-    return _FusionPlan(prefixes, prefix, counts, tuple(shift), rows, cols,
-                       signs, keys, keymap)
+    read_only(counts, *shift, subsets, keymap)
+    return _FusionPlan(prefixes, prefix, counts, tuple(shift), subsets, keys,
+                       keymap)
 
 
 def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
@@ -186,31 +173,34 @@ def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
         sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
 
     indexed by the subsets I, I' in combinations order.  c and u are one
-    value, or one per draw, as in l_coeff_tensor.
+    value, or one per draw, as in l_coeff_tensor.  The coefficient of a
+    shift tuple t in the entry (I, I') is the determinant of the k x k
+    matrix whose entry (r, j) is level r's coefficient at t's prefix, row
+    I_j and column I'_r; opalg.det takes all of them in one batch.
     """
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..n, got {k}")
     plan = _fusion_plan(n, k)
+    size = math.comb(n, k)
+    # [1, I, 1, j] and [1, 1, I', r] against [t, 1, 1, 1]: I_j and I'_r
+    rows, cols = plan.subsets[None, :, None, :], plan.subsets[None, None, :]
 
     def table(P):
         count = len(P)
         # level r reads L(u - r hbar) at every partial shift of every sample
         a = l_coeff_tensor(c, u, P, ctx, plan.counts)
-        factors, start = [], 0
+        mats = np.empty((count, n ** k, size, size, k, k), dtype=complex)
+        start = 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
-                len(keys), count, n, n, n)
+                len(keys), count, n, n, n).swapaxes(0, 1)
             start += len(keys) * count
-            # [t, I', z, s], read as [t, s, I', z]
-            factors.append(level[plan.prefix[r][:, None, None], :,
-                                 plan.shift[r][:, None, None],
-                                 plan.rows[r][None, None, :],
-                                 plan.cols[r][None, :, None]].transpose(
-                                     0, 3, 1, 2))
-        fused = signed_products(factors, plan.signs)            # [t, s, I', I]
-        return merge_keys(plan.keymap, fused.transpose(1, 0, 3, 2))
-    size = math.comb(n, k)
+            # row r of the matrix of (s, t, I, I')
+            mats[..., r, :] = level[:, plan.prefix[r][:, None, None, None],
+                                    plan.shift[r][:, None, None, None],
+                                    rows, cols[..., r, None]]
+        return merge_keys(plan.keymap, det(mats))
     return DifferenceOperator(n, plan.terms, table, (size, size))
 
 
@@ -338,12 +328,12 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     Both sides are read with every theta_j divided by i eta, as in
     sekiguchi_matrix, which scales each by (i eta)^-n.
     """
-    det = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
+    numerator = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
     gen = genfunc_sum(c, u, t, ctx)
     weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: np.linalg.det(
         shift_intertwiners(u, P, [[0] * ctx.n], ctx)[:, 0])[:, None]
         * gen.table(P))
-    return operator_residual(det, weighted, samples, ctx)
+    return operator_residual(numerator, weighted, samples, ctx)
 
 
 # ------------------------------------------------------------ Lax matrix

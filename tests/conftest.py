@@ -51,6 +51,23 @@ def phi_tensor_matrix(base, params, ctx):
     return bv._path_tensor(bv._phi_levels(base, params, ctx), ctx.n)
 
 
+def leibniz_det(matrices):
+    """The oracle of opalg.det: the determinants of matrices[..., k, k] as
+    the Leibniz sum, sign times the product of one entry of each row, over
+    every permutation of the columns, in permutations order."""
+    from itertools import permutations
+    from etlax.opalg import perm_sign
+    matrices = np.asarray(matrices)
+    size = matrices.shape[-1]
+    out = 0
+    for perm in permutations(range(size)):
+        term = perm_sign(perm) * matrices[..., 0, perm[0]]
+        for r in range(1, size):
+            term = term * matrices[..., r, perm[r]]
+        out = out + term
+    return out
+
+
 def rand_complex(rng, box=0.4):
     return complex(rng.uniform(-box, box) + 1j * rng.uniform(-box, box))
 

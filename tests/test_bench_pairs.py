@@ -129,6 +129,8 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         return {"self_mb": 30.0 + len(calls), "children_mb": 0.0, "exit": 0,
                 "threads": len(calls)}
     monkeypatch.setattr(pairs, "peak_rss", peak)
+    monkeypatch.setattr(pairs, "fresh_wall", lambda tree, a, cpus, work: {
+        "wall_s": 0.5, "exit": 0, "cpus": len(cpus)})
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",
                        "identities", "--seed", "42", "--seed", "7",
@@ -145,3 +147,61 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         assert all(r["exit"] == 0 for r in rss[side].values())
     assert sorted(r["threads"] for side in pairs.SIDES
                   for r in rss[side].values()) == [1, 2, 3, 4]
+
+
+def test_fresh_wall_pins_its_child(pairs, tmp_path):
+    root = _TOOL.parent.parent
+    pins = pairs.wall_pins()
+    assert pins["one-cpu"] == {min(os.sched_getaffinity(0))}
+    assert pins["all-cpus"] == os.sched_getaffinity(0)
+    for pin, cpus in pins.items():
+        got = pairs.fresh_wall(root, ["theta", "--n", "2", "--seed", "3"],
+                               cpus, tmp_path)
+        assert got["exit"] == 0 and got["wall_s"] > 0
+        assert got["cpus"] == len(cpus), pin
+    # this process keeps its own affinity
+    assert os.sched_getaffinity(0) == pins["all-cpus"]
+    doc = json.loads((tmp_path / "wall.json").read_text())
+    assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
+            for s in doc["suites"]] == [("theta", 2, 3)]
+
+
+def test_the_record_holds_fresh_walls_per_seed_and_pin(pairs, tmp_path,
+                                                       monkeypatch):
+    # `verify all` at every seed, both trees and both pinnings, the parent
+    # first in even pairs; the other runs are stubbed
+    calls = []
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(pairs, "bench_once", lambda tree, w, seed, s: {
+        "correct": True, "attempted": 17, "failed": 0, "failed_lines": [],
+        "metrics": {"wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 40.0}})
+    monkeypatch.setattr(pairs, "peak_rss", lambda tree, arguments, work: {
+        "self_mb": 30.0, "children_mb": 0.0, "exit": 0, "threads": 1})
+
+    def wall(tree, arguments, cpus, work):
+        calls.append((tree.name, arguments, len(cpus)))
+        return {"wall_s": 0.4 if tree.name == "change" else 0.5,
+                "exit": 0, "cpus": len(cpus)}
+    monkeypatch.setattr(pairs, "fresh_wall", wall)
+    out = tmp_path / "out.json"
+    assert pairs.main(["--parent", "A", "--change", "B", "--workload",
+                       "identities", "--seed", "42", "--seed", "7",
+                       "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["fresh_wall"]
+    ncpu = len(os.sched_getaffinity(0))
+    assert record["cpus"] == {"one-cpu": [min(os.sched_getaffinity(0))],
+                              "all-cpus": sorted(os.sched_getaffinity(0))}
+    assert len(calls) == 2 * 10 * 2 * 2
+    assert [name for name, _, _ in calls[:8]] == ["parent"] * 2 \
+        + ["change"] * 4 + ["parent"] * 2
+    for seed in (42, 7):
+        block = record[f"seed {seed}"]
+        assert set(block) == {"one-cpu", "all-cpus"}
+        for pin, cpus in (("one-cpu", 1), ("all-cpus", ncpu)):
+            assert [r["cpus"] for r in block[pin]["parent"]] == [cpus] * 10
+            summary = block[pin]["summary"]
+            assert summary["change_better_pairs"] == 10
+            assert summary["median_ratio"] == pytest.approx(0.8)
+            assert summary["verdict"] == "gain"
+    assert sorted({tuple(a) for _, a, _ in calls}) == [
+        ("all", "--seed", "42"), ("all", "--seed", "7")]

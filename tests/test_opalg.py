@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (diff_op, matrix_entry, ones, pdo, pdo_coeff,
-                      rand_complex, shift_eps, sumzero_exp)
+from conftest import (diff_op, leibniz_det, matrix_entry, ones, pdo,
+                      pdo_coeff, rand_complex, shift_eps, sumzero_exp)
 from etlax import opalg as oa
 from etlax import weights as wt
 from etlax.theta import theta
@@ -177,6 +177,65 @@ def test_a_second_normal_det_over_the_same_terms_builds_no_plan(ctx3):
     plan = oa._det_plan(ctx3.n, lop.terms, lop.shape[0])
     assert all(not part.flags.writeable for part in plan
                if isinstance(part, np.ndarray))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_det_equals_the_leibniz_sum(size):
+    # each batch entry against the oracle, relative to the batch's largest
+    # determinant; a 1 x 1 determinant is its entry bit for bit
+    rng = np.random.default_rng(810 + size)
+    mats = rng.normal(size=(6, 5, size, size)) \
+        + 1j * rng.normal(size=(6, 5, size, size))
+    got, want = oa.det(mats), leibniz_det(mats)
+    assert got.shape == (6, 5)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if size == 1:
+        assert np.array_equal(got, mats[..., 0, 0])
+
+
+def test_det_of_a_zero_pivot_reads_zero():
+    # a zero column, before and after a swap, reads 0 with no nan under
+    # the errstate run_suite sets; a swap flips the sign
+    mats = np.array([[[0, 0], [0, 0]], [[0, 1], [0, 2]], [[1, 0], [2, 0]],
+                     [[1, 2], [2, 4]], [[0, 1], [1, 0]], [[0, 2], [3, 1]]],
+                    dtype=complex)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = oa.det(mats)
+    assert np.array_equal(got, [0, 0, 0, 0, -1, -6])
+
+
+def test_det_on_mpmath_arrays_equals_mp_det():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(820)
+    with mp.workdps(40):
+        for size in (2, 3, 4):
+            mats = np.empty((3, size, size), dtype=object)
+            for idx in np.ndindex(mats.shape):
+                mats[idx] = mp.mpc(*rng.normal(size=2)) / 3
+            for got, mat in zip(oa.det(mats), mats):
+                assert isinstance(got, mp.mpc)
+                assert abs(got - mp.det(mp.matrix(mat.tolist()))) < 1e-25
+
+
+def test_det_equals_sum_reads_one_entry_off_by_1e_6(monkeypatch):
+    # negative control: normal_det's entry (0, 1) of every key tuple off
+    # by 1e-6 relative turns det-equals-sum red at genfunc's 1e-7
+    from etlax.context import default_context
+    from etlax.suites import run_suite
+    real = oa.det
+
+    def off(mats):
+        mats = np.array(mats)
+        mats[..., 0, 1] *= 1.0 + 1e-6
+        return real(mats)
+
+    def det_equals_sum():
+        rep = run_suite("genfunc", default_context(3), 5)
+        return next(c for c in rep.cases if c.name == "det-equals-sum")
+    assert det_equals_sum().ok
+    monkeypatch.setattr(oa, "det", off)
+    case = det_equals_sum()
+    assert not case.ok and case.rel > 1e-6
 
 
 def test_normal_det_diagonal_shift_operators(ctx3):
@@ -540,17 +599,16 @@ def _dict_compose(a, b, P, ctx):
 
 
 def _dict_normal_det(matrix, t, P):
-    """normal_det on dict tables, transcribed: the signed permutation sum
-    of every ordered key tuple, accumulated onto its canonical key."""
-    from itertools import permutations, product
+    """normal_det on dict tables: the Leibniz sum of every ordered key
+    tuple's matrix, accumulated onto its canonical key."""
+    from itertools import product
     size, zero = matrix.shape[0], (0,) * matrix.n
     rows = _as_dict(matrix, P)
     rows[zero] = rows.get(zero, np.zeros((len(P), size, size))) - t * np.eye(size)
     out = {}
     for tup in product(list(rows), repeat=size):
-        value = sum(oa.perm_sign(perm) * math.prod(
-            rows[tup[r]][:, r, perm[r]] for r in range(size))
-            for perm in permutations(range(size)))
+        value = leibniz_det(np.stack([rows[tup[r]][:, r] for r in range(size)],
+                                     axis=1))
         _accumulate(out, wt.canonical_key(np.sum(tup, axis=0)), value)
     return out
 
@@ -649,8 +707,20 @@ def _dict_cases(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_array_tables_match_the_dict_tables(n):
+    # normal_det pivots where its dict table adds the Leibniz products:
+    # test_normal_det_equals_the_leibniz_sum reads it
     for name, op, got, want in _dict_cases(n):
-        assert _dict_rel(op, got, want) < 1e-14, name
+        if name != "normal_det":
+            assert _dict_rel(op, got, want) < 1e-14, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_normal_det_equals_the_leibniz_sum(n):
+    # l_op, l_tilde and the Sekiguchi matrix, each coefficient against the
+    # Leibniz sum of its key tuples, relative to the largest coefficient
+    rels = [_dict_rel(op, got, want) for name, op, got, want
+            in _dict_cases(n) if name == "normal_det"]
+    assert len(rels) == 3 and max(rels) <= 1e-13
 
 
 def test_merge_with_a_dropped_column_reads_wrong(monkeypatch):

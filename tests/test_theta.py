@@ -136,8 +136,15 @@ def test_verify_theta_passes_at_small_im_tau(n, capsys):
 
 
 def test_jacobi_theta_derivative_depth_capped(ctx2):
-    with pytest.raises(ContextError):
-        th.theta(0.1, ctx2, deriv_order=9)
+    # orders 9 and 10 (Debiard at n = 5 reads 9) are the theta_ml series,
+    # whose values and tails test_theta_ml_mpmath_oracle and
+    # test_theta_ml_tail_covers_what_it_leaves_out check there
+    assert th.MAX_DERIV_ORDER == 10
+    for d in (9, 10):
+        assert th.theta(0.1, ctx2, deriv_order=d) == th.theta_ml(
+            0.5, 1, 0.6, ctx2.tau, deriv_order=d).value
+    with pytest.raises(ContextError, match="0..10, got 11"):
+        th.theta(0.1, ctx2, deriv_order=11)
 
 
 def test_theta_char_zeros_and_periodicity(ctx3, rng):
@@ -314,7 +321,7 @@ def test_theta_ml_mpmath_oracle(rng):
     with mp.workdps(30):
         tau = mp.mpc(TAU)
         q = mp.exp(1j * mp.pi * tau)
-        for d in range(3):
+        for d in (0, 1, 2, 9, 10):
             for _ in range(5):
                 u = rand_complex(rng)
                 got = th.theta_ml(0.5, 1, u + 0.5, TAU, deriv_order=d).value
@@ -848,7 +855,7 @@ def test_theta_ml_tail_covers_what_it_leaves_out(tau, rng):
     for _ in range(30):
         m, l = float(rng.uniform(-1, 1)), int(rng.integers(1, 4))
         u = complex(rng.uniform(-2, 2), rng.uniform(-0.4, 0.4))
-        for d in range(3):
+        for d in (0, 1, 2, 9, 10):
             got = th.theta_ml(m, l, u, tau, deriv_order=d)
             assert got.value == _per_value_series(m, l, u, tau, d)
             left_out, largest = _left_out(m, l, u, tau, d)

@@ -1245,6 +1245,11 @@ def test_differential_side_suites_pass_at_rank_four():
     assert failed == []
 
 
+def test_debiard_runs_at_rank_five():
+    # D[4] D[5] reads Delta's jet, and so theta derivatives, to order 9
+    assert run_suite("debiard", default_context(5), 0).passed
+
+
 def test_context_memoizes_no_theta_value_or_intertwiner():
     ctx = default_context(2)
     for name in ("intertwiner", "debiard", "krichever", "eigen-l1"):

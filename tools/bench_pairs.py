@@ -31,7 +31,12 @@ S` process (RUSAGE_SELF) and of the largest process it forked and reaped
 intertwiner --n 4`, the largest intertwiner run of the identities workload,
 whose fusion intertwining at k = 4 holds Phi' only in row blocks and no
 n^k x n^k array.  Each also records the OS threads of that process right
-after it imported etlax ("threads").
+after it imported etlax ("threads").  "fresh_wall" holds, for every seed,
+the wall time of one fresh `verify all --seed S` process of each tree,
+start to exit, pinned with os.sched_setaffinity to the first CPU of this
+tool's own affinity ("one-cpu") and to all of them ("all-cpus"): --pairs
+alternating pairs per seed and pinning, each with the exit code and the
+CPUs the process saw, and a summary as for the benchmark's wall_s.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -79,6 +85,17 @@ print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
 # name -> the verify arguments of one peak-RSS process, before --seed
 RSS_COMMANDS = {"all": ["all"],
                 "intertwiner-n4": ["intertwiner", "--n", "4"]}
+# One fresh `verify <arguments...> --json <report>` timed from outside: the
+# last line of standard output is {"exit", "cpus"}, cpus the size of the
+# affinity mask the process ran under.
+WALL_CODE = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, "src")
+from etlax import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:] + ["--json", sys.argv[1]])
+print(json.dumps({"exit": code, "cpus": len(os.sched_getaffinity(0))}))
+"""
 
 
 def export(rev, dest):
@@ -119,6 +136,45 @@ def peak_rss(tree, arguments, work):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def fresh_wall(tree, arguments, cpus, work):
+    """{"wall_s", "exit", "cpus"} of one fresh `verify <arguments...>`
+    process run in `tree` and pinned to the set `cpus` before it starts,
+    its report written in `work`: wall_s runs from the spawn to the exit."""
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", WALL_CODE, str(work / "wall.json"), *arguments],
+        cwd=tree, capture_output=True, text=True, check=True,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus)).stdout
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, **json.loads(out.strip().splitlines()[-1])}
+
+
+def wall_pins():
+    """{pinning: CPU set}: the first CPU of this process's affinity, and
+    all of them."""
+    cpus = sorted(os.sched_getaffinity(0))
+    return {"one-cpu": {cpus[0]}, "all-cpus": set(cpus)}
+
+
+def fresh_walls(trees, seed, pairs, work, bound):
+    """{pinning: {"parent", "change", "summary"}} of the fresh `verify all
+    --seed seed` processes: pair i runs the parent first when i is even,
+    each pinning in turn."""
+    pins = wall_pins()
+    runs = {pin: {side: [] for side in SIDES} for pin in pins}
+    for i in range(pairs):
+        for side in SIDES[::-1] if i % 2 else SIDES:
+            for pin, cpus in pins.items():
+                runs[pin][side].append(fresh_wall(
+                    trees[side], ["all", "--seed", str(seed)], cpus, work))
+    out = {}
+    for pin, sides in runs.items():
+        parent, change = ([r["wall_s"] for r in sides[side]]
+                          for side in SIDES)
+        out[pin] = {**sides, "summary": compare(parent, change, bound)}
+    return out
+
+
 def quartiles(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
@@ -147,24 +203,27 @@ def verdict(parent, change, bound):
     return "within bound"
 
 
+def compare(parent, change, bound):
+    """The summary of one metric from its paired values."""
+    p, c = quartiles(parent), quartiles(change)
+    return {
+        "parent": p, "change": c,
+        "change_better_pairs": sum(b < a for a, b in zip(parent, change)),
+        "change_worse_pairs": sum(b > a for a, b in zip(parent, change)),
+        "median_ratio": c["median"] / p["median"],
+        "median_gap": p["median"] - c["median"],
+        "parent_quartile_distance": p["q3"] - p["q1"],
+        "bound": bound,
+        "verdict": verdict(parent, change, bound),
+    }
+
+
 def summarize(runs, bounds):
     """The summary of one workload and seed from its paired runs, per
     metric of bounds ({metric: relative bound})."""
-    out = {}
-    for name, bound in bounds.items():
-        parent = [r["metrics"][name] for r in runs["parent"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        p, c = quartiles(parent), quartiles(change)
-        out[name] = {
-            "parent": p, "change": c,
-            "change_better_pairs": sum(b < a for a, b in zip(parent, change)),
-            "change_worse_pairs": sum(b > a for a, b in zip(parent, change)),
-            "median_ratio": c["median"] / p["median"],
-            "median_gap": p["median"] - c["median"],
-            "parent_quartile_distance": p["q3"] - p["q1"],
-            "bound": bound,
-            "verdict": verdict(parent, change, bound),
-        }
+    out = {name: compare([r["metrics"][name] for r in runs["parent"]],
+                         [r["metrics"][name] for r in runs["change"]], bound)
+           for name, bound in bounds.items()}
     out["failed"] = {side: sorted({r["failed"] for r in runs[side]})
                      for side in SIDES}
     out["attempted"] = sorted({r["attempted"] for side in SIDES
@@ -219,6 +278,9 @@ def main(argv=None):
                                                    str(args.seed[0])], work)
                       for name, command in RSS_COMMANDS.items()}
                for side in SIDES}
+        walls = {f"seed {seed}": fresh_walls(trees, seed, args.pairs, work,
+                                             bounds["wall_s"])
+                 for seed in args.seed}
     doc = {
         "what": __doc__.strip().split("\n\n")[-1].replace("\n", " "),
         "command": "python3 bench/run.py --workload {%s} --seed {%s} "
@@ -236,6 +298,11 @@ def main(argv=None):
                     " ".join(command), args.seed[0])
                     for name, command in RSS_COMMANDS.items()},
                 **rss},
+        "fresh_wall": {"what": "one fresh `verify all --seed S`, spawn to "
+                               "exit, in seconds",
+                       "cpus": {pin: sorted(cpus)
+                                for pin, cpus in wall_pins().items()},
+                       **walls},
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
