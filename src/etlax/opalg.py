@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .context import ModularContext, read_only
-from .theta import Residual, max_relative
+from .theta import Residual, det, max_relative
 from .weights import canonical_key, shifted
 
 
@@ -196,38 +196,6 @@ def commutator_residual(a: DifferenceOperator, b: DifferenceOperator,
     """Residual of [a, b] = 0, i.e. of a b = b a."""
     return operator_residual(compose(a, b, ctx), compose(b, a, ctx),
                              samples, ctx)
-
-
-def det(matrices) -> np.ndarray:
-    """The determinants of matrices[..., k, k] over any leading axes: the
-    signed product of the pivots of Gaussian elimination with partial
-    pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 9), O(k^3) a matrix where the Leibniz sum is O(k! k).  A 1 x 1
-    matrix returns its entry bit for bit, a zero pivot column gives 0, not
-    nan, and object arrays of mpmath numbers work too."""
-    matrices = np.asarray(matrices)
-    lead, size = matrices.shape[:-2], matrices.shape[-1]
-    # a[i, j] is entry (i, j) of every matrix, one contiguous batch vector
-    a = np.moveaxis(matrices.reshape(-1, size, size), 0, -1).copy()
-    odd = np.zeros(a.shape[-1], dtype=bool)
-    for j in range(size - 1):
-        # row j takes in turn each row below it that is larger in column j
-        best = abs(a[j, j])
-        for i in range(j + 1, size):
-            mag = abs(a[i, j])
-            swap = mag > best
-            a[j, j:], a[i, j:] = (np.where(swap, a[i, j:], a[j, j:]),
-                                  np.where(swap, a[j, j:], a[i, j:]))
-            best = np.where(swap, mag, best)
-            odd ^= swap
-        pivot = a[j, j]
-        # a zero pivot heads a zero column: dividing by 1 keeps it zero
-        factors = a[j + 1:, j] * (1 / np.where(pivot == 0, 1, pivot))
-        a[j + 1:, j + 1:] -= factors[:, None] * a[j, None, j + 1:]
-    out = a[0, 0]
-    for j in range(1, size):
-        out = out * a[j, j]
-    return np.where(odd, -out, out).reshape(lead)
 
 
 def normal_det(matrix: DifferenceOperator, t: complex,

@@ -434,6 +434,45 @@ def weierstrass_p(u, ctx: ModularContext):
     return (-(t2 * t0 - t1 * t1) / (t0 * t0) - 2.0 * h)[()]
 
 
+def det(matrices) -> np.ndarray:
+    """The determinants of matrices[..., k, k] over any leading axes: the
+    signed product of the pivots of Gaussian elimination with partial
+    pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 9), O(k^3) a matrix.  Column j's pivot is the first row of largest
+    modulus at or below row j, swapped with row j.  A 1 x 1 matrix returns
+    its entry bit for bit, a zero pivot column gives 0, not nan, and object
+    arrays of mpmath numbers work too.  The program's one determinant: the
+    identities below, the intertwiners' closed form and the operator
+    determinants of opalg and transfer all take theirs here."""
+    matrices = np.asarray(matrices)
+    lead, size = matrices.shape[:-2], matrices.shape[-1]
+    # a[i, j] is entry (i, j) of every matrix, one contiguous batch vector
+    a = np.moveaxis(matrices.reshape(-1, size, size), 0, -1).copy()
+    batch = np.arange(a.shape[-1])
+    odd = np.zeros(a.shape[-1], dtype=bool)
+    for j in range(size - 1):
+        pivots = j + np.argmax(abs(a[j:, j]), axis=0)
+        # rows j and pivots[b] of matrix b trade places: a gather, a scatter
+        row = a[pivots, j:, batch]
+        a[pivots, j:, batch] = a[j, j:].T
+        a[j, j:] = row.T
+        odd ^= pivots != j
+        pivot = a[j, j]
+        # a zero pivot heads a zero column: dividing by 1 keeps it zero
+        inverse = 1 / np.where(pivot == 0, 1, pivot)
+        # entry by entry, each step one batch vector against another: a
+        # broadcast would round a lone matrix (whose batch axis numpy
+        # drops) in another kernel than the same matrix in a batch
+        for i in range(j + 1, size):
+            factor = a[i, j] * inverse
+            for col in range(j + 1, size):
+                a[i, col] -= factor * a[j, col]
+    out = a[0, 0]
+    for j in range(1, size):
+        out = out * a[j, j]
+    return np.where(odd, -out, out).reshape(lead)
+
+
 def vandermonde_sign(n: int) -> int:
     """Sign relating det[theta_j(u_k)] to theta(sum u) prod theta(u_k - u_j).
 
@@ -474,7 +513,7 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     ieta = 1j * dedekind_eta(ctx)
     mat = np.moveaxis((theta_level_table(range(1, n + 1), us.ravel(), ctx) / ieta)
                       .reshape((n,) + us.shape), 0, -2)
-    lhs = np.linalg.det(mat)
+    lhs = det(mat)
     rhs = vandermonde_product(us, ctx)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
     # rounding in a determinant that vanishes exactly
@@ -498,7 +537,7 @@ def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext, hbar=None):
     off[..., range(d), range(d)] = u[..., None] - np.arange(d) * hb
     # argument [..., s, s', r] = mu_r - lambda_s' + offset[s, r]
     args = (mu[..., None, None, :] - lam[..., None, :, None]) + off[..., :, None, :]
-    return np.linalg.det(np.prod(theta_table(args, ctx), axis=-1))
+    return det(np.prod(theta_table(args, ctx), axis=-1))[()]
 
 
 def circle(radius: float = HBAR_RADIUS, count: int = HBAR_NODES) -> np.ndarray:
@@ -563,5 +602,5 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
     mats = nums / (dens * tu[..., None])
     rhs = top / tu * np.prod(table[..., 2 + 2 * d * d:], axis=-1) \
         / np.prod(dens, axis=-1)
-    return np.linalg.det(mats.reshape(u.shape + (d, d))), rhs[()], small
+    return det(mats.reshape(u.shape + (d, d)))[()], rhs[()], small
 

@@ -70,11 +70,11 @@ from .context import (ModularContext, SingularParameterError,
 from .belavin import (dual_intertwiners, fused_rcheck_matrix, intertwiners,
                       partial_shifts, shift_intertwiners)
 from .opalg import (DifferenceOperator, DifferentialOperator, apply_op,
-                    compose, det, exp_function, exp_test_function,
+                    compose, exp_function, exp_test_function,
                     identity_op, jet_constant, jet_deriv, jet_inv, jet_mul,
                     jet_of_affine, key_map, merge_keys, op_add, op_scale,
                     operator_residual, normal_det, pdo_apply, pdo_compose)
-from .theta import (HBAR_RADIUS, Residual, _product_length, circle,
+from .theta import (HBAR_RADIUS, Residual, _product_length, circle, det,
                     laurent_coefficient, max_relative, relative,
                     require_regular, residual_pair, theta_table,
                     worst_of_arrays)
@@ -155,6 +155,8 @@ class _FusionPlan:
 
 @functools.lru_cache(maxsize=None)
 def _fusion_plan(n: int, k: int) -> _FusionPlan:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..n, got {k}")
     tuples = list(product(range(n), repeat=k))
     prefixes, prefix = partial_shifts(n, k)
     counts = np.array([c for level in prefixes for c in level])
@@ -167,48 +169,62 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
                        keymap)
 
 
-def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
-    """Fused L-operator on the k-th antisymmetric space, with entries
-
-        sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
-
-    indexed by the subsets I, I' in combinations order.  c and u are one
-    value, or one per draw, as in l_coeff_tensor.  The coefficient of a
-    shift tuple t in the entry (I, I') is the determinant of the k x k
-    matrix whose entry (r, j) is level r's coefficient at t's prefix, row
-    I_j and column I'_r; opalg.det takes all of them in one batch.
-    """
+def _minor_table(c, u, k: int, ctx: ModularContext, first, second):
+    """The table P -> [s, key, p] of the degree-k quantum minors at the
+    subset pairs (I, I') = (subsets[first[p]], subsets[second[p]]) of the
+    fusion plan.  The coefficient of a shift tuple t in the minor (I, I')
+    is the determinant of the k x k matrix whose entry (r, j) is level r's
+    coefficient at t's prefix, row I_j and column I'_r; det takes all of
+    them in one batch, and the key map adds the tuples onto their keys."""
     n = ctx.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..n, got {k}")
     plan = _fusion_plan(n, k)
-    size = math.comb(n, k)
-    # [1, I, 1, j] and [1, 1, I', r] against [t, 1, 1, 1]: I_j and I'_r
-    rows, cols = plan.subsets[None, :, None, :], plan.subsets[None, None, :]
+    # [1, p, j] and [1, p, r] against [t, 1, 1]: I_j and I'_r
+    rows, cols = plan.subsets[first][None], plan.subsets[second][None]
 
     def table(P):
         count = len(P)
         # level r reads L(u - r hbar) at every partial shift of every sample
         a = l_coeff_tensor(c, u, P, ctx, plan.counts)
-        mats = np.empty((count, n ** k, size, size, k, k), dtype=complex)
+        mats = np.empty((count, n ** k, len(first), k, k), dtype=complex)
         start = 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
                 len(keys), count, n, n, n).swapaxes(0, 1)
             start += len(keys) * count
-            # row r of the matrix of (s, t, I, I')
-            mats[..., r, :] = level[:, plan.prefix[r][:, None, None, None],
-                                    plan.shift[r][:, None, None, None],
+            # row r of the matrix of (s, t, p)
+            mats[..., r, :] = level[:, plan.prefix[r][:, None, None],
+                                    plan.shift[r][:, None, None],
                                     rows, cols[..., r, None]]
         return merge_keys(plan.keymap, det(mats))
-    return DifferenceOperator(n, plan.terms, table, (size, size))
+    return plan.terms, table
+
+
+def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
+    """Fused L-operator on the k-th antisymmetric space, with entries
+
+        sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
+
+    indexed by the subsets I, I' in combinations order: the quantum minors
+    of every pair (_minor_table).  c and u are one value, or one per draw,
+    as in l_coeff_tensor.
+    """
+    size = len(_fusion_plan(ctx.n, k).subsets)
+    index = np.arange(size)
+    terms, minors = _minor_table(c, u, k, ctx, np.repeat(index, size),
+                                 np.tile(index, size))
+    return DifferenceOperator(ctx.n, terms, lambda P: minors(P).reshape(
+        len(P), len(terms), size, size), (size, size))
 
 
 def m_trace(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
-    """Trace of the fused L-operator over the degree-d antisymmetric space."""
-    fl = fused_l(c, u, d, ctx)
-    return DifferenceOperator(ctx.n, fl.terms,
-                              lambda P: np.einsum("skii->sk", fl.table(P)))
+    """Trace of the fused L-operator over the degree-d antisymmetric space:
+    the sum over I of the diagonal minors (I, I) alone."""
+    index = np.arange(len(_fusion_plan(ctx.n, d).subsets))
+    terms, minors = _minor_table(c, u, d, ctx, index, index)
+    # the pairs added one after another, as the trace of fused_l's table
+    # adds its diagonal (a numpy sum along the axis adds in another order)
+    return DifferenceOperator(ctx.n, terms, lambda P: sum(
+        np.moveaxis(minors(P), -1, 0)))
 
 
 # ------------------------------------------------------------- closed form
@@ -330,7 +346,7 @@ def verify_sekiguchi(c: complex, u: complex, t: complex, ctx: ModularContext,
     """
     numerator = normal_det(sekiguchi_matrix(c, u, t, ctx), 0.0, ctx)
     gen = genfunc_sum(c, u, t, ctx)
-    weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: np.linalg.det(
+    weighted = DifferenceOperator(ctx.n, gen.terms, lambda P: det(
         shift_intertwiners(u, P, [[0] * ctx.n], ctx)[:, 0])[:, None]
         * gen.table(P))
     return operator_residual(numerator, weighted, samples, ctx)

@@ -51,6 +51,35 @@ def test_gh_symmetry(ctx2, ctx3, rng):
             assert out["h"].rel < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_r_checks_invert_unitary_matrices(n):
+    # verify_r_symmetry and verify_r_quasiperiodicity invert kron(x, x) and
+    # kron(x, 1), x = g, h, by their conjugate transposes: all are unitary
+    ctx = default_context(n)
+    for x in (bv.g_matrix(ctx), bv.h_matrix(ctx)):
+        for m in (np.kron(x, x), np.kron(x, np.eye(n))):
+            assert np.max(np.abs(m @ m.conj().T - np.eye(n * n))) <= 1e-15
+
+
+def test_gh_symmetry_reads_one_r_entry_off_by_1e_3(monkeypatch):
+    # negative control: R[0, 0, 0, 0] times 1.001 breaks the h symmetry
+    from etlax.suites import run_suite
+    real = bv.build_r
+
+    def off(us, ctx):
+        ent = np.array(real(us, ctx))
+        ent[..., 0, 0, 0, 0] *= 1.001
+        return ent
+
+    def gh_symmetry():
+        rep = run_suite("ybe", default_context(3), 0)
+        return next(c for c in rep.cases if c.name == "gh-symmetry")
+    assert gh_symmetry().ok
+    monkeypatch.setattr(bv, "build_r", off)
+    case = gh_symmetry()
+    assert not case.ok and case.rel > 1e-4
+
+
 def test_quasi_periodicity_laws(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         for _ in range(3):

@@ -100,16 +100,18 @@ def test_sigterm_removes_the_export_directory(tmp_path):
 def test_peak_rss_runs_one_verify_command_in_a_fresh_process(
         pairs, tmp_path, monkeypatch):
     # with no BLAS variable inherited, the fresh process runs the one BLAS
-    # thread that importing etlax sets
+    # thread that importing etlax sets; unpinned, it sees this process's CPUs
     for var in BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     root = _TOOL.parent.parent
-    got = pairs.peak_rss(root, ["intertwiner", "--n", "2", "--seed", "3"],
-                         tmp_path)
+    got = pairs.probe(root, ["intertwiner", "--n", "2", "--seed", "3"],
+                      tmp_path)
     assert got["exit"] == 0 and got["self_mb"] > 0 and got["children_mb"] >= 0
+    assert got["wall_s"] > 0
+    assert got["cpus"] == len(os.sched_getaffinity(0))
     assert got["threads"] == (1 if Path("/proc/self/status").is_file()
                               else None)
-    doc = json.loads((tmp_path / "rss.json").read_text())
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
             for s in doc["suites"]] == [("intertwiner", 2, 3)]
 
@@ -124,13 +126,13 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         "correct": True, "attempted": 17, "failed": 0, "failed_lines": [],
         "metrics": {"wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 40.0}})
 
-    def peak(tree, arguments, work):
-        calls.append((tree.name, arguments))
-        return {"self_mb": 30.0 + len(calls), "children_mb": 0.0, "exit": 0,
-                "threads": len(calls)}
-    monkeypatch.setattr(pairs, "peak_rss", peak)
-    monkeypatch.setattr(pairs, "fresh_wall", lambda tree, a, cpus, work: {
-        "wall_s": 0.5, "exit": 0, "cpus": len(cpus)})
+    def probe(tree, arguments, work, cpus=None):
+        if cpus is None:
+            calls.append((tree.name, arguments))
+        return {"wall_s": 0.5, "self_mb": 30.0 + len(calls),
+                "children_mb": 0.0, "exit": 0, "threads": len(calls),
+                "cpus": 2}
+    monkeypatch.setattr(pairs, "probe", probe)
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",
                        "identities", "--seed", "42", "--seed", "7",
@@ -144,7 +146,9 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         "intertwiner-n4": "one fresh `verify intertwiner --n 4 --seed 42`"}
     for side in pairs.SIDES:
         assert set(rss[side]) == {"all", "intertwiner-n4"}
-        assert all(r["exit"] == 0 for r in rss[side].values())
+        # the keys of the records before one probe read both blocks
+        assert all(set(r) == {"self_mb", "children_mb", "exit", "threads"}
+                   and r["exit"] == 0 for r in rss[side].values())
     assert sorted(r["threads"] for side in pairs.SIDES
                   for r in rss[side].values()) == [1, 2, 3, 4]
 
@@ -155,13 +159,13 @@ def test_fresh_wall_pins_its_child(pairs, tmp_path):
     assert pins["one-cpu"] == {min(os.sched_getaffinity(0))}
     assert pins["all-cpus"] == os.sched_getaffinity(0)
     for pin, cpus in pins.items():
-        got = pairs.fresh_wall(root, ["theta", "--n", "2", "--seed", "3"],
-                               cpus, tmp_path)
+        got = pairs.probe(root, ["theta", "--n", "2", "--seed", "3"],
+                          tmp_path, cpus)
         assert got["exit"] == 0 and got["wall_s"] > 0
         assert got["cpus"] == len(cpus), pin
     # this process keeps its own affinity
     assert os.sched_getaffinity(0) == pins["all-cpus"]
-    doc = json.loads((tmp_path / "wall.json").read_text())
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
             for s in doc["suites"]] == [("theta", 2, 3)]
 
@@ -175,14 +179,14 @@ def test_the_record_holds_fresh_walls_per_seed_and_pin(pairs, tmp_path,
     monkeypatch.setattr(pairs, "bench_once", lambda tree, w, seed, s: {
         "correct": True, "attempted": 17, "failed": 0, "failed_lines": [],
         "metrics": {"wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 40.0}})
-    monkeypatch.setattr(pairs, "peak_rss", lambda tree, arguments, work: {
-        "self_mb": 30.0, "children_mb": 0.0, "exit": 0, "threads": 1})
 
-    def wall(tree, arguments, cpus, work):
-        calls.append((tree.name, arguments, len(cpus)))
+    def probe(tree, arguments, work, cpus=None):
+        if cpus is not None:
+            calls.append((tree.name, arguments, len(cpus)))
         return {"wall_s": 0.4 if tree.name == "change" else 0.5,
-                "exit": 0, "cpus": len(cpus)}
-    monkeypatch.setattr(pairs, "fresh_wall", wall)
+                "self_mb": 30.0, "children_mb": 0.0, "exit": 0,
+                "threads": 1, "cpus": len(cpus or os.sched_getaffinity(0))}
+    monkeypatch.setattr(pairs, "probe", probe)
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",
                        "identities", "--seed", "42", "--seed", "7",
@@ -199,6 +203,8 @@ def test_the_record_holds_fresh_walls_per_seed_and_pin(pairs, tmp_path,
         assert set(block) == {"one-cpu", "all-cpus"}
         for pin, cpus in (("one-cpu", 1), ("all-cpus", ncpu)):
             assert [r["cpus"] for r in block[pin]["parent"]] == [cpus] * 10
+            assert all(set(r) == {"wall_s", "exit", "cpus"}
+                       for r in block[pin]["change"])
             summary = block[pin]["summary"]
             assert summary["change_better_pairs"] == 10
             assert summary["median_ratio"] == pytest.approx(0.8)

@@ -89,6 +89,28 @@ def test_only_theta_divides_by_eps():
     assert _eps_reads((SRC / "theta.py").read_text())
 
 
+def _linalg_calls(source: str) -> list:
+    """The line numbers where the code calls np.linalg.det or
+    np.linalg.inv (any name for numpy)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("det", "inv")
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "linalg")
+
+
+def test_no_module_calls_lapack_det_or_inv():
+    # theta.det is the one determinant, and the R-matrix checks invert
+    # unitary matrices by their conjugate transposes
+    assert _linalg_calls("d = np.linalg.det(m)\nx = numpy.linalg.inv(a)\n"
+                         "r = np.linalg.norm(v)\ny = th.det(m)\n"
+                         "z = (np.linalg.inv)\nw = b.conj().T\n") == [1, 2]
+    found = {path.name: _linalg_calls(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _floor_products(source: str) -> list:
     """The functions (by name, "" at module level) that multiply a
     theta_scale(...) call by the singularity floor TOL_IDENTITY."""

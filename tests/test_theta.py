@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fay_residual, qfay_residual, rand_complex, table_reads
+from conftest import (fay_residual, leibniz_det, qfay_residual, rand_complex,
+                      table_reads)
 from etlax import context
 from etlax.context import ContextError, SingularParameterError, default_context
 from etlax import theta as th
@@ -1003,7 +1004,7 @@ def _loop_qfay(d, u, lambdas, mus, ctx):
     rhs = values[0]
     for factor in values[1:]:
         rhs *= factor
-    return complex(np.linalg.det(mat)), rhs
+    return complex(th.det(mat[None])[0]), rhs
 
 
 def _loop_fay(d, u, lambdas, mus, ctx):
@@ -1030,7 +1031,7 @@ def _loop_fay(d, u, lambdas, mus, ctx):
         rhs *= mu_factor * lambda_factor
     for den in dens:
         rhs /= den
-    return complex(np.linalg.det(mat)), rhs, _hadamard(mat)
+    return complex(th.det(mat[None])[0]), rhs, _hadamard(mat)
 
 
 def _loop_vandermonde(us, ctx):
@@ -1042,7 +1043,7 @@ def _loop_vandermonde(us, ctx):
     rhs = th.vandermonde_sign(n) * values[0] / ieta
     for factor in values[1:]:
         rhs *= factor / ieta
-    return complex(np.linalg.det(mat)), rhs
+    return complex(th.det(mat[None])[0]), rhs
 
 
 def _draws(rng, count, d):
@@ -1124,6 +1125,68 @@ def test_vandermonde_batch_matches_its_per_sample_loop(n, rng):
     rel, _ = th.residual_arrays(lhs, th.vandermonde_product(
         _swap_first_two(us, 5), ctx))
     assert rel[5] > 1e-3 and np.delete(rel, 5).max() < 1e-9
+
+
+def test_det_of_ties_zero_rows_and_zero_columns_is_the_leibniz_sum():
+    # small integer entries, some turned by powers of i, tie in modulus:
+    # the first row of largest modulus pivots; a zero row or column gives
+    # exactly 0
+    rng = np.random.default_rng(830)
+    for size in (2, 3, 4, 5):
+        mats = rng.integers(-2, 3, size=(40, size, size)).astype(complex)
+        mats[:20] *= 1j ** rng.integers(0, 4, size=(20, size, size))
+        mats[20, 1] = 0
+        mats[21, :, size - 1] = 0
+        got, want = th.det(mats), leibniz_det(mats)
+        largest = np.max([np.prod(np.abs(mats[:, range(size), perm]), axis=-1)
+                          for perm in itertools.permutations(range(size))],
+                         axis=0)
+        assert np.all(np.abs(got - want) <= 1e-14 * largest)
+        assert got[20] == 0 and got[21] == 0
+
+
+_DET_SITES = ["vandermonde", "qfay", "fay", "det-closed-form", "sekiguchi"]
+
+
+@pytest.mark.parametrize("site", _DET_SITES)
+def test_det_agrees_with_lapack_at_each_identity_site(site, monkeypatch, rng):
+    # np.linalg.det, an independent oracle, on every matrix det takes at
+    # the site, at n = 2, 3, 4: within 16 eps times the matrix's Hadamard
+    # bound (the bound of the loop comparisons above); measured at most
+    # 1.3 eps over these draws
+    from etlax import belavin as bv
+    from etlax import transfer as tr
+    from etlax import weights as wt
+    real, seen = th.det, []
+
+    def spy(mats):
+        out = real(mats)
+        seen.append((np.array(mats), out))
+        return out
+    module = {"det-closed-form": bv, "sekiguchi": tr}.get(site, th)
+    monkeypatch.setattr(module, "det", spy)
+    for n in (2, 3, 4):
+        ctx = default_context(n)
+        if site == "vandermonde":
+            th.verify_vandermonde(_draws(rng, 12, n)[:, :n], ctx)
+        elif site in ("qfay", "fay"):
+            for d in range(1, 5):
+                draws = _draws(rng, 12, d)
+                sides = th.qfay_lhs if site == "qfay" else th.fay_sides
+                sides(d, draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:],
+                      ctx)
+        elif site == "det-closed-form":
+            bv.verify_intertwiners(_draws(rng, 10, 0)[:, 0],
+                                   wt.sample_many(840 + n, 10, ctx), ctx)
+        else:
+            tr.verify_sekiguchi(rand_complex(rng), rand_complex(rng),
+                                rand_complex(rng), ctx,
+                                wt.sample_many(850 + n, 4, ctx))
+    assert len(seen) == {"qfay": 12, "fay": 12}.get(site, 3)
+    for mats, got in seen:
+        hadamard = _hadamard(mats)
+        assert np.all(np.abs(got - np.linalg.det(mats))
+                      <= 16 * EPS * hadamard)
 
 
 def test_array_draws_are_the_scalar_stream():

@@ -253,6 +253,20 @@ def test_m_trace_key_collapse(ctx3):
     assert sorted(m1.terms) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_m_trace_is_the_trace_of_fused_l(n):
+    # m_trace reads the diagonal minors (I, I) alone; summed over I they
+    # are the trace of fused_l's table of every pair (I, I')
+    ctx = default_context(n)
+    P = wt.sample_many(71, 4, ctx)
+    for d in range(1, n + 1):
+        fused, trace = tr.fused_l(C0, U0, d, ctx), tr.m_trace(C0, U0, d, ctx)
+        assert trace.terms == fused.terms
+        want = np.einsum("skii->sk", fused.table(P))
+        got = trace.table(P)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_compose_m1_matches_double_application(ctx3, rng):
     m1 = tr.m_closed(C0, U0, 1, ctx3)
     mm = oa.compose(m1, m1, ctx3)

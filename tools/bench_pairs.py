@@ -36,7 +36,8 @@ the wall time of one fresh `verify all --seed S` process of each tree,
 start to exit, pinned with os.sched_setaffinity to the first CPU of this
 tool's own affinity ("one-cpu") and to all of them ("all-cpus"): --pairs
 alternating pairs per seed and pinning, each with the exit code and the
-CPUs the process saw, and a summary as for the benchmark's wall_s.
+CPUs the process saw, and a summary as for the benchmark's wall_s.  Both
+blocks read one kind of fresh process (probe), the "rss" ones unpinned.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ SIDES = ("parent", "change")
 
 # One fresh `verify <arguments...> --json <report>`, the report path first
 # on its command line: the report goes to a scratch file, and the last line
-# of standard output is {"self_mb", "children_mb", "exit", "threads"},
-# threads the OS threads of the process right after it imported the CLI
-# (null where /proc/self/status is missing).
-RSS_CODE = """
-import contextlib, io, json, resource, sys
+# of standard output is {"self_mb", "children_mb", "exit", "threads",
+# "cpus"}, threads the OS threads of the process right after it imported
+# the CLI (null where /proc/self/status is missing) and cpus the size of
+# the affinity mask it ran under.
+PROBE_CODE = """
+import contextlib, io, json, os, resource, sys
 sys.path.insert(0, "src")
 from etlax import cli
 try:
@@ -80,22 +82,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
 print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN),
-                  "exit": code, "threads": threads}))
+                  "exit": code, "threads": threads,
+                  "cpus": len(os.sched_getaffinity(0))}))
 """
 # name -> the verify arguments of one peak-RSS process, before --seed
 RSS_COMMANDS = {"all": ["all"],
                 "intertwiner-n4": ["intertwiner", "--n", "4"]}
-# One fresh `verify <arguments...> --json <report>` timed from outside: the
-# last line of standard output is {"exit", "cpus"}, cpus the size of the
-# affinity mask the process ran under.
-WALL_CODE = """
-import contextlib, io, json, os, sys
-sys.path.insert(0, "src")
-from etlax import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[2:] + ["--json", sys.argv[1]])
-print(json.dumps({"exit": code, "cpus": len(os.sched_getaffinity(0))}))
-"""
+# the keys of a probe that the "rss" and the "fresh_wall" blocks record
+RSS_KEYS = ("self_mb", "children_mb", "exit", "threads")
+WALL_KEYS = ("wall_s", "exit", "cpus")
 
 
 def export(rev, dest):
@@ -127,26 +122,25 @@ def bench_once(tree, workload, seed, seconds):
                              if line.lstrip().startswith("failed")]}
 
 
-def peak_rss(tree, arguments, work):
-    """{"self_mb", "children_mb", "exit"} of one fresh `verify
-    <arguments...>` process run in `tree`, its report written in `work`."""
-    out = subprocess.run(
-        [sys.executable, "-c", RSS_CODE, str(work / "rss.json"), *arguments],
-        cwd=tree, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
-
-
-def fresh_wall(tree, arguments, cpus, work):
-    """{"wall_s", "exit", "cpus"} of one fresh `verify <arguments...>`
-    process run in `tree` and pinned to the set `cpus` before it starts,
-    its report written in `work`: wall_s runs from the spawn to the exit."""
+def probe(tree, arguments, work, cpus=None):
+    """{"wall_s", "self_mb", "children_mb", "exit", "threads", "cpus"} of
+    one fresh `verify <arguments...>` process run in `tree`, its report
+    written in `work`, pinned to the CPU set `cpus` before it starts when
+    one is given: wall_s runs from the spawn to the exit."""
+    pin = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
     start = time.perf_counter()
     out = subprocess.run(
-        [sys.executable, "-c", WALL_CODE, str(work / "wall.json"), *arguments],
+        [sys.executable, "-c", PROBE_CODE, str(work / "report.json"),
+         *arguments],
         cwd=tree, capture_output=True, text=True, check=True,
-        preexec_fn=lambda: os.sched_setaffinity(0, cpus)).stdout
+        preexec_fn=pin).stdout
     wall = time.perf_counter() - start
     return {"wall_s": wall, **json.loads(out.strip().splitlines()[-1])}
+
+
+def keep(run, keys):
+    """The entries of a probe's record under keys."""
+    return {key: run[key] for key in keys}
 
 
 def wall_pins():
@@ -165,8 +159,9 @@ def fresh_walls(trees, seed, pairs, work, bound):
     for i in range(pairs):
         for side in SIDES[::-1] if i % 2 else SIDES:
             for pin, cpus in pins.items():
-                runs[pin][side].append(fresh_wall(
-                    trees[side], ["all", "--seed", str(seed)], cpus, work))
+                runs[pin][side].append(keep(probe(
+                    trees[side], ["all", "--seed", str(seed)], work, cpus),
+                    WALL_KEYS))
     out = {}
     for pin, sides in runs.items():
         parent, change = ([r["wall_s"] for r in sides[side]]
@@ -274,8 +269,9 @@ def main(argv=None):
                     print(key, i, {side: runs[key][side][-1]["metrics"]
                                    for side in SIDES}, flush=True)
                 summary[key] = summarize(runs[key], bounds)
-        rss = {side: {name: peak_rss(trees[side], [*command, "--seed",
-                                                   str(args.seed[0])], work)
+        rss = {side: {name: keep(probe(trees[side], [*command, "--seed",
+                                                     str(args.seed[0])], work),
+                                 RSS_KEYS)
                       for name, command in RSS_COMMANDS.items()}
                for side in SIDES}
         walls = {f"seed {seed}": fresh_walls(trees, seed, args.pairs, work,
