@@ -22,8 +22,8 @@ them (merge_keys), the one key merge.  A composition a b reads b once, on
 the batch of every point P[s] shifted by every key of a (one broadcast,
 weights.shifted); normal_det gathers the matrix of every ordered key tuple
 with index arrays built once per term tuple (_det_plan) and takes all
-their determinants in one batched LU (det) before its merge, as the fused
-L-operators of transfer do.
+their determinants in one batched LU (theta.det, the program's one
+determinant) before its merge, as the fused L-operators of transfer do.
 A test function takes a batch P[..., n] and returns its values[...];
 apply_op calls it once, on every point shifted by every key, so a
 product a b acts as apply_op(a, apply_op(b, f)).  No symbolic

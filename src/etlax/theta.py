@@ -30,6 +30,8 @@ closed-form M_d coefficients and the sampling guard read all their theta
 values from one table per product of moves or batch of samples: the
 determinant identities (qFay, Fay, Vandermonde) take leading batch axes,
 one point set per sample, and a single point set is the batch of one.
+They, the intertwiners and the operators of opalg and transfer take every
+determinant from det, one batched LU that runs on mpmath arrays too.
 
 Only a window of the terms is summed (the windowed evaluation of
 Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
@@ -440,10 +442,9 @@ def det(matrices) -> np.ndarray:
     pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 9), O(k^3) a matrix.  Column j's pivot is the first row of largest
     modulus at or below row j, swapped with row j.  A 1 x 1 matrix returns
-    its entry bit for bit, a zero pivot column gives 0, not nan, and object
-    arrays of mpmath numbers work too.  The program's one determinant: the
-    identities below, the intertwiners' closed form and the operator
-    determinants of opalg and transfer all take theirs here."""
+    its entry bit for bit, a zero pivot column gives 0, not nan, a matrix
+    rounds alike alone and in any batch, and object arrays of mpmath numbers
+    work too; one matrix gives a scalar, as np.linalg.det does."""
     matrices = np.asarray(matrices)
     lead, size = matrices.shape[:-2], matrices.shape[-1]
     # a[i, j] is entry (i, j) of every matrix, one contiguous batch vector
@@ -470,7 +471,7 @@ def det(matrices) -> np.ndarray:
     out = a[0, 0]
     for j in range(1, size):
         out = out * a[j, j]
-    return np.where(odd, -out, out).reshape(lead)
+    return np.where(odd, -out, out).reshape(lead)[()]
 
 
 def vandermonde_sign(n: int) -> int:
@@ -537,7 +538,7 @@ def qfay_lhs(d: int, u, lambdas, mus, ctx: ModularContext, hbar=None):
     off[..., range(d), range(d)] = u[..., None] - np.arange(d) * hb
     # argument [..., s, s', r] = mu_r - lambda_s' + offset[s, r]
     args = (mu[..., None, None, :] - lam[..., None, :, None]) + off[..., :, None, :]
-    return det(np.prod(theta_table(args, ctx), axis=-1))[()]
+    return det(np.prod(theta_table(args, ctx), axis=-1))
 
 
 def circle(radius: float = HBAR_RADIUS, count: int = HBAR_NODES) -> np.ndarray:
@@ -602,5 +603,5 @@ def fay_sides(d: int, u, lambdas, mus, ctx: ModularContext):
     mats = nums / (dens * tu[..., None])
     rhs = top / tu * np.prod(table[..., 2 + 2 * d * d:], axis=-1) \
         / np.prod(dens, axis=-1)
-    return det(mats.reshape(u.shape + (d, d)))[()], rhs[()], small
+    return det(mats.reshape(u.shape + (d, d))), rhs[()], small
 

@@ -35,11 +35,12 @@ the distinct partial-shift step counts kappa (belavin.partial_shifts) of
 every sample in one batch, never at a re-canonicalized shifted point:
 column k of phi(u - r hbar) at lam + hbar sum_j kappa_j epsbar_j is
 theta_level(u/n - lam_k - hbar kappa_k), so one theta table fills every
-phi of a sample, and one more every phibar, in closed form.  fused_l
+phi of a sample, and one more every phibar, in closed form.  _minor_table
 gathers the k x k matrix of each quantum minor's A_r entries, per ordered
-shift tuple and pair of subsets, takes all their determinants in one
-batched LU (opalg.det) and adds the tuples onto their canonical keys with
-the fixed 0/1 matrix of opalg.key_map; m_trace is the trace of that array.
+shift tuple and given pair of subsets, takes all their determinants in one
+batched LU (theta.det) and adds the tuples onto their canonical keys with
+the fixed 0/1 matrix of opalg.key_map; fused_l reads every pair and
+m_trace the diagonal pairs (I, I) alone.
 build_d_ops merges d^J Delta / Delta onto the terms of D[m] the same way,
 with that matrix weighted by (-n/c)^|I \\ J|.  verify_fused_rll applies
 two fused L-operators in turn through opalg.apply_op, and normal_det reads
@@ -169,23 +170,21 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
                        keymap)
 
 
-def _minor_table(c, u, k: int, ctx: ModularContext, first, second):
+def _minor_table(c, u, k: int, ctx: ModularContext, pairs):
     """The table P -> [s, key, p] of the degree-k quantum minors at the
-    subset pairs (I, I') = (subsets[first[p]], subsets[second[p]]) of the
-    fusion plan.  The coefficient of a shift tuple t in the minor (I, I')
-    is the determinant of the k x k matrix whose entry (r, j) is level r's
-    coefficient at t's prefix, row I_j and column I'_r; det takes all of
-    them in one batch, and the key map adds the tuples onto their keys."""
+    subset pairs (I, I') = subsets[pairs[:, p]]: the coefficient of shift
+    tuple t is the det of the k x k matrix whose entry (r, j) is level r's
+    coefficient at t's prefix, row I_j and column I'_r."""
     n = ctx.n
     plan = _fusion_plan(n, k)
     # [1, p, j] and [1, p, r] against [t, 1, 1]: I_j and I'_r
-    rows, cols = plan.subsets[first][None], plan.subsets[second][None]
+    rows, cols = plan.subsets[pairs][:, None]
 
     def table(P):
         count = len(P)
         # level r reads L(u - r hbar) at every partial shift of every sample
         a = l_coeff_tensor(c, u, P, ctx, plan.counts)
-        mats = np.empty((count, n ** k, len(first), k, k), dtype=complex)
+        mats = np.empty((count, n ** k, pairs.shape[1], k, k), dtype=complex)
         start = 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
@@ -196,7 +195,7 @@ def _minor_table(c, u, k: int, ctx: ModularContext, first, second):
                                     plan.shift[r][:, None, None],
                                     rows, cols[..., r, None]]
         return merge_keys(plan.keymap, det(mats))
-    return plan.terms, table
+    return table
 
 
 def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
@@ -205,25 +204,25 @@ def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
         sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
 
     indexed by the subsets I, I' in combinations order: the quantum minors
-    of every pair (_minor_table).  c and u are one value, or one per draw,
-    as in l_coeff_tensor.
+    of every pair.  c and u are one value, or one per draw, as in
+    l_coeff_tensor.
     """
-    size = len(_fusion_plan(ctx.n, k).subsets)
-    index = np.arange(size)
-    terms, minors = _minor_table(c, u, k, ctx, np.repeat(index, size),
-                                 np.tile(index, size))
-    return DifferenceOperator(ctx.n, terms, lambda P: minors(P).reshape(
-        len(P), len(terms), size, size), (size, size))
+    plan = _fusion_plan(ctx.n, k)
+    size = len(plan.subsets)
+    minors = _minor_table(c, u, k, ctx, np.indices((size, size)).reshape(2, -1))
+    return DifferenceOperator(ctx.n, plan.terms, lambda P: minors(P).reshape(
+        len(P), -1, size, size), (size, size))
 
 
 def m_trace(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
-    """Trace of the fused L-operator over the degree-d antisymmetric space:
-    the sum over I of the diagonal minors (I, I) alone."""
-    index = np.arange(len(_fusion_plan(ctx.n, d).subsets))
-    terms, minors = _minor_table(c, u, d, ctx, index, index)
-    # the pairs added one after another, as the trace of fused_l's table
+    """Trace of the fused L-operator over the degree-d antisymmetric space,
+    from the diagonal minors (I, I) alone."""
+    plan = _fusion_plan(ctx.n, d)
+    minors = _minor_table(c, u, d, ctx,
+                          np.tile(np.arange(len(plan.subsets)), (2, 1)))
+    # the minors added one after another, as the trace of fused_l's table
     # adds its diagonal (a numpy sum along the axis adds in another order)
-    return DifferenceOperator(ctx.n, terms, lambda P: sum(
+    return DifferenceOperator(ctx.n, plan.terms, lambda P: sum(
         np.moveaxis(minors(P), -1, 0)))
 
 
