@@ -437,14 +437,13 @@ def weierstrass_p(u, ctx: ModularContext):
 
 
 def det(matrices) -> np.ndarray:
-    """The determinants of matrices[..., k, k] over any leading axes: the
-    signed product of the pivots of Gaussian elimination with partial
-    pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 9), O(k^3) a matrix.  Column j's pivot is the first row of largest
-    modulus at or below row j, swapped with row j.  A 1 x 1 matrix returns
-    its entry bit for bit, a zero pivot column gives 0, not nan, a matrix
-    rounds alike alone and in any batch, and object arrays of mpmath numbers
-    work too; one matrix gives a scalar, as np.linalg.det does."""
+    """The determinants of matrices[..., k, k] over any leading axes (a
+    scalar for one matrix): the signed product of the pivots of Gaussian
+    elimination with partial pivoting (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 9), column j's pivot the first row of largest
+    modulus at or below row j.  A 1 x 1 matrix returns its entry bit for
+    bit, a zero pivot column gives 0, not nan, a matrix rounds alike alone
+    and in any batch, and object arrays of mpmath numbers work too."""
     matrices = np.asarray(matrices)
     lead, size = matrices.shape[:-2], matrices.shape[-1]
     # a[i, j] is entry (i, j) of every matrix, one contiguous batch vector
@@ -458,12 +457,10 @@ def det(matrices) -> np.ndarray:
         a[pivots, j:, batch] = a[j, j:].T
         a[j, j:] = row.T
         odd ^= pivots != j
-        pivot = a[j, j]
         # a zero pivot heads a zero column: dividing by 1 keeps it zero
-        inverse = 1 / np.where(pivot == 0, 1, pivot)
-        # entry by entry, each step one batch vector against another: a
-        # broadcast would round a lone matrix (whose batch axis numpy
-        # drops) in another kernel than the same matrix in a batch
+        inverse = 1 / np.where(a[j, j] == 0, 1, a[j, j])
+        # entry by entry: a row at once would round a lone matrix (its batch
+        # axis of length 1 broadcast away) in another kernel than a batch
         for i in range(j + 1, size):
             factor = a[i, j] * inverse
             for col in range(j + 1, size):

@@ -35,7 +35,7 @@ the distinct partial-shift step counts kappa (belavin.partial_shifts) of
 every sample in one batch, never at a re-canonicalized shifted point:
 column k of phi(u - r hbar) at lam + hbar sum_j kappa_j epsbar_j is
 theta_level(u/n - lam_k - hbar kappa_k), so one theta table fills every
-phi of a sample, and one more every phibar, in closed form.  _minor_table
+phi of a sample, and one more every phibar, in closed form.  _quantum_minors
 gathers the k x k matrix of each quantum minor's A_r entries, per ordered
 shift tuple and given pair of subsets, takes all their determinants in one
 batched LU (theta.det) and adds the tuples onto their canonical keys with
@@ -170,21 +170,19 @@ def _fusion_plan(n: int, k: int) -> _FusionPlan:
                        keymap)
 
 
-def _minor_table(c, u, k: int, ctx: ModularContext, pairs):
-    """The table P -> [s, key, p] of the degree-k quantum minors at the
-    subset pairs (I, I') = subsets[pairs[:, p]]: the coefficient of shift
-    tuple t is the det of the k x k matrix whose entry (r, j) is level r's
-    coefficient at t's prefix, row I_j and column I'_r."""
-    n = ctx.n
+def _quantum_minors(c, u, k: int, ctx: ModularContext, pairs):
+    """The entries (subsets[pairs[0]], subsets[pairs[1]]) of fused_l, an
+    operator of shape pairs.shape[1:]."""
+    n, shape = ctx.n, pairs.shape[1:]
     plan = _fusion_plan(n, k)
     # [1, p, j] and [1, p, r] against [t, 1, 1]: I_j and I'_r
-    rows, cols = plan.subsets[pairs][:, None]
+    rows, cols = plan.subsets[pairs.reshape(2, -1)][:, None]
 
     def table(P):
         count = len(P)
         # level r reads L(u - r hbar) at every partial shift of every sample
         a = l_coeff_tensor(c, u, P, ctx, plan.counts)
-        mats = np.empty((count, n ** k, pairs.shape[1], k, k), dtype=complex)
+        mats = np.empty((count, n ** k, rows.shape[1], k, k), dtype=complex)
         start = 0
         for r, keys in enumerate(plan.prefixes):
             level = a[start:start + len(keys) * count].reshape(
@@ -194,8 +192,9 @@ def _minor_table(c, u, k: int, ctx: ModularContext, pairs):
             mats[..., r, :] = level[:, plan.prefix[r][:, None, None],
                                     plan.shift[r][:, None, None],
                                     rows, cols[..., r, None]]
-        return merge_keys(plan.keymap, det(mats))
-    return table
+        return merge_keys(plan.keymap, det(mats)).reshape(
+            (count, -1) + shape)
+    return DifferenceOperator(n, plan.terms, table, shape)
 
 
 def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
@@ -203,27 +202,25 @@ def fused_l(c, u, k: int, ctx: ModularContext) -> DifferenceOperator:
 
         sum_sigma sgn(sigma) L(u)^{i_sig(1)}_{i'_1} ... L(u-(k-1)h)^{i_sig(k)}_{i'_k}
 
-    indexed by the subsets I, I' in combinations order: the quantum minors
-    of every pair.  c and u are one value, or one per draw, as in
-    l_coeff_tensor.
+    indexed by the subsets I, I' in combinations order.  c and u are one
+    value, or one per draw, as in l_coeff_tensor.  The coefficient of a
+    shift tuple t in the entry (I, I') is the determinant of the k x k
+    matrix whose entry (r, j) is level r's coefficient at t's prefix, row
+    I_j and column I'_r; theta.det takes all of them in one batch.
     """
-    plan = _fusion_plan(ctx.n, k)
-    size = len(plan.subsets)
-    minors = _minor_table(c, u, k, ctx, np.indices((size, size)).reshape(2, -1))
-    return DifferenceOperator(ctx.n, plan.terms, lambda P: minors(P).reshape(
-        len(P), -1, size, size), (size, size))
+    size = math.comb(ctx.n, k)
+    return _quantum_minors(c, u, k, ctx, np.indices((size, size)))
 
 
 def m_trace(c, u, d: int, ctx: ModularContext) -> DifferenceOperator:
     """Trace of the fused L-operator over the degree-d antisymmetric space,
     from the diagonal minors (I, I) alone."""
-    plan = _fusion_plan(ctx.n, d)
-    minors = _minor_table(c, u, d, ctx,
-                          np.tile(np.arange(len(plan.subsets)), (2, 1)))
+    diagonal = _quantum_minors(c, u, d, ctx,
+                               np.tile(np.arange(math.comb(ctx.n, d)), (2, 1)))
     # the minors added one after another, as the trace of fused_l's table
     # adds its diagonal (a numpy sum along the axis adds in another order)
-    return DifferenceOperator(ctx.n, plan.terms, lambda P: sum(
-        np.moveaxis(minors(P), -1, 0)))
+    return DifferenceOperator(ctx.n, diagonal.terms, lambda P: sum(
+        np.moveaxis(diagonal.table(P), -1, 0)))
 
 
 # ------------------------------------------------------------- closed form

@@ -52,7 +52,7 @@ def phi_tensor_matrix(base, params, ctx):
 
 
 def leibniz_det(matrices):
-    """The oracle of opalg.det: the determinants of matrices[..., k, k] as
+    """The oracle of theta.det: the determinants of matrices[..., k, k] as
     the Leibniz sum, sign times the product of one entry of each row, over
     every permutation of the columns, in permutations order."""
     from itertools import permutations

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: verdicts on synthetic paired runs, and the peak-RSS
-processes of its record."""
+"""tools/bench_pairs.py: verdicts on synthetic paired runs, and the fresh
+processes (probe) of its rss and fresh_wall records."""
 
 import importlib.util
 import json

@@ -1153,7 +1153,8 @@ def test_det_agrees_with_lapack_at_each_identity_site(site, monkeypatch, rng):
     # np.linalg.det, an independent oracle, on every matrix det takes at
     # the site, at n = 2, 3, 4: within 16 eps times the matrix's Hadamard
     # bound (the bound of the loop comparisons above); measured at most
-    # 1.3 eps over these draws
+    # 1.8 eps (vandermonde; qfay 1.2, fay 1.3, det-closed-form 1.3 and
+    # sekiguchi 1.1)
     from etlax import belavin as bv
     from etlax import transfer as tr
     from etlax import weights as wt
