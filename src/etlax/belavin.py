@@ -206,6 +206,20 @@ def verify_r_quasiperiodicity(us, ctx: ModularContext) -> dict:
         return {"period-1": _rel(r_u1, law1), "period-tau": _rel(r_ut, lawt)}
 
 
+def verify_r_unitarity(us, vs, ctx: ModularContext) -> Residual:
+    """R_12(u) R_21(v) against theta(hbar + u) theta(hbar - u) / theta(hbar)^2
+    times 1, which it equals at v = -u (unitarity), worst over the batch
+    us, vs; R_21 = P R_12 P."""
+    us = np.atleast_1d(np.asarray(us, dtype=complex))
+    rm = _r_matrices(build_r(np.concatenate(
+        [us, np.broadcast_to(vs, us.shape)]), ctx))
+    perm = permutation_matrix(ctx.n)
+    plus, minus, hb = theta_table(np.stack(
+        [ctx.hbar + us, ctx.hbar - us, np.full_like(us, ctx.hbar)]), ctx)
+    return _rel(rm[:len(us)] @ perm @ rm[len(us):] @ perm,
+                (plus * minus / hb ** 2)[:, None, None] * np.eye(ctx.n ** 2))
+
+
 def verify_r_zero_is_permutation(ctx: ModularContext) -> Residual:
     return _rel(_r_matrices(build_r(0.0, ctx)), permutation_matrix(ctx.n))
 

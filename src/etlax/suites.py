@@ -160,6 +160,7 @@ def suite_ybe(ctx: ModularContext, rng):
     yield "gh-symmetry", th.worst_of([sym["g"], sym["h"]])
     yield "period-1", qp["period-1"]
     yield "period-tau", qp["period-tau"]
+    yield "unitarity", bv.verify_r_unitarity(us, -us, ctx)
     yield "r0-is-permutation", bv.verify_r_zero_is_permutation(ctx)
     yield "holomorphy-contour", bv.verify_r_holomorphy(ctx)
     if ctx.n == 2:
@@ -222,7 +223,7 @@ def suite_intertwiner(ctx: ModularContext, rng):
         scale = np.max(np.abs(pig))
         yield f"fusion-u-independence-k{k}", th.worst_of_arrays(
             *th.relative(np.max(np.abs(pig - pibg)), scale))
-        rank = np.linalg.matrix_rank(pig, rtol=1e-8)
+        rank = th.pivoted_qr(pig, rtol=1e-8)[0]
         yield f"fusion-rank-k{k}", Residual(float(rank != want),
                                             float(rank != want))
         if k == 2:

@@ -31,7 +31,10 @@ values from one table per product of moves or batch of samples: the
 determinant identities (qFay, Fay, Vandermonde) take leading batch axes,
 one point set per sample, and a single point set is the batch of one.
 They, the intertwiners and the operators of opalg and transfer take every
-determinant from det, one batched LU that runs on mpmath arrays too.
+determinant from det, one batched LU; every rank and least-squares solve
+(the fusion rank, theta-space's rank and fits) comes from pivoted_qr, one
+batched Householder QR with column pivoting.  Both run on mpmath arrays
+too, and no module calls np.linalg.
 
 Only a window of the terms is summed (the windowed evaluation of
 Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
@@ -471,6 +474,67 @@ def det(matrices) -> np.ndarray:
     return np.where(odd, -out, out).reshape(lead)[()]
 
 
+def pivoted_qr(matrices, rhs=None, *, rtol: float):
+    """(rank, solution) of matrices[..., m, k] over any leading axes, by
+    Householder QR with column pivoting (Businger and Golub, Numer. Math.
+    7 (1965); Golub and Van Loan, Matrix Computations, 5.4):
+    step j takes the first column of largest norm below row j as its
+    pivot and reflects it onto e_j.  The rank counts the leading pivots
+    |R_jj| above rtol |R_11|; the solution [..., k, r] is the
+    least-squares solution of rhs[..., m, r] on those pivot columns,
+    zero at the others (None without rhs).  Every sum runs within one
+    matrix, so a matrix rounds alike alone and in any batch, and object
+    arrays of mpmath numbers work too."""
+    matrices = np.asarray(matrices)
+    lead, (m, k) = matrices.shape[:-2], matrices.shape[-2:]
+    b = matrices[..., :0] if rhs is None else np.asarray(rhs)
+    dtype = np.result_type(matrices, b)
+    # a[t, c] is column c of matrix t, and y[t, s] column s of its rhs
+    a = np.swapaxes(matrices.reshape(-1, m, k), 1, 2).astype(dtype)
+    y = np.swapaxes(b.reshape(len(a), m, -1), 1, 2).astype(dtype)
+    rows = np.arange(len(a))
+    order = np.tile(np.arange(k), (len(a), 1))
+    pivots, sizes = [], []
+    for j in range(min(m, k)):
+        norms = np.sum(abs(a[:, j:, j:]) ** 2, axis=-1)
+        best = np.argmax(norms, axis=-1)
+        # columns j and j + best of matrix t trade places
+        for arr in (a, order):
+            col = arr[rows, j + best]
+            arr[rows, j + best] = arr[:, j]
+            arr[:, j] = col
+        alpha = norms[rows, best] ** 0.5
+        head = a[:, j, j]
+        size = abs(head)
+        phase = np.where(size == 0, 1, head / np.where(size == 0, 1, size))
+        # v = x + phase |x| e_1 and H = 1 - v v* / (|x| (|x| + |x_1|))
+        v = a[:, j, j:].copy()
+        v[:, 0] += phase * alpha
+        scale = alpha * (alpha + size)
+        beta = np.where(scale == 0, 0, 1 / np.where(scale == 0, 1, scale))
+        for block in (a[:, j + 1:, j:], y[:, :, j:]):
+            block -= (beta[:, None] * np.sum(v.conj()[:, None] * block,
+                                             axis=-1))[..., None] * v[:, None]
+        pivots.append(-phase * alpha)
+        sizes.append(alpha)
+    steps = len(pivots)
+    above = np.array([s > rtol * sizes[0] for s in sizes], dtype=bool)
+    keep = np.logical_and.accumulate(above, axis=0)
+    rank = keep.sum(axis=0).reshape(lead)[()]
+    if rhs is None:
+        return rank, None
+    # back substitution on the kept pivots: R_jc is a[:, c, j]
+    x = np.zeros((len(a), y.shape[1], k), dtype)
+    for j in reversed(range(steps)):
+        left = y[:, :, j] - np.sum(a[:, None, j + 1:steps, j]
+                                   * x[:, :, j + 1:steps], axis=-1)
+        x[:, :, j] = np.where(keep[j][:, None], left / np.where(
+            keep[j], pivots[j], 1)[:, None], 0)
+    out = np.zeros((len(a), k, y.shape[1]), dtype)
+    out[rows[:, None], order] = np.swapaxes(x, 1, 2)
+    return rank, out.reshape(lead + (k, y.shape[1]))
+
+
 def vandermonde_sign(n: int) -> int:
     """Sign relating det[theta_j(u_k)] to theta(sum u) prod theta(u_k - u_j).
 
@@ -514,8 +578,10 @@ def verify_vandermonde(us, ctx: ModularContext) -> Residual:
     lhs = det(mat)
     rhs = vandermonde_product(us, ctx)
     # Hadamard's bound |det| <= prod of column norms sets the scale of the
-    # rounding in a determinant that vanishes exactly
-    floor = context.TOL_IDENTITY * np.prod(np.linalg.norm(mat, axis=-2), axis=-1)
+    # rounding in a determinant that vanishes exactly; a column norm is the
+    # square root of the sum of |x|^2 down the column
+    norms = np.sqrt(np.sum((mat.conj() * mat).real, axis=-2))
+    floor = context.TOL_IDENTITY * np.prod(norms, axis=-1)
     dev = np.where((np.abs(lhs) < floor) & (np.abs(rhs) < floor), 0.0,
                    np.abs(np.subtract(lhs, rhs)))
     return worst_of_arrays(*relative(dev, np.abs(lhs) + np.abs(rhs)))

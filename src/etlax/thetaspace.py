@@ -37,8 +37,8 @@ from .context import ModularContext, read_only
 from .belavin import build_r
 from .opalg import DifferenceOperator, apply_op, exp_function
 from .stream import Stream
-from .theta import (Residual, _series, _table, relative, residual_pair,
-                    theta_table, worst_of_arrays)
+from .theta import (Residual, _series, _table, pivoted_qr, relative,
+                    residual_pair, theta_table, worst_of_arrays)
 from .transfer import l_op, m_closed
 from .weights import canonical, sample_generic, sample_many, subseeds
 
@@ -133,11 +133,12 @@ def verify_chi_quasiperiodicity(l: int, ctx: ModularContext, seed: int = 0,
 
 def gram_rank(l: int, points, ctx: ModularContext) -> int:
     """Numerical rank of the basis evaluation matrix at the given points:
-    its singular values above 1e-8 times the largest."""
+    its leading pivots |R_jj| above 1e-8 |R_11| in the pivoted QR
+    (theta.pivoted_qr)."""
     E = character_basis(l, ctx.n)
     if len(points) < 2 * len(E):
         raise ValueError("need at least 2 * dim sample points")
-    return int(np.linalg.matrix_rank(basis_table(E, points, ctx), rtol=1e-8))
+    return int(pivoted_qr(basis_table(E, points, ctx), rtol=1e-8)[0])
 
 
 def _fit(l: int, op, fn, seeds, ctx: ModularContext):
@@ -148,7 +149,8 @@ def _fit(l: int, op, fn, seeds, ctx: ModularContext):
     the dim + 4 held-out points of sample_many(seeds[e] + 77).  The points
     of every entry are sampled in one call and read in one basis table, op
     is applied once, to every function at the points of every entry, and
-    the functions of an entry are fitted by one multi-RHS lstsq.
+    every function of every entry is fitted by one pivoted_qr, its pivots
+    kept above 1e-10 |R_11|.
 
     Returns the coefficients [e, m, :] and the worst held-out Residual,
     taken entry by entry, function by function.
@@ -163,16 +165,12 @@ def _fit(l: int, op, fn, seeds, ctx: ModularContext):
     if values.shape[2] != entries:
         raise ValueError(f"{values.shape[2]} operator entries, "
                          f"{entries} seeds")
-    coeffs = np.empty((entries, values.shape[-1], len(E)), dtype=complex)
-    ab, scale = np.empty((2, entries, values.shape[-1]))
-    for e in range(entries):
-        fit = np.linalg.lstsq(table[e, :k], values[e, :k, e],
-                              rcond=1e-10)[0]           # [member, m]
-        coeffs[e] = fit.T
-        held = values[e, k:, e]
-        ab[e] = np.max(np.abs(table[e, k:] @ fit - held), axis=0)
-        scale[e] = np.max(np.abs(held), axis=0)
-    return coeffs, worst_of_arrays(*relative(ab, scale))
+    own = values[np.arange(entries), :, np.arange(entries)]   # [e, size, m]
+    fit = pivoted_qr(table[:, :k], own[:, :k], rtol=1e-10)[1]  # [e, member, m]
+    held = own[:, k:]
+    ab = np.max(np.abs(table[:, k:] @ fit - held), axis=1)
+    return fit.swapaxes(1, 2), worst_of_arrays(
+        *relative(ab, np.max(np.abs(held), axis=1)))
 
 
 def fit_action(l: int, op, ctx: ModularContext, seeds):

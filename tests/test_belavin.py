@@ -80,6 +80,26 @@ def test_gh_symmetry_reads_one_r_entry_off_by_1e_3(monkeypatch):
     assert not case.ok and case.rel > 1e-4
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unitarity_reads_red_at_minus_u_plus_0_07(n, monkeypatch):
+    # R_12(u) R_21(-u) is theta(hbar + u) theta(hbar - u) / theta(hbar)^2
+    # times 1 at the ybe draws of seeds 0-7 (rel at most 1e-14); read at
+    # -u + 0.07 instead, the case turns red (rel 0.19-0.91)
+    from etlax.suites import run_suite
+    real = bv.verify_r_unitarity
+
+    def unitarity(seed):
+        rep = run_suite("ybe", default_context(n), seed)
+        return next(c for c in rep.cases if c.name == "unitarity")
+    for seed in range(8):
+        assert unitarity(seed).ok and unitarity(seed).rel < 1e-13
+    monkeypatch.setattr(bv, "verify_r_unitarity",
+                        lambda us, vs, ctx: real(us, vs + 0.07, ctx))
+    for seed in range(8):
+        case = unitarity(seed)
+        assert not case.ok and case.rel > 1e-2
+
+
 def test_quasi_periodicity_laws(ctx2, ctx3, rng):
     for ctx in (ctx2, ctx3):
         for _ in range(3):

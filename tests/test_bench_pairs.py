@@ -109,8 +109,11 @@ def test_peak_rss_runs_one_verify_command_in_a_fresh_process(
     assert got["exit"] == 0 and got["self_mb"] > 0 and got["children_mb"] >= 0
     assert got["wall_s"] > 0
     assert got["cpus"] == len(os.sched_getaffinity(0))
-    assert got["threads"] == (1 if Path("/proc/self/status").is_file()
-                              else None)
+    proc = Path("/proc/self/status").is_file()
+    assert got["threads"] == (1 if proc else None)
+    # the resident heap and mapped files at exit, or null without /proc
+    for key in ("anon_mb", "file_mb"):
+        assert (0 < got[key] < got["self_mb"]) if proc else got[key] is None
     doc = json.loads((tmp_path / "report.json").read_text())
     assert [(s["suite"], s["params"]["n"], s["params"]["seed"])
             for s in doc["suites"]] == [("intertwiner", 2, 3)]
@@ -130,8 +133,8 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         if cpus is None:
             calls.append((tree.name, arguments))
         return {"wall_s": 0.5, "self_mb": 30.0 + len(calls),
-                "children_mb": 0.0, "exit": 0, "threads": len(calls),
-                "cpus": 2}
+                "children_mb": 0.0, "anon_mb": 18.0, "file_mb": 15.0,
+                "exit": 0, "threads": len(calls), "cpus": 2}
     monkeypatch.setattr(pairs, "probe", probe)
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",
@@ -146,9 +149,12 @@ def test_the_record_holds_both_rss_processes_per_tree(pairs, tmp_path,
         "intertwiner-n4": "one fresh `verify intertwiner --n 4 --seed 42`"}
     for side in pairs.SIDES:
         assert set(rss[side]) == {"all", "intertwiner-n4"}
-        # the keys of the records before one probe read both blocks
-        assert all(set(r) == {"self_mb", "children_mb", "exit", "threads"}
+        # the keys of the older records, and the heap and the mapped files
+        assert all(set(r) == {"self_mb", "children_mb", "anon_mb", "file_mb",
+                              "exit", "threads"}
                    and r["exit"] == 0 for r in rss[side].values())
+        assert all((r["anon_mb"], r["file_mb"]) == (18.0, 15.0)
+                   for r in rss[side].values())
     assert sorted(r["threads"] for side in pairs.SIDES
                   for r in rss[side].values()) == [1, 2, 3, 4]
 
@@ -184,8 +190,9 @@ def test_the_record_holds_fresh_walls_per_seed_and_pin(pairs, tmp_path,
         if cpus is not None:
             calls.append((tree.name, arguments, len(cpus)))
         return {"wall_s": 0.4 if tree.name == "change" else 0.5,
-                "self_mb": 30.0, "children_mb": 0.0, "exit": 0,
-                "threads": 1, "cpus": len(cpus or os.sched_getaffinity(0))}
+                "self_mb": 30.0, "children_mb": 0.0, "anon_mb": 18.0,
+                "file_mb": 15.0, "exit": 0, "threads": 1,
+                "cpus": len(cpus or os.sched_getaffinity(0))}
     monkeypatch.setattr(pairs, "probe", probe)
     out = tmp_path / "out.json"
     assert pairs.main(["--parent", "A", "--change", "B", "--workload",

@@ -90,22 +90,25 @@ def test_only_theta_divides_by_eps():
 
 
 def _linalg_calls(source: str) -> list:
-    """The line numbers where the code calls np.linalg.det or
-    np.linalg.inv (any name for numpy)."""
+    """The line numbers where the code calls a function under np.linalg
+    (any name for numpy)."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("det", "inv")
                   and isinstance(node.func.value, ast.Attribute)
                   and node.func.value.attr == "linalg")
 
 
-def test_no_module_calls_lapack_det_or_inv():
-    # theta.det is the one determinant, and the R-matrix checks invert
-    # unitary matrices by their conjugate transposes
-    assert _linalg_calls("d = np.linalg.det(m)\nx = numpy.linalg.inv(a)\n"
-                         "r = np.linalg.norm(v)\ny = th.det(m)\n"
-                         "z = (np.linalg.inv)\nw = b.conj().T\n") == [1, 2]
+def test_no_module_calls_np_linalg():
+    # theta.det is the one determinant, theta.pivoted_qr the one rank and
+    # least-squares solve, the R-matrix checks invert unitary matrices by
+    # their conjugate transposes, and a column norm is written out
+    assert _linalg_calls(
+        "d = np.linalg.det(m)\nx = numpy.linalg.inv(a)\n"
+        "r = np.linalg.norm(v)\ny = th.det(m)\nz = (np.linalg.inv)\n"
+        "w = b.conj().T\nk = np.linalg.matrix_rank(a, rtol=1e-8)\n"
+        "f = np.linalg.lstsq(a, b, rcond=1e-10)[0]\n"
+        "q = th.pivoted_qr(a, b, rtol=1e-10)\n") == [1, 2, 3, 7, 8]
     found = {path.name: _linalg_calls(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1190,6 +1190,148 @@ def test_det_agrees_with_lapack_at_each_identity_site(site, monkeypatch, rng):
                       <= 16 * EPS * hadamard)
 
 
+def _qr_calls(monkeypatch, modules):
+    """(matrices, rhs, rtol, (rank, solution)) of every theta.pivoted_qr
+    call made through the modules from now on."""
+    real, seen = th.pivoted_qr, []
+
+    def spy(matrices, rhs=None, *, rtol):
+        out = real(matrices, rhs, rtol=rtol)
+        seen.append((np.array(matrices), None if rhs is None
+                     else np.array(rhs), rtol, out))
+        return out
+    for module in modules:
+        monkeypatch.setattr(module, "pivoted_qr", spy)
+    return seen
+
+
+@pytest.mark.parametrize("suite", ["intertwiner", "theta-space"])
+def test_pivoted_qr_rank_agrees_with_lapack_at_each_rank_site(suite,
+                                                               monkeypatch):
+    # np.linalg.matrix_rank, an independent oracle, at rtol 1e-8 on every
+    # matrix whose rank a case reads: the fusion pi G blocks k = 2..n
+    # (fusion-rank-k) and gram_rank's basis tables (dimension-rank-l), at
+    # n = 2, 3, 4 and the seeds 0-7
+    from etlax import thetaspace as ts
+    from etlax.suites import run_suite
+    seen = _qr_calls(monkeypatch, [th, ts])
+    for n in (2, 3, 4):
+        for seed in range(8):
+            run_suite(suite, default_context(n), seed)
+    ranks = [(mats, rtol, rank) for mats, rhs, rtol, (rank, _) in seen
+             if rhs is None]
+    assert len(ranks) == 8 * {"intertwiner": 1 + 2 + 3,
+                              "theta-space": 2 + 1 + 1}[suite]
+    for mats, rtol, rank in ranks:
+        assert rtol == 1e-8
+        assert rank == np.linalg.matrix_rank(mats, rtol=1e-8)
+
+
+def test_pivoted_qr_fit_agrees_with_lapack_lstsq_at_every_fit_entry(
+        monkeypatch):
+    # np.linalg.lstsq at rcond 1e-10 on every entry theta-space fits (the
+    # invariance fits and the negative controls), n = 2, 3, 4 and the seeds
+    # 0-7: within 32 eps times the condition of the entry's table, relative
+    # to the largest coefficient; measured at most 4.3 eps kappa (kappa at
+    # most 25)
+    from etlax import thetaspace as ts
+    from etlax.suites import run_suite
+    seen = _qr_calls(monkeypatch, [ts])
+    for n in (2, 3, 4):
+        for seed in range(8):
+            run_suite("theta-space", default_context(n), seed)
+    fits = [(mats, rhs, fit) for mats, rhs, rtol, (_, fit) in seen
+            if rhs is not None and rtol == 1e-10]
+    # per level: the L fit, the M_1 fit and the negative control
+    assert len(fits) == len([rhs for _, rhs, _, _ in seen
+                             if rhs is not None]) == 8 * 3 * (2 + 1 + 1)
+    for mats, rhs, fit in fits:
+        for table, values, got in zip(mats, rhs, fit):
+            want = np.linalg.lstsq(table, values, rcond=1e-10)[0]
+            assert np.max(np.abs(got - want)) <= 32 * EPS \
+                * np.linalg.cond(table) * np.max(np.abs(want))
+
+
+def _gram_tables(l, n, seeds):
+    """The basis table of level l at 2 dim + 4 points of each seed."""
+    from etlax import thetaspace as ts
+    from etlax import weights as wt
+    ctx = default_context(n)
+    E = ts.character_basis(l, n)
+    return [ts.basis_table(E, wt.sample_many(seed, 2 * len(E) + 4, ctx), ctx)
+            for seed in seeds]
+
+
+@pytest.mark.parametrize("n,l", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_pivoted_qr_reads_a_dependent_or_tiny_column(n, l):
+    # controls on gram_rank's tables: a planted dependent column lowers the
+    # rank by exactly one, and so does a column scaled to 1e-9 of the
+    # largest at rtol 1e-8, as it does for the SVD rank
+    for table in _gram_tables(l, n, range(8)):
+        full = table.shape[1]
+        assert th.pivoted_qr(table, rtol=1e-8)[0] == full
+        planted = table.copy()
+        planted[:, -1] = table[:, 0] - (0.3 + 2j) * table[:, 1] \
+            if full > 2 else 2j * table[:, 0]
+        tiny = table.copy()
+        tiny[:, -1] *= 1e-9 * np.max(np.abs(table)) / np.max(
+            np.abs(table[:, -1]))
+        for mat in (planted, tiny):
+            assert th.pivoted_qr(mat, rtol=1e-8)[0] == full - 1 \
+                == np.linalg.matrix_rank(mat, rtol=1e-8)
+        # batched, each matrix keeps its own rank
+        assert np.array_equal(th.pivoted_qr(np.stack([table, planted, tiny]),
+                                            rtol=1e-8)[0],
+                              [full, full - 1, full - 1])
+
+
+@pytest.mark.parametrize("n,l", [(2, 1), (2, 2), (3, 1)])
+def test_pivoted_qr_fit_outside_the_span_keeps_its_held_out_residual(n, l):
+    # control: the level-(l + 1) products lie outside the level-l span, so
+    # their fit on 3 dim points misses the held-out points by at least
+    # 1e-2 (negative-control-l's floor), while the level-l members
+    # themselves fit to 1e-9
+    from etlax import thetaspace as ts
+    from etlax import weights as wt
+    ctx = default_context(n)
+    E = ts.character_basis(l, n)
+    k = 3 * len(E)
+    P = wt.sample_many(60, k + len(E) + 4, ctx)
+    table = ts.basis_table(E, P, ctx)
+    for values, outside in ((table, False),
+                            (ts.basis_table(ts.character_basis(l + 1, n), P,
+                                            ctx), True)):
+        fit = th.pivoted_qr(table[:k], values[:k], rtol=1e-10)[1]
+        held = values[k:]
+        rel = np.max(np.abs(table[k:] @ fit - held), axis=0) \
+            / np.max(np.abs(held), axis=0)
+        assert np.all(rel >= 1e-2) if outside else np.all(rel < 1e-9)
+
+
+def test_pivoted_qr_on_mpmath_arrays_at_30_digits():
+    # the kernel on object arrays of mpmath numbers: an exactly rank-2
+    # integer matrix reads rank 2, and a full-rank solve agrees with
+    # mp.qr_solve to 1e-25
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(860)
+    with mp.workdps(30):
+        ints = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [2, 1, 0]])
+        mat = np.vectorize(mp.mpc, otypes=[object])(ints)
+        assert th.pivoted_qr(mat, rtol=1e-20)[0] == 2
+        assert th.pivoted_qr(mat[:, :2], rtol=1e-20)[0] == 2
+        for rows, cols in ((4, 3), (6, 4), (5, 5)):
+            a = np.empty((rows, cols), dtype=object)
+            b = np.empty((rows, 1), dtype=object)
+            for arr in (a, b):
+                for idx in np.ndindex(arr.shape):
+                    arr[idx] = mp.mpc(*rng.normal(size=2))
+            rank, got = th.pivoted_qr(a, b, rtol=1e-20)
+            want = mp.qr_solve(mp.matrix(a.tolist()), mp.matrix(b.tolist()))[0]
+            assert rank == cols and got.dtype == object
+            assert all(isinstance(x, mp.mpc) for x in got.ravel())
+            assert max(abs(got[j, 0] - want[j]) for j in range(cols)) < 1e-25
+
+
 def test_array_draws_are_the_scalar_stream():
     # rand_complex is the scalar draw the suites made one point at a time
     from etlax.suites import _rc, _rcs

@@ -29,15 +29,19 @@ RSS_COMMANDS, the peak resident set of one fresh `verify <command> --seed
 S` process (RUSAGE_SELF) and of the largest process it forked and reaped
 (RUSAGE_CHILDREN), in MB, S the first --seed: `verify all`, and `verify
 intertwiner --n 4`, the largest intertwiner run of the identities workload,
-whose fusion intertwining at k = 4 holds Phi' only in row blocks and no
-n^k x n^k array.  Each also records the OS threads of that process right
-after it imported etlax ("threads").  "fresh_wall" holds, for every seed,
-the wall time of one fresh `verify all --seed S` process of each tree,
-start to exit, pinned with os.sched_setaffinity to the first CPU of this
-tool's own affinity ("one-cpu") and to all of them ("all-cpus"): --pairs
-alternating pairs per seed and pinning, each with the exit code and the
-CPUs the process saw, and a summary as for the benchmark's wall_s.  Both
-blocks read one kind of fresh process (probe), the "rss" ones unpinned.
+whose fusion intertwining at k = 4 holds Phi' only in row blocks and no n^k
+x n^k array.  Each also records the OS threads of that process right after
+it imported etlax ("threads"), and its resident heap and mapped files at
+exit ("anon_mb" and "file_mb", RssAnon and RssFile), so that a memory gain
+shows whether it saved allocations or library code; a record made before
+these two keys lacks them, and every other key is unchanged.  "fresh_wall"
+holds, for every seed, the wall time of one fresh `verify all --seed S`
+process of each tree, start to exit, pinned with os.sched_setaffinity to
+the first CPU of this tool's own affinity ("one-cpu") and to all of them
+("all-cpus"): --pairs alternating pairs per seed and pinning, each with the
+exit code and the CPUs the process saw, and a summary as for the
+benchmark's wall_s.  Both blocks read one kind of fresh process (probe),
+the "rss" ones unpinned.
 """
 
 from __future__ import annotations
@@ -63,25 +67,33 @@ SIDES = ("parent", "change")
 
 # One fresh `verify <arguments...> --json <report>`, the report path first
 # on its command line: the report goes to a scratch file, and the last line
-# of standard output is {"self_mb", "children_mb", "exit", "threads",
-# "cpus"}, threads the OS threads of the process right after it imported
-# the CLI (null where /proc/self/status is missing) and cpus the size of
-# the affinity mask it ran under.
+# of standard output is {"self_mb", "children_mb", "anon_mb", "file_mb",
+# "exit", "threads", "cpus"}: threads the OS threads of the process right
+# after it imported the CLI, anon_mb and file_mb its resident heap and
+# mapped files at exit (RssAnon and RssFile), each null where
+# /proc/self/status is missing, and cpus the size of the affinity mask it
+# ran under.
 PROBE_CODE = """
 import contextlib, io, json, os, resource, sys
 sys.path.insert(0, "src")
 from etlax import cli
-try:
-    with open("/proc/self/status") as fh:
-        threads = next(int(line.split()[1]) for line in fh
-                       if line.startswith("Threads:"))
-except OSError:
-    threads = None
+def status(key):
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh
+                        if line.startswith(key + ":"))
+    except OSError:
+        return None
+threads = status("Threads")
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[2:] + ["--json", sys.argv[1]])
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
+kb = {key: status(key) for key in ("RssAnon", "RssFile")}
 print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
                   "children_mb": mb(resource.RUSAGE_CHILDREN),
+                  **{name: None if kb[key] is None else kb[key] / 1024.0
+                     for name, key in (("anon_mb", "RssAnon"),
+                                       ("file_mb", "RssFile"))},
                   "exit": code, "threads": threads,
                   "cpus": len(os.sched_getaffinity(0))}))
 """
@@ -89,7 +101,8 @@ print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
 RSS_COMMANDS = {"all": ["all"],
                 "intertwiner-n4": ["intertwiner", "--n", "4"]}
 # the keys of a probe that the "rss" and the "fresh_wall" blocks record
-RSS_KEYS = ("self_mb", "children_mb", "exit", "threads")
+RSS_KEYS = ("self_mb", "children_mb", "anon_mb", "file_mb", "exit",
+            "threads")
 WALL_KEYS = ("wall_s", "exit", "cpus")
 
 
