@@ -487,34 +487,34 @@ def pivoted_qr(matrices, rhs=None, *, rtol: float):
     arrays of mpmath numbers work too."""
     matrices = np.asarray(matrices)
     lead, (m, k) = matrices.shape[:-2], matrices.shape[-2:]
-    b = matrices[..., :0] if rhs is None else np.asarray(rhs)
-    dtype = np.result_type(matrices, b)
-    # a[t, c] is column c of matrix t, and y[t, s] column s of its rhs
-    a = np.swapaxes(matrices.reshape(-1, m, k), 1, 2).astype(dtype)
-    y = np.swapaxes(b.reshape(len(a), m, -1), 1, 2).astype(dtype)
-    rows = np.arange(len(a))
-    order = np.tile(np.arange(k), (len(a), 1))
+    joined = np.concatenate(
+        [matrices, matrices[..., :0] if rhs is None else rhs], axis=-1)
+    # w[t, c] is column c of matrix t for c < k, then the rhs columns: one
+    # reflection updates both
+    w = np.swapaxes(joined.reshape(-1, m, joined.shape[-1]), 1, 2).copy()
+    rows = np.arange(len(w))
+    order = np.tile(np.arange(k), (len(w), 1))
     pivots, sizes = [], []
     for j in range(min(m, k)):
-        norms = np.sum(abs(a[:, j:, j:]) ** 2, axis=-1)
+        norms = np.sum(abs(w[:, j:k, j:]) ** 2, axis=-1)
         best = np.argmax(norms, axis=-1)
         # columns j and j + best of matrix t trade places
-        for arr in (a, order):
+        for arr in (w, order):
             col = arr[rows, j + best]
             arr[rows, j + best] = arr[:, j]
             arr[:, j] = col
         alpha = norms[rows, best] ** 0.5
-        head = a[:, j, j]
+        head = w[:, j, j]
         size = abs(head)
         phase = np.where(size == 0, 1, head / np.where(size == 0, 1, size))
         # v = x + phase |x| e_1 and H = 1 - v v* / (|x| (|x| + |x_1|))
-        v = a[:, j, j:].copy()
+        v = w[:, j, j:].copy()
         v[:, 0] += phase * alpha
         scale = alpha * (alpha + size)
         beta = np.where(scale == 0, 0, 1 / np.where(scale == 0, 1, scale))
-        for block in (a[:, j + 1:, j:], y[:, :, j:]):
-            block -= (beta[:, None] * np.sum(v.conj()[:, None] * block,
-                                             axis=-1))[..., None] * v[:, None]
+        block = w[:, j + 1:, j:]
+        block -= (beta[:, None] * np.sum(v.conj()[:, None] * block, axis=-1)
+                  )[..., None] * v[:, None]
         pivots.append(-phase * alpha)
         sizes.append(alpha)
     steps = len(pivots)
@@ -523,16 +523,16 @@ def pivoted_qr(matrices, rhs=None, *, rtol: float):
     rank = keep.sum(axis=0).reshape(lead)[()]
     if rhs is None:
         return rank, None
-    # back substitution on the kept pivots: R_jc is a[:, c, j]
-    x = np.zeros((len(a), y.shape[1], k), dtype)
+    # back substitution on the kept pivots: R_jc is w[:, c, j]
+    x = np.zeros((len(w), w.shape[1] - k, k), w.dtype)
     for j in reversed(range(steps)):
-        left = y[:, :, j] - np.sum(a[:, None, j + 1:steps, j]
-                                   * x[:, :, j + 1:steps], axis=-1)
+        left = w[:, k:, j] - np.sum(w[:, None, j + 1:steps, j]
+                                    * x[:, :, j + 1:steps], axis=-1)
         x[:, :, j] = np.where(keep[j][:, None], left / np.where(
             keep[j], pivots[j], 1)[:, None], 0)
-    out = np.zeros((len(a), k, y.shape[1]), dtype)
+    out = np.zeros((len(w), k, x.shape[1]), w.dtype)
     out[rows[:, None], order] = np.swapaxes(x, 1, 2)
-    return rank, out.reshape(lead + (k, y.shape[1]))
+    return rank, out.reshape(lead + out.shape[1:])
 
 
 def vandermonde_sign(n: int) -> int:
